@@ -123,8 +123,9 @@ impl Scheduler for LoggingScheduler {
 }
 
 /// The workload one exploration drives: a single group, `messages`
-/// multicasts from the root, with optional atomic delivery, recovery,
-/// crash-injection sites, and seeded mutations.
+/// multicasts from the root (or rotated through every member of an
+/// atomic group), with optional recovery, crash-injection sites, and
+/// seeded mutations.
 #[derive(Clone, Debug)]
 pub struct ExploreScenario {
     /// Block-dissemination algorithm.
@@ -141,16 +142,12 @@ pub struct ExploreScenario {
     pub ready_window: u32,
     /// Block sends a member may have posted at once.
     pub max_outstanding_sends: u32,
-    /// Derecho-style §4.6 atomic delivery (stable-frontier invariants
-    /// apply). Mutually exclusive with `fault_sites` (atomic groups do
-    /// not reconfigure).
-    pub atomic: bool,
     /// Multi-sender atomic multicast (the Derecho overlay): every
     /// member is a sender, `messages` submissions rotate round-robin
     /// through one RDMC subgroup per sender, and every execution is
     /// checked for cross-rank delivery-log agreement. Built via
-    /// [`ExploreScenario::atomic`]; mutually exclusive with `atomic`
-    /// and `reliability`.
+    /// [`ExploreScenario::atomic`]; mutually exclusive with
+    /// `reliability`.
     pub multi_sender: bool,
     /// Crash-injection sites `(protocol step, victim node)`. When
     /// non-empty, the execution's *first* choice point picks one site —
@@ -170,9 +167,8 @@ pub struct ExploreScenario {
 }
 
 impl ExploreScenario {
-    /// The CI-tier default: a small group moving a few blocks with
-    /// atomic delivery on, sized so exhaustive enumeration stays
-    /// tractable.
+    /// The CI-tier default: a small plain RDMC group moving a few
+    /// blocks, sized so exhaustive enumeration stays tractable.
     pub fn small(algorithm: Algorithm, n: u32, k: u32) -> Self {
         ExploreScenario {
             algorithm,
@@ -182,7 +178,6 @@ impl ExploreScenario {
             messages: 1,
             ready_window: 1,
             max_outstanding_sends: 1,
-            atomic: true,
             multi_sender: false,
             fault_sites: Vec::new(),
             loss_choices: 0,
@@ -200,28 +195,25 @@ impl ExploreScenario {
     /// identical `(slot, sender, seq, size)` sequence.
     pub fn atomic(algorithm: Algorithm, n: u32, k: u32) -> Self {
         ExploreScenario {
-            atomic: false,
             multi_sender: true,
             messages: n,
             ..Self::small(algorithm, n, k)
         }
     }
 
-    /// A crash-exploring variant: recovery on, atomic off, with the
-    /// given `(protocol step, victim node)` sites offered to the
-    /// explorer as alternative first choices.
+    /// A crash-exploring variant: recovery on, with the given
+    /// `(protocol step, victim node)` sites offered to the explorer as
+    /// alternative first choices.
     pub fn with_faults(mut self, sites: Vec<(u64, usize)>) -> Self {
-        self.atomic = false;
         self.fault_sites = sites;
         self
     }
 
     /// A loss-exploring variant: the first `budget` wire transfers
     /// become deliver-or-drop choice points, the group is protected by
-    /// `policy`, and recovery is on (atomic delivery off) so drop
-    /// branches that escalate can still converge.
+    /// `policy`, and recovery is on so drop branches that escalate can
+    /// still converge.
     pub fn with_loss(mut self, budget: u64, policy: ReliabilityPolicy) -> Self {
-        self.atomic = false;
         self.loss_choices = budget;
         self.reliability = Some(policy);
         self
@@ -424,10 +416,8 @@ fn run_with(scenario: &ExploreScenario, pick: Pick) -> ExecutionResult {
         if !scenario.fault_sites.is_empty() || scenario.reliability.is_some() {
             builder = builder.recovery(RecoveryConfig::default());
         }
-        let mut cluster = builder.build();
-        cluster.set_loss_choice_budget(scenario.loss_choices);
-        for &m in &scenario.mutations {
-            cluster.seed_mutation(m);
+        if let Some(policy) = scenario.reliability {
+            builder = builder.reliability(policy);
         }
         let spec = GroupSpec {
             members: (0..scenario.n as usize).collect(),
@@ -436,20 +426,21 @@ fn run_with(scenario: &ExploreScenario, pick: Pick) -> ExecutionResult {
             ready_window: scenario.ready_window,
             max_outstanding_sends: scenario.max_outstanding_sends,
         };
+        let mut cluster = if scenario.multi_sender {
+            builder.atomic(spec.clone()).build()
+        } else {
+            builder.build()
+        };
+        cluster.set_loss_choice_budget(scenario.loss_choices);
+        for &m in &scenario.mutations {
+            cluster.seed_mutation(m);
+        }
         let group = if scenario.multi_sender {
-            let ag = cluster.create_atomic_group(spec);
             // The anchor subgroup's id names the overlay group for the
             // epoch-agreement check below.
-            cluster.atomic_subgroups(ag)[0]
+            cluster.atomic_subgroups(0)[0]
         } else {
-            let group = cluster.create_group(spec);
-            if scenario.atomic {
-                cluster.enable_atomic_delivery(group);
-            }
-            if let Some(policy) = scenario.reliability {
-                cluster.set_reliability(group, policy);
-            }
-            group
+            cluster.create_group(spec)
         };
         let injected = offer_fault_choice(scenario, &shared, &mut cluster);
         for _ in 0..scenario.messages {
@@ -591,24 +582,6 @@ fn check_invariants(
                     "message {} of group {} missing deliveries in a crash-free run",
                     m.index, m.group
                 ));
-            }
-        }
-    }
-    // §4.6 stable frontier: per member, stable deliveries are gapless
-    // (the delivered prefix — all of it at quiescence) and their times
-    // are monotone.
-    if scenario.atomic {
-        for rank in 0..scenario.n {
-            let stable = cluster.stable_deliveries(group, rank);
-            if stable.len() != scenario.messages as usize {
-                violations.push(format!(
-                    "rank {rank}: {} of {} messages stably delivered",
-                    stable.len(),
-                    scenario.messages
-                ));
-            }
-            if stable.windows(2).any(|w| w[1] < w[0]) {
-                violations.push(format!("rank {rank}: stable-delivery times regressed"));
             }
         }
     }

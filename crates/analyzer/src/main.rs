@@ -65,10 +65,6 @@ fn scenario_for(args: &ExploreArgs) -> ExploreScenario {
         // implicit "no fault" branch.
         let sites = (1..args.n as usize).map(|v| (10, v)).collect();
         scenario = scenario.with_faults(sites);
-    } else if args.n > 3 {
-        // Atomic-delivery status traffic makes exhaustive enumeration
-        // intractable beyond n=3; larger groups explore non-atomic.
-        scenario.atomic = false;
     }
     scenario
 }

@@ -9,13 +9,10 @@ use rdmc_sim::{Mutation, ReliabilityPolicy};
 
 #[test]
 fn exhaustive_small_binomial_is_clean() {
-    // Atomic delivery multiplies same-instant status-write bursts, so
-    // the atomic tier runs at n=3 and the n=4 tier runs non-atomic
-    // (the §4.6 frontier invariants still get exhaustive coverage via
-    // the n=3 runs and randomized n=4 coverage below).
-    for (n, k, atomic) in [(3, 1, true), (3, 2, true), (4, 1, false), (4, 2, false)] {
-        let mut scenario = ExploreScenario::small(Algorithm::BinomialPipeline, n, k);
-        scenario.atomic = atomic;
+    // Plain RDMC groups; the atomic-delivery ordering invariants are
+    // explored by `atomic_exploration_upholds_delivery_log_agreement`.
+    for (n, k) in [(3, 1), (3, 2), (4, 1), (4, 2)] {
+        let scenario = ExploreScenario::small(Algorithm::BinomialPipeline, n, k);
         let report = explore_executions(&ExploreConfig::exhaustive(scenario));
         assert!(report.is_clean(), "n={n} k={k}: {report}");
         assert!(
@@ -50,8 +47,7 @@ fn exhaustive_covers_all_algorithms() {
 
 #[test]
 fn dpor_matches_exhaustive_with_fewer_executions() {
-    let mut scenario = ExploreScenario::small(Algorithm::BinomialPipeline, 4, 2);
-    scenario.atomic = false;
+    let scenario = ExploreScenario::small(Algorithm::BinomialPipeline, 4, 2);
     let full = explore_executions(&ExploreConfig::exhaustive(scenario.clone()));
     let dpor = explore_executions(&ExploreConfig::dpor(scenario));
     assert!(full.is_clean(), "exhaustive: {full}");
@@ -72,8 +68,7 @@ fn dpor_matches_exhaustive_with_fewer_executions() {
 #[test]
 #[ignore = "heavy (~10s release, minutes debug): the CI explore job runs it with --release --include-ignored"]
 fn dpor_reduces_tenfold_at_n5() {
-    let mut scenario = ExploreScenario::small(Algorithm::BinomialPipeline, 5, 2);
-    scenario.atomic = false;
+    let scenario = ExploreScenario::small(Algorithm::BinomialPipeline, 5, 2);
     let mut full_cfg = ExploreConfig::exhaustive(scenario.clone());
     full_cfg.max_executions = 100_000; // the space is ~47k executions
     let full = explore_executions(&full_cfg);
@@ -124,15 +119,19 @@ fn unsorted_teardown_mutation_is_caught_by_replay_audit() {
     let scenario = ExploreScenario::small(Algorithm::BinomialPipeline, 4, 2)
         .with_faults(vec![(10, 1)])
         .with_mutation(Mutation::UnsortedQpTeardown);
-    let config = ExploreConfig {
-        replay_every: 1, // audit every execution
-        ..ExploreConfig::random(scenario.clone(), 7, 30)
-    };
-    let report = explore_executions(&config);
-    let cex = report
-        .counterexample
-        .as_ref()
+    // Two replays agree by chance whenever the process-random hasher
+    // happens to order the few queue pairs alike, so one 30-walk misses
+    // about one time in five; eight independent walks miss ~1e-6.
+    let report = (7..15)
+        .map(|seed| {
+            explore_executions(&ExploreConfig {
+                replay_every: 1, // audit every execution
+                ..ExploreConfig::random(scenario.clone(), seed, 30)
+            })
+        })
+        .find(|report| report.counterexample.is_some())
         .expect("mutation must be caught");
+    let cex = report.counterexample.as_ref().expect("just checked");
     assert!(
         cex.violations
             .iter()
@@ -187,8 +186,7 @@ fn loss_exploration_is_clean_and_converges() {
     // selective-ack must repair every drop branch back to the same
     // terminal state (one crash-free digest), with no hangs and a clean
     // trace oracle on every interleaving.
-    let mut base = ExploreScenario::small(Algorithm::BinomialPipeline, 3, 2);
-    base.atomic = false;
+    let base = ExploreScenario::small(Algorithm::BinomialPipeline, 3, 2);
     let lossy = base
         .clone()
         .with_loss(3, ReliabilityPolicy::selective_ack());

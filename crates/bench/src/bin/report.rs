@@ -17,8 +17,109 @@
 use rdmc_bench::experiments as e;
 use verbs::perf::{snapshot, KernelPerf};
 
-/// An experiment section: name + generator.
-type Section = (&'static str, fn(bool) -> String);
+/// What one section produced.
+struct Output {
+    /// The text table for stdout (`None`: the section only feeds the
+    /// JSON summary).
+    text: Option<String>,
+    /// The section's own record in the JSON summary: top-level key and
+    /// value. Sections without one get a kernel-work row under
+    /// `"sections"` instead.
+    json: Option<(&'static str, String)>,
+}
+
+/// An experiment section: the name `report <name>...` selects it by
+/// (probes share the name of the text section they ride along with) and
+/// its generator.
+type Section = (&'static str, fn(bool) -> Output);
+
+fn text(text: String) -> Output {
+    Output {
+        text: Some(text),
+        json: None,
+    }
+}
+
+fn record(text: String, key: &'static str, json: String) -> Output {
+    Output {
+        text: Some(text),
+        json: Some((key, json)),
+    }
+}
+
+/// Every section, in stdout order; the ones with a JSON record are also
+/// in the summary's key order.
+const SECTIONS: &[Section] = &[
+    ("fig4", |q| text(e::fig4_latency(q))),
+    ("table1", |q| text(e::table1_breakdown(q))),
+    ("fig5", |q| text(e::fig5_step_timeline(q))),
+    ("fig6", |q| text(e::fig6_block_size(q))),
+    ("fig7", |q| text(e::fig7_one_byte(q))),
+    ("fig8", |q| text(e::fig8_scalability(q))),
+    ("fig9", |q| text(e::fig9_cosmos(q))),
+    ("fig10", |q| text(e::fig10_overlap(q))),
+    ("fig11", |q| text(e::fig11_interrupts(q))),
+    ("fig12", |q| text(e::fig12_core_direct(q))),
+    ("robustness", |q| text(e::robustness_analysis(q))),
+    ("recovery", |q| text(e::recovery_failover(q))),
+    ("sst", |q| text(e::sst_small_messages(q))),
+    ("kernel", |q| text(e::kernel_throughput(q))),
+    ("analyzer", |q| text(e::analyzer_sweep(q))),
+    ("explore", |q| text(e::explore_throughput(q))),
+    ("trace", |q| text(e::trace_observability(q))),
+    // The disabled-recorder overhead probe.
+    ("trace", |q| {
+        let t = e::trace_overhead_probe(q);
+        eprintln!(
+            "[trace overhead: {} events x {:.2}ns/call disabled = {:.3}% of {:.2}s untraced run]",
+            t.events, t.ns_per_disabled_call, t.overhead_pct, t.wall_disabled_s
+        );
+        let json = format!(
+            "{{\"events\": {}, \"ns_per_disabled_call\": {:.3}, \
+             \"wall_disabled_s\": {:.3}, \"overhead_pct\": {:.4}}}",
+            t.events, t.ns_per_disabled_call, t.wall_disabled_s, t.overhead_pct,
+        );
+        Output {
+            text: None,
+            json: Some(("trace", json)),
+        }
+    }),
+    ("multigroup", |q| {
+        let m = e::multigroup_sweep(q);
+        record(m.text(), "multigroup", m.to_json())
+    }),
+    // Committed ops/s, rotated multi-sender vs single-sender RDMC.
+    ("atomic", |q| {
+        let a = e::atomic_sweep(q);
+        record(a.text(), "atomic", a.to_json())
+    }),
+    ("reliability", |q| {
+        let r = e::reliability_sweep(q);
+        record(r.text(), "reliability", r.to_json())
+    }),
+    ("scale", |q| {
+        let s = e::scale_benchmark(q);
+        record(s.text(), "scale", s.to_json())
+    }),
+    // The same workload over real loopback sockets and over the
+    // simulated fabric at a matched configuration.
+    ("transport", |q| {
+        let r = e::transport_benchmark(q);
+        record(r.text(), "transport", r.to_json())
+    }),
+    // The explorer-throughput probe (executions, explored states/s).
+    ("explore", |q| {
+        let x = e::explore_bench_probe(q);
+        eprintln!(
+            "[explore bench: {} exhaustive vs {} dpor executions, {:.0} states/s]",
+            x.exhaustive_executions, x.dpor_executions, x.states_per_sec
+        );
+        Output {
+            text: None,
+            json: Some(("explore", x.to_json())),
+        }
+    }),
+];
 
 /// One section's kernel-work record for the JSON summary.
 struct SectionPerf {
@@ -27,50 +128,19 @@ struct SectionPerf {
     work: KernelPerf,
 }
 
-// One parameter per optional JSON record; a struct would just move the
-// same seven names one level down.
-#[allow(clippy::too_many_arguments)]
 fn json_summary(
     quick: bool,
     threads: usize,
     total_wall_s: f64,
+    records: &[(&'static str, String)],
     sections: &[SectionPerf],
-    trace_overhead: Option<&e::TraceOverhead>,
-    multigroup: Option<&e::MultigroupReport>,
-    atomic: Option<&e::AtomicReport>,
-    reliability: Option<&e::ReliabilityReport>,
-    scale: Option<&e::ScaleReport>,
-    transport: Option<&e::TransportReport>,
-    explore: Option<&e::ExploreBench>,
 ) -> String {
     let mut out = String::from("{\n");
     out.push_str(&format!("  \"quick\": {quick},\n"));
     out.push_str(&format!("  \"threads\": {threads},\n"));
     out.push_str(&format!("  \"total_wall_s\": {total_wall_s:.3},\n"));
-    if let Some(t) = trace_overhead {
-        out.push_str(&format!(
-            "  \"trace\": {{\"events\": {}, \"ns_per_disabled_call\": {:.3}, \
-             \"wall_disabled_s\": {:.3}, \"overhead_pct\": {:.4}}},\n",
-            t.events, t.ns_per_disabled_call, t.wall_disabled_s, t.overhead_pct,
-        ));
-    }
-    if let Some(m) = multigroup {
-        out.push_str(&format!("  \"multigroup\": {},\n", m.to_json()));
-    }
-    if let Some(a) = atomic {
-        out.push_str(&format!("  \"atomic\": {},\n", a.to_json()));
-    }
-    if let Some(r) = reliability {
-        out.push_str(&format!("  \"reliability\": {},\n", r.to_json()));
-    }
-    if let Some(s) = scale {
-        out.push_str(&format!("  \"scale\": {},\n", s.to_json()));
-    }
-    if let Some(t) = transport {
-        out.push_str(&format!("  \"transport\": {},\n", t.to_json()));
-    }
-    if let Some(x) = explore {
-        out.push_str(&format!("  \"explore\": {},\n", x.to_json()));
+    for (key, json) in records {
+        out.push_str(&format!("  \"{key}\": {json},\n"));
     }
     out.push_str("  \"sections\": [\n");
     for (i, s) in sections.iter().enumerate() {
@@ -107,25 +177,6 @@ fn json_summary(
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let t0 = std::time::Instant::now();
-    let sections: Vec<Section> = vec![
-        ("fig4", e::fig4_latency),
-        ("table1", e::table1_breakdown),
-        ("fig5", e::fig5_step_timeline),
-        ("fig6", e::fig6_block_size),
-        ("fig7", e::fig7_one_byte),
-        ("fig8", e::fig8_scalability),
-        ("fig9", e::fig9_cosmos),
-        ("fig10", e::fig10_overlap),
-        ("fig11", e::fig11_interrupts),
-        ("fig12", e::fig12_core_direct),
-        ("robustness", e::robustness_analysis),
-        ("recovery", e::recovery_failover),
-        ("sst", e::sst_small_messages),
-        ("kernel", e::kernel_throughput),
-        ("analyzer", e::analyzer_sweep),
-        ("explore", e::explore_throughput),
-        ("trace", e::trace_observability),
-    ];
     let chrome_path = std::env::args()
         .find_map(|a| a.strip_prefix("--chrome-trace=").map(str::to_owned))
         .or_else(|| std::env::var("RDMC_TRACE_CHROME").ok());
@@ -138,109 +189,29 @@ fn main() {
         })
         .collect();
     let mut perf: Vec<SectionPerf> = Vec::new();
-    for (name, f) in sections {
+    let mut records: Vec<(&'static str, String)> = Vec::new();
+    for &(name, run) in SECTIONS {
         if !only.is_empty() && !only.iter().any(|o| o == name) {
             continue;
         }
         let base = snapshot();
         let t = std::time::Instant::now();
-        println!("==================== {name} ====================");
-        println!("{}", f(quick));
+        let out = run(quick);
         let wall_s = t.elapsed().as_secs_f64();
-        perf.push(SectionPerf {
-            name,
-            wall_s,
-            work: snapshot().delta_since(&base),
-        });
-        eprintln!("[{name} took {wall_s:.1}s]");
+        if let Some(text) = out.text {
+            println!("==================== {name} ====================");
+            println!("{text}");
+            eprintln!("[{name} took {wall_s:.1}s]");
+        }
+        match out.json {
+            Some(record) => records.push(record),
+            None => perf.push(SectionPerf {
+                name,
+                wall_s,
+                work: snapshot().delta_since(&base),
+            }),
+        }
     }
-    // The multigroup sweep reports through the JSON summary as well as
-    // text, so it runs outside the plain-text section list.
-    let multigroup = if only.is_empty() || only.iter().any(|o| o == "multigroup") {
-        let t = std::time::Instant::now();
-        let m = e::multigroup_sweep(quick);
-        println!("==================== multigroup ====================");
-        println!("{}", m.text());
-        eprintln!("[multigroup took {:.1}s]", t.elapsed().as_secs_f64());
-        Some(m)
-    } else {
-        None
-    };
-    // The atomic multicast sweep (committed ops/s, multi-sender vs
-    // single-sender) reports through the JSON summary as well as text,
-    // so it runs outside the plain-text section list.
-    let atomic = if only.is_empty() || only.iter().any(|o| o == "atomic") {
-        let t = std::time::Instant::now();
-        let a = e::atomic_sweep(quick);
-        println!("==================== atomic ====================");
-        println!("{}", a.text());
-        eprintln!("[atomic took {:.1}s]", t.elapsed().as_secs_f64());
-        Some(a)
-    } else {
-        None
-    };
-    // The lossy-WAN reliability sweep reports through the JSON summary
-    // as well as text, so it runs outside the plain-text section list.
-    let reliability = if only.is_empty() || only.iter().any(|o| o == "reliability") {
-        let t = std::time::Instant::now();
-        let r = e::reliability_sweep(quick);
-        println!("==================== reliability ====================");
-        println!("{}", r.text());
-        eprintln!("[reliability took {:.1}s]", t.elapsed().as_secs_f64());
-        Some(r)
-    } else {
-        None
-    };
-    // The datacenter-scale benchmark also reports through the JSON
-    // summary, so it runs outside the plain-text section list.
-    let scale = if only.is_empty() || only.iter().any(|o| o == "scale") {
-        let t = std::time::Instant::now();
-        let s = e::scale_benchmark(quick);
-        println!("==================== scale ====================");
-        println!("{}", s.text());
-        eprintln!("[scale took {:.1}s]", t.elapsed().as_secs_f64());
-        Some(s)
-    } else {
-        None
-    };
-    // The transport benchmark runs the same workload over real loopback
-    // sockets and over the simulated fabric at a matched configuration;
-    // both cells land in the JSON summary.
-    let transport = if only.is_empty() || only.iter().any(|o| o == "transport") {
-        let t = std::time::Instant::now();
-        let r = e::transport_benchmark(quick);
-        println!("==================== transport ====================");
-        println!("{}", r.text());
-        eprintln!("[transport took {:.1}s]", t.elapsed().as_secs_f64());
-        Some(r)
-    } else {
-        None
-    };
-    // The explorer-throughput probe rides along whenever the explore
-    // section is in scope; its record (executions, explored states per
-    // second) lands in the JSON summary.
-    let explore_bench = if only.is_empty() || only.iter().any(|o| o == "explore") {
-        let x = e::explore_bench_probe(quick);
-        eprintln!(
-            "[explore bench: {} exhaustive vs {} dpor executions, {:.0} states/s]",
-            x.exhaustive_executions, x.dpor_executions, x.states_per_sec
-        );
-        Some(x)
-    } else {
-        None
-    };
-    // The disabled-recorder overhead probe rides along whenever the
-    // trace section is in scope; its record lands in the JSON summary.
-    let trace_overhead = if only.is_empty() || only.iter().any(|o| o == "trace") {
-        let t = e::trace_overhead_probe(quick);
-        eprintln!(
-            "[trace overhead: {} events x {:.2}ns/call disabled = {:.3}% of {:.2}s untraced run]",
-            t.events, t.ns_per_disabled_call, t.overhead_pct, t.wall_disabled_s
-        );
-        Some(t)
-    } else {
-        None
-    };
     if let Some(path) = &chrome_path {
         match e::write_sample_chrome_trace(path) {
             Ok(()) => eprintln!("[sample Chrome trace written to {path}]"),
@@ -252,27 +223,16 @@ fn main() {
     let threads = rdmc_bench::parallel::worker_threads();
     eprintln!("[total {total:.1}s on {threads} worker threads]");
 
-    let json = json_summary(
-        quick,
-        threads,
-        total,
-        &perf,
-        trace_overhead.as_ref(),
-        multigroup.as_ref(),
-        atomic.as_ref(),
-        reliability.as_ref(),
-        scale.as_ref(),
-        transport.as_ref(),
-        explore_bench.as_ref(),
-    );
+    let json = json_summary(quick, threads, total, &records, &perf);
     let path = std::env::var("RDMC_BENCH_JSON").unwrap_or_else(|_| "BENCH_simnet.json".to_owned());
     match std::fs::write(&path, &json) {
         Ok(()) => eprintln!("[kernel perf summary written to {path}]"),
         Err(err) => eprintln!("[could not write {path}: {err}]"),
     }
 
-    if let (Some(path), Some(s)) = (baseline_path, scale.as_ref()) {
-        if !check_scale_baseline(&path, s) {
+    let scale = records.iter().find(|(key, _)| *key == "scale");
+    if let (Some(path), Some((_, scale))) = (baseline_path, scale) {
+        if !check_scale_baseline(&path, scale) {
             std::process::exit(1);
         }
     }
@@ -294,7 +254,7 @@ fn json_number_after(text: &str, anchor: &str, key: &str) -> Option<f64> {
 /// (`--baseline=BENCH_simnet.json`); returns false — fail the job — on a
 /// more-than-20% regression in either the sharded run or the churn
 /// microbench. A baseline without a `scale` section passes (first run).
-fn check_scale_baseline(path: &str, s: &e::ScaleReport) -> bool {
+fn check_scale_baseline(path: &str, scale_json: &str) -> bool {
     let Ok(text) = std::fs::read_to_string(path) else {
         eprintln!("[baseline {path} unreadable; skipping regression check]");
         return true;
@@ -313,15 +273,12 @@ fn check_scale_baseline(path: &str, s: &e::ScaleReport) -> bool {
         }
         _ => eprintln!("[baseline {label}: no committed figure; skipping]"),
     };
-    check(
-        "sharded events/sec",
-        json_number_after(&text, "\"sharded\"", "events_per_sec"),
-        s.sharded.events_per_sec,
-    );
-    check(
-        "churn events/sec",
-        json_number_after(&text, "\"churn\"", "scaled_events_per_sec"),
-        s.churn.scaled_events_per_sec,
-    );
+    for (label, anchor, key) in [
+        ("sharded events/sec", "\"sharded\"", "events_per_sec"),
+        ("churn events/sec", "\"churn\"", "scaled_events_per_sec"),
+    ] {
+        let current = json_number_after(scale_json, anchor, key).expect("scale record has the key");
+        check(label, json_number_after(&text, anchor, key), current);
+    }
     ok
 }

@@ -7,9 +7,10 @@ use baselines::run_mvapich_multicast;
 use rdmc::{analysis, Algorithm};
 use rdmc_sim::{
     run_concurrent_overlapping, run_offloaded_chain, run_single_multicast, run_traced_multicast,
-    ClusterBuilder, ClusterSpec, GroupSpec, RecoveryConfig, TopoSpec, TraceKind,
+    ClusterBuilder, ClusterSpec, GroupSpec, RecoveryConfig, TopoSpec,
 };
 use simnet::{JitterModel, SimDuration};
+use trace::EventKind;
 use verbs::CompletionMode;
 use workloads::{stats, CosmosTrace, ShardedWorkload};
 
@@ -93,6 +94,22 @@ pub fn fig4_latency(quick: bool) -> String {
     out
 }
 
+/// Times of the recorded events of `rank` in `group` whose kind `pick`
+/// accepts, in recording order.
+fn rank_times(
+    events: &[trace::TraceEvent],
+    group: rdmc_sim::GroupId,
+    rank: u32,
+    pick: impl Fn(&EventKind) -> bool,
+) -> Vec<simnet::SimTime> {
+    events
+        .iter()
+        .filter(|e| e.scope.group == Some(group as u32) && e.scope.rank == Some(rank))
+        .filter(|e| pick(&e.kind))
+        .map(|e| simnet::SimTime::from_nanos(e.t_ns))
+        .collect()
+}
+
 /// Table 1: microsecond breakdown of a single 256 MB transfer (1 MB
 /// blocks, group of 4) on the Stampede-like cluster, measured at the node
 /// farthest from the root.
@@ -111,24 +128,17 @@ pub fn table1_breakdown(quick: bool) -> String {
     let submitted = result.submitted;
     let total = result.latency().expect("transfer completed");
 
-    let first_post = cluster
-        .trace(group, 0)
-        .iter()
-        .find(|r| matches!(r.kind, TraceKind::SendPosted { .. }))
-        .expect("root posted")
-        .time;
+    let events = cluster.trace_events();
+    let first_post = rank_times(&events, group, 0, |k| {
+        matches!(k, EventKind::BlockSendIssued { .. })
+    })[0];
     // The farthest node in a 4-member hypercube is rank 3.
-    let far = cluster.trace(group, 3);
-    let arrivals: Vec<_> = far
-        .iter()
-        .filter(|r| matches!(r.kind, TraceKind::BlockArrived { .. }))
-        .map(|r| r.time)
-        .collect();
-    let delivered = far
-        .iter()
-        .find(|r| r.kind == TraceKind::Delivered)
-        .expect("delivered")
-        .time;
+    let arrivals = rank_times(&events, group, 3, |k| {
+        matches!(k, EventKind::BlockArrived { .. })
+    });
+    let delivered = rank_times(&events, group, 3, |k| {
+        matches!(k, EventKind::Delivered { .. })
+    })[0];
     let first_arrival = arrivals[0];
     // Attribution: each of the k-1 post-first blocks costs one block-wire
     // time on the receive path; whatever else the receive window took is
@@ -202,17 +212,14 @@ pub fn fig5_step_timeline(quick: bool) -> String {
         "Fig 5: per-step send/wait at sender (rank 0) and relayer (rank 1), {} transfer\n",
         bytes_label(size)
     );
+    let events = cluster.trace_events();
     for rank in [0u32, 1] {
-        let trace = cluster.trace(group, rank);
-        let mut posts = Vec::new();
-        let mut dones = Vec::new();
-        for r in trace {
-            match r.kind {
-                TraceKind::SendPosted { .. } => posts.push(r.time),
-                TraceKind::SendFinished { .. } => dones.push(r.time),
-                _ => {}
-            }
-        }
+        let posts = rank_times(&events, group, rank, |k| {
+            matches!(k, EventKind::BlockSendIssued { .. })
+        });
+        let dones = rank_times(&events, group, rank, |k| {
+            matches!(k, EventKind::BlockSendCompleted { .. })
+        });
         let steps = posts.len().min(dones.len());
         let mut sends = Vec::new();
         let mut waits = Vec::new();
@@ -999,22 +1006,17 @@ pub fn explore_throughput(quick: bool) -> String {
 
     let mut rows = Vec::new();
     let mut cases: Vec<(&str, ExploreConfig)> = Vec::new();
-    let mut atomic3 = ExploreScenario::small(Algorithm::BinomialPipeline, 3, 2);
-    atomic3.atomic = true;
-    cases.push((
-        "exhaustive n=3 k=2 atomic",
-        ExploreConfig::exhaustive(atomic3),
-    ));
-    let mut plain4 = ExploreScenario::small(Algorithm::BinomialPipeline, 4, 2);
-    plain4.atomic = false;
+    let mut atomic2 = ExploreScenario::atomic(Algorithm::BinomialPipeline, 2, 1);
+    atomic2.messages = 1;
+    cases.push(("dpor n=2 k=1 atomic", ExploreConfig::dpor(atomic2)));
+    let plain4 = ExploreScenario::small(Algorithm::BinomialPipeline, 4, 2);
     cases.push((
         "exhaustive n=4 k=2",
         ExploreConfig::exhaustive(plain4.clone()),
     ));
     cases.push(("dpor n=4 k=2", ExploreConfig::dpor(plain4.clone())));
     if !quick {
-        let mut plain5 = ExploreScenario::small(Algorithm::BinomialPipeline, 5, 2);
-        plain5.atomic = false;
+        let plain5 = ExploreScenario::small(Algorithm::BinomialPipeline, 5, 2);
         cases.push(("dpor n=5 k=2", ExploreConfig::dpor(plain5)));
         cases.push((
             "random n=4 k=2 x500",
@@ -1091,14 +1093,13 @@ impl ExploreBench {
     }
 }
 
-/// Times the CI-tier exhaustive enumeration (n=4, k=2, non-atomic) and
+/// Times the CI-tier exhaustive enumeration (n=4, k=2, plain RDMC) and
 /// its DPOR counterpart for the JSON summary. Small enough to ride
 /// along on every report run.
 pub fn explore_bench_probe(_quick: bool) -> ExploreBench {
     use analyzer::{explore_executions, ExploreConfig, ExploreScenario};
 
-    let mut scenario = ExploreScenario::small(Algorithm::BinomialPipeline, 4, 2);
-    scenario.atomic = false;
+    let scenario = ExploreScenario::small(Algorithm::BinomialPipeline, 4, 2);
     let t0 = std::time::Instant::now();
     let full = explore_executions(&ExploreConfig::exhaustive(scenario.clone()));
     let dpor = explore_executions(&ExploreConfig::dpor(scenario));
@@ -1441,7 +1442,8 @@ pub fn multigroup_sweep(quick: bool) -> MultigroupReport {
 /// offered-load point.
 pub struct AtomicCell {
     /// `"multi_sender"` (rotated atomic overlay) or `"single_sender"`
-    /// (raw RDMC from the shard root, legacy §4.6 stability path).
+    /// (raw RDMC from the shard root, committed at the last member's
+    /// local completion — a lower bound on any stability protocol).
     pub mode: &'static str,
     /// Number of shard groups sharing the fabric.
     pub shards: usize,
@@ -1592,33 +1594,31 @@ fn atomic_point(shards: usize, offered_gbps: f64, messages: usize, multi: bool) 
     } else {
         let mut cluster = ClusterBuilder::new(spec).build();
         let groups: Vec<rdmc_sim::GroupId> = (0..shards)
-            .map(|s| {
-                let g = cluster.create_group(group_spec(workload.members(s)));
-                cluster.enable_atomic_delivery(g);
-                g
+            .map(|s| cluster.create_group(group_spec(workload.members(s))))
+            .collect();
+        let pending: Vec<(rdmc_sim::MessageId, u64)> = arrivals
+            .iter()
+            .map(|a| {
+                let at = simnet::SimTime::from_nanos(a.at_ns);
+                (
+                    cluster.schedule_send_at(groups[a.shard], at, a.size),
+                    a.at_ns,
+                )
             })
             .collect();
-        let mut per_group: Vec<Vec<u64>> = vec![Vec::new(); shards];
-        for a in &arrivals {
-            cluster.schedule_send_at(
-                groups[a.shard],
-                simnet::SimTime::from_nanos(a.at_ns),
-                a.size,
-            );
-            per_group[a.shard].push(a.at_ns);
-        }
         cluster.run();
-        for (s, &g) in groups.iter().enumerate() {
-            let n = workload.members(s).len();
-            // Single-sender FIFO: the k-th stable delivery is the k-th
-            // arrival of that shard; commit = slowest member's upcall.
-            for (k, &at_ns) in per_group[s].iter().enumerate() {
-                let commit = (0..n)
-                    .map(|r| cluster.stable_deliveries(g, r as u32)[k])
-                    .max()
-                    .expect("group has members");
-                commits.push((at_ns, commit));
-            }
+        for (id, at_ns) in pending {
+            // Commit = the last member's local RDMC completion: a lower
+            // bound on when *any* stability protocol could release it.
+            let commit = cluster
+                .result(id)
+                .expect("timer fired")
+                .delivered_at
+                .iter()
+                .map(|d| d.expect("every member completes"))
+                .max()
+                .expect("group has members");
+            commits.push((at_ns, commit));
         }
     }
     let latencies: Vec<f64> = commits
@@ -1648,10 +1648,11 @@ fn atomic_point(shards: usize, offered_gbps: f64, messages: usize, multi: bool) 
 
 /// The atomic multicast sweep: the ShardedWorkload serving story at the
 /// small-message end, each shard ordered either by the rotated
-/// multi-sender overlay or by a single root sender on raw RDMC (the
-/// legacy §4.6 stability path), measured as *committed* operations per
-/// second — a message counts only once every member has issued its
-/// total-order upcall. Rotation multiplies the per-shard in-flight
+/// multi-sender overlay or by a single root sender on raw RDMC (FIFO
+/// from one root is already a total order; its commit instant is the
+/// last member's local completion, the lower bound on any stability
+/// protocol), measured as *committed* operations per second — a message
+/// counts only once every member holds it. Rotation multiplies the per-shard in-flight
 /// budget by the member count, which is what keeps the committed rate
 /// at the offered rate when a lone sender's dissemination latency
 /// cannot.

@@ -1,9 +1,10 @@
 //! Pins the atomic multicast sweep's headline result: at the 8-shard
 //! point offered more than a lone sender can serialize, rotating the
 //! sender role through the members commits more operations per second
-//! than single-sender RDMC under the legacy stability path — the
-//! Derecho/Spindle argument for multi-sender groups at the
-//! small-message end of the serving story.
+//! than single-sender RDMC does even when the lone sender's commit
+//! instant is the last member's local completion (a lower bound on any
+//! stability protocol) — the Derecho/Spindle argument for multi-sender
+//! groups at the small-message end of the serving story.
 
 use rdmc_bench::experiments::{atomic_sweep, AtomicCell};
 

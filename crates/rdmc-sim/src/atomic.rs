@@ -29,20 +29,30 @@
 //! slots are fully replicated, and fully replicated slots are never
 //! abandoned.
 //!
-//! This module holds the overlay's data types; the driver logic lives
-//! in `cluster.rs` (the `impl SimCluster` overlay block), mirroring how
-//! the reliability shim splits codec/state from orchestration.
+//! The core calls in at three points: a subgroup delivery
+//! ([`Cluster::atomic_on_rdmc_delivery`]), a `TAG_FRONTIER` write
+//! ([`Cluster::atomic_frontier_arrival`]) and a subgroup view change
+//! ([`Cluster::atomic_on_reconfig`]); each is a no-op for groups that
+//! are not overlay subgroups.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
+use bytes::Bytes;
+use rdmc::{rotation, Rank};
 use simnet::SimTime;
 use sst::ViewTracker;
+use verbs::{NodeId, Transport, WrId};
 
-use crate::cluster::{GroupId, MessageId};
+use crate::cluster::{Cluster, GroupId, GroupSpec, MessageId, Mutation, TimerAction};
+
+/// One-sided-write tag for SST frontier-row updates (the stability
+/// epidemic).
+pub(crate) const TAG_FRONTIER: u64 = 8;
 
 /// Identifies an atomic (multi-sender) group within a
-/// [`SimCluster`](crate::SimCluster), as returned by
-/// [`SimCluster::create_atomic_group`](crate::SimCluster::create_atomic_group).
+/// [`SimCluster`](crate::SimCluster): groups declared with
+/// [`ClusterBuilder::atomic`](crate::ClusterBuilder::atomic) receive
+/// ids `0..` in declaration order.
 pub type AtomicGroupId = usize;
 
 /// One total-order delivery upcall at one member of an atomic group.
@@ -148,6 +158,648 @@ impl AtomicRuntime {
         (0..n)
             .map(|k| (from + k) % n)
             .find(|m| !self.dead.contains(m))
+    }
+}
+
+/// Every atomic group on the cluster, plus the reverse index from RDMC
+/// subgroup to the overlay it serves.
+#[derive(Default)]
+pub(crate) struct AtomicOverlays {
+    groups: Vec<AtomicRuntime>,
+    /// RDMC subgroup -> `(atomic group id, sender member index)`.
+    subgroup_of: BTreeMap<GroupId, (AtomicGroupId, usize)>,
+}
+
+impl AtomicOverlays {
+    /// Mixes every overlay's protocol-visible state into a cluster
+    /// digest (nothing at all when no atomic group exists).
+    pub(crate) fn mix_digest(&self, mix: &mut impl FnMut(u64)) {
+        for a in &self.groups {
+            mix(a.slots.len() as u64);
+            for s in &a.slots {
+                mix(s.owner as u64);
+                mix(s.seq);
+                mix(matches!(s.kind, SlotKind::Null) as u64);
+                mix(s.trimmed as u64);
+            }
+            for m in &a.members {
+                mix(m.next_deliver as u64);
+                mix(m.log.len() as u64);
+                for d in &m.log {
+                    mix(d.slot);
+                    mix(u64::from(d.sender));
+                    mix(d.seq);
+                }
+            }
+            for &d in &a.dead {
+                mix(d as u64);
+            }
+        }
+    }
+}
+
+/// The Derecho-style **atomic multicast** overlay (see the
+/// `atomic` module docs): one RDMC subgroup per sender with
+/// the member list rotated so each sender roots its own subgroup,
+/// per-sender received/stability frontiers in SST rows spread
+/// epidemically over `TAG_FRONTIER` control writes, and a per-member
+/// delivery engine that holds completed RDMC messages until the
+/// live-minimum frontier makes them stable, then issues total-order
+/// upcalls in global slot order.
+impl<T: Transport> Cluster<T> {
+    /// Creates a multi-sender **atomic** group
+    /// ([`crate::ClusterBuilder::atomic`] is the public path): one RDMC
+    /// subgroup per sender (the member list rotated left so that sender
+    /// sits at rank 0 — the `rdmc_bw_test` rotation idiom), with message
+    /// slots rotating round-robin through the members.
+    ///
+    /// # Panics
+    ///
+    /// Panics under the same conditions as [`Cluster::create_group`],
+    /// or if the group has fewer than two members.
+    pub(crate) fn create_atomic_group(&mut self, spec: GroupSpec) -> AtomicGroupId {
+        let n = spec.members.len();
+        assert!(n >= 2, "an atomic group needs at least two members");
+        let aid = self.atomic.groups.len();
+        let mut subgroups = Vec::with_capacity(n);
+        for j in 0..n {
+            let gid = self.create_group(GroupSpec {
+                members: rotation::rotated_members(&spec.members, j),
+                algorithm: spec.algorithm.clone(),
+                block_size: spec.block_size,
+                ready_window: spec.ready_window,
+                max_outstanding_sends: spec.max_outstanding_sends,
+            });
+            self.atomic.subgroup_of.insert(gid, (aid, j));
+            subgroups.push(gid);
+        }
+        let members = (0..n)
+            .map(|i| AtomicMember {
+                tracker: ViewTracker::with_frontiers(i as u32, n as u32, n as u32),
+                next_deliver: 0,
+                stable_seen: vec![0; n],
+                log: Vec::new(),
+            })
+            .collect();
+        self.atomic.groups.push(AtomicRuntime {
+            nodes: spec.members,
+            subgroups,
+            slots: Vec::new(),
+            owned: vec![0; n],
+            members,
+            dead: BTreeSet::new(),
+            cursor: 0,
+        });
+        aid
+    }
+
+    /// Submits a `size`-byte message on the atomic group's next
+    /// rotation slot: successive submissions rotate the sender role
+    /// round-robin through the live members.
+    ///
+    /// # Panics
+    ///
+    /// Panics if every member of the group is dead.
+    pub fn submit_atomic(&mut self, ag: AtomicGroupId, size: u64) -> MessageId {
+        let owner = self.atomic.groups[ag]
+            .next_live_owner(self.atomic.groups[ag].cursor)
+            .expect("atomic group has live members");
+        self.submit_atomic_as(ag, owner, size)
+    }
+
+    /// Submits a `size`-byte message *from a specific member*: every
+    /// live slot owner between the rotation cursor and `origin`
+    /// contributes a **null** slot (Spindle's null-send elision — the
+    /// skip is announced through the owner's own frontier row, no data
+    /// multicast at all), then `origin` takes the next data slot.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `origin` is out of range or was evicted by a view
+    /// change.
+    pub fn submit_atomic_from(&mut self, ag: AtomicGroupId, origin: usize, size: u64) -> MessageId {
+        assert!(
+            origin < self.atomic.groups[ag].nodes.len(),
+            "origin {origin} outside the group"
+        );
+        assert!(
+            !self.atomic.groups[ag].dead.contains(&origin),
+            "origin {origin} was evicted"
+        );
+        loop {
+            let w = self.atomic.groups[ag]
+                .next_live_owner(self.atomic.groups[ag].cursor)
+                .expect("origin is live");
+            if w == origin {
+                break;
+            }
+            self.push_null_slot(ag, w);
+        }
+        self.submit_atomic_as(ag, origin, size)
+    }
+
+    /// Schedules an atomic submission at an absolute virtual time (the
+    /// slot owner is resolved at fire time from the then-current
+    /// rotation cursor and live set), returning its handle immediately.
+    pub fn schedule_atomic_send_at(
+        &mut self,
+        ag: AtomicGroupId,
+        at: SimTime,
+        size: u64,
+    ) -> MessageId {
+        let message = self.new_message_id();
+        let host = self.atomic.groups[ag]
+            .next_live_owner(self.atomic.groups[ag].cursor)
+            .expect("atomic group has live members");
+        let node = self.atomic.groups[ag].nodes[host];
+        let delay = at.saturating_since(self.fabric.now());
+        self.arm_timer(node, delay, TimerAction::AtomicSend { ag, size, message });
+        message
+    }
+
+    /// Member `member`'s total-order delivery log: identical `(slot,
+    /// sender, seq, size)` sequences at every member (prefixes of one
+    /// another while deliveries are still in flight).
+    pub fn atomic_log(&self, ag: AtomicGroupId, member: usize) -> &[AtomicDelivery] {
+        &self.atomic.groups[ag].members[member].log
+    }
+
+    /// Fabric node of each member, in the unrotated declaration order
+    /// (member index `i` is the identity used in slots and logs).
+    pub fn atomic_nodes(&self, ag: AtomicGroupId) -> &[usize] {
+        &self.atomic.groups[ag].nodes
+    }
+
+    /// The per-sender RDMC subgroup ids: `atomic_subgroups(ag)[j]` is
+    /// the subgroup rooted at member `j`; index 0 is the *anchor* whose
+    /// id names the group in trace scopes.
+    pub fn atomic_subgroups(&self, ag: AtomicGroupId) -> &[GroupId] {
+        &self.atomic.groups[ag].subgroups
+    }
+
+    /// Member indices still part of the group (not evicted by a view
+    /// change), ascending.
+    pub fn atomic_live_members(&self, ag: AtomicGroupId) -> Vec<usize> {
+        self.atomic.groups[ag]
+            .live_rows()
+            .into_iter()
+            .map(|r| r as usize)
+            .collect()
+    }
+
+    /// Total slots allocated so far (data and null, trimmed included).
+    pub fn atomic_num_slots(&self, ag: AtomicGroupId) -> u64 {
+        self.atomic.groups[ag].slots.len() as u64
+    }
+
+    /// Slot numbers removed by ragged trims so far, ascending.
+    pub fn atomic_trimmed_slots(&self, ag: AtomicGroupId) -> Vec<u64> {
+        self.atomic.groups[ag]
+            .slots
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| s.trimmed)
+            .map(|(i, _)| i as u64)
+            .collect()
+    }
+
+    /// Allocates the handle and the slot, then hands the message to the
+    /// owner's subgroup.
+    fn submit_atomic_as(&mut self, ag: AtomicGroupId, owner: usize, size: u64) -> MessageId {
+        let message = self.new_message_id();
+        let (gid, idx) = self.do_submit_atomic(ag, owner, size, message);
+        self.message_slots.insert(message.0, (gid, idx));
+        message
+    }
+
+    /// A deferred [`TimerAction::AtomicSend`] fired: resolve the owner
+    /// now and submit.
+    pub(crate) fn atomic_send_fired(&mut self, ag: AtomicGroupId, size: u64, message: MessageId) {
+        let Some(owner) = self.atomic.groups[ag].next_live_owner(self.atomic.groups[ag].cursor)
+        else {
+            return; // group extinct: the handle never resolves
+        };
+        let (gid, idx) = self.do_submit_atomic(ag, owner, size, message);
+        self.message_slots.insert(message.0, (gid, idx));
+    }
+
+    /// Books the data slot (before the subgroup submission, which can
+    /// deliver reentrantly at the root) and submits on the owner's
+    /// subgroup.
+    fn do_submit_atomic(
+        &mut self,
+        ag: AtomicGroupId,
+        owner: usize,
+        size: u64,
+        message: MessageId,
+    ) -> (GroupId, usize) {
+        assert!(size > 0, "zero-size slots are nulls, not messages");
+        let gid = self.atomic.groups[ag].subgroups[owner];
+        let index = self.groups[gid].results.len();
+        let scope = self.atomic_scope(ag, owner);
+        let slot_no = self.atomic.groups[ag].slots.len() as u64;
+        {
+            let a = &mut self.atomic.groups[ag];
+            let seq = a.owned[owner];
+            a.owned[owner] += 1;
+            a.cursor = (owner + 1) % a.nodes.len();
+            a.slots.push(Slot {
+                owner,
+                seq,
+                kind: SlotKind::Data {
+                    index,
+                    size,
+                    message,
+                },
+                trimmed: false,
+            });
+        }
+        self.recorder
+            .record(scope, || trace::EventKind::AtomicSubmitted {
+                slot: slot_no,
+                sender: owner as u32,
+                null: false,
+                size,
+            });
+        let idx = self.do_submit(gid, size);
+        debug_assert_eq!(idx, index, "slot bookkeeping raced the subgroup submission");
+        (gid, idx)
+    }
+
+    /// Books a null slot for `owner` and resolves it at the owner
+    /// immediately (the announcement is the owner's own frontier-row
+    /// bump, spread by [`SimCluster::atomic_pump`]'s broadcast).
+    fn push_null_slot(&mut self, ag: AtomicGroupId, owner: usize) {
+        let scope = self.atomic_scope(ag, owner);
+        let slot_no = self.atomic.groups[ag].slots.len() as u64;
+        {
+            let a = &mut self.atomic.groups[ag];
+            let seq = a.owned[owner];
+            a.owned[owner] += 1;
+            a.cursor = (owner + 1) % a.nodes.len();
+            a.slots.push(Slot {
+                owner,
+                seq,
+                kind: SlotKind::Null,
+                trimmed: false,
+            });
+        }
+        self.recorder
+            .record(scope, || trace::EventKind::AtomicSubmitted {
+                slot: slot_no,
+                sender: owner as u32,
+                null: true,
+                size: 0,
+            });
+        self.atomic_pump(ag, owner);
+    }
+
+    /// Trace scope of overlay events at `member`: the *anchor* subgroup
+    /// id names the group and the rank is the member index in the
+    /// unrotated list.
+    fn atomic_scope(&self, ag: AtomicGroupId, member: usize) -> trace::Scope {
+        trace::Scope {
+            node: Some(self.atomic.groups[ag].nodes[member] as u32),
+            group: Some(self.atomic.groups[ag].subgroups[0] as u32),
+            rank: Some(member as u32),
+        }
+    }
+
+    /// A subgroup delivered a message at `rank`: map the subgroup-local
+    /// rank back to the member index and re-run that member's frontier
+    /// recompute and delivery engine.
+    pub(crate) fn atomic_on_rdmc_delivery(&mut self, group: GroupId, rank: Rank) {
+        let Some(&(ag, j)) = self.atomic.subgroup_of.get(&group) else {
+            return;
+        };
+        let o = self.groups[group].orig_rank[rank as usize];
+        let n = self.atomic.groups[ag].nodes.len();
+        self.atomic_pump(ag, (j + o) % n);
+    }
+
+    /// An incoming `TAG_FRONTIER` write: merge the carried row into the
+    /// receiving member's SST replica and re-run its delivery engine.
+    /// The payload is `row: u32 LE` followed by the tracker's 12-byte
+    /// cell update.
+    pub(crate) fn atomic_frontier_arrival(&mut self, group: GroupId, me: Rank, payload: &[u8]) {
+        let Some(&(ag, sj)) = self.atomic.subgroup_of.get(&group) else {
+            return;
+        };
+        let n = self.atomic.groups[ag].nodes.len();
+        let member = (sj + self.groups[group].orig_rank[me as usize]) % n;
+        if self
+            .fabric
+            .is_crashed(NodeId(self.atomic.groups[ag].nodes[member] as u32))
+        {
+            return; // dead software runs no handlers
+        }
+        let row = u32::from_le_bytes(payload[..4].try_into().expect("frontier row"));
+        let _ = self.atomic.groups[ag].members[member]
+            .tracker
+            .apply_remote(row, &payload[4..]);
+        self.atomic_pump(ag, member);
+    }
+
+    /// How many of sender `j`'s slots are *resolved* at `member`, in
+    /// dense per-sender sequence order: a data slot resolves when the
+    /// member's replica of `j`'s subgroup delivered it locally, a null
+    /// when the owner's published frontier covers it (trivially at the
+    /// owner itself), and a trimmed slot unconditionally.
+    fn atomic_resolved_count(&self, ag: AtomicGroupId, member: usize, j: usize) -> u64 {
+        let a = &self.atomic.groups[ag];
+        let n = a.nodes.len();
+        let m = &a.members[member];
+        let mut f = m.tracker.frontier(member as u32, j as u32);
+        for slot in a.slots.iter().filter(|s| s.owner == j) {
+            if slot.seq < f {
+                continue;
+            }
+            if slot.seq > f {
+                break;
+            }
+            let resolved = slot.trimmed
+                || match slot.kind {
+                    SlotKind::Null => {
+                        member == j || m.tracker.frontier(j as u32, j as u32) > slot.seq
+                    }
+                    SlotKind::Data { index, .. } => {
+                        let o = rotation::rotated_rank(member, j, n) as usize;
+                        self.groups[a.subgroups[j]].results[index].delivered_at[o].is_some()
+                    }
+                };
+            if !resolved {
+                break;
+            }
+            f += 1;
+        }
+        f
+    }
+
+    /// Recomputes `member`'s own frontier row, broadcasts any advance
+    /// over the anchor subgroup's connections, and runs the delivery
+    /// engine. The workhorse behind every overlay event.
+    fn atomic_pump(&mut self, ag: AtomicGroupId, member: usize) {
+        if self.atomic.groups[ag].dead.contains(&member)
+            || self
+                .fabric
+                .is_crashed(NodeId(self.atomic.groups[ag].nodes[member] as u32))
+        {
+            return;
+        }
+        let n = self.atomic.groups[ag].nodes.len();
+        let targets: Vec<u64> = (0..n)
+            .map(|j| self.atomic_resolved_count(ag, member, j))
+            .collect();
+        let scope = self.atomic_scope(ag, member);
+        let mut payloads: Vec<Vec<u8>> = Vec::new();
+        {
+            let a = &mut self.atomic.groups[ag];
+            let m = &mut a.members[member];
+            for (j, &t) in targets.iter().enumerate() {
+                if let Some(p) = m.tracker.advance_frontier(j as u32, t) {
+                    self.recorder
+                        .record(scope, || trace::EventKind::FrontierAdvanced {
+                            sender: j as u32,
+                            frontier: t,
+                        });
+                    payloads.push(p);
+                }
+            }
+        }
+        for p in payloads {
+            self.atomic_broadcast_row(ag, member, &p);
+        }
+        self.atomic_deliver(ag, member);
+    }
+
+    /// Posts `member`'s own-row update to every live peer as a
+    /// `TAG_FRONTIER` one-sided write on the anchor subgroup (16 bytes —
+    /// under the tiny-write bypass, so the epidemic stays lossless even
+    /// on faulty fabrics).
+    fn atomic_broadcast_row(&mut self, ag: AtomicGroupId, from_member: usize, payload: &[u8]) {
+        let anchor = self.atomic.groups[ag].subgroups[0];
+        let Some(me_cur) = self.groups[anchor].current_of(from_member) else {
+            return; // evicted from the anchor: nothing to announce on
+        };
+        let mut buf = Vec::with_capacity(4 + payload.len());
+        buf.extend_from_slice(&(from_member as u32).to_le_bytes());
+        buf.extend_from_slice(payload);
+        let bytes = Bytes::from(buf);
+        let n = self.atomic.groups[ag].nodes.len();
+        for peer in 0..n {
+            if peer == from_member || self.atomic.groups[ag].dead.contains(&peer) {
+                continue;
+            }
+            if self
+                .fabric
+                .is_crashed(NodeId(self.atomic.groups[ag].nodes[peer] as u32))
+            {
+                continue;
+            }
+            let Some(pc) = self.groups[anchor].current_of(peer) else {
+                continue;
+            };
+            let qp = self.ensure_qp(anchor, me_cur, pc);
+            let _ = self
+                .fabric
+                .post_write(qp, WrId(5), TAG_FRONTIER, bytes.clone(), None);
+        }
+    }
+
+    /// `member`'s delivery engine: announce stability-frontier advances
+    /// (always the *true* live minima — the [`Mutation::FrontierOffByOne`]
+    /// gate bug below does not taint the trace, which is how the oracle
+    /// catches it), then release slots in global order — trimmed slots
+    /// skip, nulls skip once the member's own row covers them, data
+    /// slots deliver once stable.
+    fn atomic_deliver(&mut self, ag: AtomicGroupId, member: usize) {
+        let now = self.fabric.now();
+        let scope = self.atomic_scope(ag, member);
+        let n = self.atomic.groups[ag].nodes.len();
+        let live = self.atomic.groups[ag].live_rows();
+        if live.is_empty() {
+            return;
+        }
+        let off_by_one = self.has_mutation(Mutation::FrontierOffByOne);
+        {
+            let a = &mut self.atomic.groups[ag];
+            let m = &mut a.members[member];
+            for j in 0..n as u32 {
+                let stable = m.tracker.stable_frontier(j, &live);
+                if stable > m.stable_seen[j as usize] {
+                    m.stable_seen[j as usize] = stable;
+                    self.recorder
+                        .record(scope, || trace::EventKind::StableFrontier {
+                            sender: j,
+                            frontier: stable,
+                        });
+                }
+            }
+        }
+        enum Step {
+            Skip,
+            Deliver {
+                sender: u32,
+                seq: u64,
+                size: u64,
+                message: MessageId,
+            },
+        }
+        loop {
+            let step = {
+                let a = &self.atomic.groups[ag];
+                let m = &a.members[member];
+                let Some(slot) = a.slots.get(m.next_deliver) else {
+                    break;
+                };
+                if slot.trimmed {
+                    Step::Skip
+                } else {
+                    match slot.kind {
+                        SlotKind::Null => {
+                            if m.tracker.frontier(member as u32, slot.owner as u32) > slot.seq {
+                                Step::Skip
+                            } else {
+                                break;
+                            }
+                        }
+                        SlotKind::Data { size, message, .. } => {
+                            let stable = m.stable_seen[slot.owner];
+                            let gate = if off_by_one { stable + 1 } else { stable };
+                            if gate > slot.seq {
+                                Step::Deliver {
+                                    sender: slot.owner as u32,
+                                    seq: slot.seq,
+                                    size,
+                                    message,
+                                }
+                            } else {
+                                break;
+                            }
+                        }
+                    }
+                }
+            };
+            match step {
+                Step::Skip => self.atomic.groups[ag].members[member].next_deliver += 1,
+                Step::Deliver {
+                    sender,
+                    seq,
+                    size,
+                    message,
+                } => {
+                    let slot_no = self.atomic.groups[ag].members[member].next_deliver as u64;
+                    self.recorder
+                        .record(scope, || trace::EventKind::AtomicDelivered {
+                            slot: slot_no,
+                            sender,
+                            seq,
+                            size,
+                        });
+                    let m = &mut self.atomic.groups[ag].members[member];
+                    m.log.push(AtomicDelivery {
+                        slot: slot_no,
+                        sender,
+                        seq,
+                        size,
+                        at: now,
+                        message,
+                    });
+                    m.next_deliver += 1;
+                }
+            }
+        }
+    }
+
+    /// The ragged trim, run after each overlay subgroup installs a new
+    /// view: refresh the dead set from fabric truth, trim the
+    /// reconfiguring subgroup's *abandoned* data slots and every dead
+    /// sender's unannounced nulls, pool the survivors' frontier
+    /// replicas (so nulls the dead sender announced to *anyone* resolve
+    /// at *everyone*), and re-run every survivor's delivery engine.
+    /// Safe by stability: a slot delivered anywhere was stable, stable
+    /// slots are fully replicated, and fully replicated slots are never
+    /// abandoned — so trims only ever remove slots nobody delivered.
+    pub(crate) fn atomic_on_reconfig(&mut self, group: GroupId, abandoned: &[usize]) {
+        let Some(&(ag, j)) = self.atomic.subgroup_of.get(&group) else {
+            return;
+        };
+        let n = self.atomic.groups[ag].nodes.len();
+        for m in 0..n {
+            if self
+                .fabric
+                .is_crashed(NodeId(self.atomic.groups[ag].nodes[m] as u32))
+            {
+                self.atomic.groups[ag].dead.insert(m);
+            }
+        }
+        let anchor = self.atomic.groups[ag].subgroups[0];
+        let mut trims: Vec<u64> = Vec::new();
+        {
+            let a = &mut self.atomic.groups[ag];
+            let aset: BTreeSet<usize> = abandoned.iter().copied().collect();
+            let live: Vec<usize> = (0..n).filter(|m| !a.dead.contains(m)).collect();
+            // (a) this subgroup's abandoned data slots.
+            if !aset.is_empty() {
+                for (si, slot) in a.slots.iter_mut().enumerate() {
+                    if slot.owner == j && !slot.trimmed {
+                        if let SlotKind::Data { index, .. } = slot.kind {
+                            if aset.contains(&index) {
+                                slot.trimmed = true;
+                                trims.push(si as u64);
+                            }
+                        }
+                    }
+                }
+            }
+            // (b) pool survivor replicas: every row cell becomes the max
+            // any survivor saw (the view-change state exchange).
+            for row in 0..n as u32 {
+                for s in 0..n as u32 {
+                    let seen = live
+                        .iter()
+                        .map(|&m| a.members[m].tracker.frontier(row, s))
+                        .max()
+                        .unwrap_or(0);
+                    if seen == 0 {
+                        continue;
+                    }
+                    for &m in &live {
+                        a.members[m].tracker.resync_frontier(row, s, seen);
+                    }
+                }
+            }
+            // (c) dead senders' nulls beyond what they ever announced:
+            // no survivor can learn of them now, so they are trimmed.
+            let dead: Vec<usize> = a.dead.iter().copied().collect();
+            for w in dead {
+                let reach = live
+                    .iter()
+                    .map(|&m| a.members[m].tracker.frontier(w as u32, w as u32))
+                    .max()
+                    .unwrap_or(0);
+                for (si, slot) in a.slots.iter_mut().enumerate() {
+                    if slot.owner == w
+                        && !slot.trimmed
+                        && matches!(slot.kind, SlotKind::Null)
+                        && slot.seq >= reach
+                    {
+                        slot.trimmed = true;
+                        trims.push(si as u64);
+                    }
+                }
+            }
+        }
+        trims.sort_unstable();
+        for slot in trims {
+            self.recorder
+                .record(trace::Scope::group(anchor as u32), || {
+                    trace::EventKind::AtomicTrimmed { slot }
+                });
+        }
+        for m in self.atomic_live_members(ag) {
+            self.atomic_pump(ag, m);
+        }
     }
 }
 

@@ -17,9 +17,10 @@
 use simnet::{FaultProfile, JitterModel};
 use verbs::{CompletionMode, Fabric, NodeId, SharedScheduler, Transport};
 
-use crate::cluster::{Cluster, GroupSpec, RecoveryConfig};
+use crate::cluster::{Cluster, GroupSpec};
 use crate::pacer::PacerConfig;
 use crate::profiles::ClusterSpec;
+use crate::reconfig::RecoveryConfig;
 use crate::reliability::ReliabilityPolicy;
 
 /// Declarative configuration of a [`Cluster`].
@@ -180,7 +181,7 @@ impl<T: Transport> ClusterBuilder<T> {
     /// cluster: block sends carry per-connection sequence numbers, and
     /// transport losses are repaired by selective retransmission, erasure
     /// parity, or escalation to epoch recovery instead of stalling the
-    /// transfer. Override per group with [`Cluster::set_reliability`].
+    /// transfer.
     pub fn reliability(mut self, policy: ReliabilityPolicy) -> Self {
         self.reliability = Some(policy);
         self
@@ -193,8 +194,8 @@ impl<T: Transport> ClusterBuilder<T> {
     /// deliveries come out in an identical total order at every member.
     /// Groups declared here receive ids `0..` in declaration order;
     /// submit with [`SimCluster::submit_atomic`](crate::SimCluster) and read logs with
-    /// [`Cluster::atomic_log`](crate::Cluster::atomic_log). Equivalent to calling
-    /// [`Cluster::create_atomic_group`](crate::Cluster::create_atomic_group) right after `build()`.
+    /// [`Cluster::atomic_log`](crate::Cluster::atomic_log): the logs are gapless, identical
+    /// prefixes at every member, even across crashes when recovery is enabled.
     pub fn atomic(mut self, spec: GroupSpec) -> Self {
         self.atomic_groups.push(spec);
         self
@@ -210,7 +211,7 @@ impl<T: Transport> ClusterBuilder<T> {
             cluster.set_default_reliability(policy);
         }
         if let Some(mode) = self.recorder_mode {
-            let _ = cluster.attach_recorder(mode);
+            cluster.attach_recorder(mode);
         }
         if let Some(config) = self.recovery {
             cluster.set_recovery(config);

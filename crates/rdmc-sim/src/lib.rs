@@ -58,13 +58,13 @@ mod experiment;
 mod offload;
 mod pacer;
 mod profiles;
+mod reconfig;
 mod reliability;
 
 pub use atomic::{AtomicDelivery, AtomicGroupId};
 pub use builder::ClusterBuilder;
 pub use cluster::{
-    Cluster, DetectionRecord, EngineLogEntry, GroupId, GroupSpec, MessageId, MessageResult,
-    Mutation, ReconfigRecord, RecoveryConfig, RecoveryStats, SimCluster, TraceKind, TraceRecord,
+    Cluster, EngineLogEntry, GroupId, GroupSpec, MessageId, MessageResult, Mutation, SimCluster,
 };
 pub use experiment::{
     run_concurrent_overlapping, run_open_loop, run_open_loop_with, run_single_multicast,
@@ -74,4 +74,5 @@ pub use experiment::{
 pub use offload::run_offloaded_chain;
 pub use pacer::{PacerConfig, PacingPolicy, PacingStats};
 pub use profiles::{ClusterSpec, TopoSpec};
+pub use reconfig::{DetectionRecord, ReconfigRecord, RecoveryConfig, RecoveryStats};
 pub use reliability::{ReliabilityPolicy, ReliabilityStats, RetryConfig};

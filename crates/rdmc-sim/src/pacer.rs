@@ -12,15 +12,15 @@
 //!
 //! Pacing is off by default; an unpaced cluster behaves bit-for-bit as
 //! before (the golden-trace suite pins this). Control traffic
-//! (readiness grants, failure relays, status and view writes) is never
+//! (readiness grants, failure relays, view and frontier writes) is never
 //! paced: it is latency-critical and tiny.
 
 use std::collections::{BTreeMap, VecDeque};
 
 use rdmc::Rank;
-use verbs::{QpHandle, WrId};
+use verbs::{QpHandle, Transport, WrId};
 
-use crate::cluster::GroupId;
+use crate::cluster::{Cluster, GroupId};
 
 /// How queued block sends contending for a NIC's admission slots are
 /// ordered when a slot frees.
@@ -128,6 +128,30 @@ impl PacerState {
         }
     }
 
+    /// Ledgers a block send the fabric accepted: it holds one of
+    /// `node`'s admission slots until its completion or flush.
+    pub fn note_posted(&mut self, qp: QpHandle, wr_id: WrId, node: usize) {
+        self.admitted.insert((qp, wr_id), node);
+        self.nodes.entry(node).or_default().inflight += 1;
+    }
+
+    /// Dead software posts nothing: whatever `node`'s admission queue
+    /// still held dies with it (its posted sends flush separately).
+    pub fn drop_node_queue(&mut self, node: usize) {
+        if let Some(np) = self.nodes.get_mut(&node) {
+            np.queue.clear();
+        }
+    }
+
+    /// Drops `group`'s queued (never-posted) sends everywhere: they
+    /// carry old-epoch ranks, and the resume plans re-issue whatever
+    /// still matters in new-epoch terms.
+    pub fn drop_group_queue(&mut self, group: GroupId) {
+        for np in self.nodes.values_mut() {
+            np.queue.retain(|q| q.group != group);
+        }
+    }
+
     /// All equally-preferred queue indices under the policy, in arrival
     /// order; the first entry is the default (uncontrolled)
     /// choice. More than one entry means the policy is indifferent — a
@@ -175,5 +199,138 @@ impl PacerState {
                     .collect()
             }
         }
+    }
+}
+
+/// The admission path proper: every engine block send enters through
+/// [`Cluster::admit_or_queue_block`], and every retiring send leaves
+/// through [`Cluster::release_send_slot`] followed by a
+/// [`Cluster::pump`] of the freed node.
+impl<T: Transport> Cluster<T> {
+    /// Routes an engine block send through the admission layer: unpaced
+    /// clusters post straight to the fabric; paced ones enqueue and let
+    /// the policy decide what the NIC's free slots carry.
+    pub(crate) fn admit_or_queue_block(
+        &mut self,
+        group: GroupId,
+        rank: Rank,
+        to: Rank,
+        block: u32,
+        bytes: u64,
+        total_size: u64,
+    ) {
+        let node = self.groups[group].spec.members[rank as usize];
+        let Some(p) = self.pacer.as_mut() else {
+            self.post_block(group, rank, to, block, bytes, total_size);
+            return;
+        };
+        let max = p.config.max_inflight;
+        let np = p.nodes.entry(node).or_default();
+        // Invariant: after every pump, a non-empty queue means the NIC is
+        // saturated — so a send arriving with a free slot is admitted by
+        // the pump below without ever waiting.
+        if np.inflight >= max {
+            p.stats.deferred_sends += 1;
+        }
+        let enqueued_ns = self.recorder.now();
+        np.queue.push_back(QueuedSend {
+            group,
+            rank,
+            to,
+            block,
+            bytes,
+            total_size,
+            enqueued_ns,
+        });
+        let depth = np.queue.len();
+        p.stats.peak_queue_depth = p.stats.peak_queue_depth.max(depth);
+        self.pump(node);
+    }
+
+    /// Admits queued sends on `node` while it has free admission slots,
+    /// in policy order. With a controlled scheduler attached, genuine
+    /// admission ties (more than one equally-preferred send) become
+    /// explicit choice points the scheduler resolves.
+    pub(crate) fn pump(&mut self, node: usize) {
+        loop {
+            // Borrow scope: compute the policy's tied candidates, then
+            // release the pacer borrow before consulting the scheduler.
+            let (first, candidates) = {
+                let Some(p) = self.pacer.as_mut() else {
+                    return;
+                };
+                let config = p.config;
+                let Some(np) = p.nodes.get_mut(&node) else {
+                    return;
+                };
+                if np.inflight >= config.max_inflight {
+                    return;
+                }
+                let tied = PacerState::pick_tied(&config, np);
+                let Some(&first) = tied.first() else {
+                    return;
+                };
+                let candidates: Vec<verbs::Candidate> = if tied.len() > 1 {
+                    tied.iter()
+                        .map(|&slot| verbs::Candidate {
+                            seq: slot as u64,
+                            node: node as u32,
+                            conn: None,
+                            kind: verbs::CandidateKind::PacerSend {
+                                group: np.queue[slot].group as u64,
+                                slot: slot as u64,
+                            },
+                        })
+                        .collect()
+                } else {
+                    Vec::new()
+                };
+                (first, candidates)
+            };
+            let i = match (&self.scheduler, candidates.len()) {
+                (Some(sched), 2..) => {
+                    let point = verbs::ChoicePoint {
+                        time_ns: self.fabric.now().as_nanos(),
+                        kind: verbs::PointKind::PacerTie,
+                        candidates: &candidates,
+                    };
+                    let chosen = verbs::sched::pick(sched, &point);
+                    match candidates[chosen].kind {
+                        verbs::CandidateKind::PacerSend { slot, .. } => slot as usize,
+                        _ => first,
+                    }
+                }
+                _ => first,
+            };
+            let p = self.pacer.as_mut().expect("pacing on");
+            let np = p.nodes.get_mut(&node).expect("node has a pacer entry");
+            let qs = np.queue.remove(i).expect("picked index in range");
+            np.rr_last = Some(qs.group);
+            // A rejected post (the connection broke while the send sat in
+            // the queue) takes no slot, so the loop just tries the next
+            // candidate.
+            if self.post_block(qs.group, qs.rank, qs.to, qs.block, qs.bytes, qs.total_size) {
+                self.recorder
+                    .record(trace::Scope::group_rank(qs.group as u32, qs.rank), || {
+                        trace::EventKind::SendAdmitted {
+                            to: qs.to,
+                            block: qs.block,
+                            queued_ns: self.recorder.now().saturating_sub(qs.enqueued_ns),
+                        }
+                    });
+            }
+        }
+    }
+
+    /// Releases the admission slot a retiring work request held, if it
+    /// was a pacer-admitted block send. Returns the posting node so the
+    /// caller can pump its queue.
+    pub(crate) fn release_send_slot(&mut self, qp: QpHandle, wr_id: WrId) -> Option<usize> {
+        let p = self.pacer.as_mut()?;
+        let node = p.admitted.remove(&(qp, wr_id))?;
+        if let Some(np) = p.nodes.get_mut(&node) {
+            np.inflight = np.inflight.saturating_sub(1);
+        }
+        Some(node)
     }
 }

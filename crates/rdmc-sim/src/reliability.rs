@@ -42,8 +42,29 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use bytes::Bytes;
+use rdmc::engine::Event;
+use rdmc::Rank;
 use simnet::SimDuration;
+use trace::check::wire;
+use verbs::{QpHandle, Transport, WrId};
+
+use crate::cluster::{Cluster, GroupId, Mutation, TimerAction};
+
+mod codec;
+use codec::{
+    contiguous_ranges, decode_nack, decode_parity, decode_probe, decode_repair, encode_nack,
+    encode_parity, encode_probe, encode_repair,
+};
+
+/// One-sided-write tag for gap-repair requests.
+pub(crate) const TAG_NACK: u64 = 4;
+/// One-sided-write tag for retransmitted blocks.
+pub(crate) const TAG_RETRANS: u64 = 5;
+/// One-sided-write tag for erasure-coded parity writes.
+pub(crate) const TAG_PARITY: u64 = 6;
+/// One-sided-write tag for sender send-frontier probes (trailing-loss
+/// detection after a quiet period).
+pub(crate) const TAG_PROBE: u64 = 7;
 
 /// Retry knobs shared by the repairing policies.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -188,10 +209,36 @@ pub struct ReliabilityStats {
     pub escalations: u64,
 }
 
+/// Cluster-wide reliability state: the default policy plus every
+/// policy connection's sender and receiver shim.
+#[derive(Default)]
+pub(crate) struct Reliability {
+    /// Policy newly created groups inherit
+    /// ([`crate::ClusterBuilder::reliability`]).
+    pub(crate) default: Option<ReliabilityPolicy>,
+    /// Sender-side state, keyed by the sender's local endpoint.
+    send: BTreeMap<QpHandle, RelSendState>,
+    /// Receiver-side state, keyed by the receiver's local endpoint.
+    recv: BTreeMap<QpHandle, RelRecvState>,
+    /// Counters of everything the layer did.
+    stats: ReliabilityStats,
+}
+
+impl Reliability {
+    /// Reliability state dies with its queue pair at epoch teardown:
+    /// buffered not-yet-fed blocks are re-fetched by the resume plans
+    /// (slightly wasteful, never wrong), and outstanding retry/probe
+    /// timers go stale via the owner lookup.
+    pub(crate) fn forget_qp(&mut self, qp: QpHandle) {
+        self.send.remove(&qp);
+        self.recv.remove(&qp);
+    }
+}
+
 /// Sender-side per-connection state (keyed by the sender's local
 /// [`verbs::QpHandle`]; dies with the queue pair at epoch teardown).
 #[derive(Default)]
-pub(crate) struct RelSendState {
+struct RelSendState {
     /// Next block sequence number on this connection.
     pub(crate) next_seq: u64,
     /// Everything sent, for retransmission: seq -> (length, imm total).
@@ -214,7 +261,7 @@ pub(crate) struct RelSendState {
 }
 
 /// One erasure generation as seen by the receiver.
-pub(crate) struct ParityGen {
+struct ParityGen {
     /// Parity writes that arrived for this generation.
     pub(crate) received: u32,
     /// The data blocks the generation covers: (seq, imm total).
@@ -224,7 +271,7 @@ pub(crate) struct ParityGen {
 /// Receiver-side per-connection state (keyed by the receiver's local
 /// [`verbs::QpHandle`]).
 #[derive(Default)]
-pub(crate) struct RelRecvState {
+struct RelRecvState {
     /// Next sequence the engine will be fed (FIFO hole frontier).
     pub(crate) next_expected: u64,
     /// Arrived out of order, waiting for the hole to fill: seq -> total.
@@ -241,146 +288,565 @@ pub(crate) struct RelRecvState {
     pub(crate) escalated: bool,
 }
 
-// ---- control-channel payload codecs -----------------------------------
-//
-// All control payloads ride one-sided writes. NACKs and probes must stay
-// under the fabric's tiny-write bypass threshold (256 bytes) so they are
-// never themselves lost; repairs and parity are padded to block size so
-// they cost honest bandwidth and remain subject to the fault model.
-
-/// Encodes a NACK for the contiguous missing range `[base, base+span)`.
-pub(crate) fn encode_nack(base: u64, span: u32) -> Bytes {
-    let mut buf = Vec::with_capacity(12);
-    buf.extend_from_slice(&base.to_le_bytes());
-    buf.extend_from_slice(&span.to_le_bytes());
-    Bytes::from(buf)
-}
-
-/// Decodes a NACK payload; `None` on a malformed length.
-pub(crate) fn decode_nack(payload: &[u8]) -> Option<(u64, u32)> {
-    let base = u64::from_le_bytes(payload.get(..8)?.try_into().ok()?);
-    let span = u32::from_le_bytes(payload.get(8..12)?.try_into().ok()?);
-    Some((base, span))
-}
-
-/// Encodes a block retransmission: 24-byte header (seq, imm total,
-/// block length) padded to the block's full length so the repair costs
-/// the bandwidth the original did.
-pub(crate) fn encode_repair(seq: u64, total: u64, len: u64) -> Bytes {
-    let wire_len = (len as usize).max(24);
-    let mut buf = vec![0u8; wire_len];
-    buf[..8].copy_from_slice(&seq.to_le_bytes());
-    buf[8..16].copy_from_slice(&total.to_le_bytes());
-    buf[16..24].copy_from_slice(&len.to_le_bytes());
-    Bytes::from(buf)
-}
-
-/// Decodes a retransmission header; `None` on a malformed length.
-pub(crate) fn decode_repair(payload: &[u8]) -> Option<(u64, u64)> {
-    let seq = u64::from_le_bytes(payload.get(..8)?.try_into().ok()?);
-    let total = u64::from_le_bytes(payload.get(8..16)?.try_into().ok()?);
-    Some((seq, total))
-}
-
-/// Encodes one parity write: generation id, the covered slots, padded
-/// to the generation's largest block (a real Reed–Solomon parity block
-/// is block-sized).
-pub(crate) fn encode_parity(gen: u64, slots: &[(u64, u64)], pad: u64) -> Bytes {
-    let header = 16 + 16 * slots.len();
-    let wire_len = header.max(pad as usize);
-    let mut buf = vec![0u8; wire_len];
-    buf[..8].copy_from_slice(&gen.to_le_bytes());
-    buf[8..16].copy_from_slice(&(slots.len() as u64).to_le_bytes());
-    for (i, &(seq, total)) in slots.iter().enumerate() {
-        let at = 16 + 16 * i;
-        buf[at..at + 8].copy_from_slice(&seq.to_le_bytes());
-        buf[at + 8..at + 16].copy_from_slice(&total.to_le_bytes());
+/// The lossy-fabric reliability layer (see [`ReliabilityPolicy`] and
+/// the `reliability` module docs). Everything here runs *between* the
+/// fabric and the protocol engines: engines still see a gap-free FIFO
+/// of `BlockReceived` events per peer, exactly as on a lossless fabric
+/// — the shim reorders, repairs, reconstructs, or escalates underneath.
+impl<T: Transport> Cluster<T> {
+    /// Default reliability policy for groups created from now on
+    /// ([`crate::ClusterBuilder::reliability`] is the public path).
+    pub(crate) fn set_default_reliability(&mut self, policy: ReliabilityPolicy) {
+        self.reliability.default = Some(policy);
     }
-    Bytes::from(buf)
-}
 
-/// Decodes a parity header; `None` on a malformed length.
-pub(crate) fn decode_parity(payload: &[u8]) -> Option<(u64, Vec<(u64, u64)>)> {
-    let gen = u64::from_le_bytes(payload.get(..8)?.try_into().ok()?);
-    let count = u64::from_le_bytes(payload.get(8..16)?.try_into().ok()?) as usize;
-    let mut slots = Vec::with_capacity(count);
-    for i in 0..count {
-        let at = 16 + 16 * i;
-        let seq = u64::from_le_bytes(payload.get(at..at + 8)?.try_into().ok()?);
-        let total = u64::from_le_bytes(payload.get(at + 8..at + 16)?.try_into().ok()?);
-        slots.push((seq, total));
+    /// Everything the reliability layer did so far, cluster-wide.
+    pub fn reliability_stats(&self) -> ReliabilityStats {
+        self.reliability.stats
     }
-    Some((gen, slots))
-}
 
-/// Encodes a frontier probe (the sender's `next_seq`).
-pub(crate) fn encode_probe(frontier: u64) -> Bytes {
-    Bytes::copy_from_slice(&frontier.to_le_bytes())
-}
+    /// Records a reliability-layer event under `rank`'s full scope.
+    fn record_rel<F: FnOnce() -> trace::EventKind>(&self, group: GroupId, rank: Rank, f: F) {
+        self.recorder
+            .record(self.groups[group].scope(group, rank), f);
+    }
 
-/// Decodes a frontier probe; `None` on a malformed length.
-pub(crate) fn decode_probe(payload: &[u8]) -> Option<u64> {
-    Some(u64::from_le_bytes(payload.get(..8)?.try_into().ok()?))
-}
+    /// Tags an outgoing block of a policy group with its connection
+    /// sequence number (packed alongside the message size) and ledgers
+    /// it for retransmission; returns the immediate to post. Plain
+    /// groups never come here and keep the raw size immediate, so
+    /// lossless runs stay bit-for-bit unchanged.
+    pub(crate) fn rel_tag_block(
+        &mut self,
+        qp: QpHandle,
+        policy: ReliabilityPolicy,
+        bytes: u64,
+        total_size: u64,
+    ) -> u64 {
+        let st = self.reliability.send.entry(qp).or_default();
+        let seq = st.next_seq;
+        st.next_seq += 1;
+        st.ledger.insert(seq, (bytes, total_size));
+        st.last_post_ns = self.fabric.now().as_nanos();
+        if matches!(policy, ReliabilityPolicy::ErasureCode { .. }) {
+            st.gen_slots.push((seq, bytes, total_size));
+        }
+        wire::pack_imm(seq, total_size)
+    }
 
-/// Collapses a sorted sequence list into contiguous `(base, span)`
-/// ranges, one NACK each.
-pub(crate) fn contiguous_ranges(seqs: &[u64]) -> Vec<(u64, u32)> {
-    let mut out: Vec<(u64, u32)> = Vec::new();
-    for &s in seqs {
-        match out.last_mut() {
-            Some((base, span)) if *base + u64::from(*span) == s => *span += 1,
-            _ => out.push((s, 1)),
+    /// The fabric accepted a tagged block: close the erasure generation
+    /// if this block filled it, and (re)arm the quiet-period probe.
+    pub(crate) fn rel_block_posted(&mut self, group: GroupId, rank: Rank, qp: QpHandle) {
+        self.rel_flush_parity(group, rank, qp, false);
+        self.rel_arm_probe(qp, group, rank);
+    }
+
+    /// A block landed on a policy group's connection. Returns `false`
+    /// for an untagged immediate, which the caller feeds as on a plain
+    /// group.
+    pub(crate) fn rel_block_arrival(&mut self, qp: QpHandle, imm: u64) -> bool {
+        let (Some(seq), total) = wire::unpack_imm(imm) else {
+            return false;
+        };
+        self.rel_data_arrival(qp, seq, total);
+        true
+    }
+
+    /// A block arrived with a corrupt payload. An unprotected group has
+    /// no redelivery path: the block is gone and the transfer stalls —
+    /// exactly what a lossless-assuming deployment does on a corrupting
+    /// fabric (the trace oracle flags the unrepaired loss). On a policy
+    /// group the immediate survives (headers and payload carry separate
+    /// CRCs), so the receiver knows exactly which block to re-request
+    /// without waiting for the gap to show up in the sequence stream.
+    pub(crate) fn rel_corrupt_arrival(&mut self, qp: QpHandle, imm: u64) {
+        let Some(&(group, me, _peer)) = self.qp_owner.get(&qp) else {
+            return;
+        };
+        if self.groups[group].reliability.is_none() {
+            return;
+        }
+        let (Some(seq), _total) = wire::unpack_imm(imm) else {
+            return;
+        };
+        let st = self.reliability.recv.entry(qp).or_default();
+        let fresh = !st.escalated
+            && seq >= st.next_expected
+            && !st.buffered.contains_key(&seq)
+            && st.missing.insert(seq);
+        if fresh {
+            self.rel_chase(qp, group, me, &[seq]);
         }
     }
-    out
+
+    /// One of this layer's control writes landed at `me`.
+    pub(crate) fn rel_control_arrival(
+        &mut self,
+        qp: QpHandle,
+        group: GroupId,
+        me: Rank,
+        tag: u64,
+        payload: &[u8],
+    ) {
+        match tag {
+            TAG_NACK => {
+                let (base, span) = decode_nack(payload).expect("nack payload");
+                self.rel_retransmit(qp, group, me, base, span);
+            }
+            TAG_RETRANS => {
+                let (seq, total) = decode_repair(payload).expect("repair payload");
+                self.reliability.stats.repairs_received += 1;
+                self.record_rel(group, me, || trace::EventKind::RepairDelivered {
+                    conn: qp.conn_id(),
+                    seq,
+                    coded: false,
+                });
+                self.rel_data_arrival(qp, seq, total);
+            }
+            TAG_PARITY => {
+                let (generation, slots) = decode_parity(payload).expect("parity payload");
+                self.rel_parity_arrival(qp, group, me, generation, slots);
+            }
+            TAG_PROBE => {
+                let frontier = decode_probe(payload).expect("probe payload");
+                self.rel_probe_arrival(qp, group, me, frontier);
+            }
+            other => unreachable!("control tag {other} is not a reliability tag"),
+        }
+    }
+
+    /// Starts repair of the newly detected losses `seqs` as the group's
+    /// policy dictates: wedge-resume escalates at once, the repairing
+    /// policies NACK and arm the retry timer.
+    fn rel_chase(&mut self, qp: QpHandle, group: GroupId, me: Rank, seqs: &[u64]) {
+        match self.groups[group].reliability {
+            Some(ReliabilityPolicy::WedgeResume { .. }) => self.rel_escalate(qp),
+            Some(_) => {
+                self.rel_request(qp, group, me, seqs);
+                self.rel_arm_rto(qp, group, me);
+            }
+            None => {}
+        }
+    }
+
+    /// A sequence-tagged data block reached the receiver (original
+    /// send, retransmission, or parity reconstruction — all converge
+    /// here). Feeds the engine every block that became contiguous, and
+    /// starts repair for any gap this arrival revealed.
+    fn rel_data_arrival(&mut self, qp: QpHandle, seq: u64, total: u64) {
+        let Some(&(group, me, peer)) = self.qp_owner.get(&qp) else {
+            return; // stale completion for a torn-down queue pair
+        };
+        let (feeds, newly_missing) = {
+            let st = self.reliability.recv.entry(qp).or_default();
+            if st.escalated {
+                return; // the epoch recovery path owns this hole now
+            }
+            if seq < st.next_expected || st.buffered.contains_key(&seq) {
+                // A late repair racing a re-NACK, or double reconstruction.
+                self.reliability.stats.duplicates += 1;
+                return;
+            }
+            st.missing.remove(&seq);
+            let mut feeds: Vec<u64> = Vec::new();
+            let mut newly: Vec<u64> = Vec::new();
+            if seq == st.next_expected {
+                // The hole frontier advanced: feed this block and drain
+                // the contiguous run of buffered successors behind it.
+                feeds.push(total);
+                st.next_expected += 1;
+                while let Some(t) = st.buffered.remove(&st.next_expected) {
+                    feeds.push(t);
+                    st.next_expected += 1;
+                }
+                if st.missing.is_empty() {
+                    st.rto_attempt = 0; // gap closed: fresh budget next time
+                }
+            } else {
+                // Arrived past the frontier: every sequence in between
+                // that is neither buffered nor already being chased is a
+                // newly detected loss.
+                st.buffered.insert(seq, total);
+                for s in st.next_expected..seq {
+                    if !st.buffered.contains_key(&s) && !st.missing.contains(&s) {
+                        newly.push(s);
+                    }
+                }
+                for &s in &newly {
+                    st.missing.insert(s);
+                }
+            }
+            (feeds, newly)
+        };
+        for t in feeds {
+            self.feed(
+                group,
+                me,
+                Event::BlockReceived {
+                    from: peer,
+                    total_size: t,
+                },
+            );
+        }
+        if !newly_missing.is_empty() {
+            self.rel_chase(qp, group, me, &newly_missing);
+        }
+    }
+
+    /// Sends one NACK per contiguous missing range (tiny control writes
+    /// on the reliable bypass).
+    fn rel_request(&mut self, qp: QpHandle, group: GroupId, me: Rank, seqs: &[u64]) {
+        let mut ranges = contiguous_ranges(seqs);
+        if self.has_mutation(Mutation::NackOffByOne) {
+            // Seeded bug: the first missing block of the first range is
+            // never requested.
+            if let Some(first) = ranges.first_mut() {
+                first.0 += 1;
+                first.1 -= 1;
+            }
+            ranges.retain(|&(_, span)| span > 0);
+        }
+        for (base, span) in ranges {
+            self.reliability.stats.nacks_sent += 1;
+            self.record_rel(group, me, || trace::EventKind::NackSent {
+                conn: qp.conn_id(),
+                end: qp.endpoint(),
+                seq: base,
+                span: u64::from(span),
+            });
+            let _ = self
+                .fabric
+                .post_write(qp, WrId(3), TAG_NACK, encode_nack(base, span), None);
+        }
+    }
+
+    /// Arms the receiver's retry timer (idempotent): when it fires with
+    /// blocks still missing, they are re-NACKed with exponential backoff
+    /// until the budget is spent, then the connection escalates.
+    fn rel_arm_rto(&mut self, qp: QpHandle, group: GroupId, me: Rank) {
+        let Some(policy) = self.groups[group].reliability else {
+            return;
+        };
+        let retry = policy.retry();
+        let delay = {
+            let st = self.reliability.recv.entry(qp).or_default();
+            if st.rto_armed || st.escalated {
+                return;
+            }
+            st.rto_armed = true;
+            SimDuration::from_nanos(
+                retry
+                    .rto
+                    .as_nanos()
+                    .saturating_mul(1u64 << st.rto_attempt.min(6)),
+            )
+        };
+        let node = self.groups[group].spec.members[me as usize];
+        self.arm_timer(node, delay, TimerAction::RelRto { qp });
+    }
+
+    /// The receiver retry timer fired.
+    pub(crate) fn rel_rto_fired(&mut self, qp: QpHandle) {
+        let Some(&(group, me, _peer)) = self.qp_owner.get(&qp) else {
+            return; // old-epoch timer: the queue pair is gone
+        };
+        let Some(policy) = self.groups[group].reliability else {
+            return;
+        };
+        let budget = policy.retry().budget;
+        let missing: Vec<u64> = {
+            let Some(st) = self.reliability.recv.get_mut(&qp) else {
+                return;
+            };
+            st.rto_armed = false;
+            if st.escalated {
+                return;
+            }
+            if st.missing.is_empty() {
+                st.rto_attempt = 0;
+                return; // everything healed before the timer fired
+            }
+            st.rto_attempt += 1;
+            if st.rto_attempt > budget {
+                Vec::new() // budget spent: escalate below
+            } else {
+                st.missing.iter().copied().collect()
+            }
+        };
+        if missing.is_empty() {
+            self.rel_escalate(qp);
+            return;
+        }
+        self.rel_request(qp, group, me, &missing);
+        self.rel_arm_rto(qp, group, me);
+    }
+
+    /// Loss beyond the policy's repair means: hand the connection to the
+    /// §2.4 membership service (recovery on) or break it so both sides
+    /// wedge (recovery off). Either way, no silent hang.
+    fn rel_escalate(&mut self, qp: QpHandle) {
+        let Some(&(group, me, peer)) = self.qp_owner.get(&qp) else {
+            return;
+        };
+        {
+            let st = self.reliability.recv.entry(qp).or_default();
+            if st.escalated {
+                return;
+            }
+            st.escalated = true;
+        }
+        self.reliability.stats.escalations += 1;
+        self.record_rel(group, me, || trace::EventKind::LossEscalated {
+            conn: qp.conn_id(),
+        });
+        if self.recovery_enabled() {
+            // The persistently lossy sender is treated as failed: the
+            // group reconfigures and interrupted messages resume from
+            // the survivors' wedge-time bitmaps (or are consistently
+            // abandoned when the evicted sender held the only copy).
+            self.feed(group, me, Event::PeerFailed { rank: peer });
+            self.note_suspicion(group, me, peer);
+        } else {
+            self.fabric.break_qp(qp);
+        }
+    }
+
+    /// An incoming NACK at the data sender: retransmit every ledgered
+    /// block of the requested range as a one-sided write (no posted
+    /// receive consumed — repairs sit outside the credit flow).
+    fn rel_retransmit(&mut self, qp: QpHandle, group: GroupId, me: Rank, base: u64, span: u32) {
+        let repairs: Vec<(u64, u64, u64)> = {
+            let Some(st) = self.reliability.send.get(&qp) else {
+                return;
+            };
+            (base..base.saturating_add(u64::from(span)))
+                .filter_map(|s| st.ledger.get(&s).map(|&(len, total)| (s, len, total)))
+                .collect()
+        };
+        for (seq, len, total) in repairs {
+            self.reliability.stats.repairs_sent += 1;
+            self.record_rel(group, me, || trace::EventKind::RepairSent {
+                conn: qp.conn_id(),
+                seq,
+            });
+            let _ = self.fabric.post_write(
+                qp,
+                WrId(wire::REPAIR_WR_BASE + seq),
+                TAG_RETRANS,
+                encode_repair(seq, total, len),
+                None,
+            );
+        }
+    }
+
+    /// An erasure parity write landed: if the generation's missing
+    /// blocks number at most the parity received for it, reconstruct
+    /// them locally (the no-round-trip repair); otherwise register the
+    /// gaps so the retry timer can fall back to NACK retransmission.
+    fn rel_parity_arrival(
+        &mut self,
+        qp: QpHandle,
+        group: GroupId,
+        me: Rank,
+        generation: u64,
+        slots: Vec<(u64, u64)>,
+    ) {
+        enum Outcome {
+            Done,
+            Repair(Vec<(u64, u64)>),
+            Register(Vec<u64>),
+        }
+        let outcome = {
+            let st = self.reliability.recv.entry(qp).or_default();
+            if st.escalated {
+                return;
+            }
+            let (received, covered) = {
+                let pg = st
+                    .parity
+                    .entry(generation)
+                    .or_insert_with(|| ParityGen { received: 0, slots });
+                pg.received += 1;
+                (pg.received as usize, pg.slots.clone())
+            };
+            let missing: Vec<(u64, u64)> = covered
+                .into_iter()
+                .filter(|&(s, _)| s >= st.next_expected && !st.buffered.contains_key(&s))
+                .collect();
+            if missing.is_empty() {
+                st.parity.remove(&generation);
+                Outcome::Done
+            } else if missing.len() <= received {
+                st.parity.remove(&generation);
+                Outcome::Repair(missing)
+            } else {
+                Outcome::Register(missing.iter().map(|&(s, _)| s).collect())
+            }
+        };
+        match outcome {
+            Outcome::Done => {}
+            Outcome::Repair(missing) => {
+                for (seq, total) in missing {
+                    self.reliability.stats.parity_repairs += 1;
+                    self.record_rel(group, me, || trace::EventKind::RepairDelivered {
+                        conn: qp.conn_id(),
+                        seq,
+                        coded: true,
+                    });
+                    self.rel_data_arrival(qp, seq, total);
+                }
+            }
+            Outcome::Register(seqs) => {
+                {
+                    let st = self.reliability.recv.entry(qp).or_default();
+                    for &s in &seqs {
+                        st.missing.insert(s);
+                    }
+                }
+                self.rel_arm_rto(qp, group, me);
+            }
+        }
+    }
+
+    /// A sender frontier probe landed: anything below the announced
+    /// frontier that never arrived is a trailing loss — the kind no
+    /// later arrival would ever reveal.
+    fn rel_probe_arrival(&mut self, qp: QpHandle, group: GroupId, me: Rank, frontier: u64) {
+        let newly: Vec<u64> = {
+            let st = self.reliability.recv.entry(qp).or_default();
+            if st.escalated {
+                return;
+            }
+            let newly: Vec<u64> = (st.next_expected..frontier)
+                .filter(|s| !st.buffered.contains_key(s) && !st.missing.contains(s))
+                .collect();
+            for &s in &newly {
+                st.missing.insert(s);
+            }
+            newly
+        };
+        if !newly.is_empty() {
+            self.rel_chase(qp, group, me, &newly);
+        }
+    }
+
+    /// Emits the open erasure generation's parity writes if it is full
+    /// (or `force`, for the trailing partial generation at a quiet
+    /// period). Parity is block-sized — it costs honest bandwidth and
+    /// is itself subject to the fault model.
+    fn rel_flush_parity(&mut self, group: GroupId, rank: Rank, qp: QpHandle, force: bool) {
+        let Some(ReliabilityPolicy::ErasureCode { data, parity, .. }) =
+            self.groups[group].reliability
+        else {
+            return;
+        };
+        let (generation, slots) = {
+            let Some(st) = self.reliability.send.get_mut(&qp) else {
+                return;
+            };
+            if st.gen_slots.is_empty() || (!force && (st.gen_slots.len() as u32) < data) {
+                return;
+            }
+            let generation = st.next_gen;
+            st.next_gen += 1;
+            (generation, std::mem::take(&mut st.gen_slots))
+        };
+        let pad = slots.iter().map(|&(_, len, _)| len).max().unwrap_or(0);
+        let covered: Vec<(u64, u64)> = slots.iter().map(|&(s, _, t)| (s, t)).collect();
+        let payload = encode_parity(generation, &covered, pad);
+        self.record_rel(group, rank, || trace::EventKind::ParitySent {
+            conn: qp.conn_id(),
+            seq: covered[0].0,
+            data: covered.len() as u64,
+        });
+        for j in 0..u64::from(parity) {
+            self.reliability.stats.parity_writes_sent += 1;
+            let wr = wire::PARITY_WR_BASE + generation * u64::from(parity) + j;
+            let _ = self
+                .fabric
+                .post_write(qp, WrId(wr), TAG_PARITY, payload.clone(), None);
+        }
+    }
+
+    /// Arms the sender's quiet-period probe timer (idempotent; one per
+    /// connection).
+    fn rel_arm_probe(&mut self, qp: QpHandle, group: GroupId, rank: Rank) {
+        let Some(policy) = self.groups[group].reliability else {
+            return;
+        };
+        {
+            let st = self.reliability.send.entry(qp).or_default();
+            if st.probe_armed {
+                return;
+            }
+            st.probe_armed = true;
+        }
+        let node = self.groups[group].spec.members[rank as usize];
+        self.arm_timer(node, policy.probe_delay(), TimerAction::RelProbe { qp });
+    }
+
+    /// The sender quiet-period timer fired: if sends are still flowing,
+    /// push the timer out; if the frontier was already announced and
+    /// nothing is pending, stop (termination); otherwise flush any
+    /// partial parity generation and announce the frontier so the
+    /// receiver can detect trailing losses.
+    pub(crate) fn rel_probe_fired(&mut self, qp: QpHandle) {
+        let Some(&(group, rank, _peer)) = self.qp_owner.get(&qp) else {
+            return; // old-epoch timer
+        };
+        let Some(policy) = self.groups[group].reliability else {
+            return;
+        };
+        let delay = policy.probe_delay();
+        let now_ns = self.fabric.now().as_nanos();
+        enum Next {
+            Done,
+            Rearm(SimDuration),
+            Probe(u64),
+        }
+        let next = {
+            let Some(st) = self.reliability.send.get_mut(&qp) else {
+                return;
+            };
+            st.probe_armed = false;
+            let quiet_at = st.last_post_ns.saturating_add(delay.as_nanos());
+            if now_ns < quiet_at {
+                st.probe_armed = true;
+                Next::Rearm(SimDuration::from_nanos(quiet_at - now_ns))
+            } else if st.probed_upto == st.next_seq && st.gen_slots.is_empty() {
+                Next::Done
+            } else {
+                st.probe_armed = true;
+                Next::Probe(st.next_seq)
+            }
+        };
+        let node = self.groups[group].spec.members[rank as usize];
+        match next {
+            Next::Done => {}
+            Next::Rearm(d) => self.arm_timer(node, d, TimerAction::RelProbe { qp }),
+            Next::Probe(frontier) => {
+                // The trailing partial erasure generation flushes now —
+                // its parity would otherwise wait for blocks that are
+                // never coming.
+                self.rel_flush_parity(group, rank, qp, true);
+                if let Some(st) = self.reliability.send.get_mut(&qp) {
+                    st.probed_upto = frontier;
+                }
+                self.reliability.stats.probes_sent += 1;
+                let _ =
+                    self.fabric
+                        .post_write(qp, WrId(4), TAG_PROBE, encode_probe(frontier), None);
+                // One more firing confirms quiescence (or probes again
+                // if new sends moved the frontier meanwhile).
+                self.arm_timer(node, delay, TimerAction::RelProbe { qp });
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn nack_codec_roundtrip_and_is_tiny() {
-        let b = encode_nack(42, 7);
-        assert!(b.len() <= 256, "NACKs must ride the reliable bypass");
-        assert_eq!(decode_nack(&b), Some((42, 7)));
-        assert_eq!(decode_nack(&b[..5]), None);
-    }
-
-    #[test]
-    fn repair_codec_pads_to_block_length() {
-        let b = encode_repair(9, 1 << 20, 65536);
-        assert_eq!(b.len(), 65536);
-        assert_eq!(decode_repair(&b), Some((9, 1 << 20)));
-        // Tiny blocks still carry the full header.
-        assert_eq!(encode_repair(0, 10, 10).len(), 24);
-    }
-
-    #[test]
-    fn parity_codec_roundtrip() {
-        let slots = vec![(4, 1000), (5, 1000), (6, 1000)];
-        let b = encode_parity(2, &slots, 65536);
-        assert_eq!(b.len(), 65536);
-        assert_eq!(decode_parity(&b), Some((2, slots)));
-        assert_eq!(decode_parity(&b[..20]), None);
-    }
-
-    #[test]
-    fn probe_codec_roundtrip() {
-        let b = encode_probe(123);
-        assert!(b.len() <= 256);
-        assert_eq!(decode_probe(&b), Some(123));
-    }
-
-    #[test]
-    fn ranges_collapse_contiguous_runs() {
-        assert_eq!(
-            contiguous_ranges(&[1, 2, 3, 7, 9, 10]),
-            vec![(1, 3), (7, 1), (9, 2)]
-        );
-        assert!(contiguous_ranges(&[]).is_empty());
-    }
 
     #[test]
     fn policy_presets() {

@@ -5,8 +5,8 @@
 //! they come out in. A pure-Rust rotation model predicts every log
 //! entry; the overlay, swept across all four dissemination algorithms
 //! and with and without seeded fabric loss (geo profile, erasure
-//! protection), must match it exactly, and the pinned-sender case must
-//! agree with the legacy §4.6 single-sender stable-delivery path.
+//! protection), must match it exactly — including the pinned-sender
+//! case, which is the paper's §4.6 single-sender atomic delivery.
 
 use proptest::prelude::*;
 use rdmc::Algorithm;
@@ -141,42 +141,20 @@ proptest! {
 }
 
 /// Pinning every submission to one sender reduces the overlay to the
-/// legacy §4.6 single-sender atomic delivery: same count, same
-/// submission order, and the overlay's upcall never precedes the moment
-/// the legacy status-table path would release the same message.
+/// paper's §4.6 single-sender atomic delivery: every member logs every
+/// message, in submission order, with all other owners' slots elided as
+/// nulls.
 #[test]
-fn pinned_sender_agrees_with_the_legacy_stability_path() {
+fn pinned_sender_matches_the_rotation_model() {
     let n = 4;
     let sizes = [128 * KB, 192 * KB, 64 * KB, 256 * KB, 128 * KB];
     let plan: Vec<(usize, u64)> = sizes.iter().map(|&s| (0usize, s)).collect();
     let overlay = differential_run(n, Algorithm::BinomialPipeline, &plan, None);
     assert_matches_model(&overlay, n, &plan, "pinned");
-
-    let mut legacy = ClusterBuilder::new(ClusterSpec::fractus(n)).build();
-    let group = legacy.create_group(GroupSpec {
-        members: (0..n).collect(),
-        algorithm: Algorithm::BinomialPipeline,
-        block_size: 64 * KB,
-        ready_window: 2,
-        max_outstanding_sends: 2,
-    });
-    legacy.enable_atomic_delivery(group);
-    for &s in &sizes {
-        legacy.submit_send(group, s);
-    }
-    legacy.run();
     for m in 0..n {
         let log = overlay.atomic_log(0, m);
-        let stable = legacy.stable_deliveries(group, m as u32);
-        assert_eq!(
-            log.len(),
-            stable.len(),
-            "member {m}: delivery counts differ"
-        );
-        // Submission order both ways, and the legacy path's stable
-        // times are monotone just like the overlay's slot order.
+        assert_eq!(log.len(), sizes.len(), "member {m}: delivery count");
         assert!(log.windows(2).all(|w| w[0].slot < w[1].slot));
-        assert!(stable.windows(2).all(|w| w[0] <= w[1]));
         for (d, &s) in log.iter().zip(&sizes) {
             assert_eq!(d.size, s, "member {m}: sizes out of submission order");
         }

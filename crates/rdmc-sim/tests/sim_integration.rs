@@ -3,9 +3,10 @@
 use rdmc::Algorithm;
 use rdmc_sim::{
     run_concurrent_overlapping, run_single_multicast, run_stream, ClusterBuilder, ClusterSpec,
-    GroupSpec, TraceKind,
+    GroupSpec,
 };
 use simnet::{JitterModel, SimDuration, SimTime};
+use trace::EventKind;
 
 const MB: u64 = 1 << 20;
 
@@ -358,25 +359,25 @@ fn tracing_captures_the_protocol_conversation() {
     });
     cluster.submit_send(group, 8 * MB);
     cluster.run();
+    let events = cluster.trace_events();
+    let of_rank = |rank: u32| {
+        events
+            .iter()
+            .filter(move |e| e.scope.group == Some(group as u32) && e.scope.rank == Some(rank))
+            .map(|e| &e.kind)
+    };
     // Every receiver allocated a buffer, received blocks, delivered.
     for rank in 1..4 {
-        let trace = cluster.trace(group, rank);
-        assert!(trace.iter().any(|r| r.kind == TraceKind::BufferAllocated));
-        assert!(trace.iter().any(|r| r.kind == TraceKind::Delivered));
-        let arrivals = trace
-            .iter()
-            .filter(|r| matches!(r.kind, TraceKind::BlockArrived { .. }))
+        assert!(of_rank(rank).any(|k| matches!(k, EventKind::BufferRequested { .. })));
+        assert!(of_rank(rank).any(|k| matches!(k, EventKind::Delivered { .. })));
+        let arrivals = of_rank(rank)
+            .filter(|k| matches!(k, EventKind::BlockArrived { .. }))
             .count();
         assert_eq!(arrivals, 8, "rank {rank} should receive 8 blocks");
     }
     // The root posted sends and heard readiness.
-    let root = cluster.trace(group, 0);
-    assert!(root
-        .iter()
-        .any(|r| matches!(r.kind, TraceKind::SendPosted { .. })));
-    assert!(root
-        .iter()
-        .any(|r| matches!(r.kind, TraceKind::ReadyHeard { .. })));
+    assert!(of_rank(0).any(|k| matches!(k, EventKind::BlockSendIssued { .. })));
+    assert!(of_rank(0).any(|k| matches!(k, EventKind::ReadyHeard { .. })));
 }
 
 #[test]
@@ -559,7 +560,5 @@ fn traces_are_empty_unless_enabled() {
     });
     cluster.submit_send(group, MB);
     cluster.run();
-    for rank in 0..3 {
-        assert!(cluster.trace(group, rank).is_empty());
-    }
+    assert!(cluster.trace_events().is_empty());
 }

@@ -1,0 +1,128 @@
+//! Tier-1 smoke: one fast case per `Cluster` concern module (`atomic`
+//! with `pacer`, `reconfig`, `reliability`) plus the core over real TCP
+//! sockets, so the root package's `cargo test` executes every module the
+//! per-crate suites (`cargo test --workspace`) check in depth.
+
+use rdmc::Algorithm;
+use rdmc_sim::{
+    AtomicDelivery, ClusterBuilder, ClusterSpec, GroupSpec, PacerConfig, PacingPolicy,
+    RecoveryConfig, ReliabilityPolicy, SimCluster,
+};
+use simnet::{FaultProfile, LinkFault, SimTime};
+
+const KB: u64 = 1 << 10;
+
+fn spec(n: usize) -> GroupSpec {
+    GroupSpec {
+        members: (0..n).collect(),
+        algorithm: Algorithm::BinomialPipeline,
+        block_size: 16 * KB,
+        ready_window: 2,
+        max_outstanding_sends: 2,
+    }
+}
+
+/// The time-free part of a delivery log entry.
+fn order(log: &[AtomicDelivery]) -> Vec<(u64, u32, u64, u64)> {
+    log.iter()
+        .map(|d| (d.slot, d.sender, d.seq, d.size))
+        .collect()
+}
+
+#[test]
+fn atomic_groups_log_identically_rotated_and_pinned() {
+    let sizes = [64 * KB, 16 * KB, 100 * KB, 1, 48 * KB, 32 * KB];
+    // Group 0 rotates the sender role; group 1 pins it to member 2. One
+    // admission slot per NIC makes their eight subgroups queue.
+    let mut cluster = ClusterBuilder::new(ClusterSpec::fractus(4))
+        .pacing(PacerConfig::new(1, PacingPolicy::RoundRobin))
+        .atomic(spec(4))
+        .atomic(spec(4))
+        .build();
+    for &size in &sizes {
+        cluster.submit_atomic(0, size);
+        cluster.submit_atomic_from(1, 2, size);
+    }
+    cluster.run();
+    for ag in [0, 1] {
+        let reference = order(cluster.atomic_log(ag, 0));
+        let got: Vec<u64> = reference.iter().map(|&(_, _, _, size)| size).collect();
+        assert_eq!(got, sizes, "group {ag}: not the submission order");
+        assert!(reference.windows(2).all(|w| w[0].0 < w[1].0));
+        for member in 1..4 {
+            assert_eq!(order(cluster.atomic_log(ag, member)), reference);
+        }
+    }
+    assert!(cluster.atomic_log(1, 0).iter().all(|d| d.sender == 2));
+    // Gapless: every slot is a delivered message or an elided null, none
+    // was trimmed.
+    assert_eq!(cluster.atomic_num_slots(0), sizes.len() as u64);
+    assert!(cluster.atomic_trimmed_slots(1).is_empty());
+    assert!(cluster.pacing_stats().expect("pacing on").deferred_sends > 0);
+}
+
+fn crash_and_recover() -> SimCluster {
+    let mut cluster = ClusterBuilder::new(ClusterSpec::fractus(5))
+        .recovery(RecoveryConfig::default())
+        .build();
+    let group = cluster.create_group(spec(5));
+    for _ in 0..3 {
+        cluster.submit_send(group, 40 * 16 * KB);
+    }
+    cluster.schedule_crash_at(3, SimTime::from_nanos(60_000));
+    cluster.run();
+    assert_eq!(cluster.surviving_ranks(group), [0, 1, 2, 4]);
+    assert!(cluster.live_quiescent());
+    for m in cluster.message_results() {
+        for o in [0, 1, 2, 4] {
+            assert!(m.delivered_at[o].is_some(), "message {} at {o}", m.index);
+        }
+    }
+    cluster
+}
+
+#[test]
+fn crash_recovery_resumes_and_reruns_identically() {
+    let first = crash_and_recover();
+    let stats = first.recovery_stats();
+    assert_eq!(stats.reconfigurations.len(), 1);
+    assert!(stats.reconfigurations[0].abandoned.is_empty());
+    assert_eq!(first.state_digest(), crash_and_recover().state_digest());
+}
+
+#[test]
+fn erasure_policy_repairs_a_lossy_wan() {
+    let mut cluster = ClusterBuilder::new(ClusterSpec::geo(4))
+        .recovery(RecoveryConfig::default())
+        .reliability(ReliabilityPolicy::erasure(2, 1))
+        .build();
+    let mut profile = FaultProfile::new(7);
+    for link in cluster.fabric().topology().wan_links() {
+        profile.set_link(link, LinkFault::lossy(0.05));
+    }
+    cluster.set_fault_profile(profile);
+    let mut group_spec = spec(4);
+    group_spec.ready_window = 4;
+    let group = cluster.create_group(group_spec);
+    let id = cluster.submit_send(group, 64 * 16 * KB);
+    cluster.run();
+    assert!(cluster.fabric().stats().payload_drops > 0, "no loss");
+    let stats = cluster.reliability_stats();
+    assert!(stats.parity_writes_sent > 0);
+    assert!(stats.parity_repairs + stats.repairs_received > 0);
+    assert_eq!(stats.escalations, 0);
+    assert!(cluster.result(id).expect("submitted").latency().is_some());
+}
+
+#[test]
+fn tcp_multicast_delivers_and_shuts_down_clean() {
+    let mut cluster = rdmc_tcp::builder(4).expect("loopback sockets").build();
+    let group = cluster.create_group(spec(4));
+    let ids = [100 * KB, 1, 33 * KB + 5].map(|size| cluster.submit_send(group, size));
+    assert!(cluster.destroy_group(group), "delivery not certified");
+    for id in ids {
+        let result = cluster.result(id).expect("submitted");
+        assert!(result.delivered_at.iter().all(|d| d.is_some()));
+    }
+    rdmc_tcp::shutdown(cluster).expect("no deferred socket error");
+}
