@@ -1,7 +1,6 @@
 //! One function per table/figure of the paper's evaluation (§5), each
 //! returning the reproduced rows as formatted text. The `report` binary
-//! prints them all; the Criterion benches print them once and then time a
-//! representative configuration.
+//! prints them all.
 
 use baselines::run_mvapich_multicast;
 use rdmc::{analysis, Algorithm};
@@ -116,7 +115,9 @@ fn rank_times(
 pub fn table1_breakdown(quick: bool) -> String {
     let size = if quick { 64 * MB } else { 256 * MB };
     let spec = ClusterSpec::stampede(4);
-    let mut cluster = ClusterBuilder::new(spec.clone()).tracing().build();
+    let mut cluster = ClusterBuilder::new(spec.clone())
+        .flight_recorder(trace::Mode::Full)
+        .build();
     let group = cluster.create_group(pipeline_group_spec(
         (0..4).collect(),
         MB,
@@ -189,7 +190,7 @@ pub fn fig5_step_timeline(quick: bool) -> String {
     // A rare, fixed-length preemption on the relayer (the paper observed
     // one such stall near the end of its instrumented transfer).
     let mut cluster = ClusterBuilder::new(spec.clone())
-        .tracing()
+        .flight_recorder(trace::Mode::Full)
         .jitter(
             1,
             JitterModel::new(
@@ -882,76 +883,6 @@ pub fn sst_small_messages(quick: bool) -> String {
     )
 }
 
-/// Simulation-kernel throughput: how fast the simulator itself runs on
-/// representative heavy configurations — events per wall-clock second,
-/// rate-reallocation work, and the share of wall time spent re-running
-/// water-filling. Not a paper figure; this meters the reproduction's own
-/// engine (process-wide counters, see [`verbs::perf`]).
-pub fn kernel_throughput(quick: bool) -> String {
-    let mut rows = Vec::new();
-    let mut scenario = |name: &str, run: &dyn Fn()| {
-        let base = verbs::perf::snapshot();
-        let t0 = std::time::Instant::now();
-        run();
-        let wall = t0.elapsed().as_secs_f64();
-        let d = verbs::perf::snapshot().delta_since(&base);
-        let per_realloc = if d.realloc_count == 0 {
-            0.0
-        } else {
-            d.flows_visited as f64 / d.realloc_count as f64
-        };
-        rows.push(row![
-            name,
-            d.events,
-            format!("{:.0}k", d.events as f64 / wall / 1e3),
-            d.realloc_count,
-            format!("{per_realloc:.1}"),
-            format!("{:.1}%", 100.0 * d.realloc_nanos as f64 / (wall * 1e9)),
-            format!("{wall:.2}s")
-        ]);
-    };
-
-    let msg = if quick { 64 * MB } else { 256 * MB };
-    let sierra128 = ClusterSpec::sierra(128);
-    scenario("multicast n=128 (Sierra)", &|| {
-        run_single_multicast(&sierra128, 128, Algorithm::BinomialPipeline, msg, 4 * MB);
-    });
-    if !quick {
-        let sierra512 = ClusterSpec::sierra(512);
-        scenario("multicast n=512 (Sierra)", &|| {
-            run_single_multicast(&sierra512, 512, Algorithm::BinomialPipeline, msg, 4 * MB);
-        });
-    }
-    let fractus = ClusterSpec::fractus(16);
-    let overlap_msg = if quick { MB } else { 4 * MB };
-    scenario("overlap 16 senders x 16 (Fractus)", &|| {
-        run_concurrent_overlapping(
-            &fractus,
-            16,
-            16,
-            Algorithm::BinomialPipeline,
-            overlap_msg,
-            2,
-            MB,
-        );
-    });
-    format!(
-        "Simulation-kernel throughput (single-threaded, per scenario)\n{}\n",
-        render(
-            &row![
-                "scenario",
-                "events",
-                "events/s",
-                "reallocs",
-                "flows/realloc",
-                "realloc time",
-                "wall"
-            ],
-            &rows
-        )
-    )
-}
-
 /// Static-analysis sweep timing: runs the `analyzer` crate's full grid
 /// (schedule model checker, posting-order deadlock lint, engine
 /// reachability) and reports what was proven and how long the proof
@@ -1059,59 +990,6 @@ pub fn explore_throughput(quick: bool) -> String {
             &rows
         )
     )
-}
-
-/// Machine-readable explorer-throughput record for the JSON summary:
-/// executions, resolved choice points (explored states), and states per
-/// second over the CI-tier exhaustive corner plus its DPOR reduction.
-pub struct ExploreBench {
-    /// Executions enumerated by the exhaustive pass (n=4, k=2).
-    pub exhaustive_executions: u64,
-    /// Executions the DPOR pass needed for the same scenario.
-    pub dpor_executions: u64,
-    /// Total choice points resolved across both passes.
-    pub points: u64,
-    /// Wall time of both passes combined, seconds.
-    pub wall_s: f64,
-    /// Explored states (resolved choice points) per second.
-    pub states_per_sec: f64,
-}
-
-impl ExploreBench {
-    /// Renders the record as a JSON object (no trailing newline).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"exhaustive_executions\": {}, \"dpor_executions\": {}, \
-             \"points\": {}, \"wall_s\": {:.3}, \"states_per_sec\": {:.0}}}",
-            self.exhaustive_executions,
-            self.dpor_executions,
-            self.points,
-            self.wall_s,
-            self.states_per_sec,
-        )
-    }
-}
-
-/// Times the CI-tier exhaustive enumeration (n=4, k=2, plain RDMC) and
-/// its DPOR counterpart for the JSON summary. Small enough to ride
-/// along on every report run.
-pub fn explore_bench_probe(_quick: bool) -> ExploreBench {
-    use analyzer::{explore_executions, ExploreConfig, ExploreScenario};
-
-    let scenario = ExploreScenario::small(Algorithm::BinomialPipeline, 4, 2);
-    let t0 = std::time::Instant::now();
-    let full = explore_executions(&ExploreConfig::exhaustive(scenario.clone()));
-    let dpor = explore_executions(&ExploreConfig::dpor(scenario));
-    let wall_s = t0.elapsed().as_secs_f64();
-    let points = full.points_resolved + dpor.points_resolved;
-    ExploreBench {
-        exhaustive_executions: full.executions,
-        dpor_executions: dpor.executions,
-        points,
-        wall_s,
-        states_per_sec: points as f64 / wall_s.max(1e-9),
-    }
 }
 
 /// Observability: stall attribution over the Fig. 4 binomial-pipeline
@@ -1244,8 +1122,7 @@ pub struct MultigroupCell {
     pub link_limited_ms: f64,
 }
 
-/// The multigroup sweep's results, renderable as text and as the
-/// `multigroup` section of `BENCH_simnet.json`.
+/// The multigroup sweep's results.
 pub struct MultigroupReport {
     /// One cell per (topology, shards, load, policy) run.
     pub cells: Vec<MultigroupCell>,
@@ -1291,36 +1168,6 @@ impl MultigroupReport {
             &rows,
         ));
         out.push('\n');
-        out
-    }
-
-    /// The `multigroup` JSON array (keys in fixed order, byte-stable for
-    /// a given cell list).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("[\n");
-        for (i, c) in self.cells.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"topology\": \"{}\", \"shards\": {}, \"offered_gbps\": {:.1}, \
-                 \"policy\": \"{}\", \"messages\": {}, \"p50_ms\": {:.3}, \
-                 \"p99_ms\": {:.3}, \"agg_gbps\": {:.2}, \"deferred_sends\": {}, \
-                 \"transfer_ms\": {:.3}, \"sender_limited_ms\": {:.3}, \
-                 \"link_limited_ms\": {:.3}}}{}\n",
-                c.topology,
-                c.shards,
-                c.offered_gbps,
-                c.policy,
-                c.messages,
-                c.p50_ms,
-                c.p99_ms,
-                c.agg_gbps,
-                c.deferred_sends,
-                c.transfer_ms,
-                c.sender_limited_ms,
-                c.link_limited_ms,
-                if i + 1 < self.cells.len() { "," } else { "" },
-            ));
-        }
-        out.push_str("  ]");
         out
     }
 }
@@ -1460,8 +1307,7 @@ pub struct AtomicCell {
     pub p99_ms: f64,
 }
 
-/// The atomic sweep's results, renderable as text and as the `atomic`
-/// section of `BENCH_simnet.json`.
+/// The atomic sweep's results.
 pub struct AtomicReport {
     /// One cell per (shards, load, mode) run.
     pub cells: Vec<AtomicCell>,
@@ -1501,29 +1347,6 @@ impl AtomicReport {
             &rows,
         ));
         out.push('\n');
-        out
-    }
-
-    /// The `atomic` JSON array (keys in fixed order, byte-stable for a
-    /// given cell list).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("[\n");
-        for (i, c) in self.cells.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"mode\": \"{}\", \"shards\": {}, \"offered_gbps\": {:.1}, \
-                 \"messages\": {}, \"committed_ops_per_s\": {:.1}, \"p50_ms\": {:.3}, \
-                 \"p99_ms\": {:.3}}}{}\n",
-                c.mode,
-                c.shards,
-                c.offered_gbps,
-                c.messages,
-                c.committed_ops_per_s,
-                c.p50_ms,
-                c.p99_ms,
-                if i + 1 < self.cells.len() { "," } else { "" },
-            ));
-        }
-        out.push_str("  ]");
         out
     }
 }
@@ -1698,8 +1521,7 @@ pub struct ReliabilityCell {
     pub escalations: u64,
 }
 
-/// The reliability sweep's results, renderable as text and as the
-/// `reliability` section of `BENCH_simnet.json`.
+/// The reliability sweep's results.
 pub struct ReliabilityReport {
     /// One cell per (policy, loss rate) point.
     pub cells: Vec<ReliabilityCell>,
@@ -1746,33 +1568,6 @@ impl ReliabilityReport {
         out.push('\n');
         out
     }
-
-    /// The `reliability` JSON array (keys in fixed order, byte-stable
-    /// for a given cell list).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("[\n");
-        for (i, c) in self.cells.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"policy\": \"{}\", \"loss_pct\": {:.1}, \"messages\": {}, \
-                 \"completed\": {}, \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \
-                 \"nacks\": {}, \"retransmissions\": {}, \"parity_repairs\": {}, \
-                 \"escalations\": {}}}{}\n",
-                c.policy,
-                c.loss_pct,
-                c.messages,
-                c.completed,
-                c.p50_ms,
-                c.p99_ms,
-                c.nacks,
-                c.retransmissions,
-                c.parity_repairs,
-                c.escalations,
-                if i + 1 < self.cells.len() { "," } else { "" },
-            ));
-        }
-        out.push_str("  ]");
-        out
-    }
 }
 
 /// One point of the reliability sweep: `messages` independent seeded
@@ -1792,17 +1587,17 @@ fn reliability_point(
     let mut parity_repairs = 0u64;
     let mut escalations = 0u64;
     for run in 0..messages {
-        let mut cluster = ClusterBuilder::new(ClusterSpec::geo(4))
+        let fabric = ClusterSpec::geo(4).build();
+        // At 0% the profile is clean, which the fabric treats as none.
+        let mut profile = FaultProfile::new(0xC0F_FEE ^ run as u64);
+        for link in fabric.topology().wan_links() {
+            profile.set_link(link, LinkFault::lossy(loss_pct / 100.0));
+        }
+        let mut cluster = ClusterBuilder::from_transport(fabric)
+            .fault_profile(profile)
             .recovery(RecoveryConfig::default())
             .reliability(policy)
             .build();
-        if loss_pct > 0.0 {
-            let mut profile = FaultProfile::new(0xC0F_FEE ^ run as u64);
-            for link in cluster.fabric().topology().wan_links() {
-                profile.set_link(link, LinkFault::lossy(loss_pct / 100.0));
-            }
-            cluster.set_fault_profile(profile);
-        }
         let group = cluster.create_group(GroupSpec {
             members: (0..4).collect(),
             algorithm: Algorithm::BinomialPipeline,
@@ -1873,7 +1668,7 @@ pub fn reliability_sweep(quick: bool) -> ReliabilityReport {
     ReliabilityReport { cells }
 }
 
-/// The disabled-recorder overhead record written to `BENCH_simnet.json`.
+/// The disabled-recorder overhead record the `trace` section prints.
 pub struct TraceOverhead {
     /// Events a fully traced Fig. 4 run (group of 16, 8 MB) records.
     pub events: u64,
@@ -1983,8 +1778,7 @@ pub struct ScaleChurnCell {
     pub scaled_heap_compactions: u64,
 }
 
-/// The datacenter-scale section: sharded run + churn microbench,
-/// renderable as text and as the `scale` object of `BENCH_simnet.json`.
+/// The datacenter-scale section: sharded run + churn microbench.
 pub struct ScaleReport {
     /// 1000-node, 100-shard open-loop run.
     pub sharded: ScaleShardedCell,
@@ -2063,49 +1857,6 @@ impl ScaleReport {
             c.visit_speedup
         ));
         out
-    }
-
-    /// The `scale` JSON object (keys in fixed order).
-    pub fn to_json(&self) -> String {
-        let s = &self.sharded;
-        let c = &self.churn;
-        format!(
-            "{{\n    \"sharded\": {{\"nodes\": {}, \"shards\": {}, \"messages\": {}, \
-             \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \"agg_gbps\": {:.2}, \
-             \"rnr_arms\": {}, \"events\": {}, \"events_per_sec\": {:.0}, \
-             \"reallocs\": {}, \"reallocs_per_arrival\": {:.3}, \
-             \"link_visits_per_realloc\": {:.2}, \"coalesced\": {}, \
-             \"heap_compactions\": {}, \"wall_s\": {:.3}}},\n    \
-             \"churn\": {{\"flows\": {}, \"ops\": {}, \
-             \"legacy_visits_per_event\": {:.2}, \"scaled_visits_per_event\": {:.2}, \
-             \"visit_speedup\": {:.2}, \"legacy_events_per_sec\": {:.0}, \
-             \"scaled_events_per_sec\": {:.0}, \"scaled_coalesced\": {}, \
-             \"scaled_heap_compactions\": {}}}\n  }}",
-            s.nodes,
-            s.shards,
-            s.messages,
-            s.p50_ms,
-            s.p99_ms,
-            s.agg_gbps,
-            s.rnr_arms,
-            s.events,
-            s.events_per_sec,
-            s.reallocs,
-            s.reallocs_per_arrival,
-            s.link_visits_per_realloc,
-            s.coalesced,
-            s.heap_compactions,
-            s.wall_s,
-            c.flows,
-            c.ops,
-            c.legacy_visits_per_event,
-            c.scaled_visits_per_event,
-            c.visit_speedup,
-            c.legacy_events_per_sec,
-            c.scaled_events_per_sec,
-            c.scaled_coalesced,
-            c.scaled_heap_compactions,
-        )
     }
 }
 
@@ -2348,27 +2099,6 @@ impl TransportReport {
             &[line("simulated", &self.simulated), line("tcp", &self.tcp)],
         ));
         out
-    }
-
-    /// The `transport` JSON object (keys in fixed order).
-    pub fn to_json(&self) -> String {
-        let cell = |c: &TransportCell| {
-            format!(
-                "{{\"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \
-                 \"goodput_gbps\": {:.3}, \"wall_s\": {:.3}}}",
-                c.p50_ms, c.p99_ms, c.goodput_gbps, c.wall_s
-            )
-        };
-        format!(
-            "{{\n    \"nodes\": {}, \"messages\": {}, \"message_bytes\": {}, \
-             \"block_bytes\": {},\n    \"simulated\": {},\n    \"tcp\": {}\n  }}",
-            self.nodes,
-            self.messages,
-            self.message_bytes,
-            self.block_bytes,
-            cell(&self.simulated),
-            cell(&self.tcp),
-        )
     }
 }
 

@@ -2,9 +2,8 @@
 //!
 //! One function per table and figure of the RDMC paper's §5 (see
 //! `EXPERIMENTS.md` at the repository root for the paper-vs-measured
-//! record). The `report` binary prints every experiment; the Criterion
-//! benches under `benches/` print each experiment once and then time a
-//! representative configuration.
+//! record). The `report` binary prints every experiment as a text table
+//! in virtual time; host speed is measured by `benchmark/`, not here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -59,13 +59,7 @@ impl ClusterBuilder<Fabric> {
     /// Starts from a cluster profile (topology + host model); see the
     /// [`ClusterSpec`] presets.
     pub fn new(spec: ClusterSpec) -> Self {
-        Self::from_fabric(spec.build())
-    }
-
-    /// Starts from an already-built simulated fabric, for hand-rolled
-    /// topologies.
-    pub fn from_fabric(fabric: Fabric) -> Self {
-        Self::from_transport(fabric)
+        Self::from_transport(spec.build())
     }
 
     /// Turns on flow-set interning in the kernel: flows sharing an
@@ -144,12 +138,6 @@ impl<T: Transport> ClusterBuilder<T> {
     pub fn recovery(mut self, config: RecoveryConfig) -> Self {
         self.recovery = Some(config);
         self
-    }
-
-    /// Enables protocol-event tracing: shorthand for a full-capture
-    /// [`ClusterBuilder::flight_recorder`].
-    pub fn tracing(self) -> Self {
-        self.flight_recorder(trace::Mode::Full)
     }
 
     /// Attaches a flight recorder in the given capture mode; every layer

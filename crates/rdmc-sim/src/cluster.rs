@@ -413,8 +413,7 @@ impl<T: Transport> Cluster<T> {
     }
 
     /// The attached flight recorder (disabled unless
-    /// [`crate::ClusterBuilder::flight_recorder`] or
-    /// [`crate::ClusterBuilder::tracing`] configured one).
+    /// [`crate::ClusterBuilder::flight_recorder`] configured one).
     pub fn recorder(&self) -> &trace::Recorder {
         &self.recorder
     }
@@ -1108,16 +1107,6 @@ impl<T: Transport> Cluster<T> {
 /// Simulation-only surface: knobs and accessors that exist on the
 /// simulated verbs [`Fabric`] but have no meaning on a real transport.
 impl Cluster<Fabric> {
-    /// Attaches a fault model to the fabric: allocator-visible transfers
-    /// (block sends, retransmissions, parity — anything above the tiny
-    /// control-write bypass) become subject to seeded loss and
-    /// corruption per [`simnet::FaultProfile`]. A clean profile leaves
-    /// the fabric lossless and runs bit-for-bit identical to one that
-    /// never called this.
-    pub fn set_fault_profile(&mut self, profile: simnet::FaultProfile) {
-        self.fabric.set_fault_profile(profile);
-    }
-
     /// Offers up to `budget` deliver-or-drop choice points to the
     /// attached controlled scheduler (model-checking loss sites instead
     /// of sampling them; requires a scheduler).

@@ -2,14 +2,12 @@
 //! single construction path, now that the PR-5 deprecation cycle is
 //! complete and the legacy mutator shims are gone).
 //!
-//! Three angles, from cheapest to most adversarial:
+//! Two angles, from cheapest to most adversarial:
 //!
 //! 1. the builder reproduces the checked-in golden traces byte-for-byte,
 //!    proving the deprecation cleanup shifted no event, timestamp, or
 //!    serialization detail;
-//! 2. shorthand knobs configure bit-for-bit the same clusters as their
-//!    explicit spellings (`tracing()` vs `flight_recorder(Full)`);
-//! 3. two identically-configured builds of a jittered multi-group run
+//! 2. two identically-configured builds of a jittered multi-group run
 //!    and of a crash/recovery run agree on full flight recordings and
 //!    chaos digests — builder construction is deterministic.
 
@@ -65,21 +63,6 @@ fn builder_reproduces_checked_in_golden_traces() {
             "builder path diverged from golden {name}"
         );
     }
-}
-
-/// `tracing()` is the same switch as `flight_recorder(trace::Mode::Full)`.
-#[test]
-fn tracing_matches_flight_recorder_full() {
-    let shorthand = ClusterBuilder::new(ClusterSpec::fractus(4))
-        .tracing()
-        .build();
-    let a = golden_scenario(shorthand, Algorithm::Chain);
-
-    let explicit = ClusterBuilder::new(ClusterSpec::fractus(4))
-        .flight_recorder(trace::Mode::Full)
-        .build();
-    let b = golden_scenario(explicit, Algorithm::Chain);
-    assert_eq!(a, b);
 }
 
 /// A jittered, completion-mode-mixed, two-group run.

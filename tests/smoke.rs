@@ -92,15 +92,16 @@ fn crash_recovery_resumes_and_reruns_identically() {
 
 #[test]
 fn erasure_policy_repairs_a_lossy_wan() {
-    let mut cluster = ClusterBuilder::new(ClusterSpec::geo(4))
+    let fabric = ClusterSpec::geo(4).build();
+    let mut profile = FaultProfile::new(7);
+    for link in fabric.topology().wan_links() {
+        profile.set_link(link, LinkFault::lossy(0.05));
+    }
+    let mut cluster = ClusterBuilder::from_transport(fabric)
+        .fault_profile(profile)
         .recovery(RecoveryConfig::default())
         .reliability(ReliabilityPolicy::erasure(2, 1))
         .build();
-    let mut profile = FaultProfile::new(7);
-    for link in cluster.fabric().topology().wan_links() {
-        profile.set_link(link, LinkFault::lossy(0.05));
-    }
-    cluster.set_fault_profile(profile);
     let mut group_spec = spec(4);
     group_spec.ready_window = 4;
     let group = cluster.create_group(group_spec);
