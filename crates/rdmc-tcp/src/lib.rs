@@ -4,8 +4,7 @@
 //! make RDMC "work surprisingly well over high speed datacenter TCP
 //! (with no RDMA)". This crate is that port, rebuilt as a
 //! [`verbs::Transport`] backend: a **single nonblocking event loop**
-//! (readiness-driven reads, scatter-gather `write_vectored` flushes,
-//! per-connection buffer reuse — no thread per peer) that carries the
+//! (no thread per peer, no staging copy on either side) that carries the
 //! *entire* `rdmc-sim` orchestration stack unchanged. One public API,
 //! two transports: everything built on
 //! [`rdmc_sim::ClusterBuilder`] — groups, pacer
@@ -32,9 +31,43 @@
 //!   failure-detect interval and see their connections flush and break,
 //!   exactly like the simulated NIC.
 //!
-//! All nodes live in one process (hundreds fit comfortably — the event
-//! loop is O(connections) per poll with no thread switches), so tests
-//! and benches launch whole clusters as a value:
+//! ## The event loop
+//!
+//! `advance()` runs one **pump** pass over the connections and then
+//! hands out what it produced:
+//!
+//! - **Quantum.** An endpoint with queued frames flushes one quantum
+//!   (512 KiB of payload: two blocks of the paper's regime) in a single
+//!   `write_vectored` that gathers borrowed slices — up to eight queued
+//!   frames, the last one possibly in part — and the *peer* end is read
+//!   at once, while the bytes are still in cache; then the next
+//!   quantum, until the queue is empty. Filling socket buffers first
+//!   and reading them later is several times slower on loopback.
+//! - **Streaming decode.** Reads land in one shared buffer and are
+//!   decoded where they lie (the private `frame` module): a send's body
+//!   is counted and dropped, a write's body is copied once into its
+//!   `Bytes`, and a posted receive is matched when its frame completes.
+//! - **Ledger.** Each endpoint counts bytes written and bytes read. A
+//!   socket is read only while its peer has written bytes it has not
+//!   read — no trailing empty read, and an idle connection costs no
+//!   system call. The ledger's fabric-wide sums (frames queued, bytes
+//!   in flight) are also the quiescence test.
+//! - **Sweep.** Once per failure-detect interval, and before every
+//!   sleep, every socket is read regardless — a socket killed from
+//!   outside is still noticed within that bound.
+//!
+//! None of this touches completion semantics: `SendDone` still means
+//! "flushed to the socket" and nothing the receiving end does feeds
+//! into it; the peer is merely read sooner.
+//!
+//! **What is in-process about it.** All nodes live in one process
+//! (hundreds fit comfortably), so tests and benches launch whole
+//! clusters as a value. Pairing a flush with its peer's read, and the
+//! ledger, use that — as the inline connect/accept and the quiescence
+//! test always have. The quantum, the decoder and the gather are
+//! transport-general; across hosts the ledger's one call site
+//! (`read_endpoint`'s "bytes in flight to me?") is where kernel
+//! readiness would go.
 //!
 //! ```
 //! use rdmc::Algorithm;
@@ -58,6 +91,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod frame;
+
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
@@ -65,6 +100,9 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
+use frame::{
+    Decoder, Event, OutFrame, Payload, GATHER_SLICES, KIND_SEND, KIND_WRITE, MAX_FRAME, QUANTUM,
+};
 use rdmc_sim::{Cluster, ClusterBuilder};
 use simnet::{HostProfile, SimDuration, SimTime};
 use verbs::{
@@ -75,67 +113,33 @@ use verbs::{
 /// An RDMC cluster over the TCP backend (all nodes in one process).
 pub type TcpCluster = Cluster<TcpFabric>;
 
-/// Frame header: length (u32) + kind (u8) + wr_id (u64) + imm/tag (u64).
-const HDR: usize = 4 + 1 + 8 + 8;
-/// Two-sided send: `len` filler bytes, meta carries the immediate.
-const KIND_SEND: u8 = 0;
-/// One-sided write: `len` payload bytes, meta carries the region tag.
-const KIND_WRITE: u8 = 1;
-
-/// Shared zero filler for two-sided block payloads: RDMC's wire format
-/// never inspects block *contents* (identity is positional, §4.2), so
-/// sends stream this one reusable buffer instead of allocating per
-/// block — the goodput on the wire is still real.
-static FILLER: [u8; 64 << 10] = [0; 64 << 10];
-
 /// How long a surviving endpoint takes to notice a crashed peer — the
-/// TCP stand-in for the simulated fabric's failure-detect interval.
+/// TCP stand-in for the simulated fabric's failure-detect interval —
+/// and the longest any socket goes unread (the sweep period).
 const FAILURE_DETECT: Duration = Duration::from_millis(1);
+const FAILURE_DETECT_NS: u64 = FAILURE_DETECT.as_nanos() as u64;
 
-/// One queued outbound frame; header and payload flush via
-/// scatter-gather writes and may be split across polls.
-struct OutFrame {
-    wr_id: WrId,
-    two_sided: bool,
-    header: [u8; HDR],
-    hdr_sent: usize,
-    payload: Payload,
-    payload_sent: u64,
-}
-
-#[derive(Clone)]
-enum Payload {
-    /// A one-sided write's actual bytes.
-    Bytes(Bytes),
-    /// A two-sided send of this many filler bytes.
-    Filler(u64),
-}
-
-impl Payload {
-    fn len(&self) -> u64 {
-        match self {
-            Payload::Bytes(b) => b.len() as u64,
-            Payload::Filler(n) => *n,
-        }
-    }
-}
+/// Read buffer: one quantum and its headers fit, so one read takes
+/// what one flush wrote.
+const SCRATCH: usize = QUANTUM as usize + 4096;
 
 /// One endpoint of a connection: its socket half plus every per-side
-/// queue (outbound frames, carry-over read bytes, posted receives,
-/// held frames awaiting a receive) — all reused across messages.
+/// queue (outbound frames, the inbound frame in progress, posted
+/// receives, held frames awaiting a receive).
 struct Endpoint {
     node: usize,
     stream: TcpStream,
     out: VecDeque<OutFrame>,
-    inbuf: Vec<u8>,
+    decoder: Decoder,
     recvs: VecDeque<(WrId, u64)>,
     /// Two-sided frames that arrived before a receive was posted
     /// (len, imm): held, not dropped — but counted as RNR arms.
     held: VecDeque<(u64, u64)>,
-    /// Frames fully flushed into the socket.
-    frames_sent: u64,
-    /// Frames parsed out of the socket.
-    frames_consumed: u64,
+    /// Bytes written into this socket; the peer's `wire_read` trails it
+    /// by what is in flight towards the peer.
+    wire_sent: u64,
+    /// Bytes read out of this socket.
+    wire_read: u64,
 }
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -153,29 +157,19 @@ struct Conn {
     state: ConnState,
 }
 
+impl Conn {
+    /// Bytes written towards `end` that it has not read yet.
+    fn in_flight_to(&self, end: usize) -> u64 {
+        self.eps[1 - end].wire_sent - self.eps[end].wire_read
+    }
+}
+
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum TimerEntry {
     /// Failure detection expired: break this connection.
     Break { conn: usize },
     /// A driver timer ([`Transport::schedule_timer`]).
     Driver { node: usize, token: u64 },
-}
-
-enum ReadStep {
-    Eof,
-    Got,
-    Empty,
-    Retry,
-    Failed(io::Error),
-}
-
-enum ParseStep {
-    NeedMore,
-    Recv { wr_id: WrId, len: u64, imm: u64 },
-    Held,
-    RecvTooSmall,
-    Write { tag: u64, payload: Bytes },
-    Unknown(u8),
 }
 
 /// The TCP datapath: every node's sockets, one nonblocking event loop.
@@ -197,11 +191,17 @@ pub struct TcpFabric {
     recorder: trace::Recorder,
     profile: HostProfile,
     rnr_arms: u64,
-    /// Socket errors observed mid-run, surfaced by
+    /// Socket and protocol errors observed mid-run, surfaced by
     /// [`TcpFabric::shutdown`] instead of being unwrapped or leaked.
     io_errors: Vec<io::Error>,
     /// Reused read buffer (one per fabric, not per connection).
     scratch: Vec<u8>,
+    /// The ledger's fabric-wide sums over unbroken connections: frames
+    /// queued for the wire, and bytes written that no peer has read.
+    queued: usize,
+    in_flight: u64,
+    /// When every socket was last read regardless of the ledger.
+    last_sweep: u64,
 }
 
 impl TcpFabric {
@@ -229,20 +229,23 @@ impl TcpFabric {
             profile: HostProfile::default(),
             rnr_arms: 0,
             io_errors: Vec::new(),
-            scratch: vec![0; 256 << 10],
+            scratch: vec![0; SCRATCH],
+            queued: 0,
+            in_flight: 0,
+            last_sweep: 0,
         })
     }
 
     /// Tears the fabric down: shuts down every socket and surfaces the
-    /// first error observed — either mid-run (reads and writes never
-    /// unwrap; errors are recorded and the connection broken) or during
-    /// the shutdown itself. The listener and all streams close on drop
-    /// regardless, so repeated launch/shutdown cycles in one process
-    /// stay clean.
+    /// first error observed — either mid-run (reads, writes and frame
+    /// decoding never unwrap; errors are recorded and the connection
+    /// broken) or during the shutdown itself. The listener and all
+    /// streams close on drop regardless, so repeated launch/shutdown
+    /// cycles in one process stay clean.
     ///
     /// # Errors
     ///
-    /// The first socket error the fabric observed.
+    /// The first socket or protocol error the fabric observed.
     pub fn shutdown(mut self) -> io::Result<()> {
         for conn in &mut self.conns {
             if conn.state == ConnState::Broken {
@@ -277,24 +280,34 @@ impl TcpFabric {
         ));
     }
 
+    /// Records a socket or protocol error for [`TcpFabric::shutdown`]
+    /// and breaks the connection it happened on.
+    fn fail_conn(&mut self, ci: usize, e: io::Error) {
+        self.io_errors
+            .push(io::Error::new(e.kind(), format!("conn {ci}: {e}")));
+        self.break_conn_now(ci);
+    }
+
     /// Fires every timer due at or before `now` — *all* of them, before
     /// any later socket completion surfaces. This ordering is what the
     /// [`Transport`] contract's timers-before-I/O guarantee asks for:
     /// every failure-detect break for a crashed node (all armed at the
     /// same deadline) batches ahead of relayed-failure gossip.
     fn fire_due_timers(&mut self, now: u64) {
-        while let Some(Reverse((deadline, _, _))) = self.timers.peek() {
-            if *deadline > now {
+        while let Some(&Reverse((deadline, _, entry))) = self.timers.peek() {
+            if deadline > now {
                 break;
             }
-            let Reverse((_, _, entry)) = self.timers.pop().expect("peeked");
+            self.timers.pop();
             match entry {
                 TimerEntry::Break { conn } => {
                     // Pre-crash data the dead end already flushed is
                     // genuinely on the wire; deliver it before the
                     // break, matching the simulated fabric where a
                     // completed transfer is a delivered transfer.
-                    self.drain_conn(conn);
+                    for end in 0..2 {
+                        self.read_endpoint(conn, end, false);
+                    }
                     self.break_conn_now(conn);
                 }
                 TimerEntry::Driver { node, token } => {
@@ -304,264 +317,181 @@ impl TcpFabric {
         }
     }
 
-    /// Flushes queued frames with scatter-gather writes; emits
-    /// send/write completions for frames that left the host entirely.
+    /// One pass of the event loop over every connection and direction.
+    /// With `sweep`, every live socket is read once whatever the ledger
+    /// says, which is how a socket killed from outside is noticed.
     /// Returns whether any bytes moved.
-    fn flush_all(&mut self) -> bool {
-        let mut progress = false;
+    fn pump(&mut self, sweep: bool) -> bool {
+        let mut moved = false;
         for ci in 0..self.conns.len() {
-            if self.conns[ci].state != ConnState::Alive {
-                continue; // a dying end's queued frames die with the break
-            }
-            for end in 0..2 {
-                progress |= self.flush_endpoint(ci, end);
+            for tx in 0..2 {
+                moved |= self.pump_direction(ci, tx, sweep);
             }
         }
-        progress
+        moved
     }
 
-    fn flush_endpoint(&mut self, ci: usize, end: usize) -> bool {
-        let mut progress = false;
+    /// Flushes one quantum from `tx`, reads it straight back out of the
+    /// peer end, and repeats while frames are queued and bytes move.
+    fn pump_direction(&mut self, ci: usize, tx: usize, sweep: bool) -> bool {
+        let mut moved = false;
+        let mut force = sweep;
         loop {
-            if self.conns[ci].state == ConnState::Broken {
-                return progress;
+            // A dying end's queued frames die with the break; its live
+            // end is still read while the ledger shows bytes for it.
+            let wrote = self.conns[ci].state == ConnState::Alive && self.flush_quantum(ci, tx);
+            let read = self.read_endpoint(ci, 1 - tx, force);
+            force = false;
+            moved |= wrote || read;
+            if !(wrote || read) || self.conns[ci].eps[tx].out.is_empty() {
+                return moved;
             }
-            // Snapshot the head frame's unflushed pieces (the header is
-            // Copy; cloning Bytes is a refcount bump) so the gather
-            // list doesn't hold a borrow across the socket write.
-            let Some((header, hdr_sent, payload, payload_sent)) = self.conns[ci].eps[end]
-                .out
-                .front()
-                .map(|f| (f.header, f.hdr_sent, f.payload.clone(), f.payload_sent))
-            else {
-                return progress;
-            };
-            let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(2);
-            if hdr_sent < HDR {
-                slices.push(IoSlice::new(&header[hdr_sent..]));
-            }
-            let chunk: &[u8] = match &payload {
-                Payload::Bytes(b) => &b[usize::try_from(payload_sent).expect("payload fits")..],
-                Payload::Filler(n) => {
-                    let take = (n - payload_sent).min(FILLER.len() as u64);
-                    &FILLER[..take as usize]
+        }
+    }
+
+    /// One gathered write of at most [`QUANTUM`] payload bytes (and the
+    /// headers that go with them) from the front of the queue; emits
+    /// send/write completions for frames that left the host entirely.
+    /// Returns whether any bytes moved.
+    fn flush_quantum(&mut self, ci: usize, end: usize) -> bool {
+        let ep = &mut self.conns[ci].eps[end];
+        if ep.out.is_empty() {
+            return false;
+        }
+        let mut slices = [IoSlice::new(&[]); GATHER_SLICES];
+        let n = frame::gather(&ep.out, &mut slices);
+        let wrote = loop {
+            match (&ep.stream).write_vectored(&slices[..n]) {
+                Ok(0) => {
+                    self.break_conn_now(ci);
+                    return true;
                 }
-            };
-            if !chunk.is_empty() {
-                slices.push(IoSlice::new(chunk));
-            }
-            let wrote = if slices.is_empty() {
-                0 // zero-length frame already fully flushed: complete it
-            } else {
-                match self.conns[ci].eps[end].stream.write_vectored(&slices) {
-                    Ok(0) => {
-                        self.break_conn_now(ci);
-                        return true;
-                    }
-                    Ok(n) => n,
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => return progress,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(e) => {
-                        self.io_errors.push(e);
-                        self.break_conn_now(ci);
-                        return true;
-                    }
+                Ok(wrote) => break wrote as u64,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return false,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => {
+                    self.fail_conn(ci, e);
+                    return true;
                 }
-            };
-            progress |= wrote > 0;
-            let done = {
-                let frame = self.conns[ci].eps[end]
-                    .out
-                    .front_mut()
-                    .expect("frame still queued");
-                let hdr_take = wrote.min(HDR - frame.hdr_sent);
-                frame.hdr_sent += hdr_take;
-                frame.payload_sent += (wrote - hdr_take) as u64;
-                frame.hdr_sent == HDR && frame.payload_sent == frame.payload.len()
-            };
-            if !done {
-                continue; // partial write; the next write_vectored resumes
             }
-            let (node, wr_id, two_sided) = {
-                let ep = &mut self.conns[ci].eps[end];
-                let frame = ep.out.pop_front().expect("completed frame");
-                ep.frames_sent += 1;
-                (ep.node, frame.wr_id, frame.two_sided)
-            };
+        };
+        ep.wire_sent += wrote;
+        self.in_flight += wrote;
+        let mut left = wrote;
+        while let Some(frame) = self.conns[ci].eps[end].out.front_mut() {
+            if !frame.advance(&mut left) {
+                break; // partial write; the next gather resumes here
+            }
+            let (wr_id, two_sided) = (frame.wr_id, frame.two_sided);
+            self.conns[ci].eps[end].out.pop_front();
+            self.queued -= 1;
             let qp = QpHandle::from_parts(ci as u32, end as u8);
             let delivery = if two_sided {
                 Delivery::SendDone { qp, wr_id }
             } else {
                 Delivery::WriteDone { qp, wr_id }
             };
-            self.push_delivery(node, delivery);
-            progress = true;
+            self.push_delivery(self.conns[ci].eps[end].node, delivery);
         }
+        true
     }
 
-    /// Drains readable sockets and parses complete frames into
-    /// deliveries. Returns whether any bytes moved.
-    fn read_all(&mut self) -> bool {
-        let mut progress = false;
-        for ci in 0..self.conns.len() {
-            if self.conns[ci].state == ConnState::Broken {
-                continue;
-            }
-            for end in 0..2 {
-                if self.crashed[self.conns[ci].eps[end].node] {
-                    continue; // dead software reads nothing
-                }
-                progress |= self.read_endpoint(ci, end);
-            }
+    /// Reads `end`'s socket while the ledger shows bytes in flight
+    /// towards it (`force`: once regardless) and decodes them out of
+    /// the shared scratch buffer. The ledger ends the turn exactly, so
+    /// no trailing `WouldBlock` is paid for; one comes back only when
+    /// the kernel has not delivered everything yet, and the next pass
+    /// asks again. Returns whether any bytes moved.
+    fn read_endpoint(&mut self, ci: usize, end: usize, force: bool) -> bool {
+        let conn = &self.conns[ci];
+        if self.crashed[conn.eps[end].node] {
+            return false; // dead software reads nothing
         }
-        progress
+        if !force && conn.in_flight_to(end) == 0 {
+            return false;
+        }
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let moved = self.read_into(ci, end, force, &mut scratch);
+        self.scratch = scratch;
+        moved
     }
 
-    /// Drains both live ends of one connection (used just before a
-    /// failure-detect break fires).
-    fn drain_conn(&mut self, ci: usize) {
-        for end in 0..2 {
-            if self.conns[ci].state == ConnState::Broken {
-                return;
-            }
-            if !self.crashed[self.conns[ci].eps[end].node] {
-                self.read_endpoint(ci, end);
-            }
-        }
-    }
-
-    fn read_endpoint(&mut self, ci: usize, end: usize) -> bool {
-        let mut progress = false;
+    fn read_into(&mut self, ci: usize, end: usize, mut force: bool, scratch: &mut [u8]) -> bool {
+        let mut moved = false;
         loop {
-            if self.conns[ci].state == ConnState::Broken {
-                return progress;
+            let conn = &mut self.conns[ci];
+            if conn.state == ConnState::Broken || !(force || conn.in_flight_to(end) > 0) {
+                return moved;
             }
-            let step = {
-                let TcpFabric { conns, scratch, .. } = self;
-                let ep = &mut conns[ci].eps[end];
-                match ep.stream.read(scratch) {
-                    Ok(0) => ReadStep::Eof,
-                    Ok(n) => {
-                        ep.inbuf.extend_from_slice(&scratch[..n]);
-                        ReadStep::Got
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => ReadStep::Empty,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => ReadStep::Retry,
-                    Err(e) => ReadStep::Failed(e),
-                }
-            };
-            match step {
-                ReadStep::Eof => {
+            match conn.eps[end].stream.read(scratch) {
+                Ok(0) => {
                     // Orderly close without a protocol-level break: the
                     // peer's socket died under us. A dying connection's
                     // EOF just waits for its break timer.
-                    if self.conns[ci].state == ConnState::Alive {
-                        self.break_conn_now(ci);
+                    if conn.state == ConnState::Alive {
+                        match conn.eps[end].decoder.finish() {
+                            Ok(()) => self.break_conn_now(ci),
+                            Err(e) => self.fail_conn(ci, e.into()),
+                        }
                         return true;
                     }
-                    return progress;
+                    return moved;
                 }
-                ReadStep::Got => {
-                    progress = true;
-                    self.parse_frames(ci, end);
+                Ok(n) => {
+                    conn.eps[end].wire_read += n as u64;
+                    self.in_flight -= n as u64;
+                    moved = true;
+                    self.decode(ci, end, &scratch[..n]);
+                    force = false;
                 }
-                ReadStep::Empty => return progress,
-                ReadStep::Retry => continue,
-                ReadStep::Failed(e) => {
-                    self.io_errors.push(e);
-                    self.break_conn_now(ci);
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return moved,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => {
+                    self.fail_conn(ci, e);
                     return true;
                 }
             }
         }
     }
 
-    fn parse_frames(&mut self, ci: usize, end: usize) {
-        loop {
-            if self.conns[ci].state == ConnState::Broken {
-                return;
-            }
-            let step = {
-                let ep = &mut self.conns[ci].eps[end];
-                if ep.inbuf.len() < HDR {
-                    ParseStep::NeedMore
-                } else {
-                    let len =
-                        u32::from_le_bytes(ep.inbuf[0..4].try_into().expect("4 bytes")) as usize;
-                    if ep.inbuf.len() < HDR + len {
-                        ParseStep::NeedMore
-                    } else {
-                        let kind = ep.inbuf[4];
-                        let meta =
-                            u64::from_le_bytes(ep.inbuf[13..21].try_into().expect("8 bytes"));
-                        match kind {
-                            KIND_SEND => {
-                                ep.inbuf.drain(..HDR + len);
-                                ep.frames_consumed += 1;
-                                match ep.recvs.pop_front() {
-                                    Some((wr_id, max_len)) if len as u64 <= max_len => {
-                                        ParseStep::Recv {
-                                            wr_id,
-                                            len: len as u64,
-                                            imm: meta,
-                                        }
-                                    }
-                                    Some(_) => ParseStep::RecvTooSmall,
-                                    None => {
-                                        ep.held.push_back((len as u64, meta));
-                                        ParseStep::Held
-                                    }
-                                }
-                            }
-                            KIND_WRITE => {
-                                let payload = Bytes::copy_from_slice(&ep.inbuf[HDR..HDR + len]);
-                                ep.inbuf.drain(..HDR + len);
-                                ep.frames_consumed += 1;
-                                ParseStep::Write { tag: meta, payload }
-                            }
-                            other => ParseStep::Unknown(other),
-                        }
-                    }
-                }
+    /// Streams freshly read bytes through `end`'s decoder and acts on
+    /// each frame they complete.
+    fn decode(&mut self, ci: usize, end: usize, mut chunk: &[u8]) {
+        let qp = QpHandle::from_parts(ci as u32, end as u8);
+        while !chunk.is_empty() && self.conns[ci].state != ConnState::Broken {
+            let ep = &mut self.conns[ci].eps[end];
+            let node = ep.node;
+            let (used, event) = match ep.decoder.feed(chunk) {
+                Ok(step) => step,
+                Err(e) => return self.fail_conn(ci, e.into()),
             };
-            let node = self.conns[ci].eps[end].node;
-            let qp = QpHandle::from_parts(ci as u32, end as u8);
-            match step {
-                ParseStep::NeedMore => return,
-                ParseStep::Recv { wr_id, len, imm } => {
-                    self.push_delivery(
-                        node,
-                        Delivery::RecvDone {
+            chunk = &chunk[used..];
+            match event {
+                None => {}
+                Some(Event::Write { tag, payload }) => {
+                    self.push_delivery(node, Delivery::WriteArrived { qp, tag, payload });
+                }
+                Some(Event::Send { len, imm }) => match ep.recvs.pop_front() {
+                    Some((wr_id, max_len)) if len <= max_len => {
+                        let done = Delivery::RecvDone {
                             qp,
                             wr_id,
                             len,
                             imm,
-                        },
-                    );
-                }
-                ParseStep::Held => {
-                    // Receiver-not-ready: a real NIC would arm an RNR
-                    // retry timer; we hold the frame but make the
-                    // discipline violation observable in the stats.
-                    self.rnr_arms += 1;
-                }
-                ParseStep::RecvTooSmall => {
+                        };
+                        self.push_delivery(node, done);
+                    }
                     // RDMA local-length error: the posted receive was
                     // too small, which breaks the connection.
-                    self.break_conn_now(ci);
-                    return;
-                }
-                ParseStep::Write { tag, payload } => {
-                    self.push_delivery(node, Delivery::WriteArrived { qp, tag, payload });
-                }
-                ParseStep::Unknown(k) => {
-                    self.io_errors.push(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("unknown frame kind {k} on conn {ci}"),
-                    ));
-                    self.break_conn_now(ci);
-                    return;
-                }
+                    Some(_) => self.break_conn_now(ci),
+                    None => {
+                        // Receiver-not-ready: a real NIC would arm an
+                        // RNR retry timer; we hold the frame but make
+                        // the discipline violation observable.
+                        ep.held.push_back((len, imm));
+                        self.rnr_arms += 1;
+                    }
+                },
             }
         }
     }
@@ -571,43 +501,56 @@ impl TcpFabric {
     /// posted receives), then the `QpBroken` notice lands, then the
     /// sockets shut down.
     fn break_conn_now(&mut self, ci: usize) {
-        if self.conns[ci].state == ConnState::Broken {
+        let conn = &mut self.conns[ci];
+        if conn.state == ConnState::Broken {
             return;
         }
-        self.conns[ci].state = ConnState::Broken;
+        conn.state = ConnState::Broken;
+        // Whatever was queued or in flight here leaves the ledger.
+        self.in_flight -= conn.in_flight_to(0) + conn.in_flight_to(1);
         for end in 0..2 {
             let (node, out, recvs) = {
                 let ep = &mut self.conns[ci].eps[end];
                 let out: Vec<WrId> = ep.out.drain(..).map(|f| f.wr_id).collect();
                 let recvs: Vec<WrId> = ep.recvs.drain(..).map(|(wr, _)| wr).collect();
                 ep.held.clear();
-                ep.inbuf.clear();
                 let _ = ep.stream.shutdown(Shutdown::Both);
                 (ep.node, out, recvs)
             };
+            self.queued -= out.len();
             let qp = QpHandle::from_parts(ci as u32, end as u8);
-            for wr_id in out {
-                self.push_delivery(
-                    node,
-                    Delivery::WrFlushed {
-                        qp,
-                        wr_id,
-                        recv: false,
-                    },
-                );
-            }
-            for wr_id in recvs {
-                self.push_delivery(
-                    node,
-                    Delivery::WrFlushed {
-                        qp,
-                        wr_id,
-                        recv: true,
-                    },
-                );
+            for (wr_ids, recv) in [(out, false), (recvs, true)] {
+                for wr_id in wr_ids {
+                    self.push_delivery(node, Delivery::WrFlushed { qp, wr_id, recv });
+                }
             }
             self.push_delivery(node, Delivery::QpBroken { qp });
         }
+    }
+
+    /// Queues one outbound frame, or refuses it: a crashed node and a
+    /// broken connection as the verbs do, a body over [`MAX_FRAME`] as
+    /// an RDMA local-length error does — by breaking the connection.
+    fn post_frame(
+        &mut self,
+        qp: QpHandle,
+        wr_id: WrId,
+        kind: u8,
+        meta: u64,
+        payload: Payload,
+    ) -> Result<(), VerbsError> {
+        self.check_postable(qp)?;
+        let ci = qp.conn_id() as usize;
+        debug_assert!(payload.len() <= MAX_FRAME, "frame body over MAX_FRAME");
+        if payload.len() > MAX_FRAME {
+            self.break_conn_now(ci);
+            return Err(VerbsError::QpBroken);
+        }
+        self.conns[ci].eps[usize::from(qp.endpoint())]
+            .out
+            .push_back(OutFrame::new(wr_id, kind, meta, payload));
+        self.queued += 1;
+        Ok(())
     }
 
     fn check_postable(&self, qp: QpHandle) -> Result<usize, VerbsError> {
@@ -622,51 +565,22 @@ impl TcpFabric {
         Ok(node)
     }
 
-    fn encode_header(len: u64, kind: u8, wr_id: WrId, meta: u64) -> [u8; HDR] {
-        let mut h = [0u8; HDR];
-        h[0..4].copy_from_slice(
-            &u32::try_from(len)
-                .expect("frame len fits u32")
-                .to_le_bytes(),
-        );
-        h[4] = kind;
-        h[5..13].copy_from_slice(&wr_id.0.to_le_bytes());
-        h[13..21].copy_from_slice(&meta.to_le_bytes());
-        h
-    }
-
-    /// Quiescent when nothing is queued for software, nothing is
-    /// buffered for the wire on a live connection, every flushed frame
-    /// has been consumed by its peer, and no timer is armed that could
-    /// still matter. Dying connections are deliberately *not* examined:
-    /// their pending break timer keeps the loop alive until the failure
-    /// is fully reported.
+    /// Quiescent when nothing is queued for software, the ledger shows
+    /// no frame queued for the wire and no byte written that its peer
+    /// has not read, and no timer is armed that could still matter. A
+    /// dying connection's ledger entries stand until its break, and its
+    /// pending break timer keeps the loop alive that long anyway.
     fn quiescent(&self) -> bool {
-        if !self.ready.is_empty() {
-            return false;
-        }
-        for conn in &self.conns {
-            if conn.state != ConnState::Alive {
-                continue;
-            }
-            for (tx, rx) in [(0, 1), (1, 0)] {
-                let tx = &conn.eps[tx];
-                let rx = &conn.eps[rx];
-                if !tx.out.is_empty() || tx.frames_sent != rx.frames_consumed {
-                    return false;
-                }
-            }
-        }
-        self.timers
-            .iter()
-            .all(|Reverse((_, _, entry))| match entry {
-                TimerEntry::Break { .. } => false,
-                TimerEntry::Driver { node, .. } => self.crashed[*node],
-            })
-    }
-
-    fn next_timer_deadline(&self) -> Option<u64> {
-        self.timers.peek().map(|Reverse((d, _, _))| *d)
+        self.ready.is_empty()
+            && self.queued == 0
+            && self.in_flight == 0
+            && self
+                .timers
+                .iter()
+                .all(|Reverse((_, _, entry))| match entry {
+                    TimerEntry::Break { .. } => false,
+                    TimerEntry::Driver { node, .. } => self.crashed[*node],
+                })
     }
 
     fn arm_timer(&mut self, deadline: u64, entry: TimerEntry) {
@@ -689,24 +603,36 @@ impl Transport for TcpFabric {
             }
             let now = self.now_ns();
             self.fire_due_timers(now);
-            let wrote = self.flush_all();
-            let read = self.read_all();
+            let sweep = now - self.last_sweep >= FAILURE_DETECT_NS;
+            if sweep {
+                self.last_sweep = now;
+            }
+            let moved = self.pump(sweep);
             if !self.ready.is_empty() {
                 continue;
             }
             if self.quiescent() {
                 return None;
             }
-            if !wrote && !read {
-                // Nothing moved: park until the next timer, or just
-                // yield while the kernel shuttles loopback bytes.
-                match self.next_timer_deadline() {
-                    Some(deadline) if deadline > self.now_ns() => {
-                        let wait = (deadline - self.now_ns()).min(1_000_000);
-                        std::thread::sleep(Duration::from_nanos(wait));
+            if moved {
+                continue;
+            }
+            // Nothing moved on a pass that tried every read the ledger
+            // still expects: park until the next timer, or just yield
+            // while the kernel shuttles loopback bytes.
+            match self.timers.peek() {
+                Some(&Reverse((deadline, _, _))) if deadline > now => {
+                    // No socket goes unread across a sleep.
+                    if !sweep {
+                        self.last_sweep = now;
+                        if self.pump(true) {
+                            continue;
+                        }
                     }
-                    _ => std::thread::yield_now(),
+                    let wait = (deadline - now).min(FAILURE_DETECT_NS);
+                    std::thread::sleep(Duration::from_nanos(wait));
                 }
+                _ => std::thread::yield_now(),
             }
         }
     }
@@ -726,11 +652,11 @@ impl Transport for TcpFabric {
             node,
             stream,
             out: VecDeque::new(),
-            inbuf: Vec::new(),
+            decoder: Decoder::default(),
             recvs: VecDeque::new(),
             held: VecDeque::new(),
-            frames_sent: 0,
-            frames_consumed: 0,
+            wire_sent: 0,
+            wire_read: 0,
         };
         self.conns.push(Conn {
             eps: [mk(a.index(), client), mk(b.index(), server)],
@@ -740,9 +666,7 @@ impl Transport for TcpFabric {
         // but the dead side never answers, so failure detection starts
         // ticking immediately, exactly as for a crash after connect.
         if self.crashed[a.index()] || self.crashed[b.index()] {
-            let deadline = self
-                .now_ns()
-                .saturating_add(u64::try_from(FAILURE_DETECT.as_nanos()).expect("small interval"));
+            let deadline = self.now_ns().saturating_add(FAILURE_DETECT_NS);
             self.conns[ci].state = ConnState::Dying;
             self.arm_timer(deadline, TimerEntry::Break { conn: ci });
         }
@@ -761,18 +685,7 @@ impl Transport for TcpFabric {
         wait_for: Option<WaitSpec>,
     ) -> Result<(), VerbsError> {
         debug_assert!(wait_for.is_none(), "CORE-Direct chaining is sim-only");
-        self.check_postable(qp)?;
-        self.conns[qp.conn_id() as usize].eps[usize::from(qp.endpoint())]
-            .out
-            .push_back(OutFrame {
-                wr_id,
-                two_sided: true,
-                header: Self::encode_header(bytes, KIND_SEND, wr_id, imm),
-                hdr_sent: 0,
-                payload: Payload::Filler(bytes),
-                payload_sent: 0,
-            });
-        Ok(())
+        self.post_frame(qp, wr_id, KIND_SEND, imm, Payload::Filler(bytes))
     }
 
     fn post_write(
@@ -784,18 +697,7 @@ impl Transport for TcpFabric {
         wait_for: Option<WaitSpec>,
     ) -> Result<(), VerbsError> {
         debug_assert!(wait_for.is_none(), "CORE-Direct chaining is sim-only");
-        self.check_postable(qp)?;
-        self.conns[qp.conn_id() as usize].eps[usize::from(qp.endpoint())]
-            .out
-            .push_back(OutFrame {
-                wr_id,
-                two_sided: false,
-                header: Self::encode_header(payload.len() as u64, KIND_WRITE, wr_id, tag),
-                hdr_sent: 0,
-                payload: Payload::Bytes(payload),
-                payload_sent: 0,
-            });
-        Ok(())
+        self.post_frame(qp, wr_id, KIND_WRITE, tag, Payload::Bytes(payload))
     }
 
     fn post_recv(&mut self, qp: QpHandle, wr_id: WrId, max_len: u64) -> Result<(), VerbsError> {
@@ -847,9 +749,7 @@ impl Transport for TcpFabric {
         // Deliveries already queued for the dead node vanish: dead
         // software observes nothing, per the Transport contract.
         self.ready.retain(|(_, n, _)| n.index() != idx);
-        let deadline = self
-            .now_ns()
-            .saturating_add(u64::try_from(FAILURE_DETECT.as_nanos()).expect("small interval"));
+        let deadline = self.now_ns().saturating_add(FAILURE_DETECT_NS);
         for ci in 0..self.conns.len() {
             if self.conns[ci].state != ConnState::Alive {
                 continue;
@@ -860,6 +760,7 @@ impl Transport for TcpFabric {
                 // failure-detect deadline.
                 for ep in &mut self.conns[ci].eps {
                     if ep.node == idx {
+                        self.queued -= ep.out.len();
                         ep.out.clear();
                     }
                 }
@@ -944,3 +845,6 @@ pub fn builder(n: usize) -> io::Result<ClusterBuilder<TcpFabric>> {
 pub fn shutdown(cluster: TcpCluster) -> io::Result<()> {
     cluster.into_transport().shutdown()
 }
+
+#[cfg(test)]
+mod tests;

@@ -1,0 +1,117 @@
+//! What the ledger-driven pump must not cost: failure detection on an
+//! idle socket, data that was on the wire when its sender crashed, and
+//! a typed error (never a panic) for a malformed frame.
+
+use super::*;
+
+const A: NodeId = NodeId(0);
+const B: NodeId = NodeId(1);
+
+fn pair() -> (TcpFabric, QpHandle, QpHandle) {
+    let mut fabric = TcpFabric::launch(2).expect("launch");
+    let (a, b) = fabric.connect(A, B);
+    (fabric, a, b)
+}
+
+/// Polls until `want` deliveries matched `keep` or `limit` ran out.
+fn collect<T>(
+    fabric: &mut TcpFabric,
+    want: usize,
+    limit: Duration,
+    keep: impl Fn(NodeId, Delivery) -> Option<T>,
+) -> Vec<T> {
+    let start = Instant::now();
+    let mut kept = Vec::new();
+    while kept.len() < want && start.elapsed() < limit {
+        if let Some((_, node, delivery)) = fabric.advance() {
+            kept.extend(keep(node, delivery));
+        }
+    }
+    kept
+}
+
+/// An idle connection has nothing in its ledger, so only the periodic
+/// sweep reads it: with the sweep taken out of `advance()` this loop
+/// polls a quiescent fabric until the limit and finds nothing.
+#[test]
+fn idle_socket_killed_from_outside_breaks_both_ends_within_the_bound() {
+    let (mut fabric, a, b) = pair();
+    assert!(fabric.advance().is_none(), "idle");
+    fabric.conns[0].eps[0]
+        .stream
+        .shutdown(Shutdown::Both)
+        .expect("kill the socket behind the fabric's back");
+    let broken = collect(&mut fabric, 2, 50 * FAILURE_DETECT, |node, d| match d {
+        Delivery::QpBroken { qp } => Some((node, qp)),
+        _ => None,
+    });
+    assert_eq!(broken, [(A, a), (B, b)]);
+    assert!(
+        fabric.advance().is_none(),
+        "quiescent again after the break"
+    );
+    fabric
+        .shutdown()
+        .expect("an end of stream between frames is a break, not an error");
+}
+
+/// Frames flushed but not yet read when their sender crashes are on
+/// the wire: the pump keeps reading the live end of the dying
+/// connection, so the survivor sees every one of them before its
+/// flushed receive and the break.
+#[test]
+fn bytes_in_flight_at_a_crash_are_delivered_before_the_break() {
+    const K: u64 = 5;
+    const LEN: u64 = 8 << 10;
+    let (mut fabric, a, b) = pair();
+    for i in 0..=K {
+        fabric.post_recv(b, WrId(100 + i), LEN).expect("post_recv");
+    }
+    for i in 0..K {
+        fabric
+            .post_send(a, WrId(i), LEN, i, None)
+            .expect("post_send");
+    }
+    // Flush without the paired read, as a slow kernel would leave it.
+    assert!(fabric.flush_quantum(0, 0));
+    assert_eq!(fabric.conns[0].in_flight_to(1), K * (LEN + 21));
+    fabric.crash(A);
+    // The armed break timer keeps the fabric from going quiescent.
+    let mut seen = Vec::new();
+    while let Some((_, node, delivery)) = fabric.advance() {
+        assert_eq!(node, B, "dead software observes nothing");
+        seen.push(match delivery {
+            Delivery::RecvDone { wr_id, imm, .. } => format!("recv {} imm {imm}", wr_id.0),
+            Delivery::WrFlushed { wr_id, recv, .. } => format!("flushed {} {recv}", wr_id.0),
+            Delivery::QpBroken { .. } => "broken".to_string(),
+            other => format!("{other:?}"),
+        });
+    }
+    let mut expected: Vec<String> = (0..K)
+        .map(|i| format!("recv {} imm {i}", 100 + i))
+        .collect();
+    expected.push(format!("flushed {} true", 100 + K));
+    expected.push("broken".to_string());
+    assert_eq!(seen, expected);
+    fabric.shutdown().expect("clean shutdown after a crash");
+}
+
+/// A frame of no known kind breaks its connection and comes out of
+/// `shutdown()` as `InvalidData`.
+#[test]
+fn malformed_frame_is_an_error_at_shutdown_not_a_panic() {
+    let (mut fabric, _, _) = pair();
+    let garbage = OutFrame::new(WrId(1), 0xEE, 0, Payload::Filler(3));
+    fabric.conns[0].eps[0].out.push_back(garbage);
+    fabric.queued += 1;
+    let broken = collect(&mut fabric, 2, 50 * FAILURE_DETECT, |_, d| {
+        matches!(d, Delivery::QpBroken { .. }).then_some(())
+    });
+    assert_eq!(broken.len(), 2);
+    let error = fabric.shutdown().expect_err("the protocol error surfaces");
+    assert_eq!(error.kind(), io::ErrorKind::InvalidData);
+    assert!(
+        error.to_string().contains("unknown frame kind 238"),
+        "{error}"
+    );
+}

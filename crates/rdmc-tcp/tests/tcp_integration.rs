@@ -1,13 +1,15 @@
 //! Integration suite for the TCP backend behind the unified
 //! [`rdmc_sim::ClusterBuilder`] API: every algorithm, multi-message
 //! ordering, overlapping groups, the §4.6 close barrier (clean and
-//! unclean), shutdown hygiene across repeated launches, and the
-//! zero-RNR discipline observed on real sockets.
+//! unclean), shutdown hygiene across repeated launches, the zero-RNR
+//! discipline observed on real sockets, and pre-crash data reaching the
+//! survivor ahead of the break.
 
 use rdmc::Algorithm;
 use rdmc_sim::{GroupSpec, RecoveryConfig};
+use rdmc_tcp::TcpFabric;
 use simnet::SimDuration;
-use verbs::Transport;
+use verbs::{Delivery, NodeId, Transport, WrId};
 
 const KB: u64 = 1 << 10;
 
@@ -217,4 +219,61 @@ fn thirty_two_nodes_in_one_process() {
         assert!(r.delivered_at.iter().all(|d| d.is_some()));
     }
     rdmc_tcp::shutdown(cluster).expect("clean shutdown");
+}
+
+/// A sender crashes right after its frames were flushed (`SendDone`
+/// means flushed to the socket, no more): the survivor still receives
+/// every one of them, in order, before its unused receive is flushed
+/// and the connection breaks — a completed transfer is a delivered
+/// transfer, as on the simulated fabric.
+#[test]
+fn frames_flushed_before_a_crash_reach_the_survivor_before_the_break() {
+    const FRAMES: u64 = 6;
+    const LEN: u64 = 512 * KB; // 3 MiB in all: several flush-and-read rounds
+    let (sender, survivor) = (NodeId(0), NodeId(1));
+    let mut fabric = TcpFabric::launch(2).expect("launch");
+    let (tx, rx) = fabric.connect(sender, survivor);
+    for i in 0..=FRAMES {
+        fabric.post_recv(rx, WrId(100 + i), LEN).expect("post_recv");
+    }
+    for i in 0..FRAMES {
+        fabric
+            .post_send(tx, WrId(i), LEN, i, None)
+            .expect("post_send");
+    }
+    let mut flushed = 0;
+    let mut survivor_saw = Vec::new();
+    while flushed < FRAMES {
+        let (_, node, delivery) = fabric.advance().expect("sends still pending");
+        match delivery {
+            Delivery::SendDone { .. } => flushed += 1,
+            other => {
+                assert_eq!(node, survivor);
+                survivor_saw.push(other);
+            }
+        }
+    }
+    fabric.crash(sender);
+    while let Some((_, node, delivery)) = fabric.advance() {
+        assert_eq!(node, survivor, "dead software observes nothing");
+        survivor_saw.push(delivery);
+    }
+    let summary: Vec<String> = survivor_saw
+        .iter()
+        .map(|d| match d {
+            Delivery::RecvDone {
+                wr_id, len, imm, ..
+            } => format!("recv {} {len} {imm}", wr_id.0),
+            Delivery::WrFlushed { wr_id, recv, .. } => format!("flushed {} {recv}", wr_id.0),
+            Delivery::QpBroken { .. } => "broken".to_string(),
+            other => format!("{other:?}"),
+        })
+        .collect();
+    let mut expected: Vec<String> = (0..FRAMES)
+        .map(|i| format!("recv {} {LEN} {i}", 100 + i))
+        .collect();
+    expected.push(format!("flushed {} true", 100 + FRAMES));
+    expected.push("broken".to_string());
+    assert_eq!(summary, expected);
+    fabric.shutdown().expect("clean shutdown after a crash");
 }
