@@ -29,6 +29,15 @@
 //! slots are fully replicated, and fully replicated slots are never
 //! abandoned.
 //!
+//! Beside the slot sequence the runtime keeps a per-owner **slot index**
+//! (`AtomicRuntime::by_owner`): the global slot number of each slot a
+//! member owns, so a slot's position in its owner's list *is* its `seq`
+//! and the list's length is the owner's next `seq`. It is `slots`
+//! regrouped — derived state that no peer ever sees — so it is not mixed
+//! into the cluster digest. A frontier recompute enters the index at the
+//! frontier it already holds, which makes one pump cost O(n + slots
+//! newly resolved) however long the log behind it has grown.
+//!
 //! The core calls in at three points: a subgroup delivery
 //! ([`Cluster::atomic_on_rdmc_delivery`]), a `TAG_FRONTIER` write
 //! ([`Cluster::atomic_frontier_arrival`]) and a subgroup view change
@@ -131,8 +140,10 @@ pub(crate) struct AtomicRuntime {
     pub(crate) subgroups: Vec<GroupId>,
     /// The global slot sequence, in submission order.
     pub(crate) slots: Vec<Slot>,
-    /// Per member: how many slots it owns so far (the next `seq`).
-    pub(crate) owned: Vec<u64>,
+    /// Per member: the global slot number of every slot it owns, in
+    /// submission order — position is the slot's `seq`, `len()` the
+    /// next `seq`. Derived from `slots`, so not part of the digest.
+    pub(crate) by_owner: Vec<Vec<usize>>,
     pub(crate) members: Vec<AtomicMember>,
     /// Member indices evicted by a view change; their rows no longer
     /// count toward stability minima.
@@ -159,6 +170,48 @@ impl AtomicRuntime {
             .map(|k| (from + k) % n)
             .find(|m| !self.dead.contains(m))
     }
+
+    /// Books the next slot of the global sequence for `owner` and moves
+    /// the rotation cursor past it; returns the slot number.
+    fn book_slot(&mut self, owner: usize, kind: SlotKind) -> u64 {
+        let slot_no = self.slots.len();
+        let seq = self.by_owner[owner].len() as u64;
+        self.by_owner[owner].push(slot_no);
+        self.cursor = (owner + 1) % self.nodes.len();
+        self.slots.push(Slot {
+            owner,
+            seq,
+            kind,
+            trimmed: false,
+        });
+        slot_no as u64
+    }
+}
+
+/// Extends a resolved frontier over one owner's slot index: starting at
+/// position `from`, counts entries while `is_resolved` holds and returns
+/// the new frontier. It looks at one entry more than it advances over —
+/// never at the history below `from` — and a `from` at or past the end
+/// of the index comes back unchanged.
+fn resolved_prefix(index: &[usize], from: u64, mut is_resolved: impl FnMut(usize) -> bool) -> u64 {
+    let unresolved = usize::try_from(from)
+        .ok()
+        .and_then(|at| index.get(at..))
+        .unwrap_or_default();
+    from + unresolved.iter().take_while(|&&s| is_resolved(s)).count() as u64
+}
+
+/// Splits a `TAG_FRONTIER` payload into its row and the tracker's
+/// 12-byte cell update. The bytes are peer input: `None` — the write is
+/// dropped — unless the length is exactly 16, the row is one of the `n`
+/// members and the column one of the `2 + n` cells an overlay row has
+/// ([`ViewTracker::with_frontiers`]), which is everything
+/// [`ViewTracker::apply_remote`] would otherwise panic on.
+fn frontier_write(payload: &[u8], n: u32) -> Option<(u32, &[u8])> {
+    let (row, cell) = payload.split_first_chunk::<4>()?;
+    let (col, val) = cell.split_first_chunk::<4>()?;
+    let row = u32::from_le_bytes(*row);
+    (val.len() == 8 && row < n && u32::from_le_bytes(*col) < 2 + n).then_some((row, cell))
 }
 
 /// Every atomic group on the cluster, plus the reverse index from RDMC
@@ -245,7 +298,7 @@ impl<T: Transport> Cluster<T> {
             nodes: spec.members,
             subgroups,
             slots: Vec::new(),
-            owned: vec![0; n],
+            by_owner: vec![Vec::new(); n],
             members,
             dead: BTreeSet::new(),
             cursor: 0,
@@ -397,23 +450,14 @@ impl<T: Transport> Cluster<T> {
         let gid = self.atomic.groups[ag].subgroups[owner];
         let index = self.groups[gid].results.len();
         let scope = self.atomic_scope(ag, owner);
-        let slot_no = self.atomic.groups[ag].slots.len() as u64;
-        {
-            let a = &mut self.atomic.groups[ag];
-            let seq = a.owned[owner];
-            a.owned[owner] += 1;
-            a.cursor = (owner + 1) % a.nodes.len();
-            a.slots.push(Slot {
-                owner,
-                seq,
-                kind: SlotKind::Data {
-                    index,
-                    size,
-                    message,
-                },
-                trimmed: false,
-            });
-        }
+        let slot_no = self.atomic.groups[ag].book_slot(
+            owner,
+            SlotKind::Data {
+                index,
+                size,
+                message,
+            },
+        );
         self.recorder
             .record(scope, || trace::EventKind::AtomicSubmitted {
                 slot: slot_no,
@@ -431,19 +475,7 @@ impl<T: Transport> Cluster<T> {
     /// bump, spread by [`SimCluster::atomic_pump`]'s broadcast).
     fn push_null_slot(&mut self, ag: AtomicGroupId, owner: usize) {
         let scope = self.atomic_scope(ag, owner);
-        let slot_no = self.atomic.groups[ag].slots.len() as u64;
-        {
-            let a = &mut self.atomic.groups[ag];
-            let seq = a.owned[owner];
-            a.owned[owner] += 1;
-            a.cursor = (owner + 1) % a.nodes.len();
-            a.slots.push(Slot {
-                owner,
-                seq,
-                kind: SlotKind::Null,
-                trimmed: false,
-            });
-        }
+        let slot_no = self.atomic.groups[ag].book_slot(owner, SlotKind::Null);
         self.recorder
             .record(scope, || trace::EventKind::AtomicSubmitted {
                 slot: slot_no,
@@ -480,7 +512,7 @@ impl<T: Transport> Cluster<T> {
     /// An incoming `TAG_FRONTIER` write: merge the carried row into the
     /// receiving member's SST replica and re-run its delivery engine.
     /// The payload is `row: u32 LE` followed by the tracker's 12-byte
-    /// cell update.
+    /// cell update; anything else is dropped (see [`frontier_write`]).
     pub(crate) fn atomic_frontier_arrival(&mut self, group: GroupId, me: Rank, payload: &[u8]) {
         let Some(&(ag, sj)) = self.atomic.subgroup_of.get(&group) else {
             return;
@@ -493,10 +525,12 @@ impl<T: Transport> Cluster<T> {
         {
             return; // dead software runs no handlers
         }
-        let row = u32::from_le_bytes(payload[..4].try_into().expect("frontier row"));
+        let Some((row, cell)) = frontier_write(payload, n as u32) else {
+            return;
+        };
         let _ = self.atomic.groups[ag].members[member]
             .tracker
-            .apply_remote(row, &payload[4..]);
+            .apply_remote(row, cell);
         self.atomic_pump(ag, member);
     }
 
@@ -504,20 +538,17 @@ impl<T: Transport> Cluster<T> {
     /// dense per-sender sequence order: a data slot resolves when the
     /// member's replica of `j`'s subgroup delivered it locally, a null
     /// when the owner's published frontier covers it (trivially at the
-    /// owner itself), and a trimmed slot unconditionally.
+    /// owner itself), and a trimmed slot unconditionally. The walk
+    /// starts at the member's current frontier in `j`'s slot index, so
+    /// it costs the slots newly resolved, not the log behind them.
     fn atomic_resolved_count(&self, ag: AtomicGroupId, member: usize, j: usize) -> u64 {
         let a = &self.atomic.groups[ag];
         let n = a.nodes.len();
         let m = &a.members[member];
-        let mut f = m.tracker.frontier(member as u32, j as u32);
-        for slot in a.slots.iter().filter(|s| s.owner == j) {
-            if slot.seq < f {
-                continue;
-            }
-            if slot.seq > f {
-                break;
-            }
-            let resolved = slot.trimmed
+        let f = m.tracker.frontier(member as u32, j as u32);
+        resolved_prefix(&a.by_owner[j], f, |s| {
+            let slot = &a.slots[s];
+            slot.trimmed
                 || match slot.kind {
                     SlotKind::Null => {
                         member == j || m.tracker.frontier(j as u32, j as u32) > slot.seq
@@ -526,13 +557,8 @@ impl<T: Transport> Cluster<T> {
                         let o = rotation::rotated_rank(member, j, n) as usize;
                         self.groups[a.subgroups[j]].results[index].delivered_at[o].is_some()
                     }
-                };
-            if !resolved {
-                break;
-            }
-            f += 1;
-        }
-        f
+                }
+        })
     }
 
     /// Recomputes `member`'s own frontier row, broadcasts any advance
@@ -741,8 +767,9 @@ impl<T: Transport> Cluster<T> {
             let live: Vec<usize> = (0..n).filter(|m| !a.dead.contains(m)).collect();
             // (a) this subgroup's abandoned data slots.
             if !aset.is_empty() {
-                for (si, slot) in a.slots.iter_mut().enumerate() {
-                    if slot.owner == j && !slot.trimmed {
+                for &si in &a.by_owner[j] {
+                    let slot = &mut a.slots[si];
+                    if !slot.trimmed {
                         if let SlotKind::Data { index, .. } = slot.kind {
                             if aset.contains(&index) {
                                 slot.trimmed = true;
@@ -778,12 +805,9 @@ impl<T: Transport> Cluster<T> {
                     .map(|&m| a.members[m].tracker.frontier(w as u32, w as u32))
                     .max()
                     .unwrap_or(0);
-                for (si, slot) in a.slots.iter_mut().enumerate() {
-                    if slot.owner == w
-                        && !slot.trimmed
-                        && matches!(slot.kind, SlotKind::Null)
-                        && slot.seq >= reach
-                    {
+                for &si in &a.by_owner[w] {
+                    let slot = &mut a.slots[si];
+                    if !slot.trimmed && matches!(slot.kind, SlotKind::Null) && slot.seq >= reach {
                         slot.trimmed = true;
                         trims.push(si as u64);
                     }
@@ -805,14 +829,19 @@ impl<T: Transport> Cluster<T> {
 
 #[cfg(test)]
 mod tests {
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+    use rdmc::Algorithm;
+
     use super::*;
+    use crate::{ClusterBuilder, ClusterSpec, RecoveryConfig, SimCluster};
 
     fn runtime(n: usize) -> AtomicRuntime {
         AtomicRuntime {
             nodes: (0..n).collect(),
             subgroups: (0..n).collect(),
             slots: Vec::new(),
-            owned: vec![0; n],
+            by_owner: vec![Vec::new(); n],
             members: (0..n)
                 .map(|i| AtomicMember {
                     tracker: ViewTracker::with_frontiers(i as u32, n as u32, n as u32),
@@ -844,5 +873,238 @@ mod tests {
         a.dead.insert(1);
         assert_eq!(a.next_live_owner(0), None);
         assert!(a.live_rows().is_empty());
+    }
+
+    /// The regression test for "flat in history": however long the
+    /// index, the walk asks about one entry more than it advances over.
+    #[test]
+    fn prefix_walk_visits_one_more_than_it_advances() {
+        for len in [10usize, 10_000] {
+            let index: Vec<usize> = (0..len).map(|seq| 3 * seq + 1).collect();
+            for from in [0, len / 2, len] {
+                for advance in [0, 1, 4, len - from] {
+                    let end = (from + advance).min(len);
+                    let mut visits = 0;
+                    let f = resolved_prefix(&index, from as u64, |s| {
+                        visits += 1;
+                        s < 3 * end + 1
+                    });
+                    assert_eq!(f, end as u64, "len {len} from {from}");
+                    assert!(visits <= end - from + 1, "len {len} from {from}: {visits}");
+                }
+            }
+            for past in [len as u64 + 1, u64::MAX] {
+                let f = resolved_prefix(&index, past, |_| panic!("nothing to visit"));
+                assert_eq!(f, past);
+            }
+        }
+    }
+
+    const BLOCK: u64 = 64 << 10;
+
+    fn cluster(n: usize) -> SimCluster {
+        ClusterBuilder::new(ClusterSpec::fractus(n))
+            .recovery(RecoveryConfig::default())
+            .atomic(GroupSpec {
+                members: (0..n).collect(),
+                algorithm: Algorithm::BinomialPipeline,
+                block_size: BLOCK,
+                ready_window: 2,
+                max_outstanding_sends: 2,
+            })
+            .build()
+    }
+
+    /// The walk [`Cluster::atomic_resolved_count`] replaced, verbatim:
+    /// every one of `j`'s slots from slot 0, found by filtering the
+    /// whole log. Kept as the oracle the indexed walk is held to.
+    fn scan_resolved_count(c: &SimCluster, ag: AtomicGroupId, member: usize, j: usize) -> u64 {
+        let a = &c.atomic.groups[ag];
+        let n = a.nodes.len();
+        let m = &a.members[member];
+        let mut f = m.tracker.frontier(member as u32, j as u32);
+        for slot in a.slots.iter().filter(|s| s.owner == j) {
+            if slot.seq < f {
+                continue;
+            }
+            if slot.seq > f {
+                break;
+            }
+            let resolved = slot.trimmed
+                || match slot.kind {
+                    SlotKind::Null => {
+                        member == j || m.tracker.frontier(j as u32, j as u32) > slot.seq
+                    }
+                    SlotKind::Data { index, .. } => {
+                        let o = rotation::rotated_rank(member, j, n) as usize;
+                        c.groups[a.subgroups[j]].results[index].delivered_at[o].is_some()
+                    }
+                };
+            if !resolved {
+                break;
+            }
+            f += 1;
+        }
+        f
+    }
+
+    /// The index is exactly `slots` regrouped (position = `seq`), and
+    /// the indexed count equals the scan for every `(member, j)`.
+    fn assert_index_matches_scan(c: &SimCluster) {
+        let a = &c.atomic.groups[0];
+        for (s, slot) in a.slots.iter().enumerate() {
+            assert_eq!(a.by_owner[slot.owner][slot.seq as usize], s);
+        }
+        assert_eq!(
+            a.by_owner.iter().map(Vec::len).sum::<usize>(),
+            a.slots.len()
+        );
+        let n = a.nodes.len();
+        for member in 0..n {
+            for j in 0..n {
+                assert_eq!(
+                    c.atomic_resolved_count(0, member, j),
+                    scan_resolved_count(c, 0, member, j),
+                    "member {member} sender {j} at {} slots",
+                    a.slots.len()
+                );
+            }
+        }
+    }
+
+    /// Steps `c` (to quiescence, or at most `steps` times), holding the
+    /// index to the scan after every step.
+    fn step_checked(c: &mut SimCluster, steps: usize) {
+        for _ in 0..steps {
+            if !c.step() {
+                break;
+            }
+            assert_index_matches_scan(c);
+        }
+    }
+
+    /// The survivors hold one identical log that, with the trims,
+    /// accounts for every data slot.
+    fn assert_converged(c: &SimCluster) {
+        let a = &c.atomic.groups[0];
+        let live = c.atomic_live_members(0);
+        let delivered: Vec<u64> = c.atomic_log(0, live[0]).iter().map(|d| d.slot).collect();
+        for &m in &live[1..] {
+            let log: Vec<u64> = c.atomic_log(0, m).iter().map(|d| d.slot).collect();
+            assert_eq!(log, delivered, "members {} and {m} disagree", live[0]);
+        }
+        let expected: Vec<u64> = (0..a.slots.len())
+            .filter(|&s| !a.slots[s].trimmed && matches!(a.slots[s].kind, SlotKind::Data { .. }))
+            .map(|s| s as u64)
+            .collect();
+        assert_eq!(delivered, expected);
+    }
+
+    #[test]
+    fn indexed_count_equals_scan_under_rotation_and_jumps() {
+        for n in [2usize, 3, 8] {
+            let mut c = cluster(n);
+            let mut rng = StdRng::seed_from_u64(n as u64);
+            for _ in 0..12 {
+                for _ in 0..3 {
+                    if rng.random_bool(0.25) {
+                        c.submit_atomic_from(0, rng.random_range(0..n), BLOCK);
+                    } else {
+                        c.submit_atomic(0, BLOCK);
+                    }
+                    assert_index_matches_scan(&c);
+                }
+                // Not to quiescence: the next window lands on traffic
+                // still in flight.
+                step_checked(&mut c, 40 * n);
+            }
+            step_checked(&mut c, usize::MAX);
+            let a = &c.atomic.groups[0];
+            assert!(a.slots.iter().any(|s| matches!(s.kind, SlotKind::Null)));
+            assert!(c.atomic_trimmed_slots(0).is_empty());
+            assert_converged(&c);
+        }
+    }
+
+    #[test]
+    fn indexed_count_equals_scan_when_a_sender_crashes_mid_message() {
+        for n in [2usize, 3, 8] {
+            let mut c = cluster(n);
+            // Every member has a two-block message in flight when the
+            // last one goes down a few protocol steps in.
+            c.crash_after_events(n - 1, 2 * n as u64);
+            for _ in 0..2 * n {
+                c.submit_atomic(0, 2 * BLOCK);
+                assert_index_matches_scan(&c);
+            }
+            step_checked(&mut c, usize::MAX);
+            let a = &c.atomic.groups[0];
+            let trimmed = c.atomic_trimmed_slots(0);
+            assert!(!trimmed.is_empty(), "n {n}: no abandoned slot was trimmed");
+            for s in trimmed {
+                assert_eq!(a.slots[s as usize].owner, n - 1);
+                assert!(matches!(a.slots[s as usize].kind, SlotKind::Data { .. }));
+            }
+            assert_converged(&c);
+        }
+    }
+
+    #[test]
+    fn indexed_count_equals_scan_when_a_dead_senders_nulls_are_trimmed() {
+        for n in [2usize, 3, 8] {
+            let mut c = cluster(n);
+            // Member 1's first null is announced to everyone ...
+            c.submit_atomic(0, BLOCK);
+            c.submit_atomic_from(0, 0, BLOCK);
+            step_checked(&mut c, usize::MAX);
+            // ... its second is booked after it crashed: never announced.
+            c.crash_now(1);
+            c.submit_atomic_from(0, 0, BLOCK);
+            assert_index_matches_scan(&c);
+            step_checked(&mut c, usize::MAX);
+            let a = &c.atomic.groups[0];
+            let unannounced = a.by_owner[1][1] as u64;
+            assert!(matches!(a.slots[a.by_owner[1][0]].kind, SlotKind::Null));
+            assert!(!a.slots[a.by_owner[1][0]].trimmed);
+            assert_eq!(c.atomic_trimmed_slots(0), vec![unannounced]);
+            assert_converged(&c);
+        }
+    }
+
+    /// `TAG_FRONTIER` bytes are peer input: a malformed write is
+    /// dropped at the arrival site, a well-formed one still merges.
+    #[test]
+    fn malformed_frontier_writes_are_dropped() {
+        let n = 3u32;
+        let mut c = cluster(n as usize);
+        let anchor = c.atomic_subgroups(0)[0];
+        let write = |row: u32, col: u32, val: u64| {
+            let mut p = row.to_le_bytes().to_vec();
+            p.extend_from_slice(&col.to_le_bytes());
+            p.extend_from_slice(&val.to_le_bytes());
+            p
+        };
+        let good = write(2, 2, 5);
+        let mut long = good.clone();
+        long.push(0);
+        let malformed = [
+            Vec::new(),
+            good[..3].to_vec(),
+            good[..4].to_vec(),
+            good[..15].to_vec(),
+            long,
+            write(n, 2, 5),
+            write(u32::MAX, 2, 5),
+            write(2, 2 + n, 5),
+            write(2, u32::MAX, 5),
+        ];
+        let before = c.state_digest();
+        for p in &malformed {
+            c.atomic_frontier_arrival(anchor, 1, p);
+            assert_eq!(c.atomic.groups[0].members[1].tracker.frontier(2, 0), 0);
+        }
+        assert_eq!(c.state_digest(), before);
+        c.atomic_frontier_arrival(anchor, 1, &good);
+        assert_eq!(c.atomic.groups[0].members[1].tracker.frontier(2, 0), 5);
     }
 }
