@@ -1753,28 +1753,28 @@ pub struct ScaleShardedCell {
     pub wall_s: f64,
 }
 
-/// The 10k-flow churn half of the `scale` section: the same flow churn
-/// on the legacy flat kernel (participating uplinks, per-flow entries)
-/// and the hierarchy-aware kernel (transparent fat-tree tier, interned
-/// flow sets).
+/// The 10k-flow churn half of the `scale` section: the same flow churn,
+/// on the same kernel, over two descriptions of one fabric — `legacy` is
+/// the flat `two_tier` (uplinks take part in the fill and couple every
+/// pod), `scaled` the `fat_tree` whose aggregation tier is transparent.
 pub struct ScaleChurnCell {
     /// Concurrent flows held live through the churn.
     pub flows: usize,
     /// Churn operations (each = one removal + one start).
     pub ops: usize,
-    /// Ripple link-visits per kernel event, legacy kernel.
+    /// Ripple link-visits per kernel event, flat `two_tier`.
     pub legacy_visits_per_event: f64,
-    /// Ripple link-visits per kernel event, hierarchy-aware kernel.
+    /// Ripple link-visits per kernel event, transparent-tier `fat_tree`.
     pub scaled_visits_per_event: f64,
     /// `legacy / scaled` — the acceptance bar is >= 5x.
     pub visit_speedup: f64,
-    /// Kernel events per wall-clock second, legacy kernel.
+    /// Kernel events per wall-clock second, flat `two_tier`.
     pub legacy_events_per_sec: f64,
-    /// Kernel events per wall-clock second, hierarchy-aware kernel.
+    /// Kernel events per wall-clock second, transparent-tier `fat_tree`.
     pub scaled_events_per_sec: f64,
-    /// Same-instant coalescing hits in the hierarchy-aware run.
+    /// Same-instant coalescing hits in the `fat_tree` run.
     pub scaled_coalesced: u64,
-    /// Heap compactions in the hierarchy-aware run.
+    /// Heap compactions in the `fat_tree` run.
     pub scaled_heap_compactions: u64,
 }
 
@@ -1792,7 +1792,7 @@ impl ScaleReport {
         let s = &self.sharded;
         let mut out = String::from(
             "Datacenter scale: 1000-node fat-tree, 100-shard open-loop workload \
-             (interned paths, transparent aggregation tier)\n",
+             (transparent aggregation tier)\n",
         );
         out.push_str(&render(
             &row![
@@ -1824,12 +1824,13 @@ impl ScaleReport {
         ));
         let c = &self.churn;
         out.push_str(&format!(
-            "\n10k-flow churn microbench: {} live flows, {} churn ops, fat-tree profile\n",
+            "\n10k-flow churn microbench: {} live flows, {} churn ops, one kernel, \
+             two descriptions of the fabric\n",
             c.flows, c.ops
         ));
         out.push_str(&render(
             &row![
-                "kernel",
+                "topology",
                 "link-visits/event",
                 "events/s",
                 "coalesced",
@@ -1837,14 +1838,14 @@ impl ScaleReport {
             ],
             &[
                 row![
-                    "legacy (flat)",
+                    "flat two_tier",
                     format!("{:.1}", c.legacy_visits_per_event),
                     format!("{:.0}", c.legacy_events_per_sec),
                     "-",
                     "-"
                 ],
                 row![
-                    "hierarchy-aware",
+                    "fat_tree, transparent tier",
                     format!("{:.1}", c.scaled_visits_per_event),
                     format!("{:.0}", c.scaled_events_per_sec),
                     c.scaled_coalesced,
@@ -1861,8 +1862,8 @@ impl ScaleReport {
 }
 
 /// Runs the 1000-node, 100-shard `ShardedWorkload` on the fat-tree
-/// datacenter profile with path interning — ROADMAP item 5's target
-/// configuration — and meters the kernel while it runs.
+/// datacenter profile — ROADMAP item 5's target configuration — and
+/// meters the kernel while it runs.
 fn scale_sharded(quick: bool) -> ScaleShardedCell {
     const NODES: usize = 1000;
     const SHARDS: usize = 100;
@@ -1892,8 +1893,7 @@ fn scale_sharded(quick: bool) -> ScaleShardedCell {
         .collect();
     let base = verbs::perf::snapshot();
     let t0 = std::time::Instant::now();
-    let outcome =
-        rdmc_sim::run_open_loop_with(&spec, &memberships, &arrivals, MB / 8, None, false, true);
+    let outcome = rdmc_sim::run_open_loop(&spec, &memberships, &arrivals, MB / 8, None, false);
     let wall_s = t0.elapsed().as_secs_f64();
     let d = verbs::perf::snapshot().delta_since(&base);
     let latencies: Vec<f64> = outcome
@@ -1931,12 +1931,12 @@ fn scale_sharded(quick: bool) -> ScaleShardedCell {
 /// One churn run at the flow-network level: `conns` node pairs on a
 /// 1000-host two-tier fabric, `flows_per_conn` long-lived flows per pair
 /// (the multicast "many flows, same path" shape), then `ops` churn steps
-/// of one removal plus one start each. `scaled` picks the
-/// hierarchy-aware kernel (transparent fat-tree tier + interned paths)
-/// over the legacy flat one. Returns the stats delta over the churn loop
-/// and its wall-clock seconds.
+/// of one removal plus one start each. `transparent_tier` builds the
+/// fabric as a `fat_tree` (aggregation links transparent to the
+/// allocator) instead of a flat `two_tier`. Returns the stats delta over
+/// the churn loop and its wall-clock seconds.
 fn churn_once(
-    scaled: bool,
+    transparent_tier: bool,
     conns: usize,
     flows_per_conn: usize,
     ops: usize,
@@ -1945,11 +1945,8 @@ fn churn_once(
     let (pods, per_pod) = (40usize, 25usize);
     let hosts = pods * per_pod;
     let mut net = simnet::FlowNet::new();
-    if scaled {
-        net.set_interning(true);
-    }
     let latency = SimDuration::from_micros(4);
-    let topo = if scaled {
+    let topo = if transparent_tier {
         simnet::Topology::fat_tree(&mut net, pods, per_pod, 100.0, latency)
     } else {
         simnet::Topology::two_tier(&mut net, pods, per_pod, 100.0, 2500.0, latency)
@@ -1966,7 +1963,7 @@ fn churn_once(
     // shape: each connection carries many concurrent block transfers
     // (same path), and distinct connections share no host NIC. The only
     // thing coupling them is the aggregation tier, which is exactly what
-    // the hierarchy-aware kernel knows can never bind.
+    // the transparent marking says can never bind.
     assert!(2 * conns <= hosts, "pairs must be node-disjoint");
     let pairs: Vec<(usize, usize)> = (0..conns).map(|i| (i, hosts / 2 + i)).collect();
     // Big enough that nothing completes during the run.
@@ -2004,8 +2001,8 @@ fn churn_once(
     (d, wall_s)
 }
 
-/// The 10k-flow churn microbench: identical churn on the legacy flat
-/// kernel and the hierarchy-aware kernel, compared on ripple link-visits
+/// The 10k-flow churn microbench: identical churn on the flat `two_tier`
+/// and on the transparent-tier `fat_tree`, compared on ripple link-visits
 /// per kernel event (one event = one flow start or removal).
 fn scale_churn(quick: bool) -> ScaleChurnCell {
     const CONNS: usize = 500;

@@ -66,7 +66,6 @@ fn scale_run_stall_attribution_is_airtight() {
         })
         .collect();
     let mut cluster = ClusterBuilder::new(spec.clone())
-        .intern_paths()
         .flight_recorder(trace::Mode::Full)
         .build();
     let recorder = cluster.recorder().clone();

@@ -11,8 +11,8 @@
 //! [`ClusterBuilder::from_transport`]) the same protocol-level knobs —
 //! recovery, pacing, reliability, tracing, atomic groups — apply
 //! unchanged, while the simulation-only knobs (completion modes,
-//! jitter, fault injection, path interning) are only offered when the
-//! transport is the simulated fabric.
+//! jitter, fault injection) are only offered when the transport is the
+//! simulated fabric.
 
 use simnet::{FaultProfile, JitterModel};
 use verbs::{CompletionMode, Fabric, NodeId, SharedScheduler, Transport};
@@ -60,17 +60,6 @@ impl ClusterBuilder<Fabric> {
     /// [`ClusterSpec`] presets.
     pub fn new(spec: ClusterSpec) -> Self {
         Self::from_transport(spec.build())
-    }
-
-    /// Turns on flow-set interning in the kernel: flows sharing an
-    /// identical link path (the multicast common case) collapse into one
-    /// allocation entry, so a reallocation visits each distinct *path*
-    /// once instead of each *flow*. Rates are max-min fair either way;
-    /// only floating-point summation order differs, so keep this off for
-    /// byte-exact comparisons against legacy runs.
-    pub fn intern_paths(mut self) -> Self {
-        self.transport.set_path_interning(true);
-        self
     }
 
     /// Sets one node's completion mode (polling / interrupt / hybrid).

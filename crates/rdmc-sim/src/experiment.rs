@@ -261,35 +261,7 @@ pub fn run_open_loop(
     pacing: Option<PacerConfig>,
     traced: bool,
 ) -> OpenLoopOutcome {
-    run_open_loop_with(
-        spec,
-        memberships,
-        arrivals,
-        block_size,
-        pacing,
-        traced,
-        false,
-    )
-}
-
-/// [`run_open_loop`] with the kernel's flow-set interning switched on —
-/// the configuration the datacenter-scale benchmark runs, where the
-/// multicast groups put many flows on identical paths
-/// ([`ClusterBuilder::intern_paths`]).
-#[allow(clippy::too_many_arguments)]
-pub fn run_open_loop_with(
-    spec: &ClusterSpec,
-    memberships: &[Vec<usize>],
-    arrivals: &[OpenLoopArrival],
-    block_size: u64,
-    pacing: Option<PacerConfig>,
-    traced: bool,
-    intern_paths: bool,
-) -> OpenLoopOutcome {
     let mut builder = ClusterBuilder::new(spec.clone());
-    if intern_paths {
-        builder = builder.intern_paths();
-    }
     if let Some(config) = pacing {
         builder = builder.pacing(config);
     }

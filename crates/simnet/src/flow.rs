@@ -16,18 +16,25 @@
 //!
 //! # Performance model
 //!
-//! Three structural properties keep per-event cost sublinear in the number
+//! Four structural properties keep per-event cost sublinear in the number
 //! of active flows:
 //!
+//! * **Path classes.** Flows with byte-identical paths form one *class*,
+//!   the node of the allocator's sharing graph. Members of a class cross
+//!   the same links, so they freeze at the same bottleneck with the same
+//!   share: traversal, freezing and residual subtraction run per class,
+//!   and a class whose share did not move is frozen without touching a
+//!   single flow. The arithmetic is the per-flow water-filling's, bit for
+//!   bit (see `reallocate`).
 //! * **Ripple-set reallocation.** Max-min allocations decompose over
-//!   connected components of the flow/link sharing graph: a link either
+//!   connected components of the class/link sharing graph: a link either
 //!   carries only component flows or none, so water-filling restricted to
 //!   the component reachable from the changed flow is *exact*, not an
 //!   approximation. [`FlowNet::start_flow`] / [`FlowNet::complete_flow`] /
 //!   [`FlowNet::abort_flow`] therefore re-run progressive filling only over
-//!   that component, falling back to a full recomputation when the ripple
-//!   covers most of the active flows (the traversal would not pay for
-//!   itself).
+//!   that component; once consecutive ripples cover most of the active
+//!   flows the traversal stops paying for itself and the per-link live
+//!   counts stand in for it.
 //! * **Completion heap.** Projected completion times live in a lazily
 //!   invalidated min-heap keyed by `(time, slot, epoch)`. A flow's
 //!   projected *absolute* completion instant is invariant while its rate is
@@ -44,7 +51,7 @@
 //! event loop (see the `verbs` crate).
 
 use std::cmp::Reverse;
-// `InternState::classes` is a pure interning table (get-or-insert by
+// `FlowNet::class_ids` is a pure interning table (get-or-insert by
 // path, never iterated), so hash order cannot reach behavior.
 #[allow(clippy::disallowed_types)]
 use std::collections::{BinaryHeap, HashMap};
@@ -100,7 +107,11 @@ struct Link {
 /// An active transfer.
 #[derive(Clone, Debug)]
 struct Flow {
-    path: Vec<LinkId>,
+    /// The [`PathClass`] holding the flow's path.
+    class: u32,
+    /// Start-order key: the count of flows started before this one, shifted
+    /// over the slot index (see [`ORDER_SLOT_BITS`]).
+    order: u64,
     /// Bytes left as of `synced_at` (not as of `FlowNet::last_update`;
     /// progress between the two is implied by `rate_bps`).
     remaining_bytes: f64,
@@ -115,13 +126,46 @@ struct Flow {
 /// rounding from rate changes).
 const COMPLETION_EPSILON_BYTES: f64 = 1e-6;
 
+/// Low bits of a start-order key that hold the flow's slot, so one `u64`
+/// sort both orders rate changes and says where to apply them.
+const ORDER_SLOT_BITS: u32 = 24;
+
+fn order_slot(order: u64) -> usize {
+    (order & ((1 << ORDER_SLOT_BITS) - 1)) as usize
+}
+
+/// Flows with byte-identical paths: one node of the allocator's sharing
+/// graph. Classes are append-only (one per distinct path ever seen); a
+/// class with no live flows contributes nothing and is skipped.
+struct PathClass {
+    /// Every link the members cross, in order (byte accounting, and what
+    /// [`FlowNet::complete_flow`] hands back).
+    path: Vec<LinkId>,
+    /// The non-transparent links of `path`, the only ones traversal and
+    /// water-filling touch. Fixed at class creation, which is why
+    /// [`FlowNet::set_link_transparent`] refuses a link a class crosses.
+    fill_links: Vec<u32>,
+    /// Start-order keys of the live members, ascending.
+    members: Vec<u64>,
+    /// How many members — the last ones — started since the last fill and
+    /// still carry rate 0.
+    fresh: u32,
+    /// The rate every other member runs at: they cross the same links, so
+    /// every fill freezes them together.
+    rate_bps: f64,
+    /// Epoch-stamped "reached by the current traversal" mark.
+    seen: u32,
+    /// Epoch-stamped "frozen in the current fill" mark.
+    frozen: u32,
+}
+
 /// Reallocation performance counters; see [`FlowNet::realloc_stats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct ReallocStats {
     /// Reallocations performed.
     pub count: u64,
-    /// Reallocations that fell back to recomputing every flow because the
-    /// ripple component covered most of the network.
+    /// Reallocations that recomputed every flow without a traversal
+    /// because recent ripple components covered most of the network.
     pub full: u64,
     /// Wall-clock nanoseconds spent reallocating.
     pub nanos: u64,
@@ -168,21 +212,27 @@ pub struct FlowNet {
     active_flows: usize,
     /// Instant the network clock last advanced to.
     last_update: SimTime,
-    /// Per-link list of `(slot, generation)` of flows crossing it.
-    /// Entries of removed flows go stale rather than being unlinked
-    /// eagerly; they are compacted when a ripple traversal visits the
-    /// link, or at removal time once stale entries outnumber live ones.
-    link_flows: Vec<Vec<(u32, u32)>>,
+    /// Flows ever started; the next flow's start-order sequence number.
+    started: u64,
+    /// Path → class id. Lookup-only (never iterated); see the import
+    /// note.
+    #[allow(clippy::disallowed_types)]
+    class_ids: HashMap<Vec<LinkId>, u32>,
+    classes: Vec<PathClass>,
+    /// Per-link list of classes whose path crosses it, pushed once per
+    /// crossing at class creation.
+    link_classes: Vec<Vec<u32>>,
     /// Per-link count of live flows, maintained incrementally at flow
-    /// start/removal. Lets the full-recompute path skip adjacency
-    /// traversal entirely and bounds `link_flows` staleness.
+    /// start/removal: the unfrozen count every fill starts from.
     link_live: Vec<u32>,
-    /// Recent recomputations rippled across (nearly) the whole network,
-    /// so the traversal is skipped in favor of a linear scan over slots
-    /// and links. Re-probed with a real traversal every 64th
-    /// reallocation, which flips the mode back off if components
-    /// shrank.
-    full_mode: bool,
+    /// Consecutive ripple traversals that covered (nearly) the whole
+    /// network, saturating at 2. At 2 the allocator is in *full mode*:
+    /// the traversal is skipped and every loaded link joins the fill.
+    /// Re-probed with a real traversal every 64th reallocation, which
+    /// drops the mode if components shrank. One covering ripple is not
+    /// enough: a start-up burst covers everything once and says nothing
+    /// about the churn that follows.
+    covering_ripples: u8,
     /// Min-heap of projected completions `(time_ns, slot, epoch)` with
     /// lazy invalidation: an entry is live iff the slot is occupied and
     /// its epoch matches `rate_epoch[slot]`. Exactly one live entry
@@ -208,40 +258,6 @@ pub struct FlowNet {
     /// Flight recorder for flow start/rate-change/finish events;
     /// disabled (a single branch per event) by default.
     recorder: trace::Recorder,
-    /// Flow-set interning state; `None` (the default) runs the per-flow
-    /// allocator. See [`FlowNet::set_interning`].
-    intern: Option<InternState>,
-}
-
-/// Flow-set interning: flows with byte-identical paths share one node
-/// ("class") in the allocator's sharing graph. A multicast step that
-/// launches k same-path transfers then costs O(1) class work per
-/// reallocation instead of O(k) flow work: traversal, freezing, and
-/// residual subtraction all happen once per class, scaled by its live
-/// count. Classes are append-only (one entry per distinct path ever
-/// seen); a class with no live flows contributes nothing and is skipped.
-#[derive(Default)]
-struct InternState {
-    /// Path → class id. Lookup-only (never iterated); see the import
-    /// note.
-    #[allow(clippy::disallowed_types)]
-    classes: HashMap<Vec<LinkId>, u32>,
-    /// Per-class path (the interned key, shared by every member).
-    class_path: Vec<Vec<LinkId>>,
-    /// Per-class `(slot, generation)` members; entries of removed flows go
-    /// stale in place and are compacted once they outnumber live ones.
-    class_members: Vec<Vec<(u32, u32)>>,
-    /// Per-class live-member count.
-    class_live: Vec<u32>,
-    /// Epoch-stamped traversal marks, indexed by class.
-    class_mark: Vec<u32>,
-    /// Epoch-stamped "frozen in the current fill" marks, indexed by class.
-    class_frozen: Vec<u32>,
-    /// Per-slot class id (meaningful while the slot is occupied).
-    class_of: Vec<u32>,
-    /// Per-link list of classes whose path crosses it. Each class appears
-    /// at most once per link, pushed exactly once at class creation.
-    link_classes: Vec<Vec<u32>>,
 }
 
 #[derive(Default)]
@@ -259,17 +275,13 @@ struct ReallocScratch {
     requeue_buf: Vec<Reverse<(u64, u32)>>,
     /// Epoch-stamped visited marks for the ripple traversal.
     link_mark: Vec<u32>,
-    flow_mark: Vec<u32>,
     mark: u32,
     /// BFS frontier of link indices; callers seed it with the changed
     /// flow's path before invoking `reallocate`.
     frontier: Vec<u32>,
-    /// Component flow slots in discovery order.
-    comp: Vec<u32>,
-    /// Epoch-stamped "frozen in the current fill" marks, indexed by slot.
-    frozen_mark: Vec<u32>,
-    /// Slots whose rate actually changed in the current fill.
-    changed: Vec<u32>,
+    /// Start-order keys of the flows whose rate changed in the current
+    /// fill, in the order the changes apply: by bottleneck, then by start.
+    changed: Vec<u64>,
 }
 
 impl Default for FlowNet {
@@ -278,16 +290,22 @@ impl Default for FlowNet {
     }
 }
 
-/// Brings `slot`'s progress current to `now`, crediting the moved bytes to
-/// every link on its path. Free function over split borrows so callers can
-/// hold other `FlowNet` fields.
-fn materialize_slot(slots: &mut [Option<Flow>], links: &mut [Link], now: SimTime, slot: usize) {
-    let f = slots[slot].as_mut().expect("materializing a free slot");
-    let dt = now.since(f.synced_at).as_secs_f64();
-    if dt > 0.0 {
-        let moved = (f.rate_bps / 8.0 * dt).min(f.remaining_bytes);
+impl Flow {
+    /// Bytes moved since `synced_at`, as of `now`.
+    fn unmaterialized(&self, now: SimTime) -> f64 {
+        let dt = now.since(self.synced_at).as_secs_f64();
+        (self.rate_bps / 8.0 * dt).min(self.remaining_bytes)
+    }
+}
+
+/// Brings `f`'s progress current to `now`, crediting the moved bytes to
+/// every link on `path` (its class's). Free function over split borrows so
+/// callers can hold other `FlowNet` fields.
+fn materialize(f: &mut Flow, path: &[LinkId], links: &mut [Link], now: SimTime) {
+    let moved = f.unmaterialized(now);
+    if moved > 0.0 {
         f.remaining_bytes -= moved;
-        for l in &f.path {
+        for l in path {
             links[l.0 as usize].bytes_carried += moved;
         }
     }
@@ -304,9 +322,13 @@ impl FlowNet {
             free_slots: Vec::new(),
             active_flows: 0,
             last_update: SimTime::ZERO,
-            link_flows: Vec::new(),
+            started: 0,
+            #[allow(clippy::disallowed_types)]
+            class_ids: HashMap::new(),
+            classes: Vec::new(),
+            link_classes: Vec::new(),
             link_live: Vec::new(),
-            full_mode: false,
+            covering_ripples: 0,
             completions: BinaryHeap::new(),
             rate_epoch: Vec::new(),
             stats: ReallocStats::default(),
@@ -314,7 +336,6 @@ impl FlowNet {
             dirty: false,
             dirty_start: false,
             recorder: trace::Recorder::disabled(),
-            intern: None,
         }
     }
 
@@ -322,29 +343,6 @@ impl FlowNet {
     /// completions are recorded from then on.
     pub fn set_recorder(&mut self, recorder: trace::Recorder) {
         self.recorder = recorder;
-    }
-
-    /// Enables flow-set (path) interning: flows sharing a byte-identical
-    /// path share one node in the allocator's sharing graph, so a
-    /// multicast step with k same-path transfers costs O(1) class work
-    /// per reallocation instead of O(k). Opt-in because grouping fuses
-    /// the per-flow residual subtractions of the fill into one
-    /// `share * live` step, which changes the floating-point summation
-    /// order: rates may differ from the default kernel in the last ulps.
-    /// Enable it for scale experiments, not for golden-trace runs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a flow has ever been started on this network.
-    pub fn set_interning(&mut self, on: bool) {
-        assert!(
-            self.slots.is_empty(),
-            "interning must be configured before the first flow starts"
-        );
-        self.intern = on.then(|| InternState {
-            link_classes: vec![Vec::new(); self.links.len()],
-            ..InternState::default()
-        });
     }
 
     /// Marks `link` as a *transparent* aggregation hop: the caller
@@ -367,12 +365,13 @@ impl FlowNet {
     ///
     /// # Panics
     ///
-    /// Panics if flows already cross the link (mark topology up front).
+    /// Panics if a flow has ever crossed the link (mark topology up
+    /// front): its path class has already fixed which links it fills over.
     pub fn set_link_transparent(&mut self, link: LinkId) {
         let i = link.0 as usize;
-        assert_eq!(
-            self.link_live[i], 0,
-            "cannot make a loaded link transparent"
+        assert!(
+            self.link_classes[i].is_empty(),
+            "cannot make a link transparent once a flow path crosses it"
         );
         self.links[i].transparent = true;
     }
@@ -404,11 +403,8 @@ impl FlowNet {
             bytes_carried: 0.0,
             transparent: false,
         });
-        self.link_flows.push(Vec::new());
+        self.link_classes.push(Vec::new());
         self.link_live.push(0);
-        if let Some(intern) = &mut self.intern {
-            intern.link_classes.push(Vec::new());
-        }
         id
     }
 
@@ -443,35 +439,21 @@ impl FlowNet {
     }
 
     /// Total payload bytes carried by `link` up to the current instant,
-    /// including the not-yet-materialized progress of live flows.
+    /// including the not-yet-materialized progress of live flows (summed
+    /// in start order, so the float total does not depend on how the
+    /// flows group into classes).
     pub fn bytes_carried(&self, link: LinkId) -> f64 {
         let i = link.0 as usize;
-        let mut total = self.links[i].bytes_carried;
-        let unmaterialized = |slot: u32, generation: u32| -> f64 {
-            let s = slot as usize;
-            if self.generations[s] != generation {
-                return 0.0; // stale entry of a removed flow
-            }
-            match &self.slots[s] {
-                Some(f) => {
-                    let dt = self.last_update.since(f.synced_at).as_secs_f64();
-                    (f.rate_bps / 8.0 * dt).min(f.remaining_bytes)
-                }
-                None => 0.0,
-            }
-        };
-        if let Some(intern) = &self.intern {
-            for &cid in &intern.link_classes[i] {
-                for &(slot, generation) in &intern.class_members[cid as usize] {
-                    total += unmaterialized(slot, generation);
-                }
-            }
-        } else {
-            for &(slot, generation) in &self.link_flows[i] {
-                total += unmaterialized(slot, generation);
-            }
+        let mut live: Vec<u64> = Vec::new();
+        for &c in &self.link_classes[i] {
+            live.extend_from_slice(&self.classes[c as usize].members);
         }
-        total
+        live.sort_unstable();
+        live.iter()
+            .fold(self.links[i].bytes_carried, |total, &order| {
+                let f = self.slots[order_slot(order)].as_ref().expect("member left");
+                total + f.unmaterialized(self.last_update)
+            })
     }
 
     /// Starts a flow of `bytes` across `path` at time `now` and returns its
@@ -495,6 +477,10 @@ impl FlowNet {
         let slot = match self.free_slots.pop() {
             Some(s) => s,
             None => {
+                assert!(
+                    self.slots.len() < 1 << ORDER_SLOT_BITS,
+                    "too many concurrent flows"
+                );
                 self.slots.push(None);
                 self.generations.push(0);
                 self.rate_epoch.push(0);
@@ -502,54 +488,55 @@ impl FlowNet {
             }
         };
         self.active_flows += 1;
-        let generation = self.generations[slot as usize];
-        let id = FlowId::new(slot, generation);
+        let id = FlowId::new(slot, self.generations[slot as usize]);
+        assert!(
+            self.started < 1 << (64 - ORDER_SLOT_BITS),
+            "start-order sequence exhausted"
+        );
+        let order = self.started << ORDER_SLOT_BITS | u64::from(slot);
+        self.started += 1;
         if self.dirty {
             self.stats.coalesced += 1;
         }
-        let mut frontier = std::mem::take(&mut self.scratch.frontier);
-        for l in &path {
-            let li = l.0 as usize;
-            self.link_live[li] += 1;
-            if !self.links[li].transparent {
-                frontier.push(l.0);
-            }
-        }
-        if let Some(intern) = &mut self.intern {
-            let cid = match intern.classes.get(&path) {
-                Some(&c) => c,
-                None => {
-                    let c = u32::try_from(intern.class_path.len()).expect("too many classes");
-                    intern.classes.insert(path.clone(), c);
-                    intern.class_path.push(path.clone());
-                    intern.class_members.push(Vec::new());
-                    intern.class_live.push(0);
-                    intern.class_mark.push(0);
-                    intern.class_frozen.push(0);
-                    for l in &path {
-                        intern.link_classes[l.0 as usize].push(c);
-                    }
-                    c
+        let class = match self.class_ids.get(&path) {
+            Some(&c) => c,
+            None => {
+                let c = u32::try_from(self.classes.len()).expect("too many classes");
+                for l in &path {
+                    self.link_classes[l.0 as usize].push(c);
                 }
-            };
-            intern.class_live[cid as usize] += 1;
-            intern.class_members[cid as usize].push((slot, generation));
-            if intern.class_of.len() <= slot as usize {
-                intern.class_of.resize(slot as usize + 1, 0);
+                let links = &self.links;
+                self.classes.push(PathClass {
+                    fill_links: path
+                        .iter()
+                        .filter(|l| !links[l.0 as usize].transparent)
+                        .map(|l| l.0)
+                        .collect(),
+                    path: path.clone(),
+                    members: Vec::new(),
+                    fresh: 0,
+                    rate_bps: 0.0,
+                    seen: 0,
+                    frozen: 0,
+                });
+                self.class_ids.insert(path, c);
+                c
             }
-            intern.class_of[slot as usize] = cid;
-        } else {
-            for l in &path {
-                self.link_flows[l.0 as usize].push((slot, generation));
-            }
+        };
+        let c = &mut self.classes[class as usize];
+        c.fresh += 1;
+        c.members.push(order);
+        for l in &c.path {
+            self.link_live[l.0 as usize] += 1;
         }
+        self.scratch.frontier.extend_from_slice(&c.fill_links);
         self.slots[slot as usize] = Some(Flow {
-            path,
+            class,
+            order,
             remaining_bytes: bytes.max(COMPLETION_EPSILON_BYTES / 2.0),
             rate_bps: 0.0,
             synced_at: now,
         });
-        self.scratch.frontier = frontier;
         // Defer the recomputation: the new flow carries nothing until the
         // flush, which happens before any rate is observed or time moves.
         self.dirty = true;
@@ -636,9 +623,7 @@ impl FlowNet {
     /// it too early — a scheduling bug).
     pub fn complete_flow(&mut self, now: SimTime, flow: FlowId) -> Vec<LinkId> {
         self.advance_to(now);
-        assert!(self.get(flow).is_some(), "completing unknown flow");
-        materialize_slot(&mut self.slots, &mut self.links, now, flow.slot());
-        let f = self.remove(flow).expect("completing unknown flow");
+        let f = self.remove(now, flow).expect("completing unknown flow");
         // Tolerance scales with rate: one microsecond of transfer at the
         // flow's final rate absorbs the rounding of the ns-quantized clock.
         let tolerance = (f.rate_bps / 8.0) * 1e-6 + COMPLETION_EPSILON_BYTES;
@@ -647,7 +632,6 @@ impl FlowNet {
             "flow {flow:?} completed early: {} bytes remaining (tolerance {tolerance})",
             f.remaining_bytes
         );
-        self.reallocate_after_removal(&f.path);
         self.recorder
             .record_at(now.as_nanos(), trace::Scope::none(), || {
                 trace::EventKind::FlowFinished {
@@ -655,7 +639,7 @@ impl FlowNet {
                     aborted: false,
                 }
             });
-        f.path
+        self.classes[f.class as usize].path.clone()
     }
 
     /// Aborts `flow` at time `now` without requiring it to have finished
@@ -664,12 +648,9 @@ impl FlowNet {
     /// callers don't need to track completion races.
     pub fn abort_flow(&mut self, now: SimTime, flow: FlowId) {
         self.advance_to(now);
-        if self.get(flow).is_none() {
+        if self.remove(now, flow).is_none() {
             return;
         }
-        materialize_slot(&mut self.slots, &mut self.links, now, flow.slot());
-        let f = self.remove(flow).expect("checked above");
-        self.reallocate_after_removal(&f.path);
         self.recorder
             .record_at(now.as_nanos(), trace::Scope::none(), || {
                 trace::EventKind::FlowFinished {
@@ -679,55 +660,36 @@ impl FlowNet {
             });
     }
 
-    fn reallocate_after_removal(&mut self, path: &[LinkId]) {
-        if self.dirty {
-            self.stats.coalesced += 1;
-        }
-        let links = &self.links;
-        self.scratch.frontier.extend(
-            path.iter()
-                .filter(|l| !links[l.0 as usize].transparent)
-                .map(|l| l.0),
-        );
-        self.dirty = true;
-    }
-
-    fn remove(&mut self, id: FlowId) -> Option<Flow> {
+    /// Takes `id` out of the network at `now`: banks its progress, frees
+    /// its slot and queues its links for the deferred reallocation.
+    fn remove(&mut self, now: SimTime, id: FlowId) -> Option<Flow> {
         let slot = id.slot();
         if slot >= self.slots.len() || self.generations[slot] != id.generation() {
             return None;
         }
-        let f = self.slots[slot].take()?;
+        let mut f = self.slots[slot].take()?;
+        let class = &mut self.classes[f.class as usize];
+        materialize(&mut f, &class.path, &mut self.links, now);
         self.generations[slot] = self.generations[slot].wrapping_add(1);
         self.rate_epoch[slot] = self.rate_epoch[slot].wrapping_add(1);
         self.free_slots.push(slot as u32);
         self.active_flows -= 1;
-        if let Some(intern) = &mut self.intern {
-            for l in &f.path {
-                self.link_live[l.0 as usize] -= 1;
-            }
-            // The member entry goes stale in place; compact the class once
-            // stale entries outnumber live ones (amortized O(1)).
-            let cid = intern.class_of[slot] as usize;
-            intern.class_live[cid] -= 1;
-            if intern.class_members[cid].len() > 2 * intern.class_live[cid] as usize + 8 {
-                let generations = &self.generations;
-                intern.class_members[cid].retain(|&(s, g)| generations[s as usize] == g);
-            }
-        } else {
-            // The adjacency entries go stale in place; compact a list once
-            // its stale entries outnumber the live ones (amortized O(1) per
-            // removal), so full-mode reallocations — which skip the
-            // compacting traversal — still iterate mostly-live lists.
-            for l in &f.path {
-                let li = l.0 as usize;
-                self.link_live[li] -= 1;
-                if self.link_flows[li].len() > 2 * self.link_live[li] as usize + 8 {
-                    let generations = &self.generations;
-                    self.link_flows[li].retain(|&(s, g)| generations[s as usize] == g);
-                }
-            }
+        for l in &class.path {
+            self.link_live[l.0 as usize] -= 1;
         }
+        let at = class
+            .members
+            .binary_search(&f.order)
+            .expect("flow missing from its class");
+        if at >= class.members.len() - class.fresh as usize {
+            class.fresh -= 1;
+        }
+        class.members.remove(at);
+        if self.dirty {
+            self.stats.coalesced += 1;
+        }
+        self.scratch.frontier.extend_from_slice(&class.fill_links);
+        self.dirty = true;
         Some(f)
     }
 
@@ -778,6 +740,7 @@ impl FlowNet {
     /// flows) and allocating — test/diagnostic use only.
     pub fn max_min_reference(&self) -> Vec<(FlowId, f64)> {
         let n_links = self.links.len();
+        let path = |f: &Flow| -> &[LinkId] { &self.classes[f.class as usize].path };
         let mut residual: Vec<f64> = self.links.iter().map(|l| l.capacity_bps).collect();
         let mut frozen: Vec<bool> = vec![false; self.slots.len()];
         let mut rates: Vec<f64> = vec![0.0; self.slots.len()];
@@ -790,7 +753,7 @@ impl FlowNet {
                 if frozen[s] {
                     continue;
                 }
-                for l in &f.path {
+                for l in path(f) {
                     counts[l.0 as usize] += 1;
                 }
             }
@@ -805,13 +768,13 @@ impl FlowNet {
             let share = residual[bottleneck] / counts[bottleneck] as f64;
             for (s, f) in self.slots.iter().enumerate() {
                 let Some(f) = f else { continue };
-                if frozen[s] || !f.path.iter().any(|l| l.0 as usize == bottleneck) {
+                if frozen[s] || !path(f).iter().any(|l| l.0 as usize == bottleneck) {
                     continue;
                 }
                 frozen[s] = true;
                 rates[s] = share;
                 unfrozen -= 1;
-                for l in &f.path {
+                for l in path(f) {
                     let j = l.0 as usize;
                     residual[j] = (residual[j] - share).max(0.0);
                 }
@@ -827,16 +790,14 @@ impl FlowNet {
             .collect()
     }
 
-    /// Ripple traversal: visit every link reachable from the seed
-    /// frontier through shared flows, compacting each link's flow list
-    /// and building the water-filling state (residual capacity, unfrozen
-    /// count) as a side effect. After compaction the visited per-link
-    /// adjacency lists hold exactly the live flows.
-    ///
-    /// If the resulting component covers most active flows the traversal
-    /// degenerates to a full recomputation (counted in
-    /// [`ReallocStats::full`]).
-    fn ripple_traversal(&mut self, scratch: &mut ReallocScratch, mark: u32) {
+    /// Ripple traversal: visits every link reachable from the seed
+    /// frontier through shared path classes, setting up each one's
+    /// water-filling state (residual capacity, unfrozen *flow* count — fair
+    /// shares divide by flows, not classes). A link carrying k same-path
+    /// flows is expanded through once. Returns the number of live flows in
+    /// the component.
+    fn ripple_traversal(&mut self, scratch: &mut ReallocScratch, mark: u32) -> usize {
+        let mut flows = 0usize;
         let mut qi = 0;
         while qi < scratch.frontier.len() {
             let li = scratch.frontier[qi] as usize;
@@ -847,153 +808,61 @@ impl FlowNet {
             scratch.link_mark[li] = mark;
             scratch.touched.push(li as u32);
             scratch.residual[li] = self.links[li].capacity_bps;
-            scratch.count[li] = 0;
-            // Compact the adjacency list in place while enumerating it.
-            let mut list = std::mem::take(&mut self.link_flows[li]);
-            list.retain(|&(slot, generation)| {
-                let s = slot as usize;
-                // A matching generation implies the slot is occupied by
-                // this very flow: removal always bumps the generation.
-                if self.generations[s] != generation {
-                    return false; // stale: flow since removed
+            scratch.count[li] = self.link_live[li];
+            for &c in &self.link_classes[li] {
+                let class = &mut self.classes[c as usize];
+                if class.members.is_empty() || class.seen == mark {
+                    continue; // a path no live flow uses, or already expanded
                 }
-                debug_assert!(self.slots[s].is_some(), "live generation, empty slot");
-                scratch.count[li] += 1;
-                if scratch.flow_mark[s] != mark {
-                    scratch.flow_mark[s] = mark;
-                    scratch.comp.push(slot);
-                    for l in &self.slots[s].as_ref().expect("live flow").path {
-                        let j = l.0 as usize;
-                        if !self.links[j].transparent && scratch.link_mark[j] != mark {
-                            scratch.frontier.push(l.0);
-                        }
-                    }
-                }
-                true
-            });
-            self.link_flows[li] = list;
-        }
-
-        // Fallback: a ripple covering most of the network does the same
-        // work as a full recomputation plus traversal overhead, so extend
-        // it to everything (and count it, for the perf report).
-        if scratch.comp.len() * 4 > self.active_flows * 3 && scratch.comp.len() < self.active_flows
-        {
-            self.stats.full += 1;
-            for (s, f) in self.slots.iter().enumerate() {
-                let Some(f) = f else { continue };
-                if scratch.flow_mark[s] == mark {
-                    continue;
-                }
-                scratch.flow_mark[s] = mark;
-                scratch.comp.push(s as u32);
-                for l in &f.path {
-                    let j = l.0 as usize;
-                    if !self.links[j].transparent && scratch.link_mark[j] != mark {
-                        scratch.frontier.push(l.0);
-                    }
-                }
-            }
-            // Drain the extended frontier with the same loop body.
-            while qi < scratch.frontier.len() {
-                let li = scratch.frontier[qi] as usize;
-                qi += 1;
-                if scratch.link_mark[li] == mark {
-                    continue;
-                }
-                scratch.link_mark[li] = mark;
-                scratch.touched.push(li as u32);
-                scratch.residual[li] = self.links[li].capacity_bps;
-                scratch.count[li] = 0;
-                let mut list = std::mem::take(&mut self.link_flows[li]);
-                list.retain(|&(slot, generation)| {
-                    let s = slot as usize;
-                    if self.generations[s] != generation {
-                        return false;
-                    }
-                    scratch.count[li] += 1;
-                    debug_assert_eq!(
-                        scratch.flow_mark[s], mark,
-                        "full fallback visited a link with an unmarked flow"
-                    );
-                    true
-                });
-                self.link_flows[li] = list;
-            }
-        }
-        scratch.frontier.clear();
-    }
-
-    /// Interned variant of [`FlowNet::ripple_traversal`]: walks the
-    /// class/link sharing graph instead of the flow/link graph, so a link
-    /// carrying k same-path flows is expanded through once. `comp`
-    /// collects class ids; per-link unfrozen counts are still *flow*
-    /// counts (fair shares divide by flows, not classes). Returns the
-    /// number of live flows in the component.
-    fn ripple_traversal_interned(
-        &mut self,
-        intern: &mut InternState,
-        scratch: &mut ReallocScratch,
-        mark: u32,
-    ) -> usize {
-        let mut remaining = 0usize;
-        let mut qi = 0;
-        while qi < scratch.frontier.len() {
-            let li = scratch.frontier[qi] as usize;
-            qi += 1;
-            if scratch.link_mark[li] == mark {
-                continue;
-            }
-            scratch.link_mark[li] = mark;
-            scratch.touched.push(li as u32);
-            scratch.residual[li] = self.links[li].capacity_bps;
-            scratch.count[li] = 0;
-            for &cid in &intern.link_classes[li] {
-                let c = cid as usize;
-                let live = intern.class_live[c];
-                if live == 0 {
-                    continue; // a path no live flow currently uses
-                }
-                scratch.count[li] += live;
-                if intern.class_mark[c] != mark {
-                    intern.class_mark[c] = mark;
-                    scratch.comp.push(cid);
-                    remaining += live as usize;
-                    for l in &intern.class_path[c] {
-                        let j = l.0 as usize;
-                        if !self.links[j].transparent && scratch.link_mark[j] != mark {
-                            scratch.frontier.push(l.0);
-                        }
+                class.seen = mark;
+                flows += class.members.len();
+                for &j in &class.fill_links {
+                    if scratch.link_mark[j as usize] != mark {
+                        scratch.frontier.push(j);
                     }
                 }
             }
         }
         scratch.frontier.clear();
-        remaining
+        flows
     }
 
     /// Recomputes rates by progressive filling (max-min fairness) over the
     /// ripple component seeded from `scratch.frontier`, implemented as
-    /// heap-based water-filling.
+    /// heap-based water-filling over path classes.
     ///
-    /// The traversal walks the flow/link sharing graph from the seed links
-    /// and collects the connected component; restricting water-filling to
-    /// it is exact because no bandwidth crosses component boundaries. If
-    /// the component covers most active flows the traversal degenerates to
-    /// a full recomputation (counted in [`ReallocStats::full`]), and once
-    /// that becomes the norm the allocator flips into full mode: the
-    /// traversal is skipped outright in favor of linear scans over the
-    /// slot table and the incrementally-maintained per-link live counts.
-    /// A full recomputation is always exact, so the mode switch is purely
-    /// a performance decision and cannot change the allocation.
+    /// The traversal walks the class/link sharing graph from the seed
+    /// links and collects the connected component; restricting
+    /// water-filling to it is exact because no bandwidth crosses component
+    /// boundaries. Once two consecutive ripples cover most active flows
+    /// the allocator flips into full mode: the traversal is skipped and
+    /// every loaded link enters the fill with its incrementally-maintained
+    /// live count (counted in [`ReallocStats::full`]). A full
+    /// recomputation is always exact, so the mode switch is purely a
+    /// performance decision and cannot change the allocation.
     ///
     /// Within the fill, bottleneck candidates are consumed in ascending
     /// `(fair share, link)` order from a pre-sorted array, with lazy
     /// invalidation: freezing the bottleneck's flows only *raises* the
     /// shares of the links they crossed, so a stale (too-low) entry is
     /// detected on consumption and requeued at its current share via a
-    /// small overflow heap. Total work is `O(component path length +
-    /// links log links)` per recomputation.
+    /// small overflow heap. (Rounding can also leave a share an ulp
+    /// *below* its queued key; such an entry is consumed where it stands,
+    /// which is part of the order the oracle pins.) Per recomputation the
+    /// fill costs `O(component flows x path length)` subtraction steps,
+    /// none of which touches a flow, plus `links log links`; only the
+    /// flows whose rate changed are read or written.
+    ///
+    /// The result is the per-flow water-filling's to the last bit (the
+    /// test module keeps that kernel as the oracle). Within one
+    /// bottleneck's freeze every subtraction on a link subtracts the same
+    /// `share`, so the residual depends only on *how many* frozen flows
+    /// cross the link: `live` sequential `(x - share).max(0.0)` steps per
+    /// class round exactly as one step per flow does, in any class order
+    /// (one fused `share * live` step would not). Rate changes apply in
+    /// start order per bottleneck — the order a per-link flow list would
+    /// yield — which fixes the order of trace events and of the roundings
+    /// in `bytes_carried`.
     ///
     /// Flows whose rate actually changed get a fresh projected-completion
     /// entry; unchanged flows keep theirs (their absolute completion
@@ -1008,49 +877,32 @@ impl FlowNet {
             scratch.count.resize(num_links, 0);
             scratch.link_mark.resize(num_links, 0);
         }
-        if scratch.flow_mark.len() < self.slots.len() {
-            scratch.flow_mark.resize(self.slots.len(), 0);
-            scratch.frozen_mark.resize(self.slots.len(), 0);
-        }
         if scratch.mark == u32::MAX {
             scratch.link_mark.fill(0);
-            scratch.flow_mark.fill(0);
-            scratch.frozen_mark.fill(0);
+            for class in &mut self.classes {
+                class.seen = 0;
+                class.frozen = 0;
+            }
             scratch.mark = 0;
         }
         scratch.mark += 1;
         let mark = scratch.mark;
-        scratch.comp.clear();
         scratch.changed.clear();
         scratch.touched.clear();
 
-        // Phase 1: build the component and the water-filling state
-        // (residual capacity, unfrozen count per link).
+        // Phase 1: build the water-filling state (residual capacity,
+        // unfrozen count per link) of the component.
         //
         // In full mode the recent ripples covered (nearly) every flow, so
         // the traversal would just rediscover the whole network; instead
-        // the component is a linear scan of the slot table, and the link
-        // state comes straight from the incrementally-maintained per-link
-        // live counts — no adjacency iteration at all. A real traversal
-        // still runs every 64th reallocation to detect when components
-        // shrink back below the threshold.
-        let mut intern = self.intern.take();
+        // every loaded link joins the fill. A real traversal still runs
+        // every 64th reallocation to detect when components shrink back
+        // below the threshold.
         let probe = self.stats.count.is_multiple_of(64);
         let mut remaining;
-        if let Some(intern) = intern.as_mut() {
-            // Interned mode traverses the class graph; components stay
-            // small by construction (transparent links don't connect
-            // pods), so there is no full-mode shortcut to maintain.
-            remaining = self.ripple_traversal_interned(intern, &mut scratch, mark);
-            self.stats.flows_visited += remaining as u64;
-        } else if self.full_mode && !probe {
+        if self.covering_ripples >= 2 && !probe {
             self.stats.full += 1;
             scratch.frontier.clear();
-            for (s, f) in self.slots.iter().enumerate() {
-                if f.is_some() {
-                    scratch.comp.push(s as u32);
-                }
-            }
             for li in 0..num_links {
                 if self.link_live[li] > 0 && !self.links[li].transparent {
                     scratch.link_mark[li] = mark;
@@ -1059,20 +911,20 @@ impl FlowNet {
                     scratch.count[li] = self.link_live[li];
                 }
             }
-            remaining = scratch.comp.len();
-            self.stats.flows_visited += scratch.comp.len() as u64;
+            remaining = self.active_flows;
         } else {
-            self.ripple_traversal(&mut scratch, mark);
-            // Stay in (or enter) full mode while ripples keep covering
-            // most of the network. The absolute floor keeps tiny
-            // components — which trivially cover "most" of a near-idle
-            // network — from latching the mode on ahead of a ramp-up of
-            // many independent small components.
-            self.full_mode =
-                scratch.comp.len() >= 128 && scratch.comp.len() * 4 > self.active_flows * 3;
-            remaining = scratch.comp.len();
-            self.stats.flows_visited += scratch.comp.len() as u64;
+            remaining = self.ripple_traversal(&mut scratch, mark);
+            // The absolute floor keeps tiny components — which trivially
+            // cover "most" of a near-idle network — from counting ahead
+            // of a ramp-up of many independent small components.
+            let covering = remaining >= 128 && remaining * 4 > self.active_flows * 3;
+            self.covering_ripples = if covering {
+                (self.covering_ripples + 1).min(2)
+            } else {
+                0
+            };
         }
+        self.stats.flows_visited += remaining as u64;
         self.stats.link_visits += scratch.touched.len() as u64;
 
         // Phase 2: heap-based water-filling over the component. f64 shares
@@ -1133,105 +985,65 @@ impl FlowNet {
                 requeue.push(Reverse((current, link)));
                 continue;
             }
-            if let Some(intern) = intern.as_mut() {
-                // Freeze whole classes: every member shares the path, so
-                // max-min gives them identical rates and they all freeze
-                // at the same bottleneck instant.
-                let on_link = std::mem::take(&mut intern.link_classes[i]);
-                for &cid in &on_link {
-                    let c = cid as usize;
-                    let live = intern.class_live[c];
-                    if live == 0 || intern.class_frozen[c] == mark {
-                        continue; // dead path, or frozen via another link
-                    }
-                    intern.class_frozen[c] = mark;
-                    remaining -= live as usize;
-                    let members = std::mem::take(&mut intern.class_members[c]);
-                    for &(slot, generation) in &members {
-                        let s = slot as usize;
-                        if self.generations[s] != generation {
-                            continue; // stale member of a removed flow
-                        }
-                        let f = self.slots[s].as_ref().expect("live member");
-                        if f.rate_bps.to_bits() != share.to_bits() {
-                            materialize_slot(&mut self.slots, &mut self.links, self.last_update, s);
-                            self.slots[s].as_mut().expect("live member").rate_bps = share;
-                            scratch.changed.push(slot);
-                        }
-                    }
-                    intern.class_members[c] = members;
-                    // One fused subtraction per class instead of one per
-                    // member flow.
-                    for l in &intern.class_path[c] {
-                        let j = l.0 as usize;
-                        if self.links[j].transparent {
-                            continue;
-                        }
-                        debug_assert_eq!(
-                            scratch.link_mark[j], mark,
-                            "component class crosses an unvisited link"
-                        );
-                        scratch.residual[j] = (scratch.residual[j] - share * live as f64).max(0.0);
-                        scratch.count[j] -= live;
-                    }
+            // Freeze every unfrozen class crossing the bottleneck. A class
+            // whose members already run at `share` is done there: no flow
+            // is read, let alone written.
+            let first_changed = scratch.changed.len();
+            for &c in &self.link_classes[i] {
+                let class = &mut self.classes[c as usize];
+                let live = class.members.len();
+                if live == 0 || class.frozen == mark {
+                    continue; // dead path, or frozen via another link
                 }
-                intern.link_classes[i] = on_link;
-                continue;
-            }
-            // Freeze every unfrozen flow crossing the bottleneck,
-            // straight off the adjacency list (the generation check skips
-            // entries of removed flows, which full mode leaves in place).
-            // Flows keep their prior rate until actually frozen, so a flow
-            // whose allocation is unchanged is never written at all: no
-            // materialization, no new completion projection.
-            let on_link = std::mem::take(&mut self.link_flows[i]);
-            for &(slot, generation) in &on_link {
-                let s = slot as usize;
-                if self.generations[s] != generation || scratch.frozen_mark[s] == mark {
-                    continue; // stale entry, or frozen via another link
-                }
-                scratch.frozen_mark[s] = mark;
-                remaining -= 1;
-                let f = self.slots[s].as_ref().expect("flow disappeared");
-                if f.rate_bps.to_bits() != share.to_bits() {
-                    // The rate switches at this boundary: bank the bytes
-                    // moved at the old rate before overwriting it.
-                    materialize_slot(&mut self.slots, &mut self.links, self.last_update, s);
-                    self.slots[s].as_mut().expect("flow disappeared").rate_bps = share;
-                    scratch.changed.push(slot);
-                }
-                let f = self.slots[s].as_ref().expect("flow disappeared");
-                for &l in &f.path {
-                    let j = l.0 as usize;
-                    if self.links[j].transparent {
-                        continue; // never part of the fill
-                    }
+                class.frozen = mark;
+                remaining -= live;
+                for &j in &class.fill_links {
+                    let j = j as usize;
                     debug_assert_eq!(
                         scratch.link_mark[j], mark,
-                        "component flow crosses an unvisited link"
+                        "component class crosses an unvisited link"
                     );
-                    scratch.residual[j] = (scratch.residual[j] - share).max(0.0);
-                    scratch.count[j] -= 1;
+                    scratch.count[j] -= live as u32;
+                    let mut residual = scratch.residual[j];
+                    for _ in 0..live {
+                        residual = (residual - share).max(0.0);
+                    }
+                    scratch.residual[j] = residual;
                 }
+                let (settled, fresh) = class.members.split_at(live - class.fresh as usize);
+                if class.rate_bps.to_bits() != share.to_bits() {
+                    scratch.changed.extend_from_slice(settled);
+                }
+                if share.to_bits() != 0f64.to_bits() {
+                    scratch.changed.extend_from_slice(fresh);
+                }
+                class.fresh = 0;
+                class.rate_bps = share;
             }
-            self.link_flows[i] = on_link;
+            // Each class lists its members in start order; several classes
+            // interleave.
+            scratch.changed[first_changed..].sort_unstable();
         }
         scratch.sorted_buf = sorted;
         scratch.requeue_buf = requeue.into_vec();
         self.stats.heap_pushes += work_pushes;
 
-        // Phase 3: re-project completions for the flows whose rate
-        // changed (materialized at the boundary during the fill, so the
-        // projection runs from exact remaining bytes). Unchanged flows
-        // keep their heap entry: with the same rate and linearly
-        // decreasing remaining bytes, the projected absolute completion
-        // instant is identical.
-        for &slot in &scratch.changed {
-            let s = slot as usize;
-            let f = self.slots[s].as_ref().expect("live flow");
-            self.stats.rate_changes += 1;
+        // Phase 3: switch the changed flows to their class's new rate, in
+        // order. Each banks the bytes moved at its old rate first, so the
+        // new completion projection runs from exact remaining bytes.
+        // Unchanged flows keep their heap entry: with the same rate and
+        // linearly decreasing remaining bytes, the projected absolute
+        // completion instant is identical.
+        self.stats.rate_changes += scratch.changed.len() as u64;
+        for &order in &scratch.changed {
+            let s = order_slot(order);
+            let f = self.slots[s].as_mut().expect("live flow");
+            debug_assert_eq!(f.order, order, "class lists a flow that left");
+            let class = &self.classes[f.class as usize];
+            materialize(f, &class.path, &mut self.links, self.last_update);
+            f.rate_bps = class.rate_bps;
             if self.recorder.is_enabled() {
-                let flow = FlowId::new(slot, self.generations[s]).as_u64();
+                let flow = FlowId::new(s as u32, self.generations[s]).as_u64();
                 let gbps = f.rate_bps / 1e9;
                 self.recorder
                     .record_at(self.last_update.as_nanos(), trace::Scope::none(), || {
@@ -1245,7 +1057,7 @@ impl FlowNet {
                 at += SimDuration::from_nanos(1);
             }
             self.completions
-                .push(Reverse((at.as_nanos(), slot, self.rate_epoch[s])));
+                .push(Reverse((at.as_nanos(), s as u32, self.rate_epoch[s])));
         }
 
         // Compact the projection heap once stale entries dominate. Rate
@@ -1264,7 +1076,6 @@ impl FlowNet {
             self.completions = BinaryHeap::from(entries);
         }
 
-        self.intern = intern;
         self.scratch = scratch;
         self.stats.nanos += t0.elapsed().as_nanos() as u64;
     }
@@ -1553,10 +1364,9 @@ mod tests {
     #[test]
     fn interned_rates_match_reference_through_churn() {
         // Same churn script as `incremental_rates_match_reference_after_churn`
-        // but with path interning on (including two identical-path flows):
-        // rates must still match the textbook oracle.
+        // but with two identical-path flows in one class: rates must still
+        // match the textbook oracle.
         let mut net = FlowNet::new();
-        net.set_interning(true);
         let l0 = gb(&mut net, 4.0);
         let mid = gb(&mut net, 10.0);
         let l2 = gb(&mut net, 6.0);
@@ -1574,7 +1384,7 @@ mod tests {
             let got = net.flow_rate_bps(id).expect("oracle lists live flows");
             assert!(
                 (got - want).abs() <= want * 1e-9,
-                "flow {id:?}: interned {got} vs reference {want}"
+                "flow {id:?}: incremental {got} vs reference {want}"
             );
         }
         // Drain to empty: completions must all surface despite class
@@ -1591,7 +1401,6 @@ mod tests {
         // flows_visited grows by k (members re-rated) but the traversal
         // is O(1) in k — link_visits per realloc stays at the path length.
         let mut net = FlowNet::new();
-        net.set_interning(true);
         let a = gb(&mut net, 10.0);
         let b = gb(&mut net, 10.0);
         for _ in 0..16 {
@@ -1627,11 +1436,313 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "before the first flow")]
-    fn interning_after_flows_rejected() {
+    #[should_panic(expected = "once a flow path crosses it")]
+    fn transparent_marking_after_a_class_crosses_the_link_rejected() {
+        // The flow is long gone, but its class has cached `b` as a link to
+        // fill over; the parent's live-count check would let this through.
         let mut net = FlowNet::new();
-        let l = gb(&mut net, 10.0);
-        let _ = net.start_flow(SimTime::ZERO, vec![l], 1e6);
-        net.set_interning(true);
+        let a = gb(&mut net, 10.0);
+        let b = gb(&mut net, 20.0);
+        let f = net.start_flow(SimTime::ZERO, vec![a, b], 1e6);
+        let (t, _) = net.next_completion().unwrap();
+        net.complete_flow(t, f);
+        net.set_link_transparent(b);
+    }
+
+    /// `per_link` long flows on each of `links` disjoint links, all started
+    /// at t = 0, then `ops` rounds that each replace one flow with a new one
+    /// on the same link at a fresh instant.
+    fn burst_then_churn(links: usize, per_link: usize, ops: u64) -> ReallocStats {
+        let mut net = FlowNet::new();
+        let links: Vec<LinkId> = (0..links).map(|_| gb(&mut net, 10.0)).collect();
+        let mut live: Vec<(FlowId, LinkId)> = links
+            .iter()
+            .flat_map(|&l| vec![l; per_link])
+            .map(|l| (net.start_flow(SimTime::ZERO, vec![l], 1e12), l))
+            .collect();
+        net.next_completion();
+        for step in 0..ops {
+            let now = SimTime::from_nanos(1_000 * (step + 1));
+            let victim = (step as usize * 37) % live.len();
+            let (old, link) = live[victim];
+            net.abort_flow(now, old);
+            live[victim].0 = net.start_flow(now, vec![link], 1e12);
+            net.next_completion();
+        }
+        net.realloc_stats()
+    }
+
+    #[test]
+    fn full_mode_needs_two_consecutive_covering_ripples() {
+        // A start-up burst is one ripple covering everything; the churn
+        // that follows touches one four-flow link at a time. Latching the
+        // mode on the burst would run every one of those as a full
+        // recomputation.
+        let sparse = burst_then_churn(64, 4, 100);
+        assert_eq!(sparse.full, 0, "burst latched full mode on disjoint churn");
+        assert_eq!(sparse.link_visits, 64 + 100);
+        // Dense churn — every ripple covers the one shared link's 200
+        // flows — does turn it on, from the third reallocation.
+        assert_eq!(burst_then_churn(1, 200, 10).full, 9);
+    }
+
+    /// The per-flow water-filling the class kernel replaced, kept as its
+    /// bit-exact oracle: one adjacency entry per flow per link in start
+    /// order, one subtraction per frozen flow per link, each rate change
+    /// applied as the adjacency walk meets it. It always fills the whole
+    /// network, which a component-restricted fill must agree with to the
+    /// bit (no arithmetic crosses a component boundary).
+    struct PerFlowOracle {
+        capacity_bps: Vec<f64>,
+        transparent: Vec<bool>,
+        bytes_carried: Vec<f64>,
+        /// Indexed by the kernel's slot, so the two sides name flows alike.
+        flows: Vec<Option<OracleFlow>>,
+        /// Per link: slots of the live flows crossing it, in start order.
+        adjacency: Vec<Vec<usize>>,
+    }
+
+    struct OracleFlow {
+        path: Vec<LinkId>,
+        remaining_bytes: f64,
+        rate_bps: f64,
+        synced_at: SimTime,
+    }
+
+    impl OracleFlow {
+        fn unmaterialized(&self, now: SimTime) -> f64 {
+            let dt = now.since(self.synced_at).as_secs_f64();
+            (self.rate_bps / 8.0 * dt).min(self.remaining_bytes)
+        }
+
+        fn materialize(&mut self, bytes_carried: &mut [f64], now: SimTime) {
+            if now > self.synced_at {
+                let moved = self.unmaterialized(now);
+                self.remaining_bytes -= moved;
+                for l in &self.path {
+                    bytes_carried[l.0 as usize] += moved;
+                }
+            }
+            self.synced_at = now;
+        }
+    }
+
+    impl PerFlowOracle {
+        fn of(net: &FlowNet) -> Self {
+            PerFlowOracle {
+                capacity_bps: net.links.iter().map(|l| l.capacity_bps).collect(),
+                transparent: net.links.iter().map(|l| l.transparent).collect(),
+                bytes_carried: vec![0.0; net.links.len()],
+                flows: Vec::new(),
+                adjacency: vec![Vec::new(); net.links.len()],
+            }
+        }
+
+        fn start(&mut self, slot: usize, path: Vec<LinkId>, bytes: f64, now: SimTime) {
+            if self.flows.len() <= slot {
+                self.flows.resize_with(slot + 1, || None);
+            }
+            for l in &path {
+                self.adjacency[l.0 as usize].push(slot);
+            }
+            self.flows[slot] = Some(OracleFlow {
+                path,
+                remaining_bytes: bytes.max(COMPLETION_EPSILON_BYTES / 2.0),
+                rate_bps: 0.0,
+                synced_at: now,
+            });
+        }
+
+        fn remove(&mut self, slot: usize, now: SimTime) {
+            let mut f = self.flows[slot].take().expect("oracle lost a flow");
+            f.materialize(&mut self.bytes_carried, now);
+            for l in &f.path {
+                self.adjacency[l.0 as usize].retain(|&s| s != slot);
+            }
+        }
+
+        /// Progressive filling at `now`; returns the slots whose rate
+        /// changed, in the order the changes applied. Bottlenecks come off
+        /// one min-heap of `(share when queued, link)`; an entry whose
+        /// share has since risen is re-queued at its current share, and one
+        /// whose share rounding has nudged *down* is consumed where it
+        /// stands — the kernel's pre-sorted array plus overflow heap is
+        /// this heap, split.
+        fn fill(&mut self, now: SimTime) -> Vec<usize> {
+            let mut residual = self.capacity_bps.clone();
+            let mut count: Vec<usize> = self.adjacency.iter().map(Vec::len).collect();
+            let mut frozen = vec![false; self.flows.len()];
+            let mut changed = Vec::new();
+            let mut heap: BinaryHeap<Reverse<(u64, usize)>> = (0..residual.len())
+                .filter(|&i| !self.transparent[i] && count[i] > 0)
+                .map(|i| Reverse(((residual[i] / count[i] as f64).to_bits(), i)))
+                .collect();
+            while let Some(Reverse((key, i))) = heap.pop() {
+                if count[i] == 0 {
+                    continue;
+                }
+                let share = residual[i] / count[i] as f64;
+                if share.to_bits() > key {
+                    heap.push(Reverse((share.to_bits(), i)));
+                    continue;
+                }
+                for &slot in &self.adjacency[i] {
+                    if std::mem::replace(&mut frozen[slot], true) {
+                        continue;
+                    }
+                    let f = self.flows[slot]
+                        .as_mut()
+                        .expect("adjacency lists live flows");
+                    if f.rate_bps.to_bits() != share.to_bits() {
+                        f.materialize(&mut self.bytes_carried, now);
+                        f.rate_bps = share;
+                        changed.push(slot);
+                    }
+                    for l in &f.path {
+                        let j = l.0 as usize;
+                        residual[j] = (residual[j] - share).max(0.0);
+                        count[j] -= 1;
+                    }
+                }
+            }
+            changed
+        }
+
+        fn bytes_carried(&self, link: usize, now: SimTime) -> f64 {
+            self.adjacency[link]
+                .iter()
+                .fold(self.bytes_carried[link], |total, &slot| {
+                    total + self.flows[slot].as_ref().unwrap().unmaterialized(now)
+                })
+        }
+    }
+
+    /// Flushes the kernel, fills the oracle at the same instant, and holds
+    /// every bit of state the two share to equality.
+    fn assert_same_bits(net: &mut FlowNet, oracle: &mut PerFlowOracle, what: &str) {
+        net.flush();
+        let now = net.last_update;
+        let changed: Vec<usize> = net.scratch.changed.iter().map(|&o| order_slot(o)).collect();
+        assert_eq!(changed, oracle.fill(now), "{what}: rate changes, in order");
+        for (s, want) in oracle.flows.iter().enumerate() {
+            let got = net.slots[s].as_ref();
+            assert_eq!(got.is_some(), want.is_some(), "{what}: slot {s} liveness");
+            let (Some(got), Some(want)) = (got, want) else {
+                continue;
+            };
+            assert_eq!(
+                (
+                    got.rate_bps.to_bits(),
+                    got.remaining_bytes.to_bits(),
+                    got.synced_at
+                ),
+                (
+                    want.rate_bps.to_bits(),
+                    want.remaining_bytes.to_bits(),
+                    want.synced_at
+                ),
+                "{what}: slot {s} rate / remaining / synced_at"
+            );
+        }
+        for l in 0..net.links.len() {
+            assert_eq!(
+                net.bytes_carried(LinkId(l as u32)).to_bits(),
+                oracle.bytes_carried(l, now).to_bits(),
+                "{what}: bytes carried by link {l}"
+            );
+        }
+    }
+
+    /// Seeded churn — starts, completions, aborts, same-instant bursts —
+    /// over a few heavily shared paths, around `target` live flows, with
+    /// the kernel held to the oracle after every flush.
+    fn churn_against_oracle(profile: u8, seed: u64, target: usize, steps: usize) -> ReallocStats {
+        use crate::topology::Topology;
+        let mut net = FlowNet::new();
+        let lat = SimDuration::from_micros(1);
+        let topo = match profile {
+            0 => Topology::flat(&mut net, 6, 10.0, lat),
+            1 => Topology::oversubscribed_tor(&mut net, 3, 3, 10.0, 10.0, lat),
+            _ => Topology::fat_tree(&mut net, 3, 3, 10.0, lat),
+        };
+        let n = topo.num_nodes();
+        let mut state = seed;
+        let mut rnd = move |m: usize| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 33) as usize) % m
+        };
+        // Few distinct paths, so classes hold many flows each.
+        let pairs: Vec<(usize, usize)> = (0..12)
+            .map(|_| {
+                let a = rnd(n);
+                (a, (a + 1 + rnd(n - 1)) % n)
+            })
+            .collect();
+        let mut oracle = PerFlowOracle::of(&net);
+        let mut active: Vec<FlowId> = Vec::new();
+        let mut now = SimTime::ZERO;
+        let mut pending = false;
+        for step in 0..steps {
+            let what = format!("profile {profile} seed {seed} step {step}");
+            // Two times in three the burst ends here: flush, compare, and
+            // let time pass. Otherwise the next change lands on the same
+            // instant and coalesces into the pending reallocation. (A
+            // completion that came due before `now` leaves the kernel's
+            // clock behind it; moving on flushes the kernel, so it ends
+            // the burst too.)
+            if pending && (rnd(3) != 0 || net.last_update < now) {
+                assert_same_bits(&mut net, &mut oracle, &what);
+                pending = false;
+                now += SimDuration::from_nanos(rnd(20_000) as u64);
+            }
+            let roll = rnd(10);
+            if active.len() < target && roll < 6 || active.is_empty() {
+                let (a, b) = pairs[rnd(pairs.len())];
+                // Half the flows share one size: completion ties and
+                // equal-share plateaus.
+                let bytes = if rnd(2) == 0 {
+                    262_144.0
+                } else {
+                    (1 + rnd(2_000_000)) as f64
+                };
+                let id = net.start_flow(now, topo.path(a, b), bytes);
+                oracle.start(id.slot(), topo.path(a, b), bytes, now);
+                active.push(id);
+            } else if roll < 8 {
+                if pending {
+                    assert_same_bits(&mut net, &mut oracle, &what);
+                }
+                let (t, id) = net.next_completion().expect("active flows");
+                now = now.max(t);
+                net.complete_flow(t, id);
+                oracle.remove(id.slot(), t);
+                active.retain(|&f| f != id);
+            } else {
+                let id = active.swap_remove(rnd(active.len()));
+                net.abort_flow(now, id);
+                oracle.remove(id.slot(), now);
+            }
+            pending = true;
+        }
+        assert_same_bits(&mut net, &mut oracle, "final");
+        net.stats
+    }
+
+    #[test]
+    fn class_kernel_is_bit_identical_to_the_per_flow_oracle() {
+        for profile in 0..3 {
+            for seed in 1..=3 {
+                // Small components (ripple traversal) and, past the
+                // 128-flow floor, covering ones (full mode and its probes).
+                let sparse = churn_against_oracle(profile, seed, 24, 400);
+                let dense = churn_against_oracle(profile, seed, 200, 900);
+                assert_eq!(sparse.full, 0);
+                if profile == 0 {
+                    assert!(dense.full > 0 && dense.full < dense.count);
+                }
+            }
+        }
     }
 }

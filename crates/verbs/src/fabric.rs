@@ -92,6 +92,10 @@ struct Node {
     /// Membership-only (never iterated); see the import note.
     #[allow(clippy::disallowed_types)]
     hw_completed: HashSet<(u32, u8, u64)>,
+    /// The node has posted a send with a cross-channel dependency at some
+    /// point, so a hardware completion here may be what a head-of-line
+    /// send on another of its connections is waiting for.
+    posts_dependent_sends: bool,
 }
 
 #[derive(Debug)]
@@ -252,6 +256,7 @@ impl Fabric {
                 conns: Vec::new(),
                 #[allow(clippy::disallowed_types)]
                 hw_completed: HashSet::new(),
+                posts_dependent_sends: false,
             })
             .collect();
         Fabric {
@@ -334,18 +339,10 @@ impl Fabric {
         self.recorder = recorder;
     }
 
-    /// Opts the underlying flow network into flow-set interning
-    /// ([`FlowNet::set_interning`]): transfers sharing an identical path —
-    /// the common many-flows-same-route multicast case — share one entry
-    /// in the allocator's sharing graph. Intended for scale experiments;
-    /// interned rates can differ from the default kernel in the last ulps.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a transfer has already been started on the fabric.
-    pub fn set_path_interning(&mut self, on: bool) {
-        self.net.set_interning(on);
-    }
+    /// `set_path_interning` does nothing: the flow network always groups
+    /// same-path transfers. It exists only because the frozen
+    /// `benchmark/src/workloads.rs` calls it (ROADMAP 5(a) retires it).
+    pub fn set_path_interning(&mut self, _on: bool) {}
 
     /// Internal work counters (for performance debugging).
     pub fn stats(&self) -> FabricStats {
@@ -536,6 +533,7 @@ impl Fabric {
             },
         );
         let ready_at = self.charge_cpu(node, self.nodes[node.index()].profile.post_overhead);
+        self.nodes[node.index()].posts_dependent_sends |= wait_for.is_some();
         let conn = &mut self.conns[qp.conn as usize];
         conn.dirs[qp.end as usize].queue.push_back(PendingSend {
             wr_id,
@@ -1338,8 +1336,11 @@ impl Fabric {
                 },
             },
         );
-        // Record for cross-channel waiters, then give all of this node's
-        // connections a chance to release dependent sends.
+        // Record for cross-channel waiters, then — on a node that posts
+        // dependent sends — give all of its connections a chance to
+        // release one. Every other reason a head-of-line send sits idle
+        // has its own kick: the wire freeing up, its `ready_at`, a receive
+        // being posted, the RNR timer.
         let dep_key = match &wr {
             CompletedWr::Send { wr_id } | CompletedWr::WriteLocal { wr_id } => {
                 Some((conn_idx, end, wr_id.0))
@@ -1350,18 +1351,21 @@ impl Fabric {
             CompletedWr::WriteRemote { .. } => None,
         };
         if let Some(key) = dep_key {
-            self.nodes[node.index()].hw_completed.insert(key);
-            let mut conns = std::mem::take(&mut self.conn_scratch);
-            conns.clear();
-            conns.extend_from_slice(&self.nodes[node.index()].conns);
-            for &c in &conns {
-                for d in 0..2u8 {
-                    if self.conns[c as usize].nodes[d as usize] == node {
-                        self.kick(c, d);
+            let completer = &mut self.nodes[node.index()];
+            completer.hw_completed.insert(key);
+            if completer.posts_dependent_sends {
+                let mut conns = std::mem::take(&mut self.conn_scratch);
+                conns.clear();
+                conns.extend_from_slice(&self.nodes[node.index()].conns);
+                for &c in &conns {
+                    for d in 0..2u8 {
+                        if self.conns[c as usize].nodes[d as usize] == node {
+                            self.kick(c, d);
+                        }
                     }
                 }
+                self.conn_scratch = conns;
             }
-            self.conn_scratch = conns;
         }
         let qp = QpHandle {
             conn: conn_idx,

@@ -258,6 +258,86 @@ fn cross_channel_send_waits_for_recv_completion() {
 }
 
 #[test]
+fn dependent_send_posted_after_its_dependency_completed_starts_at_once() {
+    // Node 1 posts no dependent send until hop 1 has completed, so that
+    // completion re-kicked nothing on its behalf; the relay must start
+    // from its own post-time kick, finding the dependency already met.
+    let mut f = zero_overhead_fabric(3);
+    let (q01, q10) = f.connect(NodeId(0), NodeId(1));
+    let (q12, q21) = f.connect(NodeId(1), NodeId(2));
+    f.post_recv(q10, WrId(1), 1_250_000).unwrap();
+    f.post_recv(q21, WrId(2), 1_250_000).unwrap();
+    f.post_send(q01, WrId(3), 1_250_000, 0, None).unwrap();
+    let (t, ..) = std::iter::from_fn(|| f.advance())
+        .find(|(_, n, d)| *n == NodeId(1) && matches!(d, Delivery::RecvDone { .. }))
+        .expect("hop 1 arrived");
+    assert_eq!(t.as_nanos(), 102_000);
+    let wait = WaitSpec {
+        qp: q10,
+        wr_id: WrId(1),
+    };
+    f.post_send(q12, WrId(4), 1_250_000, 0, Some(wait)).unwrap();
+    let (t, ..) = std::iter::from_fn(|| f.advance())
+        .find(|(_, n, d)| *n == NodeId(2) && matches!(d, Delivery::RecvDone { .. }))
+        .expect("node 2 got the relayed block");
+    assert_eq!(t.as_nanos(), 204_000);
+}
+
+#[test]
+fn one_completion_releases_dependents_in_connection_order() {
+    // Two relays out of node 1, on different connections, wait for the
+    // same receive. Its completion releases both at one instant, walking
+    // node 1's connections in the order they were made (not the order of
+    // the posts): the relays then share node 1's link, finish together,
+    // and surface in the order they started.
+    let mut f = zero_overhead_fabric(4);
+    let (q01, q10) = f.connect(NodeId(0), NodeId(1));
+    let (q12, q21) = f.connect(NodeId(1), NodeId(2));
+    let (q13, q31) = f.connect(NodeId(1), NodeId(3));
+    f.post_recv(q10, WrId(1), 1_250_000).unwrap();
+    f.post_recv(q21, WrId(2), 1_250_000).unwrap();
+    f.post_recv(q31, WrId(3), 1_250_000).unwrap();
+    let wait = Some(WaitSpec {
+        qp: q10,
+        wr_id: WrId(1),
+    });
+    f.post_send(q13, WrId(5), 1_250_000, 0, wait).unwrap();
+    f.post_send(q12, WrId(4), 1_250_000, 0, wait).unwrap();
+    f.post_send(q01, WrId(6), 1_250_000, 0, None).unwrap();
+    let relayed: Vec<(u64, NodeId)> = drain(&mut f)
+        .into_iter()
+        .filter(|(_, n, d)| *n != NodeId(1) && matches!(d, Delivery::RecvDone { .. }))
+        .map(|(t, n, _)| (t.as_nanos(), n))
+        .collect();
+    // Released at 102 us, 200 us on the wire at half rate each, 2 us out.
+    assert_eq!(relayed, [(304_000, NodeId(2)), (304_000, NodeId(3))]);
+}
+
+#[test]
+fn kicks_do_not_scale_with_idle_connections() {
+    // A node that never posts a dependent send has nothing a completion
+    // could release, so its idle connections must cost nothing per
+    // completion: the same traffic makes the same number of kick attempts
+    // whether node 0 has 2 connections or 50.
+    let kicks = |conns: u32| {
+        let mut f = zero_overhead_fabric(51);
+        let qps: Vec<_> = (1..=conns)
+            .map(|i| f.connect(NodeId(0), NodeId(i)))
+            .collect();
+        let (q01, q10) = qps[0];
+        for wr in 0..4 {
+            f.post_recv(q10, WrId(wr), 1_250_000).unwrap();
+            f.post_send(q01, WrId(10 + wr), 1_250_000, 0, None).unwrap();
+        }
+        f.post_recv(q01, WrId(20), 64).unwrap();
+        f.post_send(q10, WrId(21), 64, 0, None).unwrap();
+        assert_eq!(drain(&mut f).len(), 10);
+        f.stats().kicks
+    };
+    assert_eq!(kicks(2), kicks(50));
+}
+
+#[test]
 fn oversized_send_breaks_connection() {
     let mut f = zero_overhead_fabric(2);
     let (q0, q1) = f.connect(NodeId(0), NodeId(1));
