@@ -555,7 +555,7 @@ fn check_invariants(
     violations: &mut Vec<String>,
 ) {
     // §4.2: the credit discipline means the RNR machinery never arms.
-    let rnr = cluster.fabric().stats().rnr_arms;
+    let rnr = cluster.transport().stats().rnr_arms;
     if rnr != 0 {
         violations.push(format!(
             "a send raced ahead of receive posting: {rnr} RNR arm(s)"

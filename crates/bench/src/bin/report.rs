@@ -3,10 +3,12 @@
 //! Sweeps fan out over a worker pool (`RDMC_BENCH_THREADS` pins the
 //! width; results are deterministic regardless).
 //!
-//! The tables are virtual-time results: the same build prints the same
-//! bytes on any machine (`tests/report_golden.rs` pins a subset). How
-//! fast this code runs on a given host is `benchmark/`'s question, not
-//! this binary's.
+//! Stdout is virtual-time results and counts: the same build prints the
+//! same bytes on any machine (`tests/report_golden.rs` pins every
+//! section). How fast this code runs on a given host is `benchmark/`'s
+//! question; the only clock readings here are the `[... took ...]` lines
+//! and the disabled-recorder probe, all on stderr — this file is the one
+//! place in the crate that reads a clock.
 //!
 //! ```sh
 //! cargo run --release -p rdmc-bench --bin report -- [--quick] [--chrome-trace=PATH] [SECTION...]
@@ -14,7 +16,12 @@
 
 #![forbid(unsafe_code)]
 
+use std::time::Instant;
+
+use rdmc::Algorithm;
 use rdmc_bench::experiments as e;
+use rdmc_bench::MB;
+use rdmc_sim::{run_single_multicast, run_traced_multicast, ClusterSpec};
 
 /// An experiment section: the name `report <name>...` selects it by and
 /// the generator of its text table.
@@ -36,28 +43,48 @@ const SECTIONS: &[Section] = &[
     ("recovery", e::recovery_failover),
     ("sst", e::sst_small_messages),
     ("analyzer", e::analyzer_sweep),
-    ("explore", e::explore_throughput),
-    // Stall attribution, then the disabled-recorder overhead probe.
+    ("explore", e::explore_coverage),
+    // Stall attribution on stdout; the host cost of leaving the recorder
+    // compiled in but disabled on stderr.
     ("trace", |q| {
-        let t = e::trace_overhead_probe(q);
-        format!(
-            "{}\nDisabled recorder: {} events x {:.2} ns/call = {:.3}% of the {:.2} ms untraced run\n",
-            e::trace_observability(q),
-            t.events,
-            t.ns_per_disabled_call,
-            t.overhead_pct,
-            t.wall_disabled_s * 1e3
-        )
+        eprintln!("{}", disabled_recorder_probe(q));
+        e::trace_observability(q)
     }),
     ("multigroup", |q| e::multigroup_sweep(q).text()),
     // Committed ops/s, rotated multi-sender vs single-sender RDMC.
     ("atomic", |q| e::atomic_sweep(q).text()),
     ("reliability", |q| e::reliability_sweep(q).text()),
     ("scale", |q| e::scale_benchmark(q).text()),
-    // The same workload over real loopback sockets and over the
-    // simulated fabric at a matched configuration.
-    ("transport", |q| e::transport_benchmark(q).text()),
 ];
+
+/// The zero-cost-when-disabled budget on the Fig. 4 path (group of 16,
+/// 8 MB): the events a traced run records, times one record call against
+/// a disabled recorder, as a share of the untraced run's wall time.
+fn disabled_recorder_probe(quick: bool) -> String {
+    let spec = ClusterSpec::fractus(16);
+    let (_, events, _) = run_traced_multicast(&spec, 16, Algorithm::BinomialPipeline, 8 * MB, MB);
+    let events = events.len();
+
+    let t = Instant::now();
+    let _ = run_single_multicast(&spec, 16, Algorithm::BinomialPipeline, 8 * MB, MB);
+    let untraced_s = t.elapsed().as_secs_f64();
+
+    let recorder = trace::Recorder::disabled();
+    let scope = trace::Scope::group_rank(0, 0);
+    let iters: u64 = if quick { 1_000_000 } else { 10_000_000 };
+    let t = Instant::now();
+    for i in 0..iters {
+        let r = std::hint::black_box(&recorder);
+        r.record(scope, || trace::EventKind::ReadyHeard { from: i as u32 });
+    }
+    let ns_per_call = t.elapsed().as_nanos() as f64 / iters as f64;
+
+    format!(
+        "[disabled recorder: {events} events x {ns_per_call:.2} ns/call = {:.3}% of the {:.2} ms untraced run]",
+        100.0 * events as f64 * ns_per_call / (untraced_s * 1e9),
+        untraced_s * 1e3
+    )
+}
 
 /// Rejects an argument `report` does not know: names what is valid on
 /// stderr and exits 2, so a typo cannot pass as an empty, green run.
@@ -85,12 +112,12 @@ fn main() {
         }
     }
 
-    let t0 = std::time::Instant::now();
+    let t0 = Instant::now();
     for &(name, run) in SECTIONS {
         if !only.is_empty() && !only.iter().any(|o| o == name) {
             continue;
         }
-        let t = std::time::Instant::now();
+        let t = Instant::now();
         let text = run(quick);
         println!("==================== {name} ====================");
         println!("{text}");

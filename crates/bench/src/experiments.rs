@@ -1,21 +1,22 @@
 //! One function per table/figure of the paper's evaluation (§5), each
-//! returning the reproduced rows as formatted text. The `report` binary
-//! prints them all.
+//! returning the reproduced rows as formatted text, grouped by family:
+//! the paper's figures, the repository's verification layers, the
+//! beyond-the-paper sweeps, and datacenter scale. The `report` binary
+//! prints them all. Everything here is virtual time or a count — no
+//! function in this module tree reads a clock.
 
-use baselines::run_mvapich_multicast;
-use rdmc::{analysis, Algorithm};
-use rdmc_sim::{
-    run_concurrent_overlapping, run_offloaded_chain, run_single_multicast, run_traced_multicast,
-    ClusterBuilder, ClusterSpec, GroupSpec, RecoveryConfig, TopoSpec,
-};
-use simnet::{JitterModel, SimDuration};
-use trace::EventKind;
-use verbs::CompletionMode;
-use workloads::{stats, CosmosTrace, ShardedWorkload};
+mod extensions;
+mod figures;
+mod scale;
+mod verification;
 
-use crate::parallel::par_map;
-use crate::row;
-use crate::table::{bytes_label, render};
+pub use extensions::*;
+pub use figures::*;
+pub use scale::*;
+pub use verification::*;
+
+use rdmc::Algorithm;
+use rdmc_sim::GroupSpec;
 
 /// One mebibyte.
 pub const MB: u64 = 1 << 20;
@@ -27,2140 +28,5 @@ fn pipeline_group_spec(members: Vec<usize>, block_size: u64, algorithm: Algorith
         block_size,
         ready_window: 3,
         max_outstanding_sends: 3,
-    }
-}
-
-/// Fig. 4: multicast latency of every algorithm (and the MVAPICH
-/// baseline) across group sizes, for 256 MB and 8 MB messages on the
-/// Fractus-like cluster.
-pub fn fig4_latency(quick: bool) -> String {
-    let sizes: &[u64] = if quick {
-        &[8 * MB]
-    } else {
-        &[256 * MB, 8 * MB]
-    };
-    let groups: Vec<usize> = if quick {
-        vec![4, 8, 16]
-    } else {
-        (2..=16).collect()
-    };
-    let spec = ClusterSpec::fractus(16);
-    let mut out = String::new();
-    for &size in sizes {
-        let rows = par_map(&groups, |&n| {
-            let lat = |alg: Algorithm| {
-                run_single_multicast(&spec, n, alg, size, MB)
-                    .latency
-                    .as_secs_f64()
-                    * 1e3
-            };
-            let seq = lat(Algorithm::Sequential);
-            let tree = lat(Algorithm::BinomialTree);
-            let chain = lat(Algorithm::Chain);
-            let pipe = lat(Algorithm::BinomialPipeline);
-            let mpi = run_mvapich_multicast(&spec, n, size, MB)
-                .latency
-                .as_secs_f64()
-                * 1e3;
-            row![
-                n,
-                format!("{seq:.1}"),
-                format!("{tree:.1}"),
-                format!("{chain:.1}"),
-                format!("{pipe:.1}"),
-                format!("{mpi:.1}"),
-                format!("{:.2}", mpi / pipe)
-            ]
-        });
-        out.push_str(&format!(
-            "Fig 4 ({}): multicast latency (ms), Fractus-like 100 Gb/s, 1 MB blocks\n",
-            bytes_label(size)
-        ));
-        out.push_str(&render(
-            &row![
-                "group",
-                "sequential",
-                "bin-tree",
-                "chain",
-                "bin-pipeline",
-                "mvapich",
-                "mpi/pipe"
-            ],
-            &rows,
-        ));
-        out.push('\n');
-    }
-    out
-}
-
-/// Times of the recorded events of `rank` in `group` whose kind `pick`
-/// accepts, in recording order.
-fn rank_times(
-    events: &[trace::TraceEvent],
-    group: rdmc_sim::GroupId,
-    rank: u32,
-    pick: impl Fn(&EventKind) -> bool,
-) -> Vec<simnet::SimTime> {
-    events
-        .iter()
-        .filter(|e| e.scope.group == Some(group as u32) && e.scope.rank == Some(rank))
-        .filter(|e| pick(&e.kind))
-        .map(|e| simnet::SimTime::from_nanos(e.t_ns))
-        .collect()
-}
-
-/// Table 1: microsecond breakdown of a single 256 MB transfer (1 MB
-/// blocks, group of 4) on the Stampede-like cluster, measured at the node
-/// farthest from the root.
-pub fn table1_breakdown(quick: bool) -> String {
-    let size = if quick { 64 * MB } else { 256 * MB };
-    let spec = ClusterSpec::stampede(4);
-    let mut cluster = ClusterBuilder::new(spec.clone())
-        .flight_recorder(trace::Mode::Full)
-        .build();
-    let group = cluster.create_group(pipeline_group_spec(
-        (0..4).collect(),
-        MB,
-        Algorithm::BinomialPipeline,
-    ));
-    cluster.submit_send(group, size);
-    cluster.run();
-    let result = &cluster.message_results()[0];
-    let submitted = result.submitted;
-    let total = result.latency().expect("transfer completed");
-
-    let events = cluster.trace_events();
-    let first_post = rank_times(&events, group, 0, |k| {
-        matches!(k, EventKind::BlockSendIssued { .. })
-    })[0];
-    // The farthest node in a 4-member hypercube is rank 3.
-    let arrivals = rank_times(&events, group, 3, |k| {
-        matches!(k, EventKind::BlockArrived { .. })
-    });
-    let delivered = rank_times(&events, group, 3, |k| {
-        matches!(k, EventKind::Delivered { .. })
-    })[0];
-    let first_arrival = arrivals[0];
-    // Attribution: each of the k-1 post-first blocks costs one block-wire
-    // time on the receive path; whatever else the receive window took is
-    // waiting (scheduling slack, contention, relay drain). This mirrors
-    // the paper's accounting, where ~99% of the window lands in the
-    // block-transfer states.
-    let wire_block = SimDuration::from_secs_f64(MB as f64 * 8.0 / 40e9);
-    let receive_window = delivered.since(first_arrival);
-    let transfers = SimDuration::from_secs_f64(
-        wire_block.as_secs_f64() * (arrivals.len().saturating_sub(1)) as f64,
-    );
-    let waiting = receive_window - transfers; // saturating at zero
-    let remote_setup = first_post.since(submitted);
-    let remote_transfers = first_arrival.since(first_post);
-    let local_setup = spec.profile.malloc_latency;
-    let copy = spec.profile.memcpy_time(MB);
-
-    let us = |d: SimDuration| format!("{:.0}", d.as_micros_f64());
-    let mut out = format!(
-        "Table 1: breakdown of one {} transfer (1 MB blocks, group of 4, Stampede-like)\n",
-        bytes_label(size)
-    );
-    out.push_str(&render(
-        &row!["phase", "time (us)"],
-        &[
-            row!["Remote Setup", us(remote_setup)],
-            row!["Remote Block Transfers", us(remote_transfers)],
-            row!["Local Setup", us(local_setup)],
-            row!["Block Transfers", us(transfers)],
-            row!["Waiting", us(waiting)],
-            row!["Copy Time", us(copy)],
-            row!["Total", us(total)],
-        ],
-    ));
-    let hw = transfers.as_secs_f64() + remote_transfers.as_secs_f64();
-    out.push_str(&format!(
-        "network-busy share of total: {:.1}%\n\n",
-        100.0 * hw / total.as_secs_f64()
-    ));
-    out
-}
-
-/// Fig. 5: per-step transfer/wait timeline at the root and the first
-/// relayer, with an injected ~100 us OS preemption at the relayer.
-pub fn fig5_step_timeline(quick: bool) -> String {
-    let size = if quick { 32 * MB } else { 256 * MB };
-    let spec = ClusterSpec::stampede(4);
-    // A rare, fixed-length preemption on the relayer (the paper observed
-    // one such stall near the end of its instrumented transfer).
-    let mut cluster = ClusterBuilder::new(spec.clone())
-        .flight_recorder(trace::Mode::Full)
-        .jitter(
-            1,
-            JitterModel::new(
-                11,
-                0.005,
-                SimDuration::from_micros(100),
-                SimDuration::from_micros(100),
-            ),
-        )
-        .build();
-    let group = cluster.create_group(pipeline_group_spec(
-        (0..4).collect(),
-        MB,
-        Algorithm::BinomialPipeline,
-    ));
-    cluster.submit_send(group, size);
-    cluster.run();
-
-    let mut out = format!(
-        "Fig 5: per-step send/wait at sender (rank 0) and relayer (rank 1), {} transfer\n",
-        bytes_label(size)
-    );
-    let events = cluster.trace_events();
-    for rank in [0u32, 1] {
-        let posts = rank_times(&events, group, rank, |k| {
-            matches!(k, EventKind::BlockSendIssued { .. })
-        });
-        let dones = rank_times(&events, group, rank, |k| {
-            matches!(k, EventKind::BlockSendCompleted { .. })
-        });
-        let steps = posts.len().min(dones.len());
-        let mut sends = Vec::new();
-        let mut waits = Vec::new();
-        for i in 0..steps {
-            sends.push(dones[i].since(posts[i]).as_micros_f64());
-            if i + 1 < steps {
-                // With pipelined sends the next post may precede this
-                // completion; that counts as zero wait.
-                waits.push(posts[i + 1].saturating_since(dones[i]).as_micros_f64());
-            }
-        }
-        let max_wait = waits.iter().copied().fold(0.0, f64::max);
-        let max_at = waits.iter().position(|&w| w == max_wait).unwrap_or(0);
-        out.push_str(&render(
-            &row![
-                "rank",
-                "steps",
-                "mean send us",
-                "mean wait us",
-                "max wait us",
-                "at step"
-            ],
-            &[row![
-                rank,
-                steps,
-                format!("{:.1}", stats::mean(&sends)),
-                format!(
-                    "{:.1}",
-                    if waits.is_empty() {
-                        0.0
-                    } else {
-                        stats::mean(&waits)
-                    }
-                ),
-                format!("{max_wait:.1}"),
-                max_at
-            ]],
-        ));
-    }
-    out.push_str(
-        "(the relayer's max wait shows the injected ~100us preemption stalling its pipeline)\n\n",
-    );
-    out
-}
-
-/// Fig. 6: bandwidth across block sizes for several message sizes,
-/// groups of 4 on Fractus.
-pub fn fig6_block_size(quick: bool) -> String {
-    let blocks: &[u64] = if quick {
-        &[64 << 10, 1 << 20, 8 << 20]
-    } else {
-        &[16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20, 16 << 20]
-    };
-    let messages: &[u64] = if quick {
-        &[8 * MB]
-    } else {
-        &[16 << 10, MB, 8 * MB, 128 * MB]
-    };
-    let spec = ClusterSpec::fractus(4);
-    let cases: Vec<(u64, u64)> = blocks
-        .iter()
-        .flat_map(|&block| messages.iter().map(move |&msg| (block, msg)))
-        .collect();
-    let cells = par_map(&cases, |&(block, msg)| {
-        if block > msg {
-            return "-".to_owned();
-        }
-        let bw =
-            run_single_multicast(&spec, 4, Algorithm::BinomialPipeline, msg, block).bandwidth_gbps;
-        format!("{bw:.1}")
-    });
-    let rows: Vec<Vec<String>> = blocks
-        .iter()
-        .zip(cells.chunks(messages.len()))
-        .map(|(&block, chunk)| {
-            let mut cells = vec![bytes_label(block)];
-            cells.extend(chunk.iter().cloned());
-            cells
-        })
-        .collect();
-    let mut header = vec!["block \\ msg".to_owned()];
-    header.extend(messages.iter().map(|&m| bytes_label(m)));
-    format!(
-        "Fig 6: binomial pipeline bandwidth (Gb/s) vs block size, group of 4, Fractus-like\n{}\n",
-        render(&header, &rows)
-    )
-}
-
-/// Fig. 7: sustained 1-byte messages per second vs group size.
-pub fn fig7_one_byte(quick: bool) -> String {
-    let groups: Vec<usize> = if quick {
-        vec![4, 16]
-    } else {
-        vec![2, 3, 4, 6, 8, 12, 16]
-    };
-    let count = if quick { 100 } else { 400 };
-    let spec = ClusterSpec::fractus(16);
-    let rows = par_map(&groups, |&n| {
-        let mut cluster = ClusterBuilder::new(spec.clone()).build();
-        let group = cluster.create_group(pipeline_group_spec(
-            (0..n).collect(),
-            MB,
-            Algorithm::BinomialPipeline,
-        ));
-        for _ in 0..count {
-            cluster.submit_send(group, 1);
-        }
-        cluster.run();
-        let end = cluster
-            .message_results()
-            .iter()
-            .flat_map(|r| r.delivered_at.iter().flatten().copied())
-            .max()
-            .expect("deliveries");
-        let rate = count as f64 / end.as_secs_f64();
-        row![n, format!("{rate:.0}")]
-    });
-    format!(
-        "Fig 7: 1-byte messages/second (binomial pipeline, Fractus-like)\n{}\n",
-        render(&row!["group", "msgs/sec"], &rows)
-    )
-}
-
-/// Fig. 8: time to replicate 256 MB to many nodes on the Sierra-like
-/// cluster — binomial pipeline vs sequential send.
-pub fn fig8_scalability(quick: bool) -> String {
-    let sizes: Vec<usize> = if quick {
-        vec![4, 16, 64]
-    } else {
-        vec![2, 4, 8, 16, 32, 64, 128, 256, 512]
-    };
-    let msg = 256 * MB;
-    let block = 4 * MB;
-    let spec = ClusterSpec::sierra(512);
-    let cases: Vec<(usize, Algorithm)> = sizes
-        .iter()
-        .flat_map(|&n| [(n, Algorithm::BinomialPipeline), (n, Algorithm::Sequential)])
-        .collect();
-    let lats = par_map(&cases, |(n, alg)| {
-        run_single_multicast(&spec, *n, alg.clone(), msg, block)
-            .latency
-            .as_secs_f64()
-    });
-    let rows: Vec<Vec<String>> = sizes
-        .iter()
-        .zip(lats.chunks(2))
-        .map(|(&n, pair)| {
-            let (pipe, seq) = (pair[0], pair[1]);
-            row![
-                n,
-                format!("{:.3}", pipe),
-                format!("{:.3}", seq),
-                format!("{:.1}x", seq / pipe)
-            ]
-        })
-        .collect();
-    format!(
-        "Fig 8: total time (s) to replicate 256 MB on Sierra-like (40 Gb/s), 4 MB blocks\n{}\n",
-        render(
-            &row!["copies", "bin-pipeline", "sequential", "speedup"],
-            &rows
-        )
-    )
-}
-
-/// Fig. 9: the Cosmos replication-layer replay — latency distribution per
-/// algorithm and aggregate replication throughput.
-pub fn fig9_cosmos(quick: bool) -> String {
-    let writes = if quick { 60 } else { 300 };
-    let trace = CosmosTrace {
-        max_bytes: 128 * MB, // bound a single run's tail for simulation time
-        ..CosmosTrace::default()
-    };
-    let sample = trace.generate(writes);
-    let total_bytes: f64 = sample.iter().map(|w| w.size as f64).sum();
-    let mut out = format!(
-        "Fig 9: Cosmos trace replay ({} writes, median {} mean {}), 1 generator + 15 replicas\n",
-        writes,
-        bytes_label(12 * MB),
-        bytes_label(29 * MB),
-    );
-    let algorithms = [
-        Algorithm::Sequential,
-        Algorithm::BinomialTree,
-        Algorithm::BinomialPipeline,
-    ];
-    let rows = par_map(&algorithms, |alg| {
-        let mut cluster = ClusterBuilder::new(ClusterSpec::fractus(16)).build();
-        // Pre-create one group per distinct target set used by the sample
-        // (the paper pre-creates all 455).
-        let mut group_of: std::collections::BTreeMap<Vec<usize>, rdmc_sim::GroupId> =
-            std::collections::BTreeMap::new();
-        // Fully backlogged injection (the replication layer always has
-        // work): every write queued at t=0, groups re-used as in the
-        // paper's pre-created 455.
-        for w in &sample {
-            let mut members = vec![0usize];
-            members.extend(w.targets.iter().map(|&t| t + 1));
-            let key = members.clone();
-            let gid = *group_of.entry(key).or_insert_with(|| {
-                cluster.create_group(pipeline_group_spec(members, MB, alg.clone()))
-            });
-            cluster.submit_send(gid, w.size);
-        }
-        cluster.run();
-        let results = cluster.message_results();
-        let latencies: Vec<f64> = results
-            .iter()
-            .map(|r| r.latency().expect("write completed").as_secs_f64() * 1e3)
-            .collect();
-        let end = results
-            .iter()
-            .flat_map(|r| r.delivered_at.iter().flatten().copied())
-            .max()
-            .expect("deliveries");
-        let aggregate = total_bytes * 8.0 / end.as_secs_f64() / 1e9;
-        row![
-            alg,
-            format!("{:.1}", stats::percentile(&latencies, 25.0)),
-            format!("{:.1}", stats::percentile(&latencies, 50.0)),
-            format!("{:.1}", stats::percentile(&latencies, 75.0)),
-            format!("{:.1}", stats::percentile(&latencies, 95.0)),
-            format!("{:.1}", aggregate)
-        ]
-    });
-    out.push_str(&render(
-        &row![
-            "algorithm",
-            "p25 ms",
-            "p50 ms",
-            "p75 ms",
-            "p95 ms",
-            "object Gb/s"
-        ],
-        &rows,
-    ));
-    out.push('\n');
-    out
-}
-
-/// Fig. 10: aggregate bandwidth of fully-overlapping concurrent groups,
-/// on the full-bisection Fractus-like fabric and the oversubscribed
-/// Apt-like fabric.
-pub fn fig10_overlap(quick: bool) -> String {
-    let mut out = String::new();
-    // (a) Fractus.
-    let fractus = ClusterSpec::fractus(16);
-    let groups: Vec<usize> = if quick {
-        vec![8, 16]
-    } else {
-        vec![4, 8, 12, 16]
-    };
-    let sizes: &[u64] = if quick {
-        &[MB]
-    } else {
-        &[100 * MB, MB, 10 << 10]
-    };
-    out.push_str("Fig 10a: aggregate bandwidth (Gb/s) of overlapping groups, Fractus-like\n");
-    out.push_str(&overlap_table(&fractus, &groups, sizes, 2));
-    // (b) Apt: oversubscribed TOR.
-    if !quick {
-        let apt = ClusterSpec::apt(7, 8); // 56 nodes
-        let groups = vec![5usize, 15, 25, 40, 55];
-        out.push_str("\nFig 10b: the same on the Apt-like oversubscribed TOR (56 nodes)\n");
-        out.push_str(&overlap_table(&apt, &groups, &[32 * MB, MB], 1));
-    }
-    out.push('\n');
-    out
-}
-
-fn overlap_table(
-    spec: &ClusterSpec,
-    groups: &[usize],
-    sizes: &[u64],
-    msgs_per_sender: usize,
-) -> String {
-    let mut cases = Vec::new();
-    for &n in groups {
-        for &size in sizes {
-            for senders in [n, (n / 2).max(1), 1] {
-                cases.push((n, size, senders));
-            }
-        }
-    }
-    let bws = par_map(&cases, |&(n, size, senders)| {
-        run_concurrent_overlapping(
-            spec,
-            n,
-            senders,
-            Algorithm::BinomialPipeline,
-            size,
-            msgs_per_sender,
-            MB.min(size.max(1)),
-        )
-    });
-    let rows: Vec<Vec<String>> = cases
-        .chunks(3)
-        .zip(bws.chunks(3))
-        .map(|(case, bw)| {
-            let (n, size, _) = case[0];
-            row![
-                n,
-                bytes_label(size),
-                format!("{:.1}", bw[0]),
-                format!("{:.1}", bw[1]),
-                format!("{:.1}", bw[2])
-            ]
-        })
-        .collect();
-    render(
-        &row!["group", "msg size", "all send", "half send", "one send"],
-        &rows,
-    )
-}
-
-/// Fig. 11: the hybrid polling/interrupt completion scheme vs pure
-/// interrupts — bandwidth and CPU load.
-pub fn fig11_interrupts(quick: bool) -> String {
-    let groups: Vec<usize> = if quick {
-        vec![4, 16]
-    } else {
-        vec![3, 4, 6, 8, 12, 16]
-    };
-    let sizes: &[u64] = if quick {
-        &[MB]
-    } else {
-        &[100 * MB, MB, 10 << 10]
-    };
-    let mut cases = Vec::new();
-    for &size in sizes {
-        for &n in &groups {
-            for mode in [CompletionMode::Hybrid, CompletionMode::Interrupt] {
-                cases.push((size, n, mode));
-            }
-        }
-    }
-    let measured = par_map(&cases, |&(size, n, mode)| {
-        let mut spec = ClusterSpec::fractus(16);
-        spec.completion_mode = mode;
-        let mut cluster = ClusterBuilder::new(spec).build();
-        let group = cluster.create_group(pipeline_group_spec(
-            (0..n).collect(),
-            MB.min(size.max(1)),
-            Algorithm::BinomialPipeline,
-        ));
-        // A short stream so CPU loads are steady-state.
-        let count = if size >= MB { 3 } else { 20 };
-        for _ in 0..count {
-            cluster.submit_send(group, size);
-        }
-        cluster.run();
-        let results = cluster.message_results();
-        let end = results
-            .iter()
-            .flat_map(|r| r.delivered_at.iter().flatten().copied())
-            .max()
-            .expect("deliveries");
-        let elapsed = end.as_secs_f64();
-        let bw = size as f64 * count as f64 * 8.0 / elapsed / 1e9;
-        let wall = SimDuration::from_secs_f64(elapsed);
-        let load = cluster.cpu_report(1).load(wall);
-        (format!("{bw:.1}"), format!("{:.0}%", load * 100.0))
-    });
-    let rows: Vec<Vec<String>> = cases
-        .chunks(2)
-        .zip(measured.chunks(2))
-        .map(|(case, m)| {
-            let (size, n, _) = case[0];
-            let mut cells = vec![bytes_label(size), n.to_string()];
-            for (bw, load) in m {
-                cells.push(bw.clone());
-                cells.push(load.clone());
-            }
-            cells
-        })
-        .collect();
-    format!(
-        "Fig 11: hybrid vs pure-interrupt completions (binomial pipeline, Fractus-like)\n{}\n",
-        render(
-            &row![
-                "msg",
-                "group",
-                "hybrid Gb/s",
-                "hybrid CPU",
-                "intr Gb/s",
-                "intr CPU"
-            ],
-            &rows
-        )
-    )
-}
-
-/// Fig. 12: CORE-Direct offloaded chain send vs the software chain.
-pub fn fig12_core_direct(quick: bool) -> String {
-    let groups: Vec<usize> = if quick {
-        vec![4, 8]
-    } else {
-        vec![3, 4, 5, 6, 7, 8]
-    };
-    let size = 100 * MB;
-    let mut cases = Vec::new();
-    for &n in &groups {
-        for mode in [CompletionMode::Polling, CompletionMode::Interrupt] {
-            cases.push((n, mode));
-        }
-    }
-    let rows = par_map(&cases, |&(n, mode)| {
-        let mut spec = ClusterSpec::fractus(8);
-        spec.completion_mode = mode;
-        let members: Vec<usize> = (0..n).collect();
-        let off_t = run_offloaded_chain(spec.build(), &members, size, MB);
-        let off_bw = size as f64 * 8.0 / off_t.as_secs_f64() / 1e9;
-        let sw = run_single_multicast(&spec, n, Algorithm::Chain, size, MB);
-        let label = match mode {
-            CompletionMode::Polling => "polling",
-            CompletionMode::Interrupt => "interrupt",
-            CompletionMode::Hybrid => "hybrid",
-        };
-        row![
-            n,
-            label,
-            format!("{off_bw:.1}"),
-            format!("{:.1}", sw.bandwidth_gbps),
-            format!("{:.2}x", off_bw / sw.bandwidth_gbps)
-        ]
-    });
-    format!(
-        "Fig 12: 100 MB chain send, CORE-Direct offload vs software relays\n{}\n",
-        render(
-            &row![
-                "group",
-                "completions",
-                "offload Gb/s",
-                "software Gb/s",
-                "speedup"
-            ],
-            &rows
-        )
-    )
-}
-
-/// §4.5 robustness: slack constant, slow-link bound, jitter absorption.
-pub fn robustness_analysis(quick: bool) -> String {
-    let mut out = String::from("Robustness analysis (paper section 4.5)\n\n");
-    // Slack: predicted vs measured on real schedules.
-    let mut rows = Vec::new();
-    for n in [4u32, 8, 16, 32, 64] {
-        let g = rdmc::schedule::GlobalSchedule::build(&Algorithm::BinomialPipeline, n, 24);
-        let measured: Vec<f64> = analysis::steady_steps(n, 24)
-            .filter_map(|j| analysis::empirical_avg_slack(&g, j))
-            .collect();
-        rows.push(row![
-            n,
-            format!("{:.4}", analysis::predicted_avg_slack(n)),
-            format!("{:.4}", stats::mean(&measured))
-        ]);
-    }
-    out.push_str("Average steady-state slack: 2(1-(l-1)/(n-2))\n");
-    out.push_str(&render(&row!["n", "predicted", "measured"], &rows));
-    // Slow link: formula vs simulation.
-    let msg = if quick { 32 * MB } else { 128 * MB };
-    let fracs = [0.25f64, 0.5, 0.75];
-    let rows = par_map(&fracs, |&slow_frac| {
-        let mk = |gbps: Vec<f64>| ClusterSpec {
-            topology: TopoSpec::FlatPerNode {
-                gbps,
-                latency: SimDuration::from_micros(2),
-            },
-            ..ClusterSpec::fractus(0)
-        };
-        let base =
-            run_single_multicast(&mk(vec![100.0; 8]), 8, Algorithm::BinomialPipeline, msg, MB);
-        let mut slowed = vec![100.0; 8];
-        slowed[5] = 100.0 * slow_frac;
-        let slow = run_single_multicast(&mk(slowed), 8, Algorithm::BinomialPipeline, msg, MB);
-        let measured = slow.bandwidth_gbps / base.bandwidth_gbps;
-        let bound = analysis::slow_link_bandwidth_fraction(3, 1.0, slow_frac);
-        row![
-            format!("{:.0}%", slow_frac * 100.0),
-            format!("{bound:.3}"),
-            format!("{measured:.3}")
-        ]
-    });
-    out.push_str("\nOne slow NIC (n=8, l=3): retained bandwidth fraction\n");
-    out.push_str(&render(
-        &row!["slow link speed", "bound l*T'/(T+(l-1)T')", "measured"],
-        &rows,
-    ));
-    out.push_str(&format!(
-        "\npaper's worked example: T'=T/2, n=64 -> bound {:.1}%\n",
-        100.0 * analysis::slow_link_bandwidth_fraction(6, 1.0, 0.5)
-    ));
-    // Jitter absorption.
-    let spec = ClusterSpec::fractus(8);
-    let clean = run_single_multicast(&spec, 8, Algorithm::BinomialPipeline, msg, MB);
-    let mut builder = ClusterBuilder::new(spec.clone());
-    for node in 0..8 {
-        builder = builder.jitter(
-            node,
-            JitterModel::new(
-                node as u64 + 77,
-                0.02,
-                SimDuration::from_micros(50),
-                SimDuration::from_micros(150),
-            ),
-        );
-    }
-    let mut cluster = builder.build();
-    let group = cluster.create_group(pipeline_group_spec(
-        (0..8).collect(),
-        MB,
-        Algorithm::BinomialPipeline,
-    ));
-    cluster.submit_send(group, msg);
-    cluster.run();
-    let jittered = cluster.message_results()[0].latency().expect("completed");
-    out.push_str(&format!(
-        "\nScheduling jitter (2% of actions delayed 50-150us on every node): slowdown {:.2}x\n\n",
-        jittered.as_secs_f64() / clean.latency.as_secs_f64()
-    ));
-    out
-}
-
-/// Epoch-based failure recovery: detection latency, reconfiguration
-/// time, and resumed-transfer completion against the failure-free
-/// baseline. A mid-group member crashes at one third of the failure-free
-/// protocol steps; the membership layer reconfigures the wedged group
-/// and the resume planner retransmits only the missing blocks.
-pub fn recovery_failover(quick: bool) -> String {
-    let msg = if quick { 16 * MB } else { 64 * MB };
-    let groups: Vec<usize> = if quick { vec![4, 8] } else { vec![4, 8, 16] };
-    let mut out = String::from(
-        "Epoch-based failure recovery (the paper's §2.4 membership assumption made concrete)\n\n",
-    );
-    let rows = par_map(&groups, |&n| {
-        let spec = ClusterSpec::fractus(n);
-        let run = |crash: Option<(usize, u64)>| {
-            let mut cluster = ClusterBuilder::new(spec.clone())
-                .recovery(RecoveryConfig::default())
-                .build();
-            let group = cluster.create_group(pipeline_group_spec(
-                (0..n).collect(),
-                MB,
-                Algorithm::BinomialPipeline,
-            ));
-            if let Some((victim, step)) = crash {
-                cluster.crash_after_events(victim, step);
-            }
-            cluster.submit_send(group, msg);
-            cluster.run();
-            cluster
-        };
-        let baseline = run(None);
-        let base_lat = baseline.message_results()[0]
-            .latency()
-            .expect("failure-free run completes");
-        let steps = baseline.events_fed();
-        let victim = n / 2;
-        let cluster = run(Some((victim, steps / 3)));
-        let stats = cluster.recovery_stats();
-        let det = &stats.detections[0];
-        let rc = &stats.reconfigurations[0];
-        let detect = det
-            .suspected_at
-            .since(cluster.crash_time(victim).expect("victim crashed"));
-        let reconf = rc.installed_at.since(rc.first_suspected_at);
-        let msg0 = &cluster.message_results()[0];
-        let completed = cluster
-            .surviving_ranks(0)
-            .iter()
-            .filter_map(|&o| msg0.delivered_at[o as usize])
-            .max()
-            .expect("survivors completed the resumed transfer");
-        let total = completed.since(msg0.submitted);
-        let k = msg.div_ceil(MB) as usize;
-        row![
-            n,
-            format!("{:.2}", detect.as_secs_f64() * 1e3),
-            format!("{:.2}", reconf.as_secs_f64() * 1e3),
-            format!("{}/{}", rc.resumed_blocks, k * (n - 2)),
-            format!("{:.1}", base_lat.as_secs_f64() * 1e3),
-            format!("{:.1}", total.as_secs_f64() * 1e3),
-            format!("{:.2}x", total.as_secs_f64() / base_lat.as_secs_f64())
-        ]
-    });
-    out.push_str(&render(
-        &row![
-            "n",
-            "detect (ms)",
-            "reconfig (ms)",
-            "resent/full blocks",
-            "no-fault (ms)",
-            "crash+resume (ms)",
-            "slowdown"
-        ],
-        &rows,
-    ));
-    out.push_str(
-        "\ncrash lands at 1/3 of the failure-free protocol steps; detect = crash to first\n\
-         suspicion; reconfig = first suspicion to new-epoch install; \"resent\" counts the\n\
-         resume schedule's transfers against a full re-multicast to every non-root survivor\n",
-    );
-    out
-}
-
-/// §4.6: the SST small-message protocol vs RDMC across message and group
-/// sizes — reproducing the ~5x small-message advantage and the crossover.
-pub fn sst_small_messages(quick: bool) -> String {
-    let sizes: &[u64] = if quick {
-        &[1 << 10, 100 << 10]
-    } else {
-        &[100, 1 << 10, 10 << 10, 100 << 10]
-    };
-    let groups: Vec<usize> = if quick {
-        vec![4, 16]
-    } else {
-        vec![4, 8, 16, 32]
-    };
-    let count = if quick { 150 } else { 300 };
-    let mut cases = Vec::new();
-    for &size in sizes {
-        for &n in &groups {
-            cases.push((size, n));
-        }
-    }
-    let rows = par_map(&cases, |&(size, n)| {
-        let sst_rate = sst::small_message_rate(n, size, count, 16);
-        // RDMC: the same stream through the binomial pipeline.
-        let mut cluster = ClusterBuilder::new(ClusterSpec::fractus(32)).build();
-        let group = cluster.create_group(pipeline_group_spec(
-            (0..n).collect(),
-            MB,
-            Algorithm::BinomialPipeline,
-        ));
-        for _ in 0..count {
-            cluster.submit_send(group, size);
-        }
-        cluster.run();
-        let end = cluster
-            .message_results()
-            .iter()
-            .flat_map(|r| r.delivered_at.iter().flatten().copied())
-            .max()
-            .expect("deliveries");
-        let rdmc_rate = count as f64 / end.as_secs_f64();
-        row![
-            bytes_label(size),
-            n,
-            format!("{sst_rate:.0}"),
-            format!("{rdmc_rate:.0}"),
-            format!("{:.2}x", sst_rate / rdmc_rate)
-        ]
-    });
-    format!(
-        "Derecho SST small-message protocol vs RDMC (messages/second)\n{}\n",
-        render(
-            &row!["msg", "group", "SST msg/s", "RDMC msg/s", "SST/RDMC"],
-            &rows
-        )
-    )
-}
-
-/// Static-analysis sweep timing: runs the `analyzer` crate's full grid
-/// (schedule model checker, posting-order deadlock lint, engine
-/// reachability) and reports what was proven and how long the proof
-/// took. Not a paper figure — it records the cost of the repository's
-/// own verification layer next to the simulation numbers it guards.
-pub fn analyzer_sweep(quick: bool) -> String {
-    let config = if quick {
-        analyzer::SweepConfig::quick()
-    } else {
-        analyzer::SweepConfig::default()
-    };
-    let t0 = std::time::Instant::now();
-    let report = analyzer::sweep(&config);
-    let wall = t0.elapsed().as_secs_f64();
-    let rows = vec![row![
-        format!("grid n<={} (quick={quick})", config.max_n),
-        report.schedules_checked,
-        report.lints_run,
-        report.reach_runs,
-        report.reach_states,
-        if report.is_clean() {
-            "clean"
-        } else {
-            "VIOLATIONS"
-        },
-        format!("{wall:.2}s")
-    ]];
-    format!(
-        "Static-analysis sweep (schedule model checker + deadlock lint + reachability)\n{}\n",
-        render(
-            &row![
-                "sweep",
-                "schedules",
-                "lints",
-                "reach runs",
-                "reach states",
-                "verdict",
-                "wall"
-            ],
-            &rows
-        )
-    )
-}
-
-/// Execution-explorer throughput: enumerates the CI-tier interleaving
-/// corner (exhaustive and DPOR) plus a seeded random walk, and reports
-/// executions, resolved choice points, and explored states per second —
-/// the cost of the dynamic verification layer, recorded next to the
-/// static sweep it complements.
-pub fn explore_throughput(quick: bool) -> String {
-    use analyzer::{explore_executions, ExploreConfig, ExploreScenario};
-
-    let mut rows = Vec::new();
-    let mut cases: Vec<(&str, ExploreConfig)> = Vec::new();
-    let mut atomic2 = ExploreScenario::atomic(Algorithm::BinomialPipeline, 2, 1);
-    atomic2.messages = 1;
-    cases.push(("dpor n=2 k=1 atomic", ExploreConfig::dpor(atomic2)));
-    let plain4 = ExploreScenario::small(Algorithm::BinomialPipeline, 4, 2);
-    cases.push((
-        "exhaustive n=4 k=2",
-        ExploreConfig::exhaustive(plain4.clone()),
-    ));
-    cases.push(("dpor n=4 k=2", ExploreConfig::dpor(plain4.clone())));
-    if !quick {
-        let plain5 = ExploreScenario::small(Algorithm::BinomialPipeline, 5, 2);
-        cases.push(("dpor n=5 k=2", ExploreConfig::dpor(plain5)));
-        cases.push((
-            "random n=4 k=2 x500",
-            ExploreConfig::random(plain4, 0xbe11, 500),
-        ));
-    }
-
-    for (name, config) in cases {
-        let t0 = std::time::Instant::now();
-        let report = explore_executions(&config);
-        let wall = t0.elapsed().as_secs_f64();
-        rows.push(row![
-            name,
-            report.executions,
-            report.points_resolved,
-            report.max_depth,
-            format!("{:.0}", report.executions as f64 / wall.max(1e-9)),
-            format!("{:.0}", report.points_resolved as f64 / wall.max(1e-9)),
-            if report.is_clean() && !report.truncated {
-                "clean"
-            } else {
-                "VIOLATIONS"
-            },
-            format!("{wall:.2}s")
-        ]);
-    }
-    format!(
-        "Execution explorer (stateless model checking of interleavings)\n{}\n",
-        render(
-            &row![
-                "scenario",
-                "executions",
-                "points",
-                "depth",
-                "exec/s",
-                "points/s",
-                "verdict",
-                "wall"
-            ],
-            &rows
-        )
-    )
-}
-
-/// Observability: stall attribution over the Fig. 4 binomial-pipeline
-/// sweep. For every configuration the five attribution classes —
-/// ideal transfer, link-limited, sender-limited, receiver-limited, and
-/// schedule idle — must sum to the end-to-end latency within 1% (they
-/// sum exactly by construction; the check guards the instrumentation).
-pub fn trace_observability(quick: bool) -> String {
-    let sizes: &[u64] = if quick {
-        &[8 * MB]
-    } else {
-        &[256 * MB, 8 * MB]
-    };
-    let groups: Vec<usize> = if quick {
-        vec![4, 8, 16]
-    } else {
-        (2..=16).collect()
-    };
-    let spec = ClusterSpec::fractus(16);
-    let mut out = String::new();
-    for &size in sizes {
-        let rows = par_map(&groups, |&n| {
-            let (outcome, events, wire) =
-                run_traced_multicast(&spec, n, Algorithm::BinomialPipeline, size, MB);
-            let b = trace::stall::attribute(&events, 0, &wire)
-                .expect("traced run has a complete group 0 recording");
-            let e2e = b.end_to_end_ns;
-            assert_eq!(
-                e2e,
-                (outcome.latency.as_secs_f64() * 1e9).round() as u64,
-                "trace-derived end-to-end disagrees with the engine (n={n})"
-            );
-            let gap = b.attributed_ns().abs_diff(e2e);
-            assert!(
-                gap as f64 <= 0.01 * e2e as f64,
-                "attribution gap {gap}ns exceeds 1% of {e2e}ns (n={n})"
-            );
-            let pct = |x: u64| format!("{:.1}%", 100.0 * x as f64 / e2e as f64);
-            row![
-                n,
-                format!("{:.2}", e2e as f64 / 1e6),
-                pct(b.transfer_ns),
-                pct(b.link_limited_ns),
-                pct(b.sender_limited_ns),
-                pct(b.receiver_limited_ns),
-                pct(b.schedule_idle_ns),
-                events.len()
-            ]
-        });
-        out.push_str(&format!(
-            "Stall attribution ({}): binomial pipeline, Fractus-like 100 Gb/s, 1 MB blocks\n\
-             (classes sum to end-to-end within 1% — asserted per row)\n",
-            bytes_label(size)
-        ));
-        out.push_str(&render(
-            &row![
-                "group",
-                "e2e (ms)",
-                "transfer",
-                "link",
-                "sender",
-                "receiver",
-                "sched-idle",
-                "events"
-            ],
-            &rows,
-        ));
-        out.push('\n');
-    }
-
-    // Per-rank timeline of one representative configuration: when each
-    // rank saw its first block, when it delivered, and how many blocks
-    // it moved — the flight recorder's answer to "who was the straggler".
-    let (_, events, _) = run_traced_multicast(&spec, 8, Algorithm::BinomialPipeline, 8 * MB, MB);
-    let rows: Vec<Vec<String>> = trace::stall::timelines(&events, 0)
-        .iter()
-        .map(|t| {
-            let ms = |x: Option<u64>| {
-                x.map_or_else(|| "-".to_owned(), |v| format!("{:.2}", v as f64 / 1e6))
-            };
-            row![
-                t.rank,
-                ms(t.first_block_ns),
-                ms(t.delivered_ns),
-                t.blocks_received,
-                t.blocks_sent
-            ]
-        })
-        .collect();
-    out.push_str("Per-rank timeline (8 MB, group of 8, binomial pipeline)\n");
-    out.push_str(&render(
-        &row![
-            "rank",
-            "first blk (ms)",
-            "delivered (ms)",
-            "rx blks",
-            "tx blks"
-        ],
-        &rows,
-    ));
-    out
-}
-
-/// One measured cell of the multigroup sweep: a (topology, shard count,
-/// offered load, pacing policy) combination.
-pub struct MultigroupCell {
-    /// `"flat"` (Fractus-like) or `"oversubscribed"` (Apt-like ToR).
-    pub topology: &'static str,
-    /// Number of shard groups sharing the fabric.
-    pub shards: usize,
-    /// Aggregate offered load across all shards, Gb/s.
-    pub offered_gbps: f64,
-    /// `"unpaced"` or the admission policy label.
-    pub policy: String,
-    /// Messages the schedule offered.
-    pub messages: usize,
-    /// Median delivery latency (submit to last replica), milliseconds.
-    pub p50_ms: f64,
-    /// 99th-percentile delivery latency, milliseconds.
-    pub p99_ms: f64,
-    /// Goodput over the run (payload bytes once per group), Gb/s.
-    pub agg_gbps: f64,
-    /// Block sends the admission layer held back at least once.
-    pub deferred_sends: u64,
-    /// Trace rollup: ideal wire time across all groups, milliseconds.
-    pub transfer_ms: f64,
-    /// Trace rollup: admission (pacer) wait, milliseconds.
-    pub sender_limited_ms: f64,
-    /// Trace rollup: wire occupancy beyond ideal, milliseconds.
-    pub link_limited_ms: f64,
-}
-
-/// The multigroup sweep's results.
-pub struct MultigroupReport {
-    /// One cell per (topology, shards, load, policy) run.
-    pub cells: Vec<MultigroupCell>,
-}
-
-impl MultigroupReport {
-    /// Text table for the report output.
-    pub fn text(&self) -> String {
-        let mut out = String::from(
-            "Multigroup steady state: open-loop sharded tenants, per-NIC send admission\n",
-        );
-        let rows: Vec<Vec<String>> = self
-            .cells
-            .iter()
-            .map(|c| {
-                row![
-                    c.topology,
-                    c.shards,
-                    format!("{:.0}", c.offered_gbps),
-                    c.policy,
-                    format!("{:.2}", c.p50_ms),
-                    format!("{:.2}", c.p99_ms),
-                    format!("{:.1}", c.agg_gbps),
-                    c.deferred_sends,
-                    format!("{:.1}", c.sender_limited_ms),
-                    format!("{:.1}", c.link_limited_ms)
-                ]
-            })
-            .collect();
-        out.push_str(&render(
-            &row![
-                "topology",
-                "shards",
-                "offered Gb/s",
-                "policy",
-                "p50 ms",
-                "p99 ms",
-                "agg Gb/s",
-                "deferred",
-                "sender ms",
-                "link ms"
-            ],
-            &rows,
-        ));
-        out.push('\n');
-        out
-    }
-}
-
-/// The multi-tenant traffic engine's sweep: a Derecho-style sharded
-/// deployment (overlapping 3-replica shard groups over one fabric) under
-/// an open-loop arrival schedule, at several shard-count x offered-load
-/// points, on the flat Fractus-like fabric and the oversubscribed
-/// Apt-like fabric — each point unpaced and under every admission
-/// policy. Every run is traced so the per-group stall rollup can split
-/// admission wait from link contention.
-pub fn multigroup_sweep(quick: bool) -> MultigroupReport {
-    const NODES: usize = 16;
-    let messages = if quick { 64 } else { 160 };
-    // (per-shard offered capacity scale in Gb/s, load factors): per-shard
-    // sustainable throughput differs by an order of magnitude between the
-    // full-bisection and oversubscribed fabrics.
-    let topologies: [(&'static str, ClusterSpec, f64); 2] = [
-        ("flat", ClusterSpec::fractus(NODES), 24.0),
-        ("oversubscribed", ClusterSpec::apt(4, 4), 7.0),
-    ];
-    // Shard-count x relative-load grid: light load, near saturation, and
-    // past it (open loop keeps offering regardless).
-    let points: [(usize, f64); 5] = [(8, 0.5), (8, 1.5), (16, 0.5), (16, 1.5), (24, 1.2)];
-    let policies: [(&'static str, Option<rdmc_sim::PacerConfig>); 4] = [
-        ("unpaced", None),
-        (
-            "fifo",
-            Some(rdmc_sim::PacerConfig::new(5, rdmc_sim::PacingPolicy::Fifo)),
-        ),
-        (
-            "smallest_first",
-            Some(rdmc_sim::PacerConfig::new(
-                5,
-                rdmc_sim::PacingPolicy::SmallestFirst,
-            )),
-        ),
-        (
-            "round_robin",
-            Some(rdmc_sim::PacerConfig::new(
-                5,
-                rdmc_sim::PacingPolicy::RoundRobin,
-            )),
-        ),
-    ];
-
-    let mut configs = Vec::new();
-    for (topo, spec, cap) in &topologies {
-        for &(shards, factor) in &points {
-            for (policy, pacing) in &policies {
-                configs.push((
-                    *topo,
-                    spec.clone(),
-                    shards,
-                    factor * *cap * shards as f64,
-                    *policy,
-                    *pacing,
-                ));
-            }
-        }
-    }
-    let cells = par_map(&configs, |(topo, spec, shards, offered, policy, pacing)| {
-        let workload = ShardedWorkload {
-            seed: 0x1DE5,
-            nodes: NODES,
-            shards: *shards,
-            replication_factor: 4,
-            offered_gbps: *offered,
-            median_bytes: 1.7e6,
-            mean_bytes: 2e6,
-            min_bytes: 256 << 10,
-            max_bytes: 6 * MB,
-        };
-        let memberships: Vec<Vec<usize>> = (0..*shards).map(|s| workload.members(s)).collect();
-        let arrivals: Vec<rdmc_sim::OpenLoopArrival> = workload
-            .generate(messages)
-            .into_iter()
-            .map(|a| rdmc_sim::OpenLoopArrival {
-                at_ns: a.at_ns,
-                group_index: a.shard,
-                size: a.size,
-            })
-            .collect();
-        let outcome = rdmc_sim::run_open_loop(spec, &memberships, &arrivals, MB / 8, *pacing, true);
-        let latencies: Vec<f64> = outcome
-            .all_latencies()
-            .iter()
-            .map(|l| l.as_secs_f64() * 1e3)
-            .collect();
-        let stall_sum = |f: fn(&trace::stall::GroupStall) -> u64| -> f64 {
-            outcome
-                .per_group
-                .iter()
-                .filter_map(|g| g.stall.as_ref())
-                .map(f)
-                .sum::<u64>() as f64
-                / 1e6
-        };
-        MultigroupCell {
-            topology: topo,
-            shards: *shards,
-            offered_gbps: *offered,
-            policy: (*policy).to_owned(),
-            messages,
-            p50_ms: stats::percentile(&latencies, 50.0),
-            p99_ms: stats::percentile(&latencies, 99.0),
-            agg_gbps: outcome.aggregate_gbps(),
-            deferred_sends: outcome.pacing.map_or(0, |p| p.deferred_sends),
-            transfer_ms: stall_sum(|s| s.transfer_ns),
-            sender_limited_ms: stall_sum(|s| s.sender_limited_ns),
-            link_limited_ms: stall_sum(|s| s.link_limited_ns),
-        }
-    });
-    MultigroupReport { cells }
-}
-
-/// One cell of the atomic multicast sweep: the sharded serving
-/// workload replayed through one ordering mode at one shard-count /
-/// offered-load point.
-pub struct AtomicCell {
-    /// `"multi_sender"` (rotated atomic overlay) or `"single_sender"`
-    /// (raw RDMC from the shard root, committed at the last member's
-    /// local completion — a lower bound on any stability protocol).
-    pub mode: &'static str,
-    /// Number of shard groups sharing the fabric.
-    pub shards: usize,
-    /// Aggregate offered load across all shards, Gb/s.
-    pub offered_gbps: f64,
-    /// Messages the schedule offered (all commit before quiescence).
-    pub messages: usize,
-    /// Committed (delivered-at-every-member) operations per second over
-    /// the run's makespan.
-    pub committed_ops_per_s: f64,
-    /// Median commit latency (arrival to the last member's upcall), ms.
-    pub p50_ms: f64,
-    /// 99th-percentile commit latency, milliseconds.
-    pub p99_ms: f64,
-}
-
-/// The atomic sweep's results.
-pub struct AtomicReport {
-    /// One cell per (shards, load, mode) run.
-    pub cells: Vec<AtomicCell>,
-}
-
-impl AtomicReport {
-    /// Text table for the report output.
-    pub fn text(&self) -> String {
-        let mut out = String::from(
-            "Atomic multicast: committed ops/s, rotated multi-sender vs single-sender RDMC\n",
-        );
-        let rows: Vec<Vec<String>> = self
-            .cells
-            .iter()
-            .map(|c| {
-                row![
-                    c.mode,
-                    c.shards,
-                    format!("{:.0}", c.offered_gbps),
-                    c.messages,
-                    format!("{:.0}", c.committed_ops_per_s),
-                    format!("{:.2}", c.p50_ms),
-                    format!("{:.2}", c.p99_ms)
-                ]
-            })
-            .collect();
-        out.push_str(&render(
-            &row![
-                "mode",
-                "shards",
-                "offered Gb/s",
-                "messages",
-                "committed/s",
-                "p50 ms",
-                "p99 ms"
-            ],
-            &rows,
-        ));
-        out.push('\n');
-        out
-    }
-}
-
-/// Runs the sharded workload once at one point in one ordering mode and
-/// measures commit latency (arrival to the last member's total-order
-/// upcall) for every message.
-fn atomic_point(shards: usize, offered_gbps: f64, messages: usize, multi: bool) -> AtomicCell {
-    const NODES: usize = 16;
-    // The small-message end of the serving story (Spindle's regime):
-    // dissemination latency, not fabric bandwidth, is what bounds a
-    // single sender here, which is exactly where rotating the sender
-    // role multiplies the in-flight message budget.
-    let workload = ShardedWorkload {
-        seed: 0xA70,
-        nodes: NODES,
-        shards,
-        replication_factor: 4,
-        offered_gbps,
-        median_bytes: 192e3,
-        mean_bytes: 256e3,
-        min_bytes: 64 << 10,
-        max_bytes: MB,
-    };
-    let group_spec = |members: Vec<usize>| GroupSpec {
-        members,
-        algorithm: Algorithm::BinomialPipeline,
-        block_size: 64 << 10,
-        ready_window: 2,
-        max_outstanding_sends: 1,
-    };
-    let arrivals = workload.generate(messages);
-    let spec = ClusterSpec::fractus(NODES);
-    // (arrival ns, commit time) per message, either mode.
-    let mut commits: Vec<(u64, simnet::SimTime)> = Vec::with_capacity(arrivals.len());
-    if multi {
-        let mut builder = ClusterBuilder::new(spec);
-        for s in 0..shards {
-            builder = builder.atomic(group_spec(workload.members(s)));
-        }
-        let mut cluster = builder.build();
-        let mut pending: Vec<(usize, rdmc_sim::MessageId, u64)> = Vec::new();
-        for a in &arrivals {
-            let id = cluster.schedule_atomic_send_at(
-                a.shard,
-                simnet::SimTime::from_nanos(a.at_ns),
-                a.size,
-            );
-            pending.push((a.shard, id, a.at_ns));
-        }
-        cluster.run();
-        for (s, id, at_ns) in pending {
-            let commit = cluster
-                .atomic_live_members(s)
-                .iter()
-                .map(|&m| {
-                    cluster
-                        .atomic_log(s, m)
-                        .iter()
-                        .find(|d| d.message == id)
-                        .expect("every offered message commits")
-                        .at
-                })
-                .max()
-                .expect("atomic group has members");
-            commits.push((at_ns, commit));
-        }
-    } else {
-        let mut cluster = ClusterBuilder::new(spec).build();
-        let groups: Vec<rdmc_sim::GroupId> = (0..shards)
-            .map(|s| cluster.create_group(group_spec(workload.members(s))))
-            .collect();
-        let pending: Vec<(rdmc_sim::MessageId, u64)> = arrivals
-            .iter()
-            .map(|a| {
-                let at = simnet::SimTime::from_nanos(a.at_ns);
-                (
-                    cluster.schedule_send_at(groups[a.shard], at, a.size),
-                    a.at_ns,
-                )
-            })
-            .collect();
-        cluster.run();
-        for (id, at_ns) in pending {
-            // Commit = the last member's local RDMC completion: a lower
-            // bound on when *any* stability protocol could release it.
-            let commit = cluster
-                .result(id)
-                .expect("timer fired")
-                .delivered_at
-                .iter()
-                .map(|d| d.expect("every member completes"))
-                .max()
-                .expect("group has members");
-            commits.push((at_ns, commit));
-        }
-    }
-    let latencies: Vec<f64> = commits
-        .iter()
-        .map(|&(at_ns, commit)| (commit.as_secs_f64() - at_ns as f64 / 1e9) * 1e3)
-        .collect();
-    let first_arrival = commits.iter().map(|&(at, _)| at).min().unwrap_or(0) as f64 / 1e9;
-    let last_commit = commits
-        .iter()
-        .map(|&(_, c)| c)
-        .max()
-        .map_or(0.0, |c| c.as_secs_f64());
-    AtomicCell {
-        mode: if multi {
-            "multi_sender"
-        } else {
-            "single_sender"
-        },
-        shards,
-        offered_gbps,
-        messages,
-        committed_ops_per_s: commits.len() as f64 / (last_commit - first_arrival).max(1e-9),
-        p50_ms: stats::percentile(&latencies, 50.0),
-        p99_ms: stats::percentile(&latencies, 99.0),
-    }
-}
-
-/// The atomic multicast sweep: the ShardedWorkload serving story at the
-/// small-message end, each shard ordered either by the rotated
-/// multi-sender overlay or by a single root sender on raw RDMC (FIFO
-/// from one root is already a total order; its commit instant is the
-/// last member's local completion, the lower bound on any stability
-/// protocol), measured as *committed* operations per second — a message
-/// counts only once every member holds it. Rotation multiplies the per-shard in-flight
-/// budget by the member count, which is what keeps the committed rate
-/// at the offered rate when a lone sender's dissemination latency
-/// cannot.
-pub fn atomic_sweep(quick: bool) -> AtomicReport {
-    let messages = if quick { 48 } else { 120 };
-    // Per-shard offered capacity scale (Gb/s) x load factors: light,
-    // and past what one sender can serialize.
-    let points: [(usize, f64); 3] = [(8, 0.5), (8, 1.5), (16, 1.2)];
-    let mut configs = Vec::new();
-    for &(shards, factor) in &points {
-        for &multi in &[true, false] {
-            configs.push((shards, factor * 16.0 * shards as f64, multi));
-        }
-    }
-    let cells = par_map(&configs, |(shards, offered, multi)| {
-        atomic_point(*shards, *offered, messages, *multi)
-    });
-    AtomicReport { cells }
-}
-
-/// One cell of the lossy-WAN reliability sweep: one policy at one
-/// per-WAN-link loss rate, aggregated over independent seeded runs.
-pub struct ReliabilityCell {
-    /// Reliability policy label.
-    pub policy: &'static str,
-    /// Per-WAN-link loss probability, percent.
-    pub loss_pct: f64,
-    /// Independent single-message runs at this point.
-    pub messages: usize,
-    /// Runs whose message reached every surviving rank.
-    pub completed: usize,
-    /// Median delivery latency (submit to last survivor), milliseconds.
-    pub p50_ms: f64,
-    /// 99th-percentile delivery latency, milliseconds.
-    pub p99_ms: f64,
-    /// NACK control writes sent across all runs.
-    pub nacks: u64,
-    /// Retransmitted blocks delivered across all runs.
-    pub retransmissions: u64,
-    /// Blocks reconstructed from erasure parity across all runs.
-    pub parity_repairs: u64,
-    /// Connections escalated to epoch recovery across all runs.
-    pub escalations: u64,
-}
-
-/// The reliability sweep's results.
-pub struct ReliabilityReport {
-    /// One cell per (policy, loss rate) point.
-    pub cells: Vec<ReliabilityCell>,
-}
-
-impl ReliabilityReport {
-    /// Text table for the report output.
-    pub fn text(&self) -> String {
-        let mut out = String::from(
-            "Reliability under WAN loss: geo 2-site cluster (50 ms WAN), 8 MB messages,\n\
-             per-group reliability policy vs per-WAN-link loss rate\n",
-        );
-        let rows: Vec<Vec<String>> = self
-            .cells
-            .iter()
-            .map(|c| {
-                row![
-                    c.policy,
-                    format!("{:.1}%", c.loss_pct),
-                    format!("{}/{}", c.completed, c.messages),
-                    format!("{:.1}", c.p50_ms),
-                    format!("{:.1}", c.p99_ms),
-                    c.nacks,
-                    c.retransmissions,
-                    c.parity_repairs,
-                    c.escalations
-                ]
-            })
-            .collect();
-        out.push_str(&render(
-            &row![
-                "policy",
-                "loss",
-                "completed",
-                "p50 ms",
-                "p99 ms",
-                "nacks",
-                "retrans",
-                "parity fix",
-                "escalations"
-            ],
-            &rows,
-        ));
-        out.push('\n');
-        out
-    }
-}
-
-/// One point of the reliability sweep: `messages` independent seeded
-/// runs of an 8 MB multicast on the geo 2-site cluster, with `loss_pct`
-/// per-WAN-link loss and the group protected by `policy`.
-fn reliability_point(
-    policy_label: &'static str,
-    policy: rdmc_sim::ReliabilityPolicy,
-    loss_pct: f64,
-    messages: usize,
-) -> ReliabilityCell {
-    use simnet::{FaultProfile, LinkFault};
-    let mut latencies = Vec::new();
-    let mut completed = 0usize;
-    let mut nacks = 0u64;
-    let mut retransmissions = 0u64;
-    let mut parity_repairs = 0u64;
-    let mut escalations = 0u64;
-    for run in 0..messages {
-        let fabric = ClusterSpec::geo(4).build();
-        // At 0% the profile is clean, which the fabric treats as none.
-        let mut profile = FaultProfile::new(0xC0F_FEE ^ run as u64);
-        for link in fabric.topology().wan_links() {
-            profile.set_link(link, LinkFault::lossy(loss_pct / 100.0));
-        }
-        let mut cluster = ClusterBuilder::from_transport(fabric)
-            .fault_profile(profile)
-            .recovery(RecoveryConfig::default())
-            .reliability(policy)
-            .build();
-        let group = cluster.create_group(GroupSpec {
-            members: (0..4).collect(),
-            algorithm: Algorithm::BinomialPipeline,
-            block_size: MB,
-            ready_window: 4,
-            max_outstanding_sends: 2,
-        });
-        cluster.submit_send(group, 8 * MB);
-        cluster.run();
-        let survivors = cluster.surviving_ranks(group);
-        let r = &cluster.message_results()[0];
-        let done_at = survivors
-            .iter()
-            .map(|&o| r.delivered_at[o as usize])
-            .collect::<Option<Vec<_>>>()
-            .and_then(|ts| ts.into_iter().max());
-        if let Some(last) = done_at {
-            completed += 1;
-            latencies.push(last.since(r.submitted).as_secs_f64() * 1e3);
-        }
-        let s = cluster.reliability_stats();
-        nacks += s.nacks_sent;
-        retransmissions += s.repairs_received;
-        parity_repairs += s.parity_repairs;
-        escalations += s.escalations;
-    }
-    ReliabilityCell {
-        policy: policy_label,
-        loss_pct,
-        messages,
-        completed,
-        p50_ms: stats::percentile(&latencies, 50.0),
-        p99_ms: stats::percentile(&latencies, 99.0),
-        nacks,
-        retransmissions,
-        parity_repairs,
-        escalations,
-    }
-}
-
-/// The lossy-WAN reliability sweep: every policy at every loss rate on
-/// the geo 2-site cluster. The headline is the SDR-RDMA story —
-/// selective-ack pays a 100 ms WAN round trip per lost block, so its
-/// tail latency climbs with the loss rate, while erasure parity repairs
-/// losses from data already on the wire and holds p99 nearly flat
-/// through 1% loss; wedge/resume escalates every loss to epoch
-/// recovery, the right trade only when losses mean a failing peer.
-pub fn reliability_sweep(quick: bool) -> ReliabilityReport {
-    let messages = if quick { 6 } else { 16 };
-    let policies: [(&'static str, rdmc_sim::ReliabilityPolicy); 3] = [
-        (
-            "selective-ack",
-            rdmc_sim::ReliabilityPolicy::selective_ack(),
-        ),
-        ("erasure-2+1", rdmc_sim::ReliabilityPolicy::erasure(2, 1)),
-        ("wedge-resume", rdmc_sim::ReliabilityPolicy::wedge_resume()),
-    ];
-    let rates = [0.0, 0.1, 1.0, 5.0];
-    let mut configs = Vec::new();
-    for (label, policy) in &policies {
-        for &pct in &rates {
-            configs.push((*label, *policy, pct));
-        }
-    }
-    let cells = par_map(&configs, |(label, policy, pct)| {
-        reliability_point(label, *policy, *pct, messages)
-    });
-    ReliabilityReport { cells }
-}
-
-/// The disabled-recorder overhead record the `trace` section prints.
-pub struct TraceOverhead {
-    /// Events a fully traced Fig. 4 run (group of 16, 8 MB) records.
-    pub events: u64,
-    /// Cost of one record call against a disabled recorder.
-    pub ns_per_disabled_call: f64,
-    /// Wall time of the same run with tracing off entirely.
-    pub wall_disabled_s: f64,
-    /// `events x ns_per_call` as a fraction of the untraced wall time —
-    /// what leaving the instrumentation compiled-in but disabled costs.
-    pub overhead_pct: f64,
-}
-
-/// Measures the zero-cost-when-disabled claim on the Fig. 4 bench path:
-/// count the events a traced run records, time the untraced run, and
-/// time the disabled-recorder fast path per call.
-pub fn trace_overhead_probe(quick: bool) -> TraceOverhead {
-    let spec = ClusterSpec::fractus(16);
-    let (_, events, _) = run_traced_multicast(&spec, 16, Algorithm::BinomialPipeline, 8 * MB, MB);
-    let events = events.len() as u64;
-
-    let t = std::time::Instant::now();
-    let _ = run_single_multicast(&spec, 16, Algorithm::BinomialPipeline, 8 * MB, MB);
-    let wall_disabled_s = t.elapsed().as_secs_f64();
-
-    let recorder = trace::Recorder::disabled();
-    let scope = trace::Scope::group_rank(0, 0);
-    let iters: u64 = if quick { 1_000_000 } else { 10_000_000 };
-    let t = std::time::Instant::now();
-    for i in 0..iters {
-        let r = std::hint::black_box(&recorder);
-        r.record(scope, || trace::EventKind::ReadyHeard { from: i as u32 });
-    }
-    let ns_per_disabled_call = t.elapsed().as_nanos() as f64 / iters as f64;
-
-    TraceOverhead {
-        events,
-        ns_per_disabled_call,
-        wall_disabled_s,
-        overhead_pct: 100.0 * events as f64 * ns_per_disabled_call / (wall_disabled_s * 1e9),
-    }
-}
-
-/// Writes the Chrome `trace_event` export of one traced multicast to
-/// `path` (open it in `chrome://tracing` or Perfetto).
-pub fn write_sample_chrome_trace(path: &str) -> std::io::Result<()> {
-    let spec = ClusterSpec::fractus(8);
-    let (_, events, _) = run_traced_multicast(&spec, 8, Algorithm::BinomialPipeline, 8 * MB, MB);
-    std::fs::write(path, trace::export::to_chrome_trace(&events))
-}
-
-/// The 1000-node sharded-workload half of the `scale` section.
-pub struct ScaleShardedCell {
-    /// Cluster (and workload) node count.
-    pub nodes: usize,
-    /// Shard groups sharing the fabric.
-    pub shards: usize,
-    /// Messages the open-loop schedule offered.
-    pub messages: usize,
-    /// Median delivery latency, milliseconds.
-    pub p50_ms: f64,
-    /// 99th-percentile delivery latency, milliseconds.
-    pub p99_ms: f64,
-    /// Goodput over the run, Gb/s.
-    pub agg_gbps: f64,
-    /// RNR arms during the run (must be zero).
-    pub rnr_arms: u64,
-    /// Fabric events processed.
-    pub events: u64,
-    /// Events per wall-clock second.
-    pub events_per_sec: f64,
-    /// Rate reallocations run.
-    pub reallocs: u64,
-    /// Reallocations per offered message.
-    pub reallocs_per_arrival: f64,
-    /// Links visited per reallocation (ripple-set size).
-    pub link_visits_per_realloc: f64,
-    /// Flow starts/removals absorbed by same-instant coalescing.
-    pub coalesced: u64,
-    /// Completion-heap compactions.
-    pub heap_compactions: u64,
-    /// Wall-clock seconds for the run.
-    pub wall_s: f64,
-}
-
-/// The 10k-flow churn half of the `scale` section: the same flow churn,
-/// on the same kernel, over two descriptions of one fabric — `legacy` is
-/// the flat `two_tier` (uplinks take part in the fill and couple every
-/// pod), `scaled` the `fat_tree` whose aggregation tier is transparent.
-pub struct ScaleChurnCell {
-    /// Concurrent flows held live through the churn.
-    pub flows: usize,
-    /// Churn operations (each = one removal + one start).
-    pub ops: usize,
-    /// Ripple link-visits per kernel event, flat `two_tier`.
-    pub legacy_visits_per_event: f64,
-    /// Ripple link-visits per kernel event, transparent-tier `fat_tree`.
-    pub scaled_visits_per_event: f64,
-    /// `legacy / scaled` — the acceptance bar is >= 5x.
-    pub visit_speedup: f64,
-    /// Kernel events per wall-clock second, flat `two_tier`.
-    pub legacy_events_per_sec: f64,
-    /// Kernel events per wall-clock second, transparent-tier `fat_tree`.
-    pub scaled_events_per_sec: f64,
-    /// Same-instant coalescing hits in the `fat_tree` run.
-    pub scaled_coalesced: u64,
-    /// Heap compactions in the `fat_tree` run.
-    pub scaled_heap_compactions: u64,
-}
-
-/// The datacenter-scale section: sharded run + churn microbench.
-pub struct ScaleReport {
-    /// 1000-node, 100-shard open-loop run.
-    pub sharded: ScaleShardedCell,
-    /// 10k-flow churn microbench.
-    pub churn: ScaleChurnCell,
-}
-
-impl ScaleReport {
-    /// Text tables for the report output.
-    pub fn text(&self) -> String {
-        let s = &self.sharded;
-        let mut out = String::from(
-            "Datacenter scale: 1000-node fat-tree, 100-shard open-loop workload \
-             (transparent aggregation tier)\n",
-        );
-        out.push_str(&render(
-            &row![
-                "nodes",
-                "shards",
-                "msgs",
-                "p50 ms",
-                "p99 ms",
-                "agg Gb/s",
-                "events/s",
-                "reallocs/msg",
-                "links/realloc",
-                "coalesced",
-                "wall"
-            ],
-            &[row![
-                s.nodes,
-                s.shards,
-                s.messages,
-                format!("{:.2}", s.p50_ms),
-                format!("{:.2}", s.p99_ms),
-                format!("{:.1}", s.agg_gbps),
-                format!("{:.0}k", s.events_per_sec / 1e3),
-                format!("{:.2}", s.reallocs_per_arrival),
-                format!("{:.1}", s.link_visits_per_realloc),
-                s.coalesced,
-                format!("{:.2}s", s.wall_s)
-            ]],
-        ));
-        let c = &self.churn;
-        out.push_str(&format!(
-            "\n10k-flow churn microbench: {} live flows, {} churn ops, one kernel, \
-             two descriptions of the fabric\n",
-            c.flows, c.ops
-        ));
-        out.push_str(&render(
-            &row![
-                "topology",
-                "link-visits/event",
-                "events/s",
-                "coalesced",
-                "compactions"
-            ],
-            &[
-                row![
-                    "flat two_tier",
-                    format!("{:.1}", c.legacy_visits_per_event),
-                    format!("{:.0}", c.legacy_events_per_sec),
-                    "-",
-                    "-"
-                ],
-                row![
-                    "fat_tree, transparent tier",
-                    format!("{:.1}", c.scaled_visits_per_event),
-                    format!("{:.0}", c.scaled_events_per_sec),
-                    c.scaled_coalesced,
-                    c.scaled_heap_compactions
-                ],
-            ],
-        ));
-        out.push_str(&format!(
-            "ripple link-visit reduction: {:.1}x\n",
-            c.visit_speedup
-        ));
-        out
-    }
-}
-
-/// Runs the 1000-node, 100-shard `ShardedWorkload` on the fat-tree
-/// datacenter profile — ROADMAP item 5's target configuration — and
-/// meters the kernel while it runs.
-fn scale_sharded(quick: bool) -> ScaleShardedCell {
-    const NODES: usize = 1000;
-    const SHARDS: usize = 100;
-    let messages = if quick { 150 } else { 1500 };
-    let spec = ClusterSpec::datacenter(NODES);
-    assert_eq!(spec.topology.nodes(), NODES);
-    let workload = ShardedWorkload {
-        seed: 0xDC5C,
-        nodes: NODES,
-        shards: SHARDS,
-        replication_factor: 3,
-        offered_gbps: 400.0,
-        median_bytes: 1.7e6,
-        mean_bytes: 2e6,
-        min_bytes: 256 << 10,
-        max_bytes: 6 * MB,
-    };
-    let memberships: Vec<Vec<usize>> = (0..SHARDS).map(|s| workload.members(s)).collect();
-    let arrivals: Vec<rdmc_sim::OpenLoopArrival> = workload
-        .generate(messages)
-        .into_iter()
-        .map(|a| rdmc_sim::OpenLoopArrival {
-            at_ns: a.at_ns,
-            group_index: a.shard,
-            size: a.size,
-        })
-        .collect();
-    let base = verbs::perf::snapshot();
-    let t0 = std::time::Instant::now();
-    let outcome = rdmc_sim::run_open_loop(&spec, &memberships, &arrivals, MB / 8, None, false);
-    let wall_s = t0.elapsed().as_secs_f64();
-    let d = verbs::perf::snapshot().delta_since(&base);
-    let latencies: Vec<f64> = outcome
-        .all_latencies()
-        .iter()
-        .map(|l| l.as_secs_f64() * 1e3)
-        .collect();
-    ScaleShardedCell {
-        nodes: NODES,
-        shards: SHARDS,
-        messages,
-        p50_ms: stats::percentile(&latencies, 50.0),
-        p99_ms: stats::percentile(&latencies, 99.0),
-        agg_gbps: outcome.aggregate_gbps(),
-        rnr_arms: outcome.rnr_arms,
-        events: d.events,
-        events_per_sec: if wall_s > 0.0 {
-            d.events as f64 / wall_s
-        } else {
-            0.0
-        },
-        reallocs: d.realloc_count,
-        reallocs_per_arrival: d.realloc_count as f64 / messages as f64,
-        link_visits_per_realloc: if d.realloc_count == 0 {
-            0.0
-        } else {
-            d.link_visits as f64 / d.realloc_count as f64
-        },
-        coalesced: d.coalesced,
-        heap_compactions: d.heap_compactions,
-        wall_s,
-    }
-}
-
-/// One churn run at the flow-network level: `conns` node pairs on a
-/// 1000-host two-tier fabric, `flows_per_conn` long-lived flows per pair
-/// (the multicast "many flows, same path" shape), then `ops` churn steps
-/// of one removal plus one start each. `transparent_tier` builds the
-/// fabric as a `fat_tree` (aggregation links transparent to the
-/// allocator) instead of a flat `two_tier`. Returns the stats delta over
-/// the churn loop and its wall-clock seconds.
-fn churn_once(
-    transparent_tier: bool,
-    conns: usize,
-    flows_per_conn: usize,
-    ops: usize,
-) -> (simnet::ReallocStats, f64) {
-    use simnet::SimTime;
-    let (pods, per_pod) = (40usize, 25usize);
-    let hosts = pods * per_pod;
-    let mut net = simnet::FlowNet::new();
-    let latency = SimDuration::from_micros(4);
-    let topo = if transparent_tier {
-        simnet::Topology::fat_tree(&mut net, pods, per_pod, 100.0, latency)
-    } else {
-        simnet::Topology::two_tier(&mut net, pods, per_pod, 100.0, 2500.0, latency)
-    };
-    // Deterministic splitmix-style generator: no wall clock, no rand dep.
-    let mut state = 0x9E37_79B9_7F4A_7C15u64;
-    let mut rnd = move |m: usize| {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        ((state >> 33) as usize) % m
-    };
-    // Disjoint cross-pod sender/receiver pairs — the sharded-multicast
-    // shape: each connection carries many concurrent block transfers
-    // (same path), and distinct connections share no host NIC. The only
-    // thing coupling them is the aggregation tier, which is exactly what
-    // the transparent marking says can never bind.
-    assert!(2 * conns <= hosts, "pairs must be node-disjoint");
-    let pairs: Vec<(usize, usize)> = (0..conns).map(|i| (i, hosts / 2 + i)).collect();
-    // Big enough that nothing completes during the run.
-    const FLOW_BYTES: f64 = 1e12;
-    let mut live = Vec::with_capacity(conns * flows_per_conn);
-    for &(a, b) in &pairs {
-        for _ in 0..flows_per_conn {
-            live.push(net.start_flow(SimTime::ZERO, topo.path(a, b), FLOW_BYTES));
-        }
-    }
-    net.next_completion(); // flush the setup burst before metering
-    let base = net.realloc_stats();
-    let t0 = std::time::Instant::now();
-    for op in 0..ops {
-        let now = SimTime::from_nanos(1_000 * (op as u64 + 1));
-        let victim = rnd(live.len());
-        net.abort_flow(now, live.swap_remove(victim));
-        let (a, b) = pairs[rnd(pairs.len())];
-        live.push(net.start_flow(now, topo.path(a, b), FLOW_BYTES));
-        net.next_completion(); // force the deferred reallocation
-    }
-    let wall_s = t0.elapsed().as_secs_f64();
-    let after = net.realloc_stats();
-    let d = simnet::ReallocStats {
-        count: after.count - base.count,
-        full: after.full - base.full,
-        nanos: after.nanos - base.nanos,
-        flows_visited: after.flows_visited - base.flows_visited,
-        heap_pushes: after.heap_pushes - base.heap_pushes,
-        rate_changes: after.rate_changes - base.rate_changes,
-        link_visits: after.link_visits - base.link_visits,
-        coalesced: after.coalesced - base.coalesced,
-        heap_compactions: after.heap_compactions - base.heap_compactions,
-    };
-    (d, wall_s)
-}
-
-/// The 10k-flow churn microbench: identical churn on the flat `two_tier`
-/// and on the transparent-tier `fat_tree`, compared on ripple link-visits
-/// per kernel event (one event = one flow start or removal).
-fn scale_churn(quick: bool) -> ScaleChurnCell {
-    const CONNS: usize = 500;
-    const FLOWS_PER_CONN: usize = 20; // 10k live flows
-    let ops = if quick { 200 } else { 1_000 };
-    let events = 2 * ops as u64;
-    let (legacy, legacy_wall) = churn_once(false, CONNS, FLOWS_PER_CONN, ops);
-    let (scaled, scaled_wall) = churn_once(true, CONNS, FLOWS_PER_CONN, ops);
-    let per_event = |d: &simnet::ReallocStats| d.link_visits as f64 / events as f64;
-    ScaleChurnCell {
-        flows: CONNS * FLOWS_PER_CONN,
-        ops,
-        legacy_visits_per_event: per_event(&legacy),
-        scaled_visits_per_event: per_event(&scaled),
-        visit_speedup: per_event(&legacy) / per_event(&scaled).max(f64::MIN_POSITIVE),
-        legacy_events_per_sec: events as f64 / legacy_wall.max(f64::MIN_POSITIVE),
-        scaled_events_per_sec: events as f64 / scaled_wall.max(f64::MIN_POSITIVE),
-        scaled_coalesced: scaled.coalesced,
-        scaled_heap_compactions: scaled.heap_compactions,
-    }
-}
-
-/// The datacenter-scale benchmark: the 1000-node sharded run plus the
-/// 10k-flow churn microbench (the `scale` section).
-pub fn scale_benchmark(quick: bool) -> ScaleReport {
-    ScaleReport {
-        sharded: scale_sharded(quick),
-        churn: scale_churn(quick),
-    }
-}
-
-// ---------------------------------------------------------------------
-// Transport benchmark: real TCP vs simulated prediction (§5.3).
-// ---------------------------------------------------------------------
-
-/// One transport's measurement at the matched configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct TransportCell {
-    /// p50 of per-member delivery latency, milliseconds.
-    pub p50_ms: f64,
-    /// p99 of per-member delivery latency, milliseconds.
-    pub p99_ms: f64,
-    /// Payload goodput (messages x size, first submit to last
-    /// delivery) in gigabits per second.
-    pub goodput_gbps: f64,
-    /// Wall-clock cost of the run (for TCP this is the measurement;
-    /// for the simulation it is the cost of predicting it).
-    pub wall_s: f64,
-}
-
-/// Real-TCP loopback run vs the simulated prediction at a matched
-/// configuration (same group spec, node count, message schedule).
-#[derive(Debug, Clone, Copy)]
-pub struct TransportReport {
-    /// In-process node count (>= 64 in the full run).
-    pub nodes: usize,
-    /// Messages pushed back-to-back through the group.
-    pub messages: usize,
-    /// Bytes per message.
-    pub message_bytes: u64,
-    /// Block size in bytes.
-    pub block_bytes: u64,
-    /// The discrete-event prediction (100 Gb/s flat switch).
-    pub simulated: TransportCell,
-    /// The measurement over real loopback sockets.
-    pub tcp: TransportCell,
-}
-
-impl TransportReport {
-    /// Text table for the report output.
-    pub fn text(&self) -> String {
-        let mut out = format!(
-            "Transport check: {} in-process nodes, {} x {} binomial pipeline \
-             ({} blocks), simulated 100 Gb/s switch vs real loopback TCP\n",
-            self.nodes,
-            self.messages,
-            bytes_label(self.message_bytes),
-            bytes_label(self.block_bytes),
-        );
-        let line = |name: &str, c: &TransportCell| {
-            row![
-                name,
-                format!("{:.2}", c.p50_ms),
-                format!("{:.2}", c.p99_ms),
-                format!("{:.2}", c.goodput_gbps),
-                format!("{:.2}s", c.wall_s)
-            ]
-        };
-        out.push_str(&render(
-            &row!["transport", "p50 ms", "p99 ms", "goodput Gb/s", "wall"],
-            &[line("simulated", &self.simulated), line("tcp", &self.tcp)],
-        ));
-        out
-    }
-}
-
-/// Runs the matched workload on an already-built cluster and reduces
-/// the per-member delivery latencies. Returns the cell plus the
-/// transport, so the TCP side can do an error-surfacing shutdown.
-fn transport_run<T: verbs::Transport>(
-    mut cluster: rdmc_sim::Cluster<T>,
-    spec: GroupSpec,
-    messages: usize,
-    size: u64,
-) -> (TransportCell, T) {
-    let wall = std::time::Instant::now();
-    let group = cluster.create_group(spec);
-    for _ in 0..messages {
-        cluster.submit_send(group, size);
-    }
-    cluster.run();
-    let wall_s = wall.elapsed().as_secs_f64();
-
-    let mut latencies_ms = Vec::new();
-    let mut first_submit = u64::MAX;
-    let mut last_delivery = 0u64;
-    for r in cluster.message_results() {
-        first_submit = first_submit.min(r.submitted.as_nanos());
-        for d in &r.delivered_at {
-            let d = d.expect("benchmark message must deliver");
-            last_delivery = last_delivery.max(d.as_nanos());
-            latencies_ms.push((d.as_nanos() - r.submitted.as_nanos()) as f64 / 1e6);
-        }
-    }
-    let span_s = (last_delivery - first_submit) as f64 / 1e9;
-    let cell = TransportCell {
-        p50_ms: stats::percentile(&latencies_ms, 50.0),
-        p99_ms: stats::percentile(&latencies_ms, 99.0),
-        goodput_gbps: (messages as u64 * size) as f64 * 8.0 / span_s / 1e9,
-        wall_s,
-    };
-    assert!(cluster.destroy_group(group), "clean close (§4.6)");
-    (cell, cluster.into_transport())
-}
-
-/// The transport benchmark: the same binomial-pipeline workload over
-/// the discrete-event fabric and over real loopback sockets, at a
-/// matched configuration with at least 64 in-process nodes (full run).
-pub fn transport_benchmark(quick: bool) -> TransportReport {
-    let nodes = if quick { 16 } else { 64 };
-    let messages = if quick { 3 } else { 6 };
-    let size = if quick { MB } else { 2 * MB };
-    let block = 64 << 10;
-    let spec = pipeline_group_spec((0..nodes).collect(), block, Algorithm::BinomialPipeline);
-
-    let sim = ClusterBuilder::new(ClusterSpec::fractus(nodes)).build();
-    let (simulated, _) = transport_run(sim, spec.clone(), messages, size);
-
-    let tcp = rdmc_tcp::builder(nodes).expect("loopback listener").build();
-    let (tcp_cell, fabric) = transport_run(tcp, spec, messages, size);
-    fabric.shutdown().expect("clean socket teardown");
-
-    TransportReport {
-        nodes,
-        messages,
-        message_bytes: size,
-        block_bytes: block,
-        simulated,
-        tcp: tcp_cell,
     }
 }

@@ -31,8 +31,8 @@ fn quick_scale_benchmark_completes_with_clean_counters() {
         "ripple link-visit reduction {:.1}x fell below the 5x bar \
          (legacy {:.1}/event vs hierarchy-aware {:.1}/event)",
         c.visit_speedup,
-        c.legacy_visits_per_event,
-        c.scaled_visits_per_event,
+        c.two_tier_visits_per_event,
+        c.fat_tree_visits_per_event,
     );
 }
 
@@ -86,7 +86,7 @@ fn scale_run_stall_attribution_is_airtight() {
     }
     cluster.run();
     assert_eq!(
-        cluster.fabric().stats().rnr_arms,
+        cluster.transport().stats().rnr_arms,
         0,
         "RNR retry armed during the scale run"
     );

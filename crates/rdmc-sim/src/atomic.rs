@@ -377,12 +377,6 @@ impl<T: Transport> Cluster<T> {
         &self.atomic.groups[ag].members[member].log
     }
 
-    /// Fabric node of each member, in the unrotated declaration order
-    /// (member index `i` is the identity used in slots and logs).
-    pub fn atomic_nodes(&self, ag: AtomicGroupId) -> &[usize] {
-        &self.atomic.groups[ag].nodes
-    }
-
     /// The per-sender RDMC subgroup ids: `atomic_subgroups(ag)[j]` is
     /// the subgroup rooted at member `j`; index 0 is the *anchor* whose
     /// id names the group in trace scopes.

@@ -1104,19 +1104,15 @@ impl<T: Transport> Cluster<T> {
     }
 }
 
-/// Simulation-only surface: knobs and accessors that exist on the
-/// simulated verbs [`Fabric`] but have no meaning on a real transport.
+/// Simulation-only surface: the one knob that exists on the simulated
+/// verbs [`Fabric`] but has no meaning on a real transport. (Read-only
+/// access to the fabric is [`Cluster::transport`], as on any backend.)
 impl Cluster<Fabric> {
     /// Offers up to `budget` deliver-or-drop choice points to the
     /// attached controlled scheduler (model-checking loss sites instead
     /// of sampling them; requires a scheduler).
     pub fn set_loss_choice_budget(&mut self, budget: u64) {
         self.fabric.set_loss_choice_budget(budget);
-    }
-
-    /// Access the underlying fabric (topology, link accounting, CPU).
-    pub fn fabric(&self) -> &Fabric {
-        &self.fabric
     }
 }
 

@@ -19,6 +19,48 @@ pub struct MulticastOutcome {
     pub bandwidth_gbps: f64,
 }
 
+/// The one body behind [`run_single_multicast`] and
+/// [`run_traced_multicast`]: the outcome plus whatever the flight
+/// recorder captured (nothing when `recorder` is `None`).
+fn single_multicast(
+    spec: &ClusterSpec,
+    group_size: usize,
+    algorithm: Algorithm,
+    size: u64,
+    block_size: u64,
+    recorder: Option<trace::Mode>,
+) -> (MulticastOutcome, Vec<trace::TraceEvent>) {
+    assert!(
+        group_size <= spec.topology.nodes(),
+        "group larger than cluster"
+    );
+    let mut builder = ClusterBuilder::new(spec.clone());
+    if let Some(mode) = recorder {
+        builder = builder.flight_recorder(mode);
+    }
+    let mut cluster = builder.build();
+    let group = cluster.create_group(GroupSpec {
+        members: (0..group_size).collect(),
+        algorithm,
+        block_size,
+        ready_window: 3,
+        max_outstanding_sends: 3,
+    });
+    cluster.submit_send(group, size);
+    cluster.run();
+    let result = &cluster.message_results()[0];
+    let latency = result
+        .latency()
+        .expect("multicast did not complete at every member");
+    let outcome = MulticastOutcome {
+        size,
+        group_size,
+        latency,
+        bandwidth_gbps: result.bandwidth_gbps().expect("nonzero latency"),
+    };
+    (outcome, cluster.trace_events())
+}
+
 /// Runs one multicast of `size` bytes to a fresh group of `group_size`
 /// nodes on `spec`'s cluster, returning its latency/bandwidth.
 ///
@@ -33,30 +75,7 @@ pub fn run_single_multicast(
     size: u64,
     block_size: u64,
 ) -> MulticastOutcome {
-    assert!(
-        group_size <= spec.topology.nodes(),
-        "group larger than cluster"
-    );
-    let mut cluster = ClusterBuilder::new(spec.clone()).build();
-    let group = cluster.create_group(GroupSpec {
-        members: (0..group_size).collect(),
-        algorithm,
-        block_size,
-        ready_window: 3,
-        max_outstanding_sends: 3,
-    });
-    cluster.submit_send(group, size);
-    cluster.run();
-    let result = &cluster.message_results()[0];
-    let latency = result
-        .latency()
-        .expect("multicast did not complete at every member");
-    MulticastOutcome {
-        size,
-        group_size,
-        latency,
-        bandwidth_gbps: result.bandwidth_gbps().expect("nonzero latency"),
-    }
+    single_multicast(spec, group_size, algorithm, size, block_size, None).0
 }
 
 /// The [`trace::stall::WireModel`] matching a cluster's calibration:
@@ -109,34 +128,9 @@ pub fn run_traced_multicast(
     Vec<trace::TraceEvent>,
     trace::stall::WireModel,
 ) {
-    assert!(
-        group_size <= spec.topology.nodes(),
-        "group larger than cluster"
-    );
-    let mut cluster = ClusterBuilder::new(spec.clone())
-        .flight_recorder(trace::Mode::Full)
-        .build();
-    let recorder = cluster.recorder().clone();
-    let group = cluster.create_group(GroupSpec {
-        members: (0..group_size).collect(),
-        algorithm,
-        block_size,
-        ready_window: 3,
-        max_outstanding_sends: 3,
-    });
-    cluster.submit_send(group, size);
-    cluster.run();
-    let result = &cluster.message_results()[0];
-    let latency = result
-        .latency()
-        .expect("multicast did not complete at every member");
-    let outcome = MulticastOutcome {
-        size,
-        group_size,
-        latency,
-        bandwidth_gbps: result.bandwidth_gbps().expect("nonzero latency"),
-    };
-    (outcome, recorder.events(), wire_model_for(spec))
+    let full = Some(trace::Mode::Full);
+    let (outcome, events) = single_multicast(spec, group_size, algorithm, size, block_size, full);
+    (outcome, events, wire_model_for(spec))
 }
 
 /// Runs a back-to-back stream of `count` equal-size messages on one group
@@ -329,7 +323,7 @@ pub fn run_open_loop(
         per_group,
         span,
         pacing: cluster.pacing_stats(),
-        rnr_arms: cluster.fabric().stats().rnr_arms,
+        rnr_arms: cluster.transport().stats().rnr_arms,
     }
 }
 

@@ -1,15 +1,14 @@
-//! Configuration-equivalence suite for the [`ClusterBuilder`] API (the
-//! single construction path, now that the PR-5 deprecation cycle is
-//! complete and the legacy mutator shims are gone).
+//! Build determinism for the [`ClusterBuilder`] API: two
+//! identically-configured builds must run identically, however many
+//! node-targeted knobs the one-shot builder carried.
 //!
-//! Two angles, from cheapest to most adversarial:
+//! 1. a jittered, completion-mode-mixed run of two overlapping groups
+//!    produces the same full flight recording and final virtual time;
+//! 2. a crash/recovery run under jitter produces the same digest (events
+//!    fed, final time, reconfiguration records, per-rank delivery times,
+//!    full trace export).
 //!
-//! 1. the builder reproduces the checked-in golden traces byte-for-byte,
-//!    proving the deprecation cleanup shifted no event, timestamp, or
-//!    serialization detail;
-//! 2. two identically-configured builds of a jittered multi-group run
-//!    and of a crash/recovery run agree on full flight recordings and
-//!    chaos digests — builder construction is deterministic.
+//! The checked-in golden traces are `tests/golden_traces.rs`'s to hold.
 
 use rdmc::Algorithm;
 use rdmc_sim::{ClusterBuilder, ClusterSpec, GroupSpec, RecoveryConfig, SimCluster};
@@ -17,53 +16,6 @@ use simnet::{JitterModel, SimDuration};
 use verbs::CompletionMode;
 
 const BLOCK: u64 = 64 << 10;
-
-/// The golden-trace scenario: one 4-member, 4-block multicast on the
-/// Fractus preset with a full flight recording.
-fn golden_scenario(mut cluster: SimCluster, algorithm: Algorithm) -> String {
-    let recorder = cluster.recorder().clone();
-    let group = cluster.create_group(GroupSpec {
-        members: vec![0, 1, 2, 3],
-        algorithm,
-        block_size: BLOCK,
-        ready_window: 2,
-        max_outstanding_sends: 2,
-    });
-    cluster.submit_send(group, 4 * BLOCK);
-    cluster.run();
-    assert!(cluster.all_quiescent());
-    trace::export::to_jsonl(&recorder.events())
-}
-
-fn checked_in_golden(name: &str) -> String {
-    let path = format!(
-        "{}/../../tests/golden/{name}.jsonl",
-        env!("CARGO_MANIFEST_DIR")
-    );
-    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("missing golden {path}: {e}"))
-}
-
-/// The builder replays every checked-in golden trace byte-for-byte.
-#[test]
-fn builder_reproduces_checked_in_golden_traces() {
-    let cases = [
-        ("sequential", Algorithm::Sequential),
-        ("binomial_tree", Algorithm::BinomialTree),
-        ("chain", Algorithm::Chain),
-        ("binomial_pipeline", Algorithm::BinomialPipeline),
-    ];
-    for (name, algorithm) in cases {
-        let want = checked_in_golden(name);
-        let built = ClusterBuilder::new(ClusterSpec::fractus(4))
-            .flight_recorder(trace::Mode::Full)
-            .build();
-        assert_eq!(
-            golden_scenario(built, algorithm),
-            want,
-            "builder path diverged from golden {name}"
-        );
-    }
-}
 
 /// A jittered, completion-mode-mixed, two-group run.
 fn overlapping_run(mut cluster: SimCluster) -> (String, u64) {
@@ -88,7 +40,7 @@ fn overlapping_run(mut cluster: SimCluster) -> (String, u64) {
     assert!(cluster.all_quiescent());
     (
         trace::export::to_jsonl(&recorder.events()),
-        cluster.fabric().now().as_nanos(),
+        cluster.transport().now().as_nanos(),
     )
 }
 
@@ -144,7 +96,7 @@ fn chaos_digest(mut cluster: SimCluster) -> String {
     digest.push_str(&format!(
         "events_fed={} now_ns={}\n",
         cluster.events_fed(),
-        cluster.fabric().now().as_nanos()
+        cluster.transport().now().as_nanos()
     ));
     for r in &cluster.recovery_stats().reconfigurations {
         digest.push_str(&format!(

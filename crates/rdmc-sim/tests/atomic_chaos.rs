@@ -69,7 +69,11 @@ fn atomic_run(
 /// delivered slot is fully replicated at the survivors.
 fn assert_atomic_recovered(cluster: &SimCluster, n: usize, victim: usize) {
     assert!(cluster.live_quiescent(), "survivors failed to quiesce");
-    assert_eq!(cluster.fabric().stats().rnr_arms, 0, "an RNR timer armed");
+    assert_eq!(
+        cluster.transport().stats().rnr_arms,
+        0,
+        "an RNR timer armed"
+    );
     let oracle = trace::check::check_events(
         &cluster.trace_events(),
         &trace::check::CheckConfig::default(),

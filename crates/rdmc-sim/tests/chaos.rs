@@ -115,8 +115,8 @@ proptest! {
         // Conservation: each member's downlink carried at least the bytes
         // of every message delivered to it (readies/control traffic is tiny
         // and bypasses the flow accounting entirely).
-        let net = cluster.fabric().net();
-        let topo = cluster.fabric().topology();
+        let net = cluster.transport().net();
+        let topo = cluster.transport().topology();
         let mut expected_rx = [0.0f64; 10];
         for (plan, &id) in groups.iter().zip(&ids) {
             let _ = id;
@@ -185,7 +185,11 @@ fn recovery_run(
 /// delivered at every survivor or consistently abandoned group-wide.
 fn assert_recovered(cluster: &SimCluster, n: usize, victim: usize) {
     assert!(cluster.live_quiescent(), "survivors failed to quiesce");
-    assert_eq!(cluster.fabric().stats().rnr_arms, 0, "an RNR timer armed");
+    assert_eq!(
+        cluster.transport().stats().rnr_arms,
+        0,
+        "an RNR timer armed"
+    );
     // Trace oracle over the full flight recording: block causality,
     // send/arrival pairing, delivery completeness, and no RNR arms must
     // all hold even on crash/recovery runs. Budgets stay off — resume
@@ -269,8 +273,8 @@ proptest! {
         let rerun = recovery_run(n, k, Some((victim, step)), Some(jitter_seed));
         prop_assert_eq!(cluster.events_fed(), rerun.events_fed());
         prop_assert_eq!(
-            cluster.fabric().now().as_nanos(),
-            rerun.fabric().now().as_nanos()
+            cluster.transport().now().as_nanos(),
+            rerun.transport().now().as_nanos()
         );
         let (a, b) = (cluster.recovery_stats(), rerun.recovery_stats());
         prop_assert_eq!(a.reconfigurations.len(), b.reconfigurations.len());

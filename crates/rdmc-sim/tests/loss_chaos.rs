@@ -108,7 +108,7 @@ fn assert_converged(cluster: &SimCluster, ctx: &str) {
         "{ctx}: survivors failed to quiesce"
     );
     assert_eq!(
-        cluster.fabric().stats().rnr_arms,
+        cluster.transport().stats().rnr_arms,
         0,
         "{ctx}: an RNR timer armed"
     );
@@ -166,7 +166,7 @@ fn policies() -> [ReliabilityPolicy; 3] {
 /// Wire-level fault counters, for determinism comparison.
 fn fault_counters(cluster: &SimCluster) -> (u64, u64) {
     cluster
-        .fabric()
+        .transport()
         .fault_profile()
         .map(|p| (p.drops(), p.corruptions()))
         .unwrap_or((0, 0))
@@ -301,8 +301,8 @@ proptest! {
         let rerun = seeded_lossy_run(policy, seed, loss_ppm, burst, corrupt);
         prop_assert_eq!(cluster.events_fed(), rerun.events_fed());
         prop_assert_eq!(
-            cluster.fabric().now().as_nanos(),
-            rerun.fabric().now().as_nanos()
+            cluster.transport().now().as_nanos(),
+            rerun.transport().now().as_nanos()
         );
         prop_assert_eq!(cluster.reliability_stats(), rerun.reliability_stats());
         prop_assert_eq!(fault_counters(&cluster), fault_counters(&rerun));
@@ -335,7 +335,7 @@ fn replay_from_env() {
          events_fed={} now_ns={} stats={:?} faults={:?}",
         policy.name(),
         cluster.events_fed(),
-        cluster.fabric().now().as_nanos(),
+        cluster.transport().now().as_nanos(),
         cluster.reliability_stats(),
         fault_counters(&cluster),
     );

@@ -71,7 +71,7 @@ proptest! {
             "{policy:?} inflight={max_inflight}: survivors failed to quiesce"
         );
         // §4.2: pacing defers posting, never the receive side.
-        prop_assert_eq!(cluster.fabric().stats().rnr_arms, 0);
+        prop_assert_eq!(cluster.transport().stats().rnr_arms, 0);
         // Wherever an epoch change installed, the victim is gone from
         // the surviving view. (A crash landing after the backlog
         // drained triggers no detection, so the old view legally
@@ -132,7 +132,7 @@ proptest! {
         }
         cluster.run();
         prop_assert!(cluster.all_quiescent());
-        prop_assert_eq!(cluster.fabric().stats().rnr_arms, 0);
+        prop_assert_eq!(cluster.transport().stats().rnr_arms, 0);
         for m in cluster.message_results() {
             prop_assert!(
                 m.delivered_at.iter().all(Option::is_some),

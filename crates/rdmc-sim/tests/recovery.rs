@@ -96,14 +96,14 @@ fn non_sender_crash_resumes_with_only_missing_blocks() {
 
     assert!(cluster.live_quiescent(), "survivors must quiesce");
     assert_survivors_complete(&cluster, group);
-    assert_eq!(cluster.fabric().stats().rnr_arms, 0);
+    assert_eq!(cluster.transport().stats().rnr_arms, 0);
 
     // Per-rank block accounting at the NIC: each surviving receiver's
     // downlink carried every block at most once per epoch attempt — far
     // less than a full second copy of the message (control writes bypass
     // flow accounting entirely).
-    let net = cluster.fabric().net();
-    let topo = cluster.fabric().topology();
+    let net = cluster.transport().net();
+    let topo = cluster.transport().topology();
     for node in [1usize, 3] {
         let carried = net.bytes_carried(topo.rx_link(node));
         assert!(
@@ -140,7 +140,7 @@ fn sender_crash_is_resumed_or_consistently_abandoned() {
     assert_eq!(cluster.surviving_ranks(group), vec![1, 2, 3]);
     assert!(cluster.live_quiescent());
     assert_survivors_complete(&cluster, group);
-    assert_eq!(cluster.fabric().stats().rnr_arms, 0);
+    assert_eq!(cluster.transport().stats().rnr_arms, 0);
 
     // The group stays usable: original rank 1 is the new root and can
     // multicast in the new epoch.
@@ -180,7 +180,7 @@ fn cascading_failures_bump_the_epoch_twice() {
     );
     assert!(cluster.live_quiescent());
     assert_survivors_complete(&cluster, group);
-    assert_eq!(cluster.fabric().stats().rnr_arms, 0);
+    assert_eq!(cluster.transport().stats().rnr_arms, 0);
 }
 
 #[test]
@@ -202,7 +202,7 @@ fn link_flap_evicts_both_endpoints() {
     assert!(cluster.crash_time(3).is_some());
     assert!(cluster.live_quiescent());
     assert_survivors_complete(&cluster, group);
-    assert_eq!(cluster.fabric().stats().rnr_arms, 0);
+    assert_eq!(cluster.transport().stats().rnr_arms, 0);
 }
 
 #[test]
@@ -239,7 +239,7 @@ fn impatient_config_forces_the_view_before_the_epidemic_settles() {
     assert_eq!(cluster.surviving_ranks(group), vec![0, 1, 2]);
     assert!(cluster.live_quiescent());
     assert_survivors_complete(&cluster, group);
-    assert_eq!(cluster.fabric().stats().rnr_arms, 0);
+    assert_eq!(cluster.transport().stats().rnr_arms, 0);
 }
 
 #[test]
@@ -259,5 +259,5 @@ fn crash_between_messages_recovers_the_stream() {
     assert_eq!(stats.reconfigurations[0].removed, vec![1]);
     assert!(cluster.live_quiescent());
     assert_survivors_complete(&cluster, group);
-    assert_eq!(cluster.fabric().stats().rnr_arms, 0);
+    assert_eq!(cluster.transport().stats().rnr_arms, 0);
 }

@@ -471,8 +471,8 @@ fn binomial_pipeline_moves_no_redundant_bytes() {
     let size = 32 * MB;
     cluster.submit_send(group, size);
     cluster.run();
-    let net = cluster.fabric().net();
-    let topo = cluster.fabric().topology();
+    let net = cluster.transport().net();
+    let topo = cluster.transport().topology();
     let mut total_tx = 0.0;
     for node in 0..8 {
         let rx = net.bytes_carried(topo.rx_link(node));
@@ -509,8 +509,8 @@ fn sequential_send_overloads_the_root_nic() {
     let size = 16 * MB;
     cluster.submit_send(group, size);
     cluster.run();
-    let net = cluster.fabric().net();
-    let topo = cluster.fabric().topology();
+    let net = cluster.transport().net();
+    let topo = cluster.transport().topology();
     let root_tx = net.bytes_carried(topo.tx_link(0));
     assert!(
         (root_tx - (5 * size) as f64).abs() < size as f64 * 0.05,

@@ -721,11 +721,6 @@ impl FlowNet {
         self.stats.nanos
     }
 
-    /// (total flows visited, total heap pushes) across reallocations.
-    pub fn realloc_work(&self) -> (u64, u64) {
-        (self.stats.flows_visited, self.stats.heap_pushes)
-    }
-
     /// All reallocation performance counters.
     pub fn realloc_stats(&self) -> ReallocStats {
         self.stats

@@ -8,16 +8,10 @@
 //! column `c` across all rows reached `k`" — which is how Derecho layers
 //! stability tracking, commit, and view changes over RDMC.
 //!
-//! [`SstTable`] is the sans-IO replica (update locally, encode the wire
-//! write, apply remote writes); [`SstCluster`] drives a set of replicas
-//! over the simulated verbs fabric for tests and experiments.
-
-use bytes::Bytes;
-use simnet::SimTime;
-use verbs::{Delivery, Fabric, NodeId, QpHandle, WrId};
-
-/// One-sided-write tag for table row updates.
-const TAG_TABLE: u64 = 200;
+//! [`SstTable`] is the sans-IO replica: update locally, encode the wire
+//! write, apply remote writes. Whoever owns the replicas carries the
+//! payloads between them ([`crate::ViewTracker`]'s rows ride `rdmc-sim`'s
+//! control writes).
 
 /// One member's replica of the shared state table.
 ///
@@ -123,143 +117,22 @@ impl SstTable {
             .min()
             .expect("rows >= 1")
     }
-
-    /// Maximum of a column across all rows.
-    pub fn max_column(&self, col: u32) -> u64 {
-        (0..self.rows)
-            .map(|r| self.get(r, col))
-            .max()
-            .expect("rows >= 1")
-    }
-
-    /// Sum of a column across all rows.
-    pub fn sum_column(&self, col: u32) -> u64 {
-        (0..self.rows).map(|r| self.get(r, col)).sum()
-    }
-}
-
-/// A set of SST replicas over the simulated fabric, fully connected with
-/// one queue pair per member pair. Drives updates to convergence and
-/// evaluates predicates, for tests and experiments.
-pub struct SstCluster {
-    fabric: Fabric,
-    tables: Vec<SstTable>,
-    /// `qps[a][b]` = a's endpoint toward b (None on the diagonal).
-    qps: Vec<Vec<Option<QpHandle>>>,
-}
-
-impl SstCluster {
-    /// Builds `members.len()` replicas with `columns` columns over
-    /// `fabric`, wiring the full mesh.
-    ///
-    /// # Panics
-    ///
-    /// Panics if fewer than two members are given.
-    pub fn new(mut fabric: Fabric, members: &[usize], columns: u32) -> Self {
-        assert!(members.len() >= 2, "an SST needs at least two members");
-        let n = members.len();
-        let tables = (0..n)
-            .map(|r| SstTable::new(r as u32, n as u32, columns))
-            .collect();
-        let mut qps: Vec<Vec<Option<QpHandle>>> = vec![vec![None; n]; n];
-        for a in 0..n {
-            for b in a + 1..n {
-                let (qa, qb) = fabric.connect(NodeId(members[a] as u32), NodeId(members[b] as u32));
-                qps[a][b] = Some(qa);
-                qps[b][a] = Some(qb);
-            }
-        }
-        SstCluster {
-            fabric,
-            tables,
-            qps,
-        }
-    }
-
-    /// Member `rank`'s local replica.
-    pub fn table(&self, rank: usize) -> &SstTable {
-        &self.tables[rank]
-    }
-
-    /// Member `rank` sets a cell of its row; the update is pushed to
-    /// every peer (in flight until [`SstCluster::run_until`] drains it).
-    pub fn set(&mut self, rank: usize, col: u32, val: u64) {
-        let payload = Bytes::from(self.tables[rank].set_local(col, val));
-        for peer in 0..self.tables.len() {
-            if peer == rank {
-                continue;
-            }
-            let qp = self.qps[rank][peer].expect("mesh is complete");
-            let _ = self
-                .fabric
-                .post_write(qp, WrId(val), TAG_TABLE, payload.clone(), None);
-        }
-    }
-
-    /// Processes fabric events until `predicate` holds (checked after
-    /// every table change) or the fabric quiesces. Returns the time the
-    /// predicate first held.
-    pub fn run_until(&mut self, mut predicate: impl FnMut(&[SstTable]) -> bool) -> Option<SimTime> {
-        if predicate(&self.tables) {
-            return Some(self.fabric.now());
-        }
-        while let Some((t, _node, delivery)) = self.fabric.advance() {
-            if self.apply(delivery) && predicate(&self.tables) {
-                return Some(t);
-            }
-        }
-        None
-    }
-
-    /// Drains all in-flight updates (convergence barrier).
-    pub fn quiesce(&mut self) {
-        while let Some((_, _, delivery)) = self.fabric.advance() {
-            self.apply(delivery);
-        }
-    }
-
-    /// Applies one fabric delivery to the tables; true if a cell changed.
-    fn apply(&mut self, delivery: Delivery) -> bool {
-        if let Delivery::WriteArrived { qp, tag, payload } = delivery {
-            if tag == TAG_TABLE {
-                let me = self.owner_of(qp);
-                let from = self.peer_of(qp);
-                self.tables[me].apply_remote(from as u32, &payload);
-                return true;
-            }
-        }
-        false
-    }
-
-    fn owner_of(&self, qp: QpHandle) -> usize {
-        for (a, row) in self.qps.iter().enumerate() {
-            if row.contains(&Some(qp)) {
-                return a;
-            }
-        }
-        panic!("qp does not belong to the mesh");
-    }
-
-    fn peer_of(&self, qp: QpHandle) -> usize {
-        let a = self.owner_of(qp);
-        self.qps[a]
-            .iter()
-            .position(|&q| q == Some(qp))
-            .expect("qp indexed by peer")
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simnet::{FlowNet, SimDuration, Topology};
-    use verbs::FabricParams;
 
-    fn cluster(n: usize, columns: u32) -> SstCluster {
-        let mut net = FlowNet::new();
-        let topo = Topology::flat(&mut net, n, 100.0, SimDuration::from_micros(2));
-        let fabric = Fabric::new(net, topo, FabricParams::default());
-        SstCluster::new(fabric, &(0..n).collect::<Vec<_>>(), columns)
+    fn replicas(n: u32, columns: u32) -> Vec<SstTable> {
+        (0..n).map(|r| SstTable::new(r, n, columns)).collect()
+    }
+
+    /// `rank` sets a cell of its row and the write lands at every peer.
+    fn set_everywhere(tables: &mut [SstTable], rank: u32, col: u32, val: u64) {
+        let payload = tables[rank as usize].set_local(col, val);
+        for peer in tables.iter_mut().filter(|t| t.rank() != rank) {
+            peer.apply_remote(rank, &payload);
+        }
     }
 
     #[test]
@@ -280,73 +153,58 @@ mod tests {
 
     #[test]
     fn updates_replicate_to_every_member() {
-        let mut c = cluster(4, 2);
-        c.set(1, 0, 7);
-        c.set(3, 1, 11);
-        c.quiesce();
-        for rank in 0..4 {
-            assert_eq!(c.table(rank).get(1, 0), 7, "rank {rank}");
-            assert_eq!(c.table(rank).get(3, 1), 11, "rank {rank}");
+        let mut tables = replicas(4, 2);
+        set_everywhere(&mut tables, 1, 0, 7);
+        set_everywhere(&mut tables, 3, 1, 11);
+        for t in &tables {
+            assert_eq!(t.get(1, 0), 7, "rank {}", t.rank());
+            assert_eq!(t.get(3, 1), 11, "rank {}", t.rank());
+            assert_eq!(t.get(1, 1), 0, "rank {}", t.rank());
         }
     }
 
     #[test]
     fn last_write_wins_per_cell() {
-        let mut c = cluster(3, 1);
+        let mut tables = replicas(3, 1);
         for v in 1..=5 {
-            c.set(0, 0, v);
+            set_everywhere(&mut tables, 0, 0, v);
         }
-        c.quiesce();
-        for rank in 0..3 {
-            assert_eq!(c.table(rank).get(0, 0), 5, "rank {rank}");
+        for t in &tables {
+            assert_eq!(t.get(0, 0), 5, "rank {}", t.rank());
         }
     }
 
     #[test]
     fn min_column_barrier() {
-        // A classic SST barrier: everyone bumps column 0 to 1; the
-        // predicate "min of column 0 >= 1" fires only after the last
-        // member's update replicates.
-        let mut c = cluster(5, 1);
-        for rank in 0..5 {
-            c.set(rank, 0, 1);
+        // A classic SST barrier: everyone bumps column 0 to 1; "min of
+        // column 0 >= 1" holds at a replica only once the last member's
+        // write has landed there.
+        let mut tables = replicas(5, 1);
+        let payloads: Vec<Vec<u8>> = tables.iter_mut().map(|t| t.set_local(0, 1)).collect();
+        for from in 1..5 {
+            assert_eq!(tables[0].min_column(0), 0, "before row {from} lands");
+            tables[0].apply_remote(from, &payloads[from as usize]);
         }
-        let t = c
-            .run_until(|tables| tables.iter().all(|t| t.min_column(0) >= 1))
-            .expect("barrier reached");
-        assert!(t > SimTime::ZERO);
+        assert_eq!(tables[0].min_column(0), 1);
+        assert_eq!(tables[1].min_column(0), 0, "nothing has landed at rank 1");
     }
 
     #[test]
-    fn stability_tracking_shape() {
-        // The §4.6 pattern: column 0 holds each member's received-count;
-        // min over the column is the stability frontier.
-        let mut c = cluster(3, 1);
-        c.set(0, 0, 4);
-        c.set(1, 0, 6);
-        c.set(2, 0, 5);
-        c.quiesce();
-        for rank in 0..3 {
-            assert_eq!(c.table(rank).min_column(0), 4);
-            assert_eq!(c.table(rank).max_column(0), 6);
-            assert_eq!(c.table(rank).sum_column(0), 15);
-        }
-    }
-
-    #[test]
-    fn predicate_observes_monotone_convergence() {
-        let mut c = cluster(4, 1);
-        for rank in 0..4 {
-            c.set(rank, 0, rank as u64 + 1);
-        }
-        // min rises monotonically as updates land.
+    fn minimum_never_goes_backwards_as_updates_land() {
+        // The §4.6 pattern: column 0 holds each member's received-count
+        // and the minimum over it is the stability frontier. Counts only
+        // grow, so the frontier is monotone whatever order writes land in.
+        let mut tables = replicas(4, 1);
         let mut last_min = 0;
-        c.run_until(|tables| {
-            let m = tables[0].min_column(0);
-            assert!(m >= last_min, "min went backwards");
-            last_min = m;
-            false // run to quiescence, checking monotonicity throughout
-        });
-        assert_eq!(c.table(0).min_column(0), 1);
+        for round in 1..=3u64 {
+            // Descending ranks, so row 0 (the laggard) moves last.
+            for rank in (0..4u32).rev() {
+                set_everywhere(&mut tables, rank, 0, round * (rank as u64 + 1));
+                let m = tables[0].min_column(0);
+                assert!(m >= last_min, "min went backwards: {last_min} -> {m}");
+                last_min = m;
+            }
+            assert_eq!(last_min, round, "frontier after round {round}");
+        }
     }
 }

@@ -158,12 +158,8 @@ pub struct FabricStats {
     pub events: u64,
     /// Kick attempts.
     pub kicks: u64,
-    /// Rate reallocations triggered.
-    pub reallocs: u64,
     /// Deliveries requeued because the node's CPU was busy.
     pub cpu_requeues: u64,
-    /// Linear connection scans for in-flight flows.
-    pub inflight_scans: u64,
     /// Times a send found its peer without a posted receive and armed the
     /// RNR retry timer. Under RDMC's ready-for-block discipline this stays
     /// zero on healthy runs (§4.2); a non-zero count means senders are
@@ -323,11 +319,6 @@ impl Fabric {
     /// additionally requires replaying the same choice answers.
     pub fn set_scheduler(&mut self, scheduler: crate::sched::SharedScheduler) {
         self.scheduler = Some(scheduler);
-    }
-
-    /// Whether a controlled scheduler is attached.
-    pub fn has_scheduler(&self) -> bool {
-        self.scheduler.is_some()
     }
 
     /// Attaches a flight recorder to the fabric and its flow network.
@@ -916,7 +907,7 @@ impl Fabric {
     fn process_due_flows(&mut self, now: SimTime) {
         while let Some((_, flow)) = self.net.next_due(now) {
             let path = self.net.complete_flow(now, flow);
-            let Some((conn_idx, dir)) = self.find_inflight(flow) else {
+            let Some((conn_idx, dir)) = self.inflight_index.remove(&flow) else {
                 continue;
             };
             let conn = &mut self.conns[conn_idx as usize];
@@ -1015,11 +1006,6 @@ impl Fabric {
             // The wire is free: start the next queued send.
             self.kick(conn_idx, dir);
         }
-    }
-
-    fn find_inflight(&mut self, flow: FlowId) -> Option<(u32, u8)> {
-        self.stats.inflight_scans += 1;
-        self.inflight_index.remove(&flow)
     }
 
     /// Decides the fate of one completed transfer: a scheduler with

@@ -1,7 +1,9 @@
 //! Tier-1 smoke: one fast case per `Cluster` concern module (`atomic`
 //! with `pacer`, `reconfig`, `reliability`) plus the core over real TCP
 //! sockets, so the root package's `cargo test` executes every module the
-//! per-crate suites (`cargo test --workspace`) check in depth.
+//! per-crate suites (`cargo test --workspace`) check in depth — and the
+//! "fig4/fig8 byte-identity" gate, run in-process against the `report`
+//! golden.
 
 use rdmc::Algorithm;
 use rdmc_sim::{
@@ -107,7 +109,7 @@ fn erasure_policy_repairs_a_lossy_wan() {
     let group = cluster.create_group(group_spec);
     let id = cluster.submit_send(group, 64 * 16 * KB);
     cluster.run();
-    assert!(cluster.fabric().stats().payload_drops > 0, "no loss");
+    assert!(cluster.transport().stats().payload_drops > 0, "no loss");
     let stats = cluster.reliability_stats();
     assert!(stats.parity_writes_sent > 0);
     assert!(stats.parity_repairs + stats.repairs_received > 0);
@@ -126,4 +128,43 @@ fn tcp_multicast_delivers_and_shuts_down_clean() {
         assert!(result.delivered_at.iter().all(|d| d.is_some()));
     }
     rdmc_tcp::shutdown(cluster).expect("no deferred socket error");
+}
+
+/// Fig. 4 and Fig. 8 at `--quick` size must equal their blocks of the
+/// `report` golden. Only these two are pinned from inside a test
+/// process: `scale`'s counts are process-wide `verbs::perf` deltas, exact
+/// in `report` (one section at a time) but not beside other tests.
+#[test]
+fn fig4_and_fig8_match_the_report_golden() {
+    use rdmc_bench::experiments::{fig4_latency, fig8_scalability};
+    let golden = include_str!("../crates/bench/tests/golden/report_quick.txt");
+    let figures = [
+        ("fig4", fig4_latency(true)),
+        ("fig8", fig8_scalability(true)),
+    ];
+    for (name, table) in figures {
+        let rule = format!("==================== {name} ====================");
+        let want: Vec<&str> = golden
+            .lines()
+            .skip_while(|l| *l != rule)
+            .skip(1)
+            .take_while(|l| !l.starts_with("==================== "))
+            .collect();
+        assert!(!want.is_empty(), "the golden has no {name} block");
+        let text = table + "\n"; // `report` prints each table with println!
+        let got: Vec<&str> = text.lines().collect();
+        let differs = got
+            .iter()
+            .zip(&want)
+            .position(|(a, b)| a != b)
+            .or_else(|| (got.len() != want.len()).then(|| got.len().min(want.len())));
+        if let Some(i) = differs {
+            panic!(
+                "{name} diverged from its golden block at line {}:\n  got:  {}\n  want: {}",
+                i + 1,
+                got.get(i).unwrap_or(&"<end of table>"),
+                want.get(i).unwrap_or(&"<end of block>")
+            );
+        }
+    }
 }
