@@ -4,41 +4,62 @@
 //! for the same instant pop in the order they were scheduled, which makes
 //! every simulation run bit-for-bit reproducible regardless of payload
 //! type. Events can be cancelled cheaply by token.
+//!
+//! Inside, the heaps hold 24-byte `(time, seq, slot)` keys and the
+//! payloads sit still in a slab, so a sift moves keys only. Keys are
+//! split over two heaps by how far ahead of `now` they were scheduled:
+//! the handful of hardware events that make up a simulation's working
+//! set never sift past thousands of timers parked for later. Which heap
+//! a key sits in never affects the order of pops — the head is always
+//! the smaller of the two tops.
 
 use std::cmp::Ordering;
+use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 
 use crate::time::{SimDuration, SimTime};
 
+/// A key scheduled further ahead of `now` than this waits in the cold
+/// heap. Chosen from the scheduling-distance histogram of a 1000-node
+/// open-loop run (DESIGN.md, "Event queue"): 99.86 % of schedules —
+/// every hardware event and CPU deferral — land within 2^16 ns, the
+/// pre-scheduled arrivals at 2^18 ns and beyond, and nothing in between.
+const HORIZON: SimDuration = SimDuration::from_nanos(1 << 17);
+
 /// Identifies a scheduled event so it can be cancelled.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct EventToken(u64);
+pub struct EventToken {
+    seq: u64,
+    slot: u32,
+}
 
-struct Entry<E> {
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct Key {
     time: SimTime,
     seq: u64,
-    payload: E,
+    slot: u32,
 }
 
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-
-impl<E> Eq for Entry<E> {}
-
-impl<E> PartialOrd for Entry<E> {
+impl PartialOrd for Key {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl<E> Ord for Entry<E> {
+impl Ord for Key {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; invert so the earliest event pops first.
         (other.time, other.seq).cmp(&(self.time, self.seq))
     }
+}
+
+/// One slab cell. A cell belongs to the key carrying its `seq` from
+/// `schedule_at` until that key leaves its heap; `payload` is `None`
+/// once the event was cancelled (the key is still in a heap and frees
+/// the cell when it surfaces) or while the cell is on the free list.
+struct Slot<E> {
+    seq: u64,
+    payload: Option<E>,
 }
 
 /// A deterministic priority queue of timed events carrying payloads of
@@ -61,14 +82,18 @@ impl<E> Ord for Entry<E> {
 /// assert_eq!(t.as_nanos(), 1_000);
 /// ```
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
+    /// Keys scheduled within [`HORIZON`] of `now`, and every key that has
+    /// been the head.
+    hot: BinaryHeap<Key>,
+    /// Keys scheduled further ahead; each crosses to `hot` once, when it
+    /// becomes the head.
+    cold: BinaryHeap<Key>,
+    slab: Vec<Slot<E>>,
+    free: Vec<u32>,
+    /// Pending (non-cancelled) events.
+    live: usize,
     now: SimTime,
     next_seq: u64,
-    /// Tokens of cancelled-but-unfired events. Membership-only (insert,
-    /// contains, remove; never iterated), so hash order cannot reach
-    /// behavior.
-    #[allow(clippy::disallowed_types)]
-    cancelled: std::collections::HashSet<u64>,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -81,11 +106,13 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue at time zero.
     pub fn new() -> Self {
         EventQueue {
-            heap: BinaryHeap::new(),
+            hot: BinaryHeap::new(),
+            cold: BinaryHeap::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
+            live: 0,
             now: SimTime::ZERO,
             next_seq: 0,
-            #[allow(clippy::disallowed_types)]
-            cancelled: std::collections::HashSet::new(),
         }
     }
 
@@ -96,15 +123,12 @@ impl<E> EventQueue<E> {
 
     /// Number of pending (non-cancelled) events.
     pub fn len(&self) -> usize {
-        self.heap
-            .iter()
-            .filter(|e| !self.cancelled.contains(&e.seq))
-            .count()
+        self.live
     }
 
     /// True if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.live == 0
     }
 
     /// Schedules `payload` at absolute time `at`.
@@ -120,12 +144,33 @@ impl<E> EventQueue<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Entry {
+        let cell = Slot {
+            seq,
+            payload: Some(payload),
+        };
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = cell;
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.slab.len()).expect("too many pending events");
+                self.slab.push(cell);
+                slot
+            }
+        };
+        self.live += 1;
+        let key = Key {
             time: at,
             seq,
-            payload,
-        });
-        EventToken(seq)
+            slot,
+        };
+        if at.since(self.now) > HORIZON {
+            self.cold.push(key);
+        } else {
+            self.hot.push(key);
+        }
+        EventToken { seq, slot }
     }
 
     /// Schedules `payload` after a delay relative to the current time.
@@ -134,24 +179,69 @@ impl<E> EventQueue<E> {
     }
 
     /// Cancels a previously scheduled event. Cancelling an event that
-    /// already fired (or was already cancelled) is a silent no-op.
+    /// already fired (or was already cancelled) is a silent no-op, also
+    /// when its slab cell has since been reused: the cell's `seq` no
+    /// longer matches the token's.
     pub fn cancel(&mut self, token: EventToken) {
-        self.cancelled.insert(token.0);
+        let Some(cell) = self.slab.get_mut(token.slot as usize) else {
+            return;
+        };
+        if cell.seq == token.seq && cell.payload.take().is_some() {
+            self.live -= 1;
+        }
     }
 
     /// Timestamp of the next pending event without popping it.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.drop_cancelled();
-        self.heap.peek().map(|e| e.time)
+        self.settle();
+        self.hot.peek().map(|k| k.time)
     }
 
     /// Pops the earliest event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.drop_cancelled();
-        let entry = self.heap.pop()?;
-        debug_assert!(entry.time >= self.now);
-        self.now = entry.time;
-        Some((entry.time, entry.payload))
+        self.settle();
+        let key = self.hot.pop()?;
+        Some(self.fire(key))
+    }
+
+    /// Pops the earliest event unless `defer` sends it back: `defer` sees
+    /// the head's timestamp and payload and may return a later instant,
+    /// in which case the event stays queued for that instant behind
+    /// everything already scheduled there — exactly [`EventQueue::pop`]
+    /// followed by [`EventQueue::schedule_at`] (the clock advances, the
+    /// event gets a fresh sequence number, its old token goes stale), for
+    /// one sift and no payload move.
+    ///
+    /// Returns `None` when the queue is empty, `Some((t, None))` when the
+    /// head at `t` was deferred, and `Some((t, Some(payload)))` otherwise.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `defer` returns an instant before the head's timestamp.
+    pub fn pop_or_defer(
+        &mut self,
+        defer: impl FnOnce(SimTime, &E) -> Option<SimTime>,
+    ) -> Option<(SimTime, Option<E>)> {
+        self.settle();
+        let mut head = self.hot.peek_mut()?;
+        let t = head.time;
+        let cell = &mut self.slab[head.slot as usize];
+        let payload = cell.payload.as_ref().expect("settled head is live");
+        let Some(at) = defer(t, payload) else {
+            let key = PeekMut::pop(head);
+            return Some((t, Some(self.fire(key).1)));
+        };
+        assert!(
+            at >= t,
+            "deferred event into the past: at={at:?}, now={t:?}"
+        );
+        debug_assert!(t >= self.now);
+        self.now = t;
+        cell.seq = self.next_seq;
+        head.seq = self.next_seq;
+        head.time = at;
+        self.next_seq += 1;
+        Some((t, None))
     }
 
     /// All pending events due at the earliest timestamp, as `(seq,
@@ -163,15 +253,14 @@ impl<E> EventQueue<E> {
     ///
     /// Returns an empty vector when the queue is empty.
     pub fn peek_due(&mut self) -> Vec<(u64, &E)> {
-        self.drop_cancelled();
-        let Some(head) = self.heap.peek().map(|e| e.time) else {
+        let Some(head) = self.gather_due() else {
             return Vec::new();
         };
         let mut due: Vec<(u64, &E)> = self
-            .heap
+            .hot
             .iter()
-            .filter(|e| e.time == head && !self.cancelled.contains(&e.seq))
-            .map(|e| (e.seq, &e.payload))
+            .filter(|k| k.time == head)
+            .filter_map(|k| Some((k.seq, self.slab[k.slot as usize].payload.as_ref()?)))
             .collect();
         due.sort_by_key(|&(seq, _)| seq);
         due
@@ -185,42 +274,77 @@ impl<E> EventQueue<E> {
     ///
     /// Returns `None` if no due event carries `seq`.
     pub fn pop_seq(&mut self, seq: u64) -> Option<(SimTime, E)> {
-        self.drop_cancelled();
-        let head = self.heap.peek().map(|e| e.time)?;
+        let head = self.gather_due()?;
         let mut displaced = Vec::new();
         let mut found = None;
-        while let Some(entry) = self.heap.pop() {
-            if self.cancelled.remove(&entry.seq) {
+        while let Some(key) = self.hot.pop() {
+            if self.slab[key.slot as usize].payload.is_none() {
+                self.free.push(key.slot);
                 continue;
             }
-            if entry.time != head {
+            if key.time != head {
                 // Ran past the due instant without finding `seq`.
-                displaced.push(entry);
+                displaced.push(key);
                 break;
             }
-            if entry.seq == seq {
-                found = Some(entry);
+            if key.seq == seq {
+                found = Some(key);
                 break;
             }
-            displaced.push(entry);
+            displaced.push(key);
         }
-        for entry in displaced {
-            self.heap.push(entry);
-        }
-        let entry = found?;
-        debug_assert!(entry.time >= self.now);
-        self.now = entry.time;
-        Some((entry.time, entry.payload))
+        self.hot.extend(displaced);
+        Some(self.fire(found?))
     }
 
-    fn drop_cancelled(&mut self) {
-        while let Some(head) = self.heap.peek() {
-            if self.cancelled.remove(&head.seq) {
-                self.heap.pop();
-            } else {
-                break;
+    /// Takes the payload of a live key that has just left `hot`, frees
+    /// its cell and advances the clock.
+    fn fire(&mut self, key: Key) -> (SimTime, E) {
+        let payload = self.slab[key.slot as usize]
+            .payload
+            .take()
+            .expect("fired key is live");
+        self.free.push(key.slot);
+        self.live -= 1;
+        debug_assert!(key.time >= self.now);
+        self.now = key.time;
+        (key.time, payload)
+    }
+
+    /// Establishes the head: afterwards the top of `hot` is the earliest
+    /// live key of both heaps, or both heaps are empty. A cold key that
+    /// has become the earliest crosses over; a cancelled key surfacing
+    /// at the head is dropped and its cell freed.
+    fn settle(&mut self) {
+        loop {
+            if let Some(&c) = self.cold.peek() {
+                // `Key`'s order is inverted for the max-heap: greater is earlier.
+                if self.hot.peek().is_none_or(|h| c > *h) {
+                    self.cold.pop();
+                    self.hot.push(c);
+                }
+            }
+            match self.hot.peek() {
+                Some(h) if self.slab[h.slot as usize].payload.is_none() => {
+                    self.free.push(h.slot);
+                    self.hot.pop();
+                }
+                _ => return,
             }
         }
+    }
+
+    /// Settles, then moves every cold key due at the head instant into
+    /// `hot`, so the due set is complete in one heap. Returns the head
+    /// instant.
+    fn gather_due(&mut self) -> Option<SimTime> {
+        self.settle();
+        let head = self.hot.peek()?.time;
+        while let Some(c) = self.cold.peek().copied().filter(|c| c.time == head) {
+            self.cold.pop();
+            self.hot.push(c);
+        }
+        Some(head)
     }
 }
 
@@ -291,10 +415,20 @@ mod tests {
     #[test]
     fn cancel_after_fire_is_noop() {
         let mut q = EventQueue::new();
-        let tok = q.schedule_at(SimTime::from_nanos(1), ());
+        let a = q.schedule_at(SimTime::from_nanos(1), "a");
+        assert_eq!(q.len(), 1);
         q.pop().unwrap();
-        q.cancel(tok);
+        assert_eq!(q.len(), 0);
+        q.cancel(a);
         assert!(q.is_empty());
+        // B reuses A's slab cell; A's stale token must not reach it.
+        let b = q.schedule_at(SimTime::from_nanos(2), "b");
+        assert_eq!(b.slot, a.slot);
+        assert_eq!(q.len(), 1);
+        q.cancel(a);
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.pop().unwrap().1, "b");
+        assert_eq!(q.len(), 0);
     }
 
     #[test]
@@ -335,7 +469,7 @@ mod tests {
         let late = q.schedule_at(SimTime::from_nanos(9), "late");
         q.cancel(tok);
         // Seqs of events beyond the due instant are not poppable.
-        assert!(q.pop_seq(late.0).is_none());
+        assert!(q.pop_seq(late.seq).is_none());
         let live_seq = {
             let due = q.peek_due();
             assert_eq!(due.len(), 1);

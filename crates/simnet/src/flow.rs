@@ -78,7 +78,10 @@ impl FlowId {
         self.0
     }
 
-    fn slot(self) -> usize {
+    /// The slot half of the id: a small dense index, unique among active
+    /// flows and reused afterwards, for per-flow state kept in a `Vec`
+    /// (store and compare the full id: a stale one must not match).
+    pub fn slot(self) -> usize {
         (self.0 & 0xFFFF_FFFF) as usize
     }
 

@@ -9,11 +9,7 @@
 //! time; the fabric serialises each node's software on a single virtual
 //! core, exactly like RDMC's single completion thread (§4.2).
 
-// The two hashed collections below (`hw_completed`, `inflight_index`)
-// are pure membership/lookup tables — insert, contains, remove, get;
-// never iterated — so their randomized order cannot reach behavior.
-#[allow(clippy::disallowed_types)]
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 
 use bytes::Bytes;
 use simnet::{
@@ -70,6 +66,11 @@ struct Conn {
     /// Receives posted at each end, consumed in order by incoming sends.
     recvs: [VecDeque<(WrId, u64)>; 2],
     dirs: [DirState; 2],
+    /// Ids of the WRs that have completed in hardware at each end, sorted,
+    /// for cross-channel dependencies. Drivers reuse a handful of ids per
+    /// queue pair (a block index, a fixed id per control write), so these
+    /// stay a few entries long however many WRs complete.
+    hw_completed: [Vec<u64>; 2],
     broken: bool,
     /// Work requests torn off the wire before the break was delivered
     /// (e.g. an in-flight send aborted by a peer crash): flushed as error
@@ -88,10 +89,6 @@ struct Node {
     poll_busy: SimDuration,
     crashed: bool,
     conns: Vec<u32>,
-    /// Hardware-level completed WRs, for cross-channel dependencies.
-    /// Membership-only (never iterated); see the import note.
-    #[allow(clippy::disallowed_types)]
-    hw_completed: HashSet<(u32, u8, u64)>,
     /// The node has posted a send with a cross-channel dependency at some
     /// point, so a hardware completion here may be what a head-of-line
     /// send on another of its connections is waiting for.
@@ -118,6 +115,20 @@ enum Ev {
     BreakConn { conn: u32 },
     /// Software-visible delivery (after completion-mode delay + jitter).
     Deliver { node: NodeId, delivery: Delivery },
+}
+
+impl Ev {
+    /// Index of this event's kind in [`FabricStats::events_by_kind`].
+    fn kind(&self) -> usize {
+        match self {
+            Ev::NetWake => 0,
+            Ev::Kick { .. } => 1,
+            Ev::RnrRetry { .. } => 2,
+            Ev::HwComplete { .. } => 3,
+            Ev::BreakConn { .. } => 4,
+            Ev::Deliver { .. } => 5,
+        }
+    }
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -156,6 +167,12 @@ enum CompletedWr {
 pub struct FabricStats {
     /// Events popped from the queue.
     pub events: u64,
+    /// `events` by kind: flow-network wakeups, kicks, RNR retries,
+    /// hardware completions, connection breaks, deliveries. A delivery
+    /// requeued for a busy CPU counts once per pop, so the last minus
+    /// `cpu_requeues` is the deliveries that reached (or were discarded
+    /// for) a node.
+    pub events_by_kind: [u64; 6],
     /// Kick attempts.
     pub kicks: u64,
     /// Deliveries requeued because the node's CPU was busy.
@@ -211,10 +228,10 @@ pub struct Fabric {
     /// to the event loop so a burst of same-instant flow changes costs
     /// one re-aim — and one rate recomputation — instead of one each.
     net_stale: bool,
-    /// flow -> (conn, dir) index for completions. Lookup-only (never
-    /// iterated); see the import note.
-    #[allow(clippy::disallowed_types)]
-    inflight_index: std::collections::HashMap<FlowId, (u32, u8)>,
+    /// The `(conn, dir)` whose in-flight send each flow carries, indexed
+    /// by the flow's slot. The full id is stored and compared, so a stale
+    /// id never matches a slot the flow network has reused.
+    inflight_index: Vec<Option<(FlowId, u32, u8)>>,
     /// Reusable buffer for a node's connection list while dependent sends
     /// are re-kicked (avoids one Vec allocation per hardware completion).
     conn_scratch: Vec<u32>,
@@ -250,8 +267,6 @@ impl Fabric {
                 poll_busy: SimDuration::ZERO,
                 crashed: false,
                 conns: Vec::new(),
-                #[allow(clippy::disallowed_types)]
-                hw_completed: HashSet::new(),
                 posts_dependent_sends: false,
             })
             .collect();
@@ -264,8 +279,7 @@ impl Fabric {
             nodes,
             net_wake: None,
             net_stale: false,
-            #[allow(clippy::disallowed_types)]
-            inflight_index: std::collections::HashMap::new(),
+            inflight_index: Vec::new(),
             conn_scratch: Vec::new(),
             stats: FabricStats::default(),
             recorder: trace::Recorder::disabled(),
@@ -441,6 +455,7 @@ impl Fabric {
                     ..DirState::default()
                 },
             ],
+            hw_completed: [Vec::new(), Vec::new()],
             broken: false,
             pending_flush: Vec::new(),
         });
@@ -645,7 +660,7 @@ impl Fabric {
                 if let Some((flow, send, claimed_recv)) =
                     self.conns[c as usize].dirs[dir].inflight.take()
                 {
-                    self.inflight_index.remove(&flow);
+                    self.take_inflight(flow);
                     self.net.abort_flow(now, flow);
                     // Remember the torn-off WRs so the eventual break
                     // flushes them as error completions.
@@ -703,19 +718,34 @@ impl Fabric {
                     self.resync_net();
                 }
             }
-            let (t, ev) = self.queue.pop()?;
-            self.stats.events += 1;
+            // A completion whose node's software is busy waits for the
+            // CPU: it goes back for `cpu_free_at` without leaving the queue.
+            let (nodes, stats) = (&self.nodes, &mut self.stats);
+            let (t, ev) = self.queue.pop_or_defer(|t, ev| {
+                Self::count_event(stats, ev);
+                let Ev::Deliver { node, .. } = ev else {
+                    return None;
+                };
+                let n = &nodes[node.index()];
+                let busy = !n.crashed && n.cpu_free_at > t;
+                stats.cpu_requeues += u64::from(busy);
+                busy.then_some(n.cpu_free_at)
+            })?;
             // Keep the shared trace clock at the instant being
             // processed; everything recorded while handling this event
             // (including by protocol engines fed from it) stamps `t`.
             self.recorder.set_now(t.as_nanos());
             match ev {
-                Ev::Deliver { node, delivery } => {
-                    if let Some(out) = self.deliver_or_defer(t, node, delivery) {
-                        return Some(out);
+                None => {}
+                Some(Ev::Deliver { node, delivery }) => {
+                    let n = &self.nodes[node.index()];
+                    if !n.crashed {
+                        let overhead = n.profile.completion_overhead;
+                        self.charge_cpu(node, overhead);
+                        return Some((t, node, delivery));
                     }
                 }
-                internal => self.handle_internal(t, internal),
+                Some(internal) => self.handle_internal(t, internal),
             }
         }
     }
@@ -741,28 +771,10 @@ impl Fabric {
         }
     }
 
-    /// Crash/busy filtering plus the CPU charge for a popped delivery;
-    /// returns the delivery if the node's software observes it now.
-    fn deliver_or_defer(
-        &mut self,
-        t: SimTime,
-        node: NodeId,
-        delivery: Delivery,
-    ) -> Option<(SimTime, NodeId, Delivery)> {
-        let n = &mut self.nodes[node.index()];
-        if n.crashed {
-            return None;
-        }
-        if n.cpu_free_at > t {
-            // Software is busy; the completion waits.
-            let at = n.cpu_free_at;
-            self.stats.cpu_requeues += 1;
-            self.queue.schedule_at(at, Ev::Deliver { node, delivery });
-            return None;
-        }
-        let overhead = n.profile.completion_overhead;
-        self.charge_cpu(node, overhead);
-        Some((t, node, delivery))
+    /// Counts one event popped from (or deferred in) the queue.
+    fn count_event(stats: &mut FabricStats, ev: &Ev) {
+        stats.events += 1;
+        stats.events_by_kind[ev.kind()] += 1;
     }
 
     /// Summarises a pending delivery for the scheduler.
@@ -797,16 +809,6 @@ impl Fabric {
     /// remaining same-instant race between two or more enabled
     /// deliveries becomes a choice point answered by the scheduler.
     fn advance_scheduled(&mut self) -> Option<(SimTime, NodeId, Delivery)> {
-        enum Step {
-            /// Run an internal hardware event.
-            Run(u64),
-            /// Discard a delivery to a crashed node.
-            Discard(u64),
-            /// Requeue a delivery whose node's CPU is busy.
-            Requeue(u64),
-            /// Offer the enabled deliveries (possibly just one).
-            Offer(Vec<crate::sched::Candidate>),
-        }
         loop {
             if self.net_stale {
                 // Re-aim eagerly (as with a recorder attached): deferred
@@ -817,86 +819,76 @@ impl Fabric {
                 self.resync_net();
             }
             let t = self.queue.peek_time()?;
-            let step = {
-                let due = self.queue.peek_due();
-                let mut cands = Vec::new();
-                let mut step = None;
-                for (seq, ev) in due {
-                    match ev {
-                        Ev::Deliver { node, delivery } => {
-                            let n = &self.nodes[node.index()];
-                            if n.crashed {
-                                step = Some(Step::Discard(seq));
-                                break;
-                            }
-                            if n.cpu_free_at > t {
-                                step = Some(Step::Requeue(seq));
-                                break;
-                            }
-                            cands.push(Self::candidate(seq, *node, delivery));
-                        }
-                        _ => {
-                            // Hardware progress at an instant commutes
-                            // with software observation order; drain it
-                            // before offering any choice.
-                            step = Some(Step::Run(seq));
-                            break;
+            // The enabled deliveries due now, up to the first due event
+            // that is anything else. That one goes first: hardware
+            // progress at an instant commutes with software observation
+            // order, and a delivery to a crashed or busy node is no choice.
+            let (nodes, due) = (&self.nodes, self.queue.peek_due());
+            let enabled = |n: &Node| !n.crashed && n.cpu_free_at <= t;
+            let cands: Vec<_> = due
+                .iter()
+                .map_while(|&(seq, ev)| match ev {
+                    Ev::Deliver { node, delivery } if enabled(&nodes[node.index()]) => {
+                        Some(Self::candidate(seq, *node, delivery))
+                    }
+                    _ => None,
+                })
+                .collect();
+            if let Some(&(seq, _)) = due.get(cands.len()) {
+                let (t, ev) = self.queue.pop_seq(seq).expect("due event vanished");
+                Self::count_event(&mut self.stats, &ev);
+                match ev {
+                    Ev::Deliver { node, delivery } => {
+                        // Dropped if the node crashed; otherwise the
+                        // completion waits for its busy CPU.
+                        let n = &self.nodes[node.index()];
+                        if !n.crashed {
+                            self.stats.cpu_requeues += 1;
+                            self.queue
+                                .schedule_at(n.cpu_free_at, Ev::Deliver { node, delivery });
                         }
                     }
+                    internal => {
+                        self.recorder.set_now(t.as_nanos());
+                        self.handle_internal(t, internal);
+                    }
                 }
-                step.unwrap_or(Step::Offer(cands))
-            };
-            match step {
-                Step::Run(seq) => {
-                    let (t, ev) = self.queue.pop_seq(seq).expect("due event vanished");
-                    self.stats.events += 1;
-                    self.recorder.set_now(t.as_nanos());
-                    self.handle_internal(t, ev);
-                }
-                Step::Discard(seq) => {
-                    let _ = self.queue.pop_seq(seq).expect("due event vanished");
-                    self.stats.events += 1;
-                }
-                Step::Requeue(seq) => {
-                    let (_, ev) = self.queue.pop_seq(seq).expect("due event vanished");
-                    self.stats.events += 1;
-                    let Ev::Deliver { node, delivery } = ev else {
-                        unreachable!("requeue step only selects deliveries");
-                    };
-                    let at = self.nodes[node.index()].cpu_free_at;
-                    self.stats.cpu_requeues += 1;
-                    self.queue.schedule_at(at, Ev::Deliver { node, delivery });
-                }
-                Step::Offer(cands) => {
-                    debug_assert!(!cands.is_empty(), "due instant with no events");
-                    let idx = if cands.len() == 1 {
-                        0
-                    } else {
-                        let sched = self.scheduler.clone().expect("scheduled mode");
-                        crate::sched::pick(
-                            &sched,
-                            &crate::sched::ChoicePoint {
-                                time_ns: t.as_nanos(),
-                                kind: crate::sched::PointKind::Delivery,
-                                candidates: &cands,
-                            },
-                        )
-                    };
-                    let (t, ev) = self
-                        .queue
-                        .pop_seq(cands[idx].seq)
-                        .expect("chosen event vanished");
-                    self.stats.events += 1;
-                    self.recorder.set_now(t.as_nanos());
-                    let Ev::Deliver { node, delivery } = ev else {
-                        unreachable!("candidates are deliveries");
-                    };
-                    let overhead = self.nodes[node.index()].profile.completion_overhead;
-                    self.charge_cpu(node, overhead);
-                    return Some((t, node, delivery));
-                }
+                continue;
             }
+            debug_assert!(!cands.is_empty(), "due instant with no events");
+            let idx = if cands.len() == 1 {
+                0
+            } else {
+                let sched = self.scheduler.clone().expect("scheduled mode");
+                crate::sched::pick(
+                    &sched,
+                    &crate::sched::ChoicePoint {
+                        time_ns: t.as_nanos(),
+                        kind: crate::sched::PointKind::Delivery,
+                        candidates: &cands,
+                    },
+                )
+            };
+            let (t, ev) = self
+                .queue
+                .pop_seq(cands[idx].seq)
+                .expect("chosen event vanished");
+            Self::count_event(&mut self.stats, &ev);
+            self.recorder.set_now(t.as_nanos());
+            let Ev::Deliver { node, delivery } = ev else {
+                unreachable!("candidates are deliveries");
+            };
+            let overhead = self.nodes[node.index()].profile.completion_overhead;
+            self.charge_cpu(node, overhead);
+            return Some((t, node, delivery));
         }
+    }
+
+    /// Forgets `flow`'s index entry, returning the `(conn, dir)` it carried.
+    fn take_inflight(&mut self, flow: FlowId) -> Option<(u32, u8)> {
+        let cell = self.inflight_index.get_mut(flow.slot())?;
+        let (_, conn, dir) = cell.take_if(|(id, ..)| *id == flow)?;
+        Some((conn, dir))
     }
 
     /// Completes every flow due at or before `now`. Uses the flow net's
@@ -907,7 +899,7 @@ impl Fabric {
     fn process_due_flows(&mut self, now: SimTime) {
         while let Some((_, flow)) = self.net.next_due(now) {
             let path = self.net.complete_flow(now, flow);
-            let Some((conn_idx, dir)) = self.inflight_index.remove(&flow) else {
+            let Some((conn_idx, dir)) = self.take_inflight(flow) else {
                 continue;
             };
             let conn = &mut self.conns[conn_idx as usize];
@@ -1080,13 +1072,16 @@ impl Fabric {
             }
             // Cross-channel dependency: the send waits in hardware until
             // the named WR completes; hw_complete() re-kicks us.
-            let waiting = if let Some(wait) = &head.wait_for {
-                let sender = conn.nodes[dir as usize];
-                let key = (wait.qp.conn, wait.qp.end, wait.wr_id.0);
-                !self.nodes[sender.index()].hw_completed.contains(&key)
-            } else {
-                false
-            };
+            let sender = conn.nodes[dir as usize];
+            let waiting = head.wait_for.is_some_and(|wait| {
+                let end = wait.qp.end as usize;
+                let waited = &self.conns[wait.qp.conn as usize];
+                // Only a WR on the sender's own queue pairs releases it.
+                waited.nodes[end] != sender
+                    || waited.hw_completed[end]
+                        .binary_search(&wait.wr_id.0)
+                        .is_err()
+            });
             let conn = &mut self.conns[conn_idx as usize];
             if waiting {
                 Decision::Nothing
@@ -1228,7 +1223,10 @@ impl Fabric {
                 let send = d.queue.pop_front().expect("head vanished");
                 let bytes = send.bytes as f64;
                 let flow = self.net.start_flow(now, path, bytes);
-                self.inflight_index.insert(flow, (conn_idx, dir));
+                if self.inflight_index.len() <= flow.slot() {
+                    self.inflight_index.resize(flow.slot() + 1, None);
+                }
+                self.inflight_index[flow.slot()] = Some((flow, conn_idx, dir));
                 self.conns[conn_idx as usize].dirs[dir as usize].inflight =
                     Some((flow, send, claimed_recv));
                 self.net_stale = true;
@@ -1327,19 +1325,19 @@ impl Fabric {
         // release one. Every other reason a head-of-line send sits idle
         // has its own kick: the wire freeing up, its `ready_at`, a receive
         // being posted, the RNR timer.
-        let dep_key = match &wr {
-            CompletedWr::Send { wr_id } | CompletedWr::WriteLocal { wr_id } => {
-                Some((conn_idx, end, wr_id.0))
-            }
-            CompletedWr::Recv { wr_id, .. } | CompletedWr::RecvCorrupt { wr_id, .. } => {
-                Some((conn_idx, end, wr_id.0))
-            }
+        let completed = match &wr {
+            CompletedWr::Send { wr_id }
+            | CompletedWr::WriteLocal { wr_id }
+            | CompletedWr::Recv { wr_id, .. }
+            | CompletedWr::RecvCorrupt { wr_id, .. } => Some(wr_id.0),
             CompletedWr::WriteRemote { .. } => None,
         };
-        if let Some(key) = dep_key {
-            let completer = &mut self.nodes[node.index()];
-            completer.hw_completed.insert(key);
-            if completer.posts_dependent_sends {
+        if let Some(wr_id) = completed {
+            let done = &mut self.conns[conn_idx as usize].hw_completed[end as usize];
+            if let Err(at) = done.binary_search(&wr_id) {
+                done.insert(at, wr_id);
+            }
+            if self.nodes[node.index()].posts_dependent_sends {
                 let mut conns = std::mem::take(&mut self.conn_scratch);
                 conns.clear();
                 conns.extend_from_slice(&self.nodes[node.index()].conns);
@@ -1444,7 +1442,7 @@ impl Fabric {
             if let Some((flow, send, claimed_recv)) =
                 self.conns[conn_idx as usize].dirs[dir].inflight.take()
             {
-                self.inflight_index.remove(&flow);
+                self.take_inflight(flow);
                 self.net.abort_flow(now, flow);
                 flushes.push((dir as u8, send.wr_id, false));
                 if let Some(wr) = claimed_recv {

@@ -485,7 +485,9 @@ fn cpu_serialization_defers_deliveries() {
     f.post_send(q0, WrId(3), 1000, 0, None).unwrap();
     f.post_send(q0, WrId(4), 1000, 0, None).unwrap();
     let mut recv_times = Vec::new();
+    let mut delivered = 0;
     while let Some((t, node, d)) = f.advance() {
+        delivered += 1;
         if let Delivery::RecvDone { .. } = d {
             recv_times.push(t);
             if recv_times.len() == 1 {
@@ -497,6 +499,81 @@ fn cpu_serialization_defers_deliveries() {
     }
     assert_eq!(recv_times.len(), 2);
     assert!(recv_times[1].since(recv_times[0]) >= SimDuration::from_micros(500));
+    // The deferral is one event of kind `deliver` that delivered nothing.
+    let stats = f.stats();
+    assert!(stats.cpu_requeues >= 1);
+    assert_eq!(stats.events_by_kind.iter().sum::<u64>(), stats.events);
+    assert_eq!(stats.events_by_kind[5], delivered + stats.cpu_requeues);
+}
+
+/// Two timers parked far ahead — beyond the event queue's horizon, so
+/// they wait in its cold tier — and a one-sided write landing on the same
+/// instant. Returns every delivery at that instant, in order.
+fn far_timers_tie_with_a_write(scheduler: Option<crate::SharedScheduler>) -> Vec<(u32, String)> {
+    let mut f = zero_overhead_fabric(3);
+    if let Some(s) = scheduler {
+        f.set_scheduler(s);
+    }
+    let (q0, _q1) = f.connect(NodeId(0), NodeId(1));
+    f.schedule_timer(NodeId(2), SimDuration::from_micros(202), 7);
+    f.schedule_timer(NodeId(0), SimDuration::from_micros(202), 8);
+    f.schedule_timer(NodeId(0), SimDuration::from_micros(200), 1);
+    let mut tied = Vec::new();
+    while let Some((t, node, d)) = f.advance() {
+        match d {
+            // 200 us + 2 us on the wire: the write lands on the timers.
+            Delivery::Timer { token: 1 } => f
+                .post_write(q0, WrId(9), 5, Bytes::from_static(b"x"), None)
+                .unwrap(),
+            Delivery::Timer { token } if t.as_nanos() == 202_000 => {
+                tied.push((node.0, format!("timer {token}")));
+            }
+            Delivery::WriteArrived { tag, .. } if t.as_nanos() == 202_000 => {
+                tied.push((node.0, format!("write {tag}")));
+            }
+            _ => {}
+        }
+    }
+    let stats = f.stats();
+    assert_eq!(stats.events_by_kind.iter().sum::<u64>(), stats.events);
+    tied
+}
+
+#[test]
+fn far_timer_and_same_instant_hardware_event_pop_in_schedule_order() {
+    let want = vec![
+        (2, "timer 7".to_string()),
+        (0, "timer 8".to_string()),
+        (1, "write 5".to_string()),
+    ];
+    assert_eq!(far_timers_tie_with_a_write(None), want);
+
+    /// Answers every choice point with the default and keeps what it saw.
+    #[derive(Default)]
+    struct FirstChoice(Vec<(u64, Vec<crate::CandidateKind>)>);
+    impl crate::Scheduler for FirstChoice {
+        fn choose(&mut self, point: &crate::ChoicePoint<'_>) -> usize {
+            let kinds = point.candidates.iter().map(|c| c.kind).collect();
+            self.0.push((point.time_ns, kinds));
+            0
+        }
+    }
+    let sched = std::sync::Arc::new(std::sync::Mutex::new(FirstChoice::default()));
+    assert_eq!(far_timers_tie_with_a_write(Some(sched.clone())), want);
+    // Both parked timers were in the due set the scheduler was shown,
+    // ahead of the write that the instant's hardware event produced.
+    use crate::CandidateKind as K;
+    assert_eq!(
+        sched.lock().unwrap().0[0],
+        (
+            202_000,
+            vec![
+                K::Timer { token: 7 },
+                K::Timer { token: 8 },
+                K::WriteArrived { tag: 5 }
+            ]
+        )
+    );
 }
 
 #[test]
