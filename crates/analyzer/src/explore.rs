@@ -50,7 +50,9 @@ use rdmc::Algorithm;
 use rdmc_sim::{
     ClusterBuilder, ClusterSpec, GroupSpec, Mutation, RecoveryConfig, ReliabilityPolicy, SimCluster,
 };
-use verbs::{Candidate, CandidateKind, ChoicePoint, PointKind, Scheduler, SharedScheduler};
+use verbs::{
+    Candidate, CandidateKind, ChoicePoint, PointKind, Scheduler, SharedScheduler, Transport,
+};
 
 /// One resolved choice point, as recorded during an execution. The
 /// sequence of records *is* the execution's identity: replaying the
@@ -412,7 +414,8 @@ fn run_with(scenario: &ExploreScenario, pick: Pick) -> ExecutionResult {
     let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
         let mut builder = ClusterBuilder::new(ClusterSpec::fractus(scenario.n as usize))
             .flight_recorder(trace::Mode::Full)
-            .scheduler(shared.clone());
+            .scheduler(shared.clone())
+            .loss_choice_budget(scenario.loss_choices);
         if !scenario.fault_sites.is_empty() || scenario.reliability.is_some() {
             builder = builder.recovery(RecoveryConfig::default());
         }
@@ -431,7 +434,6 @@ fn run_with(scenario: &ExploreScenario, pick: Pick) -> ExecutionResult {
         } else {
             builder.build()
         };
-        cluster.set_loss_choice_budget(scenario.loss_choices);
         for &m in &scenario.mutations {
             cluster.seed_mutation(m);
         }

@@ -9,6 +9,7 @@ use rdmc::Algorithm;
 use rdmc_bench::experiments as e;
 use rdmc_sim::{ClusterBuilder, ClusterSpec, GroupSpec};
 use simnet::SimTime;
+use verbs::Transport;
 use workloads::ShardedWorkload;
 
 /// The quick-mode scale benchmark is the regression surface: it must

@@ -53,6 +53,7 @@ use sst::ViewTracker;
 use verbs::{NodeId, Transport, WrId};
 
 use crate::cluster::{Cluster, GroupId, GroupSpec, MessageId, Mutation, TimerAction};
+use crate::reconfig::tracker_cell;
 
 /// One-sided-write tag for SST frontier-row updates (the stability
 /// epidemic).
@@ -205,13 +206,12 @@ fn resolved_prefix(index: &[usize], from: u64, mut is_resolved: impl FnMut(usize
 /// 12-byte cell update. The bytes are peer input: `None` — the write is
 /// dropped — unless the length is exactly 16, the row is one of the `n`
 /// members and the column one of the `2 + n` cells an overlay row has
-/// ([`ViewTracker::with_frontiers`]), which is everything
-/// [`ViewTracker::apply_remote`] would otherwise panic on.
+/// ([`ViewTracker::with_frontiers`]; see [`tracker_cell`]).
 fn frontier_write(payload: &[u8], n: u32) -> Option<(u32, &[u8])> {
     let (row, cell) = payload.split_first_chunk::<4>()?;
-    let (col, val) = cell.split_first_chunk::<4>()?;
     let row = u32::from_le_bytes(*row);
-    (val.len() == 8 && row < n && u32::from_le_bytes(*col) < 2 + n).then_some((row, cell))
+    let cell = tracker_cell(cell, 2 + n)?;
+    (row < n).then_some((row, cell))
 }
 
 /// Every atomic group on the cluster, plus the reverse index from RDMC

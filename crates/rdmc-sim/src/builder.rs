@@ -87,6 +87,14 @@ impl ClusterBuilder<Fabric> {
         self.transport.set_fault_profile(profile);
         self
     }
+
+    /// Offers up to `budget` deliver-or-drop choice points to the
+    /// attached controlled scheduler (model-checking loss sites instead
+    /// of sampling them; requires [`ClusterBuilder::scheduler`]).
+    pub fn loss_choice_budget(mut self, budget: u64) -> Self {
+        self.transport.set_loss_choice_budget(budget);
+        self
+    }
 }
 
 impl<T: Transport> ClusterBuilder<T> {

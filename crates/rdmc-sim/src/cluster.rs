@@ -832,8 +832,16 @@ impl<T: Transport> Cluster<T> {
                         self.feed(group, me, Event::ReadyReceived { from: peer });
                     }
                     TAG_FAILURE => {
-                        let failed =
-                            u32::from_le_bytes(payload[..4].try_into().expect("failure payload"));
+                        // Peer input: a write too short to name a rank, or
+                        // naming one outside the group, is dropped.
+                        let members = self.groups[group].orig_rank.len();
+                        let Some(failed) = payload
+                            .first_chunk::<4>()
+                            .map(|rank| u32::from_le_bytes(*rank))
+                            .filter(|&rank| (rank as usize) < members)
+                        else {
+                            return;
+                        };
                         self.feed(group, me, Event::PeerFailed { rank: failed });
                         self.note_suspicion(group, me, failed);
                     }
@@ -846,7 +854,8 @@ impl<T: Transport> Cluster<T> {
                     TAG_FRONTIER => {
                         self.atomic_frontier_arrival(group, me, &payload);
                     }
-                    other => panic!("unknown control tag {other}"),
+                    // Peer input: a tag no layer owns is dropped.
+                    _ => {}
                 }
             }
             Delivery::WrFlushed { qp, wr_id, recv } => {
@@ -1104,23 +1113,59 @@ impl<T: Transport> Cluster<T> {
     }
 }
 
-/// Simulation-only surface: the one knob that exists on the simulated
-/// verbs [`Fabric`] but has no meaning on a real transport. (Read-only
-/// access to the fabric is [`Cluster::transport`], as on any backend.)
-impl Cluster<Fabric> {
-    /// Offers up to `budget` deliver-or-drop choice points to the
-    /// attached controlled scheduler (model-checking loss sites instead
-    /// of sampling them; requires a scheduler).
-    pub fn set_loss_choice_budget(&mut self, budget: u64) {
-        self.fabric.set_loss_choice_budget(budget);
-    }
-}
-
 impl<T: Transport> std::fmt::Debug for Cluster<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Cluster")
             .field("now", &self.fabric.now())
             .field("groups", &self.groups.len())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{ClusterBuilder, ClusterSpec, RecoveryConfig};
+
+    /// Control-write payloads are peer input: whatever rank 1 writes at
+    /// rank 0, the handler drops what it cannot use and the group still
+    /// delivers its next message.
+    #[test]
+    fn malformed_control_writes_are_dropped() {
+        let view = |col: u32| [&col.to_le_bytes()[..], &[0; 8]].concat();
+        let mut greedy_parity = vec![0; 16];
+        greedy_parity[8..].copy_from_slice(&(1u64 << 60).to_le_bytes());
+        let malformed = [
+            (TAG_FAILURE, vec![1, 0]),
+            (TAG_FAILURE, 99u32.to_le_bytes().to_vec()),
+            (0xdead, Vec::new()),
+            (TAG_VIEW, vec![0; 5]),
+            (TAG_VIEW, view(99)),
+            (TAG_NACK, vec![0; 11]),
+            (TAG_RETRANS, vec![0; 15]),
+            (TAG_PROBE, vec![0; 7]),
+            (TAG_PARITY, greedy_parity),
+        ];
+        for (tag, payload) in malformed {
+            let mut c = ClusterBuilder::new(ClusterSpec::fractus(3))
+                .recovery(RecoveryConfig::default())
+                .build();
+            let group = c.create_group(GroupSpec {
+                members: vec![0, 1, 2],
+                algorithm: Algorithm::BinomialPipeline,
+                block_size: 1 << 16,
+                ready_window: 2,
+                max_outstanding_sends: 2,
+            });
+            let qp = c.groups[group].qps[&(1, 0)];
+            let len = payload.len();
+            c.fabric
+                .post_write(qp, WrId(u64::MAX), tag, Bytes::from(payload), None)
+                .unwrap();
+            let id = c.submit_send(group, 1 << 18);
+            c.run();
+            let delivered = c.result(id).unwrap().latency().is_some();
+            assert!(delivered, "after a {len}-byte write with tag {tag:#x}");
+        }
     }
 }

@@ -3,6 +3,7 @@
 
 use rdmc::Algorithm;
 use simnet::{SimDuration, SimTime};
+use verbs::Transport;
 
 use crate::{ClusterBuilder, ClusterSpec, GroupSpec, PacerConfig, PacingStats, TopoSpec};
 

@@ -11,7 +11,7 @@
 
 use rdmc::MessageLayout;
 use simnet::SimTime;
-use verbs::{Delivery, Fabric, NodeId, WaitSpec, WrId};
+use verbs::{Delivery, Fabric, NodeId, Transport, WaitSpec, WrId};
 
 /// Runs a fully offloaded chain multicast of `size` bytes in `block_size`
 /// blocks along `members` (first member sends), returning the completion

@@ -177,6 +177,15 @@ impl Reconfig {
 
 /// Failure injection: how tests and harnesses take nodes and links
 /// down, and what the cluster remembers about it.
+/// Checks a [`ViewTracker`] cell update a peer wrote (`col: u32 LE`,
+/// `val: u64 LE`): `None` unless it is exactly 12 bytes and names one of
+/// the row's `columns` cells, which is everything
+/// [`ViewTracker::apply_remote`] would otherwise panic on.
+pub(crate) fn tracker_cell(cell: &[u8], columns: u32) -> Option<&[u8]> {
+    let (col, val) = cell.split_first_chunk::<4>()?;
+    (val.len() == 8 && u32::from_le_bytes(*col) < columns).then_some(cell)
+}
+
 impl<T: Transport> Cluster<T> {
     /// Recovery switch proper ([`crate::ClusterBuilder::recovery`]);
     /// runs before any group exists.
@@ -299,9 +308,14 @@ impl<T: Transport> Cluster<T> {
 
     /// Handles an incoming `TAG_VIEW` write: merge it monotonically, wedge
     /// the local engine on any newly learned failure, echo growth, and arm
-    /// a reconfiguration timer.
+    /// a reconfiguration timer. A write that is not a membership cell is
+    /// dropped (see [`tracker_cell`]).
     pub(crate) fn view_update(&mut self, group: GroupId, me: Rank, peer: Rank, payload: &[u8]) {
         let Some(config) = self.reconfig.config.clone() else {
+            return;
+        };
+        // A membership row has two cells: the suspicion mask and the epoch.
+        let Some(payload) = tracker_cell(payload, 2) else {
             return;
         };
         let now = self.fabric.now();

@@ -379,7 +379,8 @@ impl<T: Transport> Cluster<T> {
         }
     }
 
-    /// One of this layer's control writes landed at `me`.
+    /// One of this layer's control writes landed at `me`. The payload is
+    /// peer input: one that does not decode is dropped.
     pub(crate) fn rel_control_arrival(
         &mut self,
         qp: QpHandle,
@@ -390,11 +391,14 @@ impl<T: Transport> Cluster<T> {
     ) {
         match tag {
             TAG_NACK => {
-                let (base, span) = decode_nack(payload).expect("nack payload");
-                self.rel_retransmit(qp, group, me, base, span);
+                if let Some((base, span)) = decode_nack(payload) {
+                    self.rel_retransmit(qp, group, me, base, span);
+                }
             }
             TAG_RETRANS => {
-                let (seq, total) = decode_repair(payload).expect("repair payload");
+                let Some((seq, total)) = decode_repair(payload) else {
+                    return;
+                };
                 self.reliability.stats.repairs_received += 1;
                 self.record_rel(group, me, || trace::EventKind::RepairDelivered {
                     conn: qp.conn_id(),
@@ -404,12 +408,14 @@ impl<T: Transport> Cluster<T> {
                 self.rel_data_arrival(qp, seq, total);
             }
             TAG_PARITY => {
-                let (generation, slots) = decode_parity(payload).expect("parity payload");
-                self.rel_parity_arrival(qp, group, me, generation, slots);
+                if let Some((generation, slots)) = decode_parity(payload) {
+                    self.rel_parity_arrival(qp, group, me, generation, slots);
+                }
             }
             TAG_PROBE => {
-                let frontier = decode_probe(payload).expect("probe payload");
-                self.rel_probe_arrival(qp, group, me, frontier);
+                if let Some(frontier) = decode_probe(payload) {
+                    self.rel_probe_arrival(qp, group, me, frontier);
+                }
             }
             other => unreachable!("control tag {other} is not a reliability tag"),
         }

@@ -58,10 +58,14 @@ pub(super) fn encode_parity(gen: u64, slots: &[(u64, u64)], pad: u64) -> Bytes {
     Bytes::from(buf)
 }
 
-/// Decodes a parity header; `None` on a malformed length.
+/// Decodes a parity header; `None` on a malformed length, which
+/// includes a slot count (the peer's word) the payload has no room for.
 pub(super) fn decode_parity(payload: &[u8]) -> Option<(u64, Vec<(u64, u64)>)> {
     let gen = u64::from_le_bytes(payload.get(..8)?.try_into().ok()?);
-    let count = u64::from_le_bytes(payload.get(8..16)?.try_into().ok()?) as usize;
+    let count = u64::from_le_bytes(payload.get(8..16)?.try_into().ok()?);
+    let count = usize::try_from(count)
+        .ok()
+        .filter(|&count| count <= (payload.len() - 16) / 16)?;
     let mut slots = Vec::with_capacity(count);
     for i in 0..count {
         let at = 16 + 16 * i;

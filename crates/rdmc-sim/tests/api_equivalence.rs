@@ -13,7 +13,7 @@
 use rdmc::Algorithm;
 use rdmc_sim::{ClusterBuilder, ClusterSpec, GroupSpec, RecoveryConfig, SimCluster};
 use simnet::{JitterModel, SimDuration};
-use verbs::CompletionMode;
+use verbs::{CompletionMode, Transport};
 
 const BLOCK: u64 = 64 << 10;
 

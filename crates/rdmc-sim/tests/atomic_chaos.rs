@@ -9,6 +9,7 @@ use proptest::prelude::*;
 use rdmc::Algorithm;
 use rdmc_sim::{ClusterBuilder, ClusterSpec, GroupSpec, RecoveryConfig, SimCluster};
 use simnet::{JitterModel, SimDuration};
+use verbs::Transport;
 
 const BLOCK: u64 = 64 << 10;
 

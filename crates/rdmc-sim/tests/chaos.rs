@@ -14,6 +14,7 @@ use proptest::prelude::*;
 use rdmc::Algorithm;
 use rdmc_sim::{ClusterBuilder, ClusterSpec, GroupSpec, RecoveryConfig, SimCluster};
 use simnet::{JitterModel, SimDuration};
+use verbs::Transport;
 
 fn arb_algorithm() -> impl Strategy<Value = Algorithm> {
     prop_oneof![

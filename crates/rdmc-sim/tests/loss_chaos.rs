@@ -34,7 +34,7 @@ use rdmc_sim::{
     ClusterBuilder, ClusterSpec, GroupSpec, RecoveryConfig, ReliabilityPolicy, SimCluster,
 };
 use simnet::{FaultProfile, GilbertElliott, LinkFault};
-use verbs::{CandidateKind, ChoicePoint, PointKind, Scheduler};
+use verbs::{CandidateKind, ChoicePoint, PointKind, Scheduler, Transport};
 
 const N: usize = 4;
 const BLOCK: u64 = 64 << 10;
@@ -83,8 +83,8 @@ fn drop_run(policy: ReliabilityPolicy, target: Option<u64>) -> (SimCluster, u64,
         .recovery(RecoveryConfig::default())
         .reliability(policy)
         .scheduler(sched.clone())
+        .loss_choice_budget(1 << 40)
         .build();
-    cluster.set_loss_choice_budget(1 << 40);
     let group = cluster.create_group(GroupSpec {
         members: (0..N).collect(),
         algorithm: Algorithm::BinomialPipeline,

@@ -9,6 +9,7 @@
 use proptest::prelude::*;
 use rdmc::Algorithm;
 use rdmc_sim::{ClusterBuilder, ClusterSpec, GroupSpec, PacerConfig, PacingPolicy, RecoveryConfig};
+use verbs::Transport;
 
 const BLOCK: u64 = 64 << 10;
 const NODES: usize = 6;

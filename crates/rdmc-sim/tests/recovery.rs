@@ -8,6 +8,7 @@
 use rdmc::Algorithm;
 use rdmc_sim::{ClusterBuilder, ClusterSpec, GroupSpec, RecoveryConfig, SimCluster};
 use simnet::SimDuration;
+use verbs::Transport;
 
 const BLOCK: u64 = 64 << 10;
 

@@ -18,7 +18,7 @@ use std::collections::VecDeque;
 
 use bytes::Bytes;
 use simnet::{SimDuration, SimTime};
-use verbs::{Delivery, Fabric, NodeId, QpHandle, WrId};
+use verbs::{Delivery, Fabric, NodeId, QpHandle, Transport, WrId};
 
 /// One-sided-write tag for message slots.
 const TAG_DATA: u64 = 100;

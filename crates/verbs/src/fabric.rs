@@ -1,7 +1,7 @@
 //! The simulated RDMA fabric: reliable connections, work queues,
 //! completions, and failure semantics over a [`simnet`] flow network.
 //!
-//! The fabric is *pull-based*: drivers call [`Fabric::advance`] in a loop;
+//! The fabric is *pull-based*: drivers call [`Transport::advance`] in a loop;
 //! each call runs internal hardware events forward and returns the next
 //! software-visible [`Delivery`] (a completion, an arrived one-sided
 //! write, a broken-connection notice, or a driver timer). While handling a
@@ -17,6 +17,8 @@ use simnet::{
     SimDuration, SimTime, Topology,
 };
 
+use crate::sched::{Candidate, CandidateKind, ChoicePoint, PointKind, SharedScheduler};
+use crate::transport::Transport;
 use crate::types::{
     CompletionMode, CpuReport, Delivery, FabricParams, NodeId, QpHandle, VerbsError, WaitSpec, WrId,
 };
@@ -104,13 +106,9 @@ enum Ev {
     /// An RNR retry timer fired.
     RnrRetry { conn: u32, dir: u8, epoch: u64 },
     /// A transfer's last byte reached the receiver / the ack reached the
-    /// sender: generate the hardware completion.
-    HwComplete {
-        conn: u32,
-        dir: u8,
-        side: Side,
-        wr: CompletedWr,
-    },
+    /// sender: the hardware completion, as the [`Delivery`] software will
+    /// see (on the endpoint its `qp` names).
+    HwComplete { delivery: Delivery },
     /// A NIC noticed its peer died.
     BreakConn { conn: u32 },
     /// Software-visible delivery (after completion-mode delay + jitter).
@@ -129,37 +127,6 @@ impl Ev {
             Ev::Deliver { .. } => 5,
         }
     }
-}
-
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Side {
-    Sender,
-    Receiver,
-}
-
-#[derive(Clone, Debug)]
-enum CompletedWr {
-    Send {
-        wr_id: WrId,
-    },
-    Recv {
-        wr_id: WrId,
-        len: u64,
-        imm: u64,
-    },
-    /// A receive whose payload the fault model corrupted in flight.
-    RecvCorrupt {
-        wr_id: WrId,
-        len: u64,
-        imm: u64,
-    },
-    WriteLocal {
-        wr_id: WrId,
-    },
-    WriteRemote {
-        tag: u64,
-        payload: Bytes,
-    },
 }
 
 /// Internal event/work counters, for performance debugging.
@@ -240,9 +207,9 @@ pub struct Fabric {
     /// arms, flushes); disabled — one branch per event — by default.
     recorder: trace::Recorder,
     /// Controlled scheduler for same-instant delivery races; when
-    /// attached, [`Fabric::advance`] routes tie-breaks through it
+    /// attached, [`Transport::advance`] routes tie-breaks through it
     /// instead of the queue's schedule-order default.
-    scheduler: Option<crate::sched::SharedScheduler>,
+    scheduler: Option<SharedScheduler>,
     /// Seeded wire fault model; `None` (the default) is the paper's
     /// lossless fabric and costs nothing on the completion path.
     faults: Option<simnet::FaultProfile>,
@@ -251,6 +218,9 @@ pub struct Fabric {
     loss_choices: u64,
 }
 
+/// The simulator-only surface: construction, per-node host models, wire
+/// faults and read-only views. Every verb a protocol driver calls is
+/// [`Transport`]'s, implemented below.
 impl Fabric {
     /// Creates a fabric over an already-built topology and flow network.
     /// All nodes start with default host profiles, hybrid completion mode,
@@ -326,38 +296,11 @@ impl Fabric {
         self.loss_choices = budget;
     }
 
-    /// Attaches a controlled scheduler: same-instant delivery races
-    /// become explicit choice points answered by `scheduler` (see
-    /// [`crate::sched`]). Without one, ties break by schedule order and
-    /// runs are bit-for-bit reproducible; with one, reproducibility
-    /// additionally requires replaying the same choice answers.
-    pub fn set_scheduler(&mut self, scheduler: crate::sched::SharedScheduler) {
-        self.scheduler = Some(scheduler);
-    }
-
-    /// Attaches a flight recorder to the fabric and its flow network.
-    /// The fabric keeps the recorder's clock current as its event loop
-    /// advances, so clock-less layers sharing the recorder (the sans-IO
-    /// protocol engines) timestamp correctly.
-    pub fn set_recorder(&mut self, recorder: trace::Recorder) {
-        self.net.set_recorder(recorder.clone());
-        self.recorder = recorder;
-    }
-
     /// `set_path_interning` does nothing: the flow network always groups
     /// same-path transfers. It exists only because the frozen
-    /// `benchmark/src/workloads.rs` calls it (ROADMAP 5(a) retires it).
+    /// `benchmark/src/workloads.rs` calls it (ROADMAP items 1(b)/8(c)
+    /// retire it).
     pub fn set_path_interning(&mut self, _on: bool) {}
-
-    /// Internal work counters (for performance debugging).
-    pub fn stats(&self) -> FabricStats {
-        self.stats
-    }
-
-    /// Current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.queue.now()
-    }
 
     /// The topology the fabric runs over.
     pub fn topology(&self) -> &Topology {
@@ -374,32 +317,9 @@ impl Fabric {
         &self.params
     }
 
-    /// Posting-order metadata for one queue-pair endpoint: what is queued,
-    /// what is posted, and how close the endpoint is to RNR exhaustion.
-    /// Static analyses (the `analyzer` crate) and debug-build runtime
-    /// mirrors use this to check the receive-before-send discipline
-    /// without disturbing the simulation.
-    pub fn posting_snapshot(&self, qp: QpHandle) -> PostingSnapshot {
-        let conn = &self.conns[qp.conn as usize];
-        let d = &conn.dirs[qp.end as usize];
-        PostingSnapshot {
-            queued_sends: d.queue.len(),
-            send_inflight: d.inflight.is_some(),
-            posted_recvs: conn.recvs[qp.end as usize].len(),
-            rnr_armed: d.rnr_armed,
-            rnr_remaining: d.rnr_remaining,
-            broken: conn.broken,
-        }
-    }
-
     /// Sets a node's host cost profile.
     pub fn set_profile(&mut self, node: NodeId, profile: HostProfile) {
         self.nodes[node.index()].profile = profile;
-    }
-
-    /// The node's host cost profile.
-    pub fn profile(&self, node: NodeId) -> &HostProfile {
-        &self.nodes[node.index()].profile
     }
 
     /// Sets a node's completion mode.
@@ -421,18 +341,69 @@ impl Fabric {
     pub fn qp_peer(&self, qp: QpHandle) -> NodeId {
         self.conns[qp.conn as usize].nodes[1 - qp.end as usize]
     }
+}
 
-    /// Creates a reliable connection between two distinct nodes, returning
-    /// the local endpoint for each (first for `a`, second for `b`).
-    ///
-    /// Connecting to a crashed peer is allowed — the connection attempt
-    /// behaves like the real handshake timing out: the queue pair exists
-    /// but breaks after the fabric's failure-detection delay.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a == b`.
-    pub fn connect(&mut self, a: NodeId, b: NodeId) -> (QpHandle, QpHandle) {
+/// The reference implementation of the datapath contract; what each
+/// verb means is specified on the trait.
+impl Transport for Fabric {
+    fn now(&self) -> SimTime {
+        self.queue.now()
+    }
+
+    fn advance(&mut self) -> Option<(SimTime, NodeId, Delivery)> {
+        loop {
+            // Same-instant coalescing: while further events share the
+            // current instant, keep deferring the NetWake re-aim — and
+            // the rate recomputation forced through
+            // [`FlowNet::next_completion`] — so a burst of k flow
+            // changes at one instant costs one reallocation instead of
+            // k. Safe because every allocator-managed flow is larger
+            // than [`TINY_BYPASS_BYTES`] and thus never completes at
+            // the instant it started, and no virtual time passes while
+            // the changes are pending, so the batched fill is
+            // bit-identical to k sequential same-instant fills.
+            // Re-aimed at once when a flight recorder is attached
+            // (traces pin every intermediate rate-change event) or a
+            // scheduler is (the due set it is shown must depend on
+            // protocol state, not on coalescing internals).
+            if self.net_stale
+                && (self.recorder.is_enabled()
+                    || self.scheduler.is_some()
+                    || self.queue.peek_time() != Some(self.queue.now()))
+            {
+                self.net_stale = false;
+                self.resync_net();
+            }
+            let (t, ev) = self.pop_event()?;
+            // Keep the shared trace clock at the instant being
+            // processed; everything recorded while handling this event
+            // (including by protocol engines fed from it) stamps `t`.
+            self.recorder.set_now(t.as_nanos());
+            match ev {
+                // A delivery went back to wait for its node's CPU.
+                None => {}
+                Some(Ev::Deliver { node, delivery }) => {
+                    let n = &self.nodes[node.index()];
+                    if !n.crashed {
+                        let overhead = n.profile.completion_overhead;
+                        self.charge_cpu(node, overhead);
+                        return Some((t, node, delivery));
+                    }
+                }
+                Some(Ev::NetWake) => {
+                    self.net_wake = None;
+                    self.process_due_flows(t);
+                    self.net_stale = true;
+                }
+                Some(Ev::Kick { conn, dir }) => self.kick(conn, dir),
+                Some(Ev::RnrRetry { conn, dir, epoch }) => self.rnr_retry(conn, dir, epoch),
+                Some(Ev::HwComplete { delivery }) => self.hw_complete(t, delivery),
+                Some(Ev::BreakConn { conn }) => self.break_conn(conn),
+            }
+        }
+    }
+
+    fn connect(&mut self, a: NodeId, b: NodeId) -> (QpHandle, QpHandle) {
         assert_ne!(a, b, "cannot connect a node to itself");
         let dead_peer = self.nodes[a.index()].crashed || self.nodes[b.index()].crashed;
         let path_ab = self.topo.path(a.index(), b.index());
@@ -471,16 +442,7 @@ impl Fabric {
         )
     }
 
-    /// Posts a two-sided send of `bytes` with immediate value `imm`.
-    ///
-    /// Sends on one queue pair execute in FIFO order. If `wait_for` is
-    /// given, the send additionally waits (in hardware, CORE-Direct style)
-    /// for that work request's completion.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the connection is broken or the local node crashed.
-    pub fn post_send(
+    fn post_send(
         &mut self,
         qp: QpHandle,
         wr_id: WrId,
@@ -491,14 +453,7 @@ impl Fabric {
         self.post(qp, wr_id, bytes, SendKind::TwoSided { imm }, wait_for)
     }
 
-    /// Posts a one-sided write of `payload` into the peer's memory region
-    /// identified by `tag`. The peer's software observes it as
-    /// [`Delivery::WriteArrived`]; no posted receive is consumed.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the connection is broken or the local node crashed.
-    pub fn post_write(
+    fn post_write(
         &mut self,
         qp: QpHandle,
         wr_id: WrId,
@@ -510,6 +465,140 @@ impl Fabric {
         self.post(qp, wr_id, bytes, SendKind::Write { tag, payload }, wait_for)
     }
 
+    fn post_recv(&mut self, qp: QpHandle, wr_id: WrId, max_len: u64) -> Result<(), VerbsError> {
+        let node = self.qp_node(qp);
+        self.check_postable(qp, node)?;
+        self.recorder.record_at(
+            self.queue.now().as_nanos(),
+            trace::Scope::node(node.index() as u32),
+            || trace::EventKind::RecvPosted {
+                conn: qp.conn,
+                end: qp.end,
+                wr: wr_id.0,
+            },
+        );
+        let ready_at = self.charge_cpu(node, self.nodes[node.index()].profile.post_overhead);
+        let conn = &mut self.conns[qp.conn as usize];
+        conn.recvs[qp.end as usize].push_back((wr_id, max_len));
+        // A sender blocked on receiver-not-ready can now proceed: kick the
+        // opposite direction once the post is effective.
+        self.queue.schedule_at(
+            ready_at,
+            Ev::Kick {
+                conn: qp.conn,
+                dir: 1 - qp.end,
+            },
+        );
+        Ok(())
+    }
+
+    fn schedule_timer(&mut self, node: NodeId, delay: SimDuration, token: u64) {
+        self.queue.schedule_in(
+            delay,
+            Ev::Deliver {
+                node,
+                delivery: Delivery::Timer { token },
+            },
+        );
+    }
+
+    fn consume_cpu(&mut self, node: NodeId, dur: SimDuration) {
+        self.charge_cpu(node, dur);
+    }
+
+    fn crash(&mut self, node: NodeId) {
+        let now = self.queue.now();
+        if self.nodes[node.index()].crashed {
+            return;
+        }
+        self.nodes[node.index()].crashed = true;
+        self.recorder.record_at(
+            now.as_nanos(),
+            trace::Scope::node(node.index() as u32),
+            || trace::EventKind::NodeCrashed,
+        );
+        let conns = self.nodes[node.index()].conns.clone();
+        for c in conns {
+            if self.conns[c as usize].broken {
+                continue;
+            }
+            // The wire goes quiet immediately...
+            for dir in 0..2 {
+                if let Some((flow, send, claimed_recv)) =
+                    self.conns[c as usize].dirs[dir].inflight.take()
+                {
+                    self.take_inflight(flow);
+                    self.net.abort_flow(now, flow);
+                    // Remember the torn-off WRs so the eventual break
+                    // flushes them as error completions.
+                    let conn = &mut self.conns[c as usize];
+                    conn.pending_flush.push((dir as u8, send.wr_id, false));
+                    if let Some(wr) = claimed_recv {
+                        conn.pending_flush.push((1 - dir as u8, wr, true));
+                    }
+                }
+            }
+            self.net_stale = true;
+            // ...but the peer only notices after the NIC timeout.
+            self.queue
+                .schedule_in(self.params.failure_detect, Ev::BreakConn { conn: c });
+        }
+    }
+
+    fn is_crashed(&self, node: NodeId) -> bool {
+        self.nodes[node.index()].crashed
+    }
+
+    fn break_qp(&mut self, qp: QpHandle) {
+        self.break_conn(qp.conn);
+    }
+
+    fn profile(&self, node: NodeId) -> &HostProfile {
+        &self.nodes[node.index()].profile
+    }
+
+    fn posting_snapshot(&self, qp: QpHandle) -> PostingSnapshot {
+        let conn = &self.conns[qp.conn as usize];
+        let d = &conn.dirs[qp.end as usize];
+        PostingSnapshot {
+            queued_sends: d.queue.len(),
+            send_inflight: d.inflight.is_some(),
+            posted_recvs: conn.recvs[qp.end as usize].len(),
+            rnr_armed: d.rnr_armed,
+            rnr_remaining: d.rnr_remaining,
+            broken: conn.broken,
+        }
+    }
+
+    fn set_recorder(&mut self, recorder: trace::Recorder) {
+        self.net.set_recorder(recorder.clone());
+        self.recorder = recorder;
+    }
+
+    fn stats(&self) -> FabricStats {
+        self.stats
+    }
+
+    fn cpu_report(&self, node: NodeId) -> CpuReport {
+        let n = &self.nodes[node.index()];
+        CpuReport {
+            handling: n.meter.busy(),
+            polling: n.poll_busy,
+            mode: n.mode,
+        }
+    }
+
+    fn num_nodes(&self) -> usize {
+        self.topo.num_nodes()
+    }
+
+    fn set_scheduler(&mut self, scheduler: SharedScheduler) {
+        self.scheduler = Some(scheduler);
+    }
+}
+
+/// The hardware model behind the verbs.
+impl Fabric {
     fn post(
         &mut self,
         qp: QpHandle,
@@ -558,41 +647,6 @@ impl Fabric {
         Ok(())
     }
 
-    /// Posts a receive of capacity `max_len`. Receives are consumed in
-    /// order by incoming two-sided sends; an incoming send larger than the
-    /// matched receive breaks the connection (the RDMA local-length
-    /// error).
-    ///
-    /// # Errors
-    ///
-    /// Fails if the connection is broken or the local node crashed.
-    pub fn post_recv(&mut self, qp: QpHandle, wr_id: WrId, max_len: u64) -> Result<(), VerbsError> {
-        let node = self.qp_node(qp);
-        self.check_postable(qp, node)?;
-        self.recorder.record_at(
-            self.queue.now().as_nanos(),
-            trace::Scope::node(node.index() as u32),
-            || trace::EventKind::RecvPosted {
-                conn: qp.conn,
-                end: qp.end,
-                wr: wr_id.0,
-            },
-        );
-        let ready_at = self.charge_cpu(node, self.nodes[node.index()].profile.post_overhead);
-        let conn = &mut self.conns[qp.conn as usize];
-        conn.recvs[qp.end as usize].push_back((wr_id, max_len));
-        // A sender blocked on receiver-not-ready can now proceed: kick the
-        // opposite direction once the post is effective.
-        self.queue.schedule_at(
-            ready_at,
-            Ev::Kick {
-                conn: qp.conn,
-                dir: 1 - qp.end,
-            },
-        );
-        Ok(())
-    }
-
     fn check_postable(&self, qp: QpHandle, node: NodeId) -> Result<(), VerbsError> {
         if self.nodes[node.index()].crashed {
             return Err(VerbsError::NodeCrashed);
@@ -601,25 +655,6 @@ impl Fabric {
             return Err(VerbsError::QpBroken);
         }
         Ok(())
-    }
-
-    /// Schedules a driver timer on `node` after `delay`; fires as
-    /// [`Delivery::Timer`] with `token`.
-    pub fn schedule_timer(&mut self, node: NodeId, delay: SimDuration, token: u64) {
-        self.queue.schedule_in(
-            delay,
-            Ev::Deliver {
-                node,
-                delivery: Delivery::Timer { token },
-            },
-        );
-    }
-
-    /// Charges `dur` of software work to `node` (e.g. a buffer allocation
-    /// or memory copy on the critical path). Subsequent posts and
-    /// deliveries on this node are pushed back accordingly.
-    pub fn consume_cpu(&mut self, node: NodeId, dur: SimDuration) {
-        self.charge_cpu(node, dur);
     }
 
     /// Serialises `dur` of CPU on the node's single core; returns the
@@ -637,149 +672,72 @@ impl Fabric {
         n.cpu_free_at
     }
 
-    /// Crashes a node: all its connections break; peers learn after the
-    /// fabric's failure-detection delay; the node receives nothing further.
-    pub fn crash(&mut self, node: NodeId) {
-        let now = self.queue.now();
-        if self.nodes[node.index()].crashed {
-            return;
-        }
-        self.nodes[node.index()].crashed = true;
-        self.recorder.record_at(
-            now.as_nanos(),
-            trace::Scope::node(node.index() as u32),
-            || trace::EventKind::NodeCrashed,
-        );
-        let conns = self.nodes[node.index()].conns.clone();
-        for c in conns {
-            if self.conns[c as usize].broken {
-                continue;
-            }
-            // The wire goes quiet immediately...
-            for dir in 0..2 {
-                if let Some((flow, send, claimed_recv)) =
-                    self.conns[c as usize].dirs[dir].inflight.take()
-                {
-                    self.take_inflight(flow);
-                    self.net.abort_flow(now, flow);
-                    // Remember the torn-off WRs so the eventual break
-                    // flushes them as error completions.
-                    let conn = &mut self.conns[c as usize];
-                    conn.pending_flush.push((dir as u8, send.wr_id, false));
-                    if let Some(wr) = claimed_recv {
-                        conn.pending_flush.push((1 - dir as u8, wr, true));
-                    }
+    /// Takes the next event off the queue, counting it, in the shape of
+    /// [`EventQueue::pop_or_defer`]: `(t, None)` means the event was a
+    /// completion whose node's software is busy, and it went back to wait
+    /// for the CPU (queued again for `cpu_free_at`) instead of coming out.
+    ///
+    /// Without a scheduler the next event is the queue's head. With one,
+    /// the first due event that is not an enabled delivery goes first:
+    /// hardware progress at an instant commutes with software observation
+    /// order, and a delivery to a crashed or busy node is no choice. Once
+    /// only enabled deliveries are due, two or more of them racing at the
+    /// instant is a choice point the scheduler answers.
+    fn pop_event(&mut self) -> Option<(SimTime, Option<Ev>)> {
+        let (nodes, stats) = (&self.nodes, &mut self.stats);
+        let mut defer = |t: SimTime, ev: &Ev| {
+            stats.events += 1;
+            stats.events_by_kind[ev.kind()] += 1;
+            let Ev::Deliver { node, .. } = ev else {
+                return None;
+            };
+            let n = &nodes[node.index()];
+            let busy = !n.crashed && n.cpu_free_at > t;
+            stats.cpu_requeues += u64::from(busy);
+            busy.then_some(n.cpu_free_at)
+        };
+        let Some(sched) = &self.scheduler else {
+            return self.queue.pop_or_defer(defer);
+        };
+        let t = self.queue.peek_time()?;
+        let due = self.queue.peek_due();
+        let enabled = |n: &Node| !n.crashed && n.cpu_free_at <= t;
+        let cands: Vec<_> = due
+            .iter()
+            .map_while(|&(seq, ev)| match ev {
+                Ev::Deliver { node, delivery } if enabled(&nodes[node.index()]) => {
+                    Some(Self::candidate(seq, *node, delivery))
                 }
+                _ => None,
+            })
+            .collect();
+        let next = match cands.len() {
+            n if n < due.len() => n,
+            1 => 0,
+            _ => crate::sched::pick(
+                sched,
+                &ChoicePoint {
+                    time_ns: t.as_nanos(),
+                    kind: PointKind::Delivery,
+                    candidates: &cands,
+                },
+            ),
+        };
+        let (seq, ev) = due[next];
+        let deferred_to = defer(t, ev);
+        let (t, ev) = self.queue.pop_seq(seq).expect("due event vanished");
+        Some(match deferred_to {
+            Some(at) => {
+                self.queue.schedule_at(at, ev);
+                (t, None)
             }
-            self.net_stale = true;
-            // ...but the peer only notices after the NIC timeout.
-            self.queue
-                .schedule_in(self.params.failure_detect, Ev::BreakConn { conn: c });
-        }
-    }
-
-    /// Whether a node has crashed.
-    pub fn is_crashed(&self, node: NodeId) -> bool {
-        self.nodes[node.index()].crashed
-    }
-
-    /// Per-node CPU usage summary.
-    pub fn cpu_report(&self, node: NodeId) -> CpuReport {
-        let n = &self.nodes[node.index()];
-        CpuReport {
-            handling: n.meter.busy(),
-            polling: n.poll_busy,
-            mode: n.mode,
-        }
-    }
-
-    /// Runs the fabric forward and returns the next software-visible
-    /// delivery, or `None` when the simulation has quiesced.
-    pub fn advance(&mut self) -> Option<(SimTime, NodeId, Delivery)> {
-        if self.scheduler.is_some() {
-            return self.advance_scheduled();
-        }
-        loop {
-            if self.net_stale {
-                // Same-instant coalescing: while further events share the
-                // current instant, keep deferring the NetWake re-aim — and
-                // the rate recomputation forced through
-                // [`FlowNet::next_completion`] — so a burst of k flow
-                // changes at one instant costs one reallocation instead of
-                // k. Safe because every allocator-managed flow is larger
-                // than [`TINY_BYPASS_BYTES`] and thus never completes at
-                // the instant it started, and no virtual time passes while
-                // the changes are pending, so the batched fill is
-                // bit-identical to k sequential same-instant fills.
-                // Skipped when a flight recorder is attached: traces pin
-                // every intermediate rate-change event.
-                if self.recorder.is_enabled() || self.queue.peek_time() != Some(self.queue.now()) {
-                    self.net_stale = false;
-                    self.resync_net();
-                }
-            }
-            // A completion whose node's software is busy waits for the
-            // CPU: it goes back for `cpu_free_at` without leaving the queue.
-            let (nodes, stats) = (&self.nodes, &mut self.stats);
-            let (t, ev) = self.queue.pop_or_defer(|t, ev| {
-                Self::count_event(stats, ev);
-                let Ev::Deliver { node, .. } = ev else {
-                    return None;
-                };
-                let n = &nodes[node.index()];
-                let busy = !n.crashed && n.cpu_free_at > t;
-                stats.cpu_requeues += u64::from(busy);
-                busy.then_some(n.cpu_free_at)
-            })?;
-            // Keep the shared trace clock at the instant being
-            // processed; everything recorded while handling this event
-            // (including by protocol engines fed from it) stamps `t`.
-            self.recorder.set_now(t.as_nanos());
-            match ev {
-                None => {}
-                Some(Ev::Deliver { node, delivery }) => {
-                    let n = &self.nodes[node.index()];
-                    if !n.crashed {
-                        let overhead = n.profile.completion_overhead;
-                        self.charge_cpu(node, overhead);
-                        return Some((t, node, delivery));
-                    }
-                }
-                Some(internal) => self.handle_internal(t, internal),
-            }
-        }
-    }
-
-    /// Handles one internal (hardware-level) event.
-    fn handle_internal(&mut self, t: SimTime, ev: Ev) {
-        match ev {
-            Ev::NetWake => {
-                self.net_wake = None;
-                self.process_due_flows(t);
-                self.net_stale = true;
-            }
-            Ev::Kick { conn, dir } => self.kick(conn, dir),
-            Ev::RnrRetry { conn, dir, epoch } => self.rnr_retry(conn, dir, epoch),
-            Ev::HwComplete {
-                conn,
-                dir,
-                side,
-                wr,
-            } => self.hw_complete(t, conn, dir, side, wr),
-            Ev::BreakConn { conn } => self.break_conn(conn),
-            Ev::Deliver { .. } => unreachable!("deliveries are not internal events"),
-        }
-    }
-
-    /// Counts one event popped from (or deferred in) the queue.
-    fn count_event(stats: &mut FabricStats, ev: &Ev) {
-        stats.events += 1;
-        stats.events_by_kind[ev.kind()] += 1;
+            None => (t, Some(ev)),
+        })
     }
 
     /// Summarises a pending delivery for the scheduler.
-    fn candidate(seq: u64, node: NodeId, delivery: &Delivery) -> crate::sched::Candidate {
-        use crate::sched::CandidateKind as K;
+    fn candidate(seq: u64, node: NodeId, delivery: &Delivery) -> Candidate {
+        use CandidateKind as K;
         let (conn, kind) = match delivery {
             // A corrupted receive races like any other receive
             // completion; the payload's fate is already decided.
@@ -795,92 +753,11 @@ impl Fabric {
             Delivery::QpBroken { qp } => (Some(qp.conn), K::Broken),
             Delivery::Timer { token } => (None, K::Timer { token: *token }),
         };
-        crate::sched::Candidate {
+        Candidate {
             seq,
             node: node.index() as u32,
             conn,
             kind,
-        }
-    }
-
-    /// [`Fabric::advance`] under a controlled scheduler: internal
-    /// hardware events at the due instant are drained eagerly, crashed
-    /// and CPU-busy deliveries are filtered deterministically, and any
-    /// remaining same-instant race between two or more enabled
-    /// deliveries becomes a choice point answered by the scheduler.
-    fn advance_scheduled(&mut self) -> Option<(SimTime, NodeId, Delivery)> {
-        loop {
-            if self.net_stale {
-                // Re-aim eagerly (as with a recorder attached): deferred
-                // re-aims would make the due set visible to the scheduler
-                // depend on coalescing internals rather than on protocol
-                // state.
-                self.net_stale = false;
-                self.resync_net();
-            }
-            let t = self.queue.peek_time()?;
-            // The enabled deliveries due now, up to the first due event
-            // that is anything else. That one goes first: hardware
-            // progress at an instant commutes with software observation
-            // order, and a delivery to a crashed or busy node is no choice.
-            let (nodes, due) = (&self.nodes, self.queue.peek_due());
-            let enabled = |n: &Node| !n.crashed && n.cpu_free_at <= t;
-            let cands: Vec<_> = due
-                .iter()
-                .map_while(|&(seq, ev)| match ev {
-                    Ev::Deliver { node, delivery } if enabled(&nodes[node.index()]) => {
-                        Some(Self::candidate(seq, *node, delivery))
-                    }
-                    _ => None,
-                })
-                .collect();
-            if let Some(&(seq, _)) = due.get(cands.len()) {
-                let (t, ev) = self.queue.pop_seq(seq).expect("due event vanished");
-                Self::count_event(&mut self.stats, &ev);
-                match ev {
-                    Ev::Deliver { node, delivery } => {
-                        // Dropped if the node crashed; otherwise the
-                        // completion waits for its busy CPU.
-                        let n = &self.nodes[node.index()];
-                        if !n.crashed {
-                            self.stats.cpu_requeues += 1;
-                            self.queue
-                                .schedule_at(n.cpu_free_at, Ev::Deliver { node, delivery });
-                        }
-                    }
-                    internal => {
-                        self.recorder.set_now(t.as_nanos());
-                        self.handle_internal(t, internal);
-                    }
-                }
-                continue;
-            }
-            debug_assert!(!cands.is_empty(), "due instant with no events");
-            let idx = if cands.len() == 1 {
-                0
-            } else {
-                let sched = self.scheduler.clone().expect("scheduled mode");
-                crate::sched::pick(
-                    &sched,
-                    &crate::sched::ChoicePoint {
-                        time_ns: t.as_nanos(),
-                        kind: crate::sched::PointKind::Delivery,
-                        candidates: &cands,
-                    },
-                )
-            };
-            let (t, ev) = self
-                .queue
-                .pop_seq(cands[idx].seq)
-                .expect("chosen event vanished");
-            Self::count_event(&mut self.stats, &ev);
-            self.recorder.set_now(t.as_nanos());
-            let Ev::Deliver { node, delivery } = ev else {
-                unreachable!("candidates are deliveries");
-            };
-            let overhead = self.nodes[node.index()].profile.completion_overhead;
-            self.charge_cpu(node, overhead);
-            return Some((t, node, delivery));
         }
     }
 
@@ -902,49 +779,16 @@ impl Fabric {
             let Some((conn_idx, dir)) = self.take_inflight(flow) else {
                 continue;
             };
-            let conn = &mut self.conns[conn_idx as usize];
-            let (_, send, claimed_recv) = conn.dirs[dir as usize]
+            let (_, send, claimed_recv) = self.conns[conn_idx as usize].dirs[dir as usize]
                 .inflight
                 .take()
                 .expect("inflight send vanished");
-            let latency = conn.latency[dir as usize];
-            let nic_op = self.params.nic_op_overhead;
             // The wire fault model gets one verdict per traversal. Note
             // a dropped two-sided send already consumed its claimed
             // receive at flow start — exactly like a real RC NIC, whose
             // RQE is gone once the first packet matches it; software
             // above sees one fewer receive completion, never an RNR.
             let outcome = self.fault_outcome(now, &path, conn_idx, dir);
-            // Receiver-side hardware completion: one-way latency + NIC
-            // processing after the last byte left the sender.
-            let recv_wr = match (&send.kind, outcome) {
-                (_, simnet::FaultOutcome::Drop) => None,
-                (SendKind::TwoSided { imm }, simnet::FaultOutcome::Deliver) => {
-                    Some(CompletedWr::Recv {
-                        wr_id: claimed_recv.expect("two-sided send without claimed recv"),
-                        len: send.bytes,
-                        imm: *imm,
-                    })
-                }
-                (SendKind::TwoSided { imm }, simnet::FaultOutcome::Corrupt) => {
-                    Some(CompletedWr::RecvCorrupt {
-                        wr_id: claimed_recv.expect("two-sided send without claimed recv"),
-                        len: send.bytes,
-                        imm: *imm,
-                    })
-                }
-                (SendKind::Write { tag, payload }, simnet::FaultOutcome::Deliver) => {
-                    Some(CompletedWr::WriteRemote {
-                        tag: *tag,
-                        payload: payload.clone(),
-                    })
-                }
-                // A corrupted one-sided write never surfaces: the
-                // target's software checks the region's integrity and
-                // ignores garbage, which is indistinguishable from the
-                // write not having landed.
-                (SendKind::Write { .. }, simnet::FaultOutcome::Corrupt) => None,
-            };
             if outcome != simnet::FaultOutcome::Deliver {
                 let dropped = outcome == simnet::FaultOutcome::Drop;
                 if dropped {
@@ -970,34 +814,70 @@ impl Fabric {
                     },
                 );
             }
-            if let Some(recv_wr) = recv_wr {
-                self.queue.schedule_at(
-                    now + latency + nic_op,
-                    Ev::HwComplete {
-                        conn: conn_idx,
-                        dir,
-                        side: Side::Receiver,
-                        wr: recv_wr,
-                    },
-                );
-            }
-            // Sender-side completion: the hardware ack makes the round trip.
-            let send_wr = match &send.kind {
-                SendKind::TwoSided { .. } => CompletedWr::Send { wr_id: send.wr_id },
-                SendKind::Write { .. } => CompletedWr::WriteLocal { wr_id: send.wr_id },
-            };
-            self.queue.schedule_at(
-                now + latency + latency + nic_op,
-                Ev::HwComplete {
-                    conn: conn_idx,
-                    dir,
-                    side: Side::Sender,
-                    wr: send_wr,
-                },
-            );
+            self.complete_transfer(now, conn_idx, dir, send, claimed_recv, outcome);
             // The wire is free: start the next queued send.
             self.kick(conn_idx, dir);
         }
+    }
+
+    /// Schedules the hardware completions of a transfer whose last byte
+    /// left the sender at `now`: at the receiver one-way latency + NIC
+    /// processing later, unless the wire lost the payload; at the sender
+    /// once the hardware ack has made the round trip, whatever became of
+    /// the payload.
+    fn complete_transfer(
+        &mut self,
+        now: SimTime,
+        conn_idx: u32,
+        dir: u8,
+        send: PendingSend,
+        claimed_recv: Option<WrId>,
+        outcome: simnet::FaultOutcome,
+    ) {
+        use simnet::FaultOutcome as O;
+        let [sender, qp] = [dir, 1 - dir].map(|end| QpHandle {
+            conn: conn_idx,
+            end,
+        });
+        let (wr_id, len) = (send.wr_id, send.bytes);
+        let (at_receiver, at_sender) = match send.kind {
+            SendKind::TwoSided { imm } => {
+                let sent = Delivery::SendDone { qp: sender, wr_id };
+                let wr_id = claimed_recv.expect("two-sided send without claimed recv");
+                let received = match outcome {
+                    O::Deliver => Some(Delivery::RecvDone {
+                        qp,
+                        wr_id,
+                        len,
+                        imm,
+                    }),
+                    O::Corrupt => Some(Delivery::RecvCorrupted {
+                        qp,
+                        wr_id,
+                        len,
+                        imm,
+                    }),
+                    O::Drop => None,
+                };
+                (received, sent)
+            }
+            // A corrupted one-sided write never surfaces: the target's
+            // software checks the region's integrity and ignores garbage,
+            // which is indistinguishable from the write not having landed.
+            SendKind::Write { tag, payload } => (
+                (outcome == O::Deliver).then_some(Delivery::WriteArrived { qp, tag, payload }),
+                Delivery::WriteDone { qp: sender, wr_id },
+            ),
+        };
+        let latency = self.conns[conn_idx as usize].latency[dir as usize];
+        let nic_op = self.params.nic_op_overhead;
+        if let Some(delivery) = at_receiver {
+            self.queue
+                .schedule_at(now + latency + nic_op, Ev::HwComplete { delivery });
+        }
+        let acked = now + latency + latency + nic_op;
+        let delivery = at_sender;
+        self.queue.schedule_at(acked, Ev::HwComplete { delivery });
     }
 
     /// Decides the fate of one completed transfer: a scheduler with
@@ -1013,21 +893,21 @@ impl Fabric {
     ) -> simnet::FaultOutcome {
         use simnet::FaultOutcome as O;
         if self.loss_choices > 0 {
-            if let Some(sched) = self.scheduler.clone() {
+            if let Some(sched) = &self.scheduler {
                 self.loss_choices -= 1;
                 let receiver = self.conns[conn_idx as usize].nodes[1 - dir as usize];
-                let cand = |i, drop| crate::sched::Candidate {
+                let cand = |i, drop| Candidate {
                     seq: i,
                     node: receiver.index() as u32,
                     conn: Some(conn_idx),
-                    kind: crate::sched::CandidateKind::Loss { drop },
+                    kind: CandidateKind::Loss { drop },
                 };
                 let cands = [cand(0, false), cand(1, true)];
                 let idx = crate::sched::pick(
-                    &sched,
-                    &crate::sched::ChoicePoint {
+                    sched,
+                    &ChoicePoint {
                         time_ns: now.as_nanos(),
-                        kind: crate::sched::PointKind::LossSite,
+                        kind: PointKind::LossSite,
                         candidates: &cands,
                     },
                 );
@@ -1135,94 +1015,35 @@ impl Fabric {
                 );
             }
             Decision::LengthError => self.break_conn(conn_idx),
-            Decision::Start
-                if self.conns[conn_idx as usize].dirs[dir as usize]
-                    .queue
-                    .front()
-                    .expect("head exists")
-                    .bytes
-                    <= TINY_BYPASS_BYTES =>
-            {
-                // Control-sized transfers (ready-for-block notices, SST
-                // counters) occupy the wire for well under a nanosecond at
-                // these link speeds; deliver them at pure latency instead
-                // of churning the bandwidth allocator.
-                let retry_limit = self.params.rnr_retry_limit;
-                let conn = &mut self.conns[conn_idx as usize];
-                let two_sided = matches!(
-                    conn.dirs[dir as usize].queue.front().unwrap().kind,
-                    SendKind::TwoSided { .. }
-                );
-                let claimed_recv = if two_sided {
-                    conn.recvs[1 - dir as usize].pop_front().map(|(wr, _)| wr)
-                } else {
-                    None
-                };
-                let d = &mut conn.dirs[dir as usize];
-                d.rnr_armed = false;
-                d.rnr_epoch += 1;
-                d.rnr_remaining = retry_limit;
-                let send = d.queue.pop_front().expect("head vanished");
-                let latency = conn.latency[dir as usize];
-                let nic_op = self.params.nic_op_overhead;
-                let recv_wr = match &send.kind {
-                    SendKind::TwoSided { imm } => CompletedWr::Recv {
-                        wr_id: claimed_recv.expect("two-sided send without claimed recv"),
-                        len: send.bytes,
-                        imm: *imm,
-                    },
-                    SendKind::Write { tag, payload } => CompletedWr::WriteRemote {
-                        tag: *tag,
-                        payload: payload.clone(),
-                    },
-                };
-                let send_wr = match &send.kind {
-                    SendKind::TwoSided { .. } => CompletedWr::Send { wr_id: send.wr_id },
-                    SendKind::Write { .. } => CompletedWr::WriteLocal { wr_id: send.wr_id },
-                };
-                self.queue.schedule_at(
-                    now + latency + nic_op,
-                    Ev::HwComplete {
-                        conn: conn_idx,
-                        dir,
-                        side: Side::Receiver,
-                        wr: recv_wr,
-                    },
-                );
-                self.queue.schedule_at(
-                    now + latency + latency + nic_op,
-                    Ev::HwComplete {
-                        conn: conn_idx,
-                        dir,
-                        side: Side::Sender,
-                        wr: send_wr,
-                    },
-                );
-                // The wire was barely touched: the next queued send may
-                // start immediately.
-                self.kick(conn_idx, dir);
-            }
             Decision::Start => {
                 let retry_limit = self.params.rnr_retry_limit;
                 let conn = &mut self.conns[conn_idx as usize];
-                let two_sided = matches!(
-                    conn.dirs[dir as usize].queue.front().unwrap().kind,
-                    SendKind::TwoSided { .. }
-                );
-                let claimed_recv = if two_sided {
-                    conn.recvs[1 - dir as usize].pop_front().map(|(wr, _)| wr)
-                } else {
-                    None
-                };
-                let path = conn.paths[dir as usize].clone();
                 let d = &mut conn.dirs[dir as usize];
                 // Starting successfully disarms any pending RNR countdown.
                 d.rnr_armed = false;
                 d.rnr_epoch += 1;
                 d.rnr_remaining = retry_limit;
                 let send = d.queue.pop_front().expect("head vanished");
-                let bytes = send.bytes as f64;
-                let flow = self.net.start_flow(now, path, bytes);
+                let claimed_recv = match send.kind {
+                    SendKind::TwoSided { .. } => {
+                        conn.recvs[1 - dir as usize].pop_front().map(|(wr, _)| wr)
+                    }
+                    SendKind::Write { .. } => None,
+                };
+                if send.bytes <= TINY_BYPASS_BYTES {
+                    // Control-sized transfers (ready-for-block notices, SST
+                    // counters) occupy the wire for well under a nanosecond
+                    // at these link speeds; deliver them at pure latency
+                    // instead of churning the bandwidth allocator. The wire
+                    // was barely touched: the next queued send may start
+                    // immediately.
+                    let delivered = simnet::FaultOutcome::Deliver;
+                    self.complete_transfer(now, conn_idx, dir, send, claimed_recv, delivered);
+                    self.kick(conn_idx, dir);
+                    return;
+                }
+                let path = conn.paths[dir as usize].clone();
+                let flow = self.net.start_flow(now, path, send.bytes as f64);
                 if self.inflight_index.len() <= flow.slot() {
                     self.inflight_index.resize(flow.slot() + 1, None);
                 }
@@ -1281,43 +1102,35 @@ impl Fabric {
     /// Registers a hardware completion: resolves cross-channel
     /// dependencies, then forwards it to software with the node's
     /// completion-mode delay.
-    fn hw_complete(&mut self, t: SimTime, conn_idx: u32, dir: u8, side: Side, wr: CompletedWr) {
-        let conn = &self.conns[conn_idx as usize];
-        if conn.broken {
-            return;
-        }
-        let (node, end) = match side {
-            Side::Sender => (conn.nodes[dir as usize], dir),
-            Side::Receiver => (conn.nodes[1 - dir as usize], 1 - dir),
+    fn hw_complete(&mut self, t: SimTime, delivery: Delivery) {
+        // `Ok((id, is_recv))` for a work request of this endpoint's,
+        // `Err(tag)` for a peer's write landing in its memory.
+        let (qp, wr) = match &delivery {
+            Delivery::SendDone { qp, wr_id } | Delivery::WriteDone { qp, wr_id } => {
+                (*qp, Ok((wr_id.0, false)))
+            }
+            Delivery::RecvDone { qp, wr_id, .. } | Delivery::RecvCorrupted { qp, wr_id, .. } => {
+                (*qp, Ok((wr_id.0, true)))
+            }
+            Delivery::WriteArrived { qp, tag, .. } => (*qp, Err(*tag)),
+            other => unreachable!("{other:?} is not a hardware completion"),
         };
-        if self.nodes[node.index()].crashed {
+        let (conn, end) = (qp.conn, qp.end);
+        let node = self.qp_node(qp);
+        if self.conns[conn as usize].broken || self.nodes[node.index()].crashed {
             return;
         }
         self.recorder.record_at(
             t.as_nanos(),
             trace::Scope::node(node.index() as u32),
-            || match &wr {
-                CompletedWr::Send { wr_id } | CompletedWr::WriteLocal { wr_id } => {
-                    trace::EventKind::WrCompleted {
-                        conn: conn_idx,
-                        end,
-                        wr: wr_id.0,
-                        recv: false,
-                    }
-                }
-                CompletedWr::Recv { wr_id, .. } | CompletedWr::RecvCorrupt { wr_id, .. } => {
-                    trace::EventKind::WrCompleted {
-                        conn: conn_idx,
-                        end,
-                        wr: wr_id.0,
-                        recv: true,
-                    }
-                }
-                CompletedWr::WriteRemote { tag, .. } => trace::EventKind::WriteDelivered {
-                    conn: conn_idx,
+            || match wr {
+                Ok((wr, recv)) => trace::EventKind::WrCompleted {
+                    conn,
                     end,
-                    tag: *tag,
+                    wr,
+                    recv,
                 },
+                Err(tag) => trace::EventKind::WriteDelivered { conn, end, tag },
             },
         );
         // Record for cross-channel waiters, then — on a node that posts
@@ -1325,15 +1138,8 @@ impl Fabric {
         // release one. Every other reason a head-of-line send sits idle
         // has its own kick: the wire freeing up, its `ready_at`, a receive
         // being posted, the RNR timer.
-        let completed = match &wr {
-            CompletedWr::Send { wr_id }
-            | CompletedWr::WriteLocal { wr_id }
-            | CompletedWr::Recv { wr_id, .. }
-            | CompletedWr::RecvCorrupt { wr_id, .. } => Some(wr_id.0),
-            CompletedWr::WriteRemote { .. } => None,
-        };
-        if let Some(wr_id) = completed {
-            let done = &mut self.conns[conn_idx as usize].hw_completed[end as usize];
+        if let Ok((wr_id, _)) = wr {
+            let done = &mut self.conns[conn as usize].hw_completed[end as usize];
             if let Err(at) = done.binary_search(&wr_id) {
                 done.insert(at, wr_id);
             }
@@ -1351,35 +1157,11 @@ impl Fabric {
                 self.conn_scratch = conns;
             }
         }
-        let qp = QpHandle {
-            conn: conn_idx,
-            end,
-        };
-        let delivery = match wr {
-            CompletedWr::Send { wr_id } => Delivery::SendDone { qp, wr_id },
-            CompletedWr::Recv { wr_id, len, imm } => Delivery::RecvDone {
-                qp,
-                wr_id,
-                len,
-                imm,
-            },
-            CompletedWr::RecvCorrupt { wr_id, len, imm } => Delivery::RecvCorrupted {
-                qp,
-                wr_id,
-                len,
-                imm,
-            },
-            CompletedWr::WriteLocal { wr_id } => Delivery::WriteDone { qp, wr_id },
-            CompletedWr::WriteRemote { tag, payload } => {
-                Delivery::WriteArrived { qp, tag, payload }
-            }
-        };
         // One-sided writes are observed by memory polling, not via the
         // completion queue, so they skip interrupt wakeup latency.
-        let visible = if matches!(delivery, Delivery::WriteArrived { .. }) {
-            t
-        } else {
-            t + self.completion_delay(node, t)
+        let visible = match wr {
+            Ok(_) => t + self.completion_delay(node, t),
+            Err(_) => t,
         };
         let jitter = self.nodes[node.index()].jitter.sample();
         self.queue
@@ -1412,16 +1194,6 @@ impl Fabric {
                 delay
             }
         }
-    }
-
-    /// Forcibly breaks the connection a queue pair belongs to, as if the
-    /// link failed: outstanding work requests are flushed as
-    /// [`Delivery::WrFlushed`] error completions and both surviving
-    /// endpoints receive [`Delivery::QpBroken`]. Idempotent. Drivers use
-    /// this for deliberate teardown (epoch reconfiguration) and fault
-    /// injection (link flaps).
-    pub fn break_qp(&mut self, qp: QpHandle) {
-        self.break_conn(qp.conn);
     }
 
     /// Breaks a connection: aborts in-flight transfers, flushes all
@@ -1541,7 +1313,7 @@ impl Drop for Fabric {
 impl std::fmt::Debug for Fabric {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Fabric")
-            .field("now", &self.now())
+            .field("now", &self.queue.now())
             .field("nodes", &self.nodes.len())
             .field("conns", &self.conns.len())
             .finish()

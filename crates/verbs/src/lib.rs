@@ -3,16 +3,16 @@
 //! A faithful-semantics, simulated implementation of the slice of the RDMA
 //! Verbs API that RDMC (DSN 2018) relies on:
 //!
-//! - **Reliable connections** ([`Fabric::connect`]): in-order, exactly-once
+//! - **Reliable connections** ([`Transport::connect`]): in-order, exactly-once
 //!   delivery per queue pair, like hardware RC mode.
 //! - **Two-sided send/receive** with **immediate values**
-//!   ([`Fabric::post_send`], [`Fabric::post_recv`]): a send consumes a
+//!   ([`Transport::post_send`], [`Transport::post_recv`]): a send consumes a
 //!   posted receive; RDMC carries the total message size in the immediate.
 //! - **Receiver-not-ready (RNR) semantics**: a send that finds no posted
 //!   receive retries on a timer and, after the retry budget, *breaks the
 //!   connection* and reports error completions at both ends — the failure
 //!   signal RDMC's recovery story is built on (§2, §3 property 6).
-//! - **One-sided writes** ([`Fabric::post_write`]): how receivers tell
+//! - **One-sided writes** ([`Transport::post_write`]): how receivers tell
 //!   senders they are ready for a block, and how the `sst` crate's shared
 //!   state table works.
 //! - **Cross-channel dependencies** ([`WaitSpec`]): Mellanox CORE-Direct
@@ -29,7 +29,7 @@
 //!
 //! ```
 //! use simnet::{FlowNet, SimDuration, Topology};
-//! use verbs::{Delivery, Fabric, FabricParams, NodeId, WrId};
+//! use verbs::{Delivery, Fabric, FabricParams, NodeId, Transport, WrId};
 //!
 //! let mut net = FlowNet::new();
 //! let topo = Topology::flat(&mut net, 2, 100.0, SimDuration::from_micros(2));

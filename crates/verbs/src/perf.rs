@@ -158,7 +158,7 @@ mod tests {
 
     #[test]
     fn dropped_fabric_is_recorded() {
-        use crate::{Fabric, FabricParams, NodeId, WrId};
+        use crate::{Fabric, FabricParams, NodeId, Transport, WrId};
         use simnet::{FlowNet, SimDuration, Topology};
 
         let before = snapshot();

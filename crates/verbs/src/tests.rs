@@ -3,7 +3,9 @@
 use bytes::Bytes;
 use simnet::{FlowNet, HostProfile, JitterModel, SimDuration, SimTime, Topology};
 
-use crate::{CompletionMode, Delivery, Fabric, FabricParams, NodeId, VerbsError, WaitSpec, WrId};
+use crate::{
+    CompletionMode, Delivery, Fabric, FabricParams, NodeId, Transport, VerbsError, WaitSpec, WrId,
+};
 
 /// A flat fabric with `n` nodes, 100 Gb/s links, 2 µs one-hop latency, and
 /// zeroed software overheads (so timing assertions are exact).
@@ -476,34 +478,104 @@ fn hybrid_mode_polls_within_window_then_sleeps() {
     assert!(report.polling > SimDuration::from_millis(2));
 }
 
+/// Answers every choice point with the default and keeps what it saw.
+#[derive(Default)]
+struct FirstChoice(Vec<(u64, Vec<crate::CandidateKind>)>);
+
+impl crate::Scheduler for FirstChoice {
+    fn choose(&mut self, point: &crate::ChoicePoint<'_>) -> usize {
+        let kinds = point.candidates.iter().map(|c| c.kind).collect();
+        self.0.push((point.time_ns, kinds));
+        0
+    }
+}
+
+fn first_choice() -> std::sync::Arc<std::sync::Mutex<FirstChoice>> {
+    Default::default()
+}
+
 #[test]
 fn cpu_serialization_defers_deliveries() {
-    let mut f = zero_overhead_fabric(2);
-    let (q0, q1) = f.connect(NodeId(0), NodeId(1));
-    f.post_recv(q1, WrId(1), 2000).unwrap();
-    f.post_recv(q1, WrId(2), 2000).unwrap();
-    f.post_send(q0, WrId(3), 1000, 0, None).unwrap();
-    f.post_send(q0, WrId(4), 1000, 0, None).unwrap();
-    let mut recv_times = Vec::new();
-    let mut delivered = 0;
-    while let Some((t, node, d)) = f.advance() {
-        delivered += 1;
-        if let Delivery::RecvDone { .. } = d {
-            recv_times.push(t);
-            if recv_times.len() == 1 {
-                // The handler spends 500 us of CPU: the second completion
-                // must wait for it even though it arrived earlier.
-                f.consume_cpu(node, SimDuration::from_micros(500));
-            }
+    let run = |scheduler: Option<crate::SharedScheduler>| {
+        let mut f = zero_overhead_fabric(2);
+        if let Some(s) = scheduler {
+            f.set_scheduler(s);
         }
+        let (q0, q1) = f.connect(NodeId(0), NodeId(1));
+        f.post_recv(q1, WrId(1), 2000).unwrap();
+        f.post_recv(q1, WrId(2), 2000).unwrap();
+        f.post_send(q0, WrId(3), 1000, 0, None).unwrap();
+        f.post_send(q0, WrId(4), 1000, 0, None).unwrap();
+        let mut recv_times = Vec::new();
+        let mut order = Vec::new();
+        while let Some((t, node, d)) = f.advance() {
+            if let Delivery::RecvDone { .. } = d {
+                recv_times.push(t);
+                if recv_times.len() == 1 {
+                    // The handler spends 500 us of CPU: the second completion
+                    // must wait for it even though it arrived earlier.
+                    f.consume_cpu(node, SimDuration::from_micros(500));
+                }
+            }
+            order.push((t, node, kind_and_wr(&d)));
+        }
+        assert_eq!(recv_times.len(), 2);
+        assert!(recv_times[1].since(recv_times[0]) >= SimDuration::from_micros(500));
+        // The deferral is one event of kind `deliver` that delivered nothing.
+        let stats = f.stats();
+        assert!(stats.cpu_requeues >= 1);
+        assert_eq!(stats.events_by_kind.iter().sum::<u64>(), stats.events);
+        assert_eq!(
+            stats.events_by_kind[5],
+            order.len() as u64 + stats.cpu_requeues
+        );
+        order
+    };
+    // One event loop: a scheduler that takes every default sees the same
+    // deferrals and hands out the same deliveries at the same instants.
+    assert_eq!(run(None), run(Some(first_choice())));
+}
+
+/// A hardware completion's variant and work request (for an arrived
+/// write, its tag).
+fn kind_and_wr(d: &Delivery) -> (&'static str, u64) {
+    match d {
+        Delivery::SendDone { wr_id, .. } => ("send", wr_id.0),
+        Delivery::RecvDone { wr_id, .. } => ("recv", wr_id.0),
+        Delivery::WriteDone { wr_id, .. } => ("write", wr_id.0),
+        Delivery::WriteArrived { tag, .. } => ("arrived", *tag),
+        other => panic!("unexpected {other:?}"),
     }
-    assert_eq!(recv_times.len(), 2);
-    assert!(recv_times[1].since(recv_times[0]) >= SimDuration::from_micros(500));
-    // The deferral is one event of kind `deliver` that delivered nothing.
-    let stats = f.stats();
-    assert!(stats.cpu_requeues >= 1);
-    assert_eq!(stats.events_by_kind.iter().sum::<u64>(), stats.events);
-    assert_eq!(stats.events_by_kind[5], delivered + stats.cpu_requeues);
+}
+
+#[test]
+fn tiny_bypass_and_allocator_transfers_complete_alike() {
+    // 256 B completes at pure latency without touching the allocator, 257 B
+    // is a flow: both go through one completion function, so each node sees
+    // the same completions in the same order and only the instants differ.
+    let run = |bytes: u64| {
+        let mut f = zero_overhead_fabric(2);
+        let (q0, q1) = f.connect(NodeId(0), NodeId(1));
+        f.post_recv(q1, WrId(1), 1000).unwrap();
+        f.post_send(q0, WrId(2), bytes, 9, None).unwrap();
+        let payload = Bytes::from(vec![0u8; bytes as usize]);
+        f.post_write(q0, WrId(3), 7, payload, None).unwrap();
+        f.post_recv(q0, WrId(4), 1000).unwrap();
+        f.post_send(q1, WrId(5), bytes, 9, None).unwrap();
+        let events = drain(&mut f);
+        assert_eq!(f.net().realloc_stats().count > 0, bytes > 256);
+        let per_node = |n: u32| -> (Vec<_>, Vec<_>) {
+            let mine = events.iter().filter(|(_, node, _)| *node == NodeId(n));
+            mine.map(|(t, _, d)| (kind_and_wr(d), t.as_nanos())).unzip()
+        };
+        (per_node(0), per_node(1))
+    };
+    let ((tiny0, tiny0_at), (tiny1, tiny1_at)) = run(256);
+    let ((flow0, flow0_at), (flow1, flow1_at)) = run(257);
+    assert_eq!(tiny0, [("recv", 4), ("send", 2), ("write", 3)]);
+    assert_eq!(tiny1, [("recv", 1), ("arrived", 7), ("send", 5)]);
+    assert_eq!((&tiny0, &tiny1), (&flow0, &flow1));
+    assert_ne!((tiny0_at, tiny1_at), (flow0_at, flow1_at));
 }
 
 /// Two timers parked far ahead — beyond the event queue's horizon, so
@@ -548,17 +620,7 @@ fn far_timer_and_same_instant_hardware_event_pop_in_schedule_order() {
     ];
     assert_eq!(far_timers_tie_with_a_write(None), want);
 
-    /// Answers every choice point with the default and keeps what it saw.
-    #[derive(Default)]
-    struct FirstChoice(Vec<(u64, Vec<crate::CandidateKind>)>);
-    impl crate::Scheduler for FirstChoice {
-        fn choose(&mut self, point: &crate::ChoicePoint<'_>) -> usize {
-            let kinds = point.candidates.iter().map(|c| c.kind).collect();
-            self.0.push((point.time_ns, kinds));
-            0
-        }
-    }
-    let sched = std::sync::Arc::new(std::sync::Mutex::new(FirstChoice::default()));
+    let sched = first_choice();
     assert_eq!(far_timers_tie_with_a_write(Some(sched.clone())), want);
     // Both parked timers were in the due set the scheduler was shown,
     // ahead of the write that the instant's hardware event produced.

@@ -1,7 +1,7 @@
 //! The datapath contract shared by every RDMC backend.
 //!
-//! [`Transport`] is the exact subset of the simulated [`Fabric`] surface
-//! that the protocol orchestration (`rdmc-sim`'s cluster, pacer, epoch
+//! [`Transport`] is the exact set of verbs that the protocol
+//! orchestration (`rdmc-sim`'s cluster, pacer, epoch
 //! recovery, reliability shim, and atomic overlay) consumes: reliable
 //! connections, two-sided send/receive with immediates, one-sided
 //! writes, driver timers, crash/break notifications, and a pull-based
@@ -33,31 +33,44 @@
 use bytes::Bytes;
 use simnet::{HostProfile, SimDuration, SimTime};
 
-use crate::fabric::{Fabric, FabricStats, PostingSnapshot};
+use crate::fabric::{FabricStats, PostingSnapshot};
 use crate::types::{CpuReport, Delivery, NodeId, QpHandle, VerbsError, WaitSpec, WrId};
 
 /// A reliable, connection-oriented datapath capable of carrying RDMC.
 ///
-/// See the [module docs](self) for the ordering guarantees every
-/// implementation must uphold. Method semantics are specified on the
-/// [`Fabric`] inherent methods of the same names, which this trait was
-/// extracted from; `Fabric` is the reference implementation.
+/// This trait is where the verbs are specified: the method docs below,
+/// together with the ordering guarantees in the [module docs](self), are
+/// the contract every backend is written against. The simulated
+/// [`Fabric`](crate::Fabric) is the reference implementation and defines
+/// each verb exactly once, in its `impl Transport`.
 pub trait Transport {
     /// Current transport time. Simulated backends report virtual time;
     /// real backends report elapsed wall-clock time since creation.
     fn now(&self) -> SimTime;
 
-    /// Advances the transport and surfaces the next completion, or
-    /// `None` when the transport is quiescent (no deliveries pending,
+    /// Runs the transport forward and returns the next software-visible
+    /// delivery, or `None` when it has quiesced (no deliveries pending,
     /// nothing in flight, no timers armed for live nodes).
     fn advance(&mut self) -> Option<(SimTime, NodeId, Delivery)>;
 
-    /// Establishes a reliable connection between two nodes, returning
-    /// the bound endpoints `(a's queue pair, b's queue pair)`.
+    /// Creates a reliable connection between two distinct nodes, returning
+    /// the local endpoint for each (first for `a`, second for `b`).
+    ///
+    /// Connecting to a crashed peer is allowed — the connection attempt
+    /// behaves like the real handshake timing out: the queue pair exists
+    /// but breaks after the failure-detection delay.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a == b`.
     fn connect(&mut self, a: NodeId, b: NodeId) -> (QpHandle, QpHandle);
 
-    /// Posts a two-sided send of `bytes` with immediate `imm`; consumes
-    /// one posted receive at the peer.
+    /// Posts a two-sided send of `bytes` with immediate value `imm`; it
+    /// consumes one posted receive at the peer.
+    ///
+    /// Sends on one queue pair execute in FIFO order. If `wait_for` is
+    /// given, the send additionally waits (in hardware, CORE-Direct style)
+    /// for that work request's completion.
     ///
     /// # Errors
     ///
@@ -71,8 +84,9 @@ pub trait Transport {
         wait_for: Option<WaitSpec>,
     ) -> Result<(), VerbsError>;
 
-    /// Posts a one-sided write of `payload` into the peer's region
-    /// `tag`; the peer observes [`Delivery::WriteArrived`].
+    /// Posts a one-sided write of `payload` into the peer's memory region
+    /// identified by `tag`. The peer's software observes it as
+    /// [`Delivery::WriteArrived`]; no posted receive is consumed.
     ///
     /// # Errors
     ///
@@ -86,46 +100,60 @@ pub trait Transport {
         wait_for: Option<WaitSpec>,
     ) -> Result<(), VerbsError>;
 
-    /// Posts a receive of capacity `max_len`, consumed in order by
-    /// incoming two-sided sends.
+    /// Posts a receive of capacity `max_len`. Receives are consumed in
+    /// order by incoming two-sided sends; an incoming send larger than the
+    /// matched receive breaks the connection (the RDMA local-length
+    /// error).
     ///
     /// # Errors
     ///
     /// Fails if the connection is broken or the local node crashed.
     fn post_recv(&mut self, qp: QpHandle, wr_id: WrId, max_len: u64) -> Result<(), VerbsError>;
 
-    /// Arms a one-shot driver timer on `node`; fires as
-    /// [`Delivery::Timer`] carrying `token` after `delay`.
+    /// Schedules a one-shot driver timer on `node` after `delay`; fires
+    /// as [`Delivery::Timer`] with `token`.
     fn schedule_timer(&mut self, node: NodeId, delay: SimDuration, token: u64);
 
-    /// Accounts `dur` of software handler time against `node`'s CPU.
-    /// Backends without a CPU model treat this as a no-op.
+    /// Charges `dur` of software work to `node` (e.g. a buffer allocation
+    /// or memory copy on the critical path). Subsequent posts and
+    /// deliveries on this node are pushed back accordingly. Backends
+    /// without a CPU model treat this as a no-op.
     fn consume_cpu(&mut self, node: NodeId, dur: SimDuration);
 
-    /// Fail-stops `node`: its queue pairs go silent, peers detect the
-    /// failure after the failure-detect interval and see their
-    /// connections break.
+    /// Crashes a node: all its connections break; peers learn after the
+    /// failure-detection delay; the node receives nothing further.
     fn crash(&mut self, node: NodeId);
 
-    /// Whether `node` has crashed.
+    /// Whether a node has crashed.
     fn is_crashed(&self, node: NodeId) -> bool;
 
-    /// Breaks one connection immediately (both ends flush and report
-    /// [`Delivery::QpBroken`]), without crashing either node.
+    /// Forcibly breaks the connection a queue pair belongs to, as if the
+    /// link failed, without crashing either node: outstanding work
+    /// requests are flushed as [`Delivery::WrFlushed`] error completions
+    /// and both surviving endpoints receive [`Delivery::QpBroken`].
+    /// Idempotent. Drivers use this for deliberate teardown (epoch
+    /// reconfiguration) and fault injection (link flaps).
     fn break_qp(&mut self, qp: QpHandle);
 
-    /// The host performance model for `node`. Backends without a host
-    /// model return a default profile.
+    /// The node's host cost profile. Backends without a host model
+    /// return a default profile.
     fn profile(&self, node: NodeId) -> &HostProfile;
 
-    /// Snapshot of one endpoint's posting state, for invariant checks.
+    /// Posting-order metadata for one queue-pair endpoint: what is queued,
+    /// what is posted, and how close the endpoint is to RNR exhaustion.
+    /// Static analyses (the `analyzer` crate) and debug-build runtime
+    /// mirrors use this to check the receive-before-send discipline
+    /// without disturbing the run.
     fn posting_snapshot(&self, qp: QpHandle) -> PostingSnapshot;
 
-    /// Attaches a flight recorder; the transport stamps it with the
-    /// current time and streams wire-level events into it.
+    /// Attaches a flight recorder. The transport keeps the recorder's
+    /// clock current as its event loop advances, so clock-less layers
+    /// sharing the recorder (the sans-IO protocol engines) timestamp
+    /// correctly, and streams wire-level events into it.
     fn set_recorder(&mut self, recorder: trace::Recorder);
 
-    /// Transport-level counters (see [`FabricStats`]).
+    /// Internal work counters, for performance debugging (see
+    /// [`FabricStats`]).
     fn stats(&self) -> FabricStats;
 
     /// Per-node CPU usage summary.
@@ -134,98 +162,14 @@ pub trait Transport {
     /// Number of nodes attached to the transport.
     fn num_nodes(&self) -> usize;
 
-    /// Attaches a controlled scheduler resolving same-instant races.
-    /// Only meaningful on simulated backends; the default is a no-op so
+    /// Attaches a controlled scheduler: same-instant delivery races
+    /// become explicit choice points answered by `scheduler` (see
+    /// [`crate::sched`]). Without one, ties break by schedule order and
+    /// runs are bit-for-bit reproducible; with one, reproducibility
+    /// additionally requires replaying the same choice answers. Only
+    /// meaningful on simulated backends; the default is a no-op so
     /// generic configuration code can call it unconditionally.
     fn set_scheduler(&mut self, scheduler: crate::sched::SharedScheduler) {
         let _ = scheduler;
-    }
-}
-
-impl Transport for Fabric {
-    fn now(&self) -> SimTime {
-        Fabric::now(self)
-    }
-
-    fn advance(&mut self) -> Option<(SimTime, NodeId, Delivery)> {
-        Fabric::advance(self)
-    }
-
-    fn connect(&mut self, a: NodeId, b: NodeId) -> (QpHandle, QpHandle) {
-        Fabric::connect(self, a, b)
-    }
-
-    fn post_send(
-        &mut self,
-        qp: QpHandle,
-        wr_id: WrId,
-        bytes: u64,
-        imm: u64,
-        wait_for: Option<WaitSpec>,
-    ) -> Result<(), VerbsError> {
-        Fabric::post_send(self, qp, wr_id, bytes, imm, wait_for)
-    }
-
-    fn post_write(
-        &mut self,
-        qp: QpHandle,
-        wr_id: WrId,
-        tag: u64,
-        payload: Bytes,
-        wait_for: Option<WaitSpec>,
-    ) -> Result<(), VerbsError> {
-        Fabric::post_write(self, qp, wr_id, tag, payload, wait_for)
-    }
-
-    fn post_recv(&mut self, qp: QpHandle, wr_id: WrId, max_len: u64) -> Result<(), VerbsError> {
-        Fabric::post_recv(self, qp, wr_id, max_len)
-    }
-
-    fn schedule_timer(&mut self, node: NodeId, delay: SimDuration, token: u64) {
-        Fabric::schedule_timer(self, node, delay, token)
-    }
-
-    fn consume_cpu(&mut self, node: NodeId, dur: SimDuration) {
-        Fabric::consume_cpu(self, node, dur)
-    }
-
-    fn crash(&mut self, node: NodeId) {
-        Fabric::crash(self, node)
-    }
-
-    fn is_crashed(&self, node: NodeId) -> bool {
-        Fabric::is_crashed(self, node)
-    }
-
-    fn break_qp(&mut self, qp: QpHandle) {
-        Fabric::break_qp(self, qp)
-    }
-
-    fn profile(&self, node: NodeId) -> &HostProfile {
-        Fabric::profile(self, node)
-    }
-
-    fn posting_snapshot(&self, qp: QpHandle) -> PostingSnapshot {
-        Fabric::posting_snapshot(self, qp)
-    }
-
-    fn set_recorder(&mut self, recorder: trace::Recorder) {
-        Fabric::set_recorder(self, recorder)
-    }
-
-    fn stats(&self) -> FabricStats {
-        Fabric::stats(self)
-    }
-
-    fn cpu_report(&self, node: NodeId) -> CpuReport {
-        Fabric::cpu_report(self, node)
-    }
-
-    fn num_nodes(&self) -> usize {
-        self.topology().num_nodes()
-    }
-
-    fn set_scheduler(&mut self, scheduler: crate::sched::SharedScheduler) {
-        Fabric::set_scheduler(self, scheduler)
     }
 }

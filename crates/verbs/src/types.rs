@@ -16,7 +16,7 @@ impl NodeId {
 
 /// One endpoint of a reliable connection: the local queue pair.
 ///
-/// Obtained from [`Fabric::connect`](crate::Fabric::connect), which returns
+/// Obtained from [`Transport::connect`](crate::Transport::connect), which returns
 /// the two bound endpoints of a new reliable connection.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct QpHandle {
@@ -187,7 +187,7 @@ pub enum Delivery {
     },
     /// A driver-scheduled timer fired.
     Timer {
-        /// The token passed to [`Fabric::schedule_timer`](crate::Fabric::schedule_timer).
+        /// The token passed to [`Transport::schedule_timer`](crate::Transport::schedule_timer).
         token: u64,
     },
 }

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use simnet::{FlowNet, HostProfile, SimDuration, Topology};
-use verbs::{CompletionMode, Delivery, Fabric, FabricParams, NodeId, WrId};
+use verbs::{CompletionMode, Delivery, Fabric, FabricParams, NodeId, Transport, WrId};
 
 fn fabric(n: usize) -> Fabric {
     let mut net = FlowNet::new();

@@ -11,6 +11,7 @@ use rdmc_sim::{
     RecoveryConfig, ReliabilityPolicy, SimCluster,
 };
 use simnet::{FaultProfile, LinkFault, SimTime};
+use verbs::Transport;
 
 const KB: u64 = 1 << 10;
 
