@@ -241,21 +241,6 @@ pub struct EpochInstall {
     pub resumes: Vec<ResumeTransfer>,
 }
 
-/// Placement of one schedule-determined block within a message buffer:
-/// which block is (or will be) on the wire, and where its bytes live.
-/// Returned by [`GroupEngine::next_expected_block`] and
-/// [`GroupEngine::incoming_block_info`] so drivers can aim incoming
-/// payloads without tuple-position guesswork.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct BlockDescriptor {
-    /// Block number within the message.
-    pub block: u32,
-    /// Byte offset of the block within the message buffer.
-    pub offset: u64,
-    /// Block length in bytes (the final block may be short).
-    pub bytes: u64,
-}
-
 /// Instantaneous send-side pressure at one member, for admission and
 /// load-reporting layers (the multi-tenant traffic engine samples this
 /// at every arrival to find each group's backlog high-water mark).
@@ -298,7 +283,6 @@ struct ActiveTransfer {
     layout: MessageLayout,
     sched: RankSchedule,
     have: Vec<bool>,
-    have_count: u32,
     received_count: u32,
     /// Index of the next outgoing transfer to issue, in schedule order.
     out_idx: usize,
@@ -310,6 +294,53 @@ struct ActiveTransfer {
     /// Per in-peer: how many of its transfers have arrived.
     recvd: BTreeMap<Rank, u32>,
     delivered: bool,
+}
+
+impl ActiveTransfer {
+    /// A transfer with nothing yet sent or received in this epoch:
+    /// `have` is what the member holds going in, `granted` the readiness
+    /// credits already out that count toward it.
+    fn new(
+        layout: MessageLayout,
+        sched: RankSchedule,
+        have: Vec<bool>,
+        granted: BTreeMap<Rank, u32>,
+        delivered: bool,
+    ) -> Self {
+        ActiveTransfer {
+            layout,
+            sched,
+            have,
+            received_count: 0,
+            out_idx: 0,
+            sends_inflight: BTreeMap::new(),
+            total_inflight: 0,
+            granted,
+            recvd: BTreeMap::new(),
+            delivered,
+        }
+    }
+}
+
+/// Packs a received-block bitmap 64 blocks per word, low bit first.
+fn pack_bitmap(have: &[bool]) -> impl Iterator<Item = u64> + '_ {
+    have.chunks(64).map(|chunk| {
+        chunk
+            .iter()
+            .enumerate()
+            .fold(0, |word, (i, &bit)| word | (u64::from(bit) << i))
+    })
+}
+
+/// Appends a per-peer counter map to a digest: its length, then every
+/// `(rank, count)` pair in rank order.
+fn push_counts(d: &mut Vec<u64>, counts: &BTreeMap<Rank, u32>) {
+    d.push(counts.len() as u64);
+    d.extend(
+        counts
+            .iter()
+            .flat_map(|(&r, &c)| [u64::from(r), u64::from(c)]),
+    );
 }
 
 /// One group member's protocol state machine. See the module docs.
@@ -423,13 +454,6 @@ impl GroupEngine {
     /// Messages locally completed so far.
     pub fn messages_completed(&self) -> u64 {
         self.messages_completed
-    }
-
-    /// The active transfer's received-block bitmap (true = held), or
-    /// `None` while idle. At a wedge this is exactly what the membership
-    /// layer reports to plan block-wise resumption.
-    pub fn received_blocks(&self) -> Option<&[bool]> {
-        self.active.as_ref().map(|t| t.have.as_slice())
     }
 
     /// Root only: sizes of messages accepted but not yet begun (the
@@ -566,7 +590,6 @@ impl GroupEngine {
     /// member's old-epoch bitmap under the freshly built schedule.
     fn begin_resume(&mut self, resume: ResumeTransfer, actions: &mut Vec<Action>) {
         let layout = MessageLayout::new(resume.total_size, self.config.block_size);
-        let have_count = resume.have.iter().filter(|&&h| h).count() as u32;
         self.recorder
             .record(self.scope, || trace::EventKind::ResumeStarted {
                 size: resume.total_size,
@@ -579,7 +602,7 @@ impl GroupEngine {
                     .collect(),
                 already_delivered: resume.already_delivered,
             });
-        if !resume.already_delivered && have_count < layout.num_blocks {
+        if !resume.already_delivered && resume.have.contains(&false) {
             // The buffer from the old epoch survives at this member in
             // real deployments; our drivers re-allocate, so surface the
             // allocation cost again only when blocks are still missing.
@@ -591,19 +614,13 @@ impl GroupEngine {
                     size: resume.total_size,
                 });
         }
-        self.active = Some(ActiveTransfer {
+        self.active = Some(ActiveTransfer::new(
             layout,
-            sched: resume.sched,
-            have: resume.have,
-            have_count,
-            received_count: 0,
-            out_idx: 0,
-            sends_inflight: BTreeMap::new(),
-            total_inflight: 0,
-            granted: BTreeMap::new(),
-            recvd: BTreeMap::new(),
-            delivered: resume.already_delivered,
-        });
+            resume.sched,
+            resume.have,
+            BTreeMap::new(),
+            resume.already_delivered,
+        ));
         self.top_up_grants(None, actions);
         self.try_issue_send(actions);
         self.try_complete(actions);
@@ -622,21 +639,11 @@ impl GroupEngine {
         for r in &self.pending_resumes {
             d.push(r.total_size);
             d.push(u64::from(r.already_delivered));
-            for chunk in r.have.chunks(64) {
-                let mut word = 0u64;
-                for (i, &bit) in chunk.iter().enumerate() {
-                    word |= u64::from(bit) << i;
-                }
-                d.push(word);
-            }
+            d.extend(pack_bitmap(&r.have));
         }
         d.push(u64::from(self.wedged));
         d.push(self.messages_completed);
-        d.push(self.credits.len() as u64);
-        for (&r, &c) in &self.credits {
-            d.push(u64::from(r));
-            d.push(u64::from(c));
-        }
+        push_counts(&mut d, &self.credits);
         d.push(self.failed.len() as u64);
         d.extend(self.failed.iter().map(|&r| u64::from(r)));
         d.push(self.send_queue.len() as u64);
@@ -649,72 +656,13 @@ impl GroupEngine {
                 d.push(t.out_idx as u64);
                 d.push(u64::from(t.total_inflight));
                 d.push(u64::from(t.delivered));
-                // Received-block bitmap, packed 64 blocks per word.
-                for chunk in t.have.chunks(64) {
-                    let mut word = 0u64;
-                    for (i, &bit) in chunk.iter().enumerate() {
-                        word |= u64::from(bit) << i;
-                    }
-                    d.push(word);
-                }
-                d.push(t.sends_inflight.len() as u64);
-                for (&r, &c) in &t.sends_inflight {
-                    d.push(u64::from(r));
-                    d.push(u64::from(c));
-                }
-                d.push(t.granted.len() as u64);
-                for (&r, &c) in &t.granted {
-                    d.push(u64::from(r));
-                    d.push(u64::from(c));
-                }
-                d.push(t.recvd.len() as u64);
-                for (&r, &c) in &t.recvd {
-                    d.push(u64::from(r));
-                    d.push(u64::from(c));
-                }
+                d.extend(pack_bitmap(&t.have));
+                push_counts(&mut d, &t.sends_inflight);
+                push_counts(&mut d, &t.granted);
+                push_counts(&mut d, &t.recvd);
             }
         }
         d
-    }
-
-    /// The [`BlockDescriptor`] the schedule says `from` will deliver
-    /// next, so a driver can aim the incoming bytes at the right place in
-    /// the receive buffer before reading them. `None` while idle (the
-    /// first block's destination is only known once the size arrives —
-    /// real RDMC receives it into a scratch block and copies, §4.2) or
-    /// when nothing more is expected from `from`.
-    pub fn next_expected_block(&self, from: Rank) -> Option<BlockDescriptor> {
-        let t = self.active.as_ref()?;
-        let idx = *t.recvd.get(&from).unwrap_or(&0) as usize;
-        let (_, block) = t.sched.incoming_from(from).get(idx).copied()?;
-        Some(BlockDescriptor {
-            block,
-            offset: t.layout.block_offset(block),
-            bytes: t.layout.block_bytes(block),
-        })
-    }
-
-    /// Like [`GroupEngine::next_expected_block`], but also answers while
-    /// idle by planning against the `total_size` the arriving first block
-    /// announced. Drivers that must place payload bytes before handing the
-    /// engine the event (e.g. the TCP transport) use this for every
-    /// arrival.
-    pub fn incoming_block_info(&self, from: Rank, total_size: u64) -> Option<BlockDescriptor> {
-        if self.active.is_some() {
-            return self.next_expected_block(from);
-        }
-        let layout = MessageLayout::new(total_size, self.config.block_size);
-        let sched = self
-            .config
-            .planner
-            .plan(self.config.num_nodes, layout.num_blocks)
-            .for_rank(self.config.rank);
-        let (_, block) = sched.incoming_from(from).first().copied()?;
-        Some(BlockDescriptor {
-            block,
-            offset: layout.block_offset(block),
-            bytes: layout.block_bytes(block),
-        })
     }
 
     /// Feeds one event to the engine, returning the actions the driver
@@ -750,16 +698,12 @@ impl GroupEngine {
                 }
                 self.recorder
                     .record(self.scope, || trace::EventKind::MessageSubmitted { size });
-                if self.wedged {
-                    // The wedged group transmits nothing, but the message
-                    // is accepted: it goes out in the next epoch if this
-                    // member remains the root (§3 property 4 ordering is
-                    // preserved across the reconfiguration).
-                    self.send_queue.push_back(size);
-                    return Ok(());
-                }
+                // A wedged group transmits nothing, but the message is
+                // accepted: it goes out in the next epoch if this member
+                // remains the root (§3 property 4 ordering is preserved
+                // across the reconfiguration).
                 self.send_queue.push_back(size);
-                if self.active.is_none() {
+                if !self.wedged && self.active.is_none() {
                     self.begin_next_send(actions);
                 }
             }
@@ -790,10 +734,7 @@ impl GroupEngine {
                 };
                 *t.recvd.entry(from).or_insert(0) += 1;
                 t.received_count += 1;
-                if !t.have[block as usize] {
-                    t.have[block as usize] = true;
-                    t.have_count += 1;
-                }
+                t.have[block as usize] = true;
                 let epoch = self.epoch;
                 self.recorder
                     .record(self.scope, || trace::EventKind::BlockArrived {
@@ -848,17 +789,24 @@ impl GroupEngine {
         Ok(())
     }
 
-    /// Root: pop the next queued message and begin its transfer.
-    fn begin_next_send(&mut self, actions: &mut Vec<Action>) {
-        let Some(size) = self.send_queue.pop_front() else {
-            return;
-        };
+    /// The layout of a `size`-byte message and this member's slice of
+    /// its first-epoch schedule.
+    fn plan(&self, size: u64) -> (MessageLayout, RankSchedule) {
         let layout = MessageLayout::new(size, self.config.block_size);
         let sched = self
             .config
             .planner
             .plan(self.config.num_nodes, layout.num_blocks)
-            .for_rank(0);
+            .for_rank(self.config.rank);
+        (layout, sched)
+    }
+
+    /// Root: pop the next queued message and begin its transfer.
+    fn begin_next_send(&mut self, actions: &mut Vec<Action>) {
+        let Some(size) = self.send_queue.pop_front() else {
+            return;
+        };
+        let (layout, sched) = self.plan(size);
         let k = layout.num_blocks;
         self.recorder
             .record(self.scope, || trace::EventKind::TransferStarted {
@@ -866,19 +814,14 @@ impl GroupEngine {
                 blocks: k,
                 root: true,
             });
-        self.active = Some(ActiveTransfer {
+        let have = vec![true; k as usize];
+        self.active = Some(ActiveTransfer::new(
             layout,
             sched,
-            have: vec![true; k as usize],
-            have_count: k,
-            received_count: 0,
-            out_idx: 0,
-            sends_inflight: BTreeMap::new(),
-            total_inflight: 0,
-            granted: BTreeMap::new(),
-            recvd: BTreeMap::new(),
-            delivered: false,
-        });
+            have,
+            BTreeMap::new(),
+            false,
+        ));
         // Some non-RDMC schedules (e.g. the MPI-style scatter/allgather
         // baseline) route blocks back through the root; grant readiness
         // for any incoming transfers it has.
@@ -889,12 +832,7 @@ impl GroupEngine {
 
     /// Receiver: the first block of a message arrived — size now known.
     fn begin_receive(&mut self, total_size: u64, actions: &mut Vec<Action>) {
-        let layout = MessageLayout::new(total_size, self.config.block_size);
-        let sched = self
-            .config
-            .planner
-            .plan(self.config.num_nodes, layout.num_blocks)
-            .for_rank(self.config.rank);
+        let (layout, sched) = self.plan(total_size);
         actions.push(Action::AllocateBuffer { size: total_size });
         let k = layout.num_blocks;
         self.recorder
@@ -917,19 +855,8 @@ impl GroupEngine {
             // completion counts toward this message.
             granted.insert(first, 1);
         }
-        self.active = Some(ActiveTransfer {
-            layout,
-            sched,
-            have: vec![false; k as usize],
-            have_count: 0,
-            received_count: 0,
-            out_idx: 0,
-            sends_inflight: BTreeMap::new(),
-            total_inflight: 0,
-            granted,
-            recvd: BTreeMap::new(),
-            delivered: false,
-        });
+        let have = vec![false; k as usize];
+        self.active = Some(ActiveTransfer::new(layout, sched, have, granted, false));
         self.top_up_grants(None, actions);
     }
 
@@ -1177,35 +1104,6 @@ mod tests {
     }
 
     #[test]
-    fn next_expected_block_tracks_arrivals() {
-        let (mut e, _) = engine(1, 2);
-        let desc = |block, offset, bytes| BlockDescriptor {
-            block,
-            offset,
-            bytes,
-        };
-        assert_eq!(e.next_expected_block(0), None, "idle: nothing active");
-        assert_eq!(
-            e.incoming_block_info(0, 3000),
-            Some(desc(0, 0, 1024)),
-            "idle lookups plan against the announced size"
-        );
-        e.handle(Event::BlockReceived {
-            from: 0,
-            total_size: 3000,
-        })
-        .unwrap();
-        assert_eq!(e.next_expected_block(0), Some(desc(1, 1024, 1024)));
-        e.handle(Event::BlockReceived {
-            from: 0,
-            total_size: 3000,
-        })
-        .unwrap();
-        // The final block is short: 3000 - 2048 = 952 bytes.
-        assert_eq!(e.next_expected_block(0), Some(desc(2, 2048, 952)));
-    }
-
-    #[test]
     fn singleton_group_delivers_to_itself() {
         let (mut e, _) = engine(0, 1);
         let actions = e.handle(Event::StartSend { size: 10 }).unwrap();
@@ -1226,10 +1124,7 @@ mod tests {
         let (mut e, _) = engine(1, 3);
         let planner = Arc::new(SchedulePlanner::new(Algorithm::BinomialPipeline));
         let first = planner.first_sender(3, 1).expect("rank 1 receives");
-        let got_block = e
-            .incoming_block_info(first, 3072)
-            .expect("first block")
-            .block;
+        let got_block = planner.plan(3, 3).for_rank(1).incoming_from(first)[0].1;
         e.handle(Event::BlockReceived {
             from: first,
             total_size: 3072,
@@ -1238,7 +1133,7 @@ mod tests {
         e.handle(Event::PeerFailed { rank: 2 }).unwrap();
         assert!(e.is_wedged());
         // The wedge-time bitmap is exported for the membership layer.
-        let have = e.received_blocks().expect("transfer active").to_vec();
+        let have = e.incomplete_transfers()[0].have.clone();
         assert_eq!(have.iter().filter(|&&h| h).count(), 1);
         assert!(have[got_block as usize]);
         // Survivors {0, 1} renumber to {0, 1}; the resume schedule sends
@@ -1307,7 +1202,7 @@ mod tests {
             total_size: 3072,
         })
         .unwrap();
-        let have = e.received_blocks().unwrap().to_vec();
+        let have = e.incomplete_transfers()[0].have.clone();
         let held: Vec<u32> = (0..3).filter(|&b| have[b as usize]).collect();
         assert_eq!(held.len(), 1);
         e.handle(Event::PeerFailed { rank: 0 }).unwrap();

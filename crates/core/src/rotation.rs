@@ -9,8 +9,8 @@
 //! deterministic total-order position.
 //!
 //! These helpers are pure index arithmetic, shared by the simulator's
-//! delivery engine and its tests so the two cannot disagree about who
-//! owns a slot or where a member sits in a rotated subgroup.
+//! delivery engine and its tests so the two cannot disagree about
+//! where a member sits in a rotated subgroup.
 
 use crate::Rank;
 
@@ -27,18 +27,6 @@ pub fn rotated_members<T: Copy>(members: &[T], sender: usize) -> Vec<T> {
     (0..members.len())
         .map(|i| members[(sender + i) % members.len()])
         .collect()
-}
-
-/// The member index owning message slot `slot` under round-robin
-/// rotation over `num_members` members.
-///
-/// # Panics
-///
-/// Panics if `num_members` is zero.
-#[must_use]
-pub fn slot_owner(slot: u64, num_members: usize) -> usize {
-    assert!(num_members > 0, "empty group");
-    (slot % num_members as u64) as usize
 }
 
 /// Member `member`'s rank inside sender `sender`'s rotated subgroup
@@ -75,12 +63,6 @@ mod tests {
             sorted.sort_unstable();
             assert_eq!(sorted, members, "rotation must be a permutation");
         }
-    }
-
-    #[test]
-    fn slots_rotate_round_robin() {
-        let owners: Vec<usize> = (0..7).map(|s| slot_owner(s, 3)).collect();
-        assert_eq!(owners, vec![0, 1, 2, 0, 1, 2, 0]);
     }
 
     #[test]

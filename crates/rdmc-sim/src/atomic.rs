@@ -155,6 +155,27 @@ pub(crate) struct AtomicRuntime {
 }
 
 impl AtomicRuntime {
+    /// An empty overlay over `nodes` whose member `j` roots `subgroups[j]`.
+    fn new(nodes: Vec<usize>, subgroups: Vec<GroupId>) -> Self {
+        let n = nodes.len();
+        AtomicRuntime {
+            nodes,
+            subgroups,
+            slots: Vec::new(),
+            by_owner: vec![Vec::new(); n],
+            members: (0..n as u32)
+                .map(|i| AtomicMember {
+                    tracker: ViewTracker::with_frontiers(i, n as u32, n as u32),
+                    next_deliver: 0,
+                    stable_seen: vec![0; n],
+                    log: Vec::new(),
+                })
+                .collect(),
+            dead: BTreeSet::new(),
+            cursor: 0,
+        }
+    }
+
     /// The live member indices, ascending — the rows stability minima
     /// run over.
     pub(crate) fn live_rows(&self) -> Vec<u32> {
@@ -278,31 +299,14 @@ impl<T: Transport> Cluster<T> {
         for j in 0..n {
             let gid = self.create_group(GroupSpec {
                 members: rotation::rotated_members(&spec.members, j),
-                algorithm: spec.algorithm.clone(),
-                block_size: spec.block_size,
-                ready_window: spec.ready_window,
-                max_outstanding_sends: spec.max_outstanding_sends,
+                ..spec.clone()
             });
             self.atomic.subgroup_of.insert(gid, (aid, j));
             subgroups.push(gid);
         }
-        let members = (0..n)
-            .map(|i| AtomicMember {
-                tracker: ViewTracker::with_frontiers(i as u32, n as u32, n as u32),
-                next_deliver: 0,
-                stable_seen: vec![0; n],
-                log: Vec::new(),
-            })
-            .collect();
-        self.atomic.groups.push(AtomicRuntime {
-            nodes: spec.members,
-            subgroups,
-            slots: Vec::new(),
-            by_owner: vec![Vec::new(); n],
-            members,
-            dead: BTreeSet::new(),
-            cursor: 0,
-        });
+        self.atomic
+            .groups
+            .push(AtomicRuntime::new(spec.members, subgroups));
         aid
     }
 
@@ -314,10 +318,10 @@ impl<T: Transport> Cluster<T> {
     ///
     /// Panics if every member of the group is dead.
     pub fn submit_atomic(&mut self, ag: AtomicGroupId, size: u64) -> MessageId {
-        let owner = self.atomic.groups[ag]
-            .next_live_owner(self.atomic.groups[ag].cursor)
-            .expect("atomic group has live members");
-        self.submit_atomic_as(ag, owner, size)
+        let message = self.new_message_id();
+        let submitted = self.do_submit_atomic(ag, size, message);
+        assert!(submitted, "atomic group has live members");
+        message
     }
 
     /// Submits a `size`-byte message *from a specific member*: every
@@ -348,7 +352,7 @@ impl<T: Transport> Cluster<T> {
             }
             self.push_null_slot(ag, w);
         }
-        self.submit_atomic_as(ag, origin, size)
+        self.submit_atomic(ag, size)
     }
 
     /// Schedules an atomic submission at an absolute virtual time (the
@@ -410,37 +414,23 @@ impl<T: Transport> Cluster<T> {
             .collect()
     }
 
-    /// Allocates the handle and the slot, then hands the message to the
-    /// owner's subgroup.
-    fn submit_atomic_as(&mut self, ag: AtomicGroupId, owner: usize, size: u64) -> MessageId {
-        let message = self.new_message_id();
-        let (gid, idx) = self.do_submit_atomic(ag, owner, size, message);
-        self.message_slots.insert(message.0, (gid, idx));
-        message
-    }
-
-    /// A deferred [`TimerAction::AtomicSend`] fired: resolve the owner
-    /// now and submit.
-    pub(crate) fn atomic_send_fired(&mut self, ag: AtomicGroupId, size: u64, message: MessageId) {
-        let Some(owner) = self.atomic.groups[ag].next_live_owner(self.atomic.groups[ag].cursor)
-        else {
-            return; // group extinct: the handle never resolves
-        };
-        let (gid, idx) = self.do_submit_atomic(ag, owner, size, message);
-        self.message_slots.insert(message.0, (gid, idx));
-    }
-
-    /// Books the data slot (before the subgroup submission, which can
-    /// deliver reentrantly at the root) and submits on the owner's
-    /// subgroup.
-    fn do_submit_atomic(
+    /// Resolves the slot owner — the first live member at the rotation
+    /// cursor, `false` if none is left — books its data slot (before
+    /// the subgroup submission, which can deliver reentrantly at the
+    /// root) and submits on the owner's subgroup, filing the completion
+    /// record under `message`. Immediate submissions and a fired
+    /// [`TimerAction::AtomicSend`] both end here.
+    pub(crate) fn do_submit_atomic(
         &mut self,
         ag: AtomicGroupId,
-        owner: usize,
         size: u64,
         message: MessageId,
-    ) -> (GroupId, usize) {
+    ) -> bool {
         assert!(size > 0, "zero-size slots are nulls, not messages");
+        let Some(owner) = self.atomic.groups[ag].next_live_owner(self.atomic.groups[ag].cursor)
+        else {
+            return false;
+        };
         let gid = self.atomic.groups[ag].subgroups[owner];
         let index = self.groups[gid].results.len();
         let scope = self.atomic_scope(ag, owner);
@@ -459,9 +449,13 @@ impl<T: Transport> Cluster<T> {
                 null: false,
                 size,
             });
-        let idx = self.do_submit(gid, size);
-        debug_assert_eq!(idx, index, "slot bookkeeping raced the subgroup submission");
-        (gid, idx)
+        self.do_submit(gid, size, message);
+        debug_assert_eq!(
+            self.groups[gid].results.len(),
+            index + 1,
+            "slot bookkeeping raced the subgroup submission"
+        );
+        true
     }
 
     /// Books a null slot for `owner` and resolves it at the owner
@@ -586,44 +580,21 @@ impl<T: Transport> Cluster<T> {
                 }
             }
         }
-        for p in payloads {
-            self.atomic_broadcast_row(ag, member, &p);
+        // Each advance goes to every live peer as a 16-byte `TAG_FRONTIER`
+        // write (`row: u32 LE` + the cell) on the anchor subgroup — under
+        // the tiny-write bypass, so the epidemic stays lossless even on
+        // faulty fabrics. `dead` only ever holds crashed nodes and a view
+        // change crashes whom it evicts, so the anchor's live current
+        // members are exactly the overlay's live peers, in member order.
+        let anchor = self.atomic.groups[ag].subgroups[0];
+        for cell in payloads {
+            let Some(me_cur) = self.groups[anchor].current_of(member) else {
+                break; // evicted from the anchor: nothing to announce on
+            };
+            let row = [&(member as u32).to_le_bytes()[..], &cell].concat();
+            self.broadcast_write(anchor, me_cur, WrId(5), TAG_FRONTIER, Bytes::from(row));
         }
         self.atomic_deliver(ag, member);
-    }
-
-    /// Posts `member`'s own-row update to every live peer as a
-    /// `TAG_FRONTIER` one-sided write on the anchor subgroup (16 bytes —
-    /// under the tiny-write bypass, so the epidemic stays lossless even
-    /// on faulty fabrics).
-    fn atomic_broadcast_row(&mut self, ag: AtomicGroupId, from_member: usize, payload: &[u8]) {
-        let anchor = self.atomic.groups[ag].subgroups[0];
-        let Some(me_cur) = self.groups[anchor].current_of(from_member) else {
-            return; // evicted from the anchor: nothing to announce on
-        };
-        let mut buf = Vec::with_capacity(4 + payload.len());
-        buf.extend_from_slice(&(from_member as u32).to_le_bytes());
-        buf.extend_from_slice(payload);
-        let bytes = Bytes::from(buf);
-        let n = self.atomic.groups[ag].nodes.len();
-        for peer in 0..n {
-            if peer == from_member || self.atomic.groups[ag].dead.contains(&peer) {
-                continue;
-            }
-            if self
-                .fabric
-                .is_crashed(NodeId(self.atomic.groups[ag].nodes[peer] as u32))
-            {
-                continue;
-            }
-            let Some(pc) = self.groups[anchor].current_of(peer) else {
-                continue;
-            };
-            let qp = self.ensure_qp(anchor, me_cur, pc);
-            let _ = self
-                .fabric
-                .post_write(qp, WrId(5), TAG_FRONTIER, bytes.clone(), None);
-        }
     }
 
     /// `member`'s delivery engine: announce stability-frontier advances
@@ -831,22 +802,7 @@ mod tests {
     use crate::{ClusterBuilder, ClusterSpec, RecoveryConfig, SimCluster};
 
     fn runtime(n: usize) -> AtomicRuntime {
-        AtomicRuntime {
-            nodes: (0..n).collect(),
-            subgroups: (0..n).collect(),
-            slots: Vec::new(),
-            by_owner: vec![Vec::new(); n],
-            members: (0..n)
-                .map(|i| AtomicMember {
-                    tracker: ViewTracker::with_frontiers(i as u32, n as u32, n as u32),
-                    next_deliver: 0,
-                    stable_seen: vec![0; n],
-                    log: Vec::new(),
-                })
-                .collect(),
-            dead: BTreeSet::new(),
-            cursor: 0,
-        }
+        AtomicRuntime::new((0..n).collect(), (0..n).collect())
     }
 
     #[test]
@@ -896,7 +852,7 @@ mod tests {
 
     const BLOCK: u64 = 64 << 10;
 
-    fn cluster(n: usize) -> SimCluster {
+    fn builder(n: usize) -> ClusterBuilder {
         ClusterBuilder::new(ClusterSpec::fractus(n))
             .recovery(RecoveryConfig::default())
             .atomic(GroupSpec {
@@ -906,7 +862,10 @@ mod tests {
                 ready_window: 2,
                 max_outstanding_sends: 2,
             })
-            .build()
+    }
+
+    fn cluster(n: usize) -> SimCluster {
+        builder(n).build()
     }
 
     /// The walk [`Cluster::atomic_resolved_count`] replaced, verbatim:
@@ -1063,6 +1022,90 @@ mod tests {
             assert_eq!(c.atomic_trimmed_slots(0), vec![unannounced]);
             assert_converged(&c);
         }
+    }
+
+    /// The frontier fan-out's peer set, read off the flight recorder
+    /// across an eviction: every batch of `FrontierAdvanced` at a member
+    /// is followed by one `TAG_FRONTIER` write per advance to every
+    /// other member whose node is up, in ascending member order — and
+    /// so none towards the victim once it is down, before or after the
+    /// anchor evicts it.
+    #[test]
+    fn frontier_rows_reach_every_live_member_once_in_rank_order() {
+        const N: usize = 4;
+        const VICTIM: usize = 2;
+        let mut c = builder(N).flight_recorder(trace::Mode::Full).build();
+        let anchor = c.atomic_subgroups(0)[0] as u32;
+        c.crash_after_events(VICTIM, 6 * N as u64);
+        for _ in 0..3 * N {
+            c.submit_atomic(0, 2 * BLOCK);
+        }
+        c.run();
+        // A second wave on the shrunken view, with a jump (nulls).
+        for _ in 0..N {
+            c.submit_atomic(0, BLOCK);
+        }
+        c.submit_atomic_from(0, 0, BLOCK);
+        c.run();
+        assert_eq!(c.atomic_live_members(0), vec![0, 1, 3]);
+        assert_converged(&c);
+
+        let mut down = BTreeSet::new();
+        let mut evicted = false;
+        let (mut batches_after_crash, mut batches_after_eviction) = (0, 0);
+        let events = c.trace_events();
+        let mut it = events.iter().peekable();
+        while let Some(e) = it.next() {
+            match &e.kind {
+                trace::EventKind::NodeCrashed => {
+                    down.insert(e.scope.node.unwrap() as usize);
+                }
+                trace::EventKind::ReconfigInstalled { removed, .. }
+                    if e.scope.group == Some(anchor) =>
+                {
+                    assert_eq!(removed, &[VICTIM as u32]);
+                    evicted = true;
+                }
+                trace::EventKind::WritePosted { tag, .. } => {
+                    assert_ne!(*tag, TAG_FRONTIER, "frontier write outside a fan-out");
+                }
+                trace::EventKind::FrontierAdvanced { .. } => {
+                    let me = e.scope.rank.unwrap() as usize;
+                    assert!(!down.contains(&me), "a dead member advanced");
+                    let mut advances = 1;
+                    while it
+                        .next_if(|n| matches!(n.kind, trace::EventKind::FrontierAdvanced { .. }))
+                        .is_some()
+                    {
+                        advances += 1;
+                    }
+                    let peers: Vec<usize> =
+                        (0..N).filter(|p| *p != me && !down.contains(p)).collect();
+                    let mut targets = Vec::new();
+                    while let Some(w) = it.next_if(|n| {
+                        matches!(n.kind, trace::EventKind::WritePosted { tag, .. } if tag == TAG_FRONTIER)
+                    }) {
+                        let trace::EventKind::WritePosted { conn, end, bytes, .. } = w.kind else {
+                            unreachable!()
+                        };
+                        assert_eq!(w.scope.node, Some(me as u32));
+                        assert_eq!(bytes, 16);
+                        let to = c.fabric.qp_peer(verbs::QpHandle::from_parts(conn, end));
+                        targets.push(to.index());
+                    }
+                    assert_eq!(
+                        targets,
+                        peers.repeat(advances),
+                        "member {me}, down {down:?}"
+                    );
+                    batches_after_crash += usize::from(!down.is_empty());
+                    batches_after_eviction += usize::from(evicted);
+                }
+                _ => {}
+            }
+        }
+        assert_eq!(down, BTreeSet::from([VICTIM]));
+        assert!(batches_after_eviction > 0 && batches_after_crash > batches_after_eviction);
     }
 
     /// `TAG_FRONTIER` bytes are peer input: a malformed write is

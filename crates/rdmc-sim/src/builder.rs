@@ -1,7 +1,8 @@
 //! Typed, one-shot construction of [`Cluster`]s over any transport.
 //!
 //! The builder replaces the grow-as-you-go mutator API: every knob is
-//! declared up front, the cluster comes out of [`ClusterBuilder::build`]
+//! declared up front — each method writes the one field of the cluster
+//! it configures — the cluster comes out of [`ClusterBuilder::build`]
 //! fully configured, and configuration that must precede traffic
 //! (recovery, pacing, the flight recorder) cannot be applied too late
 //! by accident. The builder is generic over the datapath: started from
@@ -18,7 +19,7 @@ use simnet::{FaultProfile, JitterModel};
 use verbs::{CompletionMode, Fabric, NodeId, SharedScheduler, Transport};
 
 use crate::cluster::{Cluster, GroupSpec};
-use crate::pacer::PacerConfig;
+use crate::pacer::{PacerConfig, PacerState};
 use crate::profiles::ClusterSpec;
 use crate::reconfig::RecoveryConfig;
 use crate::reliability::ReliabilityPolicy;
@@ -45,14 +46,12 @@ use crate::reliability::ReliabilityPolicy;
 /// ```
 #[must_use = "call `.build()` to obtain the cluster"]
 pub struct ClusterBuilder<T: Transport = Fabric> {
-    transport: T,
-    recorder_mode: Option<trace::Mode>,
-    recovery: Option<RecoveryConfig>,
-    pacing: Option<PacerConfig>,
-    scheduler: Option<SharedScheduler>,
-    reliability: Option<ReliabilityPolicy>,
+    /// The cluster under construction: each knob writes the one field it
+    /// configures, so there is nothing left to apply in `build()`.
+    cluster: Cluster<T>,
+    /// Declared atomic groups, created in `build()` — after every knob a
+    /// group reads at creation (recorder, recovery, reliability) is set.
     atomic_groups: Vec<GroupSpec>,
-    engine_log: bool,
 }
 
 impl ClusterBuilder<Fabric> {
@@ -64,14 +63,15 @@ impl ClusterBuilder<Fabric> {
 
     /// Sets one node's completion mode (polling / interrupt / hybrid).
     pub fn completion_mode(mut self, node: usize, mode: CompletionMode) -> Self {
-        self.transport
+        self.cluster
+            .fabric
             .set_completion_mode(NodeId(node as u32), mode);
         self
     }
 
     /// Sets one node's scheduling-jitter model.
     pub fn jitter(mut self, node: usize, jitter: JitterModel) -> Self {
-        self.transport.set_jitter(NodeId(node as u32), jitter);
+        self.cluster.fabric.set_jitter(NodeId(node as u32), jitter);
         self
     }
 
@@ -84,7 +84,7 @@ impl ClusterBuilder<Fabric> {
     /// fabric stalls or wedges, exactly as the paper's §2.2 lossless
     /// assumption predicts.
     pub fn fault_profile(mut self, profile: FaultProfile) -> Self {
-        self.transport.set_fault_profile(profile);
+        self.cluster.fabric.set_fault_profile(profile);
         self
     }
 
@@ -92,7 +92,7 @@ impl ClusterBuilder<Fabric> {
     /// attached controlled scheduler (model-checking loss sites instead
     /// of sampling them; requires [`ClusterBuilder::scheduler`]).
     pub fn loss_choice_budget(mut self, budget: u64) -> Self {
-        self.transport.set_loss_choice_budget(budget);
+        self.cluster.fabric.set_loss_choice_budget(budget);
         self
     }
 }
@@ -105,14 +105,8 @@ impl<T: Transport> ClusterBuilder<T> {
     /// they have no meaning off the simulated fabric.
     pub fn from_transport(transport: T) -> Self {
         ClusterBuilder {
-            transport,
-            recorder_mode: None,
-            recovery: None,
-            pacing: None,
-            scheduler: None,
-            reliability: None,
+            cluster: Cluster::from_transport(transport),
             atomic_groups: Vec::new(),
-            engine_log: false,
         }
     }
 
@@ -125,7 +119,8 @@ impl<T: Transport> ClusterBuilder<T> {
     /// (Non-simulated transports ignore the fabric half and only route
     /// pacer ties through the scheduler.)
     pub fn scheduler(mut self, scheduler: SharedScheduler) -> Self {
-        self.scheduler = Some(scheduler);
+        self.cluster.fabric.set_scheduler(scheduler.clone());
+        self.cluster.scheduler = Some(scheduler);
         self
     }
 
@@ -133,16 +128,20 @@ impl<T: Transport> ClusterBuilder<T> {
     /// service): failures stop wedging groups forever and instead
     /// trigger agreement, reconfiguration, and block-wise resumption.
     pub fn recovery(mut self, config: RecoveryConfig) -> Self {
-        self.recovery = Some(config);
+        self.cluster.reconfig.config = Some(config);
         self
     }
 
     /// Attaches a flight recorder in the given capture mode; every layer
     /// (transport, verbs, engines, membership orchestration) streams
-    /// structured events into it. Retrieve the handle from the built
-    /// cluster via [`Cluster::recorder`].
+    /// structured events into it, stamped with the transport's clock.
+    /// Retrieve the handle from the built cluster via
+    /// [`Cluster::recorder`].
     pub fn flight_recorder(mut self, mode: trace::Mode) -> Self {
-        self.recorder_mode = Some(mode);
+        self.cluster.recorder = trace::Recorder::new(mode);
+        self.cluster
+            .fabric
+            .set_recorder(self.cluster.recorder.clone());
         self
     }
 
@@ -150,7 +149,7 @@ impl<T: Transport> ClusterBuilder<T> {
     /// [`Cluster::engine_log`]) — the raw material of the
     /// `transport_equivalence` gate.
     pub fn engine_log(mut self) -> Self {
-        self.engine_log = true;
+        self.cluster.engine_log = Some(Vec::new());
         self
     }
 
@@ -158,7 +157,7 @@ impl<T: Transport> ClusterBuilder<T> {
     /// order in which queued sends take freed slots — the multi-tenant
     /// admission layer (see [`PacerConfig`]).
     pub fn pacing(mut self, config: PacerConfig) -> Self {
-        self.pacing = Some(config);
+        self.cluster.pacer = Some(PacerState::new(config));
         self
     }
 
@@ -168,7 +167,7 @@ impl<T: Transport> ClusterBuilder<T> {
     /// parity, or escalation to epoch recovery instead of stalling the
     /// transfer.
     pub fn reliability(mut self, policy: ReliabilityPolicy) -> Self {
-        self.reliability = Some(policy);
+        self.cluster.reliability.default = Some(policy);
         self
     }
 
@@ -186,30 +185,11 @@ impl<T: Transport> ClusterBuilder<T> {
         self
     }
 
-    /// Builds the configured cluster.
+    /// Creates the declared atomic groups and returns the cluster.
     pub fn build(mut self) -> Cluster<T> {
-        let mut cluster = Cluster::from_transport(self.transport);
-        if self.engine_log {
-            cluster.enable_engine_log();
+        for spec in self.atomic_groups {
+            let _ = self.cluster.create_atomic_group(spec);
         }
-        if let Some(policy) = self.reliability {
-            cluster.set_default_reliability(policy);
-        }
-        if let Some(mode) = self.recorder_mode {
-            cluster.attach_recorder(mode);
-        }
-        if let Some(config) = self.recovery {
-            cluster.set_recovery(config);
-        }
-        if let Some(config) = self.pacing {
-            cluster.set_pacing(config);
-        }
-        if let Some(scheduler) = self.scheduler {
-            cluster.set_scheduler(scheduler);
-        }
-        for spec in std::mem::take(&mut self.atomic_groups) {
-            let _ = cluster.create_atomic_group(spec);
-        }
-        cluster
+        self.cluster
     }
 }

@@ -21,7 +21,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 use crate::atomic::{AtomicGroupId, AtomicOverlays, TAG_FRONTIER};
-use crate::pacer::{PacerConfig, PacerState, PacingStats};
+use crate::pacer::{PacerState, PacingStats};
 use crate::reconfig::{Reconfig, TAG_VIEW};
 use crate::reliability::{
     Reliability, ReliabilityPolicy, TAG_NACK, TAG_PARITY, TAG_PROBE, TAG_RETRANS,
@@ -250,7 +250,7 @@ pub struct Cluster<T: Transport = Fabric> {
     /// When capturing ([`crate::ClusterBuilder::engine_log`]), every
     /// engine event in feed order — the raw material of the
     /// `transport_equivalence` gate.
-    engine_log: Option<Vec<EngineLogEntry>>,
+    pub(crate) engine_log: Option<Vec<EngineLogEntry>>,
 }
 
 /// One captured engine event (see [`crate::ClusterBuilder::engine_log`]): the
@@ -310,8 +310,8 @@ pub enum Mutation {
 }
 
 impl<T: Transport> Cluster<T> {
-    /// The constructor proper ([`crate::ClusterBuilder::build`] ends
-    /// here).
+    /// The constructor proper ([`crate::ClusterBuilder::from_transport`]
+    /// starts here): everything off, no groups.
     pub(crate) fn from_transport(fabric: T) -> Self {
         Cluster {
             fabric,
@@ -334,13 +334,6 @@ impl<T: Transport> Cluster<T> {
         }
     }
 
-    /// Starts capturing every engine event ([`EngineLogEntry`]) fed
-    /// from now on ([`crate::ClusterBuilder::engine_log`] is the public
-    /// path).
-    pub(crate) fn enable_engine_log(&mut self) {
-        self.engine_log = Some(Vec::new());
-    }
-
     /// The captured engine events, in feed order (empty unless
     /// [`crate::ClusterBuilder::engine_log`] asked for the capture).
     /// The log is the transport-equivalence evidence: two backends
@@ -348,15 +341,6 @@ impl<T: Transport> Cluster<T> {
     /// event sequences.
     pub fn engine_log(&self) -> &[EngineLogEntry] {
         self.engine_log.as_deref().unwrap_or(&[])
-    }
-
-    /// Attaches a controlled scheduler ([`crate::ClusterBuilder::scheduler`]
-    /// is the public path): the fabric's same-instant delivery races and
-    /// the pacer's admission ties become explicit choice points resolved
-    /// by `scheduler`. Call before running any traffic.
-    pub(crate) fn set_scheduler(&mut self, scheduler: verbs::SharedScheduler) {
-        self.fabric.set_scheduler(scheduler.clone());
-        self.scheduler = Some(scheduler);
     }
 
     /// Seeds a deliberate ordering bug (mutation testing of the
@@ -370,12 +354,6 @@ impl<T: Transport> Cluster<T> {
 
     pub(crate) fn has_mutation(&self, mutation: Mutation) -> bool {
         self.mutations.seeded.contains(&mutation)
-    }
-
-    /// Turns on per-NIC send admission ([`crate::ClusterBuilder::pacing`]
-    /// is the public path). Call before any sends.
-    pub(crate) fn set_pacing(&mut self, config: PacerConfig) {
-        self.pacer = Some(PacerState::new(config));
     }
 
     /// Counters of the send admission layer, if pacing is enabled.
@@ -400,16 +378,6 @@ impl<T: Transport> Cluster<T> {
             .first()
             .map(|e| e.epoch())
             .unwrap_or(0)
-    }
-
-    /// Recorder attach proper ([`crate::ClusterBuilder::flight_recorder`];
-    /// runs before any group exists). The transport stamps the recorder
-    /// with its own clock and every layer — flow network, verbs,
-    /// protocol engines, membership orchestration — streams structured
-    /// events into it.
-    pub(crate) fn attach_recorder(&mut self, mode: trace::Mode) {
-        self.recorder = trace::Recorder::new(mode);
-        self.fabric.set_recorder(self.recorder.clone());
     }
 
     /// The attached flight recorder (disabled unless
@@ -550,40 +518,35 @@ impl<T: Transport> Cluster<T> {
     /// returning the handle its completion record is filed under.
     pub fn submit_send(&mut self, group: GroupId, size: u64) -> MessageId {
         let id = self.new_message_id();
-        let idx = self.do_submit(group, size);
-        self.message_slots.insert(id.0, (group, idx));
+        self.do_submit(group, size, id);
         id
     }
 
-    /// Records a submission's bookkeeping (delivery slots for every
-    /// original member, pending-queue entries for the current ones) and
-    /// hands the send to the current root engine. Returns the message's
-    /// index within the group.
-    pub(crate) fn do_submit(&mut self, group: GroupId, size: u64) -> usize {
+    /// Files a submission — its completion record under `message`,
+    /// delivery slots for every original member, pending-queue entries
+    /// for the current ones — and hands the send to the current root
+    /// engine.
+    pub(crate) fn do_submit(&mut self, group: GroupId, size: u64, message: MessageId) {
         let now = self.fabric.now();
-        let idx = {
-            let g = &mut self.groups[group];
-            let idx = g.results.len();
-            g.results.push(MessageResult {
-                group,
-                index: idx,
-                size,
-                submitted: now,
-                delivered_at: vec![None; g.orig_members.len()],
-            });
-            g.senders.push(g.orig_rank[0]);
-            let members = g.orig_rank.clone();
-            for o in members {
-                g.pending[o].push_back(idx);
-            }
-            idx
-        };
+        let g = &mut self.groups[group];
+        let idx = g.results.len();
+        g.results.push(MessageResult {
+            group,
+            index: idx,
+            size,
+            submitted: now,
+            delivered_at: vec![None; g.orig_members.len()],
+        });
+        g.senders.push(g.orig_rank[0]);
+        for &o in &g.orig_rank {
+            g.pending[o].push_back(idx);
+        }
+        self.message_slots.insert(message.0, (group, idx));
         self.feed(group, 0, Event::StartSend { size });
         let g = &mut self.groups[group];
         if let Some(root) = g.engines.first() {
             g.peak_backlog = g.peak_backlog.max(root.queue_pressure().backlog());
         }
-        idx
     }
 
     /// Schedules a multicast submission at an absolute virtual time,
@@ -842,8 +805,7 @@ impl<T: Transport> Cluster<T> {
                         else {
                             return;
                         };
-                        self.feed(group, me, Event::PeerFailed { rank: failed });
-                        self.note_suspicion(group, me, failed);
+                        self.learned_failure(group, me, failed);
                     }
                     TAG_VIEW => {
                         self.view_update(group, me, peer, &payload);
@@ -874,8 +836,7 @@ impl<T: Transport> Cluster<T> {
             }
             Delivery::QpBroken { qp } => {
                 if let Some(&(group, me, peer)) = self.qp_owner.get(&qp) {
-                    self.feed(group, me, Event::PeerFailed { rank: peer });
-                    self.note_suspicion(group, me, peer);
+                    self.learned_failure(group, me, peer);
                 }
             }
             Delivery::Timer { token } => match self.timers.remove(&token) {
@@ -883,10 +844,7 @@ impl<T: Transport> Cluster<T> {
                     group,
                     size,
                     message,
-                }) => {
-                    let idx = self.do_submit(group, size);
-                    self.message_slots.insert(message.0, (group, idx));
-                }
+                }) => self.do_submit(group, size, message),
                 Some(TimerAction::Crash { node }) => {
                     self.crash_now(node);
                 }
@@ -904,13 +862,22 @@ impl<T: Transport> Cluster<T> {
                     self.rel_probe_fired(qp);
                 }
                 Some(TimerAction::AtomicSend { ag, size, message }) => {
-                    self.atomic_send_fired(ag, size, message);
+                    // Group extinct by now: the handle never resolves.
+                    let _ = self.do_submit_atomic(ag, size, message);
                 }
                 None => {
                     let _ = node; // stale or foreign timer: ignore
                 }
             },
         }
+    }
+
+    /// `me` learned that current-rank `failed` is gone — from a broken
+    /// connection, a relayed notice or a loss escalation: its engine
+    /// wedges and its suspicion enters the view epidemic.
+    pub(crate) fn learned_failure(&mut self, group: GroupId, me: Rank, failed: Rank) {
+        self.feed(group, me, Event::PeerFailed { rank: failed });
+        self.note_suspicion(group, me, failed);
     }
 
     /// Feeds an event to one engine and executes the resulting actions.

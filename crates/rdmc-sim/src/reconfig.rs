@@ -154,8 +154,9 @@ impl GroupRecovery {
 /// Cluster-wide failure-injection and view-change state.
 #[derive(Default)]
 pub(crate) struct Reconfig {
-    /// `None` = wedge-only semantics (the paper's RDMC proper).
-    config: Option<RecoveryConfig>,
+    /// `None` = wedge-only semantics (the paper's RDMC proper); set by
+    /// [`crate::ClusterBuilder::recovery`], before any group exists.
+    pub(crate) config: Option<RecoveryConfig>,
     stats: RecoveryStats,
     /// Per-group membership state, indexed by [`GroupId`]; empty while
     /// recovery is off (the switch is set before any group exists).
@@ -187,12 +188,6 @@ pub(crate) fn tracker_cell(cell: &[u8], columns: u32) -> Option<&[u8]> {
 }
 
 impl<T: Transport> Cluster<T> {
-    /// Recovery switch proper ([`crate::ClusterBuilder::recovery`]);
-    /// runs before any group exists.
-    pub(crate) fn set_recovery(&mut self, config: RecoveryConfig) {
-        self.reconfig.config = Some(config);
-    }
-
     /// Whether failures trigger view changes (`false` = wedge-only).
     pub(crate) fn recovery_enabled(&self) -> bool {
         self.reconfig.config.is_some()

@@ -288,18 +288,25 @@ struct RelRecvState {
     pub(crate) escalated: bool,
 }
 
+impl RelRecvState {
+    /// Marks every sequence below `upto` that has not been fed, is not
+    /// buffered and is not already being chased as missing, and returns
+    /// these newly detected losses.
+    fn note_gap(&mut self, upto: u64) -> Vec<u64> {
+        let newly: Vec<u64> = (self.next_expected..upto)
+            .filter(|s| !self.buffered.contains_key(s) && !self.missing.contains(s))
+            .collect();
+        self.missing.extend(&newly);
+        newly
+    }
+}
+
 /// The lossy-fabric reliability layer (see [`ReliabilityPolicy`] and
 /// the `reliability` module docs). Everything here runs *between* the
 /// fabric and the protocol engines: engines still see a gap-free FIFO
 /// of `BlockReceived` events per peer, exactly as on a lossless fabric
 /// — the shim reorders, repairs, reconstructs, or escalates underneath.
 impl<T: Transport> Cluster<T> {
-    /// Default reliability policy for groups created from now on
-    /// ([`crate::ClusterBuilder::reliability`] is the public path).
-    pub(crate) fn set_default_reliability(&mut self, policy: ReliabilityPolicy) {
-        self.reliability.default = Some(policy);
-    }
-
     /// Everything the reliability layer did so far, cluster-wide.
     pub fn reliability_stats(&self) -> ReliabilityStats {
         self.reliability.stats
@@ -469,18 +476,9 @@ impl<T: Transport> Cluster<T> {
                     st.rto_attempt = 0; // gap closed: fresh budget next time
                 }
             } else {
-                // Arrived past the frontier: every sequence in between
-                // that is neither buffered nor already being chased is a
-                // newly detected loss.
+                // Arrived past the frontier: the gap in between is lost.
                 st.buffered.insert(seq, total);
-                for s in st.next_expected..seq {
-                    if !st.buffered.contains_key(&s) && !st.missing.contains(&s) {
-                        newly.push(s);
-                    }
-                }
-                for &s in &newly {
-                    st.missing.insert(s);
-                }
+                newly = st.note_gap(seq);
             }
             (feeds, newly)
         };
@@ -610,8 +608,7 @@ impl<T: Transport> Cluster<T> {
             // group reconfigures and interrupted messages resume from
             // the survivors' wedge-time bitmaps (or are consistently
             // abandoned when the evicted sender held the only copy).
-            self.feed(group, me, Event::PeerFailed { rank: peer });
-            self.note_suspicion(group, me, peer);
+            self.learned_failure(group, me, peer);
         } else {
             self.fabric.break_qp(qp);
         }
@@ -723,13 +720,7 @@ impl<T: Transport> Cluster<T> {
             if st.escalated {
                 return;
             }
-            let newly: Vec<u64> = (st.next_expected..frontier)
-                .filter(|s| !st.buffered.contains_key(s) && !st.missing.contains(s))
-                .collect();
-            for &s in &newly {
-                st.missing.insert(s);
-            }
-            newly
+            st.note_gap(frontier)
         };
         if !newly.is_empty() {
             self.rel_chase(qp, group, me, &newly);

@@ -1,19 +1,26 @@
 //! Build determinism for the [`ClusterBuilder`] API: two
 //! identically-configured builds must run identically, however many
-//! node-targeted knobs the one-shot builder carried.
+//! node-targeted knobs the one-shot builder carried and in whatever
+//! order its methods were called.
 //!
-//! 1. a jittered, completion-mode-mixed run of two overlapping groups
-//!    produces the same full flight recording and final virtual time;
+//! 1. a jittered, completion-mode-mixed, paced run of two overlapping
+//!    groups produces the same full flight recording and final virtual
+//!    time from two builds that declare the same knobs in different
+//!    orders;
 //! 2. a crash/recovery run under jitter produces the same digest (events
 //!    fed, final time, reconfiguration records, per-rank delivery times,
 //!    full trace export).
 //!
 //! The checked-in golden traces are `tests/golden_traces.rs`'s to hold.
 
+use std::sync::{Arc, Mutex};
+
 use rdmc::Algorithm;
-use rdmc_sim::{ClusterBuilder, ClusterSpec, GroupSpec, RecoveryConfig, SimCluster};
+use rdmc_sim::{
+    ClusterBuilder, ClusterSpec, GroupSpec, PacerConfig, PacingPolicy, RecoveryConfig, SimCluster,
+};
 use simnet::{JitterModel, SimDuration};
-use verbs::{CompletionMode, Transport};
+use verbs::{ChoicePoint, CompletionMode, Scheduler, SharedScheduler, Transport};
 
 const BLOCK: u64 = 64 << 10;
 
@@ -44,9 +51,20 @@ fn overlapping_run(mut cluster: SimCluster) -> (String, u64) {
     )
 }
 
+/// The default tie-break, spelled as a scheduler.
+struct FirstEnabled;
+
+impl Scheduler for FirstEnabled {
+    fn choose(&mut self, _: &ChoicePoint<'_>) -> usize {
+        0
+    }
+}
+
 /// Two identically-configured builds produce identical flight
-/// recordings: node-targeted knobs (jitter, completion modes) land
-/// deterministically regardless of the builder being a one-shot value.
+/// recordings, whatever order the knobs were declared in: each builder
+/// method writes its own field of the cluster, so node-targeted knobs
+/// (jitter, completion modes) and cluster-wide ones (recorder, recovery,
+/// pacing, scheduler) land the same way first or last.
 #[test]
 fn jittered_builds_are_deterministic() {
     let jitter = |node: u64| {
@@ -57,19 +75,34 @@ fn jittered_builds_are_deterministic() {
             SimDuration::from_micros(200),
         )
     };
-    let build = || {
-        let mut builder = ClusterBuilder::new(ClusterSpec::fractus(6))
-            .flight_recorder(trace::Mode::Full)
+    let node_knobs = |mut builder: ClusterBuilder| {
+        builder = builder
             .completion_mode(1, CompletionMode::Interrupt)
             .completion_mode(4, CompletionMode::Hybrid);
         for node in 0..6u64 {
             builder = builder.jitter(node as usize, jitter(node));
         }
-        builder.build()
+        builder
     };
+    let spec = || ClusterBuilder::new(ClusterSpec::fractus(6));
+    let pacing = PacerConfig::new(2, PacingPolicy::RoundRobin);
+    let scheduler = || -> SharedScheduler { Arc::new(Mutex::new(FirstEnabled)) };
+    let declared = node_knobs(spec().flight_recorder(trace::Mode::Full))
+        .recovery(RecoveryConfig::default())
+        .pacing(pacing)
+        .scheduler(scheduler())
+        .build();
+    let reordered = node_knobs(
+        spec()
+            .scheduler(scheduler())
+            .pacing(pacing)
+            .recovery(RecoveryConfig::default()),
+    )
+    .flight_recorder(trace::Mode::Full)
+    .build();
 
-    let (trace_a, t_a) = overlapping_run(build());
-    let (trace_b, t_b) = overlapping_run(build());
+    let (trace_a, t_a) = overlapping_run(declared);
+    let (trace_b, t_b) = overlapping_run(reordered);
 
     assert_eq!(trace_a, trace_b, "flight recordings diverged");
     assert_eq!(t_a, t_b, "final virtual times diverged");

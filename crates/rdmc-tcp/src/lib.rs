@@ -541,7 +541,6 @@ impl TcpFabric {
     ) -> Result<(), VerbsError> {
         self.check_postable(qp)?;
         let ci = qp.conn_id() as usize;
-        debug_assert!(payload.len() <= MAX_FRAME, "frame body over MAX_FRAME");
         if payload.len() > MAX_FRAME {
             self.break_conn_now(ci);
             return Err(VerbsError::QpBroken);

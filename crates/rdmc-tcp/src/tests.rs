@@ -1,6 +1,7 @@
 //! What the ledger-driven pump must not cost: failure detection on an
 //! idle socket, data that was on the wire when its sender crashed, and
-//! a typed error (never a panic) for a malformed frame.
+//! a typed error (never a panic) for a malformed frame or an oversize
+//! post.
 
 use super::*;
 
@@ -114,4 +115,52 @@ fn malformed_frame_is_an_error_at_shutdown_not_a_panic() {
         error.to_string().contains("unknown frame kind 238"),
         "{error}"
     );
+}
+
+/// A post over [`MAX_FRAME`] is a local-length error: the post is
+/// refused with `QpBroken`, the connection breaks — both ends see what
+/// they had queued flushed, then the break — and nothing else does.
+#[test]
+fn oversize_post_breaks_its_connection_and_no_other() {
+    let (mut fabric, a, b) = pair();
+    let (a2, b2) = fabric.connect(A, B);
+    fabric.post_recv(b, WrId(7), 64).expect("post_recv");
+    fabric
+        .post_send(a, WrId(1), 64, 0, None)
+        .expect("post_send");
+    assert_eq!(
+        fabric.post_send(a, WrId(2), MAX_FRAME + 1, 0, None),
+        Err(VerbsError::QpBroken)
+    );
+    let seen = collect(&mut fabric, 4, 50 * FAILURE_DETECT, |node, d| match d {
+        Delivery::WrFlushed { qp, wr_id, recv } => Some((node, qp, format!("{} {recv}", wr_id.0))),
+        Delivery::QpBroken { qp } => Some((node, qp, "broken".to_string())),
+        other => panic!("unexpected {other:?}"),
+    });
+    let expected = [
+        (A, a, "1 false"),
+        (A, a, "broken"),
+        (B, b, "7 true"),
+        (B, b, "broken"),
+    ];
+    assert_eq!(
+        seen,
+        expected.map(|(node, qp, what)| (node, qp, what.to_string()))
+    );
+    assert_eq!(
+        fabric.post_send(a, WrId(3), 64, 0, None),
+        Err(VerbsError::QpBroken)
+    );
+    fabric.post_recv(b2, WrId(8), 64).expect("post_recv");
+    fabric
+        .post_send(a2, WrId(4), 64, 9, None)
+        .expect("post_send");
+    let arrived = collect(&mut fabric, 1, 50 * FAILURE_DETECT, |_, d| match d {
+        Delivery::RecvDone { qp, imm, .. } => Some((qp, imm)),
+        _ => None,
+    });
+    assert_eq!(arrived, [(b2, 9)]);
+    fabric
+        .shutdown()
+        .expect("a refused post is not an I/O error");
 }

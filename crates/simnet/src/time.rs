@@ -117,11 +117,6 @@ impl SimDuration {
     pub fn as_micros_f64(self) -> f64 {
         self.0 as f64 / 1e3
     }
-
-    /// Scales the duration by a float factor, rounding to nanoseconds.
-    pub fn mul_f64(self, factor: f64) -> Self {
-        SimDuration::from_secs_f64(self.as_secs_f64() * factor)
-    }
 }
 
 impl Add<SimDuration> for SimTime {
@@ -228,12 +223,6 @@ mod tests {
         assert_eq!(SimDuration::from_secs(1).as_secs_f64(), 1.0);
         assert_eq!(SimDuration::from_secs_f64(0.5).as_nanos(), 500_000_000);
         assert_eq!(SimDuration::from_micros(7).as_micros_f64(), 7.0);
-    }
-
-    #[test]
-    fn duration_scaling() {
-        let d = SimDuration::from_secs(2).mul_f64(0.25);
-        assert_eq!(d, SimDuration::from_millis(500));
     }
 
     #[test]

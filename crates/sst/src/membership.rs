@@ -309,15 +309,6 @@ impl ViewTracker {
         );
         self.table.set_local(COL_EPOCH, epoch)
     }
-
-    /// True once every member of `view` publishes an installed epoch of
-    /// at least `view.epoch` — the point at which the reconfiguration is
-    /// complete and normal operation resumes.
-    pub fn view_stable(&self, view: &View) -> bool {
-        view.members
-            .iter()
-            .all(|&r| self.table.get(r, COL_EPOCH) >= view.epoch)
-    }
 }
 
 #[cfg(test)]
@@ -404,9 +395,6 @@ mod tests {
             let up = ts[r as usize].as_mut().unwrap().install(1);
             broadcast(&mut ts, r, up);
         }
-        for t in ts.iter().flatten() {
-            assert!(t.view_stable(&v1), "rank {}", t.rank());
-        }
         // ... then rank 1 dies during the new epoch.
         ts[1] = None;
         let up = ts[2].as_mut().unwrap().suspect(1).unwrap();
@@ -415,24 +403,6 @@ mod tests {
         assert_eq!(v2.epoch, 2, "outbids the installed epoch");
         assert_eq!(v2.failed, [1, 3].into_iter().collect());
         assert_eq!(v2.members, vec![0, 2]);
-    }
-
-    #[test]
-    fn view_not_stable_until_all_survivors_install() {
-        let mut ts: Vec<Option<ViewTracker>> =
-            (0..3).map(|r| Some(ViewTracker::new(r, 3))).collect();
-        ts[2] = None;
-        let up = ts[0].as_mut().unwrap().suspect(2).unwrap();
-        broadcast(&mut ts, 0, up);
-        let v = ts[0].as_ref().unwrap().agreed_view().unwrap();
-        let up = ts[0].as_mut().unwrap().install(v.epoch);
-        broadcast(&mut ts, 0, up);
-        assert!(!ts[0].as_ref().unwrap().view_stable(&v), "rank 1 pending");
-        let up = ts[1].as_mut().unwrap().install(v.epoch);
-        broadcast(&mut ts, 1, up);
-        for t in ts.iter().flatten() {
-            assert!(t.view_stable(&v));
-        }
     }
 
     #[test]

@@ -71,16 +71,6 @@ impl Default for ShardedWorkload {
 }
 
 impl ShardedWorkload {
-    /// The same workload offered at a different aggregate rate — the
-    /// knob a load sweep turns (same seed: the arrival *pattern* keeps
-    /// its shape, only the spacing changes).
-    pub fn with_load(&self, offered_gbps: f64) -> Self {
-        ShardedWorkload {
-            offered_gbps,
-            ..self.clone()
-        }
-    }
-
     /// Fabric nodes of one shard, root first: `replication_factor`
     /// consecutive nodes on the ring starting at the shard's home node.
     /// Roots are spread evenly over the cluster, and consecutive shards
@@ -185,7 +175,10 @@ mod tests {
     #[test]
     fn doubling_load_halves_the_span() {
         let base = ShardedWorkload::default();
-        let double = base.with_load(base.offered_gbps * 2.0);
+        let double = ShardedWorkload {
+            offered_gbps: base.offered_gbps * 2.0,
+            ..base.clone()
+        };
         let a = base.generate(5_000);
         let b = double.generate(5_000);
         let ratio = a.last().unwrap().at_ns as f64 / b.last().unwrap().at_ns as f64;
