@@ -33,10 +33,8 @@
 
 use std::collections::BTreeMap;
 
-use rdmc::schedule::GlobalSchedule;
+use rdmc::schedule::{GlobalSchedule, TraceEntry};
 use rdmc::Rank;
-
-use crate::model::TraceEntry;
 
 /// What the lint concluded about one schedule.
 #[derive(Clone, Debug)]

@@ -12,7 +12,9 @@
 //!   the full-duplex NIC model of §4.3, no self-sends, and per-algorithm
 //!   completion-step bounds — exact `ceil(log2 n) + k - 1` for the
 //!   binomial pipeline. Violations come with a **minimal counterexample
-//!   trace** (a backward causal slice of the schedule).
+//!   trace** (a backward causal slice of the schedule). The rule and its
+//!   vocabulary live in `rdmc::schedule`; recovery resume schedules are
+//!   the same check started from wedge-time holdings.
 //! - [`deadlock`] — a **posting-order lint**: builds the wait-for graph
 //!   between pre-posted receives and scheduled sends implied by the
 //!   credit-gated protocol of §4.2 and flags any cycle (a static RNR
@@ -35,12 +37,6 @@
 //!   validity, and replay determinism (bit-for-bit digest equality —
 //!   the audit that mechanically catches unordered-map iteration).
 //!   Violations come back as minimal replayable counterexamples.
-//! - [`resume`] — a model checker for **recovery resume schedules**
-//!   (the `recovery` crate's planner output): exact missing-block
-//!   coverage, causality rooted at wedge-time holdings, strict port
-//!   budgets, and survivors-only addressing. The sweep drives it over
-//!   every wedge point of the binomial pipeline with every single- and
-//!   double-failure pattern.
 //!
 //! [`sweep()`] runs all of these over an `(algorithm, n, k)` grid; the
 //! `analyzer` binary (`cargo run -p analyzer -- --sweep`) drives it from
@@ -53,7 +49,6 @@ pub mod deadlock;
 pub mod explore;
 pub mod model;
 pub mod reach;
-pub mod resume;
 pub mod sweep;
 
 pub use deadlock::{lint_schedule, DeadlockReport};
@@ -61,7 +56,7 @@ pub use explore::{
     audit_replay, explore_executions, replay, Counterexample, ExecutionResult, ExploreConfig,
     ExploreReport, ExploreScenario, PointRecord, Strategy,
 };
-pub use model::{check_schedule, ModelReport, PortBudget, StepBound, TraceEntry, Violation};
+pub use model::{check_schedule, ModelReport};
+pub use rdmc::schedule::{PortBudget, StepBound, TraceEntry, Violation};
 pub use reach::{explore, ReachConfig, ReachReport};
-pub use resume::{check_resume_schedule, check_resume_schedule_with};
 pub use sweep::{sweep, SweepConfig, SweepReport};

@@ -46,6 +46,17 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// A comma-separated choice script (`1,2,3`); anything else is a usage
+/// error.
+fn parse_script(v: &str) -> Vec<usize> {
+    let parsed: Result<Vec<usize>, _> = v
+        .split(',')
+        .filter(|s| !s.is_empty())
+        .map(str::parse)
+        .collect();
+    parsed.unwrap_or_else(|_| usage())
+}
+
 struct ExploreArgs {
     explore: bool,
     replay: Option<Vec<usize>>,
@@ -163,13 +174,7 @@ fn main() {
             "--explore" => ex.explore = true,
             "--replay" => {
                 let Some(v) = args.next() else { usage() };
-                let parsed: Result<Vec<usize>, _> = v
-                    .split(',')
-                    .filter(|s| !s.is_empty())
-                    .map(str::parse)
-                    .collect();
-                let Ok(script) = parsed else { usage() };
-                ex.replay = Some(script);
+                ex.replay = Some(parse_script(&v));
             }
             "--strategy" => {
                 let Some(v) = args.next() else { usage() };
@@ -204,20 +209,11 @@ fn main() {
                 let Some(v) = args.next() else { usage() };
                 ex.trace_out = Some(v);
             }
-            s => {
-                // `--replay=1,2,3` shorthand.
-                if let Some(rest) = s.strip_prefix("--replay=") {
-                    let parsed: Result<Vec<usize>, _> = rest
-                        .split(',')
-                        .filter(|s| !s.is_empty())
-                        .map(str::parse)
-                        .collect();
-                    let Ok(script) = parsed else { usage() };
-                    ex.replay = Some(script);
-                } else {
-                    usage();
-                }
-            }
+            // `--replay=1,2,3` shorthand.
+            s => match s.strip_prefix("--replay=") {
+                Some(v) => ex.replay = Some(parse_script(v)),
+                None => usage(),
+            },
         }
     }
 

@@ -1,330 +1,14 @@
 //! The schedule model checker.
 //!
-//! Re-derives, independently of `GlobalSchedule::validate`, every static
-//! property a schedule must satisfy — and, unlike `validate`, collects
-//! *all* violations and attaches a minimal counterexample trace to each:
-//! the smallest backward causal slice of the schedule that demonstrates
-//! the defect.
+//! [`check_schedule_with`] is the one validity rule of
+//! [`GlobalSchedule::check_from`] plus a port budget and a step bound,
+//! collected into a [`ModelReport`]: unlike `GlobalSchedule::validate` it
+//! keeps *all* violations, each with a minimal counterexample trace (the
+//! smallest backward causal slice of the schedule that demonstrates the
+//! defect). A fresh multicast starts from the root's holdings; a recovery
+//! resume schedule is the same check started from wedge-time holdings.
 
-use rdmc::schedule::GlobalSchedule;
-use rdmc::{Algorithm, Rank};
-
-/// One schedule transfer, tagged with its step — the unit counterexample
-/// traces are made of.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct TraceEntry {
-    /// Asynchronous step the transfer is scheduled in.
-    pub step: u32,
-    /// Sending rank.
-    pub from: Rank,
-    /// Receiving rank.
-    pub to: Rank,
-    /// Block number.
-    pub block: u32,
-}
-
-impl std::fmt::Display for TraceEntry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "step {}: {} -> {} (block {})",
-            self.step, self.from, self.to, self.block
-        )
-    }
-}
-
-/// A statically provable schedule defect. Every variant carries the
-/// minimal witness needed to reproduce it by inspection.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum Violation {
-    /// A transfer names an out-of-range rank or block.
-    Malformed {
-        /// The offending transfer.
-        transfer: TraceEntry,
-    },
-    /// A rank is scheduled to send a block to itself.
-    SelfSend {
-        /// The offending transfer.
-        transfer: TraceEntry,
-    },
-    /// The root (rank 0) is scheduled to receive — it already holds the
-    /// whole message.
-    RootReceives {
-        /// The offending transfer.
-        transfer: TraceEntry,
-    },
-    /// Causality: a rank relays a block strictly before any step that
-    /// delivers that block to it. `provenance` is the minimal causal
-    /// chain the checker could reconstruct for the sender's copy — it
-    /// ends at the hole (or is empty when the sender never receives the
-    /// block at all).
-    SendWithoutBlock {
-        /// The premature relay.
-        transfer: TraceEntry,
-        /// Backward causal slice of the sender's copy, oldest first.
-        provenance: Vec<TraceEntry>,
-    },
-    /// A rank receives the same block twice.
-    DuplicateDelivery {
-        /// The redundant delivery.
-        transfer: TraceEntry,
-        /// The delivery that already covered it.
-        first: TraceEntry,
-    },
-    /// Coverage: a non-root rank never receives a block.
-    MissingBlock {
-        /// The rank that goes without.
-        rank: Rank,
-        /// The block that never arrives.
-        block: u32,
-    },
-    /// A rank is scheduled to send more blocks in one step than the NIC
-    /// model admits (§4.3: full-duplex, one channel each way).
-    SendPortConflict {
-        /// The conflicted step.
-        step: u32,
-        /// The over-committed rank.
-        rank: Rank,
-        /// Transfers it would have to emit simultaneously (budget + 1 of
-        /// them — a minimal witness).
-        transfers: Vec<TraceEntry>,
-        /// The per-step budget for this algorithm and group size.
-        budget: u32,
-    },
-    /// A rank is scheduled to receive more blocks in one step than the
-    /// NIC model admits.
-    RecvPortConflict {
-        /// The conflicted step.
-        step: u32,
-        /// The over-committed rank.
-        rank: Rank,
-        /// Transfers it would have to absorb simultaneously.
-        transfers: Vec<TraceEntry>,
-        /// The per-step budget for this algorithm and group size.
-        budget: u32,
-    },
-    /// The generator refused a shape the grid considers legal.
-    BuildRejected {
-        /// The builder's error message.
-        reason: String,
-    },
-    /// The schedule's step count misses its algorithm's completion bound
-    /// (exact `ceil(log2 n) + k - 1` for the binomial pipeline; see
-    /// [`StepBound::for_algorithm`] for the rest).
-    StepBoundViolated {
-        /// Steps the schedule actually takes.
-        steps: u32,
-        /// The bound it had to meet.
-        bound: StepBound,
-    },
-}
-
-impl std::fmt::Display for Violation {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Violation::Malformed { transfer } => write!(f, "malformed transfer: {transfer}"),
-            Violation::SelfSend { transfer } => write!(f, "self-send: {transfer}"),
-            Violation::RootReceives { transfer } => write!(f, "root receives: {transfer}"),
-            Violation::SendWithoutBlock {
-                transfer,
-                provenance,
-            } => {
-                write!(f, "causality: {transfer} sent before the sender holds it")?;
-                for p in provenance {
-                    write!(f, "\n    via {p}")?;
-                }
-                Ok(())
-            }
-            Violation::DuplicateDelivery { transfer, first } => {
-                write!(
-                    f,
-                    "duplicate delivery: {transfer} (already delivered by {first})"
-                )
-            }
-            Violation::MissingBlock { rank, block } => {
-                write!(f, "coverage: rank {rank} never receives block {block}")
-            }
-            Violation::SendPortConflict {
-                step,
-                rank,
-                transfers,
-                budget,
-            } => {
-                write!(
-                    f,
-                    "send port conflict: step {step} asks rank {rank} for {} sends (budget {budget})",
-                    transfers.len()
-                )?;
-                for t in transfers {
-                    write!(f, "\n    {t}")?;
-                }
-                Ok(())
-            }
-            Violation::RecvPortConflict {
-                step,
-                rank,
-                transfers,
-                budget,
-            } => {
-                write!(
-                    f,
-                    "recv port conflict: step {step} asks rank {rank} for {} receives (budget {budget})",
-                    transfers.len()
-                )?;
-                for t in transfers {
-                    write!(f, "\n    {t}")?;
-                }
-                Ok(())
-            }
-            Violation::BuildRejected { reason } => {
-                write!(f, "generator refused a legal shape: {reason}")
-            }
-            Violation::StepBoundViolated { steps, bound } => {
-                write!(
-                    f,
-                    "completion bound: schedule takes {steps} steps, bound is {bound}"
-                )
-            }
-        }
-    }
-}
-
-/// The per-step, per-rank send/receive budget of the NIC model. The
-/// paper's full-duplex claim (§4.3) is one send and one receive per node
-/// per step; the shadow-vertex generalisation to non-power-of-two groups
-/// has one physical node play up to two virtual vertices, and a hybrid
-/// rack leader overlaps the inter-rack relay with its intra-rack send.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct PortBudget {
-    /// Max scheduled sends per rank per step.
-    pub send: u32,
-    /// Max scheduled receives per rank per step.
-    pub recv: u32,
-}
-
-impl PortBudget {
-    /// The budget for `algorithm` at group size `n`, as established by
-    /// exhaustively probing the generators over `n <= 64`, `k <= 32`:
-    ///
-    /// | algorithm               | send | recv | why                                      |
-    /// |-------------------------|------|------|------------------------------------------|
-    /// | sequential/chain/tree   | 1    | 1    | strict full-duplex (§4.3)                |
-    /// | binomial pipeline, 2^x  | 1    | 1    | the paper's exact claim                  |
-    /// | binomial pipeline, else | 2    | 2    | one node plays two shadow vertices       |
-    /// | hybrid (phased)         | 2    | 2    | shadow vertices among the rack leaders   |
-    /// | hybrid (pipelined)      | 3    | 2    | leader: 2 shadow inter-sends + 1 intra   |
-    ///
-    /// [`Algorithm::Custom`] gets no static budget (`u32::MAX`).
-    pub fn for_algorithm(algorithm: &Algorithm, n: u32) -> PortBudget {
-        match algorithm {
-            Algorithm::Sequential | Algorithm::Chain | Algorithm::BinomialTree => {
-                PortBudget { send: 1, recv: 1 }
-            }
-            Algorithm::BinomialPipeline => {
-                if n.is_power_of_two() {
-                    PortBudget { send: 1, recv: 1 }
-                } else {
-                    PortBudget { send: 2, recv: 2 }
-                }
-            }
-            Algorithm::Hybrid { .. } => PortBudget { send: 2, recv: 2 },
-            Algorithm::HybridPipelined { .. } => PortBudget { send: 3, recv: 2 },
-            Algorithm::Custom { .. } => PortBudget {
-                send: u32::MAX,
-                recv: u32::MAX,
-            },
-        }
-    }
-}
-
-/// A completion-step bound for one `(algorithm, n, k)` shape.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum StepBound {
-    /// The schedule must take exactly this many steps.
-    Exact(u32),
-    /// The schedule must take at most this many steps.
-    AtMost(u32),
-    /// No static bound (custom schedule families).
-    Unbounded,
-}
-
-impl std::fmt::Display for StepBound {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            StepBound::Exact(s) => write!(f, "exactly {s}"),
-            StepBound::AtMost(s) => write!(f, "at most {s}"),
-            StepBound::Unbounded => write!(f, "unbounded"),
-        }
-    }
-}
-
-fn ceil_log2(x: u32) -> u32 {
-    if x <= 1 {
-        0
-    } else {
-        32 - (x - 1).leading_zeros()
-    }
-}
-
-impl StepBound {
-    /// The bound for `algorithm` over `n` members and `k` blocks:
-    ///
-    /// - sequential: exactly `(n-1)·k` (root unicasts every block),
-    /// - chain: exactly `(n-1) + (k-1)` (pipeline fill + drain),
-    /// - binomial tree: exactly `ceil(log2 n)·k` (one full tree per block),
-    /// - binomial pipeline: exactly `ceil(log2 n) + k - 1` — the paper's
-    ///   headline bound (§4.3), which the shadow-vertex generalisation
-    ///   preserves at every group size,
-    /// - hybrid phased: at most `(L+k-1) + (I+k-1)` with `L = ceil(log2
-    ///   #racks)` and `I = ceil(log2 max-rack-size)` (inter phase then
-    ///   intra phases),
-    /// - hybrid pipelined: at most `L + I + k - 1` (the intra pipelines
-    ///   chase the inter-rack pipeline).
-    pub fn for_algorithm(algorithm: &Algorithm, n: u32, k: u32) -> StepBound {
-        if n <= 1 {
-            return StepBound::Exact(0);
-        }
-        match algorithm {
-            Algorithm::Sequential => StepBound::Exact((n - 1) * k),
-            Algorithm::Chain => StepBound::Exact(n - 1 + k - 1),
-            Algorithm::BinomialTree => StepBound::Exact(ceil_log2(n) * k),
-            Algorithm::BinomialPipeline => StepBound::Exact(ceil_log2(n) + k - 1),
-            Algorithm::Hybrid { rack_of } | Algorithm::HybridPipelined { rack_of } => {
-                if rack_of.len() != n as usize {
-                    // The builder rejects this shape; don't bound it here.
-                    return StepBound::Unbounded;
-                }
-                let num_racks = rack_of
-                    .iter()
-                    .collect::<std::collections::BTreeSet<_>>()
-                    .len();
-                let max_members = rack_of
-                    .iter()
-                    .map(|r| rack_of.iter().filter(|x| x == &r).count())
-                    .max()
-                    .unwrap_or(1) as u32;
-                let l = ceil_log2(num_racks as u32);
-                let i = ceil_log2(max_members);
-                match algorithm {
-                    Algorithm::Hybrid { .. } => {
-                        StepBound::AtMost((l + k).saturating_sub(1) + (i + k).saturating_sub(1))
-                    }
-                    _ => StepBound::AtMost(l + i + k - 1),
-                }
-            }
-            Algorithm::Custom { .. } => StepBound::Unbounded,
-        }
-    }
-
-    /// Whether `steps` satisfies the bound.
-    pub fn admits(&self, steps: u32) -> bool {
-        match *self {
-            StepBound::Exact(s) => steps == s,
-            StepBound::AtMost(s) => steps <= s,
-            StepBound::Unbounded => true,
-        }
-    }
-}
+use rdmc::schedule::{port_conflicts, GlobalSchedule, PortBudget, StepBound, Violation};
 
 /// The model checker's verdict on one schedule.
 #[derive(Clone, Debug)]
@@ -369,191 +53,47 @@ impl std::fmt::Display for ModelReport {
     }
 }
 
-/// Model-checks `schedule` with the budgets and bounds of its own
-/// algorithm (see [`check_schedule_with`]).
+/// Model-checks `schedule` from the root's holdings with the budgets and
+/// bounds of its own algorithm (see [`check_schedule_with`]).
 pub fn check_schedule(schedule: &GlobalSchedule) -> ModelReport {
+    let (n, k) = (schedule.num_nodes(), schedule.num_blocks());
     check_schedule_with(
         schedule,
-        PortBudget::for_algorithm(schedule.algorithm(), schedule.num_nodes()),
-        StepBound::for_algorithm(
-            schedule.algorithm(),
-            schedule.num_nodes(),
-            schedule.num_blocks(),
-        ),
+        &[vec![true; k as usize]],
+        PortBudget::for_algorithm(schedule.algorithm(), n),
+        StepBound::for_algorithm(schedule.algorithm(), n, k),
     )
 }
 
-/// Model-checks `schedule` against an explicit port budget and step
-/// bound, collecting every violation with its minimal counterexample.
+/// Model-checks `schedule` from the holdings at step 0 (see
+/// [`GlobalSchedule::check_from`]) against an explicit port budget and
+/// step bound, collecting every violation with its minimal
+/// counterexample.
 pub fn check_schedule_with(
     schedule: &GlobalSchedule,
+    held: &[Vec<bool>],
     budget: PortBudget,
     bound: StepBound,
 ) -> ModelReport {
-    let n = schedule.num_nodes();
-    let k = schedule.num_blocks();
-    let mut violations = Vec::new();
-
-    // delivered[rank][block] = the transfer that first delivered it.
-    let mut delivered: Vec<Vec<Option<TraceEntry>>> = vec![vec![None; k as usize]; n as usize];
-    // holds[rank][block]: true once the rank can relay the block (root
-    // holds everything before step 0; receipts mature at the next step).
-    let mut holds: Vec<Vec<bool>> = vec![vec![false; k as usize]; n as usize];
-    if n > 0 {
-        holds[0] = vec![true; k as usize];
+    let mut violations = schedule.check_from(held);
+    violations.extend(port_conflicts(schedule, budget));
+    let steps = schedule.num_steps();
+    if !bound.admits(steps) {
+        violations.push(Violation::StepBoundViolated { steps, bound });
     }
-
-    for j in 0..schedule.num_steps() {
-        let step = schedule.step(j);
-        for t in step {
-            let entry = TraceEntry {
-                step: j,
-                from: t.from,
-                to: t.to,
-                block: t.block,
-            };
-            if t.from >= n || t.to >= n || t.block >= k {
-                violations.push(Violation::Malformed { transfer: entry });
-                continue;
-            }
-            if t.from == t.to {
-                violations.push(Violation::SelfSend { transfer: entry });
-                continue;
-            }
-            if t.to == 0 {
-                violations.push(Violation::RootReceives { transfer: entry });
-            }
-            if !holds[t.from as usize][t.block as usize] {
-                violations.push(Violation::SendWithoutBlock {
-                    transfer: entry,
-                    provenance: provenance_of(&delivered, entry),
-                });
-            }
-            if let Some(first) = delivered[t.to as usize][t.block as usize] {
-                violations.push(Violation::DuplicateDelivery {
-                    transfer: entry,
-                    first,
-                });
-            } else {
-                delivered[t.to as usize][t.block as usize] = Some(entry);
-            }
-        }
-        // Receipts become relayable at the next step.
-        for t in step {
-            if t.from < n && t.to < n && t.block < k && t.from != t.to {
-                holds[t.to as usize][t.block as usize] = true;
-            }
-        }
-        // Port conflicts: count per-rank sends and receives this step.
-        violations.extend(port_conflicts(j, step, n, budget));
-    }
-
-    for rank in 1..n {
-        for block in 0..k {
-            if delivered[rank as usize][block as usize].is_none() {
-                violations.push(Violation::MissingBlock { rank, block });
-            }
-        }
-    }
-
-    if !bound.admits(schedule.num_steps()) {
-        violations.push(Violation::StepBoundViolated {
-            steps: schedule.num_steps(),
-            bound,
-        });
-    }
-
     ModelReport {
         algorithm: schedule.algorithm().to_string(),
-        n,
-        k,
+        n: schedule.num_nodes(),
+        k: schedule.num_blocks(),
         violations,
     }
-}
-
-/// The minimal backward causal slice explaining how `entry.from` came to
-/// hold `entry.block`: walk first deliveries back toward the root. The
-/// chain stops either at a root send (complete provenance) or at a hole —
-/// a sender with no earlier delivery of the block — which is the point a
-/// causality counterexample demonstrates.
-fn provenance_of(delivered: &[Vec<Option<TraceEntry>>], entry: TraceEntry) -> Vec<TraceEntry> {
-    let mut chain = Vec::new();
-    let mut cur = entry.from;
-    while cur != 0 {
-        match delivered
-            .get(cur as usize)
-            .and_then(|row| row.get(entry.block as usize))
-            .copied()
-            .flatten()
-        {
-            Some(d) => {
-                chain.push(d);
-                if chain.len() > delivered.len() {
-                    break; // defensive: corrupted schedules can loop
-                }
-                cur = d.from;
-            }
-            None => break,
-        }
-    }
-    chain.reverse();
-    chain
-}
-
-pub(crate) fn port_conflicts(
-    step_idx: u32,
-    step: &[rdmc::schedule::GlobalTransfer],
-    n: u32,
-    budget: PortBudget,
-) -> Vec<Violation> {
-    use std::collections::BTreeMap;
-    let mut sends: BTreeMap<Rank, Vec<TraceEntry>> = BTreeMap::new();
-    let mut recvs: BTreeMap<Rank, Vec<TraceEntry>> = BTreeMap::new();
-    for t in step {
-        if t.from >= n || t.to >= n {
-            continue; // already reported as malformed
-        }
-        let entry = TraceEntry {
-            step: step_idx,
-            from: t.from,
-            to: t.to,
-            block: t.block,
-        };
-        sends.entry(t.from).or_default().push(entry);
-        recvs.entry(t.to).or_default().push(entry);
-    }
-    let mut out = Vec::new();
-    for (rank, ts) in sends {
-        if ts.len() as u32 > budget.send {
-            let mut transfers = ts;
-            // budget + 1 conflicting transfers are a minimal witness.
-            transfers.truncate(budget.send as usize + 1);
-            out.push(Violation::SendPortConflict {
-                step: step_idx,
-                rank,
-                transfers,
-                budget: budget.send,
-            });
-        }
-    }
-    for (rank, ts) in recvs {
-        if ts.len() as u32 > budget.recv {
-            let mut transfers = ts;
-            transfers.truncate(budget.recv as usize + 1);
-            out.push(Violation::RecvPortConflict {
-                step: step_idx,
-                rank,
-                transfers,
-                budget: budget.recv,
-            });
-        }
-    }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rdmc::schedule::GlobalTransfer;
+    use rdmc::Algorithm;
 
     #[test]
     fn pipeline_is_clean_and_exactly_bounded() {
@@ -562,7 +102,7 @@ mod tests {
                 let g = GlobalSchedule::build(&Algorithm::BinomialPipeline, n, k);
                 let r = check_schedule(&g);
                 assert!(r.is_clean(), "n={n} k={k}: {r}");
-                assert_eq!(g.num_steps(), ceil_log2(n) + k - 1);
+                assert_eq!(g.num_steps(), rdmc::analysis::log2_ceil(n) + k - 1);
             }
         }
     }
@@ -582,5 +122,107 @@ mod tests {
         // provenance of the last hop: it must walk back to rank 0.
         let r = check_schedule(&g);
         assert!(r.is_clean());
+    }
+
+    // Resume schedules: the same check from wedge-time holdings, under
+    // the strict one-send-one-receive budget the sweep uses.
+
+    fn custom(n: u32, k: u32, steps: Vec<Vec<(u32, u32, u32)>>) -> GlobalSchedule {
+        let steps = steps
+            .into_iter()
+            .map(|s| {
+                s.into_iter()
+                    .map(|(from, to, block)| GlobalTransfer { from, to, block })
+                    .collect()
+            })
+            .collect();
+        GlobalSchedule::from_custom_steps("resume", n, k, steps)
+    }
+
+    fn check_resume(s: &GlobalSchedule, holdings: &[Vec<bool>]) -> ModelReport {
+        check_schedule_with(
+            s,
+            holdings,
+            PortBudget { send: 1, recv: 1 },
+            StepBound::Unbounded,
+        )
+    }
+
+    #[test]
+    fn exact_resume_is_clean() {
+        // Rank 0 holds both blocks, rank 1 holds none: two steps, one
+        // block each.
+        let s = custom(2, 2, vec![vec![(0, 1, 0)], vec![(0, 1, 1)]]);
+        let holdings = vec![vec![true, true], vec![false, false]];
+        let r = check_resume(&s, &holdings);
+        assert!(r.is_clean(), "{r}");
+    }
+
+    #[test]
+    fn retransmitting_a_held_block_is_flagged() {
+        let s = custom(2, 1, vec![vec![(0, 1, 0)]]);
+        // Rank 1 already holds block 0: nothing should move.
+        let holdings = vec![vec![true], vec![true]];
+        let r = check_resume(&s, &holdings);
+        assert!(
+            r.violations
+                .iter()
+                .any(|v| matches!(v, Violation::ReceivesHeldBlock { .. })),
+            "{r}"
+        );
+    }
+
+    #[test]
+    fn relaying_before_receipt_is_flagged() {
+        // Rank 1 forwards block 0 in the same step it receives it.
+        let s = custom(3, 1, vec![vec![(0, 1, 0), (1, 2, 0)]]);
+        let holdings = vec![vec![true], vec![false], vec![false]];
+        let r = check_resume(&s, &holdings);
+        assert!(
+            r.violations
+                .iter()
+                .any(|v| matches!(v, Violation::SendWithoutBlock { .. })),
+            "{r}"
+        );
+    }
+
+    #[test]
+    fn uncovered_hole_is_flagged() {
+        let s = custom(2, 2, vec![]);
+        let holdings = vec![vec![true, true], vec![true, false]];
+        let r = check_resume(&s, &holdings);
+        assert_eq!(
+            r.violations,
+            vec![Violation::MissingBlock { rank: 1, block: 1 }]
+        );
+    }
+
+    #[test]
+    fn transfer_to_a_failed_rank_is_flagged() {
+        // Rank 2 does not exist in the two-survivor epoch: survivors are
+        // renumbered densely, so a send to it is a send to a failed member.
+        let s = custom(2, 1, vec![vec![(0, 2, 0)]]);
+        let holdings = vec![vec![true], vec![true]];
+        let r = check_resume(&s, &holdings);
+        assert!(
+            r.violations
+                .iter()
+                .any(|v| matches!(v, Violation::Malformed { .. })),
+            "{r}"
+        );
+    }
+
+    #[test]
+    fn port_budget_is_strict_by_default() {
+        // Rank 0 sends two blocks in one step.
+        let s = custom(3, 2, vec![vec![(0, 1, 0), (0, 2, 1)]]);
+        let holdings = vec![vec![true, true], vec![true, false], vec![false, true]];
+        let r = check_resume(&s, &holdings);
+        assert!(
+            r.violations
+                .iter()
+                .any(|v| matches!(v, Violation::SendPortConflict { .. })),
+            "{r}"
+        );
     }
 }

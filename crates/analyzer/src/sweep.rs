@@ -6,15 +6,14 @@
 
 use std::collections::BTreeSet;
 
-use rdmc::schedule::GlobalSchedule;
+use rdmc::schedule::{GlobalSchedule, PortBudget, StepBound, Violation};
 use rdmc::Algorithm;
 use recovery::{plan_message_resume, survivor_map, MessagePlan};
 
 use crate::deadlock::{lint_schedule, DeadlockReport};
 use crate::explore::{explore_executions, ExploreConfig, ExploreReport, ExploreScenario};
-use crate::model::{check_schedule, ModelReport, Violation};
+use crate::model::{check_schedule, check_schedule_with, ModelReport};
 use crate::reach::{explore, ReachConfig, ReachReport};
-use crate::resume::check_resume_schedule;
 
 /// Grid parameters for one sweep.
 #[derive(Clone, Debug)]
@@ -210,7 +209,7 @@ pub fn sweep(config: &SweepConfig) -> SweepReport {
                             algorithm: alg.to_string(),
                             n,
                             k,
-                            violations: vec![crate::model::Violation::BuildRejected {
+                            violations: vec![Violation::BuildRejected {
                                 reason: e.to_string(),
                             }],
                         });
@@ -345,7 +344,14 @@ fn sweep_resume(report: &mut SweepReport, max_n: u32) {
                                 });
                                 continue;
                             }
-                            let r = check_resume_schedule(&schedule, &holdings);
+                            // The one schedule rule, from the wedge-time
+                            // holdings, under the strict resume budget.
+                            let r = check_schedule_with(
+                                &schedule,
+                                &holdings,
+                                PortBudget { send: 1, recv: 1 },
+                                StepBound::Unbounded,
+                            );
                             if !r.is_clean() {
                                 report.resume_failures.push(r);
                             }

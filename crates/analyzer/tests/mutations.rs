@@ -142,7 +142,12 @@ fn overloaded_step_is_a_port_conflict_with_minimal_witness() {
         ],
     ];
     let g = GlobalSchedule::from_custom_steps("fan-out", 3, 2, steps);
-    let r = check_schedule_with(&g, PortBudget { send: 1, recv: 1 }, StepBound::Unbounded);
+    let r = check_schedule_with(
+        &g,
+        &[vec![true; 2]],
+        PortBudget { send: 1, recv: 1 },
+        StepBound::Unbounded,
+    );
     let witness = r
         .violations
         .iter()
@@ -166,7 +171,7 @@ fn padded_schedule_misses_the_exact_step_bound() {
     steps.push(Vec::new()); // one idle step too many
     let g = rebuild("pipeline-padded", &good, steps);
     let bound = StepBound::for_algorithm(&Algorithm::BinomialPipeline, 8, 4);
-    let r = check_schedule_with(&g, PortBudget { send: 1, recv: 1 }, bound);
+    let r = check_schedule_with(&g, &[vec![true; 4]], PortBudget { send: 1, recv: 1 }, bound);
     assert!(
         r.violations.iter().any(|v| matches!(
             v,

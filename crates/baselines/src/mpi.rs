@@ -59,10 +59,11 @@ fn subtree_blocks(n: u32, k: u32, i: u32, height: u32) -> std::ops::Range<u32> {
 }
 
 /// Van de Geijn large-message broadcast: binomial scatter, then ring
-/// allgather. Valid under [`GlobalSchedule::validate_relaxed`]: the ring
-/// passes chunks through the root like any other rank, and re-delivers
-/// blocks that intermediate scatter nodes still hold — MPI genuinely
-/// moves those bytes.
+/// allgather. Checked from the root's holdings
+/// ([`GlobalSchedule::check_from`]) it shows only two kinds of violation,
+/// both genuine MPI data movement: the ring passes chunks through the
+/// root like any other rank (held-block receipts), and re-delivers blocks
+/// that intermediate scatter nodes still hold (duplicate deliveries).
 pub fn scatter_ring_allgather(n: u32, k: u32) -> GlobalSchedule {
     assert!(n >= 2 && k >= 1);
     let rounds = 32 - (n - 1).leading_zeros(); // ceil(log2 n)
@@ -145,6 +146,20 @@ pub fn uses_scatter(n: u32, blocks: u32) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rdmc::schedule::Violation;
+
+    /// Everything but the ring's two legitimate redundancies: transfers
+    /// to a rank already holding the block, and repeat deliveries.
+    fn ring_violations(g: &GlobalSchedule) -> Vec<Violation> {
+        let mut v = g.check_from(&[vec![true; g.num_blocks() as usize]]);
+        v.retain(|v| {
+            !matches!(
+                v,
+                Violation::ReceivesHeldBlock { .. } | Violation::DuplicateDelivery { .. }
+            )
+        });
+        v
+    }
 
     #[test]
     fn chunks_partition_blocks() {
@@ -179,8 +194,7 @@ mod tests {
         ] {
             let g = mvapich_bcast(n, k);
             assert_eq!(g.algorithm().to_string(), "mvapich-scatter-allgather");
-            g.validate_relaxed()
-                .unwrap_or_else(|e| panic!("n={n} k={k}: {e}"));
+            assert_eq!(ring_violations(&g), vec![], "n={n} k={k}");
         }
     }
 
@@ -208,12 +222,12 @@ mod tests {
 
     #[test]
     fn every_rank_ends_with_every_block() {
-        // validate_relaxed already checks non-root ranks;
+        // ring_violations already checks non-root ranks;
         // verify the root also gets back everything it scattered away
         // (trivially true: it never lost anything), and that the ring
         // brings every chunk to everyone.
         let g = scatter_ring_allgather(6, 18);
-        g.validate_relaxed().unwrap();
+        assert_eq!(ring_violations(&g), vec![]);
         for rank in 1..6 {
             for block in 0..18 {
                 assert!(

@@ -15,12 +15,6 @@ pub fn log2_ceil(n: u32) -> u32 {
     32 - (n - 1).leading_zeros()
 }
 
-/// Steps for a binomial pipeline to finish: `l + k − 1` (paper §4.4).
-pub fn pipeline_steps(n: u32, k: u32) -> u32 {
-    assert!(n >= 2 && k >= 1);
-    log2_ceil(n) + k - 1
-}
-
 /// The paper's predicted average slack for steady steps of a
 /// power-of-two binomial pipeline:
 /// `2·(1 − (l−1)/(n−2))`.
@@ -84,13 +78,6 @@ pub fn slow_link_bandwidth_fraction(l: u32, t_fast: f64, t_slow: f64) -> f64 {
     (l * t_slow) / (t_fast + (l - 1.0) * t_slow)
 }
 
-/// Paper §4.5 item 1: a one-off delay of `epsilon` on one block send adds
-/// at most `epsilon` to the total transfer time `(l + k − 1)·delta`.
-/// Returns the worst-case completion time.
-pub fn delayed_completion_bound(n: u32, k: u32, block_time: f64, epsilon: f64) -> f64 {
-    pipeline_steps(n, k) as f64 * block_time + epsilon
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -106,12 +93,6 @@ mod tests {
         assert_eq!(log2_ceil(5), 3);
         assert_eq!(log2_ceil(512), 9);
         assert_eq!(log2_ceil(513), 10);
-    }
-
-    #[test]
-    fn pipeline_steps_formula() {
-        assert_eq!(pipeline_steps(8, 256), 3 + 255);
-        assert_eq!(pipeline_steps(512, 32), 9 + 31);
     }
 
     #[test]
@@ -157,13 +138,6 @@ mod tests {
             prev = f;
         }
         assert!((slow_link_bandwidth_fraction(6, 1.0, 1.0) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn delay_bound_is_additive() {
-        let base = delayed_completion_bound(8, 100, 1.0, 0.0);
-        let delayed = delayed_completion_bound(8, 100, 1.0, 7.5);
-        assert!((delayed - base - 7.5).abs() < 1e-12);
     }
 
     #[test]

@@ -11,12 +11,14 @@
 //!
 //! - [`schedule`] — the four block-dissemination algorithms of §4.3
 //!   (sequential, chain, binomial tree, binomial pipeline) plus the
-//!   rack-aware hybrid, with global-view validation of their invariants.
+//!   rack-aware hybrid, and the one validity rule every schedule is
+//!   checked against (`validate` walks it from the root's holdings,
+//!   `check_from` from any holdings, e.g. a resume's wedge-time ones).
 //! - [`engine`] — the sans-IO per-member protocol state machine
 //!   (ready-for-block gating, size discovery via immediates, failure
 //!   wedging and relay).
 //! - [`analysis`] — the paper's §4.4–4.5 closed forms (slack, slow-link
-//!   bandwidth bound, delay absorption) and empirical cross-checks.
+//!   bandwidth bound) and empirical cross-checks.
 //!
 //! Drivers live in sibling crates: the orchestration in `rdmc-sim` is
 //! generic over the `verbs` `Transport` trait, so one driver runs the
@@ -34,7 +36,7 @@
 //! let g = GlobalSchedule::build(&Algorithm::BinomialPipeline, 16, 8);
 //! g.validate()?;
 //! assert_eq!(g.num_steps(), 11);
-//! # Ok::<(), rdmc::schedule::ScheduleError>(())
+//! # Ok::<(), rdmc::schedule::Violation>(())
 //! ```
 //!
 //! ## Example: driving an engine by hand

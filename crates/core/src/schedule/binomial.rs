@@ -87,13 +87,6 @@ pub fn send_at_step(n: u32, i: Rank, j: u32, k: u32) -> Option<Transfer> {
     }
 }
 
-/// Number of steps a binomial pipeline takes for `n = 2^l` nodes and `k`
-/// blocks: `l + k − 1`.
-pub fn num_steps(n: u32, k: u32) -> u32 {
-    assert!(n >= 2 && n.is_power_of_two());
-    n.trailing_zeros() + k - 1
-}
-
 /// Builds the global binomial-pipeline schedule for any group size
 /// `n ≥ 2` (power of two or not) and `k ≥ 1` blocks.
 pub fn build(n: u32, k: u32) -> GlobalSchedule {
@@ -188,6 +181,7 @@ pub fn build(n: u32, k: u32) -> GlobalSchedule {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schedule::StepBound;
 
     #[test]
     fn rotate_right_matches_paper_sigma() {
@@ -251,7 +245,11 @@ mod tests {
     fn power_of_two_completes_in_l_plus_k_minus_1() {
         for (n, k) in [(2u32, 1u32), (4, 3), (8, 5), (16, 2), (32, 7), (64, 4)] {
             let g = build(n, k);
-            assert_eq!(g.num_steps(), num_steps(n, k), "n={n} k={k}");
+            assert_eq!(
+                StepBound::for_algorithm(&Algorithm::BinomialPipeline, n, k),
+                StepBound::Exact(g.num_steps()),
+                "n={n} k={k}"
+            );
             g.validate().unwrap();
         }
     }

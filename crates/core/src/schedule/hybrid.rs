@@ -174,13 +174,12 @@ pub fn build_pipelined(n: u32, k: u32, rack_of: &[u32]) -> Result<GlobalSchedule
             })? as Rank;
             let mut arrivals: Vec<(u32, u32)> = Vec::with_capacity(k as usize);
             for b in 0..k {
-                // A leader the inter-rack schedule never serves is a
-                // missing delivery — surface it as exactly that.
+                // A leader the inter-rack schedule never serves cannot
+                // relay: refuse the shape, naming the missing delivery.
                 let s = inter
                     .receive_step(virt, b)
-                    .ok_or(ScheduleError::MissingDelivery {
-                        rank: virt,
-                        block: b,
+                    .ok_or_else(|| ScheduleError::InvalidShape {
+                        reason: format!("rank {virt} never receives block {b}"),
                     })?;
                 arrivals.push((s, b));
             }

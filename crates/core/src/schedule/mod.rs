@@ -14,11 +14,13 @@
 
 mod binomial;
 mod chain;
+mod check;
 mod hybrid;
 mod sequential;
 mod tree;
 
-pub use binomial::{num_steps as binomial_num_steps, rotate_right, send_at_step};
+pub use binomial::{rotate_right, send_at_step};
+pub use check::{port_conflicts, PortBudget, StepBound, TraceEntry, Violation};
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -46,43 +48,10 @@ pub struct GlobalSchedule {
     steps: Vec<Vec<GlobalTransfer>>,
 }
 
-/// A schedule violates an invariant (returned by
-/// [`GlobalSchedule::validate`]).
+/// A schedule builder refused its input (returned by
+/// [`GlobalSchedule::try_build`]; schedule defects are [`Violation`]s).
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum ScheduleError {
-    /// A transfer names an out-of-range rank or block, or sends to itself.
-    MalformedTransfer {
-        /// The step the transfer appears in.
-        step: u32,
-        /// The offending transfer.
-        transfer: GlobalTransfer,
-    },
-    /// A node sends a block it has not yet received at that step.
-    SendBeforeReceive {
-        /// The step of the premature send.
-        step: u32,
-        /// The offending transfer.
-        transfer: GlobalTransfer,
-    },
-    /// A node receives the same block twice.
-    DuplicateDelivery {
-        /// The second delivery's step.
-        step: u32,
-        /// The offending transfer.
-        transfer: GlobalTransfer,
-    },
-    /// Some node never receives some block.
-    MissingDelivery {
-        /// The rank that goes without.
-        rank: Rank,
-        /// The block that never arrives.
-        block: u32,
-    },
-    /// The root (rank 0) is scheduled to receive.
-    RootReceives {
-        /// The step of the misdirected transfer.
-        step: u32,
-    },
     /// The builder was asked for an impossible shape (zero members, zero
     /// blocks, a rack assignment that does not cover the group, or a
     /// custom family routed through [`GlobalSchedule::try_build`]).
@@ -94,28 +63,8 @@ pub enum ScheduleError {
 
 impl fmt::Display for ScheduleError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ScheduleError::MalformedTransfer { step, transfer } => {
-                write!(f, "malformed transfer {transfer:?} at step {step}")
-            }
-            ScheduleError::SendBeforeReceive { step, transfer } => write!(
-                f,
-                "step {step}: rank {} sends block {} before receiving it",
-                transfer.from, transfer.block
-            ),
-            ScheduleError::DuplicateDelivery { step, transfer } => write!(
-                f,
-                "step {step}: rank {} receives block {} twice",
-                transfer.to, transfer.block
-            ),
-            ScheduleError::MissingDelivery { rank, block } => {
-                write!(f, "rank {rank} never receives block {block}")
-            }
-            ScheduleError::RootReceives { step } => {
-                write!(f, "step {step}: the root is scheduled to receive")
-            }
-            ScheduleError::InvalidShape { reason } => write!(f, "{reason}"),
-        }
+        let ScheduleError::InvalidShape { reason } = self;
+        write!(f, "{reason}")
     }
 }
 
@@ -139,10 +88,8 @@ impl GlobalSchedule {
     }
 
     /// Assembles a schedule supplied by an external crate (e.g. an MPI
-    /// baseline). Prefer [`GlobalSchedule::validate`] — or
-    /// [`GlobalSchedule::validate_relaxed`] if the schedule
-    /// routes blocks back through the root or re-delivers held blocks —
-    /// before using it.
+    /// baseline). Check it with [`GlobalSchedule::validate`] (or
+    /// [`GlobalSchedule::check_from`]) before using it.
     pub fn from_custom_steps(name: &str, n: u32, k: u32, steps: Vec<Vec<GlobalTransfer>>) -> Self {
         GlobalSchedule::from_steps(
             Algorithm::Custom {
@@ -334,79 +281,19 @@ impl GlobalSchedule {
 
     /// Checks every schedule invariant: transfers well-formed, blocks only
     /// sent by holders, exactly-once delivery of every block to every
-    /// non-root rank, root never receives.
+    /// non-root rank, root never receives — [`GlobalSchedule::check_from`]
+    /// from the root's holdings.
     ///
     /// # Errors
     ///
-    /// Returns the first violated invariant.
-    pub fn validate(&self) -> Result<(), ScheduleError> {
-        self.validate_inner(false)
-    }
-
-    /// Like [`GlobalSchedule::validate`], but permits transfers *to* the
-    /// root and duplicate deliveries. RDMC schedules move each block the
-    /// minimum number of times, but MPI-style scatter/allgather baselines
-    /// route chunks through every rank uniformly (root included) and
-    /// redundantly re-deliver blocks that intermediate scatter nodes
-    /// already hold — genuine extra data movement that the comparison
-    /// must account for, not a bug.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first violated invariant (well-formedness, sends only
-    /// of held blocks, full coverage of every non-root rank).
-    pub fn validate_relaxed(&self) -> Result<(), ScheduleError> {
-        self.validate_inner(true)
-    }
-
-    fn validate_inner(&self, relaxed: bool) -> Result<(), ScheduleError> {
-        let n = self.n as usize;
-        let k = self.k as usize;
-        // has[rank][block]: the step *after* which the rank holds the block.
-        let mut has = vec![vec![false; k]; n];
-        for cell in has[0].iter_mut() {
-            *cell = true;
-        }
-        let mut received = vec![vec![false; k]; n];
-        for (j, step) in self.steps.iter().enumerate() {
-            let j = j as u32;
-            for t in step {
-                if t.from >= self.n || t.to >= self.n || t.block >= self.k || t.from == t.to {
-                    return Err(ScheduleError::MalformedTransfer {
-                        step: j,
-                        transfer: *t,
-                    });
-                }
-                if t.to == 0 && !relaxed {
-                    return Err(ScheduleError::RootReceives { step: j });
-                }
-                if !has[t.from as usize][t.block as usize] {
-                    return Err(ScheduleError::SendBeforeReceive {
-                        step: j,
-                        transfer: *t,
-                    });
-                }
-                if received[t.to as usize][t.block as usize] && !relaxed {
-                    return Err(ScheduleError::DuplicateDelivery {
-                        step: j,
-                        transfer: *t,
-                    });
-                }
-                received[t.to as usize][t.block as usize] = true;
-            }
-            // Blocks become usable for relaying at the *next* step.
-            for t in step {
-                has[t.to as usize][t.block as usize] = true;
-            }
-        }
-        for rank in 1..self.n {
-            for block in 0..self.k {
-                if !received[rank as usize][block as usize] {
-                    return Err(ScheduleError::MissingDelivery { rank, block });
-                }
-            }
-        }
-        Ok(())
+    /// Returns the first violated invariant in step order (coverage holes
+    /// last).
+    pub fn validate(&self) -> Result<(), Violation> {
+        let root = [vec![true; self.k as usize]];
+        self.check_from(&root)
+            .into_iter()
+            .next()
+            .map_or(Ok(()), Err)
     }
 }
 
@@ -650,7 +537,7 @@ mod tests {
         );
         assert!(matches!(
             g.validate(),
-            Err(ScheduleError::SendBeforeReceive { .. })
+            Err(Violation::SendWithoutBlock { .. })
         ));
     }
 
@@ -664,7 +551,7 @@ mod tests {
         let g = GlobalSchedule::from_steps(Algorithm::Chain, 2, 1, vec![vec![t], vec![t]]);
         assert!(matches!(
             g.validate(),
-            Err(ScheduleError::DuplicateDelivery { .. })
+            Err(Violation::DuplicateDelivery { .. })
         ));
     }
 
@@ -682,7 +569,7 @@ mod tests {
         );
         assert!(matches!(
             g.validate(),
-            Err(ScheduleError::MissingDelivery { rank: 2, block: 0 })
+            Err(Violation::MissingBlock { rank: 2, block: 0 })
         ));
     }
 
@@ -700,7 +587,7 @@ mod tests {
         );
         assert!(matches!(
             g.validate(),
-            Err(ScheduleError::RootReceives { .. })
+            Err(Violation::ReceivesHeldBlock { .. })
         ));
         let g = GlobalSchedule::from_steps(
             Algorithm::Chain,
@@ -712,16 +599,29 @@ mod tests {
                 block: 0,
             }]],
         );
-        assert!(matches!(
-            g.validate(),
-            Err(ScheduleError::MalformedTransfer { .. })
-        ));
+        assert!(matches!(g.validate(), Err(Violation::Malformed { .. })));
+    }
+
+    #[test]
+    fn empty_shapes_validate_without_panicking() {
+        GlobalSchedule::from_custom_steps("empty", 0, 1, vec![])
+            .validate()
+            .unwrap();
+        let t = GlobalTransfer {
+            from: 0,
+            to: 1,
+            block: 0,
+        };
+        for (n, k) in [(0, 1), (2, 0)] {
+            let g = GlobalSchedule::from_custom_steps("empty", n, k, vec![vec![t]]);
+            assert!(matches!(g.validate(), Err(Violation::Malformed { .. })));
+        }
     }
 
     #[test]
     fn error_messages_are_informative() {
-        let e = ScheduleError::MissingDelivery { rank: 3, block: 7 };
-        assert_eq!(e.to_string(), "rank 3 never receives block 7");
+        let e = Violation::MissingBlock { rank: 3, block: 7 };
+        assert_eq!(e.to_string(), "coverage: rank 3 never receives block 7");
     }
 
     #[test]

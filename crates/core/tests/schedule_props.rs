@@ -2,7 +2,9 @@
 
 use proptest::prelude::*;
 use rdmc::analysis;
-use rdmc::schedule::{send_at_step, GlobalSchedule};
+use rdmc::schedule::{
+    port_conflicts, send_at_step, GlobalSchedule, PortBudget, StepBound, TraceEntry, Violation,
+};
 use rdmc::Algorithm;
 
 fn arb_algorithm() -> impl Strategy<Value = Algorithm> {
@@ -18,7 +20,7 @@ fn arb_algorithm() -> impl Strategy<Value = Algorithm> {
 /// variants over an arbitrary rack assignment (so non-power-of-two group
 /// and rack sizes are exercised constantly).
 fn arb_algorithm_with_n() -> impl Strategy<Value = (Algorithm, u32)> {
-    let flat = (arb_algorithm(), 1u32..24).prop_map(|(alg, n)| (alg, n));
+    let flat = (arb_algorithm(), 1u32..40).prop_map(|(alg, n)| (alg, n));
     // Rack assignments: every rank gets a rack in 0..nr, remapped so the
     // used rack ids are contiguous (the builders require rack ids to
     // cover 0..#racks).
@@ -59,11 +61,41 @@ proptest! {
 
     /// Every algorithm produces a valid schedule (exactly-once delivery,
     /// holders-only sends, no root receives) for arbitrary group sizes and
-    /// block counts.
+    /// block counts — and any suffix of it is a valid resume from the
+    /// holdings its prefix leaves, under the algorithm's port budget.
     #[test]
-    fn schedules_always_validate(alg in arb_algorithm(), n in 1u32..40, k in 1u32..24) {
+    fn schedules_always_validate(
+        (alg, n) in arb_algorithm_with_n(),
+        k in 1u32..24,
+        cut in any::<prop::sample::Index>(),
+        pick in any::<prop::sample::Index>(),
+    ) {
         let g = GlobalSchedule::build(&alg, n, k);
         prop_assert!(g.validate().is_ok(), "{alg} n={n} k={k}: {:?}", g.validate());
+
+        let cut = cut.index(g.num_steps() as usize + 1) as u32;
+        let mut held: Vec<Vec<bool>> = (0..n).map(|r| vec![r == 0; k as usize]).collect();
+        for (_, t) in g.transfers().take_while(|&(j, _)| j < cut) {
+            held[t.to as usize][t.block as usize] = true;
+        }
+        let rest = (cut..g.num_steps()).map(|j| g.step(j).to_vec()).collect();
+        let suffix = GlobalSchedule::from_custom_steps("suffix", n, k, rest);
+        let mut found = suffix.check_from(&held);
+        found.extend(port_conflicts(&suffix, PortBudget::for_algorithm(&alg, n)));
+        prop_assert_eq!(found, vec![], "{} n={} k={} cut={}", alg, n, k, cut);
+
+        // Mark one block the suffix delivers as already held: the checker
+        // names exactly that receipt and nothing else.
+        if suffix.num_transfers() > 0 {
+            let (step, t) = suffix.transfers().nth(pick.index(suffix.num_transfers())).unwrap();
+            held[t.to as usize][t.block as usize] = true;
+            let transfer = TraceEntry { step, from: t.from, to: t.to, block: t.block };
+            prop_assert_eq!(
+                suffix.check_from(&held),
+                vec![Violation::ReceivesHeldBlock { transfer }],
+                "{} n={} k={} cut={}", alg, n, k, cut
+            );
+        }
     }
 
     /// The binomial pipeline finishes in exactly `ceil(log2 n) + k - 1`
@@ -71,7 +103,10 @@ proptest! {
     #[test]
     fn binomial_pipeline_step_count(n in 2u32..130, k in 1u32..20) {
         let g = GlobalSchedule::build(&Algorithm::BinomialPipeline, n, k);
-        prop_assert_eq!(g.num_steps(), analysis::log2_ceil(n) + k - 1);
+        prop_assert_eq!(
+            StepBound::for_algorithm(&Algorithm::BinomialPipeline, n, k),
+            StepBound::Exact(g.num_steps())
+        );
         // And nobody completes later than the final step.
         for rank in 1..n {
             let done = g.completion_step(rank).expect("receiver completes");

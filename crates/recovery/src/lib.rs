@@ -82,11 +82,12 @@ pub fn survivor_map(num_nodes: u32, failed: &BTreeSet<Rank>) -> Vec<Rank> {
 /// wedge-time bitmaps. `holdings[r][b]` is true when new-epoch rank `r`
 /// holds block `b`.
 ///
-/// The returned schedule (when resumable) satisfies every invariant the
-/// analyzer checks: each rank receives exactly its missing blocks,
-/// exactly once; blocks are only sent by ranks that hold them at that
-/// step; and no rank sends or receives more than one block per step
-/// (RDMC's one-send-one-receive port budget, §4.3).
+/// The returned schedule (when resumable) is clean under
+/// [`GlobalSchedule::check_from`] started from `holdings`: each rank
+/// receives exactly its missing blocks, exactly once, and blocks are only
+/// sent by ranks that hold them at that step. No rank sends or receives
+/// more than one block per step (RDMC's one-send-one-receive port budget,
+/// §4.3).
 ///
 /// # Panics
 ///
@@ -245,44 +246,15 @@ pub fn resume_transfers(
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use rdmc::schedule::{port_conflicts, PortBudget, Violation};
 
-    /// Replays a resume schedule against the initial holdings and checks
-    /// every invariant the analyzer enforces.
-    fn check_plan(schedule: &GlobalSchedule, holdings: &[Vec<bool>]) {
-        let n = holdings.len();
-        let k = holdings[0].len();
-        let mut have: Vec<Vec<bool>> = holdings.to_vec();
-        for j in 0..schedule.num_steps() {
-            let mut sends = vec![0u32; n];
-            let mut recvs = vec![0u32; n];
-            let snapshot = have.clone();
-            for t in schedule.step(j) {
-                assert!((t.from as usize) < n && (t.to as usize) < n && (t.block as usize) < k);
-                assert_ne!(t.from, t.to, "self-send");
-                sends[t.from as usize] += 1;
-                recvs[t.to as usize] += 1;
-                assert!(
-                    snapshot[t.from as usize][t.block as usize],
-                    "step {j}: rank {} sends block {} it does not hold",
-                    t.from, t.block
-                );
-                assert!(
-                    !have[t.to as usize][t.block as usize],
-                    "step {j}: rank {} re-receives block {}",
-                    t.to, t.block
-                );
-                have[t.to as usize][t.block as usize] = true;
-            }
-            for r in 0..n {
-                assert!(sends[r] <= 1, "rank {r} sends twice in step {j}");
-                assert!(recvs[r] <= 1, "rank {r} receives twice in step {j}");
-            }
-        }
-        for (r, h) in have.iter().enumerate() {
-            for (b, &x) in h.iter().enumerate() {
-                assert!(x, "rank {r} never receives block {b}");
-            }
-        }
+    /// Every invariant the analyzer enforces on a resume schedule: the
+    /// one schedule rule from the wedge-time holdings, under the strict
+    /// one-send-one-receive port budget.
+    fn resume_violations(schedule: &GlobalSchedule, holdings: &[Vec<bool>]) -> Vec<Violation> {
+        let mut violations = schedule.check_from(holdings);
+        violations.extend(port_conflicts(schedule, PortBudget { send: 1, recv: 1 }));
+        violations
     }
 
     #[test]
@@ -324,7 +296,7 @@ mod tests {
         match plan_message_resume(&holdings) {
             MessagePlan::Resume { schedule, strategy } => {
                 assert_eq!(strategy, ResumeStrategy::Remulticast);
-                check_plan(&schedule, &holdings);
+                assert_eq!(resume_violations(&schedule, &holdings), vec![]);
                 // The holder only sends; it never receives.
                 assert!(schedule.transfers().all(|(_, t)| t.to != 2));
             }
@@ -343,7 +315,7 @@ mod tests {
         match plan_message_resume(&holdings) {
             MessagePlan::Resume { schedule, strategy } => {
                 assert_eq!(strategy, ResumeStrategy::BlockResume);
-                check_plan(&schedule, &holdings);
+                assert_eq!(resume_violations(&schedule, &holdings), vec![]);
             }
             MessagePlan::Unrecoverable => panic!("full holder exists"),
         }
@@ -359,7 +331,7 @@ mod tests {
         match plan_message_resume(&holdings) {
             MessagePlan::Resume { schedule, strategy } => {
                 assert_eq!(strategy, ResumeStrategy::BlockResume);
-                check_plan(&schedule, &holdings);
+                assert_eq!(resume_violations(&schedule, &holdings), vec![]);
                 // Exactly the missing blocks move: per-rank receive count
                 // equals the number of holes in its bitmap.
                 for (r, h) in holdings.iter().enumerate() {
@@ -413,7 +385,9 @@ mod tests {
                 }
             }
             match plan_message_resume(&holdings) {
-                MessagePlan::Resume { schedule, .. } => check_plan(&schedule, &holdings),
+                MessagePlan::Resume { schedule, .. } => {
+                    prop_assert_eq!(resume_violations(&schedule, &holdings), vec![]);
+                }
                 MessagePlan::Unrecoverable => prop_assert!(false, "coverage was forced"),
             }
         }

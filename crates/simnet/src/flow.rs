@@ -714,16 +714,6 @@ impl FlowNet {
         }
     }
 
-    /// Number of reallocations performed (performance counter).
-    pub fn realloc_count(&self) -> u64 {
-        self.stats.count
-    }
-
-    /// Wall-clock nanoseconds spent reallocating (performance counter).
-    pub fn realloc_nanos(&self) -> u64 {
-        self.stats.nanos
-    }
-
     /// All reallocation performance counters.
     pub fn realloc_stats(&self) -> ReallocStats {
         self.stats

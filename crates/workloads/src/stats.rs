@@ -1,5 +1,5 @@
 //! Small statistics helpers for summarising experiment output (latency
-//! distributions, CDFs for Fig. 9, percentile tables).
+//! distributions, percentile tables).
 
 /// A percentile of `values` using nearest-rank interpolation.
 ///
@@ -25,25 +25,6 @@ pub fn mean(values: &[f64]) -> f64 {
     values.iter().sum::<f64>() / values.len() as f64
 }
 
-/// Evenly spaced CDF points `(value, fraction)` suitable for plotting a
-/// latency distribution like the paper's Fig. 9.
-///
-/// # Panics
-///
-/// Panics if `values` is empty or `points == 0`.
-pub fn cdf(values: &[f64], points: usize) -> Vec<(f64, f64)> {
-    assert!(!values.is_empty() && points > 0);
-    let mut sorted = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in cdf input"));
-    (1..=points)
-        .map(|i| {
-            let frac = i as f64 / points as f64;
-            let idx = ((frac * sorted.len() as f64).ceil() as usize).min(sorted.len()) - 1;
-            (sorted[idx], frac)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -59,18 +40,6 @@ mod tests {
     #[test]
     fn mean_is_arithmetic() {
         assert_eq!(mean(&[1.0, 2.0, 3.0]), 2.0);
-    }
-
-    #[test]
-    fn cdf_is_monotone_and_complete() {
-        let v = vec![5.0, 1.0, 3.0, 2.0, 4.0];
-        let c = cdf(&v, 10);
-        assert_eq!(c.len(), 10);
-        assert_eq!(c.last().unwrap(), &(5.0, 1.0));
-        for w in c.windows(2) {
-            assert!(w[0].0 <= w[1].0);
-            assert!(w[0].1 < w[1].1);
-        }
     }
 
     #[test]
