@@ -224,15 +224,7 @@ impl Graph {
 /// default `rnr_retry_limit`.
 pub fn lint_schedule(schedule: &GlobalSchedule, ready_window: u32) -> DeadlockReport {
     let w = ready_window.max(1) as usize;
-    let transfers: Vec<TraceEntry> = schedule
-        .transfers()
-        .map(|(step, t)| TraceEntry {
-            step,
-            from: t.from,
-            to: t.to,
-            block: t.block,
-        })
-        .collect();
+    let transfers: Vec<TraceEntry> = schedule.transfers().map(TraceEntry::from).collect();
 
     // First delivery of (rank, block), outgoing order per rank, incoming
     // order per (receiver, sender), first arrival per rank — all in step

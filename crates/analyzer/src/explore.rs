@@ -621,12 +621,10 @@ fn check_invariants(
         }
     }
     // The trace oracle: FIFO send/arrival pairing (no delivery before
-    // receipt), causality, delivery completeness, no RNR arms.
+    // receipt), delivery completeness, no RNR arms, and every epoch ran
+    // its plan (causality, port budgets, step bound, plan equality).
     if cluster.recorder().dropped() == 0 {
-        let events = cluster.trace_events();
-        if let Err(errs) =
-            trace::check::check_events(&events, &trace::check::CheckConfig::default())
-        {
+        if let Err(errs) = cluster.check_trace() {
             for e in errs.into_iter().take(5) {
                 violations.push(format!("trace oracle: {e}"));
             }

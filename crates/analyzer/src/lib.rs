@@ -57,6 +57,5 @@ pub use explore::{
     ExploreReport, ExploreScenario, PointRecord, Strategy,
 };
 pub use model::{check_schedule, ModelReport};
-pub use rdmc::schedule::{PortBudget, StepBound, TraceEntry, Violation};
 pub use reach::{explore, ReachConfig, ReachReport};
 pub use sweep::{sweep, SweepConfig, SweepReport};

@@ -5,8 +5,8 @@
 //! no checker.
 
 use analyzer::model::check_schedule_with;
-use analyzer::{check_schedule, lint_schedule, PortBudget, StepBound, Violation};
-use rdmc::schedule::{GlobalSchedule, GlobalTransfer};
+use analyzer::{check_schedule, lint_schedule};
+use rdmc::schedule::{GlobalSchedule, GlobalTransfer, PortBudget, StepBound, Violation};
 use rdmc::Algorithm;
 
 /// Clones a built schedule's steps so a test can corrupt them and rebuild

@@ -5,20 +5,22 @@
 //! A fresh multicast and a resumed one differ only in where the blocks
 //! start: at the root (§4.3), or wherever the wedge left them (§2.4). So
 //! [`GlobalSchedule::check_from`] takes the holdings at step 0 and
-//! [`GlobalSchedule::validate`], the analyzer and the recovery planner's
-//! tests all call it. Port budgets ([`port_conflicts`]) and completion
-//! bounds ([`StepBound`]) are separate checks over the same vocabulary.
+//! [`GlobalSchedule::validate`], the analyzer, the recovery planner's
+//! tests and the trace oracle ([`super::check_trace`], over the transfers
+//! a recorded run issued) all call it. Port budgets ([`port_conflicts`])
+//! and completion bounds ([`StepBound`]) are separate checks over the
+//! same vocabulary.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
-use super::GlobalSchedule;
+use super::{GlobalSchedule, GlobalTransfer};
 use crate::analysis::log2_ceil;
 use crate::types::{Algorithm, Rank};
 
 /// One schedule transfer, tagged with its step — the unit counterexample
-/// traces are made of.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+/// traces are made of. Ordered by step first.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub struct TraceEntry {
     /// Asynchronous step the transfer is scheduled in.
     pub step: u32,
@@ -28,6 +30,17 @@ pub struct TraceEntry {
     pub to: Rank,
     /// Block number.
     pub block: u32,
+}
+
+impl From<(u32, GlobalTransfer)> for TraceEntry {
+    fn from((step, t): (u32, GlobalTransfer)) -> Self {
+        TraceEntry {
+            step,
+            from: t.from,
+            to: t.to,
+            block: t.block,
+        }
+    }
 }
 
 impl fmt::Display for TraceEntry {
@@ -115,6 +128,17 @@ pub enum Violation {
         /// The builder's error message.
         reason: String,
     },
+    /// A recorded run left the schedule it was planned to run: the first
+    /// transfer (in step order) that ran but is not in the plan (`ran`),
+    /// else the first one the plan of a complete run has and the run
+    /// skipped (`!ran`).
+    OffPlan {
+        /// The differing transfer.
+        transfer: TraceEntry,
+        /// Whether it ran (and was not planned) or was planned (and did
+        /// not run).
+        ran: bool,
+    },
     /// The schedule's step count misses its algorithm's completion bound
     /// (exact `ceil(log2 n) + k - 1` for the binomial pipeline; see
     /// [`StepBound::for_algorithm`] for the rest).
@@ -188,6 +212,13 @@ impl fmt::Display for Violation {
             Violation::BuildRejected { reason } => {
                 write!(f, "generator refused a legal shape: {reason}")
             }
+            Violation::OffPlan { transfer, ran } => match ran {
+                true => write!(
+                    f,
+                    "off plan: {transfer} ran, but the plan has no such transfer"
+                ),
+                false => write!(f, "off plan: planned {transfer} never ran"),
+            },
             Violation::StepBoundViolated { steps, bound } => {
                 write!(
                     f,
@@ -351,43 +382,34 @@ impl GlobalSchedule {
         // delivered[rank][block] = the transfer that first delivered it.
         let mut delivered: Vec<Vec<Option<TraceEntry>>> = vec![vec![None; k as usize]; n as usize];
         let mut violations = Vec::new();
-        for (j, step) in self.steps.iter().enumerate() {
-            for t in step {
-                let entry = TraceEntry {
-                    step: j as u32,
-                    from: t.from,
-                    to: t.to,
-                    block: t.block,
-                };
-                if t.from >= n || t.to >= n || t.block >= k {
-                    violations.push(Violation::Malformed { transfer: entry });
-                    continue;
-                }
-                if t.from == t.to {
-                    violations.push(Violation::SelfSend { transfer: entry });
-                    continue;
-                }
-                let (from, to, b) = (t.from as usize, t.to as usize, t.block as usize);
-                if start[to][b] {
-                    violations.push(Violation::ReceivesHeldBlock { transfer: entry });
-                }
-                // Receipts become relayable at the next step.
-                let holds =
-                    start[from][b] || delivered[from][b].is_some_and(|d| d.step < entry.step);
-                if !holds {
-                    violations.push(Violation::SendWithoutBlock {
+        for entry in self.transfers().map(TraceEntry::from) {
+            if entry.from >= n || entry.to >= n || entry.block >= k {
+                violations.push(Violation::Malformed { transfer: entry });
+                continue;
+            }
+            if entry.from == entry.to {
+                violations.push(Violation::SelfSend { transfer: entry });
+                continue;
+            }
+            let (from, to, b) = (entry.from as usize, entry.to as usize, entry.block as usize);
+            if start[to][b] {
+                violations.push(Violation::ReceivesHeldBlock { transfer: entry });
+            }
+            // Receipts become relayable at the next step.
+            let holds = start[from][b] || delivered[from][b].is_some_and(|d| d.step < entry.step);
+            if !holds {
+                violations.push(Violation::SendWithoutBlock {
+                    transfer: entry,
+                    provenance: provenance(&start, &delivered, entry),
+                });
+            }
+            if !start[to][b] {
+                match delivered[to][b] {
+                    Some(first) => violations.push(Violation::DuplicateDelivery {
                         transfer: entry,
-                        provenance: provenance(&start, &delivered, entry),
-                    });
-                }
-                if !start[to][b] {
-                    match delivered[to][b] {
-                        Some(first) => violations.push(Violation::DuplicateDelivery {
-                            transfer: entry,
-                            first,
-                        }),
-                        None => delivered[to][b] = Some(entry),
-                    }
+                        first,
+                    }),
+                    None => delivered[to][b] = Some(entry),
                 }
             }
         }
@@ -435,16 +457,11 @@ pub fn port_conflicts(schedule: &GlobalSchedule, budget: PortBudget) -> Vec<Viol
     for (j, step) in schedule.steps.iter().enumerate() {
         let mut sends: BTreeMap<Rank, Vec<TraceEntry>> = BTreeMap::new();
         let mut recvs: BTreeMap<Rank, Vec<TraceEntry>> = BTreeMap::new();
-        for t in step {
+        for &t in step {
             if t.from >= schedule.n || t.to >= schedule.n {
                 continue; // already reported as malformed
             }
-            let entry = TraceEntry {
-                step: j as u32,
-                from: t.from,
-                to: t.to,
-                block: t.block,
-            };
+            let entry = TraceEntry::from((j as u32, t));
             sends.entry(t.from).or_default().push(entry);
             recvs.entry(t.to).or_default().push(entry);
         }

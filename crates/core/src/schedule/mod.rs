@@ -15,12 +15,14 @@
 mod binomial;
 mod chain;
 mod check;
+mod executed;
 mod hybrid;
 mod sequential;
 mod tree;
 
 pub use binomial::{rotate_right, send_at_step};
 pub use check::{port_conflicts, PortBudget, StepBound, TraceEntry, Violation};
+pub use executed::{check_trace, PlanRequest};
 
 use std::collections::BTreeMap;
 use std::fmt;

@@ -28,8 +28,9 @@ use crate::reliability::{
 };
 use bytes::Bytes;
 use rdmc::engine::{Action, EngineConfig, Event, GroupEngine};
-use rdmc::schedule::SchedulePlanner;
+use rdmc::schedule::{PlanRequest, SchedulePlanner};
 use rdmc::{Algorithm, Rank};
+use recovery::MessagePlan;
 use simnet::{SimDuration, SimTime};
 use verbs::{CpuReport, Delivery, Fabric, NodeId, QpHandle, Transport, WrId};
 
@@ -141,6 +142,8 @@ pub(crate) enum TimerAction {
 
 pub(crate) struct GroupRuntime {
     pub(crate) spec: GroupSpec,
+    /// The schedule source every member's engine plans with.
+    planner: Arc<SchedulePlanner>,
     pub(crate) engines: Vec<GroupEngine>,
     /// (my rank, peer rank) -> my queue pair endpoint (current epoch).
     /// Ordered: epoch teardown iterates it, and iteration order must be
@@ -391,6 +394,35 @@ impl<T: Transport> Cluster<T> {
         self.recorder.events()
     }
 
+    /// Checks the complete flight recording with
+    /// [`rdmc::schedule::check_trace`]: fresh messages against the group's
+    /// [`SchedulePlanner`] at its size in that epoch, resumed ones against
+    /// [`recovery::plan_message_resume`] from the recorded holdings.
+    ///
+    /// # Errors
+    ///
+    /// Every violation found, as text.
+    pub fn check_trace(&self) -> Result<trace::check::CheckStats, Vec<String>> {
+        rdmc::schedule::check_trace(&self.trace_events(), |request| match request {
+            PlanRequest::Fresh { group, epoch, k } => {
+                let g = self.groups.get(*group as usize)?;
+                let n = if *epoch == 0 {
+                    g.orig_members.len()
+                } else {
+                    let mut installed = self.recovery_stats().reconfigurations.iter();
+                    let record =
+                        installed.find(|r| r.group == *group as usize && r.epoch == *epoch)?;
+                    record.survivors.len()
+                };
+                Some(g.planner.plan(n as u32, *k))
+            }
+            PlanRequest::Resume { held, .. } => match recovery::plan_message_resume(held) {
+                MessagePlan::Resume { schedule, .. } => Some(Arc::new(schedule)),
+                MessagePlan::Unrecoverable => None,
+            },
+        })
+    }
+
     /// One node's CPU usage report.
     pub fn cpu_report(&self, node: usize) -> CpuReport {
         self.fabric.cpu_report(NodeId(node as u32))
@@ -497,6 +529,7 @@ impl<T: Transport> Cluster<T> {
         let orig_members = spec.members.clone();
         self.groups.push(GroupRuntime {
             spec,
+            planner,
             engines,
             qps: BTreeMap::new(),
             results: Vec::new(),

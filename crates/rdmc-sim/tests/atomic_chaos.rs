@@ -75,10 +75,7 @@ fn assert_atomic_recovered(cluster: &SimCluster, n: usize, victim: usize) {
         0,
         "an RNR timer armed"
     );
-    let oracle = trace::check::check_events(
-        &cluster.trace_events(),
-        &trace::check::CheckConfig::default(),
-    );
+    let oracle = cluster.check_trace();
     if let Err(violations) = &oracle {
         panic!("trace oracle found violations: {violations:#?}");
     }

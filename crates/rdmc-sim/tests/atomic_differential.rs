@@ -97,10 +97,7 @@ fn assert_matches_model(cluster: &SimCluster, n: usize, plan: &[(usize, u64)], c
             .collect();
         assert_eq!(log, expected, "{ctx}: member {m} diverged from the model");
     }
-    let oracle = trace::check::check_events(
-        &cluster.trace_events(),
-        &trace::check::CheckConfig::default(),
-    );
+    let oracle = cluster.check_trace();
     if let Err(violations) = &oracle {
         panic!("{ctx}: trace oracle found violations: {violations:#?}");
     }

@@ -121,11 +121,9 @@ fn trace_oracle_validates_the_atomic_run() {
     // A null in the middle exercises the elision path under the oracle.
     cluster.submit_atomic_from(0, 3, 64 * KB);
     cluster.run();
-    let stats = trace::check::check_events(
-        &cluster.trace_events(),
-        &trace::check::CheckConfig::default(),
-    )
-    .unwrap_or_else(|v| panic!("oracle violations: {v:#?}"));
+    let stats = cluster
+        .check_trace()
+        .unwrap_or_else(|v| panic!("oracle violations: {v:#?}"));
     assert_eq!(
         stats.atomic_deliveries,
         (7 * n) as u64,

@@ -97,10 +97,7 @@ proptest! {
         }
         cluster.run();
         prop_assert!(cluster.all_quiescent(), "cluster failed to quiesce");
-        let oracle = trace::check::check_events(
-            &cluster.trace_events(),
-            &trace::check::CheckConfig::default(),
-        );
+        let oracle = cluster.check_trace();
         prop_assert!(oracle.is_ok(), "trace oracle: {:#?}", oracle.unwrap_err());
         let results = cluster.message_results();
         let expected: usize = groups.iter().map(|p| p.messages.len()).sum();
@@ -191,14 +188,12 @@ fn assert_recovered(cluster: &SimCluster, n: usize, victim: usize) {
         0,
         "an RNR timer armed"
     );
-    // Trace oracle over the full flight recording: block causality,
-    // send/arrival pairing, delivery completeness, and no RNR arms must
-    // all hold even on crash/recovery runs. Budgets stay off — resume
-    // epochs run recovery-planner schedules with their own port shapes.
-    let oracle = trace::check::check_events(
-        &cluster.trace_events(),
-        &trace::check::CheckConfig::default(),
-    );
+    // Trace oracle over the full flight recording: send/arrival pairing,
+    // delivery completeness and no RNR arms, and every epoch ran the
+    // plan it was given (the group's schedule, or the recovery planner's
+    // resume from the recorded holdings) within its port budget and
+    // step bound — even on crash/recovery runs.
+    let oracle = cluster.check_trace();
     if let Err(violations) = &oracle {
         panic!("trace oracle found violations: {violations:#?}");
     }

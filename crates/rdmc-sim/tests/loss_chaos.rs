@@ -112,10 +112,7 @@ fn assert_converged(cluster: &SimCluster, ctx: &str) {
         0,
         "{ctx}: an RNR timer armed"
     );
-    let oracle = trace::check::check_events(
-        &cluster.trace_events(),
-        &trace::check::CheckConfig::default(),
-    );
+    let oracle = cluster.check_trace();
     if let Err(violations) = &oracle {
         panic!("{ctx}: trace oracle found violations: {violations:#?}");
     }

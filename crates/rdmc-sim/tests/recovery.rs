@@ -33,10 +33,7 @@ fn assert_survivors_complete(cluster: &SimCluster, group: rdmc_sim::GroupId) {
     // The flight recording of the whole run — wedge, view epidemics,
     // reconfiguration, block-wise resume — must satisfy the trace
     // oracle's causality and pairing invariants.
-    if let Err(violations) = trace::check::check_events(
-        &cluster.trace_events(),
-        &trace::check::CheckConfig::default(),
-    ) {
+    if let Err(violations) = cluster.check_trace() {
         panic!("trace oracle found violations: {violations:#?}");
     }
     let abandoned: Vec<usize> = cluster

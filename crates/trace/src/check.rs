@@ -1,11 +1,13 @@
-//! The trace oracle: replays a captured event stream against the
-//! protocol's invariants and reports every violation.
+//! The event half of the trace oracle: replays a captured event stream
+//! against the protocol's rules that are about events, and reports every
+//! violation.
 //!
-//! The oracle is deliberately independent of the analyzer and engine
-//! crates (they sit *above* `trace` in the dependency graph), so the
-//! model parameters it checks against — per-step port budgets and the
-//! completion-step bound — are passed in via [`CheckConfig`] by the
-//! caller, which computes them from the analyzer.
+//! The schedule half — causality, per-step port budgets, the
+//! completion-step bound, and "the run executed the plan it was given" —
+//! is the one schedule rule, so it lives beside that rule in
+//! `rdmc::schedule::check_trace`, which runs [`check_events`] first and
+//! fills the unit counters of [`CheckStats`]. `trace` sits below `rdmc`
+//! in the dependency graph and knows nothing of schedules.
 //!
 //! Invariants checked, per group:
 //!
@@ -14,27 +16,21 @@
 //!    `(epoch, sender, receiver)` channel, for the same block number.
 //!    Keying by epoch keeps pairing sound across reconfigurations,
 //!    where ranks are renumbered.
-//! 2. **Causality** — a member may only send blocks it holds: the full
-//!    message at a root, blocks previously arrived, or blocks carried
-//!    into a resume epoch (`ResumeStarted::held`).
-//! 3. **Port budgets** — at most `send_budget` block sends issued and
-//!    `recv_budget` block arrivals per `(member, step)`, matching the
-//!    analyzer's port model for the algorithm.
-//! 4. **Step bound** — in the initial epoch, no scheduled transfer may
-//!    use a step beyond the analyzer's completion-step bound.
-//! 5. **Delivery completeness** — `Delivered` only fires once a member
-//!    holds every block of the active message.
-//! 6. **No RNR arms** — under the paper's ready-for-block credit
+//! 2. **Delivery completeness** — `Delivered` only fires once a member
+//!    holds every block of the active message (the root's whole
+//!    message, blocks carried into a resume epoch, or blocks arrived,
+//!    each at most once).
+//! 3. **No RNR arms** — under the paper's ready-for-block credit
 //!    discipline (§4.2) a healthy or recovering run must never arm the
 //!    receiver-not-ready retry path.
-//! 7. **Redelivery** — every payload the fault model dropped or
+//! 4. **Redelivery** — every payload the fault model dropped or
 //!    corrupted must eventually be repaired (a later
 //!    `RepairDelivered` for the same `(conn, seq)`) or escalated (a
 //!    later `LossEscalated`/`QpBroken` on that connection, or a
 //!    trace-wide `ReconfigInstalled`/`NodeCrashed`). A lost block
 //!    that is neither is a hang in the making — exactly what the
 //!    reliability policies exist to rule out.
-//! 8. **Atomic ordering** — an `AtomicDelivered` for the `seq`-th slot
+//! 5. **Atomic ordering** — an `AtomicDelivered` for the `seq`-th slot
 //!    of `sender` at a member requires that member's own received
 //!    frontier for `sender` to already cover it (local receipt,
 //!    `FrontierAdvanced ≥ seq + 1`) *and* its stability frontier to
@@ -50,37 +46,11 @@
 //! capture before checking it.
 
 use crate::{EventKind, TraceEvent};
-// The oracle's hash maps are pure lookup tables — entry/get/retain
+// The oracle's hash maps are pure lookup tables — entry/get/insert
 // keyed by trace-supplied ids, never iterated — so their randomized
 // order cannot leak into the verdict or the violation list.
 #[allow(clippy::disallowed_types)]
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
-
-/// Model parameters the oracle checks against; compute these from the
-/// analyzer for the algorithm under test. `None` disables a check.
-#[derive(Clone, Copy, Debug)]
-pub struct CheckConfig {
-    /// Max block sends a member may issue at one schedule step.
-    pub send_budget: Option<u32>,
-    /// Max block arrivals a member may accept at one schedule step.
-    pub recv_budget: Option<u32>,
-    /// Max schedule step any initial-epoch transfer may use (the
-    /// analyzer's completion step for the algorithm at this (n, k)).
-    pub completion_step_bound: Option<u32>,
-    /// Fail on any `RnrArmed` event.
-    pub forbid_rnr: bool,
-}
-
-impl Default for CheckConfig {
-    fn default() -> Self {
-        CheckConfig {
-            send_budget: None,
-            recv_budget: None,
-            completion_step_bound: None,
-            forbid_rnr: true,
-        }
-    }
-}
 
 /// Summary counters from a clean check, so callers can assert the
 /// oracle actually saw the traffic it was supposed to vet.
@@ -92,8 +62,13 @@ pub struct CheckStats {
     pub arrivals: u64,
     /// Delivery upcalls.
     pub deliveries: u64,
-    /// Highest schedule step seen on any initial-epoch transfer.
-    pub max_step: Option<u32>,
+    /// Fresh multicasts (one per message and epoch) whose transfers were
+    /// checked against the schedule they were planned to run. Zero from
+    /// [`check_events`] alone; `rdmc::schedule::check_trace` counts them.
+    pub fresh_units: u64,
+    /// Resumed multicasts checked against the recovery planner's
+    /// schedule, counted like [`CheckStats::fresh_units`].
+    pub resume_units: u64,
     /// Payloads the fault model dropped or corrupted, each proven
     /// repaired or escalated by the redelivery rule.
     pub losses: u64,
@@ -153,10 +128,10 @@ pub mod wire {
     }
 }
 
-/// Per-member holding state for the causality and delivery checks.
-/// A member processes one message at a time, and its events appear in
-/// processing order, so flat (group, rank) keying is sound; each
-/// `TransferStarted` / `ResumeStarted` resets the state.
+/// Per-member holding state for the delivery check. A member processes
+/// one message at a time, and its events appear in processing order, so
+/// flat (group, rank) keying is sound; each `TransferStarted` /
+/// `ResumeStarted` resets the state.
 #[derive(Default)]
 struct MemberState {
     held: BTreeSet<u32>,
@@ -173,16 +148,13 @@ type RankLogs<'a> = Vec<(u32, &'a Vec<(u64, u32, u64)>)>;
 /// counters on success, or every violation found (never just the
 /// first — a broken run should be diagnosable in one pass).
 #[allow(clippy::disallowed_types)] // lookup-only maps; see the import note
-pub fn check_events(events: &[TraceEvent], cfg: &CheckConfig) -> Result<CheckStats, Vec<String>> {
+pub fn check_events(events: &[TraceEvent]) -> Result<CheckStats, Vec<String>> {
     let mut violations: Vec<String> = Vec::new();
     let mut stats = CheckStats::default();
 
     // FIFO per-channel queues of issued-but-unmatched sends.
     let mut in_flight: HashMap<Chan, VecDeque<(u64, u32)>> = HashMap::new();
     let mut members: HashMap<Member, MemberState> = HashMap::new();
-    // Step-budget counters, reset per message via the generation tag.
-    let mut sends_at: HashMap<(Member, u64, u32), u32> = HashMap::new();
-    let mut recvs_at: HashMap<(Member, u64, u32), u32> = HashMap::new();
     // Redelivery rule: every drop/corruption, and the latest trace seq
     // at which each (conn, block-seq) repair / per-conn escalation /
     // trace-wide recovery landed.
@@ -256,14 +228,12 @@ pub fn check_events(events: &[TraceEvent], cfg: &CheckConfig) -> Result<CheckSta
                 ev.seq, ev.t_ns, ev.scope.group, ev.scope.rank, ev.scope.node
             )
         };
-        if cfg.forbid_rnr {
-            if let EventKind::RnrArmed { conn, dir } = &ev.kind {
-                violations.push(place(&format!(
-                    "RNR retry armed on conn {conn} dir {dir}; the ready-for-block \
-                     protocol must keep receives pre-posted"
-                )));
-                continue;
-            }
+        if let EventKind::RnrArmed { conn, dir } = &ev.kind {
+            violations.push(place(&format!(
+                "RNR retry armed on conn {conn} dir {dir}; the ready-for-block \
+                 protocol must keep receives pre-posted"
+            )));
+            continue;
         }
         let (group, rank) = match (ev.scope.group, ev.scope.rank) {
             (Some(g), Some(r)) => (g, r),
@@ -287,49 +257,16 @@ pub fn check_events(events: &[TraceEvent], cfg: &CheckConfig) -> Result<CheckSta
                 st.held = held.iter().copied().collect();
             }
             EventKind::BlockSendIssued {
-                to,
-                block,
-                step,
-                epoch,
-                ..
+                to, block, epoch, ..
             } => {
                 stats.issues += 1;
                 in_flight
                     .entry((group, *epoch, rank, *to))
                     .or_default()
                     .push_back((ev.t_ns, *block));
-                let st = members.entry(member).or_default();
-                if !st.held.contains(block) {
-                    violations.push(place(&format!(
-                        "sent block {block} (step {step}, epoch {epoch}) without holding it"
-                    )));
-                }
-                if *epoch == 0 {
-                    stats.max_step = Some(stats.max_step.map_or(*step, |m| m.max(*step)));
-                    if let Some(bound) = cfg.completion_step_bound {
-                        if *step > bound {
-                            violations.push(place(&format!(
-                                "send at step {step} exceeds completion-step bound {bound}"
-                            )));
-                        }
-                    }
-                }
-                if let Some(budget) = cfg.send_budget {
-                    let n = sends_at.entry((member, *epoch, *step)).or_insert(0);
-                    *n += 1;
-                    if *n > budget {
-                        violations.push(place(&format!(
-                            "{n} sends issued at step {step} exceeds send port budget {budget}"
-                        )));
-                    }
-                }
             }
             EventKind::BlockArrived {
-                from,
-                block,
-                step,
-                epoch,
-                ..
+                from, block, epoch, ..
             } => {
                 stats.arrivals += 1;
                 let chan = (group, *epoch, *from, rank);
@@ -361,25 +298,6 @@ pub fn check_events(events: &[TraceEvent], cfg: &CheckConfig) -> Result<CheckSta
                     if *block >= total {
                         violations.push(place(&format!(
                             "block {block} out of range for a {total}-block message"
-                        )));
-                    }
-                }
-                if *epoch == 0 {
-                    stats.max_step = Some(stats.max_step.map_or(*step, |m| m.max(*step)));
-                    if let Some(bound) = cfg.completion_step_bound {
-                        if *step > bound {
-                            violations.push(place(&format!(
-                                "arrival at step {step} exceeds completion-step bound {bound}"
-                            )));
-                        }
-                    }
-                }
-                if let Some(budget) = cfg.recv_budget {
-                    let n = recvs_at.entry((member, *epoch, *step)).or_insert(0);
-                    *n += 1;
-                    if *n > budget {
-                        violations.push(place(&format!(
-                            "{n} arrivals at step {step} exceeds recv port budget {budget}"
                         )));
                     }
                 }
@@ -450,12 +368,9 @@ pub fn check_events(events: &[TraceEvent], cfg: &CheckConfig) -> Result<CheckSta
                         st.blocks
                     )));
                 }
-                // Next message on this rank starts fresh. Step budgets
-                // are also per message: retire this message's counters.
+                // Next message on this rank starts fresh.
                 st.held.clear();
                 st.blocks = None;
-                sends_at.retain(|&(m, _, _), _| m != member);
-                recvs_at.retain(|&(m, _, _), _| m != member);
             }
             _ => {}
         }
@@ -563,17 +478,10 @@ mod tests {
 
     #[test]
     fn clean_trace_passes() {
-        let cfg = CheckConfig {
-            send_budget: Some(1),
-            recv_budget: Some(1),
-            completion_step_bound: Some(1),
-            forbid_rnr: true,
-        };
-        let stats = check_events(&two_rank_clean(), &cfg).expect("clean trace");
+        let stats = check_events(&two_rank_clean()).expect("clean trace");
         assert_eq!(stats.issues, 2);
         assert_eq!(stats.arrivals, 2);
         assert_eq!(stats.deliveries, 2);
-        assert_eq!(stats.max_step, Some(1));
     }
 
     #[test]
@@ -586,80 +494,16 @@ mod tests {
             first: true,
             epoch: 0,
         });
-        let err = check_events(&r.events(), &CheckConfig::default()).unwrap_err();
+        let err = check_events(&r.events()).unwrap_err();
         assert!(err.iter().any(|v| v.contains("no matching send")));
-    }
-
-    #[test]
-    fn sending_unheld_block_is_flagged() {
-        let r = Recorder::full();
-        r.record(Scope::group_rank(0, 1), || EventKind::TransferStarted {
-            size: 2,
-            blocks: 2,
-            root: false,
-        });
-        r.record(Scope::group_rank(0, 1), || EventKind::BlockSendIssued {
-            to: 0,
-            block: 1,
-            step: 0,
-            bytes: 1,
-            epoch: 0,
-        });
-        let err = check_events(&r.events(), &CheckConfig::default()).unwrap_err();
-        assert!(err.iter().any(|v| v.contains("without holding it")));
-    }
-
-    #[test]
-    fn step_bound_violation_is_flagged() {
-        let cfg = CheckConfig {
-            completion_step_bound: Some(0),
-            ..CheckConfig::default()
-        };
-        let err = check_events(&two_rank_clean(), &cfg).unwrap_err();
-        assert!(err
-            .iter()
-            .any(|v| v.contains("exceeds completion-step bound 0")));
     }
 
     #[test]
     fn rnr_arm_is_flagged() {
         let r = Recorder::full();
         r.record(Scope::node(3), || EventKind::RnrArmed { conn: 1, dir: 0 });
-        let err = check_events(&r.events(), &CheckConfig::default()).unwrap_err();
+        let err = check_events(&r.events()).unwrap_err();
         assert!(err.iter().any(|v| v.contains("RNR")));
-        assert!(check_events(
-            &r.events(),
-            &CheckConfig {
-                forbid_rnr: false,
-                ..CheckConfig::default()
-            }
-        )
-        .is_ok());
-    }
-
-    #[test]
-    fn port_budget_violation_is_flagged() {
-        let r = Recorder::full();
-        r.record(Scope::group_rank(0, 0), || EventKind::TransferStarted {
-            size: 4,
-            blocks: 4,
-            root: true,
-        });
-        for b in 0..2u32 {
-            r.record(Scope::group_rank(0, 0), || EventKind::BlockSendIssued {
-                to: 1,
-                block: b,
-                step: 0,
-                bytes: 1,
-                epoch: 0,
-            });
-        }
-        let cfg = CheckConfig {
-            send_budget: Some(1),
-            ..CheckConfig::default()
-        };
-        let err = check_events(&r.events(), &cfg).unwrap_err();
-        assert!(err.iter().any(|v| v.contains("send port budget")));
     }
 
     #[test]
@@ -671,7 +515,7 @@ mod tests {
             .position(|e| matches!(e.kind, EventKind::BlockArrived { block: 1, .. }))
             .unwrap();
         ev.remove(idx);
-        let err = check_events(&ev, &CheckConfig::default()).unwrap_err();
+        let err = check_events(&ev).unwrap_err();
         assert!(err
             .iter()
             .any(|v| v.contains("delivered holding 1 of Some(2)")));
@@ -696,7 +540,7 @@ mod tests {
             wr: 2,
             imm: wire::pack_imm(2, 100),
         });
-        let err = check_events(&r.events(), &CheckConfig::default()).unwrap_err();
+        let err = check_events(&r.events()).unwrap_err();
         assert!(err.iter().any(|v| v.contains("never repaired")));
     }
 
@@ -714,7 +558,7 @@ mod tests {
             seq: 2,
             coded: false,
         });
-        let stats = check_events(&r.events(), &CheckConfig::default()).expect("repaired");
+        let stats = check_events(&r.events()).expect("repaired");
         assert_eq!(stats.losses, 1);
         assert_eq!(stats.repairs, 1);
     }
@@ -729,7 +573,7 @@ mod tests {
             wr: wire::REPAIR_WR_BASE + 5,
             imm: 0,
         });
-        let err = check_events(&r.events(), &CheckConfig::default()).unwrap_err();
+        let err = check_events(&r.events()).unwrap_err();
         assert!(err.iter().any(|v| v.contains("block Some(5)")));
         // ...but a second repair round landed it.
         r.record(Scope::node(1), || EventKind::RepairDelivered {
@@ -737,7 +581,7 @@ mod tests {
             seq: 5,
             coded: false,
         });
-        assert!(check_events(&r.events(), &CheckConfig::default()).is_ok());
+        assert!(check_events(&r.events()).is_ok());
     }
 
     #[test]
@@ -753,7 +597,7 @@ mod tests {
             if escalate {
                 r.record(Scope::node(1), || EventKind::LossEscalated { conn: 7 });
             }
-            let res = check_events(&r.events(), &CheckConfig::default());
+            let res = check_events(&r.events());
             assert_eq!(res.is_ok(), escalate);
         }
     }
@@ -767,7 +611,7 @@ mod tests {
             wr: wire::PARITY_WR_BASE + 1,
             imm: 0,
         });
-        assert!(check_events(&r.events(), &CheckConfig::default()).is_ok());
+        assert!(check_events(&r.events()).is_ok());
     }
 
     #[test]
@@ -784,7 +628,7 @@ mod tests {
             wr: 1,
             imm: wire::pack_imm(1, 64),
         });
-        assert!(check_events(&r.events(), &CheckConfig::default()).is_err());
+        assert!(check_events(&r.events()).is_err());
     }
 
     /// A clean atomic-overlay trace: sender 0 owns slot 0; both members
@@ -821,7 +665,7 @@ mod tests {
 
     #[test]
     fn clean_atomic_trace_passes() {
-        let stats = check_events(&atomic_clean(), &CheckConfig::default()).expect("clean");
+        let stats = check_events(&atomic_clean()).expect("clean");
         assert_eq!(stats.atomic_deliveries, 2);
     }
 
@@ -834,7 +678,7 @@ mod tests {
                 !(e.scope.rank == Some(1) && matches!(e.kind, EventKind::StableFrontier { .. }))
             })
             .collect();
-        let err = check_events(&ev, &CheckConfig::default()).unwrap_err();
+        let err = check_events(&ev).unwrap_err();
         assert!(err.iter().any(|v| v.contains("before stability")));
     }
 
@@ -851,7 +695,7 @@ mod tests {
             .unwrap();
         ev.swap(s, s + 1);
         assert!(matches!(ev[s].kind, EventKind::AtomicDelivered { .. }));
-        let err = check_events(&ev, &CheckConfig::default()).unwrap_err();
+        let err = check_events(&ev).unwrap_err();
         assert!(err.iter().any(|v| v.contains("before stability")));
     }
 
@@ -866,7 +710,7 @@ mod tests {
                 !(e.scope.rank == Some(1) && matches!(e.kind, EventKind::FrontierAdvanced { .. }))
             })
             .collect();
-        let err = check_events(&ev, &CheckConfig::default()).unwrap_err();
+        let err = check_events(&ev).unwrap_err();
         assert!(err.iter().any(|v| v.contains("before local receipt")));
         assert!(err
             .iter()
@@ -890,7 +734,7 @@ mod tests {
                 }
             }
         }
-        let err = check_events(&ev, &CheckConfig::default()).unwrap_err();
+        let err = check_events(&ev).unwrap_err();
         assert!(err.iter().any(|v| v.contains("diverges")));
     }
 
@@ -905,7 +749,7 @@ mod tests {
             sender: 1,
             frontier: 2,
         });
-        let err = check_events(&r.events(), &CheckConfig::default()).unwrap_err();
+        let err = check_events(&r.events()).unwrap_err();
         assert!(err.iter().any(|v| v.contains("regressed 3 -> 2")));
     }
 
@@ -921,34 +765,7 @@ mod tests {
             .unwrap();
         let dup = ev[d].clone();
         ev.insert(d + 1, dup);
-        let err = check_events(&ev, &CheckConfig::default()).unwrap_err();
+        let err = check_events(&ev).unwrap_err();
         assert!(err.iter().any(|v| v.contains("strictly increasing")));
-    }
-
-    #[test]
-    fn resume_held_blocks_satisfy_causality() {
-        let r = Recorder::full();
-        // Epoch 1 resume: member kept block 0 and may send it on.
-        r.record(Scope::group_rank(0, 0), || EventKind::EpochInstalled {
-            epoch: 1,
-            rank: 0,
-            num_nodes: 2,
-            resumes: 1,
-            resume_blocks_out: 1,
-        });
-        r.record(Scope::group_rank(0, 0), || EventKind::ResumeStarted {
-            size: 2,
-            blocks: 2,
-            held: vec![0],
-            already_delivered: false,
-        });
-        r.record(Scope::group_rank(0, 0), || EventKind::BlockSendIssued {
-            to: 1,
-            block: 0,
-            step: 0,
-            bytes: 1,
-            epoch: 1,
-        });
-        assert!(check_events(&r.events(), &CheckConfig::default()).is_ok());
     }
 }

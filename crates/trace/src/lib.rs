@@ -28,9 +28,11 @@
 //!   [`stall::rollup_by_group`] aggregates every block send in the
 //!   trace into a per-group split of ideal transfer time, admission
 //!   (sender-limited) wait, and link contention.
-//! - [`check`] — the trace oracle: replays a captured trace against the
-//!   protocol's invariants (no block received before sent, causality,
-//!   posting-window caps, step bounds, no RNR arms).
+//! - [`check`] — the event half of the trace oracle: replays a captured
+//!   trace against the protocol's event rules (no block received before
+//!   sent, delivery completeness, no RNR arms, redelivery, atomic
+//!   order). The schedule half (causality, port budgets, step bounds,
+//!   the run executed its plan) is `rdmc::schedule::check_trace`.
 //! - [`replay`] — recomputes engine-reported results (delivery times,
 //!   resumed-block counts) from the trace alone, for differential
 //!   testing.
