@@ -32,7 +32,7 @@
 //! view agreement, stable-delivery monotonicity and gaplessness (§4.6),
 //! zero RNR arms (§4.2), trace-oracle validity (which subsumes
 //! delivery-before-receipt), terminal quiescence, and — the determinism
-//! audit — [`SimCluster::state_digest`] equality across replays of one
+//! audit — [`Cluster::state_digest`] equality across replays of one
 //! choice sequence and across all crash-free interleavings. The audit is
 //! the mechanical form of the review that once caught hash-order
 //! iteration in epoch teardown: a `HashMap`-order bug diverges under
@@ -48,11 +48,17 @@ use std::sync::{Arc, Mutex};
 
 use rdmc::Algorithm;
 use rdmc_sim::{
-    ClusterBuilder, ClusterSpec, GroupSpec, Mutation, RecoveryConfig, ReliabilityPolicy, SimCluster,
+    Cluster, ClusterBuilder, ClusterSpec, GroupSpec, RecoveryConfig, ReliabilityPolicy,
 };
 use verbs::{
-    Candidate, CandidateKind, ChoicePoint, PointKind, Scheduler, SharedScheduler, Transport,
+    Candidate, CandidateKind, ChoicePoint, Fabric, PointKind, Scheduler, SharedScheduler, Transport,
 };
+
+use crate::seeded::{Seeded, SeededBug};
+
+/// The cluster every execution runs: the simulated fabric behind the
+/// seeded-bug decorator.
+type Explored = Cluster<Seeded<Fabric>>;
 
 /// One resolved choice point, as recorded during an execution. The
 /// sequence of records *is* the execution's identity: replaying the
@@ -127,7 +133,7 @@ impl Scheduler for LoggingScheduler {
 /// The workload one exploration drives: a single group, `messages`
 /// multicasts from the root (or rotated through every member of an
 /// atomic group), with optional recovery, crash-injection sites, and
-/// seeded mutations.
+/// seeded bugs.
 #[derive(Clone, Debug)]
 pub struct ExploreScenario {
     /// Block-dissemination algorithm.
@@ -164,8 +170,9 @@ pub struct ExploreScenario {
     /// explored; recovery is enabled alongside so escalations can
     /// finish.
     pub reliability: Option<ReliabilityPolicy>,
-    /// Deliberately seeded ordering bugs (mutation testing).
-    pub mutations: Vec<Mutation>,
+    /// Deliberately seeded bugs, injected at the transport boundary
+    /// (see [`SeededBug`]).
+    pub bugs: Vec<SeededBug>,
 }
 
 impl ExploreScenario {
@@ -184,7 +191,7 @@ impl ExploreScenario {
             fault_sites: Vec::new(),
             loss_choices: 0,
             reliability: None,
-            mutations: Vec::new(),
+            bugs: Vec::new(),
         }
     }
 
@@ -221,9 +228,9 @@ impl ExploreScenario {
         self
     }
 
-    /// Seeds a deliberate ordering bug (see [`Mutation`]).
-    pub fn with_mutation(mut self, m: Mutation) -> Self {
-        self.mutations.push(m);
+    /// Seeds a deliberate bug (see [`SeededBug`]).
+    pub fn with_bug(mut self, bug: SeededBug) -> Self {
+        self.bugs.push(bug);
         self
     }
 }
@@ -412,10 +419,11 @@ fn run_with(scenario: &ExploreScenario, pick: Pick) -> ExecutionResult {
 
     let mut violations = Vec::new();
     let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        let mut builder = ClusterBuilder::new(ClusterSpec::fractus(scenario.n as usize))
+        let mut fabric = ClusterSpec::fractus(scenario.n as usize).build();
+        fabric.set_loss_choice_budget(scenario.loss_choices);
+        let mut builder = ClusterBuilder::from_transport(Seeded::new(fabric, &scenario.bugs))
             .flight_recorder(trace::Mode::Full)
-            .scheduler(shared.clone())
-            .loss_choice_budget(scenario.loss_choices);
+            .scheduler(shared.clone());
         if !scenario.fault_sites.is_empty() || scenario.reliability.is_some() {
             builder = builder.recovery(RecoveryConfig::default());
         }
@@ -434,9 +442,6 @@ fn run_with(scenario: &ExploreScenario, pick: Pick) -> ExecutionResult {
         } else {
             builder.build()
         };
-        for &m in &scenario.mutations {
-            cluster.seed_mutation(m);
-        }
         let group = if scenario.multi_sender {
             // The anchor subgroup's id names the overlay group for the
             // epoch-agreement check below.
@@ -496,7 +501,7 @@ fn run_with(scenario: &ExploreScenario, pick: Pick) -> ExecutionResult {
 fn offer_fault_choice(
     scenario: &ExploreScenario,
     shared: &SharedScheduler,
-    cluster: &mut SimCluster,
+    cluster: &mut Explored,
 ) -> bool {
     if scenario.fault_sites.is_empty() {
         return false;
@@ -551,7 +556,7 @@ pub fn replay(scenario: &ExploreScenario, script: &[usize]) -> ExecutionResult {
 /// The per-execution invariant suite.
 fn check_invariants(
     scenario: &ExploreScenario,
-    cluster: &SimCluster,
+    cluster: &Explored,
     group: rdmc_sim::GroupId,
     injected: bool,
     violations: &mut Vec<String>,
@@ -795,47 +800,15 @@ impl<'a> Driver<'a> {
 pub fn explore_executions(config: &ExploreConfig) -> ExploreReport {
     let mut driver = Driver::new(config);
     match config.strategy {
-        Strategy::Exhaustive => exhaustive(&mut driver),
-        Strategy::Dpor => dpor(&mut driver),
+        Strategy::Exhaustive => depth_first(&mut driver, false),
+        Strategy::Dpor => depth_first(&mut driver, true),
         Strategy::Random { seed, executions } => random_walk(&mut driver, seed, executions),
     }
     driver.report
 }
 
-/// Depth-first enumeration of every choice combination.
-fn exhaustive(driver: &mut Driver<'_>) {
-    let mut script: Vec<usize> = Vec::new();
-    loop {
-        if driver.report.executions >= driver.config.max_executions {
-            driver.report.truncated = true;
-            return;
-        }
-        let Some(exec) = driver.run(Pick::Script(script.clone())) else {
-            return; // counterexample found
-        };
-        // Advance: take the deepest point with an untried alternative,
-        // increment it, and drop everything beyond (defaults re-fill).
-        let mut choices: Vec<(usize, usize)> = exec
-            .points
-            .iter()
-            .map(|p| (p.chosen, p.candidates.len()))
-            .collect();
-        loop {
-            match choices.pop() {
-                None => return, // space exhausted
-                Some((c, n)) if c + 1 < n => {
-                    choices.push((c + 1, n));
-                    break;
-                }
-                Some(_) => {}
-            }
-        }
-        script = choices.iter().map(|&(c, _)| c).collect();
-    }
-}
-
-/// One frame of the DPOR search stack: a choice point on the current
-/// execution path with its accumulated backtrack and done sets.
+/// One frame of the depth-first search stack: a choice point on the
+/// current execution path with its accumulated backtrack and done sets.
 struct Frame {
     candidates: Vec<Candidate>,
     kind: PointKind,
@@ -863,28 +836,30 @@ impl Frame {
     }
 }
 
-/// Dynamic partial-order reduction: like [`exhaustive`], but a choice is
-/// explored at a point only if some executed event *dependent* on it ran
-/// later from that point — interleavings that merely permute independent
-/// events collapse into one representative.
-fn dpor(driver: &mut Driver<'_>) {
+/// Depth-first search of the choice tree, deepest untried choice first.
+/// Without `reduce` every alternative at every point is tried (the
+/// exhaustive enumeration); with it, dynamic partial-order reduction
+/// tries a choice at a point only if some executed event *dependent* on
+/// it ran later from that point — interleavings that merely permute
+/// independent events collapse into one representative.
+fn depth_first(driver: &mut Driver<'_>, reduce: bool) {
     let Some(exec) = driver.run(Pick::Script(Vec::new())) else {
         return;
     };
     let mut frames: Vec<Frame> = exec.points.iter().map(Frame::fresh).collect();
-    add_backtracks(&mut frames, &exec.points);
+    add_backtracks(&mut frames, &exec.points, reduce);
     loop {
-        if driver.report.executions >= driver.config.max_executions {
-            driver.report.truncated = true;
-            return;
-        }
         // Deepest frame with an untried backtrack choice.
         let Some(depth) = (0..frames.len())
             .rev()
             .find(|&i| frames[i].pending().is_some())
         else {
-            return; // reduced space exhausted
+            return; // space exhausted
         };
+        if driver.report.executions >= driver.config.max_executions {
+            driver.report.truncated = true;
+            return;
+        }
         frames.truncate(depth + 1);
         let next = frames[depth].pending().expect("found above");
         frames[depth].done.insert(next);
@@ -910,7 +885,7 @@ fn dpor(driver: &mut Driver<'_>) {
             }
         }
         frames.truncate(exec.points.len());
-        add_backtracks(&mut frames, &exec.points);
+        add_backtracks(&mut frames, &exec.points, reduce);
     }
 }
 
@@ -918,11 +893,12 @@ fn dpor(driver: &mut Driver<'_>) {
 /// event, every earlier choice point whose executed event is dependent
 /// must also try this event (if it was enabled there; all alternatives
 /// if it was not — the sound over-approximation). Non-delivery points
-/// (pacer ties, fault sites) are explored fully: their candidates all
-/// touch shared admission or membership state.
-fn add_backtracks(frames: &mut [Frame], points: &[PointRecord]) {
+/// (pacer ties, fault sites) are explored fully — their candidates all
+/// touch shared admission or membership state — and so is every point
+/// when not reducing.
+fn add_backtracks(frames: &mut [Frame], points: &[PointRecord], reduce: bool) {
     for i in 0..points.len() {
-        if frames[i].kind != PointKind::Delivery {
+        if !reduce || frames[i].kind != PointKind::Delivery {
             let all: BTreeSet<usize> = (0..frames[i].candidates.len()).collect();
             frames[i].backtrack.extend(all);
             continue;

@@ -37,6 +37,10 @@
 //!   validity, and replay determinism (bit-for-bit digest equality —
 //!   the audit that mechanically catches unordered-map iteration).
 //!   Violations come back as minimal replayable counterexamples.
+//! - [`seeded`] — the explorer's **seeded bugs** ([`SeededBug`]),
+//!   injected by a transport decorator around the simulated fabric, so
+//!   the checker is itself checked without test hooks in production
+//!   code.
 //!
 //! [`sweep()`] runs all of these over an `(algorithm, n, k)` grid; the
 //! `analyzer` binary (`cargo run -p analyzer -- --sweep`) drives it from
@@ -49,6 +53,7 @@ pub mod deadlock;
 pub mod explore;
 pub mod model;
 pub mod reach;
+pub mod seeded;
 pub mod sweep;
 
 pub use deadlock::{lint_schedule, DeadlockReport};
@@ -58,4 +63,5 @@ pub use explore::{
 };
 pub use model::{check_schedule, ModelReport};
 pub use reach::{explore, ReachConfig, ReachReport};
+pub use seeded::{Seeded, SeededBug};
 pub use sweep::{sweep, SweepConfig, SweepReport};

@@ -52,7 +52,7 @@ use simnet::SimTime;
 use sst::ViewTracker;
 use verbs::{NodeId, Transport, WrId};
 
-use crate::cluster::{Cluster, GroupId, GroupSpec, MessageId, Mutation, TimerAction};
+use crate::cluster::{Cluster, GroupId, GroupSpec, MessageId, TimerAction};
 use crate::reconfig::tracker_cell;
 
 /// One-sided-write tag for SST frontier-row updates (the stability
@@ -223,16 +223,17 @@ fn resolved_prefix(index: &[usize], from: u64, mut is_resolved: impl FnMut(usize
     from + unresolved.iter().take_while(|&&s| is_resolved(s)).count() as u64
 }
 
-/// Splits a `TAG_FRONTIER` payload into its row and the tracker's
-/// 12-byte cell update. The bytes are peer input: `None` — the write is
-/// dropped — unless the length is exactly 16, the row is one of the `n`
-/// members and the column one of the `2 + n` cells an overlay row has
-/// ([`ViewTracker::with_frontiers`]; see [`tracker_cell`]).
-fn frontier_write(payload: &[u8], n: u32) -> Option<(u32, &[u8])> {
+/// The tracker's 12-byte cell update in a `TAG_FRONTIER` payload that
+/// member `writer` wrote. The bytes are peer input: `None` — the write
+/// is dropped — unless the length is exactly 16, the row is the writer's
+/// own (SST rows are single-writer) and the column one of the `n`
+/// frontier cells, `2..2 + n` ([`ViewTracker::with_frontiers`]; see
+/// [`tracker_cell`]).
+fn frontier_write(payload: &[u8], writer: u32, n: u32) -> Option<&[u8]> {
     let (row, cell) = payload.split_first_chunk::<4>()?;
-    let row = u32::from_le_bytes(*row);
     let cell = tracker_cell(cell, 2 + n)?;
-    (row < n).then_some((row, cell))
+    let col = u32::from_le_bytes(*cell.first_chunk::<4>()?);
+    (u32::from_le_bytes(*row) == writer && col >= 2).then_some(cell)
 }
 
 /// Every atomic group on the cluster, plus the reverse index from RDMC
@@ -497,28 +498,36 @@ impl<T: Transport> Cluster<T> {
         self.atomic_pump(ag, (j + o) % n);
     }
 
-    /// An incoming `TAG_FRONTIER` write: merge the carried row into the
-    /// receiving member's SST replica and re-run its delivery engine.
-    /// The payload is `row: u32 LE` followed by the tracker's 12-byte
-    /// cell update; anything else is dropped (see [`frontier_write`]).
-    pub(crate) fn atomic_frontier_arrival(&mut self, group: GroupId, me: Rank, payload: &[u8]) {
+    /// An incoming `TAG_FRONTIER` write from `peer`: merge the carried
+    /// row into the receiving member's SST replica and re-run its
+    /// delivery engine. The payload is `row: u32 LE` followed by the
+    /// tracker's 12-byte cell update; anything else, or a row that is not
+    /// the writer's own, is dropped (see [`frontier_write`]).
+    pub(crate) fn atomic_frontier_arrival(
+        &mut self,
+        group: GroupId,
+        me: Rank,
+        peer: Rank,
+        payload: &[u8],
+    ) {
         let Some(&(ag, sj)) = self.atomic.subgroup_of.get(&group) else {
             return;
         };
         let n = self.atomic.groups[ag].nodes.len();
-        let member = (sj + self.groups[group].orig_rank[me as usize]) % n;
+        let member_of = |rank: Rank| (sj + self.groups[group].orig_rank[rank as usize]) % n;
+        let (member, writer) = (member_of(me), member_of(peer) as u32);
         if self
             .fabric
             .is_crashed(NodeId(self.atomic.groups[ag].nodes[member] as u32))
         {
             return; // dead software runs no handlers
         }
-        let Some((row, cell)) = frontier_write(payload, n as u32) else {
+        let Some(cell) = frontier_write(payload, writer, n as u32) else {
             return;
         };
         let _ = self.atomic.groups[ag].members[member]
             .tracker
-            .apply_remote(row, cell);
+            .apply_remote(writer, cell);
         self.atomic_pump(ag, member);
     }
 
@@ -597,12 +606,10 @@ impl<T: Transport> Cluster<T> {
         self.atomic_deliver(ag, member);
     }
 
-    /// `member`'s delivery engine: announce stability-frontier advances
-    /// (always the *true* live minima — the [`Mutation::FrontierOffByOne`]
-    /// gate bug below does not taint the trace, which is how the oracle
-    /// catches it), then release slots in global order — trimmed slots
-    /// skip, nulls skip once the member's own row covers them, data
-    /// slots deliver once stable.
+    /// `member`'s delivery engine: announce stability-frontier advances,
+    /// then release slots in global order — trimmed slots skip, nulls
+    /// skip once the member's own row covers them, data slots deliver
+    /// once the announced stable frontier covers them.
     fn atomic_deliver(&mut self, ag: AtomicGroupId, member: usize) {
         let now = self.fabric.now();
         let scope = self.atomic_scope(ag, member);
@@ -611,7 +618,6 @@ impl<T: Transport> Cluster<T> {
         if live.is_empty() {
             return;
         }
-        let off_by_one = self.has_mutation(Mutation::FrontierOffByOne);
         {
             let a = &mut self.atomic.groups[ag];
             let m = &mut a.members[member];
@@ -655,9 +661,7 @@ impl<T: Transport> Cluster<T> {
                             }
                         }
                         SlotKind::Data { size, message, .. } => {
-                            let stable = m.stable_seen[slot.owner];
-                            let gate = if off_by_one { stable + 1 } else { stable };
-                            if gate > slot.seq {
+                            if m.stable_seen[slot.owner] > slot.seq {
                                 Step::Deliver {
                                     sender: slot.owner as u32,
                                     seq: slot.seq,
@@ -1108,8 +1112,9 @@ mod tests {
         assert!(batches_after_eviction > 0 && batches_after_crash > batches_after_eviction);
     }
 
-    /// `TAG_FRONTIER` bytes are peer input: a malformed write is
-    /// dropped at the arrival site, a well-formed one still merges.
+    /// `TAG_FRONTIER` bytes are peer input: a malformed write, or one
+    /// naming a row or cell that is not the writer's frontier, is dropped
+    /// at the arrival site; a well-formed one still merges.
     #[test]
     fn malformed_frontier_writes_are_dropped() {
         let n = 3u32;
@@ -1121,6 +1126,7 @@ mod tests {
             p.extend_from_slice(&val.to_le_bytes());
             p
         };
+        // Member 2 writes at member 1, on the anchor subgroup.
         let good = write(2, 2, 5);
         let mut long = good.clone();
         long.push(0);
@@ -1134,14 +1140,20 @@ mod tests {
             write(u32::MAX, 2, 5),
             write(2, 2 + n, 5),
             write(2, u32::MAX, 5),
+            write(1, 2, 5),
+            write(0, 2, 5),
+            write(2, 0, 5),
+            write(2, 1, 5),
         ];
         let before = c.state_digest();
         for p in &malformed {
-            c.atomic_frontier_arrival(anchor, 1, p);
-            assert_eq!(c.atomic.groups[0].members[1].tracker.frontier(2, 0), 0);
+            c.atomic_frontier_arrival(anchor, 1, 2, p);
+            let tracker = &c.atomic.groups[0].members[1].tracker;
+            assert!((0..n).all(|row| tracker.frontier(row, 0) == 0), "{p:?}");
+            assert!(tracker.suspected().is_empty(), "{p:?}");
         }
         assert_eq!(c.state_digest(), before);
-        c.atomic_frontier_arrival(anchor, 1, &good);
+        c.atomic_frontier_arrival(anchor, 1, 2, &good);
         assert_eq!(c.atomic.groups[0].members[1].tracker.frontier(2, 0), 5);
     }
 }

@@ -196,18 +196,6 @@ impl GroupRuntime {
     }
 }
 
-/// Seeded-bug scaffolding for the `analyzer::explore` mutation tests,
-/// kept in one place so production paths touch it through
-/// [`Cluster::has_mutation`] only.
-#[derive(Default)]
-struct Mutations {
-    /// Deliberately seeded ordering bugs; empty in normal operation.
-    seeded: Vec<Mutation>,
-    /// [`Mutation::LazyRecvPost`] state: receives whose posting was
-    /// (buggily) deferred, flushed at the owning node's next delivery.
-    lazy_recvs: BTreeMap<usize, Vec<(QpHandle, u64)>>,
-}
-
 /// An RDMC deployment over any [`Transport`]: transport + engines +
 /// bookkeeping. The orchestration — group creation, pacer admission,
 /// epoch recovery, reliability policies, atomic overlays, the flight
@@ -249,7 +237,6 @@ pub struct Cluster<T: Transport = Fabric> {
     /// driving the run; the cluster consults it for pacer admission
     /// ties so every layer's choices form one global sequence.
     pub(crate) scheduler: Option<verbs::SharedScheduler>,
-    mutations: Mutations,
     /// When capturing ([`crate::ClusterBuilder::engine_log`]), every
     /// engine event in feed order — the raw material of the
     /// `transport_equivalence` gate.
@@ -275,43 +262,6 @@ pub struct EngineLogEntry {
 /// gated against.
 pub type SimCluster = Cluster<Fabric>;
 
-/// A deliberately seeded ordering bug, for mutation-testing the
-/// `analyzer::explore` harness: each variant re-introduces a class of
-/// bug the invariant suite must catch mechanically. Hidden from docs —
-/// this is test scaffolding, not API.
-#[doc(hidden)]
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Mutation {
-    /// Resurrects the PR 5 determinism bug: epoch teardown iterates the
-    /// queue-pair map in hash order, so two runs of the *same* choice
-    /// sequence diverge. Caught by the replay-determinism audit.
-    UnsortedQpTeardown,
-    /// Reorders the §4.2 same-instant receive/send pair: a readiness
-    /// grant posts its one-sided write first and defers the receive
-    /// post until the node's next delivery (a plausible "batch the recv
-    /// posts off the critical path" optimisation). Under orderings
-    /// where the peer's block send beats that next delivery, the send
-    /// finds no posted receive and the RNR machinery arms. Caught by
-    /// the zero-RNR invariant.
-    LazyRecvPost,
-    /// Classic off-by-one in gap repair: every NACK requests the range
-    /// starting one past its first missing block, so the first loss of
-    /// each gap is never retransmitted. The receiver's retry budget
-    /// drains re-requesting the same wrong range and it escalates,
-    /// evicting a healthy sender — caught by the crash-free
-    /// completeness invariant (messages the evicted sender alone held
-    /// go undelivered on a run with no injected crash).
-    NackOffByOne,
-    /// Classic off-by-one in the atomic delivery gate: a data slot is
-    /// released when the stability frontier reaches its sequence number
-    /// instead of strictly exceeding it, so every message is delivered
-    /// one step *before* it is stable (and possibly before it is even
-    /// locally received). The `StableFrontier` trace events still
-    /// record the true minima, so the trace oracle's ordering rule
-    /// catches the premature `AtomicDelivered` mechanically.
-    FrontierOffByOne,
-}
-
 impl<T: Transport> Cluster<T> {
     /// The constructor proper ([`crate::ClusterBuilder::from_transport`]
     /// starts here): everything off, no groups.
@@ -332,7 +282,6 @@ impl<T: Transport> Cluster<T> {
             pacer: None,
             action_pool: Vec::new(),
             scheduler: None,
-            mutations: Mutations::default(),
             engine_log: None,
         }
     }
@@ -344,19 +293,6 @@ impl<T: Transport> Cluster<T> {
     /// event sequences.
     pub fn engine_log(&self) -> &[EngineLogEntry] {
         self.engine_log.as_deref().unwrap_or(&[])
-    }
-
-    /// Seeds a deliberate ordering bug (mutation testing of the
-    /// exploration harness — see [`Mutation`]). Not for normal use.
-    #[doc(hidden)]
-    pub fn seed_mutation(&mut self, mutation: Mutation) {
-        if !self.has_mutation(mutation) {
-            self.mutations.seeded.push(mutation);
-        }
-    }
-
-    pub(crate) fn has_mutation(&self, mutation: Mutation) -> bool {
-        self.mutations.seeded.contains(&mutation)
     }
 
     /// Counters of the send admission layer, if pacing is enabled.
@@ -638,8 +574,8 @@ impl<T: Transport> Cluster<T> {
     /// the terminal asserts first.
     pub fn step(&mut self) -> bool {
         match self.fabric.advance() {
-            Some((time, node, delivery)) => {
-                self.dispatch(time, node, delivery);
+            Some((_, _, delivery)) => {
+                self.dispatch(delivery);
                 true
             }
             None => false,
@@ -771,19 +707,7 @@ impl<T: Transport> Cluster<T> {
             .collect()
     }
 
-    fn dispatch(&mut self, _time: SimTime, node: NodeId, delivery: Delivery) {
-        // LazyRecvPost mutation: flush this node's deferred receive posts
-        // now — "the next delivery" is exactly the too-late point the bug
-        // defers them to.
-        if !self.mutations.lazy_recvs.is_empty() {
-            if let Some(deferred) = self.mutations.lazy_recvs.remove(&(node.index())) {
-                for (qp, size) in deferred {
-                    // The QP may have been torn down by a reconfiguration
-                    // while the post sat deferred.
-                    let _ = self.fabric.post_recv(qp, WrId(0), size);
-                }
-            }
-        }
+    fn dispatch(&mut self, delivery: Delivery) {
         match delivery {
             Delivery::RecvDone { qp, imm, .. } => {
                 // Completions for torn-down (old-epoch) queue pairs are
@@ -847,7 +771,7 @@ impl<T: Transport> Cluster<T> {
                         self.rel_control_arrival(qp, group, me, tag, &payload);
                     }
                     TAG_FRONTIER => {
-                        self.atomic_frontier_arrival(group, me, &payload);
+                        self.atomic_frontier_arrival(group, me, peer, &payload);
                     }
                     // Peer input: a tag no layer owns is dropped.
                     _ => {}
@@ -898,9 +822,7 @@ impl<T: Transport> Cluster<T> {
                     // Group extinct by now: the handle never resolves.
                     let _ = self.do_submit_atomic(ag, size, message);
                 }
-                None => {
-                    let _ = node; // stale or foreign timer: ignore
-                }
+                None => {} // stale or foreign timer: ignore
             },
         }
     }
@@ -965,27 +887,6 @@ impl<T: Transport> Cluster<T> {
                 Action::SendReady { to } => {
                     let qp = self.ensure_qp(group, rank, to);
                     let block_size = self.groups[group].spec.block_size;
-                    if self.has_mutation(Mutation::LazyRecvPost) {
-                        // Seeded §4.2 inversion: announce readiness first
-                        // and batch the receive post to "the next time this
-                        // node's software runs". Under most interleavings
-                        // the deferred post still wins the race; under some
-                        // the peer's block send arrives first and finds no
-                        // receive — the RNR bug the explorer must find.
-                        let _ = self.fabric.post_write(
-                            qp,
-                            WrId(0),
-                            TAG_READY,
-                            Bytes::from_static(b"RDY"),
-                            None,
-                        );
-                        self.mutations
-                            .lazy_recvs
-                            .entry(node.index())
-                            .or_default()
-                            .push((qp, block_size));
-                        continue;
-                    }
                     // Readiness implies the receive is pre-posted (§4.2):
                     // post it first so the peer's send always lands.
                     // Ignore failures: the group is wedging if the QP broke.

@@ -64,7 +64,7 @@ mod reliability;
 pub use atomic::{AtomicDelivery, AtomicGroupId};
 pub use builder::ClusterBuilder;
 pub use cluster::{
-    Cluster, EngineLogEntry, GroupId, GroupSpec, MessageId, MessageResult, Mutation, SimCluster,
+    Cluster, EngineLogEntry, GroupId, GroupSpec, MessageId, MessageResult, SimCluster,
 };
 pub use experiment::{
     run_concurrent_overlapping, run_open_loop, run_single_multicast, run_stream,

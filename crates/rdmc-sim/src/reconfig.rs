@@ -32,7 +32,7 @@ use simnet::{SimDuration, SimTime};
 use sst::{View, ViewTracker};
 use verbs::{NodeId, QpHandle, Transport, WrId};
 
-use crate::cluster::{Cluster, GroupId, Mutation, TimerAction};
+use crate::cluster::{Cluster, GroupId, TimerAction};
 
 /// One-sided-write tag for membership-view (suspicion/epoch) updates.
 pub(crate) const TAG_VIEW: u64 = 3;
@@ -682,22 +682,9 @@ impl<T: Transport> Cluster<T> {
         // Tear down every old-epoch queue pair in rank order; completions
         // still in flight for them become ownerless and are ignored. The
         // map is ordered, so plain iteration is already run-to-run stable
-        // (hash-order teardown was the PR 5 determinism regression).
-        let old_qps: Vec<QpHandle> = if self.has_mutation(Mutation::UnsortedQpTeardown) {
-            // Seeded PR 5 regression: copy through a hash map (fresh
-            // `RandomState` per map) so teardown order varies even across
-            // two runs of the identical choice sequence — exactly what
-            // the replay-determinism audit exists to catch.
-            #[allow(clippy::disallowed_types)]
-            let scrambled: std::collections::HashMap<(Rank, Rank), QpHandle> = self.groups[group]
-                .qps
-                .iter()
-                .map(|(&k, &v)| (k, v))
-                .collect();
-            scrambled.into_values().collect()
-        } else {
-            self.groups[group].qps.values().copied().collect()
-        };
+        // (hash-order teardown is the determinism bug the replay audit
+        // exists to catch).
+        let old_qps: Vec<QpHandle> = self.groups[group].qps.values().copied().collect();
         for qp in old_qps {
             self.qp_owner.remove(&qp);
             self.fabric.break_qp(qp);

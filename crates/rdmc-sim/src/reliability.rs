@@ -48,7 +48,7 @@ use simnet::SimDuration;
 use trace::check::wire;
 use verbs::{QpHandle, Transport, WrId};
 
-use crate::cluster::{Cluster, GroupId, Mutation, TimerAction};
+use crate::cluster::{Cluster, GroupId, TimerAction};
 
 mod codec;
 use codec::{
@@ -500,17 +500,7 @@ impl<T: Transport> Cluster<T> {
     /// Sends one NACK per contiguous missing range (tiny control writes
     /// on the reliable bypass).
     fn rel_request(&mut self, qp: QpHandle, group: GroupId, me: Rank, seqs: &[u64]) {
-        let mut ranges = contiguous_ranges(seqs);
-        if self.has_mutation(Mutation::NackOffByOne) {
-            // Seeded bug: the first missing block of the first range is
-            // never requested.
-            if let Some(first) = ranges.first_mut() {
-                first.0 += 1;
-                first.1 -= 1;
-            }
-            ranges.retain(|&(_, span)| span > 0);
-        }
-        for (base, span) in ranges {
+        for (base, span) in contiguous_ranges(seqs) {
             self.reliability.stats.nacks_sent += 1;
             self.record_rel(group, me, || trace::EventKind::NackSent {
                 conn: qp.conn_id(),

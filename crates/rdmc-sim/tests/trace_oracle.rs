@@ -3,7 +3,8 @@
 //! pairing, delivery completeness, and per message the one schedule rule
 //! (causality), its port budget, its completion-step bound and the plan
 //! it was given, fresh or resumed — and the oracle must still reject
-//! doctored recordings with the walker's violation (no vacuous passes).
+//! doctored recordings with the walker's or the atomic ordering rule's
+//! violation (no vacuous passes).
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -266,6 +267,53 @@ fn rule_abiding_but_off_plan_run_is_rejected() {
              but the plan has no such transfer"
                 .to_owned()
         ]
+    );
+}
+
+#[test]
+fn premature_atomic_delivery_is_flagged() {
+    // One rotation of one-block messages on a three-member atomic group.
+    let algorithm = Algorithm::BinomialPipeline;
+    let mut cluster = ClusterBuilder::new(ClusterSpec::fractus(3))
+        .flight_recorder(trace::Mode::Full)
+        .atomic(GroupSpec {
+            members: (0..3).collect(),
+            algorithm: algorithm.clone(),
+            block_size: BLOCK,
+            ready_window: 3,
+            max_outstanding_sends: 3,
+        })
+        .build();
+    for _ in 0..3 {
+        cluster.submit_atomic(0, BLOCK);
+    }
+    cluster.run();
+    let mut events = cluster.trace_events();
+    check_doctored(&events, &algorithm, 3).expect("the recording passes as recorded");
+    // A member's delivery, moved ahead of the `FrontierAdvanced` with
+    // which that member received the slot.
+    let delivered = events
+        .iter()
+        .position(|e| matches!(e.kind, EventKind::AtomicDelivered { .. }))
+        .expect("a member delivered");
+    let scope = events[delivered].scope;
+    let EventKind::AtomicDelivered { sender, seq, .. } = events[delivered].kind else {
+        unreachable!()
+    };
+    let receipt = events
+        .iter()
+        .position(|e| {
+            e.scope == scope
+                && matches!(e.kind, EventKind::FrontierAdvanced { sender: s, frontier }
+                    if s == sender && frontier > seq)
+        })
+        .expect("the member received what it delivered");
+    let moved = events.remove(delivered);
+    events.insert(receipt, moved);
+    let err = check_doctored(&events, &algorithm, 3).expect_err("premature delivery must fail");
+    assert!(
+        err.iter().any(|v| v.contains("before local receipt")),
+        "unexpected violations: {err:#?}"
     );
 }
 
