@@ -91,6 +91,15 @@ impl State {
     }
 }
 
+/// `EngineConfig::ready_window` and `max_outstanding_sends` of every
+/// engine: one credit and one send in flight per member, the tightest
+/// setting of the §4.2 credit rule.
+const WINDOW: u32 = 1;
+/// Abort after this many distinct states (guards against grid points
+/// too large to enumerate; an aborted run proves nothing and is reported
+/// as truncated); the sweep's corner stays far below it.
+const MAX_STATES: usize = 2_000_000;
+
 /// Configuration of one reachability run.
 #[derive(Clone, Debug)]
 pub struct ReachConfig {
@@ -100,14 +109,6 @@ pub struct ReachConfig {
     pub n: u32,
     /// Block count (the message is `k` full blocks).
     pub k: u32,
-    /// `EngineConfig::ready_window`.
-    pub ready_window: u32,
-    /// `EngineConfig::max_outstanding_sends`.
-    pub max_outstanding_sends: u32,
-    /// Abort after this many distinct states (guards against grid points
-    /// too large to enumerate; an aborted run proves nothing and is
-    /// reported as truncated, not failed).
-    pub max_states: usize,
 }
 
 /// The outcome of exploring one configuration's state space.
@@ -130,7 +131,7 @@ pub struct ReachReport {
     /// Engine protocol errors hit during exploration (driver/peer bugs
     /// surfaced by an interleaving). Any entry is a violation.
     pub engine_errors: Vec<String>,
-    /// True when the exploration hit `max_states` and stopped early.
+    /// True when the exploration hit its state cap and stopped early.
     pub truncated: bool,
 }
 
@@ -209,8 +210,8 @@ pub fn explore(config: &ReachConfig) -> ReachReport {
             rank,
             num_nodes: config.n,
             block_size,
-            ready_window: config.ready_window,
-            max_outstanding_sends: config.max_outstanding_sends,
+            ready_window: WINDOW,
+            max_outstanding_sends: WINDOW,
             planner: Arc::clone(&planner),
         });
         init.engines.push(engine);
@@ -249,7 +250,7 @@ pub fn explore(config: &ReachConfig) -> ReachReport {
 
     while let Some(state) = stack.pop() {
         report.states += 1;
-        if report.states >= config.max_states {
+        if report.states >= MAX_STATES {
             report.truncated = true;
             break;
         }
@@ -350,9 +351,6 @@ mod tests {
             algorithm: Algorithm::BinomialPipeline,
             n: 3,
             k: 2,
-            ready_window: 1,
-            max_outstanding_sends: 1,
-            max_states: 1_000_000,
         });
         assert!(r.is_clean(), "{r}");
         assert!(r.complete_terminals >= 1);

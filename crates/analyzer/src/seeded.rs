@@ -228,7 +228,7 @@ mod tests {
             max_outstanding_sends: 2,
         };
         let mut cluster = builder
-            .flight_recorder(trace::Mode::Full)
+            .flight_recorder()
             .scheduler(Arc::new(Mutex::new(Defaults)))
             .atomic(spec.clone())
             .build();

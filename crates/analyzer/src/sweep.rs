@@ -1,8 +1,9 @@
 //! The exhaustive `(algorithm, n, k)` sweep: model-checks and
 //! deadlock-lints every generator over the full grid, runs the engine
 //! reachability proof on the small corner where exhaustive state
-//! enumeration is feasible, and model-checks the recovery planner's
-//! resume schedules over every wedge point of the binomial pipeline.
+//! enumeration is feasible, and always model-checks the recovery
+//! planner's resume schedules over every wedge point of the binomial
+//! pipeline.
 
 use std::collections::BTreeSet;
 
@@ -30,9 +31,6 @@ pub struct SweepConfig {
     pub ready_windows: Vec<u32>,
     /// Whether to run the engine reachability corner.
     pub reachability: bool,
-    /// Whether to model-check recovery resume schedules (binomial
-    /// pipelines cut at every step, every failure pattern).
-    pub resume: bool,
     /// Whether to run the execution-exploration tier: exhaustive
     /// interleaving enumeration of the simulator on the small corner
     /// (see [`mod@crate::explore`]).
@@ -47,7 +45,6 @@ impl Default for SweepConfig {
             rack_counts: vec![2, 3, 4, 8],
             ready_windows: vec![1, 2],
             reachability: true,
-            resume: true,
             explore: true,
         }
     }
@@ -62,7 +59,6 @@ impl SweepConfig {
             rack_counts: vec![2, 3],
             ready_windows: vec![1],
             reachability: true,
-            resume: true,
             explore: true,
         }
     }
@@ -241,9 +237,6 @@ pub fn sweep(config: &SweepConfig) -> SweepReport {
                 algorithm: alg,
                 n,
                 k,
-                ready_window: 1,
-                max_outstanding_sends: 1,
-                max_states: 2_000_000,
             });
             report.reach_runs += 1;
             report.reach_states += r.states;
@@ -253,9 +246,7 @@ pub fn sweep(config: &SweepConfig) -> SweepReport {
         }
     }
 
-    if config.resume {
-        sweep_resume(&mut report, config.max_n);
-    }
+    sweep_resume(&mut report, config.max_n);
 
     if config.explore {
         sweep_explore(&mut report, config.max_n);

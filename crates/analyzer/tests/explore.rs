@@ -188,9 +188,7 @@ fn loss_exploration_is_clean_and_converges() {
     // terminal state (one crash-free digest), with no hangs and a clean
     // trace oracle on every interleaving.
     let base = ExploreScenario::small(Algorithm::BinomialPipeline, 3, 2);
-    let lossy = base
-        .clone()
-        .with_loss(3, ReliabilityPolicy::selective_ack());
+    let lossy = base.clone().with_loss(3, ReliabilityPolicy::SelectiveAck);
     let plain = explore_executions(&ExploreConfig::dpor(base));
     let report = explore_executions(&ExploreConfig::dpor(lossy));
     assert!(report.is_clean(), "{report}");
@@ -221,7 +219,7 @@ fn nack_off_by_one_mutation_is_caught_via_loss_exploration() {
     // Only a drop branch exposes either; the loss choice points let the
     // explorer find one.
     let scenario = ExploreScenario::small(Algorithm::BinomialPipeline, 3, 2)
-        .with_loss(2, ReliabilityPolicy::selective_ack())
+        .with_loss(2, ReliabilityPolicy::SelectiveAck)
         .with_bug(SeededBug::NackOffByOne);
     let report = explore_executions(&ExploreConfig::dpor(scenario.clone()));
     let cex = report

@@ -266,7 +266,6 @@ fn sweep_over_a_small_grid_is_clean() {
         rack_counts: vec![2],
         ready_windows: vec![1],
         reachability: false,
-        resume: true,
         explore: false, // covered by tests/explore.rs
     });
     assert!(report.is_clean(), "{report}");

@@ -565,12 +565,9 @@ fn reliability_point(
 pub fn reliability_sweep(quick: bool) -> ReliabilityReport {
     let messages = if quick { 6 } else { 16 };
     let policies: [(&'static str, rdmc_sim::ReliabilityPolicy); 3] = [
-        (
-            "selective-ack",
-            rdmc_sim::ReliabilityPolicy::selective_ack(),
-        ),
+        ("selective-ack", rdmc_sim::ReliabilityPolicy::SelectiveAck),
         ("erasure-2+1", rdmc_sim::ReliabilityPolicy::erasure(2, 1)),
-        ("wedge-resume", rdmc_sim::ReliabilityPolicy::wedge_resume()),
+        ("wedge-resume", rdmc_sim::ReliabilityPolicy::WedgeResume),
     ];
     let rates = [0.0, 0.1, 1.0, 5.0];
     let mut configs = Vec::new();

@@ -101,9 +101,7 @@ fn rank_times(
 pub fn table1_breakdown(quick: bool) -> String {
     let size = if quick { 64 * MB } else { 256 * MB };
     let spec = ClusterSpec::stampede(4);
-    let mut cluster = ClusterBuilder::new(spec.clone())
-        .flight_recorder(trace::Mode::Full)
-        .build();
+    let mut cluster = ClusterBuilder::new(spec.clone()).flight_recorder().build();
     let group = cluster.create_group(pipeline_group_spec(
         (0..4).collect(),
         MB,
@@ -176,7 +174,7 @@ pub fn fig5_step_timeline(quick: bool) -> String {
     // A rare, fixed-length preemption on the relayer (the paper observed
     // one such stall near the end of its instrumented transfer).
     let mut cluster = ClusterBuilder::new(spec.clone())
-        .flight_recorder(trace::Mode::Full)
+        .flight_recorder()
         .jitter(
             1,
             JitterModel::new(

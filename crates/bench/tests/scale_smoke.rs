@@ -66,9 +66,7 @@ fn scale_run_stall_attribution_is_airtight() {
             size: a.size,
         })
         .collect();
-    let mut cluster = ClusterBuilder::new(spec.clone())
-        .flight_recorder(trace::Mode::Full)
-        .build();
+    let mut cluster = ClusterBuilder::new(spec.clone()).flight_recorder().build();
     let recorder = cluster.recorder().clone();
     let groups: Vec<_> = memberships
         .iter()

@@ -241,29 +241,6 @@ pub struct EpochInstall {
     pub resumes: Vec<ResumeTransfer>,
 }
 
-/// Instantaneous send-side pressure at one member, for admission and
-/// load-reporting layers (the multi-tenant traffic engine samples this
-/// at every arrival to find each group's backlog high-water mark).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct QueuePressure {
-    /// Root only: messages accepted but not yet begun.
-    pub queued_messages: usize,
-    /// Whether a transfer is currently active at this member.
-    pub active: bool,
-    /// Block sends posted to the NIC and not yet completed.
-    pub inflight_block_sends: u32,
-    /// Interrupted messages still awaiting resumption in this epoch.
-    pub pending_resumes: usize,
-}
-
-impl QueuePressure {
-    /// Messages this member still owes work for: queued sends, pending
-    /// resumes, and the active transfer if any.
-    pub fn backlog(&self) -> usize {
-        self.queued_messages + self.pending_resumes + usize::from(self.active)
-    }
-}
-
 /// A snapshot of one not-yet-delivered (or delivered-but-still-relaying)
 /// message at a wedged member, exported for the membership layer to plan
 /// resumes from.
@@ -461,17 +438,6 @@ impl GroupEngine {
     /// "interrupted" at a wedge).
     pub fn queued_sizes(&self) -> impl Iterator<Item = u64> + '_ {
         self.send_queue.iter().copied()
-    }
-
-    /// This member's instantaneous send-side pressure: queued sends,
-    /// active-transfer flag, in-flight block sends, pending resumes.
-    pub fn queue_pressure(&self) -> QueuePressure {
-        QueuePressure {
-            queued_messages: self.send_queue.len(),
-            active: self.active.is_some(),
-            inflight_block_sends: self.active.as_ref().map_or(0, |t| t.total_inflight),
-            pending_resumes: self.pending_resumes.len(),
-        }
     }
 
     /// Every message this member has begun but not fully finished with —

@@ -53,7 +53,6 @@ use sst::ViewTracker;
 use verbs::{NodeId, Transport, WrId};
 
 use crate::cluster::{Cluster, GroupId, GroupSpec, MessageId, TimerAction};
-use crate::reconfig::tracker_cell;
 
 /// One-sided-write tag for SST frontier-row updates (the stability
 /// epidemic).
@@ -223,15 +222,14 @@ fn resolved_prefix(index: &[usize], from: u64, mut is_resolved: impl FnMut(usize
     from + unresolved.iter().take_while(|&&s| is_resolved(s)).count() as u64
 }
 
-/// The tracker's 12-byte cell update in a `TAG_FRONTIER` payload that
-/// member `writer` wrote. The bytes are peer input: `None` — the write
-/// is dropped — unless the length is exactly 16, the row is the writer's
-/// own (SST rows are single-writer) and the column one of the `n`
-/// frontier cells, `2..2 + n` ([`ViewTracker::with_frontiers`]; see
-/// [`tracker_cell`]).
-fn frontier_write(payload: &[u8], writer: u32, n: u32) -> Option<&[u8]> {
+/// The tracker's cell update in a `TAG_FRONTIER` payload that member
+/// `writer` wrote. The bytes are peer input: `None` — the write is
+/// dropped — unless the row is the writer's own (SST rows are
+/// single-writer) and the column a frontier cell, `2..`
+/// ([`ViewTracker::with_frontiers`]). The tracker checks the rest
+/// ([`ViewTracker::apply_remote`]).
+fn frontier_write(payload: &[u8], writer: u32) -> Option<&[u8]> {
     let (row, cell) = payload.split_first_chunk::<4>()?;
-    let cell = tracker_cell(cell, 2 + n)?;
     let col = u32::from_le_bytes(*cell.first_chunk::<4>()?);
     (u32::from_le_bytes(*row) == writer && col >= 2).then_some(cell)
 }
@@ -522,12 +520,13 @@ impl<T: Transport> Cluster<T> {
         {
             return; // dead software runs no handlers
         }
-        let Some(cell) = frontier_write(payload, writer, n as u32) else {
+        let Some(cell) = frontier_write(payload, writer) else {
             return;
         };
-        let _ = self.atomic.groups[ag].members[member]
-            .tracker
-            .apply_remote(writer, cell);
+        let tracker = &mut self.atomic.groups[ag].members[member].tracker;
+        if tracker.apply_remote(writer, cell).is_err() {
+            return;
+        }
         self.atomic_pump(ag, member);
     }
 
@@ -1038,7 +1037,7 @@ mod tests {
     fn frontier_rows_reach_every_live_member_once_in_rank_order() {
         const N: usize = 4;
         const VICTIM: usize = 2;
-        let mut c = builder(N).flight_recorder(trace::Mode::Full).build();
+        let mut c = builder(N).flight_recorder().build();
         let anchor = c.atomic_subgroups(0)[0] as u32;
         c.crash_after_events(VICTIM, 6 * N as u64);
         for _ in 0..3 * N {

@@ -87,14 +87,6 @@ impl ClusterBuilder<Fabric> {
         self.cluster.fabric.set_fault_profile(profile);
         self
     }
-
-    /// Offers up to `budget` deliver-or-drop choice points to the
-    /// attached controlled scheduler (model-checking loss sites instead
-    /// of sampling them; requires [`ClusterBuilder::scheduler`]).
-    pub fn loss_choice_budget(mut self, budget: u64) -> Self {
-        self.cluster.fabric.set_loss_choice_budget(budget);
-        self
-    }
 }
 
 impl<T: Transport> ClusterBuilder<T> {
@@ -132,13 +124,13 @@ impl<T: Transport> ClusterBuilder<T> {
         self
     }
 
-    /// Attaches a flight recorder in the given capture mode; every layer
+    /// Attaches a flight recorder that keeps every event; every layer
     /// (transport, verbs, engines, membership orchestration) streams
     /// structured events into it, stamped with the transport's clock.
     /// Retrieve the handle from the built cluster via
     /// [`Cluster::recorder`].
-    pub fn flight_recorder(mut self, mode: trace::Mode) -> Self {
-        self.cluster.recorder = trace::Recorder::new(mode);
+    pub fn flight_recorder(mut self) -> Self {
+        self.cluster.recorder = trace::Recorder::full();
         self.cluster
             .fabric
             .set_recorder(self.cluster.recorder.clone());

@@ -159,9 +159,6 @@ pub(crate) struct GroupRuntime {
     /// Original rank that submitted each message (its app buffer holds
     /// every block, so it can re-seed a resume).
     pub(crate) senders: Vec<usize>,
-    /// High-water mark of the root's send-side backlog, sampled at every
-    /// submission (the traffic engine's overload evidence).
-    peak_backlog: usize,
     /// Fabric node of each *original* rank (never shrinks).
     pub(crate) orig_members: Vec<usize>,
     /// Current rank -> original rank (identity until a reconfiguration).
@@ -471,7 +468,6 @@ impl<T: Transport> Cluster<T> {
             results: Vec::new(),
             pending: vec![VecDeque::new(); n as usize],
             senders: Vec::new(),
-            peak_backlog: 0,
             orig_members,
             orig_rank: (0..n as usize).collect(),
             reliability: self.reliability.default,
@@ -512,10 +508,6 @@ impl<T: Transport> Cluster<T> {
         }
         self.message_slots.insert(message.0, (group, idx));
         self.feed(group, 0, Event::StartSend { size });
-        let g = &mut self.groups[group];
-        if let Some(root) = g.engines.first() {
-            g.peak_backlog = g.peak_backlog.max(root.queue_pressure().backlog());
-        }
     }
 
     /// Schedules a multicast submission at an absolute virtual time,
@@ -557,13 +549,6 @@ impl<T: Transport> Cluster<T> {
     pub fn result(&self, id: MessageId) -> Option<&MessageResult> {
         let &(group, idx) = self.message_slots.get(&id.0)?;
         self.groups.get(group)?.results.get(idx)
-    }
-
-    /// High-water mark of the group root's send-side backlog (active +
-    /// queued + resuming messages), sampled at every submission — the
-    /// per-group queue-pressure evidence the traffic engine reports.
-    pub fn peak_backlog(&self, group: GroupId) -> usize {
-        self.groups[group].peak_backlog
     }
 
     /// Advances the simulation by one software-visible delivery (and

@@ -22,22 +22,22 @@ pub struct MulticastOutcome {
 
 /// The one body behind [`run_single_multicast`] and
 /// [`run_traced_multicast`]: the outcome plus whatever the flight
-/// recorder captured (nothing when `recorder` is `None`).
+/// recorder captured (nothing unless `traced`).
 fn single_multicast(
     spec: &ClusterSpec,
     group_size: usize,
     algorithm: Algorithm,
     size: u64,
     block_size: u64,
-    recorder: Option<trace::Mode>,
+    traced: bool,
 ) -> (MulticastOutcome, Vec<trace::TraceEvent>) {
     assert!(
         group_size <= spec.topology.nodes(),
         "group larger than cluster"
     );
     let mut builder = ClusterBuilder::new(spec.clone());
-    if let Some(mode) = recorder {
-        builder = builder.flight_recorder(mode);
+    if traced {
+        builder = builder.flight_recorder();
     }
     let mut cluster = builder.build();
     let group = cluster.create_group(GroupSpec {
@@ -76,7 +76,7 @@ pub fn run_single_multicast(
     size: u64,
     block_size: u64,
 ) -> MulticastOutcome {
-    single_multicast(spec, group_size, algorithm, size, block_size, None).0
+    single_multicast(spec, group_size, algorithm, size, block_size, false).0
 }
 
 /// The [`trace::stall::WireModel`] matching a cluster's calibration:
@@ -110,10 +110,10 @@ pub fn wire_model_for(spec: &ClusterSpec) -> trace::stall::WireModel {
     }
 }
 
-/// Like [`run_single_multicast`], but with a full-capture flight
-/// recorder attached for the whole run. Returns the outcome, the
-/// recorded event stream, and the cluster's wire model so callers can
-/// feed [`trace::stall::attribute`] directly.
+/// Like [`run_single_multicast`], but with a flight recorder attached
+/// for the whole run. Returns the outcome, the recorded event stream,
+/// and the cluster's wire model so callers can feed
+/// [`trace::stall::attribute`] directly.
 ///
 /// # Panics
 ///
@@ -129,8 +129,7 @@ pub fn run_traced_multicast(
     Vec<trace::TraceEvent>,
     trace::stall::WireModel,
 ) {
-    let full = Some(trace::Mode::Full);
-    let (outcome, events) = single_multicast(spec, group_size, algorithm, size, block_size, full);
+    let (outcome, events) = single_multicast(spec, group_size, algorithm, size, block_size, true);
     (outcome, events, wire_model_for(spec))
 }
 
@@ -240,8 +239,8 @@ impl OpenLoopOutcome {
 /// set, fed by a pre-computed open-loop arrival schedule
 /// ([`crate::SimCluster::schedule_send_at`] keeps the offered timing
 /// independent of delivery progress). `pacing` bounds each NIC's
-/// concurrent outbound block sends; `traced` attaches a full-capture
-/// flight recorder and returns a per-group stall split.
+/// concurrent outbound block sends; `traced` attaches a flight recorder
+/// and returns a per-group stall split.
 ///
 /// # Panics
 ///
@@ -261,7 +260,7 @@ pub fn run_open_loop(
         builder = builder.pacing(config);
     }
     if traced {
-        builder = builder.flight_recorder(trace::Mode::Full);
+        builder = builder.flight_recorder();
     }
     let mut cluster = builder.build();
     let recorder = cluster.recorder().clone();

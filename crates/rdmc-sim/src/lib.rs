@@ -6,11 +6,12 @@
 //!
 //! - [`ClusterSpec`] presets for the paper's testbeds (Fractus, Stampede,
 //!   Sierra, Apt).
-//! - [`ClusterBuilder`]: typed one-shot configuration — recovery, flight
-//!   recorder, per-NIC send pacing, completion modes, jitter — producing a
-//!   [`SimCluster`]: multiple (possibly overlapping) RDMC groups over one
-//!   fabric, timed message injection, crash injection, and per-message
-//!   completion records filed under [`MessageId`] handles.
+//! - [`ClusterBuilder`]: typed one-shot configuration — recovery, the
+//!   flight recorder (which keeps every event), per-NIC send pacing,
+//!   completion modes, jitter — producing a [`SimCluster`]: multiple
+//!   (possibly overlapping) RDMC groups over one fabric, timed message
+//!   injection, crash injection, and per-message completion records
+//!   filed under [`MessageId`] handles.
 //! - [`ClusterBuilder::recovery`]: the §2.4 external membership
 //!   service — epoch-based reconfiguration of wedged groups with
 //!   block-wise resumption of interrupted multicasts, instrumented by
@@ -18,6 +19,9 @@
 //! - [`ClusterBuilder::pacing`]: the multi-tenant admission layer — a
 //!   bound on each NIC's concurrent outbound block sends plus a
 //!   [`PacingPolicy`] ordering the queued sends of overlapping groups.
+//! - [`ClusterBuilder::reliability`]: repair on a lossy fabric —
+//!   [`ReliabilityPolicy::SelectiveAck`], [`ReliabilityPolicy::erasure`]
+//!   or [`ReliabilityPolicy::WedgeResume`]; the retry timing is fixed.
 //! - [`ClusterBuilder::atomic`]: the Derecho-style atomic multicast
 //!   overlay — one RDMC subgroup per sender (rotated member lists),
 //!   SST stability frontiers, and total-order delivery logs identical
@@ -75,4 +79,4 @@ pub use offload::run_offloaded_chain;
 pub use pacer::{PacerConfig, PacingPolicy, PacingStats};
 pub use profiles::{ClusterSpec, TopoSpec};
 pub use reconfig::{DetectionRecord, ReconfigRecord, RecoveryConfig, RecoveryStats};
-pub use reliability::{ReliabilityPolicy, ReliabilityStats, RetryConfig};
+pub use reliability::{ReliabilityPolicy, ReliabilityStats};

@@ -178,15 +178,6 @@ impl Reconfig {
 
 /// Failure injection: how tests and harnesses take nodes and links
 /// down, and what the cluster remembers about it.
-/// Checks a [`ViewTracker`] cell update a peer wrote (`col: u32 LE`,
-/// `val: u64 LE`): `None` unless it is exactly 12 bytes and names one of
-/// the row's `columns` cells, which is everything
-/// [`ViewTracker::apply_remote`] would otherwise panic on.
-pub(crate) fn tracker_cell(cell: &[u8], columns: u32) -> Option<&[u8]> {
-    let (col, val) = cell.split_first_chunk::<4>()?;
-    (val.len() == 8 && u32::from_le_bytes(*col) < columns).then_some(cell)
-}
-
 impl<T: Transport> Cluster<T> {
     /// Whether failures trigger view changes (`false` = wedge-only).
     pub(crate) fn recovery_enabled(&self) -> bool {
@@ -303,14 +294,10 @@ impl<T: Transport> Cluster<T> {
 
     /// Handles an incoming `TAG_VIEW` write: merge it monotonically, wedge
     /// the local engine on any newly learned failure, echo growth, and arm
-    /// a reconfiguration timer. A write that is not a membership cell is
-    /// dropped (see [`tracker_cell`]).
+    /// a reconfiguration timer. A write the tracker rejects
+    /// ([`ViewTracker::apply_remote`]) is dropped.
     pub(crate) fn view_update(&mut self, group: GroupId, me: Rank, peer: Rank, payload: &[u8]) {
         let Some(config) = self.reconfig.config.clone() else {
-            return;
-        };
-        // A membership row has two cells: the suspicion mask and the epoch.
-        let Some(payload) = tracker_cell(payload, 2) else {
             return;
         };
         let now = self.fabric.now();
@@ -322,7 +309,9 @@ impl<T: Transport> Cluster<T> {
         let (echo, newly_suspected, version) = {
             let rec = &mut self.reconfig.groups[group];
             let before = rec.trackers[orig_me].suspected();
-            let echo = rec.trackers[orig_me].apply_remote(orig_peer as u32, payload);
+            let Ok(echo) = rec.trackers[orig_me].apply_remote(orig_peer as u32, payload) else {
+                return;
+            };
             let after = rec.trackers[orig_me].suspected();
             let newly: Vec<u32> = after.difference(&before).copied().collect();
             if !newly.is_empty() {

@@ -66,40 +66,30 @@ pub(crate) const TAG_PARITY: u64 = 6;
 /// detection after a quiet period).
 pub(crate) const TAG_PROBE: u64 = 7;
 
-/// Retry knobs shared by the repairing policies.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RetryConfig {
-    /// Base receiver retry timeout: when known-missing blocks stay
-    /// missing this long, the receiver re-NACKs. Doubled per attempt
-    /// (capped). Must comfortably exceed the path round trip.
-    pub rto: SimDuration,
-    /// Re-NACK rounds before the receiver gives up and escalates to
-    /// epoch recovery.
-    pub budget: u32,
-}
-
-impl Default for RetryConfig {
-    fn default() -> Self {
-        // WAN-safe: geo links in the bench run at 50 ms one-way, so the
-        // repair round trip is ~100 ms plus transfer time. Virtual time
-        // is free, so a generous default costs LAN runs nothing.
-        RetryConfig {
-            rto: SimDuration::from_millis(250),
-            budget: 6,
-        }
-    }
-}
+/// Base receiver retry timeout: when known-missing blocks stay missing
+/// this long, the receiver re-NACKs, doubling the wait per attempt
+/// (capped). It must comfortably exceed the path round trip. 250 ms is
+/// WAN-safe: geo links in the bench run at 50 ms one-way, so the repair
+/// round trip is ~100 ms plus transfer time, and virtual time is free,
+/// so the generous value costs LAN runs nothing.
+const RTO: SimDuration = SimDuration::from_millis(250);
+/// Re-NACK rounds a repairing policy spends before the receiver gives up
+/// and escalates to epoch recovery.
+const RETRY_BUDGET: u32 = 6;
+/// A repairing sender's quiet period before its trailing-loss frontier
+/// probe: two retry timeouts, so gaps a later arrival reveals are left
+/// to the receiver's own NACKs and the probe only chases trailing
+/// losses. Wedge-resume repairs nothing and probes after one.
+const PROBE_DELAY: SimDuration = SimDuration::from_nanos(2 * RTO.as_nanos());
 
 /// How a group recovers blocks the fabric loses (see the module docs).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum ReliabilityPolicy {
     /// NACK-driven selective retransmission.
-    SelectiveAck {
-        /// Retry timing and budget.
-        retry: RetryConfig,
-    },
+    SelectiveAck,
     /// `data`-blocks-per-generation erasure coding with `parity` parity
-    /// writes per generation, NACK retransmission as the fallback.
+    /// writes per generation, NACK retransmission as the fallback. Build
+    /// it with [`ReliabilityPolicy::erasure`], which rejects zeros.
     ///
     /// Keep `data < ready_window`: the sender's credit window must span
     /// a whole generation, or a mid-generation loss stalls the sender
@@ -111,28 +101,15 @@ pub enum ReliabilityPolicy {
         /// Parity writes per generation (r): up to `r` losses per
         /// generation reconstruct without a retransmission round trip.
         parity: u32,
-        /// Retry timing and budget for the NACK fallback.
-        retry: RetryConfig,
     },
     /// No repair: the first detected loss escalates to epoch recovery
     /// (or wedges the group when recovery is off).
-    WedgeResume {
-        /// Quiet period before the sender probes its send frontier (the
-        /// trailing-loss detector).
-        probe: SimDuration,
-    },
+    WedgeResume,
 }
 
 impl ReliabilityPolicy {
-    /// Selective-ack retransmission with default retry knobs.
-    pub fn selective_ack() -> Self {
-        ReliabilityPolicy::SelectiveAck {
-            retry: RetryConfig::default(),
-        }
-    }
-
     /// Erasure coding: `data` blocks per generation, `parity` parity
-    /// writes, default retry knobs for the NACK fallback.
+    /// writes, NACK retransmission for losses beyond the parity.
     ///
     /// # Panics
     ///
@@ -140,50 +117,32 @@ impl ReliabilityPolicy {
     pub fn erasure(data: u32, parity: u32) -> Self {
         assert!(data >= 1, "erasure generation needs at least one block");
         assert!(parity >= 1, "erasure coding needs at least one parity");
-        ReliabilityPolicy::ErasureCode {
-            data,
-            parity,
-            retry: RetryConfig::default(),
-        }
-    }
-
-    /// Escalate-on-first-loss with the default probe period.
-    pub fn wedge_resume() -> Self {
-        ReliabilityPolicy::WedgeResume {
-            probe: SimDuration::from_millis(250),
-        }
+        ReliabilityPolicy::ErasureCode { data, parity }
     }
 
     /// Short label for reports and bench tables.
     pub fn name(&self) -> &'static str {
         match self {
-            ReliabilityPolicy::SelectiveAck { .. } => "selective-ack",
+            ReliabilityPolicy::SelectiveAck => "selective-ack",
             ReliabilityPolicy::ErasureCode { .. } => "erasure",
-            ReliabilityPolicy::WedgeResume { .. } => "wedge-resume",
+            ReliabilityPolicy::WedgeResume => "wedge-resume",
         }
     }
 
-    /// The retry knobs (wedge-resume: zero budget, so any retry attempt
-    /// escalates).
-    pub(crate) fn retry(&self) -> RetryConfig {
-        match *self {
-            ReliabilityPolicy::SelectiveAck { retry }
-            | ReliabilityPolicy::ErasureCode { retry, .. } => retry,
-            ReliabilityPolicy::WedgeResume { probe } => RetryConfig {
-                rto: probe,
-                budget: 0,
-            },
+    /// Re-NACK rounds before the receiver escalates (wedge-resume: none,
+    /// so any retry attempt escalates).
+    fn retry_budget(&self) -> u32 {
+        match self {
+            ReliabilityPolicy::WedgeResume => 0,
+            _ => RETRY_BUDGET,
         }
     }
 
     /// Sender quiet period before the trailing-loss frontier probe.
-    pub(crate) fn probe_delay(&self) -> SimDuration {
-        match *self {
-            ReliabilityPolicy::WedgeResume { probe } => probe,
-            _ => {
-                let rto = self.retry().rto;
-                SimDuration::from_nanos(rto.as_nanos().saturating_mul(2))
-            }
+    fn probe_delay(&self) -> SimDuration {
+        match self {
+            ReliabilityPolicy::WedgeResume => RTO,
+            _ => PROBE_DELAY,
         }
     }
 }
@@ -433,7 +392,7 @@ impl<T: Transport> Cluster<T> {
     /// policies NACK and arm the retry timer.
     fn rel_chase(&mut self, qp: QpHandle, group: GroupId, me: Rank, seqs: &[u64]) {
         match self.groups[group].reliability {
-            Some(ReliabilityPolicy::WedgeResume { .. }) => self.rel_escalate(qp),
+            Some(ReliabilityPolicy::WedgeResume) => self.rel_escalate(qp),
             Some(_) => {
                 self.rel_request(qp, group, me, seqs);
                 self.rel_arm_rto(qp, group, me);
@@ -518,22 +477,16 @@ impl<T: Transport> Cluster<T> {
     /// blocks still missing, they are re-NACKed with exponential backoff
     /// until the budget is spent, then the connection escalates.
     fn rel_arm_rto(&mut self, qp: QpHandle, group: GroupId, me: Rank) {
-        let Some(policy) = self.groups[group].reliability else {
+        if self.groups[group].reliability.is_none() {
             return;
-        };
-        let retry = policy.retry();
+        }
         let delay = {
             let st = self.reliability.recv.entry(qp).or_default();
             if st.rto_armed || st.escalated {
                 return;
             }
             st.rto_armed = true;
-            SimDuration::from_nanos(
-                retry
-                    .rto
-                    .as_nanos()
-                    .saturating_mul(1u64 << st.rto_attempt.min(6)),
-            )
+            SimDuration::from_nanos(RTO.as_nanos().saturating_mul(1u64 << st.rto_attempt.min(6)))
         };
         let node = self.groups[group].spec.members[me as usize];
         self.arm_timer(node, delay, TimerAction::RelRto { qp });
@@ -547,7 +500,7 @@ impl<T: Transport> Cluster<T> {
         let Some(policy) = self.groups[group].reliability else {
             return;
         };
-        let budget = policy.retry().budget;
+        let budget = policy.retry_budget();
         let missing: Vec<u64> = {
             let Some(st) = self.reliability.recv.get_mut(&qp) else {
                 return;
@@ -837,17 +790,18 @@ mod tests {
 
     #[test]
     fn policy_presets() {
-        assert_eq!(ReliabilityPolicy::selective_ack().name(), "selective-ack");
+        assert_eq!(ReliabilityPolicy::SelectiveAck.name(), "selective-ack");
         let ec = ReliabilityPolicy::erasure(4, 2);
         assert_eq!(ec.name(), "erasure");
-        assert_eq!(ec.retry(), RetryConfig::default());
-        let wr = ReliabilityPolicy::wedge_resume();
-        assert_eq!(wr.retry().budget, 0);
-        // Probe waits two RTOs for the repairing policies.
+        assert_eq!(ec.retry_budget(), RETRY_BUDGET);
+        assert_eq!(ReliabilityPolicy::WedgeResume.retry_budget(), 0);
+        // Probe waits two RTOs for the repairing policies, one for
+        // wedge-resume.
         assert_eq!(
-            ReliabilityPolicy::selective_ack().probe_delay().as_nanos(),
-            RetryConfig::default().rto.as_nanos() * 2
+            ReliabilityPolicy::SelectiveAck.probe_delay().as_nanos(),
+            RTO.as_nanos() * 2
         );
+        assert_eq!(ReliabilityPolicy::WedgeResume.probe_delay(), RTO);
     }
 
     #[test]

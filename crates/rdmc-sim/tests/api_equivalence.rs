@@ -87,7 +87,7 @@ fn jittered_builds_are_deterministic() {
     let spec = || ClusterBuilder::new(ClusterSpec::fractus(6));
     let pacing = PacerConfig::new(2, PacingPolicy::RoundRobin);
     let scheduler = || -> SharedScheduler { Arc::new(Mutex::new(FirstEnabled)) };
-    let declared = node_knobs(spec().flight_recorder(trace::Mode::Full))
+    let declared = node_knobs(spec().flight_recorder())
         .recovery(RecoveryConfig::default())
         .pacing(pacing)
         .scheduler(scheduler())
@@ -98,7 +98,7 @@ fn jittered_builds_are_deterministic() {
             .pacing(pacing)
             .recovery(RecoveryConfig::default()),
     )
-    .flight_recorder(trace::Mode::Full)
+    .flight_recorder()
     .build();
 
     let (trace_a, t_a) = overlapping_run(declared);
@@ -159,7 +159,7 @@ fn recovery_chaos_digest_is_deterministic() {
     };
     let build = || {
         let mut builder = ClusterBuilder::new(ClusterSpec::fractus(6))
-            .flight_recorder(trace::Mode::Full)
+            .flight_recorder()
             .recovery(RecoveryConfig::default());
         for node in 0..6u64 {
             builder = builder.jitter(node as usize, jitter(node));

@@ -34,7 +34,7 @@ fn atomic_run(
     jitter_seed: Option<u64>,
 ) -> SimCluster {
     let mut builder = ClusterBuilder::new(ClusterSpec::fractus(n))
-        .flight_recorder(trace::Mode::Full)
+        .flight_recorder()
         .recovery(RecoveryConfig::default())
         .atomic(atomic_spec(n));
     if let Some(seed) = jitter_seed {

@@ -76,10 +76,7 @@ fn differential_run(
         profile.set_default(LinkFault::lossy(f64::from(ppm) / 1e6));
         builder = builder.fault_profile(profile);
     }
-    let mut cluster = builder
-        .flight_recorder(trace::Mode::Full)
-        .atomic(spec)
-        .build();
+    let mut cluster = builder.flight_recorder().atomic(spec).build();
     for &(origin, size) in plan {
         cluster.submit_atomic_from(0, origin, size);
     }

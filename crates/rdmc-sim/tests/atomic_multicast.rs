@@ -21,7 +21,7 @@ fn atomic_spec(n: usize) -> GroupSpec {
 
 fn build(n: usize) -> SimCluster {
     ClusterBuilder::new(ClusterSpec::fractus(n))
-        .flight_recorder(trace::Mode::Full)
+        .flight_recorder()
         .atomic(atomic_spec(n))
         .build()
 }

@@ -66,7 +66,7 @@ proptest! {
         jitter_seed in any::<u64>(),
     ) {
         let mut builder = ClusterBuilder::new(ClusterSpec::fractus(10))
-            .flight_recorder(trace::Mode::Full);
+            .flight_recorder();
         for node in 0..10 {
             builder = builder.jitter(
                 node,
@@ -147,7 +147,7 @@ fn recovery_run(
     jitter_seed: Option<u64>,
 ) -> SimCluster {
     let mut builder = ClusterBuilder::new(ClusterSpec::fractus(n))
-        .flight_recorder(trace::Mode::Full)
+        .flight_recorder()
         .recovery(RecoveryConfig::default());
     if let Some(seed) = jitter_seed {
         for node in 0..n {

@@ -78,12 +78,13 @@ fn drop_run(policy: ReliabilityPolicy, target: Option<u64>) -> (SimCluster, u64,
         seen: 0,
         dropped: false,
     }));
-    let mut cluster = ClusterBuilder::new(ClusterSpec::fractus(N))
-        .flight_recorder(trace::Mode::Full)
+    let mut fabric = ClusterSpec::fractus(N).build();
+    fabric.set_loss_choice_budget(1 << 40);
+    let mut cluster = ClusterBuilder::from_transport(fabric)
+        .flight_recorder()
         .recovery(RecoveryConfig::default())
         .reliability(policy)
         .scheduler(sched.clone())
-        .loss_choice_budget(1 << 40)
         .build();
     let group = cluster.create_group(GroupSpec {
         members: (0..N).collect(),
@@ -154,9 +155,9 @@ fn assert_delivered_everywhere(cluster: &SimCluster, ctx: &str) {
 
 fn policies() -> [ReliabilityPolicy; 3] {
     [
-        ReliabilityPolicy::selective_ack(),
+        ReliabilityPolicy::SelectiveAck,
         ReliabilityPolicy::erasure(2, 1),
-        ReliabilityPolicy::wedge_resume(),
+        ReliabilityPolicy::WedgeResume,
     ]
 }
 
@@ -196,7 +197,7 @@ fn every_transfer_dropped_once_under_every_policy() {
             let stats = cluster.reliability_stats();
             total_repairs += stats.repairs_received + stats.parity_repairs;
             match policy {
-                ReliabilityPolicy::WedgeResume { .. } => {
+                ReliabilityPolicy::WedgeResume => {
                     // A drop under wedge/resume is an escalation by
                     // definition: the receiver declares the sender
                     // lossy and recovery reconfigures around it.
@@ -218,7 +219,7 @@ fn every_transfer_dropped_once_under_every_policy() {
                 }
             }
         }
-        if !matches!(policy, ReliabilityPolicy::WedgeResume { .. }) {
+        if policy != ReliabilityPolicy::WedgeResume {
             // The sweep is not vacuous: at least one dropped transfer
             // was a data block that needed an actual repair.
             assert!(total_repairs > 0, "{name}: sweep repaired nothing");
@@ -247,7 +248,7 @@ fn seeded_lossy_run(
     let mut profile = FaultProfile::new(seed);
     profile.set_default(fault);
     let mut cluster = ClusterBuilder::new(ClusterSpec::fractus(N))
-        .flight_recorder(trace::Mode::Full)
+        .flight_recorder()
         .recovery(RecoveryConfig::default())
         .fault_profile(profile)
         .reliability(policy)
@@ -267,7 +268,7 @@ fn seeded_lossy_run(
 
 fn arb_policy() -> impl Strategy<Value = ReliabilityPolicy> {
     prop_oneof![
-        Just(ReliabilityPolicy::selective_ack()),
+        Just(ReliabilityPolicy::SelectiveAck),
         Just(ReliabilityPolicy::erasure(2, 1)),
     ]
 }
@@ -313,8 +314,8 @@ proptest! {
 fn replay_from_env() {
     let policy = match std::env::var("RDMC_LOSS_POLICY").as_deref() {
         Ok("erasure") => ReliabilityPolicy::erasure(2, 1),
-        Ok("wedge-resume") => ReliabilityPolicy::wedge_resume(),
-        _ => ReliabilityPolicy::selective_ack(),
+        Ok("wedge-resume") => ReliabilityPolicy::WedgeResume,
+        _ => ReliabilityPolicy::SelectiveAck,
     };
     let seed: u64 = std::env::var("RDMC_LOSS_SEED")
         .ok()

@@ -154,16 +154,3 @@ fn pacing_survives_a_crash_with_recovery() {
         );
     }
 }
-
-#[test]
-fn peak_backlog_reports_queue_pressure() {
-    let mut cluster = ClusterBuilder::new(ClusterSpec::fractus(4)).build();
-    let g = cluster.create_group(group_spec((0..4).collect()));
-    for _ in 0..5 {
-        cluster.submit_send(g, 8 * BLOCK);
-    }
-    // Five sends submitted back-to-back at t=0: the root's backlog high
-    // water must see the pile-up.
-    assert!(cluster.peak_backlog(g) >= 4);
-    cluster.run();
-}

@@ -14,7 +14,7 @@ const BLOCK: u64 = 64 << 10;
 
 fn build(n: usize) -> (SimCluster, rdmc_sim::GroupId) {
     let mut cluster = ClusterBuilder::new(ClusterSpec::fractus(n))
-        .flight_recorder(trace::Mode::Full)
+        .flight_recorder()
         .recovery(RecoveryConfig::default())
         .build();
     let group = cluster.create_group(GroupSpec {

@@ -349,9 +349,7 @@ fn slow_nic_costs_less_than_chain_would_suffer() {
 #[test]
 fn tracing_captures_the_protocol_conversation() {
     let spec = ClusterSpec::stampede(4);
-    let mut cluster = ClusterBuilder::new(spec.clone())
-        .flight_recorder(trace::Mode::Full)
-        .build();
+    let mut cluster = ClusterBuilder::new(spec.clone()).flight_recorder().build();
     let group = cluster.create_group(GroupSpec {
         members: (0..4).collect(),
         algorithm: Algorithm::BinomialPipeline,

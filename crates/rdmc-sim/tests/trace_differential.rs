@@ -36,7 +36,7 @@ proptest! {
         crash_step in 10u64..120,
     ) {
         let mut cluster = ClusterBuilder::new(ClusterSpec::fractus(n))
-            .flight_recorder(trace::Mode::Full)
+            .flight_recorder()
             .recovery(RecoveryConfig::default())
             .build();
         let recorder = cluster.recorder().clone();

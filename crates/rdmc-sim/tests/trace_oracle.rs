@@ -20,8 +20,7 @@ const BLOCK: u64 = 64 << 10;
 /// An `n`-member cluster with a full-capture recorder (and recovery, if
 /// asked) and one group over every node.
 fn cluster(n: usize, algorithm: Algorithm, recovery: bool) -> SimCluster {
-    let mut builder =
-        ClusterBuilder::new(ClusterSpec::fractus(n)).flight_recorder(trace::Mode::Full);
+    let mut builder = ClusterBuilder::new(ClusterSpec::fractus(n)).flight_recorder();
     if recovery {
         builder = builder.recovery(RecoveryConfig::default());
     }
@@ -275,7 +274,7 @@ fn premature_atomic_delivery_is_flagged() {
     // One rotation of one-block messages on a three-member atomic group.
     let algorithm = Algorithm::BinomialPipeline;
     let mut cluster = ClusterBuilder::new(ClusterSpec::fractus(3))
-        .flight_recorder(trace::Mode::Full)
+        .flight_recorder()
         .atomic(GroupSpec {
             members: (0..3).collect(),
             algorithm: algorithm.clone(),
@@ -393,33 +392,4 @@ fn two_view_changes_are_checked_epoch_by_epoch() {
         })
         .collect();
     assert_eq!(sent_in, BTreeSet::from([0, 1, 2]));
-}
-
-#[test]
-fn ring_mode_drops_oldest_but_keeps_recent_window() {
-    // A small ring on a real run: the recorder must report drops (so
-    // oracle users know the capture is partial) and retain the tail.
-    let mut cluster = ClusterBuilder::new(ClusterSpec::fractus(4))
-        .flight_recorder(trace::Mode::Ring(64))
-        .build();
-    let recorder = cluster.recorder().clone();
-    let group = cluster.create_group(GroupSpec {
-        members: (0..4).collect(),
-        algorithm: Algorithm::BinomialPipeline,
-        block_size: BLOCK,
-        ready_window: 3,
-        max_outstanding_sends: 3,
-    });
-    cluster.submit_send(group, 16 * BLOCK);
-    cluster.run();
-    let events = recorder.events();
-    assert_eq!(events.len(), 64, "ring stays at capacity");
-    assert!(recorder.dropped() > 0, "a 16-block run overflows 64 slots");
-    // The tail always ends with the final deliveries.
-    assert!(
-        events
-            .iter()
-            .any(|e| matches!(e.kind, EventKind::Delivered { .. })),
-        "the last deliveries stay in the window"
-    );
 }

@@ -30,4 +30,4 @@ mod table;
 
 pub use membership::{View, ViewTracker};
 pub use multicast::{small_message_rate, SstMessageResult, SstMulticast};
-pub use table::SstTable;
+pub use table::{RejectedWrite, SstTable};

@@ -25,7 +25,7 @@
 
 use std::collections::BTreeSet;
 
-use crate::table::SstTable;
+use crate::table::{RejectedWrite, SstTable};
 
 /// Suspicion-bitmask column.
 const COL_SUSPECT: u32 = 0;
@@ -59,8 +59,9 @@ pub struct View {
 /// let mut b = ViewTracker::new(1, 3);
 /// // a suspects rank 2; the update replicates to b, which adopts it.
 /// let up = a.suspect(2).expect("new suspicion");
-/// let echo = b.apply_remote(0, &up).expect("b unions the suspicion in");
-/// a.apply_remote(1, &echo);
+/// let echo = b.apply_remote(0, &up).expect("a peer's cell");
+/// let echo = echo.expect("b unions the suspicion in");
+/// a.apply_remote(1, &echo).expect("a peer's cell");
 /// // Both unsuspected members now publish identical masks: agreement.
 /// let va = a.agreed_view().expect("a agrees");
 /// let vb = b.agreed_view().expect("b agrees");
@@ -168,7 +169,9 @@ impl ViewTracker {
         let mut payload = Vec::with_capacity(12);
         payload.extend_from_slice(&(COL_FRONTIER_BASE + sender).to_le_bytes());
         payload.extend_from_slice(&count.to_le_bytes());
-        self.table.apply_remote(row, &payload);
+        self.table
+            .apply_remote(row, &payload)
+            .expect("a peer row and a frontier column, both read above");
     }
 
     /// The stability frontier for `sender`: the minimum received-frontier
@@ -231,32 +234,36 @@ impl ViewTracker {
     /// is what makes agreement reach members the failed node partitioned
     /// from the original suspecter.
     ///
-    /// Both membership cells are monotone (masks only grow, epochs only
-    /// rise), so the update is *merged* rather than overwritten: a stale
-    /// payload delivered out of order can never regress a row.
-    pub fn apply_remote(&mut self, from_rank: u32, payload: &[u8]) -> Option<Vec<u8>> {
-        let col = u32::from_le_bytes(payload[..4].try_into().expect("payload col"));
-        let val = u64::from_le_bytes(payload[4..12].try_into().expect("payload val"));
-        let merged = match col {
-            COL_SUSPECT => self.table.get(from_rank, COL_SUSPECT) | val,
-            // Epochs and stability frontiers are both monotone counters:
-            // merge by max so a reordered stale payload cannot regress.
-            COL_EPOCH => self.table.get(from_rank, COL_EPOCH).max(val),
-            c if c < self.table.columns() => self.table.get(from_rank, c).max(val),
-            _ => panic!("unknown membership column {col}"),
-        };
-        let mut monotone = Vec::with_capacity(12);
-        monotone.extend_from_slice(&col.to_le_bytes());
-        monotone.extend_from_slice(&merged.to_le_bytes());
-        self.table.apply_remote(from_rank, &monotone);
+    /// Every cell is monotone (masks only grow, epochs and stability
+    /// frontiers only rise), so the update is *merged* rather than
+    /// overwritten: a stale payload delivered out of order can never
+    /// regress a row.
+    ///
+    /// # Errors
+    ///
+    /// [`RejectedWrite`] when the payload is not one cell of a peer's
+    /// row ([`SstTable::apply_remote`]); nothing changes.
+    pub fn apply_remote(
+        &mut self,
+        from_rank: u32,
+        payload: &[u8],
+    ) -> Result<Option<Vec<u8>>, RejectedWrite> {
+        self.table
+            .merge_remote(from_rank, payload, |col, old, val| {
+                if col == COL_SUSPECT {
+                    old | val
+                } else {
+                    old.max(val)
+                }
+            })?;
         let me = self.table.rank();
         let mine = self.table.get(me, COL_SUSPECT);
         let theirs = self.table.get(from_rank, COL_SUSPECT);
         let grown = mine | theirs;
         if grown == mine {
-            return None;
+            return Ok(None);
         }
-        Some(self.table.set_local(COL_SUSPECT, grown))
+        Ok(Some(self.table.set_local(COL_SUSPECT, grown)))
     }
 
     /// The agreed next view, if agreement has been reached: our mask is
@@ -328,7 +335,7 @@ mod tests {
                 let Some(t) = slot.as_mut() else {
                     continue;
                 };
-                if let Some(echo) = t.apply_remote(src, &p) {
+                if let Some(echo) = t.apply_remote(src, &p).expect("a peer's cell") {
                     queue.push((i as u32, echo));
                 }
             }
@@ -460,8 +467,8 @@ mod tests {
         assert!(a.advance_frontier(1, 5).is_none(), "re-advance is a no-op");
         assert!(a.advance_frontier(1, 3).is_none(), "regress is a no-op");
         // Deliver the updates out of order: max-merge keeps row 0 at 5.
-        b.apply_remote(0, &up5);
-        b.apply_remote(0, &up2);
+        b.apply_remote(0, &up5).expect("a peer's cell");
+        b.apply_remote(0, &up2).expect("a peer's cell");
         assert_eq!(b.frontier(0, 1), 5);
         assert_eq!(b.frontier(1, 1), 0);
         assert_eq!(b.num_senders(), 2);
@@ -482,6 +489,34 @@ mod tests {
             assert_eq!(v.members, vec![0, 1]);
             assert_eq!(t.frontier(0, 0), 4, "frontier survives agreement");
         }
+    }
+
+    #[test]
+    fn malformed_peer_writes_are_rejected() {
+        // Member 1 of 3, with columns 0..5; the peer is row 0.
+        let mut table = SstTable::new(1, 3, 5);
+        let mut tracker = ViewTracker::with_frontiers(1, 3, 3);
+        let cell = |col: u32| [col.to_le_bytes().as_slice(), &4u64.to_le_bytes()].concat();
+        let good = cell(COL_FRONTIER_BASE);
+        for (row, payload, why) in [
+            (0, good[..11].to_vec(), RejectedWrite::Malformed),
+            (
+                0,
+                [good.as_slice(), &[0]].concat(),
+                RejectedWrite::Malformed,
+            ),
+            (1, good.clone(), RejectedWrite::NotAPeerRow),
+            (3, good.clone(), RejectedWrite::NotAPeerRow),
+            (0, cell(5), RejectedWrite::UnknownColumn),
+        ] {
+            assert_eq!(table.apply_remote(row, &payload), Err(why), "{payload:?}");
+            assert_eq!(tracker.apply_remote(row, &payload), Err(why), "{payload:?}");
+        }
+        for t in [&table, &tracker.table] {
+            assert!((0..3).all(|r| (0..5).all(|c| t.get(r, c) == 0)));
+        }
+        assert_eq!(tracker.apply_remote(0, &good), Ok(None));
+        assert_eq!(tracker.frontier(0, 0), 4);
     }
 
     #[test]

@@ -11,7 +11,21 @@
 //! [`SstTable`] is the sans-IO replica: update locally, encode the wire
 //! write, apply remote writes. Whoever owns the replicas carries the
 //! payloads between them ([`crate::ViewTracker`]'s rows ride `rdmc-sim`'s
-//! control writes).
+//! control writes), so a remote write is peer input: one that does not
+//! decode to a peer's cell is rejected ([`RejectedWrite`]), never
+//! trusted.
+
+/// Why a replica refused a peer's row write; the replica is unchanged.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RejectedWrite {
+    /// The payload is not one encoded cell (`col: u32 LE`, `val: u64
+    /// LE`, 12 bytes).
+    Malformed,
+    /// The row is out of range, or it is ours: rows are single-writer.
+    NotAPeerRow,
+    /// The column is out of range.
+    UnknownColumn,
+}
 
 /// One member's replica of the shared state table.
 ///
@@ -23,7 +37,7 @@
 /// let mut mine = SstTable::new(0, 3, 2);
 /// let mut yours = SstTable::new(1, 3, 2);
 /// let update = mine.set_local(1, 42);
-/// yours.apply_remote(0, &update);
+/// yours.apply_remote(0, &update).expect("a peer's well-formed write");
 /// assert_eq!(yours.get(0, 1), 42);
 /// assert_eq!(yours.min_column(1), 0); // rows 1 and 2 still at zero
 /// ```
@@ -96,17 +110,36 @@ impl SstTable {
     /// Applies a peer's row update (the payload produced by its
     /// [`SstTable::set_local`]).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on a malformed payload, an out-of-range row, or an attempt
-    /// to write our own row (rows are single-writer by construction).
-    pub fn apply_remote(&mut self, from_row: u32, payload: &[u8]) {
-        assert!(from_row < self.rows, "row out of range");
-        assert_ne!(from_row, self.rank, "peers cannot write our row");
-        let col = u32::from_le_bytes(payload[..4].try_into().expect("payload col"));
-        let val = u64::from_le_bytes(payload[4..12].try_into().expect("payload val"));
-        assert!(col < self.columns, "column out of range");
-        self.cells[(from_row * self.columns + col) as usize] = val;
+    /// [`RejectedWrite`] when the payload is not one cell of a peer's
+    /// row; nothing is written.
+    pub fn apply_remote(&mut self, from_row: u32, payload: &[u8]) -> Result<(), RejectedWrite> {
+        self.merge_remote(from_row, payload, |_, _, val| val)
+    }
+
+    /// [`SstTable::apply_remote`], storing `merge(col, old, val)` in
+    /// place of the written `val`.
+    pub(crate) fn merge_remote(
+        &mut self,
+        from_row: u32,
+        payload: &[u8],
+        merge: impl FnOnce(u32, u64, u64) -> u64,
+    ) -> Result<(), RejectedWrite> {
+        let (col, val) = payload
+            .split_first_chunk::<4>()
+            .ok_or(RejectedWrite::Malformed)?;
+        let val = <[u8; 8]>::try_from(val).map_err(|_| RejectedWrite::Malformed)?;
+        if from_row >= self.rows || from_row == self.rank {
+            return Err(RejectedWrite::NotAPeerRow);
+        }
+        let col = u32::from_le_bytes(*col);
+        if col >= self.columns {
+            return Err(RejectedWrite::UnknownColumn);
+        }
+        let cell = &mut self.cells[(from_row * self.columns + col) as usize];
+        *cell = merge(col, *cell, u64::from_le_bytes(val));
+        Ok(())
     }
 
     /// Minimum of a column across all rows — the workhorse aggregate for
@@ -131,7 +164,7 @@ mod tests {
     fn set_everywhere(tables: &mut [SstTable], rank: u32, col: u32, val: u64) {
         let payload = tables[rank as usize].set_local(col, val);
         for peer in tables.iter_mut().filter(|t| t.rank() != rank) {
-            peer.apply_remote(rank, &payload);
+            peer.apply_remote(rank, &payload).expect("a peer's cell");
         }
     }
 
@@ -144,11 +177,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "peers cannot write our row")]
     fn single_writer_rows_are_enforced() {
         let mut t = SstTable::new(1, 3, 1);
         let p = SstTable::new(0, 3, 1).set_local(0, 5);
-        t.apply_remote(1, &p);
+        assert_eq!(t.apply_remote(1, &p), Err(RejectedWrite::NotAPeerRow));
+        assert_eq!(t.get(1, 0), 0);
     }
 
     #[test]
@@ -183,7 +216,9 @@ mod tests {
         let payloads: Vec<Vec<u8>> = tables.iter_mut().map(|t| t.set_local(0, 1)).collect();
         for from in 1..5 {
             assert_eq!(tables[0].min_column(0), 0, "before row {from} lands");
-            tables[0].apply_remote(from, &payloads[from as usize]);
+            tables[0]
+                .apply_remote(from, &payloads[from as usize])
+                .expect("a peer's cell");
         }
         assert_eq!(tables[0].min_column(0), 1);
         assert_eq!(tables[1].min_column(0), 0, "nothing has landed at rank 1");

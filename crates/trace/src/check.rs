@@ -40,10 +40,8 @@
 //!    members of one atomic group must have delivered identical slot
 //!    sequences up to the shorter log (total order, prefix agreement).
 //!
-//! The oracle requires a *complete* trace: run the recorder in
-//! [`Mode::Full`](crate::Mode::Full), or confirm
-//! [`Recorder::dropped`](crate::Recorder::dropped) is zero on a ring
-//! capture before checking it.
+//! The oracle needs the complete trace, which is what every enabled
+//! [`Recorder`](crate::Recorder) keeps.
 
 use crate::{EventKind, TraceEvent};
 // The oracle's hash maps are pure lookup tables — entry/get/insert

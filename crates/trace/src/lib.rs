@@ -11,9 +11,9 @@
 //! - [`Recorder`] — a cheap-clone handle that is **zero-cost when
 //!   disabled**: every instrumentation point is a single branch on an
 //!   `Option<Arc<_>>`, and the event payload is built inside a closure
-//!   that never runs unless recording is on. Two capture modes:
-//!   a bounded ring buffer (flight-recorder style, keeps the most
-//!   recent events) and full capture.
+//!   that never runs unless recording is on. An enabled recorder keeps
+//!   every event, which is what the trace oracle and the exporters
+//!   need.
 //! - [`TraceEvent`] / [`EventKind`] — the event taxonomy, spanning flow
 //!   starts and rate changes, verb posts/completions/RNR arms/flushes,
 //!   protocol steps (block send/receive, credit grants, wedge/resume),
@@ -49,21 +49,9 @@ pub mod export;
 pub mod replay;
 pub mod stall;
 
-use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-
-/// How a [`Recorder`] stores events.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Mode {
-    /// Keep only the most recent `capacity` events (flight-recorder
-    /// style); older events are dropped and counted in
-    /// [`Recorder::dropped`].
-    Ring(usize),
-    /// Keep every event.
-    Full,
-}
 
 /// Where an event happened: a fabric node, a (group, rank), both, or
 /// neither (network-level events). Absent coordinates are `None`.
@@ -119,7 +107,7 @@ impl Scope {
 /// virtual-time nanosecond it happened at, where, and what.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TraceEvent {
-    /// Global sequence number (dense while nothing is dropped).
+    /// Global sequence number: the event's index in the recording.
     pub seq: u64,
     /// Virtual time in nanoseconds.
     pub t_ns: u64,
@@ -345,11 +333,8 @@ pub enum EventKind {
 }
 
 struct Inner {
-    mode: Mode,
     now: AtomicU64,
-    seq: AtomicU64,
-    dropped: AtomicU64,
-    buf: Mutex<VecDeque<TraceEvent>>,
+    buf: Mutex<Vec<TraceEvent>>,
 }
 
 /// The recorder handle. Cloning is cheap (an `Arc` bump) and every
@@ -365,28 +350,12 @@ impl Recorder {
         Recorder(None)
     }
 
-    /// An enabled recorder with the given capture mode.
-    pub fn new(mode: Mode) -> Self {
-        if let Mode::Ring(cap) = mode {
-            assert!(cap > 0, "ring capacity must be positive");
-        }
-        Recorder(Some(Arc::new(Inner {
-            mode,
-            now: AtomicU64::new(0),
-            seq: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-            buf: Mutex::new(VecDeque::new()),
-        })))
-    }
-
-    /// A flight recorder keeping the most recent `capacity` events.
-    pub fn ring(capacity: usize) -> Self {
-        Recorder::new(Mode::Ring(capacity))
-    }
-
     /// A recorder keeping every event.
     pub fn full() -> Self {
-        Recorder::new(Mode::Full)
+        Recorder(Some(Arc::new(Inner {
+            now: AtomicU64::new(0),
+            buf: Mutex::new(Vec::new()),
+        })))
     }
 
     /// Whether this handle records anything.
@@ -436,42 +405,15 @@ impl Recorder {
     /// A snapshot of the captured events, oldest first.
     pub fn events(&self) -> Vec<TraceEvent> {
         self.0.as_ref().map_or_else(Vec::new, |inner| {
-            inner
-                .buf
-                .lock()
-                .expect("recorder poisoned")
-                .iter()
-                .cloned()
-                .collect()
+            inner.buf.lock().expect("recorder poisoned").clone()
         })
-    }
-
-    /// Events dropped by the ring buffer so far.
-    pub fn dropped(&self) -> u64 {
-        self.0
-            .as_ref()
-            .map_or(0, |inner| inner.dropped.load(Ordering::Relaxed))
-    }
-
-    /// Discards everything captured so far (the sequence counter keeps
-    /// counting, so later events never reuse a sequence number).
-    pub fn clear(&self) {
-        if let Some(inner) = &self.0 {
-            inner.buf.lock().expect("recorder poisoned").clear();
-        }
     }
 }
 
 fn push(inner: &Inner, t_ns: u64, scope: Scope, kind: EventKind) {
-    let seq = inner.seq.fetch_add(1, Ordering::Relaxed);
     let mut buf = inner.buf.lock().expect("recorder poisoned");
-    if let Mode::Ring(cap) = inner.mode {
-        if buf.len() == cap {
-            buf.pop_front();
-            inner.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-    buf.push_back(TraceEvent {
+    let seq = buf.len() as u64;
+    buf.push(TraceEvent {
         seq,
         t_ns,
         scope,
@@ -487,8 +429,7 @@ impl fmt::Debug for Recorder {
             None => write!(f, "Recorder(disabled)"),
             Some(inner) => write!(
                 f,
-                "Recorder({:?}, {} events)",
-                inner.mode,
+                "Recorder({} events)",
                 inner.buf.lock().map(|b| b.len()).unwrap_or(0)
             ),
         }
@@ -507,7 +448,6 @@ mod tests {
         assert_eq!(r.now(), 0);
         r.record(Scope::none(), || panic!("payload closure must not run"));
         assert!(r.events().is_empty());
-        assert_eq!(r.dropped(), 0);
     }
 
     #[test]
@@ -527,24 +467,6 @@ mod tests {
     }
 
     #[test]
-    fn ring_mode_drops_oldest() {
-        let r = Recorder::ring(2);
-        for i in 0..5u64 {
-            r.set_now(i);
-            r.record(Scope::none(), || EventKind::FlowStarted {
-                flow: i,
-                bytes: 1,
-            });
-        }
-        let ev = r.events();
-        assert_eq!(ev.len(), 2);
-        assert_eq!(r.dropped(), 3);
-        assert_eq!(ev[0].t_ns, 3);
-        assert_eq!(ev[1].t_ns, 4);
-        assert_eq!(ev[1].seq, 4, "sequence numbers survive drops");
-    }
-
-    #[test]
     fn clones_share_one_buffer() {
         let r = Recorder::full();
         let r2 = r.clone();
@@ -552,16 +474,5 @@ mod tests {
         r2.record(Scope::none(), || EventKind::NodeCrashed);
         assert_eq!(r.events().len(), 1);
         assert_eq!(r.now(), 7);
-    }
-
-    #[test]
-    fn clear_preserves_sequence_numbering() {
-        let r = Recorder::full();
-        r.record(Scope::none(), || EventKind::NodeCrashed);
-        r.clear();
-        r.record(Scope::none(), || EventKind::NodeCrashed);
-        let ev = r.events();
-        assert_eq!(ev.len(), 1);
-        assert_eq!(ev[0].seq, 1);
     }
 }

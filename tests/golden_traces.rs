@@ -25,7 +25,7 @@ const BLOCK: u64 = 64 << 10;
 /// flight recording, exported as JSONL.
 fn traced_jsonl(algorithm: Algorithm) -> String {
     let mut cluster = ClusterBuilder::new(ClusterSpec::fractus(4))
-        .flight_recorder(trace::Mode::Full)
+        .flight_recorder()
         .build();
     let recorder = cluster.recorder().clone();
     let group = cluster.create_group(GroupSpec {
