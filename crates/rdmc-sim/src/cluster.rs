@@ -138,6 +138,13 @@ pub(crate) enum TimerAction {
         size: u64,
         message: MessageId,
     },
+    /// Send `member`'s unsent frontier columns as one row write per live
+    /// peer: the zero-delay end-of-batch hook its first unsent column
+    /// armed.
+    FrontierFlush {
+        ag: AtomicGroupId,
+        member: usize,
+    },
 }
 
 pub(crate) struct GroupRuntime {
@@ -806,6 +813,9 @@ impl<T: Transport> Cluster<T> {
                 Some(TimerAction::AtomicSend { ag, size, message }) => {
                     // Group extinct by now: the handle never resolves.
                     let _ = self.do_submit_atomic(ag, size, message);
+                }
+                Some(TimerAction::FrontierFlush { ag, member }) => {
+                    self.atomic_frontier_flush(ag, member);
                 }
                 None => {} // stale or foreign timer: ignore
             },

@@ -55,6 +55,10 @@
 //! - **Sweep.** Once per failure-detect interval, and before every
 //!   sleep, every socket is read regardless — a socket killed from
 //!   outside is still noticed within that bound.
+//! - **Timers first.** Due timers are handed out before a pass starts,
+//!   and the pass waits for their handlers: a zero-delay timer is the
+//!   driver's end-of-batch hook, and what it posts leaves in the same
+//!   pass as everything posted before it.
 //!
 //! None of this touches completion semantics: `SendDone` still means
 //! "flushed to the socket" and nothing the receiving end does feeds
@@ -602,6 +606,12 @@ impl Transport for TcpFabric {
             }
             let now = self.now_ns();
             self.fire_due_timers(now);
+            // Due timers surface before the pump moves more bytes, so a
+            // zero-delay timer is the end-of-batch hook: what its handler
+            // posts leaves in the same pass as what was posted before it.
+            if !self.ready.is_empty() {
+                continue;
+            }
             let sweep = now - self.last_sweep >= FAILURE_DETECT_NS;
             if sweep {
                 self.last_sweep = now;

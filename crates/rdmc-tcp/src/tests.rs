@@ -97,6 +97,50 @@ fn bytes_in_flight_at_a_crash_are_delivered_before_the_break() {
     fabric.shutdown().expect("clean shutdown after a crash");
 }
 
+/// Due timers surface before the pump moves more bytes: a zero-delay
+/// timer armed behind a posted write comes out ahead of that write's
+/// completion, and a write posted from the timer's handler leaves in the
+/// same pass as the first — both completions are queued by the time the
+/// first one surfaces.
+#[test]
+fn zero_delay_timer_fires_before_the_next_flush() {
+    let (mut fabric, a, b) = pair();
+    let write = |fabric: &mut TcpFabric, wr: u64| {
+        fabric
+            .post_write(a, WrId(wr), 7, Bytes::from_static(b"row"), None)
+            .expect("post_write");
+    };
+    let name = |(_, node, d): (SimTime, NodeId, Delivery)| match d {
+        Delivery::Timer { token } => format!("{node:?} timer {token}"),
+        Delivery::WriteDone { qp, wr_id } if qp == a => format!("{node:?} done {}", wr_id.0),
+        Delivery::WriteArrived { qp, .. } if qp == b => format!("{node:?} arrived"),
+        other => panic!("unexpected {other:?}"),
+    };
+    write(&mut fabric, 1);
+    fabric.schedule_timer(A, SimDuration::ZERO, 42);
+    assert_eq!(
+        name(fabric.advance().expect("the timer")),
+        "NodeId(0) timer 42"
+    );
+    assert_eq!(fabric.queued, 1, "no byte moved before the timer surfaced");
+    write(&mut fabric, 2);
+    assert_eq!(
+        name(fabric.advance().expect("a completion")),
+        "NodeId(0) done 1"
+    );
+    assert_eq!(fabric.queued, 0, "one pass flushed both writes");
+    assert_eq!(
+        fabric.ready.front().cloned().map(name).as_deref(),
+        Some("NodeId(0) done 2")
+    );
+    let rest: Vec<String> = std::iter::from_fn(|| fabric.advance()).map(name).collect();
+    assert_eq!(
+        rest,
+        ["NodeId(0) done 2", "NodeId(1) arrived", "NodeId(1) arrived"]
+    );
+    fabric.shutdown().expect("clean shutdown");
+}
+
 /// A frame of no known kind breaks its connection and comes out of
 /// `shutdown()` as `InvalidData`.
 #[test]

@@ -18,10 +18,13 @@
 //! list) from purely local reads, install their new epoch, and the view
 //! is *stable* once every survivor's installed-epoch cell catches up.
 //!
-//! The tracker is sans-IO like [`SstTable`] itself: local mutations
-//! return encoded row updates for the caller to replicate; remote
-//! updates are applied via [`ViewTracker::apply_remote`]. `rdmc-sim`
-//! drives one per simulated node to orchestrate recovery.
+//! The tracker is sans-IO like [`SstTable`] itself: membership
+//! mutations return encoded row updates for the caller to replicate,
+//! applied at peers via [`ViewTracker::apply_remote`]; frontier advances
+//! are encoded on demand ([`ViewTracker::frontier_cells`]), so a caller
+//! can send several columns as one row write, applied via
+//! [`ViewTracker::apply_remote_cells`]. `rdmc-sim` drives one per
+//! simulated node to orchestrate recovery.
 
 use std::collections::BTreeSet;
 
@@ -114,23 +117,78 @@ impl ViewTracker {
     }
 
     /// Raises our own received-frontier for `sender` to `count`.
-    /// Returns the encoded row update to replicate, or `None` if the
-    /// frontier already stood at `count` or beyond (frontiers are
-    /// monotone; a stale advance is a no-op).
+    /// Returns `false` if the frontier already stood at `count` or
+    /// beyond (frontiers are monotone; a stale advance is a no-op).
+    /// Nothing is encoded: the caller replicates whenever it chooses,
+    /// with [`ViewTracker::frontier_cells`].
     ///
     /// # Panics
     ///
     /// Panics if `sender` has no frontier column.
-    pub fn advance_frontier(&mut self, sender: u32, count: u64) -> Option<Vec<u8>> {
+    pub fn advance_frontier(&mut self, sender: u32, count: u64) -> bool {
         assert!(
             sender < self.num_senders(),
             "sender {sender} has no frontier"
         );
         let me = self.table.rank();
         if self.table.get(me, COL_FRONTIER_BASE + sender) >= count {
-            return None;
+            return false;
         }
-        Some(self.table.set_local(COL_FRONTIER_BASE + sender, count))
+        self.table.set_local(COL_FRONTIER_BASE + sender, count);
+        true
+    }
+
+    /// Our own row's current frontier cells for `senders`, encoded back
+    /// to back in the order given (`col: u32 LE`, `val: u64 LE` each) —
+    /// the payload a peer merges with [`ViewTracker::apply_remote_cells`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if a sender has no frontier column.
+    pub fn frontier_cells(&self, senders: &[u32]) -> Vec<u8> {
+        let me = self.table.rank();
+        let mut cells = Vec::with_capacity(12 * senders.len());
+        for &s in senders {
+            cells.extend_from_slice(&(COL_FRONTIER_BASE + s).to_le_bytes());
+            cells.extend_from_slice(&self.frontier(me, s).to_le_bytes());
+        }
+        cells
+    }
+
+    /// Max-merges a peer's batch of frontier cells (one or more 12-byte
+    /// cells, as [`ViewTracker::frontier_cells`] encodes them) into its
+    /// row — all or nothing: every cell is checked before any merges.
+    ///
+    /// # Errors
+    ///
+    /// [`RejectedWrite`] when the payload is empty or not a whole
+    /// number of cells, `from_rank` is not a peer's row, or any cell's
+    /// column is not a frontier column (the suspicion and epoch cells
+    /// travel through [`ViewTracker::apply_remote`]); nothing changes.
+    pub fn apply_remote_cells(
+        &mut self,
+        from_rank: u32,
+        cells: &[u8],
+    ) -> Result<(), RejectedWrite> {
+        if cells.is_empty() || !cells.len().is_multiple_of(12) {
+            return Err(RejectedWrite::Malformed);
+        }
+        if from_rank >= self.table.rows() || from_rank == self.table.rank() {
+            return Err(RejectedWrite::NotAPeerRow);
+        }
+        let frontier_cols = COL_FRONTIER_BASE..self.table.columns();
+        if cells.chunks_exact(12).any(|cell| {
+            let col = u32::from_le_bytes(cell[..4].try_into().expect("a 12-byte cell"));
+            !frontier_cols.contains(&col)
+        }) {
+            return Err(RejectedWrite::UnknownColumn);
+        }
+        for cell in cells.chunks_exact(12) {
+            self.table
+                .merge_remote(from_rank, cell, |_, old, val| old.max(val))
+                .expect("a peer row and a frontier column, both checked above");
+        }
+        Ok(())
     }
 
     /// Member `row`'s published received-frontier for `sender`.
@@ -426,6 +484,24 @@ mod tests {
         assert_eq!(t.suspected(), [1].into_iter().collect());
     }
 
+    /// Advances `from`'s frontier for `sender` to `count` and merges the
+    /// resulting row write into every other live tracker.
+    fn advance_everywhere(
+        trackers: &mut [Option<ViewTracker>],
+        from: u32,
+        sender: u32,
+        count: u64,
+    ) {
+        let t = trackers[from as usize].as_mut().unwrap();
+        assert!(t.advance_frontier(sender, count));
+        let cells = t.frontier_cells(&[sender]);
+        for (i, slot) in trackers.iter_mut().enumerate() {
+            if let Some(t) = slot.as_mut().filter(|_| i as u32 != from) {
+                t.apply_remote_cells(from, &cells).expect("a peer's cells");
+            }
+        }
+    }
+
     #[test]
     fn frontiers_propagate_and_min_gates_stability() {
         let mut ts: Vec<Option<ViewTracker>> = (0..3)
@@ -434,12 +510,7 @@ mod tests {
         // Ranks 0 and 1 have received two of sender 2's slots; rank 2
         // has only received one. The min pins stability at 1.
         for (r, count) in [(0u32, 2u64), (1, 2), (2, 1)] {
-            let up = ts[r as usize]
-                .as_mut()
-                .unwrap()
-                .advance_frontier(2, count)
-                .unwrap();
-            broadcast(&mut ts, r, up);
+            advance_everywhere(&mut ts, r, 2, count);
         }
         let live = [0u32, 1, 2];
         for t in ts.iter().flatten() {
@@ -448,8 +519,7 @@ mod tests {
             assert_eq!(t.frontier(2, 2), 1);
         }
         // Rank 2 catches up; everyone's min advances to 2.
-        let up = ts[2].as_mut().unwrap().advance_frontier(2, 2).unwrap();
-        broadcast(&mut ts, 2, up);
+        advance_everywhere(&mut ts, 2, 2, 2);
         for t in ts.iter().flatten() {
             assert_eq!(t.stable_frontier(2, &live), 2, "rank {}", t.rank());
         }
@@ -462,16 +532,37 @@ mod tests {
     fn stale_frontier_updates_are_monotone_no_ops() {
         let mut a = ViewTracker::with_frontiers(0, 2, 2);
         let mut b = ViewTracker::with_frontiers(1, 2, 2);
-        let up2 = a.advance_frontier(1, 2).unwrap();
-        let up5 = a.advance_frontier(1, 5).unwrap();
-        assert!(a.advance_frontier(1, 5).is_none(), "re-advance is a no-op");
-        assert!(a.advance_frontier(1, 3).is_none(), "regress is a no-op");
+        assert!(a.advance_frontier(1, 2));
+        let up2 = a.frontier_cells(&[1]);
+        assert!(a.advance_frontier(1, 5));
+        let up5 = a.frontier_cells(&[1]);
+        assert!(!a.advance_frontier(1, 5), "re-advance is a no-op");
+        assert!(!a.advance_frontier(1, 3), "regress is a no-op");
         // Deliver the updates out of order: max-merge keeps row 0 at 5.
-        b.apply_remote(0, &up5).expect("a peer's cell");
-        b.apply_remote(0, &up2).expect("a peer's cell");
+        b.apply_remote_cells(0, &up5).expect("a peer's cell");
+        b.apply_remote_cells(0, &up2).expect("a peer's cell");
         assert_eq!(b.frontier(0, 1), 5);
         assert_eq!(b.frontier(1, 1), 0);
         assert_eq!(b.num_senders(), 2);
+    }
+
+    #[test]
+    fn one_row_write_carries_every_column_given() {
+        let mut a = ViewTracker::with_frontiers(0, 2, 3);
+        let mut b = ViewTracker::with_frontiers(1, 2, 3);
+        assert!(a.advance_frontier(0, 3));
+        assert!(a.advance_frontier(2, 7));
+        assert!(
+            a.advance_frontier(2, 9),
+            "the latest value is what goes out"
+        );
+        let row = a.frontier_cells(&[0, 2]);
+        assert_eq!(row.len(), 24);
+        b.apply_remote_cells(0, &row).expect("a peer's cells");
+        assert_eq!(
+            (0..3).map(|s| b.frontier(0, s)).collect::<Vec<_>>(),
+            [3, 0, 9]
+        );
     }
 
     #[test]
@@ -479,8 +570,7 @@ mod tests {
         let mut ts: Vec<Option<ViewTracker>> = (0..3)
             .map(|r| Some(ViewTracker::with_frontiers(r, 3, 3)))
             .collect();
-        let up = ts[0].as_mut().unwrap().advance_frontier(0, 4).unwrap();
-        broadcast(&mut ts, 0, up);
+        advance_everywhere(&mut ts, 0, 0, 4);
         ts[2] = None;
         let up = ts[1].as_mut().unwrap().suspect(2).unwrap();
         broadcast(&mut ts, 1, up);
@@ -519,6 +609,47 @@ mod tests {
         assert_eq!(tracker.frontier(0, 0), 4);
     }
 
+    /// A batch of frontier cells merges all or nothing: one bad cell
+    /// anywhere in it, and no cell of it lands.
+    #[test]
+    fn bad_cells_reject_the_whole_batch() {
+        let mut tracker = ViewTracker::with_frontiers(1, 3, 3);
+        let cell = |col: u32| [col.to_le_bytes().as_slice(), &4u64.to_le_bytes()].concat();
+        let good = cell(COL_FRONTIER_BASE + 1);
+        let batch = |tail: &[u8]| [good.as_slice(), tail].concat();
+        for (row, payload, why) in [
+            (0, Vec::new(), RejectedWrite::Malformed),
+            (0, good[..11].to_vec(), RejectedWrite::Malformed),
+            (0, batch(&good[..11]), RejectedWrite::Malformed),
+            (
+                0,
+                [batch(&good), vec![0]].concat(),
+                RejectedWrite::Malformed,
+            ),
+            (1, batch(&good), RejectedWrite::NotAPeerRow),
+            (3, good.clone(), RejectedWrite::NotAPeerRow),
+            (0, batch(&cell(COL_SUSPECT)), RejectedWrite::UnknownColumn),
+            (0, batch(&cell(COL_EPOCH)), RejectedWrite::UnknownColumn),
+            (0, batch(&cell(5)), RejectedWrite::UnknownColumn),
+            (0, batch(&cell(u32::MAX)), RejectedWrite::UnknownColumn),
+        ] {
+            assert_eq!(
+                tracker.apply_remote_cells(row, &payload),
+                Err(why),
+                "{payload:?}"
+            );
+            assert!((0..3).all(|r| (0..5).all(|c| tracker.table.get(r, c) == 0)));
+        }
+        assert_eq!(
+            tracker.apply_remote_cells(0, &batch(&cell(COL_FRONTIER_BASE))),
+            Ok(())
+        );
+        assert_eq!(
+            (0..3).map(|s| tracker.frontier(0, s)).collect::<Vec<_>>(),
+            [4, 4, 0]
+        );
+    }
+
     #[test]
     #[should_panic(expected = "has no frontier")]
     fn plain_tracker_rejects_frontier_reads() {
@@ -540,7 +671,7 @@ mod tests {
         // Stale resyncs and own-row resyncs are no-ops.
         b.resync_frontier(2, 2, 1);
         assert_eq!(b.frontier(2, 2), 3);
-        b.advance_frontier(1, 5);
+        assert!(b.advance_frontier(1, 5));
         b.resync_frontier(1, 1, 9);
         assert_eq!(b.frontier(1, 1), 5, "own row is single-writer");
     }

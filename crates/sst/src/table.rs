@@ -19,11 +19,12 @@
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RejectedWrite {
     /// The payload is not one encoded cell (`col: u32 LE`, `val: u64
-    /// LE`, 12 bytes).
+    /// LE`, 12 bytes) — or, for a batch
+    /// ([`crate::ViewTracker::apply_remote_cells`]), not one or more.
     Malformed,
     /// The row is out of range, or it is ours: rows are single-writer.
     NotAPeerRow,
-    /// The column is out of range.
+    /// The column is out of range (for a batch: not a frontier column).
     UnknownColumn,
 }
 

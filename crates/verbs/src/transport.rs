@@ -28,7 +28,10 @@
 //! - **Timers before I/O**: all timers due at or before the current
 //!   instant fire before later completions are surfaced, so e.g. every
 //!   failure-detect break on a node batches ahead of gossip arriving
-//!   from peers.
+//!   from peers. A due timer also surfaces before the transport moves
+//!   more bytes, which makes a zero-delay timer the end-of-batch hook:
+//!   what its handler posts leaves together with what was posted before
+//!   it, and delays nothing that was ready to go.
 
 use bytes::Bytes;
 use simnet::{HostProfile, SimDuration, SimTime};

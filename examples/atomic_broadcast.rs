@@ -71,7 +71,7 @@ fn main() {
     println!("atomic  (stability) : {stable_ms:8.2} ms end-to-end  ({stable_bw:5.1} Gb/s)");
     println!(
         "\nstability tax: {:.2}% — the paper's \"surprisingly small\" added\n\
-         delay, bought with 16-byte SST frontier writes and no extra data multicast.",
+         delay, bought with batched SST frontier-row writes and no extra data multicast.",
         100.0 * (stable_ms / plain_ms - 1.0)
     );
     assert!(stable_ms >= plain_ms);
