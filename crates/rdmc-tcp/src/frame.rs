@@ -1,12 +1,13 @@
 //! The wire format: outbound frames and their gather, and the
 //! streaming [`Decoder`] for the inbound byte stream.
 //!
-//! A frame is a 21-byte header — length (u32), kind (u8), wr_id (u64),
-//! immediate or region tag (u64), all little-endian — followed by
-//! `length` body bytes. Everything the decoder sees is derived from
-//! bytes a peer sent, so nothing here may panic: lengths are capped by
-//! [`MAX_FRAME`] before anything is reserved and every malformed input
-//! is a [`FrameError`].
+//! A frame is a 25-byte header — length (u32), kind (u8), queue pair
+//! (u32), wr_id (u64), immediate or region tag (u64), all little-endian —
+//! followed by `length` body bytes. Every queue pair between two nodes
+//! shares their one socket; the queue-pair field says whose frame it
+//! is. Everything the decoder sees is derived from bytes a peer sent, so
+//! nothing here may panic: lengths are capped by [`MAX_FRAME`] before
+//! anything is reserved and every malformed input is a [`FrameError`].
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
@@ -16,8 +17,9 @@ use std::io::{self, IoSlice};
 use bytes::Bytes;
 use verbs::WrId;
 
-/// Frame header: length (u32) + kind (u8) + wr_id (u64) + imm/tag (u64).
-pub(crate) const HDR: usize = 4 + 1 + 8 + 8;
+/// Frame header: length (u32) + kind (u8) + queue pair (u32) + wr_id
+/// (u64) + imm/tag (u64).
+pub(crate) const HDR: usize = 4 + 1 + 4 + 8 + 8;
 /// Two-sided send: `len` filler bytes, meta carries the immediate.
 pub(crate) const KIND_SEND: u8 = 0;
 /// One-sided write: `len` payload bytes, meta carries the region tag.
@@ -56,13 +58,14 @@ impl From<FrameError> for io::Error {
     }
 }
 
-/// One completed inbound frame.
+/// One completed inbound frame of queue pair `qp` (as the peer wrote
+/// it: unchecked).
 #[derive(Debug, PartialEq, Eq)]
 pub(crate) enum Event {
     /// A two-sided send of `len` body bytes (dropped) and its immediate.
-    Send { len: u64, imm: u64 },
+    Send { qp: u32, len: u64, imm: u64 },
     /// A one-sided write to the region `tag`.
-    Write { tag: u64, payload: Bytes },
+    Write { qp: u32, tag: u64, payload: Bytes },
 }
 
 /// Shared zero filler for two-sided block payloads: RDMC's wire format
@@ -102,6 +105,7 @@ impl Payload {
 /// One queued outbound frame; header and payload flush via
 /// scatter-gather writes and may be split across polls.
 pub(crate) struct OutFrame {
+    pub(crate) qp: u32,
     pub(crate) wr_id: WrId,
     pub(crate) two_sided: bool,
     header: [u8; HDR],
@@ -113,13 +117,15 @@ pub(crate) struct OutFrame {
 impl OutFrame {
     /// Encodes a frame. The caller has checked the payload against
     /// [`MAX_FRAME`], so its length fits the header field.
-    pub(crate) fn new(wr_id: WrId, kind: u8, meta: u64, payload: Payload) -> OutFrame {
+    pub(crate) fn new(qp: u32, wr_id: WrId, kind: u8, meta: u64, payload: Payload) -> OutFrame {
         let mut header = [0u8; HDR];
         header[0..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
         header[4] = kind;
-        header[5..13].copy_from_slice(&wr_id.0.to_le_bytes());
-        header[13..21].copy_from_slice(&meta.to_le_bytes());
+        header[5..9].copy_from_slice(&qp.to_le_bytes());
+        header[9..17].copy_from_slice(&wr_id.0.to_le_bytes());
+        header[17..25].copy_from_slice(&meta.to_le_bytes());
         OutFrame {
+            qp,
             wr_id,
             two_sided: kind == KIND_SEND,
             header,
@@ -136,6 +142,11 @@ impl OutFrame {
         self.sent += take;
         *wrote -= take;
         self.sent == total
+    }
+
+    /// Whether any of this frame is on the socket yet.
+    pub(crate) fn started(&self) -> bool {
+        self.sent > 0
     }
 }
 
@@ -230,15 +241,19 @@ impl Decoder {
             return Ok((used, None));
         }
         self.got = 0;
+        let [_, _, _, _, _, q0, q1, q2, q3, ..] = self.hdr;
+        let qp = u32::from_le_bytes([q0, q1, q2, q3]);
         let [.., m0, m1, m2, m3, m4, m5, m6, m7] = self.hdr;
         let meta = u64::from_le_bytes([m0, m1, m2, m3, m4, m5, m6, m7]);
         let event = if self.hdr[4] == KIND_WRITE {
             Event::Write {
+                qp,
                 tag: meta,
                 payload: Bytes::from(std::mem::take(&mut self.body)),
             }
         } else {
             Event::Send {
+                qp,
                 len: u64::from(self.len()),
                 imm: meta,
             }
@@ -266,27 +281,34 @@ mod tests {
     use super::*;
 
     /// Zero-length send, 1-byte write, a block over one quantum, two
-    /// back-to-back 32-byte control writes, a trailing empty write —
-    /// as a queue, and as the events its bytes must decode to.
+    /// back-to-back 32-byte control writes, a trailing empty write, on
+    /// queue pairs from 0 to `u32::MAX` — as a queue, and as the events
+    /// its bytes must decode to.
     fn mixed_queue() -> (VecDeque<OutFrame>, Vec<Event>) {
         const BLOCK: u64 = QUANTUM + 4097;
         let control = [[1u8; 32], [2u8; 32]];
-        let write = |tag, body: &[u8]| {
+        let write = |qp, tag, body: &[u8]| {
             let payload = Bytes::copy_from_slice(body);
-            let frame = OutFrame::new(WrId(tag), KIND_WRITE, tag, Payload::Bytes(payload.clone()));
-            (frame, Event::Write { tag, payload })
+            let frame = OutFrame::new(
+                qp,
+                WrId(tag),
+                KIND_WRITE,
+                tag,
+                Payload::Bytes(payload.clone()),
+            );
+            (frame, Event::Write { qp, tag, payload })
         };
-        let send = |imm, len| {
-            let frame = OutFrame::new(WrId(imm), KIND_SEND, imm, Payload::Filler(len));
-            (frame, Event::Send { len, imm })
+        let send = |qp, imm, len| {
+            let frame = OutFrame::new(qp, WrId(imm), KIND_SEND, imm, Payload::Filler(len));
+            (frame, Event::Send { qp, len, imm })
         };
         [
-            send(11, 0),
-            write(12, &[9]),
-            send(13, BLOCK),
-            write(14, &control[0]),
-            write(15, &control[1]),
-            write(16, &[]),
+            send(0, 11, 0),
+            write(u32::MAX, 12, &[9]),
+            send(1, 13, BLOCK),
+            write(0x0102_0304, 14, &control[0]),
+            write(1, 15, &control[1]),
+            write(0, 16, &[]),
         ]
         .into_iter()
         .unzip()

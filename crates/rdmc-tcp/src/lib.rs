@@ -15,63 +15,33 @@
 //! event logs and delivery digests.
 //!
 //! TCP provides what RDMC needs from RDMA's reliable connections:
-//! in-order exactly-once delivery per connection and failure reporting
+//! in-order exactly-once delivery per queue pair and failure reporting
 //! on break. The mapping:
 //!
+//! - two nodes share **one socket**, opened when the protocol first
+//!   pairs them; every queue pair between them is a logical one on it,
+//!   and each frame names its queue pair in its header;
 //! - a two-sided `post_send` becomes a framed write whose "hardware
 //!   completion" ([`verbs::Delivery::SendDone`]) fires when the frame
 //!   is fully flushed to the socket;
 //! - a one-sided `post_write` becomes a framed write surfacing at the
 //!   peer as [`verbs::Delivery::WriteArrived`];
-//! - posted receives are a per-connection queue consumed in arrival
+//! - posted receives are a per-queue-pair queue consumed in arrival
 //!   order — a data frame that finds no posted receive is held and
 //!   counted in [`verbs::FabricStats::rnr_arms`], keeping the §4.2
 //!   zero-RNR discipline observable on real sockets too;
 //! - a crashed node goes silent; peers detect it after the
-//!   failure-detect interval and see their connections flush and break,
+//!   failure-detect interval and see their queue pairs flush and break,
 //!   exactly like the simulated NIC.
 //!
-//! ## The event loop
-//!
-//! `advance()` runs one **pump** pass over the connections and then
-//! hands out what it produced:
-//!
-//! - **Quantum.** An endpoint with queued frames flushes one quantum
-//!   (512 KiB of payload: two blocks of the paper's regime) in a single
-//!   `write_vectored` that gathers borrowed slices — up to eight queued
-//!   frames, the last one possibly in part — and the *peer* end is read
-//!   at once, while the bytes are still in cache; then the next
-//!   quantum, until the queue is empty. Filling socket buffers first
-//!   and reading them later is several times slower on loopback.
-//! - **Streaming decode.** Reads land in one shared buffer and are
-//!   decoded where they lie (the private `frame` module): a send's body
-//!   is counted and dropped, a write's body is copied once into its
-//!   `Bytes`, and a posted receive is matched when its frame completes.
-//! - **Ledger.** Each endpoint counts bytes written and bytes read. A
-//!   socket is read only while its peer has written bytes it has not
-//!   read — no trailing empty read, and an idle connection costs no
-//!   system call. The ledger's fabric-wide sums (frames queued, bytes
-//!   in flight) are also the quiescence test.
-//! - **Sweep.** Once per failure-detect interval, and before every
-//!   sleep, every socket is read regardless — a socket killed from
-//!   outside is still noticed within that bound.
-//! - **Timers first.** Due timers are handed out before a pass starts,
-//!   and the pass waits for their handlers: a zero-delay timer is the
-//!   driver's end-of-batch hook, and what it posts leaves in the same
-//!   pass as everything posted before it.
-//!
-//! None of this touches completion semantics: `SendDone` still means
-//! "flushed to the socket" and nothing the receiving end does feeds
-//! into it; the peer is merely read sooner.
-//!
-//! **What is in-process about it.** All nodes live in one process
-//! (hundreds fit comfortably), so tests and benches launch whole
-//! clusters as a value. Pairing a flush with its peer's read, and the
-//! ledger, use that — as the inline connect/accept and the quiescence
-//! test always have. The quantum, the decoder and the gather are
-//! transport-general; across hosts the ledger's one call site
-//! (`read_endpoint`'s "bytes in flight to me?") is where kernel
-//! readiness would go.
+//! All nodes live in one process. `advance()` hands out due timers, then
+//! runs one **pump** pass: each socket end with queued frames flushes
+//! them a quantum at a time in one gathered write, and its peer end is
+//! read at once. DESIGN.md ("Transport abstraction") describes the loop
+//! — quantum, streaming decoder, byte ledger, sweep, timers first, what
+//! is in-process about it — and what a broken queue pair or a broken
+//! socket takes down with it. `SendDone` means "flushed to the socket";
+//! nothing the receiving end does feeds into it.
 //!
 //! ```
 //! use rdmc::Algorithm;
@@ -96,9 +66,10 @@
 #![warn(missing_docs)]
 
 mod frame;
+mod qp;
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
@@ -107,6 +78,7 @@ use bytes::Bytes;
 use frame::{
     Decoder, Event, OutFrame, Payload, GATHER_SLICES, KIND_SEND, KIND_WRITE, MAX_FRAME, QUANTUM,
 };
+use qp::{Qp, QpEnd};
 use rdmc_sim::{Cluster, ClusterBuilder};
 use simnet::{HostProfile, SimDuration, SimTime};
 use verbs::{
@@ -127,18 +99,14 @@ const FAILURE_DETECT_NS: u64 = FAILURE_DETECT.as_nanos() as u64;
 /// what one flush wrote.
 const SCRATCH: usize = QUANTUM as usize + 4096;
 
-/// One endpoint of a connection: its socket half plus every per-side
-/// queue (outbound frames, the inbound frame in progress, posted
-/// receives, held frames awaiting a receive).
+/// One end of a socket: its stream half, the outbound frames of every
+/// queue pair on this end (in posting order), the inbound frame in
+/// progress, and this end's side of the byte ledger.
 struct Endpoint {
     node: usize,
     stream: TcpStream,
     out: VecDeque<OutFrame>,
     decoder: Decoder,
-    recvs: VecDeque<(WrId, u64)>,
-    /// Two-sided frames that arrived before a receive was posted
-    /// (len, imm): held, not dropped — but counted as RNR arms.
-    held: VecDeque<(u64, u64)>,
     /// Bytes written into this socket; the peer's `wire_read` trails it
     /// by what is in flight towards the peer.
     wire_sent: u64,
@@ -156,6 +124,7 @@ enum ConnState {
     Broken,
 }
 
+/// The one socket between two nodes.
 struct Conn {
     eps: [Endpoint; 2],
     state: ConnState,
@@ -170,7 +139,7 @@ impl Conn {
 
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum TimerEntry {
-    /// Failure detection expired: break this connection.
+    /// Failure detection expired: break this socket.
     Break { conn: usize },
     /// A driver timer ([`Transport::schedule_timer`]).
     Driver { node: usize, token: u64 },
@@ -184,10 +153,13 @@ enum TimerEntry {
 /// surface accumulated socket errors with [`TcpFabric::shutdown`].
 pub struct TcpFabric {
     start: Instant,
-    /// Loopback listener every connection handshakes through.
+    /// Loopback listener every socket handshakes through.
     listener: TcpListener,
     addr: SocketAddr,
     conns: Vec<Conn>,
+    qps: Vec<Qp>,
+    /// Each node pair's unbroken socket, keyed `(lower, higher)` node.
+    pairs: BTreeMap<(usize, usize), usize>,
     crashed: Vec<bool>,
     ready: VecDeque<(SimTime, NodeId, Delivery)>,
     timers: BinaryHeap<Reverse<(u64, u64, TimerEntry)>>,
@@ -198,9 +170,9 @@ pub struct TcpFabric {
     /// Socket and protocol errors observed mid-run, surfaced by
     /// [`TcpFabric::shutdown`] instead of being unwrapped or leaked.
     io_errors: Vec<io::Error>,
-    /// Reused read buffer (one per fabric, not per connection).
+    /// Reused read buffer (one per fabric, not per socket).
     scratch: Vec<u8>,
-    /// The ledger's fabric-wide sums over unbroken connections: frames
+    /// The ledger's fabric-wide sums over unbroken sockets: frames
     /// queued for the wire, and bytes written that no peer has read.
     queued: usize,
     in_flight: u64,
@@ -210,8 +182,8 @@ pub struct TcpFabric {
 
 impl TcpFabric {
     /// Binds a loopback listener and readies `n` in-process nodes.
-    /// Connections are established lazily as the protocol first pairs
-    /// two nodes.
+    /// Sockets are established lazily as the protocol first pairs two
+    /// nodes.
     ///
     /// # Errors
     ///
@@ -225,6 +197,8 @@ impl TcpFabric {
             listener,
             addr,
             conns: Vec::new(),
+            qps: Vec::new(),
+            pairs: BTreeMap::new(),
             crashed: vec![false; n],
             ready: VecDeque::new(),
             timers: BinaryHeap::new(),
@@ -241,11 +215,11 @@ impl TcpFabric {
     }
 
     /// Tears the fabric down: shuts down every socket and surfaces the
-    /// first error observed — either mid-run (reads, writes and frame
-    /// decoding never unwrap; errors are recorded and the connection
-    /// broken) or during the shutdown itself. The listener and all
-    /// streams close on drop regardless, so repeated launch/shutdown
-    /// cycles in one process stay clean.
+    /// first error observed — either mid-run (socket set-up, reads,
+    /// writes and frame decoding never unwrap; errors are recorded and
+    /// the queue pairs broken) or during the shutdown itself. The
+    /// listener and all streams close on drop regardless, so repeated
+    /// launch/shutdown cycles in one process stay clean.
     ///
     /// # Errors
     ///
@@ -273,6 +247,10 @@ impl TcpFabric {
         u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX)
     }
 
+    // Called from the `qp` module's break paths as well; without the
+    // hint the per-frame path stops inlining it (measured: `tcp_large`
+    // goodput ~3 % lower on one core).
+    #[inline]
     fn push_delivery(&mut self, node: usize, delivery: Delivery) {
         if self.crashed[node] {
             return; // dead software observes nothing
@@ -285,11 +263,46 @@ impl TcpFabric {
     }
 
     /// Records a socket or protocol error for [`TcpFabric::shutdown`]
-    /// and breaks the connection it happened on.
+    /// and breaks the socket it happened on.
     fn fail_conn(&mut self, ci: usize, e: io::Error) {
         self.io_errors
             .push(io::Error::new(e.kind(), format!("conn {ci}: {e}")));
         self.break_conn_now(ci);
+    }
+
+    /// Opens the one socket between nodes `a` and `b`. Inline handshake:
+    /// this loop is the only caller, so the connect and its accept pair
+    /// up deterministically with no identification handshake on the wire.
+    fn open_socket(&mut self, a: usize, b: usize) -> io::Result<usize> {
+        let client = TcpStream::connect(self.addr)?;
+        let (server, _) = self.listener.accept()?;
+        for s in [&client, &server] {
+            s.set_nodelay(true)?;
+            s.set_nonblocking(true)?;
+        }
+        let ci = self.conns.len();
+        let mk = |node: usize, stream: TcpStream| Endpoint {
+            node,
+            stream,
+            out: VecDeque::new(),
+            decoder: Decoder::default(),
+            wire_sent: 0,
+            wire_read: 0,
+        };
+        self.conns.push(Conn {
+            eps: [mk(a, client), mk(b, server)],
+            state: ConnState::Alive,
+        });
+        self.pairs.insert((a.min(b), a.max(b)), ci);
+        // Connecting to an already-crashed peer: the socket comes up but
+        // the dead side never answers, so failure detection starts
+        // ticking immediately, exactly as for a crash after connect.
+        if self.crashed[a] || self.crashed[b] {
+            let deadline = self.now_ns().saturating_add(FAILURE_DETECT_NS);
+            self.conns[ci].state = ConnState::Dying;
+            self.arm_timer(deadline, TimerEntry::Break { conn: ci });
+        }
+        Ok(ci)
     }
 
     /// Fires every timer due at or before `now` — *all* of them, before
@@ -321,7 +334,7 @@ impl TcpFabric {
         }
     }
 
-    /// One pass of the event loop over every connection and direction.
+    /// One pass of the event loop over every socket and direction.
     /// With `sweep`, every live socket is read once whatever the ledger
     /// says, which is how a socket killed from outside is noticed.
     /// Returns whether any bytes moved.
@@ -332,6 +345,8 @@ impl TcpFabric {
                 moved |= self.pump_direction(ci, tx, sweep);
             }
         }
+        #[cfg(debug_assertions)]
+        self.check_ledger();
         moved
     }
 
@@ -386,16 +401,22 @@ impl TcpFabric {
             if !frame.advance(&mut left) {
                 break; // partial write; the next gather resumes here
             }
-            let (wr_id, two_sided) = (frame.wr_id, frame.two_sided);
+            let (qp, wr_id, two_sided) = (frame.qp, frame.wr_id, frame.two_sided);
             self.conns[ci].eps[end].out.pop_front();
             self.queued -= 1;
-            let qp = QpHandle::from_parts(ci as u32, end as u8);
+            let Some((q, qend)) = self.sender_of(ci, end, qp) else {
+                continue; // an orphan completes nothing
+            };
+            let qp_end = &mut self.qps[q].ends[qend];
+            qp_end.queued -= 1;
+            let node = qp_end.node;
+            let qp = QpHandle::from_parts(q as u32, qend as u8);
             let delivery = if two_sided {
                 Delivery::SendDone { qp, wr_id }
             } else {
                 Delivery::WriteDone { qp, wr_id }
             };
-            self.push_delivery(self.conns[ci].eps[end].node, delivery);
+            self.push_delivery(node, delivery);
         }
         true
     }
@@ -430,8 +451,8 @@ impl TcpFabric {
             match conn.eps[end].stream.read(scratch) {
                 Ok(0) => {
                     // Orderly close without a protocol-level break: the
-                    // peer's socket died under us. A dying connection's
-                    // EOF just waits for its break timer.
+                    // peer's socket died under us. A dying socket's EOF
+                    // just waits for its break timer.
                     if conn.state == ConnState::Alive {
                         match conn.eps[end].decoder.finish() {
                             Ok(()) => self.break_conn_now(ci),
@@ -461,80 +482,88 @@ impl TcpFabric {
     /// Streams freshly read bytes through `end`'s decoder and acts on
     /// each frame they complete.
     fn decode(&mut self, ci: usize, end: usize, mut chunk: &[u8]) {
-        let qp = QpHandle::from_parts(ci as u32, end as u8);
         while !chunk.is_empty() && self.conns[ci].state != ConnState::Broken {
-            let ep = &mut self.conns[ci].eps[end];
-            let node = ep.node;
-            let (used, event) = match ep.decoder.feed(chunk) {
+            let (used, event) = match self.conns[ci].eps[end].decoder.feed(chunk) {
                 Ok(step) => step,
                 Err(e) => return self.fail_conn(ci, e.into()),
             };
             chunk = &chunk[used..];
-            match event {
-                None => {}
-                Some(Event::Write { tag, payload }) => {
-                    self.push_delivery(node, Delivery::WriteArrived { qp, tag, payload });
-                }
-                Some(Event::Send { len, imm }) => match ep.recvs.pop_front() {
-                    Some((wr_id, max_len)) if len <= max_len => {
-                        let done = Delivery::RecvDone {
-                            qp,
-                            wr_id,
-                            len,
-                            imm,
-                        };
-                        self.push_delivery(node, done);
-                    }
-                    // RDMA local-length error: the posted receive was
-                    // too small, which breaks the connection.
-                    Some(_) => self.break_conn_now(ci),
-                    None => {
-                        // Receiver-not-ready: a real NIC would arm an
-                        // RNR retry timer; we hold the frame but make
-                        // the discipline violation observable.
-                        ep.held.push_back((len, imm));
-                        self.rnr_arms += 1;
-                    }
-                },
+            if let Some(event) = event {
+                self.deliver(ci, end, event);
             }
         }
     }
 
-    /// Breaks a connection now: every outstanding work request at each
-    /// *live* end is flushed in posting order (queued sends first, then
-    /// posted receives), then the `QpBroken` notice lands, then the
-    /// sockets shut down.
-    fn break_conn_now(&mut self, ci: usize) {
-        let conn = &mut self.conns[ci];
-        if conn.state == ConnState::Broken {
-            return;
+    /// The queue pair a frame at socket end `(ci, end)` names, and its
+    /// end there, if socket `ci` carries it.
+    fn qp_at(&self, ci: usize, end: usize, id: u32) -> Option<(usize, usize)> {
+        let p = self.qps.get(id as usize).filter(|p| p.conn == Some(ci))?;
+        Some((id as usize, end ^ p.flip))
+    }
+
+    /// [`Self::qp_at`] for a frame queued to leave: `None` also for an
+    /// orphan, whose queue pair broke while it was part-way onto the wire.
+    fn sender_of(&self, ci: usize, end: usize, id: u32) -> Option<(usize, usize)> {
+        self.qp_at(ci, end, id)
+            .filter(|&(q, _)| !self.qps[q].broken)
+    }
+
+    /// Hands one inbound frame to the queue pair it names. The name is
+    /// peer input: one this socket does not carry is a protocol error.
+    fn deliver(&mut self, ci: usize, end: usize, event: Event) {
+        let (Event::Send { qp: id, .. } | Event::Write { qp: id, .. }) = event;
+        let Some((q, qend)) = self.qp_at(ci, end, id) else {
+            let e = format!("frame names queue pair {id}, not carried here");
+            return self.fail_conn(ci, io::Error::new(io::ErrorKind::InvalidData, e));
+        };
+        if self.qps[q].broken {
+            return; // the tail of a broken queue pair's frames: dropped
         }
-        conn.state = ConnState::Broken;
-        // Whatever was queued or in flight here leaves the ledger.
-        self.in_flight -= conn.in_flight_to(0) + conn.in_flight_to(1);
-        for end in 0..2 {
-            let (node, out, recvs) = {
-                let ep = &mut self.conns[ci].eps[end];
-                let out: Vec<WrId> = ep.out.drain(..).map(|f| f.wr_id).collect();
-                let recvs: Vec<WrId> = ep.recvs.drain(..).map(|(wr, _)| wr).collect();
-                ep.held.clear();
-                let _ = ep.stream.shutdown(Shutdown::Both);
-                (ep.node, out, recvs)
-            };
-            self.queued -= out.len();
-            let qp = QpHandle::from_parts(ci as u32, end as u8);
-            for (wr_ids, recv) in [(out, false), (recvs, true)] {
-                for wr_id in wr_ids {
-                    self.push_delivery(node, Delivery::WrFlushed { qp, wr_id, recv });
-                }
+        let qp_end = &mut self.qps[q].ends[qend];
+        match event {
+            Event::Write { tag, payload, .. } => {
+                let (node, qp) = (qp_end.node, QpHandle::from_parts(q as u32, qend as u8));
+                self.push_delivery(node, Delivery::WriteArrived { qp, tag, payload });
             }
-            self.push_delivery(node, Delivery::QpBroken { qp });
+            Event::Send { len, imm, .. } => match qp_end.recvs.pop_front() {
+                Some(recv) => self.land(q, qend, recv, (len, imm)),
+                None => {
+                    // Receiver-not-ready: a real NIC would arm an RNR
+                    // retry timer; we hold the frame but make the
+                    // discipline violation observable.
+                    qp_end.held.push_back((len, imm));
+                    self.rnr_arms += 1;
+                }
+            },
         }
+    }
+
+    /// A send of `len` bytes meets the receive `wr_id` at queue-pair end
+    /// `(q, qend)`: `RecvDone`, or — the receive was too small — an RDMA
+    /// local-length error, which breaks the queue pair.
+    fn land(
+        &mut self,
+        q: usize,
+        qend: usize,
+        (wr_id, max_len): (WrId, u64),
+        (len, imm): (u64, u64),
+    ) {
+        if len > max_len {
+            return self.break_qp_now(q);
+        }
+        let qp = QpHandle::from_parts(q as u32, qend as u8);
+        let done = Delivery::RecvDone {
+            qp,
+            wr_id,
+            len,
+            imm,
+        };
+        self.push_delivery(self.qps[q].ends[qend].node, done);
     }
 
     /// Queues one outbound frame, or refuses it: a crashed node and a
-    /// broken connection as the verbs do, a body over [`MAX_FRAME`] as
-    /// an RDMA local-length error does — by breaking the connection.
+    /// broken queue pair as the verbs do, a body over [`MAX_FRAME`] as
+    /// an RDMA local-length error does — by breaking the queue pair.
     fn post_frame(
         &mut self,
         qp: QpHandle,
@@ -543,35 +572,33 @@ impl TcpFabric {
         meta: u64,
         payload: Payload,
     ) -> Result<(), VerbsError> {
-        self.check_postable(qp)?;
-        let ci = qp.conn_id() as usize;
+        let ci = self.check_postable(qp)?;
+        let (q, end) = (qp.conn_id() as usize, usize::from(qp.endpoint()));
         if payload.len() > MAX_FRAME {
-            self.break_conn_now(ci);
+            self.break_qp_now(q);
             return Err(VerbsError::QpBroken);
         }
-        self.conns[ci].eps[usize::from(qp.endpoint())]
+        self.conns[ci].eps[end ^ self.qps[q].flip]
             .out
-            .push_back(OutFrame::new(wr_id, kind, meta, payload));
+            .push_back(OutFrame::new(q as u32, wr_id, kind, meta, payload));
+        self.qps[q].ends[end].queued += 1;
         self.queued += 1;
         Ok(())
     }
 
+    /// The socket a post on `qp` goes to, or why the post is refused.
     fn check_postable(&self, qp: QpHandle) -> Result<usize, VerbsError> {
-        let conn = &self.conns[qp.conn_id() as usize];
-        let node = conn.eps[usize::from(qp.endpoint())].node;
-        if self.crashed[node] {
+        let p = &self.qps[qp.conn_id() as usize];
+        if self.crashed[p.ends[usize::from(qp.endpoint())].node] {
             return Err(VerbsError::NodeCrashed);
         }
-        if conn.state == ConnState::Broken {
-            return Err(VerbsError::QpBroken);
-        }
-        Ok(node)
+        p.conn.filter(|_| !p.broken).ok_or(VerbsError::QpBroken)
     }
 
     /// Quiescent when nothing is queued for software, the ledger shows
     /// no frame queued for the wire and no byte written that its peer
     /// has not read, and no timer is armed that could still matter. A
-    /// dying connection's ledger entries stand until its break, and its
+    /// dying socket's ledger entries stand until its break, and its
     /// pending break timer keeps the loop alive that long anyway.
     fn quiescent(&self) -> bool {
         self.ready.is_empty()
@@ -647,41 +674,39 @@ impl Transport for TcpFabric {
     }
 
     fn connect(&mut self, a: NodeId, b: NodeId) -> (QpHandle, QpHandle) {
-        // Inline handshake: this loop is the only caller, so the
-        // connect and its accept pair up deterministically with no
-        // identification handshake on the wire.
-        let client = TcpStream::connect(self.addr).expect("loopback connect");
-        let (server, _) = self.listener.accept().expect("loopback accept");
-        for s in [&client, &server] {
-            s.set_nodelay(true).expect("set_nodelay");
-            s.set_nonblocking(true).expect("set_nonblocking");
-        }
-        let ci = self.conns.len();
-        let mk = |node: usize, stream: TcpStream| Endpoint {
+        let (a, b) = (a.index(), b.index());
+        let conn = match self.pairs.get(&(a.min(b), a.max(b))) {
+            Some(&ci) => Some(ci),
+            None => match self.open_socket(a, b) {
+                Ok(ci) => Some(ci),
+                Err(e) => {
+                    let e = io::Error::new(e.kind(), format!("connect {a}-{b}: {e}"));
+                    self.io_errors.push(e);
+                    None
+                }
+            },
+        };
+        let q = self.qps.len();
+        let end = |node| QpEnd {
             node,
-            stream,
-            out: VecDeque::new(),
-            decoder: Decoder::default(),
             recvs: VecDeque::new(),
             held: VecDeque::new(),
-            wire_sent: 0,
-            wire_read: 0,
+            queued: 0,
         };
-        self.conns.push(Conn {
-            eps: [mk(a.index(), client), mk(b.index(), server)],
-            state: ConnState::Alive,
+        self.qps.push(Qp {
+            conn,
+            flip: conn.map_or(0, |ci| usize::from(self.conns[ci].eps[0].node != a)),
+            ends: [end(a), end(b)],
+            broken: false,
         });
-        // Connecting to an already-crashed peer: the connection comes up
-        // but the dead side never answers, so failure detection starts
-        // ticking immediately, exactly as for a crash after connect.
-        if self.crashed[a.index()] || self.crashed[b.index()] {
-            let deadline = self.now_ns().saturating_add(FAILURE_DETECT_NS);
-            self.conns[ci].state = ConnState::Dying;
-            self.arm_timer(deadline, TimerEntry::Break { conn: ci });
+        if conn.is_none() {
+            // No socket: both live ends see the break at the next
+            // `advance()`, and every post is refused.
+            self.break_qp_now(q);
         }
         (
-            QpHandle::from_parts(ci as u32, 0),
-            QpHandle::from_parts(ci as u32, 1),
+            QpHandle::from_parts(q as u32, 0),
+            QpHandle::from_parts(q as u32, 1),
         )
     }
 
@@ -710,26 +735,14 @@ impl Transport for TcpFabric {
     }
 
     fn post_recv(&mut self, qp: QpHandle, wr_id: WrId, max_len: u64) -> Result<(), VerbsError> {
-        let node = self.check_postable(qp)?;
-        let ci = qp.conn_id() as usize;
-        let end = usize::from(qp.endpoint());
+        self.check_postable(qp)?;
+        let (q, end) = (qp.conn_id() as usize, usize::from(qp.endpoint()));
         // A held frame (arrived before any receive was posted) consumes
         // this receive immediately, in arrival order.
-        let held = self.conns[ci].eps[end].held.pop_front();
-        match held {
-            Some((len, imm)) if len <= max_len => {
-                self.push_delivery(
-                    node,
-                    Delivery::RecvDone {
-                        qp,
-                        wr_id,
-                        len,
-                        imm,
-                    },
-                );
-            }
-            Some(_) => self.break_conn_now(ci),
-            None => self.conns[ci].eps[end].recvs.push_back((wr_id, max_len)),
+        let qp_end = &mut self.qps[q].ends[end];
+        match qp_end.held.pop_front() {
+            Some(send) => self.land(q, end, (wr_id, max_len), send),
+            None => qp_end.recvs.push_back((wr_id, max_len)),
         }
         Ok(())
     }
@@ -760,20 +773,12 @@ impl Transport for TcpFabric {
         self.ready.retain(|(_, n, _)| n.index() != idx);
         let deadline = self.now_ns().saturating_add(FAILURE_DETECT_NS);
         for ci in 0..self.conns.len() {
-            if self.conns[ci].state != ConnState::Alive {
-                continue;
-            }
-            if self.conns[ci].eps.iter().any(|ep| ep.node == idx) {
-                // The dead side posts nothing more and its unflushed
-                // frames die with it; the survivor notices at the
-                // failure-detect deadline.
-                for ep in &mut self.conns[ci].eps {
-                    if ep.node == idx {
-                        self.queued -= ep.out.len();
-                        ep.out.clear();
-                    }
-                }
-                self.conns[ci].state = ConnState::Dying;
+            let conn = &mut self.conns[ci];
+            if conn.state == ConnState::Alive && conn.eps.iter().any(|ep| ep.node == idx) {
+                // The dead side flushes nothing more, and what it had
+                // queued dies with the break; the survivor notices at
+                // the failure-detect deadline.
+                conn.state = ConnState::Dying;
                 self.arm_timer(deadline, TimerEntry::Break { conn: ci });
             }
         }
@@ -784,7 +789,7 @@ impl Transport for TcpFabric {
     }
 
     fn break_qp(&mut self, qp: QpHandle) {
-        self.break_conn_now(qp.conn_id() as usize);
+        self.break_qp_now(qp.conn_id() as usize);
     }
 
     fn profile(&self, _node: NodeId) -> &HostProfile {
@@ -792,15 +797,15 @@ impl Transport for TcpFabric {
     }
 
     fn posting_snapshot(&self, qp: QpHandle) -> PostingSnapshot {
-        let conn = &self.conns[qp.conn_id() as usize];
-        let ep = &conn.eps[usize::from(qp.endpoint())];
+        let p = &self.qps[qp.conn_id() as usize];
+        let end = &p.ends[usize::from(qp.endpoint())];
         PostingSnapshot {
-            queued_sends: ep.out.len(),
+            queued_sends: end.queued,
             send_inflight: false,
-            posted_recvs: ep.recvs.len(),
-            rnr_armed: !ep.held.is_empty(),
+            posted_recvs: end.recvs.len(),
+            rnr_armed: !end.held.is_empty(),
             rnr_remaining: 0,
-            broken: conn.state == ConnState::Broken,
+            broken: p.broken,
         }
     }
 
@@ -829,7 +834,8 @@ impl std::fmt::Debug for TcpFabric {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TcpFabric")
             .field("nodes", &self.crashed.len())
-            .field("conns", &self.conns.len())
+            .field("sockets", &self.conns.len())
+            .field("queue_pairs", &self.qps.len())
             .finish()
     }
 }

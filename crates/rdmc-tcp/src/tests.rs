@@ -1,9 +1,12 @@
 //! What the ledger-driven pump must not cost: failure detection on an
 //! idle socket, data that was on the wire when its sender crashed, and
-//! a typed error (never a panic) for a malformed frame or an oversize
-//! post.
+//! a typed error (never a panic) for a malformed frame, an oversize
+//! post or a socket that cannot be set up. Then the one-socket-per-pair
+//! contract: queue pairs share their pair's socket, break alone, and
+//! all break together when the socket does.
 
 use super::*;
+use frame::HDR;
 
 const A: NodeId = NodeId(0);
 const B: NodeId = NodeId(1);
@@ -75,7 +78,7 @@ fn bytes_in_flight_at_a_crash_are_delivered_before_the_break() {
     }
     // Flush without the paired read, as a slow kernel would leave it.
     assert!(fabric.flush_quantum(0, 0));
-    assert_eq!(fabric.conns[0].in_flight_to(1), K * (LEN + 21));
+    assert_eq!(fabric.conns[0].in_flight_to(1), K * (LEN + HDR as u64));
     fabric.crash(A);
     // The armed break timer keeps the fabric from going quiescent.
     let mut seen = Vec::new();
@@ -146,7 +149,7 @@ fn zero_delay_timer_fires_before_the_next_flush() {
 #[test]
 fn malformed_frame_is_an_error_at_shutdown_not_a_panic() {
     let (mut fabric, _, _) = pair();
-    let garbage = OutFrame::new(WrId(1), 0xEE, 0, Payload::Filler(3));
+    let garbage = OutFrame::new(u32::MAX, WrId(1), 0xEE, 0, Payload::Filler(3));
     fabric.conns[0].eps[0].out.push_back(garbage);
     fabric.queued += 1;
     let broken = collect(&mut fabric, 2, 50 * FAILURE_DETECT, |_, d| {
@@ -207,4 +210,185 @@ fn oversize_post_breaks_its_connection_and_no_other() {
     fabric
         .shutdown()
         .expect("a refused post is not an I/O error");
+}
+
+/// Socket set-up that fails panics nothing: the queue pair comes back
+/// already broken at both ends, posts are refused, and the error comes
+/// out of `shutdown()`.
+#[test]
+fn failed_socket_setup_is_a_broken_queue_pair_not_a_panic() {
+    let mut fabric = TcpFabric::launch(2).expect("launch");
+    let closed = TcpListener::bind("127.0.0.1:0").expect("bind");
+    fabric.addr = closed.local_addr().expect("local_addr");
+    drop(closed);
+    let (a, b) = fabric.connect(A, B);
+    assert!(fabric.conns.is_empty(), "no socket came up");
+    assert_eq!(
+        fabric.post_send(a, WrId(1), 64, 0, None),
+        Err(VerbsError::QpBroken)
+    );
+    assert_eq!(fabric.post_recv(b, WrId(2), 64), Err(VerbsError::QpBroken));
+    let broken = collect(&mut fabric, 2, 50 * FAILURE_DETECT, |node, d| match d {
+        Delivery::QpBroken { qp } => Some((node, qp)),
+        other => panic!("unexpected {other:?}"),
+    });
+    assert_eq!(broken, [(A, a), (B, b)]);
+    assert!(fabric.advance().is_none(), "quiescent");
+    let error = fabric.shutdown().expect_err("the set-up error surfaces");
+    assert_eq!(error.kind(), io::ErrorKind::ConnectionRefused, "{error}");
+}
+
+/// Every queue pair between two nodes rides one socket, whichever node
+/// connects: one gathered write carries a frame of each, and each
+/// arrives on its own queue pair in that queue pair's posting order.
+#[test]
+fn queue_pairs_between_two_nodes_share_one_socket() {
+    let mut fabric = TcpFabric::launch(2).expect("launch");
+    let mut pairs: Vec<(QpHandle, QpHandle)> = (0..3).map(|_| fabric.connect(A, B)).collect();
+    let (b3, a3) = fabric.connect(B, A);
+    pairs.push((a3, b3));
+    assert_eq!(fabric.conns.len(), 1, "one socket per node pair");
+    for round in 0..2 {
+        for (i, &(a, _)) in pairs.iter().enumerate() {
+            let tag = 10 * i as u64 + round;
+            fabric
+                .post_write(a, WrId(tag), tag, Bytes::from_static(b"row"), None)
+                .expect("post_write");
+        }
+    }
+    assert!(fabric.flush_quantum(0, 0), "A is the socket's first end");
+    assert_eq!(fabric.queued, 0, "one write carried every frame");
+    let seen: Vec<(NodeId, QpHandle, u64)> = std::iter::from_fn(|| fabric.advance())
+        .map(|(_, node, d)| match d {
+            Delivery::WriteDone { qp, wr_id } => (node, qp, wr_id.0),
+            Delivery::WriteArrived { qp, tag, .. } => (node, qp, tag),
+            other => panic!("unexpected {other:?}"),
+        })
+        .collect();
+    let posted = (0..2).flat_map(|round| (0..4).map(move |i| (i, 10 * i as u64 + round)));
+    let done = posted.clone().map(|(i, tag)| (A, pairs[i].0, tag));
+    let arrived = posted.map(|(i, tag)| (B, pairs[i].1, tag));
+    assert_eq!(seen, done.chain(arrived).collect::<Vec<_>>());
+    fabric.shutdown().expect("clean shutdown");
+}
+
+/// Breaking a queue pair while its send is half-written breaks only
+/// that queue pair: its work requests are flushed, its unsent tail still
+/// crosses the socket (so the byte stream stays in sync) and is dropped
+/// at the peer without an RNR arm, and its socket mates deliver in both
+/// directions.
+#[test]
+fn breaking_one_queue_pair_leaves_its_socket_mates_running() {
+    let mut fabric = TcpFabric::launch(2).expect("launch");
+    let (a1, b1) = fabric.connect(A, B);
+    let (a2, b2) = fabric.connect(A, B);
+    let (b3, a3) = fabric.connect(B, A);
+    fabric
+        .post_recv(b1, WrId(11), 2 * QUANTUM)
+        .expect("post_recv");
+    fabric.post_recv(b2, WrId(12), 64).expect("post_recv");
+    fabric.post_recv(a3, WrId(13), 64).expect("post_recv");
+    fabric
+        .post_send(a1, WrId(1), 2 * QUANTUM, 1, None)
+        .expect("post_send");
+    fabric
+        .post_send(a2, WrId(2), 64, 2, None)
+        .expect("post_send");
+    fabric
+        .post_send(b3, WrId(3), 64, 3, None)
+        .expect("post_send");
+    assert!(fabric.flush_quantum(0, 0), "the big send is part-way out");
+    assert_eq!(fabric.queued, 3, "nothing finished");
+    fabric.break_qp(a1);
+    let name = |(_, node, d): (SimTime, NodeId, Delivery)| match d {
+        Delivery::WrFlushed { qp, wr_id, recv } => {
+            format!("{node:?} {qp:?} flushed {} {recv}", wr_id.0)
+        }
+        Delivery::QpBroken { qp } => format!("{node:?} {qp:?} broken"),
+        Delivery::SendDone { qp, wr_id } => format!("{node:?} {qp:?} sent {}", wr_id.0),
+        Delivery::RecvDone { qp, wr_id, imm, .. } => {
+            format!("{node:?} {qp:?} recv {} imm {imm}", wr_id.0)
+        }
+        other => panic!("unexpected {other:?}"),
+    };
+    let seen: Vec<String> = std::iter::from_fn(|| fabric.advance()).map(name).collect();
+    let (broke, mut mates) = (seen[..4].to_vec(), seen[4..].to_vec());
+    assert_eq!(
+        broke,
+        [
+            format!("{A:?} {a1:?} flushed 1 false"),
+            format!("{A:?} {a1:?} broken"),
+            format!("{B:?} {b1:?} flushed 11 true"),
+            format!("{B:?} {b1:?} broken"),
+        ]
+    );
+    mates.sort();
+    let mut expected = [
+        format!("{A:?} {a2:?} sent 2"),
+        format!("{B:?} {b2:?} recv 12 imm 2"),
+        format!("{B:?} {b3:?} sent 3"),
+        format!("{A:?} {a3:?} recv 13 imm 3"),
+    ];
+    expected.sort();
+    assert_eq!(mates, expected);
+    assert_eq!(fabric.rnr_arms, 0, "the orphan's tail is dropped, not held");
+    assert_eq!(fabric.conns.len(), 1);
+    assert_eq!((fabric.queued, fabric.in_flight), (0, 0), "quiescent");
+    fabric.shutdown().expect("clean shutdown");
+}
+
+/// A crash breaks every queue pair on the survivor's socket to the dead
+/// node, in creation order, each flushed before its break.
+#[test]
+fn a_crash_breaks_every_queue_pair_on_the_pair_in_creation_order() {
+    let mut fabric = TcpFabric::launch(2).expect("launch");
+    let survivors: Vec<QpHandle> = (0..3).map(|_| fabric.connect(A, B).1).collect();
+    for (i, &b) in survivors.iter().enumerate() {
+        fabric.post_recv(b, WrId(i as u64), 64).expect("post_recv");
+    }
+    fabric.crash(A);
+    let seen: Vec<String> = std::iter::from_fn(|| fabric.advance())
+        .map(|(_, node, d)| format!("{node:?} {d:?}"))
+        .collect();
+    let expected: Vec<String> = survivors
+        .iter()
+        .enumerate()
+        .flat_map(|(i, &qp)| {
+            let wr_id = WrId(i as u64);
+            [
+                Delivery::WrFlushed {
+                    qp,
+                    wr_id,
+                    recv: true,
+                },
+                Delivery::QpBroken { qp },
+            ]
+        })
+        .map(|d| format!("{B:?} {d:?}"))
+        .collect();
+    assert_eq!(seen, expected);
+    fabric.shutdown().expect("clean shutdown after a crash");
+}
+
+/// The queue-pair field is peer input: a frame naming one its socket
+/// does not carry breaks that socket — every queue pair on it, at both
+/// ends — and comes out of `shutdown()` as `InvalidData`.
+#[test]
+fn frame_naming_a_queue_pair_not_carried_is_an_error_not_a_panic() {
+    let mut fabric = TcpFabric::launch(2).expect("launch");
+    let handles = [fabric.connect(A, B), fabric.connect(B, A)];
+    let stray = OutFrame::new(999, WrId(1), KIND_WRITE, 0, Payload::Bytes(Bytes::new()));
+    fabric.conns[0].eps[0].out.push_back(stray);
+    fabric.queued += 1;
+    let mut broken = collect(&mut fabric, 4, 50 * FAILURE_DETECT, |_, d| match d {
+        Delivery::QpBroken { qp } => Some(qp),
+        other => panic!("unexpected {other:?}"),
+    });
+    broken.sort();
+    let mut expected: Vec<QpHandle> = handles.iter().flat_map(|&(x, y)| [x, y]).collect();
+    expected.sort();
+    assert_eq!(broken, expected);
+    let error = fabric.shutdown().expect_err("the protocol error surfaces");
+    assert_eq!(error.kind(), io::ErrorKind::InvalidData);
+    assert!(error.to_string().contains("not carried here"), "{error}");
 }

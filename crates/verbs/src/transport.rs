@@ -17,8 +17,8 @@
 //!
 //! - **Per-connection-direction FIFO**: two-sided sends and one-sided
 //!   writes posted on one endpoint are delivered to the peer in posting
-//!   order, sharing a single queue (hardware RC semantics; a TCP socket
-//!   per direction gives the same property).
+//!   order, sharing a single queue (hardware RC semantics; over TCP a
+//!   QP's frames share its node pair's one socket).
 //! - **Flush-then-break**: when a connection breaks, every outstanding
 //!   work request is flushed ([`Delivery::WrFlushed`]) in posting order
 //!   before the [`Delivery::QpBroken`] notice.
