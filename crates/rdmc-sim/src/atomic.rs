@@ -25,10 +25,10 @@
 //! marks the column *unsent*; the first unsent column arms a zero-delay
 //! timer on the member's node, and when it fires the member sends every
 //! unsent column's latest value as one `TAG_FRONTIER` row write per live
-//! peer. Transports surface a due timer before they move more bytes, so
-//! the flush is the end of the delivery batch: on TCP its rows leave in
-//! the same pass that would have carried one write per advance, and
-//! nulls booked back to back go out as one row.
+//! peer. Transports fire a due timer only between rounds of I/O, so the
+//! flush is the end of the round: on TCP one row per peer carries every
+//! advance of a whole lap over the sockets, and nulls booked back to
+//! back go out as one row.
 //!
 //! On a view change the overlay applies the **ragged trim**: slots that
 //! the failed sender's subgroup had to abandon (no survivor can

@@ -34,13 +34,15 @@
 //!   failure-detect interval and see their queue pairs flush and break,
 //!   exactly like the simulated NIC.
 //!
-//! All nodes live in one process. `advance()` hands out due timers, then
-//! runs one **pump** pass: each socket end with queued frames flushes
-//! them a quantum at a time in one gathered write, and its peer end is
-//! read at once. DESIGN.md ("Transport abstraction") describes the loop
-//! — quantum, streaming decoder, byte ledger, sweep, timers first, what
-//! is in-process about it — and what a broken queue pair or a broken
-//! socket takes down with it. `SendDone` means "flushed to the socket";
+//! All nodes live in one process. `advance()` runs resumable **laps**:
+//! a lap hands out due timers, then pumps every socket direction in turn
+//! — a socket end with queued frames flushes them a quantum at a time in
+//! one gathered write, and its peer end is read at once — and returns as
+//! soon as a direction produced deliveries, resuming at the next one.
+//! DESIGN.md ("Transport abstraction") describes the loop — quantum,
+//! streaming decoder, byte ledger, sweep, timers between laps, what is
+//! in-process about it — and what a broken queue pair or a broken socket
+//! takes down with it. `SendDone` means "flushed to the socket";
 //! nothing the receiving end does feeds into it.
 //!
 //! ```
@@ -178,6 +180,12 @@ pub struct TcpFabric {
     in_flight: u64,
     /// When every socket was last read regardless of the ledger.
     last_sweep: u64,
+    /// The lap in progress: the next socket direction it pumps
+    /// (`2 * socket + end`), whether it reads every socket, and whether
+    /// it has moved any bytes yet.
+    cursor: usize,
+    lap_sweep: bool,
+    lap_moved: bool,
 }
 
 impl TcpFabric {
@@ -211,6 +219,9 @@ impl TcpFabric {
             queued: 0,
             in_flight: 0,
             last_sweep: 0,
+            cursor: 0,
+            lap_sweep: false,
+            lap_moved: false,
         })
     }
 
@@ -305,11 +316,12 @@ impl TcpFabric {
         Ok(ci)
     }
 
-    /// Fires every timer due at or before `now` — *all* of them, before
-    /// any later socket completion surfaces. This ordering is what the
-    /// [`Transport`] contract's timers-before-I/O guarantee asks for:
-    /// every failure-detect break for a crashed node (all armed at the
-    /// same deadline) batches ahead of relayed-failure gossip.
+    /// Fires every timer due at or before `now` — *all* of them, as a lap
+    /// begins and before any of its socket completions surfaces. This
+    /// ordering is what the [`Transport`] contract's timers-before-I/O
+    /// guarantee asks for: every failure-detect break for a crashed node
+    /// (all armed at the same deadline) batches ahead of relayed-failure
+    /// gossip.
     fn fire_due_timers(&mut self, now: u64) {
         while let Some(&Reverse((deadline, _, entry))) = self.timers.peek() {
             if deadline > now {
@@ -334,24 +346,11 @@ impl TcpFabric {
         }
     }
 
-    /// One pass of the event loop over every socket and direction.
-    /// With `sweep`, every live socket is read once whatever the ledger
-    /// says, which is how a socket killed from outside is noticed.
-    /// Returns whether any bytes moved.
-    fn pump(&mut self, sweep: bool) -> bool {
-        let mut moved = false;
-        for ci in 0..self.conns.len() {
-            for tx in 0..2 {
-                moved |= self.pump_direction(ci, tx, sweep);
-            }
-        }
-        #[cfg(debug_assertions)]
-        self.check_ledger();
-        moved
-    }
-
     /// Flushes one quantum from `tx`, reads it straight back out of the
     /// peer end, and repeats while frames are queued and bytes move.
+    /// With `sweep`, the peer end is read once whatever the ledger says,
+    /// which is how a socket killed from outside is noticed. Returns
+    /// whether any bytes moved.
     fn pump_direction(&mut self, ci: usize, tx: usize, sweep: bool) -> bool {
         let mut moved = false;
         let mut force = sweep;
@@ -631,39 +630,52 @@ impl Transport for TcpFabric {
                 self.recorder.set_now(d.0.as_nanos());
                 return Some(d);
             }
-            let now = self.now_ns();
-            self.fire_due_timers(now);
-            // Due timers surface before the pump moves more bytes, so a
-            // zero-delay timer is the end-of-batch hook: what its handler
-            // posts leaves in the same pass as what was posted before it.
+            if self.cursor == 0 {
+                // Due timers fire only as a lap begins, so a zero-delay
+                // timer is the end-of-round hook: it fires after every
+                // delivery of the lap that armed it.
+                let now = self.now_ns();
+                self.fire_due_timers(now);
+                if !self.ready.is_empty() {
+                    continue;
+                }
+                self.lap_sweep |= now - self.last_sweep >= FAILURE_DETECT_NS;
+                if self.lap_sweep {
+                    self.last_sweep = now;
+                }
+                self.lap_moved = false;
+            }
+            // The lap visits every socket direction in turn and hands what
+            // one delivers to the caller at once; what the caller posts in
+            // reaction leaves in this lap if its direction is still ahead.
+            while self.cursor < 2 * self.conns.len() && self.ready.is_empty() {
+                let (ci, tx) = (self.cursor / 2, self.cursor % 2);
+                self.cursor += 1;
+                self.lap_moved |= self.pump_direction(ci, tx, self.lap_sweep);
+            }
             if !self.ready.is_empty() {
                 continue;
             }
-            let sweep = now - self.last_sweep >= FAILURE_DETECT_NS;
-            if sweep {
-                self.last_sweep = now;
-            }
-            let moved = self.pump(sweep);
-            if !self.ready.is_empty() {
-                continue;
-            }
+            self.cursor = 0;
+            let swept = std::mem::take(&mut self.lap_sweep);
+            #[cfg(debug_assertions)]
+            self.check_ledger();
             if self.quiescent() {
                 return None;
             }
-            if moved {
+            if self.lap_moved {
                 continue;
             }
-            // Nothing moved on a pass that tried every read the ledger
+            // Nothing moved in a lap that tried every read the ledger
             // still expects: park until the next timer, or just yield
             // while the kernel shuttles loopback bytes.
+            let now = self.now_ns();
             match self.timers.peek() {
                 Some(&Reverse((deadline, _, _))) if deadline > now => {
                     // No socket goes unread across a sleep.
-                    if !sweep {
-                        self.last_sweep = now;
-                        if self.pump(true) {
-                            continue;
-                        }
+                    if !swept {
+                        self.lap_sweep = true;
+                        continue;
                     }
                     let wait = (deadline - now).min(FAILURE_DETECT_NS);
                     std::thread::sleep(Duration::from_nanos(wait));

@@ -100,11 +100,11 @@ fn bytes_in_flight_at_a_crash_are_delivered_before_the_break() {
     fabric.shutdown().expect("clean shutdown after a crash");
 }
 
-/// Due timers surface before the pump moves more bytes: a zero-delay
-/// timer armed behind a posted write comes out ahead of that write's
-/// completion, and a write posted from the timer's handler leaves in the
-/// same pass as the first — both completions are queued by the time the
-/// first one surfaces.
+/// Due timers fire as a lap begins, before it moves any bytes: a
+/// zero-delay timer armed behind a posted write comes out ahead of that
+/// write's completion, and a write posted from the timer's handler leaves
+/// in the same lap as the first — both completions are queued by the time
+/// the first one surfaces.
 #[test]
 fn zero_delay_timer_fires_before_the_next_flush() {
     let (mut fabric, a, b) = pair();
@@ -131,7 +131,7 @@ fn zero_delay_timer_fires_before_the_next_flush() {
         name(fabric.advance().expect("a completion")),
         "NodeId(0) done 1"
     );
-    assert_eq!(fabric.queued, 0, "one pass flushed both writes");
+    assert_eq!(fabric.queued, 0, "one lap flushed both writes");
     assert_eq!(
         fabric.ready.front().cloned().map(name).as_deref(),
         Some("NodeId(0) done 2")
@@ -141,6 +141,40 @@ fn zero_delay_timer_fires_before_the_next_flush() {
         rest,
         ["NodeId(0) done 2", "NodeId(1) arrived", "NodeId(1) arrived"]
     );
+    fabric.shutdown().expect("clean shutdown");
+}
+
+/// A lap hands each socket direction's deliveries out as soon as it is
+/// read, and resumes after it: a relay that B posts on seeing A's write
+/// crosses the B-C socket, later in the lap, and reaches C before the
+/// zero-delay timer B armed alongside it, which waits for the next lap.
+#[test]
+fn a_reply_posted_mid_lap_leaves_in_the_same_lap() {
+    const C: NodeId = NodeId(2);
+    let mut fabric = TcpFabric::launch(3).expect("launch");
+    let (ab, ba) = fabric.connect(A, B);
+    let (bc, cb) = fabric.connect(B, C);
+    let row = || Bytes::from_static(b"row");
+    fabric
+        .post_write(ab, WrId(1), 7, row(), None)
+        .expect("post_write");
+    let mut seen = Vec::new();
+    while let Some((_, node, d)) = fabric.advance() {
+        seen.push(match d {
+            Delivery::WriteArrived { qp, .. } if qp == ba => {
+                fabric
+                    .post_write(bc, WrId(2), 7, row(), None)
+                    .expect("relay");
+                fabric.schedule_timer(B, SimDuration::ZERO, 42);
+                "B arrived"
+            }
+            Delivery::WriteArrived { qp, .. } if qp == cb => "C arrived",
+            Delivery::WriteDone { .. } => continue,
+            Delivery::Timer { token: 42 } if node == B => "B timer",
+            other => panic!("unexpected {other:?}"),
+        });
+    }
+    assert_eq!(seen, ["B arrived", "C arrived", "B timer"]);
     fabric.shutdown().expect("clean shutdown");
 }
 

@@ -83,6 +83,10 @@ pub struct SstMulticast {
     /// Receivers that have seen each in-flight message.
     seen: Vec<u32>,
     results: Vec<SstMessageResult>,
+    /// Peer writes dropped as malformed: data on a queue pair that is not
+    /// a receiver's or beyond what was sent, an ack on one that is not
+    /// the sender's or shorter than its counter.
+    malformed: u64,
 }
 
 impl SstMulticast {
@@ -118,6 +122,7 @@ impl SstMulticast {
             consumed: vec![0; members.len() - 1],
             seen: Vec::new(),
             results: Vec::new(),
+            malformed: 0,
         }
     }
 
@@ -161,16 +166,18 @@ impl SstMulticast {
         }
     }
 
-    /// Runs the fabric to quiescence, processing arrivals and acks.
+    /// Runs the fabric to quiescence, processing arrivals and acks. Writes
+    /// are peer input: a malformed one is dropped and counted, never a
+    /// panic.
     pub fn run(&mut self) {
         while let Some((time, _node, delivery)) = self.fabric.advance() {
             match delivery {
                 Delivery::WriteArrived { qp, tag, .. } if tag == TAG_DATA => {
-                    let r = self
-                        .receiver_qps
-                        .iter()
-                        .position(|&q| q == qp)
-                        .expect("data write on unknown qp");
+                    let r = self.receiver_qps.iter().position(|&q| q == qp);
+                    let Some(r) = r.filter(|&r| self.consumed[r] < self.next_seq) else {
+                        self.malformed += 1;
+                        continue;
+                    };
                     let seq = self.consumed[r];
                     self.consumed[r] += 1;
                     self.seen[seq as usize] += 1;
@@ -190,12 +197,12 @@ impl SstMulticast {
                     }
                 }
                 Delivery::WriteArrived { qp, tag, payload } if tag == TAG_ACK => {
-                    let r = self
-                        .qps
-                        .iter()
-                        .position(|&q| q == qp)
-                        .expect("ack on unknown qp");
-                    let counter = u64::from_le_bytes(payload[..8].try_into().expect("ack payload"));
+                    let r = self.qps.iter().position(|&q| q == qp);
+                    let counter = payload.first_chunk().copied().map(u64::from_le_bytes);
+                    let (Some(r), Some(counter)) = (r, counter) else {
+                        self.malformed += 1;
+                        continue;
+                    };
                     self.acked[r] = self.acked[r].max(counter);
                     self.pump();
                 }
@@ -301,6 +308,38 @@ mod tests {
             sst.submit(10);
         }
         sst.run();
+        assert!(sst.results().iter().all(|r| r.completed.is_some()));
+    }
+
+    /// Data writes no receiver can place — one reaching the sender, whose
+    /// queue pair is not a receiver's, and one beyond what was sent — are
+    /// dropped and counted, and the real traffic completes.
+    #[test]
+    fn data_writes_no_receiver_can_place_are_dropped() {
+        let mut sst = SstMulticast::new(fabric(3), &[0, 1, 2], 4);
+        sst.submit(64);
+        let stray = Bytes::from_static(b"data");
+        for qp in [sst.receiver_qps[0], sst.qps[1]] {
+            sst.fabric
+                .post_write(qp, WrId(9), TAG_DATA, stray.clone(), None)
+                .expect("post_write");
+        }
+        sst.run();
+        assert_eq!(sst.malformed, 2);
+        assert!(sst.results().iter().all(|r| r.completed.is_some()));
+    }
+
+    /// An ack shorter than its 8-byte counter is dropped and counted.
+    #[test]
+    fn seven_byte_ack_is_dropped() {
+        let mut sst = SstMulticast::new(fabric(2), &[0, 1], 4);
+        sst.submit(64);
+        let short = Bytes::from_static(&[1; 7]);
+        sst.fabric
+            .post_write(sst.receiver_qps[0], WrId(9), TAG_ACK, short, None)
+            .expect("post_write");
+        sst.run();
+        assert_eq!(sst.malformed, 1);
         assert!(sst.results().iter().all(|r| r.completed.is_some()));
     }
 

@@ -25,13 +25,16 @@
 //! - **Crash silence**: no deliveries (including timers) ever surface on
 //!   a crashed node; surviving peers learn of the crash only through
 //!   their failure-detect timeout breaking the connection.
-//! - **Timers before I/O**: all timers due at or before the current
-//!   instant fire before later completions are surfaced, so e.g. every
-//!   failure-detect break on a node batches ahead of gossip arriving
-//!   from peers. A due timer also surfaces before the transport moves
-//!   more bytes, which makes a zero-delay timer the end-of-batch hook:
-//!   what its handler posts leaves together with what was posted before
-//!   it, and delays nothing that was ready to go.
+//! - **Timers before I/O**: a backend moves bytes in rounds — a lap over
+//!   its sockets on TCP, one virtual instant in the simulator — and the
+//!   timers due when a round begins fire before any completion of that
+//!   round surfaces (within one simulated instant, timers and
+//!   completions surface in the order they were armed). So every
+//!   failure-detect break armed for one crash fires in one batch, ahead
+//!   of gossip arriving from peers, and a zero-delay timer is the
+//!   end-of-round hook: it fires once the round's completions are
+//!   handled, so what its handler posts leaves together with what they
+//!   posted, and delays nothing that was ready to go.
 
 use bytes::Bytes;
 use simnet::{HostProfile, SimDuration, SimTime};
