@@ -10,25 +10,27 @@
 //! the only question is *when* a slot may be delivered.
 //!
 //! That question is answered by per-sender **received frontiers** in
-//! SST rows ([`sst::ViewTracker::with_frontiers`]): member `i`
-//! publishes, for every sender `j`, how many of `j`'s slots it has
-//! resolved (received via RDMC, or learned to be *null*). The minimum
-//! over live rows is the **stability frontier**: once every live member
-//! holds a slot, delivering it can never be undone by a failure, so the
-//! delivery engine releases it. A sender with nothing to say fills its
-//! slot with a *null* that is announced purely through the sender's own
-//! frontier row — no data multicast at all (Spindle's null-send
-//! elision).
+//! SST rows (a plain [`sst::SstTable`] per member, column `j` for sender
+//! `j`): member `i` publishes, for every sender `j`, how many of `j`'s
+//! slots it has resolved (received via RDMC, or learned to be *null*).
+//! The minimum over live rows is the **stability frontier**: once every
+//! live member holds a slot, delivering it can never be undone by a
+//! failure, so the delivery engine releases it. A sender with nothing to
+//! say fills its slot with a *null* that is announced purely through the
+//! sender's own frontier row — no data multicast at all (Spindle's
+//! null-send elision).
 //!
 //! Rows travel in **batches**. A frontier advance updates the member's
 //! own row at once (its own delivery engine reads it straight away) and
 //! marks the column *unsent*; the first unsent column arms a zero-delay
 //! timer on the member's node, and when it fires the member sends every
 //! unsent column's latest value as one `TAG_FRONTIER` row write per live
-//! peer. Transports fire a due timer only between rounds of I/O, so the
-//! flush is the end of the round: on TCP one row per peer carries every
-//! advance of a whole lap over the sockets, and nulls booked back to
-//! back go out as one row.
+//! peer: cells of its own row, no header — the queue pair a write
+//! arrives on names the writer, whose row it max-merges into, all or
+//! nothing ([`sst::SstTable::merge_remote`]). Transports fire a due
+//! timer only between rounds of I/O, so the flush is the end of the
+//! round: on TCP one row per peer carries every advance of a whole lap
+//! over the sockets, and nulls booked back to back go out as one row.
 //!
 //! On a view change the overlay applies the **ragged trim**: slots that
 //! the failed sender's subgroup had to abandon (no survivor can
@@ -60,7 +62,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use bytes::Bytes;
 use rdmc::{rotation, Rank};
 use simnet::{SimDuration, SimTime};
-use sst::ViewTracker;
+use sst::SstTable;
 use verbs::{NodeId, Transport, WrId};
 
 use crate::cluster::{Cluster, GroupId, GroupSpec, MessageId, TimerAction};
@@ -69,10 +71,15 @@ use crate::cluster::{Cluster, GroupId, GroupSpec, MessageId, TimerAction};
 /// epidemic).
 pub(crate) const TAG_FRONTIER: u64 = 8;
 
-/// Most frontier cells in one row write: the `row` header and 21
-/// 12-byte cells make 256 bytes, the largest write the simulated
-/// fabric's tiny-write bypass carries.
+/// Most frontier cells in one row write: 21 12-byte cells make 252
+/// bytes, under the 256-byte largest write the simulated fabric's
+/// tiny-write bypass carries.
 const MAX_ROW_CELLS: usize = 21;
+
+/// The frontiers' merge: counters only grow, and none is refused.
+fn max_merge(_: u32, old: u64, val: u64) -> Option<u64> {
+    Some(old.max(val))
+}
 
 /// Identifies an atomic (multi-sender) group within a
 /// [`SimCluster`](crate::SimCluster): groups declared with
@@ -130,9 +137,9 @@ pub(crate) struct Slot {
 
 /// Per-member overlay state.
 pub(crate) struct AtomicMember {
-    /// This member's SST replica: row `r` is member `r`'s published
-    /// per-sender received frontiers.
-    pub(crate) tracker: ViewTracker,
+    /// This member's SST replica: cell `(r, j)` is how many of sender
+    /// `j`'s slots member `r` has published as resolved.
+    pub(crate) sst: SstTable,
     /// Next slot index the delivery engine will examine.
     pub(crate) next_deliver: usize,
     /// Last stability frontier announced (and traced) per sender;
@@ -142,8 +149,8 @@ pub(crate) struct AtomicMember {
     /// The total-order delivery log.
     pub(crate) log: Vec<AtomicDelivery>,
     /// Columns of the member's own row that advanced since its last
-    /// fan-out (bit `j`: sender `j`'s column; a tracker has at most 64
-    /// rows). Non-zero exactly while a [`TimerAction::FrontierFlush`]
+    /// fan-out (bit `j`: sender `j`'s column; a group has at most 64
+    /// members). Non-zero exactly while a [`TimerAction::FrontierFlush`]
     /// is armed for the member.
     pub(crate) unsent: u64,
 }
@@ -185,7 +192,7 @@ impl AtomicRuntime {
             by_owner: vec![Vec::new(); n],
             members: (0..n as u32)
                 .map(|i| AtomicMember {
-                    tracker: ViewTracker::with_frontiers(i, n as u32, n as u32),
+                    sst: SstTable::new(i, n as u32, n as u32),
                     next_deliver: 0,
                     stable_seen: vec![0; n],
                     log: Vec::new(),
@@ -244,17 +251,6 @@ fn resolved_prefix(index: &[usize], from: u64, mut is_resolved: impl FnMut(usize
     from + unresolved.iter().take_while(|&&s| is_resolved(s)).count() as u64
 }
 
-/// The frontier cells of a `TAG_FRONTIER` row write that member
-/// `writer` wrote: `row: u32 LE` followed by the tracker's 12-byte
-/// cells. The bytes are peer input: `None` — the write is dropped —
-/// unless the row is the writer's own (SST rows are single-writer). The
-/// tracker checks every cell before it merges any
-/// ([`ViewTracker::apply_remote_cells`]).
-fn frontier_write(payload: &[u8], writer: u32) -> Option<&[u8]> {
-    let (row, cells) = payload.split_first_chunk::<4>()?;
-    (u32::from_le_bytes(*row) == writer).then_some(cells)
-}
-
 /// Every atomic group on the cluster, plus the reverse index from RDMC
 /// subgroup to the overlay it serves.
 #[derive(Default)]
@@ -310,10 +306,12 @@ impl<T: Transport> Cluster<T> {
     /// # Panics
     ///
     /// Panics under the same conditions as [`Cluster::create_group`],
-    /// or if the group has fewer than two members.
+    /// or if the group has fewer than two members or more than 64 (a
+    /// member's unsent columns are one `u64` mask).
     pub(crate) fn create_atomic_group(&mut self, spec: GroupSpec) -> AtomicGroupId {
         let n = spec.members.len();
         assert!(n >= 2, "an atomic group needs at least two members");
+        assert!(n <= 64, "unsent frontier columns are a single u64 mask");
         let aid = self.atomic.groups.len();
         let mut subgroups = Vec::with_capacity(n);
         for j in 0..n {
@@ -517,12 +515,11 @@ impl<T: Transport> Cluster<T> {
         self.atomic_pump(ag, (j + o) % n);
     }
 
-    /// An incoming `TAG_FRONTIER` write from `peer`: merge the carried
-    /// row into the receiving member's SST replica and re-run its
-    /// delivery engine once. The payload is `row: u32 LE` followed by
-    /// one or more of the tracker's 12-byte frontier cells; it merges
-    /// all or nothing — a row that is not the writer's own, or any bad
-    /// cell, drops the whole write (see [`frontier_write`]).
+    /// An incoming `TAG_FRONTIER` write from `peer`: max-merge the
+    /// carried cells into the writer's row of the receiving member's SST
+    /// replica and re-run its delivery engine once. The write is peer
+    /// input; it merges all or nothing, and any bad cell drops it whole
+    /// ([`SstTable::merge_remote`]).
     pub(crate) fn atomic_frontier_arrival(
         &mut self,
         group: GroupId,
@@ -542,11 +539,8 @@ impl<T: Transport> Cluster<T> {
         {
             return; // dead software runs no handlers
         }
-        let Some(cells) = frontier_write(payload, writer) else {
-            return;
-        };
-        let tracker = &mut self.atomic.groups[ag].members[member].tracker;
-        if tracker.apply_remote_cells(writer, cells).is_err() {
+        let sst = &mut self.atomic.groups[ag].members[member].sst;
+        if sst.merge_remote(writer, payload, max_merge).is_err() {
             return;
         }
         self.atomic_pump(ag, member);
@@ -563,14 +557,12 @@ impl<T: Transport> Cluster<T> {
         let a = &self.atomic.groups[ag];
         let n = a.nodes.len();
         let m = &a.members[member];
-        let f = m.tracker.frontier(member as u32, j as u32);
+        let f = m.sst.get(member as u32, j as u32);
         resolved_prefix(&a.by_owner[j], f, |s| {
             let slot = &a.slots[s];
             slot.trimmed
                 || match slot.kind {
-                    SlotKind::Null => {
-                        member == j || m.tracker.frontier(j as u32, j as u32) > slot.seq
-                    }
+                    SlotKind::Null => member == j || m.sst.get(j as u32, j as u32) > slot.seq,
                     SlotKind::Data { index, .. } => {
                         let o = rotation::rotated_rank(member, j, n) as usize;
                         self.groups[a.subgroups[j]].results[index].delivered_at[o].is_some()
@@ -599,7 +591,8 @@ impl<T: Transport> Cluster<T> {
         let m = &mut self.atomic.groups[ag].members[member];
         let was_unsent = m.unsent;
         for (j, &t) in targets.iter().enumerate() {
-            if m.tracker.advance_frontier(j as u32, t) {
+            if t > m.sst.get(member as u32, j as u32) {
+                m.sst.set_local(j as u32, t);
                 self.recorder
                     .record(scope, || trace::EventKind::FrontierAdvanced {
                         sender: j as u32,
@@ -621,7 +614,7 @@ impl<T: Transport> Cluster<T> {
 
     /// `member`'s end-of-batch fan-out: every unsent column's latest
     /// value goes to every live peer as one `TAG_FRONTIER` row write
-    /// (`row: u32 LE`, then the cells in column order) on the anchor
+    /// (the member's own cells in column order, no header) on the anchor
     /// subgroup — at most [`MAX_ROW_CELLS`] cells a write, so every row
     /// stays under the tiny-write bypass and the epidemic stays lossless
     /// even on faulty fabrics. `dead` only ever holds crashed nodes and a
@@ -639,12 +632,7 @@ impl<T: Transport> Cluster<T> {
             .filter(|j| unsent >> j & 1 == 1)
             .collect();
         for batch in columns.chunks(MAX_ROW_CELLS) {
-            let tracker = &self.atomic.groups[ag].members[member].tracker;
-            let row = [
-                &(member as u32).to_le_bytes()[..],
-                &tracker.frontier_cells(batch),
-            ]
-            .concat();
+            let row = self.atomic.groups[ag].members[member].sst.encode(batch);
             self.broadcast_write(anchor, me_cur, WrId(5), TAG_FRONTIER, Bytes::from(row));
         }
     }
@@ -665,7 +653,11 @@ impl<T: Transport> Cluster<T> {
             let a = &mut self.atomic.groups[ag];
             let m = &mut a.members[member];
             for j in 0..n as u32 {
-                let stable = m.tracker.stable_frontier(j, &live);
+                let stable = live
+                    .iter()
+                    .map(|&r| m.sst.get(r, j))
+                    .min()
+                    .expect("live is non-empty");
                 if stable > m.stable_seen[j as usize] {
                     m.stable_seen[j as usize] = stable;
                     self.recorder
@@ -697,7 +689,7 @@ impl<T: Transport> Cluster<T> {
                 } else {
                     match slot.kind {
                         SlotKind::Null => {
-                            if m.tracker.frontier(member as u32, slot.owner as u32) > slot.seq {
+                            if m.sst.get(member as u32, slot.owner as u32) > slot.seq {
                                 Step::Skip
                             } else {
                                 break;
@@ -791,21 +783,21 @@ impl<T: Transport> Cluster<T> {
                     }
                 }
             }
-            // (b) pool survivor replicas: every row cell becomes the max
-            // any survivor saw (the view-change state exchange).
+            // (b) pool survivor replicas: each survivor max-merges into
+            // every peer row the best any survivor saw of it (the
+            // view-change state exchange; its own row is freshest locally).
             for row in 0..n as u32 {
-                for s in 0..n as u32 {
-                    let seen = live
-                        .iter()
-                        .map(|&m| a.members[m].tracker.frontier(row, s))
-                        .max()
-                        .unwrap_or(0);
-                    if seen == 0 {
-                        continue;
-                    }
-                    for &m in &live {
-                        a.members[m].tracker.resync_frontier(row, s, seen);
-                    }
+                let best: Vec<u8> = (0..n as u32)
+                    .flat_map(|s| {
+                        let seen = live.iter().map(|&m| a.members[m].sst.get(row, s)).max();
+                        SstTable::cell(s, seen.unwrap_or(0))
+                    })
+                    .collect();
+                for &m in live.iter().filter(|&&m| m as u32 != row) {
+                    a.members[m]
+                        .sst
+                        .merge_remote(row, &best, max_merge)
+                        .expect("a peer row, every sender column, and max refuses nothing");
                 }
             }
             // (c) dead senders' nulls beyond what they ever announced:
@@ -814,7 +806,7 @@ impl<T: Transport> Cluster<T> {
             for w in dead {
                 let reach = live
                     .iter()
-                    .map(|&m| a.members[m].tracker.frontier(w as u32, w as u32))
+                    .map(|&m| a.members[m].sst.get(w as u32, w as u32))
                     .max()
                     .unwrap_or(0);
                 for &si in &a.by_owner[w] {
@@ -922,7 +914,7 @@ mod tests {
         let a = &c.atomic.groups[ag];
         let n = a.nodes.len();
         let m = &a.members[member];
-        let mut f = m.tracker.frontier(member as u32, j as u32);
+        let mut f = m.sst.get(member as u32, j as u32);
         for slot in a.slots.iter().filter(|s| s.owner == j) {
             if slot.seq < f {
                 continue;
@@ -932,9 +924,7 @@ mod tests {
             }
             let resolved = slot.trimmed
                 || match slot.kind {
-                    SlotKind::Null => {
-                        member == j || m.tracker.frontier(j as u32, j as u32) > slot.seq
-                    }
+                    SlotKind::Null => member == j || m.sst.get(j as u32, j as u32) > slot.seq,
                     SlotKind::Data { index, .. } => {
                         let o = rotation::rotated_rank(member, j, n) as usize;
                         c.groups[a.subgroups[j]].results[index].delivered_at[o].is_some()
@@ -1144,7 +1134,7 @@ mod tests {
                         else {
                             unreachable!()
                         };
-                        assert_eq!(bytes, 4 + 12 * cells.len() as u64, "member {me}: {cells:?}");
+                        assert_eq!(bytes, 12 * cells.len() as u64, "member {me}: {cells:?}");
                         let to = c.fabric.qp_peer(verbs::QpHandle::from_parts(conn, end));
                         targets.push(to.index());
                         w = it.next_if(|n| is_row(n) && n.scope.node == e.scope.node);
@@ -1215,61 +1205,48 @@ mod tests {
     }
 
     /// `TAG_FRONTIER` bytes are peer input: a malformed write, or one
-    /// naming a row or cell that is not the writer's frontier, is dropped
-    /// at the arrival site — whole: a row write with one bad cell merges
-    /// none of its good ones — and a well-formed one still merges.
+    /// naming a column that is not a sender's, is dropped at the arrival
+    /// site — whole: a row write with one bad cell merges none of its
+    /// good ones — and a well-formed one still merges into the writer's
+    /// row, the one its queue pair names.
     #[test]
     fn malformed_frontier_writes_are_dropped() {
         let n = 3u32;
         let mut c = cluster(n as usize);
         let anchor = c.atomic_subgroups(0)[0];
-        let write = |row: u32, cells: &[(u32, u64)]| {
-            let mut p = row.to_le_bytes().to_vec();
-            for (col, val) in cells {
-                p.extend_from_slice(&col.to_le_bytes());
-                p.extend_from_slice(&val.to_le_bytes());
-            }
-            p
+        let write = |cells: &[(u32, u64)]| -> Vec<u8> {
+            cells
+                .iter()
+                .flat_map(|&(col, val)| SstTable::cell(col, val))
+                .collect()
         };
         // Member 2 writes at member 1, on the anchor subgroup.
-        let good = write(2, &[(2, 5)]);
-        let two = write(2, &[(2, 5), (4, 7)]);
+        let good = write(&[(0, 5)]);
+        let two = write(&[(0, 5), (2, 7)]);
         let malformed = [
             Vec::new(),
             good[..3].to_vec(),
-            good[..4].to_vec(),
-            good[..15].to_vec(),
+            good[..11].to_vec(),
             [good.as_slice(), &[0]].concat(),
             [two.as_slice(), &[0]].concat(),
-            two[..27].to_vec(),
-            write(n, &[(2, 5)]),
-            write(u32::MAX, &[(2, 5)]),
-            write(2, &[(2 + n, 5)]),
-            write(2, &[(u32::MAX, 5)]),
-            write(1, &[(2, 5)]),
-            write(0, &[(2, 5)]),
-            write(2, &[(0, 5)]),
-            write(2, &[(1, 5)]),
+            two[..23].to_vec(),
+            write(&[(n, 5)]),
+            write(&[(u32::MAX, 5)]),
             // A good cell, then a bad one: nothing of it may merge.
-            write(2, &[(2, 5), (1, 5)]),
-            write(2, &[(2, 5), (0, 5)]),
-            write(2, &[(2, 5), (2 + n, 5)]),
-            write(2, &[(3, 6), (2, 5), (u32::MAX, 5)]),
+            write(&[(0, 5), (n, 5)]),
+            write(&[(1, 6), (0, 5), (u32::MAX, 5)]),
         ];
         let before = c.state_digest();
-        let replica = |c: &SimCluster| format!("{:?}", c.atomic.groups[0].members[1].tracker);
-        let tracker_before = replica(&c);
-        for p in &malformed {
-            c.atomic_frontier_arrival(anchor, 1, 2, p);
-            assert_eq!(replica(&c), tracker_before, "{p:?}");
+        let replica = |c: &SimCluster| format!("{:?}", c.atomic.groups[0].members[1].sst);
+        let replica_before = replica(&c);
+        for (peer, p) in malformed.iter().map(|p| (2, p)).chain([(1, &good)]) {
+            c.atomic_frontier_arrival(anchor, 1, peer, p);
+            assert_eq!(replica(&c), replica_before, "{peer}: {p:?}");
             assert_eq!(c.atomic.groups[0].members[1].unsent, 0, "{p:?}");
         }
         assert_eq!(c.state_digest(), before);
         c.atomic_frontier_arrival(anchor, 1, 2, &two);
-        let tracker = &c.atomic.groups[0].members[1].tracker;
-        assert_eq!(
-            (0..n).map(|s| tracker.frontier(2, s)).collect::<Vec<_>>(),
-            [5, 0, 7]
-        );
+        let sst = &c.atomic.groups[0].members[1].sst;
+        assert_eq!((0..n).map(|s| sst.get(2, s)).collect::<Vec<_>>(), [5, 0, 7]);
     }
 }

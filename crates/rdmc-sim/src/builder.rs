@@ -11,12 +11,12 @@
 //! `rdmc-tcp`'s nonblocking event-loop backend via
 //! [`ClusterBuilder::from_transport`]) the same protocol-level knobs —
 //! recovery, pacing, reliability, tracing, atomic groups — apply
-//! unchanged, while the simulation-only knobs (completion modes,
-//! jitter, fault injection) are only offered when the transport is the
-//! simulated fabric.
+//! unchanged, while the simulation-only knobs (jitter, fault injection,
+//! and the [`ClusterSpec`] with its completion mode) are only offered
+//! when the transport is the simulated fabric.
 
 use simnet::{FaultProfile, JitterModel};
-use verbs::{CompletionMode, Fabric, NodeId, SharedScheduler, Transport};
+use verbs::{Fabric, NodeId, SharedScheduler, Transport};
 
 use crate::cluster::{Cluster, GroupSpec};
 use crate::pacer::{PacerConfig, PacerState};
@@ -61,14 +61,6 @@ impl ClusterBuilder<Fabric> {
         Self::from_transport(spec.build())
     }
 
-    /// Sets one node's completion mode (polling / interrupt / hybrid).
-    pub fn completion_mode(mut self, node: usize, mode: CompletionMode) -> Self {
-        self.cluster
-            .fabric
-            .set_completion_mode(NodeId(node as u32), mode);
-        self
-    }
-
     /// Sets one node's scheduling-jitter model.
     pub fn jitter(mut self, node: usize, jitter: JitterModel) -> Self {
         self.cluster.fabric.set_jitter(NodeId(node as u32), jitter);
@@ -92,9 +84,9 @@ impl ClusterBuilder<Fabric> {
 impl<T: Transport> ClusterBuilder<T> {
     /// Starts from any [`Transport`] — the entry point for non-simulated
     /// backends such as `rdmc-tcp`'s nonblocking event loop. All
-    /// protocol-level knobs apply; the simulation-only ones
-    /// (completion modes, jitter, fault injection) are absent because
-    /// they have no meaning off the simulated fabric.
+    /// protocol-level knobs apply; the simulation-only ones (jitter,
+    /// fault injection) are absent because they have no meaning off the
+    /// simulated fabric.
     pub fn from_transport(transport: T) -> Self {
         ClusterBuilder {
             cluster: Cluster::from_transport(transport),

@@ -8,7 +8,7 @@
 //!   Sierra, Apt).
 //! - [`ClusterBuilder`]: typed one-shot configuration — recovery, the
 //!   flight recorder (which keeps every event), per-NIC send pacing,
-//!   completion modes, jitter — producing a [`SimCluster`]: multiple
+//!   jitter — producing a [`SimCluster`]: multiple
 //!   (possibly overlapping) RDMC groups over one fabric, timed message
 //!   injection, crash injection, and per-message completion records
 //!   filed under [`MessageId`] handles.

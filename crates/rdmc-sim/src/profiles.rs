@@ -101,8 +101,7 @@ pub struct ClusterSpec {
     pub profile: HostProfile,
     /// Fabric-wide hardware constants.
     pub fabric: FabricParams,
-    /// Completion mode for every node (override per node afterwards if
-    /// needed).
+    /// Completion mode for every node.
     pub completion_mode: CompletionMode,
 }
 

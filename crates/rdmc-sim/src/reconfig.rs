@@ -13,10 +13,10 @@
 //! re-multicast when one member holds everything, and consistent
 //! whole-group discard when the failed members took the only copy of a
 //! block with them). Reconfiguration attempts are paced by a grace
-//! timer with bounded exponential backoff, and after `force_after`
-//! fruitless attempts the orchestrator force-feeds the failure evidence
-//! rather than waiting for the epidemic — the simulation's stand-in for
-//! a heavyweight external failure detector.
+//! timer with exponential backoff capped at `MAX_BACKOFF`, and after
+//! `FORCE_AFTER` fruitless attempts the orchestrator force-feeds the
+//! failure evidence rather than waiting for the epidemic — the
+//! simulation's stand-in for a heavyweight external failure detector.
 //!
 //! Everything here runs *outside* the protocol engines: engines only
 //! ever see `PeerFailed` events and `install_epoch` calls, exactly like
@@ -37,6 +37,13 @@ use crate::cluster::{Cluster, GroupId, TimerAction};
 /// One-sided-write tag for membership-view (suspicion/epoch) updates.
 pub(crate) const TAG_VIEW: u64 = 3;
 
+/// Cap on the exponential backoff between reconfiguration attempts.
+const MAX_BACKOFF: SimDuration = SimDuration::from_millis(16);
+
+/// Fruitless reconfiguration attempts after which the orchestrator
+/// force-feeds the failure evidence instead of waiting for the epidemic.
+const FORCE_AFTER: u32 = 5;
+
 /// Configuration of the epoch-based recovery orchestration
 /// ([`crate::ClusterBuilder::recovery`]).
 #[derive(Clone, Debug)]
@@ -45,19 +52,12 @@ pub struct RecoveryConfig {
     /// reconfiguration attempt (lets the epidemic converge and batches
     /// near-simultaneous failures into one view change).
     pub grace: SimDuration,
-    /// Cap on the exponential backoff between reconfiguration attempts.
-    pub max_backoff: SimDuration,
-    /// Fruitless attempts after which the orchestrator force-feeds the
-    /// failure evidence instead of waiting for the epidemic.
-    pub force_after: u32,
 }
 
 impl Default for RecoveryConfig {
     fn default() -> Self {
         RecoveryConfig {
             grace: SimDuration::from_millis(2),
-            max_backoff: SimDuration::from_millis(16),
-            force_after: 5,
         }
     }
 }
@@ -378,7 +378,7 @@ impl<T: Transport> Cluster<T> {
 
     /// One reconfiguration attempt: install the agreed view if the
     /// epidemic has converged, otherwise retry with bounded exponential
-    /// backoff and force the view after `force_after` fruitless tries.
+    /// backoff and force the view after `FORCE_AFTER` fruitless tries.
     pub(crate) fn try_reconfigure(&mut self, group: GroupId, version: u64, attempt: u32) {
         let Some(config) = self.reconfig.config.clone() else {
             return;
@@ -432,7 +432,7 @@ impl<T: Transport> Cluster<T> {
             self.arm_reconfigure(group, coordinator, version, attempt + 1, config.grace);
             return;
         }
-        if attempt + 1 >= config.force_after {
+        if attempt + 1 >= FORCE_AFTER {
             self.force_reconfiguration(group, &live);
             return;
         }
@@ -442,7 +442,7 @@ impl<T: Transport> Cluster<T> {
                 .as_nanos()
                 .saturating_mul(1u64 << attempt.min(20)),
         )
-        .min(config.max_backoff);
+        .min(MAX_BACKOFF);
         self.arm_reconfigure(group, coordinator, version, attempt + 1, backoff);
     }
 
@@ -480,7 +480,7 @@ impl<T: Transport> Cluster<T> {
         }
     }
 
-    /// Last resort after `force_after` attempts: union every suspicion and
+    /// Last resort after `FORCE_AFTER` attempts: union every suspicion and
     /// every fabric-level crash into one view and install it.
     fn force_reconfiguration(&mut self, group: GroupId, live: &[Rank]) {
         let n_orig = self.groups[group].orig_members.len();

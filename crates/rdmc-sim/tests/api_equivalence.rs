@@ -3,10 +3,9 @@
 //! node-targeted knobs the one-shot builder carried and in whatever
 //! order its methods were called.
 //!
-//! 1. a jittered, completion-mode-mixed, paced run of two overlapping
-//!    groups produces the same full flight recording and final virtual
-//!    time from two builds that declare the same knobs in different
-//!    orders;
+//! 1. a jittered, paced run of two overlapping groups produces the same
+//!    full flight recording and final virtual time from two builds that
+//!    declare the same knobs in different orders;
 //! 2. a crash/recovery run under jitter produces the same digest (events
 //!    fed, final time, reconfiguration records, per-rank delivery times,
 //!    full trace export).
@@ -20,11 +19,11 @@ use rdmc_sim::{
     ClusterBuilder, ClusterSpec, GroupSpec, PacerConfig, PacingPolicy, RecoveryConfig, SimCluster,
 };
 use simnet::{JitterModel, SimDuration};
-use verbs::{ChoicePoint, CompletionMode, Scheduler, SharedScheduler, Transport};
+use verbs::{ChoicePoint, Scheduler, SharedScheduler, Transport};
 
 const BLOCK: u64 = 64 << 10;
 
-/// A jittered, completion-mode-mixed, two-group run.
+/// A jittered two-group run.
 fn overlapping_run(mut cluster: SimCluster) -> (String, u64) {
     let recorder = cluster.recorder().clone();
     let g0 = cluster.create_group(GroupSpec {
@@ -63,8 +62,8 @@ impl Scheduler for FirstEnabled {
 /// Two identically-configured builds produce identical flight
 /// recordings, whatever order the knobs were declared in: each builder
 /// method writes its own field of the cluster, so node-targeted knobs
-/// (jitter, completion modes) and cluster-wide ones (recorder, recovery,
-/// pacing, scheduler) land the same way first or last.
+/// (jitter) and cluster-wide ones (recorder, recovery, pacing,
+/// scheduler) land the same way first or last.
 #[test]
 fn jittered_builds_are_deterministic() {
     let jitter = |node: u64| {
@@ -76,9 +75,6 @@ fn jittered_builds_are_deterministic() {
         )
     };
     let node_knobs = |mut builder: ClusterBuilder| {
-        builder = builder
-            .completion_mode(1, CompletionMode::Interrupt)
-            .completion_mode(4, CompletionMode::Hybrid);
         for node in 0..6u64 {
             builder = builder.jitter(node as usize, jitter(node));
         }

@@ -205,14 +205,13 @@ fn link_flap_evicts_both_endpoints() {
 
 #[test]
 fn impatient_config_forces_the_view_before_the_epidemic_settles() {
-    // A grace period far below the fabric's propagation delay: the first
-    // reconfiguration attempt always beats the TAG_VIEW epidemic, so the
-    // orchestrator must fall back to forcing the failure evidence.
-    let mut cluster = ClusterBuilder::new(ClusterSpec::fractus(4))
+    // A grace period far below the fabric's propagation delay: all five
+    // reconfiguration attempts beat the TAG_VIEW epidemic across the 50 ms
+    // WAN hop, so the orchestrator must fall back to forcing the failure
+    // evidence.
+    let mut cluster = ClusterBuilder::new(ClusterSpec::geo(4))
         .recovery(RecoveryConfig {
             grace: SimDuration::from_nanos(10),
-            max_backoff: SimDuration::from_nanos(20),
-            force_after: 1,
         })
         .build();
     let group = cluster.create_group(GroupSpec {

@@ -11,15 +11,18 @@
 //! [`SstTable`] is the shared state table itself — single-writer rows of
 //! `u64` cells replicated by one-sided writes, read locally, driven by
 //! monotone predicates (how Derecho layers stability tracking and commit
-//! over RDMC). [`SstMulticast`] implements the small-message protocol
-//! over the simulated verbs fabric; [`small_message_rate`] is the
-//! one-call benchmark harness the `sst_small_messages` bench sweeps
-//! against RDMC.
+//! over RDMC) — and the one row-write codec: cells of the writer's own
+//! row, no header, merged all or nothing. [`SstMulticast`] implements
+//! the small-message protocol over the simulated verbs fabric;
+//! [`small_message_rate`] is the one-call benchmark harness the
+//! `sst_small_messages` bench sweeps against RDMC.
 //!
 //! [`ViewTracker`] layers the membership service the paper's §2.4
 //! assumes over the same rows: epidemic failure-suspicion agreement and
 //! monotone epoch installation, used by `rdmc-sim`'s recovery
-//! orchestration to reconfigure wedged groups.
+//! orchestration to reconfigure wedged groups. `rdmc-sim`'s atomic
+//! overlay keeps its per-sender stability frontiers on a plain
+//! [`SstTable`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
