@@ -13,21 +13,27 @@
 //! SST rows (a plain [`sst::SstTable`] per member, column `j` for sender
 //! `j`): member `i` publishes, for every sender `j`, how many of `j`'s
 //! slots it has resolved (received via RDMC, or learned to be *null*).
-//! The minimum over live rows is the **stability frontier**: once every
-//! live member holds a slot, delivering it can never be undone by a
-//! failure, so the delivery engine releases it. A sender with nothing to
-//! say fills its slot with a *null* that is announced purely through the
-//! sender's own frontier row — no data multicast at all (Spindle's
-//! null-send elision).
+//! The minimum over the rows of the group's view is the **stability
+//! frontier**: once every member of the view holds a slot, delivering it
+//! can never be undone by a failure, so the delivery engine releases it.
+//! A sender with nothing to say fills its slot with a *null* that is
+//! announced purely through the sender's own frontier row — no data
+//! multicast at all (Spindle's null-send elision).
+//!
+//! The overlay keeps no membership of its own: the group's view is the
+//! *anchor* subgroup's (`subgroups[0]`, rotation 0, so its original
+//! ranks are member indices, ascending and never empty). Stability
+//! minima, the slot rotation and [`Cluster::atomic_live_members`] all
+//! read it; beyond that, a crashed member's node runs no software.
 //!
 //! Rows travel in **batches**. A frontier advance updates the member's
 //! own row at once (its own delivery engine reads it straight away) and
 //! marks the column *unsent*; the first unsent column arms a zero-delay
 //! timer on the member's node, and when it fires the member sends every
-//! unsent column's latest value as one `TAG_FRONTIER` row write per live
-//! peer: cells of its own row, no header — the queue pair a write
-//! arrives on names the writer, whose row it max-merges into, all or
-//! nothing ([`sst::SstTable::merge_remote`]). Transports fire a due
+//! unsent column's latest value as one `TAG_FRONTIER` row write per peer
+//! whose node is up: cells of its own row, no header — the queue pair a
+//! write arrives on names the writer, whose row it max-merges into, all
+//! or nothing ([`sst::SstTable::merge_remote`]). Transports fire a due
 //! timer only between rounds of I/O, so the flush is the end of the
 //! round: on TCP one row per peer carries every advance of a whole lap
 //! over the sockets, and nulls booked back to back go out as one row.
@@ -35,7 +41,8 @@
 //! On a view change the overlay applies the **ragged trim**: slots that
 //! the failed sender's subgroup had to abandon (no survivor can
 //! complete them) and nulls the failed sender never announced to anyone
-//! are trimmed from the sequence at every survivor, so all survivors
+//! are trimmed from the sequence at every survivor (crashed members take
+//! no part in this exchange), so all survivors
 //! converge on identical gapless delivery prefixes. Stability is what
 //! makes the trim safe — a slot delivered anywhere was stable, stable
 //! slots are fully replicated, and fully replicated slots are never
@@ -57,7 +64,7 @@
 //! not overlay subgroups — and a fired
 //! [`TimerAction::FrontierFlush`] ([`Cluster::atomic_frontier_flush`]).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use bytes::Bytes;
 use rdmc::{rotation, Rank};
@@ -126,7 +133,7 @@ pub(crate) enum SlotKind {
 
 /// One slot of the global total-order sequence.
 pub(crate) struct Slot {
-    /// Member index that owns the slot (`slot mod n` over live members).
+    /// Member index that owns the slot (the rotation owner in the view).
     pub(crate) owner: usize,
     /// Index among the owner's slots (dense per owner).
     pub(crate) seq: u64,
@@ -163,8 +170,8 @@ pub(crate) struct AtomicRuntime {
     pub(crate) nodes: Vec<usize>,
     /// `subgroups[j]`: the RDMC subgroup rooted at member `j` (its
     /// member list is `nodes` rotated left by `j`). `subgroups[0]` is
-    /// the *anchor* — frontier epidemics run on its connections and its
-    /// id names the group in trace scopes.
+    /// the *anchor* — its view is the group's, frontier epidemics run on
+    /// its connections and its id names the group in trace scopes.
     pub(crate) subgroups: Vec<GroupId>,
     /// The global slot sequence, in submission order.
     pub(crate) slots: Vec<Slot>,
@@ -173,69 +180,15 @@ pub(crate) struct AtomicRuntime {
     /// next `seq`. Derived from `slots`, so not part of the digest.
     pub(crate) by_owner: Vec<Vec<usize>>,
     pub(crate) members: Vec<AtomicMember>,
-    /// Member indices evicted by a view change; their rows no longer
-    /// count toward stability minima.
-    pub(crate) dead: BTreeSet<usize>,
-    /// Round-robin rotation cursor: the member index owning the next
-    /// slot (advanced past dead members at submission time).
+    /// Round-robin rotation cursor: the next slot goes to the first
+    /// member of the view at or after it ([`next_owner`]).
     pub(crate) cursor: usize,
 }
 
-impl AtomicRuntime {
-    /// An empty overlay over `nodes` whose member `j` roots `subgroups[j]`.
-    fn new(nodes: Vec<usize>, subgroups: Vec<GroupId>) -> Self {
-        let n = nodes.len();
-        AtomicRuntime {
-            nodes,
-            subgroups,
-            slots: Vec::new(),
-            by_owner: vec![Vec::new(); n],
-            members: (0..n as u32)
-                .map(|i| AtomicMember {
-                    sst: SstTable::new(i, n as u32, n as u32),
-                    next_deliver: 0,
-                    stable_seen: vec![0; n],
-                    log: Vec::new(),
-                    unsent: 0,
-                })
-                .collect(),
-            dead: BTreeSet::new(),
-            cursor: 0,
-        }
-    }
-
-    /// The live member indices, ascending — the rows stability minima
-    /// run over.
-    pub(crate) fn live_rows(&self) -> Vec<u32> {
-        (0..self.nodes.len() as u32)
-            .filter(|r| !self.dead.contains(&(*r as usize)))
-            .collect()
-    }
-
-    /// First live member at or after `from` in rotation order, or
-    /// `None` if everyone is dead.
-    pub(crate) fn next_live_owner(&self, from: usize) -> Option<usize> {
-        let n = self.nodes.len();
-        (0..n)
-            .map(|k| (from + k) % n)
-            .find(|m| !self.dead.contains(m))
-    }
-
-    /// Books the next slot of the global sequence for `owner` and moves
-    /// the rotation cursor past it; returns the slot number.
-    fn book_slot(&mut self, owner: usize, kind: SlotKind) -> u64 {
-        let slot_no = self.slots.len();
-        let seq = self.by_owner[owner].len() as u64;
-        self.by_owner[owner].push(slot_no);
-        self.cursor = (owner + 1) % self.nodes.len();
-        self.slots.push(Slot {
-            owner,
-            seq,
-            kind,
-            trimmed: false,
-        });
-        slot_no as u64
-    }
+/// The first member of `view` at or after `from` in rotation order,
+/// wrapping past the end. `view` is ascending and never empty.
+fn next_owner(view: &[usize], from: usize) -> usize {
+    view.iter().copied().find(|&m| m >= from).unwrap_or(view[0])
 }
 
 /// Extends a resolved frontier over one owner's slot index: starting at
@@ -281,9 +234,6 @@ impl AtomicOverlays {
                     mix(d.seq);
                 }
             }
-            for &d in &a.dead {
-                mix(d as u64);
-            }
         }
     }
 }
@@ -294,7 +244,7 @@ impl AtomicOverlays {
 /// per-sender received/stability frontiers in SST rows spread
 /// epidemically over `TAG_FRONTIER` control writes, and a per-member
 /// delivery engine that holds completed RDMC messages until the
-/// live-minimum frontier makes them stable, then issues total-order
+/// view's minimum frontier makes them stable, then issues total-order
 /// upcalls in global slot order.
 impl<T: Transport> Cluster<T> {
     /// Creates a multi-sender **atomic** group
@@ -322,60 +272,69 @@ impl<T: Transport> Cluster<T> {
             self.atomic.subgroup_of.insert(gid, (aid, j));
             subgroups.push(gid);
         }
-        self.atomic
-            .groups
-            .push(AtomicRuntime::new(spec.members, subgroups));
+        self.atomic.groups.push(AtomicRuntime {
+            nodes: spec.members,
+            subgroups,
+            slots: Vec::new(),
+            by_owner: vec![Vec::new(); n],
+            members: (0..n as u32)
+                .map(|i| AtomicMember {
+                    sst: SstTable::new(i, n as u32, n as u32),
+                    next_deliver: 0,
+                    stable_seen: vec![0; n],
+                    log: Vec::new(),
+                    unsent: 0,
+                })
+                .collect(),
+            cursor: 0,
+        });
         aid
     }
 
     /// Submits a `size`-byte message on the atomic group's next
     /// rotation slot: successive submissions rotate the sender role
-    /// round-robin through the live members.
+    /// round-robin through the members of the view. Once every member
+    /// has crashed the slot never resolves, as a plain group's message
+    /// from a crashed root never does.
     ///
     /// # Panics
     ///
-    /// Panics if every member of the group is dead.
+    /// Panics if `size` is zero.
     pub fn submit_atomic(&mut self, ag: AtomicGroupId, size: u64) -> MessageId {
         let message = self.new_message_id();
-        let submitted = self.do_submit_atomic(ag, size, message);
-        assert!(submitted, "atomic group has live members");
+        self.do_submit_atomic(ag, size, message);
         message
     }
 
     /// Submits a `size`-byte message *from a specific member*: every
-    /// live slot owner between the rotation cursor and `origin`
+    /// slot owner in the view between the rotation cursor and `origin`
     /// contributes a **null** slot (Spindle's null-send elision — the
     /// skip is announced through the owner's own frontier row, no data
     /// multicast at all), then `origin` takes the next data slot.
     ///
     /// # Panics
     ///
-    /// Panics if `origin` is out of range or was evicted by a view
-    /// change.
+    /// Panics if `origin` is not in the group's view (out of range, or
+    /// evicted by a view change), or if `size` is zero.
     pub fn submit_atomic_from(&mut self, ag: AtomicGroupId, origin: usize, size: u64) -> MessageId {
         assert!(
-            origin < self.atomic.groups[ag].nodes.len(),
-            "origin {origin} outside the group"
-        );
-        assert!(
-            !self.atomic.groups[ag].dead.contains(&origin),
-            "origin {origin} was evicted"
+            self.atomic_view(ag).contains(&origin),
+            "origin {origin} is not in the group's view"
         );
         loop {
-            let w = self.atomic.groups[ag]
-                .next_live_owner(self.atomic.groups[ag].cursor)
-                .expect("origin is live");
+            let w = next_owner(self.atomic_view(ag), self.atomic.groups[ag].cursor);
             if w == origin {
                 break;
             }
-            self.push_null_slot(ag, w);
+            self.atomic_book(ag, w, SlotKind::Null);
+            self.atomic_pump(ag, w);
         }
         self.submit_atomic(ag, size)
     }
 
     /// Schedules an atomic submission at an absolute virtual time (the
     /// slot owner is resolved at fire time from the then-current
-    /// rotation cursor and live set), returning its handle immediately.
+    /// rotation cursor and view), returning its handle immediately.
     pub fn schedule_atomic_send_at(
         &mut self,
         ag: AtomicGroupId,
@@ -383,9 +342,7 @@ impl<T: Transport> Cluster<T> {
         size: u64,
     ) -> MessageId {
         let message = self.new_message_id();
-        let host = self.atomic.groups[ag]
-            .next_live_owner(self.atomic.groups[ag].cursor)
-            .expect("atomic group has live members");
+        let host = next_owner(self.atomic_view(ag), self.atomic.groups[ag].cursor);
         let node = self.atomic.groups[ag].nodes[host];
         let delay = at.saturating_since(self.fabric.now());
         self.arm_timer(node, delay, TimerAction::AtomicSend { ag, size, message });
@@ -406,14 +363,30 @@ impl<T: Transport> Cluster<T> {
         &self.atomic.groups[ag].subgroups
     }
 
-    /// Member indices still part of the group (not evicted by a view
-    /// change), ascending.
+    /// Member indices in the group's view (the anchor subgroup's: not
+    /// evicted by its view changes), ascending.
     pub fn atomic_live_members(&self, ag: AtomicGroupId) -> Vec<usize> {
-        self.atomic.groups[ag]
-            .live_rows()
-            .into_iter()
-            .map(|r| r as usize)
-            .collect()
+        self.atomic_view(ag).to_vec()
+    }
+
+    /// The group's view: the anchor subgroup's original ranks, which are
+    /// member indices (see the module docs).
+    fn atomic_view(&self, ag: AtomicGroupId) -> &[usize] {
+        &self.groups[self.atomic.groups[ag].subgroups[0]].orig_rank
+    }
+
+    /// Whether `member`'s node has crashed (so it runs no software).
+    fn atomic_crashed(&self, ag: AtomicGroupId, member: usize) -> bool {
+        let node = self.atomic.groups[ag].nodes[member];
+        self.fabric.is_crashed(NodeId(node as u32))
+    }
+
+    /// The overlay member at current rank `rank` of `group`, as
+    /// `(atomic group, member index)`, if `group` is an overlay subgroup.
+    fn atomic_member(&self, group: GroupId, rank: Rank) -> Option<(AtomicGroupId, usize)> {
+        let &(ag, j) = self.atomic.subgroup_of.get(&group)?;
+        let n = self.atomic.groups[ag].nodes.len();
+        Some((ag, (j + self.groups[group].orig_rank[rank as usize]) % n))
     }
 
     /// Total slots allocated so far (data and null, trimmed included).
@@ -432,64 +405,58 @@ impl<T: Transport> Cluster<T> {
             .collect()
     }
 
-    /// Resolves the slot owner — the first live member at the rotation
-    /// cursor, `false` if none is left — books its data slot (before
-    /// the subgroup submission, which can deliver reentrantly at the
-    /// root) and submits on the owner's subgroup, filing the completion
-    /// record under `message`. Immediate submissions and a fired
+    /// Resolves the slot owner — the first member of the view at the
+    /// rotation cursor — books its data slot (before the subgroup
+    /// submission, which can deliver reentrantly at the root) and
+    /// submits on the owner's subgroup, filing the completion record
+    /// under `message`. Immediate submissions and a fired
     /// [`TimerAction::AtomicSend`] both end here.
-    pub(crate) fn do_submit_atomic(
-        &mut self,
-        ag: AtomicGroupId,
-        size: u64,
-        message: MessageId,
-    ) -> bool {
+    pub(crate) fn do_submit_atomic(&mut self, ag: AtomicGroupId, size: u64, message: MessageId) {
         assert!(size > 0, "zero-size slots are nulls, not messages");
-        let Some(owner) = self.atomic.groups[ag].next_live_owner(self.atomic.groups[ag].cursor)
-        else {
-            return false;
-        };
+        let owner = next_owner(self.atomic_view(ag), self.atomic.groups[ag].cursor);
         let gid = self.atomic.groups[ag].subgroups[owner];
         let index = self.groups[gid].results.len();
-        let scope = self.atomic_scope(ag, owner);
-        let slot_no = self.atomic.groups[ag].book_slot(
-            owner,
-            SlotKind::Data {
-                index,
-                size,
-                message,
-            },
-        );
-        self.recorder
-            .record(scope, || trace::EventKind::AtomicSubmitted {
-                slot: slot_no,
-                sender: owner as u32,
-                null: false,
-                size,
-            });
+        let kind = SlotKind::Data {
+            index,
+            size,
+            message,
+        };
+        self.atomic_book(ag, owner, kind);
         self.do_submit(gid, size, message);
         debug_assert_eq!(
             self.groups[gid].results.len(),
             index + 1,
             "slot bookkeeping raced the subgroup submission"
         );
-        true
     }
 
-    /// Books a null slot for `owner` and resolves it at the owner
-    /// immediately (the announcement is the owner's own frontier-row
-    /// bump, spread by its next [`Cluster::atomic_frontier_flush`]).
-    fn push_null_slot(&mut self, ag: AtomicGroupId, owner: usize) {
+    /// Books the next slot of the global sequence for `owner`, moves the
+    /// rotation cursor past it and records its `AtomicSubmitted`. A null
+    /// is announced by its owner's next pump and frontier flush.
+    fn atomic_book(&mut self, ag: AtomicGroupId, owner: usize, kind: SlotKind) {
         let scope = self.atomic_scope(ag, owner);
-        let slot_no = self.atomic.groups[ag].book_slot(owner, SlotKind::Null);
+        let (null, size) = match kind {
+            SlotKind::Data { size, .. } => (false, size),
+            SlotKind::Null => (true, 0),
+        };
+        let a = &mut self.atomic.groups[ag];
+        let slot = a.slots.len();
+        let seq = a.by_owner[owner].len() as u64;
+        a.by_owner[owner].push(slot);
+        a.cursor = (owner + 1) % a.nodes.len();
+        a.slots.push(Slot {
+            owner,
+            seq,
+            kind,
+            trimmed: false,
+        });
         self.recorder
             .record(scope, || trace::EventKind::AtomicSubmitted {
-                slot: slot_no,
+                slot: slot as u64,
                 sender: owner as u32,
-                null: true,
-                size: 0,
+                null,
+                size,
             });
-        self.atomic_pump(ag, owner);
     }
 
     /// Trace scope of overlay events at `member`: the *anchor* subgroup
@@ -507,12 +474,9 @@ impl<T: Transport> Cluster<T> {
     /// rank back to the member index and re-run that member's frontier
     /// recompute and delivery engine.
     pub(crate) fn atomic_on_rdmc_delivery(&mut self, group: GroupId, rank: Rank) {
-        let Some(&(ag, j)) = self.atomic.subgroup_of.get(&group) else {
-            return;
-        };
-        let o = self.groups[group].orig_rank[rank as usize];
-        let n = self.atomic.groups[ag].nodes.len();
-        self.atomic_pump(ag, (j + o) % n);
+        if let Some((ag, member)) = self.atomic_member(group, rank) {
+            self.atomic_pump(ag, member);
+        }
     }
 
     /// An incoming `TAG_FRONTIER` write from `peer`: max-merge the
@@ -527,23 +491,16 @@ impl<T: Transport> Cluster<T> {
         peer: Rank,
         payload: &[u8],
     ) {
-        let Some(&(ag, sj)) = self.atomic.subgroup_of.get(&group) else {
+        let (Some((ag, member)), Some((_, writer))) = (
+            self.atomic_member(group, me),
+            self.atomic_member(group, peer),
+        ) else {
             return;
         };
-        let n = self.atomic.groups[ag].nodes.len();
-        let member_of = |rank: Rank| (sj + self.groups[group].orig_rank[rank as usize]) % n;
-        let (member, writer) = (member_of(me), member_of(peer) as u32);
-        if self
-            .fabric
-            .is_crashed(NodeId(self.atomic.groups[ag].nodes[member] as u32))
-        {
-            return; // dead software runs no handlers
-        }
         let sst = &mut self.atomic.groups[ag].members[member].sst;
-        if sst.merge_remote(writer, payload, max_merge).is_err() {
-            return;
+        if sst.merge_remote(writer as u32, payload, max_merge).is_ok() {
+            self.atomic_pump(ag, member);
         }
-        self.atomic_pump(ag, member);
     }
 
     /// How many of sender `j`'s slots are *resolved* at `member`, in
@@ -576,11 +533,7 @@ impl<T: Transport> Cluster<T> {
     /// [`TimerAction::FrontierFlush`]), and runs the delivery engine.
     /// The workhorse behind every overlay event.
     fn atomic_pump(&mut self, ag: AtomicGroupId, member: usize) {
-        if self.atomic.groups[ag].dead.contains(&member)
-            || self
-                .fabric
-                .is_crashed(NodeId(self.atomic.groups[ag].nodes[member] as u32))
-        {
+        if self.atomic_crashed(ag, member) {
             return;
         }
         let n = self.atomic.groups[ag].nodes.len();
@@ -613,15 +566,14 @@ impl<T: Transport> Cluster<T> {
     }
 
     /// `member`'s end-of-batch fan-out: every unsent column's latest
-    /// value goes to every live peer as one `TAG_FRONTIER` row write
-    /// (the member's own cells in column order, no header) on the anchor
-    /// subgroup — at most [`MAX_ROW_CELLS`] cells a write, so every row
-    /// stays under the tiny-write bypass and the epidemic stays lossless
-    /// even on faulty fabrics. `dead` only ever holds crashed nodes and a
-    /// view change crashes whom it evicts, so the anchor's live current
-    /// members are exactly the overlay's live peers, in member order. A
-    /// crashed member's flush never fires, so its unsent columns are
-    /// never sent — as if it had crashed just before posting them.
+    /// value goes to every peer in the view whose node is up, in member
+    /// order, as one `TAG_FRONTIER` row write (the member's own cells in
+    /// column order, no header) on the anchor subgroup — at most
+    /// [`MAX_ROW_CELLS`] cells a write, so every row stays under the
+    /// tiny-write bypass and the epidemic stays lossless even on faulty
+    /// fabrics. A crashed member's flush never fires, so its unsent
+    /// columns are never sent — as if it had crashed just before posting
+    /// them.
     pub(crate) fn atomic_frontier_flush(&mut self, ag: AtomicGroupId, member: usize) {
         let unsent = std::mem::take(&mut self.atomic.groups[ag].members[member].unsent);
         let anchor = self.atomic.groups[ag].subgroups[0];
@@ -637,116 +589,64 @@ impl<T: Transport> Cluster<T> {
         }
     }
 
-    /// `member`'s delivery engine: announce stability-frontier advances,
-    /// then release slots in global order — trimmed slots skip, nulls
-    /// skip once the member's own row covers them, data slots deliver
-    /// once the announced stable frontier covers them.
+    /// `member`'s delivery engine: announce stability-frontier advances
+    /// (minima over the view's rows), then release slots in global order
+    /// — trimmed slots skip, nulls skip once the member's own row covers
+    /// them, data slots deliver once the announced stable frontier
+    /// covers them.
     fn atomic_deliver(&mut self, ag: AtomicGroupId, member: usize) {
-        let now = self.fabric.now();
+        let at = self.fabric.now();
         let scope = self.atomic_scope(ag, member);
-        let n = self.atomic.groups[ag].nodes.len();
-        let live = self.atomic.groups[ag].live_rows();
-        if live.is_empty() {
-            return;
-        }
-        {
-            let a = &mut self.atomic.groups[ag];
-            let m = &mut a.members[member];
-            for j in 0..n as u32 {
-                let stable = live
-                    .iter()
-                    .map(|&r| m.sst.get(r, j))
-                    .min()
-                    .expect("live is non-empty");
-                if stable > m.stable_seen[j as usize] {
-                    m.stable_seen[j as usize] = stable;
-                    self.recorder
-                        .record(scope, || trace::EventKind::StableFrontier {
-                            sender: j,
-                            frontier: stable,
-                        });
-                }
+        let a = &mut self.atomic.groups[ag];
+        let view = &self.groups[a.subgroups[0]].orig_rank;
+        let m = &mut a.members[member];
+        for (j, seen) in m.stable_seen.iter_mut().enumerate() {
+            let column = view.iter().map(|&r| m.sst.get(r as u32, j as u32));
+            let stable = column.min().expect("a view is never empty");
+            if stable > *seen {
+                *seen = stable;
+                self.recorder
+                    .record(scope, || trace::EventKind::StableFrontier {
+                        sender: j as u32,
+                        frontier: stable,
+                    });
             }
         }
-        enum Step {
-            Skip,
-            Deliver {
-                sender: u32,
-                seq: u64,
-                size: u64,
-                message: MessageId,
-            },
-        }
-        loop {
-            let step = {
-                let a = &self.atomic.groups[ag];
-                let m = &a.members[member];
-                let Some(slot) = a.slots.get(m.next_deliver) else {
-                    break;
-                };
-                if slot.trimmed {
-                    Step::Skip
-                } else {
-                    match slot.kind {
-                        SlotKind::Null => {
-                            if m.sst.get(member as u32, slot.owner as u32) > slot.seq {
-                                Step::Skip
-                            } else {
-                                break;
-                            }
-                        }
-                        SlotKind::Data { size, message, .. } => {
-                            if m.stable_seen[slot.owner] > slot.seq {
-                                Step::Deliver {
-                                    sender: slot.owner as u32,
-                                    seq: slot.seq,
-                                    size,
-                                    message,
-                                }
-                            } else {
-                                break;
-                            }
-                        }
-                    }
-                }
-            };
-            match step {
-                Step::Skip => self.atomic.groups[ag].members[member].next_deliver += 1,
-                Step::Deliver {
-                    sender,
-                    seq,
-                    size,
-                    message,
-                } => {
-                    let slot_no = self.atomic.groups[ag].members[member].next_deliver as u64;
+        while let Some(slot) = a.slots.get(m.next_deliver) {
+            let (sender, seq) = (slot.owner as u32, slot.seq);
+            match slot.kind {
+                _ if slot.trimmed => {}
+                SlotKind::Null if m.sst.get(member as u32, sender) > seq => {}
+                SlotKind::Data { size, message, .. } if m.stable_seen[slot.owner] > seq => {
+                    let slot = m.next_deliver as u64;
                     self.recorder
                         .record(scope, || trace::EventKind::AtomicDelivered {
-                            slot: slot_no,
+                            slot,
                             sender,
                             seq,
                             size,
                         });
-                    let m = &mut self.atomic.groups[ag].members[member];
                     m.log.push(AtomicDelivery {
-                        slot: slot_no,
+                        slot,
                         sender,
                         seq,
                         size,
-                        at: now,
+                        at,
                         message,
                     });
-                    m.next_deliver += 1;
                 }
+                _ => break,
             }
+            m.next_deliver += 1;
         }
     }
 
     /// The ragged trim, run after each overlay subgroup installs a new
-    /// view: refresh the dead set from fabric truth, trim the
-    /// reconfiguring subgroup's *abandoned* data slots and every dead
-    /// sender's unannounced nulls, pool the survivors' frontier
-    /// replicas (so nulls the dead sender announced to *anyone* resolve
-    /// at *everyone*), and re-run every survivor's delivery engine.
+    /// view. The members whose nodes are up exchange state: trim the
+    /// reconfiguring subgroup's *abandoned* data slots and every crashed
+    /// sender's unannounced nulls, pool the survivors' frontier replicas
+    /// (so nulls a crashed sender announced to *anyone* resolve at
+    /// *everyone*), and re-run every survivor's delivery engine.
     /// Safe by stability: a slot delivered anywhere was stable, stable
     /// slots are fully replicated, and fully replicated slots are never
     /// abandoned — so trims only ever remove slots nobody delivered.
@@ -755,77 +655,60 @@ impl<T: Transport> Cluster<T> {
             return;
         };
         let n = self.atomic.groups[ag].nodes.len();
-        for m in 0..n {
-            if self
-                .fabric
-                .is_crashed(NodeId(self.atomic.groups[ag].nodes[m] as u32))
-            {
-                self.atomic.groups[ag].dead.insert(m);
+        let (crashed, up): (Vec<usize>, Vec<usize>) =
+            (0..n).partition(|&m| self.atomic_crashed(ag, m));
+        let a = &mut self.atomic.groups[ag];
+        let mut trims: Vec<u64> = Vec::new();
+        // (a) this subgroup's abandoned data slots.
+        for &si in &a.by_owner[j] {
+            let slot = &mut a.slots[si];
+            if let SlotKind::Data { index, .. } = slot.kind {
+                if !slot.trimmed && abandoned.contains(&index) {
+                    slot.trimmed = true;
+                    trims.push(si as u64);
+                }
             }
         }
-        let anchor = self.atomic.groups[ag].subgroups[0];
-        let mut trims: Vec<u64> = Vec::new();
-        {
-            let a = &mut self.atomic.groups[ag];
-            let aset: BTreeSet<usize> = abandoned.iter().copied().collect();
-            let live: Vec<usize> = (0..n).filter(|m| !a.dead.contains(m)).collect();
-            // (a) this subgroup's abandoned data slots.
-            if !aset.is_empty() {
-                for &si in &a.by_owner[j] {
-                    let slot = &mut a.slots[si];
-                    if !slot.trimmed {
-                        if let SlotKind::Data { index, .. } = slot.kind {
-                            if aset.contains(&index) {
-                                slot.trimmed = true;
-                                trims.push(si as u64);
-                            }
-                        }
-                    }
-                }
+        // (b) pool survivor replicas: each survivor max-merges into
+        // every peer row the best any survivor saw of it (the
+        // view-change state exchange; its own row is freshest locally).
+        for row in 0..n as u32 {
+            let best: Vec<u8> = (0..n as u32)
+                .flat_map(|s| {
+                    let seen = up.iter().map(|&m| a.members[m].sst.get(row, s)).max();
+                    SstTable::cell(s, seen.unwrap_or(0))
+                })
+                .collect();
+            for &m in up.iter().filter(|&&m| m as u32 != row) {
+                a.members[m]
+                    .sst
+                    .merge_remote(row, &best, max_merge)
+                    .expect("a peer row, every sender column, and max refuses nothing");
             }
-            // (b) pool survivor replicas: each survivor max-merges into
-            // every peer row the best any survivor saw of it (the
-            // view-change state exchange; its own row is freshest locally).
-            for row in 0..n as u32 {
-                let best: Vec<u8> = (0..n as u32)
-                    .flat_map(|s| {
-                        let seen = live.iter().map(|&m| a.members[m].sst.get(row, s)).max();
-                        SstTable::cell(s, seen.unwrap_or(0))
-                    })
-                    .collect();
-                for &m in live.iter().filter(|&&m| m as u32 != row) {
-                    a.members[m]
-                        .sst
-                        .merge_remote(row, &best, max_merge)
-                        .expect("a peer row, every sender column, and max refuses nothing");
-                }
-            }
-            // (c) dead senders' nulls beyond what they ever announced:
-            // no survivor can learn of them now, so they are trimmed.
-            let dead: Vec<usize> = a.dead.iter().copied().collect();
-            for w in dead {
-                let reach = live
-                    .iter()
-                    .map(|&m| a.members[m].sst.get(w as u32, w as u32))
-                    .max()
-                    .unwrap_or(0);
-                for &si in &a.by_owner[w] {
-                    let slot = &mut a.slots[si];
-                    if !slot.trimmed && matches!(slot.kind, SlotKind::Null) && slot.seq >= reach {
-                        slot.trimmed = true;
-                        trims.push(si as u64);
-                    }
+        }
+        // (c) crashed senders' nulls beyond what they ever announced:
+        // no survivor can learn of them now, so they are trimmed.
+        for w in crashed {
+            let reach = up
+                .iter()
+                .map(|&m| a.members[m].sst.get(w as u32, w as u32))
+                .max()
+                .unwrap_or(0);
+            for &si in &a.by_owner[w] {
+                let slot = &mut a.slots[si];
+                if !slot.trimmed && matches!(slot.kind, SlotKind::Null) && slot.seq >= reach {
+                    slot.trimmed = true;
+                    trims.push(si as u64);
                 }
             }
         }
         trims.sort_unstable();
+        let anchor = trace::Scope::group(a.subgroups[0] as u32);
         for slot in trims {
             self.recorder
-                .record(trace::Scope::group(anchor as u32), || {
-                    trace::EventKind::AtomicTrimmed { slot }
-                });
+                .record(anchor, || trace::EventKind::AtomicTrimmed { slot });
         }
-        for m in self.atomic_live_members(ag) {
+        for m in up {
             self.atomic_pump(ag, m);
         }
     }
@@ -837,31 +720,18 @@ mod tests {
     use rand::{RngExt, SeedableRng};
     use rdmc::Algorithm;
 
+    use std::collections::BTreeSet;
+
     use super::*;
     use crate::{ClusterBuilder, ClusterSpec, RecoveryConfig, SimCluster};
 
-    fn runtime(n: usize) -> AtomicRuntime {
-        AtomicRuntime::new((0..n).collect(), (0..n).collect())
-    }
-
     #[test]
     fn rotation_skips_dead_members() {
-        let mut a = runtime(4);
-        assert_eq!(a.next_live_owner(2), Some(2));
-        a.dead.insert(2);
-        assert_eq!(a.next_live_owner(2), Some(3));
-        a.dead.insert(3);
-        assert_eq!(a.next_live_owner(2), Some(0), "wraps past the dead tail");
-        assert_eq!(a.live_rows(), vec![0, 1]);
-    }
-
-    #[test]
-    fn extinct_group_has_no_owner() {
-        let mut a = runtime(2);
-        a.dead.insert(0);
-        a.dead.insert(1);
-        assert_eq!(a.next_live_owner(0), None);
-        assert!(a.live_rows().is_empty());
+        assert_eq!(next_owner(&[0, 1, 2, 3], 2), 2);
+        assert_eq!(next_owner(&[0, 1, 3], 2), 3);
+        assert_eq!(next_owner(&[0, 1], 2), 0, "wraps past the dead tail");
+        assert_eq!(next_owner(&[1], 0), 1);
+        assert_eq!(next_owner(&[1], 3), 1);
     }
 
     /// The regression test for "flat in history": however long the
@@ -1058,6 +928,38 @@ mod tests {
             assert!(!a.slots[a.by_owner[1][0]].trimmed);
             assert_eq!(c.atomic_trimmed_slots(0), vec![unannounced]);
             assert_converged(&c);
+        }
+    }
+
+    /// The overlay's membership is the anchor subgroup's view after every
+    /// step of a crash run, even while another subgroup has installed
+    /// its view first.
+    #[test]
+    fn overlay_view_is_the_anchor_view_at_every_step() {
+        const N: usize = 4;
+        for victim in 0..N {
+            for step in [0, 5, 20, 40] {
+                let mut c = cluster(N);
+                let anchor = c.atomic_subgroups(0)[0];
+                c.crash_after_events(victim, step);
+                for _ in 0..8 {
+                    c.submit_atomic(0, 2 * BLOCK);
+                }
+                while c.step() {
+                    let view: Vec<usize> = c
+                        .surviving_ranks(anchor)
+                        .iter()
+                        .map(|&r| r as usize)
+                        .collect();
+                    assert_eq!(
+                        c.atomic_live_members(0),
+                        view,
+                        "victim {victim} step {step}"
+                    );
+                }
+                assert!(!c.atomic_live_members(0).contains(&victim));
+                assert_converged(&c);
+            }
         }
     }
 

@@ -132,7 +132,7 @@ pub(crate) enum TimerAction {
     },
     /// Submit a rotated atomic-multicast message when the timer fires
     /// (the slot owner is resolved at fire time, from the then-current
-    /// rotation cursor and live set).
+    /// rotation cursor and view).
     AtomicSend {
         ag: AtomicGroupId,
         size: u64,
@@ -811,8 +811,7 @@ impl<T: Transport> Cluster<T> {
                     self.rel_probe_fired(qp);
                 }
                 Some(TimerAction::AtomicSend { ag, size, message }) => {
-                    // Group extinct by now: the handle never resolves.
-                    let _ = self.do_submit_atomic(ag, size, message);
+                    self.do_submit_atomic(ag, size, message);
                 }
                 Some(TimerAction::FrontierFlush { ag, member }) => {
                     self.atomic_frontier_flush(ag, member);

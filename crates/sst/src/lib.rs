@@ -13,7 +13,8 @@
 //! monotone predicates (how Derecho layers stability tracking and commit
 //! over RDMC) — and the one row-write codec: cells of the writer's own
 //! row, no header, merged all or nothing. [`SstMulticast`] implements
-//! the small-message protocol over the simulated verbs fabric;
+//! the small-message protocol over any `verbs::Transport` (the simulated
+//! verbs fabric by default);
 //! [`small_message_rate`] is the one-call benchmark harness the
 //! `sst_small_messages` bench sweeps against RDMC.
 //!

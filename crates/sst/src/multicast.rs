@@ -43,7 +43,8 @@ pub struct SstMessageResult {
     pub completed: Option<SimTime>,
 }
 
-/// A root-sender SST multicast session over a simulated fabric.
+/// A root-sender SST multicast session over any [`Transport`] (the
+/// simulated fabric by default).
 ///
 /// # Examples
 ///
@@ -63,8 +64,8 @@ pub struct SstMessageResult {
 /// assert_eq!(sst.results().len(), 100);
 /// assert!(sst.results().iter().all(|r| r.completed.is_some()));
 /// ```
-pub struct SstMulticast {
-    fabric: Fabric,
+pub struct SstMulticast<T: Transport = Fabric> {
+    fabric: T,
     /// `members[0]` is the sender.
     members: Vec<usize>,
     /// Sender-side queue pair per receiver (index 1..members.len()).
@@ -74,6 +75,9 @@ pub struct SstMulticast {
     slots: u64,
     /// Messages waiting for a free slot.
     pending: VecDeque<u64>,
+    /// The zero payload of the last message size sent, shared by every
+    /// write until the size changes.
+    zeros: Bytes,
     /// Next sequence number to send.
     next_seq: u64,
     /// Lowest acknowledged sequence per receiver.
@@ -85,18 +89,18 @@ pub struct SstMulticast {
     results: Vec<SstMessageResult>,
     /// Peer writes dropped as malformed: data on a queue pair that is not
     /// a receiver's or beyond what was sent, an ack on one that is not
-    /// the sender's or shorter than its counter.
+    /// the sender's, shorter than its counter or beyond what was sent.
     malformed: u64,
 }
 
-impl SstMulticast {
+impl<T: Transport> SstMulticast<T> {
     /// Creates the session: connects the sender to every receiver and
     /// sizes the per-receiver ring at `slots` messages.
     ///
     /// # Panics
     ///
     /// Panics if fewer than two members or zero slots are given.
-    pub fn new(mut fabric: Fabric, members: &[usize], slots: u64) -> Self {
+    pub fn new(mut fabric: T, members: &[usize], slots: u64) -> Self {
         assert!(
             members.len() >= 2,
             "need a sender and at least one receiver"
@@ -117,6 +121,7 @@ impl SstMulticast {
             receiver_qps,
             slots,
             pending: VecDeque::new(),
+            zeros: Bytes::new(),
             next_seq: 0,
             acked: vec![0; members.len() - 1],
             consumed: vec![0; members.len() - 1],
@@ -155,13 +160,16 @@ impl SstMulticast {
             });
             // One ordered write per receiver: payload models data plus the
             // trailing sequence counter.
-            let payload = Bytes::from(vec![0u8; size.max(1) as usize]);
-            for qp in self.qps.clone() {
+            let len = size.max(1) as usize;
+            if self.zeros.len() != len {
+                self.zeros = Bytes::from(vec![0u8; len]);
+            }
+            for &qp in &self.qps {
                 // A broken connection just stops the experiment's traffic;
                 // SST has no retry of its own (RC hardware handles it).
                 let _ = self
                     .fabric
-                    .post_write(qp, WrId(seq), TAG_DATA, payload.clone(), None);
+                    .post_write(qp, WrId(seq), TAG_DATA, self.zeros.clone(), None);
             }
         }
     }
@@ -199,6 +207,7 @@ impl SstMulticast {
                 Delivery::WriteArrived { qp, tag, payload } if tag == TAG_ACK => {
                     let r = self.qps.iter().position(|&q| q == qp);
                     let counter = payload.first_chunk().copied().map(u64::from_le_bytes);
+                    let counter = counter.filter(|&c| c <= self.next_seq);
                     let (Some(r), Some(counter)) = (r, counter) else {
                         self.malformed += 1;
                         continue;
@@ -238,8 +247,8 @@ impl SstMulticast {
         count as f64 / done.as_secs_f64().max(1e-12)
     }
 
-    /// The underlying fabric (for CPU or link accounting).
-    pub fn fabric(&self) -> &Fabric {
+    /// The underlying transport (for CPU or link accounting).
+    pub fn fabric(&self) -> &T {
         &self.fabric
     }
 }
@@ -341,6 +350,25 @@ mod tests {
         sst.run();
         assert_eq!(sst.malformed, 1);
         assert!(sst.results().iter().all(|r| r.completed.is_some()));
+    }
+
+    /// An ack beyond what was sent is dropped and counted: merged, it
+    /// underflowed the window check, and no later message went out.
+    #[test]
+    fn oversized_ack_is_dropped() {
+        let mut sst = SstMulticast::new(fabric(2), &[0, 1], 4);
+        sst.submit(64);
+        let forged = Bytes::copy_from_slice(&1_000u64.to_le_bytes());
+        sst.fabric
+            .post_write(sst.receiver_qps[0], WrId(9), TAG_ACK, forged, None)
+            .expect("post_write");
+        sst.run();
+        sst.submit(64);
+        sst.submit(64);
+        sst.run();
+        assert_eq!(sst.results().len(), 3);
+        assert!(sst.results().iter().all(|r| r.completed.is_some()));
+        assert_eq!(sst.malformed, 1);
     }
 
     #[test]

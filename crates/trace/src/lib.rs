@@ -315,8 +315,8 @@ pub enum EventKind {
     /// slot order).
     FrontierAdvanced { sender: u32, frontier: u64 },
     /// This member's *stability* frontier for `sender` — the min of the
-    /// received-frontiers over all live members, read from its local
-    /// SST replica — advanced to `frontier`.
+    /// received-frontiers over the members of the group's view, read
+    /// from its local SST replica — advanced to `frontier`.
     StableFrontier { sender: u32, frontier: u64 },
     /// The atomic delivery upcall: slot `slot` (the `seq`-th slot owned
     /// by `sender`) became stable and was delivered in total order.

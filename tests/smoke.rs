@@ -1,6 +1,6 @@
 //! Tier-1 smoke: one fast case per `Cluster` concern module (`atomic`
-//! with `pacer`, `reconfig`, `reliability`) plus the core over real TCP
-//! sockets, so the root package's `cargo test` executes every module the
+//! with `pacer`, `reconfig`, `reliability`) plus the core and the §4.6
+//! SST multicast over real TCP sockets, so the root package's `cargo test` executes every module the
 //! per-crate suites (`cargo test --workspace`) check in depth — and the
 //! "fig4/fig8 byte-identity" gate, run in-process against the `report`
 //! golden.
@@ -129,6 +129,18 @@ fn tcp_multicast_delivers_and_shuts_down_clean() {
         assert!(result.delivered_at.iter().all(|d| d.is_some()));
     }
     rdmc_tcp::shutdown(cluster).expect("no deferred socket error");
+}
+
+#[test]
+fn sst_multicast_completes_over_tcp() {
+    let fabric = rdmc_tcp::TcpFabric::launch(4).expect("loopback sockets");
+    let mut sst = sst::SstMulticast::new(fabric, &[0, 1, 2, 3], 16);
+    for _ in 0..100 {
+        sst.submit(KB);
+    }
+    sst.run();
+    assert_eq!(sst.results().len(), 100);
+    assert!(sst.results().iter().all(|r| r.completed.is_some()));
 }
 
 /// Fig. 4 and Fig. 8 at `--quick` size must equal their blocks of the
