@@ -195,11 +195,7 @@ pub fn check_events(events: &[TraceEvent]) -> Result<CheckStats, Vec<String>> {
                     at_seq: ev.seq,
                     conn: *conn,
                     block,
-                    what: if matches!(ev.kind, EventKind::PayloadDropped { .. }) {
-                        "dropped"
-                    } else {
-                        "corrupted"
-                    },
+                    what: ev.kind.name(),
                 });
                 continue;
             }
@@ -415,7 +411,7 @@ pub fn check_events(events: &[TraceEvent]) -> Result<CheckStats, Vec<String>> {
             || last_recovery.is_some_and(|at| at > loss.at_seq);
         if !repaired && !escalated {
             violations.push(format!(
-                "seq {}: payload {} on conn {} (block {:?}) was never repaired \
+                "seq {}: {} on conn {} (block {:?}) was never repaired \
                  or escalated — a silent hole in the received-block bitmap",
                 loss.at_seq, loss.what, loss.conn, loss.block
             ));

@@ -17,7 +17,9 @@
 //! - [`TraceEvent`] / [`EventKind`] — the event taxonomy, spanning flow
 //!   starts and rate changes, verb posts/completions/RNR arms/flushes,
 //!   protocol steps (block send/receive, credit grants, wedge/resume),
-//!   and membership epidemics/reconfigurations.
+//!   and membership epidemics/reconfigurations. Each kind is declared
+//!   once, with its fields and its wire name ([`EventKind::name`]);
+//!   the exporters read both from that declaration.
 //! - [`export`] — deterministic JSONL and Chrome `trace_event`
 //!   exporters (load the latter in `chrome://tracing` or Perfetto).
 //! - [`stall`] — critical-path stall attribution: classifies every
@@ -117,21 +119,62 @@ pub struct TraceEvent {
     pub kind: EventKind,
 }
 
-/// Everything the flight recorder distinguishes, across all layers.
-///
-/// Rank-valued fields are in the *current epoch's* numbering at record
-/// time; [`EventKind::ReconfigInstalled`] carries the original-rank
-/// survivor list needed to map them back.
-#[derive(Clone, Debug, PartialEq)]
-#[allow(missing_docs)] // field meanings documented per variant
-pub enum EventKind {
+/// Declares [`EventKind`] once: every variant with its fields and its
+/// stable wire name. The exporters read the name and the fields from
+/// here, so a new kind needs no second table and the JSONL and Chrome
+/// formats cannot drift apart.
+macro_rules! event_kinds {
+    ($(
+        $(#[$attr:meta])*
+        $variant:ident $({ $($field:ident: $ty:ty),* $(,)? })? => $wire:literal,
+    )*) => {
+        /// Everything the flight recorder distinguishes, across all layers.
+        ///
+        /// Rank-valued fields are in the *current epoch's* numbering at
+        /// record time; [`EventKind::ReconfigInstalled`] carries the
+        /// original-rank survivor list needed to map them back.
+        #[derive(Clone, Debug, PartialEq)]
+        #[allow(missing_docs)] // field meanings documented per variant
+        pub enum EventKind {
+            $($(#[$attr])* $variant $({ $($field: $ty),* })?,)*
+        }
+
+        impl EventKind {
+            /// Every kind's wire name, in declaration order.
+            pub const NAMES: &'static [&'static str] = &[$($wire),*];
+
+            /// The kind's stable wire name: the `kind` key of a JSONL line
+            /// and the name of a Chrome instant event.
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $(EventKind::$variant { .. } => $wire,)*
+                }
+            }
+
+            /// Calls `f` with each field's name and value, in declaration
+            /// order.
+            pub(crate) fn for_each_field(
+                &self,
+                mut f: impl FnMut(&'static str, &dyn export::Field),
+            ) {
+                match self {
+                    $(EventKind::$variant $({ $($field),* })? => {
+                        $($(f(stringify!($field), $field);)*)?
+                    })*
+                }
+            }
+        }
+    };
+}
+
+event_kinds! {
     // ---- simnet: flow network -------------------------------------
     /// A bulk transfer started on the flow network.
-    FlowStarted { flow: u64, bytes: u64 },
+    FlowStarted { flow: u64, bytes: u64 } => "flow_started",
     /// A flow's max-min fair rate changed (link contention).
-    FlowRateChanged { flow: u64, gbps: f64 },
+    FlowRateChanged { flow: u64, gbps: f64 } => "flow_rate_changed",
     /// A flow left the network (completed, or aborted by a failure).
-    FlowFinished { flow: u64, aborted: bool },
+    FlowFinished { flow: u64, aborted: bool } => "flow_finished",
 
     // ---- verbs: simulated RDMA fabric -----------------------------
     /// A two-sided send was posted to a queue pair.
@@ -140,40 +183,40 @@ pub enum EventKind {
         end: u8,
         wr: u64,
         bytes: u64,
-    },
+    } => "send_posted",
     /// A receive was posted to a queue pair.
-    RecvPosted { conn: u32, end: u8, wr: u64 },
+    RecvPosted { conn: u32, end: u8, wr: u64 } => "recv_posted",
     /// A one-sided write was posted to a queue pair.
     WritePosted {
         conn: u32,
         end: u8,
         tag: u64,
         bytes: u64,
-    },
+    } => "write_posted",
     /// A work request completed in hardware (`recv` = consumer side).
     WrCompleted {
         conn: u32,
         end: u8,
         wr: u64,
         recv: bool,
-    },
+    } => "wr_completed",
     /// A one-sided write landed in the peer's memory.
-    WriteDelivered { conn: u32, end: u8, tag: u64 },
+    WriteDelivered { conn: u32, end: u8, tag: u64 } => "write_delivered",
     /// A send found its receiver without a posted receive and armed the
     /// RNR retry timer — under RDMC's ready-for-block discipline this
     /// must never happen on a healthy run (§4.2).
-    RnrArmed { conn: u32, dir: u8 },
+    RnrArmed { conn: u32, dir: u8 } => "rnr_armed",
     /// An outstanding work request was flushed by a connection break.
     WrFlushed {
         conn: u32,
         end: u8,
         wr: u64,
         recv: bool,
-    },
+    } => "wr_flushed",
     /// A connection broke (failure detection, link flap, teardown).
-    QpBroken { conn: u32 },
+    QpBroken { conn: u32 } => "qp_broken",
     /// A node crashed.
-    NodeCrashed,
+    NodeCrashed => "node_crashed",
     /// The fault model dropped a payload on the wire: the receiver-side
     /// completion never fires (the sender still completes, SDR-RDMA's
     /// sender-local semantics). `end` is the receiver endpoint; `imm`
@@ -186,7 +229,7 @@ pub enum EventKind {
         end: u8,
         wr: u64,
         imm: u64,
-    },
+    } => "payload_dropped",
     /// The fault model corrupted a payload: it arrives and consumes its
     /// posted receive, but fails the receiver's integrity check and
     /// must be discarded by software. Same pairing fields as
@@ -196,14 +239,14 @@ pub enum EventKind {
         end: u8,
         wr: u64,
         imm: u64,
-    },
+    } => "payload_corrupted",
 
     // ---- rdmc: protocol engine ------------------------------------
     /// The application submitted a multicast at the root.
-    MessageSubmitted { size: u64 },
+    MessageSubmitted { size: u64 } => "message_submitted",
     /// A message transfer became active (`root` = this member holds
     /// every block from the start).
-    TransferStarted { size: u64, blocks: u32, root: bool },
+    TransferStarted { size: u64, blocks: u32, root: bool } => "transfer_started",
     /// An interrupted message resumed in a new epoch; `held` lists the
     /// blocks this member kept from the old epoch.
     ResumeStarted {
@@ -211,13 +254,13 @@ pub enum EventKind {
         blocks: u32,
         held: Vec<u32>,
         already_delivered: bool,
-    },
+    } => "resume_started",
     /// The engine asked the application for a receive buffer.
-    BufferRequested { size: u64 },
+    BufferRequested { size: u64 } => "buffer_requested",
     /// We granted `to` a readiness credit (receive is pre-posted).
-    ReadyGranted { to: u32 },
+    ReadyGranted { to: u32 } => "ready_granted",
     /// `from` granted us a readiness credit.
-    ReadyHeard { from: u32 },
+    ReadyHeard { from: u32 } => "ready_heard",
     /// We posted a block send (schedule step `step` of epoch `epoch`).
     BlockSendIssued {
         to: u32,
@@ -225,13 +268,13 @@ pub enum EventKind {
         step: u32,
         bytes: u64,
         epoch: u64,
-    },
+    } => "block_send_issued",
     /// A posted block send completed.
-    BlockSendCompleted { to: u32 },
+    BlockSendCompleted { to: u32 } => "block_send_completed",
     /// The per-NIC admission layer released a block send to the fabric;
     /// `queued_ns` is how long admission control held it after the
     /// engine issued it (zero when a slot was free on arrival).
-    SendAdmitted { to: u32, block: u32, queued_ns: u64 },
+    SendAdmitted { to: u32, block: u32, queued_ns: u64 } => "send_admitted",
     /// A scheduled block arrived (`first` = it announced the message
     /// size and the transfer was not yet active).
     BlockArrived {
@@ -240,11 +283,11 @@ pub enum EventKind {
         step: u32,
         first: bool,
         epoch: u64,
-    },
+    } => "block_arrived",
     /// The message completed locally (the delivery upcall).
-    Delivered { size: u64 },
+    Delivered { size: u64 } => "delivered",
     /// A failure notice wedged this member.
-    Wedged { failed: u32 },
+    Wedged { failed: u32 } => "wedged",
     /// A new configuration epoch was installed on this member
     /// (`rank` is its new rank; `resume_blocks_out` counts the block
     /// transfers this member must send across all resume schedules).
@@ -254,13 +297,13 @@ pub enum EventKind {
         num_nodes: u32,
         resumes: u32,
         resume_blocks_out: u32,
-    },
+    } => "epoch_installed",
 
     // ---- rdmc-sim: membership / reconfiguration -------------------
     /// A member first suspected an original rank of having failed.
-    Suspected { failed: u32 },
+    Suspected { failed: u32 } => "suspected",
     /// A view-table merge taught a member `newly` new suspicions.
-    ViewMerged { from: u32, newly: u32 },
+    ViewMerged { from: u32, newly: u32 } => "view_merged",
     /// The membership layer installed an agreed view group-wide.
     /// `survivors` are original ranks ascending (new rank = index).
     ReconfigInstalled {
@@ -270,7 +313,7 @@ pub enum EventKind {
         abandoned: Vec<u64>,
         resumed_blocks: u64,
         forced: bool,
-    },
+    } => "reconfig_installed",
 
     // ---- rdmc-sim: reliability policies ---------------------------
     /// A receiver noticed a gap in the block sequence and NACKed the
@@ -281,19 +324,19 @@ pub enum EventKind {
         end: u8,
         seq: u64,
         span: u64,
-    },
+    } => "nack_sent",
     /// A sender retransmitted block `seq` (NACK response or timeout).
-    RepairSent { conn: u32, seq: u64 },
+    RepairSent { conn: u32, seq: u64 } => "repair_sent",
     /// A missing block was filled at the receiver — by retransmission
     /// (`coded` = false) or erasure reconstruction (`coded` = true).
-    RepairDelivered { conn: u32, seq: u64, coded: bool },
+    RepairDelivered { conn: u32, seq: u64, coded: bool } => "repair_delivered",
     /// A sender emitted the parity block closing the erasure-coding
     /// generation that ends at data sequence `seq` and spans `data`
     /// data blocks.
-    ParitySent { conn: u32, seq: u64, data: u64 },
+    ParitySent { conn: u32, seq: u64, data: u64 } => "parity_sent",
     /// Loss on `conn` exhausted the policy's retry budget; the member
     /// escalated to epoch recovery (or wedged, when recovery is off).
-    LossEscalated { conn: u32 },
+    LossEscalated { conn: u32 } => "loss_escalated",
 
     // ---- rdmc-sim: atomic multicast (Derecho-style overlay) --------
     //
@@ -309,15 +352,15 @@ pub enum EventKind {
         sender: u32,
         null: bool,
         size: u64,
-    },
+    } => "atomic_submitted",
     /// This member's own received-frontier row for `sender` advanced to
     /// `frontier` (it has resolved that many of `sender`'s slots, in
     /// slot order).
-    FrontierAdvanced { sender: u32, frontier: u64 },
+    FrontierAdvanced { sender: u32, frontier: u64 } => "frontier_advanced",
     /// This member's *stability* frontier for `sender` — the min of the
     /// received-frontiers over the members of the group's view, read
     /// from its local SST replica — advanced to `frontier`.
-    StableFrontier { sender: u32, frontier: u64 },
+    StableFrontier { sender: u32, frontier: u64 } => "stable_frontier",
     /// The atomic delivery upcall: slot `slot` (the `seq`-th slot owned
     /// by `sender`) became stable and was delivered in total order.
     AtomicDelivered {
@@ -325,11 +368,11 @@ pub enum EventKind {
         sender: u32,
         seq: u64,
         size: u64,
-    },
+    } => "atomic_delivered",
     /// A slot was ragged-trimmed during reconfiguration: its sender
     /// died before the slot could stabilize, so every survivor removes
     /// it from the total order (all-or-nothing delivery).
-    AtomicTrimmed { slot: u64 },
+    AtomicTrimmed { slot: u64 } => "atomic_trimmed",
 }
 
 struct Inner {

@@ -27,7 +27,7 @@
 //! (no-reconfiguration) run — the Fig. 4 path.
 
 use crate::{EventKind, TraceEvent};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 /// The fabric parameters that define ideal wire time for a block.
 #[derive(Clone, Copy, Debug)]
@@ -406,51 +406,65 @@ impl GroupStall {
     }
 }
 
+/// Pairs each block send completion with the issue it completes, as
+/// `(issue, completion)` indices into `events`, in completion order.
+///
+/// Sends to one peer complete in post order, so a completion closes the
+/// oldest open issue of its (group, rank, destination) stream. A
+/// group's reconfiguration ends all of the group's streams: the sends
+/// still open were flushed by the failure and never complete, and the
+/// new epoch renumbers the ranks that key the streams.
+pub(crate) fn send_pairs(events: &[TraceEvent]) -> Vec<(usize, usize)> {
+    let mut open: BTreeMap<(u32, u32, u32), VecDeque<usize>> = BTreeMap::new();
+    let mut pairs = Vec::new();
+    for (i, ev) in events.iter().enumerate() {
+        match (&ev.kind, ev.scope.group, ev.scope.rank) {
+            (EventKind::BlockSendIssued { to, .. }, Some(g), Some(r)) => {
+                open.entry((g, r, *to)).or_default().push_back(i);
+            }
+            (EventKind::BlockSendCompleted { to }, Some(g), Some(r)) => {
+                if let Some(issue) = open.get_mut(&(g, r, *to)).and_then(VecDeque::pop_front) {
+                    pairs.push((issue, i));
+                }
+            }
+            (EventKind::ReconfigInstalled { .. }, Some(g), _) => open.retain(|k, _| k.0 != g),
+            _ => {}
+        }
+    }
+    pairs
+}
+
 /// Splits every completed block send in the trace into ideal transfer,
 /// admission wait, and link contention, grouped by group id.
 ///
 /// Sends to the same peer complete in post order, so each completion is
-/// paired with the matching issue per (rank, destination) stream; the
-/// aggregate span is invariant under pairing, which keeps the totals
-/// exact even when an admission policy reorders sends within a stream.
-/// Issues that never completed (flushed by a failure) are left out.
+/// paired with the oldest open issue of its (rank, destination) stream,
+/// and a reconfiguration ends the group's streams. The aggregate span
+/// is invariant under pairing, which keeps the totals exact even when
+/// an admission policy reorders sends within a stream. Issues that
+/// never completed (flushed by a failure) are left out.
 pub fn rollup_by_group(events: &[TraceEvent], wire: &WireModel) -> BTreeMap<u32, GroupStall> {
-    // (group, rank, to) -> issue (t, bytes) / completion t streams.
-    let mut issues: BTreeMap<(u32, u32, u32), Vec<(u64, u64)>> = BTreeMap::new();
-    let mut comps: BTreeMap<(u32, u32, u32), Vec<u64>> = BTreeMap::new();
+    let mut out: BTreeMap<u32, GroupStall> = BTreeMap::new();
+    for (issue, done) in send_pairs(events) {
+        let issue = &events[issue];
+        let (Some(group), &EventKind::BlockSendIssued { bytes, .. }) =
+            (issue.scope.group, &issue.kind)
+        else {
+            unreachable!("send_pairs pairs scoped issues only");
+        };
+        let span = events[done].t_ns.saturating_sub(issue.t_ns);
+        let ideal = wire.ideal_ns(bytes).min(span);
+        let st = out.entry(group).or_default();
+        st.sends += 1;
+        st.bytes += bytes;
+        st.transfer_ns += ideal;
+        st.link_limited_ns += span - ideal;
+    }
     let mut queued: BTreeMap<u32, u64> = BTreeMap::new();
     for ev in events {
-        let (Some(group), Some(rank)) = (ev.scope.group, ev.scope.rank) else {
-            continue;
-        };
-        match &ev.kind {
-            EventKind::BlockSendIssued { to, bytes, .. } => {
-                issues
-                    .entry((group, rank, *to))
-                    .or_default()
-                    .push((ev.t_ns, *bytes));
-            }
-            EventKind::BlockSendCompleted { to } => {
-                comps.entry((group, rank, *to)).or_default().push(ev.t_ns);
-            }
-            EventKind::SendAdmitted { queued_ns, .. } => {
-                *queued.entry(group).or_default() += queued_ns;
-            }
-            _ => {}
-        }
-    }
-    let mut out: BTreeMap<u32, GroupStall> = BTreeMap::new();
-    for (key, issued) in &issues {
-        let group = key.0;
-        let done = comps.get(key).map_or(&[][..], Vec::as_slice);
-        let st = out.entry(group).or_default();
-        for (&(t_issue, bytes), &t_done) in issued.iter().zip(done) {
-            let span = t_done.saturating_sub(t_issue);
-            let ideal = wire.ideal_ns(bytes).min(span);
-            st.sends += 1;
-            st.bytes += bytes;
-            st.transfer_ns += ideal;
-            st.link_limited_ns += span - ideal;
+        if let (Some(group), EventKind::SendAdmitted { queued_ns, .. }) = (ev.scope.group, &ev.kind)
+        {
+            *queued.entry(group).or_default() += queued_ns;
         }
     }
     // Admission wait is part of the issue-to-completion span; move it
@@ -721,6 +735,50 @@ mod tests {
         assert_eq!(g0.total_ns(), 3100);
         assert_eq!(g0.transfer_ns, 2000);
         assert_eq!(g0.link_limited_ns, 1100);
+    }
+
+    #[test]
+    fn send_streams_end_at_a_reconfiguration() {
+        // Rank 1's send of block 0 to rank 2 is flushed by a failure and
+        // never completes; after the view change the same (rank,
+        // destination) stream carries block 5, which completes after
+        // 1000 ns. Paired across the view change, the completion would
+        // close the flushed send: a 3000 ns span labelled block 0.
+        let r = Recorder::full();
+        let issue = |t, block, epoch| {
+            r.record_at(t, Scope::group_rank(0, 1), || EventKind::BlockSendIssued {
+                to: 2,
+                block,
+                step: 0,
+                bytes: 1000,
+                epoch,
+            });
+        };
+        issue(1000, 0, 0);
+        r.record_at(2000, Scope::group(0), || EventKind::ReconfigInstalled {
+            epoch: 1,
+            survivors: vec![0, 1, 2],
+            removed: vec![3],
+            abandoned: vec![],
+            resumed_blocks: 0,
+            forced: false,
+        });
+        issue(3000, 5, 1);
+        r.record_at(4000, Scope::group_rank(0, 1), || {
+            EventKind::BlockSendCompleted { to: 2 }
+        });
+        let events = r.events();
+        assert_eq!(send_pairs(&events), [(2, 3)]);
+        let wire = WireModel {
+            gbps: 8.0,
+            latency_ns: 0,
+            nic_op_ns: 0,
+        };
+        let g0 = rollup_by_group(&events, &wire)[&0];
+        assert_eq!((g0.sends, g0.total_ns()), (1, 1000));
+        let chrome = crate::export::to_chrome_trace(&events);
+        assert!(chrome.contains("\"name\":\"send b5 -> r2\""), "{chrome}");
+        assert!(chrome.contains("\"ts\":3.000,\"dur\":1.000"), "{chrome}");
     }
 
     #[test]
