@@ -28,13 +28,10 @@
 //! - [`Strategy::Random`] — a seeded random walk with an execution
 //!   budget, for wide shallow coverage in time-boxed CI runs.
 //!
-//! Every explored execution is vetted by the invariant suite: survivor
-//! view agreement, complete and equally long delivery logs (§4.6),
-//! terminal quiescence, the trace oracle (zero RNR arms (§4.2),
-//! delivery-before-receipt, atomic order and prefix agreement, the
-//! plan each epoch ran), and — the determinism
-//! audit — [`Cluster::state_digest`] equality across replays of one
-//! choice sequence and across all crash-free interleavings. The audit is
+//! Every explored execution is vetted by the run's verdict,
+//! [`Cluster::check_run`], and by the determinism audit:
+//! [`Cluster::state_digest`] equality across replays of one choice
+//! sequence and across all crash-free interleavings. The audit is
 //! the mechanical form of the review that once caught hash-order
 //! iteration in epoch teardown: a `HashMap`-order bug diverges under
 //! replay and fails immediately.
@@ -153,8 +150,7 @@ pub struct ExploreScenario {
     pub messages: u32,
     /// Multi-sender atomic multicast (the Derecho overlay): every
     /// member is a sender, `messages` submissions rotate round-robin
-    /// through one RDMC subgroup per sender, and every execution is
-    /// checked for cross-rank delivery-log agreement. Built via
+    /// through one RDMC subgroup per sender. Built via
     /// [`ExploreScenario::atomic`]; mutually exclusive with
     /// `reliability`.
     pub multi_sender: bool,
@@ -196,10 +192,7 @@ impl ExploreScenario {
     /// The multi-sender CI tier: an `n`-member *atomic multicast* group
     /// (one rotated RDMC subgroup per sender, SST stability frontiers,
     /// total-order delivery), one full rotation of `k`-block messages,
-    /// sized so exhaustive enumeration stays tractable. Every explored
-    /// interleaving is checked for the cross-rank
-    /// delivery-log-agreement invariant: all members must deliver the
-    /// identical `(slot, sender, seq, size)` sequence.
+    /// sized so exhaustive enumeration stays tractable.
     pub fn atomic(algorithm: Algorithm, n: u32, k: u32) -> Self {
         ExploreScenario {
             multi_sender: true,
@@ -270,7 +263,7 @@ impl ExecutionResult {
 pub struct Counterexample {
     /// The minimized choice sequence.
     pub choices: Vec<usize>,
-    /// What the invariant suite reported.
+    /// What [`Cluster::check_run`] and the audits reported.
     pub violations: Vec<String>,
     /// Terminal digest of the failing execution (0 on panic).
     pub digest: u64,
@@ -440,29 +433,22 @@ fn run_with(scenario: &ExploreScenario, pick: Pick) -> ExecutionResult {
         } else {
             builder.build()
         };
-        let group = if scenario.multi_sender {
-            // The anchor subgroup's id names the overlay group for the
-            // epoch-agreement check below.
-            cluster.atomic_subgroups(0)[0]
-        } else {
-            cluster.create_group(spec)
-        };
+        let group = (!scenario.multi_sender).then(|| cluster.create_group(spec));
         let injected = offer_fault_choice(scenario, &shared, &mut cluster);
         for _ in 0..scenario.messages {
             let size = BLOCK_SIZE * u64::from(scenario.k);
-            if scenario.multi_sender {
-                let _ = cluster.submit_atomic(0, size);
-            } else {
-                let _ = cluster.submit_send(group, size);
-            }
+            let _ = match group {
+                Some(group) => cluster.submit_send(group, size),
+                None => cluster.submit_atomic(0, size),
+            };
         }
         while cluster.step() {}
-        (cluster, group, injected)
+        (cluster, injected)
     }));
 
     let (digest, trace_jsonl, panic, crashed) = match outcome {
-        Ok((cluster, group, injected)) => {
-            check_invariants(scenario, &cluster, group, injected, &mut violations);
+        Ok((cluster, injected)) => {
+            violations.extend(cluster.check_run().err().unwrap_or_default());
             (
                 cluster.state_digest(),
                 trace::export::to_jsonl(&cluster.trace_events()),
@@ -549,76 +535,6 @@ fn offer_fault_choice(
 /// counterexamples replay bit-for-bit.
 pub fn replay(scenario: &ExploreScenario, script: &[usize]) -> ExecutionResult {
     run_with(scenario, Pick::Script(script.to_vec()))
-}
-
-/// The per-execution invariant suite: what the trace oracle cannot see
-/// in the recording, then the oracle itself.
-fn check_invariants(
-    scenario: &ExploreScenario,
-    cluster: &Explored,
-    group: rdmc_sim::GroupId,
-    injected: bool,
-    violations: &mut Vec<String>,
-) {
-    // Terminal quiescence: survivors finished or consistently abandoned
-    // every message.
-    if !cluster.live_quiescent() {
-        violations.push("not live-quiescent at termination".to_string());
-    }
-    if !injected && !cluster.all_quiescent() {
-        violations.push("crash-free run not fully quiescent at termination".to_string());
-    }
-    // View agreement: all survivors run the same epoch.
-    let epochs = cluster.live_member_epochs(group);
-    if epochs.windows(2).any(|w| w[0] != w[1]) {
-        violations.push(format!("survivors disagree on the epoch: {epochs:?}"));
-    }
-    // Crash-free completeness: every message delivered at every member.
-    if !injected {
-        for m in cluster.message_results() {
-            if m.delivered_at.iter().any(|d| d.is_none()) {
-                violations.push(format!(
-                    "message {} of group {} missing deliveries in a crash-free run",
-                    m.index, m.group
-                ));
-            }
-        }
-    }
-    // The multi-sender total order. The oracle proves every member's
-    // log strictly increasing and every pair of logs prefixes of one
-    // sequence; what it cannot see is a log that stopped short. So at
-    // quiescence every live log is as long as every other, and in a
-    // crash-free run as long as the submissions.
-    if scenario.multi_sender {
-        let live = cluster.atomic_live_members(0);
-        if let Some((&first, rest)) = live.split_first() {
-            let len = cluster.atomic_log(0, first).len();
-            if !injected && len != scenario.messages as usize {
-                violations.push(format!(
-                    "member {first}: {len} of {} atomic messages delivered in a crash-free run",
-                    scenario.messages
-                ));
-            }
-            for &m in rest {
-                let other = cluster.atomic_log(0, m).len();
-                if other != len {
-                    violations.push(format!(
-                        "delivery logs disagree: member {first} delivered {len} slots, \
-                         member {m} {other}"
-                    ));
-                }
-            }
-        }
-    }
-    // The trace oracle: FIFO send/arrival pairing (no delivery before
-    // receipt), delivery completeness, no RNR arms (§4.2), atomic order
-    // and prefix agreement, and every epoch ran its plan (causality,
-    // port budgets, step bound, plan equality).
-    if let Err(errs) = cluster.check_trace() {
-        for e in errs.into_iter().take(5) {
-            violations.push(format!("trace oracle: {e}"));
-        }
-    }
 }
 
 /// Replays `script` twice and reports any divergence — the determinism

@@ -32,10 +32,8 @@
 //!   controlled scheduler (same-instant delivery races, pacer admission
 //!   ties, crash-injection sites), exhaustively, with dynamic
 //!   partial-order reduction, or as a seeded random walk. Every explored
-//!   execution is vetted for survivor view agreement, §4.6
-//!   stable-delivery gaplessness and monotonicity, zero RNR arms, trace
-//!   validity, and replay determinism (bit-for-bit digest equality —
-//!   the audit that mechanically catches unordered-map iteration).
+//!   execution must pass `Cluster::check_run` and replay bit-for-bit
+//!   (the audit that mechanically catches unordered-map iteration).
 //!   Violations come back as minimal replayable counterexamples.
 //! - [`seeded`] — the explorer's **seeded bugs** ([`SeededBug`]),
 //!   injected by a transport decorator around the simulated fabric, so

@@ -208,7 +208,7 @@ fn resolved_prefix(index: &[usize], from: u64, mut is_resolved: impl FnMut(usize
 /// subgroup to the overlay it serves.
 #[derive(Default)]
 pub(crate) struct AtomicOverlays {
-    groups: Vec<AtomicRuntime>,
+    pub(crate) groups: Vec<AtomicRuntime>,
     /// RDMC subgroup -> `(atomic group id, sender member index)`.
     subgroup_of: BTreeMap<GroupId, (AtomicGroupId, usize)>,
 }
@@ -843,23 +843,6 @@ mod tests {
         }
     }
 
-    /// The survivors hold one identical log that, with the trims,
-    /// accounts for every data slot.
-    fn assert_converged(c: &SimCluster) {
-        let a = &c.atomic.groups[0];
-        let live = c.atomic_live_members(0);
-        let delivered: Vec<u64> = c.atomic_log(0, live[0]).iter().map(|d| d.slot).collect();
-        for &m in &live[1..] {
-            let log: Vec<u64> = c.atomic_log(0, m).iter().map(|d| d.slot).collect();
-            assert_eq!(log, delivered, "members {} and {m} disagree", live[0]);
-        }
-        let expected: Vec<u64> = (0..a.slots.len())
-            .filter(|&s| !a.slots[s].trimmed && matches!(a.slots[s].kind, SlotKind::Data { .. }))
-            .map(|s| s as u64)
-            .collect();
-        assert_eq!(delivered, expected);
-    }
-
     #[test]
     fn indexed_count_equals_scan_under_rotation_and_jumps() {
         for n in [2usize, 3, 8] {
@@ -882,7 +865,7 @@ mod tests {
             let a = &c.atomic.groups[0];
             assert!(a.slots.iter().any(|s| matches!(s.kind, SlotKind::Null)));
             assert!(c.atomic_trimmed_slots(0).is_empty());
-            assert_converged(&c);
+            assert_eq!(c.check_run(), Ok(()));
         }
     }
 
@@ -905,7 +888,7 @@ mod tests {
                 assert_eq!(a.slots[s as usize].owner, n - 1);
                 assert!(matches!(a.slots[s as usize].kind, SlotKind::Data { .. }));
             }
-            assert_converged(&c);
+            assert_eq!(c.check_run(), Ok(()));
         }
     }
 
@@ -927,7 +910,7 @@ mod tests {
             assert!(matches!(a.slots[a.by_owner[1][0]].kind, SlotKind::Null));
             assert!(!a.slots[a.by_owner[1][0]].trimmed);
             assert_eq!(c.atomic_trimmed_slots(0), vec![unannounced]);
-            assert_converged(&c);
+            assert_eq!(c.check_run(), Ok(()));
         }
     }
 
@@ -958,7 +941,7 @@ mod tests {
                     );
                 }
                 assert!(!c.atomic_live_members(0).contains(&victim));
-                assert_converged(&c);
+                assert_eq!(c.check_run(), Ok(()));
             }
         }
     }
@@ -993,7 +976,7 @@ mod tests {
         c.submit_atomic_from(0, 0, BLOCK);
         c.run();
         assert_eq!(c.atomic_live_members(0), vec![0, 1, 3]);
-        assert_converged(&c);
+        assert_eq!(c.check_run(), Ok(()));
 
         let mut down = BTreeSet::new();
         let mut evicted = false;
@@ -1096,7 +1079,7 @@ mod tests {
             }
             c.run();
         }
-        assert_converged(&c);
+        assert_eq!(c.check_run(), Ok(()));
         let ops = c.atomic_log(0, 0).len();
         assert_eq!(ops, WINDOWS * WINDOW);
         let writes = c.trace_events().iter().filter(|e| is_row(e)).count();

@@ -382,21 +382,24 @@ impl<T: Transport> Cluster<T> {
 
     /// Closes a group — the §4.6 close barrier. Drains every
     /// outstanding event first (like [`Cluster::run`]), then reports
-    /// whether delivery is *certified*: no member crashed, every
-    /// engine is idle and unwedged, and every submitted message was
-    /// delivered at every member. A `true` from every member's
-    /// destroy proves every message reached every destination; a
-    /// failure or incomplete transfer anywhere reports `false`.
+    /// whether delivery is *certified*: no current member crashed, the
+    /// group's share of [`Cluster::check_run`] holds, and every
+    /// submitted message was delivered at every original member (one
+    /// evicted after it delivered everything included). A `true` from
+    /// every member's destroy proves every message reached every
+    /// destination; a failure or incomplete transfer anywhere reports
+    /// `false`.
     pub fn destroy_group(&mut self, group: GroupId) -> bool {
         self.run();
+        let mut violations = Vec::new();
+        self.check_group(group, &mut violations);
         let g = &self.groups[group];
         let all_live = (0..g.engines.len() as Rank).all(|r| !self.fabric.is_crashed(g.node(r)));
-        let engines_quiet = g.engines.iter().all(|e| e.is_idle() && !e.is_wedged());
-        let delivered = g
+        let everywhere = g
             .results
             .iter()
-            .all(|m| m.delivered_at.iter().all(|d| d.is_some()));
-        all_live && engines_quiet && delivered
+            .all(|m| m.delivered_at.iter().all(Option::is_some));
+        all_live && violations.is_empty() && everywhere
     }
 
     /// Creates a group; all members instantiate their engines and
@@ -600,9 +603,7 @@ impl<T: Transport> Cluster<T> {
             .collect()
     }
 
-    /// True if every engine is idle and unwedged — the condition under
-    /// which a group close ("destroy") would report success, guaranteeing
-    /// every message reached every destination (§4.6).
+    /// True if every engine is idle and unwedged, crashed or not.
     pub fn all_quiescent(&self) -> bool {
         self.groups
             .iter()
@@ -610,11 +611,8 @@ impl<T: Transport> Cluster<T> {
             .all(|e| e.is_idle() && !e.is_wedged())
     }
 
-    /// True if every engine hosted on a *live* node is idle and unwedged —
-    /// quiescence from the survivors' point of view. With recovery
-    /// enabled this is the terminal condition every chaos run must reach:
-    /// all interrupted work was either finished in a later epoch or
-    /// consistently abandoned.
+    /// True if every engine on a live node is idle and unwedged (rule 1
+    /// of [`Cluster::check_run`]).
     pub fn live_quiescent(&self) -> bool {
         self.groups.iter().all(|g| {
             g.engines.iter().enumerate().all(|(r, e)| {
@@ -672,21 +670,6 @@ impl<T: Transport> Cluster<T> {
             mix(&mut h, node as u64);
         }
         h
-    }
-
-    /// The configuration epoch each *live* member of `group` currently
-    /// runs (one entry per surviving engine on an uncrashed node). The
-    /// explorer's view-agreement invariant requires these to be equal at
-    /// quiescence: survivors that disagree about the epoch diverged
-    /// during reconfiguration.
-    pub fn live_member_epochs(&self, group: GroupId) -> Vec<u64> {
-        let g = &self.groups[group];
-        g.engines
-            .iter()
-            .enumerate()
-            .filter(|&(r, _)| !self.fabric.is_crashed(g.node(r as Rank)))
-            .map(|(_, e)| e.epoch())
-            .collect()
     }
 
     /// Ranks that consider the group wedged (learned of a failure).

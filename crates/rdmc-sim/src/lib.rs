@@ -64,6 +64,7 @@ mod pacer;
 mod profiles;
 mod reconfig;
 mod reliability;
+mod verdict;
 
 pub use atomic::{AtomicDelivery, AtomicGroupId};
 pub use builder::ClusterBuilder;

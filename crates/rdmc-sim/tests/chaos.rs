@@ -96,20 +96,9 @@ proptest! {
             }
         }
         cluster.run();
-        prop_assert!(cluster.all_quiescent(), "cluster failed to quiesce");
-        let oracle = cluster.check_trace();
-        prop_assert!(oracle.is_ok(), "trace oracle: {:#?}", oracle.unwrap_err());
-        let results = cluster.message_results();
+        prop_assert_eq!(cluster.check_run(), Ok(()));
         let expected: usize = groups.iter().map(|p| p.messages.len()).sum();
-        prop_assert_eq!(results.len(), expected);
-        for r in &results {
-            prop_assert!(
-                r.latency().is_some(),
-                "group {} message {} incomplete",
-                r.group,
-                r.index
-            );
-        }
+        prop_assert_eq!(cluster.message_results().len(), expected);
         // Conservation: each member's downlink carried at least the bytes
         // of every message delivered to it (readies/control traffic is tiny
         // and bypasses the flow accounting entirely).
@@ -178,49 +167,16 @@ fn recovery_run(
     cluster
 }
 
-/// The convergence invariant every chaos run must satisfy: survivors are
-/// quiescent, no RNR timer ever armed, and every message was either
-/// delivered at every survivor or consistently abandoned group-wide.
-fn assert_recovered(cluster: &SimCluster, n: usize, victim: usize) {
-    assert!(cluster.live_quiescent(), "survivors failed to quiesce");
+/// Every chaos run ends with a clean verdict ([`SimCluster::check_run`])
+/// and exactly the victim removed from the group.
+fn assert_only_victim_removed(cluster: &SimCluster, n: usize, victim: usize) {
+    assert_eq!(cluster.check_run(), Ok(()));
+    let others: Vec<u32> = (0..n as u32).filter(|&r| r != victim as u32).collect();
     assert_eq!(
-        cluster.transport().stats().rnr_arms,
-        0,
-        "an RNR timer armed"
+        cluster.surviving_ranks(0),
+        others,
+        "exactly the victim was removed"
     );
-    // Trace oracle over the full flight recording: send/arrival pairing,
-    // delivery completeness and no RNR arms, and every epoch ran the
-    // plan it was given (the group's schedule, or the recovery planner's
-    // resume from the recorded holdings) within its port budget and
-    // step bound — even on crash/recovery runs.
-    let oracle = cluster.check_trace();
-    if let Err(violations) = &oracle {
-        panic!("trace oracle found violations: {violations:#?}");
-    }
-    let survivors = cluster.surviving_ranks(0);
-    assert!(
-        !survivors.contains(&(victim as u32)),
-        "crashed rank {victim} still a member"
-    );
-    assert_eq!(survivors.len(), n - 1, "exactly the victim was removed");
-    let abandoned: Vec<usize> = cluster
-        .recovery_stats()
-        .reconfigurations
-        .iter()
-        .flat_map(|r| r.abandoned.iter().copied())
-        .collect();
-    for r in cluster.message_results() {
-        if abandoned.contains(&r.index) {
-            continue;
-        }
-        for &o in &survivors {
-            assert!(
-                r.delivered_at[o as usize].is_some(),
-                "message {} missing at surviving rank {o}",
-                r.index
-            );
-        }
-    }
 }
 
 /// Exhaustive mini-sweep: a 4-member pipeline, crashing *every* rank at
@@ -238,7 +194,7 @@ fn every_rank_crashing_at_every_step_recovers() {
                 !cluster.recovery_stats().reconfigurations.is_empty(),
                 "victim {victim} step {step}: no reconfiguration happened"
             );
-            assert_recovered(&cluster, n, victim);
+            assert_only_victim_removed(&cluster, n, victim);
         }
     }
 }
@@ -263,7 +219,7 @@ proptest! {
         let step = step_sel.index(total as usize) as u64;
 
         let cluster = recovery_run(n, k, Some((victim, step)), Some(jitter_seed));
-        assert_recovered(&cluster, n, victim);
+        assert_only_victim_removed(&cluster, n, victim);
 
         // Determinism: the rerun reproduces the run event-for-event.
         let rerun = recovery_run(n, k, Some((victim, step)), Some(jitter_seed));

@@ -13,10 +13,8 @@
 //!    asserts the same convergence invariant plus bit-for-bit
 //!    determinism of a rerun.
 //!
-//! The convergence invariant in both modes: survivors quiesce, the RNR
-//! machinery never arms, the trace oracle (including its loss/repair
-//! rule) passes, and every message is delivered at every surviving rank
-//! or consistently abandoned by a recovery epoch.
+//! The convergence invariant in both modes is the run's verdict,
+//! `Cluster::check_run`.
 //!
 //! Replaying a proptest counterexample by hand:
 //!
@@ -99,44 +97,14 @@ fn drop_run(policy: ReliabilityPolicy, target: Option<u64>) -> (SimCluster, u64,
     (cluster, guard.seen, guard.dropped)
 }
 
-/// The convergence invariant every lossy run must satisfy: survivors
-/// quiescent, no RNR timer armed, trace oracle (with its loss/repair
-/// rule) clean, and every message delivered at every surviving rank or
-/// consistently abandoned.
-fn assert_converged(cluster: &SimCluster, ctx: &str) {
+/// Every lossy run ends with a clean verdict ([`SimCluster::check_run`],
+/// whose trace oracle has a loss/repair rule) and a survivor left.
+fn assert_clean(cluster: &SimCluster, ctx: &str) {
+    assert_eq!(cluster.check_run(), Ok(()), "{ctx}");
     assert!(
-        cluster.live_quiescent(),
-        "{ctx}: survivors failed to quiesce"
+        !cluster.surviving_ranks(0).is_empty(),
+        "{ctx}: no survivors"
     );
-    assert_eq!(
-        cluster.transport().stats().rnr_arms,
-        0,
-        "{ctx}: an RNR timer armed"
-    );
-    let oracle = cluster.check_trace();
-    if let Err(violations) = &oracle {
-        panic!("{ctx}: trace oracle found violations: {violations:#?}");
-    }
-    let survivors = cluster.surviving_ranks(0);
-    assert!(!survivors.is_empty(), "{ctx}: no survivors");
-    let abandoned: Vec<usize> = cluster
-        .recovery_stats()
-        .reconfigurations
-        .iter()
-        .flat_map(|r| r.abandoned.iter().copied())
-        .collect();
-    for r in cluster.message_results() {
-        if abandoned.contains(&r.index) {
-            continue;
-        }
-        for &o in &survivors {
-            assert!(
-                r.delivered_at[o as usize].is_some(),
-                "{ctx}: message {} missing at surviving rank {o}",
-                r.index
-            );
-        }
-    }
 }
 
 /// Full delivery at the *original* membership — the stronger invariant
@@ -181,7 +149,7 @@ fn every_transfer_dropped_once_under_every_policy() {
         let (baseline, sites, dropped) = drop_run(policy, None);
         assert!(!dropped);
         assert!(sites > 0, "{name}: no loss sites offered");
-        assert_converged(&baseline, &format!("{name} baseline"));
+        assert_clean(&baseline, &format!("{name} baseline"));
         assert_delivered_everywhere(&baseline, &format!("{name} baseline"));
         assert_eq!(
             baseline.reliability_stats().escalations,
@@ -193,7 +161,7 @@ fn every_transfer_dropped_once_under_every_policy() {
             let ctx = format!("{name} drop@{site}/{sites}");
             let (cluster, _, dropped) = drop_run(policy, Some(site));
             assert!(dropped, "{ctx}: target site never offered");
-            assert_converged(&cluster, &ctx);
+            assert_clean(&cluster, &ctx);
             let stats = cluster.reliability_stats();
             total_repairs += stats.repairs_received + stats.parity_repairs;
             match policy {
@@ -293,7 +261,7 @@ proptest! {
             "{} seed={seed} loss={loss_ppm}ppm burst={burst} corrupt={corrupt}",
             policy.name()
         );
-        assert_converged(&cluster, &ctx);
+        assert_clean(&cluster, &ctx);
 
         // Determinism: an identical rerun reproduces the run exactly.
         let rerun = seeded_lossy_run(policy, seed, loss_ppm, burst, corrupt);
@@ -337,5 +305,5 @@ fn replay_from_env() {
         cluster.reliability_stats(),
         fault_counters(&cluster),
     );
-    assert_converged(&cluster, "replay");
+    assert_clean(&cluster, "replay");
 }

@@ -45,15 +45,7 @@ fn every_policy_delivers_everything_under_contention() {
         PacingPolicy::RoundRobin,
     ] {
         let cluster = contended(policy, 2);
-        assert!(cluster.all_quiescent(), "{policy:?}: not quiescent");
-        for r in cluster.message_results() {
-            assert!(
-                r.latency().is_some(),
-                "{policy:?}: message {}/{} incomplete",
-                r.group,
-                r.index
-            );
-        }
+        assert_eq!(cluster.check_run(), Ok(()), "{policy:?}");
         let stats = cluster.pacing_stats().expect("pacing enabled");
         assert!(
             stats.deferred_sends > 0,
@@ -68,10 +60,7 @@ fn tightest_bound_does_not_deadlock() {
     // One slot per NIC is the degenerate case: progress must still be
     // strictly serial, never stuck.
     let cluster = contended(PacingPolicy::Fifo, 1);
-    assert!(cluster.all_quiescent());
-    for r in cluster.message_results() {
-        assert!(r.latency().is_some());
-    }
+    assert_eq!(cluster.check_run(), Ok(()));
 }
 
 #[test]
@@ -136,21 +125,7 @@ fn pacing_survives_a_crash_with_recovery() {
     }
     cluster.schedule_crash_at(3, SimTime::from_nanos(400_000));
     cluster.run();
-    assert!(cluster.live_quiescent(), "survivors failed to quiesce");
     // Whatever was not abandoned completed at every survivor.
-    let survivors = cluster.surviving_ranks(g);
-    assert!(!survivors.contains(&3));
-    for r in cluster.message_results() {
-        let complete = survivors
-            .iter()
-            .all(|&s| r.delivered_at[s as usize].is_some());
-        let untouched = survivors
-            .iter()
-            .all(|&s| r.delivered_at[s as usize].is_none());
-        assert!(
-            complete || untouched,
-            "message {} half-delivered after recovery",
-            r.index
-        );
-    }
+    assert_eq!(cluster.check_run(), Ok(()));
+    assert!(!cluster.surviving_ranks(g).contains(&3));
 }

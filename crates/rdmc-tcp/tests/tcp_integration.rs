@@ -169,6 +169,8 @@ fn recovery_reconfigures_over_tcp() {
     cluster.run();
     assert!(cluster.live_quiescent());
     assert_eq!(cluster.surviving_ranks(group), vec![0, 2, 3, 4]);
+    // All-or-nothing delivery across the epoch, on real sockets.
+    assert_eq!(cluster.check_run(), Ok(()));
     rdmc_tcp::shutdown(cluster).expect("shutdown clean after recovery");
 }
 

@@ -75,12 +75,7 @@ fn crash_and_recover() -> SimCluster {
     cluster.schedule_crash_at(3, SimTime::from_nanos(60_000));
     cluster.run();
     assert_eq!(cluster.surviving_ranks(group), [0, 1, 2, 4]);
-    assert!(cluster.live_quiescent());
-    for m in cluster.message_results() {
-        for o in [0, 1, 2, 4] {
-            assert!(m.delivered_at[o].is_some(), "message {} at {o}", m.index);
-        }
-    }
+    assert_eq!(cluster.check_run(), Ok(()));
     cluster
 }
 
@@ -128,6 +123,7 @@ fn tcp_multicast_delivers_and_shuts_down_clean() {
         let result = cluster.result(id).expect("submitted");
         assert!(result.delivered_at.iter().all(|d| d.is_some()));
     }
+    assert_eq!(cluster.check_run(), Ok(()));
     rdmc_tcp::shutdown(cluster).expect("no deferred socket error");
 }
 
