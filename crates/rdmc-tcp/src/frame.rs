@@ -137,11 +137,15 @@ impl OutFrame {
     /// Takes this frame's share of `wrote` freshly written bytes;
     /// true once the whole frame is on the socket.
     pub(crate) fn advance(&mut self, wrote: &mut u64) -> bool {
-        let total = HDR as u64 + self.payload.len();
-        let take = (*wrote).min(total - self.sent);
+        let take = (*wrote).min(self.unsent());
         self.sent += take;
         *wrote -= take;
-        self.sent == total
+        self.unsent() == 0
+    }
+
+    /// Bytes of header-then-payload not on the socket yet.
+    pub(crate) fn unsent(&self) -> u64 {
+        HDR as u64 + self.payload.len() - self.sent
     }
 
     /// Whether any of this frame is on the socket yet.

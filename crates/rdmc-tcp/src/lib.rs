@@ -3,10 +3,10 @@
 //! The paper's §5.3 observes that the binomial pipeline's slack should
 //! make RDMC "work surprisingly well over high speed datacenter TCP
 //! (with no RDMA)". This crate is that port, rebuilt as a
-//! [`verbs::Transport`] backend: a **single nonblocking event loop**
-//! (no thread per peer, no staging copy on either side) that carries the
-//! *entire* `rdmc-sim` orchestration stack unchanged. One public API,
-//! two transports: everything built on
+//! [`verbs::Transport`] backend: a **nonblocking event loop** driven by
+//! the caller (no thread per peer, no staging copy on either side) that
+//! carries the *entire* `rdmc-sim` orchestration stack unchanged. One
+//! public API, two transports: everything built on
 //! [`rdmc_sim::ClusterBuilder`] — groups, pacer
 //! admission, epoch recovery, per-group reliability policies, the
 //! flight recorder, the §4.6 close barrier — runs identically over the
@@ -39,11 +39,14 @@
 //! — a socket end with queued frames flushes them a quantum at a time in
 //! one gathered write, and its peer end is read at once — and returns as
 //! soon as a direction produced deliveries, resuming at the next one.
-//! DESIGN.md ("Transport abstraction") describes the loop — quantum,
-//! streaming decoder, byte ledger, sweep, timers between laps, what is
-//! in-process about it — and what a broken queue pair or a broken socket
-//! takes down with it. `SendDone` means "flushed to the socket";
-//! nothing the receiving end does feeds into it.
+//! A lap with a quantum of queued bytes for each half of the socket
+//! table **forks**: a worker thread pumps one half, the caller the
+//! other. DESIGN.md ("Transport abstraction")
+//! describes the loop — quantum, streaming decoder, byte ledger, sweep,
+//! timers between laps, forked laps, what is in-process about it — and
+//! what a broken queue pair or a broken socket takes down with it.
+//! `SendDone` means "flushed to the socket"; nothing the receiving end
+//! does feeds into it.
 //!
 //! ```
 //! use rdmc::Algorithm;
@@ -74,13 +77,15 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::mpsc;
+use std::thread;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use frame::{
     Decoder, Event, OutFrame, Payload, GATHER_SLICES, KIND_SEND, KIND_WRITE, MAX_FRAME, QUANTUM,
 };
-use qp::{Qp, QpEnd};
+use qp::{Qp, Route};
 use rdmc_sim::{Cluster, ClusterBuilder};
 use simnet::{HostProfile, SimDuration, SimTime};
 use verbs::{
@@ -97,9 +102,12 @@ pub type TcpCluster = Cluster<TcpFabric>;
 const FAILURE_DETECT: Duration = Duration::from_millis(1);
 const FAILURE_DETECT_NS: u64 = FAILURE_DETECT.as_nanos() as u64;
 
-/// Read buffer: one quantum and its headers fit, so one read takes
-/// what one flush wrote.
+/// Read memory: one quantum and its headers, in two halves, one per
+/// thread of a forked lap. So a read takes at most half a quantum.
 const SCRATCH: usize = QUANTUM as usize + 4096;
+
+/// Strangers' connections a socket's set-up drops before it gives up.
+const STRANGERS: usize = 16;
 
 /// One end of a socket: its stream half, the outbound frames of every
 /// queue pair on this end (in posting order), the inbound frame in
@@ -126,10 +134,12 @@ enum ConnState {
     Broken,
 }
 
-/// The one socket between two nodes.
+/// The one socket between two nodes and the state of every queue pair
+/// it carries: pumping it needs nothing else but a [`Pump`].
 struct Conn {
     eps: [Endpoint; 2],
     state: ConnState,
+    qps: Vec<Qp>,
 }
 
 impl Conn {
@@ -137,6 +147,83 @@ impl Conn {
     fn in_flight_to(&self, end: usize) -> u64 {
         self.eps[1 - end].wire_sent - self.eps[end].wire_read
     }
+
+    /// Whether its side of the ledger is empty: no frame queued for the
+    /// wire and no byte written that its peer has not read. A broken
+    /// socket's entries left the ledger when it broke; a dying socket's
+    /// stand until then.
+    fn settled(&self) -> bool {
+        let idle = self.eps.iter().all(|ep| ep.out.is_empty());
+        self.state == ConnState::Broken || idle && self.in_flight_to(0) + self.in_flight_to(1) == 0
+    }
+
+    /// Bytes its queues still have to flush; a dying socket flushes
+    /// nothing more.
+    fn queued_bytes(&self) -> u64 {
+        let frames = self.eps.iter().flat_map(|ep| &ep.out);
+        match self.state {
+            ConnState::Alive => frames.map(OutFrame::unsent).sum(),
+            _ => 0,
+        }
+    }
+}
+
+/// One thread's means to pump sockets: a view of who crashed and of
+/// the clock, its read buffer, and what pumping yields for software.
+/// The fabric has one; a forked lap hands its worker another.
+struct Pump {
+    crashed: Vec<bool>,
+    start: Instant,
+    /// The read buffer (one per thread, not per socket).
+    scratch: Vec<u8>,
+    /// Deliveries, stamped in the order they happened.
+    ready: VecDeque<(SimTime, NodeId, Delivery)>,
+    rnr_arms: u64,
+    /// Socket and protocol errors observed mid-run, surfaced by
+    /// [`TcpFabric::shutdown`] instead of being unwrapped or leaked.
+    io_errors: Vec<io::Error>,
+}
+
+impl Pump {
+    fn now_ns(&self) -> u64 {
+        u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX)
+    }
+
+    // Called from the `qp` module's break paths as well; without the
+    // hint the per-frame path stops inlining it (measured: `tcp_large`
+    // goodput ~3 % lower on one core).
+    #[inline]
+    fn push(&mut self, node: usize, delivery: Delivery) {
+        if self.crashed[node] {
+            return; // dead software observes nothing
+        }
+        let at = SimTime::from_nanos(self.now_ns());
+        self.ready.push_back((at, NodeId(node as u32), delivery));
+    }
+}
+
+/// Sockets moved by value, with their table indices.
+type Share = Vec<(usize, Conn)>;
+
+/// Pumps both ways of `conns` in table order, as an inline lap does.
+fn pump_all(conns: &mut Share, sweep: bool, p: &mut Pump) -> bool {
+    let mut moved = false;
+    for (ci, conn) in conns {
+        for tx in 0..2 {
+            moved |= conn.pump_direction(*ci, tx, sweep, p);
+        }
+    }
+    moved
+}
+
+/// The persistent pump thread forked laps share. It takes a lap's other
+/// half — sockets, a pump of their own, whether the lap sweeps — and
+/// gives back the sockets, the pump and whether bytes moved. Between
+/// forked laps it blocks on its channel.
+struct Worker {
+    tx: mpsc::Sender<(Share, Pump, bool)>,
+    rx: mpsc::Receiver<(Share, Pump, bool)>,
+    thread: thread::JoinHandle<bool>,
 }
 
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -154,30 +241,23 @@ enum TimerEntry {
 /// [`TcpFabric::launch`] (or [`builder`]); reclaim the sockets and
 /// surface accumulated socket errors with [`TcpFabric::shutdown`].
 pub struct TcpFabric {
-    start: Instant,
     /// Loopback listener every socket handshakes through.
     listener: TcpListener,
     addr: SocketAddr,
     conns: Vec<Conn>,
-    qps: Vec<Qp>,
-    /// Each node pair's unbroken socket, keyed `(lower, higher)` node.
+    /// Each queue pair's route, at the index its handles name.
+    qps: Vec<Route>,
+    /// Each node pair's newest socket, keyed `(lower, higher)` node; the
+    /// pair's next connect replaces a broken one.
     pairs: BTreeMap<(usize, usize), usize>,
-    crashed: Vec<bool>,
-    ready: VecDeque<(SimTime, NodeId, Delivery)>,
+    pump: Pump,
+    /// The other half of the read memory: the worker's, in forked laps
+    /// (allocated with the worker).
+    lent: Vec<u8>,
     timers: BinaryHeap<Reverse<(u64, u64, TimerEntry)>>,
     timer_seq: u64,
     recorder: trace::Recorder,
     profile: HostProfile,
-    rnr_arms: u64,
-    /// Socket and protocol errors observed mid-run, surfaced by
-    /// [`TcpFabric::shutdown`] instead of being unwrapped or leaked.
-    io_errors: Vec<io::Error>,
-    /// Reused read buffer (one per fabric, not per socket).
-    scratch: Vec<u8>,
-    /// The ledger's fabric-wide sums over unbroken sockets: frames
-    /// queued for the wire, and bytes written that no peer has read.
-    queued: usize,
-    in_flight: u64,
     /// When every socket was last read regardless of the ledger.
     last_sweep: u64,
     /// The lap in progress: the next socket direction it pumps
@@ -186,6 +266,12 @@ pub struct TcpFabric {
     cursor: usize,
     lap_sweep: bool,
     lap_moved: bool,
+    /// The last timestamp `advance()` handed out.
+    last_at: SimTime,
+    /// Whether laps may fork: a second core, and a worker (lazily started).
+    parallel: bool,
+    worker: Option<Worker>,
+    forked_laps: u64,
 }
 
 impl TcpFabric {
@@ -200,37 +286,49 @@ impl TcpFabric {
         assert!(n >= 1, "cluster needs at least one node");
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?;
+        let cores = thread::available_parallelism().map_or(1, |n| n.get());
         Ok(TcpFabric {
-            start: Instant::now(),
             listener,
             addr,
             conns: Vec::new(),
             qps: Vec::new(),
             pairs: BTreeMap::new(),
-            crashed: vec![false; n],
-            ready: VecDeque::new(),
+            pump: Pump {
+                crashed: vec![false; n],
+                start: Instant::now(),
+                scratch: vec![0; SCRATCH / 2],
+                ready: VecDeque::new(),
+                rnr_arms: 0,
+                io_errors: Vec::new(),
+            },
+            lent: Vec::new(),
             timers: BinaryHeap::new(),
             timer_seq: 0,
             recorder: trace::Recorder::disabled(),
             profile: HostProfile::default(),
-            rnr_arms: 0,
-            io_errors: Vec::new(),
-            scratch: vec![0; SCRATCH],
-            queued: 0,
-            in_flight: 0,
             last_sweep: 0,
             cursor: 0,
             lap_sweep: false,
             lap_moved: false,
+            last_at: SimTime::ZERO,
+            parallel: cores >= 2,
+            worker: None,
+            forked_laps: 0,
         })
+    }
+
+    /// The loopback address of the listener every socket handshakes
+    /// through.
+    pub fn local_addr(&self) -> SocketAddr {
+        self.addr
     }
 
     /// Tears the fabric down: shuts down every socket and surfaces the
     /// first error observed — either mid-run (socket set-up, reads,
     /// writes and frame decoding never unwrap; errors are recorded and
     /// the queue pairs broken) or during the shutdown itself. The
-    /// listener and all streams close on drop regardless, so repeated
-    /// launch/shutdown cycles in one process stay clean.
+    /// listener, all streams and the pump worker go on drop regardless,
+    /// so repeated launch/shutdown cycles in one process stay clean.
     ///
     /// # Errors
     ///
@@ -243,50 +341,31 @@ impl TcpFabric {
             for ep in &mut conn.eps {
                 if let Err(e) = ep.stream.shutdown(Shutdown::Both) {
                     if e.kind() != io::ErrorKind::NotConnected {
-                        self.io_errors.push(e);
+                        self.pump.io_errors.push(e);
                     }
                 }
             }
         }
-        match self.io_errors.into_iter().next() {
+        match std::mem::take(&mut self.pump.io_errors).into_iter().next() {
             Some(e) => Err(e),
             None => Ok(()),
         }
     }
 
-    fn now_ns(&self) -> u64 {
-        u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX)
-    }
-
-    // Called from the `qp` module's break paths as well; without the
-    // hint the per-frame path stops inlining it (measured: `tcp_large`
-    // goodput ~3 % lower on one core).
-    #[inline]
-    fn push_delivery(&mut self, node: usize, delivery: Delivery) {
-        if self.crashed[node] {
-            return; // dead software observes nothing
-        }
-        self.ready.push_back((
-            SimTime::from_nanos(self.now_ns()),
-            NodeId(node as u32),
-            delivery,
-        ));
-    }
-
-    /// Records a socket or protocol error for [`TcpFabric::shutdown`]
-    /// and breaks the socket it happened on.
-    fn fail_conn(&mut self, ci: usize, e: io::Error) {
-        self.io_errors
-            .push(io::Error::new(e.kind(), format!("conn {ci}: {e}")));
-        self.break_conn_now(ci);
-    }
-
     /// Opens the one socket between nodes `a` and `b`. Inline handshake:
-    /// this loop is the only caller, so the connect and its accept pair
-    /// up deterministically with no identification handshake on the wire.
+    /// this loop is the only caller, so the connect pairs up with the
+    /// accept that names it as the peer, with no identification
+    /// handshake on the wire. A stranger connecting to the listener
+    /// first is accepted and dropped.
     fn open_socket(&mut self, a: usize, b: usize) -> io::Result<usize> {
         let client = TcpStream::connect(self.addr)?;
-        let (server, _) = self.listener.accept()?;
+        let me = client.local_addr()?;
+        let accepted = (0..=STRANGERS).find_map(|_| match self.listener.accept() {
+            Ok((server, peer)) => (peer == me).then_some(Ok(server)),
+            Err(e) => Some(Err(e)),
+        });
+        let strangers = || io::Error::other(format!("{STRANGERS} strangers came first"));
+        let server = accepted.unwrap_or_else(|| Err(strangers()))?;
         for s in [&client, &server] {
             s.set_nodelay(true)?;
             s.set_nonblocking(true)?;
@@ -303,13 +382,14 @@ impl TcpFabric {
         self.conns.push(Conn {
             eps: [mk(a, client), mk(b, server)],
             state: ConnState::Alive,
+            qps: Vec::new(),
         });
         self.pairs.insert((a.min(b), a.max(b)), ci);
         // Connecting to an already-crashed peer: the socket comes up but
         // the dead side never answers, so failure detection starts
         // ticking immediately, exactly as for a crash after connect.
-        if self.crashed[a] || self.crashed[b] {
-            let deadline = self.now_ns().saturating_add(FAILURE_DETECT_NS);
+        if self.pump.crashed[a] || self.pump.crashed[b] {
+            let deadline = self.pump.now_ns().saturating_add(FAILURE_DETECT_NS);
             self.conns[ci].state = ConnState::Dying;
             self.arm_timer(deadline, TimerEntry::Break { conn: ci });
         }
@@ -329,235 +409,103 @@ impl TcpFabric {
             }
             self.timers.pop();
             match entry {
-                TimerEntry::Break { conn } => {
+                TimerEntry::Break { conn: ci } => {
                     // Pre-crash data the dead end already flushed is
                     // genuinely on the wire; deliver it before the
                     // break, matching the simulated fabric where a
                     // completed transfer is a delivered transfer.
                     for end in 0..2 {
-                        self.read_endpoint(conn, end, false);
+                        self.conns[ci].read_endpoint(ci, end, false, &mut self.pump);
                     }
-                    self.break_conn_now(conn);
+                    self.conns[ci].break_all(&mut self.pump);
                 }
                 TimerEntry::Driver { node, token } => {
-                    self.push_delivery(node, Delivery::Timer { token });
+                    self.pump.push(node, Delivery::Timer { token });
                 }
             }
         }
     }
 
-    /// Flushes one quantum from `tx`, reads it straight back out of the
-    /// peer end, and repeats while frames are queued and bytes move.
-    /// With `sweep`, the peer end is read once whatever the ledger says,
-    /// which is how a socket killed from outside is noticed. Returns
-    /// whether any bytes moved.
-    fn pump_direction(&mut self, ci: usize, tx: usize, sweep: bool) -> bool {
-        let mut moved = false;
-        let mut force = sweep;
-        loop {
-            // A dying end's queued frames die with the break; its live
-            // end is still read while the ledger shows bytes for it.
-            let wrote = self.conns[ci].state == ConnState::Alive && self.flush_quantum(ci, tx);
-            let read = self.read_endpoint(ci, 1 - tx, force);
-            force = false;
-            moved |= wrote || read;
-            if !(wrote || read) || self.conns[ci].eps[tx].out.is_empty() {
-                return moved;
-            }
+    /// The worker's half of the socket table (`true` at its sockets), if
+    /// this lap forks: when the queued bytes, dealt largest socket first
+    /// to the lighter half, give each half at least one quantum.
+    fn fork_plan(&mut self) -> Option<Vec<bool>> {
+        if !self.parallel || self.conns.iter().map(Conn::queued_bytes).sum::<u64>() < 2 * QUANTUM {
+            return None;
         }
+        let mut busy: Vec<(u64, usize)> =
+            self.conns.iter().map(Conn::queued_bytes).zip(0..).collect();
+        busy.sort_unstable_by(|x, y| y.cmp(x));
+        let (mut away, mut halves) = (vec![false; self.conns.len()], [0; 2]);
+        for (bytes, ci) in busy.into_iter().filter(|&(bytes, _)| bytes > 0) {
+            let half = usize::from(halves[1] < halves[0]);
+            halves[half] += bytes;
+            away[ci] = half == 1;
+        }
+        if halves.iter().any(|&bytes| bytes < QUANTUM) {
+            return None;
+        }
+        if self.worker.is_none() {
+            let ((tx, inbox), (outbox, rx)) = (mpsc::channel(), mpsc::channel());
+            let work = move || {
+                inbox.into_iter().all(|(mut conns, mut pump, sweep)| {
+                    let moved = pump_all(&mut conns, sweep, &mut pump);
+                    outbox.send((conns, pump, moved)).is_ok()
+                })
+            };
+            // A host that cannot start a thread pumps every lap inline.
+            let named = thread::Builder::new().name("rdmc-tcp-pump".into());
+            let thread = named.spawn(work);
+            self.worker = thread.ok().map(|thread| Worker { tx, rx, thread });
+            self.parallel = self.worker.is_some();
+            self.lent = vec![0; SCRATCH - SCRATCH / 2];
+        }
+        self.worker.as_ref().map(|_| away)
     }
 
-    /// One gathered write of at most [`QUANTUM`] payload bytes (and the
-    /// headers that go with them) from the front of the queue; emits
-    /// send/write completions for frames that left the host entirely.
-    /// Returns whether any bytes moved.
-    fn flush_quantum(&mut self, ci: usize, end: usize) -> bool {
-        let ep = &mut self.conns[ci].eps[end];
-        if ep.out.is_empty() {
-            return false;
+    /// Pumps the sockets `away` marks on the worker and the rest here, as
+    /// an inline lap would. At the join the sockets come home in table
+    /// order and what both halves delivered lands in `ready` in
+    /// timestamp order. Returns whether any bytes moved.
+    fn forked_lap(&mut self, away: &[bool]) -> bool {
+        let (mut home, mut theirs) = (Vec::new(), Vec::new());
+        for (ci, conn) in std::mem::take(&mut self.conns).into_iter().enumerate() {
+            if away[ci] { &mut theirs } else { &mut home }.push((ci, conn));
         }
-        let mut slices = [IoSlice::new(&[]); GATHER_SLICES];
-        let n = frame::gather(&ep.out, &mut slices);
-        let wrote = loop {
-            match (&ep.stream).write_vectored(&slices[..n]) {
-                Ok(0) => {
-                    self.break_conn_now(ci);
-                    return true;
-                }
-                Ok(wrote) => break wrote as u64,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return false,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => {
-                    self.fail_conn(ci, e);
-                    return true;
-                }
+        let pump = Pump {
+            crashed: self.pump.crashed.clone(),
+            start: self.pump.start,
+            scratch: std::mem::take(&mut self.lent),
+            ready: VecDeque::new(),
+            rnr_arms: 0,
+            io_errors: Vec::new(),
+        };
+        let (sweep, worker) = (self.lap_sweep, self.worker.as_ref().expect("spawned"));
+        let half = (theirs, pump, sweep);
+        worker.tx.send(half).expect("the pump worker runs");
+        let mut moved = pump_all(&mut home, sweep, &mut self.pump);
+        // Spin, don't block, for the other half: a core that blocks may
+        // halt, and waking it takes about as long as a half of the lap.
+        let (conns, pump, moved_there) = loop {
+            match worker.rx.try_recv() {
+                Ok(half) => break half,
+                Err(mpsc::TryRecvError::Empty) => std::hint::spin_loop(),
+                Err(mpsc::TryRecvError::Disconnected) => panic!("the pump worker died"),
             }
         };
-        ep.wire_sent += wrote;
-        self.in_flight += wrote;
-        let mut left = wrote;
-        while let Some(frame) = self.conns[ci].eps[end].out.front_mut() {
-            if !frame.advance(&mut left) {
-                break; // partial write; the next gather resumes here
-            }
-            let (qp, wr_id, two_sided) = (frame.qp, frame.wr_id, frame.two_sided);
-            self.conns[ci].eps[end].out.pop_front();
-            self.queued -= 1;
-            let Some((q, qend)) = self.sender_of(ci, end, qp) else {
-                continue; // an orphan completes nothing
-            };
-            let qp_end = &mut self.qps[q].ends[qend];
-            qp_end.queued -= 1;
-            let node = qp_end.node;
-            let qp = QpHandle::from_parts(q as u32, qend as u8);
-            let delivery = if two_sided {
-                Delivery::SendDone { qp, wr_id }
-            } else {
-                Delivery::WriteDone { qp, wr_id }
-            };
-            self.push_delivery(node, delivery);
-        }
-        true
-    }
-
-    /// Reads `end`'s socket while the ledger shows bytes in flight
-    /// towards it (`force`: once regardless) and decodes them out of
-    /// the shared scratch buffer. The ledger ends the turn exactly, so
-    /// no trailing `WouldBlock` is paid for; one comes back only when
-    /// the kernel has not delivered everything yet, and the next pass
-    /// asks again. Returns whether any bytes moved.
-    fn read_endpoint(&mut self, ci: usize, end: usize, force: bool) -> bool {
-        let conn = &self.conns[ci];
-        if self.crashed[conn.eps[end].node] {
-            return false; // dead software reads nothing
-        }
-        if !force && conn.in_flight_to(end) == 0 {
-            return false;
-        }
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let moved = self.read_into(ci, end, force, &mut scratch);
-        self.scratch = scratch;
+        moved |= moved_there;
+        self.lent = pump.scratch;
+        self.pump.rnr_arms += pump.rnr_arms;
+        self.pump.io_errors.extend(pump.io_errors);
+        // A stable sort keeps each half's own order among equal stamps.
+        let mut ready: Vec<_> = self.pump.ready.drain(..).chain(pump.ready).collect();
+        ready.sort_by_key(|&(at, _, _)| at);
+        self.pump.ready.extend(ready);
+        home.extend(conns);
+        home.sort_unstable_by_key(|&(ci, _)| ci);
+        self.conns = home.into_iter().map(|(_, conn)| conn).collect();
+        self.forked_laps += 1;
         moved
-    }
-
-    fn read_into(&mut self, ci: usize, end: usize, mut force: bool, scratch: &mut [u8]) -> bool {
-        let mut moved = false;
-        loop {
-            let conn = &mut self.conns[ci];
-            if conn.state == ConnState::Broken || !(force || conn.in_flight_to(end) > 0) {
-                return moved;
-            }
-            match conn.eps[end].stream.read(scratch) {
-                Ok(0) => {
-                    // Orderly close without a protocol-level break: the
-                    // peer's socket died under us. A dying socket's EOF
-                    // just waits for its break timer.
-                    if conn.state == ConnState::Alive {
-                        match conn.eps[end].decoder.finish() {
-                            Ok(()) => self.break_conn_now(ci),
-                            Err(e) => self.fail_conn(ci, e.into()),
-                        }
-                        return true;
-                    }
-                    return moved;
-                }
-                Ok(n) => {
-                    conn.eps[end].wire_read += n as u64;
-                    self.in_flight -= n as u64;
-                    moved = true;
-                    self.decode(ci, end, &scratch[..n]);
-                    force = false;
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return moved,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => {
-                    self.fail_conn(ci, e);
-                    return true;
-                }
-            }
-        }
-    }
-
-    /// Streams freshly read bytes through `end`'s decoder and acts on
-    /// each frame they complete.
-    fn decode(&mut self, ci: usize, end: usize, mut chunk: &[u8]) {
-        while !chunk.is_empty() && self.conns[ci].state != ConnState::Broken {
-            let (used, event) = match self.conns[ci].eps[end].decoder.feed(chunk) {
-                Ok(step) => step,
-                Err(e) => return self.fail_conn(ci, e.into()),
-            };
-            chunk = &chunk[used..];
-            if let Some(event) = event {
-                self.deliver(ci, end, event);
-            }
-        }
-    }
-
-    /// The queue pair a frame at socket end `(ci, end)` names, and its
-    /// end there, if socket `ci` carries it.
-    fn qp_at(&self, ci: usize, end: usize, id: u32) -> Option<(usize, usize)> {
-        let p = self.qps.get(id as usize).filter(|p| p.conn == Some(ci))?;
-        Some((id as usize, end ^ p.flip))
-    }
-
-    /// [`Self::qp_at`] for a frame queued to leave: `None` also for an
-    /// orphan, whose queue pair broke while it was part-way onto the wire.
-    fn sender_of(&self, ci: usize, end: usize, id: u32) -> Option<(usize, usize)> {
-        self.qp_at(ci, end, id)
-            .filter(|&(q, _)| !self.qps[q].broken)
-    }
-
-    /// Hands one inbound frame to the queue pair it names. The name is
-    /// peer input: one this socket does not carry is a protocol error.
-    fn deliver(&mut self, ci: usize, end: usize, event: Event) {
-        let (Event::Send { qp: id, .. } | Event::Write { qp: id, .. }) = event;
-        let Some((q, qend)) = self.qp_at(ci, end, id) else {
-            let e = format!("frame names queue pair {id}, not carried here");
-            return self.fail_conn(ci, io::Error::new(io::ErrorKind::InvalidData, e));
-        };
-        if self.qps[q].broken {
-            return; // the tail of a broken queue pair's frames: dropped
-        }
-        let qp_end = &mut self.qps[q].ends[qend];
-        match event {
-            Event::Write { tag, payload, .. } => {
-                let (node, qp) = (qp_end.node, QpHandle::from_parts(q as u32, qend as u8));
-                self.push_delivery(node, Delivery::WriteArrived { qp, tag, payload });
-            }
-            Event::Send { len, imm, .. } => match qp_end.recvs.pop_front() {
-                Some(recv) => self.land(q, qend, recv, (len, imm)),
-                None => {
-                    // Receiver-not-ready: a real NIC would arm an RNR
-                    // retry timer; we hold the frame but make the
-                    // discipline violation observable.
-                    qp_end.held.push_back((len, imm));
-                    self.rnr_arms += 1;
-                }
-            },
-        }
-    }
-
-    /// A send of `len` bytes meets the receive `wr_id` at queue-pair end
-    /// `(q, qend)`: `RecvDone`, or — the receive was too small — an RDMA
-    /// local-length error, which breaks the queue pair.
-    fn land(
-        &mut self,
-        q: usize,
-        qend: usize,
-        (wr_id, max_len): (WrId, u64),
-        (len, imm): (u64, u64),
-    ) {
-        if len > max_len {
-            return self.break_qp_now(q);
-        }
-        let qp = QpHandle::from_parts(q as u32, qend as u8);
-        let done = Delivery::RecvDone {
-            qp,
-            wr_id,
-            len,
-            imm,
-        };
-        self.push_delivery(self.qps[q].ends[qend].node, done);
     }
 
     /// Queues one outbound frame, or refuses it: a crashed node and a
@@ -571,44 +519,45 @@ impl TcpFabric {
         meta: u64,
         payload: Payload,
     ) -> Result<(), VerbsError> {
-        let ci = self.check_postable(qp)?;
-        let (q, end) = (qp.conn_id() as usize, usize::from(qp.endpoint()));
+        let (ci, slot) = self.check_postable(qp)?;
+        let end = usize::from(qp.endpoint());
+        let conn = &mut self.conns[ci];
         if payload.len() > MAX_FRAME {
-            self.break_qp_now(q);
+            conn.break_qp(slot, &mut self.pump);
             return Err(VerbsError::QpBroken);
         }
-        self.conns[ci].eps[end ^ self.qps[q].flip]
+        let q = &mut conn.qps[slot];
+        q.ends[end].queued += 1;
+        conn.eps[end ^ q.flip]
             .out
-            .push_back(OutFrame::new(q as u32, wr_id, kind, meta, payload));
-        self.qps[q].ends[end].queued += 1;
-        self.queued += 1;
+            .push_back(OutFrame::new(q.id, wr_id, kind, meta, payload));
         Ok(())
     }
 
-    /// The socket a post on `qp` goes to, or why the post is refused.
-    fn check_postable(&self, qp: QpHandle) -> Result<usize, VerbsError> {
-        let p = &self.qps[qp.conn_id() as usize];
-        if self.crashed[p.ends[usize::from(qp.endpoint())].node] {
+    /// The socket and slot of the queue pair a post on `qp` goes to, or
+    /// why the post is refused.
+    fn check_postable(&self, qp: QpHandle) -> Result<(usize, usize), VerbsError> {
+        let route = self.qps[qp.conn_id() as usize];
+        if self.pump.crashed[route.nodes[usize::from(qp.endpoint())]] {
             return Err(VerbsError::NodeCrashed);
         }
-        p.conn.filter(|_| !p.broken).ok_or(VerbsError::QpBroken)
+        let live = |&(ci, slot): &(usize, usize)| !self.conns[ci].qps[slot].broken;
+        route.at.filter(live).ok_or(VerbsError::QpBroken)
     }
 
-    /// Quiescent when nothing is queued for software, the ledger shows
-    /// no frame queued for the wire and no byte written that its peer
-    /// has not read, and no timer is armed that could still matter. A
-    /// dying socket's ledger entries stand until its break, and its
-    /// pending break timer keeps the loop alive that long anyway.
+    /// Quiescent when nothing is queued for software, every socket's
+    /// side of the ledger is empty, and no timer is armed that could
+    /// still matter. A dying socket's pending break timer keeps the loop
+    /// alive until its ledger entries leave.
     fn quiescent(&self) -> bool {
-        self.ready.is_empty()
-            && self.queued == 0
-            && self.in_flight == 0
+        self.pump.ready.is_empty()
+            && self.conns.iter().all(Conn::settled)
             && self
                 .timers
                 .iter()
                 .all(|Reverse((_, _, entry))| match entry {
                     TimerEntry::Break { .. } => false,
-                    TimerEntry::Driver { node, .. } => self.crashed[*node],
+                    TimerEntry::Driver { node, .. } => self.pump.crashed[*node],
                 })
     }
 
@@ -619,14 +568,234 @@ impl TcpFabric {
     }
 }
 
+/// The pump: one socket's share of a lap, and the per-frame path.
+impl Conn {
+    /// Flushes one quantum from `tx`, reads it straight back out of the
+    /// peer end, and repeats while frames are queued and bytes move.
+    /// With `sweep`, the peer end is read once whatever the ledger says,
+    /// which is how a socket killed from outside is noticed. Returns
+    /// whether any bytes moved.
+    fn pump_direction(&mut self, ci: usize, tx: usize, sweep: bool, p: &mut Pump) -> bool {
+        let mut moved = false;
+        let mut force = sweep;
+        loop {
+            // A dying end's queued frames die with the break; its live
+            // end is still read while the ledger shows bytes for it.
+            let wrote = self.state == ConnState::Alive && self.flush_quantum(ci, tx, p);
+            let read = self.read_endpoint(ci, 1 - tx, force, p);
+            force = false;
+            moved |= wrote || read;
+            if !(wrote || read) || self.eps[tx].out.is_empty() {
+                return moved;
+            }
+        }
+    }
+
+    /// One gathered write of at most [`QUANTUM`] payload bytes (and the
+    /// headers that go with them) from the front of the queue; emits
+    /// send/write completions for frames that left the host entirely.
+    /// Returns whether any bytes moved.
+    fn flush_quantum(&mut self, ci: usize, end: usize, p: &mut Pump) -> bool {
+        let ep = &mut self.eps[end];
+        if ep.out.is_empty() {
+            return false;
+        }
+        let mut slices = [IoSlice::new(&[]); GATHER_SLICES];
+        let n = frame::gather(&ep.out, &mut slices);
+        let wrote = loop {
+            match (&ep.stream).write_vectored(&slices[..n]) {
+                Ok(0) => {
+                    self.break_all(p);
+                    return true;
+                }
+                Ok(wrote) => break wrote as u64,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return false,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => {
+                    self.fail(ci, e, p);
+                    return true;
+                }
+            }
+        };
+        ep.wire_sent += wrote;
+        let node = ep.node;
+        let mut left = wrote;
+        while let Some(frame) = self.eps[end].out.front_mut() {
+            if !frame.advance(&mut left) {
+                break; // partial write; the next gather resumes here
+            }
+            let (id, wr_id, two_sided) = (frame.qp, frame.wr_id, frame.two_sided);
+            self.eps[end].out.pop_front();
+            let Some(slot) = self.slot_of(id).filter(|&s| !self.qps[s].broken) else {
+                continue; // an orphan completes nothing
+            };
+            let qp = &mut self.qps[slot];
+            let qend = end ^ qp.flip;
+            qp.ends[qend].queued -= 1;
+            let qp = QpHandle::from_parts(id, qend as u8);
+            let delivery = if two_sided {
+                Delivery::SendDone { qp, wr_id }
+            } else {
+                Delivery::WriteDone { qp, wr_id }
+            };
+            p.push(node, delivery);
+        }
+        true
+    }
+
+    /// Reads `end`'s socket while the ledger shows bytes in flight
+    /// towards it (`force`: once regardless) and decodes them out of
+    /// the pump's read buffer. The ledger ends the turn exactly, so
+    /// no trailing `WouldBlock` is paid for; one comes back only when
+    /// the kernel has not delivered everything yet, and the next pass
+    /// asks again. Returns whether any bytes moved.
+    fn read_endpoint(&mut self, ci: usize, end: usize, force: bool, p: &mut Pump) -> bool {
+        if p.crashed[self.eps[end].node] {
+            return false; // dead software reads nothing
+        }
+        if !force && self.in_flight_to(end) == 0 {
+            return false;
+        }
+        let mut scratch = std::mem::take(&mut p.scratch);
+        let moved = self.read_into(ci, end, force, &mut scratch, p);
+        p.scratch = scratch;
+        moved
+    }
+
+    fn read_into(
+        &mut self,
+        ci: usize,
+        end: usize,
+        mut force: bool,
+        scratch: &mut [u8],
+        p: &mut Pump,
+    ) -> bool {
+        let mut moved = false;
+        loop {
+            if self.state == ConnState::Broken || !(force || self.in_flight_to(end) > 0) {
+                return moved;
+            }
+            match self.eps[end].stream.read(scratch) {
+                Ok(0) => {
+                    // Orderly close without a protocol-level break: the
+                    // peer's socket died under us. A dying socket's EOF
+                    // just waits for its break timer.
+                    if self.state == ConnState::Alive {
+                        match self.eps[end].decoder.finish() {
+                            Ok(()) => self.break_all(p),
+                            Err(e) => self.fail(ci, e.into(), p),
+                        }
+                        return true;
+                    }
+                    return moved;
+                }
+                Ok(n) => {
+                    self.eps[end].wire_read += n as u64;
+                    moved = true;
+                    self.decode(ci, end, &scratch[..n], p);
+                    force = false;
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return moved,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => {
+                    self.fail(ci, e, p);
+                    return true;
+                }
+            }
+        }
+    }
+
+    /// Streams freshly read bytes through `end`'s decoder and acts on
+    /// each frame they complete.
+    fn decode(&mut self, ci: usize, end: usize, mut chunk: &[u8], p: &mut Pump) {
+        while !chunk.is_empty() && self.state != ConnState::Broken {
+            let (used, event) = match self.eps[end].decoder.feed(chunk) {
+                Ok(step) => step,
+                Err(e) => return self.fail(ci, e.into(), p),
+            };
+            chunk = &chunk[used..];
+            if let Some(event) = event {
+                self.deliver(ci, end, event, p);
+            }
+        }
+    }
+
+    /// Hands one inbound frame to the queue pair it names. The name is
+    /// peer input: one this socket does not carry is a protocol error.
+    fn deliver(&mut self, ci: usize, end: usize, event: Event, p: &mut Pump) {
+        let (Event::Send { qp: id, .. } | Event::Write { qp: id, .. }) = event;
+        let Some(slot) = self.slot_of(id) else {
+            let e = format!("frame names queue pair {id}, not carried here");
+            return self.fail(ci, io::Error::new(io::ErrorKind::InvalidData, e), p);
+        };
+        let node = self.eps[end].node;
+        let qp = &mut self.qps[slot];
+        if qp.broken {
+            return; // the tail of a broken queue pair's frames: dropped
+        }
+        let qend = end ^ qp.flip;
+        match event {
+            Event::Write { tag, payload, .. } => {
+                let qp = QpHandle::from_parts(id, qend as u8);
+                p.push(node, Delivery::WriteArrived { qp, tag, payload });
+            }
+            Event::Send { len, imm, .. } => match qp.ends[qend].recvs.pop_front() {
+                Some(recv) => self.land(slot, qend, recv, (len, imm), p),
+                None => {
+                    // Receiver-not-ready: a real NIC would arm an RNR
+                    // retry timer; we hold the frame but make the
+                    // discipline violation observable.
+                    qp.ends[qend].held.push_back((len, imm));
+                    p.rnr_arms += 1;
+                }
+            },
+        }
+    }
+
+    /// A send of `len` bytes meets the receive `wr_id` at end `qend` of
+    /// the queue pair in `slot`: `RecvDone`, or — the receive was too
+    /// small — an RDMA local-length error, which breaks the queue pair.
+    fn land(
+        &mut self,
+        slot: usize,
+        qend: usize,
+        (wr_id, max_len): (WrId, u64),
+        (len, imm): (u64, u64),
+        p: &mut Pump,
+    ) {
+        if len > max_len {
+            return self.break_qp(slot, p);
+        }
+        let Qp { id, flip, .. } = self.qps[slot];
+        let qp = QpHandle::from_parts(id, qend as u8);
+        let done = Delivery::RecvDone {
+            qp,
+            wr_id,
+            len,
+            imm,
+        };
+        p.push(self.eps[qend ^ flip].node, done);
+    }
+
+    /// Records a socket or protocol error for [`TcpFabric::shutdown`]
+    /// and breaks this socket.
+    fn fail(&mut self, ci: usize, e: io::Error, p: &mut Pump) {
+        let e = io::Error::new(e.kind(), format!("conn {ci}: {e}"));
+        p.io_errors.push(e);
+        self.break_all(p);
+    }
+}
+
 impl Transport for TcpFabric {
     fn now(&self) -> SimTime {
-        SimTime::from_nanos(self.now_ns())
+        SimTime::from_nanos(self.pump.now_ns())
     }
 
     fn advance(&mut self) -> Option<(SimTime, NodeId, Delivery)> {
         loop {
-            if let Some(d) = self.ready.pop_front() {
+            if let Some(d) = self.pump.ready.pop_front() {
+                debug_assert!(d.0 >= self.last_at, "advance() went back in time");
+                self.last_at = d.0;
                 self.recorder.set_now(d.0.as_nanos());
                 return Some(d);
             }
@@ -634,9 +803,9 @@ impl Transport for TcpFabric {
                 // Due timers fire only as a lap begins, so a zero-delay
                 // timer is the end-of-round hook: it fires after every
                 // delivery of the lap that armed it.
-                let now = self.now_ns();
+                let now = self.pump.now_ns();
                 self.fire_due_timers(now);
-                if !self.ready.is_empty() {
+                if !self.pump.ready.is_empty() {
                     continue;
                 }
                 self.lap_sweep |= now - self.last_sweep >= FAILURE_DETECT_NS;
@@ -644,16 +813,22 @@ impl Transport for TcpFabric {
                     self.last_sweep = now;
                 }
                 self.lap_moved = false;
+                // A forked lap runs whole: no reply leaves mid-lap.
+                if let Some(away) = self.fork_plan() {
+                    self.lap_moved = self.forked_lap(&away);
+                    self.cursor = 2 * self.conns.len();
+                }
             }
             // The lap visits every socket direction in turn and hands what
             // one delivers to the caller at once; what the caller posts in
             // reaction leaves in this lap if its direction is still ahead.
-            while self.cursor < 2 * self.conns.len() && self.ready.is_empty() {
+            while self.cursor < 2 * self.conns.len() && self.pump.ready.is_empty() {
                 let (ci, tx) = (self.cursor / 2, self.cursor % 2);
                 self.cursor += 1;
-                self.lap_moved |= self.pump_direction(ci, tx, self.lap_sweep);
+                let sweep = self.lap_sweep;
+                self.lap_moved |= self.conns[ci].pump_direction(ci, tx, sweep, &mut self.pump);
             }
-            if !self.ready.is_empty() {
+            if !self.pump.ready.is_empty() {
                 continue;
             }
             self.cursor = 0;
@@ -669,7 +844,7 @@ impl Transport for TcpFabric {
             // Nothing moved in a lap that tried every read the ledger
             // still expects: park until the next timer, or just yield
             // while the kernel shuttles loopback bytes.
-            let now = self.now_ns();
+            let now = self.pump.now_ns();
             match self.timers.peek() {
                 Some(&Reverse((deadline, _, _))) if deadline > now => {
                     // No socket goes unread across a sleep.
@@ -687,39 +862,39 @@ impl Transport for TcpFabric {
 
     fn connect(&mut self, a: NodeId, b: NodeId) -> (QpHandle, QpHandle) {
         let (a, b) = (a.index(), b.index());
-        let conn = match self.pairs.get(&(a.min(b), a.max(b))) {
-            Some(&ci) => Some(ci),
+        let open = self.pairs.get(&(a.min(b), a.max(b))).copied();
+        let conn = match open.filter(|&ci| self.conns[ci].state != ConnState::Broken) {
+            Some(ci) => Some(ci),
             None => match self.open_socket(a, b) {
                 Ok(ci) => Some(ci),
                 Err(e) => {
                     let e = io::Error::new(e.kind(), format!("connect {a}-{b}: {e}"));
-                    self.io_errors.push(e);
+                    self.pump.io_errors.push(e);
                     None
                 }
             },
         };
-        let q = self.qps.len();
-        let end = |node| QpEnd {
-            node,
-            recvs: VecDeque::new(),
-            held: VecDeque::new(),
-            queued: 0,
-        };
-        self.qps.push(Qp {
-            conn,
-            flip: conn.map_or(0, |ci| usize::from(self.conns[ci].eps[0].node != a)),
-            ends: [end(a), end(b)],
-            broken: false,
+        let id = self.qps.len() as u32;
+        let at = conn.map(|ci| {
+            let conn = &mut self.conns[ci];
+            conn.qps.push(Qp {
+                id,
+                flip: usize::from(conn.eps[0].node != a),
+                ends: Default::default(),
+                broken: false,
+            });
+            (ci, conn.qps.len() - 1)
         });
-        if conn.is_none() {
+        self.qps.push(Route { nodes: [a, b], at });
+        let handles = [0, 1].map(|end| QpHandle::from_parts(id, end));
+        if at.is_none() {
             // No socket: both live ends see the break at the next
             // `advance()`, and every post is refused.
-            self.break_qp_now(q);
+            for (qp, node) in handles.into_iter().zip([a, b]) {
+                self.pump.push(node, Delivery::QpBroken { qp });
+            }
         }
-        (
-            QpHandle::from_parts(q as u32, 0),
-            QpHandle::from_parts(q as u32, 1),
-        )
+        (handles[0], handles[1])
     }
 
     fn post_send(
@@ -747,20 +922,21 @@ impl Transport for TcpFabric {
     }
 
     fn post_recv(&mut self, qp: QpHandle, wr_id: WrId, max_len: u64) -> Result<(), VerbsError> {
-        self.check_postable(qp)?;
-        let (q, end) = (qp.conn_id() as usize, usize::from(qp.endpoint()));
+        let (ci, slot) = self.check_postable(qp)?;
+        let end = usize::from(qp.endpoint());
+        let conn = &mut self.conns[ci];
         // A held frame (arrived before any receive was posted) consumes
         // this receive immediately, in arrival order.
-        let qp_end = &mut self.qps[q].ends[end];
+        let qp_end = &mut conn.qps[slot].ends[end];
         match qp_end.held.pop_front() {
-            Some(send) => self.land(q, end, (wr_id, max_len), send),
+            Some(send) => conn.land(slot, end, (wr_id, max_len), send, &mut self.pump),
             None => qp_end.recvs.push_back((wr_id, max_len)),
         }
         Ok(())
     }
 
     fn schedule_timer(&mut self, node: NodeId, delay: SimDuration, token: u64) {
-        let deadline = self.now_ns().saturating_add(delay.as_nanos());
+        let deadline = self.pump.now_ns().saturating_add(delay.as_nanos());
         self.arm_timer(
             deadline,
             TimerEntry::Driver {
@@ -776,14 +952,14 @@ impl Transport for TcpFabric {
 
     fn crash(&mut self, node: NodeId) {
         let idx = node.index();
-        if self.crashed[idx] {
+        if self.pump.crashed[idx] {
             return;
         }
-        self.crashed[idx] = true;
+        self.pump.crashed[idx] = true;
         // Deliveries already queued for the dead node vanish: dead
         // software observes nothing, per the Transport contract.
-        self.ready.retain(|(_, n, _)| n.index() != idx);
-        let deadline = self.now_ns().saturating_add(FAILURE_DETECT_NS);
+        self.pump.ready.retain(|(_, n, _)| n.index() != idx);
+        let deadline = self.pump.now_ns().saturating_add(FAILURE_DETECT_NS);
         for ci in 0..self.conns.len() {
             let conn = &mut self.conns[ci];
             if conn.state == ConnState::Alive && conn.eps.iter().any(|ep| ep.node == idx) {
@@ -797,11 +973,13 @@ impl Transport for TcpFabric {
     }
 
     fn is_crashed(&self, node: NodeId) -> bool {
-        self.crashed[node.index()]
+        self.pump.crashed[node.index()]
     }
 
     fn break_qp(&mut self, qp: QpHandle) {
-        self.break_qp_now(qp.conn_id() as usize);
+        if let Some((ci, slot)) = self.qps[qp.conn_id() as usize].at {
+            self.conns[ci].break_qp(slot, &mut self.pump);
+        }
     }
 
     fn profile(&self, _node: NodeId) -> &HostProfile {
@@ -809,7 +987,13 @@ impl Transport for TcpFabric {
     }
 
     fn posting_snapshot(&self, qp: QpHandle) -> PostingSnapshot {
-        let p = &self.qps[qp.conn_id() as usize];
+        let Some((ci, slot)) = self.qps[qp.conn_id() as usize].at else {
+            return PostingSnapshot {
+                broken: true,
+                ..PostingSnapshot::default()
+            };
+        };
+        let p = &self.conns[ci].qps[slot];
         let end = &p.ends[usize::from(qp.endpoint())];
         PostingSnapshot {
             queued_sends: end.queued,
@@ -822,13 +1006,13 @@ impl Transport for TcpFabric {
     }
 
     fn set_recorder(&mut self, recorder: trace::Recorder) {
-        recorder.set_now(self.now_ns());
+        recorder.set_now(self.pump.now_ns());
         self.recorder = recorder;
     }
 
     fn stats(&self) -> FabricStats {
         FabricStats {
-            rnr_arms: self.rnr_arms,
+            rnr_arms: self.pump.rnr_arms,
             ..FabricStats::default()
         }
     }
@@ -838,16 +1022,26 @@ impl Transport for TcpFabric {
     }
 
     fn num_nodes(&self) -> usize {
-        self.crashed.len()
+        self.pump.crashed.len()
+    }
+}
+
+impl Drop for TcpFabric {
+    fn drop(&mut self) {
+        if let Some(Worker { tx, thread, .. }) = self.worker.take() {
+            drop(tx); // the worker's channel closes, and it returns
+            let _ = thread.join();
+        }
     }
 }
 
 impl std::fmt::Debug for TcpFabric {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TcpFabric")
-            .field("nodes", &self.crashed.len())
+            .field("nodes", &self.pump.crashed.len())
             .field("sockets", &self.conns.len())
             .field("queue_pairs", &self.qps.len())
+            .field("forked_laps", &self.forked_laps)
             .finish()
     }
 }

@@ -1,21 +1,23 @@
 //! Logical queue pairs on shared sockets. Every queue pair between two
 //! nodes rides their one socket, and each frame names its queue pair on
-//! the wire. This module holds what RDMA keeps per queue pair, what
-//! breaking one queue pair or a whole socket takes down, and — in debug
-//! builds — the ledger's invariants. The per-frame path (which queue
-//! pair a frame names, how it meets a posted receive) lives beside the
-//! pump in the crate root.
+//! the wire. The socket keeps what RDMA keeps per queue pair, so pumping
+//! a socket touches nothing outside it; the fabric keeps only each
+//! handle's route to its socket and slot. This module holds that state,
+//! what breaking one queue pair or a whole socket takes down, and — in
+//! debug builds — the ledger's invariants. The per-frame path (which
+//! queue pair a frame names, how it meets a posted receive) lives beside
+//! the pump in the crate root.
 
 use std::collections::VecDeque;
 use std::net::Shutdown;
 
 use verbs::{Delivery, QpHandle, WrId};
 
-use crate::{ConnState, TcpFabric};
+use crate::{Conn, ConnState, Pump, TcpFabric};
 
 /// One end of a queue pair: what RDMA keeps per QP and side.
+#[derive(Default)]
 pub(crate) struct QpEnd {
-    pub(crate) node: usize,
     pub(crate) recvs: VecDeque<(WrId, u64)>,
     /// Two-sided frames that arrived before a receive was posted
     /// (len, imm): held, not dropped — but counted as RNR arms.
@@ -24,88 +26,97 @@ pub(crate) struct QpEnd {
     pub(crate) queued: usize,
 }
 
-/// A logical queue pair on its node pair's socket. [`QpHandle`]s name
-/// it by its index in `TcpFabric::qps`, which frames carry on the wire.
+/// A logical queue pair, kept by the socket that carries it.
 pub(crate) struct Qp {
-    /// The socket that carries it; `None` when setting that socket up
-    /// failed, and the queue pair was born broken.
-    pub(crate) conn: Option<usize>,
+    /// Its name: the index of its route in `TcpFabric::qps`, which
+    /// [`QpHandle`]s and its frames on the wire carry.
+    pub(crate) id: u32,
     /// Queue-pair end `e` sits on socket end `e ^ flip`.
     pub(crate) flip: usize,
     pub(crate) ends: [QpEnd; 2],
     pub(crate) broken: bool,
 }
 
-impl TcpFabric {
-    /// Breaks one queue pair and leaves its socket mates running. At
-    /// each *live* end, every outstanding work request is flushed in
-    /// posting order (its queued frames first, then its posted
+/// Where a [`QpHandle`] leads: the nodes at its two ends, and the socket
+/// and the slot in that socket's `qps` holding its state — `None` when
+/// setting that socket up failed, and the queue pair was born broken.
+/// Set once, at connect.
+#[derive(Clone, Copy)]
+pub(crate) struct Route {
+    pub(crate) nodes: [usize; 2],
+    pub(crate) at: Option<(usize, usize)>,
+}
+
+impl Conn {
+    /// The slot of queue pair `id`, if this socket carries it. Slots are
+    /// in creation order, so ids ascend.
+    pub(crate) fn slot_of(&self, id: u32) -> Option<usize> {
+        self.qps.binary_search_by_key(&id, |qp| qp.id).ok()
+    }
+
+    /// Breaks the queue pair in `slot` and leaves its socket mates
+    /// running. At each *live* end, every outstanding work request is
+    /// flushed in posting order (its queued frames first, then its posted
     /// receives), then the `QpBroken` notice lands. Unstarted frames
     /// leave the socket queue; one already part-way onto the wire stays
     /// as an orphan that finishes, keeping the byte stream in sync, and
     /// completes nothing.
-    pub(crate) fn break_qp_now(&mut self, q: usize) {
-        let Qp { conn, flip, .. } = self.qps[q];
-        if std::mem::replace(&mut self.qps[q].broken, true) {
+    pub(crate) fn break_qp(&mut self, slot: usize, p: &mut Pump) {
+        let Qp { id, flip, .. } = self.qps[slot];
+        if std::mem::replace(&mut self.qps[slot].broken, true) {
             return;
         }
         for end in 0..2 {
-            let mut frames = Vec::new();
-            if let Some(ci) = conn {
-                let out = &mut self.conns[ci].eps[end ^ flip].out;
-                frames.extend(out.iter().filter(|f| f.qp as usize == q).map(|f| f.wr_id));
-                let before = out.len();
-                out.retain(|f| f.qp as usize != q || f.started());
-                self.queued -= before - out.len();
+            let ep = &mut self.eps[end ^ flip];
+            let frames: Vec<WrId> = ep
+                .out
+                .iter()
+                .filter(|f| f.qp == id)
+                .map(|f| f.wr_id)
+                .collect();
+            ep.out.retain(|f| f.qp != id || f.started());
+            let node = ep.node;
+            let recvs = std::mem::take(&mut self.qps[slot].ends[end]).recvs;
+            let sends = frames.into_iter().map(|wr_id| (wr_id, false));
+            let qp = QpHandle::from_parts(id, end as u8);
+            for (wr_id, recv) in sends.chain(recvs.into_iter().map(|(wr_id, _)| (wr_id, true))) {
+                p.push(node, Delivery::WrFlushed { qp, wr_id, recv });
             }
-            let qp_end = &mut self.qps[q].ends[end];
-            qp_end.queued = 0;
-            qp_end.held.clear();
-            let recvs: Vec<WrId> = qp_end.recvs.drain(..).map(|(wr, _)| wr).collect();
-            let node = qp_end.node;
-            let qp = QpHandle::from_parts(q as u32, end as u8);
-            for (wr_ids, recv) in [(frames, false), (recvs, true)] {
-                for wr_id in wr_ids {
-                    self.push_delivery(node, Delivery::WrFlushed { qp, wr_id, recv });
-                }
-            }
-            self.push_delivery(node, Delivery::QpBroken { qp });
+            p.push(node, Delivery::QpBroken { qp });
         }
     }
 
-    /// Breaks a socket now: every queue pair it carries breaks as
-    /// [`Self::break_qp_now`] breaks one, in creation order, then the
-    /// streams shut down and the node pair's next connect opens a
-    /// fresh socket.
-    pub(crate) fn break_conn_now(&mut self, ci: usize) {
-        let conn = &mut self.conns[ci];
-        if conn.state == ConnState::Broken {
+    /// Breaks the socket now: every queue pair it carries breaks as
+    /// [`Self::break_qp`] breaks one, in creation order, then the streams
+    /// shut down. Whatever was queued or in flight leaves the ledger, and
+    /// the node pair's next connect opens a fresh socket.
+    pub(crate) fn break_all(&mut self, p: &mut Pump) {
+        if self.state == ConnState::Broken {
             return;
         }
-        conn.state = ConnState::Broken;
-        // Whatever was queued or in flight here leaves the ledger.
-        self.in_flight -= conn.in_flight_to(0) + conn.in_flight_to(1);
-        let (a, b) = (conn.eps[0].node, conn.eps[1].node);
-        self.pairs.remove(&(a.min(b), a.max(b)));
-        for q in 0..self.qps.len() {
-            if self.qps[q].conn == Some(ci) {
-                self.break_qp_now(q);
-            }
+        self.state = ConnState::Broken;
+        for slot in 0..self.qps.len() {
+            self.break_qp(slot, p);
         }
-        for ep in &mut self.conns[ci].eps {
-            self.queued -= ep.out.len(); // orphans
-            ep.out.clear();
+        for ep in &mut self.eps {
+            ep.out.clear(); // orphans
             let _ = ep.stream.shutdown(Shutdown::Both);
         }
     }
+}
 
-    /// The ledger's invariants: its sums are the sums of what they sum,
-    /// no end has read more than its peer wrote, and each queue-pair
-    /// end counts exactly its frames in its socket end's queue.
+impl TcpFabric {
+    /// The ledger's invariants: every route leads to the queue pair it
+    /// names, no end has read more than its peer wrote, and each
+    /// queue-pair end counts exactly its frames in its socket end's
+    /// queue.
     #[cfg(debug_assertions)]
     pub(crate) fn check_ledger(&self) {
-        let (mut queued, mut in_flight) = (0, 0);
-        let mut per_end = vec![[0usize; 2]; self.qps.len()];
+        for (q, route) in self.qps.iter().enumerate() {
+            if let Some((ci, slot)) = route.at {
+                assert_eq!(self.conns[ci].qps[slot].id as usize, q, "route");
+            }
+        }
         for (ci, conn) in self.conns.iter().enumerate() {
             for (end, ep) in conn.eps.iter().enumerate() {
                 let peer_sent = conn.eps[1 - end].wire_sent;
@@ -113,27 +124,18 @@ impl TcpFabric {
                     ep.wire_read <= peer_sent,
                     "conn {ci}: read past the peer's writes"
                 );
-                if conn.state != ConnState::Broken {
-                    in_flight += peer_sent - ep.wire_read;
-                }
-                queued += ep.out.len();
-                for f in &ep.out {
-                    if let Some((q, qend)) = self.sender_of(ci, end, f.qp) {
-                        per_end[q][qend] += 1;
-                    }
-                }
+            }
+            for qp in &conn.qps {
+                let mine =
+                    |end: usize| conn.eps[end ^ qp.flip].out.iter().filter(|f| f.qp == qp.id);
+                let counted = [0, 1].map(|end| if qp.broken { 0 } else { mine(end).count() });
+                assert_eq!(
+                    qp.ends.each_ref().map(|e| e.queued),
+                    counted,
+                    "conn {ci}: frames queued per end of queue pair {}",
+                    qp.id
+                );
             }
         }
-        assert_eq!(
-            (queued, in_flight),
-            (self.queued, self.in_flight),
-            "ledger sums"
-        );
-        let counted: Vec<_> = self
-            .qps
-            .iter()
-            .map(|p| p.ends.each_ref().map(|e| e.queued))
-            .collect();
-        assert_eq!(counted, per_end, "frames queued per queue-pair end");
     }
 }

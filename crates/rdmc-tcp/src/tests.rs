@@ -3,10 +3,14 @@
 //! a typed error (never a panic) for a malformed frame, an oversize
 //! post or a socket that cannot be set up. Then the one-socket-per-pair
 //! contract: queue pairs share their pair's socket, break alone, and
-//! all break together when the socket does.
+//! all break together when the socket does. Last, forked laps: a bulk
+//! run forks, a crash across forked laps keeps delivery all-or-nothing,
+//! and small frames never fork.
 
 use super::*;
 use frame::HDR;
+use rdmc::Algorithm;
+use rdmc_sim::{GroupSpec, RecoveryConfig};
 
 const A: NodeId = NodeId(0);
 const B: NodeId = NodeId(1);
@@ -15,6 +19,27 @@ fn pair() -> (TcpFabric, QpHandle, QpHandle) {
     let mut fabric = TcpFabric::launch(2).expect("launch");
     let (a, b) = fabric.connect(A, B);
     (fabric, a, b)
+}
+
+/// One gathered write from the first socket's first end, unread.
+fn flush(fabric: &mut TcpFabric) -> bool {
+    fabric.conns[0].flush_quantum(0, 0, &mut fabric.pump)
+}
+
+/// Frames queued for the wire, fabric-wide.
+fn queued(fabric: &TcpFabric) -> usize {
+    fabric
+        .conns
+        .iter()
+        .flat_map(|c| &c.eps)
+        .map(|ep| ep.out.len())
+        .sum()
+}
+
+/// Bytes written that no peer has read, fabric-wide.
+fn in_flight(fabric: &TcpFabric) -> u64 {
+    let conns = fabric.conns.iter();
+    conns.map(|c| c.in_flight_to(0) + c.in_flight_to(1)).sum()
 }
 
 /// Polls until `want` deliveries matched `keep` or `limit` ran out.
@@ -77,7 +102,7 @@ fn bytes_in_flight_at_a_crash_are_delivered_before_the_break() {
             .expect("post_send");
     }
     // Flush without the paired read, as a slow kernel would leave it.
-    assert!(fabric.flush_quantum(0, 0));
+    assert!(flush(&mut fabric));
     assert_eq!(fabric.conns[0].in_flight_to(1), K * (LEN + HDR as u64));
     fabric.crash(A);
     // The armed break timer keeps the fabric from going quiescent.
@@ -125,15 +150,19 @@ fn zero_delay_timer_fires_before_the_next_flush() {
         name(fabric.advance().expect("the timer")),
         "NodeId(0) timer 42"
     );
-    assert_eq!(fabric.queued, 1, "no byte moved before the timer surfaced");
+    assert_eq!(
+        queued(&fabric),
+        1,
+        "no byte moved before the timer surfaced"
+    );
     write(&mut fabric, 2);
     assert_eq!(
         name(fabric.advance().expect("a completion")),
         "NodeId(0) done 1"
     );
-    assert_eq!(fabric.queued, 0, "one lap flushed both writes");
+    assert_eq!(queued(&fabric), 0, "one lap flushed both writes");
     assert_eq!(
-        fabric.ready.front().cloned().map(name).as_deref(),
+        fabric.pump.ready.front().cloned().map(name).as_deref(),
         Some("NodeId(0) done 2")
     );
     let rest: Vec<String> = std::iter::from_fn(|| fabric.advance()).map(name).collect();
@@ -185,7 +214,6 @@ fn malformed_frame_is_an_error_at_shutdown_not_a_panic() {
     let (mut fabric, _, _) = pair();
     let garbage = OutFrame::new(u32::MAX, WrId(1), 0xEE, 0, Payload::Filler(3));
     fabric.conns[0].eps[0].out.push_back(garbage);
-    fabric.queued += 1;
     let broken = collect(&mut fabric, 2, 50 * FAILURE_DETECT, |_, d| {
         matches!(d, Delivery::QpBroken { .. }).then_some(())
     });
@@ -290,8 +318,8 @@ fn queue_pairs_between_two_nodes_share_one_socket() {
                 .expect("post_write");
         }
     }
-    assert!(fabric.flush_quantum(0, 0), "A is the socket's first end");
-    assert_eq!(fabric.queued, 0, "one write carried every frame");
+    assert!(flush(&mut fabric), "A is the socket's first end");
+    assert_eq!(queued(&fabric), 0, "one write carried every frame");
     let seen: Vec<(NodeId, QpHandle, u64)> = std::iter::from_fn(|| fabric.advance())
         .map(|(_, node, d)| match d {
             Delivery::WriteDone { qp, wr_id } => (node, qp, wr_id.0),
@@ -331,8 +359,8 @@ fn breaking_one_queue_pair_leaves_its_socket_mates_running() {
     fabric
         .post_send(b3, WrId(3), 64, 3, None)
         .expect("post_send");
-    assert!(fabric.flush_quantum(0, 0), "the big send is part-way out");
-    assert_eq!(fabric.queued, 3, "nothing finished");
+    assert!(flush(&mut fabric), "the big send is part-way out");
+    assert_eq!(queued(&fabric), 3, "nothing finished");
     fabric.break_qp(a1);
     let name = |(_, node, d): (SimTime, NodeId, Delivery)| match d {
         Delivery::WrFlushed { qp, wr_id, recv } => {
@@ -365,9 +393,12 @@ fn breaking_one_queue_pair_leaves_its_socket_mates_running() {
     ];
     expected.sort();
     assert_eq!(mates, expected);
-    assert_eq!(fabric.rnr_arms, 0, "the orphan's tail is dropped, not held");
+    assert_eq!(
+        fabric.pump.rnr_arms, 0,
+        "the orphan's tail is dropped, not held"
+    );
     assert_eq!(fabric.conns.len(), 1);
-    assert_eq!((fabric.queued, fabric.in_flight), (0, 0), "quiescent");
+    assert_eq!((queued(&fabric), in_flight(&fabric)), (0, 0), "quiescent");
     fabric.shutdown().expect("clean shutdown");
 }
 
@@ -413,7 +444,6 @@ fn frame_naming_a_queue_pair_not_carried_is_an_error_not_a_panic() {
     let handles = [fabric.connect(A, B), fabric.connect(B, A)];
     let stray = OutFrame::new(999, WrId(1), KIND_WRITE, 0, Payload::Bytes(Bytes::new()));
     fabric.conns[0].eps[0].out.push_back(stray);
-    fabric.queued += 1;
     let mut broken = collect(&mut fabric, 4, 50 * FAILURE_DETECT, |_, d| match d {
         Delivery::QpBroken { qp } => Some(qp),
         other => panic!("unexpected {other:?}"),
@@ -425,4 +455,93 @@ fn frame_naming_a_queue_pair_not_carried_is_an_error_not_a_panic() {
     let error = fabric.shutdown().expect_err("the protocol error surfaces");
     assert_eq!(error.kind(), io::ErrorKind::InvalidData);
     assert!(error.to_string().contains("not carried here"), "{error}");
+}
+
+/// `n` members in the `tcp_large` shape: 256 KiB blocks, three in
+/// flight per queue pair; with `recovery`, survivors reconfigure.
+fn bulk_group(n: usize, recovery: bool) -> (TcpCluster, usize) {
+    let mut builder = builder(n).expect("launch");
+    if recovery {
+        builder = builder.recovery(RecoveryConfig::default());
+    }
+    let mut cluster = builder.build();
+    let group = cluster.create_group(GroupSpec {
+        members: (0..n).collect(),
+        algorithm: Algorithm::BinomialPipeline,
+        block_size: 256 << 10,
+        ready_window: 3,
+        max_outstanding_sends: 3,
+    });
+    (cluster, group)
+}
+
+fn two_cores() -> bool {
+    thread::available_parallelism().is_ok_and(|n| n.get() >= 2)
+}
+
+/// A bulk run forks laps when the host has a second core, and the two
+/// halves deliver what one thread would: every message at every member,
+/// and a clean verdict. Debug builds check the ledger after every lap,
+/// forked or not.
+#[test]
+fn a_bulk_run_forks_laps_and_delivers_everywhere() {
+    let (mut cluster, group) = bulk_group(8, false);
+    for _ in 0..3 {
+        cluster.submit_send(group, 4 << 20);
+    }
+    cluster.run();
+    assert_eq!(cluster.check_run(), Ok(()));
+    for r in cluster.message_results() {
+        assert!(r.delivered_at.iter().all(Option::is_some), "{r:?}");
+    }
+    let fabric = cluster.transport();
+    assert_eq!(fabric.forked_laps > 0, two_cores(), "{fabric:?}");
+    shutdown(cluster).expect("clean shutdown");
+}
+
+/// A relay crashes while forked laps carry the first message: the
+/// survivors reconfigure, and each message reaches every survivor or
+/// none of them.
+#[test]
+fn a_relay_crash_across_forked_laps_keeps_delivery_all_or_nothing() {
+    let (mut cluster, group) = bulk_group(8, true);
+    let first = cluster.submit_send(group, 4 << 20);
+    cluster.submit_send(group, 4 << 20);
+    let mut steps = 0;
+    while cluster.transport().forked_laps == 0 && steps < 300 && cluster.step() {
+        steps += 1;
+    }
+    let delivered = &cluster.result(first).expect("submitted").delivered_at;
+    assert!(delivered.iter().any(Option::is_none), "crash mid-message");
+    cluster.crash_now(3);
+    cluster.run();
+    assert_eq!(cluster.check_run(), Ok(()));
+    assert_eq!(cluster.surviving_ranks(group), [0, 1, 2, 4, 5, 6, 7]);
+    shutdown(cluster).expect("clean shutdown after a crash");
+}
+
+/// Small frames never fork: a `tcp_small`-shaped run — 32 members,
+/// single-block 4 KiB messages nine at a time — pumps every lap inline,
+/// so it never starts the worker.
+#[test]
+fn small_messages_fork_no_lap() {
+    let mut cluster = builder(32).expect("launch").build();
+    let group = cluster.create_group(GroupSpec {
+        members: (0..32).collect(),
+        algorithm: Algorithm::BinomialPipeline,
+        block_size: 4 << 10,
+        ready_window: 3,
+        max_outstanding_sends: 3,
+    });
+    for _ in 0..4 {
+        for _ in 0..9 {
+            cluster.submit_send(group, 4 << 10);
+        }
+        cluster.run();
+    }
+    assert_eq!(cluster.check_run(), Ok(()));
+    let fabric = cluster.transport();
+    assert_eq!(fabric.forked_laps, 0);
+    assert!(fabric.worker.is_none(), "no worker started");
+    shutdown(cluster).expect("clean shutdown");
 }

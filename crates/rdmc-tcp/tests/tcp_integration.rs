@@ -2,11 +2,13 @@
 //! [`rdmc_sim::ClusterBuilder`] API: every algorithm, multi-message
 //! ordering, overlapping groups, the §4.6 close barrier (clean and
 //! unclean), shutdown hygiene across repeated launches, the zero-RNR
-//! discipline observed on real sockets, and pre-crash data reaching the
-//! survivor ahead of the break.
+//! discipline observed on real sockets, pre-crash data reaching the
+//! survivor ahead of the break, and a stranger on the fabric's listener.
+
+use std::net::TcpStream;
 
 use rdmc::Algorithm;
-use rdmc_sim::{GroupSpec, RecoveryConfig};
+use rdmc_sim::{ClusterBuilder, GroupSpec, RecoveryConfig};
 use rdmc_tcp::TcpFabric;
 use simnet::SimDuration;
 use verbs::{Delivery, NodeId, Transport, WrId};
@@ -175,14 +177,20 @@ fn recovery_reconfigures_over_tcp() {
 }
 
 /// Repeated launch/shutdown cycles in one process leak nothing: every
-/// socket is torn down, every error surfaced, and the next cluster
-/// starts clean.
+/// socket is torn down, every error surfaced, the pump worker a bulk
+/// message starts (on a host with a second core) joined, and the next
+/// cluster starts clean.
 #[test]
 fn repeated_launch_shutdown_cycles_are_clean() {
     for round in 0..5 {
         let mut cluster = rdmc_tcp::builder(8).expect("launch").build();
-        let group = cluster.create_group(spec((0..8).collect(), Algorithm::BinomialPipeline));
-        cluster.submit_send(group, 64 * KB);
+        let group = cluster.create_group(GroupSpec {
+            block_size: 256 * KB,
+            ready_window: 3,
+            max_outstanding_sends: 3,
+            ..spec((0..8).collect(), Algorithm::BinomialPipeline)
+        });
+        cluster.submit_send(group, 4096 * KB);
         cluster.run();
         assert!(cluster.all_quiescent(), "round {round}: not quiescent");
         rdmc_tcp::shutdown(cluster).unwrap_or_else(|e| panic!("round {round}: {e}"));
@@ -278,4 +286,22 @@ fn frames_flushed_before_a_crash_reach_the_survivor_before_the_break() {
     expected.push("broken".to_string());
     assert_eq!(summary, expected);
     fabric.shutdown().expect("clean shutdown after a crash");
+}
+
+/// A stranger connecting to the fabric's listener ahead of the fabric's
+/// own sockets is dropped, not taken for a node: every member still gets
+/// the message, and the run is clean.
+#[test]
+fn a_stray_connection_to_the_listener_wires_no_socket() {
+    let fabric = TcpFabric::launch(4).expect("launch");
+    let _stray = TcpStream::connect(fabric.local_addr()).expect("a stranger connects");
+    let mut cluster = ClusterBuilder::from_transport(fabric).build();
+    let group = cluster.create_group(spec((0..4).collect(), Algorithm::BinomialPipeline));
+    cluster.submit_send(group, 64 * KB);
+    cluster.run();
+    for r in cluster.message_results() {
+        assert!(r.delivered_at.iter().all(|d| d.is_some()), "{r:?}");
+    }
+    assert_eq!(cluster.check_run(), Ok(()));
+    rdmc_tcp::shutdown(cluster).expect("a stranger is no error");
 }

@@ -35,6 +35,8 @@
 //!   end-of-round hook: it fires once the round's completions are
 //!   handled, so what its handler posts leaves together with what they
 //!   posted, and delays nothing that was ready to go.
+//! - **Monotone time**: the timestamps [`Transport::advance`] returns
+//!   never go backwards.
 
 use bytes::Bytes;
 use simnet::{HostProfile, SimDuration, SimTime};
