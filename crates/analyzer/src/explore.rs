@@ -48,6 +48,7 @@ use rdmc::Algorithm;
 use rdmc_sim::{
     Cluster, ClusterBuilder, ClusterSpec, GroupSpec, RecoveryConfig, ReliabilityPolicy,
 };
+use simnet::SplitMix64;
 use verbs::{Candidate, CandidateKind, ChoicePoint, Fabric, PointKind, Scheduler, SharedScheduler};
 
 use crate::seeded::{Seeded, SeededBug};
@@ -79,20 +80,6 @@ pub struct PointRecord {
     pub chosen: usize,
 }
 
-/// SplitMix64 — a tiny deterministic generator for the random walk (the
-/// walk must be replayable from its seed alone).
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-}
-
 /// How one execution's choices are made.
 enum Pick {
     /// Follow a scripted prefix; answer the deterministic default (0)
@@ -122,7 +109,7 @@ impl Scheduler for LoggingScheduler {
                     0
                 }
             }
-            Pick::Random(rng) => (rng.next() % n as u64) as usize,
+            Pick::Random(rng) => (rng.next_u64() % n as u64) as usize,
         };
         self.log.push(PointRecord {
             time_ns: point.time_ns,
@@ -827,10 +814,10 @@ fn add_backtracks(frames: &mut [Frame], points: &[PointRecord], reduce: bool) {
 /// runs. Each run's script is recovered from its log, so any violating
 /// walk replays exactly.
 fn random_walk(driver: &mut Driver<'_>, seed: u64, executions: u64) {
-    let mut master = SplitMix64(seed ^ 0x6a09_e667_f3bc_c908);
+    let mut master = SplitMix64::new(seed ^ 0x6a09_e667_f3bc_c908);
     for _ in 0..executions {
-        let run_seed = master.next();
-        if driver.run(Pick::Random(SplitMix64(run_seed))).is_none() {
+        let walk = SplitMix64::new(master.next_u64());
+        if driver.run(Pick::Random(walk)).is_none() {
             return;
         }
     }

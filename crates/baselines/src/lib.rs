@@ -35,7 +35,7 @@ use std::sync::Arc;
 
 use rdmc::schedule::SchedulePlanner;
 use rdmc::MessageLayout;
-use rdmc_sim::{ClusterBuilder, ClusterSpec, GroupSpec, MulticastOutcome};
+use rdmc_sim::{run_planned_multicast, ClusterSpec, MulticastOutcome};
 
 /// A planner serving MVAPICH-style broadcast schedules. `probe_k` must be
 /// the block count the group's messages will use (MPI knows transfer
@@ -47,8 +47,8 @@ pub fn mvapich_planner(probe_k: u32) -> Arc<SchedulePlanner> {
 }
 
 /// Runs one MVAPICH-style broadcast on a simulated cluster and reports
-/// latency/bandwidth, mirroring
-/// [`rdmc_sim::run_single_multicast`] for the baseline.
+/// latency/bandwidth: [`rdmc_sim::run_planned_multicast`] with
+/// [`mvapich_planner`].
 ///
 /// # Panics
 ///
@@ -61,29 +61,11 @@ pub fn run_mvapich_multicast(
     block_size: u64,
 ) -> MulticastOutcome {
     let k = MessageLayout::new(size, block_size).num_blocks;
-    let mut cluster = ClusterBuilder::new(spec.clone()).build();
-    let group = cluster.create_group_with_planner(
-        GroupSpec {
-            members: (0..group_size).collect(),
-            algorithm: rdmc::Algorithm::Custom {
-                name: "mvapich".to_owned(),
-            },
-            block_size,
-            ready_window: 3,
-            max_outstanding_sends: 3,
-        },
-        mvapich_planner(k),
-    );
-    cluster.submit_send(group, size);
-    cluster.run();
-    let result = &cluster.message_results()[0];
-    let latency = result.latency().expect("broadcast completed everywhere");
-    MulticastOutcome {
-        size,
-        group_size,
-        latency,
-        bandwidth_gbps: result.bandwidth_gbps().expect("nonzero latency"),
-    }
+    let label = rdmc::Algorithm::Custom {
+        name: "mvapich".to_owned(),
+    };
+    let planner = mvapich_planner(k);
+    run_planned_multicast(spec, group_size, label, planner, size, block_size)
 }
 
 #[cfg(test)]

@@ -313,12 +313,7 @@ pub fn fig7_one_byte(quick: bool) -> String {
             cluster.submit_send(group, 1);
         }
         cluster.run();
-        let end = cluster
-            .message_results()
-            .iter()
-            .flat_map(|r| r.delivered_at.iter().flatten().copied())
-            .max()
-            .expect("deliveries");
+        let end = cluster.last_delivery().expect("deliveries");
         let rate = count as f64 / end.as_secs_f64();
         row![n, format!("{rate:.0}")]
     });
@@ -415,11 +410,7 @@ pub fn fig9_cosmos(quick: bool) -> String {
             .iter()
             .map(|r| r.latency().expect("write completed").as_secs_f64() * 1e3)
             .collect();
-        let end = results
-            .iter()
-            .flat_map(|r| r.delivered_at.iter().flatten().copied())
-            .max()
-            .expect("deliveries");
+        let end = cluster.last_delivery().expect("deliveries");
         let aggregate = total_bytes * 8.0 / end.as_secs_f64() / 1e9;
         row![
             alg,
@@ -556,12 +547,7 @@ pub fn fig11_interrupts(quick: bool) -> String {
             cluster.submit_send(group, size);
         }
         cluster.run();
-        let results = cluster.message_results();
-        let end = results
-            .iter()
-            .flat_map(|r| r.delivered_at.iter().flatten().copied())
-            .max()
-            .expect("deliveries");
+        let end = cluster.last_delivery().expect("deliveries");
         let elapsed = end.as_secs_f64();
         let bw = size as f64 * count as f64 * 8.0 / elapsed / 1e9;
         let wall = SimDuration::from_secs_f64(elapsed);

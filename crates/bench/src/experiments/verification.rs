@@ -212,12 +212,7 @@ pub fn sst_small_messages(quick: bool) -> String {
             cluster.submit_send(group, size);
         }
         cluster.run();
-        let end = cluster
-            .message_results()
-            .iter()
-            .flat_map(|r| r.delivered_at.iter().flatten().copied())
-            .max()
-            .expect("deliveries");
+        let end = cluster.last_delivery().expect("deliveries");
         let rdmc_rate = count as f64 / end.as_secs_f64();
         row![
             bytes_label(size),

@@ -3,7 +3,7 @@
 //! RDMC groups have one sender (rank 0). Derecho turns that into a
 //! multi-sender atomic multicast by creating *one RDMC subgroup per
 //! sender*, each with the member list rotated so that sender sits at
-//! rank 0, and interleaving the senders' messages round-robin into a
+//! rank 0, and interleaving their messages round-robin into a
 //! single global **slot** sequence: slot `s` belongs to member
 //! `s mod n`. Every member delivers slots in slot order, which makes
 //! the delivery sequence identical at every member by construction —
@@ -650,20 +650,21 @@ impl<T: Transport> Cluster<T> {
     /// Safe by stability: a slot delivered anywhere was stable, stable
     /// slots are fully replicated, and fully replicated slots are never
     /// abandoned — so trims only ever remove slots nobody delivered.
-    pub(crate) fn atomic_on_reconfig(&mut self, group: GroupId, abandoned: &[usize]) {
+    pub(crate) fn atomic_on_reconfig(&mut self, group: GroupId) {
         let Some(&(ag, j)) = self.atomic.subgroup_of.get(&group) else {
             return;
         };
         let n = self.atomic.groups[ag].nodes.len();
         let (crashed, up): (Vec<usize>, Vec<usize>) =
             (0..n).partition(|&m| self.atomic_crashed(ag, m));
+        let ledger = &self.groups[group].results;
         let a = &mut self.atomic.groups[ag];
         let mut trims: Vec<u64> = Vec::new();
-        // (a) this subgroup's abandoned data slots.
+        // (a) this subgroup's abandoned data slots (the ledger says which).
         for &si in &a.by_owner[j] {
             let slot = &mut a.slots[si];
             if let SlotKind::Data { index, .. } = slot.kind {
-                if !slot.trimmed && abandoned.contains(&index) {
+                if !slot.trimmed && ledger[index].abandoned {
                     slot.trimmed = true;
                     trims.push(si as u64);
                 }
@@ -686,7 +687,7 @@ impl<T: Transport> Cluster<T> {
                     .expect("a peer row, every sender column, and max refuses nothing");
             }
         }
-        // (c) crashed senders' nulls beyond what they ever announced:
+        // (c) crashed owners' nulls beyond what they ever announced:
         // no survivor can learn of them now, so they are trimmed.
         for w in crashed {
             let reach = up
@@ -1045,7 +1046,7 @@ mod tests {
     }
 
     /// `TAG_FRONTIER` writes per committed operation on an 8-member
-    /// group: rotating senders, 31-operation windows, one origin in eight
+    /// group: rotating roots, 31-operation windows, one origin in eight
     /// a seeded jump (so nulls too). The per-advance fan-out this batching
     /// replaced posted 8,491 writes for these 124 operations (68.5 a
     /// committed operation).

@@ -6,7 +6,7 @@
 //! message size as the immediate; ready-for-block notices and failure
 //! relays are one-sided writes); fabric [`Delivery`]s become engine
 //! [`Event`]s. Multiple groups — including fully overlapping ones with
-//! different senders, as in the paper's Figs. 9–10 — run concurrently over
+//! different roots, as in the paper's Figs. 9–10 — run concurrently over
 //! one fabric and contend for real link bandwidth.
 //!
 //! The orchestration is one core plus four concern modules, each a plain
@@ -17,7 +17,7 @@
 //! lossy-fabric repair shim, `atomic` the total-order overlay, and
 //! `pacer` per-NIC send admission.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use crate::atomic::{AtomicGroupId, AtomicOverlays, TAG_FRONTIER};
@@ -79,6 +79,13 @@ pub struct MessageResult {
     pub size: u64,
     /// When the root submitted the send.
     pub submitted: SimTime,
+    /// Original rank that submitted it (its app buffer holds every
+    /// block, so a view change can re-seed a resume from it).
+    pub sender: Rank,
+    /// The message's fate once a view change found it unrecoverable (a
+    /// failed member took the only copy of some block): it is delivered
+    /// at no survivor. `false` while in flight and once delivered.
+    pub abandoned: bool,
     /// Local-completion time per member rank (the paper measures until
     /// *all* members have the upcall).
     pub delivered_at: Vec<Option<SimTime>>,
@@ -87,14 +94,8 @@ pub struct MessageResult {
 impl MessageResult {
     /// Time until every member completed, if all did.
     pub fn latency(&self) -> Option<SimDuration> {
-        let last = self
-            .delivered_at
-            .iter()
-            .copied()
-            .collect::<Option<Vec<SimTime>>>()?
-            .into_iter()
-            .max()?;
-        Some(last.since(self.submitted))
+        let all: Option<Vec<SimTime>> = self.delivered_at.iter().copied().collect();
+        Some(all?.into_iter().max()?.since(self.submitted))
     }
 
     /// `size / latency`, in gigabits per second.
@@ -148,6 +149,8 @@ pub(crate) enum TimerAction {
 }
 
 pub(crate) struct GroupRuntime {
+    /// The creation spec, never reassigned: `spec.members[o]` is the
+    /// fabric node of *original* rank `o`.
     pub(crate) spec: GroupSpec,
     /// The schedule source every member's engine plans with.
     planner: Arc<SchedulePlanner>,
@@ -156,19 +159,14 @@ pub(crate) struct GroupRuntime {
     /// Ordered: epoch teardown iterates it, and iteration order must be
     /// run-to-run stable (the determinism audit; the PR 5 regression).
     pub(crate) qps: BTreeMap<(Rank, Rank), QpHandle>,
-    /// Completion record of every message, in submission order (the
-    /// `delivered_at` rows are indexed by *original* rank).
+    /// The ledger: one record per message, in submission order (the
+    /// `delivered_at` rows and `sender` are *original* ranks).
     pub(crate) results: Vec<MessageResult>,
-    /// Per original rank: undelivered, unabandoned message indices in
-    /// delivery order (the engines deliver strictly in order, so the
-    /// front of the queue names the message a `DeliverMessage` is for).
-    pub(crate) pending: Vec<VecDeque<usize>>,
-    /// Original rank that submitted each message (its app buffer holds
-    /// every block, so it can re-seed a resume).
-    pub(crate) senders: Vec<usize>,
-    /// Fabric node of each *original* rank (never shrinks).
-    pub(crate) orig_members: Vec<usize>,
-    /// Current rank -> original rank (identity until a reconfiguration).
+    /// Per original rank: its delivery cursor. Every message before it is
+    /// delivered there or abandoned ([`GroupRuntime::outstanding`]).
+    pub(crate) cursor: Vec<usize>,
+    /// The view: current rank -> original rank (identity until a
+    /// reconfiguration).
     pub(crate) orig_rank: Vec<usize>,
     /// How this group recovers blocks the fabric loses (None = the
     /// paper's lossless assumption: block immediates carry the raw
@@ -187,7 +185,19 @@ impl GroupRuntime {
 
     /// Fabric node hosting current rank `rank`.
     pub(crate) fn node(&self, rank: Rank) -> NodeId {
-        NodeId(self.spec.members[rank as usize] as u32)
+        NodeId(self.spec.members[self.orig_rank[rank as usize]] as u32)
+    }
+
+    /// Original rank `o`'s outstanding messages, in delivery order: from
+    /// its cursor on, neither delivered there nor abandoned. The engines
+    /// deliver strictly in order, so the first names the message the
+    /// member's next `DeliverMessage` is for.
+    pub(crate) fn outstanding(&self, o: usize) -> impl Iterator<Item = usize> + '_ {
+        let open = move |&i: &usize| {
+            let m = &self.results[i];
+            !m.abandoned && m.delivered_at[o].is_none()
+        };
+        (self.cursor[o]..self.results.len()).filter(open)
     }
 
     /// Full trace scope of current rank `rank` (this group is `gid`).
@@ -347,7 +357,7 @@ impl<T: Transport> Cluster<T> {
             PlanRequest::Fresh { group, epoch, k } => {
                 let g = self.groups.get(*group as usize)?;
                 let n = if *epoch == 0 {
-                    g.orig_members.len()
+                    g.spec.members.len()
                 } else {
                     let mut installed = self.recovery_stats().reconfigurations.iter();
                     let record =
@@ -395,10 +405,7 @@ impl<T: Transport> Cluster<T> {
         self.check_group(group, &mut violations);
         let g = &self.groups[group];
         let all_live = (0..g.engines.len() as Rank).all(|r| !self.fabric.is_crashed(g.node(r)));
-        let everywhere = g
-            .results
-            .iter()
-            .all(|m| m.delivered_at.iter().all(Option::is_some));
+        let everywhere = g.results.iter().all(|m| m.latency().is_some());
         all_live && violations.is_empty() && everywhere
     }
 
@@ -431,30 +438,35 @@ impl<T: Transport> Cluster<T> {
         assert!(!spec.members.is_empty(), "group needs members");
         let n = spec.members.len() as u32;
         let total_nodes = self.fabric.num_nodes();
-        let mut rank_of_node = BTreeMap::new();
-        for (rank, &node) in spec.members.iter().enumerate() {
+        let mut seen = BTreeSet::new();
+        for &node in &spec.members {
             assert!(node < total_nodes, "member node {node} outside topology");
-            let prev = rank_of_node.insert(node, rank as Rank);
-            assert!(prev.is_none(), "node {node} appears twice in the group");
+            assert!(seen.insert(node), "node {node} appears twice in the group");
         }
         let gid = self.groups.len();
-        let mut engines = Vec::with_capacity(spec.members.len());
+        self.groups.push(GroupRuntime {
+            spec,
+            planner,
+            engines: Vec::with_capacity(n as usize),
+            qps: BTreeMap::new(),
+            results: Vec::new(),
+            cursor: vec![0; n as usize],
+            orig_rank: (0..n as usize).collect(),
+            reliability: self.reliability.default,
+        });
         let mut initial: Vec<(Rank, Vec<Action>)> = Vec::new();
         for rank in 0..n {
+            let g = &self.groups[gid];
             let (mut engine, actions) = GroupEngine::new(EngineConfig {
                 rank,
                 num_nodes: n,
-                block_size: spec.block_size,
-                ready_window: spec.ready_window,
-                max_outstanding_sends: spec.max_outstanding_sends,
-                planner: Arc::clone(&planner),
+                block_size: g.spec.block_size,
+                ready_window: g.spec.ready_window,
+                max_outstanding_sends: g.spec.max_outstanding_sends,
+                planner: Arc::clone(&g.planner),
             });
             if self.recorder.is_enabled() {
-                let scope = trace::Scope {
-                    node: Some(spec.members[rank as usize] as u32),
-                    group: Some(gid as u32),
-                    rank: Some(rank),
-                };
+                let scope = g.scope(gid, rank);
                 engine.set_recorder(self.recorder.clone(), scope);
                 // The constructor's idle-state credit predates the
                 // recorder attach; restate it so credit accounting in the
@@ -466,22 +478,9 @@ impl<T: Transport> Cluster<T> {
                     }
                 }
             }
-            engines.push(engine);
+            self.groups[gid].engines.push(engine);
             initial.push((rank, actions));
         }
-        let orig_members = spec.members.clone();
-        self.groups.push(GroupRuntime {
-            spec,
-            planner,
-            engines,
-            qps: BTreeMap::new(),
-            results: Vec::new(),
-            pending: vec![VecDeque::new(); n as usize],
-            senders: Vec::new(),
-            orig_members,
-            orig_rank: (0..n as usize).collect(),
-            reliability: self.reliability.default,
-        });
         self.reconfig.track_group(n as usize);
         for (rank, mut actions) in initial {
             self.execute(gid, rank, &mut actions);
@@ -497,9 +496,9 @@ impl<T: Transport> Cluster<T> {
         id
     }
 
-    /// Files a submission — its completion record under `message`,
-    /// delivery slots for every original member, pending-queue entries
-    /// for the current ones — and hands the send to the current root
+    /// Files a submission — its record in the ledger under `message`,
+    /// with a delivery slot for every original member and the current
+    /// root as its sender — and hands the send to the current root
     /// engine.
     pub(crate) fn do_submit(&mut self, group: GroupId, size: u64, message: MessageId) {
         let now = self.fabric.now();
@@ -510,12 +509,10 @@ impl<T: Transport> Cluster<T> {
             index: idx,
             size,
             submitted: now,
-            delivered_at: vec![None; g.orig_members.len()],
+            sender: g.orig_rank[0] as Rank,
+            abandoned: false,
+            delivered_at: vec![None; g.spec.members.len()],
         });
-        g.senders.push(g.orig_rank[0]);
-        for &o in &g.orig_rank {
-            g.pending[o].push_back(idx);
-        }
         self.message_slots.insert(message.0, (group, idx));
         self.feed(group, 0, Event::StartSend { size });
     }
@@ -526,7 +523,7 @@ impl<T: Transport> Cluster<T> {
     /// and the send is actually submitted.
     pub fn schedule_send_at(&mut self, group: GroupId, at: SimTime, size: u64) -> MessageId {
         let message = self.new_message_id();
-        let root_node = self.groups[group].spec.members[0];
+        let root_node = self.groups[group].node(0).index();
         let delay = at.saturating_since(self.fabric.now());
         let action = TimerAction::Send {
             group,
@@ -603,6 +600,16 @@ impl<T: Transport> Cluster<T> {
             .collect()
     }
 
+    /// When the run's last delivery landed, at any member of any group
+    /// (`None` before the first) — the end of a throughput measurement.
+    pub fn last_delivery(&self) -> Option<SimTime> {
+        let results = self.groups.iter().flat_map(|g| &g.results);
+        results
+            .flat_map(|r| r.delivered_at.iter().flatten())
+            .max()
+            .copied()
+    }
+
     /// True if every engine is idle and unwedged, crashed or not.
     pub fn all_quiescent(&self) -> bool {
         self.groups
@@ -649,18 +656,11 @@ impl<T: Transport> Cluster<T> {
             mix(&mut h, g.results.len() as u64);
             for m in &g.results {
                 mix(&mut h, m.size);
+                mix(&mut h, u64::from(m.sender));
+                mix(&mut h, u64::from(m.abandoned));
                 for d in &m.delivered_at {
                     mix(&mut h, u64::from(d.is_some()));
                 }
-            }
-            for q in &g.pending {
-                mix(&mut h, q.len() as u64);
-                for &idx in q {
-                    mix(&mut h, idx as u64);
-                }
-            }
-            for &s in &g.senders {
-                mix(&mut h, s as u64);
             }
         }
         // Overlay state (mixed only when atomic groups exist, so plain
@@ -899,10 +899,11 @@ impl<T: Transport> Cluster<T> {
                     let now = self.fabric.now();
                     let g = &mut self.groups[group];
                     let orig = g.orig_rank[rank as usize];
-                    let idx = g.pending[orig].pop_front().unwrap_or_else(|| {
-                        panic!("group {group} rank {rank}: delivery with no pending message")
+                    let idx = g.outstanding(orig).next().unwrap_or_else(|| {
+                        panic!("group {group} rank {rank}: delivery with no outstanding message")
                     });
                     g.results[idx].delivered_at[orig] = Some(now);
+                    g.cursor[orig] = idx + 1;
                     // Atomic overlay: a subgroup delivery resolves one of
                     // its sender's data slots at this member — advance
                     // the member's received frontier and re-run its
@@ -931,7 +932,7 @@ impl<T: Transport> Cluster<T> {
         tag: u64,
         payload: Bytes,
     ) {
-        for peer in 0..self.groups[group].spec.members.len() as Rank {
+        for peer in 0..self.groups[group].orig_rank.len() as Rank {
             if peer == rank || self.fabric.is_crashed(self.groups[group].node(peer)) {
                 continue;
             }
@@ -980,7 +981,7 @@ impl<T: Transport> Cluster<T> {
         }
         if posted {
             if let Some(p) = self.pacer.as_mut() {
-                let node = self.groups[group].spec.members[rank as usize];
+                let node = self.groups[group].node(rank).index();
                 p.note_posted(qp, WrId(u64::from(block)), node);
             }
             if policy.is_some() {

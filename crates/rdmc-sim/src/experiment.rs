@@ -1,6 +1,9 @@
 //! One-line experiment harnesses over [`crate::SimCluster`], shared by
 //! the test suite and the figure-regenerating benchmarks.
 
+use std::sync::Arc;
+
+use rdmc::schedule::SchedulePlanner;
 use rdmc::Algorithm;
 use simnet::{SimDuration, SimTime};
 use verbs::Transport;
@@ -20,13 +23,14 @@ pub struct MulticastOutcome {
     pub bandwidth_gbps: f64,
 }
 
-/// The one body behind [`run_single_multicast`] and
-/// [`run_traced_multicast`]: the outcome plus whatever the flight
-/// recorder captured (nothing unless `traced`).
+/// The one body behind [`run_single_multicast`],
+/// [`run_planned_multicast`] and [`run_traced_multicast`]: the outcome
+/// plus whatever the flight recorder captured (nothing unless `traced`).
 fn single_multicast(
     spec: &ClusterSpec,
     group_size: usize,
     algorithm: Algorithm,
+    planner: Arc<SchedulePlanner>,
     size: u64,
     block_size: u64,
     traced: bool,
@@ -40,13 +44,14 @@ fn single_multicast(
         builder = builder.flight_recorder();
     }
     let mut cluster = builder.build();
-    let group = cluster.create_group(GroupSpec {
+    let spec = GroupSpec {
         members: (0..group_size).collect(),
         algorithm,
         block_size,
         ready_window: 3,
         max_outstanding_sends: 3,
-    });
+    };
+    let group = cluster.create_group_with_planner(spec, planner);
     cluster.submit_send(group, size);
     cluster.run();
     let result = &cluster.message_results()[0];
@@ -76,7 +81,30 @@ pub fn run_single_multicast(
     size: u64,
     block_size: u64,
 ) -> MulticastOutcome {
-    single_multicast(spec, group_size, algorithm, size, block_size, false).0
+    let planner = Arc::new(SchedulePlanner::new(algorithm.clone()));
+    run_planned_multicast(spec, group_size, algorithm, planner, size, block_size)
+}
+
+/// Like [`run_single_multicast`], but with an explicit schedule planner
+/// (`algorithm` is then only a label; see
+/// [`crate::SimCluster::create_group_with_planner`]) — how the
+/// `baselines` crate's comparators run.
+///
+/// # Panics
+///
+/// Panics under the same conditions as [`run_single_multicast`].
+pub fn run_planned_multicast(
+    spec: &ClusterSpec,
+    group_size: usize,
+    algorithm: Algorithm,
+    planner: Arc<SchedulePlanner>,
+    size: u64,
+    block_size: u64,
+) -> MulticastOutcome {
+    single_multicast(
+        spec, group_size, algorithm, planner, size, block_size, false,
+    )
+    .0
 }
 
 /// The [`trace::stall::WireModel`] matching a cluster's calibration:
@@ -129,7 +157,9 @@ pub fn run_traced_multicast(
     Vec<trace::TraceEvent>,
     trace::stall::WireModel,
 ) {
-    let (outcome, events) = single_multicast(spec, group_size, algorithm, size, block_size, true);
+    let planner = Arc::new(SchedulePlanner::new(algorithm.clone()));
+    let (outcome, events) =
+        single_multicast(spec, group_size, algorithm, planner, size, block_size, true);
     (outcome, events, wire_model_for(spec))
 }
 
@@ -161,12 +191,7 @@ pub fn run_stream(
         .iter()
         .map(|r| r.latency().expect("message completed"))
         .collect();
-    let total_end = results
-        .iter()
-        .flat_map(|r| r.delivered_at.iter().flatten())
-        .max()
-        .copied()
-        .expect("at least one delivery");
+    let total_end = cluster.last_delivery().expect("at least one delivery");
     let elapsed = total_end.since(results[0].submitted).as_secs_f64();
     let aggregate = (size as f64 * count as f64 * 8.0) / elapsed / 1e9;
     (aggregate, latencies)
@@ -300,7 +325,6 @@ pub fn run_open_loop(
         })
         .collect();
     let mut first_submit = None;
-    let mut last_delivery = None;
     for r in cluster.message_results() {
         let latency = r
             .latency()
@@ -312,10 +336,8 @@ pub fn run_open_loop(
         per_group[i].latencies.push(latency);
         per_group[i].bytes += r.size;
         first_submit = Some(first_submit.map_or(r.submitted, |t: SimTime| t.min(r.submitted)));
-        let done = r.delivered_at.iter().flatten().max().copied();
-        last_delivery = last_delivery.max(done);
     }
-    let span = match (first_submit, last_delivery) {
+    let span = match (first_submit, cluster.last_delivery()) {
         (Some(a), Some(b)) => b.since(a),
         _ => SimDuration::ZERO,
     };
@@ -327,23 +349,23 @@ pub fn run_open_loop(
     }
 }
 
-/// The paper's Fig. 10 pattern: `senders` groups with *identical
+/// The paper's Fig. 10 pattern: `roots` groups with *identical
 /// membership* (`group_size` nodes) but distinct roots, each root streaming
 /// `per_sender_bytes` in `message_size` messages concurrently. Returns the
 /// aggregate bandwidth in Gb/s over total bytes moved.
 pub fn run_concurrent_overlapping(
     spec: &ClusterSpec,
     group_size: usize,
-    senders: usize,
+    roots: usize,
     algorithm: Algorithm,
     message_size: u64,
     messages_per_sender: usize,
     block_size: u64,
 ) -> f64 {
-    assert!(senders >= 1 && senders <= group_size);
+    assert!(roots >= 1 && roots <= group_size);
     let mut cluster = ClusterBuilder::new(spec.clone()).build();
     let mut groups = Vec::new();
-    for s in 0..senders {
+    for s in 0..roots {
         // Same members, rotated so member `s` is the root.
         let members: Vec<usize> = (0..group_size).map(|i| (s + i) % group_size).collect();
         groups.push(cluster.create_group(GroupSpec {
@@ -361,18 +383,13 @@ pub fn run_concurrent_overlapping(
     }
     cluster.run();
     let results = cluster.message_results();
-    let total_end = results
-        .iter()
-        .flat_map(|r| r.delivered_at.iter().flatten())
-        .max()
-        .copied()
-        .expect("deliveries exist");
+    let total_end = cluster.last_delivery().expect("deliveries exist");
     let start = results
         .iter()
         .map(|r| r.submitted)
         .min()
         .expect("submissions exist");
     let elapsed = total_end.since(start).as_secs_f64();
-    let total_bytes = message_size as f64 * messages_per_sender as f64 * senders as f64;
+    let total_bytes = message_size as f64 * messages_per_sender as f64 * roots as f64;
     total_bytes * 8.0 / elapsed / 1e9
 }

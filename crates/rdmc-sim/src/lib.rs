@@ -72,9 +72,9 @@ pub use cluster::{
     Cluster, EngineLogEntry, GroupId, GroupSpec, MessageId, MessageResult, SimCluster,
 };
 pub use experiment::{
-    run_concurrent_overlapping, run_open_loop, run_single_multicast, run_stream,
-    run_traced_multicast, wire_model_for, GroupLoadReport, MulticastOutcome, OpenLoopArrival,
-    OpenLoopOutcome,
+    run_concurrent_overlapping, run_open_loop, run_planned_multicast, run_single_multicast,
+    run_stream, run_traced_multicast, wire_model_for, GroupLoadReport, MulticastOutcome,
+    OpenLoopArrival, OpenLoopOutcome,
 };
 pub use offload::run_offloaded_chain;
 pub use pacer::{PacerConfig, PacingPolicy, PacingStats};

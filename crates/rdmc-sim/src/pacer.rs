@@ -219,7 +219,7 @@ impl<T: Transport> Cluster<T> {
         bytes: u64,
         total_size: u64,
     ) {
-        let node = self.groups[group].spec.members[rank as usize];
+        let node = self.groups[group].node(rank).index();
         let Some(p) = self.pacer.as_mut() else {
             self.post_block(group, rank, to, block, bytes, total_size);
             return;

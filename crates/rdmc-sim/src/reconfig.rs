@@ -26,7 +26,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use bytes::Bytes;
 use rdmc::engine::{Action, EpochInstall, Event, GroupEngine, ResumeTransfer, TransferStatus};
-use rdmc::Rank;
+use rdmc::{MessageLayout, Rank};
 use recovery::{plan_message_resume, resume_transfers, MessagePlan, ResumeStrategy};
 use simnet::{SimDuration, SimTime};
 use sst::{View, ViewTracker};
@@ -254,7 +254,7 @@ impl<T: Transport> Cluster<T> {
             self.reconfig.stats.detections.push(DetectionRecord {
                 group,
                 failed: o as Rank,
-                node: self.groups[group].orig_members[o],
+                node: self.groups[group].spec.members[o],
                 suspected_at: self.fabric.now(),
             });
         }
@@ -367,7 +367,7 @@ impl<T: Transport> Cluster<T> {
         attempt: u32,
         delay: SimDuration,
     ) {
-        let node = self.groups[group].spec.members[me as usize];
+        let node = self.groups[group].node(me).index();
         let action = TimerAction::Reconfigure {
             group,
             version,
@@ -387,7 +387,7 @@ impl<T: Transport> Cluster<T> {
             return; // a newer epoch was installed since this timer was armed
         }
         let g = &self.groups[group];
-        let live: Vec<Rank> = (0..g.spec.members.len() as Rank)
+        let live: Vec<Rank> = (0..g.orig_rank.len() as Rank)
             .filter(|&r| !self.fabric.is_crashed(g.node(r)))
             .collect();
         let Some(&coordinator) = live.first() else {
@@ -419,7 +419,7 @@ impl<T: Transport> Cluster<T> {
                 .copied()
                 .filter(|&o| {
                     self.fabric
-                        .is_crashed(NodeId(g.orig_members[o as usize] as u32))
+                        .is_crashed(NodeId(g.spec.members[o as usize] as u32))
                 })
                 .collect();
             if undetected.is_empty() {
@@ -450,7 +450,7 @@ impl<T: Transport> Cluster<T> {
     /// simulation's stand-in for a heavyweight external failure detector.
     fn suspect_everywhere(&mut self, group: GroupId, o: u32) {
         let now = self.fabric.now();
-        let n = self.groups[group].spec.members.len() as Rank;
+        let n = self.groups[group].orig_rank.len() as Rank;
         for r in 0..n {
             if self.fabric.is_crashed(self.groups[group].node(r)) {
                 continue;
@@ -483,19 +483,17 @@ impl<T: Transport> Cluster<T> {
     /// Last resort after `FORCE_AFTER` attempts: union every suspicion and
     /// every fabric-level crash into one view and install it.
     fn force_reconfiguration(&mut self, group: GroupId, live: &[Rank]) {
-        let n_orig = self.groups[group].orig_members.len();
+        let n_orig = self.groups[group].spec.members.len();
         let mut mask: BTreeSet<u32> = BTreeSet::new();
-        {
-            let g = &self.groups[group];
-            let rec = &self.reconfig.groups[group];
-            for &r in live {
-                mask.extend(rec.trackers[g.orig_rank[r as usize]].suspected());
-            }
-            for o in 0..n_orig {
-                let crashed = self.fabric.is_crashed(NodeId(g.orig_members[o] as u32));
-                if crashed || g.current_of(o).is_none() {
-                    mask.insert(o as u32);
-                }
+        let g = &self.groups[group];
+        let rec = &self.reconfig.groups[group];
+        for &r in live {
+            mask.extend(rec.trackers[g.orig_rank[r as usize]].suspected());
+        }
+        for o in 0..n_orig {
+            let crashed = self.fabric.is_crashed(NodeId(g.spec.members[o] as u32));
+            if crashed || g.current_of(o).is_none() {
+                mask.insert(o as u32);
             }
         }
         let members: Vec<u32> = (0..n_orig as u32).filter(|o| !mask.contains(o)).collect();
@@ -530,14 +528,9 @@ impl<T: Transport> Cluster<T> {
         let now = self.fabric.now();
         // Members this view change actually removes (still present in the
         // current epoch's membership), in original ranks.
-        let removed: Vec<Rank> = {
-            let g = &self.groups[group];
-            view.failed
-                .iter()
-                .filter(|&&o| g.current_of(o as usize).is_some())
-                .map(|&o| o as Rank)
-                .collect()
-        };
+        let g = &self.groups[group];
+        let current = |&o: &Rank| g.current_of(o as usize).is_some();
+        let removed: Vec<Rank> = view.failed.iter().copied().filter(current).collect();
         if removed.is_empty() {
             self.reconfig.groups[group].close_cycle();
             return;
@@ -545,33 +538,22 @@ impl<T: Transport> Cluster<T> {
         // Evict: a suspected member with a live node (e.g. a link-flap
         // victim) leaves the fabric too — there is no rejoin path, and a
         // half-connected member must not keep acting.
-        let evict: Vec<usize> = {
-            let g = &self.groups[group];
-            view.failed
-                .iter()
-                .map(|&o| g.orig_members[o as usize])
-                .filter(|&node| !self.fabric.is_crashed(NodeId(node as u32)))
-                .collect()
-        };
+        let nodes = view.failed.iter().map(|&o| g.spec.members[o as usize]);
+        let evict: Vec<usize> = nodes
+            .filter(|&node| !self.fabric.is_crashed(NodeId(node as u32)))
+            .collect();
         for node in evict {
             self.crash_now(node);
         }
         // Wedge every surviving engine that has not yet learned of the
         // failure (install_epoch requires a wedged engine).
-        let delta_cur: Vec<Rank> = {
+        let g = &self.groups[group];
+        let failed = g
+            .current_of(removed[0] as usize)
+            .expect("removed members are current");
+        for r in 0..g.orig_rank.len() as Rank {
             let g = &self.groups[group];
-            removed
-                .iter()
-                .filter_map(|&o| g.current_of(o as usize))
-                .collect()
-        };
-        let n_cur = self.groups[group].spec.members.len() as Rank;
-        for r in 0..n_cur {
-            if self.fabric.is_crashed(self.groups[group].node(r)) {
-                continue;
-            }
-            if !self.groups[group].engines[r as usize].is_wedged() {
-                let failed = delta_cur.first().copied().expect("non-empty removal");
+            if !self.fabric.is_crashed(g.node(r)) && !g.engines[r as usize].is_wedged() {
                 self.feed(group, r, Event::PeerFailed { rank: failed });
             }
         }
@@ -580,71 +562,68 @@ impl<T: Transport> Cluster<T> {
         let block_size = self.groups[group].spec.block_size;
         // Snapshot every survivor's wedge-time transfer state, keyed by
         // message index. An engine's undelivered transfers line up with
-        // the front of that member's pending queue (both are in message
-        // order, and the engine only knows about messages it has begun).
+        // the front of that member's outstanding messages in the ledger
+        // (both are in message order, and the engine only knows about
+        // messages it has begun).
         let mut status_of: BTreeMap<(usize, usize), TransferStatus> = BTreeMap::new();
+        let mut incomplete: BTreeSet<usize> = BTreeSet::new();
         let mut queued_at_root: BTreeSet<usize> = BTreeSet::new();
-        {
-            let g = &self.groups[group];
-            for &o in &survivors_orig {
-                let cur = g.current_of(o).expect("survivor is a current member") as usize;
-                let mut pend = g.pending[o].iter();
-                for s in g.engines[cur].incomplete_transfers() {
-                    if s.delivered {
-                        continue; // delivered pre-wedge: holdings are full
-                    }
-                    let idx = *pend
-                        .next()
-                        .expect("undelivered engine transfer has a pending slot");
-                    status_of.insert((o, idx), s);
+        let g = &self.groups[group];
+        for &o in &survivors_orig {
+            let cur = g.current_of(o).expect("survivor is a current member") as usize;
+            let outstanding: Vec<usize> = g.outstanding(o).collect();
+            let mut pend = outstanding.iter();
+            for s in g.engines[cur].incomplete_transfers() {
+                if s.delivered {
+                    continue; // delivered pre-wedge: holdings are full
                 }
-                // The surviving root's queued-but-unstarted sends restart
-                // naturally in the new epoch (install_epoch keeps them);
-                // they need no resume plan.
-                if cur == 0 {
-                    let qn = g.engines[0].queued_sizes().count();
-                    for &idx in g.pending[o].iter().rev().take(qn) {
-                        queued_at_root.insert(idx);
-                    }
-                }
+                let idx = *pend
+                    .next()
+                    .expect("undelivered engine transfer is outstanding");
+                status_of.insert((o, idx), s);
             }
+            // The surviving root's queued-but-unstarted sends restart
+            // naturally in the new epoch (install_epoch keeps them);
+            // they need no resume plan.
+            if cur == 0 {
+                let qn = g.engines[0].queued_sizes().count();
+                queued_at_root.extend(outstanding.iter().rev().take(qn));
+            }
+            incomplete.extend(outstanding);
         }
-        let incomplete: BTreeSet<usize> = {
-            let g = &self.groups[group];
-            survivors_orig
-                .iter()
-                .flat_map(|&o| g.pending[o].iter().copied())
-                .filter(|idx| !queued_at_root.contains(idx))
-                .collect()
-        };
+        incomplete.retain(|idx| !queued_at_root.contains(idx));
         // Plan every interrupted message: resume block-wise, re-multicast
         // from a lone full holder, or consistently abandon.
         let mut resumes_by_rank: Vec<Vec<ResumeTransfer>> = vec![Vec::new(); ns];
         let mut abandoned: Vec<usize> = Vec::new();
         let (mut n_resumed, mut n_remulti, mut n_complete, mut n_blocks) = (0usize, 0, 0, 0);
         for &idx in &incomplete {
-            let size = self.groups[group].results[idx].size;
-            let k = (size.div_ceil(block_size)).max(1) as usize;
-            let (holdings, delivered_flags): (Vec<Vec<bool>>, Vec<bool>) = {
-                let g = &self.groups[group];
-                survivors_orig
-                    .iter()
-                    .map(|&o| {
-                        let done = g.results[idx].delivered_at[o].is_some();
-                        let have = if done || g.senders.get(idx) == Some(&o) {
-                            vec![true; k]
-                        } else if let Some(s) = status_of.get(&(o, idx)) {
-                            debug_assert_eq!(s.have.len(), k, "bitmap shape");
-                            s.have.clone()
-                        } else {
-                            vec![false; k]
-                        };
-                        (have, done)
-                    })
-                    .unzip()
-            };
+            let m = &self.groups[group].results[idx];
+            let size = m.size;
+            let k = MessageLayout::new(size, block_size).num_blocks as usize;
+            let (holdings, delivered_flags): (Vec<Vec<bool>>, Vec<bool>) = survivors_orig
+                .iter()
+                .map(|&o| {
+                    let done = m.delivered_at[o].is_some();
+                    let have = if done || m.sender as usize == o {
+                        vec![true; k]
+                    } else if let Some(s) = status_of.get(&(o, idx)) {
+                        debug_assert_eq!(s.have.len(), k, "bitmap shape");
+                        s.have.clone()
+                    } else {
+                        vec![false; k]
+                    };
+                    (have, done)
+                })
+                .unzip();
             match plan_message_resume(&holdings) {
-                MessagePlan::Unrecoverable => abandoned.push(idx),
+                // A lost message is dropped group-wide: its record says
+                // so, and no survivor's cursor waits for a delivery that
+                // can never happen.
+                MessagePlan::Unrecoverable => {
+                    self.groups[group].results[idx].abandoned = true;
+                    abandoned.push(idx);
+                }
                 MessagePlan::Resume { schedule, strategy } => {
                     match strategy {
                         ResumeStrategy::AlreadyComplete => n_complete += 1,
@@ -657,15 +636,6 @@ impl<T: Transport> Cluster<T> {
                         resumes_by_rank[r].push(rt);
                     }
                 }
-            }
-        }
-        // A lost message is dropped group-wide: no survivor may sit
-        // waiting for a delivery that can never happen.
-        if !abandoned.is_empty() {
-            let aset: BTreeSet<usize> = abandoned.iter().copied().collect();
-            let g = &mut self.groups[group];
-            for q in &mut g.pending {
-                q.retain(|i| !aset.contains(i));
             }
         }
         // Tear down every old-epoch queue pair in rank order; completions
@@ -685,24 +655,17 @@ impl<T: Transport> Cluster<T> {
         }
         // Renumber: survivors in ascending original rank become the new
         // ranks 0..ns, on a fresh set of connections.
-        let first_suspected;
-        {
-            let g = &mut self.groups[group];
-            let old_cur: Vec<usize> = survivors_orig
-                .iter()
-                .map(|&o| g.current_of(o).expect("survivor is current") as usize)
-                .collect();
-            let mut old_engines: Vec<Option<GroupEngine>> = g.engines.drain(..).map(Some).collect();
-            g.engines = old_cur
-                .iter()
-                .map(|&c| old_engines[c].take().expect("distinct current ranks"))
-                .collect();
-            g.spec.members = survivors_orig.iter().map(|&o| g.orig_members[o]).collect();
-            g.orig_rank = survivors_orig.clone();
-            let rec = &mut self.reconfig.groups[group];
-            first_suspected = rec.cycle_started.unwrap_or(now);
-            rec.close_cycle();
-        }
+        let g = &mut self.groups[group];
+        let mut old_engines: Vec<Option<GroupEngine>> = g.engines.drain(..).map(Some).collect();
+        g.engines = survivors_orig
+            .iter()
+            .map(|&o| g.current_of(o).expect("survivor is current") as usize)
+            .map(|c| old_engines[c].take().expect("distinct current ranks"))
+            .collect();
+        g.orig_rank = survivors_orig.clone();
+        let rec = &mut self.reconfig.groups[group];
+        let first_suspected = rec.cycle_started.unwrap_or(now);
+        rec.close_cycle();
         self.recorder.record(trace::Scope::group(group as u32), || {
             trace::EventKind::ReconfigInstalled {
                 epoch: view.epoch,
@@ -748,13 +711,13 @@ impl<T: Transport> Cluster<T> {
             remulticast: n_remulti,
             already_complete: n_complete,
             resumed_blocks: n_blocks,
-            abandoned: abandoned.clone(),
+            abandoned,
             forced,
         });
         // Atomic overlay: apply the ragged trim — mark the subgroup's
-        // abandoned data slots and the failed senders' unannounced nulls
+        // abandoned data slots and the failed members' unannounced nulls
         // trimmed, resync survivor frontier replicas, and re-run every
         // survivor's delivery engine.
-        self.atomic_on_reconfig(group, &abandoned);
+        self.atomic_on_reconfig(group);
     }
 }

@@ -10,13 +10,13 @@
 //! and missing blocks are recovered by the policy:
 //!
 //! - [`ReliabilityPolicy::SelectiveAck`] — receivers NACK detected gaps
-//!   (tiny control writes on the reliable side channel); senders
-//!   retransmit exactly the missing blocks as one-sided writes. Each
+//!   (tiny control writes on the reliable side channel); the sending
+//!   side retransmits exactly the missing blocks as one-sided writes. Each
 //!   interior loss costs about one round trip; a retry timer with
 //!   exponential backoff re-NACKs when repairs are themselves lost.
-//! - [`ReliabilityPolicy::ErasureCode`] — senders close every `data`
-//!   consecutive blocks on a connection into a *generation* and follow
-//!   it with `parity` parity writes; a receiver missing at most as many
+//! - [`ReliabilityPolicy::ErasureCode`] — the sending side closes every
+//!   `data` consecutive blocks on a connection into a *generation* and
+//!   follows it with `parity` parity writes; a receiver missing at most as many
 //!   blocks as it has parity for reconstructs locally, without paying
 //!   the retransmission round trip (the WAN story). NACK retransmission
 //!   remains as the fallback for losses beyond the code's budget.
@@ -152,11 +152,11 @@ impl ReliabilityPolicy {
 pub struct ReliabilityStats {
     /// Gap-repair requests sent (one per contiguous missing range).
     pub nacks_sent: u64,
-    /// Blocks retransmitted by senders (NACK responses).
+    /// Blocks retransmitted (NACK responses).
     pub repairs_sent: u64,
     /// Retransmitted blocks that arrived at receivers.
     pub repairs_received: u64,
-    /// Parity writes emitted by erasure-coding senders.
+    /// Parity writes emitted under erasure coding.
     pub parity_writes_sent: u64,
     /// Missing blocks reconstructed from parity, no retransmission.
     pub parity_repairs: u64,
@@ -488,7 +488,7 @@ impl<T: Transport> Cluster<T> {
             st.rto_armed = true;
             SimDuration::from_nanos(RTO.as_nanos().saturating_mul(1u64 << st.rto_attempt.min(6)))
         };
-        let node = self.groups[group].spec.members[me as usize];
+        let node = self.groups[group].node(me).index();
         self.arm_timer(node, delay, TimerAction::RelRto { qp });
     }
 
@@ -721,7 +721,7 @@ impl<T: Transport> Cluster<T> {
             }
             st.probe_armed = true;
         }
-        let node = self.groups[group].spec.members[rank as usize];
+        let node = self.groups[group].node(rank).index();
         self.arm_timer(node, policy.probe_delay(), TimerAction::RelProbe { qp });
     }
 
@@ -760,7 +760,7 @@ impl<T: Transport> Cluster<T> {
                 Next::Probe(st.next_seq)
             }
         };
-        let node = self.groups[group].spec.members[rank as usize];
+        let node = self.groups[group].node(rank).index();
         match next {
             Next::Done => {}
             Next::Rearm(d) => self.arm_timer(node, d, TimerAction::RelProbe { qp }),

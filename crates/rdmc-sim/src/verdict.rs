@@ -18,8 +18,8 @@ impl<T: Transport> Cluster<T> {
     /// 2. *rnr*: the transport never armed an RNR retry (§4.2);
     /// 3. *epoch*: per group, the live members run one epoch;
     /// 4. *all-or-nothing*: per group, each message is delivered at every
-    ///    live member of the current view, or was abandoned by a recorded
-    ///    view change and is delivered at none of them;
+    ///    live member of the current view, or its record says a view
+    ///    change abandoned it and it is delivered at none of them;
     /// 5. *atomic*: per atomic group, the live members' logs are identical
     ///    and strictly slot-increasing, every data slot is delivered or
     ///    ragged-trimmed but never both, no null slot is delivered, and a
@@ -60,11 +60,8 @@ impl<T: Transport> Cluster<T> {
             let epochs: BTreeSet<u64> = live().map(epoch).collect();
             out.push(format!("epoch: group {gid} runs epochs {epochs:?}"));
         }
-        let records = self.recovery_stats().reconfigurations.iter();
-        let view_changes = || records.clone().filter(|r| r.group == gid);
         for m in &g.results {
-            let i = m.index;
-            let gone = view_changes().any(|r| r.abandoned.contains(&i));
+            let (i, gone) = (m.index, m.abandoned);
             // Live original ranks whose delivery contradicts the message's fate.
             let contradicts = |&o: &usize| m.delivered_at[o].is_some() == gone;
             let wrong: Vec<usize> = live().map(|r| g.orig_rank[r]).filter(contradicts).collect();

@@ -98,12 +98,7 @@ fn added_delay_is_small_and_bandwidth_is_kept() {
     let size = 32 * MB;
     let plain = run(false, count, size);
     let atomic = run(true, count, size);
-    let end_plain = plain
-        .message_results()
-        .iter()
-        .flat_map(|r| r.delivered_at.iter().flatten().copied())
-        .max()
-        .unwrap();
+    let end_plain = plain.last_delivery().unwrap();
     let end_stable = (0..8)
         .flat_map(|m| atomic.atomic_log(0, m).iter().map(|d| d.at))
         .max()

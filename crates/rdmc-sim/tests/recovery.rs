@@ -94,7 +94,7 @@ fn non_sender_crash_resumes_with_only_missing_blocks() {
 fn sender_crash_is_resumed_or_consistently_abandoned() {
     let (mut cluster, group) = build(4);
     cluster.crash_after_events(0, 35);
-    cluster.submit_send(group, 6 * BLOCK);
+    let first = cluster.submit_send(group, 6 * BLOCK);
     cluster.run();
 
     let stats = cluster.recovery_stats();
@@ -103,13 +103,28 @@ fn sender_crash_is_resumed_or_consistently_abandoned() {
     assert_eq!(rc.removed, vec![0]);
     assert_eq!(cluster.surviving_ranks(group), vec![1, 2, 3]);
     assert_eq!(cluster.check_run(), Ok(()));
+    // The message's record carries its fate: abandoned exactly when the
+    // view change says so, and then delivered at no survivor (otherwise
+    // at every one).
+    let fate = cluster.result(first).expect("submitted");
+    assert_eq!(fate.sender, 0);
+    assert_eq!(fate.abandoned, rc.abandoned.contains(&0));
+    for o in [1usize, 2, 3] {
+        assert_ne!(
+            fate.delivered_at[o].is_some(),
+            fate.abandoned,
+            "original rank {o} contradicts the message's fate"
+        );
+    }
 
     // The group stays usable: original rank 1 is the new root and can
     // multicast in the new epoch.
-    cluster.submit_send(group, 3 * BLOCK);
+    let second = cluster.submit_send(group, 3 * BLOCK);
     cluster.run();
     assert!(cluster.live_quiescent());
-    let last = cluster.message_results().pop().expect("second message");
+    let last = cluster.result(second).expect("second message");
+    assert!(!last.abandoned, "post-recovery multicast abandoned");
+    assert_eq!(last.sender, 1);
     for o in [1usize, 2, 3] {
         assert!(
             last.delivered_at[o].is_some(),

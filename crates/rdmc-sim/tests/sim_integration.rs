@@ -119,12 +119,7 @@ fn one_byte_messages_are_overhead_bound_not_bandwidth_bound() {
     cluster.run();
     let results = cluster.message_results();
     assert_eq!(results.len(), count);
-    let end = results
-        .iter()
-        .flat_map(|r| r.delivered_at.iter().flatten())
-        .max()
-        .copied()
-        .unwrap();
+    let end = cluster.last_delivery().unwrap();
     let rate = count as f64 / end.as_secs_f64();
     assert!(
         rate > 5_000.0,

@@ -101,13 +101,21 @@ impl LinkFault {
     }
 }
 
-/// SplitMix64 — the same tiny deterministic generator the exploration
-/// and chaos harnesses use.
+/// SplitMix64 — the tiny deterministic generator behind fault sampling
+/// and the explorer's random walk: a stream is a pure function of its
+/// seed, so a seeded run replays bit for bit.
 #[derive(Clone, Debug)]
-struct SplitMix64(u64);
+pub struct SplitMix64(u64);
 
 impl SplitMix64 {
-    fn next_u64(&mut self) -> u64 {
+    /// The stream that `seed` starts.
+    #[must_use]
+    pub fn new(seed: u64) -> Self {
+        SplitMix64(seed)
+    }
+
+    /// The next 64 uniform bits.
+    pub fn next_u64(&mut self) -> u64 {
         self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
         let mut z = self.0;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -116,7 +124,7 @@ impl SplitMix64 {
     }
 
     /// Uniform in [0, 1).
-    fn next_f64(&mut self) -> f64 {
+    pub fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
 }

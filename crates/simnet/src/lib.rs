@@ -38,7 +38,7 @@ mod time;
 mod topology;
 
 pub use event::{EventQueue, EventToken};
-pub use fault::{FaultOutcome, FaultProfile, GilbertElliott, LinkFault};
+pub use fault::{FaultOutcome, FaultProfile, GilbertElliott, LinkFault, SplitMix64};
 pub use flow::{FlowId, FlowNet, LinkId, ReallocStats};
 pub use host::{CpuMeter, HostProfile, JitterModel};
 pub use time::{SimDuration, SimTime};

@@ -524,19 +524,7 @@ impl Transport for Fabric {
             }
             // The wire goes quiet immediately...
             for dir in 0..2 {
-                if let Some((flow, send, claimed_recv)) =
-                    self.conns[c as usize].dirs[dir].inflight.take()
-                {
-                    self.take_inflight(flow);
-                    self.net.abort_flow(now, flow);
-                    // Remember the torn-off WRs so the eventual break
-                    // flushes them as error completions.
-                    let conn = &mut self.conns[c as usize];
-                    conn.pending_flush.push((dir as u8, send.wr_id, false));
-                    if let Some(wr) = claimed_recv {
-                        conn.pending_flush.push((1 - dir as u8, wr, true));
-                    }
-                }
+                self.tear_off_inflight(c, dir);
             }
             self.net_stale = true;
             // ...but the peer only notices after the NIC timeout.
@@ -1196,6 +1184,24 @@ impl Fabric {
         }
     }
 
+    /// Aborts the send in flight in direction `dir` of connection
+    /// `conn_idx`, if any, and records its work request and the receive
+    /// it claimed for the break to flush as error completions.
+    fn tear_off_inflight(&mut self, conn_idx: u32, dir: usize) {
+        let Some((flow, send, claimed_recv)) =
+            self.conns[conn_idx as usize].dirs[dir].inflight.take()
+        else {
+            return;
+        };
+        self.take_inflight(flow);
+        self.net.abort_flow(self.queue.now(), flow);
+        let conn = &mut self.conns[conn_idx as usize];
+        conn.pending_flush.push((dir as u8, send.wr_id, false));
+        if let Some(wr) = claimed_recv {
+            conn.pending_flush.push((1 - dir as u8, wr, true));
+        }
+    }
+
     /// Breaks a connection: aborts in-flight transfers, flushes all
     /// outstanding work requests as error completions, and notifies both
     /// (surviving) endpoints.
@@ -1206,28 +1212,23 @@ impl Fabric {
         }
         self.conns[conn_idx as usize].broken = true;
         // Collect every outstanding WR per endpoint, in posting order:
-        // WRs torn off earlier (peer crash), the in-flight op with its
-        // claimed receive, queued sends, then unconsumed posted receives.
-        let mut flushes: Vec<(u8, WrId, bool)> =
-            std::mem::take(&mut self.conns[conn_idx as usize].pending_flush);
+        // WRs torn off earlier (peer crash), then per direction the
+        // in-flight op with its claimed receive, queued sends, and
+        // unconsumed posted receives.
         for dir in 0..2 {
-            if let Some((flow, send, claimed_recv)) =
-                self.conns[conn_idx as usize].dirs[dir].inflight.take()
-            {
-                self.take_inflight(flow);
-                self.net.abort_flow(now, flow);
-                flushes.push((dir as u8, send.wr_id, false));
-                if let Some(wr) = claimed_recv {
-                    flushes.push((1 - dir as u8, wr, true));
-                }
-            }
-            for send in self.conns[conn_idx as usize].dirs[dir].queue.drain(..) {
-                flushes.push((dir as u8, send.wr_id, false));
-            }
-            for (wr, _) in self.conns[conn_idx as usize].recvs[dir].drain(..) {
-                flushes.push((dir as u8, wr, true));
-            }
+            self.tear_off_inflight(conn_idx, dir);
+            let conn = &mut self.conns[conn_idx as usize];
+            let queued = conn.dirs[dir]
+                .queue
+                .drain(..)
+                .map(|s| (dir as u8, s.wr_id, false));
+            conn.pending_flush.extend(queued);
+            let posted = conn.recvs[dir]
+                .drain(..)
+                .map(|(wr, _)| (dir as u8, wr, true));
+            conn.pending_flush.extend(posted);
         }
+        let flushes = std::mem::take(&mut self.conns[conn_idx as usize].pending_flush);
         self.net_stale = true;
         self.recorder
             .record_at(now.as_nanos(), trace::Scope::none(), || {

@@ -48,11 +48,7 @@ fn run(atomic: bool) -> (f64, f64) {
             cluster.submit_send(group, SIZE);
         }
         cluster.run();
-        cluster
-            .message_results()
-            .iter()
-            .flat_map(|r| r.delivered_at.iter().flatten().copied())
-            .max()
+        cluster.last_delivery()
     }
     .expect("deliveries")
     .as_secs_f64();

@@ -39,11 +39,7 @@ fn replay(alg: Algorithm, writes: &[workloads::CosmosWrite]) -> (Vec<f64>, f64) 
         .iter()
         .map(|r| r.latency().expect("write completed").as_secs_f64() * 1e3)
         .collect();
-    let end = results
-        .iter()
-        .flat_map(|r| r.delivered_at.iter().flatten().copied())
-        .max()
-        .expect("deliveries");
+    let end = cluster.last_delivery().expect("deliveries");
     let total_bytes: f64 = writes.iter().map(|w| w.size as f64).sum();
     (latencies, total_bytes * 8.0 / end.as_secs_f64() / 1e9)
 }

@@ -109,12 +109,7 @@ fn sst_crossover_matches_the_paper() {
             cluster.submit_send(group, size);
         }
         cluster.run();
-        let end = cluster
-            .message_results()
-            .iter()
-            .flat_map(|r| r.delivered_at.iter().flatten().copied())
-            .max()
-            .expect("deliveries");
+        let end = cluster.last_delivery().expect("deliveries");
         count as f64 / end.as_secs_f64()
     };
     let rdmc_small = rdmc_rate(4, 1 << 10, 200);
