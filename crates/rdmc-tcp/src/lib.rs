@@ -39,11 +39,12 @@
 //! — a socket end with queued frames flushes them a quantum at a time in
 //! one gathered write, and its peer end is read at once — and returns as
 //! soon as a direction produced deliveries, resuming at the next one.
-//! A lap with a quantum of queued bytes for each half of the socket
-//! table **forks**: a worker thread pumps one half, the caller the
-//! other. DESIGN.md ("Transport abstraction")
+//! On a host with a second core the sockets are dealt to two **shards**
+//! as they open: a worker thread runs the lap over its own for their
+//! whole life, and the caller runs it over the rest and hands out what
+//! both deliver. DESIGN.md ("Transport abstraction")
 //! describes the loop — quantum, streaming decoder, byte ledger, sweep,
-//! timers between laps, forked laps, what is in-process about it — and
+//! timers between laps, shards, what is in-process about it — and
 //! what a broken queue pair or a broken socket takes down with it.
 //! `SendDone` means "flushed to the socket"; nothing the receiving end
 //! does feeds into it.
@@ -72,12 +73,12 @@
 
 mod frame;
 mod qp;
+mod shard;
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::mpsc;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -87,6 +88,7 @@ use frame::{
 };
 use qp::{Qp, Route};
 use rdmc_sim::{Cluster, ClusterBuilder};
+use shard::{Order, Report, Sock, Worker};
 use simnet::{HostProfile, SimDuration, SimTime};
 use verbs::{
     CpuReport, Delivery, FabricStats, NodeId, PostingSnapshot, QpHandle, Transport, VerbsError,
@@ -103,7 +105,9 @@ const FAILURE_DETECT: Duration = Duration::from_millis(1);
 const FAILURE_DETECT_NS: u64 = FAILURE_DETECT.as_nanos() as u64;
 
 /// Read memory: one quantum and its headers, in two halves, one per
-/// thread of a forked lap. So a read takes at most half a quantum.
+/// shard. So a read takes at most half a quantum. A shard's half starts
+/// at a sixteenth and doubles whenever a read fills it, so small-frame
+/// runs never touch the rest.
 const SCRATCH: usize = QUANTUM as usize + 4096;
 
 /// Strangers' connections a socket's set-up drops before it gives up.
@@ -148,29 +152,25 @@ impl Conn {
         self.eps[1 - end].wire_sent - self.eps[end].wire_read
     }
 
-    /// Whether its side of the ledger is empty: no frame queued for the
-    /// wire and no byte written that its peer has not read. A broken
-    /// socket's entries left the ledger when it broke; a dying socket's
-    /// stand until then.
+    /// Whether pumping has nothing left to do on it: no frame queued
+    /// that will still go on the wire, and no byte written that its peer
+    /// has not read. A dying socket flushes nothing more, so only its
+    /// bytes in flight stand until its break timer fires; a broken
+    /// socket's entries left the ledger when it broke.
     fn settled(&self) -> bool {
-        let idle = self.eps.iter().all(|ep| ep.out.is_empty());
-        self.state == ConnState::Broken || idle && self.in_flight_to(0) + self.in_flight_to(1) == 0
-    }
-
-    /// Bytes its queues still have to flush; a dying socket flushes
-    /// nothing more.
-    fn queued_bytes(&self) -> u64 {
-        let frames = self.eps.iter().flat_map(|ep| &ep.out);
+        let idle = || self.eps.iter().all(|ep| ep.out.is_empty());
+        let read = || self.in_flight_to(0) + self.in_flight_to(1) == 0;
         match self.state {
-            ConnState::Alive => frames.map(OutFrame::unsent).sum(),
-            _ => 0,
+            ConnState::Alive => idle() && read(),
+            ConnState::Dying => read(),
+            ConnState::Broken => true,
         }
     }
 }
 
 /// One thread's means to pump sockets: a view of who crashed and of
 /// the clock, its read buffer, and what pumping yields for software.
-/// The fabric has one; a forked lap hands its worker another.
+/// The fabric has one, and the worker another.
 struct Pump {
     crashed: Vec<bool>,
     start: Instant,
@@ -202,34 +202,11 @@ impl Pump {
     }
 }
 
-/// Sockets moved by value, with their table indices.
-type Share = Vec<(usize, Conn)>;
-
-/// Pumps both ways of `conns` in table order, as an inline lap does.
-fn pump_all(conns: &mut Share, sweep: bool, p: &mut Pump) -> bool {
-    let mut moved = false;
-    for (ci, conn) in conns {
-        for tx in 0..2 {
-            moved |= conn.pump_direction(*ci, tx, sweep, p);
-        }
-    }
-    moved
-}
-
-/// The persistent pump thread forked laps share. It takes a lap's other
-/// half — sockets, a pump of their own, whether the lap sweeps — and
-/// gives back the sockets, the pump and whether bytes moved. Between
-/// forked laps it blocks on its channel.
-struct Worker {
-    tx: mpsc::Sender<(Share, Pump, bool)>,
-    rx: mpsc::Receiver<(Share, Pump, bool)>,
-    thread: thread::JoinHandle<bool>,
-}
-
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum TimerEntry {
-    /// Failure detection expired: break this socket.
-    Break { conn: usize },
+    /// Failure detection expired: break this socket (the worker's, if
+    /// `away`).
+    Break { away: bool, conn: usize },
     /// A driver timer ([`Transport::schedule_timer`]).
     Driver { node: usize, token: u64 },
 }
@@ -244,16 +221,15 @@ pub struct TcpFabric {
     /// Loopback listener every socket handshakes through.
     listener: TcpListener,
     addr: SocketAddr,
+    /// The caller's shard.
     conns: Vec<Conn>,
     /// Each queue pair's route, at the index its handles name.
     qps: Vec<Route>,
-    /// Each node pair's newest socket, keyed `(lower, higher)` node; the
-    /// pair's next connect replaces a broken one.
-    pairs: BTreeMap<(usize, usize), usize>,
+    /// Each node pair's newest socket (whether it is the worker's, and
+    /// its index in its shard), keyed `(lower, higher)` node; the pair's
+    /// next connect replaces a broken one.
+    pairs: BTreeMap<(usize, usize), (bool, usize)>,
     pump: Pump,
-    /// The other half of the read memory: the worker's, in forked laps
-    /// (allocated with the worker).
-    lent: Vec<u8>,
     timers: BinaryHeap<Reverse<(u64, u64, TimerEntry)>>,
     timer_seq: u64,
     recorder: trace::Recorder,
@@ -268,10 +244,10 @@ pub struct TcpFabric {
     lap_moved: bool,
     /// The last timestamp `advance()` handed out.
     last_at: SimTime,
-    /// Whether laps may fork: a second core, and a worker (lazily started).
+    /// Whether sockets may go to a worker: a second core, and a worker
+    /// that started (lazily, with the second socket).
     parallel: bool,
     worker: Option<Worker>,
-    forked_laps: u64,
 }
 
 impl TcpFabric {
@@ -296,12 +272,11 @@ impl TcpFabric {
             pump: Pump {
                 crashed: vec![false; n],
                 start: Instant::now(),
-                scratch: vec![0; SCRATCH / 2],
+                scratch: vec![0; SCRATCH / 32],
                 ready: VecDeque::new(),
                 rnr_arms: 0,
                 io_errors: Vec::new(),
             },
-            lent: Vec::new(),
             timers: BinaryHeap::new(),
             timer_seq: 0,
             recorder: trace::Recorder::disabled(),
@@ -313,7 +288,6 @@ impl TcpFabric {
             last_at: SimTime::ZERO,
             parallel: cores >= 2,
             worker: None,
-            forked_laps: 0,
         })
     }
 
@@ -334,6 +308,17 @@ impl TcpFabric {
     ///
     /// The first socket or protocol error the fabric observed.
     pub fn shutdown(mut self) -> io::Result<()> {
+        match self.worker.take().map(Worker::stop) {
+            Some(Some((conns, pump))) => {
+                self.conns.extend(conns);
+                self.pump.io_errors.extend(pump.io_errors);
+            }
+            Some(None) => self
+                .pump
+                .io_errors
+                .push(io::Error::other("the pump worker panicked")),
+            None => {}
+        }
         for conn in &mut self.conns {
             if conn.state == ConnState::Broken {
                 continue;
@@ -352,12 +337,13 @@ impl TcpFabric {
         }
     }
 
-    /// Opens the one socket between nodes `a` and `b`. Inline handshake:
+    /// Opens the one socket between nodes `a` and `b` and deals it to a
+    /// shard for its life. Inline handshake:
     /// this loop is the only caller, so the connect pairs up with the
     /// accept that names it as the peer, with no identification
     /// handshake on the wire. A stranger connecting to the listener
     /// first is accepted and dropped.
-    fn open_socket(&mut self, a: usize, b: usize) -> io::Result<usize> {
+    fn open_socket(&mut self, a: usize, b: usize) -> io::Result<(bool, usize)> {
         let client = TcpStream::connect(self.addr)?;
         let me = client.local_addr()?;
         let accepted = (0..=STRANGERS).find_map(|_| match self.listener.accept() {
@@ -370,7 +356,6 @@ impl TcpFabric {
             s.set_nodelay(true)?;
             s.set_nonblocking(true)?;
         }
-        let ci = self.conns.len();
         let mk = |node: usize, stream: TcpStream| Endpoint {
             node,
             stream,
@@ -379,21 +364,92 @@ impl TcpFabric {
             wire_sent: 0,
             wire_read: 0,
         };
-        self.conns.push(Conn {
-            eps: [mk(a, client), mk(b, server)],
-            state: ConnState::Alive,
-            qps: Vec::new(),
-        });
-        self.pairs.insert((a.min(b), a.max(b)), ci);
         // Connecting to an already-crashed peer: the socket comes up but
         // the dead side never answers, so failure detection starts
         // ticking immediately, exactly as for a crash after connect.
-        if self.pump.crashed[a] || self.pump.crashed[b] {
+        let dying = self.pump.crashed[a] || self.pump.crashed[b];
+        let conn = Conn {
+            eps: [mk(a, client), mk(b, server)],
+            state: if dying {
+                ConnState::Dying
+            } else {
+                ConnState::Alive
+            },
+            qps: Vec::new(),
+        };
+        let at = self.deal(conn);
+        self.pairs.insert((a.min(b), a.max(b)), at);
+        if dying {
             let deadline = self.pump.now_ns().saturating_add(FAILURE_DETECT_NS);
-            self.conns[ci].state = ConnState::Dying;
-            self.arm_timer(deadline, TimerEntry::Break { conn: ci });
+            let (away, conn) = at;
+            self.arm_timer(deadline, TimerEntry::Break { away, conn });
         }
-        Ok(ci)
+        Ok(at)
+    }
+
+    /// Deals a new socket to the shard with fewer sockets, the caller's
+    /// on a tie; the worker starts with its first. Returns whether it
+    /// went to the worker, and its index there.
+    fn deal(&mut self, conn: Conn) -> (bool, usize) {
+        if self.parallel && self.worker.is_none() && !self.conns.is_empty() {
+            let pump = Pump {
+                crashed: self.pump.crashed.clone(),
+                start: self.pump.start,
+                scratch: vec![0; SCRATCH / 32],
+                ready: VecDeque::new(),
+                rnr_arms: 0,
+                io_errors: Vec::new(),
+            };
+            // A host that cannot start a thread keeps one shard.
+            self.worker = Worker::start(pump).ok();
+            self.parallel = self.worker.is_some();
+        }
+        match self.worker.as_mut() {
+            Some(w) if w.socks.len() < self.conns.len() => {
+                w.socks.push(Sock {
+                    nodes: conn.eps.each_ref().map(|ep| ep.node),
+                    state: conn.state,
+                    qps: 0,
+                });
+                w.order(Order::Adopt(conn));
+                (true, w.socks.len() - 1)
+            }
+            _ => {
+                self.conns.push(conn);
+                (false, self.conns.len() - 1)
+            }
+        }
+    }
+
+    /// Takes in every report the worker has sent: its deliveries join
+    /// the queue stamped as they arrive, so stamps never go back, and
+    /// what software sees of its queue pairs follows them.
+    fn absorb(&mut self) {
+        let Some(w) = self.worker.as_mut() else {
+            return;
+        };
+        while let Some(report) = w.next() {
+            let Report::Deliveries(batch) = report else {
+                continue;
+            };
+            let at = SimTime::from_nanos(self.pump.now_ns());
+            for (_, node, delivery) in batch {
+                qp::see(&mut self.qps, &delivery);
+                if !self.pump.crashed[node.index()] {
+                    self.pump.ready.push_back((at, node, delivery));
+                }
+            }
+        }
+    }
+
+    /// Spins, taking in reports, until a worker lap has run since the
+    /// last order: what the caller posted so far has been flushed, read
+    /// back and delivered.
+    fn catch_up(&mut self) {
+        while self.worker.as_ref().is_some_and(|w| !w.caught_up()) {
+            std::hint::spin_loop();
+            self.absorb();
+        }
     }
 
     /// Fires every timer due at or before `now` — *all* of them, as a lap
@@ -401,111 +457,38 @@ impl TcpFabric {
     /// ordering is what the [`Transport`] contract's timers-before-I/O
     /// guarantee asks for: every failure-detect break for a crashed node
     /// (all armed at the same deadline) batches ahead of relayed-failure
-    /// gossip.
+    /// gossip. The round's end includes the worker: what was posted to
+    /// its sockets is delivered first, and breaking one of its sockets
+    /// is a round trip that ends before the batch is handed out.
     fn fire_due_timers(&mut self, now: u64) {
+        if self
+            .timers
+            .peek()
+            .is_none_or(|Reverse((deadline, _, _))| *deadline > now)
+        {
+            return;
+        }
+        self.catch_up();
         while let Some(&Reverse((deadline, _, entry))) = self.timers.peek() {
             if deadline > now {
                 break;
             }
             self.timers.pop();
             match entry {
-                TimerEntry::Break { conn: ci } => {
-                    // Pre-crash data the dead end already flushed is
-                    // genuinely on the wire; deliver it before the
-                    // break, matching the simulated fabric where a
-                    // completed transfer is a delivered transfer.
-                    for end in 0..2 {
-                        self.conns[ci].read_endpoint(ci, end, false, &mut self.pump);
+                TimerEntry::Break { away: false, conn } => {
+                    self.conns[conn].expire(conn, &mut self.pump);
+                }
+                TimerEntry::Break { away: true, conn } => {
+                    if let Some(w) = self.worker.as_mut() {
+                        w.order(Order::Break(conn));
                     }
-                    self.conns[ci].break_all(&mut self.pump);
                 }
                 TimerEntry::Driver { node, token } => {
                     self.pump.push(node, Delivery::Timer { token });
                 }
             }
         }
-    }
-
-    /// The worker's half of the socket table (`true` at its sockets), if
-    /// this lap forks: when the queued bytes, dealt largest socket first
-    /// to the lighter half, give each half at least one quantum.
-    fn fork_plan(&mut self) -> Option<Vec<bool>> {
-        if !self.parallel || self.conns.iter().map(Conn::queued_bytes).sum::<u64>() < 2 * QUANTUM {
-            return None;
-        }
-        let mut busy: Vec<(u64, usize)> =
-            self.conns.iter().map(Conn::queued_bytes).zip(0..).collect();
-        busy.sort_unstable_by(|x, y| y.cmp(x));
-        let (mut away, mut halves) = (vec![false; self.conns.len()], [0; 2]);
-        for (bytes, ci) in busy.into_iter().filter(|&(bytes, _)| bytes > 0) {
-            let half = usize::from(halves[1] < halves[0]);
-            halves[half] += bytes;
-            away[ci] = half == 1;
-        }
-        if halves.iter().any(|&bytes| bytes < QUANTUM) {
-            return None;
-        }
-        if self.worker.is_none() {
-            let ((tx, inbox), (outbox, rx)) = (mpsc::channel(), mpsc::channel());
-            let work = move || {
-                inbox.into_iter().all(|(mut conns, mut pump, sweep)| {
-                    let moved = pump_all(&mut conns, sweep, &mut pump);
-                    outbox.send((conns, pump, moved)).is_ok()
-                })
-            };
-            // A host that cannot start a thread pumps every lap inline.
-            let named = thread::Builder::new().name("rdmc-tcp-pump".into());
-            let thread = named.spawn(work);
-            self.worker = thread.ok().map(|thread| Worker { tx, rx, thread });
-            self.parallel = self.worker.is_some();
-            self.lent = vec![0; SCRATCH - SCRATCH / 2];
-        }
-        self.worker.as_ref().map(|_| away)
-    }
-
-    /// Pumps the sockets `away` marks on the worker and the rest here, as
-    /// an inline lap would. At the join the sockets come home in table
-    /// order and what both halves delivered lands in `ready` in
-    /// timestamp order. Returns whether any bytes moved.
-    fn forked_lap(&mut self, away: &[bool]) -> bool {
-        let (mut home, mut theirs) = (Vec::new(), Vec::new());
-        for (ci, conn) in std::mem::take(&mut self.conns).into_iter().enumerate() {
-            if away[ci] { &mut theirs } else { &mut home }.push((ci, conn));
-        }
-        let pump = Pump {
-            crashed: self.pump.crashed.clone(),
-            start: self.pump.start,
-            scratch: std::mem::take(&mut self.lent),
-            ready: VecDeque::new(),
-            rnr_arms: 0,
-            io_errors: Vec::new(),
-        };
-        let (sweep, worker) = (self.lap_sweep, self.worker.as_ref().expect("spawned"));
-        let half = (theirs, pump, sweep);
-        worker.tx.send(half).expect("the pump worker runs");
-        let mut moved = pump_all(&mut home, sweep, &mut self.pump);
-        // Spin, don't block, for the other half: a core that blocks may
-        // halt, and waking it takes about as long as a half of the lap.
-        let (conns, pump, moved_there) = loop {
-            match worker.rx.try_recv() {
-                Ok(half) => break half,
-                Err(mpsc::TryRecvError::Empty) => std::hint::spin_loop(),
-                Err(mpsc::TryRecvError::Disconnected) => panic!("the pump worker died"),
-            }
-        };
-        moved |= moved_there;
-        self.lent = pump.scratch;
-        self.pump.rnr_arms += pump.rnr_arms;
-        self.pump.io_errors.extend(pump.io_errors);
-        // A stable sort keeps each half's own order among equal stamps.
-        let mut ready: Vec<_> = self.pump.ready.drain(..).chain(pump.ready).collect();
-        ready.sort_by_key(|&(at, _, _)| at);
-        self.pump.ready.extend(ready);
-        home.extend(conns);
-        home.sort_unstable_by_key(|&(ci, _)| ci);
-        self.conns = home.into_iter().map(|(_, conn)| conn).collect();
-        self.forked_laps += 1;
-        moved
+        self.catch_up();
     }
 
     /// Queues one outbound frame, or refuses it: a crashed node and a
@@ -519,38 +502,52 @@ impl TcpFabric {
         meta: u64,
         payload: Payload,
     ) -> Result<(), VerbsError> {
-        let (ci, slot) = self.check_postable(qp)?;
-        let end = usize::from(qp.endpoint());
-        let conn = &mut self.conns[ci];
+        let (conn, slot) = self.check_postable(qp)?;
         if payload.len() > MAX_FRAME {
-            conn.break_qp(slot, &mut self.pump);
+            self.break_qp(qp);
             return Err(VerbsError::QpBroken);
         }
-        let q = &mut conn.qps[slot];
-        q.ends[end].queued += 1;
-        conn.eps[end ^ q.flip]
-            .out
-            .push_back(OutFrame::new(q.id, wr_id, kind, meta, payload));
+        let (q, end) = (qp.conn_id(), usize::from(qp.endpoint()));
+        let frame = OutFrame::new(q, wr_id, kind, meta, payload);
+        let route = &mut self.qps[q as usize];
+        match self.worker.as_mut().filter(|_| route.away) {
+            Some(w) => {
+                route.seen.queued[end] += 1;
+                w.order(Order::Frame {
+                    conn,
+                    slot,
+                    end,
+                    frame,
+                });
+            }
+            None => self.conns[conn].queue(slot, end, frame, &mut self.pump),
+        }
         Ok(())
     }
 
     /// The socket and slot of the queue pair a post on `qp` goes to, or
-    /// why the post is refused.
+    /// why the post is refused. A queue pair on the worker's shard is
+    /// broken once software has seen it break (or broke it).
     fn check_postable(&self, qp: QpHandle) -> Result<(usize, usize), VerbsError> {
-        let route = self.qps[qp.conn_id() as usize];
+        let route = &self.qps[qp.conn_id() as usize];
         if self.pump.crashed[route.nodes[usize::from(qp.endpoint())]] {
             return Err(VerbsError::NodeCrashed);
         }
-        let live = |&(ci, slot): &(usize, usize)| !self.conns[ci].qps[slot].broken;
+        let live = |&(ci, slot): &(usize, usize)| match route.away {
+            true => !route.seen.broken,
+            false => !self.conns[ci].qps[slot].broken,
+        };
         route.at.filter(live).ok_or(VerbsError::QpBroken)
     }
 
     /// Quiescent when nothing is queued for software, every socket's
-    /// side of the ledger is empty, and no timer is armed that could
-    /// still matter. A dying socket's pending break timer keeps the loop
-    /// alive until its ledger entries leave.
+    /// side of the ledger is empty — the worker's too: it parked — and
+    /// no timer is armed that could still matter. A dying socket's
+    /// pending break timer keeps the loop alive until its ledger entries
+    /// leave.
     fn quiescent(&self) -> bool {
         self.pump.ready.is_empty()
+            && self.worker.as_ref().is_none_or(Worker::idle)
             && self.conns.iter().all(Conn::settled)
             && self
                 .timers
@@ -565,6 +562,70 @@ impl TcpFabric {
         let seq = self.timer_seq;
         self.timer_seq += 1;
         self.timers.push(Reverse((deadline, seq, entry)));
+    }
+}
+
+/// What a post, a crash or an expiry does to one socket, on whichever
+/// shard it lives.
+impl Conn {
+    /// Queues a frame of end `end` of the queue pair in `slot`.
+    fn queue(&mut self, slot: usize, end: usize, frame: OutFrame, p: &mut Pump) {
+        if self.flushes(slot, end, frame.wr_id, false, p) {
+            return;
+        }
+        let q = &mut self.qps[slot];
+        q.ends[end].queued += 1;
+        self.eps[end ^ q.flip].out.push_back(frame);
+    }
+
+    /// Posts a receive at end `end` of the queue pair in `slot`. A held
+    /// frame (arrived before any receive was posted) consumes it
+    /// immediately, in arrival order.
+    fn receive(&mut self, slot: usize, end: usize, (wr_id, max_len): (WrId, u64), p: &mut Pump) {
+        if self.flushes(slot, end, wr_id, true, p) {
+            return;
+        }
+        let qp_end = &mut self.qps[slot].ends[end];
+        match qp_end.held.pop_front() {
+            Some(send) => self.land(slot, end, (wr_id, max_len), send, p),
+            None => qp_end.recvs.push_back((wr_id, max_len)),
+        }
+    }
+
+    /// Whether a post at end `end` of the queue pair in `slot` is flushed
+    /// on arrival: the queue pair broke before the post reached it (the
+    /// worker's, before software heard), and RDMA flushes a post to a
+    /// queue pair in the error state.
+    fn flushes(&self, slot: usize, end: usize, wr_id: WrId, recv: bool, p: &mut Pump) -> bool {
+        let q = &self.qps[slot];
+        if q.broken {
+            let qp = QpHandle::from_parts(q.id, end as u8);
+            let flushed = Delivery::WrFlushed { qp, wr_id, recv };
+            p.push(self.eps[end ^ q.flip].node, flushed);
+        }
+        q.broken
+    }
+
+    /// A crash of `node`: a live socket it is on starts dying — the dead
+    /// side flushes nothing more, and what it had queued dies with the
+    /// break. Returns whether this one did.
+    fn dies_with(&mut self, node: usize) -> bool {
+        let dies = self.state == ConnState::Alive && self.eps.iter().any(|ep| ep.node == node);
+        if dies {
+            self.state = ConnState::Dying;
+        }
+        dies
+    }
+
+    /// The failure-detect deadline passed: breaks the socket. Pre-crash
+    /// data the dead end already flushed is genuinely on the wire, so
+    /// it is delivered before the break, matching the simulated fabric
+    /// where a completed transfer is a delivered transfer.
+    fn expire(&mut self, ci: usize, p: &mut Pump) {
+        for end in 0..2 {
+            self.read_endpoint(ci, end, false, p);
+        }
+        self.break_all(p);
     }
 }
 
@@ -667,7 +728,7 @@ impl Conn {
         ci: usize,
         end: usize,
         mut force: bool,
-        scratch: &mut [u8],
+        scratch: &mut Vec<u8>,
         p: &mut Pump,
     ) -> bool {
         let mut moved = false;
@@ -694,6 +755,9 @@ impl Conn {
                     moved = true;
                     self.decode(ci, end, &scratch[..n], p);
                     force = false;
+                    if n == scratch.len() && n < SCRATCH / 2 {
+                        scratch.resize(2 * n, 0);
+                    }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return moved,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
@@ -799,6 +863,10 @@ impl Transport for TcpFabric {
                 self.recorder.set_now(d.0.as_nanos());
                 return Some(d);
             }
+            self.absorb();
+            if !self.pump.ready.is_empty() {
+                continue;
+            }
             if self.cursor == 0 {
                 // Due timers fire only as a lap begins, so a zero-delay
                 // timer is the end-of-round hook: it fires after every
@@ -808,16 +876,17 @@ impl Transport for TcpFabric {
                 if !self.pump.ready.is_empty() {
                     continue;
                 }
-                self.lap_sweep |= now - self.last_sweep >= FAILURE_DETECT_NS;
+                let due = now - self.last_sweep >= FAILURE_DETECT_NS;
+                self.lap_sweep |= due;
                 if self.lap_sweep {
                     self.last_sweep = now;
                 }
-                self.lap_moved = false;
-                // A forked lap runs whole: no reply leaves mid-lap.
-                if let Some(away) = self.fork_plan() {
-                    self.lap_moved = self.forked_lap(&away);
-                    self.cursor = 2 * self.conns.len();
+                // A parked worker reads its sockets when told to; one
+                // that runs sweeps by its own clock.
+                if let Some(w) = self.worker.as_mut().filter(|w| due && w.idle()) {
+                    w.order(Order::Sweep);
                 }
+                self.lap_moved = false;
             }
             // The lap visits every socket direction in turn and hands what
             // one delivers to the caller at once; what the caller posts in
@@ -827,6 +896,7 @@ impl Transport for TcpFabric {
                 self.cursor += 1;
                 let sweep = self.lap_sweep;
                 self.lap_moved |= self.conns[ci].pump_direction(ci, tx, sweep, &mut self.pump);
+                self.absorb();
             }
             if !self.pump.ready.is_empty() {
                 continue;
@@ -839,6 +909,12 @@ impl Transport for TcpFabric {
                 return None;
             }
             if self.lap_moved {
+                continue;
+            }
+            // The worker has work in flight: a sleeping or yielding
+            // caller would hand its deliveries out late.
+            if self.worker.as_ref().is_some_and(|w| !w.idle()) {
+                std::hint::spin_loop();
                 continue;
             }
             // Nothing moved in a lap that tried every read the ledger
@@ -863,10 +939,14 @@ impl Transport for TcpFabric {
     fn connect(&mut self, a: NodeId, b: NodeId) -> (QpHandle, QpHandle) {
         let (a, b) = (a.index(), b.index());
         let open = self.pairs.get(&(a.min(b), a.max(b))).copied();
-        let conn = match open.filter(|&ci| self.conns[ci].state != ConnState::Broken) {
-            Some(ci) => Some(ci),
+        let live = |&(away, ci): &(bool, usize)| match self.worker.as_ref().filter(|_| away) {
+            Some(w) => w.socks[ci].state != ConnState::Broken,
+            None => self.conns[ci].state != ConnState::Broken,
+        };
+        let conn = match open.filter(live) {
+            Some(at) => Some(at),
             None => match self.open_socket(a, b) {
-                Ok(ci) => Some(ci),
+                Ok(at) => Some(at),
                 Err(e) => {
                     let e = io::Error::new(e.kind(), format!("connect {a}-{b}: {e}"));
                     self.pump.io_errors.push(e);
@@ -875,17 +955,37 @@ impl Transport for TcpFabric {
             },
         };
         let id = self.qps.len() as u32;
-        let at = conn.map(|ci| {
-            let conn = &mut self.conns[ci];
-            conn.qps.push(Qp {
-                id,
-                flip: usize::from(conn.eps[0].node != a),
-                ends: Default::default(),
-                broken: false,
-            });
-            (ci, conn.qps.len() - 1)
+        let away = conn.is_some_and(|(away, _)| away);
+        let at = conn.map(|(away, ci)| match self.worker.as_mut().filter(|_| away) {
+            Some(w) => {
+                let sock = &mut w.socks[ci];
+                let (flip, ends, broken) =
+                    (usize::from(sock.nodes[0] != a), Default::default(), false);
+                sock.qps += 1;
+                let slot = sock.qps - 1;
+                w.order(Order::Qp {
+                    conn: ci,
+                    qp: Qp {
+                        id,
+                        flip,
+                        ends,
+                        broken,
+                    },
+                });
+                (ci, slot)
+            }
+            None => {
+                let conn = &mut self.conns[ci];
+                conn.qps.push(Qp {
+                    id,
+                    flip: usize::from(conn.eps[0].node != a),
+                    ends: Default::default(),
+                    broken: false,
+                });
+                (ci, conn.qps.len() - 1)
+            }
         });
-        self.qps.push(Route { nodes: [a, b], at });
+        self.qps.push(Route::new([a, b], away, at));
         let handles = [0, 1].map(|end| QpHandle::from_parts(id, end));
         if at.is_none() {
             // No socket: both live ends see the break at the next
@@ -922,15 +1022,21 @@ impl Transport for TcpFabric {
     }
 
     fn post_recv(&mut self, qp: QpHandle, wr_id: WrId, max_len: u64) -> Result<(), VerbsError> {
-        let (ci, slot) = self.check_postable(qp)?;
+        let (conn, slot) = self.check_postable(qp)?;
         let end = usize::from(qp.endpoint());
-        let conn = &mut self.conns[ci];
-        // A held frame (arrived before any receive was posted) consumes
-        // this receive immediately, in arrival order.
-        let qp_end = &mut conn.qps[slot].ends[end];
-        match qp_end.held.pop_front() {
-            Some(send) => conn.land(slot, end, (wr_id, max_len), send, &mut self.pump),
-            None => qp_end.recvs.push_back((wr_id, max_len)),
+        let route = &mut self.qps[qp.conn_id() as usize];
+        let recv = (wr_id, max_len);
+        match self.worker.as_mut().filter(|_| route.away) {
+            Some(w) => {
+                route.seen.recvs[end] += 1;
+                w.order(Order::Recv {
+                    conn,
+                    slot,
+                    end,
+                    recv,
+                });
+            }
+            None => self.conns[conn].receive(slot, end, recv, &mut self.pump),
         }
         Ok(())
     }
@@ -959,16 +1065,25 @@ impl Transport for TcpFabric {
         // Deliveries already queued for the dead node vanish: dead
         // software observes nothing, per the Transport contract.
         self.pump.ready.retain(|(_, n, _)| n.index() != idx);
+        // The survivors notice at the failure-detect deadline.
         let deadline = self.pump.now_ns().saturating_add(FAILURE_DETECT_NS);
-        for ci in 0..self.conns.len() {
-            let conn = &mut self.conns[ci];
-            if conn.state == ConnState::Alive && conn.eps.iter().any(|ep| ep.node == idx) {
-                // The dead side flushes nothing more, and what it had
-                // queued dies with the break; the survivor notices at
-                // the failure-detect deadline.
-                conn.state = ConnState::Dying;
-                self.arm_timer(deadline, TimerEntry::Break { conn: ci });
+        let mut dying = Vec::new();
+        for (ci, conn) in self.conns.iter_mut().enumerate() {
+            if conn.dies_with(idx) {
+                dying.push((false, ci));
             }
+        }
+        if let Some(w) = self.worker.as_mut() {
+            w.order(Order::Crash(idx));
+            for (ci, sock) in w.socks.iter_mut().enumerate() {
+                if sock.state == ConnState::Alive && sock.nodes.contains(&idx) {
+                    sock.state = ConnState::Dying;
+                    dying.push((true, ci));
+                }
+            }
+        }
+        for (away, conn) in dying {
+            self.arm_timer(deadline, TimerEntry::Break { away, conn });
         }
     }
 
@@ -977,8 +1092,16 @@ impl Transport for TcpFabric {
     }
 
     fn break_qp(&mut self, qp: QpHandle) {
-        if let Some((ci, slot)) = self.qps[qp.conn_id() as usize].at {
-            self.conns[ci].break_qp(slot, &mut self.pump);
+        let route = &mut self.qps[qp.conn_id() as usize];
+        let Some((conn, slot)) = route.at else {
+            return;
+        };
+        match self.worker.as_mut().filter(|_| route.away) {
+            Some(w) => {
+                route.seen.broken = true;
+                w.order(Order::BreakQp { conn, slot });
+            }
+            None => self.conns[conn].break_qp(slot, &mut self.pump),
         }
     }
 
@@ -987,11 +1110,9 @@ impl Transport for TcpFabric {
     }
 
     fn posting_snapshot(&self, qp: QpHandle) -> PostingSnapshot {
-        let Some((ci, slot)) = self.qps[qp.conn_id() as usize].at else {
-            return PostingSnapshot {
-                broken: true,
-                ..PostingSnapshot::default()
-            };
+        let route = &self.qps[qp.conn_id() as usize];
+        let Some((ci, slot)) = route.at.filter(|_| !route.away) else {
+            return route.seen.snapshot(usize::from(qp.endpoint()));
         };
         let p = &self.conns[ci].qps[slot];
         let end = &p.ends[usize::from(qp.endpoint())];
@@ -1012,7 +1133,7 @@ impl Transport for TcpFabric {
 
     fn stats(&self) -> FabricStats {
         FabricStats {
-            rnr_arms: self.pump.rnr_arms,
+            rnr_arms: self.pump.rnr_arms + self.worker.as_ref().map_or(0, |w| w.rnr_arms),
             ..FabricStats::default()
         }
     }
@@ -1028,9 +1149,8 @@ impl Transport for TcpFabric {
 
 impl Drop for TcpFabric {
     fn drop(&mut self) {
-        if let Some(Worker { tx, thread, .. }) = self.worker.take() {
-            drop(tx); // the worker's channel closes, and it returns
-            let _ = thread.join();
+        if let Some(w) = self.worker.take() {
+            w.stop();
         }
     }
 }
@@ -1041,7 +1161,10 @@ impl std::fmt::Debug for TcpFabric {
             .field("nodes", &self.pump.crashed.len())
             .field("sockets", &self.conns.len())
             .field("queue_pairs", &self.qps.len())
-            .field("forked_laps", &self.forked_laps)
+            .field(
+                "worker_sockets",
+                &self.worker.as_ref().map(|w| w.socks.len()),
+            )
             .finish()
     }
 }

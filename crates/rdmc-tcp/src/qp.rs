@@ -11,7 +11,7 @@
 use std::collections::VecDeque;
 use std::net::Shutdown;
 
-use verbs::{Delivery, QpHandle, WrId};
+use verbs::{Delivery, PostingSnapshot, QpHandle, WrId};
 
 use crate::{Conn, ConnState, Pump, TcpFabric};
 
@@ -37,14 +37,87 @@ pub(crate) struct Qp {
     pub(crate) broken: bool,
 }
 
-/// Where a [`QpHandle`] leads: the nodes at its two ends, and the socket
-/// and the slot in that socket's `qps` holding its state — `None` when
-/// setting that socket up failed, and the queue pair was born broken.
-/// Set once, at connect.
-#[derive(Clone, Copy)]
+/// Where a [`QpHandle`] leads: the nodes at its two ends, the shard
+/// holding its socket (the worker's, if `away`), and the socket's index
+/// there and the slot in that socket's `qps` holding its state — `None`
+/// when setting that socket up failed, and the queue pair was born
+/// broken. Set once, at connect.
 pub(crate) struct Route {
     pub(crate) nodes: [usize; 2],
+    pub(crate) away: bool,
     pub(crate) at: Option<(usize, usize)>,
+    /// What software has seen of it, for posts and snapshots the caller
+    /// answers without the worker's state.
+    pub(crate) seen: Seen,
+}
+
+impl Route {
+    pub(crate) fn new(nodes: [usize; 2], away: bool, at: Option<(usize, usize)>) -> Route {
+        let seen = Seen {
+            broken: at.is_none(),
+            ..Seen::default()
+        };
+        Route {
+            nodes,
+            away,
+            at,
+            seen,
+        }
+    }
+}
+
+/// A queue pair on the worker's shard as software sees it: per end, the
+/// frames and receives posted that no delivery has completed yet, and
+/// whether it broke (software saw the notice, or broke it itself).
+#[derive(Default)]
+pub(crate) struct Seen {
+    pub(crate) queued: [usize; 2],
+    pub(crate) recvs: [usize; 2],
+    pub(crate) broken: bool,
+}
+
+impl Seen {
+    pub(crate) fn snapshot(&self, end: usize) -> PostingSnapshot {
+        PostingSnapshot {
+            queued_sends: self.queued[end],
+            posted_recvs: self.recvs[end],
+            broken: self.broken,
+            ..PostingSnapshot::default()
+        }
+    }
+}
+
+/// Follows one of the worker's deliveries into what software has seen of
+/// the queue pair it names: a completion takes one post off its count, a
+/// break marks it broken.
+pub(crate) fn see(routes: &mut [Route], delivery: &Delivery) {
+    let (qp, completes) = match *delivery {
+        Delivery::SendDone { qp, .. }
+        | Delivery::WriteDone { qp, .. }
+        | Delivery::WrFlushed {
+            qp, recv: false, ..
+        } => (qp, Some(false)),
+        Delivery::RecvDone { qp, .. } | Delivery::WrFlushed { qp, recv: true, .. } => {
+            (qp, Some(true))
+        }
+        Delivery::QpBroken { qp } => (qp, None),
+        _ => return,
+    };
+    let (seen, end) = (
+        &mut routes[qp.conn_id() as usize].seen,
+        usize::from(qp.endpoint()),
+    );
+    match completes {
+        Some(recv) => {
+            let posts = if recv {
+                &mut seen.recvs
+            } else {
+                &mut seen.queued
+            };
+            posts[end] = posts[end].saturating_sub(1);
+        }
+        None => seen.broken = true,
+    }
 }
 
 impl Conn {
@@ -106,36 +179,41 @@ impl Conn {
 }
 
 impl TcpFabric {
-    /// The ledger's invariants: every route leads to the queue pair it
-    /// names, no end has read more than its peer wrote, and each
-    /// queue-pair end counts exactly its frames in its socket end's
-    /// queue.
+    /// The ledger's invariants on the caller's shard: every route there
+    /// leads to the queue pair it names, and its sockets' share.
     #[cfg(debug_assertions)]
     pub(crate) fn check_ledger(&self) {
         for (q, route) in self.qps.iter().enumerate() {
-            if let Some((ci, slot)) = route.at {
+            if let Some((ci, slot)) = route.at.filter(|_| !route.away) {
                 assert_eq!(self.conns[ci].qps[slot].id as usize, q, "route");
             }
         }
-        for (ci, conn) in self.conns.iter().enumerate() {
-            for (end, ep) in conn.eps.iter().enumerate() {
-                let peer_sent = conn.eps[1 - end].wire_sent;
-                assert!(
-                    ep.wire_read <= peer_sent,
-                    "conn {ci}: read past the peer's writes"
-                );
-            }
-            for qp in &conn.qps {
-                let mine =
-                    |end: usize| conn.eps[end ^ qp.flip].out.iter().filter(|f| f.qp == qp.id);
-                let counted = [0, 1].map(|end| if qp.broken { 0 } else { mine(end).count() });
-                assert_eq!(
-                    qp.ends.each_ref().map(|e| e.queued),
-                    counted,
-                    "conn {ci}: frames queued per end of queue pair {}",
-                    qp.id
-                );
-            }
+        check_sockets(&self.conns);
+    }
+}
+
+/// The ledger's invariants on one shard's sockets, checked at every lap
+/// end: no end has read more than its peer wrote, and each queue-pair
+/// end counts exactly its frames in its socket end's queue.
+#[cfg(debug_assertions)]
+pub(crate) fn check_sockets(conns: &[Conn]) {
+    for (ci, conn) in conns.iter().enumerate() {
+        for (end, ep) in conn.eps.iter().enumerate() {
+            let peer_sent = conn.eps[1 - end].wire_sent;
+            assert!(
+                ep.wire_read <= peer_sent,
+                "conn {ci}: read past the peer's writes"
+            );
+        }
+        for qp in &conn.qps {
+            let mine = |end: usize| conn.eps[end ^ qp.flip].out.iter().filter(|f| f.qp == qp.id);
+            let counted = [0, 1].map(|end| if qp.broken { 0 } else { mine(end).count() });
+            assert_eq!(
+                qp.ends.each_ref().map(|e| e.queued),
+                counted,
+                "conn {ci}: frames queued per end of queue pair {}",
+                qp.id
+            );
         }
     }
 }

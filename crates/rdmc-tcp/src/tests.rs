@@ -3,9 +3,10 @@
 //! a typed error (never a panic) for a malformed frame, an oversize
 //! post or a socket that cannot be set up. Then the one-socket-per-pair
 //! contract: queue pairs share their pair's socket, break alone, and
-//! all break together when the socket does. Last, forked laps: a bulk
-//! run forks, a crash across forked laps keeps delivery all-or-nothing,
-//! and small frames never fork.
+//! all break together when the socket does. Last, shards: small and
+//! bulk runs deal sockets to both and deliver everywhere, the worker is
+//! parked whenever `run()` returns, and a crash across shards keeps
+//! delivery all-or-nothing with its breaks ahead of relayed gossip.
 
 use super::*;
 use frame::HDR;
@@ -457,10 +458,121 @@ fn frame_naming_a_queue_pair_not_carried_is_an_error_not_a_panic() {
     assert!(error.to_string().contains("not carried here"), "{error}");
 }
 
-/// `n` members in the `tcp_large` shape: 256 KiB blocks, three in
-/// flight per queue pair; with `recovery`, survivors reconfigure.
-fn bulk_group(n: usize, recovery: bool) -> (TcpCluster, usize) {
-    let mut builder = builder(n).expect("launch");
+/// A fabric whose hand-outs a test reads back: every delivery
+/// `advance()` returned, in order, each checked for a stamp that does
+/// not go back; and, once a node crashed, how many breaks of its queue
+/// pairs were queued for software when the first came out.
+struct Tap {
+    fabric: TcpFabric,
+    handed: Vec<(NodeId, Delivery)>,
+    last_at: SimTime,
+    dead: Option<usize>,
+    first_batch: Option<usize>,
+}
+
+impl Tap {
+    /// Whether `delivery` breaks a queue pair to the crashed node.
+    fn breaks_dead(&self, delivery: &Delivery) -> bool {
+        let Delivery::QpBroken { qp } = delivery else {
+            return false;
+        };
+        let nodes = self.fabric.qps[qp.conn_id() as usize].nodes;
+        self.dead.is_some_and(|dead| nodes.contains(&dead))
+    }
+}
+
+impl Transport for Tap {
+    fn now(&self) -> SimTime {
+        self.fabric.now()
+    }
+    fn advance(&mut self) -> Option<(SimTime, NodeId, Delivery)> {
+        let next = self.fabric.advance();
+        if let Some((at, node, delivery)) = &next {
+            assert!(*at >= self.last_at, "a stamp went back: {delivery:?}");
+            self.last_at = *at;
+            if self.first_batch.is_none() && self.breaks_dead(delivery) {
+                let ready = self.fabric.pump.ready.iter();
+                let queued = ready.filter(|(_, _, d)| self.breaks_dead(d)).count();
+                self.first_batch = Some(1 + queued);
+            }
+            self.handed.push((*node, delivery.clone()));
+        }
+        next
+    }
+    fn connect(&mut self, a: NodeId, b: NodeId) -> (QpHandle, QpHandle) {
+        self.fabric.connect(a, b)
+    }
+    fn post_send(
+        &mut self,
+        qp: QpHandle,
+        wr_id: WrId,
+        bytes: u64,
+        imm: u64,
+        wait_for: Option<WaitSpec>,
+    ) -> Result<(), VerbsError> {
+        self.fabric.post_send(qp, wr_id, bytes, imm, wait_for)
+    }
+    fn post_write(
+        &mut self,
+        qp: QpHandle,
+        wr_id: WrId,
+        tag: u64,
+        payload: Bytes,
+        wait_for: Option<WaitSpec>,
+    ) -> Result<(), VerbsError> {
+        self.fabric.post_write(qp, wr_id, tag, payload, wait_for)
+    }
+    fn post_recv(&mut self, qp: QpHandle, wr_id: WrId, max_len: u64) -> Result<(), VerbsError> {
+        self.fabric.post_recv(qp, wr_id, max_len)
+    }
+    fn schedule_timer(&mut self, node: NodeId, delay: SimDuration, token: u64) {
+        self.fabric.schedule_timer(node, delay, token);
+    }
+    fn consume_cpu(&mut self, node: NodeId, dur: SimDuration) {
+        self.fabric.consume_cpu(node, dur);
+    }
+    fn crash(&mut self, node: NodeId) {
+        self.dead = Some(node.index());
+        self.fabric.crash(node);
+    }
+    fn is_crashed(&self, node: NodeId) -> bool {
+        self.fabric.is_crashed(node)
+    }
+    fn break_qp(&mut self, qp: QpHandle) {
+        self.fabric.break_qp(qp);
+    }
+    fn profile(&self, node: NodeId) -> &HostProfile {
+        self.fabric.profile(node)
+    }
+    fn posting_snapshot(&self, qp: QpHandle) -> PostingSnapshot {
+        self.fabric.posting_snapshot(qp)
+    }
+    fn set_recorder(&mut self, recorder: trace::Recorder) {
+        self.fabric.set_recorder(recorder);
+    }
+    fn stats(&self) -> FabricStats {
+        self.fabric.stats()
+    }
+    fn cpu_report(&self, node: NodeId) -> CpuReport {
+        self.fabric.cpu_report(node)
+    }
+    fn num_nodes(&self) -> usize {
+        self.fabric.num_nodes()
+    }
+}
+
+/// `n` members in one group over a tapped fabric, in the `tcp_large`
+/// shape (256 KiB blocks) or the `tcp_small` one (4 KiB), three blocks
+/// in flight per queue pair; with `recovery`, survivors reconfigure.
+fn tapped_group(n: usize, block_size: u64, recovery: bool) -> (Cluster<Tap>, usize) {
+    let tap = Tap {
+        fabric: TcpFabric::launch(n).expect("launch"),
+        handed: Vec::new(),
+        last_at: SimTime::ZERO,
+        dead: None,
+        first_batch: None,
+    };
+    let mut builder = ClusterBuilder::from_transport(tap);
     if recovery {
         builder = builder.recovery(RecoveryConfig::default());
     }
@@ -468,24 +580,74 @@ fn bulk_group(n: usize, recovery: bool) -> (TcpCluster, usize) {
     let group = cluster.create_group(GroupSpec {
         members: (0..n).collect(),
         algorithm: Algorithm::BinomialPipeline,
-        block_size: 256 << 10,
+        block_size,
         ready_window: 3,
         max_outstanding_sends: 3,
     });
     (cluster, group)
 }
 
+/// Whether each shard holds a socket `node` is on.
+fn on_both_shards(fabric: &TcpFabric, node: usize) -> bool {
+    let here = fabric
+        .conns
+        .iter()
+        .any(|c| c.eps.iter().any(|ep| ep.node == node));
+    let there = fabric
+        .worker
+        .as_ref()
+        .is_some_and(|w| w.socks.iter().any(|s| s.nodes.contains(&node)));
+    here && there
+}
+
+/// The worker is parked, and its shard — taken back from it — settled.
+fn assert_worker_settled(fabric: &mut TcpFabric) {
+    let worker = fabric.worker.take().expect("a worker on a two-core host");
+    assert!(worker.idle(), "run() returned next to a running worker");
+    let (conns, _) = worker.stop().expect("the worker returns its shard");
+    assert!(
+        conns.iter().all(Conn::settled),
+        "the worker's shard is settled"
+    );
+}
+
 fn two_cores() -> bool {
     thread::available_parallelism().is_ok_and(|n| n.get() >= 2)
 }
 
-/// A bulk run forks laps when the host has a second core, and the two
-/// halves deliver what one thread would: every message at every member,
-/// and a clean verdict. Debug builds check the ledger after every lap,
-/// forked or not.
+/// Small frames use both shards: a `tcp_small`-shaped run — 32 members,
+/// single-block 4 KiB messages nine at a time — deals its sockets to
+/// both, delivers every message at every member with stamps that never
+/// go back, and each time `run()` returns the worker is parked, so
+/// nothing spins between runs.
 #[test]
-fn a_bulk_run_forks_laps_and_delivers_everywhere() {
-    let (mut cluster, group) = bulk_group(8, false);
+fn a_small_frame_run_uses_both_shards_and_delivers_everywhere() {
+    let (mut cluster, group) = tapped_group(32, 4 << 10, false);
+    for _ in 0..4 {
+        for _ in 0..9 {
+            cluster.submit_send(group, 4 << 10);
+        }
+        cluster.run();
+        let worker = cluster.transport().fabric.worker.as_ref();
+        assert!(worker.is_none_or(|w| w.idle()), "parked once run() returns");
+    }
+    assert_eq!(cluster.check_run(), Ok(()));
+    for r in cluster.message_results() {
+        assert!(r.delivered_at.iter().all(Option::is_some), "{r:?}");
+    }
+    let mut fabric = cluster.into_transport().fabric;
+    if two_cores() {
+        assert!(on_both_shards(&fabric, 0), "{fabric:?}");
+        assert_worker_settled(&mut fabric);
+    }
+    fabric.shutdown().expect("clean shutdown");
+}
+
+/// Bulk frames use both shards too, and deliver what one thread would:
+/// every message at every member, and a clean verdict.
+#[test]
+fn a_bulk_run_uses_both_shards_and_delivers_everywhere() {
+    let (mut cluster, group) = tapped_group(8, 256 << 10, false);
     for _ in 0..3 {
         cluster.submit_send(group, 4 << 20);
     }
@@ -494,54 +656,64 @@ fn a_bulk_run_forks_laps_and_delivers_everywhere() {
     for r in cluster.message_results() {
         assert!(r.delivered_at.iter().all(Option::is_some), "{r:?}");
     }
-    let fabric = cluster.transport();
-    assert_eq!(fabric.forked_laps > 0, two_cores(), "{fabric:?}");
-    shutdown(cluster).expect("clean shutdown");
+    let mut fabric = cluster.into_transport().fabric;
+    if two_cores() {
+        assert!(on_both_shards(&fabric, 0), "{fabric:?}");
+        assert_worker_settled(&mut fabric);
+    }
+    fabric.shutdown().expect("clean shutdown");
 }
 
-/// A relay crashes while forked laps carry the first message: the
+/// A relay whose sockets sit on both shards crashes mid-message: the
 /// survivors reconfigure, and each message reaches every survivor or
-/// none of them.
+/// none of them. The failure-detect breaks of the survivors' queue pairs
+/// to the dead node surface as one batch — breaking the worker's sockets
+/// is a round trip, so when the first break is handed out the rest are
+/// queued behind it — and all of them ahead of any relayed failure
+/// notice.
 #[test]
-fn a_relay_crash_across_forked_laps_keeps_delivery_all_or_nothing() {
-    let (mut cluster, group) = bulk_group(8, true);
+fn a_relay_crash_across_shards_keeps_delivery_all_or_nothing() {
+    /// The tag of a relayed failure notice (`rdmc_sim`'s control plane).
+    const TAG_FAILURE: u64 = 1;
+    const DEAD: usize = 3;
+    let (mut cluster, group) = tapped_group(8, 256 << 10, true);
     let first = cluster.submit_send(group, 4 << 20);
     cluster.submit_send(group, 4 << 20);
-    let mut steps = 0;
-    while cluster.transport().forked_laps == 0 && steps < 300 && cluster.step() {
-        steps += 1;
+    for _ in 0..100 {
+        assert!(cluster.step(), "the first message is under way");
+    }
+    if two_cores() {
+        let fabric = &cluster.transport().fabric;
+        assert!(on_both_shards(fabric, DEAD), "{fabric:?}");
     }
     let delivered = &cluster.result(first).expect("submitted").delivered_at;
     assert!(delivered.iter().any(Option::is_none), "crash mid-message");
-    cluster.crash_now(3);
+    cluster.crash_now(DEAD);
     cluster.run();
     assert_eq!(cluster.check_run(), Ok(()));
     assert_eq!(cluster.surviving_ranks(group), [0, 1, 2, 4, 5, 6, 7]);
-    shutdown(cluster).expect("clean shutdown after a crash");
-}
-
-/// Small frames never fork: a `tcp_small`-shaped run — 32 members,
-/// single-block 4 KiB messages nine at a time — pumps every lap inline,
-/// so it never starts the worker.
-#[test]
-fn small_messages_fork_no_lap() {
-    let mut cluster = builder(32).expect("launch").build();
-    let group = cluster.create_group(GroupSpec {
-        members: (0..32).collect(),
-        algorithm: Algorithm::BinomialPipeline,
-        block_size: 4 << 10,
-        ready_window: 3,
-        max_outstanding_sends: 3,
+    let tap = cluster.into_transport();
+    let handed = &tap.handed;
+    let breaks: Vec<usize> = (0..handed.len())
+        .filter(|&i| tap.breaks_dead(&handed[i].1))
+        .collect();
+    assert_eq!(tap.first_batch, Some(breaks.len()), "one batch of breaks");
+    let gossip = handed.iter().position(|(_, d)| {
+        matches!(
+            d,
+            Delivery::WriteArrived {
+                tag: TAG_FAILURE,
+                ..
+            }
+        )
     });
-    for _ in 0..4 {
-        for _ in 0..9 {
-            cluster.submit_send(group, 4 << 10);
-        }
-        cluster.run();
-    }
-    assert_eq!(cluster.check_run(), Ok(()));
-    let fabric = cluster.transport();
-    assert_eq!(fabric.forked_laps, 0);
-    assert!(fabric.worker.is_none(), "no worker started");
-    shutdown(cluster).expect("clean shutdown");
+    assert!(
+        !breaks.is_empty() && gossip.is_some(),
+        "{breaks:?} {gossip:?}"
+    );
+    assert!(
+        breaks.iter().all(|&i| Some(i) < gossip),
+        "breaks at {breaks:?}, the first relayed failure at {gossip:?}"
+    );
+    tap.fabric.shutdown().expect("clean shutdown after a crash");
 }

@@ -1,17 +1,18 @@
-//! Loopback rooflines for the pump, printed rather than asserted: the
-//! gigabits per second of payload 12 socket pairs carry in the pump's
-//! shape (gathered 512 KiB writes, each read back out of the peer end at
-//! once) when
+//! Loopback rooflines for the pump, printed rather than asserted.
 //!
-//! - one thread pumps every pair;
-//! - k threads run free, each pumping its own 12/k pairs;
-//! - k threads run fork-join laps, as the fabric's forked laps do: each
-//!   lap moves a share of the pairs by value to k − 1 persistent
-//!   workers, the caller pumps the rest, and the caller spins until the
-//!   shares come back.
+//! - **Bulk:** the gigabits per second of payload 12 socket pairs carry
+//!   in the pump's shape (gathered 512 KiB writes, each read back out of
+//!   the peer end at once) when one thread pumps every pair, and when k
+//!   threads run free, each pumping its own 12/k pairs, as the fabric's
+//!   shards do. Every thread reads into a k-th of one quantum-sized
+//!   buffer, as the fabric's threads do.
+//! - **Small frames:** the microseconds per frame when 31 pairs (the
+//!   socket count of the benchmark's `tcp_small`) each carry one
+//!   4,121-byte frame — a 25-byte header and 4 KiB, in one gathered
+//!   write — per pass, read back out of the peer at once, with one
+//!   thread and with k threads each owning its share of the pairs.
 //!
-//! k is the host's available parallelism. Every thread reads into a
-//! k-th of one quantum-sized buffer, as the fabric's threads do.
+//! k is the host's available parallelism.
 //!
 //! ```sh
 //! cargo test --release -p rdmc-tcp --test loopback_roofline -- --ignored --nocapture
@@ -19,7 +20,6 @@
 
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::mpsc;
 use std::thread;
 use std::time::Instant;
 
@@ -28,9 +28,15 @@ const QUANTUM: usize = 512 << 10;
 const SCRATCH: usize = QUANTUM + 4096;
 /// Payload each mode moves.
 const TOTAL: u64 = 4 << 30;
-/// Payload each pair moves per fork-join lap: about what a `tcp_large`
-/// lap queues per busy socket.
+/// Payload each pair moves per turn: about what a `tcp_large` lap
+/// queues per busy socket.
 const PER_LAP: u64 = 384 << 10;
+/// Socket pairs, header and body of the small-frame case.
+const SMALL_PAIRS: usize = 31;
+const HDR: usize = 25;
+const SMALL: usize = 4 << 10;
+/// Frames each small-frame mode moves per pair.
+const PASSES: usize = 20_000;
 
 static FILLER: [u8; 64 << 10] = [0; 64 << 10];
 
@@ -39,9 +45,9 @@ struct Pair {
     rx: TcpStream,
 }
 
-fn pairs() -> io::Result<Vec<Pair>> {
+fn pairs(n: usize) -> io::Result<Vec<Pair>> {
     let listener = TcpListener::bind("127.0.0.1:0")?;
-    (0..PAIRS)
+    (0..n)
         .map(|_| {
             let tx = TcpStream::connect(listener.local_addr()?)?;
             let (rx, _) = listener.accept()?;
@@ -88,7 +94,7 @@ fn gbps(bytes: u64, start: Instant) -> f64 {
 /// has moved its share of [`TOTAL`].
 fn free_running(threads: usize) -> io::Result<f64> {
     let mut shares: Vec<Vec<Pair>> = (0..threads).map(|_| Vec::new()).collect();
-    for (i, pair) in pairs()?.into_iter().enumerate() {
+    for (i, pair) in pairs(PAIRS)?.into_iter().enumerate() {
         shares[i % threads].push(pair);
     }
     let start = Instant::now();
@@ -116,55 +122,66 @@ fn free_running(threads: usize) -> io::Result<f64> {
     Ok(gbps(moved, start))
 }
 
-type Share = (Vec<Pair>, Vec<u8>, io::Result<u64>);
-
-/// Laps of [`PER_LAP`] per pair; each lap sends all but the first of
-/// `threads` shares of the pairs to persistent workers by value.
-fn fork_join(threads: usize) -> io::Result<f64> {
-    let mut all = pairs()?;
-    let workers: Vec<(mpsc::Sender<Share>, mpsc::Receiver<Share>)> = (1..threads)
-        .map(|_| {
-            let (jobs, inbox) = mpsc::channel::<Share>();
-            let (outbox, done) = mpsc::channel();
-            thread::spawn(move || {
-                for (mut share, mut buf, _) in inbox {
-                    let moved = share.iter_mut().map(|p| pump(p, PER_LAP, &mut buf)).sum();
-                    if outbox.send((share, buf, moved)).is_err() {
-                        return;
-                    }
+/// Writes one small frame into `pair` in one gathered write and reads
+/// it back out of the peer.
+fn small_frame(pair: &mut Pair, buf: &mut [u8]) -> io::Result<()> {
+    let header = [0; HDR];
+    let mut slices = [IoSlice::new(&header), IoSlice::new(&FILLER[..SMALL])];
+    let mut unsent = &mut slices[..];
+    let (mut sent, mut read) = (0, 0);
+    while read < HDR + SMALL {
+        if !unsent.is_empty() {
+            match pair.tx.write_vectored(unsent) {
+                Ok(n) => {
+                    sent += n;
+                    IoSlice::advance_slices(&mut unsent, n);
                 }
-            });
-            (jobs, done)
-        })
-        .collect();
-    let mut bufs: Vec<Vec<u8>> = (0..threads).map(|_| vec![0; SCRATCH / threads]).collect();
-    let start = Instant::now();
-    let mut moved = 0;
-    while moved < TOTAL {
-        let per = all.len().div_ceil(threads);
-        let mut rest = all.split_off(per.min(all.len()));
-        for (jobs, _) in &workers {
-            let share: Vec<Pair> = rest.drain(..per.min(rest.len())).collect();
-            let buf = bufs.pop().expect("a buffer per worker");
-            jobs.send((share, buf, Ok(0))).expect("worker runs");
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
+                Err(e) => return Err(e),
+            }
         }
-        for pair in &mut all {
-            moved += pump(pair, PER_LAP, &mut bufs[0])?;
+        if read == sent {
+            continue;
         }
-        for (_, done) in &workers {
-            let (share, buf, got) = loop {
-                match done.try_recv() {
-                    Ok(share) => break share,
-                    Err(mpsc::TryRecvError::Empty) => std::hint::spin_loop(),
-                    Err(e) => panic!("worker died: {e}"),
-                }
-            };
-            moved += got?;
-            all.extend(share);
-            bufs.push(buf);
+        match pair.rx.read(&mut buf[..sent - read]) {
+            Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
+            Ok(n) => read += n,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
+            Err(e) => return Err(e),
         }
     }
-    Ok(gbps(moved, start))
+    Ok(())
+}
+
+/// Microseconds per frame when `threads` threads each own a share of
+/// [`SMALL_PAIRS`] pairs and move [`PASSES`] frames through each.
+fn small_frames(threads: usize) -> io::Result<f64> {
+    let mut shares: Vec<Vec<Pair>> = (0..threads).map(|_| Vec::new()).collect();
+    for (i, pair) in pairs(SMALL_PAIRS)?.into_iter().enumerate() {
+        shares[i % threads].push(pair);
+    }
+    let start = Instant::now();
+    thread::scope(|s| {
+        let handles: Vec<_> = shares
+            .into_iter()
+            .map(|mut share| {
+                s.spawn(move || -> io::Result<()> {
+                    let mut buf = vec![0; HDR + SMALL];
+                    for _ in 0..PASSES {
+                        for pair in &mut share {
+                            small_frame(pair, &mut buf)?;
+                        }
+                    }
+                    Ok(())
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .try_for_each(|h| h.join().expect("pump thread"))
+    })?;
+    let frames = (SMALL_PAIRS * PASSES) as f64;
+    Ok(start.elapsed().as_secs_f64() * 1e6 / frames)
 }
 
 #[test]
@@ -173,6 +190,13 @@ fn loopback_rooflines() -> io::Result<()> {
     let k = thread::available_parallelism().map_or(1, |n| n.get());
     println!("one thread, {PAIRS} pairs: {:.1} Gb/s", free_running(1)?);
     println!("{k} free-running threads: {:.1} Gb/s", free_running(k)?);
-    println!("{k}-thread fork-join laps: {:.1} Gb/s", fork_join(k)?);
+    let frame = HDR + SMALL;
+    let one = small_frames(1)?;
+    println!("one thread, {SMALL_PAIRS} pairs, {frame} B frames: {one:.2} us/frame");
+    let many = small_frames(k)?;
+    println!(
+        "{k} threads, each its share: {many:.2} us/frame ({:.2}x)",
+        one / many
+    );
     Ok(())
 }
