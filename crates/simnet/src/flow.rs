@@ -35,13 +35,13 @@
 //!   that component; once consecutive ripples cover most of the active
 //!   flows the traversal stops paying for itself and the per-link live
 //!   counts stand in for it.
-//! * **Completion heap.** Projected completion times live in a lazily
-//!   invalidated min-heap keyed by `(time, slot, epoch)`. A flow's
-//!   projected *absolute* completion instant is invariant while its rate is
-//!   unchanged, so only flows whose rate actually changed in the last
-//!   reallocation get a fresh entry; stale entries are skipped by a
-//!   per-slot epoch check. [`FlowNet::next_completion`] is `O(log flows)`
-//!   amortized instead of a scan of every active flow.
+//! * **Completion heap.** A flow's projected *absolute* completion
+//!   instant is invariant while its rate is unchanged, so it is computed
+//!   only when the rate changes. Each path class keeps its *head*, the
+//!   least `(projected time, slot)` of its members, and a lazily
+//!   invalidated min-heap holds one entry per head: an entry is live while
+//!   it still equals its flow's class head. [`FlowNet::next_completion`]
+//!   is `O(log classes)` amortized instead of a scan of every active flow.
 //! * **Boundary byte accounting.** Per-flow progress and per-link byte
 //!   counters are materialized only at rate-change boundaries (each flow
 //!   carries a `synced_at` watermark), making [`FlowNet::advance_to`] O(1).
@@ -123,6 +123,9 @@ struct Flow {
     /// Instant `remaining_bytes` was last materialized. Always a rate
     /// boundary: flows are materialized exactly when their rate changes.
     synced_at: SimTime,
+    /// Projected completion instant in nanoseconds, set when the rate
+    /// last changed; [`UNPROJECTED`] while the flow has never had a rate.
+    due_ns: u64,
 }
 
 /// Remaining bytes below this threshold count as "done" (absorbs float
@@ -130,12 +133,18 @@ struct Flow {
 const COMPLETION_EPSILON_BYTES: f64 = 1e-6;
 
 /// Low bits of a start-order key that hold the flow's slot, so one `u64`
-/// sort both orders rate changes and says where to apply them.
+/// both orders rate changes and says where to apply them.
 const ORDER_SLOT_BITS: u32 = 24;
 
 fn order_slot(order: u64) -> usize {
     (order & ((1 << ORDER_SLOT_BITS) - 1)) as usize
 }
+
+/// `Flow::due_ns` of a flow that has no projection yet.
+const UNPROJECTED: u64 = u64::MAX;
+
+/// `PathClass::head` of a class with no projected member.
+const NO_HEAD: (u64, u32) = (UNPROJECTED, u32::MAX);
 
 /// Flows with byte-identical paths: one node of the allocator's sharing
 /// graph. Classes are append-only (one per distinct path ever seen); a
@@ -156,6 +165,9 @@ struct PathClass {
     /// The rate every other member runs at: they cross the same links, so
     /// every fill freezes them together.
     rate_bps: f64,
+    /// The least `(due_ns, slot)` over the members, or [`NO_HEAD`]: the
+    /// class's one live entry in the completion heap.
+    head: (u64, u32),
     /// Epoch-stamped "reached by the current traversal" mark.
     seen: u32,
     /// Epoch-stamped "frozen in the current fill" mark.
@@ -176,8 +188,8 @@ pub struct ReallocStats {
     pub flows_visited: u64,
     /// Bottleneck-heap pushes performed while water-filling.
     pub heap_pushes: u64,
-    /// Flows whose rate actually changed (each one costs a completion-heap
-    /// push; the rest keep their projected completion time).
+    /// Flows whose rate actually changed (each one costs a completion
+    /// projection; the rest keep their projected completion time).
     pub rate_changes: u64,
     /// Links visited by ripple traversals and full scans, summed — the
     /// "ripple link-visits" figure the scale benchmarks track per event.
@@ -236,14 +248,13 @@ pub struct FlowNet {
     /// enough: a start-up burst covers everything once and says nothing
     /// about the churn that follows.
     covering_ripples: u8,
-    /// Min-heap of projected completions `(time_ns, slot, epoch)` with
-    /// lazy invalidation: an entry is live iff the slot is occupied and
-    /// its epoch matches `rate_epoch[slot]`. Exactly one live entry
-    /// exists per active flow.
-    completions: BinaryHeap<Reverse<(u64, u32, u32)>>,
-    /// Bumped whenever a slot's rate changes or the slot is freed,
-    /// invalidating its completion-heap entries.
-    rate_epoch: Vec<u32>,
+    /// Min-heap of class heads `(time_ns, slot)` with lazy invalidation:
+    /// an entry is live iff the slot is occupied and the entry equals the
+    /// head of the occupant's class. Every class head is in the heap.
+    completions: BinaryHeap<Reverse<(u64, u32)>>,
+    /// Classes whose head is not [`NO_HEAD`]: the live entries of
+    /// `completions`.
+    heads: usize,
     stats: ReallocStats,
     /// Reusable traversal + water-filling scratch (avoids re-allocating
     /// on every rate recomputation).
@@ -285,6 +296,17 @@ struct ReallocScratch {
     /// Start-order keys of the flows whose rate changed in the current
     /// fill, in the order the changes apply: by bottleneck, then by start.
     changed: Vec<u64>,
+    /// Classes with a member in `changed`, each once (a class freezes
+    /// once per fill), with their heads from before the fill.
+    reheads: Vec<(u32, (u64, u32))>,
+    /// One bit per start number of the bottleneck group being merged
+    /// (see [`merge_by_start`]); all zero between merges.
+    window_bits: Vec<u64>,
+    /// Slot of the flow at each start number the merge window marks.
+    window_slots: Vec<u32>,
+    /// Bottleneck groups put in start order by `[sort, merge]`.
+    #[cfg(test)]
+    orderings: [u64; 2],
 }
 
 impl Default for FlowNet {
@@ -315,6 +337,54 @@ fn materialize(f: &mut Flow, path: &[LinkId], links: &mut [Link], now: SimTime) 
     f.synced_at = now;
 }
 
+/// Puts `scratch.changed[first..]`, one bottleneck's changed flows (an
+/// ascending run per class), in start order. A bitmap over the group's
+/// span of start numbers does it in time linear in the group while the
+/// span needs at most one bitmap word per flow; a wider span (a long-lived
+/// flow holding it open) is sorted instead.
+fn merge_by_start(scratch: &mut ReallocScratch, first: usize) {
+    let keys = &mut scratch.changed[first..];
+    let (lo, hi) = keys
+        .iter()
+        .fold((u64::MAX, 0), |(lo, hi), &k| (lo.min(k), hi.max(k)));
+    let lo = lo >> ORDER_SLOT_BITS;
+    let span = ((hi >> ORDER_SLOT_BITS) - lo) as usize + 1;
+    if span > 64 * keys.len() {
+        #[cfg(test)]
+        {
+            scratch.orderings[0] += 1;
+        }
+        keys.sort_unstable();
+        return;
+    }
+    #[cfg(test)]
+    {
+        scratch.orderings[1] += 1;
+    }
+    let words = span.div_ceil(64);
+    if scratch.window_bits.len() < words {
+        scratch.window_bits.resize(words, 0);
+        scratch.window_slots.resize(words * 64, 0);
+    }
+    let bits = &mut scratch.window_bits[..words];
+    let slots = &mut scratch.window_slots;
+    for &k in keys.iter() {
+        let at = ((k >> ORDER_SLOT_BITS) - lo) as usize;
+        bits[at / 64] |= 1 << (at % 64);
+        slots[at] = order_slot(k) as u32;
+    }
+    let mut out = keys.iter_mut();
+    for (w, word) in bits.iter_mut().enumerate() {
+        let mut b = std::mem::take(word);
+        while b != 0 {
+            let at = w * 64 + b.trailing_zeros() as usize;
+            *out.next().expect("one key per bit") =
+                (lo + at as u64) << ORDER_SLOT_BITS | u64::from(slots[at]);
+            b &= b - 1;
+        }
+    }
+}
+
 impl FlowNet {
     /// Creates an empty network.
     pub fn new() -> Self {
@@ -333,7 +403,7 @@ impl FlowNet {
             link_live: Vec::new(),
             covering_ripples: 0,
             completions: BinaryHeap::new(),
-            rate_epoch: Vec::new(),
+            heads: 0,
             stats: ReallocStats::default(),
             scratch: ReallocScratch::default(),
             dirty: false,
@@ -486,7 +556,6 @@ impl FlowNet {
                 );
                 self.slots.push(None);
                 self.generations.push(0);
-                self.rate_epoch.push(0);
                 (self.slots.len() - 1) as u32
             }
         };
@@ -519,6 +588,7 @@ impl FlowNet {
                     members: Vec::new(),
                     fresh: 0,
                     rate_bps: 0.0,
+                    head: NO_HEAD,
                     seen: 0,
                     frozen: 0,
                 });
@@ -539,6 +609,7 @@ impl FlowNet {
             remaining_bytes: bytes.max(COMPLETION_EPSILON_BYTES / 2.0),
             rate_bps: 0.0,
             synced_at: now,
+            due_ns: UNPROJECTED,
         });
         // Defer the recomputation: the new flow carries nothing until the
         // flush, which happens before any rate is observed or time moves.
@@ -564,8 +635,8 @@ impl FlowNet {
     /// The earliest `(time, flow)` completion under current rates, if any
     /// flows are active.
     ///
-    /// Peeks the projected-completion heap, discarding entries invalidated
-    /// by rate changes or flow removal. The returned time is rounded up to
+    /// Peeks the class-head heap, discarding entries invalidated by rate
+    /// changes or flow removal. The returned time is rounded up to
     /// a whole nanosecond strictly after the current instant when any
     /// bytes remain, guaranteeing forward progress.
     pub fn next_completion(&mut self) -> Option<(SimTime, FlowId)> {
@@ -594,16 +665,15 @@ impl FlowNet {
 
     fn peek_completion(&mut self) -> Option<(SimTime, FlowId)> {
         loop {
-            let &Reverse((time_ns, slot, epoch)) = self.completions.peek()?;
+            let &Reverse((time_ns, slot)) = self.completions.peek()?;
             let s = slot as usize;
-            let Some(f) = self.slots[s].as_ref() else {
+            let Some(f) = self.slots[s]
+                .as_ref()
+                .filter(|f| self.classes[f.class as usize].head == (time_ns, slot))
+            else {
                 self.completions.pop();
                 continue;
             };
-            if self.rate_epoch[s] != epoch {
-                self.completions.pop();
-                continue;
-            }
             let id = FlowId::new(slot, self.generations[s]);
             let mut at = SimTime::from_nanos(time_ns).max(self.last_update);
             let elapsed = self.last_update.since(f.synced_at).as_secs_f64();
@@ -674,7 +744,6 @@ impl FlowNet {
         let class = &mut self.classes[f.class as usize];
         materialize(&mut f, &class.path, &mut self.links, now);
         self.generations[slot] = self.generations[slot].wrapping_add(1);
-        self.rate_epoch[slot] = self.rate_epoch[slot].wrapping_add(1);
         self.free_slots.push(slot as u32);
         self.active_flows -= 1;
         for l in &class.path {
@@ -692,8 +761,40 @@ impl FlowNet {
             self.stats.coalesced += 1;
         }
         self.scratch.frontier.extend_from_slice(&class.fill_links);
+        if class.head == (f.due_ns, slot as u32) {
+            self.refresh_head(f.class);
+        }
         self.dirty = true;
         Some(f)
+    }
+
+    /// Recomputes the head of class `c` from its members' projections.
+    fn refresh_head(&mut self, c: u32) {
+        let class = &mut self.classes[c as usize];
+        let mut head = NO_HEAD;
+        for &order in &class.members {
+            let s = order_slot(order);
+            let f = self.slots[s]
+                .as_ref()
+                .expect("class lists a flow that left");
+            head = head.min((f.due_ns, s as u32));
+        }
+        if head.0 == UNPROJECTED {
+            head = NO_HEAD;
+        }
+        let was = std::mem::replace(&mut class.head, head);
+        self.head_moved(was, head);
+    }
+
+    /// Accounts for a class head that moved from `was` to `head`, queueing
+    /// the new one (an unmoved head is already queued).
+    fn head_moved(&mut self, was: (u64, u32), head: (u64, u32)) {
+        if head != was {
+            self.heads = self.heads + usize::from(head != NO_HEAD) - usize::from(was != NO_HEAD);
+            if head != NO_HEAD {
+                self.completions.push(Reverse(head));
+            }
+        }
     }
 
     /// Advances the network clock to `now` (monotone; `now` may equal the
@@ -847,14 +948,17 @@ impl FlowNet {
     /// `share`, so the residual depends only on *how many* frozen flows
     /// cross the link: `live` sequential `(x - share).max(0.0)` steps per
     /// class round exactly as one step per flow does, in any class order
-    /// (one fused `share * live` step would not). Rate changes apply in
-    /// start order per bottleneck — the order a per-link flow list would
-    /// yield — which fixes the order of trace events and of the roundings
-    /// in `bytes_carried`.
+    /// (one fused `share * live` step would not). A link that no unfrozen
+    /// flow crosses any more skips its steps: its residual is never read
+    /// again. Rate changes apply in start order per bottleneck (merged by
+    /// [`merge_by_start`]) — the order a per-link flow list would yield —
+    /// which fixes the order of trace events and of the roundings in
+    /// `bytes_carried`.
     ///
-    /// Flows whose rate actually changed get a fresh projected-completion
-    /// entry; unchanged flows keep theirs (their absolute completion
-    /// instant is rate- and progress-invariant between rate boundaries).
+    /// Flows whose rate actually changed get a fresh completion projection
+    /// and lower their class's head to it; unchanged flows keep theirs
+    /// (their absolute completion instant is rate- and progress-invariant
+    /// between rate boundaries).
     fn reallocate(&mut self) {
         let t0 = std::time::Instant::now();
         self.stats.count += 1;
@@ -876,6 +980,7 @@ impl FlowNet {
         scratch.mark += 1;
         let mark = scratch.mark;
         scratch.changed.clear();
+        scratch.reheads.clear();
         scratch.touched.clear();
 
         // Phase 1: build the water-filling state (residual capacity,
@@ -977,6 +1082,7 @@ impl FlowNet {
             // whose members already run at `share` is done there: no flow
             // is read, let alone written.
             let first_changed = scratch.changed.len();
+            let first_rehead = scratch.reheads.len();
             for &c in &self.link_classes[i] {
                 let class = &mut self.classes[c as usize];
                 let live = class.members.len();
@@ -992,6 +1098,9 @@ impl FlowNet {
                         "component class crosses an unvisited link"
                     );
                     scratch.count[j] -= live as u32;
+                    if j == i || scratch.count[j] == 0 {
+                        continue; // no unfrozen flow is left to share it
+                    }
                     let mut residual = scratch.residual[j];
                     for _ in 0..live {
                         residual = (residual - share).max(0.0);
@@ -999,18 +1108,30 @@ impl FlowNet {
                     scratch.residual[j] = residual;
                 }
                 let (settled, fresh) = class.members.split_at(live - class.fresh as usize);
-                if class.rate_bps.to_bits() != share.to_bits() {
+                let before = scratch.changed.len();
+                let moved = class.rate_bps.to_bits() != share.to_bits();
+                if moved {
                     scratch.changed.extend_from_slice(settled);
                 }
                 if share.to_bits() != 0f64.to_bits() {
                     scratch.changed.extend_from_slice(fresh);
+                }
+                if scratch.changed.len() > before {
+                    // Phase 3 lowers the head to each new projection; a
+                    // head among the re-rated members is void until then.
+                    scratch.reheads.push((c, class.head));
+                    if moved {
+                        class.head = NO_HEAD;
+                    }
                 }
                 class.fresh = 0;
                 class.rate_bps = share;
             }
             // Each class lists its members in start order; several classes
             // interleave.
-            scratch.changed[first_changed..].sort_unstable();
+            if scratch.reheads.len() - first_rehead > 1 {
+                merge_by_start(&mut scratch, first_changed);
+            }
         }
         scratch.sorted_buf = sorted;
         scratch.requeue_buf = requeue.into_vec();
@@ -1019,7 +1140,7 @@ impl FlowNet {
         // Phase 3: switch the changed flows to their class's new rate, in
         // order. Each banks the bytes moved at its old rate first, so the
         // new completion projection runs from exact remaining bytes.
-        // Unchanged flows keep their heap entry: with the same rate and
+        // Unchanged flows keep their projection: with the same rate and
         // linearly decreasing remaining bytes, the projected absolute
         // completion instant is identical.
         self.stats.rate_changes += scratch.changed.len() as u64;
@@ -1038,28 +1159,32 @@ impl FlowNet {
                         trace::EventKind::FlowRateChanged { flow, gbps }
                     });
             }
-            self.rate_epoch[s] = self.rate_epoch[s].wrapping_add(1);
             let secs = (f.remaining_bytes * 8.0) / f.rate_bps;
             let mut at = self.last_update + SimDuration::from_secs_f64(secs);
             if f.remaining_bytes > COMPLETION_EPSILON_BYTES && at == self.last_update {
                 at += SimDuration::from_nanos(1);
             }
-            self.completions
-                .push(Reverse((at.as_nanos(), s as u32, self.rate_epoch[s])));
+            f.due_ns = at.as_nanos();
+            let class = &mut self.classes[f.class as usize];
+            class.head = class.head.min((f.due_ns, s as u32));
+        }
+        for &(c, was) in &scratch.reheads {
+            self.head_moved(was, self.classes[c as usize].head);
         }
 
-        // Compact the projection heap once stale entries dominate. Rate
-        // churn leaves one dead entry per re-projection, and popping them
-        // lazily from a heap much larger than the live flow set costs a
-        // cache miss per sift-down level; filtering keeps the heap
-        // O(active flows) for amortized O(1) per push (a rebuild costs
-        // one pass over entries that each paid for themselves on insert).
-        if self.completions.len() > 4 * self.active_flows + 64 {
+        // Compact the heap once stale entries dominate. Every moved head
+        // leaves one dead entry behind, and popping them lazily from a
+        // heap much larger than the live set costs a cache miss per
+        // sift-down level; filtering keeps the heap O(classes with a
+        // head) for amortized O(1) per push (a rebuild costs one pass over
+        // entries that each paid for themselves on insert).
+        if self.completions.len() > 4 * self.heads + 64 {
             self.stats.heap_compactions += 1;
             let mut entries = std::mem::take(&mut self.completions).into_vec();
-            entries.retain(|&Reverse((_, slot, epoch))| {
-                let s = slot as usize;
-                self.rate_epoch[s] == epoch && self.slots[s].is_some()
+            entries.retain(|&Reverse((time_ns, slot))| {
+                self.slots[slot as usize]
+                    .as_ref()
+                    .is_some_and(|f| self.classes[f.class as usize].head == (time_ns, slot))
             });
             self.completions = BinaryHeap::from(entries);
         }
@@ -1215,7 +1340,7 @@ mod tests {
     #[test]
     fn ripple_reallocation_leaves_disjoint_flows_untouched() {
         // Two flows on link X, one on disjoint link Y. Churn on X must not
-        // change Y's flow rate (nor its rate epoch, i.e. no heap churn).
+        // change Y's flow rate (nor its projection, i.e. no heap churn).
         let mut net = FlowNet::new();
         let x = gb(&mut net, 10.0);
         let y = gb(&mut net, 10.0);
@@ -1641,12 +1766,72 @@ mod tests {
         }
     }
 
+    /// The earliest completion by brute force over the oracle's flows,
+    /// each projected from its last rate change as the kernel projects,
+    /// then clamped to the kernel's clock as `next_completion` clamps.
+    fn oracle_next_completion(net: &FlowNet, oracle: &PerFlowOracle) -> Option<(SimTime, usize)> {
+        let bump = |f: &OracleFlow, at: SimTime, from: SimTime| {
+            let elapsed = from.since(f.synced_at).as_secs_f64();
+            let left = f.remaining_bytes - f.rate_bps / 8.0 * elapsed;
+            if left > COMPLETION_EPSILON_BYTES && at == from {
+                at + SimDuration::from_nanos(1)
+            } else {
+                at
+            }
+        };
+        let (due, slot) = (oracle.flows.iter().enumerate())
+            .filter_map(|(s, f)| {
+                let f = f.as_ref().filter(|f| f.rate_bps > 0.0)?;
+                let secs = (f.remaining_bytes * 8.0) / f.rate_bps;
+                let at = f.synced_at + SimDuration::from_secs_f64(secs);
+                Some((bump(f, at, f.synced_at), s))
+            })
+            .min()?;
+        let now = net.last_update;
+        let f = oracle.flows[slot].as_ref().expect("live");
+        Some((bump(f, due.max(now), now), slot))
+    }
+
+    /// Holds `next_due` (and, once flushed, `next_completion`) to the
+    /// brute-force minimum over the oracle's per-flow state.
+    fn assert_next_completion(
+        net: &mut FlowNet,
+        oracle: &PerFlowOracle,
+        flushed: bool,
+        what: &str,
+    ) {
+        let want = oracle_next_completion(net, oracle);
+        let now = net.last_update;
+        let slot_of = |hit: Option<(SimTime, FlowId)>| hit.map(|(t, id)| (t, id.slot()));
+        assert_eq!(
+            slot_of(net.next_due(now)),
+            want.filter(|&(t, _)| t <= now),
+            "{what}: next_due"
+        );
+        if flushed {
+            assert_eq!(
+                slot_of(net.next_completion()),
+                want,
+                "{what}: next_completion"
+            );
+        }
+    }
+
     /// Seeded churn — starts, completions, aborts, same-instant bursts —
     /// over a few heavily shared paths, around `target` live flows, with
-    /// the kernel held to the oracle after every flush.
-    fn churn_against_oracle(profile: u8, seed: u64, target: usize, steps: usize) -> ReallocStats {
+    /// the kernel held to the oracle after every flush and the next
+    /// completion held to brute force after every flush and removal.
+    /// Fills count marks up from `first_mark`.
+    fn churn_against_oracle(
+        profile: u8,
+        seed: u64,
+        target: usize,
+        steps: usize,
+        first_mark: u32,
+    ) -> ReallocStats {
         use crate::topology::Topology;
         let mut net = FlowNet::new();
+        net.scratch.mark = first_mark;
         let lat = SimDuration::from_micros(1);
         let topo = match profile {
             0 => Topology::flat(&mut net, 6, 10.0, lat),
@@ -1672,6 +1857,7 @@ mod tests {
         let mut active: Vec<FlowId> = Vec::new();
         let mut now = SimTime::ZERO;
         let mut pending = false;
+        let mut pending_start = false;
         for step in 0..steps {
             let what = format!("profile {profile} seed {seed} step {step}");
             // Two times in three the burst ends here: flush, compare, and
@@ -1682,7 +1868,9 @@ mod tests {
             // the burst too.)
             if pending && (rnd(3) != 0 || net.last_update < now) {
                 assert_same_bits(&mut net, &mut oracle, &what);
+                assert_next_completion(&mut net, &oracle, true, &what);
                 pending = false;
+                pending_start = false;
                 now += SimDuration::from_nanos(rnd(20_000) as u64);
             }
             let roll = rnd(10);
@@ -1698,23 +1886,34 @@ mod tests {
                 let id = net.start_flow(now, topo.path(a, b), bytes);
                 oracle.start(id.slot(), topo.path(a, b), bytes, now);
                 active.push(id);
-            } else if roll < 8 {
-                if pending {
-                    assert_same_bits(&mut net, &mut oracle, &what);
-                }
-                let (t, id) = net.next_completion().expect("active flows");
-                now = now.max(t);
-                net.complete_flow(t, id);
-                oracle.remove(id.slot(), t);
-                active.retain(|&f| f != id);
+                pending_start = true;
             } else {
-                let id = active.swap_remove(rnd(active.len()));
-                net.abort_flow(now, id);
-                oracle.remove(id.slot(), now);
+                if roll < 8 {
+                    if pending {
+                        assert_same_bits(&mut net, &mut oracle, &what);
+                        assert_next_completion(&mut net, &oracle, true, &what);
+                        pending_start = false;
+                    }
+                    let (t, id) = net.next_completion().expect("active flows");
+                    now = now.max(t);
+                    net.complete_flow(t, id);
+                    oracle.remove(id.slot(), t);
+                    active.retain(|&f| f != id);
+                } else {
+                    let id = active.swap_remove(rnd(active.len()));
+                    net.abort_flow(now, id);
+                    oracle.remove(id.slot(), now);
+                }
+                // Removals alone leave every projection an upper bound:
+                // `next_due` answers from them without a flush.
+                if !pending_start {
+                    assert_next_completion(&mut net, &oracle, false, &what);
+                }
             }
             pending = true;
         }
         assert_same_bits(&mut net, &mut oracle, "final");
+        assert_next_completion(&mut net, &oracle, true, "final");
         net.stats
     }
 
@@ -1724,13 +1923,67 @@ mod tests {
             for seed in 1..=3 {
                 // Small components (ripple traversal) and, past the
                 // 128-flow floor, covering ones (full mode and its probes).
-                let sparse = churn_against_oracle(profile, seed, 24, 400);
-                let dense = churn_against_oracle(profile, seed, 200, 900);
+                let sparse = churn_against_oracle(profile, seed, 24, 400, 0);
+                let dense = churn_against_oracle(profile, seed, 200, 900, 0);
                 assert_eq!(sparse.full, 0);
                 if profile == 0 {
                     assert!(dense.full > 0 && dense.full < dense.count);
                 }
             }
         }
+    }
+
+    #[test]
+    fn marks_wrap_mid_churn_without_leaving_the_oracle() {
+        // Fills start eight marks short of `u32::MAX`, so the reset of
+        // the link, traversal and freeze marks runs mid-churn (a mark
+        // that overflowed instead would panic here, in a debug build).
+        for profile in 0..3 {
+            let stats = churn_against_oracle(profile, 5, 24, 300, u32::MAX - 8);
+            assert!(stats.count > 8, "the churn never reached the wrap");
+        }
+    }
+
+    #[test]
+    fn start_order_merge_and_its_fallback_sort_both_match_the_oracle() {
+        // Two disjoint bottlenecks, each fed over four paths (four
+        // classes whose members interleave in start order). Flows on
+        // `dense` live for a few steps, so its groups span few start
+        // numbers and merge. On `held`, one flow started first and never
+        // ends: every group there spans from it to the newest start,
+        // which soon needs more than a bitmap word per flow and sorts.
+        let mut net = FlowNet::new();
+        let held = gb(&mut net, 10.0);
+        let dense = gb(&mut net, 10.0);
+        let feeds: Vec<[LinkId; 2]> = (0..4)
+            .map(|_| [gb(&mut net, 40.0), gb(&mut net, 40.0)])
+            .collect();
+        let mut oracle = PerFlowOracle::of(&net);
+        let start = |net: &mut FlowNet, oracle: &mut PerFlowOracle, path: Vec<LinkId>, now| {
+            let id = net.start_flow(now, path.clone(), 1e12);
+            oracle.start(id.slot(), path, 1e12, now);
+            id
+        };
+        start(&mut net, &mut oracle, vec![held], SimTime::ZERO);
+        let mut live: [Vec<FlowId>; 2] = [Vec::new(), Vec::new()];
+        for step in 0..400u64 {
+            let now = SimTime::from_nanos(1_000 * step);
+            for (side, link) in [held, dense].into_iter().enumerate() {
+                let feed = feeds[(step % 4) as usize][side];
+                live[side].push(start(&mut net, &mut oracle, vec![feed, link], now));
+                // One in, then one in and two out: every step moves the
+                // share, so every flow on the link changes rate.
+                if step % 2 == 1 && live[side].len() > 8 {
+                    for gone in live[side].drain(..2) {
+                        net.abort_flow(now, gone);
+                        oracle.remove(gone.slot(), now);
+                    }
+                }
+            }
+            assert_same_bits(&mut net, &mut oracle, &format!("step {step}"));
+        }
+        let [sorted, merged] = net.scratch.orderings;
+        assert!(sorted > 0, "the held-open window never fell back to a sort");
+        assert!(merged > 0, "no dense group was merged");
     }
 }
