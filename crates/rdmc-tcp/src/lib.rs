@@ -34,20 +34,16 @@
 //!   failure-detect interval and see their queue pairs flush and break,
 //!   exactly like the simulated NIC.
 //!
-//! All nodes live in one process. `advance()` runs resumable **laps**:
-//! a lap hands out due timers, then pumps every socket direction in turn
-//! — a socket end with queued frames flushes them a quantum at a time in
-//! one gathered write, and its peer end is read at once — and returns as
-//! soon as a direction produced deliveries, resuming at the next one.
-//! On a host with a second core the sockets are dealt to two **shards**
-//! as they open: a worker thread runs the lap over its own for their
-//! whole life, and the caller runs it over the rest and hands out what
-//! both deliver. DESIGN.md ("Transport abstraction")
-//! describes the loop — quantum, streaming decoder, byte ledger, sweep,
-//! timers between laps, shards, what is in-process about it — and
-//! what a broken queue pair or a broken socket takes down with it.
-//! `SendDone` means "flushed to the socket"; nothing the receiving end
-//! does feeds into it.
+//! All nodes live in one process, and every socket in one **shard** for
+//! its life. A shard's resumable **lap** pumps each socket direction in
+//! turn — a socket end with queued frames flushes them a quantum at a
+//! time in one gathered write, and its peer end is read at once — and
+//! stops as soon as one delivered. `advance()` steps the caller's shard,
+//! firing due timers as a lap begins; on a host with a second core a
+//! pump thread steps a second one. DESIGN.md ("Transport abstraction")
+//! describes the loop and what a broken queue pair or socket takes down
+//! with it. `SendDone` means "flushed to the socket"; nothing the
+//! receiving end does feeds into it.
 //!
 //! ```
 //! use rdmc::Algorithm;
@@ -88,7 +84,7 @@ use frame::{
 };
 use qp::{Qp, Route};
 use rdmc_sim::{Cluster, ClusterBuilder};
-use shard::{Order, Report, Sock, Worker};
+use shard::{Order, Report, Shard, Worker};
 use simnet::{HostProfile, SimDuration, SimTime};
 use verbs::{
     CpuReport, Delivery, FabricStats, NodeId, PostingSnapshot, QpHandle, Transport, VerbsError,
@@ -139,8 +135,10 @@ enum ConnState {
 }
 
 /// The one socket between two nodes and the state of every queue pair
-/// it carries: pumping it needs nothing else but a [`Pump`].
+/// it carries: pumping it needs nothing else but a [`Pump`]. `id` is its
+/// index in the caller's socket table.
 struct Conn {
+    id: usize,
     eps: [Endpoint; 2],
     state: ConnState,
     qps: Vec<Qp>,
@@ -168,16 +166,19 @@ impl Conn {
     }
 }
 
-/// One thread's means to pump sockets: a view of who crashed and of
-/// the clock, its read buffer, and what pumping yields for software.
-/// The fabric has one, and the worker another.
+/// One shard's means to pump sockets: a view of who crashed and of the
+/// clock, its read buffer, and what pumping yields for software.
 struct Pump {
     crashed: Vec<bool>,
     start: Instant,
-    /// The read buffer (one per thread, not per socket).
+    /// The read buffer (one per shard, not per socket).
     scratch: Vec<u8>,
-    /// Deliveries, stamped in the order they happened.
+    /// Deliveries, stamped in the order they happened. The caller's
+    /// shard's queue is the one `advance()` hands out, the worker's
+    /// deliveries joining it as they arrive.
     ready: VecDeque<(SimTime, NodeId, Delivery)>,
+    /// Sockets (by table index) that broke since the shard last said so.
+    broke: Vec<usize>,
     rnr_arms: u64,
     /// Socket and protocol errors observed mid-run, surfaced by
     /// [`TcpFabric::shutdown`] instead of being unwrapped or leaked.
@@ -204,11 +205,24 @@ impl Pump {
 
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum TimerEntry {
-    /// Failure detection expired: break this socket (the worker's, if
-    /// `away`).
-    Break { away: bool, conn: usize },
-    /// A driver timer ([`Transport::schedule_timer`]).
-    Driver { node: usize, token: u64 },
+    /// Failure detection expired: break the socket with this table index.
+    Break(usize),
+    /// A driver timer ([`Transport::schedule_timer`]) of a node, and its
+    /// token.
+    Driver(usize, u64),
+}
+
+/// What the caller keeps of each socket, whichever shard owns it: the
+/// shard (0 is the caller's) and its index there, its nodes, the state
+/// software last heard — `Dying` at a crash, `Broken` once its shard
+/// reported the break — and how many queue pairs it carries, so the next
+/// one's slot.
+struct Socket {
+    shard: usize,
+    index: usize,
+    nodes: [usize; 2],
+    state: ConnState,
+    qps: usize,
 }
 
 /// The TCP datapath: every node's sockets, one nonblocking event loop.
@@ -221,33 +235,24 @@ pub struct TcpFabric {
     /// Loopback listener every socket handshakes through.
     listener: TcpListener,
     addr: SocketAddr,
-    /// The caller's shard.
-    conns: Vec<Conn>,
+    /// The caller's shard, which it steps itself; its pump's crash view
+    /// is the fabric's.
+    home: Shard,
+    /// The second shard, on a host with a second core.
+    worker: Option<Worker>,
+    /// Every socket, in the order they opened.
+    sockets: Vec<Socket>,
     /// Each queue pair's route, at the index its handles name.
     qps: Vec<Route>,
-    /// Each node pair's newest socket (whether it is the worker's, and
-    /// its index in its shard), keyed `(lower, higher)` node; the pair's
-    /// next connect replaces a broken one.
-    pairs: BTreeMap<(usize, usize), (bool, usize)>,
-    pump: Pump,
+    /// Each node pair's newest socket, keyed `(lower, higher)` node; the
+    /// pair's next connect replaces a broken one.
+    pairs: BTreeMap<(usize, usize), usize>,
     timers: BinaryHeap<Reverse<(u64, u64, TimerEntry)>>,
     timer_seq: u64,
     recorder: trace::Recorder,
     profile: HostProfile,
-    /// When every socket was last read regardless of the ledger.
-    last_sweep: u64,
-    /// The lap in progress: the next socket direction it pumps
-    /// (`2 * socket + end`), whether it reads every socket, and whether
-    /// it has moved any bytes yet.
-    cursor: usize,
-    lap_sweep: bool,
-    lap_moved: bool,
     /// The last timestamp `advance()` handed out.
     last_at: SimTime,
-    /// Whether sockets may go to a worker: a second core, and a worker
-    /// that started (lazily, with the second socket).
-    parallel: bool,
-    worker: Option<Worker>,
 }
 
 impl TcpFabric {
@@ -259,35 +264,30 @@ impl TcpFabric {
     ///
     /// Any socket error during bring-up.
     pub fn launch(n: usize) -> io::Result<TcpFabric> {
+        let cores = thread::available_parallelism().map_or(1, |n| n.get());
+        // A host that cannot start the thread keeps one shard.
+        TcpFabric::with_worker(n, |shard| (cores >= 2).then(|| Worker::thread(shard))?)
+    }
+
+    /// A fabric whose second shard, if any, `start` makes of an empty one.
+    fn with_worker(n: usize, start: impl FnOnce(Shard) -> Option<Worker>) -> io::Result<TcpFabric> {
         assert!(n >= 1, "cluster needs at least one node");
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?;
-        let cores = thread::available_parallelism().map_or(1, |n| n.get());
+        let clock = Instant::now();
         Ok(TcpFabric {
             listener,
             addr,
-            conns: Vec::new(),
+            home: Shard::new(vec![false; n], clock),
+            worker: start(Shard::new(vec![false; n], clock)),
+            sockets: Vec::new(),
             qps: Vec::new(),
             pairs: BTreeMap::new(),
-            pump: Pump {
-                crashed: vec![false; n],
-                start: Instant::now(),
-                scratch: vec![0; SCRATCH / 32],
-                ready: VecDeque::new(),
-                rnr_arms: 0,
-                io_errors: Vec::new(),
-            },
             timers: BinaryHeap::new(),
             timer_seq: 0,
             recorder: trace::Recorder::disabled(),
             profile: HostProfile::default(),
-            last_sweep: 0,
-            cursor: 0,
-            lap_sweep: false,
-            lap_moved: false,
             last_at: SimTime::ZERO,
-            parallel: cores >= 2,
-            worker: None,
         })
     }
 
@@ -308,42 +308,33 @@ impl TcpFabric {
     ///
     /// The first socket or protocol error the fabric observed.
     pub fn shutdown(mut self) -> io::Result<()> {
-        match self.worker.take().map(Worker::stop) {
-            Some(Some((conns, pump))) => {
-                self.conns.extend(conns);
-                self.pump.io_errors.extend(pump.io_errors);
+        let mut errors = Vec::new();
+        let mut worker = match self.worker.take().map(Worker::stop) {
+            Some(None) => {
+                errors.push(io::Error::other("the pump worker panicked"));
+                None
             }
-            Some(None) => self
-                .pump
-                .io_errors
-                .push(io::Error::other("the pump worker panicked")),
-            None => {}
-        }
-        for conn in &mut self.conns {
-            if conn.state == ConnState::Broken {
-                continue;
-            }
-            for ep in &mut conn.eps {
-                if let Err(e) = ep.stream.shutdown(Shutdown::Both) {
-                    if e.kind() != io::ErrorKind::NotConnected {
-                        self.pump.io_errors.push(e);
-                    }
+            stopped => stopped.flatten(),
+        };
+        for shard in std::iter::once(&mut self.home).chain(&mut worker) {
+            errors.append(&mut shard.pump.io_errors);
+            let live = shard.conns.iter().filter(|c| c.state != ConnState::Broken);
+            for ep in live.flat_map(|c| &c.eps) {
+                match ep.stream.shutdown(Shutdown::Both) {
+                    Err(e) if e.kind() != io::ErrorKind::NotConnected => errors.push(e),
+                    _ => {}
                 }
             }
         }
-        match std::mem::take(&mut self.pump.io_errors).into_iter().next() {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        errors.into_iter().next().map_or(Ok(()), Err)
     }
 
-    /// Opens the one socket between nodes `a` and `b` and deals it to a
-    /// shard for its life. Inline handshake:
+    /// Opens the one socket between nodes `a` and `b`. Inline handshake:
     /// this loop is the only caller, so the connect pairs up with the
     /// accept that names it as the peer, with no identification
     /// handshake on the wire. A stranger connecting to the listener
-    /// first is accepted and dropped.
-    fn open_socket(&mut self, a: usize, b: usize) -> io::Result<(bool, usize)> {
+    /// first is accepted and dropped. Returns its index in the table.
+    fn open_socket(&mut self, a: usize, b: usize) -> io::Result<usize> {
         let client = TcpStream::connect(self.addr)?;
         let me = client.local_addr()?;
         let accepted = (0..=STRANGERS).find_map(|_| match self.listener.accept() {
@@ -367,88 +358,95 @@ impl TcpFabric {
         // Connecting to an already-crashed peer: the socket comes up but
         // the dead side never answers, so failure detection starts
         // ticking immediately, exactly as for a crash after connect.
-        let dying = self.pump.crashed[a] || self.pump.crashed[b];
+        let crashed = &self.home.pump.crashed;
+        let state = match crashed[a] || crashed[b] {
+            true => ConnState::Dying,
+            false => ConnState::Alive,
+        };
+        let id = self.sockets.len();
         let conn = Conn {
+            id,
             eps: [mk(a, client), mk(b, server)],
-            state: if dying {
-                ConnState::Dying
-            } else {
-                ConnState::Alive
-            },
+            state,
             qps: Vec::new(),
         };
-        let at = self.deal(conn);
-        self.pairs.insert((a.min(b), a.max(b)), at);
-        if dying {
-            let deadline = self.pump.now_ns().saturating_add(FAILURE_DETECT_NS);
-            let (away, conn) = at;
-            self.arm_timer(deadline, TimerEntry::Break { away, conn });
+        // Dealt for its life to the shard with fewer sockets, the
+        // caller's on a tie.
+        let home = self.home.conns.len();
+        let there = id - home;
+        let (shard, index) = match self.worker {
+            Some(_) if there < home => (1, there),
+            _ => (0, home),
+        };
+        self.sockets.push(Socket {
+            shard,
+            index,
+            nodes: [a, b],
+            state,
+            qps: 0,
+        });
+        self.pairs.insert((a.min(b), a.max(b)), id);
+        self.order(id, |_| Order::Adopt(Box::new(conn)));
+        if state == ConnState::Dying {
+            let deadline = self.home.pump.now_ns().saturating_add(FAILURE_DETECT_NS);
+            self.arm_timer(deadline, TimerEntry::Break(id));
         }
-        Ok(at)
+        Ok(id)
     }
 
-    /// Deals a new socket to the shard with fewer sockets, the caller's
-    /// on a tie; the worker starts with its first. Returns whether it
-    /// went to the worker, and its index there.
-    fn deal(&mut self, conn: Conn) -> (bool, usize) {
-        if self.parallel && self.worker.is_none() && !self.conns.is_empty() {
-            let pump = Pump {
-                crashed: self.pump.crashed.clone(),
-                start: self.pump.start,
-                scratch: vec![0; SCRATCH / 32],
-                ready: VecDeque::new(),
-                rnr_arms: 0,
-                io_errors: Vec::new(),
-            };
-            // A host that cannot start a thread keeps one shard.
-            self.worker = Worker::start(pump).ok();
-            self.parallel = self.worker.is_some();
-        }
+    /// Hands the order `make` builds for socket `sock`'s index in its
+    /// shard to that shard: applied at once on the caller's, sent to the
+    /// worker's.
+    fn order(&mut self, sock: usize, make: impl FnOnce(usize) -> Order) {
+        let Socket { shard, index, .. } = self.sockets[sock];
+        let order = make(index);
         match self.worker.as_mut() {
-            Some(w) if w.socks.len() < self.conns.len() => {
-                w.socks.push(Sock {
-                    nodes: conn.eps.each_ref().map(|ep| ep.node),
-                    state: conn.state,
-                    qps: 0,
-                });
-                w.order(Order::Adopt(conn));
-                (true, w.socks.len() - 1)
-            }
-            _ => {
-                self.conns.push(conn);
-                (false, self.conns.len() - 1)
-            }
+            Some(w) if shard > 0 => w.order(order),
+            _ => self.home.apply(order),
         }
     }
 
-    /// Takes in every report the worker has sent: its deliveries join
-    /// the queue stamped as they arrive, so stamps never go back, and
-    /// what software sees of its queue pairs follows them.
+    /// Takes in what the shards reported: the sockets that broke, and
+    /// the worker's deliveries, which join the queue stamped as they
+    /// arrive, so stamps never go back.
     fn absorb(&mut self) {
+        for sock in self.home.pump.broke.drain(..) {
+            self.sockets[sock].state = ConnState::Broken;
+        }
         let Some(w) = self.worker.as_mut() else {
             return;
         };
         while let Some(report) = w.next() {
-            let Report::Deliveries(batch) = report else {
-                continue;
-            };
-            let at = SimTime::from_nanos(self.pump.now_ns());
-            for (_, node, delivery) in batch {
-                qp::see(&mut self.qps, &delivery);
-                if !self.pump.crashed[node.index()] {
-                    self.pump.ready.push_back((at, node, delivery));
+            match report {
+                Report::Deliveries(batch) => {
+                    let p = &mut self.home.pump;
+                    let at = SimTime::from_nanos(p.now_ns());
+                    for (_, node, delivery) in batch {
+                        if !p.crashed[node.index()] {
+                            p.ready.push_back((at, node, delivery));
+                        }
+                    }
                 }
+                Report::Broke(sock) => self.sockets[sock].state = ConnState::Broken,
+                Report::Lap(..) => {}
             }
         }
     }
 
-    /// Spins, taking in reports, until a worker lap has run since the
-    /// last order: what the caller posted so far has been flushed, read
-    /// back and delivered.
+    /// The one place the caller waits on the worker: lets it move on
+    /// (see [`Worker::wait`]), then takes in what it reported.
+    fn wait(&mut self) {
+        if let Some(w) = self.worker.as_mut() {
+            w.wait();
+        }
+        self.absorb();
+    }
+
+    /// Waits until a worker lap has run since the last order: what the
+    /// caller posted so far has been flushed, read back and delivered.
     fn catch_up(&mut self) {
         while self.worker.as_ref().is_some_and(|w| !w.caught_up()) {
-            std::hint::spin_loop();
-            self.absorb();
+            self.wait();
         }
     }
 
@@ -461,30 +459,20 @@ impl TcpFabric {
     /// its sockets is delivered first, and breaking one of its sockets
     /// is a round trip that ends before the batch is handed out.
     fn fire_due_timers(&mut self, now: u64) {
-        if self
-            .timers
-            .peek()
-            .is_none_or(|Reverse((deadline, _, _))| *deadline > now)
-        {
+        let due =
+            |timers: &BinaryHeap<_>| matches!(timers.peek(), Some(Reverse((t, _, _))) if *t <= now);
+        if !due(&self.timers) {
             return;
         }
         self.catch_up();
-        while let Some(&Reverse((deadline, _, entry))) = self.timers.peek() {
-            if deadline > now {
+        while due(&self.timers) {
+            let Some(Reverse((_, _, entry))) = self.timers.pop() else {
                 break;
-            }
-            self.timers.pop();
+            };
             match entry {
-                TimerEntry::Break { away: false, conn } => {
-                    self.conns[conn].expire(conn, &mut self.pump);
-                }
-                TimerEntry::Break { away: true, conn } => {
-                    if let Some(w) = self.worker.as_mut() {
-                        w.order(Order::Break(conn));
-                    }
-                }
-                TimerEntry::Driver { node, token } => {
-                    self.pump.push(node, Delivery::Timer { token });
+                TimerEntry::Break(sock) => self.order(sock, Order::Expire),
+                TimerEntry::Driver(node, token) => {
+                    self.home.pump.push(node, Delivery::Timer { token })
                 }
             }
         }
@@ -502,42 +490,33 @@ impl TcpFabric {
         meta: u64,
         payload: Payload,
     ) -> Result<(), VerbsError> {
-        let (conn, slot) = self.check_postable(qp)?;
+        let (sock, slot) = self.check_postable(qp)?;
         if payload.len() > MAX_FRAME {
             self.break_qp(qp);
             return Err(VerbsError::QpBroken);
         }
         let (q, end) = (qp.conn_id(), usize::from(qp.endpoint()));
         let frame = OutFrame::new(q, wr_id, kind, meta, payload);
-        let route = &mut self.qps[q as usize];
-        match self.worker.as_mut().filter(|_| route.away) {
-            Some(w) => {
-                route.seen.queued[end] += 1;
-                w.order(Order::Frame {
-                    conn,
-                    slot,
-                    end,
-                    frame,
-                });
-            }
-            None => self.conns[conn].queue(slot, end, frame, &mut self.pump),
-        }
+        self.qps[q as usize].posted[0][end] += 1;
+        self.order(sock, |conn| Order::Frame {
+            conn,
+            slot,
+            end,
+            frame,
+        });
         Ok(())
     }
 
     /// The socket and slot of the queue pair a post on `qp` goes to, or
-    /// why the post is refused. A queue pair on the worker's shard is
-    /// broken once software has seen it break (or broke it).
+    /// why the post is refused: its node crashed, or software has seen
+    /// the queue pair break (or broke it).
     fn check_postable(&self, qp: QpHandle) -> Result<(usize, usize), VerbsError> {
         let route = &self.qps[qp.conn_id() as usize];
-        if self.pump.crashed[route.nodes[usize::from(qp.endpoint())]] {
+        if self.home.pump.crashed[route.nodes[usize::from(qp.endpoint())]] {
             return Err(VerbsError::NodeCrashed);
         }
-        let live = |&(ci, slot): &(usize, usize)| match route.away {
-            true => !route.seen.broken,
-            false => !self.conns[ci].qps[slot].broken,
-        };
-        route.at.filter(live).ok_or(VerbsError::QpBroken)
+        let live = route.at.filter(|_| !route.broken);
+        live.ok_or(VerbsError::QpBroken)
     }
 
     /// Quiescent when nothing is queued for software, every socket's
@@ -546,15 +525,15 @@ impl TcpFabric {
     /// pending break timer keeps the loop alive until its ledger entries
     /// leave.
     fn quiescent(&self) -> bool {
-        self.pump.ready.is_empty()
+        self.home.pump.ready.is_empty()
             && self.worker.as_ref().is_none_or(Worker::idle)
-            && self.conns.iter().all(Conn::settled)
+            && self.home.conns.iter().all(Conn::settled)
             && self
                 .timers
                 .iter()
                 .all(|Reverse((_, _, entry))| match entry {
-                    TimerEntry::Break { .. } => false,
-                    TimerEntry::Driver { node, .. } => self.pump.crashed[*node],
+                    TimerEntry::Break(_) => false,
+                    TimerEntry::Driver(node, _) => self.home.pump.crashed[*node],
                 })
     }
 
@@ -565,36 +544,11 @@ impl TcpFabric {
     }
 }
 
-/// What a post, a crash or an expiry does to one socket, on whichever
-/// shard it lives.
+/// The pump: one socket's share of a lap, and the per-frame path.
 impl Conn {
-    /// Queues a frame of end `end` of the queue pair in `slot`.
-    fn queue(&mut self, slot: usize, end: usize, frame: OutFrame, p: &mut Pump) {
-        if self.flushes(slot, end, frame.wr_id, false, p) {
-            return;
-        }
-        let q = &mut self.qps[slot];
-        q.ends[end].queued += 1;
-        self.eps[end ^ q.flip].out.push_back(frame);
-    }
-
-    /// Posts a receive at end `end` of the queue pair in `slot`. A held
-    /// frame (arrived before any receive was posted) consumes it
-    /// immediately, in arrival order.
-    fn receive(&mut self, slot: usize, end: usize, (wr_id, max_len): (WrId, u64), p: &mut Pump) {
-        if self.flushes(slot, end, wr_id, true, p) {
-            return;
-        }
-        let qp_end = &mut self.qps[slot].ends[end];
-        match qp_end.held.pop_front() {
-            Some(send) => self.land(slot, end, (wr_id, max_len), send, p),
-            None => qp_end.recvs.push_back((wr_id, max_len)),
-        }
-    }
-
     /// Whether a post at end `end` of the queue pair in `slot` is flushed
     /// on arrival: the queue pair broke before the post reached it (the
-    /// worker's, before software heard), and RDMA flushes a post to a
+    /// shard, before software heard), and RDMA flushes a post to a
     /// queue pair in the error state.
     fn flushes(&self, slot: usize, end: usize, wr_id: WrId, recv: bool, p: &mut Pump) -> bool {
         let q = &self.qps[slot];
@@ -606,44 +560,19 @@ impl Conn {
         q.broken
     }
 
-    /// A crash of `node`: a live socket it is on starts dying — the dead
-    /// side flushes nothing more, and what it had queued dies with the
-    /// break. Returns whether this one did.
-    fn dies_with(&mut self, node: usize) -> bool {
-        let dies = self.state == ConnState::Alive && self.eps.iter().any(|ep| ep.node == node);
-        if dies {
-            self.state = ConnState::Dying;
-        }
-        dies
-    }
-
-    /// The failure-detect deadline passed: breaks the socket. Pre-crash
-    /// data the dead end already flushed is genuinely on the wire, so
-    /// it is delivered before the break, matching the simulated fabric
-    /// where a completed transfer is a delivered transfer.
-    fn expire(&mut self, ci: usize, p: &mut Pump) {
-        for end in 0..2 {
-            self.read_endpoint(ci, end, false, p);
-        }
-        self.break_all(p);
-    }
-}
-
-/// The pump: one socket's share of a lap, and the per-frame path.
-impl Conn {
     /// Flushes one quantum from `tx`, reads it straight back out of the
     /// peer end, and repeats while frames are queued and bytes move.
     /// With `sweep`, the peer end is read once whatever the ledger says,
     /// which is how a socket killed from outside is noticed. Returns
     /// whether any bytes moved.
-    fn pump_direction(&mut self, ci: usize, tx: usize, sweep: bool, p: &mut Pump) -> bool {
+    fn pump_direction(&mut self, tx: usize, sweep: bool, p: &mut Pump) -> bool {
         let mut moved = false;
         let mut force = sweep;
         loop {
             // A dying end's queued frames die with the break; its live
             // end is still read while the ledger shows bytes for it.
-            let wrote = self.state == ConnState::Alive && self.flush_quantum(ci, tx, p);
-            let read = self.read_endpoint(ci, 1 - tx, force, p);
+            let wrote = self.state == ConnState::Alive && self.flush_quantum(tx, p);
+            let read = self.read_endpoint(1 - tx, force, p);
             force = false;
             moved |= wrote || read;
             if !(wrote || read) || self.eps[tx].out.is_empty() {
@@ -656,7 +585,7 @@ impl Conn {
     /// headers that go with them) from the front of the queue; emits
     /// send/write completions for frames that left the host entirely.
     /// Returns whether any bytes moved.
-    fn flush_quantum(&mut self, ci: usize, end: usize, p: &mut Pump) -> bool {
+    fn flush_quantum(&mut self, end: usize, p: &mut Pump) -> bool {
         let ep = &mut self.eps[end];
         if ep.out.is_empty() {
             return false;
@@ -673,7 +602,7 @@ impl Conn {
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return false,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => {
-                    self.fail(ci, e, p);
+                    self.fail(e, p);
                     return true;
                 }
             }
@@ -690,10 +619,7 @@ impl Conn {
             let Some(slot) = self.slot_of(id).filter(|&s| !self.qps[s].broken) else {
                 continue; // an orphan completes nothing
             };
-            let qp = &mut self.qps[slot];
-            let qend = end ^ qp.flip;
-            qp.ends[qend].queued -= 1;
-            let qp = QpHandle::from_parts(id, qend as u8);
+            let qp = QpHandle::from_parts(id, (end ^ self.qps[slot].flip) as u8);
             let delivery = if two_sided {
                 Delivery::SendDone { qp, wr_id }
             } else {
@@ -710,7 +636,7 @@ impl Conn {
     /// no trailing `WouldBlock` is paid for; one comes back only when
     /// the kernel has not delivered everything yet, and the next pass
     /// asks again. Returns whether any bytes moved.
-    fn read_endpoint(&mut self, ci: usize, end: usize, force: bool, p: &mut Pump) -> bool {
+    fn read_endpoint(&mut self, end: usize, force: bool, p: &mut Pump) -> bool {
         if p.crashed[self.eps[end].node] {
             return false; // dead software reads nothing
         }
@@ -718,14 +644,13 @@ impl Conn {
             return false;
         }
         let mut scratch = std::mem::take(&mut p.scratch);
-        let moved = self.read_into(ci, end, force, &mut scratch, p);
+        let moved = self.read_into(end, force, &mut scratch, p);
         p.scratch = scratch;
         moved
     }
 
     fn read_into(
         &mut self,
-        ci: usize,
         end: usize,
         mut force: bool,
         scratch: &mut Vec<u8>,
@@ -744,7 +669,7 @@ impl Conn {
                     if self.state == ConnState::Alive {
                         match self.eps[end].decoder.finish() {
                             Ok(()) => self.break_all(p),
-                            Err(e) => self.fail(ci, e.into(), p),
+                            Err(e) => self.fail(e.into(), p),
                         }
                         return true;
                     }
@@ -753,7 +678,7 @@ impl Conn {
                 Ok(n) => {
                     self.eps[end].wire_read += n as u64;
                     moved = true;
-                    self.decode(ci, end, &scratch[..n], p);
+                    self.decode(end, &scratch[..n], p);
                     force = false;
                     if n == scratch.len() && n < SCRATCH / 2 {
                         scratch.resize(2 * n, 0);
@@ -762,7 +687,7 @@ impl Conn {
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return moved,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => {
-                    self.fail(ci, e, p);
+                    self.fail(e, p);
                     return true;
                 }
             }
@@ -771,26 +696,26 @@ impl Conn {
 
     /// Streams freshly read bytes through `end`'s decoder and acts on
     /// each frame they complete.
-    fn decode(&mut self, ci: usize, end: usize, mut chunk: &[u8], p: &mut Pump) {
+    fn decode(&mut self, end: usize, mut chunk: &[u8], p: &mut Pump) {
         while !chunk.is_empty() && self.state != ConnState::Broken {
             let (used, event) = match self.eps[end].decoder.feed(chunk) {
                 Ok(step) => step,
-                Err(e) => return self.fail(ci, e.into(), p),
+                Err(e) => return self.fail(e.into(), p),
             };
             chunk = &chunk[used..];
             if let Some(event) = event {
-                self.deliver(ci, end, event, p);
+                self.deliver(end, event, p);
             }
         }
     }
 
     /// Hands one inbound frame to the queue pair it names. The name is
     /// peer input: one this socket does not carry is a protocol error.
-    fn deliver(&mut self, ci: usize, end: usize, event: Event, p: &mut Pump) {
+    fn deliver(&mut self, end: usize, event: Event, p: &mut Pump) {
         let (Event::Send { qp: id, .. } | Event::Write { qp: id, .. }) = event;
         let Some(slot) = self.slot_of(id) else {
             let e = format!("frame names queue pair {id}, not carried here");
-            return self.fail(ci, io::Error::new(io::ErrorKind::InvalidData, e), p);
+            return self.fail(io::Error::new(io::ErrorKind::InvalidData, e), p);
         };
         let node = self.eps[end].node;
         let qp = &mut self.qps[slot];
@@ -841,10 +766,11 @@ impl Conn {
         p.push(self.eps[qend ^ flip].node, done);
     }
 
-    /// Records a socket or protocol error for [`TcpFabric::shutdown`]
-    /// and breaks this socket.
-    fn fail(&mut self, ci: usize, e: io::Error, p: &mut Pump) {
-        let e = io::Error::new(e.kind(), format!("conn {ci}: {e}"));
+    /// Records a socket or protocol error for [`TcpFabric::shutdown`],
+    /// naming the socket by its node pair, and breaks the socket.
+    fn fail(&mut self, e: io::Error, p: &mut Pump) {
+        let [a, b] = self.eps.each_ref().map(|ep| ep.node);
+        let e = io::Error::new(e.kind(), format!("socket {a}-{b}: {e}"));
         p.io_errors.push(e);
         self.break_all(p);
     }
@@ -852,80 +778,65 @@ impl Conn {
 
 impl Transport for TcpFabric {
     fn now(&self) -> SimTime {
-        SimTime::from_nanos(self.pump.now_ns())
+        SimTime::from_nanos(self.home.pump.now_ns())
     }
 
     fn advance(&mut self) -> Option<(SimTime, NodeId, Delivery)> {
         loop {
-            if let Some(d) = self.pump.ready.pop_front() {
+            if let Some(d) = self.home.pump.ready.pop_front() {
+                qp::see(&mut self.qps, &d.2);
                 debug_assert!(d.0 >= self.last_at, "advance() went back in time");
                 self.last_at = d.0;
                 self.recorder.set_now(d.0.as_nanos());
                 return Some(d);
             }
             self.absorb();
-            if !self.pump.ready.is_empty() {
+            if !self.home.pump.ready.is_empty() {
                 continue;
             }
-            if self.cursor == 0 {
+            if self.home.cursor == 0 {
                 // Due timers fire only as a lap begins, so a zero-delay
                 // timer is the end-of-round hook: it fires after every
                 // delivery of the lap that armed it.
-                let now = self.pump.now_ns();
+                let now = self.home.pump.now_ns();
                 self.fire_due_timers(now);
-                if !self.pump.ready.is_empty() {
+                if !self.home.pump.ready.is_empty() {
                     continue;
-                }
-                let due = now - self.last_sweep >= FAILURE_DETECT_NS;
-                self.lap_sweep |= due;
-                if self.lap_sweep {
-                    self.last_sweep = now;
                 }
                 // A parked worker reads its sockets when told to; one
                 // that runs sweeps by its own clock.
+                let due = self.home.sweep_due(now);
                 if let Some(w) = self.worker.as_mut().filter(|w| due && w.idle()) {
                     w.order(Order::Sweep);
                 }
-                self.lap_moved = false;
             }
             // The lap visits every socket direction in turn and hands what
             // one delivers to the caller at once; what the caller posts in
             // reaction leaves in this lap if its direction is still ahead.
-            while self.cursor < 2 * self.conns.len() && self.pump.ready.is_empty() {
-                let (ci, tx) = (self.cursor / 2, self.cursor % 2);
-                self.cursor += 1;
-                let sweep = self.lap_sweep;
-                self.lap_moved |= self.conns[ci].pump_direction(ci, tx, sweep, &mut self.pump);
-                self.absorb();
-            }
-            if !self.pump.ready.is_empty() {
+            if !self.home.step() {
                 continue;
             }
-            self.cursor = 0;
-            let swept = std::mem::take(&mut self.lap_sweep);
-            #[cfg(debug_assertions)]
-            self.check_ledger();
             if self.quiescent() {
                 return None;
             }
-            if self.lap_moved {
+            if self.home.moved {
                 continue;
             }
             // The worker has work in flight: a sleeping or yielding
             // caller would hand its deliveries out late.
             if self.worker.as_ref().is_some_and(|w| !w.idle()) {
-                std::hint::spin_loop();
+                self.wait();
                 continue;
             }
             // Nothing moved in a lap that tried every read the ledger
             // still expects: park until the next timer, or just yield
             // while the kernel shuttles loopback bytes.
-            let now = self.pump.now_ns();
+            let now = self.home.pump.now_ns();
             match self.timers.peek() {
                 Some(&Reverse((deadline, _, _))) if deadline > now => {
                     // No socket goes unread across a sleep.
-                    if !swept {
-                        self.lap_sweep = true;
+                    if !self.home.swept {
+                        self.home.sweep = true;
                         continue;
                     }
                     let wait = (deadline - now).min(FAILURE_DETECT_NS);
@@ -939,59 +850,33 @@ impl Transport for TcpFabric {
     fn connect(&mut self, a: NodeId, b: NodeId) -> (QpHandle, QpHandle) {
         let (a, b) = (a.index(), b.index());
         let open = self.pairs.get(&(a.min(b), a.max(b))).copied();
-        let live = |&(away, ci): &(bool, usize)| match self.worker.as_ref().filter(|_| away) {
-            Some(w) => w.socks[ci].state != ConnState::Broken,
-            None => self.conns[ci].state != ConnState::Broken,
-        };
-        let conn = match open.filter(live) {
-            Some(at) => Some(at),
+        let sock = match open.filter(|&s| self.sockets[s].state != ConnState::Broken) {
+            Some(sock) => Some(sock),
             None => match self.open_socket(a, b) {
-                Ok(at) => Some(at),
+                Ok(sock) => Some(sock),
                 Err(e) => {
                     let e = io::Error::new(e.kind(), format!("connect {a}-{b}: {e}"));
-                    self.pump.io_errors.push(e);
+                    self.home.pump.io_errors.push(e);
                     None
                 }
             },
         };
         let id = self.qps.len() as u32;
-        let away = conn.is_some_and(|(away, _)| away);
-        let at = conn.map(|(away, ci)| match self.worker.as_mut().filter(|_| away) {
-            Some(w) => {
-                let sock = &mut w.socks[ci];
-                let (flip, ends, broken) =
-                    (usize::from(sock.nodes[0] != a), Default::default(), false);
-                sock.qps += 1;
-                let slot = sock.qps - 1;
-                w.order(Order::Qp {
-                    conn: ci,
-                    qp: Qp {
-                        id,
-                        flip,
-                        ends,
-                        broken,
-                    },
-                });
-                (ci, slot)
-            }
-            None => {
-                let conn = &mut self.conns[ci];
-                conn.qps.push(Qp {
-                    id,
-                    flip: usize::from(conn.eps[0].node != a),
-                    ends: Default::default(),
-                    broken: false,
-                });
-                (ci, conn.qps.len() - 1)
-            }
+        let at = sock.map(|sock| {
+            let socket = &mut self.sockets[sock];
+            let flip = usize::from(socket.nodes[0] != a);
+            socket.qps += 1;
+            let slot = socket.qps - 1;
+            self.order(sock, |conn| Order::Qp { conn, id, flip });
+            (sock, slot)
         });
-        self.qps.push(Route::new([a, b], away, at));
+        self.qps.push(Route::new([a, b], at));
         let handles = [0, 1].map(|end| QpHandle::from_parts(id, end));
         if at.is_none() {
             // No socket: both live ends see the break at the next
             // `advance()`, and every post is refused.
             for (qp, node) in handles.into_iter().zip([a, b]) {
-                self.pump.push(node, Delivery::QpBroken { qp });
+                self.home.pump.push(node, Delivery::QpBroken { qp });
             }
         }
         (handles[0], handles[1])
@@ -1022,34 +907,21 @@ impl Transport for TcpFabric {
     }
 
     fn post_recv(&mut self, qp: QpHandle, wr_id: WrId, max_len: u64) -> Result<(), VerbsError> {
-        let (conn, slot) = self.check_postable(qp)?;
+        let (sock, slot) = self.check_postable(qp)?;
         let end = usize::from(qp.endpoint());
-        let route = &mut self.qps[qp.conn_id() as usize];
-        let recv = (wr_id, max_len);
-        match self.worker.as_mut().filter(|_| route.away) {
-            Some(w) => {
-                route.seen.recvs[end] += 1;
-                w.order(Order::Recv {
-                    conn,
-                    slot,
-                    end,
-                    recv,
-                });
-            }
-            None => self.conns[conn].receive(slot, end, recv, &mut self.pump),
-        }
+        self.qps[qp.conn_id() as usize].posted[1][end] += 1;
+        self.order(sock, |conn| Order::Recv {
+            conn,
+            slot,
+            end,
+            recv: (wr_id, max_len),
+        });
         Ok(())
     }
 
     fn schedule_timer(&mut self, node: NodeId, delay: SimDuration, token: u64) {
-        let deadline = self.pump.now_ns().saturating_add(delay.as_nanos());
-        self.arm_timer(
-            deadline,
-            TimerEntry::Driver {
-                node: node.index(),
-                token,
-            },
-        );
+        let deadline = self.home.pump.now_ns().saturating_add(delay.as_nanos());
+        self.arm_timer(deadline, TimerEntry::Driver(node.index(), token));
     }
 
     fn consume_cpu(&mut self, _node: NodeId, _dur: SimDuration) {
@@ -1058,51 +930,37 @@ impl Transport for TcpFabric {
 
     fn crash(&mut self, node: NodeId) {
         let idx = node.index();
-        if self.pump.crashed[idx] {
+        if self.home.pump.crashed[idx] {
             return;
         }
-        self.pump.crashed[idx] = true;
         // Deliveries already queued for the dead node vanish: dead
         // software observes nothing, per the Transport contract.
-        self.pump.ready.retain(|(_, n, _)| n.index() != idx);
-        // The survivors notice at the failure-detect deadline.
-        let deadline = self.pump.now_ns().saturating_add(FAILURE_DETECT_NS);
-        let mut dying = Vec::new();
-        for (ci, conn) in self.conns.iter_mut().enumerate() {
-            if conn.dies_with(idx) {
-                dying.push((false, ci));
-            }
-        }
+        self.home.apply(Order::Crash(idx));
         if let Some(w) = self.worker.as_mut() {
             w.order(Order::Crash(idx));
-            for (ci, sock) in w.socks.iter_mut().enumerate() {
-                if sock.state == ConnState::Alive && sock.nodes.contains(&idx) {
-                    sock.state = ConnState::Dying;
-                    dying.push((true, ci));
-                }
-            }
         }
-        for (away, conn) in dying {
-            self.arm_timer(deadline, TimerEntry::Break { away, conn });
+        // The survivors notice at the failure-detect deadline.
+        let deadline = self.home.pump.now_ns().saturating_add(FAILURE_DETECT_NS);
+        for sock in 0..self.sockets.len() {
+            let socket = &mut self.sockets[sock];
+            if socket.state == ConnState::Alive && socket.nodes.contains(&idx) {
+                socket.state = ConnState::Dying;
+                self.arm_timer(deadline, TimerEntry::Break(sock));
+            }
         }
     }
 
     fn is_crashed(&self, node: NodeId) -> bool {
-        self.pump.crashed[node.index()]
+        self.home.pump.crashed[node.index()]
     }
 
     fn break_qp(&mut self, qp: QpHandle) {
         let route = &mut self.qps[qp.conn_id() as usize];
-        let Some((conn, slot)) = route.at else {
+        let Some((sock, slot)) = route.at else {
             return;
         };
-        match self.worker.as_mut().filter(|_| route.away) {
-            Some(w) => {
-                route.seen.broken = true;
-                w.order(Order::BreakQp { conn, slot });
-            }
-            None => self.conns[conn].break_qp(slot, &mut self.pump),
-        }
+        route.broken = true;
+        self.order(sock, |conn| Order::BreakQp { conn, slot });
     }
 
     fn profile(&self, _node: NodeId) -> &HostProfile {
@@ -1110,30 +968,23 @@ impl Transport for TcpFabric {
     }
 
     fn posting_snapshot(&self, qp: QpHandle) -> PostingSnapshot {
-        let route = &self.qps[qp.conn_id() as usize];
-        let Some((ci, slot)) = route.at.filter(|_| !route.away) else {
-            return route.seen.snapshot(usize::from(qp.endpoint()));
-        };
-        let p = &self.conns[ci].qps[slot];
-        let end = &p.ends[usize::from(qp.endpoint())];
+        let (route, end) = (&self.qps[qp.conn_id() as usize], usize::from(qp.endpoint()));
         PostingSnapshot {
-            queued_sends: end.queued,
-            send_inflight: false,
-            posted_recvs: end.recvs.len(),
-            rnr_armed: !end.held.is_empty(),
-            rnr_remaining: 0,
-            broken: p.broken,
+            queued_sends: route.posted[0][end],
+            posted_recvs: route.posted[1][end],
+            broken: route.broken,
+            ..PostingSnapshot::default()
         }
     }
 
     fn set_recorder(&mut self, recorder: trace::Recorder) {
-        recorder.set_now(self.pump.now_ns());
+        recorder.set_now(self.home.pump.now_ns());
         self.recorder = recorder;
     }
 
     fn stats(&self) -> FabricStats {
         FabricStats {
-            rnr_arms: self.pump.rnr_arms + self.worker.as_ref().map_or(0, |w| w.rnr_arms),
+            rnr_arms: self.home.pump.rnr_arms + self.worker.as_ref().map_or(0, |w| w.rnr_arms),
             ..FabricStats::default()
         }
     }
@@ -1143,7 +994,7 @@ impl Transport for TcpFabric {
     }
 
     fn num_nodes(&self) -> usize {
-        self.pump.crashed.len()
+        self.home.pump.crashed.len()
     }
 }
 
@@ -1157,14 +1008,12 @@ impl Drop for TcpFabric {
 
 impl std::fmt::Debug for TcpFabric {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let worker = self.sockets.iter().filter(|s| s.shard > 0).count();
         f.debug_struct("TcpFabric")
-            .field("nodes", &self.pump.crashed.len())
-            .field("sockets", &self.conns.len())
+            .field("nodes", &self.home.pump.crashed.len())
+            .field("sockets", &self.sockets.len())
             .field("queue_pairs", &self.qps.len())
-            .field(
-                "worker_sockets",
-                &self.worker.as_ref().map(|w| w.socks.len()),
-            )
+            .field("worker_sockets", &worker)
             .finish()
     }
 }

@@ -1,19 +1,19 @@
 //! Logical queue pairs on shared sockets. Every queue pair between two
 //! nodes rides their one socket, and each frame names its queue pair on
 //! the wire. The socket keeps what RDMA keeps per queue pair, so pumping
-//! a socket touches nothing outside it; the fabric keeps only each
-//! handle's route to its socket and slot. This module holds that state,
-//! what breaking one queue pair or a whole socket takes down, and — in
-//! debug builds — the ledger's invariants. The per-frame path (which
-//! queue pair a frame names, how it meets a posted receive) lives beside
-//! the pump in the crate root.
+//! a socket touches nothing outside it; the fabric keeps each handle's
+//! route to its socket and slot, and what software heard of it. This
+//! module holds that state, what breaking one queue pair or a whole
+//! socket takes down, and — in debug builds — the ledger's invariant.
+//! The per-frame path (which queue pair a frame names, how it meets a
+//! posted receive) lives beside the pump in the crate root.
 
 use std::collections::VecDeque;
 use std::net::Shutdown;
 
-use verbs::{Delivery, PostingSnapshot, QpHandle, WrId};
+use verbs::{Delivery, QpHandle, WrId};
 
-use crate::{Conn, ConnState, Pump, TcpFabric};
+use crate::{Conn, ConnState, Pump};
 
 /// One end of a queue pair: what RDMA keeps per QP and side.
 #[derive(Default)]
@@ -22,8 +22,6 @@ pub(crate) struct QpEnd {
     /// Two-sided frames that arrived before a receive was posted
     /// (len, imm): held, not dropped — but counted as RNR arms.
     pub(crate) held: VecDeque<(u64, u64)>,
-    /// This end's frames still in its socket end's queue.
-    pub(crate) queued: usize,
 }
 
 /// A logical queue pair, kept by the socket that carries it.
@@ -37,87 +35,50 @@ pub(crate) struct Qp {
     pub(crate) broken: bool,
 }
 
-/// Where a [`QpHandle`] leads: the nodes at its two ends, the shard
-/// holding its socket (the worker's, if `away`), and the socket's index
-/// there and the slot in that socket's `qps` holding its state — `None`
+/// Where a [`QpHandle`] leads, and what software has heard of it. Set at
+/// connect: the nodes at its two ends, and its socket (an index in the
+/// caller's socket table) and the slot there holding its state — `None`
 /// when setting that socket up failed, and the queue pair was born
-/// broken. Set once, at connect.
+/// broken. Every post and [`PostingSnapshot`] is answered from the rest,
+/// whichever shard owns the socket: `posted[recv][end]`, the frames
+/// (`queued_sends`) and receives (`posted_recvs`) posted at each end that
+/// no delivery handed out has completed yet, and whether software saw it
+/// break or broke it (a post is refused).
 pub(crate) struct Route {
     pub(crate) nodes: [usize; 2],
-    pub(crate) away: bool,
     pub(crate) at: Option<(usize, usize)>,
-    /// What software has seen of it, for posts and snapshots the caller
-    /// answers without the worker's state.
-    pub(crate) seen: Seen,
-}
-
-impl Route {
-    pub(crate) fn new(nodes: [usize; 2], away: bool, at: Option<(usize, usize)>) -> Route {
-        let seen = Seen {
-            broken: at.is_none(),
-            ..Seen::default()
-        };
-        Route {
-            nodes,
-            away,
-            at,
-            seen,
-        }
-    }
-}
-
-/// A queue pair on the worker's shard as software sees it: per end, the
-/// frames and receives posted that no delivery has completed yet, and
-/// whether it broke (software saw the notice, or broke it itself).
-#[derive(Default)]
-pub(crate) struct Seen {
-    pub(crate) queued: [usize; 2],
-    pub(crate) recvs: [usize; 2],
+    pub(crate) posted: [[usize; 2]; 2],
     pub(crate) broken: bool,
 }
 
-impl Seen {
-    pub(crate) fn snapshot(&self, end: usize) -> PostingSnapshot {
-        PostingSnapshot {
-            queued_sends: self.queued[end],
-            posted_recvs: self.recvs[end],
-            broken: self.broken,
-            ..PostingSnapshot::default()
+impl Route {
+    pub(crate) fn new(nodes: [usize; 2], at: Option<(usize, usize)>) -> Route {
+        Route {
+            nodes,
+            at,
+            posted: [[0; 2]; 2],
+            broken: at.is_none(),
         }
     }
 }
 
-/// Follows one of the worker's deliveries into what software has seen of
-/// the queue pair it names: a completion takes one post off its count, a
+/// Follows a delivery handed out into what software has heard of the
+/// queue pair it names: a completion takes one post off its count, a
 /// break marks it broken.
 pub(crate) fn see(routes: &mut [Route], delivery: &Delivery) {
-    let (qp, completes) = match *delivery {
-        Delivery::SendDone { qp, .. }
-        | Delivery::WriteDone { qp, .. }
-        | Delivery::WrFlushed {
-            qp, recv: false, ..
-        } => (qp, Some(false)),
-        Delivery::RecvDone { qp, .. } | Delivery::WrFlushed { qp, recv: true, .. } => {
-            (qp, Some(true))
+    let (qp, recv) = match *delivery {
+        Delivery::SendDone { qp, .. } | Delivery::WriteDone { qp, .. } => (qp, false),
+        Delivery::RecvDone { qp, .. } => (qp, true),
+        Delivery::WrFlushed { qp, recv, .. } => (qp, recv),
+        Delivery::QpBroken { qp } => {
+            routes[qp.conn_id() as usize].broken = true;
+            return;
         }
-        Delivery::QpBroken { qp } => (qp, None),
         _ => return,
     };
-    let (seen, end) = (
-        &mut routes[qp.conn_id() as usize].seen,
-        usize::from(qp.endpoint()),
-    );
-    match completes {
-        Some(recv) => {
-            let posts = if recv {
-                &mut seen.recvs
-            } else {
-                &mut seen.queued
-            };
-            posts[end] = posts[end].saturating_sub(1);
-        }
-        None => seen.broken = true,
-    }
+    let route = &mut routes[qp.conn_id() as usize];
+    let posts = &mut route.posted[usize::from(recv)][usize::from(qp.endpoint())];
+    *posts = posts.saturating_sub(1);
 }
 
 impl Conn {
@@ -161,13 +122,15 @@ impl Conn {
 
     /// Breaks the socket now: every queue pair it carries breaks as
     /// [`Self::break_qp`] breaks one, in creation order, then the streams
-    /// shut down. Whatever was queued or in flight leaves the ledger, and
-    /// the node pair's next connect opens a fresh socket.
+    /// shut down. Whatever was queued or in flight leaves the ledger, the
+    /// shard reports the break, and the node pair's next connect opens a
+    /// fresh socket.
     pub(crate) fn break_all(&mut self, p: &mut Pump) {
         if self.state == ConnState::Broken {
             return;
         }
         self.state = ConnState::Broken;
+        p.broke.push(self.id);
         for slot in 0..self.qps.len() {
             self.break_qp(slot, p);
         }
@@ -178,42 +141,12 @@ impl Conn {
     }
 }
 
-impl TcpFabric {
-    /// The ledger's invariants on the caller's shard: every route there
-    /// leads to the queue pair it names, and its sockets' share.
-    #[cfg(debug_assertions)]
-    pub(crate) fn check_ledger(&self) {
-        for (q, route) in self.qps.iter().enumerate() {
-            if let Some((ci, slot)) = route.at.filter(|_| !route.away) {
-                assert_eq!(self.conns[ci].qps[slot].id as usize, q, "route");
-            }
-        }
-        check_sockets(&self.conns);
-    }
-}
-
-/// The ledger's invariants on one shard's sockets, checked at every lap
-/// end: no end has read more than its peer wrote, and each queue-pair
-/// end counts exactly its frames in its socket end's queue.
+/// The ledger's invariant on one shard's sockets, checked at every lap
+/// end: no end has read more than its peer wrote.
 #[cfg(debug_assertions)]
 pub(crate) fn check_sockets(conns: &[Conn]) {
-    for (ci, conn) in conns.iter().enumerate() {
-        for (end, ep) in conn.eps.iter().enumerate() {
-            let peer_sent = conn.eps[1 - end].wire_sent;
-            assert!(
-                ep.wire_read <= peer_sent,
-                "conn {ci}: read past the peer's writes"
-            );
-        }
-        for qp in &conn.qps {
-            let mine = |end: usize| conn.eps[end ^ qp.flip].out.iter().filter(|f| f.qp == qp.id);
-            let counted = [0, 1].map(|end| if qp.broken { 0 } else { mine(end).count() });
-            assert_eq!(
-                qp.ends.each_ref().map(|e| e.queued),
-                counted,
-                "conn {ci}: frames queued per end of queue pair {}",
-                qp.id
-            );
-        }
+    for c in conns {
+        let read = (0..2).all(|end| c.eps[end].wire_read <= c.eps[1 - end].wire_sent);
+        assert!(read, "socket {}: read past the peer's writes", c.id);
     }
 }

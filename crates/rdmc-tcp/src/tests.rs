@@ -3,15 +3,18 @@
 //! a typed error (never a panic) for a malformed frame, an oversize
 //! post or a socket that cannot be set up. Then the one-socket-per-pair
 //! contract: queue pairs share their pair's socket, break alone, and
-//! all break together when the socket does. Last, shards: small and
-//! bulk runs deal sockets to both and deliver everywhere, the worker is
-//! parked whenever `run()` returns, and a crash across shards keeps
-//! delivery all-or-nothing with its breaks ahead of relayed gossip.
+//! all break together when the socket does. Last, shards, under the
+//! stepped driver over a range of seeds: small and bulk runs deal
+//! sockets to both and deliver everywhere, the worker is parked whenever
+//! `run()` returns, a crash across shards keeps delivery all-or-nothing
+//! with its breaks ahead of relayed gossip, two shards run what one
+//! runs, and both answer posts and snapshots alike.
 
 use super::*;
 use frame::HDR;
 use rdmc::Algorithm;
 use rdmc_sim::{GroupSpec, RecoveryConfig};
+use shard::Link;
 
 const A: NodeId = NodeId(0);
 const B: NodeId = NodeId(1);
@@ -24,12 +27,13 @@ fn pair() -> (TcpFabric, QpHandle, QpHandle) {
 
 /// One gathered write from the first socket's first end, unread.
 fn flush(fabric: &mut TcpFabric) -> bool {
-    fabric.conns[0].flush_quantum(0, 0, &mut fabric.pump)
+    fabric.home.conns[0].flush_quantum(0, &mut fabric.home.pump)
 }
 
 /// Frames queued for the wire, fabric-wide.
 fn queued(fabric: &TcpFabric) -> usize {
     fabric
+        .home
         .conns
         .iter()
         .flat_map(|c| &c.eps)
@@ -39,7 +43,7 @@ fn queued(fabric: &TcpFabric) -> usize {
 
 /// Bytes written that no peer has read, fabric-wide.
 fn in_flight(fabric: &TcpFabric) -> u64 {
-    let conns = fabric.conns.iter();
+    let conns = fabric.home.conns.iter();
     conns.map(|c| c.in_flight_to(0) + c.in_flight_to(1)).sum()
 }
 
@@ -67,7 +71,7 @@ fn collect<T>(
 fn idle_socket_killed_from_outside_breaks_both_ends_within_the_bound() {
     let (mut fabric, a, b) = pair();
     assert!(fabric.advance().is_none(), "idle");
-    fabric.conns[0].eps[0]
+    fabric.home.conns[0].eps[0]
         .stream
         .shutdown(Shutdown::Both)
         .expect("kill the socket behind the fabric's back");
@@ -104,7 +108,7 @@ fn bytes_in_flight_at_a_crash_are_delivered_before_the_break() {
     }
     // Flush without the paired read, as a slow kernel would leave it.
     assert!(flush(&mut fabric));
-    assert_eq!(fabric.conns[0].in_flight_to(1), K * (LEN + HDR as u64));
+    assert_eq!(fabric.home.conns[0].in_flight_to(1), K * (LEN + HDR as u64));
     fabric.crash(A);
     // The armed break timer keeps the fabric from going quiescent.
     let mut seen = Vec::new();
@@ -163,7 +167,7 @@ fn zero_delay_timer_fires_before_the_next_flush() {
     );
     assert_eq!(queued(&fabric), 0, "one lap flushed both writes");
     assert_eq!(
-        fabric.pump.ready.front().cloned().map(name).as_deref(),
+        fabric.home.pump.ready.front().cloned().map(name).as_deref(),
         Some("NodeId(0) done 2")
     );
     let rest: Vec<String> = std::iter::from_fn(|| fabric.advance()).map(name).collect();
@@ -209,22 +213,29 @@ fn a_reply_posted_mid_lap_leaves_in_the_same_lap() {
 }
 
 /// A frame of no known kind breaks its connection and comes out of
-/// `shutdown()` as `InvalidData`.
+/// `shutdown()` as `InvalidData`, naming the socket by its node pair:
+/// here the second socket, which the second shard owns.
 #[test]
 fn malformed_frame_is_an_error_at_shutdown_not_a_panic() {
-    let (mut fabric, _, _) = pair();
+    let mut fabric = stepped(4, 1);
+    fabric.connect(A, B);
+    let (c, d) = fabric.connect(NodeId(2), NodeId(3));
+    assert_eq!(fabric.sockets[1].shard, 1, "{fabric:?}");
+    fabric.catch_up();
     let garbage = OutFrame::new(u32::MAX, WrId(1), 0xEE, 0, Payload::Filler(3));
-    fabric.conns[0].eps[0].out.push_back(garbage);
-    let broken = collect(&mut fabric, 2, 50 * FAILURE_DETECT, |_, d| {
-        matches!(d, Delivery::QpBroken { .. }).then_some(())
+    let Some(Link::Stepped(stepped)) = fabric.worker.as_mut().map(|w| &mut w.link) else {
+        panic!("a stepped second shard");
+    };
+    stepped.shard.conns[0].eps[0].out.push_back(garbage);
+    let broken = collect(&mut fabric, 2, 50 * FAILURE_DETECT, |_, d| match d {
+        Delivery::QpBroken { qp } => Some(qp),
+        _ => None,
     });
-    assert_eq!(broken.len(), 2);
+    assert_eq!(broken, [c, d]);
     let error = fabric.shutdown().expect_err("the protocol error surfaces");
     assert_eq!(error.kind(), io::ErrorKind::InvalidData);
-    assert!(
-        error.to_string().contains("unknown frame kind 238"),
-        "{error}"
-    );
+    let (error, want) = (error.to_string(), "socket 2-3: unknown frame kind 238");
+    assert!(error.contains(want), "{error}");
 }
 
 /// A post over [`MAX_FRAME`] is a local-length error: the post is
@@ -285,7 +296,7 @@ fn failed_socket_setup_is_a_broken_queue_pair_not_a_panic() {
     fabric.addr = closed.local_addr().expect("local_addr");
     drop(closed);
     let (a, b) = fabric.connect(A, B);
-    assert!(fabric.conns.is_empty(), "no socket came up");
+    assert!(fabric.sockets.is_empty(), "no socket came up");
     assert_eq!(
         fabric.post_send(a, WrId(1), 64, 0, None),
         Err(VerbsError::QpBroken)
@@ -310,7 +321,7 @@ fn queue_pairs_between_two_nodes_share_one_socket() {
     let mut pairs: Vec<(QpHandle, QpHandle)> = (0..3).map(|_| fabric.connect(A, B)).collect();
     let (b3, a3) = fabric.connect(B, A);
     pairs.push((a3, b3));
-    assert_eq!(fabric.conns.len(), 1, "one socket per node pair");
+    assert_eq!(fabric.sockets.len(), 1, "one socket per node pair");
     for round in 0..2 {
         for (i, &(a, _)) in pairs.iter().enumerate() {
             let tag = 10 * i as u64 + round;
@@ -395,10 +406,10 @@ fn breaking_one_queue_pair_leaves_its_socket_mates_running() {
     expected.sort();
     assert_eq!(mates, expected);
     assert_eq!(
-        fabric.pump.rnr_arms, 0,
+        fabric.home.pump.rnr_arms, 0,
         "the orphan's tail is dropped, not held"
     );
-    assert_eq!(fabric.conns.len(), 1);
+    assert_eq!(fabric.sockets.len(), 1);
     assert_eq!((queued(&fabric), in_flight(&fabric)), (0, 0), "quiescent");
     fabric.shutdown().expect("clean shutdown");
 }
@@ -444,7 +455,7 @@ fn frame_naming_a_queue_pair_not_carried_is_an_error_not_a_panic() {
     let mut fabric = TcpFabric::launch(2).expect("launch");
     let handles = [fabric.connect(A, B), fabric.connect(B, A)];
     let stray = OutFrame::new(999, WrId(1), KIND_WRITE, 0, Payload::Bytes(Bytes::new()));
-    fabric.conns[0].eps[0].out.push_back(stray);
+    fabric.home.conns[0].eps[0].out.push_back(stray);
     let mut broken = collect(&mut fabric, 4, 50 * FAILURE_DETECT, |_, d| match d {
         Delivery::QpBroken { qp } => Some(qp),
         other => panic!("unexpected {other:?}"),
@@ -491,7 +502,7 @@ impl Transport for Tap {
             assert!(*at >= self.last_at, "a stamp went back: {delivery:?}");
             self.last_at = *at;
             if self.first_batch.is_none() && self.breaks_dead(delivery) {
-                let ready = self.fabric.pump.ready.iter();
+                let ready = self.fabric.home.pump.ready.iter();
                 let queued = ready.filter(|(_, _, d)| self.breaks_dead(d)).count();
                 self.first_batch = Some(1 + queued);
             }
@@ -561,12 +572,21 @@ impl Transport for Tap {
     }
 }
 
-/// `n` members in one group over a tapped fabric, in the `tcp_large`
-/// shape (256 KiB blocks) or the `tcp_small` one (4 KiB), three blocks
-/// in flight per queue pair; with `recovery`, survivors reconfigure.
-fn tapped_group(n: usize, block_size: u64, recovery: bool) -> (Cluster<Tap>, usize) {
+/// Seeds every stepped test runs over.
+const SEEDS: std::ops::Range<u64> = 0..32;
+
+/// An `n`-node fabric whose second shard the stepped driver turns.
+fn stepped(n: usize, seed: u64) -> TcpFabric {
+    TcpFabric::with_worker(n, |shard| Some(Stepped::worker(shard, seed))).expect("launch")
+}
+
+/// `n` members in one group over a tapped stepped fabric, in the
+/// `tcp_large` shape (256 KiB blocks) or the `tcp_small` one (4 KiB),
+/// three blocks in flight per queue pair; with `recovery`, survivors
+/// reconfigure.
+fn tapped_group(n: usize, seed: u64, block_size: u64, recovery: bool) -> (Cluster<Tap>, usize) {
     let tap = Tap {
-        fabric: TcpFabric::launch(n).expect("launch"),
+        fabric: stepped(n, seed),
         handed: Vec::new(),
         last_at: SimTime::ZERO,
         dead: None,
@@ -589,30 +609,20 @@ fn tapped_group(n: usize, block_size: u64, recovery: bool) -> (Cluster<Tap>, usi
 
 /// Whether each shard holds a socket `node` is on.
 fn on_both_shards(fabric: &TcpFabric, node: usize) -> bool {
-    let here = fabric
-        .conns
-        .iter()
-        .any(|c| c.eps.iter().any(|ep| ep.node == node));
-    let there = fabric
-        .worker
-        .as_ref()
-        .is_some_and(|w| w.socks.iter().any(|s| s.nodes.contains(&node)));
-    here && there
+    let on = |s: &Socket| s.nodes.contains(&node).then_some(s.shard);
+    let shards: std::collections::BTreeSet<usize> = fabric.sockets.iter().filter_map(on).collect();
+    shards.len() == 2
 }
 
-/// The worker is parked, and its shard — taken back from it — settled.
-fn assert_worker_settled(fabric: &mut TcpFabric) {
-    let worker = fabric.worker.take().expect("a worker on a two-core host");
+/// Node 0 has sockets on both shards, the worker is parked, and its
+/// shard — taken back from it — is settled.
+fn assert_settled_on_both_shards(mut fabric: TcpFabric) {
+    assert!(on_both_shards(&fabric, 0), "{fabric:?}");
+    let worker = fabric.worker.take().expect("a second shard");
     assert!(worker.idle(), "run() returned next to a running worker");
-    let (conns, _) = worker.stop().expect("the worker returns its shard");
-    assert!(
-        conns.iter().all(Conn::settled),
-        "the worker's shard is settled"
-    );
-}
-
-fn two_cores() -> bool {
-    thread::available_parallelism().is_ok_and(|n| n.get() >= 2)
+    let shard = worker.stop().expect("the stepped driver's shard");
+    assert!(shard.conns.iter().all(Conn::settled), "worker unsettled");
+    fabric.shutdown().expect("clean shutdown");
 }
 
 /// Small frames use both shards: a `tcp_small`-shaped run — 32 members,
@@ -622,46 +632,40 @@ fn two_cores() -> bool {
 /// nothing spins between runs.
 #[test]
 fn a_small_frame_run_uses_both_shards_and_delivers_everywhere() {
-    let (mut cluster, group) = tapped_group(32, 4 << 10, false);
-    for _ in 0..4 {
-        for _ in 0..9 {
-            cluster.submit_send(group, 4 << 10);
+    for seed in SEEDS {
+        let (mut cluster, group) = tapped_group(32, seed, 4 << 10, false);
+        for _ in 0..4 {
+            for _ in 0..9 {
+                cluster.submit_send(group, 4 << 10);
+            }
+            cluster.run();
+            let worker = cluster.transport().fabric.worker.as_ref();
+            assert!(worker.is_some_and(Worker::idle), "seed {seed}: parked");
         }
-        cluster.run();
-        let worker = cluster.transport().fabric.worker.as_ref();
-        assert!(worker.is_none_or(|w| w.idle()), "parked once run() returns");
+        assert_eq!(cluster.check_run(), Ok(()), "seed {seed}");
+        for r in cluster.message_results() {
+            assert!(r.delivered_at.iter().all(Option::is_some), "{r:?}");
+        }
+        assert_settled_on_both_shards(cluster.into_transport().fabric);
     }
-    assert_eq!(cluster.check_run(), Ok(()));
-    for r in cluster.message_results() {
-        assert!(r.delivered_at.iter().all(Option::is_some), "{r:?}");
-    }
-    let mut fabric = cluster.into_transport().fabric;
-    if two_cores() {
-        assert!(on_both_shards(&fabric, 0), "{fabric:?}");
-        assert_worker_settled(&mut fabric);
-    }
-    fabric.shutdown().expect("clean shutdown");
 }
 
 /// Bulk frames use both shards too, and deliver what one thread would:
 /// every message at every member, and a clean verdict.
 #[test]
 fn a_bulk_run_uses_both_shards_and_delivers_everywhere() {
-    let (mut cluster, group) = tapped_group(8, 256 << 10, false);
-    for _ in 0..3 {
-        cluster.submit_send(group, 4 << 20);
+    for seed in SEEDS {
+        let (mut cluster, group) = tapped_group(8, seed, 256 << 10, false);
+        for _ in 0..3 {
+            cluster.submit_send(group, 4 << 20);
+        }
+        cluster.run();
+        assert_eq!(cluster.check_run(), Ok(()), "seed {seed}");
+        for r in cluster.message_results() {
+            assert!(r.delivered_at.iter().all(Option::is_some), "{r:?}");
+        }
+        assert_settled_on_both_shards(cluster.into_transport().fabric);
     }
-    cluster.run();
-    assert_eq!(cluster.check_run(), Ok(()));
-    for r in cluster.message_results() {
-        assert!(r.delivered_at.iter().all(Option::is_some), "{r:?}");
-    }
-    let mut fabric = cluster.into_transport().fabric;
-    if two_cores() {
-        assert!(on_both_shards(&fabric, 0), "{fabric:?}");
-        assert_worker_settled(&mut fabric);
-    }
-    fabric.shutdown().expect("clean shutdown");
 }
 
 /// A relay whose sockets sit on both shards crashes mid-message: the
@@ -674,46 +678,175 @@ fn a_bulk_run_uses_both_shards_and_delivers_everywhere() {
 #[test]
 fn a_relay_crash_across_shards_keeps_delivery_all_or_nothing() {
     /// The tag of a relayed failure notice (`rdmc_sim`'s control plane).
-    const TAG_FAILURE: u64 = 1;
+    const NOTICE: u64 = 1;
     const DEAD: usize = 3;
-    let (mut cluster, group) = tapped_group(8, 256 << 10, true);
-    let first = cluster.submit_send(group, 4 << 20);
-    cluster.submit_send(group, 4 << 20);
-    for _ in 0..100 {
-        assert!(cluster.step(), "the first message is under way");
-    }
-    if two_cores() {
+    for seed in SEEDS {
+        let (mut cluster, group) = tapped_group(8, seed, 256 << 10, true);
+        let first = cluster.submit_send(group, 4 << 20);
+        cluster.submit_send(group, 4 << 20);
+        for _ in 0..100 {
+            assert!(cluster.step(), "the first message is under way");
+        }
         let fabric = &cluster.transport().fabric;
         assert!(on_both_shards(fabric, DEAD), "{fabric:?}");
+        let delivered = &cluster.result(first).expect("submitted").delivered_at;
+        assert!(delivered.iter().any(Option::is_none), "crash mid-message");
+        cluster.crash_now(DEAD);
+        cluster.run();
+        assert_eq!(cluster.check_run(), Ok(()), "seed {seed}");
+        assert_eq!(cluster.surviving_ranks(group), [0, 1, 2, 4, 5, 6, 7]);
+        let tap = cluster.into_transport();
+        let handed = &tap.handed;
+        let breaks: Vec<usize> = (0..handed.len())
+            .filter(|&i| tap.breaks_dead(&handed[i].1))
+            .collect();
+        let batch = Some(breaks.len());
+        assert_eq!(tap.first_batch, batch, "seed {seed}: one batch of breaks");
+        let notice =
+            |(_, d): &(NodeId, Delivery)| matches!(d, Delivery::WriteArrived { tag: NOTICE, .. });
+        let gossip = handed.iter().position(notice);
+        assert!(
+            !breaks.is_empty() && breaks.iter().all(|&i| Some(i) < gossip),
+            "seed {seed}: breaks at {breaks:?}, the first relayed failure at {gossip:?}"
+        );
+        tap.fabric.shutdown().expect("clean shutdown after a crash");
     }
-    let delivered = &cluster.result(first).expect("submitted").delivered_at;
-    assert!(delivered.iter().any(Option::is_none), "crash mid-message");
-    cluster.crash_now(DEAD);
-    cluster.run();
-    assert_eq!(cluster.check_run(), Ok(()));
-    assert_eq!(cluster.surviving_ranks(group), [0, 1, 2, 4, 5, 6, 7]);
-    let tap = cluster.into_transport();
-    let handed = &tap.handed;
-    let breaks: Vec<usize> = (0..handed.len())
-        .filter(|&i| tap.breaks_dead(&handed[i].1))
-        .collect();
-    assert_eq!(tap.first_batch, Some(breaks.len()), "one batch of breaks");
-    let gossip = handed.iter().position(|(_, d)| {
-        matches!(
-            d,
-            Delivery::WriteArrived {
-                tag: TAG_FAILURE,
-                ..
+}
+
+/// An engine log in `transport_equivalence`'s canonical form: per
+/// (group, rank, event class, peer) channel, its events in log order.
+type Channels = BTreeMap<(usize, u32, &'static str, i64), Vec<u64>>;
+
+fn canonicalize(log: &[rdmc_sim::EngineLogEntry]) -> Channels {
+    use rdmc::engine::Event;
+    let mut channels = Channels::new();
+    for entry in log {
+        let (class, peer, detail) = match entry.event {
+            Event::StartSend { size } => ("start", -1, size),
+            Event::BlockReceived { from, total_size } => ("block", i64::from(from), total_size),
+            Event::ReadyReceived { from } => ("ready", i64::from(from), 0),
+            Event::SendCompleted { to } => ("sendc", i64::from(to), 0),
+            Event::PeerFailed { rank } => ("fail", i64::from(rank), 0),
+        };
+        let channel = channels.entry((entry.group, entry.rank, class, peer));
+        channel.or_default().push(detail);
+    }
+    channels
+}
+
+/// The stepped driver changes when things happen, never what: a
+/// crash-free 8-node run delivers the same messages to the same members
+/// (the time-free digest) and its engines log the same events per
+/// channel on every seed as on one shard.
+#[test]
+fn two_shards_run_what_one_shard_runs() {
+    let run = |fabric: TcpFabric| {
+        let mut cluster = ClusterBuilder::from_transport(fabric).engine_log().build();
+        let group = cluster.create_group(GroupSpec {
+            members: (0..8).collect(),
+            algorithm: Algorithm::BinomialPipeline,
+            block_size: 16 << 10,
+            ready_window: 2,
+            max_outstanding_sends: 2,
+        });
+        for size in [64 << 10, 1, (96 << 10) + 17, 4 << 10] {
+            cluster.submit_send(group, size);
+        }
+        cluster.run();
+        assert_eq!(cluster.check_run(), Ok(()));
+        let mut digest = Vec::new();
+        for r in cluster.message_results() {
+            let got: Vec<bool> = r.delivered_at.iter().map(Option::is_some).collect();
+            digest.push((r.group, r.index, r.size, got));
+        }
+        let log = canonicalize(cluster.engine_log());
+        let fabric = cluster.into_transport();
+        let both = on_both_shards(&fabric, 0);
+        assert_eq!(fabric.worker.is_some(), both, "{fabric:?}");
+        fabric.shutdown().expect("clean shutdown");
+        (digest, log)
+    };
+    let one = run(TcpFabric::with_worker(8, |_| None).expect("launch"));
+    for seed in SEEDS {
+        assert_eq!(run(stepped(8, seed)), one, "seed {seed}");
+    }
+}
+
+/// Posts are answered, and snapshots taken, from what software heard of
+/// a queue pair, whichever shard owns its socket: the same posts,
+/// receives and break on a queue pair of each get the same answers and
+/// the same snapshots at every point.
+#[test]
+fn both_shards_answer_posts_and_snapshots_alike() {
+    for seed in SEEDS {
+        let mut f = stepped(4, seed);
+        let pairs = [f.connect(A, B), f.connect(NodeId(2), NodeId(3))];
+        assert_eq!(f.sockets[1].shard, 1, "{f:?}");
+        for act in 0..9 {
+            match act {
+                3 | 7 => while f.advance().is_some() {},
+                4 => pairs.iter().for_each(|&(a, _)| f.break_qp(a)),
+                _ => {}
             }
-        )
-    });
-    assert!(
-        !breaks.is_empty() && gossip.is_some(),
-        "{breaks:?} {gossip:?}"
-    );
-    assert!(
-        breaks.iter().all(|&i| Some(i) < gossip),
-        "breaks at {breaks:?}, the first relayed failure at {gossip:?}"
-    );
-    tap.fabric.shutdown().expect("clean shutdown after a crash");
+            let answers = pairs.map(|(a, b)| match act {
+                0 | 6 | 8 => f.post_recv(b, WrId(act), 64),
+                1 | 2 | 5 => f.post_send(a, WrId(act), 64, 0, None),
+                _ => Ok(()),
+            });
+            let snaps = pairs.map(|(a, b)| [a, b].map(|qp| f.posting_snapshot(qp)));
+            assert_eq!(answers[0], answers[1], "seed {seed}");
+            assert_eq!(snaps[0], snaps[1], "seed {seed}");
+        }
+        f.shutdown().expect("clean shutdown");
+    }
+}
+
+/// The stepped driver: the second shard on the calling thread. Each time
+/// the caller looks for a report, a seeded choice says whether the shard
+/// takes a turn first and whether a waiting report comes through, so
+/// which shard steps next and when the caller hears of it vary by seed;
+/// [`Worker::wait`] always turns it, so a caller that waits gets on.
+pub(crate) struct Stepped {
+    pub(crate) shard: Shard,
+    pub(crate) inbox: VecDeque<Order>,
+    outbox: VecDeque<Report>,
+    parked: bool,
+    rng: simnet::SplitMix64,
+    /// Out of 8: the odds a look turns the shard, and lets a report out.
+    odds: [u64; 2],
+}
+
+impl Stepped {
+    fn worker(shard: Shard, seed: u64) -> Worker {
+        let mut rng = simnet::SplitMix64::new(seed);
+        let odds = [0; 2].map(|_| 1 + rng.next_u64() % 7);
+        Worker::new(Link::Stepped(Box::new(Stepped {
+            shard,
+            inbox: VecDeque::new(),
+            outbox: VecDeque::new(),
+            parked: true,
+            rng,
+            odds,
+        })))
+    }
+
+    /// A turn, unless the shard is parked with nothing to apply, as a
+    /// parked thread waits on its inbox.
+    pub(crate) fn turn(&mut self) {
+        if self.parked && self.inbox.is_empty() {
+            return;
+        }
+        let outbox = &mut self.outbox;
+        let orders = self.inbox.drain(..);
+        self.parked = self.shard.turn(orders, &mut |r| outbox.push_back(r));
+    }
+
+    pub(crate) fn next(&mut self) -> Option<Report> {
+        let mut roll = || self.rng.next_u64() % 8;
+        let (turn, through) = (roll() < self.odds[0], roll() < self.odds[1]);
+        if turn {
+            self.turn();
+        }
+        through.then(|| self.outbox.pop_front()).flatten()
+    }
 }
