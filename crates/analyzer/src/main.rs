@@ -108,7 +108,9 @@ fn run_explore(args: &ExploreArgs) -> ! {
         });
         println!("counterexample trace written to {path}");
     }
-    std::process::exit(i32::from(!report.is_clean()));
+    // A truncated search is not a proof: fail it like a counterexample,
+    // as the sweep does.
+    std::process::exit(i32::from(!report.is_clean() || report.truncated));
 }
 
 fn run_replay(args: &ExploreArgs, script: &[usize]) -> ! {

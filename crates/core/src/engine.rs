@@ -103,7 +103,8 @@ pub enum Event {
         /// The target of the completed send.
         to: Rank,
     },
-    /// A peer failed (local connection break, or a relayed notice).
+    /// A peer failed (a local connection break, or a notice from a peer:
+    /// a relayed failure or a membership row).
     PeerFailed {
         /// The failed member.
         rank: Rank,
@@ -146,7 +147,8 @@ pub enum Action {
         size: u64,
     },
     /// Relay a failure notice to every surviving peer and inform the
-    /// application; the group is now wedged.
+    /// application; the group is now wedged. A driver that runs a
+    /// membership epidemic may carry the notice there instead.
     RelayFailure {
         /// The member that failed.
         failed: Rank,

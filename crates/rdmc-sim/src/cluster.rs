@@ -728,12 +728,14 @@ impl<T: Transport> Cluster<T> {
                     }
                     TAG_FAILURE => {
                         // Peer input: a write too short to name a rank, or
-                        // naming one outside the group, is dropped.
+                        // naming one outside the group, is dropped. So is a
+                        // notice naming the receiver (a flap's far end):
+                        // its own broken connection wedges it.
                         let members = self.groups[group].orig_rank.len();
                         let Some(failed) = payload
                             .first_chunk::<4>()
                             .map(|rank| u32::from_le_bytes(*rank))
-                            .filter(|&rank| (rank as usize) < members)
+                            .filter(|&rank| (rank as usize) < members && rank != me)
                         else {
                             return;
                         };
@@ -805,11 +807,19 @@ impl<T: Transport> Cluster<T> {
     }
 
     /// `me` learned that current-rank `failed` is gone — from a broken
-    /// connection, a relayed notice or a loss escalation: its engine
-    /// wedges and its suspicion enters the view epidemic.
+    /// connection, a relayed notice or a loss escalation. Without
+    /// recovery its engine wedges and relays the notice; with recovery
+    /// `me` suspects `failed` (its engine wedges, its view row spreads the
+    /// news) and arms a reconfiguration attempt.
     pub(crate) fn learned_failure(&mut self, group: GroupId, me: Rank, failed: Rank) {
-        self.feed(group, me, Event::PeerFailed { rank: failed });
-        self.note_suspicion(group, me, failed);
+        let Some(grace) = self.reconfig.config.as_ref().map(|c| c.grace) else {
+            self.feed(group, me, Event::PeerFailed { rank: failed });
+            return;
+        };
+        let o = self.groups[group].orig_rank[failed as usize];
+        if self.suspect(group, me, o) {
+            self.arm_reconfigure(group, me, 0, grace);
+        }
     }
 
     /// Feeds an event to one engine and executes the resulting actions.
@@ -910,10 +920,13 @@ impl<T: Transport> Cluster<T> {
                     // delivery engine.
                     self.atomic_on_rdmc_delivery(group, rank);
                 }
-                Action::RelayFailure { failed } => {
+                // A recovery group's view row is its failure notice
+                // (`Cluster::suspect`): only a plain group relays.
+                Action::RelayFailure { failed } if !self.recovery_enabled() => {
                     let payload = Bytes::copy_from_slice(&failed.to_le_bytes());
                     self.broadcast_write(group, rank, WrId(1), TAG_FAILURE, payload);
                 }
+                Action::RelayFailure { .. } => {}
             }
         }
         if deferred_copy > SimDuration::ZERO {

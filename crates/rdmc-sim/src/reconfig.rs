@@ -5,7 +5,11 @@
 //! external membership service restarts interrupted transfers in a new
 //! group. [`crate::ClusterBuilder::recovery`] turns that service on: each
 //! member runs an SST-style [`ViewTracker`] whose suspicion updates
-//! spread epidemically over the fabric (`TAG_VIEW` writes); once every
+//! spread epidemically over the fabric (`TAG_VIEW` writes). That row is
+//! a recovery group's only failure notice: the engines' `RelayFailure`
+//! sends nothing, and a member learns a failure one way, by suspecting
+//! it (`suspect`) or merging a row that does (`view_update`); either
+//! wedges its engine once per failed peer (`wedge_on`). Once every
 //! unsuspected member publishes the identical failure set, the agreed
 //! view is installed — old queue pairs torn down, survivors renumbered,
 //! and every interrupted message resumed block-wise from the survivors'
@@ -247,9 +251,34 @@ impl<T: Transport> Cluster<T> {
 
 /// Suspicion, the view epidemic, and the view change itself.
 impl<T: Transport> Cluster<T> {
-    /// Counts original rank `o`'s first suspicion in `group` in the
-    /// detection stats (once per group and member).
-    fn note_detection(&mut self, group: GroupId, o: usize) {
+    /// `me` suspects original rank `o` itself — from a broken connection,
+    /// a relayed notice, a loss escalation or the forcing detector. The
+    /// only way a tracker suspects: a new suspicion opens the cycle,
+    /// wedges `me`'s engine and broadcasts `me`'s row, which is the
+    /// group's only failure notice. Returns whether it was new.
+    pub(crate) fn suspect(&mut self, group: GroupId, me: Rank, o: usize) -> bool {
+        let orig_me = self.groups[group].orig_rank[me as usize];
+        if orig_me == o || self.fabric.is_crashed(self.groups[group].node(me)) {
+            return false;
+        }
+        let rec = &mut self.reconfig.groups[group];
+        let Some(payload) = rec.trackers[orig_me].suspect(o as u32) else {
+            return false; // already suspected: `me` is wedged on it
+        };
+        rec.cycle_started.get_or_insert(self.fabric.now());
+        self.recorder
+            .record(self.groups[group].scope(group, me), || {
+                trace::EventKind::Suspected { failed: o as u32 }
+            });
+        self.wedge_on(group, me, o);
+        self.broadcast_view(group, me, &payload);
+        true
+    }
+
+    /// `me`'s tracker now suspects original rank `o`: count the detection
+    /// (once per group and member) and wedge `me`'s engine if `o` is a
+    /// current peer. The only `PeerFailed` feed of the membership service.
+    fn wedge_on(&mut self, group: GroupId, me: Rank, o: usize) {
         if self.reconfig.groups[group].detected.insert(o as Rank) {
             self.reconfig.stats.detections.push(DetectionRecord {
                 group,
@@ -258,38 +287,9 @@ impl<T: Transport> Cluster<T> {
                 suspected_at: self.fabric.now(),
             });
         }
-    }
-
-    /// Registers `me`'s suspicion that current-rank `failed` is gone,
-    /// spreads it epidemically, and arms a reconfiguration timer.
-    pub(crate) fn note_suspicion(&mut self, group: GroupId, me: Rank, failed: Rank) {
-        let Some(config) = self.reconfig.config.clone() else {
-            return;
-        };
-        let now = self.fabric.now();
-        if self.fabric.is_crashed(self.groups[group].node(me)) {
-            return;
+        if let Some(rank) = self.groups[group].current_of(o).filter(|&cur| cur != me) {
+            self.feed(group, me, Event::PeerFailed { rank });
         }
-        let orig_me = self.groups[group].orig_rank[me as usize];
-        let orig_failed = self.groups[group].orig_rank[failed as usize];
-        if orig_me == orig_failed {
-            return;
-        }
-        let rec = &mut self.reconfig.groups[group];
-        let Some(payload) = rec.trackers[orig_me].suspect(orig_failed as u32) else {
-            return; // already suspected locally: nothing new to spread
-        };
-        rec.cycle_started.get_or_insert(now);
-        let version = rec.version;
-        self.recorder
-            .record(self.groups[group].scope(group, me), || {
-                trace::EventKind::Suspected {
-                    failed: orig_failed as u32,
-                }
-            });
-        self.note_detection(group, orig_failed);
-        self.broadcast_view(group, me, &payload);
-        self.arm_reconfigure(group, me, version, 0, config.grace);
     }
 
     /// Handles an incoming `TAG_VIEW` write: merge it monotonically, wedge
@@ -300,50 +300,37 @@ impl<T: Transport> Cluster<T> {
         let Some(config) = self.reconfig.config.clone() else {
             return;
         };
-        let now = self.fabric.now();
         if self.fabric.is_crashed(self.groups[group].node(me)) {
             return;
         }
         let orig_me = self.groups[group].orig_rank[me as usize];
         let orig_peer = self.groups[group].orig_rank[peer as usize];
-        let (echo, newly_suspected, version) = {
-            let rec = &mut self.reconfig.groups[group];
-            let before = rec.trackers[orig_me].suspected();
-            let Ok(echo) = rec.trackers[orig_me].apply_remote(orig_peer as u32, payload) else {
-                return;
-            };
-            let after = rec.trackers[orig_me].suspected();
-            let newly: Vec<u32> = after.difference(&before).copied().collect();
-            if !newly.is_empty() {
-                rec.cycle_started.get_or_insert(now);
-            }
-            (echo, newly, rec.version)
+        let tracker = &mut self.reconfig.groups[group].trackers[orig_me];
+        let before = tracker.suspected();
+        let Ok(echo) = tracker.apply_remote(orig_peer as u32, payload) else {
+            return;
         };
-        if !newly_suspected.is_empty() {
-            let newly = newly_suspected.len() as u32;
+        let newly: Vec<u32> = tracker.suspected().difference(&before).copied().collect();
+        if !newly.is_empty() {
+            let now = self.fabric.now();
+            self.reconfig.groups[group].cycle_started.get_or_insert(now);
+            let count = newly.len() as u32;
             self.recorder
                 .record(self.groups[group].scope(group, me), || {
                     trace::EventKind::ViewMerged {
                         from: orig_peer as u32,
-                        newly,
+                        newly: count,
                     }
                 });
         }
-        for &o in &newly_suspected {
-            let o = o as usize;
-            self.note_detection(group, o);
-            // Wedge my engine on the newly learned failure.
-            if o != orig_me {
-                if let Some(cur) = self.groups[group].current_of(o) {
-                    self.feed(group, me, Event::PeerFailed { rank: cur });
-                }
-            }
+        for &o in &newly {
+            self.wedge_on(group, me, o as usize);
         }
         if let Some(echo) = echo {
             self.broadcast_view(group, me, &echo);
         }
-        if !newly_suspected.is_empty() {
-            self.arm_reconfigure(group, me, version, 0, config.grace);
+        if !newly.is_empty() {
+            self.arm_reconfigure(group, me, 0, config.grace);
         }
     }
 
@@ -358,19 +345,19 @@ impl<T: Transport> Cluster<T> {
         );
     }
 
-    /// Schedules a reconfiguration attempt on `me`'s node after `delay`.
-    fn arm_reconfigure(
+    /// Schedules a reconfiguration attempt on `me`'s node after `delay`,
+    /// under the group's current version.
+    pub(crate) fn arm_reconfigure(
         &mut self,
         group: GroupId,
         me: Rank,
-        version: u64,
         attempt: u32,
         delay: SimDuration,
     ) {
         let node = self.groups[group].node(me).index();
         let action = TimerAction::Reconfigure {
             group,
-            version,
+            version: self.reconfig.groups[group].version,
             attempt,
         };
         self.arm_timer(node, delay, action);
@@ -429,7 +416,7 @@ impl<T: Transport> Cluster<T> {
             for o in undetected {
                 self.suspect_everywhere(group, o);
             }
-            self.arm_reconfigure(group, coordinator, version, attempt + 1, config.grace);
+            self.arm_reconfigure(group, coordinator, attempt + 1, config.grace);
             return;
         }
         if attempt + 1 >= FORCE_AFTER {
@@ -443,40 +430,14 @@ impl<T: Transport> Cluster<T> {
                 .saturating_mul(1u64 << attempt.min(20)),
         )
         .min(MAX_BACKOFF);
-        self.arm_reconfigure(group, coordinator, version, attempt + 1, backoff);
+        self.arm_reconfigure(group, coordinator, attempt + 1, backoff);
     }
 
     /// Makes every live member suspect original rank `o` directly — the
     /// simulation's stand-in for a heavyweight external failure detector.
     fn suspect_everywhere(&mut self, group: GroupId, o: u32) {
-        let now = self.fabric.now();
-        let n = self.groups[group].orig_rank.len() as Rank;
-        for r in 0..n {
-            if self.fabric.is_crashed(self.groups[group].node(r)) {
-                continue;
-            }
-            let orig_r = self.groups[group].orig_rank[r as usize];
-            if orig_r as u32 == o {
-                continue;
-            }
-            let rec = &mut self.reconfig.groups[group];
-            rec.cycle_started.get_or_insert(now);
-            let payload = rec.trackers[orig_r].suspect(o);
-            if payload.is_some() {
-                self.recorder
-                    .record(self.groups[group].scope(group, r), || {
-                        trace::EventKind::Suspected { failed: o }
-                    });
-            }
-            self.note_detection(group, o as usize);
-            if let Some(cur) = self.groups[group].current_of(o as usize) {
-                if cur != r {
-                    self.feed(group, r, Event::PeerFailed { rank: cur });
-                }
-            }
-            if let Some(p) = payload {
-                self.broadcast_view(group, r, &p);
-            }
+        for r in 0..self.groups[group].orig_rank.len() as Rank {
+            self.suspect(group, r, o as usize);
         }
     }
 
@@ -544,18 +505,6 @@ impl<T: Transport> Cluster<T> {
             .collect();
         for node in evict {
             self.crash_now(node);
-        }
-        // Wedge every surviving engine that has not yet learned of the
-        // failure (install_epoch requires a wedged engine).
-        let g = &self.groups[group];
-        let failed = g
-            .current_of(removed[0] as usize)
-            .expect("removed members are current");
-        for r in 0..g.orig_rank.len() as Rank {
-            let g = &self.groups[group];
-            if !self.fabric.is_crashed(g.node(r)) && !g.engines[r as usize].is_wedged() {
-                self.feed(group, r, Event::PeerFailed { rank: failed });
-            }
         }
         let survivors_orig: Vec<usize> = view.members.iter().map(|&o| o as usize).collect();
         let ns = survivors_orig.len();

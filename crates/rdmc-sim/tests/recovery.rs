@@ -4,6 +4,9 @@
 //! epidemic agreement path. Every scenario must end with a clean
 //! verdict, `Cluster::check_run`.
 
+use std::collections::BTreeMap;
+
+use rdmc::engine::Event;
 use rdmc::Algorithm;
 use rdmc_sim::{ClusterBuilder, ClusterSpec, GroupSpec, RecoveryConfig, SimCluster};
 use simnet::SimDuration;
@@ -228,4 +231,53 @@ fn crash_between_messages_recovers_the_stream() {
     assert_eq!(stats.reconfigurations.len(), 1);
     assert_eq!(stats.reconfigurations[0].removed, vec![1]);
     assert_eq!(cluster.check_run(), Ok(()));
+}
+
+/// A recovery group's view row is its only failure notice, so each
+/// survivor's engine hears of each failed member exactly once; and in
+/// any group no engine is ever told that it failed itself (a flap's far
+/// end wedges on its own broken connection, not on a relayed notice).
+#[test]
+fn each_engine_hears_of_a_failure_once_and_never_of_itself() {
+    // (members, recovery, crash at an engine step, else a 1-3 flap)
+    for (n, recovery, crash) in [(8, true, Some(60)), (5, true, None), (5, false, None)] {
+        let mut builder = ClusterBuilder::new(ClusterSpec::fractus(n)).engine_log();
+        if recovery {
+            builder = builder.recovery(RecoveryConfig::default());
+        }
+        let mut cluster = builder.build();
+        let group = cluster.create_group(GroupSpec {
+            members: (0..n).collect(),
+            algorithm: Algorithm::BinomialPipeline,
+            block_size: BLOCK,
+            ready_window: 2,
+            max_outstanding_sends: 2,
+        });
+        match crash {
+            Some(step) => cluster.crash_after_events(n / 2, step),
+            None => cluster.inject_link_flap(group, 1, 3),
+        }
+        cluster.submit_send(group, 16 * BLOCK);
+        cluster.run();
+        let case = format!("n={n} recovery={recovery} crash={crash:?}");
+        // Every notice lands before the one view change, so ranks in the
+        // log are original ranks.
+        let mut heard: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
+        for entry in cluster.engine_log() {
+            if let Event::PeerFailed { rank } = entry.event {
+                assert_ne!(rank, entry.rank, "{case}: an engine was told it failed");
+                heard.entry(entry.rank).or_default().push(rank);
+            }
+        }
+        if recovery {
+            let stats = cluster.recovery_stats();
+            assert_eq!(stats.reconfigurations.len(), 1, "{case}");
+            let removed = &stats.reconfigurations[0].removed;
+            for survivor in cluster.surviving_ranks(group) {
+                let mut got = heard.remove(&survivor).unwrap_or_default();
+                got.sort_unstable();
+                assert_eq!(&got, removed, "{case}: survivor {survivor}");
+            }
+        }
+    }
 }

@@ -673,12 +673,13 @@ fn a_bulk_run_uses_both_shards_and_delivers_everywhere() {
 /// none of them. The failure-detect breaks of the survivors' queue pairs
 /// to the dead node surface as one batch — breaking the worker's sockets
 /// is a round trip, so when the first break is handed out the rest are
-/// queued behind it — and all of them ahead of any relayed failure
-/// notice.
+/// queued behind it — and all of them ahead of any view row, a recovery
+/// group's only failure gossip: no relayed failure notice is ever sent.
 #[test]
 fn a_relay_crash_across_shards_keeps_delivery_all_or_nothing() {
-    /// The tag of a relayed failure notice (`rdmc_sim`'s control plane).
-    const NOTICE: u64 = 1;
+    /// The tag of a view row (`rdmc_sim`'s control plane); a relayed
+    /// failure notice's is 1.
+    const NOTICE: u64 = 3;
     const DEAD: usize = 3;
     for seed in SEEDS {
         let (mut cluster, group) = tapped_group(8, seed, 256 << 10, true);
@@ -707,7 +708,13 @@ fn a_relay_crash_across_shards_keeps_delivery_all_or_nothing() {
         let gossip = handed.iter().position(notice);
         assert!(
             !breaks.is_empty() && breaks.iter().all(|&i| Some(i) < gossip),
-            "seed {seed}: breaks at {breaks:?}, the first relayed failure at {gossip:?}"
+            "seed {seed}: breaks at {breaks:?}, the first view row at {gossip:?}"
+        );
+        let relayed =
+            |(_, d): &(NodeId, Delivery)| matches!(d, Delivery::WriteArrived { tag: 1, .. });
+        assert!(
+            !handed.iter().any(relayed),
+            "seed {seed}: a relayed failure notice"
         );
         tap.fabric.shutdown().expect("clean shutdown after a crash");
     }
