@@ -353,11 +353,8 @@ fn atomic_point(shards: usize, offered_gbps: f64, messages: usize, multi: bool) 
             let commit = cluster
                 .result(id)
                 .expect("timer fired")
-                .delivered_at
-                .iter()
-                .map(|d| d.expect("every member completes"))
-                .max()
-                .expect("group has members");
+                .completed
+                .expect("every member completes");
             commits.push((at_ns, commit));
         }
     }
@@ -526,11 +523,12 @@ fn reliability_point(
         cluster.run();
         let survivors = cluster.surviving_ranks(group);
         let r = &cluster.message_results()[0];
-        let done_at = survivors
-            .iter()
-            .map(|&o| r.delivered_at[o as usize])
-            .collect::<Option<Vec<_>>>()
-            .and_then(|ts| ts.into_iter().max());
+        // Without an eviction the survivors are every member, so a
+        // completed record's last stamp is theirs.
+        let done_at = r.unfinished_stamps().map_or(r.completed, |at| {
+            let ts: Option<Vec<_>> = survivors.iter().map(|&o| at[o as usize]).collect();
+            ts?.into_iter().max()
+        });
         if let Some(last) = done_at {
             completed += 1;
             latencies.push(last.since(r.submitted).as_secs_f64() * 1e3);

@@ -141,10 +141,12 @@ pub fn recovery_failover(quick: bool) -> String {
             .since(cluster.crash_time(victim).expect("victim crashed"));
         let reconf = rc.installed_at.since(rc.first_suspected_at);
         let msg0 = &cluster.message_results()[0];
+        // The victim's eviction leaves the record unfinished.
+        let at = msg0.unfinished_stamps().expect("the victim never delivers");
         let completed = cluster
             .surviving_ranks(0)
             .iter()
-            .filter_map(|&o| msg0.delivered_at[o as usize])
+            .filter_map(|&o| at[o as usize])
             .max()
             .expect("survivors completed the resumed transfer");
         let total = completed.since(msg0.submitted);

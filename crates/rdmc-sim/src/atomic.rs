@@ -522,7 +522,7 @@ impl<T: Transport> Cluster<T> {
                     SlotKind::Null => member == j || m.sst.get(j as u32, j as u32) > slot.seq,
                     SlotKind::Data { index, .. } => {
                         let o = rotation::rotated_rank(member, j, n) as usize;
-                        self.groups[a.subgroups[j]].results[index].delivered_at[o].is_some()
+                        self.groups[a.subgroups[j]].results[index].delivered(o)
                     }
                 }
         })
@@ -798,7 +798,7 @@ mod tests {
                     SlotKind::Null => member == j || m.sst.get(j as u32, j as u32) > slot.seq,
                     SlotKind::Data { index, .. } => {
                         let o = rotation::rotated_rank(member, j, n) as usize;
-                        c.groups[a.subgroups[j]].results[index].delivered_at[o].is_some()
+                        c.groups[a.subgroups[j]].results[index].delivered(o)
                     }
                 };
             if !resolved {

@@ -68,7 +68,11 @@ pub struct GroupSpec {
     pub max_outstanding_sends: u32,
 }
 
-/// Completion record of one multicast message.
+/// Completion record of one multicast message. Once every original
+/// member has delivered it the record is a fixed size: the per-member
+/// stamps are dropped and [`MessageResult::completed`] keeps the last
+/// one (a completed message's per-member times are in the flight
+/// recorder, `trace::replay(..).delivered`).
 #[derive(Clone, Debug)]
 pub struct MessageResult {
     /// The group it was sent on.
@@ -86,22 +90,57 @@ pub struct MessageResult {
     /// failed member took the only copy of some block): it is delivered
     /// at no survivor. `false` while in flight and once delivered.
     pub abandoned: bool,
-    /// Local-completion time per member rank (the paper measures until
-    /// *all* members have the upcall).
-    pub delivered_at: Vec<Option<SimTime>>,
+    /// When the last original member delivered it (the paper measures
+    /// until *all* members have the upcall); `None` until then.
+    pub completed: Option<SimTime>,
+    /// Local-completion time per original rank while the message is
+    /// unfinished; `None` once it completed.
+    pub(crate) stamps: Option<Box<[Option<SimTime>]>>,
 }
 
 impl MessageResult {
     /// Time until every member completed, if all did.
     pub fn latency(&self) -> Option<SimDuration> {
-        let all: Option<Vec<SimTime>> = self.delivered_at.iter().copied().collect();
-        Some(all?.into_iter().max()?.since(self.submitted))
+        Some(self.completed?.since(self.submitted))
     }
 
     /// `size / latency`, in gigabits per second.
     pub fn bandwidth_gbps(&self) -> Option<f64> {
         let lat = self.latency()?.as_secs_f64();
         (lat > 0.0).then(|| self.size as f64 * 8.0 / lat / 1e9)
+    }
+
+    /// Whether original rank `o` delivered the message.
+    pub fn delivered(&self, o: usize) -> bool {
+        self.stamps
+            .as_ref()
+            .map_or(self.completed.is_some(), |s| s[o].is_some())
+    }
+
+    /// Per-original-rank delivery times of an *unfinished* message (in
+    /// flight, abandoned, or missing a member a view change evicted);
+    /// `None` once every member delivered it.
+    pub fn unfinished_stamps(&self) -> Option<&[Option<SimTime>]> {
+        self.stamps.as_deref()
+    }
+
+    /// Files original rank `o`'s delivery at `at`; the last member's
+    /// drops the stamps and sets [`MessageResult::completed`].
+    fn deliver(&mut self, o: usize, at: SimTime) {
+        let stamps = self.stamps.as_mut().expect("an unfinished message");
+        stamps[o] = Some(at);
+        if stamps.iter().all(Option::is_some) {
+            self.completed = stamps.iter().flatten().max().copied();
+            self.stamps = None;
+        }
+    }
+
+    /// The latest delivery filed so far, at any member.
+    fn last_stamp(&self) -> Option<SimTime> {
+        match &self.stamps {
+            Some(s) => s.iter().flatten().max().copied(),
+            None => self.completed,
+        }
     }
 }
 
@@ -159,8 +198,8 @@ pub(crate) struct GroupRuntime {
     /// Ordered: epoch teardown iterates it, and iteration order must be
     /// run-to-run stable (the determinism audit; the PR 5 regression).
     pub(crate) qps: BTreeMap<(Rank, Rank), QpHandle>,
-    /// The ledger: one record per message, in submission order (the
-    /// `delivered_at` rows and `sender` are *original* ranks).
+    /// The ledger: one record per message, in submission order (its
+    /// per-member stamps and `sender` are *original* ranks).
     pub(crate) results: Vec<MessageResult>,
     /// Per original rank: its delivery cursor. Every message before it is
     /// delivered there or abandoned ([`GroupRuntime::outstanding`]).
@@ -195,7 +234,7 @@ impl GroupRuntime {
     pub(crate) fn outstanding(&self, o: usize) -> impl Iterator<Item = usize> + '_ {
         let open = move |&i: &usize| {
             let m = &self.results[i];
-            !m.abandoned && m.delivered_at[o].is_none()
+            !m.abandoned && !m.delivered(o)
         };
         (self.cursor[o]..self.results.len()).filter(open)
     }
@@ -511,7 +550,8 @@ impl<T: Transport> Cluster<T> {
             submitted: now,
             sender: g.orig_rank[0] as Rank,
             abandoned: false,
-            delivered_at: vec![None; g.spec.members.len()],
+            completed: None,
+            stamps: Some(vec![None; g.spec.members.len()].into()),
         });
         self.message_slots.insert(message.0, (group, idx));
         self.feed(group, 0, Event::StartSend { size });
@@ -604,10 +644,7 @@ impl<T: Transport> Cluster<T> {
     /// (`None` before the first) — the end of a throughput measurement.
     pub fn last_delivery(&self) -> Option<SimTime> {
         let results = self.groups.iter().flat_map(|g| &g.results);
-        results
-            .flat_map(|r| r.delivered_at.iter().flatten())
-            .max()
-            .copied()
+        results.filter_map(MessageResult::last_stamp).max()
     }
 
     /// True if every engine is idle and unwedged, crashed or not.
@@ -658,8 +695,8 @@ impl<T: Transport> Cluster<T> {
                 mix(&mut h, m.size);
                 mix(&mut h, u64::from(m.sender));
                 mix(&mut h, u64::from(m.abandoned));
-                for d in &m.delivered_at {
-                    mix(&mut h, u64::from(d.is_some()));
+                for o in 0..g.spec.members.len() {
+                    mix(&mut h, u64::from(m.delivered(o)));
                 }
             }
         }
@@ -912,7 +949,7 @@ impl<T: Transport> Cluster<T> {
                     let idx = g.outstanding(orig).next().unwrap_or_else(|| {
                         panic!("group {group} rank {rank}: delivery with no outstanding message")
                     });
-                    g.results[idx].delivered_at[orig] = Some(now);
+                    g.results[idx].deliver(orig, now);
                     g.cursor[orig] = idx + 1;
                     // Atomic overlay: a subgroup delivery resolves one of
                     // its sender's data slots at this member — advance

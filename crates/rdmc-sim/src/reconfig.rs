@@ -553,7 +553,7 @@ impl<T: Transport> Cluster<T> {
             let (holdings, delivered_flags): (Vec<Vec<bool>>, Vec<bool>) = survivors_orig
                 .iter()
                 .map(|&o| {
-                    let done = m.delivered_at[o].is_some();
+                    let done = m.delivered(o);
                     let have = if done || m.sender as usize == o {
                         vec![true; k]
                     } else if let Some(s) = status_of.get(&(o, idx)) {

@@ -63,7 +63,7 @@ impl<T: Transport> Cluster<T> {
         for m in &g.results {
             let (i, gone) = (m.index, m.abandoned);
             // Live original ranks whose delivery contradicts the message's fate.
-            let contradicts = |&o: &usize| m.delivered_at[o].is_some() == gone;
+            let contradicts = |&o: &usize| m.delivered(o) == gone;
             let wrong: Vec<usize> = live().map(|r| g.orig_rank[r]).filter(contradicts).collect();
             if !wrong.is_empty() {
                 let what =
@@ -105,9 +105,9 @@ impl<T: Transport> Cluster<T> {
                 out.push(format!("atomic: group {ag} slot {s} is {what}"));
             }
             for d in log {
-                let at = &self.result(d.message).expect("recorded").delivered_at;
+                let at = self.result(d.message).expect("recorded");
                 let rank = |m| rotation::rotated_rank(m, d.sender as usize, a.nodes.len()) as usize;
-                let lack = |&&m: &&usize| at[rank(m)].is_none();
+                let lack = |&&m: &&usize| !at.delivered(rank(m));
                 let slot = d.slot;
                 for m in live.iter().filter(lack) {
                     out.push(format!("atomic: group {ag} slot {slot} missing at {m}"));
@@ -168,12 +168,23 @@ mod tests {
             let mut c = finished();
             assert_eq!(c.check_run(), Ok(()), "{name}: before the seed");
             match seed {
-                0 => c.groups[3].results[1].delivered_at[2] = None,
-                1 => c.groups[3].results[0].delivered_at[2] = Some(SimTime::ZERO),
+                // Message 1 went out after rank 0's eviction and message 0
+                // was abandoned: both are unfinished and keep their stamps.
+                0 => c.groups[3].results[1].stamps.as_mut().expect("unfinished")[2] = None,
+                1 => {
+                    c.groups[3].results[0].stamps.as_mut().expect("abandoned")[2] =
+                        Some(SimTime::ZERO)
+                }
                 2 => c.atomic.groups[0].slots[1].trimmed = true,
                 3 => c.atomic.groups[0].members[2].log.truncate(2),
                 // Slot 1 is member 1's; rank 2 of its subgroup is member 0.
-                _ => c.groups[1].results[0].delivered_at[2] = None,
+                // The record completed, so it is re-expanded with rank 2 unset.
+                _ => {
+                    let r = &mut c.groups[1].results[0];
+                    let mut stamps = vec![r.completed.take(); 3];
+                    stamps[2] = None;
+                    r.stamps = Some(stamps.into());
+                }
             }
             let errs = c.check_run().expect_err(name);
             assert!(errs.iter().any(|e| e.contains(name)), "{name}: {errs:?}");

@@ -105,8 +105,9 @@ fn jittered_builds_are_deterministic() {
 }
 
 /// A crash/recovery run under jitter, digested: events fed, final
-/// virtual time, full trace export, reconfiguration records, and
-/// per-rank delivery times.
+/// virtual time, full trace export (which carries every delivery's
+/// time), reconfiguration records, and each message's completion time
+/// and per-rank delivered bits.
 fn chaos_digest(mut cluster: SimCluster) -> String {
     let recorder = cluster.recorder().clone();
     let group = cluster.create_group(GroupSpec {
@@ -134,9 +135,10 @@ fn chaos_digest(mut cluster: SimCluster) -> String {
         ));
     }
     for r in cluster.message_results() {
+        let delivered: Vec<bool> = (0..6).map(|o| r.delivered(o)).collect();
         digest.push_str(&format!(
-            "msg group={} index={} delivered_at={:?}\n",
-            r.group, r.index, r.delivered_at
+            "msg group={} index={} completed={:?} delivered={delivered:?}\n",
+            r.group, r.index, r.completed
         ));
     }
     digest.push_str(&trace::export::to_jsonl(&recorder.events()));

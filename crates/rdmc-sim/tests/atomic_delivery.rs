@@ -75,17 +75,17 @@ fn upcall_never_precedes_any_members_local_completion() {
         assert_eq!(log.len(), 3, "member {member}");
         for d in log {
             // The upcall at `member` must follow EVERY member's local
-            // RDMC completion of that message.
+            // RDMC completion of that message: the last one's included.
             let result = cluster.result(d.message).expect("submitted");
-            for t in &result.delivered_at {
-                let t = t.expect("crash-free run completes everywhere");
-                assert!(
-                    d.at >= t,
-                    "member {member} slot {}: upcall {:?} before local {t:?}",
-                    d.slot,
-                    d.at
-                );
-            }
+            let t = result
+                .completed
+                .expect("crash-free run completes everywhere");
+            assert!(
+                d.at >= t,
+                "member {member} slot {}: upcall {:?} before local {t:?}",
+                d.slot,
+                d.at
+            );
         }
     }
 }

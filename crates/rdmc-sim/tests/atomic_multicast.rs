@@ -59,13 +59,15 @@ fn all_members_deliver_identical_total_order() {
         }
     }
     // Delivery always trails the underlying RDMC completion at that
-    // member (stability cannot outrun local receipt).
+    // member (stability cannot outrun local receipt). The local times
+    // come from the flight recorder: member `m` is node `m`, and with no
+    // crash a subgroup's `index`-th message is its `index`-th delivery.
+    let replayed = trace::replay::replay(&cluster.recorder().events());
     for m in 0..n {
         for d in cluster.atomic_log(0, m) {
             let r = cluster.result(d.message).expect("message result");
-            let sender = d.sender as usize;
-            let local_rank = (m + n - sender) % n;
-            let local = r.delivered_at[local_rank].expect("locally received");
+            let at = &replayed.delivered[&(r.group as u32, m as u32)];
+            let local = SimTime::from_nanos(at[r.index].0);
             assert!(d.at >= local, "member {m} delivered slot {} early", d.slot);
         }
     }

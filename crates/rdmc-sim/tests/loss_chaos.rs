@@ -113,7 +113,7 @@ fn assert_delivered_everywhere(cluster: &SimCluster, ctx: &str) {
     for r in cluster.message_results() {
         for rank in 0..N {
             assert!(
-                r.delivered_at[rank].is_some(),
+                r.delivered(rank),
                 "{ctx}: message {} missing at rank {rank}",
                 r.index
             );

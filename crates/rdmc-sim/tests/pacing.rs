@@ -67,9 +67,9 @@ fn tightest_bound_does_not_deadlock() {
 fn unpaced_and_generous_bound_agree() {
     // A bound far above what the engines ever post concurrently admits
     // everything immediately: same deliveries as the unpaced cluster,
-    // at the same times.
+    // at the same times (per member, from the flight recorder).
     let run = |pacing: Option<PacerConfig>| {
-        let mut builder = ClusterBuilder::new(ClusterSpec::fractus(6));
+        let mut builder = ClusterBuilder::new(ClusterSpec::fractus(6)).flight_recorder();
         if let Some(config) = pacing {
             builder = builder.pacing(config);
         }
@@ -79,11 +79,11 @@ fn unpaced_and_generous_bound_agree() {
             cluster.submit_send(g, 16 * BLOCK);
         }
         cluster.run();
-        cluster
+        assert!(cluster
             .message_results()
             .iter()
-            .map(|r| r.delivered_at.clone())
-            .collect::<Vec<_>>()
+            .all(|r| r.latency().is_some()));
+        trace::replay::replay(&cluster.recorder().events()).delivered
     };
     let unpaced = run(None);
     let generous = run(Some(PacerConfig::new(1_000, PacingPolicy::Fifo)));

@@ -114,7 +114,7 @@ fn sender_crash_is_resumed_or_consistently_abandoned() {
     assert_eq!(fate.abandoned, rc.abandoned.contains(&0));
     for o in [1usize, 2, 3] {
         assert_ne!(
-            fate.delivered_at[o].is_some(),
+            fate.delivered(o),
             fate.abandoned,
             "original rank {o} contradicts the message's fate"
         );
@@ -130,7 +130,7 @@ fn sender_crash_is_resumed_or_consistently_abandoned() {
     assert_eq!(last.sender, 1);
     for o in [1usize, 2, 3] {
         assert!(
-            last.delivered_at[o].is_some(),
+            last.delivered(o),
             "post-recovery multicast missing at original rank {o}"
         );
     }

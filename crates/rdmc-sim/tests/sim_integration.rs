@@ -535,8 +535,14 @@ fn message_result_accessors_are_consistent() {
     assert_eq!(r.group, group);
     assert_eq!(r.index, 0);
     assert_eq!(r.size, 10 * MB);
-    assert_eq!(r.delivered_at.len(), 3);
+    assert!((0..3).all(|o| r.delivered(o)));
+    assert_eq!(
+        r.unfinished_stamps(),
+        None,
+        "a completed record keeps no stamps"
+    );
     let lat = r.latency().unwrap();
+    assert_eq!(r.completed, Some(r.submitted + lat));
     let bw = r.bandwidth_gbps().unwrap();
     let expected_bw = 10.0 * MB as f64 * 8.0 / lat.as_secs_f64() / 1e9;
     assert!((bw - expected_bw).abs() < 1e-9);
@@ -556,4 +562,92 @@ fn traces_are_empty_unless_enabled() {
     cluster.submit_send(group, MB);
     cluster.run();
     assert!(cluster.trace_events().is_empty());
+}
+
+/// Sends `messages` 4 KiB messages in windows of 9 on a recorded
+/// recovery group of `n` members (nodes `0..n`); `crash: (node, w)`
+/// crashes `node` 200 steps into window `w`.
+fn windowed(n: usize, messages: usize, crash: Option<(usize, usize)>) -> rdmc_sim::SimCluster {
+    const KB4: u64 = 4 << 10;
+    let mut cluster = ClusterBuilder::new(ClusterSpec::fractus(n))
+        .recovery(rdmc_sim::RecoveryConfig::default())
+        .flight_recorder()
+        .build();
+    let group = cluster.create_group(GroupSpec {
+        members: (0..n).collect(),
+        algorithm: Algorithm::BinomialPipeline,
+        block_size: KB4,
+        ready_window: 3,
+        max_outstanding_sends: 3,
+    });
+    for w in 0..messages.div_ceil(9) {
+        for _ in 0..(messages - w * 9).min(9) {
+            cluster.submit_send(group, KB4);
+        }
+        if let Some((victim, _)) = crash.filter(|&(_, at)| at == w) {
+            for _ in 0..200 {
+                assert!(cluster.step(), "window {w} is under way");
+            }
+            cluster.crash_now(victim);
+        }
+        cluster.run();
+    }
+    assert_eq!(cluster.check_run(), Ok(()));
+    cluster
+}
+
+/// Holds every record of group 0 (members `0..n` on nodes `0..n`) to the
+/// flight recorder: `delivered(o)` is exactly "the recorder saw node `o`
+/// deliver it", an unfinished record's stamps are the recorded times,
+/// and a completed one's `latency()` ends at the last recorded delivery.
+/// Returns how many records are unfinished.
+fn ledger_matches_recorder(cluster: &rdmc_sim::SimCluster, n: usize) -> usize {
+    let results = cluster.message_results();
+    let replayed = trace::replay::replay(&cluster.recorder().events());
+    let mut times = vec![vec![None; n]; results.len()];
+    for (o, at) in (0..n).map(|o| (o, &replayed.delivered[&(0, o as u32)])) {
+        let mine: Vec<_> = results.iter().filter(|r| r.delivered(o)).collect();
+        assert_eq!(at.len(), mine.len(), "member {o}: delivered bits");
+        for (&(t, size), r) in at.iter().zip(mine) {
+            assert_eq!(size, r.size, "member {o} message {}", r.index);
+            times[r.index][o] = Some(SimTime::from_nanos(t));
+        }
+    }
+    let mut unfinished = 0;
+    for (r, times) in results.iter().zip(&times) {
+        match r.unfinished_stamps() {
+            Some(stamps) => {
+                unfinished += 1;
+                assert_eq!(stamps, &times[..], "message {}: stamps", r.index);
+                assert_eq!(r.completed, None, "message {}", r.index);
+            }
+            None => {
+                let last = times.iter().copied().collect::<Option<Vec<_>>>();
+                let last = last.and_then(|t| t.into_iter().max());
+                let want = last.map(|t| t.since(r.submitted));
+                assert_eq!(r.latency(), want, "message {}: latency", r.index);
+            }
+        }
+    }
+    unfinished
+}
+
+/// A finished message costs a fixed record: on a 32-member group that
+/// never loses a member, every record drops its per-member stamps, and
+/// what it keeps agrees with the flight recorder.
+#[test]
+fn a_completed_record_holds_nothing_per_member() {
+    assert!(std::mem::size_of::<rdmc_sim::MessageResult>() <= 80);
+    let cluster = windowed(32, 4_000, None);
+    assert_eq!(cluster.message_results().len(), 4_000);
+    assert_eq!(ledger_matches_recorder(&cluster, 32), 0);
+}
+
+/// With a member crashed mid-run, the messages it never delivered stay
+/// unfinished and keep their stamps, which the recorder confirms.
+#[test]
+fn an_unfinished_record_keeps_stamps_the_recorder_confirms() {
+    let cluster = windowed(8, 360, Some((5, 20)));
+    assert_eq!(cluster.surviving_ranks(0), [0, 1, 2, 3, 4, 6, 7]);
+    assert!(ledger_matches_recorder(&cluster, 8) > 0);
 }

@@ -59,28 +59,40 @@ proptest! {
         let replayed = trace::replay::replay(&recorder.events());
 
         // Per member (keyed by fabric node — members are (0..n), so an
-        // original rank IS its node id): the delivery upcalls the
-        // cluster recorded in its message results must be exactly the
-        // `Delivered` events in the trace, same times, same sizes.
+        // original rank IS its node id): the `Delivered` events in the
+        // trace must be exactly the messages the ledger says the member
+        // delivered, in message order, same sizes; an unfinished
+        // record's stamps must be those events' times, and a completed
+        // record's `completed` the latest of them over all members.
         let results = cluster.message_results();
+        let mut last: Vec<Option<u64>> = vec![None; results.len()];
         let mut expected_deliveries = 0u64;
         for node in 0..n {
-            let mut expected: Vec<(u64, u64)> = results
-                .iter()
-                .filter_map(|r| {
-                    r.delivered_at[node].map(|t| (t.as_nanos(), r.size))
-                })
-                .collect();
-            expected.sort_unstable();
-            expected_deliveries += expected.len() as u64;
             let got = replayed
                 .delivered
                 .get(&(group as u32, node as u32))
                 .cloned()
                 .unwrap_or_default();
+            let mine: Vec<_> = results.iter().filter(|r| r.delivered(node)).collect();
             prop_assert_eq!(
-                &got, &expected,
+                got.len(), mine.len(),
                 "node {} deliveries diverge from trace replay", node
+            );
+            expected_deliveries += mine.len() as u64;
+            for (&(t, size), r) in got.iter().zip(&mine) {
+                prop_assert_eq!(size, r.size, "node {} message {} size", node, r.index);
+                if let Some(at) = r.unfinished_stamps() {
+                    prop_assert_eq!(at[node].map(|t| t.as_nanos()), Some(t));
+                }
+                last[r.index] = last[r.index].max(Some(t));
+            }
+        }
+        for r in &results {
+            let done = r.unfinished_stamps().is_none();
+            prop_assert_eq!(
+                r.completed.map(|t| t.as_nanos()),
+                if done { last[r.index] } else { None },
+                "message {} completion diverges from trace replay", r.index
             );
         }
         prop_assert_eq!(replayed.deliveries, expected_deliveries);

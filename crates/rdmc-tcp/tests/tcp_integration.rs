@@ -42,7 +42,7 @@ fn all_algorithms_deliver() {
         assert!(cluster.all_quiescent(), "{algorithm:?}: not quiescent");
         for r in cluster.message_results() {
             assert!(
-                r.delivered_at.iter().all(|d| d.is_some()),
+                r.latency().is_some(),
                 "{algorithm:?}: a member missed the message"
             );
         }
@@ -64,7 +64,7 @@ fn hybrid_algorithm_delivers() {
     cluster.run();
     assert!(cluster.all_quiescent());
     for r in cluster.message_results() {
-        assert!(r.delivered_at.iter().all(|d| d.is_some()));
+        assert!(r.latency().is_some());
     }
     rdmc_tcp::shutdown(cluster).expect("clean shutdown");
 }
@@ -73,7 +73,10 @@ fn hybrid_algorithm_delivers() {
 /// (§3 property 4), including a 1-byte message.
 #[test]
 fn several_messages_deliver_in_order() {
-    let mut cluster = rdmc_tcp::builder(4).expect("launch").build();
+    let mut cluster = rdmc_tcp::builder(4)
+        .expect("launch")
+        .flight_recorder()
+        .build();
     let group = cluster.create_group(spec((0..4).collect(), Algorithm::BinomialPipeline));
     let sizes = [24 * KB, 1, 33 * KB, 9 * KB];
     for &size in &sizes {
@@ -83,16 +86,18 @@ fn several_messages_deliver_in_order() {
     assert!(cluster.all_quiescent());
     let results = cluster.message_results();
     assert_eq!(results.len(), sizes.len());
-    for member in 0..4 {
-        let mut last = None;
-        for r in &results {
-            let t = r.delivered_at[member].expect("delivered");
-            assert!(
-                last.is_none_or(|prev| prev <= t),
-                "member {member} reordered"
-            );
-            last = Some(t);
-        }
+    assert!(results.iter().all(|r| r.latency().is_some()));
+    // Each member's upcalls, from the flight recorder: every message
+    // once, in submission order, at non-decreasing times.
+    let replayed = trace::replay::replay(&cluster.recorder().events());
+    for member in 0..4u32 {
+        let upcalls = &replayed.delivered[&(group as u32, member)];
+        let got: Vec<u64> = upcalls.iter().map(|&(_, size)| size).collect();
+        assert_eq!(got, sizes, "member {member} reordered");
+        assert!(
+            upcalls.windows(2).all(|w| w[0].0 <= w[1].0),
+            "member {member} went back in time"
+        );
     }
     rdmc_tcp::shutdown(cluster).expect("clean shutdown");
 }
@@ -109,7 +114,7 @@ fn overlapping_groups_coexist() {
     cluster.run();
     assert!(cluster.all_quiescent());
     for r in cluster.message_results() {
-        assert!(r.delivered_at.iter().all(|d| d.is_some()));
+        assert!(r.latency().is_some());
     }
     assert!(cluster.destroy_group(g0));
     assert!(cluster.destroy_group(g1));
@@ -226,7 +231,7 @@ fn thirty_two_nodes_in_one_process() {
     cluster.run();
     assert!(cluster.all_quiescent());
     for r in cluster.message_results() {
-        assert!(r.delivered_at.iter().all(|d| d.is_some()));
+        assert!(r.latency().is_some());
     }
     rdmc_tcp::shutdown(cluster).expect("clean shutdown");
 }
@@ -300,7 +305,7 @@ fn a_stray_connection_to_the_listener_wires_no_socket() {
     cluster.submit_send(group, 64 * KB);
     cluster.run();
     for r in cluster.message_results() {
-        assert!(r.delivered_at.iter().all(|d| d.is_some()), "{r:?}");
+        assert!(r.latency().is_some(), "{r:?}");
     }
     assert_eq!(cluster.check_run(), Ok(()));
     rdmc_tcp::shutdown(cluster).expect("a stranger is no error");

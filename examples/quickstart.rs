@@ -30,7 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // ---- 2. Real TCP sockets: same API, different transport. -----------
-    let mut tcp = rdmc_tcp::builder(4)?.build();
+    let mut tcp = rdmc_tcp::builder(4)?.flight_recorder().build();
     let group = tcp.create_group(GroupSpec {
         members: vec![0, 1, 2, 3],
         algorithm: Algorithm::BinomialPipeline,
@@ -40,10 +40,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     });
     tcp.submit_send(group, 4 * MB);
     tcp.run();
-    for (member, at) in tcp.message_results()[0].delivered_at.iter().enumerate() {
+    // A completed record keeps only the last member's time; each
+    // member's is in the flight recorder (member i is node i).
+    let replayed = trace::replay::replay(&tcp.recorder().events());
+    for member in 0..4u32 {
+        let (t_ns, _) = replayed.delivered[&(group as u32, member)][0];
         println!(
             "TCP: member {member} completed at {}",
-            at.expect("delivered")
+            simnet::SimTime::from_nanos(t_ns)
         );
     }
     // A successful close certifies every message reached every member.

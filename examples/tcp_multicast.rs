@@ -37,11 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let results = cluster.message_results();
     assert_eq!(results.len(), MESSAGES);
     for r in &results {
-        assert!(
-            r.delivered_at.iter().all(|d| d.is_some()),
-            "message {} missed a member",
-            r.index
-        );
+        assert!(r.latency().is_some(), "message {} missed a member", r.index);
     }
     let goodput = (MESSAGES as u64 * SIZE) as f64 * 8.0 / elapsed / 1e9;
     println!(

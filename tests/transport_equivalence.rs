@@ -80,16 +80,14 @@ fn canonicalize(log: &[EngineLogEntry]) -> String {
     out
 }
 
-/// Time-free delivery digest: which message reached which member, per
-/// group in send order — the observable the paper's reliability claims
-/// are about.
-fn delivery_digest<T: Transport>(cluster: &Cluster<T>) -> String {
+/// Time-free delivery digest: which message reached which of the
+/// `members` original ranks, per group in send order — the observable
+/// the paper's reliability claims are about.
+fn delivery_digest<T: Transport>(cluster: &Cluster<T>, members: usize) -> String {
     let mut out = String::new();
     for r in cluster.message_results() {
-        let delivered: String = r
-            .delivered_at
-            .iter()
-            .map(|d| if d.is_some() { 'y' } else { 'n' })
+        let delivered: String = (0..members)
+            .map(|o| if r.delivered(o) { 'y' } else { 'n' })
             .collect();
         let _ = writeln!(
             out,
@@ -132,7 +130,7 @@ fn plain_workload<T: Transport>(mut cluster: Cluster<T>, algorithm: Algorithm) -
     assert!(cluster.all_quiescent(), "workload failed to quiesce");
     (
         canonicalize(cluster.engine_log()),
-        delivery_digest(&cluster),
+        delivery_digest(&cluster, 5),
     )
 }
 
@@ -169,7 +167,7 @@ fn paced_workload<T: Transport>(mut cluster: Cluster<T>) -> (String, String) {
     assert!(cluster.all_quiescent(), "paced workload failed to quiesce");
     (
         canonicalize(cluster.engine_log()),
-        delivery_digest(&cluster),
+        delivery_digest(&cluster, 4),
     )
 }
 
@@ -214,7 +212,7 @@ fn recovery_workload<T: Transport>(mut cluster: Cluster<T>) -> (String, String) 
     );
     (
         canonicalize(cluster.engine_log()),
-        delivery_digest(&cluster),
+        delivery_digest(&cluster, 5),
     )
 }
 
