@@ -647,24 +647,6 @@ impl<T: Transport> Cluster<T> {
         results.filter_map(MessageResult::last_stamp).max()
     }
 
-    /// True if every engine is idle and unwedged, crashed or not.
-    pub fn all_quiescent(&self) -> bool {
-        self.groups
-            .iter()
-            .flat_map(|g| g.engines.iter())
-            .all(|e| e.is_idle() && !e.is_wedged())
-    }
-
-    /// True if every engine on a live node is idle and unwedged (rule 1
-    /// of [`Cluster::check_run`]).
-    pub fn live_quiescent(&self) -> bool {
-        self.groups.iter().all(|g| {
-            g.engines.iter().enumerate().all(|(r, e)| {
-                self.fabric.is_crashed(g.node(r as Rank)) || (e.is_idle() && !e.is_wedged())
-            })
-        })
-    }
-
     /// A canonical digest of all protocol-visible cluster state,
     /// deliberately *time-free*: two executions that moved the same
     /// messages to the same members through the same epochs digest
@@ -781,13 +763,17 @@ impl<T: Transport> Cluster<T> {
                     TAG_VIEW => {
                         self.view_update(group, me, peer, &payload);
                     }
-                    TAG_NACK | TAG_RETRANS | TAG_PARITY | TAG_PROBE => {
+                    TAG_NACK | TAG_RETRANS | TAG_PARITY | TAG_PROBE
+                        if self.groups[group].reliability.is_some() =>
+                    {
                         self.rel_control_arrival(qp, group, me, tag, &payload);
                     }
                     TAG_FRONTIER => {
                         self.atomic_frontier_arrival(group, me, peer, &payload);
                     }
-                    // Peer input: a tag no layer owns is dropped.
+                    // Peer input: a tag no layer of this group owns (a
+                    // repair write to a group without a reliability
+                    // policy included) is dropped.
                     _ => {}
                 }
             }
@@ -1057,28 +1043,40 @@ mod tests {
     use crate::{ClusterBuilder, ClusterSpec, RecoveryConfig};
 
     /// Control-write payloads are peer input: whatever rank 1 writes at
-    /// rank 0, the handler drops what it cannot use and the group still
-    /// delivers its next message.
+    /// rank 0 after a first message, the handler drops what it cannot
+    /// use (a group without a reliability policy drops even well-formed
+    /// repairs) or does work bounded by its ledger and credit window,
+    /// and the group still delivers its next message.
     #[test]
     fn malformed_control_writes_are_dropped() {
+        let words = |w: &[u64]| w.iter().flat_map(|w| w.to_le_bytes()).collect::<Vec<u8>>();
         let view = |col: u32| [&col.to_le_bytes()[..], &[0; 8]].concat();
-        let mut greedy_parity = vec![0; 16];
-        greedy_parity[8..].copy_from_slice(&(1u64 << 60).to_le_bytes());
+        let nack_all = [&0u64.to_le_bytes()[..], &u32::MAX.to_le_bytes()].concat();
+        let sack = Some(ReliabilityPolicy::SelectiveAck);
         let malformed = [
-            (TAG_FAILURE, vec![1, 0]),
-            (TAG_FAILURE, 99u32.to_le_bytes().to_vec()),
-            (0xdead, Vec::new()),
-            (TAG_VIEW, vec![0; 5]),
-            (TAG_VIEW, view(99)),
-            (TAG_NACK, vec![0; 11]),
-            (TAG_RETRANS, vec![0; 15]),
-            (TAG_PROBE, vec![0; 7]),
-            (TAG_PARITY, greedy_parity),
+            (None, TAG_FAILURE, vec![1, 0]),
+            (None, TAG_FAILURE, 99u32.to_le_bytes().to_vec()),
+            (None, 0xdead, Vec::new()),
+            (None, TAG_VIEW, vec![0; 5]),
+            (None, TAG_VIEW, view(99)),
+            (None, TAG_NACK, vec![0; 11]),
+            (None, TAG_RETRANS, vec![0; 15]),
+            (None, TAG_PROBE, vec![0; 7]),
+            (None, TAG_PARITY, words(&[0, 1 << 60])),
+            // Block 0 of a 4-block message (seq, total, length), and a
+            // generation covering it (generation, count, seq, total).
+            (None, TAG_RETRANS, words(&[0, 1 << 18, 1 << 16])),
+            (None, TAG_PARITY, words(&[0, 1, 0, 1 << 18])),
+            (sack, TAG_NACK, nack_all),
+            (sack, TAG_PROBE, words(&[1 << 24])),
+            (sack, TAG_PROBE, words(&[u64::MAX])),
         ];
-        for (tag, payload) in malformed {
-            let mut c = ClusterBuilder::new(ClusterSpec::fractus(3))
-                .recovery(RecoveryConfig::default())
-                .build();
+        for (policy, tag, payload) in malformed {
+            let mut builder = ClusterBuilder::new(ClusterSpec::fractus(3));
+            if let Some(policy) = policy {
+                builder = builder.reliability(policy);
+            }
+            let mut c = builder.recovery(RecoveryConfig::default()).build();
             let group = c.create_group(GroupSpec {
                 members: vec![0, 1, 2],
                 algorithm: Algorithm::BinomialPipeline,
@@ -1086,15 +1084,21 @@ mod tests {
                 ready_window: 2,
                 max_outstanding_sends: 2,
             });
-            let qp = c.groups[group].qps[&(1, 0)];
-            let len = payload.len();
+            c.submit_send(group, 1 << 18);
+            c.run();
+            let (len, qp) = (payload.len(), c.groups[group].qps[&(1, 0)]);
             c.fabric
                 .post_write(qp, WrId(u64::MAX), tag, Bytes::from(payload), None)
                 .unwrap();
             let id = c.submit_send(group, 1 << 18);
             c.run();
-            let delivered = c.result(id).unwrap().latency().is_some();
-            assert!(delivered, "after a {len}-byte write with tag {tag:#x}");
+            let ctx = format!("after a {len}-byte write with tag {tag:#x}");
+            assert!(c.result(id).unwrap().latency().is_some(), "{ctx}");
+            let stats = c.reliability_stats();
+            assert_eq!(stats.escalations, 0, "{ctx}");
+            // Rank 0's ledger answers the NACK; nothing else repairs.
+            let resent = policy.is_some() && tag == TAG_NACK;
+            assert_eq!(stats.repairs_sent > 0, resent, "{ctx}");
         }
     }
 }

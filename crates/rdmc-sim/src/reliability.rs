@@ -250,13 +250,22 @@ struct RelRecvState {
 impl RelRecvState {
     /// Marks every sequence below `upto` that has not been fed, is not
     /// buffered and is not already being chased as missing, and returns
-    /// these newly detected losses.
-    fn note_gap(&mut self, upto: u64) -> Vec<u64> {
+    /// these newly detected losses. `None` for a claim more than
+    /// `window + 1` past the next sequence to feed: the engine grants
+    /// its group's `ready_window` credits beyond the blocks it was fed
+    /// of a message, plus one idle-state credit for the next, so no
+    /// honest sender runs farther ahead. A farther claim is malformed
+    /// peer input, dropped before it costs work in proportion to the
+    /// number it names.
+    fn note_gap(&mut self, upto: u64, window: u32) -> Option<Vec<u64>> {
+        if upto > self.next_expected.saturating_add(u64::from(window) + 1) {
+            return None;
+        }
         let newly: Vec<u64> = (self.next_expected..upto)
             .filter(|s| !self.buffered.contains_key(s) && !self.missing.contains(s))
             .collect();
         self.missing.extend(&newly);
-        newly
+        Some(newly)
     }
 }
 
@@ -409,6 +418,7 @@ impl<T: Transport> Cluster<T> {
         let Some(&(group, me, peer)) = self.qp_owner.get(&qp) else {
             return; // stale completion for a torn-down queue pair
         };
+        let window = self.groups[group].spec.ready_window;
         let (feeds, newly_missing) = {
             let st = self.reliability.recv.entry(qp).or_default();
             if st.escalated {
@@ -436,8 +446,11 @@ impl<T: Transport> Cluster<T> {
                 }
             } else {
                 // Arrived past the frontier: the gap in between is lost.
+                let Some(gap) = st.note_gap(seq, window) else {
+                    return;
+                };
                 st.buffered.insert(seq, total);
-                newly = st.note_gap(seq);
+                newly = gap;
             }
             (feeds, newly)
         };
@@ -477,9 +490,6 @@ impl<T: Transport> Cluster<T> {
     /// blocks still missing, they are re-NACKed with exponential backoff
     /// until the budget is spent, then the connection escalates.
     fn rel_arm_rto(&mut self, qp: QpHandle, group: GroupId, me: Rank) {
-        if self.groups[group].reliability.is_none() {
-            return;
-        }
         let delay = {
             let st = self.reliability.recv.entry(qp).or_default();
             if st.rto_armed || st.escalated {
@@ -559,14 +569,17 @@ impl<T: Transport> Cluster<T> {
 
     /// An incoming NACK at the data sender: retransmit every ledgered
     /// block of the requested range as a one-sided write (no posted
-    /// receive consumed — repairs sit outside the credit flow).
+    /// receive consumed — repairs sit outside the credit flow). The walk
+    /// visits ledger entries only, so a range wider than the ledger
+    /// costs no more than the ledger.
     fn rel_retransmit(&mut self, qp: QpHandle, group: GroupId, me: Rank, base: u64, span: u32) {
         let repairs: Vec<(u64, u64, u64)> = {
             let Some(st) = self.reliability.send.get(&qp) else {
                 return;
             };
-            (base..base.saturating_add(u64::from(span)))
-                .filter_map(|s| st.ledger.get(&s).map(|&(len, total)| (s, len, total)))
+            st.ledger
+                .range(base..base.saturating_add(u64::from(span)))
+                .map(|(&s, &(len, total))| (s, len, total))
                 .collect()
         };
         for (seq, len, total) in repairs {
@@ -658,14 +671,12 @@ impl<T: Transport> Cluster<T> {
     /// frontier that never arrived is a trailing loss — the kind no
     /// later arrival would ever reveal.
     fn rel_probe_arrival(&mut self, qp: QpHandle, group: GroupId, me: Rank, frontier: u64) {
-        let newly: Vec<u64> = {
-            let st = self.reliability.recv.entry(qp).or_default();
-            if st.escalated {
-                return;
-            }
-            st.note_gap(frontier)
-        };
-        if !newly.is_empty() {
+        let window = self.groups[group].spec.ready_window;
+        let st = self.reliability.recv.entry(qp).or_default();
+        if st.escalated {
+            return;
+        }
+        if let Some(newly) = st.note_gap(frontier, window).filter(|n| !n.is_empty()) {
             self.rel_chase(qp, group, me, &newly);
         }
     }

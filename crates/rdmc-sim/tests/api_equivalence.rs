@@ -43,7 +43,7 @@ fn overlapping_run(mut cluster: SimCluster) -> (String, u64) {
     cluster.submit_send(g0, 6 * BLOCK);
     cluster.submit_send(g1, 3 * BLOCK);
     cluster.run();
-    assert!(cluster.all_quiescent());
+    assert_eq!(cluster.check_run(), Ok(()));
     (
         trace::export::to_jsonl(&recorder.events()),
         cluster.transport().now().as_nanos(),
@@ -120,7 +120,7 @@ fn chaos_digest(mut cluster: SimCluster) -> String {
     cluster.crash_after_events(2, 40);
     cluster.submit_send(group, 5 * BLOCK);
     cluster.run();
-    assert!(cluster.live_quiescent(), "survivors failed to quiesce");
+    assert_eq!(cluster.check_run(), Ok(()));
 
     let mut digest = String::new();
     digest.push_str(&format!(

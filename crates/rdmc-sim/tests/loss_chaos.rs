@@ -131,11 +131,8 @@ fn policies() -> [ReliabilityPolicy; 3] {
 
 /// Wire-level fault counters, for determinism comparison.
 fn fault_counters(cluster: &SimCluster) -> (u64, u64) {
-    cluster
-        .transport()
-        .fault_profile()
-        .map(|p| (p.drops(), p.corruptions()))
-        .unwrap_or((0, 0))
+    let stats = cluster.transport().stats();
+    (stats.payload_drops, stats.payload_corruptions)
 }
 
 /// Every wire transfer of the multicast dropped exactly once, under

@@ -125,7 +125,7 @@ fn one_byte_messages_are_overhead_bound_not_bandwidth_bound() {
         rate > 5_000.0,
         "1-byte message rate implausibly low: {rate}/s"
     );
-    assert!(cluster.all_quiescent());
+    assert_eq!(cluster.check_run(), Ok(()));
 }
 
 #[test]
@@ -243,7 +243,9 @@ fn crash_mid_transfer_wedges_all_survivors() {
     // The message never completes everywhere.
     let result = &cluster.message_results()[0];
     assert!(result.latency().is_none());
-    assert!(!cluster.all_quiescent());
+    let errs = cluster.check_run().expect_err("survivors stay wedged");
+    let busy = |e: &String| e.starts_with("quiescence:");
+    assert!(errs.iter().any(busy), "{errs:?}");
 }
 
 #[test]
@@ -263,7 +265,7 @@ fn quiescence_after_clean_run_guarantees_delivery() {
         cluster.submit_send(group, 3 * MB);
     }
     cluster.run();
-    assert!(cluster.all_quiescent());
+    assert_eq!(cluster.check_run(), Ok(()));
     for r in cluster.message_results() {
         assert!(r.latency().is_some());
     }

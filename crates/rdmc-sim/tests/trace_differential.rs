@@ -54,7 +54,7 @@ proptest! {
             cluster.submit_send(group, k * BLOCK);
         }
         cluster.run();
-        prop_assert!(cluster.live_quiescent(), "survivors failed to quiesce");
+        prop_assert_eq!(cluster.check_run(), Ok(()));
 
         let replayed = trace::replay::replay(&recorder.events());
 

@@ -39,7 +39,7 @@ fn all_algorithms_deliver() {
         let group = cluster.create_group(spec((0..5).collect(), algorithm.clone()));
         cluster.submit_send(group, 60 * KB);
         cluster.run();
-        assert!(cluster.all_quiescent(), "{algorithm:?}: not quiescent");
+        assert_eq!(cluster.check_run(), Ok(()), "{algorithm:?}");
         for r in cluster.message_results() {
             assert!(
                 r.latency().is_some(),
@@ -62,7 +62,7 @@ fn hybrid_algorithm_delivers() {
     ));
     cluster.submit_send(group, 48 * KB);
     cluster.run();
-    assert!(cluster.all_quiescent());
+    assert_eq!(cluster.check_run(), Ok(()));
     for r in cluster.message_results() {
         assert!(r.latency().is_some());
     }
@@ -83,7 +83,7 @@ fn several_messages_deliver_in_order() {
         cluster.submit_send(group, size);
     }
     cluster.run();
-    assert!(cluster.all_quiescent());
+    assert_eq!(cluster.check_run(), Ok(()));
     let results = cluster.message_results();
     assert_eq!(results.len(), sizes.len());
     assert!(results.iter().all(|r| r.latency().is_some()));
@@ -112,7 +112,7 @@ fn overlapping_groups_coexist() {
     cluster.submit_send(g0, 40 * KB);
     cluster.submit_send(g1, 24 * KB);
     cluster.run();
-    assert!(cluster.all_quiescent());
+    assert_eq!(cluster.check_run(), Ok(()));
     for r in cluster.message_results() {
         assert!(r.latency().is_some());
     }
@@ -174,10 +174,9 @@ fn recovery_reconfigures_over_tcp() {
     cluster.run();
     cluster.submit_send(group, 24 * KB);
     cluster.run();
-    assert!(cluster.live_quiescent());
-    assert_eq!(cluster.surviving_ranks(group), vec![0, 2, 3, 4]);
     // All-or-nothing delivery across the epoch, on real sockets.
     assert_eq!(cluster.check_run(), Ok(()));
+    assert_eq!(cluster.surviving_ranks(group), vec![0, 2, 3, 4]);
     rdmc_tcp::shutdown(cluster).expect("shutdown clean after recovery");
 }
 
@@ -197,7 +196,7 @@ fn repeated_launch_shutdown_cycles_are_clean() {
         });
         cluster.submit_send(group, 4096 * KB);
         cluster.run();
-        assert!(cluster.all_quiescent(), "round {round}: not quiescent");
+        assert_eq!(cluster.check_run(), Ok(()), "round {round}");
         rdmc_tcp::shutdown(cluster).unwrap_or_else(|e| panic!("round {round}: {e}"));
     }
 }
@@ -212,7 +211,7 @@ fn zero_rnr_discipline_over_tcp() {
         cluster.submit_send(group, 48 * KB);
     }
     cluster.run();
-    assert!(cluster.all_quiescent());
+    assert_eq!(cluster.check_run(), Ok(()));
     assert_eq!(
         cluster.transport().stats().rnr_arms,
         0,
@@ -229,7 +228,7 @@ fn thirty_two_nodes_in_one_process() {
     let group = cluster.create_group(spec((0..32).collect(), Algorithm::BinomialPipeline));
     cluster.submit_send(group, 128 * KB);
     cluster.run();
-    assert!(cluster.all_quiescent());
+    assert_eq!(cluster.check_run(), Ok(()));
     for r in cluster.message_results() {
         assert!(r.latency().is_some());
     }

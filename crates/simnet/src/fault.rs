@@ -162,8 +162,6 @@ pub struct FaultProfile {
     // map is only ever point-queried during sampling).
     per_link: BTreeMap<u32, LinkFault>,
     ge_states: BTreeMap<u32, GeState>,
-    drops: u64,
-    corruptions: u64,
 }
 
 impl FaultProfile {
@@ -175,8 +173,6 @@ impl FaultProfile {
             default: None,
             per_link: BTreeMap::new(),
             ge_states: BTreeMap::new(),
-            drops: 0,
-            corruptions: 0,
         }
     }
 
@@ -198,18 +194,6 @@ impl FaultProfile {
     pub fn is_clean(&self) -> bool {
         self.default.as_ref().is_none_or(LinkFault::is_clean)
             && self.per_link.values().all(LinkFault::is_clean)
-    }
-
-    /// Payloads dropped so far.
-    #[must_use]
-    pub fn drops(&self) -> u64 {
-        self.drops
-    }
-
-    /// Payloads corrupted so far.
-    #[must_use]
-    pub fn corruptions(&self) -> u64 {
-        self.corruptions
     }
 
     /// Samples the fate of one payload that traversed `path`, advancing
@@ -249,14 +233,12 @@ impl FaultProfile {
                 dropped |= loss > 0.0 && self.rng.next_f64() < loss;
             }
             if dropped {
-                self.drops += 1;
                 return FaultOutcome::Drop;
             }
             if outcome == FaultOutcome::Deliver
                 && fault.corrupt > 0.0
                 && self.rng.next_f64() < fault.corrupt
             {
-                self.corruptions += 1;
                 outcome = FaultOutcome::Corrupt;
             }
         }
@@ -284,7 +266,6 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(p.sample(&topo.path(0, 1)), FaultOutcome::Deliver);
         }
-        assert_eq!(p.drops(), 0);
     }
 
     #[test]
@@ -317,7 +298,6 @@ mod tests {
         // Two faulted links per path => ~2% end-to-end.
         let rate = drops as f64 / n as f64;
         assert!((0.012..0.028).contains(&rate), "rate {rate}");
-        assert_eq!(p.drops(), drops as u64);
     }
 
     #[test]
@@ -351,9 +331,8 @@ mod tests {
             burst: None,
             corrupt: 1.0,
         });
-        assert_eq!(p.sample(&topo.path(0, 1)), FaultOutcome::Corrupt);
-        assert_eq!(p.corruptions(), 1);
-        assert_eq!(p.drops(), 0);
+        let fates: Vec<FaultOutcome> = (0..100).map(|_| p.sample(&topo.path(0, 1))).collect();
+        assert_eq!(fates, vec![FaultOutcome::Corrupt; 100]);
     }
 
     #[test]

@@ -279,12 +279,6 @@ impl Fabric {
         };
     }
 
-    /// The attached fault model, if any (its drop/corruption counters
-    /// included).
-    pub fn fault_profile(&self) -> Option<&simnet::FaultProfile> {
-        self.faults.as_ref()
-    }
-
     /// Grants the attached scheduler `budget` deliver-or-drop choice
     /// points ([`crate::sched::PointKind::LossSite`]): while the budget
     /// lasts, every eligible completed transfer asks the scheduler

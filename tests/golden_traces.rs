@@ -37,7 +37,7 @@ fn traced_jsonl(algorithm: Algorithm) -> String {
     });
     cluster.submit_send(group, 4 * BLOCK);
     cluster.run();
-    assert!(cluster.all_quiescent());
+    assert_eq!(cluster.check_run(), Ok(()));
     trace::export::to_jsonl(&recorder.events())
 }
 

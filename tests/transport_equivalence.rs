@@ -127,7 +127,7 @@ fn plain_workload<T: Transport>(mut cluster: Cluster<T>, algorithm: Algorithm) -
         cluster.submit_send(group, size);
     }
     cluster.run();
-    assert!(cluster.all_quiescent(), "workload failed to quiesce");
+    assert_eq!(cluster.check_run(), Ok(()), "workload");
     (
         canonicalize(cluster.engine_log()),
         delivery_digest(&cluster, 5),
@@ -164,7 +164,7 @@ fn paced_workload<T: Transport>(mut cluster: Cluster<T>) -> (String, String) {
         cluster.submit_send(group, 5 * BLOCK);
     }
     cluster.run();
-    assert!(cluster.all_quiescent(), "paced workload failed to quiesce");
+    assert_eq!(cluster.check_run(), Ok(()), "paced workload");
     (
         canonicalize(cluster.engine_log()),
         delivery_digest(&cluster, 4),
@@ -197,14 +197,14 @@ fn recovery_workload<T: Transport>(mut cluster: Cluster<T>) -> (String, String) 
     let group = cluster.create_group(spec(5, Algorithm::BinomialPipeline));
     cluster.submit_send(group, 4 * BLOCK);
     cluster.run();
-    assert!(cluster.all_quiescent(), "first message failed to quiesce");
+    assert_eq!(cluster.check_run(), Ok(()), "first message");
 
     cluster.crash_now(3);
     cluster.run(); // detection, gossip, epoch agreement, reconfiguration
 
     cluster.submit_send(group, 3 * BLOCK);
     cluster.run();
-    assert!(cluster.live_quiescent(), "survivors failed to quiesce");
+    assert_eq!(cluster.check_run(), Ok(()), "survivors");
     assert_eq!(
         cluster.surviving_ranks(group),
         vec![0, 1, 2, 4],
