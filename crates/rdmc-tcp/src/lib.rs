@@ -262,7 +262,7 @@ impl TcpFabric {
     ///
     /// # Errors
     ///
-    /// Any socket error during bring-up.
+    /// `InvalidInput` for `n = 0`; any socket error during bring-up.
     pub fn launch(n: usize) -> io::Result<TcpFabric> {
         let cores = thread::available_parallelism().map_or(1, |n| n.get());
         // A host that cannot start the thread keeps one shard.
@@ -271,7 +271,12 @@ impl TcpFabric {
 
     /// A fabric whose second shard, if any, `start` makes of an empty one.
     fn with_worker(n: usize, start: impl FnOnce(Shard) -> Option<Worker>) -> io::Result<TcpFabric> {
-        assert!(n >= 1, "cluster needs at least one node");
+        if n == 0 {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "a fabric needs a node",
+            ));
+        }
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?;
         let clock = Instant::now();
@@ -1024,7 +1029,7 @@ impl std::fmt::Debug for TcpFabric {
 ///
 /// # Errors
 ///
-/// Any socket error during bring-up.
+/// As [`TcpFabric::launch`].
 pub fn builder(n: usize) -> io::Result<ClusterBuilder<TcpFabric>> {
     Ok(ClusterBuilder::from_transport(TcpFabric::launch(n)?))
 }

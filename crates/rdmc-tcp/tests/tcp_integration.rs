@@ -1,16 +1,15 @@
-//! Integration suite for the TCP backend behind the unified
-//! [`rdmc_sim::ClusterBuilder`] API: every algorithm, multi-message
-//! ordering, overlapping groups, the §4.6 close barrier (clean and
-//! unclean), shutdown hygiene across repeated launches, the zero-RNR
-//! discipline observed on real sockets, pre-crash data reaching the
-//! survivor ahead of the break, and a stranger on the fabric's listener.
+//! The TCP backend as a raw fabric: repeated launch and shutdown in one
+//! process, frames flushed before a crash reaching the survivor ahead of
+//! the break, a stranger on the fabric's listener, and a fabric of no
+//! nodes refused. Cluster-level scenarios run on both transports in the
+//! root `transport_equivalence` matrix.
 
+use std::io;
 use std::net::TcpStream;
 
 use rdmc::Algorithm;
-use rdmc_sim::{ClusterBuilder, GroupSpec, RecoveryConfig};
+use rdmc_sim::{ClusterBuilder, GroupSpec};
 use rdmc_tcp::TcpFabric;
-use simnet::SimDuration;
 use verbs::{Delivery, NodeId, Transport, WrId};
 
 const KB: u64 = 1 << 10;
@@ -25,159 +24,19 @@ fn spec(members: Vec<usize>, algorithm: Algorithm) -> GroupSpec {
     }
 }
 
-/// Every dissemination algorithm delivers to every member over TCP.
+/// A fabric of no nodes is an `InvalidInput` error, not a panic, through
+/// both entry points.
 #[test]
-fn all_algorithms_deliver() {
-    let algorithms = [
-        Algorithm::Sequential,
-        Algorithm::Chain,
-        Algorithm::BinomialTree,
-        Algorithm::BinomialPipeline,
-    ];
-    for algorithm in algorithms {
-        let mut cluster = rdmc_tcp::builder(5).expect("launch").build();
-        let group = cluster.create_group(spec((0..5).collect(), algorithm.clone()));
-        cluster.submit_send(group, 60 * KB);
-        cluster.run();
-        assert_eq!(cluster.check_run(), Ok(()), "{algorithm:?}");
-        for r in cluster.message_results() {
-            assert!(
-                r.latency().is_some(),
-                "{algorithm:?}: a member missed the message"
-            );
-        }
-        rdmc_tcp::shutdown(cluster).expect("clean shutdown");
-    }
-}
-
-/// The rack-aware hybrid schedule (§4.3) also runs over TCP.
-#[test]
-fn hybrid_algorithm_delivers() {
-    let mut cluster = rdmc_tcp::builder(6).expect("launch").build();
-    let group = cluster.create_group(spec(
-        (0..6).collect(),
-        Algorithm::Hybrid {
-            rack_of: vec![0, 0, 1, 1, 2, 2],
-        },
-    ));
-    cluster.submit_send(group, 48 * KB);
-    cluster.run();
-    assert_eq!(cluster.check_run(), Ok(()));
-    for r in cluster.message_results() {
-        assert!(r.latency().is_some());
-    }
-    rdmc_tcp::shutdown(cluster).expect("clean shutdown");
-}
-
-/// Multiple messages complete in initiation order at every member
-/// (§3 property 4), including a 1-byte message.
-#[test]
-fn several_messages_deliver_in_order() {
-    let mut cluster = rdmc_tcp::builder(4)
-        .expect("launch")
-        .flight_recorder()
-        .build();
-    let group = cluster.create_group(spec((0..4).collect(), Algorithm::BinomialPipeline));
-    let sizes = [24 * KB, 1, 33 * KB, 9 * KB];
-    for &size in &sizes {
-        cluster.submit_send(group, size);
-    }
-    cluster.run();
-    assert_eq!(cluster.check_run(), Ok(()));
-    let results = cluster.message_results();
-    assert_eq!(results.len(), sizes.len());
-    assert!(results.iter().all(|r| r.latency().is_some()));
-    // Each member's upcalls, from the flight recorder: every message
-    // once, in submission order, at non-decreasing times.
-    let replayed = trace::replay::replay(&cluster.recorder().events());
-    for member in 0..4u32 {
-        let upcalls = &replayed.delivered[&(group as u32, member)];
-        let got: Vec<u64> = upcalls.iter().map(|&(_, size)| size).collect();
-        assert_eq!(got, sizes, "member {member} reordered");
-        assert!(
-            upcalls.windows(2).all(|w| w[0].0 <= w[1].0),
-            "member {member} went back in time"
-        );
-    }
-    rdmc_tcp::shutdown(cluster).expect("clean shutdown");
-}
-
-/// Two groups with overlapping membership share the fabric without
-/// interfering.
-#[test]
-fn overlapping_groups_coexist() {
-    let mut cluster = rdmc_tcp::builder(6).expect("launch").build();
-    let g0 = cluster.create_group(spec(vec![0, 1, 2, 3], Algorithm::BinomialPipeline));
-    let g1 = cluster.create_group(spec(vec![2, 3, 4, 5], Algorithm::Chain));
-    cluster.submit_send(g0, 40 * KB);
-    cluster.submit_send(g1, 24 * KB);
-    cluster.run();
-    assert_eq!(cluster.check_run(), Ok(()));
-    for r in cluster.message_results() {
-        assert!(r.latency().is_some());
-    }
-    assert!(cluster.destroy_group(g0));
-    assert!(cluster.destroy_group(g1));
-    rdmc_tcp::shutdown(cluster).expect("clean shutdown");
-}
-
-/// The close barrier under concurrent sends: `destroy_group` drains all
-/// in-flight traffic first and certifies every message reached every
-/// member (§4.6 — a clean close proves delivery).
-#[test]
-fn close_barrier_under_concurrent_sends() {
-    let mut cluster = rdmc_tcp::builder(5).expect("launch").build();
-    let group = cluster.create_group(spec((0..5).collect(), Algorithm::BinomialPipeline));
-    for _ in 0..4 {
-        cluster.submit_send(group, 32 * KB);
-    }
-    // No run() in between: destroy must drain the concurrent sends
-    // itself before judging the history.
-    assert!(
-        cluster.destroy_group(group),
-        "clean history must close clean"
+fn launching_no_nodes_is_an_error() {
+    let refused = Err(io::ErrorKind::InvalidInput);
+    assert_eq!(
+        TcpFabric::launch(0).map(drop).map_err(|e| e.kind()),
+        refused
     );
-    rdmc_tcp::shutdown(cluster).expect("clean shutdown");
-}
-
-/// The close barrier reports an unclean history when a member dies
-/// mid-transfer.
-#[test]
-fn close_barrier_reports_lost_member() {
-    let mut cluster = rdmc_tcp::builder(4).expect("launch").build();
-    let group = cluster.create_group(spec((0..4).collect(), Algorithm::BinomialPipeline));
-    cluster.submit_send(group, 64 * KB);
-    cluster.crash_now(2);
-    cluster.run();
-    assert!(
-        !cluster.destroy_group(group),
-        "close must report the lost member"
+    assert_eq!(
+        rdmc_tcp::builder(0).map(drop).map_err(|e| e.kind()),
+        refused
     );
-    rdmc_tcp::shutdown(cluster).expect("shutdown still clean after crash");
-}
-
-/// Epoch recovery runs over TCP: survivors reconfigure around a crash
-/// and later messages reach the new view.
-#[test]
-fn recovery_reconfigures_over_tcp() {
-    let mut cluster = rdmc_tcp::builder(5)
-        .expect("launch")
-        .recovery(RecoveryConfig {
-            grace: SimDuration::from_millis(50),
-            ..RecoveryConfig::default()
-        })
-        .build();
-    let group = cluster.create_group(spec((0..5).collect(), Algorithm::BinomialPipeline));
-    cluster.submit_send(group, 40 * KB);
-    cluster.run();
-    cluster.crash_now(1);
-    cluster.run();
-    cluster.submit_send(group, 24 * KB);
-    cluster.run();
-    // All-or-nothing delivery across the epoch, on real sockets.
-    assert_eq!(cluster.check_run(), Ok(()));
-    assert_eq!(cluster.surviving_ranks(group), vec![0, 2, 3, 4]);
-    rdmc_tcp::shutdown(cluster).expect("shutdown clean after recovery");
 }
 
 /// Repeated launch/shutdown cycles in one process leak nothing: every
@@ -199,40 +58,6 @@ fn repeated_launch_shutdown_cycles_are_clean() {
         assert_eq!(cluster.check_run(), Ok(()), "round {round}");
         rdmc_tcp::shutdown(cluster).unwrap_or_else(|e| panic!("round {round}: {e}"));
     }
-}
-
-/// The §4.2 receive-before-send discipline holds on real sockets: no
-/// data frame ever arrives before its receive is posted.
-#[test]
-fn zero_rnr_discipline_over_tcp() {
-    let mut cluster = rdmc_tcp::builder(6).expect("launch").build();
-    let group = cluster.create_group(spec((0..6).collect(), Algorithm::BinomialPipeline));
-    for _ in 0..3 {
-        cluster.submit_send(group, 48 * KB);
-    }
-    cluster.run();
-    assert_eq!(cluster.check_run(), Ok(()));
-    assert_eq!(
-        cluster.transport().stats().rnr_arms,
-        0,
-        "a block arrived before its receive was posted"
-    );
-    rdmc_tcp::shutdown(cluster).expect("clean shutdown");
-}
-
-/// A larger in-process cluster (the event loop carries dozens of nodes
-/// without a thread per peer).
-#[test]
-fn thirty_two_nodes_in_one_process() {
-    let mut cluster = rdmc_tcp::builder(32).expect("launch").build();
-    let group = cluster.create_group(spec((0..32).collect(), Algorithm::BinomialPipeline));
-    cluster.submit_send(group, 128 * KB);
-    cluster.run();
-    assert_eq!(cluster.check_run(), Ok(()));
-    for r in cluster.message_results() {
-        assert!(r.latency().is_some());
-    }
-    rdmc_tcp::shutdown(cluster).expect("clean shutdown");
 }
 
 /// A sender crashes right after its frames were flushed (`SendDone`

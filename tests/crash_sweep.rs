@@ -5,21 +5,25 @@
 //! logs, the trace oracle's rules, no RNR arm) and exactly the victim
 //! gone.
 //!
-//! One runner drives both shapes, a plain group's `k`-block message and
-//! an atomic group's `count` messages, over any transport. The
+//! The runner the transport matrix also uses (`support`) drives both
+//! shapes, a plain group's `k`-block message and an atomic group's
+//! `count` messages, over any transport. The
 //! exhaustive sweeps (every member crashed at every step of the
 //! failure-free run) run on the simulated fabric and on real TCP
 //! sockets, where a `SendDone` only means "flushed to the socket".
 //! Jitter and bit-for-bit reruns are simulator properties, so the soak
 //! and the jittered proptests run on `Fabric` alone.
 
+mod support;
+
 use proptest::prelude::*;
 use rdmc::Algorithm;
-use rdmc_sim::{Cluster, ClusterBuilder, ClusterSpec, GroupSpec, RecoveryConfig};
+use rdmc_sim::{Cluster, ClusterBuilder, ClusterSpec};
 use simnet::{JitterModel, SimDuration};
+use support::{close, sim, spec, tcp, Setup, KB};
 use verbs::{Fabric, Transport};
 
-const BLOCK: u64 = 64 << 10;
+const BLOCK: u64 = 64 * KB;
 
 /// What a run multicasts over every node.
 #[derive(Clone, Copy, Debug)]
@@ -29,16 +33,6 @@ enum Shape {
     /// `count` two-block messages rotating through an atomic group's
     /// senders.
     Atomic { count: usize },
-}
-
-fn spec(members: Vec<usize>, algorithm: Algorithm, block_size: u64, window: u32) -> GroupSpec {
-    GroupSpec {
-        members,
-        algorithm,
-        block_size,
-        ready_window: window,
-        max_outstanding_sends: window,
-    }
 }
 
 /// A simulated cluster of `n` nodes, each with scheduling jitter.
@@ -63,30 +57,31 @@ fn run<T: Transport>(
     shape: Shape,
     crash: Option<(usize, u64)>,
 ) -> Cluster<T> {
-    let group = spec((0..n).collect(), Algorithm::BinomialPipeline, BLOCK, 2);
-    let builder = builder
-        .flight_recorder()
-        .recovery(RecoveryConfig::default());
-    let mut cluster = match shape {
-        Shape::Plain { .. } => builder.build(),
-        Shape::Atomic { .. } => builder.atomic(group.clone()).build(),
+    let group = spec(0..n, Algorithm::BinomialPipeline, BLOCK, 2);
+    let setup = match shape {
+        Shape::Plain { .. } => Setup::recovering(),
+        Shape::Atomic { .. } => Setup {
+            atomic: Some(group.clone()),
+            ..Setup::recovering()
+        },
     };
-    if let Some((victim, step)) = crash {
-        cluster.crash_after_events(victim, step);
-    }
-    match shape {
-        Shape::Plain { k } => {
-            let plain = cluster.create_group(group);
-            cluster.submit_send(plain, k * BLOCK);
+    setup.run(builder, |cluster| {
+        if let Some((victim, step)) = crash {
+            cluster.crash_after_events(victim, step);
         }
-        Shape::Atomic { count } => {
-            for _ in 0..count {
-                cluster.submit_atomic(0, 2 * BLOCK);
+        match shape {
+            Shape::Plain { k } => {
+                let plain = cluster.create_group(group);
+                cluster.submit_send(plain, k * BLOCK);
+            }
+            Shape::Atomic { count } => {
+                for _ in 0..count {
+                    cluster.submit_atomic(0, 2 * BLOCK);
+                }
             }
         }
-    }
-    cluster.run();
-    cluster
+        cluster.run();
+    })
 }
 
 /// A crash run ends with a clean verdict, a reconfiguration, and exactly
@@ -141,11 +136,8 @@ fn sweep<T: Transport>(
 /// where every run also shuts down clean. The protocol fixes the engine
 /// events of a failure-free run, so both sweeps visit the same sites.
 fn sweep_both_transports(n: usize, shape: Shape) {
-    let on_sim = || ClusterBuilder::new(ClusterSpec::fractus(n));
-    let on_tcp = || rdmc_tcp::builder(n).expect("launch");
-    let close = |c| rdmc_tcp::shutdown(c).expect("clean shutdown");
-    let steps = sweep(n, shape, on_sim, drop);
-    assert_eq!(sweep(n, shape, on_tcp, close), steps, "{shape:?} on TCP");
+    let steps = sweep(n, shape, || sim(n), drop);
+    assert_eq!(sweep(n, shape, || tcp(n), close), steps, "{shape:?} on TCP");
 }
 
 #[test]
@@ -269,17 +261,19 @@ proptest! {
         groups in prop::collection::vec(arb_group(10), 1..6),
         jitter_seed in any::<u64>(),
     ) {
-        let mut cluster = jittered(10, jitter_seed, 0.01).flight_recorder().build();
-        let ids: Vec<_> = groups
-            .iter()
-            .map(|p| cluster.create_group(spec(p.members.clone(), p.algorithm.clone(), p.block_size, 3)))
-            .collect();
-        for (plan, &id) in groups.iter().zip(&ids) {
-            for &size in &plan.messages {
-                cluster.submit_send(id, size);
+        let recorder = Setup { recorder: true, ..Setup::default() };
+        let cluster = recorder.run(jittered(10, jitter_seed, 0.01), |cluster| {
+            let ids: Vec<_> = groups
+                .iter()
+                .map(|p| cluster.create_group(spec(p.members.clone(), p.algorithm.clone(), p.block_size, 3)))
+                .collect();
+            for (plan, &id) in groups.iter().zip(&ids) {
+                for &size in &plan.messages {
+                    cluster.submit_send(id, size);
+                }
             }
-        }
-        cluster.run();
+            cluster.run();
+        });
         prop_assert_eq!(cluster.check_run(), Ok(()));
         let expected: usize = groups.iter().map(|p| p.messages.len()).sum();
         prop_assert_eq!(cluster.message_results().len(), expected);

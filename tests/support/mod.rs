@@ -1,0 +1,89 @@
+//! The one runner the transport matrix (`transport_equivalence.rs`) and
+//! the crash sweep (`crash_sweep.rs`) share: a cluster built the same way
+//! over either transport, driven by a scenario written once.
+
+use rdmc::Algorithm;
+use rdmc_sim::{Cluster, ClusterBuilder, ClusterSpec, GroupSpec, PacerConfig, RecoveryConfig};
+use rdmc_tcp::{TcpCluster, TcpFabric};
+use verbs::{Fabric, Transport};
+
+pub const KB: u64 = 1 << 10;
+
+/// A group over `members` whose ready and send windows are both `window`.
+pub fn spec(
+    members: impl IntoIterator<Item = usize>,
+    algorithm: Algorithm,
+    block_size: u64,
+    window: u32,
+) -> GroupSpec {
+    GroupSpec {
+        members: members.into_iter().collect(),
+        algorithm,
+        block_size,
+        ready_window: window,
+        max_outstanding_sends: window,
+    }
+}
+
+/// What a cluster is built with beyond its transport. The engine log is
+/// always on.
+#[derive(Clone, Default)]
+pub struct Setup {
+    pub recovery: Option<RecoveryConfig>,
+    pub pacing: Option<PacerConfig>,
+    /// The spec of atomic group 0.
+    pub atomic: Option<GroupSpec>,
+    /// The flight recorder, whose oracle joins `check_run`.
+    pub recorder: bool,
+}
+
+impl Setup {
+    /// Recovery with its default configuration and the flight recorder.
+    pub fn recovering() -> Setup {
+        Setup {
+            recovery: Some(RecoveryConfig::default()),
+            recorder: true,
+            ..Setup::default()
+        }
+    }
+
+    /// Builds `builder`'s cluster and hands it to `drive`, which submits,
+    /// crashes and runs it.
+    pub fn run<T: Transport>(
+        &self,
+        builder: ClusterBuilder<T>,
+        drive: impl FnOnce(&mut Cluster<T>),
+    ) -> Cluster<T> {
+        let mut builder = builder.engine_log();
+        if let Some(recovery) = &self.recovery {
+            builder = builder.recovery(recovery.clone());
+        }
+        if let Some(pacing) = self.pacing {
+            builder = builder.pacing(pacing);
+        }
+        if let Some(atomic) = &self.atomic {
+            builder = builder.atomic(atomic.clone());
+        }
+        if self.recorder {
+            builder = builder.flight_recorder();
+        }
+        let mut cluster = builder.build();
+        drive(&mut cluster);
+        cluster
+    }
+}
+
+/// `n` simulated nodes.
+pub fn sim(n: usize) -> ClusterBuilder<Fabric> {
+    ClusterBuilder::new(ClusterSpec::fractus(n))
+}
+
+/// `n` nodes on loopback TCP.
+pub fn tcp(n: usize) -> ClusterBuilder<TcpFabric> {
+    rdmc_tcp::builder(n).expect("launch")
+}
+
+/// Every TCP run ends here: a shutdown that surfaces no socket error.
+pub fn close(cluster: TcpCluster) {
+    rdmc_tcp::shutdown(cluster).expect("clean shutdown");
+}
