@@ -36,12 +36,12 @@
 //!   flows the traversal stops paying for itself and the per-link live
 //!   counts stand in for it.
 //! * **Completion heap.** A flow's projected *absolute* completion
-//!   instant is invariant while its rate is unchanged, so it is computed
-//!   only when the rate changes. Each path class keeps its *head*, the
-//!   least `(projected time, slot)` of its members, and a lazily
-//!   invalidated min-heap holds one entry per head: an entry is live while
-//!   it still equals its flow's class head. [`FlowNet::next_completion`]
-//!   is `O(log classes)` amortized instead of a scan of every active flow.
+//!   instant is a pure function of what its last rate change set, so it
+//!   is computed on demand. Each path class keeps its *head*, the least
+//!   `(projected time, slot)` of its members, and a lazily invalidated
+//!   min-heap holds one entry per head: an entry is live while it still
+//!   equals its flow's class head. [`FlowNet::next_completion`] is
+//!   `O(log classes)` amortized instead of a scan of every active flow.
 //! * **Boundary byte accounting.** Per-flow progress and per-link byte
 //!   counters are materialized only at rate-change boundaries (each flow
 //!   carries a `synced_at` watermark), making [`FlowNet::advance_to`] O(1).
@@ -123,9 +123,6 @@ struct Flow {
     /// Instant `remaining_bytes` was last materialized. Always a rate
     /// boundary: flows are materialized exactly when their rate changes.
     synced_at: SimTime,
-    /// Projected completion instant in nanoseconds, set when the rate
-    /// last changed; [`UNPROJECTED`] while the flow has never had a rate.
-    due_ns: u64,
 }
 
 /// Remaining bytes below this threshold count as "done" (absorbs float
@@ -140,7 +137,7 @@ fn order_slot(order: u64) -> usize {
     (order & ((1 << ORDER_SLOT_BITS) - 1)) as usize
 }
 
-/// `Flow::due_ns` of a flow that has no projection yet.
+/// `Flow::due_ns` of a flow that has never had a rate.
 const UNPROJECTED: u64 = u64::MAX;
 
 /// `PathClass::head` of a class with no projected member.
@@ -188,8 +185,8 @@ pub struct ReallocStats {
     pub flows_visited: u64,
     /// Bottleneck-heap pushes performed while water-filling.
     pub heap_pushes: u64,
-    /// Flows whose rate actually changed (each one costs a completion
-    /// projection; the rest keep their projected completion time).
+    /// Flows whose rate actually changed (each one is materialized; only
+    /// those that can head their class are projected).
     pub rate_changes: u64,
     /// Links visited by ripple traversals and full scans, summed — the
     /// "ripple link-visits" figure the scale benchmarks track per event.
@@ -297,8 +294,9 @@ struct ReallocScratch {
     /// fill, in the order the changes apply: by bottleneck, then by start.
     changed: Vec<u64>,
     /// Classes with a member in `changed`, each once (a class freezes
-    /// once per fill), with their heads from before the fill.
-    reheads: Vec<(u32, (u64, u32))>,
+    /// once per fill): how many of its last members were re-rated, and
+    /// its head from before the fill.
+    reheads: Vec<(u32, u32, (u64, u32))>,
     /// One bit per start number of the bottleneck group being merged
     /// (see [`merge_by_start`]); all zero between merges.
     window_bits: Vec<u64>,
@@ -307,6 +305,9 @@ struct ReallocScratch {
     /// Bottleneck groups put in start order by `[sort, merge]`.
     #[cfg(test)]
     orderings: [u64; 2],
+    /// Completion projections made for class heads.
+    #[cfg(test)]
+    projections: u64,
 }
 
 impl Default for FlowNet {
@@ -321,6 +322,35 @@ impl Flow {
         let dt = now.since(self.synced_at).as_secs_f64();
         (self.rate_bps / 8.0 * dt).min(self.remaining_bytes)
     }
+
+    /// Projected completion nanosecond ([`UNPROJECTED`] before the first
+    /// rate). Only a rate change sets what it reads, so projecting on
+    /// demand returns what projecting at the rate change would have.
+    fn due_ns(&self) -> u64 {
+        if self.rate_bps == 0.0 {
+            return UNPROJECTED;
+        }
+        let secs = (self.remaining_bytes * 8.0) / self.rate_bps;
+        let at = self.synced_at + SimDuration::from_secs_f64(secs);
+        let early = self.remaining_bytes > COMPLETION_EPSILON_BYTES && at == self.synced_at;
+        at.as_nanos() + u64::from(early)
+    }
+}
+
+/// What `live` sequential steps of `r = (r - share).max(0.0)` return, to
+/// the bit: while the values stay in `r`'s binade and a step is no rounding
+/// tie (an exact test, by Sterbenz), every step removes the same `d` ulps.
+/// A tie, a binade crossing or a tiny `r` steps one at a time.
+fn subtract_steps(r: f64, share: f64, live: u32) -> f64 {
+    const MANTISSA: u64 = (1 << 52) - 1;
+    let next = (r - share).max(0.0);
+    let bits = r.to_bits();
+    let all = u64::from(live).saturating_mul(bits.wrapping_sub(next.to_bits()));
+    let half_ulp = f64::from_bits(bits & !MANTISSA) * (f64::EPSILON / 2.0);
+    if bits >> 52 > 53 && ((r - next) - share).abs() != half_ulp && all < bits & MANTISSA {
+        return f64::from_bits(bits - all);
+    }
+    (0..live).fold(r, |r, _| (r - share).max(0.0))
 }
 
 /// Brings `f`'s progress current to `now`, crediting the moved bytes to
@@ -609,7 +639,6 @@ impl FlowNet {
             remaining_bytes: bytes.max(COMPLETION_EPSILON_BYTES / 2.0),
             rate_bps: 0.0,
             synced_at: now,
-            due_ns: UNPROJECTED,
         });
         // Defer the recomputation: the new flow carries nothing until the
         // flush, which happens before any rate is observed or time moves.
@@ -761,7 +790,7 @@ impl FlowNet {
             self.stats.coalesced += 1;
         }
         self.scratch.frontier.extend_from_slice(&class.fill_links);
-        if class.head == (f.due_ns, slot as u32) {
+        if class.head.1 == slot as u32 {
             self.refresh_head(f.class);
         }
         self.dirty = true;
@@ -770,20 +799,29 @@ impl FlowNet {
 
     /// Recomputes the head of class `c` from its members' projections.
     fn refresh_head(&mut self, c: u32) {
-        let class = &mut self.classes[c as usize];
-        let mut head = NO_HEAD;
-        for &order in &class.members {
-            let s = order_slot(order);
-            let f = self.slots[s]
-                .as_ref()
-                .expect("class lists a flow that left");
-            head = head.min((f.due_ns, s as u32));
+        #[cfg(test)]
+        {
+            self.scratch.projections += self.classes[c as usize].members.len() as u64;
         }
-        if head.0 == UNPROJECTED {
-            head = NO_HEAD;
-        }
-        let was = std::mem::replace(&mut class.head, head);
+        let head = self.least_due(c);
+        let was = std::mem::replace(&mut self.classes[c as usize].head, head);
         self.head_moved(was, head);
+    }
+
+    /// The least `(due_ns, slot)` over the members of class `c`, or
+    /// [`NO_HEAD`], projecting every member.
+    fn least_due(&self, c: u32) -> (u64, u32) {
+        (self.classes[c as usize].members.iter())
+            .map(|&order| {
+                let s = order_slot(order);
+                let f = self.slots[s]
+                    .as_ref()
+                    .expect("class lists a flow that left");
+                (f.due_ns(), s as u32)
+            })
+            .filter(|head| head.0 != UNPROJECTED)
+            .min()
+            .unwrap_or(NO_HEAD)
     }
 
     /// Accounts for a class head that moved from `was` to `head`, queueing
@@ -948,17 +986,18 @@ impl FlowNet {
     /// `share`, so the residual depends only on *how many* frozen flows
     /// cross the link: `live` sequential `(x - share).max(0.0)` steps per
     /// class round exactly as one step per flow does, in any class order
-    /// (one fused `share * live` step would not). A link that no unfrozen
+    /// (one fused `share * live` step would not; [`subtract_steps`] is
+    /// those steps in closed form). A link that no unfrozen
     /// flow crosses any more skips its steps: its residual is never read
     /// again. Rate changes apply in start order per bottleneck (merged by
     /// [`merge_by_start`]) — the order a per-link flow list would yield —
     /// which fixes the order of trace events and of the roundings in
     /// `bytes_carried`.
     ///
-    /// Flows whose rate actually changed get a fresh completion projection
-    /// and lower their class's head to it; unchanged flows keep theirs
-    /// (their absolute completion instant is rate- and progress-invariant
-    /// between rate boundaries).
+    /// A class with a re-rated member re-projects its head from the members
+    /// that can hold it: those at the least bytes left if the class rate
+    /// moved, else the fresh ones against the standing head. An unchanged
+    /// flow's completion instant is invariant between rate boundaries.
     fn reallocate(&mut self) {
         let t0 = std::time::Instant::now();
         self.stats.count += 1;
@@ -1101,11 +1140,7 @@ impl FlowNet {
                     if j == i || scratch.count[j] == 0 {
                         continue; // no unfrozen flow is left to share it
                     }
-                    let mut residual = scratch.residual[j];
-                    for _ in 0..live {
-                        residual = (residual - share).max(0.0);
-                    }
-                    scratch.residual[j] = residual;
+                    scratch.residual[j] = subtract_steps(scratch.residual[j], share, live as u32);
                 }
                 let (settled, fresh) = class.members.split_at(live - class.fresh as usize);
                 let before = scratch.changed.len();
@@ -1117,9 +1152,10 @@ impl FlowNet {
                     scratch.changed.extend_from_slice(fresh);
                 }
                 if scratch.changed.len() > before {
-                    // Phase 3 lowers the head to each new projection; a
+                    // Phase 3 lowers the head to the new projections; a
                     // head among the re-rated members is void until then.
-                    scratch.reheads.push((c, class.head));
+                    let rerated = if moved { live as u32 } else { class.fresh };
+                    scratch.reheads.push((c, rerated, class.head));
                     if moved {
                         class.head = NO_HEAD;
                     }
@@ -1138,8 +1174,8 @@ impl FlowNet {
         self.stats.heap_pushes += work_pushes;
 
         // Phase 3: switch the changed flows to their class's new rate, in
-        // order. Each banks the bytes moved at its old rate first, so the
-        // new completion projection runs from exact remaining bytes.
+        // order. Each banks the bytes moved at its old rate first, so its
+        // completion projection runs from exact remaining bytes.
         // Unchanged flows keep their projection: with the same rate and
         // linearly decreasing remaining bytes, the projected absolute
         // completion instant is identical.
@@ -1159,17 +1195,30 @@ impl FlowNet {
                         trace::EventKind::FlowRateChanged { flow, gbps }
                     });
             }
-            let secs = (f.remaining_bytes * 8.0) / f.rate_bps;
-            let mut at = self.last_update + SimDuration::from_secs_f64(secs);
-            if f.remaining_bytes > COMPLETION_EPSILON_BYTES && at == self.last_update {
-                at += SimDuration::from_nanos(1);
-            }
-            f.due_ns = at.as_nanos();
-            let class = &mut self.classes[f.class as usize];
-            class.head = class.head.min((f.due_ns, s as u32));
         }
-        for &(c, was) in &scratch.reheads {
-            self.head_moved(was, self.classes[c as usize].head);
+        // A class's re-rated members share this instant and rate, so only
+        // those within two nanoseconds' transfer of the least bytes left
+        // (widened by 2^-40 against rounding ties) can be its head.
+        for &(c, rerated, was) in &scratch.reheads {
+            let class = &self.classes[c as usize];
+            let margin = class.rate_bps * 2.5e-10;
+            let mut head = class.head;
+            let mut least = f64::INFINITY;
+            for &order in &class.members[class.members.len() - rerated as usize..] {
+                let s = order_slot(order);
+                let f = self.slots[s].as_ref().expect("live flow");
+                if f.remaining_bytes <= (least + margin) * (1.0 + f64::EPSILON * 4096.0) {
+                    least = least.min(f.remaining_bytes);
+                    head = head.min((f.due_ns(), s as u32));
+                    #[cfg(test)]
+                    {
+                        scratch.projections += 1;
+                    }
+                }
+            }
+            debug_assert_eq!(head, self.least_due(c), "lazy head of class {c}");
+            self.classes[c as usize].head = head;
+            self.head_moved(was, head);
         }
 
         // Compact the heap once stale entries dominate. Every moved head
@@ -1817,11 +1866,7 @@ mod tests {
         }
     }
 
-    /// Seeded churn — starts, completions, aborts, same-instant bursts —
-    /// over a few heavily shared paths, around `target` live flows, with
-    /// the kernel held to the oracle after every flush and the next
-    /// completion held to brute force after every flush and removal.
-    /// Fills count marks up from `first_mark`.
+    /// [`churn`]'s counters.
     fn churn_against_oracle(
         profile: u8,
         seed: u64,
@@ -1829,6 +1874,15 @@ mod tests {
         steps: usize,
         first_mark: u32,
     ) -> ReallocStats {
+        churn(profile, seed, target, steps, first_mark).stats
+    }
+
+    /// Seeded churn — starts, completions, aborts, same-instant bursts —
+    /// over a few heavily shared paths, around `target` live flows, with
+    /// the kernel held to the oracle after every flush and the next
+    /// completion held to brute force after every flush and removal.
+    /// Fills count marks up from `first_mark`.
+    fn churn(profile: u8, seed: u64, target: usize, steps: usize, first_mark: u32) -> FlowNet {
         use crate::topology::Topology;
         let mut net = FlowNet::new();
         net.scratch.mark = first_mark;
@@ -1914,7 +1968,7 @@ mod tests {
         }
         assert_same_bits(&mut net, &mut oracle, "final");
         assert_next_completion(&mut net, &oracle, true, "final");
-        net.stats
+        net
     }
 
     #[test]
@@ -1985,5 +2039,69 @@ mod tests {
         let [sorted, merged] = net.scratch.orderings;
         assert!(sorted > 0, "the held-open window never fell back to a sort");
         assert!(merged > 0, "no dense group was merged");
+    }
+
+    #[test]
+    fn dense_churn_projects_fewer_flows_than_it_re_rates() {
+        // Only members that can head their class are projected, and a
+        // removed head's class is rescanned: under dense churn that is
+        // well under one projection per rate change.
+        for profile in 0..3 {
+            let net = churn(profile, 1, 200, 900, 0);
+            let (projections, rate_changes) = (net.scratch.projections, net.stats.rate_changes);
+            assert!(
+                projections < rate_changes,
+                "profile {profile}: {projections} projections for {rate_changes} rate changes"
+            );
+        }
+    }
+
+    /// The chain [`subtract_steps`] stands for.
+    fn steps_one_by_one(r: f64, share: f64, live: u32) -> f64 {
+        (0..live).fold(r, |r, _| (r - share).max(0.0))
+    }
+
+    /// `(r, share, live)` where `share` is a whole or half number of
+    /// `r`'s ulps, give or take a couple of ulps of its own: the steps'
+    /// rounding ties and their neighbours (ulp/2, ulp, 1.5 ulp, ...).
+    /// Residuals just above a binade floor make long chains cross it. The
+    /// last branch draws the shares a fill computes: a residual split `n`
+    /// ways, `live <= n` steps of it.
+    fn arb_chain() -> impl proptest::strategy::Strategy<Value = (f64, f64, u32)> {
+        use proptest::prelude::*;
+        let r = prop_oneof![
+            (1u64 << 20..1 << 44).prop_map(|m| m as f64 * 1e-1),
+            (0i32..60, 0u64..1 << 14)
+                .prop_map(|(e, above)| { f64::from_bits(2f64.powi(e).to_bits() + above) }),
+        ];
+        let halves = prop_oneof![0u64..4, 0u64..1 << 13];
+        let ulps = (r, halves, 0u64..5, 0u32..1 << 12).prop_map(|(r, halves, nudge, live)| {
+            let ulp = f64::from_bits(r.to_bits() & !((1 << 52) - 1)) * f64::EPSILON;
+            let share = halves as f64 * 0.5 * ulp;
+            let share = if share > 0.0 {
+                f64::from_bits((share.to_bits() + nudge).saturating_sub(2))
+            } else {
+                share
+            };
+            (r, share, live)
+        });
+        let fill = (1u64 << 30..1 << 44, 1u32..1 << 12, 0u32..1 << 12).prop_map(|(r, n, live)| {
+            let r = r as f64 * 0.25;
+            (r, r / f64::from(n), live % (n + 1))
+        });
+        prop_oneof![ulps, fill]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(50_000))]
+
+        #[test]
+        fn closed_form_chain_is_the_sequential_chain((r, share, live) in arb_chain()) {
+            proptest::prop_assert_eq!(
+                subtract_steps(r, share, live).to_bits(),
+                steps_one_by_one(r, share, live).to_bits(),
+                "r {:e} share {:e} live {}", r, share, live
+            );
+        }
     }
 }

@@ -99,8 +99,8 @@ impl SimDuration {
             "duration seconds must be finite and non-negative, got {secs}"
         );
         let ns = secs * 1e9;
-        assert!(ns <= u64::MAX as f64, "duration overflows u64 nanoseconds");
-        SimDuration(ns.round() as u64)
+        assert!(ns < u64::MAX as f64, "duration overflows u64 nanoseconds");
+        SimDuration(round_ns(ns))
     }
 
     /// Raw nanosecond count.
@@ -117,6 +117,13 @@ impl SimDuration {
     pub fn as_micros_f64(self) -> f64 {
         self.0 as f64 / 1e3
     }
+}
+
+/// `ns.round() as u64` for `0 <= ns < 2^64` without libm: below 2^53 the
+/// truncation and `ns` minus it are exact, and from 2^53 up `ns` is whole.
+fn round_ns(ns: f64) -> u64 {
+    let whole = ns as u64;
+    whole + u64::from(ns - whole as f64 >= 0.5)
 }
 
 impl Add<SimDuration> for SimTime {
@@ -194,6 +201,7 @@ impl fmt::Display for SimDuration {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn time_arithmetic_round_trips() {
@@ -223,6 +231,42 @@ mod tests {
         assert_eq!(SimDuration::from_secs(1).as_secs_f64(), 1.0);
         assert_eq!(SimDuration::from_secs_f64(0.5).as_nanos(), 500_000_000);
         assert_eq!(SimDuration::from_micros(7).as_micros_f64(), 7.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows")]
+    fn two_to_the_64_nanoseconds_overflow() {
+        // 18_446_744_073.709_553 s is 2^64 ns once multiplied out: one
+        // past `u64::MAX`, which the cast would saturate to.
+        let _ = SimDuration::from_secs_f64(18_446_744_073.709_553);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(20_000))]
+
+        /// Non-negative floats below 2^64 round as `f64::round` does:
+        /// drawn by bit pattern (tiny to huge), as quarters (every
+        /// half-way tie up to 2^54), as thousandths, and at the edges of
+        /// the exact-truncation argument.
+        #[test]
+        fn rounding_matches_f64_round(ns in prop_oneof![
+            (0u64..2f64.powi(64).to_bits()).prop_map(f64::from_bits),
+            (0u64..1 << 56).prop_map(|q| q as f64 / 4.0),
+            (0u64..1 << 40).prop_map(|m| m as f64 / 1e3),
+            prop::sample::select(vec![
+                0.49999999999999994,
+                0.5,
+                2.5,
+                2f64.powi(52) - 0.5,
+                2f64.powi(52) + 0.5,
+                2f64.powi(53) - 1.0,
+                2f64.powi(53) + 1.0,
+                2f64.powi(53) + 2.0,
+                2f64.powi(64) - 2048.0,
+            ]),
+        ]) {
+            prop_assert_eq!(round_ns(ns), ns.round() as u64);
+        }
     }
 
     #[test]
