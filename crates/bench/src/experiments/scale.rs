@@ -235,7 +235,7 @@ fn churn_once(
     let mut live = Vec::with_capacity(conns * flows_per_conn);
     for &(a, b) in &pairs {
         for _ in 0..flows_per_conn {
-            live.push(net.start_flow(SimTime::ZERO, topo.path(a, b), FLOW_BYTES));
+            live.push(net.start_flow(SimTime::ZERO, &topo.path(a, b), FLOW_BYTES));
         }
     }
     net.next_completion(); // flush the setup burst before metering
@@ -245,7 +245,7 @@ fn churn_once(
         let victim = rnd(live.len());
         net.abort_flow(now, live.swap_remove(victim));
         let (a, b) = pairs[rnd(pairs.len())];
-        live.push(net.start_flow(now, topo.path(a, b), FLOW_BYTES));
+        live.push(net.start_flow(now, &topo.path(a, b), FLOW_BYTES));
         net.next_completion(); // force the deferred reallocation
     }
     let after = net.realloc_stats();

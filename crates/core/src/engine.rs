@@ -260,7 +260,9 @@ pub struct TransferStatus {
 #[derive(Clone, Debug)]
 struct ActiveTransfer {
     layout: MessageLayout,
-    sched: RankSchedule,
+    /// This member's slice, shared with the planner's cache (a resumed
+    /// transfer wraps its own recovery schedule).
+    sched: Arc<RankSchedule>,
     have: Vec<bool>,
     received_count: u32,
     /// Index of the next outgoing transfer to issue, in schedule order.
@@ -281,7 +283,7 @@ impl ActiveTransfer {
     /// credits already out that count toward it.
     fn new(
         layout: MessageLayout,
-        sched: RankSchedule,
+        sched: Arc<RankSchedule>,
         have: Vec<bool>,
         granted: BTreeMap<Rank, u32>,
         delivered: bool,
@@ -584,7 +586,7 @@ impl GroupEngine {
         }
         self.active = Some(ActiveTransfer::new(
             layout,
-            resume.sched,
+            Arc::new(resume.sched),
             resume.have,
             BTreeMap::new(),
             resume.already_delivered,
@@ -759,14 +761,11 @@ impl GroupEngine {
 
     /// The layout of a `size`-byte message and this member's slice of
     /// its first-epoch schedule.
-    fn plan(&self, size: u64) -> (MessageLayout, RankSchedule) {
-        let layout = MessageLayout::new(size, self.config.block_size);
-        let sched = self
-            .config
-            .planner
-            .plan(self.config.num_nodes, layout.num_blocks)
-            .for_rank(self.config.rank);
-        (layout, sched)
+    fn plan(&self, size: u64) -> (MessageLayout, Arc<RankSchedule>) {
+        let c = &self.config;
+        let layout = MessageLayout::new(size, c.block_size);
+        let k = layout.num_blocks;
+        (layout, c.planner.rank_schedule(c.num_nodes, k, c.rank))
     }
 
     /// Root: pop the next queued message and begin its transfer.
@@ -834,11 +833,11 @@ impl GroupEngine {
             return;
         };
         let window = self.config.ready_window;
-        let peers: Vec<Rank> = match only {
-            Some(p) => vec![p],
-            None => t.sched.in_peers().collect(),
+        let (one, all) = match only {
+            Some(p) => (Some(p), None),
+            None => (None, Some(t.sched.in_peers())),
         };
-        for peer in peers {
+        for peer in one.into_iter().chain(all.into_iter().flatten()) {
             let total = t.sched.incoming_from(peer).len() as u32;
             let recvd = *t.recvd.get(&peer).unwrap_or(&0);
             let granted = t.granted.entry(peer).or_insert(0);

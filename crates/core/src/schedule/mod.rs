@@ -26,7 +26,7 @@ pub use executed::{check_trace, PlanRequest};
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 
 use crate::types::{Algorithm, Rank, Transfer};
 
@@ -363,7 +363,11 @@ impl RankSchedule {
 
 /// A shared, caching source of schedules, so the per-message schedule
 /// build (which depends on the just-learned block count) is amortised
-/// across messages and group members in one process.
+/// across messages, members and groups in one process: a cluster keeps
+/// one planner per distinct built-in [`Algorithm`], shared by every group
+/// that runs it. Beside each cached `(n, k)` schedule sit each rank's
+/// [`RankSchedule`] slice and every rank's first sender, each built on
+/// first use.
 pub struct SchedulePlanner {
     algorithm: Algorithm,
     builder: Option<Box<dyn Fn(u32, u32) -> GlobalSchedule + Send + Sync>>,
@@ -374,7 +378,16 @@ pub struct SchedulePlanner {
     /// Reader/writer cache: the steady state of a long run is all hits,
     /// which take only the shared lock, so concurrent experiment workers
     /// planning the same group shapes never serialize on each other.
-    cache: std::sync::RwLock<BTreeMap<(u32, u32), Arc<GlobalSchedule>>>,
+    cache: RwLock<BTreeMap<(u32, u32), Arc<Planned>>>,
+}
+
+/// One cached `(n, k)` schedule and what is derived from it on demand.
+struct Planned {
+    global: Arc<GlobalSchedule>,
+    /// `ranks[r]`: rank `r`'s slice.
+    ranks: Box<[OnceLock<Arc<RankSchedule>>]>,
+    /// `first[r]`: rank `r`'s [`GlobalSchedule::first_sender`].
+    first: OnceLock<Box<[Option<Rank>]>>,
 }
 
 impl fmt::Debug for SchedulePlanner {
@@ -397,7 +410,7 @@ impl SchedulePlanner {
             algorithm,
             builder: None,
             probe_k: 2,
-            cache: std::sync::RwLock::new(BTreeMap::new()),
+            cache: RwLock::new(BTreeMap::new()),
         }
     }
 
@@ -417,7 +430,7 @@ impl SchedulePlanner {
             },
             builder: Some(Box::new(build)),
             probe_k: probe_k.max(1),
-            cache: std::sync::RwLock::new(BTreeMap::new()),
+            cache: RwLock::new(BTreeMap::new()),
         }
     }
 
@@ -426,40 +439,65 @@ impl SchedulePlanner {
         &self.algorithm
     }
 
-    /// The (cached) global schedule for `n` members and `k` blocks.
+    /// The cache entry for `(n, k)`, building its schedule on a miss.
     ///
     /// Hits take only the shared read lock. On a miss the schedule is
     /// built *outside* any lock (two racing builders may do redundant
     /// work, but schedule construction is pure so whichever insert lands
     /// first wins and both callers agree).
-    pub fn plan(&self, n: u32, k: u32) -> Arc<GlobalSchedule> {
+    fn entry(&self, n: u32, k: u32) -> Arc<Planned> {
         // A panic while holding the lock poisons it, but the cache itself
         // is never left mid-update (inserts are atomic at the BTreeMap
         // level), so recover the guard instead of propagating the panic.
         if let Some(hit) = self
             .cache
             .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .unwrap_or_else(PoisonError::into_inner)
             .get(&(n, k))
         {
             return Arc::clone(hit);
         }
-        let built = Arc::new(match &self.builder {
+        let global = match &self.builder {
             Some(build) => build(n, k),
             None => GlobalSchedule::build(&self.algorithm, n, k),
+        };
+        let built = Arc::new(Planned {
+            ranks: (0..global.num_nodes()).map(|_| OnceLock::new()).collect(),
+            first: OnceLock::new(),
+            global: Arc::new(global),
         });
-        let mut cache = self
-            .cache
-            .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut cache = self.cache.write().unwrap_or_else(PoisonError::into_inner);
         Arc::clone(cache.entry((n, k)).or_insert(built))
+    }
+
+    /// The (cached) global schedule for `n` members and `k` blocks.
+    pub fn plan(&self, n: u32, k: u32) -> Arc<GlobalSchedule> {
+        Arc::clone(&self.entry(n, k).global)
+    }
+
+    /// `rank`'s slice of the `(n, k)` schedule
+    /// ([`GlobalSchedule::for_rank`]), built on first use and shared by
+    /// every later caller.
+    pub(crate) fn rank_schedule(&self, n: u32, k: u32, rank: Rank) -> Arc<RankSchedule> {
+        let e = self.entry(n, k);
+        Arc::clone(e.ranks[rank as usize].get_or_init(|| Arc::new(e.global.for_rank(rank))))
     }
 
     /// Who sends `rank` its first block in an `n`-member group (see
     /// [`GlobalSchedule::first_sender`]; probed at this planner's
-    /// `probe_k`).
+    /// `probe_k`, and `None` for a rank outside the group).
     pub fn first_sender(&self, n: u32, rank: Rank) -> Option<Rank> {
-        self.plan(n, self.probe_k).first_sender(rank)
+        let e = self.entry(n, self.probe_k);
+        let first = e.first.get_or_init(|| {
+            let mut first = vec![None; e.global.num_nodes() as usize];
+            for (_, t) in e.global.transfers() {
+                if let Some(slot) = first.get_mut(t.to as usize) {
+                    slot.get_or_insert(t.from);
+                }
+            }
+            first.into()
+        });
+        first.get(rank as usize).copied().flatten()
     }
 }
 
@@ -637,5 +675,42 @@ mod tests {
             !Arc::ptr_eq(&a, &c),
             "a different key is a different schedule"
         );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// A planner's cached rank slices and first senders are what the
+        /// global schedule computes, for every built-in algorithm and
+        /// both hybrids, and a repeated lookup returns the same slice.
+        #[test]
+        fn cached_slices_and_first_senders_match_the_schedule(
+            which in 0usize..6,
+            n in 1u32..=40,
+            k in 1u32..=16,
+            racks in 1u32..=4,
+        ) {
+            let rack_of: Vec<u32> = (0..n).map(|i| i % racks).collect();
+            let algorithm = match which {
+                0 => Algorithm::Sequential,
+                1 => Algorithm::Chain,
+                2 => Algorithm::BinomialTree,
+                3 => Algorithm::BinomialPipeline,
+                4 => Algorithm::Hybrid { rack_of },
+                _ => Algorithm::HybridPipelined { rack_of },
+            };
+            let planner = SchedulePlanner::new(algorithm);
+            let (global, probe) = (planner.plan(n, k), planner.plan(n, planner.probe_k));
+            for rank in 0..n {
+                let slice = planner.rank_schedule(n, k, rank);
+                let want = global.for_rank(rank);
+                proptest::prop_assert_eq!(format!("{slice:?}"), format!("{want:?}"));
+                let again = planner.rank_schedule(n, k, rank);
+                proptest::prop_assert!(Arc::ptr_eq(&slice, &again));
+                let first = planner.first_sender(n, rank);
+                proptest::prop_assert_eq!(first, probe.first_sender(rank));
+            }
+            proptest::prop_assert_eq!(planner.first_sender(n, n), None);
+        }
     }
 }

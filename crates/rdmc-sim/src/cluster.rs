@@ -294,6 +294,9 @@ pub struct Cluster<T: Transport = Fabric> {
     /// engine event in feed order — the raw material of the
     /// `transport_equivalence` gate.
     pub(crate) engine_log: Option<Vec<EngineLogEntry>>,
+    /// One schedule planner per distinct built-in algorithm, shared by
+    /// every group [`SimCluster::create_group`] makes with it.
+    planners: Vec<Arc<SchedulePlanner>>,
 }
 
 /// One captured engine event (see [`crate::ClusterBuilder::engine_log`]): the
@@ -336,6 +339,7 @@ impl<T: Transport> Cluster<T> {
             action_pool: Vec::new(),
             scheduler: None,
             engine_log: None,
+            planners: Vec::new(),
         }
     }
 
@@ -457,8 +461,18 @@ impl<T: Transport> Cluster<T> {
     /// Panics if the member list is empty, repeats a node, or names a node
     /// outside the topology.
     pub fn create_group(&mut self, spec: GroupSpec) -> GroupId {
-        let planner = Arc::new(SchedulePlanner::new(spec.algorithm.clone()));
+        let planner = self.planner_for(&spec.algorithm);
         self.create_group_with_planner(spec, planner)
+    }
+
+    /// The cluster's planner for `algorithm`, made on its first use.
+    fn planner_for(&mut self, algorithm: &Algorithm) -> Arc<SchedulePlanner> {
+        if let Some(p) = self.planners.iter().find(|p| p.algorithm() == algorithm) {
+            return Arc::clone(p);
+        }
+        let planner = Arc::new(SchedulePlanner::new(algorithm.clone()));
+        self.planners.push(Arc::clone(&planner));
+        planner
     }
 
     /// Like [`SimCluster::create_group`], but with an explicit schedule
@@ -1100,5 +1114,44 @@ mod tests {
             let resent = policy.is_some() && tag == TAG_NACK;
             assert_eq!(stats.repairs_sent > 0, resent, "{ctx}");
         }
+    }
+
+    /// Groups running equal algorithms plan with one planner; a hybrid
+    /// over other racks, or a caller's own planner, stays apart.
+    #[test]
+    fn groups_with_equal_algorithms_share_one_planner() {
+        let spec = |members: Vec<usize>, algorithm| GroupSpec {
+            members,
+            algorithm,
+            block_size: 1 << 16,
+            ready_window: 2,
+            max_outstanding_sends: 2,
+        };
+        let hybrid = |rack_of: Vec<u32>| Algorithm::Hybrid { rack_of };
+        let mut c = ClusterBuilder::new(ClusterSpec::fractus(8)).build();
+        let a = c.create_group(spec(vec![0, 1, 2], Algorithm::BinomialPipeline));
+        let b = c.create_group(spec(vec![3, 4, 5, 6], Algorithm::BinomialPipeline));
+        let chain = c.create_group(spec(vec![7, 0], Algorithm::Chain));
+        let h1 = c.create_group(spec(vec![0, 1, 2, 3], hybrid(vec![0, 0, 1, 1])));
+        let h2 = c.create_group(spec(vec![4, 5, 6, 7], hybrid(vec![0, 0, 1, 1])));
+        let h3 = c.create_group(spec(vec![4, 5, 6, 7], hybrid(vec![0, 1, 0, 1])));
+        let own = Arc::new(SchedulePlanner::new(Algorithm::BinomialPipeline));
+        let mine = c.create_group_with_planner(
+            spec(vec![1, 2, 3], Algorithm::BinomialPipeline),
+            Arc::clone(&own),
+        );
+        let planner = |g: GroupId| &c.groups[g].planner;
+        assert!(Arc::ptr_eq(planner(a), planner(b)));
+        assert!(Arc::ptr_eq(planner(h1), planner(h2)));
+        assert!(!Arc::ptr_eq(planner(a), planner(chain)));
+        assert!(!Arc::ptr_eq(planner(h1), planner(h3)));
+        assert!(Arc::ptr_eq(planner(mine), &own));
+        assert!(!Arc::ptr_eq(planner(mine), planner(a)));
+        assert_eq!(c.planners.len(), 4, "one per distinct algorithm");
+        for g in [a, b, chain, h1, h2, h3, mine] {
+            c.submit_send(g, 1 << 18);
+        }
+        c.run();
+        assert_eq!(c.check_run(), Ok(()));
     }
 }

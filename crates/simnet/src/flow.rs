@@ -208,7 +208,7 @@ pub struct ReallocStats {
 ///
 /// let mut net = FlowNet::new();
 /// let l = net.add_link(10.0, simnet::SimDuration::from_micros(1)); // 10 Gb/s
-/// let f = net.start_flow(SimTime::ZERO, vec![l], 1_250_000.0); // 1.25 MB
+/// let f = net.start_flow(SimTime::ZERO, &[l], 1_250_000.0); // 1.25 MB
 /// // Alone on a 10 Gb/s link, 1.25 MB takes 1 ms.
 /// let (t, done) = net.next_completion().unwrap();
 /// assert_eq!(done, f);
@@ -560,16 +560,17 @@ impl FlowNet {
     }
 
     /// Starts a flow of `bytes` across `path` at time `now` and returns its
-    /// id. Rates are recomputed for the flow's ripple component.
+    /// id. Rates are recomputed for the flow's ripple component. The path
+    /// is copied only when it is the first of a new path class.
     ///
     /// # Panics
     ///
     /// Panics if `path` is empty, `bytes` is negative, or `now` precedes a
     /// previous update (time must move forward).
-    pub fn start_flow(&mut self, now: SimTime, path: Vec<LinkId>, bytes: f64) -> FlowId {
+    pub fn start_flow(&mut self, now: SimTime, path: &[LinkId], bytes: f64) -> FlowId {
         assert!(!path.is_empty(), "flow path must contain at least one link");
         assert!(bytes >= 0.0, "flow size must be non-negative, got {bytes}");
-        for l in &path {
+        for l in path {
             assert!((l.0 as usize) < self.links.len(), "unknown link {l:?}");
         }
         assert!(
@@ -600,11 +601,11 @@ impl FlowNet {
         if self.dirty {
             self.stats.coalesced += 1;
         }
-        let class = match self.class_ids.get(&path) {
+        let class = match self.class_ids.get(path) {
             Some(&c) => c,
             None => {
                 let c = u32::try_from(self.classes.len()).expect("too many classes");
-                for l in &path {
+                for l in path {
                     self.link_classes[l.0 as usize].push(c);
                 }
                 let links = &self.links;
@@ -614,7 +615,7 @@ impl FlowNet {
                         .filter(|l| !links[l.0 as usize].transparent)
                         .map(|l| l.0)
                         .collect(),
-                    path: path.clone(),
+                    path: path.to_vec(),
                     members: Vec::new(),
                     fresh: 0,
                     rate_bps: 0.0,
@@ -622,7 +623,7 @@ impl FlowNet {
                     seen: 0,
                     frozen: 0,
                 });
-                self.class_ids.insert(path, c);
+                self.class_ids.insert(path.to_vec(), c);
                 c
             }
         };
@@ -715,15 +716,14 @@ impl FlowNet {
     }
 
     /// Marks `flow` complete at time `now`, removes it, and recomputes the
-    /// rates of its ripple component. Returns the flow's path (useful for
-    /// latency lookups by the caller).
+    /// rates of its ripple component.
     ///
     /// # Panics
     ///
     /// Panics if the flow does not exist or if a non-negligible number of
     /// bytes would still be outstanding at `now` (i.e. the caller completed
     /// it too early — a scheduling bug).
-    pub fn complete_flow(&mut self, now: SimTime, flow: FlowId) -> Vec<LinkId> {
+    pub fn complete_flow(&mut self, now: SimTime, flow: FlowId) {
         self.advance_to(now);
         let f = self.remove(now, flow).expect("completing unknown flow");
         // Tolerance scales with rate: one microsecond of transfer at the
@@ -741,7 +741,6 @@ impl FlowNet {
                     aborted: false,
                 }
             });
-        self.classes[f.class as usize].path.clone()
     }
 
     /// Aborts `flow` at time `now` without requiring it to have finished
@@ -1265,7 +1264,7 @@ mod tests {
     fn single_flow_gets_full_capacity() {
         let mut net = FlowNet::new();
         let l = gb(&mut net, 100.0);
-        let f = net.start_flow(SimTime::ZERO, vec![l], 125_000_000.0); // 125 MB = 1 Gb... at 100Gb/s -> 10ms
+        let f = net.start_flow(SimTime::ZERO, &[l], 125_000_000.0); // 125 MB = 1 Gb... at 100Gb/s -> 10ms
         assert_eq!(net.flow_rate_bps(f), Some(100e9));
         let (t, id) = net.next_completion().unwrap();
         assert_eq!(id, f);
@@ -1276,8 +1275,8 @@ mod tests {
     fn two_flows_share_a_link_equally() {
         let mut net = FlowNet::new();
         let l = gb(&mut net, 10.0);
-        let a = net.start_flow(SimTime::ZERO, vec![l], 1e6);
-        let b = net.start_flow(SimTime::ZERO, vec![l], 1e6);
+        let a = net.start_flow(SimTime::ZERO, &[l], 1e6);
+        let b = net.start_flow(SimTime::ZERO, &[l], 1e6);
         assert_eq!(net.flow_rate_bps(a), Some(5e9));
         assert_eq!(net.flow_rate_bps(b), Some(5e9));
     }
@@ -1286,8 +1285,8 @@ mod tests {
     fn completion_frees_bandwidth_for_survivors() {
         let mut net = FlowNet::new();
         let l = gb(&mut net, 10.0);
-        let a = net.start_flow(SimTime::ZERO, vec![l], 1_250_000.0); // 1 ms at 10 Gb/s alone
-        let b = net.start_flow(SimTime::ZERO, vec![l], 12_500_000.0);
+        let a = net.start_flow(SimTime::ZERO, &[l], 1_250_000.0); // 1 ms at 10 Gb/s alone
+        let b = net.start_flow(SimTime::ZERO, &[l], 12_500_000.0);
         let (t1, first) = net.next_completion().unwrap();
         assert_eq!(first, a); // equal shares; a is smaller so finishes first
         net.complete_flow(t1, a);
@@ -1310,9 +1309,9 @@ mod tests {
         let mut net = FlowNet::new();
         let narrow = gb(&mut net, 1.0);
         let wide = gb(&mut net, 10.0);
-        let a = net.start_flow(SimTime::ZERO, vec![narrow, wide], 1e9);
-        let b = net.start_flow(SimTime::ZERO, vec![wide], 1e9);
-        let c = net.start_flow(SimTime::ZERO, vec![wide], 1e9);
+        let a = net.start_flow(SimTime::ZERO, &[narrow, wide], 1e9);
+        let b = net.start_flow(SimTime::ZERO, &[wide], 1e9);
+        let c = net.start_flow(SimTime::ZERO, &[wide], 1e9);
         assert_eq!(net.flow_rate_bps(a), Some(1e9));
         assert_eq!(net.flow_rate_bps(b), Some(4.5e9));
         assert_eq!(net.flow_rate_bps(c), Some(4.5e9));
@@ -1322,7 +1321,7 @@ mod tests {
     fn bytes_carried_accumulates() {
         let mut net = FlowNet::new();
         let l = gb(&mut net, 10.0);
-        let f = net.start_flow(SimTime::ZERO, vec![l], 1_250_000.0);
+        let f = net.start_flow(SimTime::ZERO, &[l], 1_250_000.0);
         let (t, _) = net.next_completion().unwrap();
         net.complete_flow(t, f);
         assert!((net.bytes_carried(l) - 1_250_000.0).abs() < 1.0);
@@ -1332,7 +1331,7 @@ mod tests {
     fn bytes_carried_includes_unmaterialized_progress() {
         let mut net = FlowNet::new();
         let l = gb(&mut net, 8.0); // 1 GB/s
-        let _f = net.start_flow(SimTime::ZERO, vec![l], 10_000_000.0);
+        let _f = net.start_flow(SimTime::ZERO, &[l], 10_000_000.0);
         net.advance_to(SimTime::from_nanos(2_000_000)); // 2 ms -> 2 MB moved
         assert!((net.bytes_carried(l) - 2_000_000.0).abs() < 1.0);
     }
@@ -1349,7 +1348,7 @@ mod tests {
     fn zero_byte_flow_completes_immediately_but_monotonically() {
         let mut net = FlowNet::new();
         let l = gb(&mut net, 10.0);
-        let f = net.start_flow(SimTime::from_nanos(100), vec![l], 0.0);
+        let f = net.start_flow(SimTime::from_nanos(100), &[l], 0.0);
         let (t, id) = net.next_completion().unwrap();
         assert_eq!(id, f);
         assert!(t >= SimTime::from_nanos(100));
@@ -1360,7 +1359,7 @@ mod tests {
     #[should_panic(expected = "path must contain")]
     fn empty_path_rejected() {
         let mut net = FlowNet::new();
-        net.start_flow(SimTime::ZERO, vec![], 10.0);
+        net.start_flow(SimTime::ZERO, &[], 10.0);
     }
 
     #[test]
@@ -1368,7 +1367,7 @@ mod tests {
     fn early_completion_is_a_bug() {
         let mut net = FlowNet::new();
         let l = gb(&mut net, 10.0);
-        let f = net.start_flow(SimTime::ZERO, vec![l], 1e9);
+        let f = net.start_flow(SimTime::ZERO, &[l], 1e9);
         net.complete_flow(SimTime::from_nanos(10), f);
     }
 
@@ -1376,9 +1375,9 @@ mod tests {
     fn staggered_arrivals_update_progress_correctly() {
         let mut net = FlowNet::new();
         let l = gb(&mut net, 8.0); // 1 GB/s
-        let a = net.start_flow(SimTime::ZERO, vec![l], 3_000_000.0); // 3 ms alone
-                                                                     // After 1 ms, 1 MB moved; 2 MB left. Second flow arrives.
-        let b = net.start_flow(SimTime::from_nanos(1_000_000), vec![l], 10_000_000.0);
+        let a = net.start_flow(SimTime::ZERO, &[l], 3_000_000.0); // 3 ms alone
+                                                                  // After 1 ms, 1 MB moved; 2 MB left. Second flow arrives.
+        let b = net.start_flow(SimTime::from_nanos(1_000_000), &[l], 10_000_000.0);
         let _ = b;
         // a now runs at 0.5 GB/s: 2 MB takes 4 ms more -> completes at 5 ms.
         let (t, id) = net.next_completion().unwrap();
@@ -1393,10 +1392,10 @@ mod tests {
         let mut net = FlowNet::new();
         let x = gb(&mut net, 10.0);
         let y = gb(&mut net, 10.0);
-        let fy = net.start_flow(SimTime::ZERO, vec![y], 1e8);
+        let fy = net.start_flow(SimTime::ZERO, &[y], 1e8);
         let changes_after_y = net.realloc_stats().rate_changes;
-        let fx1 = net.start_flow(SimTime::ZERO, vec![x], 1e6);
-        let _fx2 = net.start_flow(SimTime::ZERO, vec![x], 1e6);
+        let fx1 = net.start_flow(SimTime::ZERO, &[x], 1e6);
+        let _fx2 = net.start_flow(SimTime::ZERO, &[x], 1e6);
         assert_eq!(net.flow_rate_bps(fy), Some(10e9));
         assert_eq!(net.flow_rate_bps(fx1), Some(5e9));
         net.abort_flow(SimTime::from_nanos(100), fx1);
@@ -1418,13 +1417,13 @@ mod tests {
         let l2 = gb(&mut net, 6.0);
         let l3 = gb(&mut net, 3.0);
         let mut flows = vec![
-            net.start_flow(SimTime::ZERO, vec![l0, mid], 1e9),
-            net.start_flow(SimTime::ZERO, vec![mid, l2], 1e9),
-            net.start_flow(SimTime::ZERO, vec![l3], 1e9),
+            net.start_flow(SimTime::ZERO, &[l0, mid], 1e9),
+            net.start_flow(SimTime::ZERO, &[mid, l2], 1e9),
+            net.start_flow(SimTime::ZERO, &[l3], 1e9),
         ];
-        flows.push(net.start_flow(SimTime::from_nanos(50), vec![mid], 1e9));
+        flows.push(net.start_flow(SimTime::from_nanos(50), &[mid], 1e9));
         net.abort_flow(SimTime::from_nanos(90), flows[1]);
-        flows.push(net.start_flow(SimTime::from_nanos(120), vec![l2, mid, l0], 1e9));
+        flows.push(net.start_flow(SimTime::from_nanos(120), &[l2, mid, l0], 1e9));
         for (id, want) in net.max_min_reference() {
             let got = net.flow_rate_bps(id).expect("oracle lists live flows");
             assert!(
@@ -1440,9 +1439,9 @@ mod tests {
         // sure the stale projection never surfaces.
         let mut net = FlowNet::new();
         let l = gb(&mut net, 10.0);
-        let a = net.start_flow(SimTime::ZERO, vec![l], 1_250_000.0); // would finish at 1 ms
+        let a = net.start_flow(SimTime::ZERO, &[l], 1_250_000.0); // would finish at 1 ms
         net.abort_flow(SimTime::from_nanos(10), a);
-        let b = net.start_flow(SimTime::from_nanos(10), vec![l], 12_500_000.0);
+        let b = net.start_flow(SimTime::from_nanos(10), &[l], 12_500_000.0);
         let (t, id) = net.next_completion().unwrap();
         assert_eq!(id, b);
         assert_eq!(t.as_nanos(), 10_000_010);
@@ -1453,8 +1452,8 @@ mod tests {
     fn next_completion_is_idempotent() {
         let mut net = FlowNet::new();
         let l = gb(&mut net, 10.0);
-        let _a = net.start_flow(SimTime::ZERO, vec![l], 1e6);
-        let _b = net.start_flow(SimTime::ZERO, vec![l], 2e6);
+        let _a = net.start_flow(SimTime::ZERO, &[l], 1e6);
+        let _b = net.start_flow(SimTime::ZERO, &[l], 2e6);
         let first = net.next_completion();
         assert_eq!(first, net.next_completion());
         assert_eq!(first, net.next_completion());
@@ -1474,9 +1473,9 @@ mod tests {
                 net.set_link_transparent(up);
             }
             let ids = [
-                net.start_flow(SimTime::ZERO, vec![tx0, up], 1e6),
-                net.start_flow(SimTime::ZERO, vec![tx1, up], 2e6),
-                net.start_flow(SimTime::ZERO, vec![tx1, up], 3e6),
+                net.start_flow(SimTime::ZERO, &[tx0, up], 1e6),
+                net.start_flow(SimTime::ZERO, &[tx1, up], 2e6),
+                net.start_flow(SimTime::ZERO, &[tx1, up], 3e6),
             ];
             ids.map(|id| net.flow_rate_bps(id).unwrap())
         };
@@ -1492,10 +1491,10 @@ mod tests {
         let b_tx = gb(&mut net, 10.0);
         let up = gb(&mut net, 20.0);
         net.set_link_transparent(up);
-        let fb = net.start_flow(SimTime::ZERO, vec![b_tx, up], 1e8);
+        let fb = net.start_flow(SimTime::ZERO, &[b_tx, up], 1e8);
         let changes_after_b = net.realloc_stats().rate_changes;
-        let fa1 = net.start_flow(SimTime::ZERO, vec![a_tx, up], 1e6);
-        let _fa2 = net.start_flow(SimTime::ZERO, vec![a_tx, up], 1e6);
+        let fa1 = net.start_flow(SimTime::ZERO, &[a_tx, up], 1e6);
+        let _fa2 = net.start_flow(SimTime::ZERO, &[a_tx, up], 1e6);
         assert_eq!(net.flow_rate_bps(fb), Some(10e9));
         assert_eq!(net.flow_rate_bps(fa1), Some(5e9));
         net.abort_flow(SimTime::from_nanos(100), fa1);
@@ -1515,7 +1514,7 @@ mod tests {
             SimDuration::from_micros(4),
             "latency must include transparent hops"
         );
-        let f = net.start_flow(SimTime::ZERO, vec![tx, up], 2_000_000.0);
+        let f = net.start_flow(SimTime::ZERO, &[tx, up], 2_000_000.0);
         net.advance_to(SimTime::from_nanos(1_000_000)); // 1 ms -> 1 MB
         assert!((net.bytes_carried(up) - 1_000_000.0).abs() < 1.0);
         let (t, _) = net.next_completion().unwrap();
@@ -1534,14 +1533,14 @@ mod tests {
         let l2 = gb(&mut net, 6.0);
         let l3 = gb(&mut net, 3.0);
         let mut flows = vec![
-            net.start_flow(SimTime::ZERO, vec![l0, mid], 1e9),
-            net.start_flow(SimTime::ZERO, vec![mid, l2], 1e9),
-            net.start_flow(SimTime::ZERO, vec![mid, l2], 2e9), // same path as above
-            net.start_flow(SimTime::ZERO, vec![l3], 1e9),
+            net.start_flow(SimTime::ZERO, &[l0, mid], 1e9),
+            net.start_flow(SimTime::ZERO, &[mid, l2], 1e9),
+            net.start_flow(SimTime::ZERO, &[mid, l2], 2e9), // same path as above
+            net.start_flow(SimTime::ZERO, &[l3], 1e9),
         ];
-        flows.push(net.start_flow(SimTime::from_nanos(50), vec![mid], 1e9));
+        flows.push(net.start_flow(SimTime::from_nanos(50), &[mid], 1e9));
         net.abort_flow(SimTime::from_nanos(90), flows[1]);
-        flows.push(net.start_flow(SimTime::from_nanos(120), vec![l2, mid, l0], 1e9));
+        flows.push(net.start_flow(SimTime::from_nanos(120), &[l2, mid, l0], 1e9));
         for (id, want) in net.max_min_reference() {
             let got = net.flow_rate_bps(id).expect("oracle lists live flows");
             assert!(
@@ -1566,7 +1565,7 @@ mod tests {
         let a = gb(&mut net, 10.0);
         let b = gb(&mut net, 10.0);
         for _ in 0..16 {
-            let _ = net.start_flow(SimTime::ZERO, vec![a, b], 1e6);
+            let _ = net.start_flow(SimTime::ZERO, &[a, b], 1e6);
         }
         let _ = net.next_completion();
         let s = net.realloc_stats();
@@ -1579,9 +1578,9 @@ mod tests {
     fn same_instant_churn_coalesces_into_one_reallocation() {
         let mut net = FlowNet::new();
         let l = gb(&mut net, 10.0);
-        let _a = net.start_flow(SimTime::ZERO, vec![l], 1e6);
-        let _b = net.start_flow(SimTime::ZERO, vec![l], 2e6);
-        let _c = net.start_flow(SimTime::ZERO, vec![l], 3e6);
+        let _a = net.start_flow(SimTime::ZERO, &[l], 1e6);
+        let _b = net.start_flow(SimTime::ZERO, &[l], 2e6);
+        let _c = net.start_flow(SimTime::ZERO, &[l], 3e6);
         let _ = net.next_completion();
         let s = net.realloc_stats();
         assert_eq!(s.count, 1);
@@ -1594,7 +1593,7 @@ mod tests {
         let mut net = FlowNet::new();
         let l = gb(&mut net, 10.0);
         net.set_link_transparent(l);
-        net.start_flow(SimTime::ZERO, vec![l], 1e6);
+        net.start_flow(SimTime::ZERO, &[l], 1e6);
     }
 
     #[test]
@@ -1605,7 +1604,7 @@ mod tests {
         let mut net = FlowNet::new();
         let a = gb(&mut net, 10.0);
         let b = gb(&mut net, 20.0);
-        let f = net.start_flow(SimTime::ZERO, vec![a, b], 1e6);
+        let f = net.start_flow(SimTime::ZERO, &[a, b], 1e6);
         let (t, _) = net.next_completion().unwrap();
         net.complete_flow(t, f);
         net.set_link_transparent(b);
@@ -1620,7 +1619,7 @@ mod tests {
         let mut live: Vec<(FlowId, LinkId)> = links
             .iter()
             .flat_map(|&l| vec![l; per_link])
-            .map(|l| (net.start_flow(SimTime::ZERO, vec![l], 1e12), l))
+            .map(|l| (net.start_flow(SimTime::ZERO, &[l], 1e12), l))
             .collect();
         net.next_completion();
         for step in 0..ops {
@@ -1628,7 +1627,7 @@ mod tests {
             let victim = (step as usize * 37) % live.len();
             let (old, link) = live[victim];
             net.abort_flow(now, old);
-            live[victim].0 = net.start_flow(now, vec![link], 1e12);
+            live[victim].0 = net.start_flow(now, &[link], 1e12);
             net.next_completion();
         }
         net.realloc_stats()
@@ -1937,7 +1936,7 @@ mod tests {
                 } else {
                     (1 + rnd(2_000_000)) as f64
                 };
-                let id = net.start_flow(now, topo.path(a, b), bytes);
+                let id = net.start_flow(now, &topo.path(a, b), bytes);
                 oracle.start(id.slot(), topo.path(a, b), bytes, now);
                 active.push(id);
                 pending_start = true;
@@ -2014,7 +2013,7 @@ mod tests {
             .collect();
         let mut oracle = PerFlowOracle::of(&net);
         let start = |net: &mut FlowNet, oracle: &mut PerFlowOracle, path: Vec<LinkId>, now| {
-            let id = net.start_flow(now, path.clone(), 1e12);
+            let id = net.start_flow(now, &path, 1e12);
             oracle.start(id.slot(), path, 1e12, now);
             id
         };

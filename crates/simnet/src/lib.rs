@@ -21,7 +21,7 @@
 //! // Four nodes on a 100 Gb/s switch; node 0 sends 1 MB to node 1.
 //! let mut net = FlowNet::new();
 //! let topo = Topology::flat(&mut net, 4, 100.0, SimDuration::from_micros(2));
-//! let flow = net.start_flow(SimTime::ZERO, topo.path(0, 1), 1_000_000.0);
+//! let flow = net.start_flow(SimTime::ZERO, &topo.path(0, 1), 1_000_000.0);
 //! let (done_at, id) = net.next_completion().unwrap();
 //! assert_eq!(id, flow);
 //! assert_eq!(done_at.as_nanos(), 80_000); // 8 Mb at 100 Gb/s

@@ -324,7 +324,7 @@ mod tests {
             Topology::oversubscribed_tor(&mut net, 2, 4, 56.0, 64.0, SimDuration::from_micros(2));
         let mut flows = Vec::new();
         for i in 0..4 {
-            flows.push(net.start_flow(SimTime::ZERO, t.path(i, 4 + i), 1e9));
+            flows.push(net.start_flow(SimTime::ZERO, &t.path(i, 4 + i), 1e9));
         }
         for f in &flows {
             let r = net.flow_rate_bps(*f).unwrap();
@@ -337,7 +337,7 @@ mod tests {
         let mut net = FlowNet::new();
         let t =
             Topology::oversubscribed_tor(&mut net, 2, 2, 56.0, 10.0, SimDuration::from_micros(2));
-        let f = net.start_flow(SimTime::ZERO, t.path(0, 1), 1e9);
+        let f = net.start_flow(SimTime::ZERO, &t.path(0, 1), 1e9);
         assert_eq!(net.flow_rate_bps(f), Some(56e9));
     }
 
@@ -355,12 +355,12 @@ mod tests {
             };
             // Cross-pod fan-out from pod 0 plus intra-pod traffic in pod 1.
             let mut flows = vec![
-                net.start_flow(SimTime::ZERO, t.path(0, 4), 1e9),
-                net.start_flow(SimTime::ZERO, t.path(0, 8), 1e9),
-                net.start_flow(SimTime::ZERO, t.path(1, 4), 1e9),
-                net.start_flow(SimTime::ZERO, t.path(5, 6), 1e9),
+                net.start_flow(SimTime::ZERO, &t.path(0, 4), 1e9),
+                net.start_flow(SimTime::ZERO, &t.path(0, 8), 1e9),
+                net.start_flow(SimTime::ZERO, &t.path(1, 4), 1e9),
+                net.start_flow(SimTime::ZERO, &t.path(5, 6), 1e9),
             ];
-            flows.push(net.start_flow(SimTime::from_nanos(100), t.path(2, 9), 1e9));
+            flows.push(net.start_flow(SimTime::from_nanos(100), &t.path(2, 9), 1e9));
             flows
                 .into_iter()
                 .map(|f| net.flow_rate_bps(f).unwrap())
@@ -376,7 +376,7 @@ mod tests {
         // All four hosts of pod 0 send cross-pod at once: full bisection
         // means every flow still gets the full host rate.
         let flows: Vec<_> = (0..4)
-            .map(|i| net.start_flow(SimTime::ZERO, t.path(i, 4 + i), 1e9))
+            .map(|i| net.start_flow(SimTime::ZERO, &t.path(i, 4 + i), 1e9))
             .collect();
         for f in flows {
             assert_eq!(net.flow_rate_bps(f), Some(25e9));
@@ -427,7 +427,7 @@ mod tests {
             SimDuration::from_millis(50),
         );
         let flows: Vec<_> = (0..4)
-            .map(|i| net.start_flow(SimTime::ZERO, t.path(i, 4 + i), 1e9))
+            .map(|i| net.start_flow(SimTime::ZERO, &t.path(i, 4 + i), 1e9))
             .collect();
         for f in flows {
             let r = net.flow_rate_bps(f).unwrap();

@@ -28,7 +28,7 @@ proptest! {
         let topo = Topology::flat(&mut net, n, 10.0, SimDuration::from_micros(1));
         let ids: Vec<_> = flows
             .iter()
-            .map(|&(a, b, bytes)| net.start_flow(SimTime::ZERO, topo.path(a, b), bytes as f64))
+            .map(|&(a, b, bytes)| net.start_flow(SimTime::ZERO, &topo.path(a, b), bytes as f64))
             .collect();
         // Per-link rate sums.
         let mut tx = vec![0.0f64; n];
@@ -53,7 +53,7 @@ proptest! {
         let topo = Topology::flat(&mut net, n, 10.0, SimDuration::from_micros(1));
         let ids: Vec<_> = flows
             .iter()
-            .map(|&(a, b, bytes)| net.start_flow(SimTime::ZERO, topo.path(a, b), bytes as f64))
+            .map(|&(a, b, bytes)| net.start_flow(SimTime::ZERO, &topo.path(a, b), bytes as f64))
             .collect();
         let mut tx = vec![0.0f64; n];
         let mut rx = vec![0.0f64; n];
@@ -78,7 +78,7 @@ proptest! {
         let topo = Topology::flat(&mut net, n, 10.0, SimDuration::from_micros(1));
         let ids: Vec<_> = flows
             .iter()
-            .map(|&(a, b, bytes)| net.start_flow(SimTime::ZERO, topo.path(a, b), bytes as f64))
+            .map(|&(a, b, bytes)| net.start_flow(SimTime::ZERO, &topo.path(a, b), bytes as f64))
             .collect();
         let rates: Vec<f64> = ids
             .iter()
@@ -118,7 +118,7 @@ proptest! {
         let topo = Topology::flat(&mut net, n, 10.0, SimDuration::from_micros(1));
         let total_bytes: f64 = flows.iter().map(|&(_, _, b)| b as f64).sum();
         for &(a, b, bytes) in &flows {
-            net.start_flow(SimTime::ZERO, topo.path(a, b), bytes as f64);
+            net.start_flow(SimTime::ZERO, &topo.path(a, b), bytes as f64);
         }
         let mut done = 0usize;
         let mut last = SimTime::ZERO;
@@ -148,7 +148,7 @@ proptest! {
             let mut net = FlowNet::new();
             let topo = Topology::flat(&mut net, n, 10.0, SimDuration::from_micros(1));
             for &(a, b, bytes) in &flows {
-                net.start_flow(SimTime::ZERO, topo.path(a, b), bytes as f64);
+                net.start_flow(SimTime::ZERO, &topo.path(a, b), bytes as f64);
             }
             let mut times = Vec::new();
             while let Some((t, f)) = net.next_completion() {
@@ -203,7 +203,7 @@ proptest! {
             match what.index(3) {
                 0 => {
                     let Some(&(a, b, bytes)) = pending.next() else { continue };
-                    active.push(net.start_flow(now, topo.path(a, b), bytes as f64));
+                    active.push(net.start_flow(now, &topo.path(a, b), bytes as f64));
                 }
                 1 => {
                     let Some((t, f)) = net.next_completion() else { continue };
@@ -296,7 +296,7 @@ proptest! {
             match what.index(3) {
                 0 => {
                     let Some(&(a, b, bytes)) = pending.next() else { continue };
-                    active.push(net.start_flow(now, topo.path(a, b), bytes as f64));
+                    active.push(net.start_flow(now, &topo.path(a, b), bytes as f64));
                 }
                 1 => {
                     let Some((t, f)) = net.next_completion() else { continue };

@@ -757,7 +757,7 @@ impl Fabric {
     /// follow-up NetWake re-aim (still at `now`).
     fn process_due_flows(&mut self, now: SimTime) {
         while let Some((_, flow)) = self.net.next_due(now) {
-            let path = self.net.complete_flow(now, flow);
+            self.net.complete_flow(now, flow);
             let Some((conn_idx, dir)) = self.take_inflight(flow) else {
                 continue;
             };
@@ -770,7 +770,7 @@ impl Fabric {
             // receive at flow start — exactly like a real RC NIC, whose
             // RQE is gone once the first packet matches it; software
             // above sees one fewer receive completion, never an RNR.
-            let outcome = self.fault_outcome(now, &path, conn_idx, dir);
+            let outcome = self.fault_outcome(now, conn_idx, dir);
             if outcome != simnet::FaultOutcome::Deliver {
                 let dropped = outcome == simnet::FaultOutcome::Drop;
                 if dropped {
@@ -866,13 +866,7 @@ impl Fabric {
     /// loss-choice budget gets an explicit deliver-or-drop choice
     /// point; otherwise the fault profile samples; otherwise (the
     /// lossless default) the payload is delivered.
-    fn fault_outcome(
-        &mut self,
-        now: SimTime,
-        path: &[LinkId],
-        conn_idx: u32,
-        dir: u8,
-    ) -> simnet::FaultOutcome {
+    fn fault_outcome(&mut self, now: SimTime, conn_idx: u32, dir: u8) -> simnet::FaultOutcome {
         use simnet::FaultOutcome as O;
         if self.loss_choices > 0 {
             if let Some(sched) = &self.scheduler {
@@ -897,7 +891,7 @@ impl Fabric {
             }
         }
         match &mut self.faults {
-            Some(f) => f.sample(path),
+            Some(f) => f.sample(&self.conns[conn_idx as usize].paths[dir as usize]),
             None => O::Deliver,
         }
     }
@@ -1024,8 +1018,9 @@ impl Fabric {
                     self.kick(conn_idx, dir);
                     return;
                 }
-                let path = conn.paths[dir as usize].clone();
-                let flow = self.net.start_flow(now, path, send.bytes as f64);
+                let flow = self
+                    .net
+                    .start_flow(now, &conn.paths[dir as usize], send.bytes as f64);
                 if self.inflight_index.len() <= flow.slot() {
                     self.inflight_index.resize(flow.slot() + 1, None);
                 }
