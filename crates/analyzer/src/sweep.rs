@@ -24,7 +24,7 @@ pub struct SweepConfig {
     pub max_n: u32,
     /// Block counts checked at every `n`.
     pub ks: Vec<u32>,
-    /// Rack counts for the hybrid variants (each paired with a round-robin
+    /// Rack counts for the hybrid schedules (each paired with a round-robin
     /// and a skewed rack assignment).
     pub rack_counts: Vec<u32>,
     /// Ready windows the deadlock lint is run for.
@@ -154,7 +154,7 @@ impl std::fmt::Display for SweepReport {
 
 /// The algorithms checked at group size `n`: the four flat generators
 /// plus, for every configured rack count below `n`, a round-robin and a
-/// skewed hybrid assignment in both phased and pipelined variants.
+/// skewed hybrid assignment.
 fn algorithms_for(n: u32, rack_counts: &[u32]) -> Vec<Algorithm> {
     let mut algs = vec![
         Algorithm::Sequential,
@@ -179,12 +179,7 @@ fn algorithms_for(n: u32, rack_counts: &[u32]) -> Vec<Algorithm> {
                 }
             })
             .collect();
-        for rack_of in [round_robin, skewed] {
-            algs.push(Algorithm::Hybrid {
-                rack_of: rack_of.clone(),
-            });
-            algs.push(Algorithm::HybridPipelined { rack_of });
-        }
+        algs.extend([round_robin, skewed].map(|rack_of| Algorithm::Hybrid { rack_of }));
     }
     algs
 }
@@ -371,8 +366,8 @@ fn sweep_resume(report: &mut SweepReport, max_n: u32) {
 
 /// The reachability corner: small shapes covering every schedule
 /// topology's structure — a pure relay chain, a power-of-two pipeline, a
-/// shadow-vertex (non-power-of-two) pipeline, a tree, and both hybrid
-/// variants with a rack leader relaying across racks.
+/// shadow-vertex (non-power-of-two) pipeline, a tree, and a hybrid with
+/// a rack leader relaying across racks.
 fn reach_grid() -> Vec<(Algorithm, u32, u32)> {
     let two_racks = |n: u32| -> Vec<u32> { (0..n).map(|r| u32::from(r >= n / 2)).collect() };
     vec![
@@ -385,13 +380,6 @@ fn reach_grid() -> Vec<(Algorithm, u32, u32)> {
         (Algorithm::BinomialPipeline, 5, 1), // shadow vertex
         (
             Algorithm::Hybrid {
-                rack_of: two_racks(4),
-            },
-            4,
-            2,
-        ),
-        (
-            Algorithm::HybridPipelined {
                 rack_of: two_racks(4),
             },
             4,

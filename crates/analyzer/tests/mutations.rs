@@ -241,13 +241,6 @@ fn intact_generators_lint_clean_end_to_end() {
             6,
             3,
         ),
-        (
-            Algorithm::HybridPipelined {
-                rack_of: vec![0, 0, 0, 1, 1, 1],
-            },
-            6,
-            3,
-        ),
     ] {
         let g = GlobalSchedule::build(&alg, n, k);
         let m = check_schedule(&g);

@@ -234,8 +234,7 @@ impl std::error::Error for Violation {}
 /// The per-step, per-rank send/receive budget of the NIC model. The
 /// paper's full-duplex claim (§4.3) is one send and one receive per node
 /// per step; the shadow-vertex generalisation to non-power-of-two groups
-/// has one physical node play up to two virtual vertices, and a hybrid
-/// rack leader overlaps the inter-rack relay with its intra-rack send.
+/// has one physical node play up to two virtual vertices.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct PortBudget {
     /// Max scheduled sends per rank per step.
@@ -253,8 +252,7 @@ impl PortBudget {
     /// | sequential/chain/tree   | 1    | 1    | strict full-duplex (§4.3)                |
     /// | binomial pipeline, 2^x  | 1    | 1    | the paper's exact claim                  |
     /// | binomial pipeline, else | 2    | 2    | one node plays two shadow vertices       |
-    /// | hybrid (phased)         | 2    | 2    | shadow vertices among the rack leaders   |
-    /// | hybrid (pipelined)      | 3    | 2    | leader: 2 shadow inter-sends + 1 intra   |
+    /// | hybrid                  | 2    | 2    | shadow vertices among the rack leaders   |
     ///
     /// [`Algorithm::Custom`] gets no static budget (`u32::MAX`).
     pub fn for_algorithm(algorithm: &Algorithm, n: u32) -> PortBudget {
@@ -270,7 +268,6 @@ impl PortBudget {
                 }
             }
             Algorithm::Hybrid { .. } => PortBudget { send: 2, recv: 2 },
-            Algorithm::HybridPipelined { .. } => PortBudget { send: 3, recv: 2 },
             Algorithm::Custom { .. } => PortBudget {
                 send: u32::MAX,
                 recv: u32::MAX,
@@ -309,11 +306,9 @@ impl StepBound {
     /// - binomial pipeline: exactly `ceil(log2 n) + k - 1` — the paper's
     ///   headline bound (§4.3), which the shadow-vertex generalisation
     ///   preserves at every group size,
-    /// - hybrid phased: at most `(L+k-1) + (I+k-1)` with `L = ceil(log2
-    ///   #racks)` and `I = ceil(log2 max-rack-size)` (inter phase then
-    ///   intra phases),
-    /// - hybrid pipelined: at most `L + I + k - 1` (the intra pipelines
-    ///   chase the inter-rack pipeline).
+    /// - hybrid: at most `(L+k-1) + (I+k-1)` with `L = ceil(log2 #racks)`
+    ///   and `I = ceil(log2 max-rack-size)` (inter phase then intra
+    ///   phases).
     pub fn for_algorithm(algorithm: &Algorithm, n: u32, k: u32) -> StepBound {
         if n <= 1 {
             return StepBound::Exact(0);
@@ -323,7 +318,7 @@ impl StepBound {
             Algorithm::Chain => StepBound::Exact(n - 1 + k - 1),
             Algorithm::BinomialTree => StepBound::Exact(log2_ceil(n) * k),
             Algorithm::BinomialPipeline => StepBound::Exact(log2_ceil(n) + k - 1),
-            Algorithm::Hybrid { rack_of } | Algorithm::HybridPipelined { rack_of } => {
+            Algorithm::Hybrid { rack_of } => {
                 if rack_of.len() != n as usize {
                     // The builder rejects this shape; don't bound it here.
                     return StepBound::Unbounded;
@@ -339,12 +334,7 @@ impl StepBound {
                     .unwrap_or(1) as u32;
                 let l = log2_ceil(num_racks as u32);
                 let i = log2_ceil(max_members);
-                match algorithm {
-                    Algorithm::Hybrid { .. } => {
-                        StepBound::AtMost((l + k).saturating_sub(1) + (i + k).saturating_sub(1))
-                    }
-                    _ => StepBound::AtMost(l + i + k - 1),
-                }
+                StepBound::AtMost((l + k).saturating_sub(1) + (i + k).saturating_sub(1))
             }
             Algorithm::Custom { .. } => StepBound::Unbounded,
         }

@@ -43,15 +43,6 @@ pub enum Algorithm {
         /// size when the schedule is built.
         rack_of: Vec<u32>,
     },
-    /// Like [`Algorithm::Hybrid`], but each rack's internal dissemination
-    /// is *pipelined* with the inter-rack phase: relaying starts as soon
-    /// as the rack leader holds a block, in the leader's arrival order.
-    /// An extension beyond the paper (its §4.3 sketches only the
-    /// two-phase form); see the `hybrid_ablation` test and bench.
-    HybridPipelined {
-        /// Rack index of each rank; must cover every rank.
-        rack_of: Vec<u32>,
-    },
     /// An externally supplied schedule family (e.g. the MPI-style
     /// baselines in the `baselines` crate). Only usable through
     /// [`SchedulePlanner::from_fn`](crate::schedule::SchedulePlanner::from_fn);
@@ -71,7 +62,6 @@ impl fmt::Display for Algorithm {
             Algorithm::BinomialTree => write!(f, "binomial-tree"),
             Algorithm::BinomialPipeline => write!(f, "binomial-pipeline"),
             Algorithm::Hybrid { .. } => write!(f, "hybrid"),
-            Algorithm::HybridPipelined { .. } => write!(f, "hybrid-pipelined"),
             Algorithm::Custom { name } => write!(f, "{name}"),
         }
     }

@@ -16,21 +16,16 @@ fn arb_algorithm() -> impl Strategy<Value = Algorithm> {
     ]
 }
 
-/// An algorithm paired with a legal group size — includes both hybrid
-/// variants over an arbitrary rack assignment (so non-power-of-two group
+/// An algorithm paired with a legal group size — includes the hybrid
+/// over an arbitrary rack assignment (so non-power-of-two group
 /// and rack sizes are exercised constantly).
 fn arb_algorithm_with_n() -> impl Strategy<Value = (Algorithm, u32)> {
     let flat = (arb_algorithm(), 1u32..40).prop_map(|(alg, n)| (alg, n));
     // Rack assignments: every rank gets a rack in 0..nr, remapped so the
-    // used rack ids are contiguous (the builders require rack ids to
+    // used rack ids are contiguous (the builder requires rack ids to
     // cover 0..#racks).
-    let hybrid = (
-        2u32..20,
-        2u32..5,
-        any::<bool>(),
-        prop::collection::vec(0u32..4, 2..20),
-    )
-        .prop_map(|(n, nr, pipelined, raw)| {
+    let hybrid =
+        (2u32..20, 2u32..5, prop::collection::vec(0u32..4, 2..20)).prop_map(|(n, nr, raw)| {
             let mut rack_of: Vec<u32> = (0..n as usize)
                 .map(|i| raw.get(i % raw.len()).copied().unwrap_or(0) % nr)
                 .collect();
@@ -46,12 +41,7 @@ fn arb_algorithm_with_n() -> impl Strategy<Value = (Algorithm, u32)> {
                 };
                 *r = id;
             }
-            let alg = if pipelined {
-                Algorithm::HybridPipelined { rack_of }
-            } else {
-                Algorithm::Hybrid { rack_of }
-            };
-            (alg, n)
+            (Algorithm::Hybrid { rack_of }, n)
         });
     prop_oneof![flat, hybrid]
 }
@@ -156,8 +146,8 @@ proptest! {
     /// from the per-rank receiver slices — is *identical* to the global
     /// schedule's transfer list. Every transfer lands in exactly one
     /// sender slice and exactly one receiver slice; nothing is dropped,
-    /// duplicated, or re-addressed by the slicing. Covers both hybrid
-    /// variants at non-power-of-two group and rack sizes.
+    /// duplicated, or re-addressed by the slicing. Covers the hybrid at
+    /// non-power-of-two group and rack sizes.
     #[test]
     fn rank_slices_are_an_exact_partition((alg, n) in arb_algorithm_with_n(), k in 1u32..10) {
         let g = GlobalSchedule::build(&alg, n, k);

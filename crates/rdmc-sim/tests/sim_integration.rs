@@ -394,61 +394,6 @@ fn bandwidth_peaks_at_intermediate_block_size() {
 }
 
 #[test]
-fn pipelined_hybrid_beats_phased_hybrid_on_tor() {
-    // Ablation (extension beyond the paper): overlapping the intra-rack
-    // dissemination with the inter-rack phase removes the sequential
-    // phase barrier and improves latency on a scarce TOR.
-    let scarce = ClusterSpec {
-        topology: rdmc_sim::TopoSpec::Tor {
-            racks: 2,
-            per_rack: 4,
-            host_gbps: 56.0,
-            uplink_gbps: 8.0,
-            latency: SimDuration::from_micros(3),
-        },
-        ..ClusterSpec::apt(2, 4)
-    };
-    let rack_of = vec![0, 0, 0, 0, 1, 1, 1, 1];
-    let phased = run_single_multicast(
-        &scarce,
-        8,
-        Algorithm::Hybrid {
-            rack_of: rack_of.clone(),
-        },
-        64 * MB,
-        MB,
-    );
-    let pipelined = run_single_multicast(
-        &scarce,
-        8,
-        Algorithm::HybridPipelined { rack_of },
-        64 * MB,
-        MB,
-    );
-    assert!(
-        pipelined.bandwidth_gbps > phased.bandwidth_gbps,
-        "pipelined hybrid {} Gb/s should beat phased {} Gb/s",
-        pipelined.bandwidth_gbps,
-        phased.bandwidth_gbps
-    );
-}
-
-#[test]
-fn hybrid_pipelined_works_on_flat_fabric_too() {
-    let spec = ClusterSpec::fractus(12);
-    let out = run_single_multicast(
-        &spec,
-        12,
-        Algorithm::HybridPipelined {
-            rack_of: vec![0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2],
-        },
-        16 * MB,
-        MB,
-    );
-    assert!(out.latency > SimDuration::ZERO);
-}
-
-#[test]
 fn binomial_pipeline_moves_no_redundant_bytes() {
     // Fig. 9's efficiency claim: "no redundant data transfers occur on
     // any network link." Each receiver's downlink carries exactly one
