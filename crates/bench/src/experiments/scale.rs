@@ -197,8 +197,9 @@ fn scale_sharded(quick: bool) -> ScaleShardedCell {
 /// (the multicast "many flows, same path" shape), then `ops` churn steps
 /// of one removal plus one start each. `transparent_tier` builds the
 /// fabric as a `fat_tree` (aggregation links transparent to the
-/// allocator) instead of a flat `two_tier`. Returns the stats delta over
-/// the churn loop.
+/// allocator) instead of a flat `oversubscribed_tor` at full bisection
+/// (the report's "flat two_tier" row). Returns the stats delta over the
+/// churn loop.
 fn churn_once(
     transparent_tier: bool,
     conns: usize,
@@ -213,7 +214,7 @@ fn churn_once(
     let topo = if transparent_tier {
         simnet::Topology::fat_tree(&mut net, pods, per_pod, 100.0, latency)
     } else {
-        simnet::Topology::two_tier(&mut net, pods, per_pod, 100.0, 2500.0, latency)
+        simnet::Topology::oversubscribed_tor(&mut net, pods, per_pod, 100.0, 2500.0, latency)
     };
     // Deterministic splitmix-style generator: no wall clock, no rand dep.
     let mut state = 0x9E37_79B9_7F4A_7C15u64;

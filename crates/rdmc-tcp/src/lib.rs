@@ -758,6 +758,8 @@ impl Conn {
         p: &mut Pump,
     ) {
         if len > max_len {
+            // Not consumed: the break flushes it, in posting order.
+            self.qps[slot].ends[qend].recvs.push_front((wr_id, max_len));
             return self.break_qp(slot, p);
         }
         let Qp { id, flip, .. } = self.qps[slot];
@@ -853,6 +855,7 @@ impl Transport for TcpFabric {
     }
 
     fn connect(&mut self, a: NodeId, b: NodeId) -> (QpHandle, QpHandle) {
+        assert_ne!(a, b, "cannot connect a node to itself");
         let (a, b) = (a.index(), b.index());
         let open = self.pairs.get(&(a.min(b), a.max(b))).copied();
         let sock = match open.filter(|&s| self.sockets[s].state != ConnState::Broken) {

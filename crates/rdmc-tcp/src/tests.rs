@@ -8,7 +8,8 @@
 //! sockets to both and deliver everywhere, the worker is parked whenever
 //! `run()` returns, a crash across shards keeps delivery all-or-nothing
 //! with its breaks ahead of relayed gossip, two shards run what one
-//! runs, and both answer posts and snapshots alike.
+//! runs, and both answer posts and snapshots alike (the verbs' contract
+//! is the root `transport_contract` suite's, on both backends).
 
 use super::*;
 use frame::HDR;
@@ -412,39 +413,6 @@ fn breaking_one_queue_pair_leaves_its_socket_mates_running() {
     assert_eq!(fabric.sockets.len(), 1);
     assert_eq!((queued(&fabric), in_flight(&fabric)), (0, 0), "quiescent");
     fabric.shutdown().expect("clean shutdown");
-}
-
-/// A crash breaks every queue pair on the survivor's socket to the dead
-/// node, in creation order, each flushed before its break.
-#[test]
-fn a_crash_breaks_every_queue_pair_on_the_pair_in_creation_order() {
-    let mut fabric = TcpFabric::launch(2).expect("launch");
-    let survivors: Vec<QpHandle> = (0..3).map(|_| fabric.connect(A, B).1).collect();
-    for (i, &b) in survivors.iter().enumerate() {
-        fabric.post_recv(b, WrId(i as u64), 64).expect("post_recv");
-    }
-    fabric.crash(A);
-    let seen: Vec<String> = std::iter::from_fn(|| fabric.advance())
-        .map(|(_, node, d)| format!("{node:?} {d:?}"))
-        .collect();
-    let expected: Vec<String> = survivors
-        .iter()
-        .enumerate()
-        .flat_map(|(i, &qp)| {
-            let wr_id = WrId(i as u64);
-            [
-                Delivery::WrFlushed {
-                    qp,
-                    wr_id,
-                    recv: true,
-                },
-                Delivery::QpBroken { qp },
-            ]
-        })
-        .map(|d| format!("{B:?} {d:?}"))
-        .collect();
-    assert_eq!(seen, expected);
-    fabric.shutdown().expect("clean shutdown after a crash");
 }
 
 /// The queue-pair field is peer input: a frame naming one its socket

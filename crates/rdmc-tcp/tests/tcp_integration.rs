@@ -1,8 +1,8 @@
 //! The TCP backend as a raw fabric: repeated launch and shutdown in one
-//! process, frames flushed before a crash reaching the survivor ahead of
-//! the break, a stranger on the fabric's listener, and a fabric of no
-//! nodes refused. Cluster-level scenarios run on both transports in the
-//! root `transport_equivalence` matrix.
+//! process, a stranger on the fabric's listener, and a fabric of no
+//! nodes refused. The verbs' contract runs on both transports in the
+//! root `transport_contract` suite, cluster-level scenarios in the root
+//! `transport_equivalence` matrix.
 
 use std::io;
 use std::net::TcpStream;
@@ -10,7 +10,6 @@ use std::net::TcpStream;
 use rdmc::Algorithm;
 use rdmc_sim::{ClusterBuilder, GroupSpec};
 use rdmc_tcp::TcpFabric;
-use verbs::{Delivery, NodeId, Transport, WrId};
 
 const KB: u64 = 1 << 10;
 
@@ -58,63 +57,6 @@ fn repeated_launch_shutdown_cycles_are_clean() {
         assert_eq!(cluster.check_run(), Ok(()), "round {round}");
         rdmc_tcp::shutdown(cluster).unwrap_or_else(|e| panic!("round {round}: {e}"));
     }
-}
-
-/// A sender crashes right after its frames were flushed (`SendDone`
-/// means flushed to the socket, no more): the survivor still receives
-/// every one of them, in order, before its unused receive is flushed
-/// and the connection breaks — a completed transfer is a delivered
-/// transfer, as on the simulated fabric.
-#[test]
-fn frames_flushed_before_a_crash_reach_the_survivor_before_the_break() {
-    const FRAMES: u64 = 6;
-    const LEN: u64 = 512 * KB; // 3 MiB in all: several flush-and-read rounds
-    let (sender, survivor) = (NodeId(0), NodeId(1));
-    let mut fabric = TcpFabric::launch(2).expect("launch");
-    let (tx, rx) = fabric.connect(sender, survivor);
-    for i in 0..=FRAMES {
-        fabric.post_recv(rx, WrId(100 + i), LEN).expect("post_recv");
-    }
-    for i in 0..FRAMES {
-        fabric
-            .post_send(tx, WrId(i), LEN, i, None)
-            .expect("post_send");
-    }
-    let mut flushed = 0;
-    let mut survivor_saw = Vec::new();
-    while flushed < FRAMES {
-        let (_, node, delivery) = fabric.advance().expect("sends still pending");
-        match delivery {
-            Delivery::SendDone { .. } => flushed += 1,
-            other => {
-                assert_eq!(node, survivor);
-                survivor_saw.push(other);
-            }
-        }
-    }
-    fabric.crash(sender);
-    while let Some((_, node, delivery)) = fabric.advance() {
-        assert_eq!(node, survivor, "dead software observes nothing");
-        survivor_saw.push(delivery);
-    }
-    let summary: Vec<String> = survivor_saw
-        .iter()
-        .map(|d| match d {
-            Delivery::RecvDone {
-                wr_id, len, imm, ..
-            } => format!("recv {} {len} {imm}", wr_id.0),
-            Delivery::WrFlushed { wr_id, recv, .. } => format!("flushed {} {recv}", wr_id.0),
-            Delivery::QpBroken { .. } => "broken".to_string(),
-            other => format!("{other:?}"),
-        })
-        .collect();
-    let mut expected: Vec<String> = (0..FRAMES)
-        .map(|i| format!("recv {} {LEN} {i}", 100 + i))
-        .collect();
-    expected.push(format!("flushed {} true", 100 + FRAMES));
-    expected.push("broken".to_string());
-    assert_eq!(summary, expected);
-    fabric.shutdown().expect("clean shutdown after a crash");
 }
 
 /// A stranger connecting to the fabric's listener ahead of the fabric's

@@ -9,9 +9,8 @@
 //!   bandwidth (Fractus: 16 nodes, 100 Gb/s; Stampede-like: 40 Gb/s).
 //! - [`Topology::oversubscribed_tor`] — racks whose top-of-rack uplinks are
 //!   slower than the sum of their hosts (Apt: heavy cross-rack load
-//!   degrades to ~16 Gb/s per host).
-//! - [`Topology::two_tier`] — a two-stage fabric with per-pod uplinks,
-//!   standing in for Sierra's federated fat-tree.
+//!   degrades to ~16 Gb/s per host); with uplinks at full bisection it
+//!   stands in for Sierra's federated fat-tree.
 
 use crate::flow::{FlowNet, LinkId};
 use crate::time::SimDuration;
@@ -126,21 +125,6 @@ impl Topology {
         }
     }
 
-    /// A two-stage fabric: pods with generous (possibly full-bisection)
-    /// uplinks. Structurally identical to [`Topology::oversubscribed_tor`];
-    /// the distinction is intent — pass `uplink_gbps >= per_pod * host_gbps`
-    /// for a non-blocking fat-tree stand-in.
-    pub fn two_tier(
-        net: &mut FlowNet,
-        pods: usize,
-        per_pod: usize,
-        host_gbps: f64,
-        uplink_gbps: f64,
-        latency: SimDuration,
-    ) -> Self {
-        Self::oversubscribed_tor(net, pods, per_pod, host_gbps, uplink_gbps, latency)
-    }
-
     /// A non-blocking (full-bisection) fat-tree: pods of `per_pod` hosts
     /// whose aggregation links are provisioned at exactly
     /// `per_pod * host_gbps` per direction and *declared transparent* to
@@ -149,7 +133,7 @@ impl Topology {
     /// host edge link never ripples across pod boundaries — the
     /// structural fact the datacenter-scale kernel exploits. Paths,
     /// latencies, and byte accounting are identical to
-    /// [`Topology::two_tier`] with the same uplink capacity.
+    /// [`Topology::oversubscribed_tor`] with the same uplink capacity.
     pub fn fat_tree(
         net: &mut FlowNet,
         pods: usize,
@@ -342,16 +326,16 @@ mod tests {
     }
 
     #[test]
-    fn fat_tree_matches_two_tier_rates() {
+    fn fat_tree_matches_participating_uplink_rates() {
         // The transparent aggregation tier must be allocation-neutral:
-        // every flow rate equals the same scenario on a two_tier fabric
-        // with participating (but never-binding) uplinks.
+        // every flow rate equals the same scenario on a TOR fabric with
+        // participating (but never-binding) uplinks.
         let run = |fat: bool| {
-            let mut net = FlowNet::new();
+            let (mut net, latency) = (FlowNet::new(), SimDuration::from_micros(2));
             let t = if fat {
-                Topology::fat_tree(&mut net, 3, 4, 25.0, SimDuration::from_micros(2))
+                Topology::fat_tree(&mut net, 3, 4, 25.0, latency)
             } else {
-                Topology::two_tier(&mut net, 3, 4, 25.0, 100.0, SimDuration::from_micros(2))
+                Topology::oversubscribed_tor(&mut net, 3, 4, 25.0, 100.0, latency)
             };
             // Cross-pod fan-out from pod 0 plus intra-pod traffic in pod 1.
             let mut flows = vec![

@@ -1,34 +1,44 @@
-//! Unit tests for the simulated fabric's semantics.
+//! The simulated fabric's own semantics; the `Transport` contract's rules
+//! are rows of the root `tests/transport_contract.rs`, on both backends.
 
 use bytes::Bytes;
+use proptest::prelude::*;
 use simnet::{FlowNet, HostProfile, JitterModel, SimDuration, SimTime, Topology};
 
 use crate::{
     CompletionMode, Delivery, Fabric, FabricParams, NodeId, Transport, VerbsError, WaitSpec, WrId,
 };
 
-/// A flat fabric with `n` nodes, 100 Gb/s links, 2 µs one-hop latency, and
-/// zeroed software overheads (so timing assertions are exact).
-fn zero_overhead_fabric(n: usize) -> Fabric {
+/// A flat fabric: `n` nodes on `gbps` links with 2 µs one-hop latency,
+/// hardware constants `params`, and hosts as `Fabric::new` makes them
+/// (default overheads, hybrid completion mode).
+fn flat_fabric(n: usize, gbps: f64, params: FabricParams) -> Fabric {
     let mut net = FlowNet::new();
-    let topo = Topology::flat(&mut net, n, 100.0, SimDuration::from_micros(2));
+    let topo = Topology::flat(&mut net, n, gbps, SimDuration::from_micros(2));
+    Fabric::new(net, topo, params)
+}
+
+/// A flat fabric with `n` nodes on 100 Gb/s links and hardware constants
+/// `params`, whose hosts poll with zeroed software overheads (so timing
+/// assertions are exact).
+fn quiet_fabric(n: usize, params: FabricParams) -> Fabric {
+    let mut fabric = flat_fabric(n, 100.0, params);
+    let mut quiet = HostProfile::default();
+    (quiet.post_overhead, quiet.completion_overhead) = (SimDuration::ZERO, SimDuration::ZERO);
+    for node in (0..n as u32).map(NodeId) {
+        fabric.set_profile(node, quiet.clone());
+        fabric.set_completion_mode(node, CompletionMode::Polling);
+    }
+    fabric
+}
+
+/// [`quiet_fabric`] with no NIC overhead either.
+fn zero_overhead_fabric(n: usize) -> Fabric {
     let params = FabricParams {
         nic_op_overhead: SimDuration::ZERO,
         ..FabricParams::default()
     };
-    let mut fabric = Fabric::new(net, topo, params);
-    for i in 0..n {
-        fabric.set_profile(
-            NodeId(i as u32),
-            HostProfile {
-                post_overhead: SimDuration::ZERO,
-                completion_overhead: SimDuration::ZERO,
-                ..HostProfile::default()
-            },
-        );
-        fabric.set_completion_mode(NodeId(i as u32), CompletionMode::Polling);
-    }
-    fabric
+    quiet_fabric(n, params)
 }
 
 fn drain(fabric: &mut Fabric) -> Vec<(SimTime, NodeId, Delivery)> {
@@ -56,34 +66,6 @@ fn send_recv_timing_is_exact() {
         .unwrap();
     assert_eq!(send.0.as_nanos(), 104_000);
     assert_eq!(send.1, NodeId(0));
-}
-
-#[test]
-fn sends_on_one_qp_are_fifo() {
-    let mut f = zero_overhead_fabric(2);
-    let (q0, q1) = f.connect(NodeId(0), NodeId(1));
-    for i in 0..4 {
-        f.post_recv(q1, WrId(i), 1 << 20).unwrap();
-    }
-    for i in 0..4 {
-        f.post_send(q0, WrId(100 + i), 1000, i, None).unwrap();
-    }
-    let events = drain(&mut f);
-    let recv_order: Vec<u64> = events
-        .iter()
-        .filter_map(|(_, _, d)| match d {
-            Delivery::RecvDone { wr_id, imm, .. } => {
-                // Receives consumed in posted order, imms in send order.
-                Some((wr_id.0, *imm))
-            }
-            _ => None,
-        })
-        .map(|(wr, imm)| {
-            assert_eq!(wr, imm);
-            imm
-        })
-        .collect();
-    assert_eq!(recv_order, vec![0, 1, 2, 3]);
 }
 
 #[test]
@@ -136,14 +118,12 @@ fn relay_uses_full_duplex_bandwidth() {
 
 #[test]
 fn rnr_retries_then_breaks_connection() {
-    let mut net = FlowNet::new();
-    let topo = Topology::flat(&mut net, 2, 100.0, SimDuration::from_micros(2));
     let params = FabricParams {
         rnr_timer: SimDuration::from_micros(100),
         rnr_retry_limit: 3,
         ..FabricParams::default()
     };
-    let mut f = Fabric::new(net, topo, params);
+    let mut f = flat_fabric(2, 100.0, params);
     let (q0, _q1) = f.connect(NodeId(0), NodeId(1));
     // Send with no posted receive: must eventually break both endpoints.
     f.post_send(q0, WrId(1), 1000, 0, None).unwrap();
@@ -165,26 +145,13 @@ fn rnr_retries_then_breaks_connection() {
 
 #[test]
 fn late_recv_post_rescues_rnr_wait() {
-    let mut net = FlowNet::new();
-    let topo = Topology::flat(&mut net, 2, 100.0, SimDuration::from_micros(2));
     let params = FabricParams {
         rnr_timer: SimDuration::from_micros(100),
         rnr_retry_limit: 7,
         nic_op_overhead: SimDuration::ZERO,
         ..FabricParams::default()
     };
-    let mut f = Fabric::new(net, topo, params);
-    for i in 0..2 {
-        f.set_profile(
-            NodeId(i),
-            HostProfile {
-                post_overhead: SimDuration::ZERO,
-                completion_overhead: SimDuration::ZERO,
-                ..HostProfile::default()
-            },
-        );
-        f.set_completion_mode(NodeId(i), CompletionMode::Polling);
-    }
+    let mut f = quiet_fabric(2, params);
     let (q0, q1) = f.connect(NodeId(0), NodeId(1));
     f.post_send(q0, WrId(1), 1000, 0, None).unwrap();
     // Post the receive via a timer at t = 50 us, mid RNR wait.
@@ -205,26 +172,6 @@ fn late_recv_post_rescues_rnr_wait() {
     // retry boundary: wire time for 1000 B is negligible, ~2 us latency.
     let t = recv_time.expect("receive completed").as_nanos();
     assert!((52_000..60_000).contains(&t), "recv at {t}ns");
-}
-
-#[test]
-fn one_sided_write_arrives_without_recv() {
-    let mut f = zero_overhead_fabric(2);
-    let (q0, _q1) = f.connect(NodeId(0), NodeId(1));
-    f.post_write(q0, WrId(1), 77, Bytes::from_static(b"ready"), None)
-        .unwrap();
-    let events = drain(&mut f);
-    let arrived = events
-        .iter()
-        .find_map(|(_, n, d)| match d {
-            Delivery::WriteArrived { tag, payload, .. } => Some((*n, *tag, payload.clone())),
-            _ => None,
-        })
-        .expect("write arrived");
-    assert_eq!(arrived, (NodeId(1), 77, Bytes::from_static(b"ready")));
-    assert!(events
-        .iter()
-        .any(|(_, n, d)| *n == NodeId(0) && matches!(d, Delivery::WriteDone { .. })));
 }
 
 #[test]
@@ -339,75 +286,63 @@ fn kicks_do_not_scale_with_idle_connections() {
     assert_eq!(kicks(2), kicks(50));
 }
 
+/// Failure detection's virtual instants (that it comes no sooner than
+/// the delay is a transport-contract row, on both backends). On hosts as
+/// `Fabric::new` makes them, survivors hear of a crash within 0.3 ms of
+/// one `failure_detect` after it; on zero-overhead hosts a connection
+/// made to a dead node breaks exactly one `failure_detect` later.
 #[test]
-fn oversized_send_breaks_connection() {
-    let mut f = zero_overhead_fabric(2);
-    let (q0, q1) = f.connect(NodeId(0), NodeId(1));
-    f.post_recv(q1, WrId(1), 100).unwrap();
-    f.post_send(q0, WrId(2), 1000, 0, None).unwrap();
-    let events = drain(&mut f);
-    assert_eq!(
-        events
-            .iter()
-            .filter(|(_, _, d)| matches!(d, Delivery::QpBroken { .. }))
-            .count(),
-        2
-    );
-}
-
-#[test]
-fn crash_notifies_peers_after_detection_delay() {
-    let mut net = FlowNet::new();
-    let topo = Topology::flat(&mut net, 3, 100.0, SimDuration::from_micros(2));
-    let params = FabricParams {
-        failure_detect: SimDuration::from_millis(1),
-        ..FabricParams::default()
+fn failure_detection_fires_at_its_instants() {
+    let breaks = |f: &mut Fabric| -> Vec<_> {
+        let events = drain(f).into_iter();
+        let broken = events.filter(|(_, _, d)| matches!(d, Delivery::QpBroken { .. }));
+        broken.map(|(t, node, _)| (t.as_nanos(), node)).collect()
     };
-    let mut f = Fabric::new(net, topo, params);
-    let (_q01, _q10) = f.connect(NodeId(0), NodeId(1));
-    let (_q02, _q20) = f.connect(NodeId(0), NodeId(2));
-    f.schedule_timer(NodeId(0), SimDuration::from_micros(10), 1);
-    let mut breaks = Vec::new();
-    while let Some((t, node, d)) = f.advance() {
-        match d {
-            Delivery::Timer { token: 1 } => f.crash(NodeId(0)),
-            Delivery::QpBroken { .. } => breaks.push((t, node)),
-            _ => {}
-        }
+    let mut f = flat_fabric(3, 100.0, FabricParams::default());
+    f.connect(NodeId(0), NodeId(1));
+    f.connect(NodeId(0), NodeId(2));
+    f.crash(NodeId(0));
+    let detected = breaks(&mut f);
+    assert_eq!(
+        detected.iter().map(|b| b.1).collect::<Vec<_>>(),
+        [NodeId(1), NodeId(2)]
+    );
+    for (t, _) in detected {
+        assert!((1_000_000..1_300_000).contains(&t), "detected at {t}ns");
     }
-    // Nodes 1 and 2 each learn of the crash ~1 ms after it happened; the
-    // crashed node itself hears nothing.
-    assert_eq!(breaks.len(), 2);
-    for (t, node) in breaks {
-        assert_ne!(node, NodeId(0));
-        let dt = t.as_nanos();
-        assert!(dt >= 1_000_000, "detected at {dt}ns");
-        assert!(dt < 1_300_000, "detected at {dt}ns");
-    }
+    let mut f = zero_overhead_fabric(2);
+    f.crash(NodeId(1));
+    f.connect(NodeId(0), NodeId(1));
+    assert_eq!(breaks(&mut f), [(1_000_000, NodeId(0))]);
 }
 
+/// A crash aborts the transfer on the wire, whichever end dies: the
+/// survivor's work request neither completes nor lands, it is flushed.
+/// `Fabric`-only: on TCP, bytes that reached the socket are delivered,
+/// as there a `SendDone` means no more than "flushed".
 #[test]
 fn crash_aborts_inflight_transfer() {
-    let mut net = FlowNet::new();
-    let topo = Topology::flat(&mut net, 2, 100.0, SimDuration::from_micros(2));
-    let mut f = Fabric::new(net, topo, FabricParams::default());
-    let (q0, q1) = f.connect(NodeId(0), NodeId(1));
-    f.post_recv(q1, WrId(1), 1 << 30).unwrap();
-    // A 1 GB transfer takes ~86 ms; crash the sender at 1 ms.
-    f.post_send(q0, WrId(2), 1 << 30, 0, None).unwrap();
-    f.schedule_timer(NodeId(1), SimDuration::from_millis(1), 5);
-    let mut saw_recv_done = false;
-    let mut saw_broken = false;
-    while let Some((_, _node, d)) = f.advance() {
-        match d {
-            Delivery::Timer { token: 5 } => f.crash(NodeId(0)),
-            Delivery::RecvDone { .. } => saw_recv_done = true,
-            Delivery::QpBroken { .. } => saw_broken = true,
-            _ => {}
+    for (dead, survivor, recv) in [(0, 1, true), (1, 0, false)] {
+        let mut f = flat_fabric(2, 100.0, FabricParams::default());
+        let (q0, q1) = f.connect(NodeId(0), NodeId(1));
+        f.post_recv(q1, WrId(1), 1 << 30).unwrap();
+        // A 1 GB transfer takes ~86 ms; one end dies at 1 ms.
+        f.post_send(q0, WrId(2), 1 << 30, 0, None).unwrap();
+        f.schedule_timer(NodeId(survivor), SimDuration::from_millis(1), 5);
+        let mut heard = Vec::new();
+        while let Some((_, node, d)) = f.advance() {
+            match d {
+                Delivery::Timer { token: 5 } => f.crash(NodeId(dead)),
+                d => heard.push((node, format!("{d:?}"))),
+            }
         }
+        let (qp, wr_id) = if recv { (q1, WrId(1)) } else { (q0, WrId(2)) };
+        let want = [
+            Delivery::WrFlushed { qp, wr_id, recv },
+            Delivery::QpBroken { qp },
+        ];
+        assert_eq!(heard, want.map(|d| (NodeId(survivor), format!("{d:?}"))));
     }
-    assert!(!saw_recv_done, "aborted transfer must not complete");
-    assert!(saw_broken, "survivor must learn of the failure");
 }
 
 #[test]
@@ -677,105 +612,27 @@ fn qp_node_and_peer_accessors() {
     assert_eq!(f.qp_peer(q1), NodeId(0));
 }
 
-#[test]
-fn posts_rejected_after_crash() {
-    let mut f = zero_overhead_fabric(2);
-    let (q0, _q1) = f.connect(NodeId(0), NodeId(1));
-    f.crash(NodeId(0));
-    assert_eq!(
-        f.post_send(q0, WrId(1), 10, 0, None),
-        Err(VerbsError::NodeCrashed)
-    );
-}
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
 
-/// Per-node flush record: (wr_id, is_recv) in delivery order, plus where
-/// the QpBroken notice landed relative to the flushes.
-fn flush_log(events: &[(SimTime, NodeId, Delivery)], node: NodeId) -> (Vec<(u64, bool)>, bool) {
-    let mut flushes = Vec::new();
-    let mut broken_after_flushes = false;
-    for (_, n, d) in events {
-        if *n != node {
-            continue;
-        }
-        match d {
-            Delivery::WrFlushed { wr_id, recv, .. } => {
-                assert!(!broken_after_flushes, "flush delivered after QpBroken");
-                flushes.push((wr_id.0, *recv));
+    /// The simulation is deterministic: identical workloads produce
+    /// identical delivery timelines.
+    #[test]
+    fn fabric_is_deterministic(sizes in prop::collection::vec(1u64..300_000, 1..16)) {
+        let run = || {
+            let mut f = flat_fabric(3, 25.0, FabricParams::default());
+            for i in 0..3 {
+                f.set_completion_mode(NodeId(i), CompletionMode::Polling);
             }
-            Delivery::QpBroken { .. } => broken_after_flushes = true,
-            _ => {}
-        }
+            let (q01, q10) = f.connect(NodeId(0), NodeId(1));
+            let (q02, q20) = f.connect(NodeId(0), NodeId(2));
+            for (i, &s) in (0..).zip(&sizes) {
+                let (qs, qr) = if i % 2 == 0 { (q01, q10) } else { (q02, q20) };
+                f.post_recv(qr, WrId(i), s).unwrap();
+                f.post_send(qs, WrId(i), s, 0, None).unwrap();
+            }
+            format!("{:?}", drain(&mut f))
+        };
+        prop_assert_eq!(run(), run());
     }
-    (flushes, broken_after_flushes)
-}
-
-#[test]
-fn break_flushes_queued_sends_and_posted_recvs() {
-    let mut f = zero_overhead_fabric(2);
-    let (q0, q1) = f.connect(NodeId(0), NodeId(1));
-    f.post_recv(q1, WrId(1), 2000).unwrap();
-    f.post_recv(q1, WrId(2), 2000).unwrap();
-    f.post_send(q0, WrId(10), 1_000_000, 0, None).unwrap();
-    f.post_send(q0, WrId(11), 1_000_000, 0, None).unwrap();
-    f.post_send(q0, WrId(12), 1_000_000, 0, None).unwrap();
-    f.break_qp(q0);
-    let events = drain(&mut f);
-    // Every outstanding WR comes back as an error completion, in posting
-    // order, before the break notice (IBV_WC_WR_FLUSH_ERR semantics).
-    let (sender_flushes, sender_broken) = flush_log(&events, NodeId(0));
-    assert_eq!(sender_flushes, vec![(10, false), (11, false), (12, false)]);
-    assert!(sender_broken);
-    let (receiver_flushes, receiver_broken) = flush_log(&events, NodeId(1));
-    assert_eq!(receiver_flushes, vec![(1, true), (2, true)]);
-    assert!(receiver_broken);
-    // Nothing completed successfully.
-    assert!(!events
-        .iter()
-        .any(|(_, _, d)| matches!(d, Delivery::SendDone { .. } | Delivery::RecvDone { .. })));
-}
-
-#[test]
-fn crash_flushes_survivors_inflight_send() {
-    let mut net = FlowNet::new();
-    let topo = Topology::flat(&mut net, 2, 100.0, SimDuration::from_micros(2));
-    let mut f = Fabric::new(net, topo, FabricParams::default());
-    let (q0, q1) = f.connect(NodeId(0), NodeId(1));
-    f.post_recv(q1, WrId(1), 1 << 30).unwrap();
-    // A 1 GB transfer takes ~86 ms; the receiver dies at 1 ms, mid-flight.
-    f.post_send(q0, WrId(2), 1 << 30, 0, None).unwrap();
-    f.schedule_timer(NodeId(0), SimDuration::from_millis(1), 5);
-    let mut events = Vec::new();
-    while let Some((t, node, d)) = f.advance() {
-        if matches!(d, Delivery::Timer { token: 5 }) {
-            f.crash(NodeId(1));
-            continue;
-        }
-        events.push((t, node, d));
-    }
-    let (flushes, broken) = flush_log(&events, NodeId(0));
-    assert_eq!(flushes, vec![(2, false)], "in-flight send must flush");
-    assert!(broken, "survivor must learn of the failure");
-    assert!(!events
-        .iter()
-        .any(|(_, _, d)| matches!(d, Delivery::SendDone { .. })));
-}
-
-#[test]
-fn connect_to_crashed_peer_times_out() {
-    let mut f = zero_overhead_fabric(2);
-    f.crash(NodeId(1));
-    // Re-establishing toward a dead node is allowed (recovery needs it);
-    // the attempt behaves like a handshake that times out.
-    let (q0, _q1) = f.connect(NodeId(0), NodeId(1));
-    f.post_send(q0, WrId(7), 1000, 0, None).unwrap();
-    let events = drain(&mut f);
-    let (flushes, broken) = flush_log(&events, NodeId(0));
-    assert_eq!(flushes, vec![(7, false)]);
-    assert!(broken);
-    let break_time = events
-        .iter()
-        .find(|(_, _, d)| matches!(d, Delivery::QpBroken { .. }))
-        .map(|(t, _, _)| t.as_nanos())
-        .expect("connection must break");
-    assert_eq!(break_time, 1_000_000, "breaks after failure_detect");
 }

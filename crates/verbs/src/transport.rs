@@ -12,19 +12,37 @@
 //! Derecho's dual verbs/TCP deployment call for.
 //!
 //! The contract inherits the fabric's ordering guarantees, and backends
-//! must preserve them for the protocol to stay correct *and* for the
-//! `transport_equivalence` gate to hold:
+//! must preserve them for the protocol to stay correct. Each rule is a
+//! row of the root `tests/transport_contract.rs` (named in parentheses),
+//! run on both backends; a new backend must pass the same rows.
 //!
-//! - **Per-connection-direction FIFO**: two-sided sends and one-sided
-//!   writes posted on one endpoint are delivered to the peer in posting
-//!   order, sharing a single queue (hardware RC semantics; over TCP a
-//!   QP's frames share its node pair's one socket).
+//! - **Per-connection-direction FIFO, exactly once**: sends and writes
+//!   posted on one endpoint reach the peer in posting order through one
+//!   queue (RC semantics; over TCP, the node pair's one socket), and each
+//!   completes once, in posting order (`fifo_exactly_once`,
+//!   `completions_balance_posts`, `writes_arrive_once_in_order_intact`).
+//!   `Fabric` in hybrid completion mode does not yet hold the order of
+//!   completions: one that lands while its node wakes for an earlier one
+//!   surfaces first (ROADMAP item 13), so these rows poll it.
+//! - **Local length**: a send longer than the receive it meets breaks the
+//!   connection, and that receive is flushed with the rest
+//!   (`send_longer_than_its_receive_breaks_the_qp`).
+//! - **Refused posts**: [`VerbsError::NodeCrashed`] on a crashed node,
+//!   [`VerbsError::QpBroken`] on a broken queue pair
+//!   (`posts_on_a_crashed_node_are_refused`).
 //! - **Flush-then-break**: when a connection breaks, every outstanding
 //!   work request is flushed ([`Delivery::WrFlushed`]) in posting order
-//!   before the [`Delivery::QpBroken`] notice.
-//! - **Crash silence**: no deliveries (including timers) ever surface on
-//!   a crashed node; surviving peers learn of the crash only through
-//!   their failure-detect timeout breaking the connection.
+//!   before the [`Delivery::QpBroken`] notice, and a crash breaks a node
+//!   pair's queue pairs in creation order
+//!   (`break_qp_flushes_in_posting_order_then_breaks`,
+//!   `outstanding_work_at_a_crash_resolves_once`,
+//!   `a_crash_breaks_every_qp_of_the_pair_in_creation_order`).
+//! - **Crash silence**: nothing, timers included, surfaces on a crashed
+//!   node; peers learn of the crash only when their failure-detect
+//!   timeout breaks the connection, as does a connect to a dead node
+//!   (every row; `survivors_break_after_failure_detect`,
+//!   `connect_to_a_crashed_peer_breaks_after_failure_detect`,
+//!   `flushed_sends_reach_the_survivor_before_the_break`).
 //! - **Timers before I/O**: a backend moves bytes in rounds — a lap over
 //!   its sockets on TCP, one virtual instant in the simulator — and the
 //!   timers due when a round begins fire before any completion of that
@@ -34,9 +52,18 @@
 //!   of gossip arriving from peers, and a zero-delay timer is the
 //!   end-of-round hook: it fires once the round's completions are
 //!   handled, so what its handler posts leaves together with what they
-//!   posted, and delays nothing that was ready to go.
+//!   posted, and delays nothing that was ready to go
+//!   (`zero_delay_timer_fires_before_the_rounds_completions`, which polls
+//!   `Fabric` for the same reason).
 //! - **Monotone time**: the timestamps [`Transport::advance`] returns
-//!   never go backwards.
+//!   never go backwards (every row).
+//!
+//! Where the backends differ, by design: what a `SendDone` proves (the
+//! peer's acknowledgement on the simulated fabric, "flushed to the socket"
+//! on TCP); a send that finds no receive (the fabric retries, then breaks;
+//! TCP holds it, counted in [`FabricStats::rnr_arms`]); `wait_for`
+//! (simulated only); and data in flight at a crash (the fabric aborts it,
+//! TCP delivers what reached the socket).
 
 use bytes::Bytes;
 use simnet::{HostProfile, SimDuration, SimTime};
@@ -70,7 +97,7 @@ pub trait Transport {
     ///
     /// # Panics
     ///
-    /// Panics if `a == b`.
+    /// Panics if `a == b` (contract row `connecting_a_node_to_itself_panics`).
     fn connect(&mut self, a: NodeId, b: NodeId) -> (QpHandle, QpHandle);
 
     /// Posts a two-sided send of `bytes` with immediate value `imm`; it

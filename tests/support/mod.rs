@@ -73,14 +73,24 @@ impl Setup {
     }
 }
 
+/// `n` simulated nodes, as a raw fabric as `fractus` ships it.
+pub fn sim_fabric(n: usize) -> Fabric {
+    ClusterSpec::fractus(n).build()
+}
+
+/// `n` nodes on loopback TCP, as a raw fabric.
+pub fn tcp_fabric(n: usize) -> TcpFabric {
+    TcpFabric::launch(n).expect("launch")
+}
+
 /// `n` simulated nodes.
 pub fn sim(n: usize) -> ClusterBuilder<Fabric> {
-    ClusterBuilder::new(ClusterSpec::fractus(n))
+    ClusterBuilder::from_transport(sim_fabric(n))
 }
 
 /// `n` nodes on loopback TCP.
 pub fn tcp(n: usize) -> ClusterBuilder<TcpFabric> {
-    rdmc_tcp::builder(n).expect("launch")
+    ClusterBuilder::from_transport(tcp_fabric(n))
 }
 
 /// Every TCP run ends here: a shutdown that surfaces no socket error.
