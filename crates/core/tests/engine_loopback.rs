@@ -1,10 +1,13 @@
 //! End-to-end engine tests over an in-memory "perfect wire" that preserves
 //! per-connection FIFO order but can otherwise interleave events
-//! arbitrarily — the weakest ordering the real transports guarantee.
+//! arbitrarily — the weakest ordering the real transports guarantee. The
+//! wire delivers in channel order, in a seeded random order, or in the
+//! order a proptest draws.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
+use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use rdmc::engine::{Action, EngineConfig, Event, GroupEngine};
@@ -18,7 +21,6 @@ struct Loopback {
     channels: BTreeMap<(Rank, Rank), VecDeque<Event>>,
     delivered: Vec<Vec<u64>>,
     allocated: Vec<Vec<u64>>,
-    rng: Option<StdRng>,
 }
 
 impl Loopback {
@@ -44,19 +46,11 @@ impl Loopback {
             channels,
             delivered: vec![Vec::new(); n as usize],
             allocated: vec![Vec::new(); n as usize],
-            rng: None,
         };
         for (rank, actions) in initial.into_iter().enumerate() {
             this.perform(rank as Rank, actions);
         }
         this
-    }
-
-    /// Use a seeded RNG to pick which channel delivers next (stress event
-    /// interleaving); `None` delivers in deterministic channel order.
-    fn with_random_order(mut self, seed: u64) -> Self {
-        self.rng = Some(StdRng::seed_from_u64(seed));
-        self
     }
 
     fn perform(&mut self, from: Rank, actions: Vec<Action>) {
@@ -108,12 +102,17 @@ impl Loopback {
         self.perform(rank, actions);
     }
 
-    /// Delivers queued events until quiescent. The SendCompleted events on
-    /// channel (to, from) model the hardware ack; they are consumed by
-    /// `from`, so a channel (a, b) holds events consumed by `b` except for
-    /// SendCompleted which `a` consumes — to keep things simple we route
-    /// by inspecting the event.
+    /// Delivers queued events until quiescent, in deterministic channel
+    /// order.
     fn run(&mut self) {
+        self.run_picking(|_| 0);
+    }
+
+    /// Delivers queued events until quiescent; `pick(len)` chooses which
+    /// of the `len` non-empty channels, in key order, delivers next. Every
+    /// event on channel `(a, b)` is for `b`: a block's `SendCompleted`
+    /// rides the reverse channel back to its sender.
+    fn run_picking(&mut self, mut pick: impl FnMut(usize) -> usize) {
         loop {
             let keys: Vec<(Rank, Rank)> = self
                 .channels
@@ -124,16 +123,9 @@ impl Loopback {
             if keys.is_empty() {
                 break;
             }
-            let key = match &mut self.rng {
-                Some(rng) => keys[rng.random_range(0..keys.len())],
-                None => keys[0],
-            };
+            let key = keys[pick(keys.len())];
             let event = self.channels.get_mut(&key).unwrap().pop_front().unwrap();
-            let target = match &event {
-                Event::SendCompleted { .. } => key.1,
-                _ => key.1,
-            };
-            self.submit(target, event);
+            self.submit(key.1, event);
         }
     }
 
@@ -323,10 +315,11 @@ fn random_event_interleavings_preserve_delivery() {
     // The same multicast under 20 random FIFO-preserving interleavings.
     for seed in 0..20u64 {
         for alg in algorithms() {
-            let mut lb = Loopback::new(7, alg.clone(), 512, 2).with_random_order(seed);
+            let mut lb = Loopback::new(7, alg.clone(), 512, 2);
             lb.submit(0, Event::StartSend { size: 6_000 });
             lb.submit(0, Event::StartSend { size: 2_000 });
-            lb.run();
+            let mut rng = StdRng::seed_from_u64(seed);
+            lb.run_picking(|len| rng.random_range(0..len));
             assert!(lb.all_idle(), "{alg} seed={seed}");
             for rank in 0..7 {
                 assert_eq!(
@@ -346,5 +339,59 @@ fn large_group_binomial_pipeline() {
     lb.run();
     for rank in 0..64 {
         assert_eq!(lb.delivered[rank], vec![1 << 20]);
+    }
+}
+
+/// `messages` sent by rank 0 to `n` engines, the channels delivering in
+/// the order `choices` picks (the first channel once they run out).
+/// Returns each rank's deliveries once every engine is idle.
+fn interleaved(
+    algorithm: Algorithm,
+    n: u32,
+    block_size: u64,
+    messages: &[u64],
+    choices: &[prop::sample::Index],
+) -> Vec<Vec<u64>> {
+    let mut lb = Loopback::new(n, algorithm, block_size, 2);
+    for &size in messages {
+        lb.submit(0, Event::StartSend { size });
+    }
+    let mut choices = choices.iter();
+    lb.run_picking(|len| choices.next().map_or(0, |i| i.index(len)));
+    assert!(lb.all_idle(), "engines not idle");
+    lb.delivered
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Whatever the interleaving, every member delivers every message, in
+    /// order, exactly once.
+    #[test]
+    fn delivery_is_interleaving_invariant(
+        n in 2u32..10,
+        block_size in prop::sample::select(vec![64u64, 500, 1 << 12]),
+        messages in prop::collection::vec(0u64..60_000, 1..5),
+        choices in prop::collection::vec(any::<prop::sample::Index>(), 0..4096),
+    ) {
+        let delivered = interleaved(Algorithm::BinomialPipeline, n, block_size, &messages, &choices);
+        for (rank, got) in delivered.iter().enumerate() {
+            prop_assert_eq!(got, &messages, "rank {} deliveries differ", rank);
+        }
+    }
+
+    /// The same holds for every schedule family.
+    #[test]
+    fn all_algorithms_are_interleaving_invariant(
+        alg_idx in 0usize..4,
+        n in 2u32..8,
+        choices in prop::collection::vec(any::<prop::sample::Index>(), 0..2048),
+    ) {
+        let algorithm = algorithms().swap_remove(alg_idx);
+        let messages = [10_000u64, 1];
+        let delivered = interleaved(algorithm.clone(), n, 1024, &messages, &choices);
+        for (rank, got) in delivered.iter().enumerate() {
+            prop_assert_eq!(got.as_slice(), &messages[..], "{} rank {}", algorithm, rank);
+        }
     }
 }

@@ -462,9 +462,10 @@ impl FlowNet {
     ///
     /// Latency and byte accounting are unaffected: the link still
     /// contributes to [`FlowNet::path_latency`] and
-    /// [`FlowNet::bytes_carried`], and the differential oracle
-    /// ([`FlowNet::max_min_reference`]) keeps filling over it, so the
-    /// equivalence is continuously tested.
+    /// [`FlowNet::bytes_carried`]. The test module's churn holds the
+    /// rates on every fat-tree to a second per-flow oracle that fills
+    /// over transparent links as ordinary ones, so the equivalence is
+    /// continuously tested.
     ///
     /// # Panics
     ///
@@ -855,65 +856,6 @@ impl FlowNet {
     /// All reallocation performance counters.
     pub fn realloc_stats(&self) -> ReallocStats {
         self.stats
-    }
-
-    /// Reference max-min allocation, recomputed from scratch by textbook
-    /// progressive filling over the whole network, in flow-slot order.
-    ///
-    /// This is the oracle the incremental allocator is differentially
-    /// tested against; it shares no state or code with
-    /// [`FlowNet::start_flow`]'s ripple reallocation. O(rounds × links ×
-    /// flows) and allocating — test/diagnostic use only.
-    pub fn max_min_reference(&self) -> Vec<(FlowId, f64)> {
-        let n_links = self.links.len();
-        let path = |f: &Flow| -> &[LinkId] { &self.classes[f.class as usize].path };
-        let mut residual: Vec<f64> = self.links.iter().map(|l| l.capacity_bps).collect();
-        let mut frozen: Vec<bool> = vec![false; self.slots.len()];
-        let mut rates: Vec<f64> = vec![0.0; self.slots.len()];
-        let mut unfrozen = self.active_flows;
-        while unfrozen > 0 {
-            // Fair share of each link over its unfrozen flows.
-            let mut counts = vec![0u32; n_links];
-            for (s, f) in self.slots.iter().enumerate() {
-                let Some(f) = f else { continue };
-                if frozen[s] {
-                    continue;
-                }
-                for l in path(f) {
-                    counts[l.0 as usize] += 1;
-                }
-            }
-            let bottleneck = (0..n_links)
-                .filter(|&i| counts[i] > 0)
-                .min_by(|&a, &b| {
-                    let sa = residual[a] / counts[a] as f64;
-                    let sb = residual[b] / counts[b] as f64;
-                    sa.partial_cmp(&sb).expect("finite shares").then(a.cmp(&b))
-                })
-                .expect("unfrozen flows but no loaded link");
-            let share = residual[bottleneck] / counts[bottleneck] as f64;
-            for (s, f) in self.slots.iter().enumerate() {
-                let Some(f) = f else { continue };
-                if frozen[s] || !path(f).iter().any(|l| l.0 as usize == bottleneck) {
-                    continue;
-                }
-                frozen[s] = true;
-                rates[s] = share;
-                unfrozen -= 1;
-                for l in path(f) {
-                    let j = l.0 as usize;
-                    residual[j] = (residual[j] - share).max(0.0);
-                }
-            }
-        }
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(s, f)| {
-                f.as_ref()
-                    .map(|_| (FlowId::new(s as u32, self.generations[s]), rates[s]))
-            })
-            .collect()
     }
 
     /// Ripple traversal: visits every link reachable from the seed
@@ -1406,31 +1348,36 @@ mod tests {
         assert_eq!(net.realloc_stats().rate_changes - changes_after_y, 4);
     }
 
+    /// The script both rate tests run: overlapping paths through a
+    /// shared middle link, staggered arrivals and one abort, with
+    /// `duplicate` adding a second flow on one path (one class, two
+    /// members). The kernel must match the per-flow oracle bit for bit
+    /// at every instant.
+    fn scripted_churn(duplicate: bool) -> (FlowNet, PerFlowOracle) {
+        let mut net = FlowNet::new();
+        let [l0, mid, l2, l3] = [4.0, 10.0, 6.0, 3.0].map(|cap| gb(&mut net, cap));
+        let mut oracle = PerFlowOracle::of(&net);
+        let at = SimTime::from_nanos;
+        oracle.start_with(&mut net, &[l0, mid], 1e9, at(0));
+        let gone = oracle.start_with(&mut net, &[mid, l2], 1e9, at(0));
+        if duplicate {
+            oracle.start_with(&mut net, &[mid, l2], 2e9, at(0));
+        }
+        oracle.start_with(&mut net, &[l3], 1e9, at(0));
+        assert_same_bits(&mut net, &mut oracle, "t = 0");
+        oracle.start_with(&mut net, &[mid], 1e9, at(50));
+        assert_same_bits(&mut net, &mut oracle, "t = 50");
+        net.abort_flow(at(90), gone);
+        oracle.remove(gone.slot(), at(90));
+        assert_same_bits(&mut net, &mut oracle, "t = 90");
+        oracle.start_with(&mut net, &[l2, mid, l0], 1e9, at(120));
+        assert_same_bits(&mut net, &mut oracle, "t = 120");
+        (net, oracle)
+    }
+
     #[test]
     fn incremental_rates_match_reference_after_churn() {
-        // Overlapping paths through a shared middle link, with staggered
-        // arrivals and one abort: incremental rates must equal a fresh
-        // full progressive filling at every step.
-        let mut net = FlowNet::new();
-        let l0 = gb(&mut net, 4.0);
-        let mid = gb(&mut net, 10.0);
-        let l2 = gb(&mut net, 6.0);
-        let l3 = gb(&mut net, 3.0);
-        let mut flows = vec![
-            net.start_flow(SimTime::ZERO, &[l0, mid], 1e9),
-            net.start_flow(SimTime::ZERO, &[mid, l2], 1e9),
-            net.start_flow(SimTime::ZERO, &[l3], 1e9),
-        ];
-        flows.push(net.start_flow(SimTime::from_nanos(50), &[mid], 1e9));
-        net.abort_flow(SimTime::from_nanos(90), flows[1]);
-        flows.push(net.start_flow(SimTime::from_nanos(120), &[l2, mid, l0], 1e9));
-        for (id, want) in net.max_min_reference() {
-            let got = net.flow_rate_bps(id).expect("oracle lists live flows");
-            assert!(
-                (got - want).abs() <= want * 1e-9,
-                "flow {id:?}: incremental {got} vs reference {want}"
-            );
-        }
+        scripted_churn(false);
     }
 
     #[test]
@@ -1524,34 +1471,14 @@ mod tests {
 
     #[test]
     fn interned_rates_match_reference_through_churn() {
-        // Same churn script as `incremental_rates_match_reference_after_churn`
-        // but with two identical-path flows in one class: rates must still
-        // match the textbook oracle.
-        let mut net = FlowNet::new();
-        let l0 = gb(&mut net, 4.0);
-        let mid = gb(&mut net, 10.0);
-        let l2 = gb(&mut net, 6.0);
-        let l3 = gb(&mut net, 3.0);
-        let mut flows = vec![
-            net.start_flow(SimTime::ZERO, &[l0, mid], 1e9),
-            net.start_flow(SimTime::ZERO, &[mid, l2], 1e9),
-            net.start_flow(SimTime::ZERO, &[mid, l2], 2e9), // same path as above
-            net.start_flow(SimTime::ZERO, &[l3], 1e9),
-        ];
-        flows.push(net.start_flow(SimTime::from_nanos(50), &[mid], 1e9));
-        net.abort_flow(SimTime::from_nanos(90), flows[1]);
-        flows.push(net.start_flow(SimTime::from_nanos(120), &[l2, mid, l0], 1e9));
-        for (id, want) in net.max_min_reference() {
-            let got = net.flow_rate_bps(id).expect("oracle lists live flows");
-            assert!(
-                (got - want).abs() <= want * 1e-9,
-                "flow {id:?}: incremental {got} vs reference {want}"
-            );
-        }
-        // Drain to empty: completions must all surface despite class
-        // bookkeeping.
+        // The script with two flows in one class, then drained: every
+        // completion must surface despite class bookkeeping, and leave
+        // the kernel on the oracle's bits.
+        let (mut net, mut oracle) = scripted_churn(true);
         while let Some((t, f)) = net.next_completion() {
             net.complete_flow(t, f);
+            oracle.remove(f.slot(), t);
+            assert_same_bits(&mut net, &mut oracle, &format!("drain at {t:?}"));
         }
         assert_eq!(net.num_flows(), 0);
     }
@@ -1699,19 +1626,32 @@ mod tests {
             }
         }
 
-        fn start(&mut self, slot: usize, path: Vec<LinkId>, bytes: f64, now: SimTime) {
+        fn start(&mut self, slot: usize, path: &[LinkId], bytes: f64, now: SimTime) {
             if self.flows.len() <= slot {
                 self.flows.resize_with(slot + 1, || None);
             }
-            for l in &path {
+            for l in path {
                 self.adjacency[l.0 as usize].push(slot);
             }
             self.flows[slot] = Some(OracleFlow {
-                path,
+                path: path.to_vec(),
                 remaining_bytes: bytes.max(COMPLETION_EPSILON_BYTES / 2.0),
                 rate_bps: 0.0,
                 synced_at: now,
             });
+        }
+
+        /// Starts the flow on `net` and here alike.
+        fn start_with(
+            &mut self,
+            net: &mut FlowNet,
+            path: &[LinkId],
+            bytes: f64,
+            now: SimTime,
+        ) -> FlowId {
+            let id = net.start_flow(now, path, bytes);
+            self.start(id.slot(), path, bytes, now);
+            id
         }
 
         fn remove(&mut self, slot: usize, now: SimTime) {
@@ -1865,31 +1805,73 @@ mod tests {
         }
     }
 
-    /// [`churn`]'s counters.
-    fn churn_against_oracle(
+    /// After a flush: the kernel on the oracle's bits, its next
+    /// completion on the brute-force minimum, and, given the oracle that
+    /// fills over transparent links as ordinary ones, every rate within
+    /// 1e-6 of that fill's.
+    fn assert_flushed(
+        net: &mut FlowNet,
+        oracle: &mut PerFlowOracle,
+        ordinary: Option<&mut PerFlowOracle>,
+        what: &str,
+    ) {
+        assert_same_bits(net, oracle, what);
+        assert_next_completion(net, oracle, true, what);
+        let Some(ordinary) = ordinary else { return };
+        ordinary.fill(net.last_update);
+        for (s, want) in ordinary.flows.iter().enumerate() {
+            let (Some(got), Some(want)) = (&net.slots[s], want) else {
+                continue;
+            };
+            let (got, want) = (got.rate_bps, want.rate_bps);
+            assert!(
+                (got - want).abs() <= want * 1e-6,
+                "{what}: slot {s} rate {got} vs {want} filling over transparent links"
+            );
+        }
+    }
+
+    /// What a [`churn`] run draws its flows over: `paths` random host
+    /// pairs of a flat network of `pods * per_pod` hosts (profile 0), an
+    /// oversubscribed TOR (1) or a fat-tree (2) of `pods` pods.
+    #[derive(Debug)]
+    struct Shape {
         profile: u8,
-        seed: u64,
-        target: usize,
-        steps: usize,
-        first_mark: u32,
-    ) -> ReallocStats {
-        churn(profile, seed, target, steps, first_mark).stats
+        pods: usize,
+        per_pod: usize,
+        paths: usize,
+    }
+
+    impl Shape {
+        /// The seeded runs' shape: six hosts flat, three pods of three
+        /// otherwise, and a few heavily shared paths.
+        fn seeded(profile: u8) -> Self {
+            let pods = if profile == 0 { 2 } else { 3 };
+            Shape {
+                profile,
+                pods,
+                per_pod: 3,
+                paths: 12,
+            }
+        }
     }
 
     /// Seeded churn — starts, completions, aborts, same-instant bursts —
-    /// over a few heavily shared paths, around `target` live flows, with
-    /// the kernel held to the oracle after every flush and the next
-    /// completion held to brute force after every flush and removal.
-    /// Fills count marks up from `first_mark`.
-    fn churn(profile: u8, seed: u64, target: usize, steps: usize, first_mark: u32) -> FlowNet {
+    /// over `shape`, around `target` live flows, with [`assert_flushed`]
+    /// after every flush and the next completion held to brute force
+    /// after every removal. On a fat-tree the second oracle fills over
+    /// the transparent tier: skipping it must move no rate. Fills count
+    /// marks up from `first_mark`.
+    fn churn(shape: Shape, seed: u64, target: usize, steps: usize, first_mark: u32) -> FlowNet {
         use crate::topology::Topology;
         let mut net = FlowNet::new();
         net.scratch.mark = first_mark;
         let lat = SimDuration::from_micros(1);
-        let topo = match profile {
-            0 => Topology::flat(&mut net, 6, 10.0, lat),
-            1 => Topology::oversubscribed_tor(&mut net, 3, 3, 10.0, 10.0, lat),
-            _ => Topology::fat_tree(&mut net, 3, 3, 10.0, lat),
+        let (pods, per_pod) = (shape.pods, shape.per_pod);
+        let topo = match shape.profile {
+            0 => Topology::flat(&mut net, pods * per_pod, 10.0, lat),
+            1 => Topology::oversubscribed_tor(&mut net, pods, per_pod, 10.0, 10.0, lat),
+            _ => Topology::fat_tree(&mut net, pods, per_pod, 10.0, lat),
         };
         let n = topo.num_nodes();
         let mut state = seed;
@@ -1899,20 +1881,27 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             ((state >> 33) as usize) % m
         };
-        // Few distinct paths, so classes hold many flows each.
-        let pairs: Vec<(usize, usize)> = (0..12)
+        let pairs: Vec<(usize, usize)> = (0..shape.paths)
             .map(|_| {
                 let a = rnd(n);
                 (a, (a + 1 + rnd(n - 1)) % n)
             })
             .collect();
         let mut oracle = PerFlowOracle::of(&net);
+        let mut ordinary = net
+            .links
+            .iter()
+            .any(|l| l.transparent)
+            .then(|| PerFlowOracle {
+                transparent: vec![false; net.links.len()],
+                ..PerFlowOracle::of(&net)
+            });
         let mut active: Vec<FlowId> = Vec::new();
         let mut now = SimTime::ZERO;
         let mut pending = false;
         let mut pending_start = false;
         for step in 0..steps {
-            let what = format!("profile {profile} seed {seed} step {step}");
+            let what = format!("{shape:?} seed {seed} step {step}");
             // Two times in three the burst ends here: flush, compare, and
             // let time pass. Otherwise the next change lands on the same
             // instant and coalesces into the pending reallocation. (A
@@ -1920,8 +1909,7 @@ mod tests {
             // clock behind it; moving on flushes the kernel, so it ends
             // the burst too.)
             if pending && (rnd(3) != 0 || net.last_update < now) {
-                assert_same_bits(&mut net, &mut oracle, &what);
-                assert_next_completion(&mut net, &oracle, true, &what);
+                assert_flushed(&mut net, &mut oracle, ordinary.as_mut(), &what);
                 pending = false;
                 pending_start = false;
                 now += SimDuration::from_nanos(rnd(20_000) as u64);
@@ -1936,26 +1924,31 @@ mod tests {
                 } else {
                     (1 + rnd(2_000_000)) as f64
                 };
-                let id = net.start_flow(now, &topo.path(a, b), bytes);
-                oracle.start(id.slot(), topo.path(a, b), bytes, now);
+                let path = topo.path(a, b);
+                let id = net.start_flow(now, &path, bytes);
+                for o in std::iter::once(&mut oracle).chain(&mut ordinary) {
+                    o.start(id.slot(), &path, bytes, now);
+                }
                 active.push(id);
                 pending_start = true;
             } else {
-                if roll < 8 {
+                let (id, at) = if roll < 8 {
                     if pending {
-                        assert_same_bits(&mut net, &mut oracle, &what);
-                        assert_next_completion(&mut net, &oracle, true, &what);
+                        assert_flushed(&mut net, &mut oracle, ordinary.as_mut(), &what);
                         pending_start = false;
                     }
                     let (t, id) = net.next_completion().expect("active flows");
                     now = now.max(t);
                     net.complete_flow(t, id);
-                    oracle.remove(id.slot(), t);
                     active.retain(|&f| f != id);
+                    (id, t)
                 } else {
                     let id = active.swap_remove(rnd(active.len()));
                     net.abort_flow(now, id);
-                    oracle.remove(id.slot(), now);
+                    (id, now)
+                };
+                for o in std::iter::once(&mut oracle).chain(&mut ordinary) {
+                    o.remove(id.slot(), at);
                 }
                 // Removals alone leave every projection an upper bound:
                 // `next_due` answers from them without a flush.
@@ -1965,8 +1958,7 @@ mod tests {
             }
             pending = true;
         }
-        assert_same_bits(&mut net, &mut oracle, "final");
-        assert_next_completion(&mut net, &oracle, true, "final");
+        assert_flushed(&mut net, &mut oracle, ordinary.as_mut(), "final");
         net
     }
 
@@ -1976,8 +1968,8 @@ mod tests {
             for seed in 1..=3 {
                 // Small components (ripple traversal) and, past the
                 // 128-flow floor, covering ones (full mode and its probes).
-                let sparse = churn_against_oracle(profile, seed, 24, 400, 0);
-                let dense = churn_against_oracle(profile, seed, 200, 900, 0);
+                let sparse = churn(Shape::seeded(profile), seed, 24, 400, 0).stats;
+                let dense = churn(Shape::seeded(profile), seed, 200, 900, 0).stats;
                 assert_eq!(sparse.full, 0);
                 if profile == 0 {
                     assert!(dense.full > 0 && dense.full < dense.count);
@@ -1992,7 +1984,7 @@ mod tests {
         // the link, traversal and freeze marks runs mid-churn (a mark
         // that overflowed instead would panic here, in a debug build).
         for profile in 0..3 {
-            let stats = churn_against_oracle(profile, 5, 24, 300, u32::MAX - 8);
+            let stats = churn(Shape::seeded(profile), 5, 24, 300, u32::MAX - 8).stats;
             assert!(stats.count > 8, "the churn never reached the wrap");
         }
     }
@@ -2012,18 +2004,13 @@ mod tests {
             .map(|_| [gb(&mut net, 40.0), gb(&mut net, 40.0)])
             .collect();
         let mut oracle = PerFlowOracle::of(&net);
-        let start = |net: &mut FlowNet, oracle: &mut PerFlowOracle, path: Vec<LinkId>, now| {
-            let id = net.start_flow(now, &path, 1e12);
-            oracle.start(id.slot(), path, 1e12, now);
-            id
-        };
-        start(&mut net, &mut oracle, vec![held], SimTime::ZERO);
+        oracle.start_with(&mut net, &[held], 1e12, SimTime::ZERO);
         let mut live: [Vec<FlowId>; 2] = [Vec::new(), Vec::new()];
         for step in 0..400u64 {
             let now = SimTime::from_nanos(1_000 * step);
             for (side, link) in [held, dense].into_iter().enumerate() {
                 let feed = feeds[(step % 4) as usize][side];
-                live[side].push(start(&mut net, &mut oracle, vec![feed, link], now));
+                live[side].push(oracle.start_with(&mut net, &[feed, link], 1e12, now));
                 // One in, then one in and two out: every step moves the
                 // share, so every flow on the link changes rate.
                 if step % 2 == 1 && live[side].len() > 8 {
@@ -2046,12 +2033,30 @@ mod tests {
         // removed head's class is rescanned: under dense churn that is
         // well under one projection per rate change.
         for profile in 0..3 {
-            let net = churn(profile, 1, 200, 900, 0);
+            let net = churn(Shape::seeded(profile), 1, 200, 900, 0);
             let (projections, rate_changes) = (net.scratch.projections, net.stats.rate_changes);
             assert!(
                 projections < rate_changes,
                 "profile {profile}: {projections} projections for {rate_changes} rate changes"
             );
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// [`churn`] on random shapes: flat, TOR and fat-tree of 2-4 pods
+        /// of 2-4 hosts, over a few heavily shared paths up to mostly
+        /// distinct ones.
+        #[test]
+        fn churn_matches_both_oracles_on_random_shapes(
+            profile in 0u8..3,
+            pods in 2usize..5,
+            per_pod in 2usize..5,
+            paths in 1usize..97,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            churn(Shape { profile, pods, per_pod, paths }, seed, 24, 160, 0);
         }
     }
 

@@ -1,6 +1,9 @@
 //! Property-based tests of the max-min fair flow model: the invariants
 //! every bandwidth allocation must satisfy, under random topologies,
-//! flow sets, and event interleavings.
+//! flow sets, and event interleavings. They need no oracle; the max-min
+//! certificate is the semantic check independent of any water-filling.
+//! The differential checks against the per-flow oracle, on every
+//! topology profile, live beside the kernel in `flow.rs`'s test module.
 
 use proptest::prelude::*;
 use simnet::{FlowNet, SimDuration, SimTime, Topology};
@@ -158,168 +161,5 @@ proptest! {
             times
         };
         prop_assert_eq!(run(), run());
-    }
-}
-
-/// First rate disagreement between the live (incrementally maintained)
-/// allocation and a from-scratch progressive filling, if any.
-fn rate_mismatch(net: &mut FlowNet) -> Option<String> {
-    for (id, want) in net.max_min_reference() {
-        let got = net.flow_rate_bps(id).expect("oracle lists live flows");
-        if (got - want).abs() > want.abs() * 1e-6 {
-            return Some(format!(
-                "flow {id:?}: incremental {got} vs full water-filling {want}"
-            ));
-        }
-    }
-    None
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    /// Differential test of the ripple-set allocator: after every random
-    /// arrival, completion, and abort, every live flow's rate equals the
-    /// one a full from-scratch water-filling assigns. (The two code paths
-    /// share no allocation state, so this catches any case where an
-    /// incremental update fails to reach a flow it should have re-rated.)
-    #[test]
-    fn incremental_allocator_matches_full_oracle(
-        (n, flows) in arb_case(),
-        ops in prop::collection::vec(
-            (any::<prop::sample::Index>(), any::<prop::sample::Index>()),
-            4..48,
-        ),
-    ) {
-        let mut net = FlowNet::new();
-        let topo = Topology::flat(&mut net, n, 10.0, SimDuration::from_micros(1));
-        let mut pending = flows.iter();
-        let mut active = Vec::new();
-        let mut now = SimTime::ZERO;
-        for (what, which) in ops {
-            // Stagger events so flows accumulate progress between rate
-            // boundaries (exercising lazy materialization).
-            now += SimDuration::from_micros(10);
-            match what.index(3) {
-                0 => {
-                    let Some(&(a, b, bytes)) = pending.next() else { continue };
-                    active.push(net.start_flow(now, &topo.path(a, b), bytes as f64));
-                }
-                1 => {
-                    let Some((t, f)) = net.next_completion() else { continue };
-                    now = now.max(t);
-                    net.complete_flow(t, f);
-                    active.retain(|&id| id != f);
-                }
-                _ => {
-                    if active.is_empty() {
-                        continue;
-                    }
-                    let id = active.swap_remove(which.index(active.len()));
-                    net.abort_flow(now, id);
-                }
-            }
-            let mismatch = rate_mismatch(&mut net);
-            prop_assert!(mismatch.is_none(), "{}", mismatch.unwrap());
-        }
-        // Drain whatever is left; the allocation must stay max-min at
-        // every completion along the way.
-        while let Some((t, f)) = net.next_completion() {
-            net.complete_flow(t, f);
-            let mismatch = rate_mismatch(&mut net);
-            prop_assert!(mismatch.is_none(), "{}", mismatch.unwrap());
-        }
-        prop_assert_eq!(net.num_flows(), 0);
-    }
-}
-
-/// Builds one of the three topology profiles the scaled kernel must
-/// stay exact on: flat, oversubscribed TOR, and the fat-tree whose
-/// aggregation tier is transparent to the allocator.
-fn build_profile(net: &mut FlowNet, profile: u8, pods: usize, per_pod: usize) -> Topology {
-    let lat = SimDuration::from_micros(1);
-    match profile {
-        0 => Topology::flat(net, pods * per_pod, 10.0, lat),
-        1 => Topology::oversubscribed_tor(net, pods, per_pod, 10.0, 10.0, lat),
-        _ => Topology::fat_tree(net, pods, per_pod, 10.0, lat),
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    /// Differential test of the hierarchy-aware kernel: on every
-    /// topology profile, random churn (arrivals, completions, aborts —
-    /// duplicate paths and rate ties included) must leave every live rate
-    /// equal to the textbook from-scratch water-filling, which treats
-    /// transparent aggregation links as ordinary capacity-constrained
-    /// links. Passing on the fat-tree therefore proves the transparent
-    /// tier is allocation-neutral, not merely skipped. (The bit-exact
-    /// comparison with the per-flow kernel lives beside the kernel, in
-    /// `flow.rs`'s test module.)
-    #[test]
-    fn hierarchical_allocator_matches_oracle_on_all_profiles(
-        profile in 0u8..3,
-        pods in 2usize..5,
-        per_pod in 2usize..5,
-        flows in prop::collection::vec(
-            (
-                any::<prop::sample::Index>(),
-                any::<prop::sample::Index>(),
-                // Half the draws share one size so completion ties and
-                // equal-share plateaus are common.
-                prop_oneof![Just(262_144u32), 1u32..2_000_000],
-            ),
-            1..24,
-        ),
-        ops in prop::collection::vec(
-            (any::<prop::sample::Index>(), any::<prop::sample::Index>()),
-            4..48,
-        ),
-    ) {
-        let mut net = FlowNet::new();
-        let topo = build_profile(&mut net, profile, pods, per_pod);
-        let n = topo.num_nodes();
-        let flows: Vec<(usize, usize, u32)> = flows
-            .iter()
-            .filter_map(|(a, b, bytes)| {
-                let a = a.index(n);
-                let b = b.index(n);
-                (a != b).then_some((a, b, *bytes))
-            })
-            .collect();
-        let mut pending = flows.iter();
-        let mut active = Vec::new();
-        let mut now = SimTime::ZERO;
-        for (what, which) in ops {
-            now += SimDuration::from_micros(10);
-            match what.index(3) {
-                0 => {
-                    let Some(&(a, b, bytes)) = pending.next() else { continue };
-                    active.push(net.start_flow(now, &topo.path(a, b), bytes as f64));
-                }
-                1 => {
-                    let Some((t, f)) = net.next_completion() else { continue };
-                    now = now.max(t);
-                    net.complete_flow(t, f);
-                    active.retain(|&id| id != f);
-                }
-                _ => {
-                    if active.is_empty() {
-                        continue;
-                    }
-                    let id = active.swap_remove(which.index(active.len()));
-                    net.abort_flow(now, id);
-                }
-            }
-            let mismatch = rate_mismatch(&mut net);
-            prop_assert!(mismatch.is_none(), "{}", mismatch.unwrap());
-        }
-        while let Some((t, f)) = net.next_completion() {
-            net.complete_flow(t, f);
-            let mismatch = rate_mismatch(&mut net);
-            prop_assert!(mismatch.is_none(), "{}", mismatch.unwrap());
-        }
-        prop_assert_eq!(net.num_flows(), 0);
     }
 }

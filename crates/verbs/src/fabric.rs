@@ -1283,7 +1283,6 @@ impl Drop for Fabric {
     fn drop(&mut self) {
         let r = self.net.realloc_stats();
         crate::perf::record(crate::perf::KernelPerf {
-            fabrics: 1,
             events: self.stats.events,
             kicks: self.stats.kicks,
             realloc_count: r.count,
@@ -1295,7 +1294,6 @@ impl Drop for Fabric {
             link_visits: r.link_visits,
             coalesced: r.coalesced,
             heap_compactions: r.heap_compactions,
-            sim_nanos: self.queue.now().as_nanos(),
         });
     }
 }

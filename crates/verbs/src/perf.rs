@@ -21,7 +21,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-static FABRICS: AtomicU64 = AtomicU64::new(0);
 static EVENTS: AtomicU64 = AtomicU64::new(0);
 static KICKS: AtomicU64 = AtomicU64::new(0);
 static REALLOC_COUNT: AtomicU64 = AtomicU64::new(0);
@@ -33,13 +32,10 @@ static FULL_REALLOCS: AtomicU64 = AtomicU64::new(0);
 static LINK_VISITS: AtomicU64 = AtomicU64::new(0);
 static COALESCED: AtomicU64 = AtomicU64::new(0);
 static HEAP_COMPACTIONS: AtomicU64 = AtomicU64::new(0);
-static SIM_NANOS: AtomicU64 = AtomicU64::new(0);
 
 /// A point-in-time copy of the process-wide kernel counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct KernelPerf {
-    /// Fabrics accounted so far (one increment per dropped fabric).
-    pub fabrics: u64,
     /// Events popped from fabric event queues.
     pub events: u64,
     /// Connection kick attempts.
@@ -63,8 +59,6 @@ pub struct KernelPerf {
     pub coalesced: u64,
     /// Completion-heap compactions (stale-entry sweeps).
     pub heap_compactions: u64,
-    /// Virtual nanoseconds simulated (summed over fabrics).
-    pub sim_nanos: u64,
 }
 
 impl KernelPerf {
@@ -72,7 +66,6 @@ impl KernelPerf {
     /// snapshot; each field saturates at zero otherwise).
     pub fn delta_since(&self, base: &KernelPerf) -> KernelPerf {
         KernelPerf {
-            fabrics: self.fabrics.saturating_sub(base.fabrics),
             events: self.events.saturating_sub(base.events),
             kicks: self.kicks.saturating_sub(base.kicks),
             realloc_count: self.realloc_count.saturating_sub(base.realloc_count),
@@ -84,7 +77,6 @@ impl KernelPerf {
             link_visits: self.link_visits.saturating_sub(base.link_visits),
             coalesced: self.coalesced.saturating_sub(base.coalesced),
             heap_compactions: self.heap_compactions.saturating_sub(base.heap_compactions),
-            sim_nanos: self.sim_nanos.saturating_sub(base.sim_nanos),
         }
     }
 }
@@ -92,7 +84,6 @@ impl KernelPerf {
 /// Reads the current process-wide totals.
 pub fn snapshot() -> KernelPerf {
     KernelPerf {
-        fabrics: FABRICS.load(Ordering::Relaxed),
         events: EVENTS.load(Ordering::Relaxed),
         kicks: KICKS.load(Ordering::Relaxed),
         realloc_count: REALLOC_COUNT.load(Ordering::Relaxed),
@@ -104,14 +95,12 @@ pub fn snapshot() -> KernelPerf {
         link_visits: LINK_VISITS.load(Ordering::Relaxed),
         coalesced: COALESCED.load(Ordering::Relaxed),
         heap_compactions: HEAP_COMPACTIONS.load(Ordering::Relaxed),
-        sim_nanos: SIM_NANOS.load(Ordering::Relaxed),
     }
 }
 
 /// Folds one finished fabric's counters into the globals (called from
 /// `Fabric::drop`).
 pub(crate) fn record(d: KernelPerf) {
-    FABRICS.fetch_add(1, Ordering::Relaxed);
     EVENTS.fetch_add(d.events, Ordering::Relaxed);
     KICKS.fetch_add(d.kicks, Ordering::Relaxed);
     REALLOC_COUNT.fetch_add(d.realloc_count, Ordering::Relaxed);
@@ -123,7 +112,6 @@ pub(crate) fn record(d: KernelPerf) {
     LINK_VISITS.fetch_add(d.link_visits, Ordering::Relaxed);
     COALESCED.fetch_add(d.coalesced, Ordering::Relaxed);
     HEAP_COMPACTIONS.fetch_add(d.heap_compactions, Ordering::Relaxed);
-    SIM_NANOS.fetch_add(d.sim_nanos, Ordering::Relaxed);
 }
 
 #[cfg(test)]
@@ -133,7 +121,6 @@ mod tests {
     #[test]
     fn delta_is_per_field_difference() {
         let a = KernelPerf {
-            fabrics: 1,
             events: 10,
             kicks: 5,
             realloc_count: 3,
@@ -145,7 +132,6 @@ mod tests {
             link_visits: 20,
             coalesced: 6,
             heap_compactions: 1,
-            sim_nanos: 400,
         };
         let mut b = a;
         b.events += 90;
@@ -171,9 +157,7 @@ mod tests {
         while fabric.advance().is_some() {}
         drop(fabric);
         let d = snapshot().delta_since(&before);
-        assert!(d.fabrics >= 1, "fabric drop not recorded");
         assert!(d.events > 0, "no events recorded");
         assert!(d.realloc_count > 0, "no reallocations recorded");
-        assert!(d.sim_nanos > 0, "no simulated time recorded");
     }
 }
