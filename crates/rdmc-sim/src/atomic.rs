@@ -64,15 +64,13 @@
 //! not overlay subgroups — and a fired
 //! [`TimerAction::FrontierFlush`] ([`Cluster::atomic_frontier_flush`]).
 
-use std::collections::BTreeMap;
-
 use bytes::Bytes;
 use rdmc::{rotation, Rank};
 use simnet::{SimDuration, SimTime};
 use sst::SstTable;
 use verbs::{NodeId, Transport, WrId};
 
-use crate::cluster::{Cluster, GroupId, GroupSpec, MessageId, TimerAction};
+use crate::cluster::{Cluster, GroupId, GroupSpec, MessageId, MessageSlot, TimerAction};
 
 /// One-sided-write tag for SST frontier-row updates (the stability
 /// epidemic).
@@ -204,13 +202,11 @@ fn resolved_prefix(index: &[usize], from: u64, mut is_resolved: impl FnMut(usize
     from + unresolved.iter().take_while(|&&s| is_resolved(s)).count() as u64
 }
 
-/// Every atomic group on the cluster, plus the reverse index from RDMC
-/// subgroup to the overlay it serves.
+/// Every atomic group on the cluster (each subgroup names the overlay it
+/// serves in its `GroupRuntime::overlay`).
 #[derive(Default)]
 pub(crate) struct AtomicOverlays {
     pub(crate) groups: Vec<AtomicRuntime>,
-    /// RDMC subgroup -> `(atomic group id, sender member index)`.
-    subgroup_of: BTreeMap<GroupId, (AtomicGroupId, usize)>,
 }
 
 impl AtomicOverlays {
@@ -269,7 +265,7 @@ impl<T: Transport> Cluster<T> {
                 members: rotation::rotated_members(&spec.members, j),
                 ..spec.clone()
             });
-            self.atomic.subgroup_of.insert(gid, (aid, j));
+            self.groups[gid].overlay = Some((aid, j));
             subgroups.push(gid);
         }
         self.atomic.groups.push(AtomicRuntime {
@@ -301,7 +297,7 @@ impl<T: Transport> Cluster<T> {
     ///
     /// Panics if `size` is zero.
     pub fn submit_atomic(&mut self, ag: AtomicGroupId, size: u64) -> MessageId {
-        let message = self.new_message_id();
+        let message = self.new_message(MessageSlot::ScheduledAtomic { ag, size });
         self.do_submit_atomic(ag, size, message);
         message
     }
@@ -341,11 +337,10 @@ impl<T: Transport> Cluster<T> {
         at: SimTime,
         size: u64,
     ) -> MessageId {
-        let message = self.new_message_id();
+        let message = self.new_message(MessageSlot::ScheduledAtomic { ag, size });
         let host = next_owner(self.atomic_view(ag), self.atomic.groups[ag].cursor);
-        let node = self.atomic.groups[ag].nodes[host];
-        let delay = at.saturating_since(self.fabric.now());
-        self.arm_timer(node, delay, TimerAction::AtomicSend { ag, size, message });
+        let node = NodeId(self.atomic.groups[ag].nodes[host] as u32);
+        self.arm_message(node, at, message);
         message
     }
 
@@ -384,7 +379,7 @@ impl<T: Transport> Cluster<T> {
     /// The overlay member at current rank `rank` of `group`, as
     /// `(atomic group, member index)`, if `group` is an overlay subgroup.
     fn atomic_member(&self, group: GroupId, rank: Rank) -> Option<(AtomicGroupId, usize)> {
-        let &(ag, j) = self.atomic.subgroup_of.get(&group)?;
+        let (ag, j) = self.groups[group].overlay?;
         let n = self.atomic.groups[ag].nodes.len();
         Some((ag, (j + self.groups[group].orig_rank[rank as usize]) % n))
     }
@@ -409,8 +404,8 @@ impl<T: Transport> Cluster<T> {
     /// rotation cursor — books its data slot (before the subgroup
     /// submission, which can deliver reentrantly at the root) and
     /// submits on the owner's subgroup, filing the completion record
-    /// under `message`. Immediate submissions and a fired
-    /// [`TimerAction::AtomicSend`] both end here.
+    /// under `message`. Immediate submissions and a fired message token
+    /// both end here.
     pub(crate) fn do_submit_atomic(&mut self, ag: AtomicGroupId, size: u64, message: MessageId) {
         assert!(size > 0, "zero-size slots are nulls, not messages");
         let owner = next_owner(self.atomic_view(ag), self.atomic.groups[ag].cursor);
@@ -651,7 +646,7 @@ impl<T: Transport> Cluster<T> {
     /// slots are fully replicated, and fully replicated slots are never
     /// abandoned — so trims only ever remove slots nobody delivered.
     pub(crate) fn atomic_on_reconfig(&mut self, group: GroupId) {
-        let Some(&(ag, j)) = self.atomic.subgroup_of.get(&group) else {
+        let Some((ag, j)) = self.groups[group].overlay else {
             return;
         };
         let n = self.atomic.groups[ag].nodes.len();

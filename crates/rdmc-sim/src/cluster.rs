@@ -144,14 +144,10 @@ impl MessageResult {
     }
 }
 
-/// What a transport timer token stands for; [`Cluster::arm_timer`] files
-/// one, the `Delivery::Timer` arm of `dispatch` fires it.
+/// What an action timer token stands for: [`Cluster::arm_timer`] files
+/// one in the [`TimerSlab`], `dispatch` fires it. A scheduled send is no
+/// action: its token names its message ([`MessageSlot`]).
 pub(crate) enum TimerAction {
-    Send {
-        group: GroupId,
-        size: u64,
-        message: MessageId,
-    },
     Crash {
         node: usize,
     },
@@ -170,14 +166,6 @@ pub(crate) enum TimerAction {
     RelProbe {
         qp: QpHandle,
     },
-    /// Submit a rotated atomic-multicast message when the timer fires
-    /// (the slot owner is resolved at fire time, from the then-current
-    /// rotation cursor and view).
-    AtomicSend {
-        ag: AtomicGroupId,
-        size: u64,
-        message: MessageId,
-    },
     /// Send `member`'s unsent frontier columns as one row write per live
     /// peer: the zero-delay end-of-batch hook its first unsent column
     /// armed.
@@ -185,6 +173,56 @@ pub(crate) enum TimerAction {
         ag: AtomicGroupId,
         member: usize,
     },
+}
+
+/// The top bit of a timer token marks a message's token, whose low bits
+/// are its id; any other token names a [`TimerSlab`] slot.
+const MESSAGE_TOKEN: u64 = 1 << 63;
+
+/// The armed [`TimerAction`]s, a slot reused once its action fired. A
+/// token is its slot (low 32 bits) and the slot's generation (the next
+/// 31, so the top bit stays clear), which firing bumps: a token never
+/// fires what its slot holds later.
+#[derive(Default)]
+struct TimerSlab {
+    slots: Vec<(u32, Option<TimerAction>)>,
+    free: Vec<u32>,
+}
+
+impl TimerSlab {
+    /// Files `action` and returns its token.
+    fn arm(&mut self, action: TimerAction) -> u64 {
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.slots.push((0, None));
+            (self.slots.len() - 1) as u32
+        });
+        let (generation, held) = &mut self.slots[slot as usize];
+        *held = Some(action);
+        u64::from(*generation) << 32 | u64::from(slot)
+    }
+
+    /// Takes the action `token` names, if its slot still holds it.
+    fn fire(&mut self, token: u64) -> Option<TimerAction> {
+        let slot = token as u32;
+        let (generation, held) = self.slots.get_mut(slot as usize)?;
+        if u64::from(*generation) != token >> 32 {
+            return None;
+        }
+        let action = held.take()?;
+        *generation = (*generation + 1) & (u32::MAX >> 1);
+        self.free.push(slot);
+        Some(action)
+    }
+}
+
+/// What a [`MessageId`] names: a send its token submits when it fires
+/// (on an atomic group, to the then-current rotation slot), or the
+/// ledger record the send was filed under.
+#[derive(Clone, Copy)]
+pub(crate) enum MessageSlot {
+    Scheduled { group: GroupId, size: u64 },
+    ScheduledAtomic { ag: AtomicGroupId, size: u64 },
+    Filed { group: GroupId, index: usize },
 }
 
 pub(crate) struct GroupRuntime {
@@ -211,6 +249,9 @@ pub(crate) struct GroupRuntime {
     /// paper's lossless assumption: block immediates carry the raw
     /// message size and a loss stalls or wedges the transfer).
     pub(crate) reliability: Option<ReliabilityPolicy>,
+    /// The atomic group this is a per-sender subgroup of, and its sender
+    /// member index (`None` for a plain group).
+    pub(crate) overlay: Option<(AtomicGroupId, usize)>,
 }
 
 impl GroupRuntime {
@@ -259,13 +300,11 @@ impl GroupRuntime {
 pub struct Cluster<T: Transport = Fabric> {
     pub(crate) fabric: T,
     pub(crate) groups: Vec<GroupRuntime>,
-    pub(crate) qp_owner: BTreeMap<QpHandle, (GroupId, Rank, Rank)>,
-    timers: BTreeMap<u64, TimerAction>,
-    next_timer: u64,
-    /// Message handle -> (group, per-group message index). A scheduled
-    /// send's slot is bound when its timer fires.
-    pub(crate) message_slots: BTreeMap<u64, (GroupId, usize)>,
-    next_message: u64,
+    /// By connection id and endpoint ([`Cluster::qp_owner`]).
+    qp_owners: Vec<[Option<(GroupId, Rank, Rank)>; 2]>,
+    timers: TimerSlab,
+    /// Indexed by [`MessageId`]: ids are dense from 0.
+    message_slots: Vec<MessageSlot>,
     /// Flight recorder shared by the fabric, the net, and every engine
     /// (disabled — one branch per instrumentation point — by default).
     pub(crate) recorder: trace::Recorder,
@@ -325,11 +364,9 @@ impl<T: Transport> Cluster<T> {
         Cluster {
             fabric,
             groups: Vec::new(),
-            qp_owner: BTreeMap::new(),
-            timers: BTreeMap::new(),
-            next_timer: 0,
-            message_slots: BTreeMap::new(),
-            next_message: 0,
+            qp_owners: Vec::new(),
+            timers: TimerSlab::default(),
+            message_slots: Vec::new(),
             recorder: trace::Recorder::disabled(),
             fed_events: 0,
             reconfig: Reconfig::default(),
@@ -506,6 +543,7 @@ impl<T: Transport> Cluster<T> {
             cursor: vec![0; n as usize],
             orig_rank: (0..n as usize).collect(),
             reliability: self.reliability.default,
+            overlay: None,
         });
         let mut initial: Vec<(Rank, Vec<Action>)> = Vec::new();
         for rank in 0..n {
@@ -544,7 +582,7 @@ impl<T: Transport> Cluster<T> {
     /// Submits a multicast of `size` random-content bytes on `group` now,
     /// returning the handle its completion record is filed under.
     pub fn submit_send(&mut self, group: GroupId, size: u64) -> MessageId {
-        let id = self.new_message_id();
+        let id = self.new_message(MessageSlot::Scheduled { group, size });
         self.do_submit(group, size, id);
         id
     }
@@ -556,10 +594,10 @@ impl<T: Transport> Cluster<T> {
     pub(crate) fn do_submit(&mut self, group: GroupId, size: u64, message: MessageId) {
         let now = self.fabric.now();
         let g = &mut self.groups[group];
-        let idx = g.results.len();
+        let index = g.results.len();
         g.results.push(MessageResult {
             group,
-            index: idx,
+            index,
             size,
             submitted: now,
             sender: g.orig_rank[0] as Rank,
@@ -567,7 +605,7 @@ impl<T: Transport> Cluster<T> {
             completed: None,
             stamps: Some(vec![None; g.spec.members.len()].into()),
         });
-        self.message_slots.insert(message.0, (group, idx));
+        self.message_slots[message.0 as usize] = MessageSlot::Filed { group, index };
         self.feed(group, 0, Event::StartSend { size });
     }
 
@@ -576,31 +614,30 @@ impl<T: Transport> Cluster<T> {
     /// completion record ([`SimCluster::result`]) once the timer fires
     /// and the send is actually submitted.
     pub fn schedule_send_at(&mut self, group: GroupId, at: SimTime, size: u64) -> MessageId {
-        let message = self.new_message_id();
-        let root_node = self.groups[group].node(0).index();
-        let delay = at.saturating_since(self.fabric.now());
-        let action = TimerAction::Send {
-            group,
-            size,
-            message,
-        };
-        self.arm_timer(root_node, delay, action);
+        let message = self.new_message(MessageSlot::Scheduled { group, size });
+        self.arm_message(self.groups[group].node(0), at, message);
         message
     }
 
-    /// Allocates the next message handle.
-    pub(crate) fn new_message_id(&mut self) -> MessageId {
-        let id = MessageId(self.next_message);
-        self.next_message += 1;
+    /// Asks the transport to fire `message`'s token on `node` at `at` (at
+    /// once if `at` has passed).
+    pub(crate) fn arm_message(&mut self, node: NodeId, at: SimTime, message: MessageId) {
+        let delay = at.saturating_since(self.fabric.now());
+        self.fabric
+            .schedule_timer(node, delay, MESSAGE_TOKEN | message.0);
+    }
+
+    /// Allocates the next message handle, naming `slot`.
+    pub(crate) fn new_message(&mut self, slot: MessageSlot) -> MessageId {
+        let id = MessageId(self.message_slots.len() as u64);
+        self.message_slots.push(slot);
         id
     }
 
     /// Files `action` under a fresh token and asks the transport to
     /// fire it on `node` after `delay`.
     pub(crate) fn arm_timer(&mut self, node: usize, delay: SimDuration, action: TimerAction) {
-        let token = self.next_timer;
-        self.next_timer += 1;
-        self.timers.insert(token, action);
+        let token = self.timers.arm(action);
         self.fabric
             .schedule_timer(NodeId(node as u32), delay, token);
     }
@@ -608,8 +645,10 @@ impl<T: Transport> Cluster<T> {
     /// The completion record of one message, by handle. `None` for a
     /// scheduled send whose timer has not fired yet.
     pub fn result(&self, id: MessageId) -> Option<&MessageResult> {
-        let &(group, idx) = self.message_slots.get(&id.0)?;
-        self.groups.get(group)?.results.get(idx)
+        match *self.message_slots.get(id.0 as usize)? {
+            MessageSlot::Filed { group, index } => self.groups.get(group)?.results.get(index),
+            MessageSlot::Scheduled { .. } | MessageSlot::ScheduledAtomic { .. } => None,
+        }
     }
 
     /// Advances the simulation by one software-visible delivery (and
@@ -720,7 +759,7 @@ impl<T: Transport> Cluster<T> {
             Delivery::RecvDone { qp, imm, .. } => {
                 // Completions for torn-down (old-epoch) queue pairs are
                 // stale: their owner entries are gone, so ignore them.
-                let Some(&(group, me, peer)) = self.qp_owner.get(&qp) else {
+                let Some((group, me, peer)) = self.qp_owner(qp) else {
                     return;
                 };
                 // Policy groups route through the reorder/repair shim so
@@ -740,7 +779,7 @@ impl<T: Transport> Cluster<T> {
             Delivery::RecvCorrupted { qp, imm, .. } => self.rel_corrupt_arrival(qp, imm),
             Delivery::SendDone { qp, wr_id } => {
                 let freed = self.release_send_slot(qp, wr_id);
-                if let Some(&(group, me, peer)) = self.qp_owner.get(&qp) {
+                if let Some((group, me, peer)) = self.qp_owner(qp) {
                     self.feed(group, me, Event::SendCompleted { to: peer });
                 }
                 // Pump after feeding: sends the completion just triggered
@@ -752,7 +791,7 @@ impl<T: Transport> Cluster<T> {
             }
             Delivery::WriteDone { .. } => {}
             Delivery::WriteArrived { qp, tag, payload } => {
-                let Some(&(group, me, peer)) = self.qp_owner.get(&qp) else {
+                let Some((group, me, peer)) = self.qp_owner(qp) else {
                     return;
                 };
                 match tag {
@@ -806,16 +845,23 @@ impl<T: Transport> Cluster<T> {
                 }
             }
             Delivery::QpBroken { qp } => {
-                if let Some(&(group, me, peer)) = self.qp_owner.get(&qp) {
+                if let Some((group, me, peer)) = self.qp_owner(qp) {
                     self.learned_failure(group, me, peer);
                 }
             }
-            Delivery::Timer { token } => match self.timers.remove(&token) {
-                Some(TimerAction::Send {
-                    group,
-                    size,
-                    message,
-                }) => self.do_submit(group, size, message),
+            Delivery::Timer { token } if token & MESSAGE_TOKEN != 0 => {
+                let id = MessageId(token & !MESSAGE_TOKEN);
+                match self.message_slots.get(id.0 as usize) {
+                    Some(&MessageSlot::Scheduled { group, size }) => {
+                        self.do_submit(group, size, id);
+                    }
+                    Some(&MessageSlot::ScheduledAtomic { ag, size }) => {
+                        self.do_submit_atomic(ag, size, id);
+                    }
+                    None | Some(MessageSlot::Filed { .. }) => {} // stale or foreign
+                }
+            }
+            Delivery::Timer { token } => match self.timers.fire(token) {
                 Some(TimerAction::Crash { node }) => {
                     self.crash_now(node);
                 }
@@ -831,9 +877,6 @@ impl<T: Transport> Cluster<T> {
                 }
                 Some(TimerAction::RelProbe { qp }) => {
                     self.rel_probe_fired(qp);
-                }
-                Some(TimerAction::AtomicSend { ag, size, message }) => {
-                    self.do_submit_atomic(ag, size, message);
                 }
                 Some(TimerAction::FrontierFlush { ag, member }) => {
                     self.atomic_frontier_flush(ag, member);
@@ -894,9 +937,27 @@ impl<T: Transport> Cluster<T> {
         let (qa, qb) = self.fabric.connect(na, nb);
         self.groups[group].qps.insert((a, b), qa);
         self.groups[group].qps.insert((b, a), qb);
-        self.qp_owner.insert(qa, (group, a, b));
-        self.qp_owner.insert(qb, (group, b, a));
+        for (qp, owner) in [(qa, (group, a, b)), (qb, (group, b, a))] {
+            let conn = qp.conn_id() as usize;
+            if self.qp_owners.len() <= conn {
+                self.qp_owners.resize(conn + 1, [None; 2]);
+            }
+            self.qp_owners[conn][usize::from(qp.endpoint())] = Some(owner);
+        }
         qa
+    }
+
+    /// Who owns endpoint `qp`: `(group, my rank, peer rank)`, unless it was
+    /// torn down. Transports mint connection ids `0, 1, 2, …` in connect
+    /// order (the `verbs::Transport` contract), so the table is dense.
+    pub(crate) fn qp_owner(&self, qp: QpHandle) -> Option<(GroupId, Rank, Rank)> {
+        self.qp_owners.get(qp.conn_id() as usize)?[usize::from(qp.endpoint())]
+    }
+
+    /// Tears endpoint `qp` down: completions still in flight for it find
+    /// no owner.
+    pub(crate) fn forget_qp_owner(&mut self, qp: QpHandle) {
+        self.qp_owners[qp.conn_id() as usize][usize::from(qp.endpoint())] = None;
     }
 
     pub(crate) fn execute(&mut self, group: GroupId, rank: Rank, actions: &mut Vec<Action>) {
@@ -1114,6 +1175,65 @@ mod tests {
             let resent = policy.is_some() && tag == TAG_NACK;
             assert_eq!(stats.repairs_sent > 0, resent, "{ctx}");
         }
+    }
+
+    /// Tokens stay stale. A scheduled send has no record before its
+    /// instant and one after; a message token for a filed id, or for an
+    /// id never made, sends nothing; and an action token whose slab slot
+    /// was since reused fires nothing, while the new token fires.
+    #[test]
+    fn stale_tokens_fire_nothing() {
+        let mut c = ClusterBuilder::new(ClusterSpec::fractus(3)).build();
+        let group = c.create_group(GroupSpec {
+            members: vec![0, 1, 2],
+            algorithm: Algorithm::BinomialPipeline,
+            block_size: 1 << 16,
+            ready_window: 2,
+            max_outstanding_sends: 2,
+        });
+        let at = SimTime::from_nanos(1_000_000);
+        let scheduled = c.schedule_send_at(group, at, 1 << 18);
+        let mut steps_before = 0;
+        while c.step() {
+            let fired = c.fabric.now() >= at;
+            steps_before += usize::from(!fired);
+            assert_eq!(
+                c.result(scheduled).is_some(),
+                fired,
+                "at {:?}",
+                c.fabric.now()
+            );
+        }
+        assert!(steps_before > 0, "the group's set-up ran before the send");
+        assert_eq!(c.result(scheduled).unwrap().submitted, at);
+        let submitted = c.submit_send(group, 1 << 18);
+        for id in [scheduled.0, submitted.0, 99] {
+            c.dispatch(Delivery::Timer {
+                token: MESSAGE_TOKEN | id,
+            });
+        }
+        c.run();
+        assert_eq!(
+            c.groups[group].results.len(),
+            2,
+            "a stale message token sent"
+        );
+        assert_eq!(c.check_run(), Ok(()));
+
+        let stale = c.timers.arm(TimerAction::Crash { node: 2 });
+        assert!(matches!(
+            c.timers.fire(stale),
+            Some(TimerAction::Crash { node: 2 })
+        ));
+        let fresh = c.timers.arm(TimerAction::Crash { node: 1 });
+        assert_eq!(fresh as u32, stale as u32, "the slot is reused");
+        c.dispatch(Delivery::Timer { token: stale });
+        assert!(!c.fabric.is_crashed(NodeId(1)), "a stale token fired");
+        c.dispatch(Delivery::Timer { token: fresh });
+        assert!(
+            c.fabric.is_crashed(NodeId(1)),
+            "the reused slot's token fired nothing"
+        );
     }
 
     /// Groups running equal algorithms plan with one planner; a hybrid

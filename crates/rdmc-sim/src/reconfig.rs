@@ -594,7 +594,7 @@ impl<T: Transport> Cluster<T> {
         // exists to catch).
         let old_qps: Vec<QpHandle> = self.groups[group].qps.values().copied().collect();
         for qp in old_qps {
-            self.qp_owner.remove(&qp);
+            self.forget_qp_owner(qp);
             self.fabric.break_qp(qp);
             self.reliability.forget_qp(qp);
         }

@@ -335,7 +335,7 @@ impl<T: Transport> Cluster<T> {
     /// CRCs), so the receiver knows exactly which block to re-request
     /// without waiting for the gap to show up in the sequence stream.
     pub(crate) fn rel_corrupt_arrival(&mut self, qp: QpHandle, imm: u64) {
-        let Some(&(group, me, _peer)) = self.qp_owner.get(&qp) else {
+        let Some((group, me, _peer)) = self.qp_owner(qp) else {
             return;
         };
         if self.groups[group].reliability.is_none() {
@@ -415,7 +415,7 @@ impl<T: Transport> Cluster<T> {
     /// here). Feeds the engine every block that became contiguous, and
     /// starts repair for any gap this arrival revealed.
     fn rel_data_arrival(&mut self, qp: QpHandle, seq: u64, total: u64) {
-        let Some(&(group, me, peer)) = self.qp_owner.get(&qp) else {
+        let Some((group, me, peer)) = self.qp_owner(qp) else {
             return; // stale completion for a torn-down queue pair
         };
         let window = self.groups[group].spec.ready_window;
@@ -504,7 +504,7 @@ impl<T: Transport> Cluster<T> {
 
     /// The receiver retry timer fired.
     pub(crate) fn rel_rto_fired(&mut self, qp: QpHandle) {
-        let Some(&(group, me, _peer)) = self.qp_owner.get(&qp) else {
+        let Some((group, me, _peer)) = self.qp_owner(qp) else {
             return; // old-epoch timer: the queue pair is gone
         };
         let Some(policy) = self.groups[group].reliability else {
@@ -542,7 +542,7 @@ impl<T: Transport> Cluster<T> {
     /// §2.4 membership service (recovery on) or break it so both sides
     /// wedge (recovery off). Either way, no silent hang.
     fn rel_escalate(&mut self, qp: QpHandle) {
-        let Some(&(group, me, peer)) = self.qp_owner.get(&qp) else {
+        let Some((group, me, peer)) = self.qp_owner(qp) else {
             return;
         };
         {
@@ -742,7 +742,7 @@ impl<T: Transport> Cluster<T> {
     /// partial parity generation and announce the frontier so the
     /// receiver can detect trailing losses.
     pub(crate) fn rel_probe_fired(&mut self, qp: QpHandle) {
-        let Some(&(group, rank, _peer)) = self.qp_owner.get(&qp) else {
+        let Some((group, rank, _peer)) = self.qp_owner(qp) else {
             return; // old-epoch timer
         };
         let Some(policy) = self.groups[group].reliability else {

@@ -57,6 +57,10 @@
 //!   `Fabric` for the same reason).
 //! - **Monotone time**: the timestamps [`Transport::advance`] returns
 //!   never go backwards (every row).
+//! - **Dense connection ids**: [`Transport::connect`] mints connection
+//!   ids ([`QpHandle::conn_id`]) `0, 1, 2, …` in call order, a connect to
+//!   a crashed peer included, so drivers index per-connection tables by
+//!   them (`connection_ids_are_dense_in_connect_order`).
 //!
 //! Where the backends differ, by design: what a `SendDone` proves (the
 //! peer's acknowledgement on the simulated fabric, "flushed to the socket"
@@ -94,6 +98,9 @@ pub trait Transport {
     /// Connecting to a crashed peer is allowed — the connection attempt
     /// behaves like the real handshake timing out: the queue pair exists
     /// but breaks after the failure-detection delay.
+    ///
+    /// Both endpoints carry the connection's id, the next of `0, 1, 2, …`
+    /// (contract row `connection_ids_are_dense_in_connect_order`).
     ///
     /// # Panics
     ///

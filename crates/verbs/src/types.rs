@@ -36,7 +36,9 @@ impl QpHandle {
 
     /// The connection index shared by both endpoints — the `conn` the
     /// flight recorder stamps on every wire-level event, so drivers can
-    /// correlate their own records with the fabric's.
+    /// correlate their own records with the fabric's. Every backend's
+    /// [`connect`](crate::Transport::connect) mints them `0, 1, 2, …` in
+    /// call order, so a driver may index a dense table by it.
     pub fn conn_id(self) -> u32 {
         self.conn
     }

@@ -162,6 +162,7 @@ rows! {
     hybrid: a_crash_breaks_every_qp_of_the_pair_in_creation_order(2);
     polled: zero_delay_timer_fires_before_the_rounds_completions(2);
     hybrid: connecting_a_node_to_itself_panics(1);
+    hybrid: connection_ids_are_dense_in_connect_order(4);
 }
 
 /// The rows that poll `Fabric`, on `Fabric` as it ships, each on an input
@@ -384,5 +385,23 @@ mod rule {
         let looped = catch_unwind(AssertUnwindSafe(|| f.connect(A, A)));
         assert!(looped.is_err(), "connect({A:?}, {A:?}) returned");
         assert_eq!(drain(f), Heard::new());
+    }
+
+    /// `connect` mints connection ids `0, 1, 2, …` in call order, shared
+    /// by the two endpoints: a connection to a crashed peer takes the next
+    /// id (and breaks after the failure-detect delay), and so does the
+    /// connect after it.
+    pub fn connection_ids_are_dense_in_connect_order<T: Transport>(f: &mut T) {
+        const D: NodeId = NodeId(3);
+        let connect = |f: &mut T, a, b| {
+            let (qa, qb) = f.connect(a, b);
+            assert_eq!(qa.conn_id(), qb.conn_id(), "{a:?}-{b:?}");
+            qa.conn_id()
+        };
+        let mut ids = vec![connect(f, A, B), connect(f, B, C), connect(f, A, B)];
+        f.crash(D);
+        ids.extend([connect(f, A, D), connect(f, C, A)]);
+        assert_eq!(ids, [0, 1, 2, 3, 4]);
+        assert_eq!(drain(f), heard([(A, "broken q3")]));
     }
 }
