@@ -5,26 +5,33 @@
 //! every simulation run bit-for-bit reproducible regardless of payload
 //! type. Events can be cancelled cheaply by token.
 //!
-//! Inside, the heaps hold 24-byte `(time, seq, slot)` keys and the
-//! payloads sit still in a slab, so a sift moves keys only. Keys are
-//! split over two heaps by how far ahead of `now` they were scheduled:
-//! the handful of hardware events that make up a simulation's working
-//! set never sift past thousands of timers parked for later. Which heap
-//! a key sits in never affects the order of pops — the head is always
-//! the smaller of the two tops.
-
-use std::cmp::Ordering;
-use std::collections::binary_heap::PeekMut;
-use std::collections::BinaryHeap;
+//! Inside, it is a radix heap (Ahuja, Mehlhorn, Orlin and Tarjan, 1990)
+//! keyed on the event's nanosecond, which fits because virtual time never
+//! runs backwards. The base is `now`: bucket 0 holds the events at `now`,
+//! and bucket `b ≥ 1` the events whose time first differs from `now` at
+//! bit `b - 1`, so every time in a bucket is below every time in the
+//! next. Each bucket is a FIFO list threaded through a 16-byte link per
+//! slab cell; the payloads never move. Pops come out in exactly
+//! `(time, seq)` order:
+//!
+//! - equal times always share a bucket;
+//! - a push appends, and it carries the newest seq;
+//! - a pop that finds bucket 0 empty moves the base to the least time of
+//!   the lowest bucket and relinks that bucket in order, appending each
+//!   event to the empty lower bucket it now belongs to.
+//!
+//! So the events of one instant stay in seq order within their bucket,
+//! and the head of bucket 0 is the earliest `(time, seq)`. Only a pop
+//! moves the base: a peek finds the head without moving anything, so an
+//! event may still be scheduled anywhere in `[now, head)` after it.
 
 use crate::time::{SimDuration, SimTime};
 
-/// A key scheduled further ahead of `now` than this waits in the cold
-/// heap. Chosen from the scheduling-distance histogram of a 1000-node
-/// open-loop run (DESIGN.md, "Event queue"): 99.86 % of schedules —
-/// every hardware event and CPU deferral — land within 2^16 ns, the
-/// pre-scheduled arrivals at 2^18 ns and beyond, and nothing in between.
-const HORIZON: SimDuration = SimDuration::from_nanos(1 << 17);
+/// The end of a list.
+const NIL: u32 = u32::MAX;
+
+/// Bucket 0, then one per bit of a nanosecond.
+const BUCKETS: usize = 1 + u64::BITS as usize;
 
 /// Identifies a scheduled event so it can be cancelled.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -33,33 +40,39 @@ pub struct EventToken {
     slot: u32,
 }
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-struct Key {
+/// Where a slab cell's event waits: its instant and the next cell of its
+/// bucket (or of the free list). `live` is false once the event was
+/// cancelled (it stays linked and is freed when it surfaces) and while
+/// the cell is free, so a bucket walk never reads a payload.
+#[derive(Clone, Copy)]
+struct Link {
     time: SimTime,
-    seq: u64,
-    slot: u32,
+    next: u32,
+    live: bool,
 }
 
-impl PartialOrd for Key {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Key {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest event pops first.
-        (other.time, other.seq).cmp(&(self.time, self.seq))
-    }
-}
-
-/// One slab cell. A cell belongs to the key carrying its `seq` from
-/// `schedule_at` until that key leaves its heap; `payload` is `None`
-/// once the event was cancelled (the key is still in a heap and frees
-/// the cell when it surfaces) or while the cell is on the free list.
+/// One slab cell: the payload and the seq of the event holding it. A
+/// stale token's seq no longer matches.
 struct Slot<E> {
     seq: u64,
     payload: Option<E>,
+}
+
+/// A FIFO list of cells; `tail` means something only while `head` does.
+#[derive(Clone, Copy)]
+struct List {
+    head: u32,
+    tail: u32,
+}
+
+const EMPTY: List = List {
+    head: NIL,
+    tail: NIL,
+};
+
+/// The bucket of an event at `t` while the base is `base`.
+fn bucket(base: SimTime, t: SimTime) -> usize {
+    (u64::BITS - (t.as_nanos() ^ base.as_nanos()).leading_zeros()) as usize
 }
 
 /// A deterministic priority queue of timed events carrying payloads of
@@ -82,18 +95,22 @@ struct Slot<E> {
 /// assert_eq!(t.as_nanos(), 1_000);
 /// ```
 pub struct EventQueue<E> {
-    /// Keys scheduled within [`HORIZON`] of `now`, and every key that has
-    /// been the head.
-    hot: BinaryHeap<Key>,
-    /// Keys scheduled further ahead; each crosses to `hot` once, when it
-    /// becomes the head.
-    cold: BinaryHeap<Key>,
+    buckets: [List; BUCKETS],
+    /// Bit `b - 1` is set while bucket `b ≥ 1` is non-empty.
+    mask: u64,
+    links: Vec<Link>,
     slab: Vec<Slot<E>>,
-    free: Vec<u32>,
+    /// The free cells, threaded through `Link::next`.
+    free: u32,
     /// Pending (non-cancelled) events.
-    live: usize,
+    pending: usize,
+    /// The base of the buckets: the timestamp of the last pop.
     now: SimTime,
     next_seq: u64,
+    /// The earliest pending time once a peek has walked the lowest bucket
+    /// for it, so the pop after a peek walks that bucket once. A push
+    /// before it lowers it; a pop, or a cancel at that time, forgets it.
+    least: Option<SimTime>,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -106,13 +123,15 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue at time zero.
     pub fn new() -> Self {
         EventQueue {
-            hot: BinaryHeap::new(),
-            cold: BinaryHeap::new(),
+            buckets: [EMPTY; BUCKETS],
+            mask: 0,
+            links: Vec::new(),
             slab: Vec::new(),
-            free: Vec::new(),
-            live: 0,
+            free: NIL,
+            pending: 0,
             now: SimTime::ZERO,
             next_seq: 0,
+            least: None,
         }
     }
 
@@ -123,12 +142,12 @@ impl<E> EventQueue<E> {
 
     /// Number of pending (non-cancelled) events.
     pub fn len(&self) -> usize {
-        self.live
+        self.pending
     }
 
     /// True if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.pending == 0
     }
 
     /// Schedules `payload` at absolute time `at`.
@@ -148,27 +167,30 @@ impl<E> EventQueue<E> {
             seq,
             payload: Some(payload),
         };
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                self.slab[slot as usize] = cell;
-                slot
-            }
-            None => {
-                let slot = u32::try_from(self.slab.len()).expect("too many pending events");
-                self.slab.push(cell);
-                slot
-            }
-        };
-        self.live += 1;
-        let key = Key {
+        let link = Link {
             time: at,
-            seq,
-            slot,
+            next: NIL,
+            live: true,
         };
-        if at.since(self.now) > HORIZON {
-            self.cold.push(key);
+        let slot = if self.free == NIL {
+            let slot = u32::try_from(self.slab.len())
+                .ok()
+                .filter(|&slot| slot != NIL)
+                .expect("too many pending events");
+            self.slab.push(cell);
+            self.links.push(link);
+            slot
         } else {
-            self.hot.push(key);
+            let slot = self.free;
+            self.free = self.links[slot as usize].next;
+            self.slab[slot as usize] = cell;
+            self.links[slot as usize] = link;
+            slot
+        };
+        self.pending += 1;
+        self.append(slot);
+        if self.least.is_some_and(|least| at < least) {
+            self.least = Some(at);
         }
         EventToken { seq, slot }
     }
@@ -187,21 +209,50 @@ impl<E> EventQueue<E> {
             return;
         };
         if cell.seq == token.seq && cell.payload.take().is_some() {
-            self.live -= 1;
+            let link = &mut self.links[token.slot as usize];
+            link.live = false;
+            self.pending -= 1;
+            if self.least == Some(link.time) {
+                self.least = None;
+            }
         }
     }
 
-    /// Timestamp of the next pending event without popping it.
+    /// Timestamp of the next pending event without popping it. Never
+    /// moves the clock, so an event can still be scheduled before it.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.settle();
-        self.hot.peek().map(|k| k.time)
+        loop {
+            let first = self.buckets[0].head;
+            if first != NIL {
+                if self.links[first as usize].live {
+                    return Some(self.now);
+                }
+                self.buckets[0].head = self.links[first as usize].next;
+                self.release(first);
+                continue;
+            }
+            if self.least.is_some() || self.mask == 0 {
+                return self.least;
+            }
+            let b = self.mask.trailing_zeros() as usize + 1;
+            self.least = self
+                .walk(b)
+                .map(|i| self.links[i as usize])
+                .filter(|link| link.live)
+                .map(|link| link.time)
+                .min();
+            if self.least.is_none() {
+                // Only cancelled events: free them.
+                self.relink(b);
+            }
+        }
     }
 
     /// Pops the earliest event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.settle();
-        let key = self.hot.pop()?;
-        Some(self.fire(key))
+        let head = self.settle()?;
+        self.buckets[0].head = self.links[head as usize].next;
+        Some((self.now, self.fire(head)))
     }
 
     /// Pops the earliest event unless `defer` sends it back: `defer` sees
@@ -210,7 +261,7 @@ impl<E> EventQueue<E> {
     /// everything already scheduled there — exactly [`EventQueue::pop`]
     /// followed by [`EventQueue::schedule_at`] (the clock advances, the
     /// event gets a fresh sequence number, its old token goes stale), for
-    /// one sift and no payload move.
+    /// one relink and no payload move.
     ///
     /// Returns `None` when the queue is empty, `Some((t, None))` when the
     /// head at `t` was deferred, and `Some((t, Some(payload)))` otherwise.
@@ -222,25 +273,24 @@ impl<E> EventQueue<E> {
         &mut self,
         defer: impl FnOnce(SimTime, &E) -> Option<SimTime>,
     ) -> Option<(SimTime, Option<E>)> {
-        self.settle();
-        let mut head = self.hot.peek_mut()?;
-        let t = head.time;
-        let cell = &mut self.slab[head.slot as usize];
+        let head = self.settle()?;
+        let t = self.now;
+        let cell = &mut self.slab[head as usize];
         let payload = cell.payload.as_ref().expect("settled head is live");
         let Some(at) = defer(t, payload) else {
-            let key = PeekMut::pop(head);
-            return Some((t, Some(self.fire(key).1)));
+            self.buckets[0].head = self.links[head as usize].next;
+            return Some((t, Some(self.fire(head))));
         };
         assert!(
             at >= t,
             "deferred event into the past: at={at:?}, now={t:?}"
         );
-        debug_assert!(t >= self.now);
-        self.now = t;
         cell.seq = self.next_seq;
-        head.seq = self.next_seq;
-        head.time = at;
         self.next_seq += 1;
+        self.buckets[0].head = self.links[head as usize].next;
+        self.links[head as usize].time = at;
+        self.append(head);
+        self.least = None;
         Some((t, None))
     }
 
@@ -253,16 +303,18 @@ impl<E> EventQueue<E> {
     ///
     /// Returns an empty vector when the queue is empty.
     pub fn peek_due(&mut self) -> Vec<(u64, &E)> {
-        let Some(head) = self.gather_due() else {
+        let Some(t) = self.peek_time() else {
             return Vec::new();
         };
-        let mut due: Vec<(u64, &E)> = self
-            .hot
-            .iter()
-            .filter(|k| k.time == head)
-            .filter_map(|k| Some((k.seq, self.slab[k.slot as usize].payload.as_ref()?)))
+        let due: Vec<(u64, &E)> = self
+            .walk(bucket(self.now, t))
+            .filter(|&i| self.links[i as usize].time == t)
+            .filter_map(|i| {
+                let cell = &self.slab[i as usize];
+                Some((cell.seq, cell.payload.as_ref()?))
+            })
             .collect();
-        due.sort_by_key(|&(seq, _)| seq);
+        debug_assert!(due.is_sorted_by_key(|&(seq, _)| seq));
         due
     }
 
@@ -274,77 +326,99 @@ impl<E> EventQueue<E> {
     ///
     /// Returns `None` if no due event carries `seq`.
     pub fn pop_seq(&mut self, seq: u64) -> Option<(SimTime, E)> {
-        let head = self.gather_due()?;
-        let mut displaced = Vec::new();
-        let mut found = None;
-        while let Some(key) = self.hot.pop() {
-            if self.slab[key.slot as usize].payload.is_none() {
-                self.free.push(key.slot);
-                continue;
-            }
-            if key.time != head {
-                // Ran past the due instant without finding `seq`.
-                displaced.push(key);
-                break;
-            }
-            if key.seq == seq {
-                found = Some(key);
-                break;
-            }
-            displaced.push(key);
+        if !self.peek_due().iter().any(|&(due, _)| due == seq) {
+            return None;
         }
-        self.hot.extend(displaced);
-        Some(self.fire(found?))
+        // Bucket 0 now holds the due set: relink it without `seq`.
+        self.settle();
+        let mut i = std::mem::replace(&mut self.buckets[0], EMPTY).head;
+        let mut found = NIL;
+        while i != NIL {
+            let next = self.links[i as usize].next;
+            if self.slab[i as usize].seq == seq {
+                found = i;
+            } else {
+                self.append(i);
+            }
+            i = next;
+        }
+        Some((self.now, self.fire(found)))
     }
 
-    /// Takes the payload of a live key that has just left `hot`, frees
-    /// its cell and advances the clock.
-    fn fire(&mut self, key: Key) -> (SimTime, E) {
-        let payload = self.slab[key.slot as usize]
+    /// The cells of bucket `b`, in order.
+    fn walk(&self, b: usize) -> impl Iterator<Item = u32> + '_ {
+        let first = self.buckets[b].head;
+        std::iter::successors((first != NIL).then_some(first), |&i| {
+            let next = self.links[i as usize].next;
+            (next != NIL).then_some(next)
+        })
+    }
+
+    /// Moves the base to the earliest pending time, so that bucket 0
+    /// holds every event due then, and returns the live cell at its head.
+    fn settle(&mut self) -> Option<u32> {
+        let t = self.peek_time()?;
+        if t != self.now {
+            let b = bucket(self.now, t);
+            debug_assert_eq!(self.mask.trailing_zeros() as usize, b - 1);
+            self.now = t;
+            self.relink(b);
+        }
+        Some(self.buckets[0].head)
+    }
+
+    /// Empties bucket `b ≥ 1` in order, appending each live cell to the
+    /// bucket of its time (after the base moved, a lower one) and freeing
+    /// the cancelled ones.
+    fn relink(&mut self, b: usize) {
+        let mut i = std::mem::replace(&mut self.buckets[b], EMPTY).head;
+        self.mask &= !(1 << (b - 1));
+        while i != NIL {
+            let Link { next, live, .. } = self.links[i as usize];
+            if live {
+                self.append(i);
+            } else {
+                self.release(i);
+            }
+            i = next;
+        }
+    }
+
+    /// Appends cell `i` to the bucket of its time.
+    fn append(&mut self, i: u32) {
+        let link = &mut self.links[i as usize];
+        link.next = NIL;
+        let b = bucket(self.now, link.time);
+        let list = &mut self.buckets[b];
+        if list.head == NIL {
+            list.head = i;
+            if b > 0 {
+                self.mask |= 1 << (b - 1);
+            }
+        } else {
+            self.links[list.tail as usize].next = i;
+        }
+        list.tail = i;
+    }
+
+    /// Takes the payload of a live cell that has just left bucket 0 and
+    /// frees the cell.
+    fn fire(&mut self, i: u32) -> E {
+        let payload = self.slab[i as usize]
             .payload
             .take()
-            .expect("fired key is live");
-        self.free.push(key.slot);
-        self.live -= 1;
-        debug_assert!(key.time >= self.now);
-        self.now = key.time;
-        (key.time, payload)
+            .expect("fired event is live");
+        self.links[i as usize].live = false;
+        self.release(i);
+        self.pending -= 1;
+        self.least = None;
+        payload
     }
 
-    /// Establishes the head: afterwards the top of `hot` is the earliest
-    /// live key of both heaps, or both heaps are empty. A cold key that
-    /// has become the earliest crosses over; a cancelled key surfacing
-    /// at the head is dropped and its cell freed.
-    fn settle(&mut self) {
-        loop {
-            if let Some(&c) = self.cold.peek() {
-                // `Key`'s order is inverted for the max-heap: greater is earlier.
-                if self.hot.peek().is_none_or(|h| c > *h) {
-                    self.cold.pop();
-                    self.hot.push(c);
-                }
-            }
-            match self.hot.peek() {
-                Some(h) if self.slab[h.slot as usize].payload.is_none() => {
-                    self.free.push(h.slot);
-                    self.hot.pop();
-                }
-                _ => return,
-            }
-        }
-    }
-
-    /// Settles, then moves every cold key due at the head instant into
-    /// `hot`, so the due set is complete in one heap. Returns the head
-    /// instant.
-    fn gather_due(&mut self) -> Option<SimTime> {
-        self.settle();
-        let head = self.hot.peek()?.time;
-        while let Some(c) = self.cold.peek().copied().filter(|c| c.time == head) {
-            self.cold.pop();
-            self.hot.push(c);
-        }
-        Some(head)
+    /// Puts a dead cell that has left its bucket on the free list.
+    fn release(&mut self, i: u32) {
+        self.links[i as usize].next = self.free;
+        self.free = i;
     }
 }
 
@@ -486,5 +560,44 @@ mod tests {
         q.schedule_at(SimTime::from_nanos(9), ());
         q.cancel(early);
         assert_eq!(q.peek_time(), Some(SimTime::from_nanos(9)));
+    }
+
+    #[test]
+    fn peeks_never_move_the_clock() {
+        let mut q = EventQueue::new();
+        q.schedule_at(SimTime::from_nanos(10), "first");
+        q.pop().unwrap();
+        q.schedule_at(SimTime::from_nanos(1_000), "head");
+        let later = q.schedule_at(SimTime::from_nanos(2_000), "later");
+        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(1_000)));
+        assert_eq!(q.peek_due().len(), 1);
+        assert!(q.pop_seq(later.seq).is_none());
+        assert_eq!(q.now(), SimTime::from_nanos(10));
+        // What a peek saw is still open: an event between `now` and the
+        // peeked head goes ahead of it.
+        q.schedule_at(SimTime::from_nanos(500), "between");
+        let order: Vec<(u64, &str)> =
+            std::iter::from_fn(|| q.pop().map(|(t, e)| (t.as_nanos(), e))).collect();
+        assert_eq!(order, [(500, "between"), (1_000, "head"), (2_000, "later")]);
+    }
+
+    #[test]
+    fn equal_times_keep_schedule_order_across_moves() {
+        // Every stone shares `far`'s bucket until it pops, so each pop
+        // moves `far` down a bucket: to 31, 21, 11 and 1.
+        let far = (1u64 << 40) - 1;
+        let mut q = EventQueue::new();
+        q.schedule_at(SimTime::from_nanos(far), "far");
+        for bit in [30, 20, 10, 0] {
+            q.schedule_at(SimTime::from_nanos(far - (1 << bit)), "stone");
+        }
+        for _ in 0..4 {
+            assert_eq!(q.pop().unwrap().1, "stone");
+        }
+        // Joins `far` in bucket 1, behind it; one more move takes both to
+        // bucket 0.
+        q.schedule_at(SimTime::from_nanos(far), "same instant");
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(far), "far")));
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(far), "same instant")));
     }
 }

@@ -1,36 +1,41 @@
 //! Differential property test of [`simnet::EventQueue`]: random
 //! interleavings of every operation against a sorted-`Vec` reference.
-//! The queue's slab, its two heaps and its in-place deferral are all
+//! The queue's slab, its radix buckets and its in-place deferral are all
 //! invisible from outside, so the reference is the whole specification:
 //! events pop in `(time, seq)` order, and a deferral is a pop followed
 //! by a schedule.
+//!
+//! Why the buckets keep that order: equal times always share a bucket, a
+//! push appends with the newest seq, and a pop that moves the base relinks
+//! the lowest bucket in order into empty lower buckets. So every pop,
+//! every `peek_due` set and every seq is the reference's. Only pops move
+//! the base, so after a peek an event can still be scheduled before the
+//! head it saw.
 
 use proptest::prelude::*;
 use simnet::{EventQueue, EventToken, SimDuration, SimTime};
 
-/// Delays on both sides of the queue's horizon (2^17 ns) and on it, with
-/// enough repeats of the small ones that same-instant ties are common.
-const DELAYS: [u64; 10] = [
-    0,
-    0,
-    1,
-    7,
-    500,
-    (1 << 17) - 1,
-    1 << 17,
-    (1 << 17) + 1,
-    200_000,
-    1 << 20,
-];
+/// Delays on both sides of power-of-two boundaries and on them, from the
+/// low bits to far above any scheduling distance the fabric uses, with
+/// zero repeated so that same-instant ties are common.
+fn delays() -> Vec<u64> {
+    let mut delays = vec![0, 0];
+    for k in [1, 8, 16, 17, 31, 40] {
+        delays.extend([(1 << k) - 1, 1 << k, (1 << k) + 1]);
+    }
+    delays
+}
 
 /// Absolute instants are multiples of this, so a far-ahead schedule and a
-/// later, nearer one land on the same instant from different tiers.
+/// later, nearer one land on the same instant from different buckets.
 const GRID: u64 = 1 << 16;
 
 #[derive(Clone, Debug)]
 enum Op {
+    /// Schedule after this delay, or at `SimTime::MAX` if that is sooner.
     ScheduleIn(u64),
-    /// Schedule at `max(now, k * GRID)`.
+    /// Schedule at `max(now, t)`: `t` is a multiple of `GRID`, or
+    /// `SimTime::MAX`, whose bucket is the last.
     ScheduleAt(u64),
     /// Cancel the i-th token ever issued, fired or not.
     Cancel(prop::sample::Index),
@@ -46,11 +51,12 @@ enum Op {
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
-    let delay = || prop::sample::select(DELAYS.to_vec());
+    let delay = || prop::sample::select(delays());
+    let instant = (0u64..41).prop_map(|k| if k == 40 { u64::MAX } else { k * GRID });
     prop_oneof![
         delay().prop_map(Op::ScheduleIn),
         delay().prop_map(Op::ScheduleIn),
-        (0u64..40).prop_map(Op::ScheduleAt),
+        instant.prop_map(Op::ScheduleAt),
         any::<prop::sample::Index>().prop_map(Op::Cancel),
         Just(Op::Pop),
         delay().prop_map(Op::PopOrDefer),
@@ -113,12 +119,13 @@ proptest! {
         for op in ops {
             match op {
                 Op::ScheduleIn(d) => {
+                    let d = d.min(u64::MAX - r.now);
                     let token = q.schedule_in(SimDuration::from_nanos(d), next_payload);
                     tokens.push((token, r.schedule(r.now + d, next_payload)));
                     next_payload += 1;
                 }
-                Op::ScheduleAt(k) => {
-                    let at = (k * GRID).max(r.now);
+                Op::ScheduleAt(at) => {
+                    let at = at.max(r.now);
                     let token = q.schedule_at(SimTime::from_nanos(at), next_payload);
                     tokens.push((token, r.schedule(at, next_payload)));
                     next_payload += 1;
@@ -136,15 +143,18 @@ proptest! {
                     prop_assert_eq!(got, want);
                 }
                 Op::PopOrDefer(d) => {
+                    let later = |t: u64| t + d.min(u64::MAX - t);
                     let got = q
-                        .pop_or_defer(|t, &p| (p % 2 == 0).then_some(t + SimDuration::from_nanos(d)))
+                        .pop_or_defer(|t, &p| {
+                            (p % 2 == 0).then_some(SimTime::from_nanos(later(t.as_nanos())))
+                        })
                         .map(|(t, p)| (t.as_nanos(), p));
                     let want = (!r.pending.is_empty()).then(|| {
                         let (t, p) = r.pop_at(0);
                         if p % 2 == 0 {
                             // Deferred: a fresh seq, behind everything
                             // already scheduled for that instant.
-                            r.schedule(t + d, p);
+                            r.schedule(later(t), p);
                             (t, None)
                         } else {
                             (t, Some(p))
