@@ -1,18 +1,21 @@
-//! Stateless model checking of protocol *executions*: drives the
-//! deterministic simulator through alternative interleavings and checks
+//! Stateless model checking of protocol *executions*: drives a
+//! deterministic transport through alternative interleavings and checks
 //! every explored execution against the protocol's invariants.
 //!
 //! The rest of this crate proves properties of *schedules* — static
 //! artifacts. This module checks the *dynamic* side: the event loop's
-//! tie-breaks. The simulator is deterministic, which makes every run
-//! reproducible but also means one arbitrary interleaving out of many
-//! legal ones is the only one ever tested. The explorer externalises the
-//! tie-breaks through the [`verbs::Scheduler`] trait: every burst of
-//! same-instant software-visible deliveries, every pacer admission tie,
-//! every configured crash-injection site, and — within the scenario's
+//! tie-breaks. A deterministic transport makes every run reproducible
+//! but also means one arbitrary interleaving out of many legal ones is
+//! the only one ever tested. The explorer externalises the tie-breaks
+//! through the [`verbs::Scheduler`] trait, on the backend the scenario
+//! names ([`Backend`]). On the simulated fabric, every burst of
+//! same-instant software-visible deliveries, and — within the scenario's
 //! [`ExploreScenario::loss_choices`] budget — every wire loss site
-//! (deliver or drop) becomes an explicit *choice point*, and a recorded
-//! choice sequence replays the execution bit-for-bit.
+//! (deliver or drop) is a *choice point*. On the production TCP datapath
+//! over in-memory pipes, which pipe's next gathered write lands and which
+//! node's next delivery comes out are. On both, so is every pacer
+//! admission tie and every configured crash-injection site, and a
+//! recorded choice sequence replays the execution bit-for-bit.
 //!
 //! Three strategies:
 //!
@@ -48,14 +51,13 @@ use rdmc::Algorithm;
 use rdmc_sim::{
     Cluster, ClusterBuilder, ClusterSpec, GroupSpec, RecoveryConfig, ReliabilityPolicy,
 };
+use rdmc_tcp::TcpFabric;
 use simnet::SplitMix64;
-use verbs::{Candidate, CandidateKind, ChoicePoint, Fabric, PointKind, Scheduler, SharedScheduler};
+use verbs::{
+    Candidate, CandidateKind, ChoicePoint, PointKind, Scheduler, SharedScheduler, Transport,
+};
 
 use crate::seeded::{Seeded, SeededBug};
-
-/// The cluster every execution runs: the simulated fabric behind the
-/// seeded-bug decorator.
-type Explored = Cluster<Seeded<Fabric>>;
 
 /// Block size of every explored group. The message size is
 /// `k * BLOCK_SIZE`; only the block count shapes the interleavings.
@@ -121,6 +123,17 @@ impl Scheduler for LoggingScheduler {
     }
 }
 
+/// The transport an execution runs on, behind the seeded-bug decorator.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum Backend {
+    /// The simulated verbs fabric (`ClusterSpec::fractus`).
+    #[default]
+    Fabric,
+    /// The TCP datapath over in-process pipes
+    /// ([`MemNet`](rdmc_tcp::MemNet)). It has no loss sites.
+    MemNet,
+}
+
 /// The workload one exploration drives: a single group, `messages`
 /// multicasts from the root (or rotated through every member of an
 /// atomic group), with optional recovery, crash-injection sites, and
@@ -157,6 +170,8 @@ pub struct ExploreScenario {
     /// Deliberately seeded bugs, injected at the transport boundary
     /// (see [`SeededBug`]).
     pub bugs: Vec<SeededBug>,
+    /// The transport the executions run on.
+    pub backend: Backend,
 }
 
 impl ExploreScenario {
@@ -173,6 +188,7 @@ impl ExploreScenario {
             loss_choices: 0,
             reliability: None,
             bugs: Vec::new(),
+            backend: Backend::Fabric,
         }
     }
 
@@ -209,6 +225,12 @@ impl ExploreScenario {
     /// Seeds a deliberate bug (see [`SeededBug`]).
     pub fn with_bug(mut self, bug: SeededBug) -> Self {
         self.bugs.push(bug);
+        self
+    }
+
+    /// The same workload on `backend`.
+    pub fn on(mut self, backend: Backend) -> Self {
+        self.backend = backend;
         self
     }
 }
@@ -387,8 +409,31 @@ impl std::fmt::Display for ExploreReport {
     }
 }
 
-/// Runs one execution under the given pick policy.
+/// Runs one execution under the given pick policy, on the scenario's
+/// backend. Panics on a [`Backend::MemNet`] scenario with loss sites.
 fn run_with(scenario: &ExploreScenario, pick: Pick) -> ExecutionResult {
+    let n = scenario.n as usize;
+    match scenario.backend {
+        Backend::Fabric => run_on(scenario, pick, || {
+            let mut fabric = ClusterSpec::fractus(n).build();
+            fabric.set_loss_choice_budget(scenario.loss_choices);
+            fabric
+        }),
+        Backend::MemNet => {
+            assert_eq!(scenario.loss_choices, 0, "loss sites are Fabric-only");
+            run_on(scenario, pick, || {
+                TcpFabric::in_memory(n).expect("a group has a member")
+            })
+        }
+    }
+}
+
+/// Runs one execution on the transport `make` builds.
+fn run_on<T: Transport>(
+    scenario: &ExploreScenario,
+    pick: Pick,
+    make: impl FnOnce() -> T,
+) -> ExecutionResult {
     let sched = Arc::new(Mutex::new(LoggingScheduler {
         pick,
         log: Vec::new(),
@@ -397,9 +442,7 @@ fn run_with(scenario: &ExploreScenario, pick: Pick) -> ExecutionResult {
 
     let mut violations = Vec::new();
     let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        let mut fabric = ClusterSpec::fractus(scenario.n as usize).build();
-        fabric.set_loss_choice_budget(scenario.loss_choices);
-        let mut builder = ClusterBuilder::from_transport(Seeded::new(fabric, &scenario.bugs))
+        let mut builder = ClusterBuilder::from_transport(Seeded::new(make(), &scenario.bugs))
             .flight_recorder()
             .scheduler(shared.clone());
         if !scenario.fault_sites.is_empty() || scenario.reliability.is_some() {
@@ -469,10 +512,10 @@ fn run_with(scenario: &ExploreScenario, pick: Pick) -> ExecutionResult {
 /// are the scenario's sites. Routed through the shared scheduler so the
 /// choice lands in the same global sequence as every delivery race.
 /// Returns whether a crash was scheduled.
-fn offer_fault_choice(
+fn offer_fault_choice<T: Transport>(
     scenario: &ExploreScenario,
     shared: &SharedScheduler,
-    cluster: &mut Explored,
+    cluster: &mut Cluster<Seeded<T>>,
 ) -> bool {
     if scenario.fault_sites.is_empty() {
         return false;

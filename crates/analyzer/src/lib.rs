@@ -4,7 +4,7 @@
 //! block-transfer schedules are deterministic functions of
 //! `(algorithm, n, k)`, so every invariant the paper relies on can be
 //! proven ahead of time, without running the simulator. This crate is that
-//! proof, in three layers:
+//! proof, in three layers, two static and one dynamic:
 //!
 //! - [`model`] — a schedule **model checker**: coverage (every rank gets
 //!   every block exactly once), causality (no rank relays a block before
@@ -22,23 +22,18 @@
 //!   only after that send lands). It also measures how exposed the same
 //!   schedule would be *without* credit gating, cross-checked against the
 //!   fabric's `rnr_retry_limit`.
-//! - [`reach`] — an engine **reachability check**: exhaustively explores
-//!   the protocol engines' joint state machine (all message interleavings
-//!   over in-order connections) for small `n, k` and proves there are no
-//!   stuck states and that every terminal state has delivered all `k`
-//!   blocks at every rank.
 //! - [`mod@explore`] — a stateless **model checker of executions**: drives
-//!   the deterministic simulator through alternative interleavings via a
-//!   controlled scheduler (same-instant delivery races, pacer admission
-//!   ties, crash-injection sites), exhaustively, with dynamic
+//!   a deterministic transport — the simulated fabric, or the production
+//!   TCP datapath over in-process pipes — through alternative
+//!   interleavings via a controlled scheduler, exhaustively, with dynamic
 //!   partial-order reduction, or as a seeded random walk. Every explored
-//!   execution must pass `Cluster::check_run` and replay bit-for-bit
-//!   (the audit that mechanically catches unordered-map iteration).
-//!   Violations come back as minimal replayable counterexamples.
-//! - [`seeded`] — the explorer's **seeded bugs** ([`SeededBug`]),
-//!   injected by a transport decorator around the simulated fabric, so
-//!   the checker is itself checked without test hooks in production
-//!   code.
+//!   execution must pass `Cluster::check_run` (an engine left busy at
+//!   quiescence is a stuck state) and replay bit-for-bit (the audit that
+//!   mechanically catches unordered-map iteration). Violations come back
+//!   as minimal replayable counterexamples. Its seeded bugs
+//!   ([`SeededBug`], module [`seeded`]) are injected by a transport
+//!   decorator, so the checker is itself checked without test hooks in
+//!   production code.
 //!
 //! [`sweep()`] runs all of these over an `(algorithm, n, k)` grid; the
 //! `analyzer` binary (`cargo run -p analyzer -- --sweep`) drives it from
@@ -50,16 +45,14 @@
 pub mod deadlock;
 pub mod explore;
 pub mod model;
-pub mod reach;
 pub mod seeded;
 pub mod sweep;
 
 pub use deadlock::{lint_schedule, DeadlockReport};
 pub use explore::{
-    audit_replay, explore_executions, replay, Counterexample, ExecutionResult, ExploreConfig,
-    ExploreReport, ExploreScenario, PointRecord, Strategy,
+    audit_replay, explore_executions, replay, Backend, Counterexample, ExecutionResult,
+    ExploreConfig, ExploreReport, ExploreScenario, PointRecord, Strategy,
 };
 pub use model::{check_schedule, ModelReport};
-pub use reach::{explore, ReachConfig, ReachReport};
 pub use seeded::{Seeded, SeededBug};
 pub use sweep::{sweep, SweepConfig, SweepReport};

@@ -1,9 +1,10 @@
 //! The analyzer CLI: `cargo run -p analyzer -- --sweep`.
 //!
 //! Runs the full static-analysis grid — schedule model-checking,
-//! posting-order deadlock lints, and engine reachability — and exits
-//! non-zero if any invariant is violated. `--quick` shrinks the grid for
-//! fast local iteration; `--max-n <N>` caps the group size.
+//! posting-order deadlock lints, resume plans — and the execution
+//! explorer's corner, and exits non-zero if any invariant is violated.
+//! `--quick` shrinks the grid for fast local iteration; `--max-n <N>`
+//! caps the group size.
 //!
 //! `--explore` switches to the dynamic side: the stateless model checker
 //! of simulator executions (`analyzer::explore`). `--replay=C1,C2,...`
@@ -22,7 +23,7 @@ use rdmc::Algorithm;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: analyzer [--sweep] [--quick] [--max-n <N>] [--no-reach] [--no-explore]\n\
+        "usage: analyzer [--sweep] [--quick] [--max-n <N>] [--no-explore]\n\
          \x20      analyzer --explore [--strategy exhaustive|dpor|random] [--n <N>] [--k <K>]\n\
          \x20               [--seed <S>] [--budget <EXECS>] [--faults] [--trace-out <PATH>]\n\
          \x20      analyzer --replay <C1,C2,...> [--n <N>] [--k <K>] [--faults] [--trace-out <PATH>]\n\
@@ -30,7 +31,6 @@ fn usage() -> ! {
          --sweep        run the full (algorithm, n, k) grid (the default)\n\
          --quick        reduced grid for fast local runs\n\
          --max-n <N>    cap the swept group size\n\
-         --no-reach     skip the engine reachability corner\n\
          --no-explore   skip the execution-exploration tier of the sweep\n\
          \n\
          --explore      model-check simulator executions instead of schedules\n\
@@ -171,7 +171,6 @@ fn main() {
                 };
                 config.max_n = v;
             }
-            "--no-reach" => config.reachability = false,
             "--no-explore" => config.explore = false,
             "--explore" => ex.explore = true,
             "--replay" => {

@@ -24,6 +24,9 @@ pub enum SeededBug {
     /// node's next delivery comes out of `advance()`, so the readiness
     /// grant after it goes out first. A block send that beats that
     /// delivery finds no receive and arms RNR (the zero-RNR invariant).
+    /// A send or write completion stamped at the instant of the post
+    /// does not count: on TCP a write completes once flushed, which says
+    /// nothing of its peer (no simulated completion is that fast).
     LazyRecvPost,
     /// Every NACK asks for `(base + 1, span - 1)` and a one-block NACK is
     /// dropped: the first loss of a gap is never repaired, the receiver
@@ -42,8 +45,8 @@ pub struct Seeded<T> {
     bugs: Vec<SeededBug>,
     /// Each queue-pair endpoint's node, learned in `connect`.
     node_of: BTreeMap<QpHandle, NodeId>,
-    /// Receive posts held back per node.
-    held: BTreeMap<NodeId, Vec<(QpHandle, WrId, u64)>>,
+    /// Receive posts held back per node, each with when it was made.
+    held: BTreeMap<NodeId, Vec<(SimTime, QpHandle, WrId, u64)>>,
     /// Breaks not yet applied.
     breaks: Vec<QpHandle>,
 }
@@ -86,9 +89,18 @@ impl<T: Transport> Transport for Seeded<T> {
     fn advance(&mut self) -> Option<(SimTime, NodeId, Delivery)> {
         self.flush_breaks();
         let (time, node, delivery) = self.inner.advance()?;
+        let local = matches!(
+            delivery,
+            Delivery::SendDone { .. } | Delivery::WriteDone { .. }
+        );
         // The node's software runs: what it held back posts now, perhaps
         // on a queue pair a view change tore down meanwhile.
-        for (qp, wr_id, max_len) in self.held.remove(&node).unwrap_or_default() {
+        let held = self.held.remove(&node).unwrap_or_default();
+        let (post, keep): (Vec<_>, Vec<_>) = held.into_iter().partition(|h| !local || h.0 < time);
+        if !keep.is_empty() {
+            self.held.insert(node, keep);
+        }
+        for (_, qp, wr_id, max_len) in post {
             let _ = self.inner.post_recv(qp, wr_id, max_len);
         }
         Some((time, node, delivery))
@@ -136,8 +148,9 @@ impl<T: Transport> Transport for Seeded<T> {
         if !self.bugs.contains(&SeededBug::LazyRecvPost) {
             return self.inner.post_recv(qp, wr_id, max_len);
         }
+        let now = self.inner.now();
         let held = self.held.entry(self.node_of[&qp]).or_default();
-        held.push((qp, wr_id, max_len));
+        held.push((now, qp, wr_id, max_len));
         Ok(())
     }
 
@@ -194,59 +207,5 @@ impl<T: Transport> Transport for Seeded<T> {
 
     fn set_scheduler(&mut self, scheduler: SharedScheduler) {
         self.inner.set_scheduler(scheduler);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use std::sync::{Arc, Mutex};
-
-    use rdmc::Algorithm;
-    use rdmc_sim::{ClusterBuilder, ClusterSpec, GroupSpec};
-    use verbs::{ChoicePoint, Scheduler};
-
-    use super::*;
-
-    /// Answers every choice point with its default.
-    struct Defaults;
-
-    impl Scheduler for Defaults {
-        fn choose(&mut self, _: &ChoicePoint<'_>) -> usize {
-            0
-        }
-    }
-
-    /// A plain multicast beside one rotation of an atomic group, run to
-    /// quiescence with every choice at its default: the terminal digest
-    /// and the JSONL flight recording.
-    fn workload<T: Transport>(builder: ClusterBuilder<T>) -> (u64, String) {
-        let spec = GroupSpec {
-            members: vec![0, 1, 2],
-            algorithm: Algorithm::BinomialPipeline,
-            block_size: 1 << 16,
-            ready_window: 2,
-            max_outstanding_sends: 2,
-        };
-        let mut cluster = builder
-            .flight_recorder()
-            .scheduler(Arc::new(Mutex::new(Defaults)))
-            .atomic(spec.clone())
-            .build();
-        let group = cluster.create_group(spec);
-        let _ = cluster.submit_send(group, 4 << 16);
-        for _ in 0..3 {
-            let _ = cluster.submit_atomic(0, 1 << 16);
-        }
-        while cluster.step() {}
-        let trace = trace::export::to_jsonl(&cluster.trace_events());
-        (cluster.state_digest(), trace)
-    }
-
-    #[test]
-    fn seeded_fabric_without_bugs_is_transparent() {
-        let bare = workload(ClusterBuilder::new(ClusterSpec::fractus(3)));
-        let fabric = ClusterSpec::fractus(3).build();
-        let seeded = workload(ClusterBuilder::from_transport(Seeded::new(fabric, &[])));
-        assert_eq!(bare, seeded);
     }
 }

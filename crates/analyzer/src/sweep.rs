@@ -1,9 +1,8 @@
 //! The exhaustive `(algorithm, n, k)` sweep: model-checks and
-//! deadlock-lints every generator over the full grid, runs the engine
-//! reachability proof on the small corner where exhaustive state
-//! enumeration is feasible, and always model-checks the recovery
-//! planner's resume schedules over every wedge point of the binomial
-//! pipeline.
+//! deadlock-lints every generator over the full grid, always
+//! model-checks the recovery planner's resume schedules over every wedge
+//! point of the binomial pipeline, and explores executions on the small
+//! corner where enumerating interleavings is feasible.
 
 use std::collections::BTreeSet;
 
@@ -12,9 +11,8 @@ use rdmc::Algorithm;
 use recovery::{plan_message_resume, survivor_map, MessagePlan};
 
 use crate::deadlock::{lint_schedule, DeadlockReport};
-use crate::explore::{explore_executions, ExploreConfig, ExploreReport, ExploreScenario};
+use crate::explore::{explore_executions, Backend, ExploreConfig, ExploreReport, ExploreScenario};
 use crate::model::{check_schedule, check_schedule_with, ModelReport};
-use crate::reach::{explore, ReachConfig, ReachReport};
 
 /// Grid parameters for one sweep.
 #[derive(Clone, Debug)]
@@ -29,11 +27,9 @@ pub struct SweepConfig {
     pub rack_counts: Vec<u32>,
     /// Ready windows the deadlock lint is run for.
     pub ready_windows: Vec<u32>,
-    /// Whether to run the engine reachability corner.
-    pub reachability: bool,
-    /// Whether to run the execution-exploration tier: exhaustive
-    /// interleaving enumeration of the simulator on the small corner
-    /// (see [`mod@crate::explore`]).
+    /// Whether to run the execution-exploration tier: interleaving
+    /// enumeration on the small corner, on the simulated fabric and on
+    /// the in-memory TCP datapath (see [`mod@crate::explore`]).
     pub explore: bool,
 }
 
@@ -44,7 +40,6 @@ impl Default for SweepConfig {
             ks: vec![1, 2, 3, 4, 5, 8, 16, 32],
             rack_counts: vec![2, 3, 4, 8],
             ready_windows: vec![1, 2],
-            reachability: true,
             explore: true,
         }
     }
@@ -58,7 +53,6 @@ impl SweepConfig {
             ks: vec![1, 2, 5, 8],
             rack_counts: vec![2, 3],
             ready_windows: vec![1],
-            reachability: true,
             explore: true,
         }
     }
@@ -72,28 +66,22 @@ pub struct SweepReport {
     pub schedules_checked: usize,
     /// Schedules deadlock-linted (one entry per ready window).
     pub lints_run: usize,
-    /// Reachability configurations explored.
-    pub reach_runs: usize,
-    /// Total states visited across reachability runs.
-    pub reach_states: usize,
     /// Resume plans model-checked (wedge point x failure pattern).
     pub resumes_checked: usize,
     /// Execution explorations run (scenario count).
     pub explore_runs: usize,
-    /// Simulator executions enumerated across explorations.
+    /// Executions enumerated across explorations.
     pub explore_executions: u64,
     /// Model-checker reports with violations.
     pub model_failures: Vec<ModelReport>,
     /// Deadlock reports with cycles or premature sends.
     pub deadlock_failures: Vec<DeadlockReport>,
-    /// Reachability reports with stuck states, engine errors, or
-    /// truncation.
-    pub reach_failures: Vec<ReachReport>,
     /// Resume-schedule reports with violations (including planner
     /// verdicts that disagree with ground-truth block coverage).
     pub resume_failures: Vec<ModelReport>,
-    /// Execution explorations with a counterexample or truncation.
-    pub explore_failures: Vec<ExploreReport>,
+    /// Execution explorations with a counterexample or truncation, each
+    /// with the scenario it explored.
+    pub explore_failures: Vec<(ExploreScenario, ExploreReport)>,
 }
 
 impl SweepReport {
@@ -101,7 +89,6 @@ impl SweepReport {
     pub fn is_clean(&self) -> bool {
         self.model_failures.is_empty()
             && self.deadlock_failures.is_empty()
-            && self.reach_failures.is_empty()
             && self.resume_failures.is_empty()
             && self.explore_failures.is_empty()
     }
@@ -111,12 +98,10 @@ impl std::fmt::Display for SweepReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(
             f,
-            "swept {} schedules, {} deadlock lints, {} reachability runs ({} states), \
-             {} resume plans, {} explorations ({} executions)",
+            "swept {} schedules, {} deadlock lints, {} resume plans, \
+             {} explorations ({} executions)",
             self.schedules_checked,
             self.lints_run,
-            self.reach_runs,
-            self.reach_states,
             self.resumes_checked,
             self.explore_runs,
             self.explore_executions
@@ -130,21 +115,22 @@ impl std::fmt::Display for SweepReport {
             for r in &self.deadlock_failures {
                 writeln!(f, "DEADLOCK: {r}")?;
             }
-            for r in &self.reach_failures {
-                writeln!(f, "REACH: {r}")?;
-            }
             for r in &self.resume_failures {
                 writeln!(f, "RESUME: {r}")?;
             }
-            for r in &self.explore_failures {
-                writeln!(f, "EXPLORE: {r}")?;
+            for (s, r) in &self.explore_failures {
+                let atomic = if s.multi_sender { " atomic" } else { "" };
+                let shape = format!(
+                    "{}{atomic} n={} k={} on {:?}",
+                    s.algorithm, s.n, s.k, s.backend
+                );
+                writeln!(f, "EXPLORE {shape}: {r}")?;
             }
             write!(
                 f,
-                "{} model / {} deadlock / {} reachability / {} resume / {} explore failure(s)",
+                "{} model / {} deadlock / {} resume / {} explore failure(s)",
                 self.model_failures.len(),
                 self.deadlock_failures.len(),
-                self.reach_failures.len(),
                 self.resume_failures.len(),
                 self.explore_failures.len()
             )
@@ -223,24 +209,6 @@ pub fn sweep(config: &SweepConfig) -> SweepReport {
         }
     }
 
-    if config.reachability {
-        for (alg, n, k) in reach_grid() {
-            if n > config.max_n {
-                continue;
-            }
-            let r = explore(&ReachConfig {
-                algorithm: alg,
-                n,
-                k,
-            });
-            report.reach_runs += 1;
-            report.reach_states += r.states;
-            if !r.is_clean() {
-                report.reach_failures.push(r);
-            }
-        }
-    }
-
     sweep_resume(&mut report, config.max_n);
 
     if config.explore {
@@ -250,9 +218,10 @@ pub fn sweep(config: &SweepConfig) -> SweepReport {
 }
 
 /// The execution-exploration tier: exhaustive interleaving enumeration
-/// of the simulator on the small corner, plus a seeded random walk of
-/// the 3-member atomic multicast group (its frontier epidemic makes the
-/// space too wide to exhaust) for the total-order invariants.
+/// of the simulator on the small corner, a seeded random walk of the
+/// 3-member atomic multicast group (its frontier epidemic makes the
+/// space too wide to exhaust) for the total-order invariants, and the
+/// [`memnet_corner`] on the TCP datapath.
 fn sweep_explore(report: &mut SweepReport, max_n: u32) {
     let mut configs = Vec::new();
     for (n, k) in [(3, 1), (3, 2), (4, 1), (4, 2)] {
@@ -265,12 +234,18 @@ fn sweep_explore(report: &mut SweepReport, max_n: u32) {
         let scenario = ExploreScenario::atomic(Algorithm::BinomialPipeline, 3, 1);
         configs.push(ExploreConfig::random(scenario, 0xa70_31c, 40));
     }
+    for (algorithm, n, k) in memnet_corner() {
+        if n <= max_n {
+            let scenario = ExploreScenario::small(algorithm, n, k).on(Backend::MemNet);
+            configs.push(ExploreConfig::dpor(scenario));
+        }
+    }
     for config in configs {
         let r = explore_executions(&config);
         report.explore_runs += 1;
         report.explore_executions += r.executions;
         if !r.is_clean() || r.truncated {
-            report.explore_failures.push(r);
+            report.explore_failures.push((config.scenario, r));
         }
     }
 }
@@ -364,11 +339,13 @@ fn sweep_resume(report: &mut SweepReport, max_n: u32) {
     }
 }
 
-/// The reachability corner: small shapes covering every schedule
-/// topology's structure — a pure relay chain, a power-of-two pipeline, a
-/// shadow-vertex (non-power-of-two) pipeline, a tree, and a hybrid with
-/// a rack leader relaying across racks.
-fn reach_grid() -> Vec<(Algorithm, u32, u32)> {
+/// The shapes explored on the TCP datapath: small ones covering every
+/// schedule topology's structure — a pure relay chain, a power-of-two
+/// pipeline, a shadow-vertex (non-power-of-two) pipeline, a tree, and a
+/// hybrid with a rack leader relaying across racks. Each must deliver
+/// all `k` blocks at every rank under every interleaving of bytes and
+/// deliveries; a run that quiesces short of that is a stuck state.
+fn memnet_corner() -> Vec<(Algorithm, u32, u32)> {
     let two_racks = |n: u32| -> Vec<u32> { (0..n).map(|r| u32::from(r >= n / 2)).collect() };
     vec![
         (Algorithm::Sequential, 3, 2),

@@ -258,7 +258,6 @@ fn sweep_over_a_small_grid_is_clean() {
         ks: vec![1, 2, 3],
         rack_counts: vec![2],
         ready_windows: vec![1],
-        reachability: false,
         explore: false, // covered by tests/explore.rs
     });
     assert!(report.is_clean(), "{report}");

@@ -134,7 +134,7 @@ impl ScaleReport {
 }
 
 /// Runs the 1000-node, 100-shard `ShardedWorkload` on the fat-tree
-/// datacenter profile — ROADMAP item 5's target configuration — and
+/// datacenter profile — the kernel's 1000-node scale target — and
 /// meters the kernel while it runs.
 fn scale_sharded(quick: bool) -> ScaleShardedCell {
     const NODES: usize = 1000;

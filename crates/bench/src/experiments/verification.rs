@@ -234,8 +234,9 @@ pub fn sst_small_messages(quick: bool) -> String {
 }
 
 /// Static-analysis sweep: runs the `analyzer` crate's full grid
-/// (schedule model checker, posting-order deadlock lint, engine
-/// reachability) and reports what was proven. Not a paper figure — it
+/// (schedule model checker, posting-order deadlock lint, and the
+/// explorer's corner on the simulated fabric and the in-memory TCP
+/// datapath) and reports what was proven. Not a paper figure — it
 /// records the coverage of the repository's own verification layer next
 /// to the simulation numbers it guards.
 pub fn analyzer_sweep(quick: bool) -> String {
@@ -249,8 +250,8 @@ pub fn analyzer_sweep(quick: bool) -> String {
         format!("grid n<={} (quick={quick})", config.max_n),
         report.schedules_checked,
         report.lints_run,
-        report.reach_runs,
-        report.reach_states,
+        report.explore_runs,
+        report.explore_executions,
         if report.is_clean() {
             "clean"
         } else {
@@ -258,14 +259,14 @@ pub fn analyzer_sweep(quick: bool) -> String {
         }
     ]];
     format!(
-        "Static-analysis sweep (schedule model checker + deadlock lint + reachability)\n{}\n",
+        "Static-analysis sweep (schedule model checker + deadlock lint + explorer corner)\n{}\n",
         render(
             &row![
                 "sweep",
                 "schedules",
                 "lints",
-                "reach runs",
-                "reach states",
+                "explorations",
+                "executions",
                 "verdict"
             ],
             &rows

@@ -940,6 +940,13 @@ mod tests {
     }
 
     #[test]
+    fn non_root_send_is_rejected() {
+        let (mut e, _) = engine(3, 4);
+        let err = e.handle(Event::StartSend { size: 10 }).unwrap_err();
+        assert_eq!(err.to_string(), "rank 3 is not the root and cannot send");
+    }
+
+    #[test]
     fn receivers_pre_grant_their_first_credit() {
         let (_, actions) = engine(3, 4);
         assert_eq!(actions, vec![Action::SendReady { to: 1 }]);

@@ -181,7 +181,7 @@ impl ClusterSpec {
 
     /// Datacenter: `nodes` 100 Gb/s hosts in pods of 32 behind a
     /// non-blocking fat-tree whose aggregation tier is transparent to
-    /// the allocator — the 1000-node scale profile (ROADMAP item 5).
+    /// the allocator — the 1000-node scale profile.
     pub fn datacenter(nodes: usize) -> Self {
         let nodes = nodes.max(1);
         // Prefer an exact pod division (largest pod size up to 32) so the

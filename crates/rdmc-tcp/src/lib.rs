@@ -34,6 +34,11 @@
 //!   failure-detect interval and see their queue pairs flush and break,
 //!   exactly like the simulated NIC.
 //!
+//! Everything that touches the operating system sits behind one seam,
+//! [`Net`]. [`Os`] is the default; [`MemNet`] carries the same datapath
+//! over in-process pipes under a virtual clock, where a
+//! [`verbs::Scheduler`] chooses how bytes and deliveries interleave.
+//!
 //! All nodes live in one process, and every socket in one **shard** for
 //! its life. A shard's resumable **lap** pumps each socket direction in
 //! turn — a socket end with queued frames flushes them a quantum at a
@@ -68,15 +73,16 @@
 #![warn(missing_docs)]
 
 mod frame;
+mod mem;
+mod net;
 mod qp;
 mod shard;
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
-use std::io::{self, IoSlice, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::thread;
-use std::time::{Duration, Instant};
+use std::io::{self, IoSlice};
+use std::net::SocketAddr;
+use std::time::Duration;
 
 use bytes::Bytes;
 use frame::{
@@ -87,9 +93,12 @@ use rdmc_sim::{Cluster, ClusterBuilder};
 use shard::{Order, Report, Shard, Worker};
 use simnet::{HostProfile, SimDuration, SimTime};
 use verbs::{
-    CpuReport, Delivery, FabricStats, NodeId, PostingSnapshot, QpHandle, Transport, VerbsError,
-    WaitSpec, WrId,
+    CpuReport, Delivery, FabricStats, NodeId, PostingSnapshot, QpHandle, SharedScheduler,
+    Transport, VerbsError, WaitSpec, WrId,
 };
+
+pub use mem::{MemNet, MemStream};
+pub use net::{Net, Os, Ready};
 
 /// An RDMC cluster over the TCP backend (all nodes in one process).
 pub type TcpCluster = Cluster<TcpFabric>;
@@ -106,15 +115,12 @@ const FAILURE_DETECT_NS: u64 = FAILURE_DETECT.as_nanos() as u64;
 /// runs never touch the rest.
 const SCRATCH: usize = QUANTUM as usize + 4096;
 
-/// Strangers' connections a socket's set-up drops before it gives up.
-const STRANGERS: usize = 16;
-
 /// One end of a socket: its stream half, the outbound frames of every
 /// queue pair on this end (in posting order), the inbound frame in
 /// progress, and this end's side of the byte ledger.
-struct Endpoint {
+struct Endpoint<S> {
     node: usize,
-    stream: TcpStream,
+    stream: S,
     out: VecDeque<OutFrame>,
     decoder: Decoder,
     /// Bytes written into this socket; the peer's `wire_read` trails it
@@ -137,14 +143,14 @@ enum ConnState {
 /// The one socket between two nodes and the state of every queue pair
 /// it carries: pumping it needs nothing else but a [`Pump`]. `id` is its
 /// index in the caller's socket table.
-struct Conn {
+struct Conn<N: Net> {
     id: usize,
-    eps: [Endpoint; 2],
+    eps: [Endpoint<N::Stream>; 2],
     state: ConnState,
     qps: Vec<Qp>,
 }
 
-impl Conn {
+impl<N: Net> Conn<N> {
     /// Bytes written towards `end` that it has not read yet.
     fn in_flight_to(&self, end: usize) -> u64 {
         self.eps[1 - end].wire_sent - self.eps[end].wire_read
@@ -166,17 +172,18 @@ impl Conn {
     }
 }
 
-/// One shard's means to pump sockets: a view of who crashed and of the
-/// clock, its read buffer, and what pumping yields for software.
-struct Pump {
+/// One shard's means to pump sockets: a view of who crashed, the net its
+/// sockets and clock are on, its read buffer, and what pumping yields for
+/// software.
+struct Pump<N> {
     crashed: Vec<bool>,
-    start: Instant,
+    net: N,
     /// The read buffer (one per shard, not per socket).
     scratch: Vec<u8>,
     /// Deliveries, stamped in the order they happened. The caller's
     /// shard's queue is the one `advance()` hands out, the worker's
     /// deliveries joining it as they arrive.
-    ready: VecDeque<(SimTime, NodeId, Delivery)>,
+    ready: VecDeque<Ready>,
     /// Sockets (by table index) that broke since the shard last said so.
     broke: Vec<usize>,
     rnr_arms: u64,
@@ -185,9 +192,9 @@ struct Pump {
     io_errors: Vec<io::Error>,
 }
 
-impl Pump {
+impl<N: Net> Pump<N> {
     fn now_ns(&self) -> u64 {
-        u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX)
+        self.net.now_ns()
     }
 
     // Called from the `qp` module's break paths as well; without the
@@ -225,21 +232,20 @@ struct Socket {
     qps: usize,
 }
 
-/// The TCP datapath: every node's sockets, one nonblocking event loop.
+/// The TCP datapath: every node's sockets, one nonblocking event loop,
+/// on the net `N`.
 ///
 /// Implements [`Transport`], so [`rdmc_sim::ClusterBuilder`] drives it
 /// exactly like the simulated fabric — see the crate docs. Create with
-/// [`TcpFabric::launch`] (or [`builder`]); reclaim the sockets and
+/// [`TcpFabric::launch`] (or [`builder`]) on loopback sockets, or with
+/// [`TcpFabric::in_memory`] on a [`MemNet`]; reclaim the sockets and
 /// surface accumulated socket errors with [`TcpFabric::shutdown`].
-pub struct TcpFabric {
-    /// Loopback listener every socket handshakes through.
-    listener: TcpListener,
-    addr: SocketAddr,
+pub struct TcpFabric<N: Net = Os> {
     /// The caller's shard, which it steps itself; its pump's crash view
-    /// is the fabric's.
-    home: Shard,
-    /// The second shard, on a host with a second core.
-    worker: Option<Worker>,
+    /// is the fabric's, and its net opens sockets.
+    home: Shard<N>,
+    /// The second shard, if the net starts one.
+    worker: Option<Worker<N>>,
     /// Every socket, in the order they opened.
     sockets: Vec<Socket>,
     /// Each queue pair's route, at the index its handles name.
@@ -255,7 +261,7 @@ pub struct TcpFabric {
     last_at: SimTime,
 }
 
-impl TcpFabric {
+impl TcpFabric<Os> {
     /// Binds a loopback listener and readies `n` in-process nodes.
     /// Sockets are established lazily as the protocol first pairs two
     /// nodes.
@@ -264,27 +270,52 @@ impl TcpFabric {
     ///
     /// `InvalidInput` for `n = 0`; any socket error during bring-up.
     pub fn launch(n: usize) -> io::Result<TcpFabric> {
-        let cores = thread::available_parallelism().map_or(1, |n| n.get());
-        // A host that cannot start the thread keeps one shard.
-        TcpFabric::with_worker(n, |shard| (cores >= 2).then(|| Worker::thread(shard))?)
+        TcpFabric::with_net(n, Os::bind()?)
     }
 
-    /// A fabric whose second shard, if any, `start` makes of an empty one.
-    fn with_worker(n: usize, start: impl FnOnce(Shard) -> Option<Worker>) -> io::Result<TcpFabric> {
+    /// The loopback address of the listener every socket handshakes
+    /// through.
+    pub fn local_addr(&self) -> SocketAddr {
+        self.home.pump.net.addr
+    }
+}
+
+impl TcpFabric<MemNet> {
+    /// Readies `n` nodes whose sockets are in-process pipes (see
+    /// [`MemNet`]).
+    ///
+    /// # Errors
+    ///
+    /// `InvalidInput` for `n = 0`.
+    pub fn in_memory(n: usize) -> io::Result<TcpFabric<MemNet>> {
+        TcpFabric::with_net(n, MemNet::default())
+    }
+}
+
+impl<N: Net> TcpFabric<N> {
+    /// `n` nodes on `net`, with a pump thread for the second shard if the
+    /// net starts one (a host that cannot start the thread keeps one).
+    fn with_net(n: usize, net: N) -> io::Result<TcpFabric<N>> {
+        let worker = |net: &N| Worker::thread(Shard::new(n, net.worker()?));
+        TcpFabric::assemble(n, net, worker)
+    }
+
+    /// `n` nodes on `net`, with the second shard, if any, that `worker`
+    /// starts.
+    fn assemble(
+        n: usize,
+        net: N,
+        worker: impl FnOnce(&N) -> Option<Worker<N>>,
+    ) -> io::Result<TcpFabric<N>> {
         if n == 0 {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
                 "a fabric needs a node",
             ));
         }
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        let addr = listener.local_addr()?;
-        let clock = Instant::now();
         Ok(TcpFabric {
-            listener,
-            addr,
-            home: Shard::new(vec![false; n], clock),
-            worker: start(Shard::new(vec![false; n], clock)),
+            worker: worker(&net),
+            home: Shard::new(n, net),
             sockets: Vec::new(),
             qps: Vec::new(),
             pairs: BTreeMap::new(),
@@ -294,12 +325,6 @@ impl TcpFabric {
             profile: HostProfile::default(),
             last_at: SimTime::ZERO,
         })
-    }
-
-    /// The loopback address of the listener every socket handshakes
-    /// through.
-    pub fn local_addr(&self) -> SocketAddr {
-        self.addr
     }
 
     /// Tears the fabric down: shuts down every socket and surfaces the
@@ -325,7 +350,7 @@ impl TcpFabric {
             errors.append(&mut shard.pump.io_errors);
             let live = shard.conns.iter().filter(|c| c.state != ConnState::Broken);
             for ep in live.flat_map(|c| &c.eps) {
-                match ep.stream.shutdown(Shutdown::Both) {
+                match shard.pump.net.shutdown(&ep.stream) {
                     Err(e) if e.kind() != io::ErrorKind::NotConnected => errors.push(e),
                     _ => {}
                 }
@@ -334,25 +359,11 @@ impl TcpFabric {
         errors.into_iter().next().map_or(Ok(()), Err)
     }
 
-    /// Opens the one socket between nodes `a` and `b`. Inline handshake:
-    /// this loop is the only caller, so the connect pairs up with the
-    /// accept that names it as the peer, with no identification
-    /// handshake on the wire. A stranger connecting to the listener
-    /// first is accepted and dropped. Returns its index in the table.
+    /// Opens the one socket between nodes `a` and `b` and returns its
+    /// index in the table.
     fn open_socket(&mut self, a: usize, b: usize) -> io::Result<usize> {
-        let client = TcpStream::connect(self.addr)?;
-        let me = client.local_addr()?;
-        let accepted = (0..=STRANGERS).find_map(|_| match self.listener.accept() {
-            Ok((server, peer)) => (peer == me).then_some(Ok(server)),
-            Err(e) => Some(Err(e)),
-        });
-        let strangers = || io::Error::other(format!("{STRANGERS} strangers came first"));
-        let server = accepted.unwrap_or_else(|| Err(strangers()))?;
-        for s in [&client, &server] {
-            s.set_nodelay(true)?;
-            s.set_nonblocking(true)?;
-        }
-        let mk = |node: usize, stream: TcpStream| Endpoint {
+        let [client, server] = self.home.pump.net.open([a, b])?;
+        let mk = |node: usize, stream: N::Stream| Endpoint {
             node,
             stream,
             out: VecDeque::new(),
@@ -402,7 +413,7 @@ impl TcpFabric {
     /// Hands the order `make` builds for socket `sock`'s index in its
     /// shard to that shard: applied at once on the caller's, sent to the
     /// worker's.
-    fn order(&mut self, sock: usize, make: impl FnOnce(usize) -> Order) {
+    fn order(&mut self, sock: usize, make: impl FnOnce(usize) -> Order<N>) {
         let Socket { shard, index, .. } = self.sockets[sock];
         let order = make(index);
         match self.worker.as_mut() {
@@ -550,12 +561,12 @@ impl TcpFabric {
 }
 
 /// The pump: one socket's share of a lap, and the per-frame path.
-impl Conn {
+impl<N: Net> Conn<N> {
     /// Whether a post at end `end` of the queue pair in `slot` is flushed
     /// on arrival: the queue pair broke before the post reached it (the
     /// shard, before software heard), and RDMA flushes a post to a
     /// queue pair in the error state.
-    fn flushes(&self, slot: usize, end: usize, wr_id: WrId, recv: bool, p: &mut Pump) -> bool {
+    fn flushes(&self, slot: usize, end: usize, wr_id: WrId, recv: bool, p: &mut Pump<N>) -> bool {
         let q = &self.qps[slot];
         if q.broken {
             let qp = QpHandle::from_parts(q.id, end as u8);
@@ -570,7 +581,7 @@ impl Conn {
     /// With `sweep`, the peer end is read once whatever the ledger says,
     /// which is how a socket killed from outside is noticed. Returns
     /// whether any bytes moved.
-    fn pump_direction(&mut self, tx: usize, sweep: bool, p: &mut Pump) -> bool {
+    fn pump_direction(&mut self, tx: usize, sweep: bool, p: &mut Pump<N>) -> bool {
         let mut moved = false;
         let mut force = sweep;
         loop {
@@ -590,7 +601,7 @@ impl Conn {
     /// headers that go with them) from the front of the queue; emits
     /// send/write completions for frames that left the host entirely.
     /// Returns whether any bytes moved.
-    fn flush_quantum(&mut self, end: usize, p: &mut Pump) -> bool {
+    fn flush_quantum(&mut self, end: usize, p: &mut Pump<N>) -> bool {
         let ep = &mut self.eps[end];
         if ep.out.is_empty() {
             return false;
@@ -598,7 +609,7 @@ impl Conn {
         let mut slices = [IoSlice::new(&[]); GATHER_SLICES];
         let n = frame::gather(&ep.out, &mut slices);
         let wrote = loop {
-            match (&ep.stream).write_vectored(&slices[..n]) {
+            match p.net.write_vectored(&ep.stream, &slices[..n]) {
                 Ok(0) => {
                     self.break_all(p);
                     return true;
@@ -641,7 +652,7 @@ impl Conn {
     /// no trailing `WouldBlock` is paid for; one comes back only when
     /// the kernel has not delivered everything yet, and the next pass
     /// asks again. Returns whether any bytes moved.
-    fn read_endpoint(&mut self, end: usize, force: bool, p: &mut Pump) -> bool {
+    fn read_endpoint(&mut self, end: usize, force: bool, p: &mut Pump<N>) -> bool {
         if p.crashed[self.eps[end].node] {
             return false; // dead software reads nothing
         }
@@ -659,14 +670,14 @@ impl Conn {
         end: usize,
         mut force: bool,
         scratch: &mut Vec<u8>,
-        p: &mut Pump,
+        p: &mut Pump<N>,
     ) -> bool {
         let mut moved = false;
         loop {
             if self.state == ConnState::Broken || !(force || self.in_flight_to(end) > 0) {
                 return moved;
             }
-            match self.eps[end].stream.read(scratch) {
+            match p.net.read(&self.eps[end].stream, scratch) {
                 Ok(0) => {
                     // Orderly close without a protocol-level break: the
                     // peer's socket died under us. A dying socket's EOF
@@ -701,7 +712,7 @@ impl Conn {
 
     /// Streams freshly read bytes through `end`'s decoder and acts on
     /// each frame they complete.
-    fn decode(&mut self, end: usize, mut chunk: &[u8], p: &mut Pump) {
+    fn decode(&mut self, end: usize, mut chunk: &[u8], p: &mut Pump<N>) {
         while !chunk.is_empty() && self.state != ConnState::Broken {
             let (used, event) = match self.eps[end].decoder.feed(chunk) {
                 Ok(step) => step,
@@ -716,7 +727,7 @@ impl Conn {
 
     /// Hands one inbound frame to the queue pair it names. The name is
     /// peer input: one this socket does not carry is a protocol error.
-    fn deliver(&mut self, end: usize, event: Event, p: &mut Pump) {
+    fn deliver(&mut self, end: usize, event: Event, p: &mut Pump<N>) {
         let (Event::Send { qp: id, .. } | Event::Write { qp: id, .. }) = event;
         let Some(slot) = self.slot_of(id) else {
             let e = format!("frame names queue pair {id}, not carried here");
@@ -755,7 +766,7 @@ impl Conn {
         qend: usize,
         (wr_id, max_len): (WrId, u64),
         (len, imm): (u64, u64),
-        p: &mut Pump,
+        p: &mut Pump<N>,
     ) {
         if len > max_len {
             // Not consumed: the break flushes it, in posting order.
@@ -775,7 +786,7 @@ impl Conn {
 
     /// Records a socket or protocol error for [`TcpFabric::shutdown`],
     /// naming the socket by its node pair, and breaks the socket.
-    fn fail(&mut self, e: io::Error, p: &mut Pump) {
+    fn fail(&mut self, e: io::Error, p: &mut Pump<N>) {
         let [a, b] = self.eps.each_ref().map(|ep| ep.node);
         let e = io::Error::new(e.kind(), format!("socket {a}-{b}: {e}"));
         p.io_errors.push(e);
@@ -783,14 +794,15 @@ impl Conn {
     }
 }
 
-impl Transport for TcpFabric {
+impl<N: Net> Transport for TcpFabric<N> {
     fn now(&self) -> SimTime {
         SimTime::from_nanos(self.home.pump.now_ns())
     }
 
     fn advance(&mut self) -> Option<(SimTime, NodeId, Delivery)> {
         loop {
-            if let Some(d) = self.home.pump.ready.pop_front() {
+            let pump = &mut self.home.pump;
+            if let Some(d) = pump.net.next_ready(&mut pump.ready) {
                 qp::see(&mut self.qps, &d.2);
                 debug_assert!(d.0 >= self.last_at, "advance() went back in time");
                 self.last_at = d.0;
@@ -847,9 +859,9 @@ impl Transport for TcpFabric {
                         continue;
                     }
                     let wait = (deadline - now).min(FAILURE_DETECT_NS);
-                    std::thread::sleep(Duration::from_nanos(wait));
+                    self.home.pump.net.idle(Some(wait));
                 }
-                _ => std::thread::yield_now(),
+                _ => self.home.pump.net.idle(None),
             }
         }
     }
@@ -1004,9 +1016,13 @@ impl Transport for TcpFabric {
     fn num_nodes(&self) -> usize {
         self.home.pump.crashed.len()
     }
+
+    fn set_scheduler(&mut self, scheduler: SharedScheduler) {
+        self.home.pump.net.set_scheduler(scheduler);
+    }
 }
 
-impl Drop for TcpFabric {
+impl<N: Net> Drop for TcpFabric<N> {
     fn drop(&mut self) {
         if let Some(w) = self.worker.take() {
             w.stop();
@@ -1014,7 +1030,7 @@ impl Drop for TcpFabric {
     }
 }
 
-impl std::fmt::Debug for TcpFabric {
+impl<N: Net> std::fmt::Debug for TcpFabric<N> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let worker = self.sockets.iter().filter(|s| s.shard > 0).count();
         f.debug_struct("TcpFabric")

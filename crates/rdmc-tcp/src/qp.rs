@@ -9,11 +9,10 @@
 //! posted receive) lives beside the pump in the crate root.
 
 use std::collections::VecDeque;
-use std::net::Shutdown;
 
 use verbs::{Delivery, QpHandle, WrId};
 
-use crate::{Conn, ConnState, Pump};
+use crate::{Conn, ConnState, Net, Pump};
 
 /// One end of a queue pair: what RDMA keeps per QP and side.
 #[derive(Default)]
@@ -81,7 +80,7 @@ pub(crate) fn see(routes: &mut [Route], delivery: &Delivery) {
     *posts = posts.saturating_sub(1);
 }
 
-impl Conn {
+impl<N: Net> Conn<N> {
     /// The slot of queue pair `id`, if this socket carries it. Slots are
     /// in creation order, so ids ascend.
     pub(crate) fn slot_of(&self, id: u32) -> Option<usize> {
@@ -95,7 +94,7 @@ impl Conn {
     /// leave the socket queue; one already part-way onto the wire stays
     /// as an orphan that finishes, keeping the byte stream in sync, and
     /// completes nothing.
-    pub(crate) fn break_qp(&mut self, slot: usize, p: &mut Pump) {
+    pub(crate) fn break_qp(&mut self, slot: usize, p: &mut Pump<N>) {
         let Qp { id, flip, .. } = self.qps[slot];
         if std::mem::replace(&mut self.qps[slot].broken, true) {
             return;
@@ -125,7 +124,7 @@ impl Conn {
     /// shut down. Whatever was queued or in flight leaves the ledger, the
     /// shard reports the break, and the node pair's next connect opens a
     /// fresh socket.
-    pub(crate) fn break_all(&mut self, p: &mut Pump) {
+    pub(crate) fn break_all(&mut self, p: &mut Pump<N>) {
         if self.state == ConnState::Broken {
             return;
         }
@@ -136,7 +135,7 @@ impl Conn {
         }
         for ep in &mut self.eps {
             ep.out.clear(); // orphans
-            let _ = ep.stream.shutdown(Shutdown::Both);
+            let _ = p.net.shutdown(&ep.stream);
         }
     }
 }
@@ -144,7 +143,7 @@ impl Conn {
 /// The ledger's invariant on one shard's sockets, checked at every lap
 /// end: no end has read more than its peer wrote.
 #[cfg(debug_assertions)]
-pub(crate) fn check_sockets(conns: &[Conn]) {
+pub(crate) fn check_sockets<N: Net>(conns: &[Conn<N>]) {
     for c in conns {
         let read = (0..2).all(|end| c.eps[end].wire_read <= c.eps[1 - end].wire_sent);
         assert!(read, "socket {}: read past the peer's writes", c.id);

@@ -11,20 +11,18 @@
 use std::collections::VecDeque;
 use std::sync::mpsc::{Receiver, Sender, TryRecvError};
 use std::thread::JoinHandle;
-use std::time::Instant;
 
-use simnet::SimTime;
-use verbs::{Delivery, NodeId, WrId};
+use verbs::WrId;
 
 use crate::frame::OutFrame;
 use crate::qp::Qp;
-use crate::{Conn, ConnState, Pump, FAILURE_DETECT_NS, SCRATCH};
+use crate::{Conn, ConnState, Net, Pump, Ready, FAILURE_DETECT_NS, SCRATCH};
 
 /// What is asked of a shard. Sockets are named by their index in the
 /// shard, which `Adopt` grows.
-pub(crate) enum Order {
+pub(crate) enum Order<N: Net> {
     /// A socket dealt to the shard.
-    Adopt(Box<Conn>),
+    Adopt(Box<Conn<N>>),
     /// Queue pair `id` opened on socket `conn`, its end `e` on socket end
     /// `e ^ flip`.
     Qp { conn: usize, id: u32, flip: usize },
@@ -57,7 +55,7 @@ pub(crate) enum Order {
 pub(crate) enum Report {
     /// Deliveries, in the order they happened (their stamps are the
     /// worker's; the caller stamps them again as they arrive).
-    Deliveries(VecDeque<(SimTime, NodeId, Delivery)>),
+    Deliveries(VecDeque<Ready>),
     /// The socket with this index in the caller's table broke; its queue
     /// pairs' notices went ahead.
     Broke(usize),
@@ -67,9 +65,9 @@ pub(crate) enum Report {
     Lap(u64, u64, bool),
 }
 
-pub(crate) struct Shard {
-    pub(crate) conns: Vec<Conn>,
-    pub(crate) pump: Pump,
+pub(crate) struct Shard<N: Net> {
+    pub(crate) conns: Vec<Conn<N>>,
+    pub(crate) pump: Pump<N>,
     /// The next socket direction the lap pumps (`2 * socket + end`).
     pub(crate) cursor: usize,
     /// Whether the lap in progress reads every socket, and whether it
@@ -86,14 +84,14 @@ pub(crate) struct Shard {
     reported: u64,
 }
 
-impl Shard {
-    /// An empty shard whose pump shares `crashed` and the clock `start`.
-    pub(crate) fn new(crashed: Vec<bool>, start: Instant) -> Shard {
+impl<N: Net> Shard<N> {
+    /// An empty shard of `n` nodes, none crashed, pumping through `net`.
+    pub(crate) fn new(n: usize, net: N) -> Shard<N> {
         Shard {
             conns: Vec::new(),
             pump: Pump {
-                crashed,
-                start,
+                crashed: vec![false; n],
+                net,
                 scratch: vec![0; SCRATCH / 32],
                 ready: VecDeque::new(),
                 broke: Vec::new(),
@@ -116,7 +114,7 @@ impl Shard {
         now - self.last_sweep >= FAILURE_DETECT_NS
     }
 
-    pub(crate) fn apply(&mut self, order: Order) {
+    pub(crate) fn apply(&mut self, order: Order<N>) {
         self.applied += 1;
         let p = &mut self.pump;
         match order {
@@ -228,7 +226,7 @@ impl Shard {
     /// began and every socket settled.
     pub(crate) fn turn(
         &mut self,
-        orders: impl Iterator<Item = Order>,
+        orders: impl Iterator<Item = Order<N>>,
         report: &mut impl FnMut(Report),
     ) -> bool {
         for order in orders {
@@ -254,8 +252,8 @@ impl Shard {
 }
 
 /// The caller's end of the second shard.
-pub(crate) struct Worker {
-    pub(crate) link: Link,
+pub(crate) struct Worker<N: Net> {
+    pub(crate) link: Link<N>,
     /// Orders sent, and how many of them a finished lap began with.
     sent: u64,
     caught: u64,
@@ -263,19 +261,19 @@ pub(crate) struct Worker {
     pub(crate) rnr_arms: u64,
 }
 
-pub(crate) enum Link {
+pub(crate) enum Link<N: Net> {
     Thread {
-        orders: Sender<Order>,
+        orders: Sender<Order<N>>,
         reports: Receiver<Report>,
-        thread: JoinHandle<Shard>,
+        thread: JoinHandle<Shard<N>>,
     },
     #[cfg(test)]
-    Stepped(Box<crate::tests::Stepped>),
+    Stepped(Box<crate::tests::Stepped<N>>),
 }
 
-impl Worker {
+impl<N: Net> Worker<N> {
     /// A pump thread turning `shard`, if the host can start one.
-    pub(crate) fn thread(shard: Shard) -> Option<Worker> {
+    pub(crate) fn thread(shard: Shard<N>) -> Option<Worker<N>> {
         let (orders, inbox) = std::sync::mpsc::channel();
         let (outbox, reports) = std::sync::mpsc::channel();
         let named = std::thread::Builder::new().name("rdmc-tcp-pump".into());
@@ -287,7 +285,7 @@ impl Worker {
         }))
     }
 
-    pub(crate) fn new(link: Link) -> Worker {
+    pub(crate) fn new(link: Link<N>) -> Worker<N> {
         Worker {
             link,
             sent: 0,
@@ -297,7 +295,7 @@ impl Worker {
         }
     }
 
-    pub(crate) fn order(&mut self, order: Order) {
+    pub(crate) fn order(&mut self, order: Order<N>) {
         self.sent += 1;
         match &mut self.link {
             Link::Thread { orders, .. } => orders.send(order).expect("the pump worker runs"),
@@ -348,7 +346,7 @@ impl Worker {
 
     /// Closes the shard's inbox and takes it back (`None`: its thread
     /// panicked).
-    pub(crate) fn stop(self) -> Option<Shard> {
+    pub(crate) fn stop(self) -> Option<Shard<N>> {
         match self.link {
             Link::Thread { orders, thread, .. } => {
                 drop(orders);
@@ -363,7 +361,11 @@ impl Worker {
 /// The pump thread: turns its shard while it has work — spinning, never
 /// sleeping — and waits on its inbox only once it may park. Returns its
 /// shard when the caller closes the inbox.
-fn work(mut shard: Shard, inbox: &Receiver<Order>, outbox: &Sender<Report>) -> Shard {
+fn work<N: Net>(
+    mut shard: Shard<N>,
+    inbox: &Receiver<Order<N>>,
+    outbox: &Sender<Report>,
+) -> Shard<N> {
     let mut woken = None;
     loop {
         let mut gone = false;

@@ -9,9 +9,12 @@
 //! `run()` returns, a crash across shards keeps delivery all-or-nothing
 //! with its breaks ahead of relayed gossip, two shards run what one
 //! runs, and both answer posts and snapshots alike (the verbs' contract
-//! is the root `transport_contract` suite's, on both backends).
+//! is the root `transport_contract` suite's, on every backend).
 
 use super::*;
+use std::net::{Shutdown, TcpListener};
+use std::time::Instant;
+
 use frame::HDR;
 use rdmc::Algorithm;
 use rdmc_sim::{GroupSpec, RecoveryConfig};
@@ -294,7 +297,7 @@ fn oversize_post_breaks_its_connection_and_no_other() {
 fn failed_socket_setup_is_a_broken_queue_pair_not_a_panic() {
     let mut fabric = TcpFabric::launch(2).expect("launch");
     let closed = TcpListener::bind("127.0.0.1:0").expect("bind");
-    fabric.addr = closed.local_addr().expect("local_addr");
+    fabric.home.pump.net.addr = closed.local_addr().expect("local_addr");
     drop(closed);
     let (a, b) = fabric.connect(A, B);
     assert!(fabric.sockets.is_empty(), "no socket came up");
@@ -545,7 +548,8 @@ const SEEDS: std::ops::Range<u64> = 0..32;
 
 /// An `n`-node fabric whose second shard the stepped driver turns.
 fn stepped(n: usize, seed: u64) -> TcpFabric {
-    TcpFabric::with_worker(n, |shard| Some(Stepped::worker(shard, seed))).expect("launch")
+    let worker = |os: &Os| Some(Stepped::worker(Shard::new(n, os.clone()), seed));
+    TcpFabric::assemble(n, Os::bind().expect("bind"), worker).expect("launch")
 }
 
 /// `n` members in one group over a tapped stepped fabric, in the
@@ -741,7 +745,7 @@ fn two_shards_run_what_one_shard_runs() {
         fabric.shutdown().expect("clean shutdown");
         (digest, log)
     };
-    let one = run(TcpFabric::with_worker(8, |_| None).expect("launch"));
+    let one = run(TcpFabric::assemble(8, Os::bind().expect("bind"), |_| None).expect("launch"));
     for seed in SEEDS {
         assert_eq!(run(stepped(8, seed)), one, "seed {seed}");
     }
@@ -781,9 +785,9 @@ fn both_shards_answer_posts_and_snapshots_alike() {
 /// takes a turn first and whether a waiting report comes through, so
 /// which shard steps next and when the caller hears of it vary by seed;
 /// [`Worker::wait`] always turns it, so a caller that waits gets on.
-pub(crate) struct Stepped {
-    pub(crate) shard: Shard,
-    pub(crate) inbox: VecDeque<Order>,
+pub(crate) struct Stepped<N: Net> {
+    pub(crate) shard: Shard<N>,
+    pub(crate) inbox: VecDeque<Order<N>>,
     outbox: VecDeque<Report>,
     parked: bool,
     rng: simnet::SplitMix64,
@@ -791,8 +795,8 @@ pub(crate) struct Stepped {
     odds: [u64; 2],
 }
 
-impl Stepped {
-    fn worker(shard: Shard, seed: u64) -> Worker {
+impl<N: Net> Stepped<N> {
+    fn worker(shard: Shard<N>, seed: u64) -> Worker<N> {
         let mut rng = simnet::SplitMix64::new(seed);
         let odds = [0; 2].map(|_| 1 + rng.next_u64() % 7);
         Worker::new(Link::Stepped(Box::new(Stepped {

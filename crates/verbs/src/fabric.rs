@@ -292,8 +292,8 @@ impl Fabric {
 
     /// `set_path_interning` does nothing: the flow network always groups
     /// same-path transfers. It exists only because the frozen
-    /// `benchmark/src/workloads.rs` calls it (ROADMAP items 1(b)/8(c)
-    /// retire it).
+    /// `benchmark/src/workloads.rs` calls it (ROADMAP item 15(b) retires
+    /// it).
     pub fn set_path_interning(&mut self, _on: bool) {}
 
     /// The topology the fabric runs over.
@@ -688,7 +688,7 @@ impl Fabric {
             .iter()
             .map_while(|&(seq, ev)| match ev {
                 Ev::Deliver { node, delivery } if enabled(&nodes[node.index()]) => {
-                    Some(Self::candidate(seq, *node, delivery))
+                    Some(Candidate::of(seq, *node, delivery))
                 }
                 _ => None,
             })
@@ -715,32 +715,6 @@ impl Fabric {
             }
             None => (t, Some(ev)),
         })
-    }
-
-    /// Summarises a pending delivery for the scheduler.
-    fn candidate(seq: u64, node: NodeId, delivery: &Delivery) -> Candidate {
-        use CandidateKind as K;
-        let (conn, kind) = match delivery {
-            // A corrupted receive races like any other receive
-            // completion; the payload's fate is already decided.
-            Delivery::RecvDone { qp, .. } | Delivery::RecvCorrupted { qp, .. } => {
-                (Some(qp.conn), K::Recv)
-            }
-            Delivery::SendDone { qp, .. } => (Some(qp.conn), K::Send),
-            Delivery::WriteDone { qp, .. } => (Some(qp.conn), K::WriteDone),
-            Delivery::WriteArrived { qp, tag, .. } => {
-                (Some(qp.conn), K::WriteArrived { tag: *tag })
-            }
-            Delivery::WrFlushed { qp, .. } => (Some(qp.conn), K::Flushed),
-            Delivery::QpBroken { qp } => (Some(qp.conn), K::Broken),
-            Delivery::Timer { token } => (None, K::Timer { token: *token }),
-        };
-        Candidate {
-            seq,
-            node: node.index() as u32,
-            conn,
-            kind,
-        }
     }
 
     /// Forgets `flow`'s index entry, returning the `(conn, dir)` it carried.

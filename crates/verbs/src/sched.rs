@@ -18,6 +18,8 @@
 //! order, so exposing it would multiply the state space without adding
 //! distinguishable behaviours.
 
+use crate::types::{Delivery, NodeId};
+
 /// What a schedulable candidate event is, summarised for footprint
 /// computation and human-readable counterexamples.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -39,6 +41,9 @@ pub enum CandidateKind {
     Flushed,
     /// A broken-connection notice.
     Broken,
+    /// A socket direction's next gathered write reaching its reader
+    /// (the in-memory TCP backend).
+    Bytes,
     /// A driver timer (retransmit probes, reconfiguration holdoff).
     Timer {
         /// The driver's timer token.
@@ -85,6 +90,34 @@ pub struct Candidate {
     pub conn: Option<u32>,
     /// Event class.
     pub kind: CandidateKind,
+}
+
+impl Candidate {
+    /// Summarises `delivery`, queued for `node`, for the scheduler.
+    pub fn of(seq: u64, node: NodeId, delivery: &Delivery) -> Candidate {
+        use CandidateKind as K;
+        let (conn, kind) = match delivery {
+            // A corrupted receive races like any other receive
+            // completion; the payload's fate is already decided.
+            Delivery::RecvDone { qp, .. } | Delivery::RecvCorrupted { qp, .. } => {
+                (Some(qp.conn), K::Recv)
+            }
+            Delivery::SendDone { qp, .. } => (Some(qp.conn), K::Send),
+            Delivery::WriteDone { qp, .. } => (Some(qp.conn), K::WriteDone),
+            Delivery::WriteArrived { qp, tag, .. } => {
+                (Some(qp.conn), K::WriteArrived { tag: *tag })
+            }
+            Delivery::WrFlushed { qp, .. } => (Some(qp.conn), K::Flushed),
+            Delivery::QpBroken { qp } => (Some(qp.conn), K::Broken),
+            Delivery::Timer { token } => (None, K::Timer { token: *token }),
+        };
+        Candidate {
+            seq,
+            node: node.index() as u32,
+            conn,
+            kind,
+        }
+    }
 }
 
 /// Which layer is asking for a decision.

@@ -1,5 +1,5 @@
 //! The simulated fabric's own semantics; the `Transport` contract's rules
-//! are rows of the root `tests/transport_contract.rs`, on both backends.
+//! are rows of the root `tests/transport_contract.rs`, on every backend.
 
 use bytes::Bytes;
 use proptest::prelude::*;
@@ -287,7 +287,7 @@ fn kicks_do_not_scale_with_idle_connections() {
 }
 
 /// Failure detection's virtual instants (that it comes no sooner than
-/// the delay is a transport-contract row, on both backends). On hosts as
+/// the delay is a transport-contract row, on every backend). On hosts as
 /// `Fabric::new` makes them, survivors hear of a crash within 0.3 ms of
 /// one `failure_detect` after it; on zero-overhead hosts a connection
 /// made to a dead node breaks exactly one `failure_detect` later.

@@ -14,7 +14,9 @@
 //! The contract inherits the fabric's ordering guarantees, and backends
 //! must preserve them for the protocol to stay correct. Each rule is a
 //! row of the root `tests/transport_contract.rs` (named in parentheses),
-//! run on both backends; a new backend must pass the same rows.
+//! run on every backend (`Fabric`, and `TcpFabric` over loopback sockets
+//! and over the in-memory `MemNet`); a new backend must pass the same
+//! rows.
 //!
 //! - **Per-connection-direction FIFO, exactly once**: sends and writes
 //!   posted on one endpoint reach the peer in posting order through one
@@ -209,8 +211,9 @@ pub trait Transport {
     /// [`crate::sched`]). Without one, ties break by schedule order and
     /// runs are bit-for-bit reproducible; with one, reproducibility
     /// additionally requires replaying the same choice answers. Only
-    /// meaningful on simulated backends; the default is a no-op so
-    /// generic configuration code can call it unconditionally.
+    /// meaningful on simulated backends and on `TcpFabric` over an
+    /// in-memory `MemNet`; the default is a no-op so generic
+    /// configuration code can call it unconditionally.
     fn set_scheduler(&mut self, scheduler: crate::sched::SharedScheduler) {
         let _ = scheduler;
     }

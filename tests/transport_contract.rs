@@ -1,11 +1,16 @@
 //! The `Transport` contract (`verbs/src/transport.rs`), one row per rule.
 //! Each rule is a scenario in [`rule`], written once and generic over the
 //! transport, and each row runs it on a raw simulated `Fabric` (as
-//! `ClusterSpec::fractus` ships it: hybrid completion mode) and on a raw
-//! `TcpFabric` over loopback sockets. A row asserts what each node hears,
-//! in order; how nodes interleave is up to the backend.
-//! [`drain_with`] holds every row to monotone time and crash silence, and
-//! every TCP run ends in a shutdown that surfaces no socket error. On
+//! `ClusterSpec::fractus` ships it: hybrid completion mode), on a raw
+//! `TcpFabric` over loopback sockets, and on the same `TcpFabric` over a
+//! `MemNet`. A row asserts what each node hears, in order; how nodes
+//! interleave is up to the backend. `MemNet`'s clock is virtual and moves
+//! only when no byte can, so on it a row's timing claims are exact: a
+//! failure-detect break lands at the crash plus the delay, not after it,
+//! and a round's bytes all move before any later timer fires, whatever the
+//! host's load. [`drain_with`] holds every row to monotone time and crash
+//! silence, and every TCP run ends in a shutdown that surfaces no socket
+//! error. On
 //! `Fabric` a `SendDone` is the peer's acknowledgement, on TCP it means
 //! "flushed to the socket" ("RDMA and the Completion Fallacy"): where a
 //! crash or a break races a send, a row takes its completion or its
@@ -37,6 +42,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use proptest::prelude::*;
 use proptest::prop::collection::vec;
 use rdmc_sim::ClusterSpec;
+use rdmc_tcp::TcpFabric;
 use simnet::{SimDuration, SimTime};
 use support::sim_fabric as hybrid;
 use verbs::Delivery::{QpBroken, RecvDone, SendDone, Timer, WrFlushed, WriteArrived, WriteDone};
@@ -46,7 +52,7 @@ const A: NodeId = NodeId(0);
 const B: NodeId = NodeId(1);
 const C: NodeId = NodeId(2);
 
-/// The failure-detect delay of both backends.
+/// The failure-detect delay of every backend.
 const DETECT: SimDuration = SimDuration::from_millis(1);
 
 /// `n` simulated nodes whose completion queues are polled.
@@ -57,13 +63,16 @@ fn polled(n: usize) -> Fabric {
 }
 
 /// A row: one rule's scenario on `Fabric` built by `$sim`, then on
-/// `TcpFabric`.
-macro_rules! on_both {
+/// `TcpFabric` over loopback sockets, then over a `MemNet`.
+macro_rules! on_all {
     ($sim:ident, $rule:ident($n:expr $(, $arg:expr)*)) => {{
         rule::$rule(&mut $sim($n) $(, $arg)*);
         let mut tcp = support::tcp_fabric($n);
         rule::$rule(&mut tcp $(, $arg)*);
         tcp.shutdown().expect("clean shutdown");
+        let mut mem = TcpFabric::in_memory($n).expect("in memory");
+        rule::$rule(&mut mem $(, $arg)*);
+        mem.shutdown().expect("clean shutdown");
     }};
 }
 
@@ -127,17 +136,17 @@ proptest! {
 
     #[test]
     fn fifo_exactly_once(sizes in vec(1u64..500_000, 1..30)) {
-        on_both!(polled, fifo_exactly_once(2, &sizes));
+        on_all!(polled, fifo_exactly_once(2, &sizes));
     }
 
     #[test]
     fn completions_balance_posts(ops in vec((0u32..4, 0u32..4, 1u64..200_000), 1..40)) {
-        on_both!(polled, completions_balance_posts(4, &ops));
+        on_all!(polled, completions_balance_posts(4, &ops));
     }
 
     #[test]
     fn writes_arrive_once_in_order_intact(payloads in vec(vec(any::<u8>(), 0..64), 1..20)) {
-        on_both!(polled, writes_arrive_once_in_order_intact(2, &payloads));
+        on_all!(polled, writes_arrive_once_in_order_intact(2, &payloads));
     }
 }
 
@@ -146,7 +155,7 @@ macro_rules! rows {
     ($($sim:ident: $rule:ident($n:expr);)*) => {$(
         #[test]
         fn $rule() {
-            on_both!($sim, $rule($n));
+            on_all!($sim, $rule($n));
         }
     )*};
 }
