@@ -212,6 +212,33 @@ impl ExploreScenario {
         self
     }
 
+    /// The `analyzer` command that replays `choices` on this scenario,
+    /// or `None` if the scenario has what no flag says: crash or loss
+    /// sites, a reliability policy, seeded bugs, its own message count or
+    /// a custom algorithm.
+    pub fn replay_command(&self, choices: &[usize]) -> Option<String> {
+        let algorithm = match &self.algorithm {
+            Algorithm::Custom { .. } => return None,
+            Algorithm::Hybrid { rack_of } => format!("hybrid:{}", comma_list(rack_of)),
+            flat => flat.to_string(),
+        };
+        let flags = if self.multi_sender { " --atomic" } else { "" };
+        let backend = format!("{:?}", self.backend).to_lowercase();
+        let plain = self.fault_sites.is_empty()
+            && self.loss_choices == 0
+            && self.reliability.is_none()
+            && self.bugs.is_empty()
+            && self.messages == if self.multi_sender { self.n } else { 1 };
+        plain.then(|| {
+            format!(
+                "analyzer --replay={} --algorithm {algorithm} --n {} --k {} --backend {backend}{flags}",
+                comma_list(choices),
+                self.n,
+                self.k
+            )
+        })
+    }
+
     /// A loss-exploring variant: the first `budget` wire transfers
     /// become deliver-or-drop choice points, the group is protected by
     /// `policy`, and recovery is on so drop branches that escalate can
@@ -282,13 +309,18 @@ pub struct Counterexample {
 
 impl std::fmt::Display for Counterexample {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let choices: Vec<String> = self.choices.iter().map(|c| c.to_string()).collect();
-        writeln!(f, "counterexample: --replay={}", choices.join(","))?;
+        writeln!(f, "counterexample: --replay={}", comma_list(&self.choices))?;
         for v in &self.violations {
             writeln!(f, "  {v}")?;
         }
         write!(f, "  terminal digest {:#018x}", self.digest)
     }
+}
+
+/// `1,2,3`.
+fn comma_list<T: ToString>(items: &[T]) -> String {
+    let items: Vec<String> = items.iter().map(T::to_string).collect();
+    items.join(",")
 }
 
 /// How to walk the interleaving space.
@@ -520,30 +552,17 @@ fn offer_fault_choice<T: Transport>(
     if scenario.fault_sites.is_empty() {
         return false;
     }
-    let mut candidates = vec![Candidate {
-        seq: 0,
-        node: u32::MAX,
-        conn: None,
-        kind: CandidateKind::FaultSite {
-            step: u64::MAX,
-            victim: u32::MAX,
-        },
-    }];
-    candidates.extend(
-        scenario
-            .fault_sites
-            .iter()
-            .enumerate()
-            .map(|(i, &(step, victim))| Candidate {
-                seq: i as u64 + 1,
-                node: victim as u32,
-                conn: None,
-                kind: CandidateKind::FaultSite {
-                    step,
-                    victim: victim as u32,
-                },
-            }),
-    );
+    let sites = (scenario.fault_sites.iter()).map(|&(step, victim)| (step, victim as u32));
+    let candidates: Vec<Candidate> = std::iter::once((u64::MAX, u32::MAX))
+        .chain(sites)
+        .enumerate()
+        .map(|(seq, (step, victim))| Candidate {
+            seq: seq as u64,
+            node: victim,
+            conn: None,
+            kind: CandidateKind::FaultSite { step, victim },
+        })
+        .collect();
     let point = ChoicePoint {
         time_ns: 0,
         kind: PointKind::FaultSite,

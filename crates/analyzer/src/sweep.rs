@@ -125,6 +125,10 @@ impl std::fmt::Display for SweepReport {
                     s.algorithm, s.n, s.k, s.backend
                 );
                 writeln!(f, "EXPLORE {shape}: {r}")?;
+                let cex = r.counterexample.as_ref();
+                if let Some(command) = cex.and_then(|c| s.replay_command(&c.choices)) {
+                    writeln!(f, "  rerun: {command}")?;
+                }
             }
             write!(
                 f,

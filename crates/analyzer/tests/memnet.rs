@@ -3,14 +3,16 @@
 //! order, under the default interleaving, under seeded and drawn
 //! scheduler scripts, and across a failure; and the explorer checks on
 //! this backend too — a seeded §4.2 inversion comes back as a replayable
-//! counterexample, DPOR agrees with exhaustive search, a run with no
+//! counterexample, DPOR agrees with exhaustive search, the command a
+//! failing sweep prints replays its shape on the CLI, a run with no
 //! scheduler is the run whose every choice is the default, and the
 //! seeded-bug decorator with no bug changes nothing on either backend.
 
 use std::sync::{Arc, Mutex};
 
 use analyzer::{
-    explore_executions, replay, Backend, ExploreConfig, ExploreScenario, Seeded, SeededBug,
+    explore_executions, replay, Backend, Counterexample, ExploreConfig, ExploreScenario, Seeded,
+    SeededBug, SweepReport,
 };
 use proptest::prelude::*;
 use rdmc::Algorithm;
@@ -314,6 +316,53 @@ fn dpor_matches_exhaustive_on_memnet() {
     assert!(dpor.is_clean() && !dpor.truncated, "{dpor}");
     assert_eq!(full.crash_free_digests, dpor.crash_free_digests);
     assert!(dpor.executions < full.executions, "{dpor} vs {full}");
+}
+
+/// A failing sweep's `rerun:` line is a whole command: run as printed,
+/// the binary replays the sweep's scenario (here the hybrid shape of
+/// its `MemNet` corner, and an atomic group on `Fabric`) and prints the
+/// terminal digest the library's replay reaches.
+#[test]
+fn printed_rerun_command_replays_the_sweep_scenario() {
+    let rack_of = vec![0, 0, 1, 1];
+    let scenarios = [
+        ExploreScenario::small(Algorithm::Hybrid { rack_of }, 4, 2).on(Backend::MemNet),
+        ExploreScenario::atomic(Algorithm::BinomialPipeline, 3, 1),
+    ];
+    for scenario in scenarios {
+        let exec = replay(&scenario, &[]);
+        let mut report = explore_executions(&ExploreConfig::random(scenario.clone(), 1, 1));
+        report.counterexample = Some(Counterexample {
+            choices: exec.script(),
+            violations: vec!["forged".into()],
+            digest: exec.digest,
+            trace_jsonl: String::new(),
+        });
+        let sweep = SweepReport {
+            explore_failures: vec![(scenario.clone(), report)],
+            ..SweepReport::default()
+        }
+        .to_string();
+        let command = (sweep.lines())
+            .find_map(|l| l.strip_prefix("  rerun: "))
+            .unwrap_or_else(|| panic!("no rerun line in {sweep}"));
+        let args: Vec<&str> = command.split(' ').skip(1).collect();
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_analyzer"))
+            .args(&args)
+            .output()
+            .expect("the analyzer binary runs");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success(), "{command}: {stdout}");
+        let want = format!(
+            "replayed {} choice points, terminal digest {:#018x}",
+            exec.points.len(),
+            exec.digest
+        );
+        assert!(!exec.points.is_empty(), "{command}: no choice point");
+        assert_eq!(stdout.lines().next(), Some(want.as_str()), "{command}");
+    }
+    let seeded = ExploreScenario::small(Algorithm::Chain, 3, 1).with_bug(SeededBug::LazyRecvPost);
+    assert_eq!(seeded.replay_command(&[]), None, "no flag seeds a bug");
 }
 
 #[test]

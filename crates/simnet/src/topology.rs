@@ -52,20 +52,7 @@ impl Topology {
     /// A single non-blocking switch: every pair of nodes has a one-hop path
     /// and the fabric has full bisection bandwidth.
     pub fn flat(net: &mut FlowNet, nodes: usize, link_gbps: f64, latency: SimDuration) -> Self {
-        assert!(nodes >= 1, "topology needs at least one node");
-        // Split the one-hop latency across the two links of a path.
-        let half = SimDuration::from_nanos(latency.as_nanos() / 2);
-        let nodes = (0..nodes)
-            .map(|_| NodePorts {
-                tx: net.add_link(link_gbps, half),
-                rx: net.add_link(link_gbps, half),
-                rack: 0,
-            })
-            .collect();
-        Topology {
-            nodes,
-            racks: Vec::new(),
-        }
+        Self::flat_per_node(net, &vec![link_gbps; nodes], latency)
     }
 
     /// Like [`Topology::flat`], but with an individual link speed per node
@@ -73,6 +60,7 @@ impl Topology {
     /// item 2).
     pub fn flat_per_node(net: &mut FlowNet, gbps: &[f64], latency: SimDuration) -> Self {
         assert!(!gbps.is_empty(), "topology needs at least one node");
+        // Split the one-hop latency across the two links of a path.
         let half = SimDuration::from_nanos(latency.as_nanos() / 2);
         let nodes = gbps
             .iter()
@@ -104,17 +92,30 @@ impl Topology {
             "need at least one rack and host"
         );
         let half = SimDuration::from_nanos(latency.as_nanos() / 2);
+        Self::racked(net, racks, per_rack, (host_gbps, half), (uplink_gbps, half))
+    }
+
+    /// `racks` racks of `per_rack` hosts, each behind an up/down pair of
+    /// `(gbps, latency)` links `uplink`, the hosts' links being `host`:
+    /// per rack its pair, then each host's transmit and receive link.
+    fn racked(
+        net: &mut FlowNet,
+        racks: usize,
+        per_rack: usize,
+        host: (f64, SimDuration),
+        uplink: (f64, SimDuration),
+    ) -> Self {
         let mut nodes = Vec::with_capacity(racks * per_rack);
         let mut rack_ports = Vec::with_capacity(racks);
         for r in 0..racks {
             rack_ports.push(RackPorts {
-                up: net.add_link(uplink_gbps, half),
-                down: net.add_link(uplink_gbps, half),
+                up: net.add_link(uplink.0, uplink.1),
+                down: net.add_link(uplink.0, uplink.1),
             });
             for _ in 0..per_rack {
                 nodes.push(NodePorts {
-                    tx: net.add_link(host_gbps, half),
-                    rx: net.add_link(host_gbps, half),
+                    tx: net.add_link(host.0, host.1),
+                    rx: net.add_link(host.0, host.1),
                     rack: r as u32,
                 });
             }
@@ -189,25 +190,13 @@ impl Topology {
         // carries the remainder.
         let wan_half =
             SimDuration::from_nanos((wan_latency.as_nanos() - lan_latency.as_nanos()) / 2);
-        let mut nodes = Vec::with_capacity(sites * per_site);
-        let mut site_ports = Vec::with_capacity(sites);
-        for s in 0..sites {
-            site_ports.push(RackPorts {
-                up: net.add_link(wan_gbps, wan_half),
-                down: net.add_link(wan_gbps, wan_half),
-            });
-            for _ in 0..per_site {
-                nodes.push(NodePorts {
-                    tx: net.add_link(host_gbps, lan_half),
-                    rx: net.add_link(host_gbps, lan_half),
-                    rack: s as u32,
-                });
-            }
-        }
-        Topology {
-            nodes,
-            racks: site_ports,
-        }
+        Self::racked(
+            net,
+            sites,
+            per_site,
+            (host_gbps, lan_half),
+            (wan_gbps, wan_half),
+        )
     }
 
     /// Every inter-site (WAN) link of a [`Topology::multi_datacenter`]
