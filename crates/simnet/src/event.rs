@@ -5,33 +5,30 @@
 //! every simulation run bit-for-bit reproducible regardless of payload
 //! type. Events can be cancelled cheaply by token.
 //!
-//! Inside, it is a radix heap (Ahuja, Mehlhorn, Orlin and Tarjan, 1990)
-//! keyed on the event's nanosecond, which fits because virtual time never
-//! runs backwards. The base is `now`: bucket 0 holds the events at `now`,
-//! and bucket `b ≥ 1` the events whose time first differs from `now` at
-//! bit `b - 1`, so every time in a bucket is below every time in the
-//! next. Each bucket is a FIFO list threaded through a 16-byte link per
-//! slab cell; the payloads never move. Pops come out in exactly
-//! `(time, seq)` order:
-//!
-//! - equal times always share a bucket;
-//! - a push appends, and it carries the newest seq;
-//! - a pop that finds bucket 0 empty moves the base to the least time of
-//!   the lowest bucket and relinks that bucket in order, appending each
-//!   event to the empty lower bucket it now belongs to.
-//!
-//! So the events of one instant stay in seq order within their bucket,
-//! and the head of bucket 0 is the earliest `(time, seq)`. Only a pop
-//! moves the base: a peek finds the head without moving anything, so an
-//! event may still be scheduled anywhere in `[now, head)` after it.
+//! Inside, it is a timing wheel with one FIFO list per nanosecond of the
+//! window `[now, now + SPAN)`: list `t % SPAN` holds the events at `t`,
+//! threaded through a 4-byte link per slab cell, so payloads never move.
+//! A two-level occupancy bitmap finds the earliest non-empty list. An
+//! event at or beyond `now + SPAN` when it is queued waits in one far heap.
+//! When a pop moves `now`, every far event that now falls inside the
+//! window moves, in `(time, seq)` order, to the tail of its list, before
+//! anything can be scheduled straight to its instant (which needs the
+//! instant inside the window). A push appends with the newest seq, so each
+//! list is in seq order, pops come out in exactly `(time, seq)` order,
+//! nothing is ever relinked, and the head is a bit scan away. Only a pop
+//! moves `now`: a peek finds the head without moving anything, so an event
+//! may still be scheduled anywhere in `[now, head)` after it.
+
+use std::{cmp::Reverse, collections::BinaryHeap};
 
 use crate::time::{SimDuration, SimTime};
 
-/// The end of a list.
-const NIL: u32 = u32::MAX;
+/// The end of a list: cell 0 is never an event's.
+const NIL: u32 = 0;
 
-/// Bucket 0, then one per bit of a nanosecond.
-const BUCKETS: usize = 1 + u64::BITS as usize;
+/// The wheel's window, in nanoseconds: 99.7 % of the delays the fabric
+/// schedules are shorter.
+const SPAN: u64 = 1 << 15;
 
 /// Identifies a scheduled event so it can be cancelled.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -40,39 +37,12 @@ pub struct EventToken {
     slot: u32,
 }
 
-/// Where a slab cell's event waits: its instant and the next cell of its
-/// bucket (or of the free list). `live` is false once the event was
-/// cancelled (it stays linked and is freed when it surfaces) and while
-/// the cell is free, so a bucket walk never reads a payload.
-#[derive(Clone, Copy)]
-struct Link {
-    time: SimTime,
-    next: u32,
-    live: bool,
-}
-
-/// One slab cell: the payload and the seq of the event holding it. A
-/// stale token's seq no longer matches.
+/// One slab cell: the seq of the event holding it (a stale token's no
+/// longer matches) and its payload, gone while the cell is free and once
+/// the event is cancelled (it stays queued until it surfaces or migrates).
 struct Slot<E> {
     seq: u64,
     payload: Option<E>,
-}
-
-/// A FIFO list of cells; `tail` means something only while `head` does.
-#[derive(Clone, Copy)]
-struct List {
-    head: u32,
-    tail: u32,
-}
-
-const EMPTY: List = List {
-    head: NIL,
-    tail: NIL,
-};
-
-/// The bucket of an event at `t` while the base is `base`.
-fn bucket(base: SimTime, t: SimTime) -> usize {
-    (u64::BITS - (t.as_nanos() ^ base.as_nanos()).leading_zeros()) as usize
 }
 
 /// A deterministic priority queue of timed events carrying payloads of
@@ -95,22 +65,25 @@ fn bucket(base: SimTime, t: SimTime) -> usize {
 /// assert_eq!(t.as_nanos(), 1_000);
 /// ```
 pub struct EventQueue<E> {
-    buckets: [List; BUCKETS],
-    /// Bit `b - 1` is set while bucket `b ≥ 1` is non-empty.
-    mask: u64,
-    links: Vec<Link>,
+    /// `[head, tail]` of list `t % SPAN`, the events at `t` (`tail` only
+    /// while `head` is set); zeroed, so empty, by the first schedule.
+    wheel: Vec<[u32; 2]>,
+    /// Bit `l % 64` of word `l / 64` is set while list `l` is non-empty.
+    words: Vec<u64>,
+    /// Bit `w % 64` of `summary[w / 64]` is set while word `w` is non-zero.
+    summary: [u64; SPAN as usize / 4096],
+    /// The events at or beyond `now + SPAN` when they were queued, keyed
+    /// `(time, cell)`. Each is `now + SPAN` or later after every pop.
+    far: BinaryHeap<Reverse<(SimTime, u32)>>,
+    /// The next cell of each cell's list, or of the free list at `free`.
+    next: Vec<u32>,
     slab: Vec<Slot<E>>,
-    /// The free cells, threaded through `Link::next`.
     free: u32,
     /// Pending (non-cancelled) events.
     pending: usize,
-    /// The base of the buckets: the timestamp of the last pop.
+    /// The start of the window: the timestamp of the last pop.
     now: SimTime,
     next_seq: u64,
-    /// The earliest pending time once a peek has walked the lowest bucket
-    /// for it, so the pop after a peek walks that bucket once. A push
-    /// before it lowers it; a pop, or a cancel at that time, forgets it.
-    least: Option<SimTime>,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -123,15 +96,16 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue at time zero.
     pub fn new() -> Self {
         EventQueue {
-            buckets: [EMPTY; BUCKETS],
-            mask: 0,
-            links: Vec::new(),
+            wheel: Vec::new(),
+            words: Vec::new(),
+            summary: [0; SPAN as usize / 4096],
+            far: BinaryHeap::new(),
+            next: Vec::new(),
             slab: Vec::new(),
             free: NIL,
             pending: 0,
             now: SimTime::ZERO,
             next_seq: 0,
-            least: None,
         }
     }
 
@@ -167,31 +141,26 @@ impl<E> EventQueue<E> {
             seq,
             payload: Some(payload),
         };
-        let link = Link {
-            time: at,
-            next: NIL,
-            live: true,
-        };
         let slot = if self.free == NIL {
-            let slot = u32::try_from(self.slab.len())
-                .ok()
-                .filter(|&slot| slot != NIL)
-                .expect("too many pending events");
+            if self.slab.is_empty() {
+                // Cell 0 is `NIL`, never queued; zeroed lists are empty.
+                self.wheel = vec![[NIL; 2]; SPAN as usize];
+                self.words = vec![0; SPAN as usize / 64];
+                self.next.push(NIL);
+                self.slab.push(Slot { seq, payload: None });
+            }
+            let slot = u32::try_from(self.slab.len()).expect("too many pending events");
             self.slab.push(cell);
-            self.links.push(link);
+            self.next.push(NIL);
             slot
         } else {
             let slot = self.free;
-            self.free = self.links[slot as usize].next;
+            self.free = self.next[slot as usize];
             self.slab[slot as usize] = cell;
-            self.links[slot as usize] = link;
             slot
         };
         self.pending += 1;
-        self.append(slot);
-        if self.least.is_some_and(|least| at < least) {
-            self.least = Some(at);
-        }
+        self.queue(slot, at);
         EventToken { seq, slot }
     }
 
@@ -209,49 +178,36 @@ impl<E> EventQueue<E> {
             return;
         };
         if cell.seq == token.seq && cell.payload.take().is_some() {
-            let link = &mut self.links[token.slot as usize];
-            link.live = false;
             self.pending -= 1;
-            if self.least == Some(link.time) {
-                self.least = None;
-            }
         }
     }
 
     /// Timestamp of the next pending event without popping it. Never
     /// moves the clock, so an event can still be scheduled before it.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        loop {
-            let first = self.buckets[0].head;
-            if first != NIL {
-                if self.links[first as usize].live {
-                    return Some(self.now);
-                }
-                self.buckets[0].head = self.links[first as usize].next;
-                self.release(first);
-                continue;
+        // The window runs from `now`'s list round to the one before it.
+        let start = (self.now.as_nanos() % SPAN) as usize;
+        while let Some(l) = self.first_from(start).or_else(|| self.first_from(0)) {
+            if self.slab[self.wheel[l][0] as usize].payload.is_some() {
+                let ahead = (l as u64).wrapping_sub(self.now.as_nanos()) % SPAN;
+                return Some(self.now + SimDuration::from_nanos(ahead));
             }
-            if self.least.is_some() || self.mask == 0 {
-                return self.least;
-            }
-            let b = self.mask.trailing_zeros() as usize + 1;
-            self.least = self
-                .walk(b)
-                .map(|i| self.links[i as usize])
-                .filter(|link| link.live)
-                .map(|link| link.time)
-                .min();
-            if self.least.is_none() {
-                // Only cancelled events: free them.
-                self.relink(b);
-            }
+            let dead = self.take_head(l);
+            self.release(dead);
         }
+        while let Some(&Reverse((t, i))) = self.far.peek() {
+            if self.slab[i as usize].payload.is_some() {
+                return Some(t);
+            }
+            self.far.pop();
+            self.release(i);
+        }
+        None
     }
 
     /// Pops the earliest event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let head = self.settle()?;
-        self.buckets[0].head = self.links[head as usize].next;
+        let head = self.settle().map(|l| self.take_head(l))?;
         Some((self.now, self.fire(head)))
     }
 
@@ -261,7 +217,7 @@ impl<E> EventQueue<E> {
     /// everything already scheduled there — exactly [`EventQueue::pop`]
     /// followed by [`EventQueue::schedule_at`] (the clock advances, the
     /// event gets a fresh sequence number, its old token goes stale), for
-    /// one relink and no payload move.
+    /// an unlink and an append and no payload move.
     ///
     /// Returns `None` when the queue is empty, `Some((t, None))` when the
     /// head at `t` was deferred, and `Some((t, Some(payload)))` otherwise.
@@ -273,12 +229,11 @@ impl<E> EventQueue<E> {
         &mut self,
         defer: impl FnOnce(SimTime, &E) -> Option<SimTime>,
     ) -> Option<(SimTime, Option<E>)> {
-        let head = self.settle()?;
+        let head = self.settle().map(|l| self.take_head(l))?;
         let t = self.now;
         let cell = &mut self.slab[head as usize];
         let payload = cell.payload.as_ref().expect("settled head is live");
         let Some(at) = defer(t, payload) else {
-            self.buckets[0].head = self.links[head as usize].next;
             return Some((t, Some(self.fire(head))));
         };
         assert!(
@@ -287,10 +242,7 @@ impl<E> EventQueue<E> {
         );
         cell.seq = self.next_seq;
         self.next_seq += 1;
-        self.buckets[0].head = self.links[head as usize].next;
-        self.links[head as usize].time = at;
-        self.append(head);
-        self.least = None;
+        self.queue(head, at);
         Some((t, None))
     }
 
@@ -306,9 +258,25 @@ impl<E> EventQueue<E> {
         let Some(t) = self.peek_time() else {
             return Vec::new();
         };
-        let due: Vec<(u64, &E)> = self
-            .walk(bucket(self.now, t))
-            .filter(|&i| self.links[i as usize].time == t)
+        let cells: Vec<u32> = if t.as_nanos() - self.now.as_nanos() < SPAN {
+            let first = self.wheel[(t.as_nanos() % SPAN) as usize][0];
+            std::iter::successors(Some(first), |&i| {
+                Some(self.next[i as usize]).filter(|&next| next != NIL)
+            })
+            .collect()
+        } else {
+            // Still in the far heap, where nothing else is as early.
+            let mut far: Vec<_> = self
+                .far
+                .iter()
+                .filter(|e| e.0 .0 == t)
+                .map(|e| e.0 .1)
+                .collect();
+            far.sort_unstable_by_key(|&i| self.slab[i as usize].seq);
+            far
+        };
+        let due: Vec<(u64, &E)> = cells
+            .into_iter()
             .filter_map(|i| {
                 let cell = &self.slab[i as usize];
                 Some((cell.seq, cell.payload.as_ref()?))
@@ -329,95 +297,127 @@ impl<E> EventQueue<E> {
         if !self.peek_due().iter().any(|&(due, _)| due == seq) {
             return None;
         }
-        // Bucket 0 now holds the due set: relink it without `seq`.
-        self.settle();
-        let mut i = std::mem::replace(&mut self.buckets[0], EMPTY).head;
+        // List `l` now holds the due set: rebuild it without `seq`.
+        let l = self.settle()?;
+        let mut i = std::mem::replace(&mut self.wheel[l], [NIL; 2])[0];
+        self.unmark(l);
         let mut found = NIL;
         while i != NIL {
-            let next = self.links[i as usize].next;
+            let next = self.next[i as usize];
             if self.slab[i as usize].seq == seq {
                 found = i;
             } else {
-                self.append(i);
+                self.append(i, l);
             }
             i = next;
         }
         Some((self.now, self.fire(found)))
     }
 
-    /// The cells of bucket `b`, in order.
-    fn walk(&self, b: usize) -> impl Iterator<Item = u32> + '_ {
-        let first = self.buckets[b].head;
-        std::iter::successors((first != NIL).then_some(first), |&i| {
-            let next = self.links[i as usize].next;
-            (next != NIL).then_some(next)
-        })
-    }
-
-    /// Moves the base to the earliest pending time, so that bucket 0
-    /// holds every event due then, and returns the live cell at its head.
-    fn settle(&mut self) -> Option<u32> {
+    /// Moves the clock to the earliest pending time, bringing far events
+    /// into the window, and returns that instant's list (its head is live).
+    fn settle(&mut self) -> Option<usize> {
         let t = self.peek_time()?;
         if t != self.now {
-            let b = bucket(self.now, t);
-            debug_assert_eq!(self.mask.trailing_zeros() as usize, b - 1);
             self.now = t;
-            self.relink(b);
+            let mut run = Vec::new();
+            while let Some(&Reverse((at, _))) = self.far.peek() {
+                if at.as_nanos() - t.as_nanos() >= SPAN {
+                    break;
+                }
+                while let Some(&Reverse((_, i))) = self.far.peek().filter(|e| e.0 .0 == at) {
+                    self.far.pop();
+                    run.push(i);
+                }
+                // A run of equal times leaves the heap in cell order.
+                run.sort_unstable_by_key(|&i| self.slab[i as usize].seq);
+                for i in run.drain(..) {
+                    if self.slab[i as usize].payload.is_some() {
+                        self.append(i, (at.as_nanos() % SPAN) as usize);
+                    } else {
+                        self.release(i);
+                    }
+                }
+            }
         }
-        Some(self.buckets[0].head)
+        Some((t.as_nanos() % SPAN) as usize)
     }
 
-    /// Empties bucket `b ≥ 1` in order, appending each live cell to the
-    /// bucket of its time (after the base moved, a lower one) and freeing
-    /// the cancelled ones.
-    fn relink(&mut self, b: usize) {
-        let mut i = std::mem::replace(&mut self.buckets[b], EMPTY).head;
-        self.mask &= !(1 << (b - 1));
-        while i != NIL {
-            let Link { next, live, .. } = self.links[i as usize];
-            if live {
-                self.append(i);
-            } else {
-                self.release(i);
-            }
-            i = next;
-        }
-    }
-
-    /// Appends cell `i` to the bucket of its time.
-    fn append(&mut self, i: u32) {
-        let link = &mut self.links[i as usize];
-        link.next = NIL;
-        let b = bucket(self.now, link.time);
-        let list = &mut self.buckets[b];
-        if list.head == NIL {
-            list.head = i;
-            if b > 0 {
-                self.mask |= 1 << (b - 1);
-            }
+    /// Queues cell `i`, due at `at`: at the tail of its instant's list
+    /// inside the window, in the far heap beyond it.
+    fn queue(&mut self, i: u32, at: SimTime) {
+        if at.as_nanos() - self.now.as_nanos() < SPAN {
+            self.append(i, (at.as_nanos() % SPAN) as usize);
         } else {
-            self.links[list.tail as usize].next = i;
+            self.far.push(Reverse((at, i)));
         }
-        list.tail = i;
     }
 
-    /// Takes the payload of a live cell that has just left bucket 0 and
+    /// Appends cell `i` to list `l`.
+    fn append(&mut self, i: u32, l: usize) {
+        self.next[i as usize] = NIL;
+        let list = &mut self.wheel[l];
+        if list[0] == NIL {
+            *list = [i; 2];
+            self.words[l / 64] |= 1 << (l % 64);
+            self.summary[l / 4096] |= 1 << (l / 64 % 64);
+        } else {
+            let tail = std::mem::replace(&mut list[1], i);
+            self.next[tail as usize] = i;
+        }
+    }
+
+    /// Takes the head off non-empty list `l` and returns it.
+    fn take_head(&mut self, l: usize) -> u32 {
+        let head = self.wheel[l][0];
+        self.wheel[l][0] = self.next[head as usize];
+        if self.wheel[l][0] == NIL {
+            self.unmark(l);
+        }
+        head
+    }
+
+    /// Clears the occupancy bit of list `l`, which has just emptied.
+    fn unmark(&mut self, l: usize) {
+        let word = &mut self.words[l / 64];
+        *word &= !(1 << (l % 64));
+        if *word == 0 {
+            self.summary[l / 4096] &= !(1 << (l / 64 % 64));
+        }
+    }
+
+    /// The first non-empty list at or after list `l`.
+    fn first_from(&self, l: usize) -> Option<usize> {
+        // Unallocated words hold no list.
+        let bits = self.words.get(l / 64).map_or(0, |&word| word >> (l % 64));
+        if bits != 0 {
+            return Some(l + bits.trailing_zeros() as usize);
+        }
+        let w = l / 64 + 1;
+        let mut mask = !0 << (w % 64);
+        for s in w / 64..self.summary.len() {
+            let bits = self.summary[s] & mask;
+            if bits != 0 {
+                let w = s * 64 + bits.trailing_zeros() as usize;
+                return Some(w * 64 + self.words[w].trailing_zeros() as usize);
+            }
+            mask = !0;
+        }
+        None
+    }
+
+    /// Takes the payload of a live cell that has just left its list and
     /// frees the cell.
     fn fire(&mut self, i: u32) -> E {
-        let payload = self.slab[i as usize]
-            .payload
-            .take()
-            .expect("fired event is live");
-        self.links[i as usize].live = false;
+        let payload = self.slab[i as usize].payload.take();
         self.release(i);
         self.pending -= 1;
-        self.least = None;
-        payload
+        payload.expect("fired event is live")
     }
 
-    /// Puts a dead cell that has left its bucket on the free list.
+    /// Puts a dead cell that has left its list on the free list.
     fn release(&mut self, i: u32) {
-        self.links[i as usize].next = self.free;
+        self.next[i as usize] = self.free;
         self.free = i;
     }
 }
@@ -582,22 +582,22 @@ mod tests {
     }
 
     #[test]
-    fn equal_times_keep_schedule_order_across_moves() {
-        // Every stone shares `far`'s bucket until it pops, so each pop
-        // moves `far` down a bucket: to 31, 21, 11 and 1.
-        let far = (1u64 << 40) - 1;
+    fn far_events_migrate_ahead_of_direct_inserts_and_free_the_cancelled() {
+        let (at, far) = (SimTime::from_nanos, 3 * SPAN);
         let mut q = EventQueue::new();
-        q.schedule_at(SimTime::from_nanos(far), "far");
-        for bit in [30, 20, 10, 0] {
-            q.schedule_at(SimTime::from_nanos(far - (1 << bit)), "stone");
-        }
-        for _ in 0..4 {
-            assert_eq!(q.pop().unwrap().1, "stone");
-        }
-        // Joins `far` in bucket 1, behind it; one more move takes both to
-        // bucket 0.
-        q.schedule_at(SimTime::from_nanos(far), "same instant");
-        assert_eq!(q.pop(), Some((SimTime::from_nanos(far), "far")));
-        assert_eq!(q.pop(), Some((SimTime::from_nanos(far), "same instant")));
+        let dead = q.schedule_at(at(far - 1), "dead");
+        q.schedule_at(at(far), "far");
+        q.schedule_at(at(2 * SPAN + 7), "stone");
+        q.cancel(dead);
+        // Popping the stone brings `far` into the window ahead of direct
+        // inserts at its instant, and frees `dead`'s cell for reuse.
+        assert_eq!(q.pop(), Some((at(2 * SPAN + 7), "stone")));
+        assert!(q.far.is_empty());
+        q.schedule_at(at(far), "late");
+        q.schedule_at(at(far - 1), "early");
+        assert_eq!(q.slab.len(), 1 + 3);
+        let order: Vec<_> =
+            std::iter::from_fn(|| q.pop().map(|(t, e)| (t.as_nanos(), e))).collect();
+        assert_eq!(order, [(far - 1, "early"), (far, "far"), (far, "late")]);
     }
 }

@@ -1,7 +1,7 @@
 //! # simnet — deterministic datacenter network simulation
 //!
 //! The substrate underneath the RDMC reproduction: a discrete-event kernel
-//! with virtual nanosecond time (a radix queue, since that time never
+//! with virtual nanosecond time (a timing wheel, since that time never
 //! runs backwards), a flow-level network model with max-min fair
 //! bandwidth sharing, datacenter topologies (full-bisection switch,
 //! oversubscribed top-of-rack, two-tier fabric), and host-side cost models

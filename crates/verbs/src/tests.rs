@@ -513,8 +513,8 @@ fn tiny_bypass_and_allocator_transfers_complete_alike() {
     assert_ne!((tiny0_at, tiny1_at), (flow0_at, flow1_at));
 }
 
-/// Two timers parked far ahead — so they wait in a high bucket of the
-/// event queue and move down it before they fire — and a one-sided write
+/// Two timers parked far ahead — so they wait in the event queue's far
+/// heap and move to the wheel before they fire — and a one-sided write
 /// scheduled later for the same instant. Returns every delivery at that
 /// instant, in order.
 fn far_timers_tie_with_a_write(scheduler: Option<crate::SharedScheduler>) -> Vec<(u32, String)> {
