@@ -7,7 +7,8 @@
 //!
 //! Inside, it is a timing wheel with one FIFO list per nanosecond of the
 //! window `[now, now + SPAN)`: list `t % SPAN` holds the events at `t`,
-//! threaded through a 4-byte link per slab cell, so payloads never move.
+//! threaded through a link inside each slab cell, beside the payload, so
+//! payloads never move.
 //! A two-level occupancy bitmap finds the earliest non-empty list. An
 //! event at or beyond `now + SPAN` when it is queued waits in one far heap.
 //! When a pop moves `now`, every far event that now falls inside the
@@ -38,10 +39,12 @@ pub struct EventToken {
 }
 
 /// One slab cell: the seq of the event holding it (a stale token's no
-/// longer matches) and its payload, gone while the cell is free and once
-/// the event is cancelled (it stays queued until it surfaces or migrates).
+/// longer matches), the next cell of its list (or of the free list), and
+/// its payload, gone while the cell is free and once the event is
+/// cancelled (it stays queued until it surfaces or migrates).
 struct Slot<E> {
     seq: u64,
+    next: u32,
     payload: Option<E>,
 }
 
@@ -75,9 +78,8 @@ pub struct EventQueue<E> {
     /// The events at or beyond `now + SPAN` when they were queued, keyed
     /// `(time, cell)`. Each is `now + SPAN` or later after every pop.
     far: BinaryHeap<Reverse<(SimTime, u32)>>,
-    /// The next cell of each cell's list, or of the free list at `free`.
-    next: Vec<u32>,
     slab: Vec<Slot<E>>,
+    /// The head of the free list.
     free: u32,
     /// Pending (non-cancelled) events.
     pending: usize,
@@ -100,7 +102,6 @@ impl<E> EventQueue<E> {
             words: Vec::new(),
             summary: [0; SPAN as usize / 4096],
             far: BinaryHeap::new(),
-            next: Vec::new(),
             slab: Vec::new(),
             free: NIL,
             pending: 0,
@@ -139,6 +140,7 @@ impl<E> EventQueue<E> {
         self.next_seq += 1;
         let cell = Slot {
             seq,
+            next: NIL,
             payload: Some(payload),
         };
         let slot = if self.free == NIL {
@@ -146,16 +148,18 @@ impl<E> EventQueue<E> {
                 // Cell 0 is `NIL`, never queued; zeroed lists are empty.
                 self.wheel = vec![[NIL; 2]; SPAN as usize];
                 self.words = vec![0; SPAN as usize / 64];
-                self.next.push(NIL);
-                self.slab.push(Slot { seq, payload: None });
+                self.slab.push(Slot {
+                    seq,
+                    next: NIL,
+                    payload: None,
+                });
             }
             let slot = u32::try_from(self.slab.len()).expect("too many pending events");
             self.slab.push(cell);
-            self.next.push(NIL);
             slot
         } else {
             let slot = self.free;
-            self.free = self.next[slot as usize];
+            self.free = self.slab[slot as usize].next;
             self.slab[slot as usize] = cell;
             slot
         };
@@ -261,7 +265,7 @@ impl<E> EventQueue<E> {
         let cells: Vec<u32> = if t.as_nanos() - self.now.as_nanos() < SPAN {
             let first = self.wheel[(t.as_nanos() % SPAN) as usize][0];
             std::iter::successors(Some(first), |&i| {
-                Some(self.next[i as usize]).filter(|&next| next != NIL)
+                Some(self.slab[i as usize].next).filter(|&next| next != NIL)
             })
             .collect()
         } else {
@@ -303,7 +307,7 @@ impl<E> EventQueue<E> {
         self.unmark(l);
         let mut found = NIL;
         while i != NIL {
-            let next = self.next[i as usize];
+            let next = self.slab[i as usize].next;
             if self.slab[i as usize].seq == seq {
                 found = i;
             } else {
@@ -355,7 +359,7 @@ impl<E> EventQueue<E> {
 
     /// Appends cell `i` to list `l`.
     fn append(&mut self, i: u32, l: usize) {
-        self.next[i as usize] = NIL;
+        self.slab[i as usize].next = NIL;
         let list = &mut self.wheel[l];
         if list[0] == NIL {
             *list = [i; 2];
@@ -363,14 +367,14 @@ impl<E> EventQueue<E> {
             self.summary[l / 4096] |= 1 << (l / 64 % 64);
         } else {
             let tail = std::mem::replace(&mut list[1], i);
-            self.next[tail as usize] = i;
+            self.slab[tail as usize].next = i;
         }
     }
 
     /// Takes the head off non-empty list `l` and returns it.
     fn take_head(&mut self, l: usize) -> u32 {
         let head = self.wheel[l][0];
-        self.wheel[l][0] = self.next[head as usize];
+        self.wheel[l][0] = self.slab[head as usize].next;
         if self.wheel[l][0] == NIL {
             self.unmark(l);
         }
@@ -417,7 +421,7 @@ impl<E> EventQueue<E> {
 
     /// Puts a dead cell that has left its list on the free list.
     fn release(&mut self, i: u32) {
-        self.next[i as usize] = self.free;
+        self.slab[i as usize].next = self.free;
         self.free = i;
     }
 }
@@ -599,5 +603,67 @@ mod tests {
         let order: Vec<_> =
             std::iter::from_fn(|| q.pop().map(|(t, e)| (t.as_nanos(), e))).collect();
         assert_eq!(order, [(far - 1, "early"), (far, "far"), (far, "late")]);
+    }
+
+    /// The cells on the free list, in the order they will be reused.
+    fn free_cells<E>(q: &EventQueue<E>) -> Vec<u32> {
+        let first = Some(q.free).filter(|&i| i != NIL);
+        std::iter::successors(first, |&i| {
+            Some(q.slab[i as usize].next).filter(|&n| n != NIL)
+        })
+        .take(q.slab.len())
+        .collect()
+    }
+
+    #[test]
+    fn released_cells_are_reused_without_stale_links() {
+        let at = SimTime::from_nanos;
+        let mut q = EventQueue::new();
+        // A cancelled head that still links to a successor is released by
+        // a peek, and its cell is the next one scheduled.
+        let dead = q.schedule_at(at(10), "dead");
+        q.schedule_at(at(10), "next");
+        q.cancel(dead);
+        assert_eq!(q.peek_time(), Some(at(10)));
+        assert_eq!(free_cells(&q), [dead.slot]);
+        let reused = q.schedule_at(at(20), "reused");
+        assert_eq!(reused.slot, dead.slot);
+        assert_eq!(q.slab[reused.slot as usize].next, NIL);
+        assert_eq!(q.pop(), Some((at(10), "next")));
+        let due: Vec<_> = q.peek_due().into_iter().map(|(_, &e)| e).collect();
+        assert_eq!(due, ["reused"]);
+        assert_eq!(q.pop(), Some((at(20), "reused")));
+        // A cancelled far event is released as it migrates, ahead of the
+        // cell the pop that moved it frees.
+        let (far, stone) = (3 * SPAN, 2 * SPAN + 7);
+        let far_dead = q.schedule_at(at(far), "far dead");
+        q.schedule_at(at(far), "far");
+        let stone_tok = q.schedule_at(at(stone), "stone");
+        q.cancel(far_dead);
+        assert_eq!(q.pop(), Some((at(stone), "stone")));
+        assert_eq!(free_cells(&q), [stone_tok.slot, far_dead.slot]);
+        q.schedule_at(at(far), "first reuse");
+        let second = q.schedule_at(at(far), "second reuse");
+        assert_eq!(second.slot, far_dead.slot);
+        assert_eq!(q.slab[second.slot as usize].next, NIL);
+        let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, ["far", "first reuse", "second reuse"]);
+        // Every cell but `NIL` is free again, each once.
+        let mut free = free_cells(&q);
+        free.sort_unstable();
+        assert_eq!(free, (1..q.slab.len() as u32).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_cell_is_32_bytes_for_a_16_byte_payload() {
+        // The fabric's event: a tag beside a node and a 64-bit token, so
+        // `Option` takes its niche and the payload stays 16 bytes.
+        #[allow(dead_code)]
+        enum Ev {
+            Wake,
+            Timer { node: u32, token: u64 },
+        }
+        assert_eq!(std::mem::size_of::<Ev>(), 16);
+        assert!(std::mem::size_of::<Slot<Ev>>() <= 32);
     }
 }

@@ -107,12 +107,18 @@ enum Ev {
     RnrRetry { conn: u32, dir: u8, epoch: u64 },
     /// A transfer's last byte reached the receiver / the ack reached the
     /// sender: the hardware completion, as the [`Delivery`] software will
-    /// see (on the endpoint its `qp` names).
-    HwComplete { delivery: Delivery },
+    /// see (on the endpoint its `qp` names), parked in the completion
+    /// table at `entry`.
+    HwComplete { entry: u32 },
     /// A NIC noticed its peer died.
     BreakConn { conn: u32 },
-    /// Software-visible delivery (after completion-mode delay + jitter).
-    Deliver { node: NodeId, delivery: Delivery },
+    /// Software-visible delivery (after completion-mode delay + jitter)
+    /// of the completion parked at `entry`.
+    Deliver { node: NodeId, entry: u32 },
+    /// A driver timer, delivered as [`Delivery::Timer`]. It rides in the
+    /// event, not the completion table: a driver may park thousands of
+    /// timers far ahead, and a table entry is a whole `Delivery`.
+    Timer { node: NodeId, token: u64 },
 }
 
 impl Ev {
@@ -124,8 +130,48 @@ impl Ev {
             Ev::RnrRetry { .. } => 2,
             Ev::HwComplete { .. } => 3,
             Ev::BreakConn { .. } => 4,
-            Ev::Deliver { .. } => 5,
+            Ev::Deliver { .. } | Ev::Timer { .. } => 5,
         }
+    }
+}
+
+/// The completions between the hardware and software, each named by one
+/// queued `HwComplete` or `Deliver` event, so that an event is 16 bytes
+/// whatever a [`Delivery`] holds. An entry is parked when its event is
+/// queued and taken exactly once, when the event surfaces.
+#[derive(Default)]
+struct CompletionTable {
+    slab: Vec<Option<Delivery>>,
+    free: Vec<u32>,
+}
+
+impl CompletionTable {
+    fn park(&mut self, delivery: Delivery) -> u32 {
+        match self.free.pop() {
+            Some(entry) => {
+                self.slab[entry as usize] = Some(delivery);
+                entry
+            }
+            None => {
+                self.slab.push(Some(delivery));
+                u32::try_from(self.slab.len() - 1).expect("too many parked completions")
+            }
+        }
+    }
+
+    fn get(&self, entry: u32) -> &Delivery {
+        self.slab[entry as usize]
+            .as_ref()
+            .expect("completion taken")
+    }
+
+    fn take(&mut self, entry: u32) -> Delivery {
+        self.free.push(entry);
+        self.slab[entry as usize].take().expect("completion taken")
+    }
+
+    fn is_empty(&self) -> bool {
+        self.free.len() == self.slab.len()
     }
 }
 
@@ -135,10 +181,10 @@ pub struct FabricStats {
     /// Events popped from the queue.
     pub events: u64,
     /// `events` by kind: flow-network wakeups, kicks, RNR retries,
-    /// hardware completions, connection breaks, deliveries. A delivery
-    /// requeued for a busy CPU counts once per pop, so the last minus
-    /// `cpu_requeues` is the deliveries that reached (or were discarded
-    /// for) a node.
+    /// hardware completions, connection breaks, deliveries (driver timers
+    /// included). A delivery requeued for a busy CPU counts once per pop,
+    /// so the last minus `cpu_requeues` is the deliveries that reached (or
+    /// were discarded for) a node.
     pub events_by_kind: [u64; 6],
     /// Kick attempts.
     pub kicks: u64,
@@ -187,6 +233,8 @@ pub struct Fabric {
     topo: Topology,
     params: FabricParams,
     queue: EventQueue<Ev>,
+    /// The completions that queued `HwComplete` and `Deliver` events name.
+    completions: CompletionTable,
     conns: Vec<Conn>,
     nodes: Vec<Node>,
     net_wake: Option<EventToken>,
@@ -245,6 +293,7 @@ impl Fabric {
             topo,
             params,
             queue: EventQueue::new(),
+            completions: CompletionTable::default(),
             conns: Vec::new(),
             nodes,
             net_wake: None,
@@ -368,31 +417,53 @@ impl Transport for Fabric {
                 self.net_stale = false;
                 self.resync_net();
             }
-            let (t, ev) = self.pop_event()?;
+            let Some((t, ev)) = self.pop_event() else {
+                // Every parked completion is named by one queued event.
+                debug_assert!(
+                    self.completions.is_empty(),
+                    "completions parked with no event left to surface them"
+                );
+                return None;
+            };
             // Keep the shared trace clock at the instant being
             // processed; everything recorded while handling this event
             // (including by protocol engines fed from it) stamps `t`.
             self.recorder.set_now(t.as_nanos());
-            match ev {
+            let (node, delivery) = match ev {
                 // A delivery went back to wait for its node's CPU.
-                None => {}
-                Some(Ev::Deliver { node, delivery }) => {
-                    let n = &self.nodes[node.index()];
-                    if !n.crashed {
-                        let overhead = n.profile.completion_overhead;
-                        self.charge_cpu(node, overhead);
-                        return Some((t, node, delivery));
-                    }
-                }
+                None => continue,
+                Some(Ev::Deliver { node, entry }) => (node, self.completions.take(entry)),
+                Some(Ev::Timer { node, token }) => (node, Delivery::Timer { token }),
                 Some(Ev::NetWake) => {
                     self.net_wake = None;
                     self.process_due_flows(t);
                     self.net_stale = true;
+                    continue;
                 }
-                Some(Ev::Kick { conn, dir }) => self.kick(conn, dir),
-                Some(Ev::RnrRetry { conn, dir, epoch }) => self.rnr_retry(conn, dir, epoch),
-                Some(Ev::HwComplete { delivery }) => self.hw_complete(t, delivery),
-                Some(Ev::BreakConn { conn }) => self.break_conn(conn),
+                Some(Ev::Kick { conn, dir }) => {
+                    self.kick(conn, dir);
+                    continue;
+                }
+                Some(Ev::RnrRetry { conn, dir, epoch }) => {
+                    self.rnr_retry(conn, dir, epoch);
+                    continue;
+                }
+                Some(Ev::HwComplete { entry }) => {
+                    let delivery = self.completions.take(entry);
+                    self.hw_complete(t, delivery);
+                    continue;
+                }
+                Some(Ev::BreakConn { conn }) => {
+                    self.break_conn(conn);
+                    continue;
+                }
+            };
+            // A crashed node's software is gone: its deliveries drop.
+            let n = &self.nodes[node.index()];
+            if !n.crashed {
+                let overhead = n.profile.completion_overhead;
+                self.charge_cpu(node, overhead);
+                return Some((t, node, delivery));
             }
         }
     }
@@ -487,13 +558,7 @@ impl Transport for Fabric {
     }
 
     fn schedule_timer(&mut self, node: NodeId, delay: SimDuration, token: u64) {
-        self.queue.schedule_in(
-            delay,
-            Ev::Deliver {
-                node,
-                delivery: Delivery::Timer { token },
-            },
-        );
+        self.queue.schedule_in(delay, Ev::Timer { node, token });
     }
 
     fn consume_cpu(&mut self, node: NodeId, dur: SimDuration) {
@@ -670,7 +735,7 @@ impl Fabric {
         let mut defer = |t: SimTime, ev: &Ev| {
             stats.events += 1;
             stats.events_by_kind[ev.kind()] += 1;
-            let Ev::Deliver { node, .. } = ev else {
+            let (Ev::Deliver { node, .. } | Ev::Timer { node, .. }) = ev else {
                 return None;
             };
             let n = &nodes[node.index()];
@@ -686,9 +751,12 @@ impl Fabric {
         let enabled = |n: &Node| !n.crashed && n.cpu_free_at <= t;
         let cands: Vec<_> = due
             .iter()
-            .map_while(|&(seq, ev)| match ev {
-                Ev::Deliver { node, delivery } if enabled(&nodes[node.index()]) => {
-                    Some(Candidate::of(seq, *node, delivery))
+            .map_while(|&(seq, ev)| match *ev {
+                Ev::Deliver { node, entry } if enabled(&nodes[node.index()]) => {
+                    Some(Candidate::of(seq, node, self.completions.get(entry)))
+                }
+                Ev::Timer { node, token } if enabled(&nodes[node.index()]) => {
+                    Some(Candidate::of(seq, node, &Delivery::Timer { token }))
                 }
                 _ => None,
             })
@@ -828,12 +896,13 @@ impl Fabric {
         let latency = self.conns[conn_idx as usize].latency[dir as usize];
         let nic_op = self.params.nic_op_overhead;
         if let Some(delivery) = at_receiver {
+            let entry = self.completions.park(delivery);
             self.queue
-                .schedule_at(now + latency + nic_op, Ev::HwComplete { delivery });
+                .schedule_at(now + latency + nic_op, Ev::HwComplete { entry });
         }
         let acked = now + latency + latency + nic_op;
-        let delivery = at_sender;
-        self.queue.schedule_at(acked, Ev::HwComplete { delivery });
+        let entry = self.completions.park(at_sender);
+        self.queue.schedule_at(acked, Ev::HwComplete { entry });
     }
 
     /// Decides the fate of one completed transfer: a scheduler with
@@ -1115,8 +1184,9 @@ impl Fabric {
             Err(_) => t,
         };
         let jitter = self.nodes[node.index()].jitter.sample();
+        let entry = self.completions.park(delivery);
         self.queue
-            .schedule_at(visible + jitter, Ev::Deliver { node, delivery });
+            .schedule_at(visible + jitter, Ev::Deliver { node, entry });
     }
 
     /// Completion-mode signalling delay, with hybrid poll-window
@@ -1219,21 +1289,13 @@ impl Fabric {
                         recv,
                     },
                 );
-                self.queue.schedule_at(
-                    now,
-                    Ev::Deliver {
-                        node,
-                        delivery: Delivery::WrFlushed { qp, wr_id, recv },
-                    },
-                );
+                let entry = self
+                    .completions
+                    .park(Delivery::WrFlushed { qp, wr_id, recv });
+                self.queue.schedule_at(now, Ev::Deliver { node, entry });
             }
-            self.queue.schedule_at(
-                now,
-                Ev::Deliver {
-                    node,
-                    delivery: Delivery::QpBroken { qp },
-                },
-            );
+            let entry = self.completions.park(Delivery::QpBroken { qp });
+            self.queue.schedule_at(now, Ev::Deliver { node, entry });
         }
     }
 
@@ -1279,5 +1341,14 @@ impl std::fmt::Debug for Fabric {
             .field("nodes", &self.nodes.len())
             .field("conns", &self.conns.len())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn an_event_is_16_bytes() {
+        // A completion waits in the completion table, not in the queue.
+        assert!(std::mem::size_of::<super::Ev>() <= 16);
     }
 }
