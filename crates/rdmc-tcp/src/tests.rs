@@ -1,21 +1,25 @@
 //! What the ledger-driven pump must not cost: failure detection on an
-//! idle socket, data that was on the wire when its sender crashed, and
-//! a typed error (never a panic) for a malformed frame, an oversize
-//! post or a socket that cannot be set up. Then the one-socket-per-pair
-//! contract: queue pairs share their pair's socket, break alone, and
-//! all break together when the socket does. Last, shards, under the
-//! stepped driver over a range of seeds: small and bulk runs deal
-//! sockets to both and deliver everywhere, the worker is parked whenever
-//! `run()` returns, a crash across shards keeps delivery all-or-nothing
-//! with its breaks ahead of relayed gossip, two shards run what one
-//! runs, and both answer posts and snapshots alike (the verbs' contract
-//! is the root `transport_contract` suite's, on every backend).
+//! idle socket, and a typed error (never a panic) for a malformed frame,
+//! an oversize post or a socket that cannot be set up. Then the
+//! one-socket-per-pair contract: queue pairs share their pair's socket,
+//! break alone, and all break together when the socket does. Last,
+//! shards, under the stepped driver over a range of seeds: small and
+//! bulk runs deal sockets to both and deliver everywhere, the worker is
+//! parked whenever `run()` returns, a crash across shards keeps delivery
+//! all-or-nothing with its breaks ahead of relayed gossip, two shards
+//! run what one runs, and both answer posts and snapshots alike.
+//!
+//! Only socket internals live here. The verbs' contract is the root
+//! `transport_contract` suite's, and the protocol's delivery claims are
+//! the root transport matrix's and crash sweep's; each runs on all three
+//! backends (`Fabric`, loopback sockets and `MemNet`), and on `MemNet`
+//! bytes flushed but not yet read at a crash meet the survivor on every
+//! run (`flushed_sends_reach_the_survivor_before_the_break`).
 
 use super::*;
 use std::net::{Shutdown, TcpListener};
 use std::time::Instant;
 
-use frame::HDR;
 use rdmc::Algorithm;
 use rdmc_sim::{GroupSpec, RecoveryConfig};
 use shard::Link;
@@ -91,47 +95,6 @@ fn idle_socket_killed_from_outside_breaks_both_ends_within_the_bound() {
     fabric
         .shutdown()
         .expect("an end of stream between frames is a break, not an error");
-}
-
-/// Frames flushed but not yet read when their sender crashes are on
-/// the wire: the pump keeps reading the live end of the dying
-/// connection, so the survivor sees every one of them before its
-/// flushed receive and the break.
-#[test]
-fn bytes_in_flight_at_a_crash_are_delivered_before_the_break() {
-    const K: u64 = 5;
-    const LEN: u64 = 8 << 10;
-    let (mut fabric, a, b) = pair();
-    for i in 0..=K {
-        fabric.post_recv(b, WrId(100 + i), LEN).expect("post_recv");
-    }
-    for i in 0..K {
-        fabric
-            .post_send(a, WrId(i), LEN, i, None)
-            .expect("post_send");
-    }
-    // Flush without the paired read, as a slow kernel would leave it.
-    assert!(flush(&mut fabric));
-    assert_eq!(fabric.home.conns[0].in_flight_to(1), K * (LEN + HDR as u64));
-    fabric.crash(A);
-    // The armed break timer keeps the fabric from going quiescent.
-    let mut seen = Vec::new();
-    while let Some((_, node, delivery)) = fabric.advance() {
-        assert_eq!(node, B, "dead software observes nothing");
-        seen.push(match delivery {
-            Delivery::RecvDone { wr_id, imm, .. } => format!("recv {} imm {imm}", wr_id.0),
-            Delivery::WrFlushed { wr_id, recv, .. } => format!("flushed {} {recv}", wr_id.0),
-            Delivery::QpBroken { .. } => "broken".to_string(),
-            other => format!("{other:?}"),
-        });
-    }
-    let mut expected: Vec<String> = (0..K)
-        .map(|i| format!("recv {} imm {i}", 100 + i))
-        .collect();
-    expected.push(format!("flushed {} true", 100 + K));
-    expected.push("broken".to_string());
-    assert_eq!(seen, expected);
-    fabric.shutdown().expect("clean shutdown after a crash");
 }
 
 /// Due timers fire as a lap begins, before it moves any bytes: a

@@ -1,8 +1,8 @@
 //! The TCP backend as a raw fabric: repeated launch and shutdown in one
 //! process, a stranger on the fabric's listener, and a fabric of no
-//! nodes refused. The verbs' contract runs on both transports in the
-//! root `transport_contract` suite, cluster-level scenarios in the root
-//! `transport_equivalence` matrix.
+//! nodes refused. The verbs' contract runs on every backend in the root
+//! `transport_contract` suite, cluster-level scenarios in the root
+//! `transport_equivalence` matrix and `crash_sweep`.
 
 use std::io;
 use std::net::TcpStream;

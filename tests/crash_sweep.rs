@@ -9,10 +9,12 @@
 //! shapes, a plain group's `k`-block message and an atomic group's
 //! `count` messages, over any transport. The
 //! exhaustive sweeps (every member crashed at every step of the
-//! failure-free run) run on the simulated fabric and on real TCP
-//! sockets, where a `SendDone` only means "flushed to the socket".
-//! Jitter and bit-for-bit reruns are simulator properties, so the soak
-//! and the jittered proptests run on `Fabric` alone.
+//! failure-free run) run on all three backends: the simulated fabric,
+//! real TCP sockets over loopback, where a `SendDone` only means
+//! "flushed to the socket", and the same TCP datapath over in-process
+//! pipes (`MemNet`), where a flushed frame waits for its reader on every
+//! lap. Jitter and bit-for-bit reruns are simulator properties, so the
+//! soak and the jittered proptests run on `Fabric` alone.
 
 mod support;
 
@@ -20,7 +22,7 @@ use proptest::prelude::*;
 use rdmc::Algorithm;
 use rdmc_sim::{Cluster, ClusterBuilder, ClusterSpec};
 use simnet::{JitterModel, SimDuration};
-use support::{close, sim, spec, tcp, Setup, KB};
+use support::{close, mem, sim, spec, tcp, Setup, KB};
 use verbs::{Fabric, Transport};
 
 const BLOCK: u64 = 64 * KB;
@@ -132,22 +134,28 @@ fn sweep<T: Transport>(
     total
 }
 
-/// The exhaustive sweep on the simulated fabric, then on loopback TCP,
-/// where every run also shuts down clean. The protocol fixes the engine
-/// events of a failure-free run, so both sweeps visit the same sites.
-fn sweep_both_transports(n: usize, shape: Shape) {
+/// The exhaustive sweep on the simulated fabric, then on loopback TCP
+/// and on `MemNet`, where every run also shuts down clean. The protocol
+/// fixes the engine events of a failure-free run, so all three sweeps
+/// visit the same sites.
+fn sweep_every_backend(n: usize, shape: Shape) {
     let steps = sweep(n, shape, || sim(n), drop);
     assert_eq!(sweep(n, shape, || tcp(n), close), steps, "{shape:?} on TCP");
+    assert_eq!(
+        sweep(n, shape, || mem(n), close),
+        steps,
+        "{shape:?} on MemNet"
+    );
 }
 
 #[test]
 fn every_member_crashing_at_every_step_recovers() {
-    sweep_both_transports(4, Shape::Plain { k: 3 });
+    sweep_every_backend(4, Shape::Plain { k: 3 });
 }
 
 #[test]
 fn every_sender_crashing_at_every_step_converges() {
-    sweep_both_transports(4, Shape::Atomic { count: 4 });
+    sweep_every_backend(4, Shape::Atomic { count: 4 });
 }
 
 /// Everything a rerun must reproduce: the engine events fed, the

@@ -1,10 +1,12 @@
 //! The one runner the transport matrix (`transport_equivalence.rs`) and
 //! the crash sweep (`crash_sweep.rs`) share: a cluster built the same way
-//! over either transport, driven by a scenario written once.
+//! over any of the three backends — the simulated fabric, TCP over
+//! loopback sockets, and the same TCP datapath over in-process pipes
+//! (`MemNet`) — driven by a scenario written once.
 
 use rdmc::Algorithm;
 use rdmc_sim::{Cluster, ClusterBuilder, ClusterSpec, GroupSpec, PacerConfig, RecoveryConfig};
-use rdmc_tcp::{TcpCluster, TcpFabric};
+use rdmc_tcp::{MemNet, Net, TcpFabric};
 use verbs::{Fabric, Transport};
 
 pub const KB: u64 = 1 << 10;
@@ -83,6 +85,12 @@ pub fn tcp_fabric(n: usize) -> TcpFabric {
     TcpFabric::launch(n).expect("launch")
 }
 
+/// `n` nodes on in-process pipes, as a raw fabric: the TCP datapath on
+/// a virtual clock that moves only when no byte can.
+pub fn mem_fabric(n: usize) -> TcpFabric<MemNet> {
+    TcpFabric::in_memory(n).expect("in memory")
+}
+
 /// `n` simulated nodes.
 pub fn sim(n: usize) -> ClusterBuilder<Fabric> {
     ClusterBuilder::from_transport(sim_fabric(n))
@@ -93,7 +101,13 @@ pub fn tcp(n: usize) -> ClusterBuilder<TcpFabric> {
     ClusterBuilder::from_transport(tcp_fabric(n))
 }
 
-/// Every TCP run ends here: a shutdown that surfaces no socket error.
-pub fn close(cluster: TcpCluster) {
-    rdmc_tcp::shutdown(cluster).expect("clean shutdown");
+/// `n` nodes on in-process pipes.
+pub fn mem(n: usize) -> ClusterBuilder<TcpFabric<MemNet>> {
+    ClusterBuilder::from_transport(mem_fabric(n))
+}
+
+/// Every TCP run, on sockets or on pipes, ends here: a shutdown that
+/// surfaces no socket error.
+pub fn close<N: Net>(cluster: Cluster<TcpFabric<N>>) {
+    cluster.into_transport().shutdown().expect("clean shutdown");
 }

@@ -25,8 +25,16 @@
 //!   - completion modes, jitter and CPU: TCP hosts have no host model;
 //!   - `fabric_is_deterministic`: wall-clock runs do not repeat;
 //!   - `crash_aborts_inflight_transfer`: TCP delivers what reached the socket.
-//! - TCP (`rdmc-tcp/src/tests.rs`): socket internals (one socket per node
-//!   pair, orphans, sweeps, malformed frames, `MAX_FRAME`, stepped shards).
+//! - loopback TCP (`rdmc-tcp/src/tests.rs`): socket internals (one socket
+//!   per node pair, orphans, sweeps, malformed frames, `MAX_FRAME`, stepped
+//!   shards);
+//! - `MemNet` (`analyzer/tests/memnet.rs`): delivery under scheduler-drawn
+//!   interleavings of its pipes' bytes and deliveries, and the explorer on
+//!   the TCP datapath: kernel sockets offer a scheduler no choice point.
+//!
+//! The protocol's claims above the verbs (delivery, wedging, recovery,
+//! atomic order) are rows of the transport matrix and sites of the crash
+//! sweep, run on all three backends.
 //!
 //! `Fabric` in hybrid mode does not yet keep one queue pair's completions
 //! in posting order (ROADMAP item 13): one that lands while its node wakes
@@ -42,7 +50,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use proptest::prelude::*;
 use proptest::prop::collection::vec;
 use rdmc_sim::ClusterSpec;
-use rdmc_tcp::TcpFabric;
 use simnet::{SimDuration, SimTime};
 use support::sim_fabric as hybrid;
 use verbs::Delivery::{QpBroken, RecvDone, SendDone, Timer, WrFlushed, WriteArrived, WriteDone};
@@ -70,7 +77,7 @@ macro_rules! on_all {
         let mut tcp = support::tcp_fabric($n);
         rule::$rule(&mut tcp $(, $arg)*);
         tcp.shutdown().expect("clean shutdown");
-        let mut mem = TcpFabric::in_memory($n).expect("in memory");
+        let mut mem = support::mem_fabric($n);
         rule::$rule(&mut mem $(, $arg)*);
         mem.shutdown().expect("clean shutdown");
     }};

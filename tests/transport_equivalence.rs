@@ -1,18 +1,25 @@
 //! The standing transport gate, one matrix: each cluster scenario below
 //! is written once, generic over the transport, and every row runs it on
-//! the simulated verbs fabric and on real TCP sockets, where a `SendDone`
-//! only means "flushed to the socket". A row
+//! three backends: the simulated verbs fabric, real TCP sockets over
+//! loopback, and the same TCP datapath over in-process pipes (`MemNet`).
+//! On both TCP backends a `SendDone` only means "flushed to the socket";
+//! on `MemNet` a flushed frame deterministically waits for its reader,
+//! on every lap, so that gap is exercised on every run. A row
 //!
-//! - asserts its verdict on both: [`Cluster::check_run`] holds, or, where
-//!   a crash meets no recovery, reports the survivors wedged;
-//! - if it is crash-free, asserts the two agree **bit-for-bit** on *what*
-//!   happened — the canonical engine logs and the delivery digests —
-//!   leaving only *when* to the fabric, and that every message reached
-//!   every member;
+//! - asserts its verdict on all three: [`Cluster::check_run`] holds, or,
+//!   where a crash meets no recovery, reports the survivors wedged;
+//! - if it is crash-free, asserts the TCP runs agree with the simulator
+//!   **bit-for-bit** on *what* happened — the canonical engine logs and
+//!   the delivery digests — leaving only *when* to the fabric, and that
+//!   every message reached every member;
 //! - if it crashes a node, asserts in its scenario the facts that hold on
 //!   any interleaving: who was removed, the survivors, the epoch, each
-//!   message's fate, and that the group still delivers afterwards;
-//! - ends its TCP run in a clean shutdown.
+//!   message's fate, and that the group still delivers afterwards. A
+//!   crash is placed by protocol step (`crash_after_events`) or at a
+//!   point of the scenario, never at a clock instant: on `MemNet` bytes
+//!   move in zero virtual time, so an instant says nothing about how far
+//!   a transfer got;
+//! - ends its TCP runs in a clean shutdown.
 //!
 //! Claims that only mean something in virtual time or on a simulated
 //! network stay `Fabric`-only, at the end of the file, each with its
@@ -26,8 +33,10 @@
 //! log per channel therefore yields a transport-independent fingerprint
 //! that any lost, duplicated, reordered, or misrouted event breaks.
 //!
-//! On mismatch a row writes both canonical logs under
-//! `target/transport_equivalence/` so CI can upload them as artifacts.
+//! On mismatch a row writes the simulator's canonical log and the
+//! diverging backend's (`<row>.sim.log` beside `<row>.tcp.log` or
+//! `<row>.mem.log`) under `target/transport_equivalence/` so CI can
+//! upload them as artifacts.
 
 mod support;
 
@@ -42,14 +51,23 @@ use rdmc_sim::{
     Cluster, ClusterBuilder, ClusterSpec, EngineLogEntry, GroupId, PacerConfig, RecoveryConfig,
     SimCluster,
 };
-use rdmc_tcp::TcpCluster;
+use rdmc_tcp::{MemNet, TcpCluster, TcpFabric};
 use simnet::{SimDuration, SimTime};
-use support::{close, sim, spec, tcp, Setup, KB};
+use support::{close, mem, sim, spec, tcp, Setup, KB};
+use trace::EventKind;
 use verbs::{Fabric, Transport};
+
+type MemCluster = Cluster<TcpFabric<MemNet>>;
 
 const MB: u64 = 1 << 20;
 const BLOCK: u64 = 16 * KB;
-const MIXED: [u64; 3] = [4 * BLOCK, 1, 6 * BLOCK + 17];
+/// An exact block multiple, a 1-byte and a zero-byte message, and a
+/// ragged tail.
+const MIXED: [u64; 4] = [4 * BLOCK, 1, 0, 6 * BLOCK + 17];
+/// The plain rows' group sizes: powers of two and not, up to 16.
+const GROUP_SIZES: [usize; 12] = [2, 3, 4, 5, 6, 7, 8, 9, 11, 13, 15, 16];
+/// The ready (and send) windows the plain rows' groups cycle through.
+const WINDOWS: [u32; 3] = [1, 2, 8];
 const PIPELINE: Algorithm = Algorithm::BinomialPipeline;
 
 /// Collapses an engine log into its per-channel canonical form: one
@@ -101,28 +119,7 @@ fn fingerprint<T: Transport>(cluster: &Cluster<T>) -> (String, String) {
     (canonicalize(cluster.engine_log()), digest)
 }
 
-/// Asserts both fingerprints match, dumping them for CI on divergence.
-fn assert_equivalent(name: &str, sim: &(String, String), tcp: &(String, String)) {
-    if sim == tcp {
-        return;
-    }
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("target/transport_equivalence");
-    let _ = std::fs::create_dir_all(&dir);
-    let _ = std::fs::write(
-        dir.join(format!("{name}.sim.log")),
-        format!("{}{}", sim.0, sim.1),
-    );
-    let _ = std::fs::write(
-        dir.join(format!("{name}.tcp.log")),
-        format!("{}{}", tcp.0, tcp.1),
-    );
-    assert_eq!(
-        sim, tcp,
-        "{name}: transports diverged (canonical logs dumped to target/transport_equivalence/)"
-    );
-}
-
-/// What a row's two runs must end in.
+/// What a row's three runs must end in.
 #[derive(Clone, Copy, PartialEq)]
 enum Verdict {
     /// `check_run` holds and the runs agree; with no crash, every message
@@ -134,35 +131,66 @@ enum Verdict {
     Wedged,
 }
 
-/// Judges a row's pair of runs, then shuts the TCP one down.
-fn judge(name: &str, verdict: Verdict, sim: SimCluster, tcp: TcpCluster) {
-    for (fabric, run) in [("Fabric", sim.check_run()), ("TCP", tcp.check_run())] {
-        if verdict == Verdict::Wedged {
-            let wedged = matches!(&run, Err(v) if v.iter().any(|e| e.starts_with("quiescence:")));
-            assert!(wedged, "{name} on {fabric}: {run:?}");
-        } else {
-            assert_eq!(run, Ok(()), "{name} on {fabric}");
-        }
+/// Asserts `verdict` of the run on `backend` and returns its fingerprint;
+/// on a `Same` row, also that the fingerprint is `sim`'s, dumping both
+/// for CI on divergence.
+fn check<T: Transport>(
+    name: &str,
+    backend: &str,
+    verdict: Verdict,
+    cluster: &Cluster<T>,
+    sim: Option<&(String, String)>,
+) -> (String, String) {
+    let run = cluster.check_run();
+    if verdict == Verdict::Wedged {
+        let wedged = matches!(&run, Err(v) if v.iter().any(|e| e.starts_with("quiescence:")));
+        assert!(wedged, "{name} on {backend}: {run:?}");
+        return fingerprint(cluster);
     }
-    if verdict == Verdict::Same {
-        assert_equivalent(name, &fingerprint(&sim), &fingerprint(&tcp));
-        if (0..sim.transport().num_nodes()).all(|n| sim.crash_time(n).is_none()) {
-            let results = [sim.message_results(), tcp.message_results()].concat();
-            let missed: Vec<_> = results.iter().filter(|r| r.latency().is_none()).collect();
-            assert!(missed.is_empty(), "{name}: members missed {missed:?}");
-        }
+    assert_eq!(run, Ok(()), "{name} on {backend}");
+    let print = fingerprint(cluster);
+    if verdict == Verdict::Clean {
+        return print;
     }
+    if (0..cluster.transport().num_nodes()).all(|n| cluster.crash_time(n).is_none()) {
+        let results = cluster.message_results();
+        let missed: Vec<_> = results.iter().filter(|r| r.latency().is_none()).collect();
+        assert!(missed.is_empty(), "{name} on {backend}: missed {missed:?}");
+    }
+    let Some(sim) = sim.filter(|&sim| *sim != print) else {
+        return print;
+    };
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("target/transport_equivalence");
+    let _ = std::fs::create_dir_all(&dir);
+    for (side, (log, digest)) in [("sim", sim), (backend, &print)] {
+        let _ = std::fs::write(dir.join(format!("{name}.{side}.log")), log.clone() + digest);
+    }
+    assert_eq!(
+        *sim, print,
+        "{name}: {backend} diverged from sim (canonical logs dumped to target/transport_equivalence/)"
+    );
+    print
+}
+
+/// Judges a row's three runs, then shuts the TCP ones down.
+fn judge(name: &str, verdict: Verdict, sim: SimCluster, tcp: TcpCluster, mem: MemCluster) {
+    let want = check(name, "sim", verdict, &sim, None);
+    check(name, "tcp", verdict, &tcp, Some(&want));
+    check(name, "mem", verdict, &mem, Some(&want));
     close(tcp);
+    close(mem);
 }
 
 /// One row: `scenario(cluster, args..)` on `nodes` nodes built with
-/// `setup`, over `Fabric` and then over `TcpFabric`, judged by `verdict`.
+/// `setup`, over `Fabric`, `TcpFabric` on loopback and `TcpFabric` on
+/// `MemNet`, judged by `verdict`.
 macro_rules! row {
     ($name:expr, $verdict:ident, $nodes:expr, $setup:expr, $scenario:ident($($arg:expr),*)) => {{
         let (nodes, setup): (usize, &Setup) = ($nodes, &$setup);
         let sim = setup.run(sim(nodes), |c| { $scenario(c $(, $arg)*); });
         let tcp = setup.run(tcp(nodes), |c| { $scenario(c $(, $arg)*); });
-        judge($name, Verdict::$verdict, sim, tcp);
+        let mem = setup.run(mem(nodes), |c| { $scenario(c $(, $arg)*); });
+        judge($name, Verdict::$verdict, sim, tcp, mem);
     }};
 }
 
@@ -178,21 +206,22 @@ macro_rules! matrix {
 
 // One row per line: test name, verdict, nodes, setup, scenario.
 matrix! {
-    // Every dissemination algorithm delivers a mixed-size workload, a
-    // 1-byte message included, to every member.
-    plain_sequential: Same, 5, Setup::default(), multicast(Algorithm::Sequential, BLOCK, &MIXED);
-    plain_chain: Same, 5, Setup::default(), multicast(Algorithm::Chain, BLOCK, &MIXED);
-    plain_binomial_tree: Same, 5, Setup::default(), multicast(Algorithm::BinomialTree, BLOCK, &MIXED);
-    plain_binomial_pipeline: Same, 5, Setup::default(), multicast(PIPELINE, BLOCK, &MIXED);
-    // The rack-aware hybrid schedule (§4.3) over three racks of two.
-    hybrid_algorithm_delivers: Same, 6, Setup::default(), multicast(racks(), 8 * KB, &[48 * KB]);
+    // Every dissemination algorithm, at every group size and window,
+    // delivers `MIXED` to every member, in order.
+    plain_sequential: Same, 16, recorded(), every_shape(Algorithm::Sequential);
+    plain_chain: Same, 16, recorded(), every_shape(Algorithm::Chain);
+    plain_binomial_tree: Same, 16, recorded(), every_shape(Algorithm::BinomialTree);
+    plain_binomial_pipeline: Same, 16, recorded(), every_shape(PIPELINE);
+    // The rack-aware hybrid schedule (§4.3) over three uneven racks.
+    hybrid_algorithm_delivers: Same, 8, Setup::default(), multicast(racks(), KB / 2, &[48 * KB, 5_000]);
     // The TCP event loop carries dozens of nodes without a thread per peer.
-    thirty_two_nodes_in_one_process: Same, 32, Setup::default(), multicast(PIPELINE, 8 * KB, &[128 * KB]);
-    several_messages_deliver_in_order: Same, 4, Setup { recorder: true, ..Setup::default() }, in_order();
+    sixty_four_nodes_in_one_process: Same, 64, Setup::default(), multicast(PIPELINE, BIG, &[MB]);
+    several_messages_deliver_in_order: Same, 4, recorded(), in_order();
+    crash_without_recovery_wedges_every_survivor: Wedged, 8, recorded(), wedge();
     overlapping_groups_coexist: Same, 6, Setup::default(), overlapping();
     close_barrier_under_concurrent_sends: Same, 5, Setup::default(), close_concurrent();
     close_barrier_reports_lost_member: Wedged, 4, Setup::default(), close_lost_member();
-    // Pacer admission (FIFO, one slot) composes identically with both.
+    // Pacer admission (FIFO, one slot) composes identically with each.
     paced_workload_equivalent_across_transports: Same, 4, paced(Fifo, 1, false), multicast(PIPELINE, BLOCK, &[5 * BLOCK; 3]);
 
     crash_recovery_equivalent_across_transports: Same, 5, recovery(SimDuration::from_millis(100)), recovery_workload();
@@ -213,6 +242,14 @@ matrix! {
     every_member_logs_every_message_in_submission_order: Same, 8, single_sender(8), submission_order();
     upcall_never_precedes_any_members_local_completion: Same, 8, single_sender(8), after_every_completion();
     crash_without_recovery_delivers_nothing_at_survivors: Wedged, 4, single_sender(4), crash_unrecovered();
+}
+
+/// The flight recorder, nothing else.
+fn recorded() -> Setup {
+    Setup {
+        recorder: true,
+        ..Setup::default()
+    }
 }
 
 /// Recovery with `grace`, and no flight recorder.
@@ -242,29 +279,69 @@ fn multicast<T: Transport>(
     group
 }
 
-/// Three racks of two.
+/// Three racks of three, three and two.
 fn racks() -> Algorithm {
     Algorithm::Hybrid {
-        rack_of: vec![0, 0, 1, 1, 2, 2],
+        rack_of: vec![0, 0, 0, 1, 1, 1, 2, 2],
     }
 }
 
-/// Each member's upcalls, from the flight recorder: every message once,
-/// in submission order, at non-decreasing times (§3 property 4).
+/// From the flight recorder: each member of each group (`(group, n)`:
+/// nodes `0..n`, root 0) upcalls every message of `sizes` once, in
+/// submission order, at non-decreasing times (§3 property 4), and each
+/// receiver requests exactly one buffer per message, of its size.
+fn assert_in_order<T: Transport>(cluster: &Cluster<T>, groups: &[(GroupId, u32)], sizes: &[u64]) {
+    let (mut upcalls, mut buffers) = (BTreeMap::new(), BTreeMap::new());
+    for e in cluster.recorder().events() {
+        let at = (e.scope.group, e.scope.node);
+        match e.kind {
+            EventKind::Delivered { size } => {
+                upcalls.entry(at).or_insert(vec![]).push((e.t_ns, size))
+            }
+            EventKind::BufferRequested { size } => buffers.entry(at).or_insert(vec![]).push(size),
+            _ => {}
+        }
+    }
+    for &(group, n) in groups {
+        for member in 0..n {
+            let at = (Some(group as u32), Some(member));
+            let upcalls = upcalls.remove(&at).unwrap_or_default();
+            let got: Vec<u64> = upcalls.iter().map(|&(_, size)| size).collect();
+            assert_eq!(got, sizes, "group {group} member {member} reordered");
+            let monotone = upcalls.is_sorted_by_key(|&(t, _)| t);
+            assert!(monotone, "group {group} member {member} went back in time");
+            let want = if member == 0 { &[][..] } else { sizes };
+            let requested = buffers.remove(&at).unwrap_or_default();
+            assert_eq!(requested, want, "group {group} member {member} buffers");
+        }
+    }
+}
+
+/// One group per size in `GROUP_SIZES`, one after another, over the first
+/// nodes, each running `algorithm` in `BLOCK`-byte blocks at the next of
+/// `WINDOWS` (8 members at window 1) and sent `MIXED` in order.
+fn every_shape<T: Transport>(cluster: &mut Cluster<T>, algorithm: Algorithm) {
+    let mut groups = Vec::new();
+    for (n, window) in GROUP_SIZES.into_iter().zip(WINDOWS.into_iter().cycle()) {
+        let group = cluster.create_group(spec(0..n, algorithm.clone(), BLOCK, window));
+        for size in MIXED {
+            cluster.submit_send(group, size);
+        }
+        cluster.run();
+        groups.push((group, n as u32));
+    }
+    assert_in_order(cluster, &groups, &MIXED);
+}
+
+/// Several messages, twenty tiny ones among them, in order everywhere.
 fn in_order<T: Transport>(cluster: &mut Cluster<T>) {
-    let sizes = [24 * KB, 1, 33 * KB, 9 * KB];
+    let sizes: Vec<u64> = [24 * KB, 1, 33 * KB, 9 * KB]
+        .into_iter()
+        .chain(1..=20)
+        .collect();
     let group = multicast(cluster, PIPELINE, 8 * KB, &sizes);
     assert_eq!(cluster.message_results().len(), sizes.len());
-    let replayed = trace::replay::replay(&cluster.recorder().events());
-    for member in 0..4u32 {
-        let upcalls = &replayed.delivered[&(group as u32, member)];
-        let got: Vec<u64> = upcalls.iter().map(|&(_, size)| size).collect();
-        assert_eq!(got, sizes, "member {member} reordered");
-        assert!(
-            upcalls.windows(2).all(|w| w[0].0 <= w[1].0),
-            "member {member} went back in time"
-        );
-    }
+    assert_in_order(cluster, &[(group, 4)], &sizes);
 }
 
 /// Two groups with overlapping membership share the fabric without
@@ -306,6 +383,35 @@ fn close_lost_member<T: Transport>(cluster: &mut Cluster<T>) {
     );
 }
 
+/// A member crashes mid-transfer (engine step 150) and no recovery runs:
+/// every survivor hears of it once — those not connected to it from the
+/// relayed notice — and wedges (§3 property 6); the message completes
+/// nowhere, and a later send delivers at no member.
+fn wedge<T: Transport>(cluster: &mut Cluster<T>) {
+    let group = cluster.create_group(spec(0..8, PIPELINE, BLOCK, 3));
+    let first = cluster.submit_send(group, 64 * BLOCK);
+    cluster.crash_after_events(5, 150);
+    cluster.run();
+    let mut failed: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
+    for e in cluster.recorder().events() {
+        if let (Some(node), EventKind::Wedged { failed: rank }) = (e.scope.node, e.kind) {
+            failed.entry(node).or_default().push(rank);
+        }
+    }
+    let survivors = [0, 1, 2, 3, 4, 6, 7];
+    assert_eq!(failed, survivors.iter().map(|&m| (m, vec![5])).collect());
+    assert_eq!(cluster.wedged_members(group), survivors);
+    let first = cluster.result(first).expect("submitted");
+    assert!(first.latency().is_none(), "completed despite the crash");
+    let later = cluster.submit_send(group, 1000);
+    cluster.run();
+    let later = cluster.result(later).expect("submitted");
+    assert!(
+        (0..8).all(|m| !later.delivered(m)),
+        "delivered after the wedge"
+    );
+}
+
 // ---- Failure recovery ------------------------------------------------
 
 const BIG: u64 = 64 * KB;
@@ -318,7 +424,7 @@ fn big_group<T: Transport>(cluster: &mut Cluster<T>) -> GroupId {
 
 /// A message completes, a non-root member fail-stops at quiescence,
 /// epoch recovery reconfigures, and a second message reaches the
-/// survivors — identically on both transports. The row's generous grace
+/// survivors — identically on every backend. The row's generous grace
 /// keeps wall-clock failure detection (TCP) and virtual-time detection
 /// (sim) on the same side of every protocol deadline.
 fn recovery_workload<T: Transport>(cluster: &mut Cluster<T>) {
@@ -673,7 +779,7 @@ fn after_every_completion<T: Transport>(cluster: &mut Cluster<T>) {
 /// leader-based cleanup Derecho needs here.)
 fn crash_unrecovered<T: Transport>(cluster: &mut Cluster<T>) {
     cluster.submit_atomic_from(0, 0, 64 * MB);
-    cluster.schedule_crash_at(2, SimTime::from_nanos(1_000_000));
+    cluster.crash_after_events(2, 200);
     cluster.run();
     for member in [0, 1, 3] {
         let log = cluster.atomic_log(0, member);
@@ -743,7 +849,7 @@ proptest! {
     }
 
     /// Crash-free control: every backlog delivers everywhere under every
-    /// policy, identically on both transports.
+    /// policy, identically on every backend.
     #[test]
     fn pacing_without_crash_delivers_everything(
         policy in prop::sample::select(POLICIES.to_vec()),
