@@ -9,13 +9,15 @@
 //! the only one ever tested. The explorer externalises the tie-breaks
 //! through the [`verbs::Scheduler`] trait, on the backend the scenario
 //! names ([`Backend`]). On the simulated fabric, every burst of
-//! same-instant software-visible deliveries, and — within the scenario's
-//! [`ExploreScenario::loss_choices`] budget — every wire loss site
-//! (deliver or drop) is a *choice point*. On the production TCP datapath
-//! over in-memory pipes, which pipe's next gathered write lands and which
-//! node's next delivery comes out are. On both, so is every pacer
-//! admission tie and every configured crash-injection site, and a
-//! recorded choice sequence replays the execution bit-for-bit.
+//! same-instant software-visible deliveries is a *choice point*. On the
+//! production TCP datapath over in-memory pipes, which pipe's next
+//! gathered write lands and which node's next delivery comes out are. On
+//! both, so is every pacer admission tie, every configured
+//! crash-injection site and — within the scenario's
+//! [`ExploreScenario::loss_choices`] budget — every wire site: a transfer
+//! delivered or dropped on the fabric, a gathered write whole, cut short
+//! or stalled on the pipes. A recorded choice sequence replays the
+//! execution bit-for-bit.
 //!
 //! Three strategies:
 //!
@@ -130,7 +132,8 @@ pub enum Backend {
     #[default]
     Fabric,
     /// The TCP datapath over in-process pipes
-    /// ([`MemNet`](rdmc_tcp::MemNet)). It has no loss sites.
+    /// ([`MemNet`](rdmc_tcp::MemNet)), whose wire sites split or stall a
+    /// gathered write.
     MemNet,
 }
 
@@ -158,10 +161,11 @@ pub struct ExploreScenario {
     /// non-empty, the execution's *first* choice point picks one site —
     /// or none — and recovery is enabled so the run can finish.
     pub fault_sites: Vec<(u64, usize)>,
-    /// Wire loss-site budget: the first `loss_choices` data transfers
-    /// each become a deliver-or-drop choice point
-    /// ([`verbs::PointKind::LossSite`]), so the explorer enumerates
-    /// which transfers the fabric loses instead of sampling them.
+    /// Wire-site budget ([`verbs::PointKind::LossSite`]): on `Fabric`
+    /// the first `loss_choices` data transfers are each delivered or
+    /// dropped; on `MemNet` the first `loss_choices` gathered writes each
+    /// go whole, cut inside a frame's header or body, or stalled. The
+    /// explorer enumerates the outcomes instead of sampling them.
     pub loss_choices: u64,
     /// Reliability policy protecting the group when loss sites are
     /// explored; recovery is enabled alongside so escalations can
@@ -239,8 +243,9 @@ impl ExploreScenario {
         })
     }
 
-    /// A loss-exploring variant: the first `budget` wire transfers
-    /// become deliver-or-drop choice points, the group is protected by
+    /// A wire-site variant: the first `budget` transfers (`Fabric`) or
+    /// gathered writes (`MemNet`) become choice points (see
+    /// [`ExploreScenario::loss_choices`]), the group is protected by
     /// `policy`, and recovery is on so drop branches that escalate can
     /// still converge.
     pub fn with_loss(mut self, budget: u64, policy: ReliabilityPolicy) -> Self {
@@ -442,21 +447,20 @@ impl std::fmt::Display for ExploreReport {
 }
 
 /// Runs one execution under the given pick policy, on the scenario's
-/// backend. Panics on a [`Backend::MemNet`] scenario with loss sites.
+/// backend.
 fn run_with(scenario: &ExploreScenario, pick: Pick) -> ExecutionResult {
-    let n = scenario.n as usize;
+    let (n, budget) = (scenario.n as usize, scenario.loss_choices);
     match scenario.backend {
         Backend::Fabric => run_on(scenario, pick, || {
             let mut fabric = ClusterSpec::fractus(n).build();
-            fabric.set_loss_choice_budget(scenario.loss_choices);
+            fabric.set_loss_choice_budget(budget);
             fabric
         }),
-        Backend::MemNet => {
-            assert_eq!(scenario.loss_choices, 0, "loss sites are Fabric-only");
-            run_on(scenario, pick, || {
-                TcpFabric::in_memory(n).expect("a group has a member")
-            })
-        }
+        Backend::MemNet => run_on(scenario, pick, || {
+            let mut fabric = TcpFabric::in_memory(n).expect("a group has a member");
+            fabric.set_loss_choice_budget(budget);
+            fabric
+        }),
     }
 }
 
@@ -840,9 +844,9 @@ fn depth_first(driver: &mut Driver<'_>, reduce: bool) {
 /// event, every earlier choice point whose executed event is dependent
 /// must also try this event (if it was enabled there; all alternatives
 /// if it was not — the sound over-approximation). Non-delivery points
-/// (pacer ties, fault sites) are explored fully — their candidates all
-/// touch shared admission or membership state — and so is every point
-/// when not reducing.
+/// (pacer ties, fault and wire sites) are explored fully — their
+/// candidates all touch shared admission, membership or wire state — and
+/// so is every point when not reducing.
 fn add_backtracks(frames: &mut [Frame], points: &[PointRecord], reduce: bool) {
     for i in 0..points.len() {
         if !reduce || frames[i].kind != PointKind::Delivery {

@@ -3,9 +3,11 @@
 //! exhaustive while running far fewer executions, and seeded ordering
 //! bugs are caught with minimal, bit-for-bit-replaying counterexamples.
 
-use analyzer::{explore_executions, replay, ExploreConfig, ExploreScenario, SeededBug, Strategy};
+use analyzer::{explore_executions, replay, Backend, ExploreConfig, ExploreScenario, SeededBug};
 use rdmc::Algorithm;
 use rdmc_sim::ReliabilityPolicy;
+
+const BINOMIAL: Algorithm = Algorithm::BinomialPipeline;
 
 #[test]
 fn exhaustive_small_binomial_is_clean() {
@@ -146,65 +148,62 @@ fn lazy_recv_post_mutation_is_caught() {
     // The mutation inverts §4.2: the readiness grant is written before
     // the receive is posted, and the post is deferred to the node's next
     // event dispatch. Some interleavings let the granted send race ahead
-    // of the posting — an RNR arm or a protocol panic.
-    let scenario =
-        ExploreScenario::small(Algorithm::BinomialPipeline, 4, 2).with_bug(SeededBug::LazyRecvPost);
-    let report = explore_executions(&ExploreConfig::exhaustive(scenario.clone()));
-    let cex = report
-        .counterexample
-        .as_ref()
-        .expect("mutation must be caught");
-
-    // The counterexample replays bit-for-bit: same violations, same
-    // digest, twice over.
-    let a = replay(&scenario, &cex.choices);
-    let b = replay(&scenario, &cex.choices);
-    assert_eq!(a.violations, cex.violations);
-    assert_eq!(b.violations, cex.violations);
-    assert_eq!(a.digest, cex.digest);
-    assert_eq!(b.digest, cex.digest);
-    assert_eq!(a.trace_jsonl, cex.trace_jsonl);
-
-    // And it is minimal: zeroing any remaining non-default choice loses
-    // the violation set's reproduction.
-    for i in 0..cex.choices.len() {
-        if cex.choices[i] == 0 {
-            continue;
+    // of the posting — an RNR arm or a protocol panic on `Fabric`; on
+    // `MemNet` (TCP), a block that reaches its reader first is held and
+    // counted as an RNR arm.
+    let fabric = ExploreConfig::exhaustive(ExploreScenario::small(BINOMIAL, 4, 2));
+    let memnet = ExploreConfig::dpor(ExploreScenario::small(BINOMIAL, 3, 2).on(Backend::MemNet));
+    for mut config in [fabric, memnet] {
+        config.scenario = config.scenario.with_bug(SeededBug::LazyRecvPost);
+        let (scenario, report) = (&config.scenario, explore_executions(&config));
+        let cex = (report.counterexample.as_ref()).expect("mutation must be caught");
+        if scenario.backend == Backend::MemNet {
+            assert!(
+                cex.violations.iter().any(|v| v.starts_with("rnr:")),
+                "{report}"
+            );
         }
-        let mut probe = cex.choices.clone();
-        probe[i] = 0;
-        let e = replay(&scenario, &probe);
-        assert_ne!(
-            e.violations, cex.violations,
-            "choice {i} is redundant — counterexample not minimal"
-        );
+
+        // The counterexample replays bit-for-bit: same violations, same
+        // digest, twice over.
+        for _ in 0..2 {
+            let again = replay(scenario, &cex.choices);
+            assert_eq!(again.violations, cex.violations);
+            assert_eq!(again.digest, cex.digest);
+            assert_eq!(again.trace_jsonl, cex.trace_jsonl);
+        }
+
+        // And it is minimal: zeroing any remaining non-default choice
+        // loses the violation set's reproduction.
+        for i in (0..cex.choices.len()).filter(|&i| cex.choices[i] != 0) {
+            let mut probe = cex.choices.clone();
+            probe[i] = 0;
+            let e = replay(scenario, &probe);
+            assert_ne!(e.violations, cex.violations, "choice {i} is redundant");
+        }
     }
 }
 
 #[test]
 fn loss_exploration_is_clean_and_converges() {
-    // The first few wire transfers become deliver-or-drop choice points;
-    // selective-ack must repair every drop branch back to the same
-    // terminal state (one crash-free digest), with no hangs and a clean
-    // trace oracle on every interleaving.
-    let base = ExploreScenario::small(Algorithm::BinomialPipeline, 3, 2);
-    let lossy = base.clone().with_loss(3, ReliabilityPolicy::SelectiveAck);
-    let plain = explore_executions(&ExploreConfig::dpor(base));
-    let report = explore_executions(&ExploreConfig::dpor(lossy));
-    assert!(report.is_clean(), "{report}");
-    assert!(!report.truncated, "{report}");
-    assert_eq!(
-        report.crash_free_digests.len(),
-        1,
-        "drop branches must repair to the same terminal state: {report}"
-    );
-    // The loss sites genuinely branched the space.
-    assert!(
-        report.executions > plain.executions,
-        "loss sites added no executions ({} vs {})",
-        report.executions,
-        plain.executions
-    );
+    // The first wire sites are choice points: a transfer delivered or
+    // dropped on `Fabric` (selective-ack repairs every drop), a gathered
+    // write whole, cut or stalled on `MemNet` (one block per member there:
+    // at two, one site alone gives 20,070 executions). Every crash-free
+    // branch must reach the same terminal state, with no hangs and a
+    // clean trace oracle, and the sites must branch the space.
+    for (backend, k) in [(Backend::Fabric, 2), (Backend::MemNet, 1)] {
+        let base = ExploreScenario::small(BINOMIAL, 3, k).on(backend);
+        let lossy = base.clone().with_loss(3, ReliabilityPolicy::SelectiveAck);
+        let plain = explore_executions(&ExploreConfig::dpor(base));
+        let report = explore_executions(&ExploreConfig::dpor(lossy));
+        assert!(
+            report.is_clean() && !report.truncated,
+            "{backend:?}: {report}"
+        );
+        assert_eq!(report.crash_free_digests.len(), 1, "{backend:?}: {report}");
+        assert!(report.executions > plain.executions, "{backend:?}: {plain}");
+    }
 }
 
 #[test]
@@ -292,5 +291,4 @@ fn strategies_agree_on_the_terminal_digest() {
     assert!(full.is_clean() && dpor.is_clean() && walk.is_clean());
     assert_eq!(full.crash_free_digests, dpor.crash_free_digests);
     assert_eq!(full.crash_free_digests, walk.crash_free_digests);
-    let _ = Strategy::Exhaustive; // silence unused-import pedantry if variants change
 }

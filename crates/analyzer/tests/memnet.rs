@@ -1,32 +1,41 @@
 //! The protocol over the production TCP datapath on in-process pipes
 //! (`TcpFabric<MemNet>`) under scheduler-driven interleavings: every
 //! member delivers every message, in send order, under seeded and drawn
-//! scheduler scripts; and the explorer checks on this backend too — a
-//! seeded §4.2 inversion comes back as a replayable counterexample, DPOR
-//! agrees with exhaustive search, the command a failing sweep prints
-//! replays its shape on the CLI, a run with no scheduler is the run whose
-//! every choice is the default, and the seeded-bug decorator with no bug
-//! changes nothing on either backend.
+//! scheduler scripts; and the explorer checks on this backend too — DPOR
+//! agrees with exhaustive search (with wire sites and crash sites too),
+//! the command a failing sweep prints replays its shape on the CLI, a run
+//! with no scheduler is the run whose every choice is the default, and
+//! the seeded-bug decorator with no bug changes nothing on either
+//! backend. Runs whose write sites a script answers close it: one
+//! gathered write carries every queue pair's frames on a node pair's one
+//! socket, a queue pair broken with its frame half out leaves its socket
+//! mates running, and bytes stalled past a crash's break deadline still
+//! reach the survivor.
 //!
-//! The delivery claims under the default interleaving are not restated
+//! A seeded §4.2 inversion is caught on both backends by
+//! `lazy_recv_post_mutation_is_caught` (`tests/explore.rs`). The
+//! delivery claims under the default interleaving are not restated
 //! here: every row of the root transport matrix
 //! (`tests/transport_equivalence.rs`) and every site of the crash sweep
 //! (`tests/crash_sweep.rs`) runs on `MemNet` as well as on `Fabric` and
 //! loopback TCP.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use analyzer::{
     explore_executions, replay, Backend, Counterexample, ExploreConfig, ExploreScenario, Seeded,
     SeededBug, SweepReport,
 };
+use bytes::Bytes;
 use proptest::prelude::*;
 use rdmc::Algorithm;
-use rdmc_sim::{Cluster, ClusterBuilder, ClusterSpec, GroupId, GroupSpec};
+use rdmc_sim::{Cluster, ClusterBuilder, ClusterSpec, GroupId, GroupSpec, ReliabilityPolicy};
 use rdmc_tcp::{MemNet, TcpFabric};
-use simnet::SplitMix64;
+use simnet::{SimDuration, SimTime, SplitMix64};
 use trace::EventKind;
-use verbs::{ChoicePoint, Scheduler, Transport};
+use verbs::CandidateKind as K;
+use verbs::{ChoicePoint, Delivery, NodeId, PointKind, Scheduler, Transport, WrId};
 
 type MemCluster = Cluster<TcpFabric<MemNet>>;
 
@@ -165,42 +174,34 @@ proptest! {
     }
 }
 
-/// §4.2 inverted on TCP: a receive posted only after its readiness grant
-/// lets a block reach its reader first, which holds the frame and counts
-/// an RNR arm. The explorer finds an interleaving where that happens, and
-/// the counterexample replays bit-for-bit.
-#[test]
-fn lazy_recv_post_is_caught_on_memnet() {
-    let scenario = ExploreScenario::small(Algorithm::BinomialPipeline, 3, 2)
-        .on(Backend::MemNet)
-        .with_bug(SeededBug::LazyRecvPost);
-    let report = explore_executions(&ExploreConfig::dpor(scenario.clone()));
-    let cex = report
-        .counterexample
-        .as_ref()
-        .expect("mutation must be caught");
-    assert!(
-        cex.violations.iter().any(|v| v.starts_with("rnr:")),
-        "expected a held frame: {report}"
-    );
-    for _ in 0..2 {
-        let again = replay(&scenario, &cex.choices);
-        assert_eq!(again.violations, cex.violations);
-        assert_eq!(again.digest, cex.digest);
-        assert_eq!(again.trace_jsonl, cex.trace_jsonl);
-    }
-}
-
-/// DPOR prunes the in-memory TCP space without losing a terminal state.
+/// DPOR prunes the in-memory TCP space without losing a terminal state,
+/// also where the first gathered write is a wire site and a member may
+/// crash. That site offers the write whole, cut inside its frame's
+/// header, cut inside its body, and stalled, and every branch is
+/// explored.
 #[test]
 fn dpor_matches_exhaustive_on_memnet() {
-    let scenario = ExploreScenario::small(Algorithm::BinomialPipeline, 3, 2).on(Backend::MemNet);
-    let full = explore_executions(&ExploreConfig::exhaustive(scenario.clone()));
-    let dpor = explore_executions(&ExploreConfig::dpor(scenario));
-    assert!(full.is_clean() && !full.truncated, "{full}");
-    assert!(dpor.is_clean() && !dpor.truncated, "{dpor}");
-    assert_eq!(full.crash_free_digests, dpor.crash_free_digests);
-    assert!(dpor.executions < full.executions, "{dpor} vs {full}");
+    let plain = ExploreScenario::small(Algorithm::BinomialPipeline, 3, 2).on(Backend::MemNet);
+    let sited = ExploreScenario::small(Algorithm::BinomialPipeline, 3, 1)
+        .with_faults(vec![(4, 2), (8, 1)])
+        .with_loss(1, ReliabilityPolicy::SelectiveAck)
+        .on(Backend::MemNet);
+    for scenario in [plain, sited.clone()] {
+        let full = explore_executions(&ExploreConfig::exhaustive(scenario.clone()));
+        let dpor = explore_executions(&ExploreConfig::dpor(scenario));
+        assert!(full.is_clean() && !full.truncated, "{full}");
+        assert!(dpor.is_clean() && !dpor.truncated, "{dpor}");
+        assert_eq!(full.crash_free_digests, dpor.crash_free_digests);
+        assert!(dpor.executions < full.executions, "{dpor} vs {full}");
+    }
+    // The first write is 28 bytes, a 25-byte header and its body.
+    let kinds: Vec<K> = (replay(&sited, &[]).points.iter())
+        .find(|p| p.kind == PointKind::LossSite)
+        .map(|p| p.candidates.iter().map(|c| c.kind).collect())
+        .expect("a wire site");
+    let (whole, header, body) = (28, 12, 26);
+    let taken = [whole, header, body].map(|taken| K::Gathered { taken });
+    assert_eq!(kinds, [&taken[..], &[K::Stall]].concat());
 }
 
 /// A failing sweep's `rerun:` line is a whole command: run as printed,
@@ -250,13 +251,123 @@ fn printed_rerun_command_replays_the_sweep_scenario() {
     assert_eq!(seeded.replay_command(&[]), None, "no flag seeds a bug");
 }
 
+/// A delivery as the scripted runs below name it: node, queue pair, what.
+fn show((_, node, d): (SimTime, NodeId, Delivery)) -> String {
+    let what = match d {
+        Delivery::SendDone { qp, wr_id } => format!("q{} sent {}", qp.conn_id(), wr_id.0),
+        Delivery::RecvDone { qp, wr_id, imm, .. } => {
+            format!("q{} recv {} {imm}", qp.conn_id(), wr_id.0)
+        }
+        Delivery::WrFlushed { qp, wr_id, .. } => format!("q{} flushed {}", qp.conn_id(), wr_id.0),
+        Delivery::QpBroken { qp } => format!("q{} broken", qp.conn_id()),
+        Delivery::WriteDone { qp, wr_id } => format!("q{} wrote {}", qp.conn_id(), wr_id.0),
+        Delivery::WriteArrived { qp, tag, .. } => format!("q{} arrived {tag}", qp.conn_id()),
+        other => format!("{other:?}"),
+    };
+    format!("{} {what}", node.0)
+}
+
+/// Every queue pair between two nodes rides one socket, whichever node
+/// connects: one gathered write (one write site) carries a frame of
+/// each, and each arrives on its own queue pair in its posting order.
 #[test]
-#[should_panic(expected = "loss sites are Fabric-only")]
-fn memnet_scenarios_have_no_loss_sites() {
-    let scenario = ExploreScenario::small(Algorithm::BinomialPipeline, 3, 1)
-        .with_loss(1, rdmc_sim::ReliabilityPolicy::SelectiveAck)
-        .on(Backend::MemNet);
-    let _ = replay(&scenario, &[]);
+fn queue_pairs_between_two_nodes_share_one_socket() {
+    let (a, b) = (NodeId(0), NodeId(1));
+    let mut fabric = in_memory(2);
+    let sites = Arc::new(AtomicU64::new(0));
+    let seen_sites = Arc::clone(&sites);
+    let count = Script(move |len: usize| {
+        seen_sites.fetch_add(u64::from(len == 4), Ordering::Relaxed);
+        0
+    });
+    fabric.set_scheduler(Arc::new(Mutex::new(count)));
+    fabric.set_loss_choice_budget(u64::MAX);
+    let mut senders: Vec<_> = (0..3).map(|_| fabric.connect(a, b).0).collect();
+    senders.push(fabric.connect(b, a).1);
+    let posted: Vec<(usize, u64)> = (0..2)
+        .flat_map(|r| (0..4).map(move |i: u64| (i as usize, 10 * i + r)))
+        .collect();
+    for &(i, tag) in &posted {
+        let row = Bytes::from_static(b"row");
+        fabric
+            .post_write(senders[i], WrId(tag), tag, row, None)
+            .unwrap();
+    }
+    let seen: Vec<String> = std::iter::from_fn(|| fabric.advance()).map(show).collect();
+    let done = posted.iter().map(|(i, tag)| format!("0 q{i} wrote {tag}"));
+    let arrived = posted
+        .iter()
+        .map(|(i, tag)| format!("1 q{i} arrived {tag}"));
+    assert_eq!(seen, done.chain(arrived).collect::<Vec<_>>());
+    let writes = sites.load(Ordering::Relaxed);
+    assert_eq!(writes, 1, "one write carried every frame");
+    assert!(format!("{fabric:?}").contains("sockets: 1"), "{fabric:?}");
+    fabric.shutdown().expect("clean shutdown");
+}
+
+/// Breaking a queue pair while its send is half out (the first write
+/// site, the only four-way point here, cuts it inside its body) breaks
+/// only that queue pair: its work requests are flushed, then it breaks,
+/// in posting order; its unsent tail still crosses the socket, keeping
+/// the byte stream in sync, and is dropped at the peer without an RNR
+/// arm; and its socket mates deliver in both directions.
+#[test]
+fn breaking_one_queue_pair_leaves_its_socket_mates_running() {
+    let (a, b) = (NodeId(0), NodeId(1));
+    let mut fabric = in_memory(2);
+    let cut_body = Script(|len: usize| if len == 4 { 2 } else { 0 });
+    fabric.set_scheduler(Arc::new(Mutex::new(cut_body)));
+    fabric.set_loss_choice_budget(1);
+    let (a1, b1) = fabric.connect(a, b);
+    let (a2, b2) = fabric.connect(a, b);
+    let (b3, a3) = fabric.connect(b, a);
+    for (qp, wr, len) in [(b1, 11, 1 << 20), (b2, 12, 64), (a3, 13, 64)] {
+        fabric.post_recv(qp, WrId(wr), len).unwrap();
+    }
+    for (qp, wr, len) in [(a1, 1, 1 << 20), (a2, 2, 64), (b3, 3, 64)] {
+        fabric.post_send(qp, WrId(wr), len, wr, None).unwrap();
+    }
+    // The first lap cuts A's write inside a1's body and flushes B's whole.
+    let sent = fabric.advance().expect("B's send is flushed");
+    fabric.break_qp(a1);
+    let rest = std::iter::from_fn(|| fabric.advance());
+    let seen: Vec<String> = std::iter::once(sent).chain(rest).map(show).collect();
+    let (a_broke, b_broke) = (
+        ["0 q0 flushed 1", "0 q0 broken"],
+        ["1 q0 flushed 11", "1 q0 broken"],
+    );
+    let mates = ["0 q1 sent 2", "0 q2 recv 13 3", "1 q1 recv 12 2"];
+    assert_eq!(
+        seen,
+        [&["1 q2 sent 3"][..], &a_broke, &b_broke, &mates].concat()
+    );
+    let arms = fabric.stats().rnr_arms;
+    assert_eq!(arms, 0, "the orphan's tail is dropped, not held");
+    fabric.shutdown().expect("clean shutdown");
+}
+
+/// A crashed sender's last write stalls on the wire past the socket's
+/// break deadline (the last outcome at a write site is the stall): the
+/// break's drain of the dying socket still hands the survivor its
+/// receive, then flushes the one left over.
+#[test]
+fn bytes_stalled_past_a_break_deadline_reach_the_survivor() {
+    let (a, b) = (NodeId(0), NodeId(1));
+    let mut fabric = in_memory(2);
+    fabric.set_scheduler(Arc::new(Mutex::new(Script(|len: usize| len - 1))));
+    fabric.set_loss_choice_budget(1);
+    let (tx, rx) = fabric.connect(a, b);
+    (1..3).for_each(|wr| fabric.post_recv(rx, WrId(wr), 4096).unwrap());
+    fabric.post_send(tx, WrId(0), 4096, 7, None).unwrap();
+    let sent = fabric.advance().expect("A's send is flushed");
+    fabric.crash(a);
+    let deadline = fabric.now() + SimDuration::from_millis(1);
+    let survivor: Vec<_> = std::iter::from_fn(|| fabric.advance()).collect();
+    let waited = survivor.iter().all(|s| s.0 >= deadline);
+    assert!(waited, "the bytes did not wait");
+    let seen: Vec<String> = std::iter::once(sent).chain(survivor).map(show).collect();
+    let heard = ["1 q0 recv 1 7", "1 q0 flushed 2", "1 q0 broken"];
+    assert_eq!(seen, [&["0 q0 sent 0"][..], &heard].concat());
 }
 
 /// A plain multicast beside one rotation of an atomic group over

@@ -7,6 +7,7 @@ use verbs::sched::pick;
 use verbs::{Candidate, CandidateKind, ChoicePoint, NodeId, PointKind, SharedScheduler};
 
 use crate::net::{Net, Ready};
+use crate::TcpFabric;
 
 /// A write's candidate id is this bit and its number among all writes; a
 /// delivery's is `node << 32 | deliveries handed to the node before it`.
@@ -26,6 +27,13 @@ const PIPE: u64 = 1 << 63;
 /// which node's oldest queued delivery `advance()` hands out. Neither
 /// reorders one pipe's bytes or one node's deliveries. When no pipe can
 /// move, the clock jumps towards the next timer.
+///
+/// Within a budget ([`TcpFabric::set_loss_choice_budget`]) each gathered
+/// write is also a write site ([`PointKind::LossSite`]): it goes whole,
+/// or short — cut inside its first frame's header or body, so the rest
+/// waits in the sender's queue until the reader has taken the cut part —
+/// or it stalls: it lands only once nothing else can and the clock has
+/// moved, so a timer can fire while its bytes wait.
 #[derive(Default)]
 pub struct MemNet {
     /// Virtual nanoseconds.
@@ -41,17 +49,30 @@ pub struct MemNet {
     granted: Option<usize>,
     sched: Option<SharedScheduler>,
     handed: BTreeMap<NodeId, u64>,
+    /// Write sites left to offer the scheduler.
+    sites: u64,
 }
 
 struct Pipe {
     /// The node at the reading end.
     reader: u32,
-    /// Gathered writes not read in full yet, each with its number, and
-    /// how far into the first one the reader got.
-    writes: VecDeque<(u64, Vec<u8>)>,
+    /// Gathered writes not read in full yet, and how far into the first
+    /// one the reader got.
+    writes: VecDeque<Write>,
     offset: usize,
     /// The writing end shut down.
     shut: bool,
+}
+
+/// A gathered write in flight: its number among all writes, its bytes,
+/// and what its write site made of it.
+struct Write {
+    id: u64,
+    bytes: Vec<u8>,
+    /// Cut short: the pipe takes no more until this is read.
+    short: bool,
+    /// It lands only after the clock next moves.
+    stalled: bool,
 }
 
 /// One end of an in-memory socket: the index of the pipe it writes.
@@ -63,7 +84,7 @@ impl MemNet {
     fn choose(&self, pipes: BTreeSet<usize>) -> Option<usize> {
         let mut order: Vec<(u64, usize)> = pipes
             .into_iter()
-            .filter_map(|p| Some((self.pipes[p].writes.front()?.0, p)))
+            .filter_map(|p| Some((self.pipes[p].writes.front()?.id, p)))
             .collect();
         order.sort_unstable();
         let candidates = order.iter().map(|&(write, p)| Candidate {
@@ -72,20 +93,68 @@ impl MemNet {
             conn: None,
             kind: CandidateKind::Bytes,
         });
-        Some(order.get(self.pick(candidates.collect()))?.1)
+        let at = self.pick(PointKind::Delivery, candidates.collect());
+        Some(order.get(at)?.1)
     }
 
-    /// The scheduler's answer among `candidates`; 0 without a choice.
-    fn pick(&self, candidates: Vec<Candidate>) -> usize {
+    /// What the next write site makes of a gathered write of `bufs`
+    /// (`whole` bytes) towards `reader`: the bytes it takes and whether
+    /// it stalls. The whole write is the default, and the only outcome
+    /// once the sites run out. A cut falls in the middle of the first
+    /// slice or of the second: the datapath gathers a frame's header,
+    /// then its body.
+    fn site(&mut self, bufs: &[IoSlice<'_>], whole: usize, reader: u32) -> (usize, bool) {
+        if self.sites == 0 || self.sched.is_none() {
+            return (whole, false);
+        }
+        self.sites -= 1;
+        let (head, body) = (bufs[0].len(), bufs.get(1).map_or(0, |b| b.len()));
+        let cuts = [
+            (head > 1).then_some(head / 2),
+            (body > 1).then_some(head + body / 2),
+        ];
+        let taken = std::iter::once(whole).chain(cuts.into_iter().flatten());
+        let mut kinds: Vec<CandidateKind> = taken
+            .map(|taken| CandidateKind::Gathered {
+                taken: taken as u64,
+            })
+            .collect();
+        kinds.push(CandidateKind::Stall);
+        let candidates = (0..).zip(&kinds).map(|(seq, &kind)| Candidate {
+            seq,
+            node: reader,
+            conn: None,
+            kind,
+        });
+        match kinds[self.pick(PointKind::LossSite, candidates.collect())] {
+            CandidateKind::Gathered { taken } => (taken as usize, false),
+            _ => (whole, true),
+        }
+    }
+
+    /// The scheduler's answer among `candidates` at a point of `kind`; 0
+    /// without a choice.
+    fn pick(&self, kind: PointKind, candidates: Vec<Candidate>) -> usize {
         let Some(sched) = self.sched.as_ref().filter(|_| candidates.len() > 1) else {
             return 0;
         };
         let point = ChoicePoint {
             time_ns: self.clock,
-            kind: PointKind::Delivery,
+            kind,
             candidates: &candidates,
         };
         pick(sched, &point)
+    }
+}
+
+impl TcpFabric<MemNet> {
+    /// Grants the attached scheduler `budget` write sites: the next
+    /// `budget` gathered writes each ask it whether they go whole, short
+    /// or stalled (see [`MemNet`]). It mirrors
+    /// `verbs::Fabric::set_loss_choice_budget`, whose sites deliver or
+    /// drop a transfer; each site spends one unit whatever the answer.
+    pub fn set_loss_choice_budget(&mut self, budget: u64) {
+        self.home.pump.net.sites = budget;
     }
 }
 
@@ -118,11 +187,11 @@ impl Net for MemNet {
             return Err(io::ErrorKind::WouldBlock.into());
         }
         let pipe = &mut self.pipes[from];
-        let write = &pipe.writes[0].1[pipe.offset..];
+        let write = &pipe.writes[0].bytes[pipe.offset..];
         let n = write.len().min(buf.len());
         buf[..n].copy_from_slice(&write[..n]);
         pipe.offset += n;
-        if pipe.offset == pipe.writes[0].1.len() {
+        if pipe.offset == pipe.writes[0].bytes.len() {
             pipe.writes.pop_front();
             pipe.offset = 0;
             self.granted = None;
@@ -131,17 +200,30 @@ impl Net for MemNet {
     }
 
     fn write_vectored(&mut self, stream: &MemStream, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
-        if self.pipes[stream.0].shut || self.pipes[stream.0 ^ 1].shut {
+        let pipe = &self.pipes[stream.0];
+        if pipe.shut || self.pipes[stream.0 ^ 1].shut {
             return Err(io::ErrorKind::BrokenPipe.into());
         }
-        let mut write = Vec::with_capacity(bufs.iter().map(|b| b.len()).sum());
-        bufs.iter().for_each(|b| write.extend_from_slice(b));
-        let n = write.len();
-        if n > 0 {
-            self.pipes[stream.0].writes.push_back((self.written, write));
-            self.written += 1;
+        if pipe.writes.back().is_some_and(|w| w.short) {
+            return Err(io::ErrorKind::WouldBlock.into());
         }
-        Ok(n)
+        let (whole, reader) = (bufs.iter().map(|b| b.len()).sum(), pipe.reader);
+        if whole == 0 {
+            return Ok(0);
+        }
+        let (taken, stalled) = self.site(bufs, whole, reader);
+        let mut bytes = Vec::with_capacity(taken);
+        for b in bufs {
+            bytes.extend_from_slice(&b[..b.len().min(taken - bytes.len())]);
+        }
+        self.pipes[stream.0].writes.push_back(Write {
+            id: self.written,
+            bytes,
+            short: taken < whole,
+            stalled,
+        });
+        self.written += 1;
+        Ok(taken)
     }
 
     /// What was in flight towards the end is gone with it.
@@ -158,14 +240,22 @@ impl Net for MemNet {
     }
 
     /// A pipe a read waits on delivers its next write in the next lap, so
-    /// no time passes; only when no reader waits does the clock move. A
+    /// no time passes. Only when no reader waits, or every write waited
+    /// on stalled, does the clock move; stalled writes land after it. A
     /// grant no read took (its reader crashed) lapses.
     fn idle(&mut self, wait_ns: Option<u64>) {
-        let waiting = std::mem::take(&mut self.waiting);
-        self.granted = self.choose(waiting);
-        if self.granted.is_none() {
+        let mut waiting = std::mem::take(&mut self.waiting);
+        let pipes = &mut self.pipes;
+        let stalled = |p: &usize| pipes[*p].writes.front().is_some_and(|w| w.stalled);
+        if waiting.iter().all(stalled) {
             self.clock += wait_ns.unwrap_or(0);
+            for &p in &waiting {
+                pipes[p].writes[0].stalled = false;
+            }
+        } else {
+            waiting.retain(|p| !stalled(p));
         }
+        self.granted = self.choose(waiting);
     }
 
     fn worker(&self) -> Option<MemNet> {
@@ -185,7 +275,9 @@ impl Net for MemNet {
             let handed = self.handed.get(node).copied().unwrap_or(0);
             Candidate::of(u64::from(node.0) << 32 | handed, *node, delivery)
         });
-        let at = heads.get(self.pick(candidates.collect())).copied();
+        let at = heads
+            .get(self.pick(PointKind::Delivery, candidates.collect()))
+            .copied();
         let next = ready.remove(at.unwrap_or(0))?;
         *self.handed.entry(next.1).or_default() += 1;
         Some(next)

@@ -73,6 +73,17 @@ pub enum CandidateKind {
         /// True for the drop outcome, false for intact delivery.
         drop: bool,
     },
+    /// One outcome at a write site of the in-memory TCP backend: the
+    /// gathered write takes its first `taken` bytes, all of them for the
+    /// whole write. A shorter one ends inside a frame's header or body
+    /// and fills the pipe until its reader has read it.
+    Gathered {
+        /// Bytes the write takes.
+        taken: u64,
+    },
+    /// The other outcome there: the write goes whole, but it lands only
+    /// once nothing else can and the clock has moved.
+    Stall,
 }
 
 /// One enabled event at a choice point.
@@ -129,7 +140,9 @@ pub enum PointKind {
     PacerTie,
     /// Crash/flap injection sites offered before traffic starts.
     FaultSite,
-    /// Deliver-or-drop outcomes at a wire loss site.
+    /// The outcomes at a wire site, within the backend's budget: deliver
+    /// or drop a transfer on the simulated fabric; split or stall a
+    /// gathered write on the in-memory TCP backend.
     LossSite,
 }
 
