@@ -31,7 +31,7 @@
 //!   operation (destroy and re-create the group by hand) remains the
 //!   pre-recovery subset of this machinery.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
 use std::sync::Arc;
 
@@ -256,6 +256,78 @@ pub struct TransferStatus {
     pub delivered: bool,
 }
 
+/// Per-peer counters in rank order. An entry stays once made, at zero
+/// too, exactly as in a `BTreeMap`, so [`GroupEngine::state_digest`]
+/// encodes the same entries; but a group's peers are few, and one
+/// vector that keeps its capacity when cleared is reused message after
+/// message.
+#[derive(Clone, Debug, Default)]
+struct PeerCounts(Vec<(Rank, u32)>);
+
+impl PeerCounts {
+    fn find(&self, peer: Rank) -> Result<usize, usize> {
+        self.0.binary_search_by_key(&peer, |&(r, _)| r)
+    }
+
+    /// `peer`'s count (0 without an entry).
+    fn get(&self, peer: Rank) -> u32 {
+        self.find(peer).map_or(0, |i| self.0[i].1)
+    }
+
+    /// `peer`'s counter, made at 0 if it has none.
+    fn entry(&mut self, peer: Rank) -> &mut u32 {
+        let i = self.find(peer).unwrap_or_else(|i| {
+            self.0.insert(i, (peer, 0));
+            i
+        });
+        &mut self.0[i].1
+    }
+
+    /// `peer`'s counter, if it has an entry.
+    fn get_mut(&mut self, peer: Rank) -> Option<&mut u32> {
+        let i = self.find(peer).ok()?;
+        Some(&mut self.0[i].1)
+    }
+
+    /// Appends the counters to a digest: their number, then every
+    /// `(rank, count)` pair in rank order.
+    fn push_digest(&self, d: &mut Vec<u64>) {
+        d.push(self.0.len() as u64);
+        d.extend(
+            self.0
+                .iter()
+                .flat_map(|&(r, c)| [u64::from(r), u64::from(c)]),
+        );
+    }
+}
+
+/// What a transfer keeps per block and per peer. The engine owns one
+/// set and resets it as each transfer begins, so the vectors keep their
+/// capacity and from a member's second message on its transfers
+/// allocate nothing.
+#[derive(Clone, Debug, Default)]
+struct Buffers {
+    /// Which blocks this member holds.
+    have: Vec<bool>,
+    /// Posted-but-uncompleted block sends, per target.
+    sends_inflight: PeerCounts,
+    /// Per in-peer: how many of its transfers we've granted readiness for.
+    granted: PeerCounts,
+    /// Per in-peer: how many of its transfers have arrived.
+    recvd: PeerCounts,
+}
+
+impl Buffers {
+    /// Holds the blocks `have` marks and no counts.
+    fn reset(&mut self, have: impl IntoIterator<Item = bool>) {
+        self.have.clear();
+        self.have.extend(have);
+        for counts in [&mut self.sends_inflight, &mut self.granted, &mut self.recvd] {
+            counts.0.clear();
+        }
+    }
+}
+
 /// State of an in-progress message transfer at this member.
 #[derive(Clone, Debug)]
 struct ActiveTransfer {
@@ -263,41 +335,23 @@ struct ActiveTransfer {
     /// This member's slice, shared with the planner's cache (a resumed
     /// transfer wraps its own recovery schedule).
     sched: Arc<RankSchedule>,
-    have: Vec<bool>,
     received_count: u32,
     /// Index of the next outgoing transfer to issue, in schedule order.
     out_idx: usize,
-    /// Posted-but-uncompleted block sends, per target.
-    sends_inflight: BTreeMap<Rank, u32>,
     total_inflight: u32,
-    /// Per in-peer: how many of its transfers we've granted readiness for.
-    granted: BTreeMap<Rank, u32>,
-    /// Per in-peer: how many of its transfers have arrived.
-    recvd: BTreeMap<Rank, u32>,
     delivered: bool,
 }
 
 impl ActiveTransfer {
-    /// A transfer with nothing yet sent or received in this epoch:
-    /// `have` is what the member holds going in, `granted` the readiness
-    /// credits already out that count toward it.
-    fn new(
-        layout: MessageLayout,
-        sched: Arc<RankSchedule>,
-        have: Vec<bool>,
-        granted: BTreeMap<Rank, u32>,
-        delivered: bool,
-    ) -> Self {
+    /// A transfer with nothing yet sent or received in this epoch (the
+    /// engine's [`Buffers`] say what it holds going in).
+    fn new(layout: MessageLayout, sched: Arc<RankSchedule>, delivered: bool) -> Self {
         ActiveTransfer {
             layout,
             sched,
-            have,
             received_count: 0,
             out_idx: 0,
-            sends_inflight: BTreeMap::new(),
             total_inflight: 0,
-            granted,
-            recvd: BTreeMap::new(),
             delivered,
         }
     }
@@ -313,28 +367,25 @@ fn pack_bitmap(have: &[bool]) -> impl Iterator<Item = u64> + '_ {
     })
 }
 
-/// Appends a per-peer counter map to a digest: its length, then every
-/// `(rank, count)` pair in rank order.
-fn push_counts(d: &mut Vec<u64>, counts: &BTreeMap<Rank, u32>) {
-    d.push(counts.len() as u64);
-    d.extend(
-        counts
-            .iter()
-            .flat_map(|(&r, &c)| [u64::from(r), u64::from(c)]),
-    );
-}
-
 /// One group member's protocol state machine. See the module docs.
 #[derive(Clone, Debug)]
 pub struct GroupEngine {
     config: EngineConfig,
     active: Option<ActiveTransfer>,
+    /// The active transfer's blocks and per-peer counters (stale while
+    /// none is active).
+    bufs: Buffers,
     /// Root only: sizes waiting to be sent after the current transfer.
     send_queue: VecDeque<u64>,
     /// Unconsumed readiness credits from each peer (they persist across
     /// message boundaries: a peer may grant its next-message credit while
     /// we are still finishing this one).
-    credits: BTreeMap<Rank, u32>,
+    credits: PeerCounts,
+    /// This member's slice of the last schedule it planned: a run of
+    /// same-shape messages asks the planner once.
+    planned: Option<Arc<RankSchedule>>,
+    /// Who sends this member its first block in the current epoch.
+    first_sender: Option<Rank>,
     failed: BTreeSet<Rank>,
     wedged: bool,
     messages_completed: u64,
@@ -372,10 +423,11 @@ impl GroupEngine {
             "need at least one outstanding send"
         );
         let mut actions = Vec::new();
+        let first_sender = config.planner.first_sender(config.num_nodes, config.rank);
         // The root's incoming transfers (if its schedule has any) are
         // granted when a send starts, not while idle.
         if config.rank != 0 {
-            if let Some(first) = config.planner.first_sender(config.num_nodes, config.rank) {
+            if let Some(first) = first_sender {
                 actions.push(Action::SendReady { to: first });
             }
         }
@@ -383,8 +435,11 @@ impl GroupEngine {
             GroupEngine {
                 config,
                 active: None,
+                bufs: Buffers::default(),
                 send_queue: VecDeque::new(),
-                credits: BTreeMap::new(),
+                credits: PeerCounts::default(),
+                planned: None,
+                first_sender,
                 failed: BTreeSet::new(),
                 wedged: false,
                 messages_completed: 0,
@@ -453,7 +508,7 @@ impl GroupEngine {
         if let Some(t) = &self.active {
             out.push(TransferStatus {
                 total_size: t.layout.size,
-                have: t.have.clone(),
+                have: self.bufs.have.clone(),
                 delivered: t.delivered,
             });
         }
@@ -498,6 +553,10 @@ impl GroupEngine {
         self.epoch = install.epoch;
         self.config.rank = install.rank;
         self.config.num_nodes = install.num_nodes;
+        self.first_sender = self
+            .config
+            .planner
+            .first_sender(install.num_nodes, install.rank);
         if self.scope.rank.is_some() {
             self.scope.rank = Some(install.rank);
         }
@@ -522,7 +581,7 @@ impl GroupEngine {
         self.wedged = false;
         // Old-epoch credits and the interrupted transfer die with the old
         // connections; resumes restate everything in new-epoch terms.
-        self.credits.clear();
+        self.credits.0.clear();
         self.active = None;
         self.pending_resumes = install.resumes.into();
         if self.config.rank != 0 {
@@ -544,11 +603,7 @@ impl GroupEngine {
         }
         if self.config.rank == 0 {
             self.begin_next_send(actions);
-        } else if let Some(first) = self
-            .config
-            .planner
-            .first_sender(self.config.num_nodes, self.config.rank)
-        {
+        } else if let Some(first) = self.first_sender {
             // Re-grant the idle-state credit for the next message.
             self.recorder
                 .record(self.scope, || trace::EventKind::ReadyGranted { to: first });
@@ -584,11 +639,10 @@ impl GroupEngine {
                     size: resume.total_size,
                 });
         }
+        self.bufs.reset(resume.have.iter().copied());
         self.active = Some(ActiveTransfer::new(
             layout,
             Arc::new(resume.sched),
-            resume.have,
-            BTreeMap::new(),
             resume.already_delivered,
         ));
         self.top_up_grants(None, actions);
@@ -613,7 +667,7 @@ impl GroupEngine {
         }
         d.push(u64::from(self.wedged));
         d.push(self.messages_completed);
-        push_counts(&mut d, &self.credits);
+        self.credits.push_digest(&mut d);
         d.push(self.failed.len() as u64);
         d.extend(self.failed.iter().map(|&r| u64::from(r)));
         d.push(self.send_queue.len() as u64);
@@ -626,10 +680,10 @@ impl GroupEngine {
                 d.push(t.out_idx as u64);
                 d.push(u64::from(t.total_inflight));
                 d.push(u64::from(t.delivered));
-                d.extend(pack_bitmap(&t.have));
-                push_counts(&mut d, &t.sends_inflight);
-                push_counts(&mut d, &t.granted);
-                push_counts(&mut d, &t.recvd);
+                d.extend(pack_bitmap(&self.bufs.have));
+                self.bufs.sends_inflight.push_digest(&mut d);
+                self.bufs.granted.push_digest(&mut d);
+                self.bufs.recvd.push_digest(&mut d);
             }
         }
         d
@@ -697,14 +751,14 @@ impl GroupEngine {
                 let expected = t
                     .sched
                     .incoming_from(from)
-                    .get(*t.recvd.get(&from).unwrap_or(&0) as usize)
+                    .get(self.bufs.recvd.get(from) as usize)
                     .copied();
                 let Some((step, block)) = expected else {
                     return Err(EngineError::UnexpectedArrival { from });
                 };
-                *t.recvd.entry(from).or_insert(0) += 1;
+                *self.bufs.recvd.entry(from) += 1;
                 t.received_count += 1;
-                t.have[block as usize] = true;
+                self.bufs.have[block as usize] = true;
                 let epoch = self.epoch;
                 self.recorder
                     .record(self.scope, || trace::EventKind::BlockArrived {
@@ -719,7 +773,7 @@ impl GroupEngine {
                 self.try_complete(actions);
             }
             Event::ReadyReceived { from } => {
-                *self.credits.entry(from).or_insert(0) += 1;
+                *self.credits.entry(from) += 1;
                 self.recorder
                     .record(self.scope, || trace::EventKind::ReadyHeard { from });
                 if self.wedged {
@@ -732,7 +786,7 @@ impl GroupEngine {
                 let Some(t) = self.active.as_mut() else {
                     return Err(EngineError::UnexpectedSendCompletion { to });
                 };
-                match t.sends_inflight.get_mut(&to) {
+                match self.bufs.sends_inflight.get_mut(to) {
                     Some(c) if *c > 0 => {
                         *c -= 1;
                         t.total_inflight -= 1;
@@ -760,12 +814,22 @@ impl GroupEngine {
     }
 
     /// The layout of a `size`-byte message and this member's slice of
-    /// its first-epoch schedule.
-    fn plan(&self, size: u64) -> (MessageLayout, Arc<RankSchedule>) {
+    /// its schedule in the current epoch.
+    fn plan(&mut self, size: u64) -> (MessageLayout, Arc<RankSchedule>) {
         let c = &self.config;
         let layout = MessageLayout::new(size, c.block_size);
         let k = layout.num_blocks;
-        (layout, c.planner.rank_schedule(c.num_nodes, k, c.rank))
+        let sched = match &self.planned {
+            Some(s) if (s.num_nodes(), s.num_blocks(), s.rank()) == (c.num_nodes, k, c.rank) => {
+                Arc::clone(s)
+            }
+            _ => {
+                let sched = c.planner.rank_schedule(c.num_nodes, k, c.rank);
+                self.planned = Some(Arc::clone(&sched));
+                sched
+            }
+        };
+        (layout, sched)
     }
 
     /// Root: pop the next queued message and begin its transfer.
@@ -781,14 +845,8 @@ impl GroupEngine {
                 blocks: k,
                 root: true,
             });
-        let have = vec![true; k as usize];
-        self.active = Some(ActiveTransfer::new(
-            layout,
-            sched,
-            have,
-            BTreeMap::new(),
-            false,
-        ));
+        self.bufs.reset(std::iter::repeat_n(true, k as usize));
+        self.active = Some(ActiveTransfer::new(layout, sched, false));
         // Some non-RDMC schedules (e.g. the MPI-style scatter/allgather
         // baseline) route blocks back through the root; grant readiness
         // for any incoming transfers it has.
@@ -812,18 +870,13 @@ impl GroupEngine {
             .record(self.scope, || trace::EventKind::BufferRequested {
                 size: total_size,
             });
-        let mut granted = BTreeMap::new();
-        if let Some(first) = self
-            .config
-            .planner
-            .first_sender(self.config.num_nodes, self.config.rank)
-        {
+        self.bufs.reset(std::iter::repeat_n(false, k as usize));
+        if let Some(first) = self.first_sender {
             // The idle-state credit issued at construction / last
             // completion counts toward this message.
-            granted.insert(first, 1);
+            *self.bufs.granted.entry(first) = 1;
         }
-        let have = vec![false; k as usize];
-        self.active = Some(ActiveTransfer::new(layout, sched, have, granted, false));
+        self.active = Some(ActiveTransfer::new(layout, sched, false));
         self.top_up_grants(None, actions);
     }
 
@@ -839,8 +892,8 @@ impl GroupEngine {
         };
         for peer in one.into_iter().chain(all.into_iter().flatten()) {
             let total = t.sched.incoming_from(peer).len() as u32;
-            let recvd = *t.recvd.get(&peer).unwrap_or(&0);
-            let granted = t.granted.entry(peer).or_insert(0);
+            let recvd = self.bufs.recvd.get(peer);
+            let granted = self.bufs.granted.entry(peer);
             let target = total.min(recvd + window);
             while *granted < target {
                 *granted += 1;
@@ -867,16 +920,16 @@ impl GroupEngine {
                 // Never send to the dead; the group is wedging anyway.
                 return;
             }
-            if !t.have[transfer.block as usize] {
+            if !self.bufs.have[transfer.block as usize] {
                 return; // strictly in schedule order: wait for the block
             }
-            let credit = self.credits.entry(transfer.peer).or_insert(0);
+            let credit = self.credits.entry(transfer.peer);
             if *credit == 0 {
                 return; // target not ready yet (§4.2 ready-for-block)
             }
             *credit -= 1;
             t.out_idx += 1;
-            *t.sends_inflight.entry(transfer.peer).or_insert(0) += 1;
+            *self.bufs.sends_inflight.entry(transfer.peer) += 1;
             t.total_inflight += 1;
             let (bytes, epoch) = (t.layout.block_bytes(transfer.block), self.epoch);
             self.recorder
@@ -927,6 +980,7 @@ mod tests {
     use super::*;
     use crate::schedule::{GlobalSchedule, GlobalTransfer};
     use crate::Algorithm;
+    use std::collections::{BTreeMap, VecDeque};
 
     fn engine(rank: Rank, n: u32) -> (GroupEngine, Vec<Action>) {
         GroupEngine::new(EngineConfig {
@@ -1341,5 +1395,153 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    /// A seeded walk of one group over an in-memory wire: each engine's
+    /// actions become its peers' events, queued FIFO per (kind, sender,
+    /// receiver) channel, and a seeded generator picks which channel
+    /// moves next. `visit` sees every engine after every event.
+    fn walk(
+        algorithm: Algorithm,
+        n: u32,
+        sizes: &[u64],
+        seed: u64,
+        mut visit: impl FnMut(Rank, &GroupEngine),
+    ) {
+        type Channels = BTreeMap<(u8, Rank, Rank), VecDeque<(Rank, Event)>>;
+        fn post(channels: &mut Channels, me: Rank, actions: Vec<Action>) {
+            for action in actions {
+                let (key, to, event) = match action {
+                    Action::SendReady { to } => {
+                        ((0, me, to), to, Event::ReadyReceived { from: me })
+                    }
+                    Action::SendBlock { to, total_size, .. } => {
+                        let done = Event::SendCompleted { to };
+                        channels
+                            .entry((2, me, to))
+                            .or_default()
+                            .push_back((me, done));
+                        let block = Event::BlockReceived {
+                            from: me,
+                            total_size,
+                        };
+                        ((1, me, to), to, block)
+                    }
+                    _ => continue,
+                };
+                channels.entry(key).or_default().push_back((to, event));
+            }
+        }
+        let planner = Arc::new(SchedulePlanner::new(algorithm));
+        let mut channels = Channels::new();
+        let mut engines: Vec<GroupEngine> = (0..n)
+            .map(|rank| {
+                let (e, actions) = GroupEngine::new(EngineConfig {
+                    rank,
+                    num_nodes: n,
+                    block_size: 1024,
+                    ready_window: 2,
+                    max_outstanding_sends: 2,
+                    planner: Arc::clone(&planner),
+                });
+                post(&mut channels, rank, actions);
+                e
+            })
+            .collect();
+        for &size in sizes {
+            let actions = engines[0].handle(Event::StartSend { size }).unwrap();
+            post(&mut channels, 0, actions);
+        }
+        let mut rng = seed;
+        let mut next = || {
+            rng = rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let z = (rng ^ (rng >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        loop {
+            let live: Vec<_> = channels
+                .iter()
+                .filter(|(_, q)| !q.is_empty())
+                .map(|(k, _)| *k)
+                .collect();
+            if live.is_empty() {
+                break;
+            }
+            let key = live[(next() % live.len() as u64) as usize];
+            let (to, event) = channels.get_mut(&key).unwrap().pop_front().unwrap();
+            let actions = engines[to as usize].handle(event).unwrap();
+            post(&mut channels, to, actions);
+            for (rank, e) in engines.iter().enumerate() {
+                visit(rank as Rank, e);
+            }
+        }
+        for e in &engines {
+            assert_eq!(e.messages_completed(), sizes.len() as u64);
+            assert!(e.is_idle());
+        }
+    }
+
+    /// `state_digest` is the encoding the per-peer counters had as
+    /// `BTreeMap`s: over seeded walks of four schedule families, every
+    /// engine's digest after every event hashes to the stream that
+    /// encoding gave (pinned), and every counter set is a map's entries:
+    /// strictly ascending ranks, zero counts kept.
+    #[test]
+    fn state_digest_matches_the_btreemap_encoding_over_seeded_walks() {
+        let mut hash = 0xCBF2_9CE4_8422_2325u64;
+        let families = [
+            Algorithm::BinomialPipeline,
+            Algorithm::Sequential,
+            Algorithm::Chain,
+            Algorithm::BinomialTree,
+        ];
+        for (f, algorithm) in families.into_iter().enumerate() {
+            for seed in 0..6 {
+                let sizes: Vec<u64> = (0..5)
+                    .map(|m| 1 + (seed * 7 + m * 1500 + f as u64 * 300) % 5000)
+                    .collect();
+                walk(algorithm.clone(), 6, &sizes, seed, |_, e| {
+                    let mut counts = vec![&e.credits];
+                    if e.active.is_some() {
+                        let b = &e.bufs;
+                        counts.extend([&b.sends_inflight, &b.granted, &b.recvd]);
+                    }
+                    for c in counts {
+                        let map: BTreeMap<_, _> = c.0.iter().copied().collect();
+                        assert!(map.into_iter().eq(c.0.iter().copied()), "{c:?}");
+                    }
+                    for word in e.state_digest() {
+                        hash = (hash ^ word).wrapping_mul(0x0000_0100_0000_01B3);
+                    }
+                });
+            }
+        }
+        assert_eq!(hash, 0x4a2f_da5a_66da_ec64, "the digest stream moved");
+    }
+
+    /// From its second message on, a member's transfers run in the
+    /// buffers its first one grew: a steady run of same-shape messages
+    /// reallocates no bitmap and no per-peer counter, at any member.
+    #[test]
+    fn transfer_buffers_keep_their_addresses_from_the_second_message_on() {
+        for algorithm in [Algorithm::BinomialPipeline, Algorithm::Sequential] {
+            let mut seen: BTreeMap<Rank, [*const (); 4]> = BTreeMap::new();
+            walk(algorithm, 5, &[4096; 6], 3, |rank, e| {
+                if e.active.is_none() || e.messages_completed() == 0 {
+                    return;
+                }
+                let b = &e.bufs;
+                let at = [
+                    b.have.as_ptr().cast(),
+                    b.sends_inflight.0.as_ptr().cast(),
+                    b.granted.0.as_ptr().cast(),
+                    b.recvd.0.as_ptr().cast(),
+                ];
+                let first = seen.entry(rank).or_insert(at);
+                assert_eq!(*first, at, "rank {rank}: a buffer moved");
+            });
+            assert_eq!(seen.len(), 5, "every member ran a second message");
+        }
     }
 }

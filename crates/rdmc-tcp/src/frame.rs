@@ -195,10 +195,14 @@ pub(crate) fn gather<'a>(
     n
 }
 
+/// The largest write body whose buffer the decoder keeps for the next
+/// write; a larger one's is freed once its [`Bytes`] is made.
+const BODY_KEEP: usize = 64 << 10;
+
 /// Streaming frame decoder, one per receiving endpoint. A send's body
 /// is counted and dropped where it lies (RDMC never inspects block
-/// contents); a write's body is appended once into the buffer that
-/// becomes its [`Bytes`].
+/// contents); a write's body is gathered in one reused buffer and
+/// copied out into its [`Bytes`] — inline, for a control write.
 #[derive(Default)]
 pub(crate) struct Decoder {
     hdr: [u8; HDR],
@@ -206,7 +210,8 @@ pub(crate) struct Decoder {
     got: usize,
     /// Body bytes of the current frame still to come.
     body_left: usize,
-    /// The current write's body so far.
+    /// The current write's body so far; its capacity outlives the write
+    /// up to [`BODY_KEEP`].
     body: Vec<u8>,
 }
 
@@ -229,7 +234,10 @@ impl Decoder {
             }
             match self.hdr[4] {
                 KIND_SEND => {}
-                KIND_WRITE => self.body.reserve_exact(len as usize),
+                KIND_WRITE => {
+                    self.body.clear();
+                    self.body.reserve_exact(len as usize);
+                }
                 kind => return Err(FrameError::UnknownKind(kind)),
             }
             self.body_left = len as usize;
@@ -250,10 +258,14 @@ impl Decoder {
         let [.., m0, m1, m2, m3, m4, m5, m6, m7] = self.hdr;
         let meta = u64::from_le_bytes([m0, m1, m2, m3, m4, m5, m6, m7]);
         let event = if self.hdr[4] == KIND_WRITE {
+            let payload = Bytes::copy_from_slice(&self.body);
+            if self.body.capacity() > BODY_KEEP {
+                self.body = Vec::new();
+            }
             Event::Write {
                 qp,
                 tag: meta,
-                payload: Bytes::from(std::mem::take(&mut self.body)),
+                payload,
             }
         } else {
             Event::Send {
@@ -375,6 +387,36 @@ mod tests {
         for cap in [1, HDR - 1, HDR, HDR + 1, FILLER.len() + 1, QUANTUM as usize] {
             assert!(wire(mixed_queue().0, cap) == stream, "cap {cap}");
         }
+    }
+
+    /// Decodes one write frame of `len` body bytes, sent whole, and
+    /// returns its payload's length.
+    fn write_through(decoder: &mut Decoder, len: usize) -> usize {
+        let body = Bytes::from(vec![5u8; len]);
+        let frame = OutFrame::new(1, WrId(2), KIND_WRITE, 3, Payload::Bytes(body));
+        let stream = wire(VecDeque::from([frame]), usize::MAX);
+        match decoder.feed(&stream) {
+            Ok((used, Some(Event::Write { payload, .. }))) if used == stream.len() => payload.len(),
+            other => panic!("{other:?}"),
+        }
+    }
+
+    /// The body buffer is the decoder's, not the write's: later writes
+    /// up to [`BODY_KEEP`] land where the first one did, and one above
+    /// it leaves no buffer behind.
+    #[test]
+    fn the_decoder_reuses_its_body_buffer_up_to_the_keep_limit() {
+        let mut decoder = Decoder::default();
+        assert_eq!(write_through(&mut decoder, BODY_KEEP), BODY_KEEP);
+        let (at, capacity) = (decoder.body.as_ptr(), decoder.body.capacity());
+        assert!(capacity >= BODY_KEEP);
+        for len in [3, 0, 1 << 10, BODY_KEEP] {
+            assert_eq!(write_through(&mut decoder, len), len);
+            assert_eq!(decoder.body.as_ptr(), at, "len {len}: the same buffer");
+            assert_eq!(decoder.body.capacity(), capacity);
+        }
+        assert_eq!(write_through(&mut decoder, BODY_KEEP + 1), BODY_KEEP + 1);
+        assert_eq!(decoder.body.capacity(), 0, "an outsize buffer is freed");
     }
 
     #[test]

@@ -329,10 +329,11 @@ impl<N: Net> TcpFabric<N> {
 
     /// Tears the fabric down: shuts down every socket and surfaces the
     /// first error observed — either mid-run (socket set-up, reads,
-    /// writes and frame decoding never unwrap; errors are recorded and
-    /// the queue pairs broken) or during the shutdown itself. The
-    /// listener, all streams and the pump worker go on drop regardless,
-    /// so repeated launch/shutdown cycles in one process stay clean.
+    /// writes, frame decoding and the pump thread never unwrap; errors
+    /// are recorded and the queue pairs broken) or during the shutdown
+    /// itself. The listener, all streams and the pump worker go on drop
+    /// regardless, so repeated launch/shutdown cycles in one process
+    /// stay clean.
     ///
     /// # Errors
     ///
@@ -412,13 +413,15 @@ impl<N: Net> TcpFabric<N> {
 
     /// Hands the order `make` builds for socket `sock`'s index in its
     /// shard to that shard: applied at once on the caller's, sent to the
-    /// worker's.
+    /// worker's — and dropped if the worker died, whose sockets broke
+    /// with it.
     fn order(&mut self, sock: usize, make: impl FnOnce(usize) -> Order<N>) {
         let Socket { shard, index, .. } = self.sockets[sock];
         let order = make(index);
         match self.worker.as_mut() {
-            Some(w) if shard > 0 => w.order(order),
-            _ => self.home.apply(order),
+            _ if shard == 0 => self.home.apply(order),
+            Some(w) => w.order(order),
+            None => {}
         }
     }
 
@@ -432,20 +435,47 @@ impl<N: Net> TcpFabric<N> {
         let Some(w) = self.worker.as_mut() else {
             return;
         };
-        while let Some(report) = w.next() {
+        let mut at = None;
+        loop {
+            let report = match w.next() {
+                Ok(Some(report)) => report,
+                Ok(None) => return,
+                Err(died) => return self.lose_worker(died),
+            };
             match report {
-                Report::Deliveries(batch) => {
+                Report::Delivered(node, delivery) => {
                     let p = &mut self.home.pump;
-                    let at = SimTime::from_nanos(p.now_ns());
-                    for (_, node, delivery) in batch {
-                        if !p.crashed[node.index()] {
-                            p.ready.push_back((at, node, delivery));
-                        }
+                    if !p.crashed[node.index()] {
+                        let at = *at.get_or_insert_with(|| SimTime::from_nanos(p.now_ns()));
+                        p.ready.push_back((at, node, delivery));
                     }
                 }
                 Report::Broke(sock) => self.sockets[sock].state = ConnState::Broken,
                 Report::Lap(..) => {}
             }
+        }
+    }
+
+    /// The pump thread died, and the sockets it pumped with it: the
+    /// error waits for [`TcpFabric::shutdown`], and each of those sockets
+    /// breaks as software knows it — every queue pair on it that software
+    /// has not seen break hears `QpBroken` at each live end — so `run()`
+    /// ends in a wedge, not a hang. From here on one shard runs.
+    fn lose_worker(&mut self, died: io::Error) {
+        self.worker = None;
+        self.home.pump.io_errors.push(died);
+        let lost = |s: &Socket| s.shard > 0 && s.state != ConnState::Broken;
+        for (id, route) in self.qps.iter().enumerate() {
+            let on_lost = route.at.is_some_and(|(sock, _)| lost(&self.sockets[sock]));
+            if on_lost && !route.broken {
+                for (end, &node) in route.nodes.iter().enumerate() {
+                    let qp = QpHandle::from_parts(id as u32, end as u8);
+                    self.home.pump.push(node, Delivery::QpBroken { qp });
+                }
+            }
+        }
+        for socket in self.sockets.iter_mut().filter(|s| lost(s)) {
+            socket.state = ConnState::Broken;
         }
     }
 

@@ -5,18 +5,21 @@
 //! sockets on a host with a second core, is a [`Worker`]: a pump thread
 //! that turns it ([`Shard::turn`]), or in tests a seeded stepped driver
 //! that turns it on the calling thread. [`Order`]s go in, in posting
-//! order, and [`Report`]s come back, in the order they happened. Nothing
-//! is shared, so nothing is locked.
+//! order, and [`Report`]s come back, in the order they happened, each
+//! delivery on its own: nothing is shared, so nothing is locked, and no
+//! heap buffer crosses between the threads per batch. A pump thread
+//! that dies is an error the caller records, never a panic: see
+//! [`Worker::next`].
 
-use std::collections::VecDeque;
+use std::io;
 use std::sync::mpsc::{Receiver, Sender, TryRecvError};
 use std::thread::JoinHandle;
 
-use verbs::WrId;
+use verbs::{Delivery, NodeId, WrId};
 
 use crate::frame::OutFrame;
 use crate::qp::Qp;
-use crate::{Conn, ConnState, Net, Pump, Ready, FAILURE_DETECT_NS, SCRATCH};
+use crate::{Conn, ConnState, Net, Pump, FAILURE_DETECT_NS, SCRATCH};
 
 /// What is asked of a shard. Sockets are named by their index in the
 /// shard, which `Adopt` grows.
@@ -53,9 +56,9 @@ pub(crate) enum Order<N: Net> {
 
 /// What a worker tells the caller.
 pub(crate) enum Report {
-    /// Deliveries, in the order they happened (their stamps are the
-    /// worker's; the caller stamps them again as they arrive).
-    Deliveries(VecDeque<Ready>),
+    /// A delivery, in the order they happened (the caller stamps it as
+    /// it arrives).
+    Delivered(NodeId, Delivery),
     /// The socket with this index in the caller's table broke; its queue
     /// pairs' notices went ahead.
     Broke(usize),
@@ -93,7 +96,7 @@ impl<N: Net> Shard<N> {
                 crashed: vec![false; n],
                 net,
                 scratch: vec![0; SCRATCH / 32],
-                ready: VecDeque::new(),
+                ready: Default::default(),
                 broke: Vec::new(),
                 rnr_arms: 0,
                 io_errors: Vec::new(),
@@ -233,8 +236,8 @@ impl<N: Net> Shard<N> {
             self.apply(order);
         }
         let ended = self.step();
-        if !self.pump.ready.is_empty() {
-            report(Report::Deliveries(std::mem::take(&mut self.pump.ready)));
+        for (_, node, delivery) in self.pump.ready.drain(..) {
+            report(Report::Delivered(node, delivery));
         }
         for sock in self.pump.broke.drain(..) {
             report(Report::Broke(sock));
@@ -295,30 +298,43 @@ impl<N: Net> Worker<N> {
         }
     }
 
+    /// Sends an order. One sent to a dead thread dies with it;
+    /// [`Worker::next`] tells the caller.
     pub(crate) fn order(&mut self, order: Order<N>) {
         self.sent += 1;
         match &mut self.link {
-            Link::Thread { orders, .. } => orders.send(order).expect("the pump worker runs"),
+            Link::Thread { orders, .. } => {
+                let _ = orders.send(order);
+            }
             #[cfg(test)]
             Link::Stepped(s) => s.inbox.push_back(order),
         }
     }
 
     /// The next report, if one came through; lap ends are taken in here.
-    pub(crate) fn next(&mut self) -> Option<Report> {
+    ///
+    /// # Errors
+    ///
+    /// Once every report it sent was taken, a pump thread that died (it
+    /// panicked, and its shard and sockets went with it) is an error:
+    /// the caller must stop ordering this worker.
+    pub(crate) fn next(&mut self) -> io::Result<Option<Report>> {
         let report = match &mut self.link {
-            Link::Thread { reports, .. } => match reports.try_recv() {
-                Ok(report) => report,
-                Err(TryRecvError::Empty) => return None,
-                Err(TryRecvError::Disconnected) => panic!("the pump worker died"),
-            },
+            Link::Thread { reports, .. } => reports.try_recv(),
             #[cfg(test)]
-            Link::Stepped(s) => s.next()?,
+            Link::Stepped(s) => s.next(),
+        };
+        let report = match report {
+            Ok(report) => report,
+            Err(TryRecvError::Empty) => return Ok(None),
+            Err(TryRecvError::Disconnected) => {
+                return Err(io::Error::other("the pump worker died"))
+            }
         };
         if let Report::Lap(applied, rnr_arms, parked) = report {
             (self.caught, self.rnr_arms, self.parked) = (applied, rnr_arms, parked);
         }
-        Some(report)
+        Ok(Some(report))
     }
 
     /// Lets the shard move on: a thread runs by itself, so this is one

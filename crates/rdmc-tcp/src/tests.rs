@@ -25,6 +25,7 @@ use std::time::Instant;
 use rdmc::Algorithm;
 use rdmc_sim::{GroupSpec, RecoveryConfig};
 use shard::Link;
+use std::sync::mpsc::TryRecvError;
 
 const A: NodeId = NodeId(0);
 const B: NodeId = NodeId(1);
@@ -295,16 +296,29 @@ fn frame_naming_a_queue_pair_not_carried_is_an_error_not_a_panic() {
 /// A fabric whose hand-outs a test reads back: every delivery
 /// `advance()` returned, in order, each checked for a stamp that does
 /// not go back; and, once a node crashed, how many breaks of its queue
-/// pairs were queued for software when the first came out.
+/// pairs were queued for software when the first came out. With
+/// `cut_at`, the stepped worker dies once that many were handed out.
 struct Tap {
     fabric: TcpFabric,
     handed: Vec<(NodeId, Delivery)>,
     last_at: SimTime,
     dead: Option<usize>,
     first_batch: Option<usize>,
+    cut_at: Option<usize>,
 }
 
 impl Tap {
+    fn new(fabric: TcpFabric) -> Tap {
+        Tap {
+            fabric,
+            handed: Vec::new(),
+            last_at: SimTime::ZERO,
+            dead: None,
+            first_batch: None,
+            cut_at: None,
+        }
+    }
+
     /// Whether `delivery` breaks a queue pair to the crashed node.
     fn breaks_dead(&self, delivery: &Delivery) -> bool {
         let Delivery::QpBroken { qp } = delivery else {
@@ -320,6 +334,11 @@ impl Transport for Tap {
         self.fabric.now()
     }
     fn advance(&mut self) -> Option<(SimTime, NodeId, Delivery)> {
+        if self.cut_at == Some(self.handed.len()) {
+            if let Some(Link::Stepped(s)) = self.fabric.worker.as_mut().map(|w| &mut w.link) {
+                s.dead = true;
+            }
+        }
         let next = self.fabric.advance();
         if let Some((at, node, delivery)) = &next {
             assert!(*at >= self.last_at, "a stamp went back: {delivery:?}");
@@ -409,14 +428,7 @@ fn stepped(n: usize, seed: u64) -> TcpFabric {
 /// three blocks in flight per queue pair; with `recovery`, survivors
 /// reconfigure.
 fn tapped_group(n: usize, seed: u64, block_size: u64, recovery: bool) -> (Cluster<Tap>, usize) {
-    let tap = Tap {
-        fabric: stepped(n, seed),
-        handed: Vec::new(),
-        last_at: SimTime::ZERO,
-        dead: None,
-        first_batch: None,
-    };
-    let mut builder = ClusterBuilder::from_transport(tap);
+    let mut builder = ClusterBuilder::from_transport(Tap::new(stepped(n, seed)));
     if recovery {
         builder = builder.recovery(RecoveryConfig::default());
     }
@@ -544,6 +556,63 @@ fn a_relay_crash_across_shards_keeps_delivery_all_or_nothing() {
     }
 }
 
+/// A pump thread that dies mid-message panics nothing: the caller breaks
+/// the sockets it pumped — both ends of every queue pair on them hear
+/// `QpBroken` — `run()` returns on a wedged group, and `shutdown()`
+/// reports the death.
+#[test]
+fn a_pump_worker_that_dies_mid_run_is_an_error_at_shutdown_not_a_panic() {
+    for seed in SEEDS {
+        let mut tap = Tap::new(stepped(8, seed));
+        tap.cut_at = Some(200);
+        let mut cluster = ClusterBuilder::from_transport(tap).build();
+        let group = cluster.create_group(GroupSpec {
+            members: (0..8).collect(),
+            algorithm: Algorithm::BinomialPipeline,
+            block_size: 256 << 10,
+            ready_window: 3,
+            max_outstanding_sends: 3,
+        });
+        let first = cluster.submit_send(group, 4 << 20);
+        cluster.run();
+        let first_record = cluster.result(first).expect("submitted");
+        assert!(
+            first_record.latency().is_none(),
+            "seed {seed}: died mid-message"
+        );
+        let tap = cluster.into_transport();
+        assert!(
+            tap.fabric.worker.is_none(),
+            "seed {seed}: one shard runs on"
+        );
+        let broken: std::collections::BTreeSet<QpHandle> = tap
+            .handed
+            .iter()
+            .filter_map(|(_, d)| match d {
+                Delivery::QpBroken { qp } => Some(*qp),
+                _ => None,
+            })
+            .collect();
+        let mut lost = 0;
+        for (id, route) in tap.fabric.qps.iter().enumerate() {
+            let Some((sock, _)) = route.at else { continue };
+            if tap.fabric.sockets[sock].shard > 0 {
+                lost += 1;
+                for end in 0..2 {
+                    let qp = QpHandle::from_parts(id as u32, end);
+                    assert!(broken.contains(&qp), "seed {seed}: {qp:?} never broke");
+                }
+            }
+        }
+        assert!(lost > 0, "seed {seed}: the worker pumped queue pairs");
+        let error = tap.fabric.shutdown().expect_err("the death surfaces");
+        assert!(
+            error.to_string().contains("the pump worker died"),
+            "{error}"
+        );
+    }
+}
+
 /// An engine log in `transport_equivalence`'s canonical form: per
 /// (group, rank, event class, peer) channel, its events in log order.
 type Channels = BTreeMap<(usize, u32, &'static str, i64), Vec<u64>>;
@@ -637,11 +706,14 @@ fn both_shards_answer_posts_and_snapshots_alike() {
 /// takes a turn first and whether a waiting report comes through, so
 /// which shard steps next and when the caller hears of it vary by seed;
 /// [`Worker::wait`] always turns it, so a caller that waits gets on.
+/// Once `dead`, it turns no more, and when its reports run out the
+/// caller finds its channel disconnected, as a pump thread's that died.
 pub(crate) struct Stepped<N: Net> {
     pub(crate) shard: Shard<N>,
     pub(crate) inbox: VecDeque<Order<N>>,
     outbox: VecDeque<Report>,
     parked: bool,
+    pub(crate) dead: bool,
     rng: simnet::SplitMix64,
     /// Out of 8: the odds a look turns the shard, and lets a report out.
     odds: [u64; 2],
@@ -656,6 +728,7 @@ impl<N: Net> Stepped<N> {
             inbox: VecDeque::new(),
             outbox: VecDeque::new(),
             parked: true,
+            dead: false,
             rng,
             odds,
         })))
@@ -664,7 +737,7 @@ impl<N: Net> Stepped<N> {
     /// A turn, unless the shard is parked with nothing to apply, as a
     /// parked thread waits on its inbox.
     pub(crate) fn turn(&mut self) {
-        if self.parked && self.inbox.is_empty() {
+        if self.dead || self.parked && self.inbox.is_empty() {
             return;
         }
         let outbox = &mut self.outbox;
@@ -672,12 +745,16 @@ impl<N: Net> Stepped<N> {
         self.parked = self.shard.turn(orders, &mut |r| outbox.push_back(r));
     }
 
-    pub(crate) fn next(&mut self) -> Option<Report> {
+    pub(crate) fn next(&mut self) -> Result<Report, TryRecvError> {
         let mut roll = || self.rng.next_u64() % 8;
         let (turn, through) = (roll() < self.odds[0], roll() < self.odds[1]);
         if turn {
             self.turn();
         }
-        through.then(|| self.outbox.pop_front()).flatten()
+        match through.then(|| self.outbox.pop_front()).flatten() {
+            Some(report) => Ok(report),
+            None if self.dead && self.outbox.is_empty() => Err(TryRecvError::Disconnected),
+            None => Err(TryRecvError::Empty),
+        }
     }
 }

@@ -25,12 +25,15 @@
 //!   - completion modes, jitter and CPU: TCP hosts have no host model;
 //!   - `fabric_is_deterministic`: wall-clock runs do not repeat;
 //!   - `crash_aborts_inflight_transfer`: TCP delivers what reached the socket.
-//! - loopback TCP (`rdmc-tcp/src/tests.rs`): socket internals (one socket
-//!   per node pair, orphans, sweeps, malformed frames, `MAX_FRAME`, stepped
-//!   shards);
+//! - loopback TCP (`rdmc-tcp/src/tests.rs`): socket internals (sweeps,
+//!   malformed frames, `MAX_FRAME`, failed set-up, stepped shards, a dead
+//!   pump thread);
 //! - `MemNet` (`analyzer/tests/memnet.rs`): delivery under scheduler-drawn
-//!   interleavings of its pipes' bytes and deliveries, and the explorer on
-//!   the TCP datapath: kernel sockets offer a scheduler no choice point.
+//!   interleavings of its pipes' bytes and deliveries, the explorer on the
+//!   TCP datapath (kernel sockets offer a scheduler no choice point), and
+//!   the socket sharing that write sites stage: one socket per node pair
+//!   (`queue_pairs_between_two_nodes_share_one_socket`) and orphans
+//!   (`breaking_one_queue_pair_leaves_its_socket_mates_running`).
 //!
 //! The protocol's claims above the verbs (delivery, wedging, recovery,
 //! atomic order) are rows of the transport matrix and sites of the crash
